@@ -19,7 +19,16 @@ import (
 // BENCH_<n>.json by `vpnbench -perf`. It carries the numbers the
 // allocation-budget gate tracks across commits: forwarding-decision cost
 // (E4), full data-plane throughput and allocation rate on the 200-site
-// backbone (E17), and the sharded engine's event throughput (E15).
+// backbone (E17), and the sharded engine's throughput (E15).
+//
+// Throughput is gated in packets per second — the work — never in events
+// per second: how many events a packet costs is a property of the engine
+// (the fused hop halved it), so an events/s comparison across commits reads
+// an engine improvement as a regression, or hides a real one behind extra
+// events. Events per packet is recorded beside it as an exact figure
+// (EventsPerPkt): the simulation is deterministic, so any change in it is a
+// change in the algorithm, and the gate fails until a deliberate BENCH
+// re-baseline explains it.
 type BenchReport struct {
 	Generated  string `json:"generated"`
 	GoMaxProcs int    `json:"gomaxprocs"`
@@ -37,8 +46,12 @@ type BenchReport struct {
 	Backbone200 BenchDataPlane `json:"backbone200"`
 	// Unpooled200 is the same workload with freelists disabled (ablation).
 	Unpooled200 BenchDataPlane `json:"unpooled200"`
-	// E15EventsPerSec keys are "serial" and "shards-<n>".
+	// E15EventsPerSec and E15PktsPerSec keys are "serial" and "shards-<n>".
 	E15EventsPerSec map[string]float64 `json:"e15_events_per_sec"`
+	E15PktsPerSec   map[string]float64 `json:"e15_pkts_per_sec"`
+	// EventsPerPkt is executed events per delivered packet, exact. Keys are
+	// "backbone200", "e15.serial" and "e15.shards-<n>".
+	EventsPerPkt map[string]float64 `json:"events_per_pkt"`
 	// E22Scaling is the GOMAXPROCS x shards scaling curve.
 	E22Scaling BenchScaling `json:"e22_scaling"`
 	// E19Soak is the day-in-the-life SLA scorecard under checkpoint/resume.
@@ -107,6 +120,7 @@ type BenchSoak struct {
 type BenchScaling struct {
 	HostCPUs     int                `json:"host_cpus"`
 	EventsPerSec map[string]float64 `json:"events_per_sec"`
+	PktsPerSec   map[string]float64 `json:"pkts_per_sec"`
 	Speedup      map[string]float64 `json:"speedup"`
 	AllIdentical bool               `json:"all_identical"`
 }
@@ -157,8 +171,8 @@ func runPerf(dir string, gate bool) int {
 	fmt.Println(e17.Scaling.String())
 	fmt.Println(e17.Ablation.String())
 
-	fmt.Println("perf: E15 sharded event throughput...")
-	e15 := map[string]float64{}
+	fmt.Println("perf: E15 sharded throughput...")
+	e15, e15pkts, perPkt := map[string]float64{}, map[string]float64{}, map[string]float64{}
 	for _, shards := range []int{0, 8} {
 		r := experiments.RunScaling(experiments.ScalingSites, shards, 0, 200*sim.Millisecond)
 		name := "serial"
@@ -166,7 +180,10 @@ func runPerf(dir string, gate bool) int {
 			name = fmt.Sprintf("shards-%d", shards)
 		}
 		e15[name] = float64(r.Events) / r.Wall.Seconds()
-		fmt.Printf("  %-9s %12.0f events/sec\n", name, e15[name])
+		e15pkts[name] = float64(r.Delivered) / r.Wall.Seconds()
+		perPkt["e15."+name] = float64(r.Events) / float64(r.Delivered)
+		fmt.Printf("  %-9s %12.0f pkts/sec %12.0f events/sec %8.3f events/pkt\n",
+			name, e15pkts[name], e15[name], perPkt["e15."+name])
 	}
 	fmt.Println()
 
@@ -225,9 +242,12 @@ func runPerf(dir string, gate bool) int {
 		SectionGoMaxProcs: sections,
 		E4NsPerOp:         e4.NsPerOp,
 		E15EventsPerSec:   e15,
+		E15PktsPerSec:     e15pkts,
+		EventsPerPkt:      perPkt,
 		E22Scaling: BenchScaling{
 			HostCPUs:     e22.HostCPUs,
 			EventsPerSec: map[string]float64{},
+			PktsPerSec:   map[string]float64{},
 			Speedup:      map[string]float64{},
 			AllIdentical: e22.AllIdentical,
 		},
@@ -253,6 +273,7 @@ func runPerf(dir string, gate bool) int {
 		}
 		key := fmt.Sprintf("gmp%d/%s", run.GoMaxProcs, name)
 		rep.E22Scaling.EventsPerSec[key] = run.EventsPerSec
+		rep.E22Scaling.PktsPerSec[key] = run.PktsPerSec
 		if run.Shards > 0 {
 			rep.E22Scaling.Speedup[key] = run.Speedup
 		}
@@ -301,6 +322,7 @@ func runPerf(dir string, gate bool) int {
 	}
 	if pooled != nil {
 		rep.Backbone200 = dataPlaneFromRun(*pooled)
+		perPkt["backbone200"] = float64(pooled.Events) / float64(pooled.Delivered)
 	}
 	if unpooled != nil {
 		rep.Unpooled200 = dataPlaneFromRun(*unpooled)
@@ -371,10 +393,10 @@ func runPerf(dir string, gate bool) int {
 			fail = true
 		}
 	} else {
-		serial1 := e22.EventsPerSec(1, 0)
-		shards8 := e22.EventsPerSec(1, 8)
+		serial1 := e22.PktsPerSec(1, 0)
+		shards8 := e22.PktsPerSec(1, 8)
 		if serial1 > 0 && shards8 < serial1*0.80 {
-			fmt.Printf("GATE: e22 shards-8 at GOMAXPROCS=1 runs at %.0f events/sec vs serial %.0f — more than 20%% single-core overhead\n",
+			fmt.Printf("GATE: e22 shards-8 at GOMAXPROCS=1 runs at %.0f pkts/sec vs serial %.0f — more than 20%% single-core overhead\n",
 				shards8, serial1)
 			fail = true
 		}
@@ -458,14 +480,30 @@ func runPerf(dir string, gate bool) int {
 			}
 		}
 		cmp("e17", "backbone200.pps", prev.Backbone200.PPS, rep.Backbone200.PPS, true)
-		cmp("e17", "backbone200.events_per_sec", prev.Backbone200.EventsPerSec, rep.Backbone200.EventsPerSec, true)
 		cmp("e17", "backbone200.allocs_per_pkt", prev.Backbone200.AllocsPerPkt, rep.Backbone200.AllocsPerPkt, false)
 		cmp("e4", "e4.ilm_ns_per_op", prev.E4NsPerOp["ilm"], rep.E4NsPerOp["ilm"], false)
-		cmp("e15", "e15.serial_events_per_sec", prev.E15EventsPerSec["serial"], rep.E15EventsPerSec["serial"], true)
-		cmp("e22", "e22.gmp1_serial_events_per_sec",
-			prev.E22Scaling.EventsPerSec["gmp1/serial"], rep.E22Scaling.EventsPerSec["gmp1/serial"], true)
-		cmp("e22", "e22.gmp1_shards8_events_per_sec",
-			prev.E22Scaling.EventsPerSec["gmp1/shards-8"], rep.E22Scaling.EventsPerSec["gmp1/shards-8"], true)
+		cmp("e15", "e15.serial_pkts_per_sec", prev.E15PktsPerSec["serial"], rep.E15PktsPerSec["serial"], true)
+		cmp("e22", "e22.gmp1_serial_pkts_per_sec",
+			prev.E22Scaling.PktsPerSec["gmp1/serial"], rep.E22Scaling.PktsPerSec["gmp1/serial"], true)
+		cmp("e22", "e22.gmp1_shards8_pkts_per_sec",
+			prev.E22Scaling.PktsPerSec["gmp1/shards-8"], rep.E22Scaling.PktsPerSec["gmp1/shards-8"], true)
+		// Exact, not statistical: same seed, same horizon, same counts.
+		keys := make([]string, 0, len(rep.EventsPerPkt))
+		for k := range rep.EventsPerPkt {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			old, ok := prev.EventsPerPkt[k]
+			if !ok {
+				continue
+			}
+			fmt.Printf("  %-34s %12.4f -> %12.4f\n", k+".events_per_pkt", old, rep.EventsPerPkt[k])
+			if gate && old != rep.EventsPerPkt[k] {
+				fmt.Printf("GATE: %s events per packet changed; the run is deterministic, so the engine or the data plane does different work per packet — re-baseline with `vpnbench -perf` and say why in CHANGES.md\n", k)
+				fail = true
+			}
+		}
 	}
 	if fail && gate {
 		fmt.Println("perf gate FAILED")

@@ -43,7 +43,7 @@ func loadRoute(r *snapshot.Reader) *VPNRoute {
 	v.ASPathLen = int(r.I64())
 	v.OriginPE = topo.NodeID(r.I64())
 	v.OriginatorID = topo.NodeID(r.I64())
-	nc := r.Count(8)
+	nc := r.Count(1) // a cluster ID is a varint: one byte at least
 	for i := 0; i < nc; i++ {
 		v.ClusterList = append(v.ClusterList, uint32(r.U64()))
 	}

@@ -78,6 +78,15 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		return f
 	}), fp))
 
+	// A version-1 file (ports saved busy, not busyUntil; evTxDone records)
+	// is refused by version, before any section is read as the wrong layout.
+	if err := restore(resect(func(f *snapshot.File) *snapshot.File {
+		f.Version = 1
+		return f
+	}), fp); !errors.Is(err, snapshot.ErrVersion) {
+		t.Errorf("version 1: err = %v, want ErrVersion", err)
+	}
+
 	// Scenario skew: right bytes, wrong world.
 	typed("wrong fingerprint", restore(data, "some-other-scenario"))
 	sharded := buildSnapRig(t, 8, 4)

@@ -210,6 +210,71 @@ func equivScenarios() []equivScenario {
 			},
 		},
 		{
+			// The bottleneck link dies twice while a packet is serializing on
+			// it: once for 2 ms, back up before that packet's last bit leaves
+			// (it must be delivered), once for 60 ms (it must be dropped at
+			// the link's near end when the last bit would have left). No
+			// event runs at that instant — the port's arrival is posted when
+			// serialization starts — so the coordinator has to doom and
+			// reprieve the packet in flight, across a cut edge at 2 and 8
+			// shards.
+			name: "fault-mid-serialization",
+			dur:  300 * sim.Millisecond,
+			build: func() *Backbone {
+				b := NewBackbone(Config{Seed: 29, Scheduler: SchedHybrid})
+				b.AddPE("PE1")
+				b.AddP("P1")
+				b.AddP("P2")
+				b.AddPE("PE2")
+				b.Link("PE1", "P1", 10e6, sim.Millisecond, 1)
+				b.Link("P1", "P2", 2e6, 2*sim.Millisecond, 1)
+				b.Link("P2", "PE2", 10e6, sim.Millisecond, 1)
+				b.BuildProvider()
+				b.DefineVPN("acme")
+				b.AddSite(SiteSpec{VPN: "acme", Name: "hq", PE: "PE1",
+					Prefixes: []addr.Prefix{addr.MustParsePrefix("10.1.0.0/16")}})
+				b.AddSite(SiteSpec{VPN: "acme", Name: "branch", PE: "PE2",
+					Prefixes: []addr.Prefix{addr.MustParsePrefix("10.2.0.0/16")}})
+				b.ConvergeVPNs()
+				b.EnableTelemetry(TelemetryOptions{
+					Interval: 100 * sim.Millisecond,
+					Horizon:  300 * sim.Millisecond,
+				})
+				return b
+			},
+			traffic: func(b *Backbone) []*trafgen.Flow {
+				// 1236 B on the wire every 6 ms: P1->P2 serializes each for
+				// 4.944 ms, over [3.09 ms + 6k, 8.034 ms + 6k].
+				f, _ := b.FlowBetween("bulk", "hq", "branch", 80)
+				trafgen.CBR(b.Net, f, 1200, 6*sim.Millisecond, 0, 280*sim.Millisecond)
+				r, _ := b.FlowBetween("back", "branch", "hq", 443)
+				trafgen.CBR(b.Net, r, 400, 5*sim.Millisecond, 29*sim.Microsecond, 280*sim.Millisecond)
+				p1, _ := b.G.NodeByName("P1")
+				p2, _ := b.G.NodeByName("P2")
+				l, _ := b.G.FindLink(p1, p2)
+				failMidPacket := func() {
+					// Nothing queues at this load, so bytes offered and neither
+					// sent nor dropped are on the wire.
+					if b.Net.LinkOfferedBytes(l.ID)-b.Net.LinkTxBytes(l.ID)-b.Net.LinkDroppedBytes(l.ID) != 1236 {
+						panic("fault-mid-serialization: no packet is serializing on P1->P2 at the fault instant")
+					}
+					if err := b.FailLink("P1", "P2", 10*sim.Millisecond); err != nil {
+						panic(err)
+					}
+				}
+				restore := func() {
+					if err := b.RestoreLink("P1", "P2", 10*sim.Millisecond); err != nil {
+						panic(err)
+					}
+				}
+				b.E.Schedule(100*sim.Millisecond, failMidPacket) // 0.91 ms into a packet
+				b.E.Schedule(102*sim.Millisecond, restore)       // 2 ms before its last bit
+				b.E.Schedule(160*sim.Millisecond, failMidPacket)
+				b.E.Schedule(220*sim.Millisecond, restore)
+				return []*trafgen.Flow{f, r}
+			},
+		},
+		{
 			// Extranet: a shared-services VPN exporting into two customer
 			// VPNs, checking the isolation counter's deterministic merge.
 			name: "extranet",

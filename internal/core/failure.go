@@ -255,7 +255,7 @@ func (b *Backbone) hardCrashNode(id topo.NodeID) {
 	for i := 0; i < b.G.NumLinks(); i++ {
 		l := b.G.Link(topo.LinkID(i))
 		if l.From == id || l.To == id {
-			l.Down = true
+			b.G.SetDown(l.ID, true)
 		}
 	}
 	r := b.routers[id]
@@ -303,7 +303,7 @@ func (b *Backbone) RestartNode(name string, detectDelay sim.Time) error {
 		if b.nodeDown[other] || b.failedLinks[pairKey(id, other)] {
 			continue
 		}
-		l.Down = false
+		b.G.SetDown(l.ID, false)
 	}
 	b.journal(telemetry.EventNodeUp, subject, fmt.Sprintf("detect %v", detectDelay))
 	b.scheduleReconverge(detectDelay)

@@ -1076,7 +1076,7 @@ func (x *InterAS) RestoreAS(name string, detect sim.Time) error {
 		if x.peeringLinkCut(l.ID) {
 			continue
 		}
-		l.Down = false
+		b.G.SetDown(l.ID, false)
 	}
 	b.journal(telemetry.EventNodeUp, "as:"+name, fmt.Sprintf("AS restored; detect %v", detect))
 	b.scheduleReconverge(detect)
@@ -1147,7 +1147,7 @@ func (x *InterAS) FailPeering(id int) error {
 	p.down = true
 	p.state = sessDown
 	for _, l := range p.links() {
-		x.G.Link(l).Down = true
+		x.G.SetDown(l, true)
 	}
 	pl.stats.PeeringFlaps++
 	x.journalPeering(p, telemetry.EventLinkDown, "peering fibre cut")
@@ -1172,7 +1172,7 @@ func (x *InterAS) RestorePeering(id int) error {
 		p.state = sessUp
 		p.misses = 0
 		for _, l := range p.links() {
-			x.G.Link(l).Down = false
+			x.G.SetDown(l, false)
 		}
 		pl.stats.PeeringRestores++
 		x.journalPeering(p, telemetry.EventLinkUp, "peering fibre restored")

@@ -254,9 +254,8 @@ func loadTopoState(r *snapshot.Reader, g *topo.Graph) error {
 		return fmt.Errorf("%w: %d links in checkpoint, %d in scenario", snapshot.ErrMismatch, nl, g.NumLinks())
 	}
 	for i := 0; i < nl; i++ {
-		l := g.Link(topo.LinkID(i))
-		l.Down = r.Bool()
-		l.ReservedBw = r.F64()
+		g.SetDown(topo.LinkID(i), r.Bool())
+		g.Link(topo.LinkID(i)).ReservedBw = r.F64()
 	}
 	return r.Err()
 }

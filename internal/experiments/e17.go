@@ -14,6 +14,7 @@ type E17Run struct {
 	Config       string // "pooled" or "unpooled"
 	Sites        int
 	Delivered    int64   // packets delivered
+	Events       int64   // engine events executed (exact: the run is deterministic)
 	WallMs       float64 // wall-clock milliseconds
 	PPS          float64 // delivered packets per wall-clock second
 	EventsPerSec float64 // engine events per wall-clock second
@@ -55,13 +56,14 @@ func measureE17(config string, sites int, dur sim.Time, pooled bool) E17Run {
 		Config:    config,
 		Sites:     sites,
 		Delivered: delivered,
+		Events:    int64(b.E.Executed()),
 		WallMs:    float64(wall.Microseconds()) / 1e3,
 		GCPauseMs: float64(after.PauseTotalNs-before.PauseTotalNs) / 1e6,
 		GCCycles:  after.NumGC - before.NumGC,
 	}
 	if wall > 0 {
 		r.PPS = float64(delivered) / wall.Seconds()
-		r.EventsPerSec = float64(b.E.Executed()) / wall.Seconds()
+		r.EventsPerSec = float64(r.Events) / wall.Seconds()
 	}
 	if delivered > 0 {
 		r.AllocsPerPkt = float64(after.Mallocs-before.Mallocs) / float64(delivered)

@@ -18,7 +18,9 @@ type E22Run struct {
 	Shards       int `json:"shards"` // 0 = serial engine
 	Wall         time.Duration
 	Events       int64
+	Delivered    int64
 	EventsPerSec float64
+	PktsPerSec   float64
 	// Speedup is serial wall / this wall at the same GOMAXPROCS.
 	Speedup float64
 	// Identical reports byte-equality with the serial fingerprint.
@@ -48,12 +50,12 @@ func (r *E22Result) Speedup(gmp, shards int) float64 {
 	return 0
 }
 
-// EventsPerSec returns the event throughput for (gomaxprocs, shards)
+// PktsPerSec returns the packet throughput for (gomaxprocs, shards)
 // (shards == 0 selects the serial baseline), or 0 if not swept.
-func (r *E22Result) EventsPerSec(gmp, shards int) float64 {
+func (r *E22Result) PktsPerSec(gmp, shards int) float64 {
 	for _, run := range r.Runs {
 		if run.GoMaxProcs == gmp && run.Shards == shards {
-			return run.EventsPerSec
+			return run.PktsPerSec
 		}
 	}
 	return 0
@@ -84,7 +86,7 @@ func E22ParallelSweep(dur sim.Time, gmps, shardCounts []int) *E22Result {
 		Table: stats.NewTable(
 			fmt.Sprintf("E22 — scaling curve, %d sites, %v of traffic, host has %d CPU(s)",
 				ScalingSites, dur, runtime.NumCPU()),
-			"gomaxprocs", "config", "wall_ms", "events_per_sec", "speedup", "identical"),
+			"gomaxprocs", "config", "wall_ms", "pkts_per_sec", "events_per_sec", "speedup", "identical"),
 	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -102,7 +104,9 @@ func E22ParallelSweep(dur sim.Time, gmps, shardCounts []int) *E22Result {
 				Shards:       r.Shards,
 				Wall:         r.Wall,
 				Events:       r.Events,
+				Delivered:    r.Delivered,
 				EventsPerSec: float64(r.Events) / r.Wall.Seconds(),
+				PktsPerSec:   float64(r.Delivered) / r.Wall.Seconds(),
 				Speedup:      float64(serial.Wall) / float64(r.Wall),
 				Identical:    r.Fingerprint == reference,
 			}
@@ -116,6 +120,7 @@ func E22ParallelSweep(dur sim.Time, gmps, shardCounts []int) *E22Result {
 			}
 			res.Table.AddRow(gmp, name,
 				fmt.Sprintf("%.1f", float64(r.Wall.Microseconds())/1e3),
+				fmt.Sprintf("%.0f", run.PktsPerSec),
 				fmt.Sprintf("%.0f", run.EventsPerSec),
 				fmt.Sprintf("%.2fx", run.Speedup),
 				run.Identical)

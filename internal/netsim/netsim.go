@@ -36,7 +36,7 @@ type Network struct {
 	routerAt []*device.Router
 	ports    []*port
 
-	pools []*dpPool // per-shard packet/event freelists; [0] when serial
+	lanes []*lane // per-shard clock + freelists; [0] alone when serial
 
 	// OnDeliver is invoked when a packet reaches its destination. The
 	// packet is recycled when the hook returns: do not retain it.
@@ -69,23 +69,51 @@ type Network struct {
 
 	// Sharding state (nil/zero when serial — see shard.go).
 	shardOf  []int                       // node -> owning shard
-	shClk    []*sim.Shard                // shard index -> clock
 	acc      *telemetry.ShardAccumulator // per-shard counter cells
 	handoffs int64                       // packets that crossed shards
 }
 
+// port is the egress side of one directed link. Its transmit state is two
+// fields, not a pair of events:
+//
+//   - busyUntil is the instant the last bit of the packet being serialized
+//     leaves (t1). The port is idle iff now >= busyUntil and no wake-up is
+//     pending; an idle port starts a packet the moment it is offered and
+//     posts the far-end arrival directly at busyUntil + link delay — one
+//     event per hop.
+//   - wake is set while an evTxKick is pending for the port: at busyUntil,
+//     posted by the first packet that had to queue behind the wire (and
+//     re-posted by each wake-up that leaves a backlog behind), or at the
+//     shaper's conformance instant. Invariant: a packet in the scheduler or
+//     in pending implies wake.
+//
+// The tx ledger settles lazily: wireBytes holds the size of the packet last
+// started until settle folds it into txBytes (or, doomed, an evTxDrop at
+// busyUntil folds it into dropBytes). Every reader settles first, so the
+// ledger always reads as if settled at t1.
 type port struct {
-	link    topo.LinkID
-	sched   qos.Scheduler
-	busy    bool
-	shaper  *qos.TokenBucket // optional egress shaper
-	pending *packet.Packet   // dequeued but held for shaper conformance
-	txBytes int64            // bytes fully serialized onto the wire
-	txPkts  int64
-	// wireBytes is the size of the packet currently being serialized: it has
-	// left the queue but is not yet tx or drop. At quiescence it is zero, so
+	link      topo.LinkID
+	sched     qos.Scheduler
+	busyUntil sim.Time
+	wake      bool
+	shaper    *qos.TokenBucket // optional egress shaper
+	pending   *packet.Packet   // dequeued but held for shaper conformance
+	txBytes   int64            // bytes fully serialized onto the wire
+	txPkts    int64
+	// wireBytes is the size of the packet last started and not yet settled
+	// as tx or drop. At quiescence it settles to zero, so
 	// offered == tx + drop + queued holds exactly.
 	wireBytes int64
+
+	// While the link is down under the packet being serialized the
+	// transmission is doomed: its pending far-end arrival (fly) has been
+	// emptied and a pending evTxDrop at busyUntil (doom) holds the packet
+	// instead. The event pointers are for linkChanged to move the packet
+	// between the two; they are only followed while that event is still
+	// pending (fly while now < busyUntil, doom while doomed) and go stale
+	// once it has run and recycled.
+	doomed    bool
+	fly, doom *dpEvent
 
 	// Per-port drop accounting: every packet offered to this port for
 	// egress, and every byte the port refused (queue overflow, link down).
@@ -95,6 +123,17 @@ type port struct {
 	dropPkts     int64
 
 	tel *portTel // nil when telemetry is off — the hot path pays one nil check
+}
+
+// settle folds a finished serialization into the tx ledger. Only the owning
+// shard (at the port's next start) or the coordinator between segments (any
+// ledger read) may call it. A doomed transmission is left for its evTxDrop.
+func (pt *port) settle(now sim.Time) {
+	if pt.wireBytes != 0 && now >= pt.busyUntil && !pt.doomed {
+		pt.txBytes += pt.wireBytes
+		pt.txPkts++
+		pt.wireBytes = 0
+	}
 }
 
 // portTel holds the port's pre-resolved telemetry handles, indexed by class
@@ -111,8 +150,9 @@ func New(e *sim.Engine, g *topo.Graph) *Network {
 	n := &Network{
 		E: e, G: g,
 		Routers: make(map[topo.NodeID]*device.Router),
-		pools:   []*dpPool{{}},
+		lanes:   []*lane{{clk: e}},
 	}
+	g.OnLinkState(n.linkChanged)
 	if nn := g.NumNodes(); nn > 0 {
 		n.routerAt = make([]*device.Router, nn)
 	}
@@ -261,27 +301,27 @@ func (n *Network) SampleTelemetry() {
 // packet is processed immediately at the injection point, on the clock of
 // the node's owning shard.
 func (n *Network) Inject(at topo.NodeID, p *packet.Packet) {
-	clk := n.clockFor(at)
-	p.SentAt = clk.Now()
-	n.count(clk, ctrInjected, 1)
-	n.process(clk, at, p, -1)
+	ln := n.laneOf(at)
+	p.SentAt = ln.clk.Now()
+	n.count(ln, ctrInjected, 1)
+	n.process(ln, at, p, -1)
 }
 
-// process runs one router's pipeline and acts on the verdict. clk is the
-// clock of the shard owning node at (the engine itself when serial).
-func (n *Network) process(clk sim.Clock, at topo.NodeID, p *packet.Packet, inLink topo.LinkID) {
+// process runs one router's pipeline and acts on the verdict. ln is the
+// lane of the shard owning node at (lane 0 when serial).
+func (n *Network) process(ln *lane, at topo.NodeID, p *packet.Packet, inLink topo.LinkID) {
 	r := n.routerFor(at)
 	if r == nil {
-		n.drop(clk, at, p, packet.DropNoRouter)
+		n.drop(ln, at, p, packet.DropNoRouter)
 		return
 	}
-	v := r.Receive(clk.Now(), p, inLink)
+	v := r.Receive(ln.clk.Now(), p, inLink)
 	if v.Drop != packet.DropNone {
-		n.drop(clk, at, p, v.Drop)
+		n.drop(ln, at, p, v.Drop)
 		return
 	}
 	if v.Deliver {
-		n.deliver(clk, at, p)
+		n.deliver(ln, at, p)
 		return
 	}
 	// Headers are settled for this hop: refresh the cached wire length once
@@ -289,12 +329,12 @@ func (n *Network) process(clk sim.Clock, at topo.NodeID, p *packet.Packet, inLin
 	p.RefreshWire()
 	delay := v.Delay + n.HopDelay
 	if delay > 0 {
-		ev := n.poolFor(clk).getEvent()
-		ev.n, ev.kind, ev.clk, ev.node, ev.link, ev.p = n, evEnqueue, clk, at, v.OutLink, p
-		clk.PostAfter(delay, ev)
+		ev := ln.pool.getEvent()
+		ev.n, ev.kind, ev.ln, ev.node, ev.link, ev.p = n, evEnqueue, ln, at, v.OutLink, p
+		ln.clk.PostAfter(delay, ev)
 		return
 	}
-	n.enqueue(clk, at, v.OutLink, p)
+	n.enqueue(ln, at, v.OutLink, p)
 }
 
 // deliver finalizes a packet that terminated at node at: count it, notify,
@@ -302,25 +342,24 @@ func (n *Network) process(clk sim.Clock, at topo.NodeID, p *packet.Packet, inLin
 // VPN counters): when sharded they defer to the barrier, where they
 // dispatch in deterministic order at this same timestamp — and the recycle
 // rides the same note, because the hook must see the packet intact.
-func (n *Network) deliver(clk sim.Clock, at topo.NodeID, p *packet.Packet) {
-	n.count(clk, ctrDelivered, 1)
-	if sh, ok := clk.(*sim.Shard); ok {
-		pl := n.poolFor(clk)
+func (n *Network) deliver(ln *lane, at topo.NodeID, p *packet.Packet) {
+	n.count(ln, ctrDelivered, 1)
+	if sh := ln.sh; sh != nil {
 		if n.OnDeliverLocal != nil {
 			// Shard-confined accounting: no barrier note, no coordinator
 			// round trip — the delivery settles entirely inside the
 			// segment that produced it.
 			n.OnDeliverLocal(sh.ID(), sh.Now(), at, p)
-			pl.putPacket(p)
+			ln.pool.putPacket(p)
 			return
 		}
 		if n.OnDeliver == nil {
 			// No observer: the packet's journey ends inside this shard's
 			// segment, so it recycles into the shard's own pool right away.
-			pl.putPacket(p)
+			ln.pool.putPacket(p)
 			return
 		}
-		ev := pl.getEvent()
+		ev := ln.pool.getEvent()
 		ev.n, ev.kind, ev.node, ev.p = n, evDeliverNote, at, p
 		sh.DeferAction(ev)
 		return
@@ -328,17 +367,17 @@ func (n *Network) deliver(clk sim.Clock, at topo.NodeID, p *packet.Packet) {
 	if n.OnDeliver != nil {
 		n.OnDeliver(at, p)
 	}
-	n.pools[0].putPacket(p)
+	ln.pool.putPacket(p)
 }
 
 // enqueue places the packet on the egress port, starting transmission if
 // the port is idle. Bytes refused here — link down or queue overflow — are
 // charged to the port's drop accounting, so per-port loss is measurable
 // rather than only the network-wide Dropped total.
-func (n *Network) enqueue(clk sim.Clock, at topo.NodeID, link topo.LinkID, p *packet.Packet) {
+func (n *Network) enqueue(ln *lane, at topo.NodeID, link topo.LinkID, p *packet.Packet) {
 	l := n.G.Link(link)
 	if l.From != at {
-		n.drop(clk, at, p, packet.DropForeignLink)
+		n.drop(ln, at, p, packet.DropForeignLink)
 		return
 	}
 	pt := n.portFor(link)
@@ -350,111 +389,188 @@ func (n *Network) enqueue(clk sim.Clock, at topo.NodeID, link topo.LinkID, p *pa
 		pt.tel.offered[cls].Add(size)
 	}
 	if l.Down {
-		pt.dropPkts++
-		pt.dropBytes += size
-		if pt.tel != nil {
-			pt.tel.dropped[cls].Add(size)
-		}
-		n.drop(clk, at, p, packet.DropLinkDown)
+		n.refuse(ln, pt, l, p, size, packet.DropLinkDown)
 		return
 	}
-	if !pt.sched.Enqueue(clk.Now(), cls, p) {
-		pt.dropPkts++
-		pt.dropBytes += size
-		if pt.tel != nil {
-			pt.tel.dropped[cls].Add(size)
-		}
-		n.drop(clk, at, p, packet.DropQueueOverflow)
+	now := ln.clk.Now()
+	if !pt.sched.Enqueue(now, cls, p) {
+		n.refuse(ln, pt, l, p, size, packet.DropQueueOverflow)
 		return
 	}
-	if !pt.busy {
-		n.transmitNext(clk, pt)
+	switch {
+	case pt.wake:
+		// A wake-up is already booked; it will find this packet queued.
+	case now < pt.busyUntil:
+		n.kick(ln, pt, pt.busyUntil)
+	default:
+		n.transmitNext(ln, pt)
 	}
 }
 
-// transmitNext serializes the scheduler's next packet onto the wire,
-// honouring the port shaper if one is installed. clk is the clock of the
-// shard owning the port's source node; all of the port's timers stay on it.
-func (n *Network) transmitNext(clk sim.Clock, pt *port) {
+// refuse charges a packet the port turned away to its drop ledger.
+func (n *Network) refuse(ln *lane, pt *port, l *topo.Link, p *packet.Packet, size int64, reason packet.DropReason) {
+	pt.dropPkts++
+	pt.dropBytes += size
+	if pt.tel != nil {
+		pt.tel.dropped[qos.ClassOf(p)].Add(size)
+	}
+	n.drop(ln, l.From, p, reason)
+}
+
+// kick books the port's wake-up: an evTxKick at the given instant.
+func (n *Network) kick(ln *lane, pt *port, at sim.Time) {
+	pt.wake = true
+	ev := ln.pool.getEvent()
+	ev.n, ev.kind, ev.ln, ev.pt = n, evTxKick, ln, pt
+	ln.clk.Post(at, ev)
+}
+
+// wakeUp runs the port's evTxKick: serve the next packet and, if that
+// leaves a backlog behind the wire, book the next wake-up for the moment
+// the wire frees — the second event a backlogged hop costs.
+func (n *Network) wakeUp(ln *lane, pt *port) {
+	pt.wake = false
+	n.transmitNext(ln, pt)
+	if !pt.wake && pt.sched.Len() > 0 {
+		n.kick(ln, pt, pt.busyUntil)
+	}
+}
+
+// transmitNext starts serializing the scheduler's next packet, honouring
+// the port shaper if one is installed, and launches it: the far-end arrival
+// is posted now, at the instant the last bit will have propagated. The
+// caller guarantees the wire is free (now >= busyUntil, no wake-up pending).
+// ln is the lane of the shard owning the port's source node; all of the
+// port's timers stay on it.
+func (n *Network) transmitNext(ln *lane, pt *port) {
+	now := ln.clk.Now()
 	p := pt.pending
 	pt.pending = nil
 	if p == nil {
-		p = pt.sched.Dequeue(clk.Now())
+		p = pt.sched.Dequeue(now)
 	}
 	if p == nil {
-		pt.busy = false
 		return
 	}
-	pt.busy = true
 	wire := p.Wire()
 	if pt.shaper != nil {
-		if d := pt.shaper.DelayUntilConform(clk.Now(), wire); d > 0 {
+		if d := pt.shaper.DelayUntilConform(now, wire); d > 0 {
 			pt.pending = p
-			ev := n.poolFor(clk).getEvent()
-			ev.n, ev.kind, ev.clk, ev.pt = n, evTxKick, clk, pt
-			clk.PostAfter(d, ev)
+			n.kick(ln, pt, now+d)
 			return
 		}
-		pt.shaper.Conforms(clk.Now(), wire)
+		pt.shaper.Conforms(now, wire)
 	}
+	if pt.doomed {
+		// This wake-up beat the previous packet's evTxDrop to the instant
+		// they share: settle that loss first, as the drop would have, and
+		// leave its event empty.
+		lost := pt.doom.p
+		pt.doom.p = nil
+		n.txDrop(ln, pt, lost)
+	}
+	pt.settle(now)
 	l := n.G.Link(pt.link)
-	size := int64(wire)
-	pt.wireBytes += size
 	txTime := sim.Time(float64(wire*8) / l.Bandwidth * float64(sim.Second))
-	ev := n.poolFor(clk).getEvent()
-	ev.n, ev.kind, ev.clk, ev.pt, ev.p, ev.size = n, evTxDone, clk, pt, p, size
-	clk.PostAfter(txTime, ev)
-}
-
-// txDone settles one finished serialization: settle the byte accounting
-// (tx on success, drop if the link died mid-flight — never both), launch
-// propagation, then serve the next queued packet (the wire is pipelined).
-func (n *Network) txDone(clk sim.Clock, pt *port, p *packet.Packet, size int64) {
-	l := n.G.Link(pt.link)
-	pt.wireBytes -= size
+	pt.wireBytes = int64(wire)
+	pt.busyUntil = now + txTime
 	if l.Down {
-		pt.dropPkts++
-		pt.dropBytes += size
-		if pt.tel != nil {
-			pt.tel.dropped[qos.ClassOf(p)].Add(size)
-		}
-		n.drop(clk, l.From, p, packet.DropLinkDown)
-	} else {
-		pt.txBytes += size
-		pt.txPkts++
-		n.propagate(clk, l, pt.link, p)
+		// Dequeued from a backlog onto a dead link: it occupies the wire
+		// for its serialization time and is lost when the last bit leaves,
+		// unless the link comes back first (linkChanged).
+		n.doom(ln, pt, p)
+		return
 	}
-	n.transmitNext(clk, pt)
+	pt.fly = n.launch(ln, l, p, txTime+l.Delay)
 }
 
-// propagate delivers the packet to the far router after the link delay,
-// handing ownership across shards when the link is a cut edge.
-func (n *Network) propagate(clk sim.Clock, l *topo.Link, link topo.LinkID, p *packet.Packet) {
-	dst := l.To
-	if n.shardOf != nil && n.shardOf[l.From] != n.shardOf[dst] {
-		dclk := n.shClk[n.shardOf[dst]]
-		n.count(clk, ctrHandoffs, 1)
+// launch posts the packet's arrival at the far router d from now — the
+// rest of its serialization plus the link's propagation delay — handing
+// ownership across shards when the link is a cut edge (d is at least the
+// link delay, which is at least the pair's lookahead bound).
+func (n *Network) launch(ln *lane, l *topo.Link, p *packet.Packet, d sim.Time) *dpEvent {
+	if n.cut(l) {
+		dln := n.lanes[n.shardOf[l.To]]
+		n.count(ln, ctrHandoffs, 1)
 		// Cross-shard events are one-shot (pool nil): the destination
 		// worker runs them, and recycling into the source shard's pool
 		// from there would race. Handoffs are rare — only cut edges.
-		ev := &dpEvent{n: n, kind: evArrive, clk: dclk, node: dst, link: link, p: p}
-		clk.(*sim.Shard).HandoffAction(dclk, l.Delay, ev)
-		return
+		ev := &dpEvent{n: n, kind: evArrive, ln: dln, node: l.To, link: l.ID, p: p}
+		ln.sh.HandoffAction(dln.sh, d, ev)
+		return ev
 	}
-	ev := n.poolFor(clk).getEvent()
-	ev.n, ev.kind, ev.clk, ev.node, ev.link, ev.p = n, evArrive, clk, dst, link, p
-	clk.PostAfter(l.Delay, ev)
+	ev := ln.pool.getEvent()
+	ev.n, ev.kind, ev.ln, ev.node, ev.link, ev.p = n, evArrive, ln, l.To, l.ID, p
+	ln.clk.PostAfter(d, ev)
+	return ev
 }
 
-func (n *Network) drop(clk sim.Clock, at topo.NodeID, p *packet.Packet, reason packet.DropReason) {
-	n.count(clk, ctrDropped, 1)
-	if sh, ok := clk.(*sim.Shard); ok {
-		pl := n.poolFor(clk)
+// cut reports whether the link's two ends live on different shards.
+func (n *Network) cut(l *topo.Link) bool {
+	return n.shardOf != nil && n.shardOf[l.From] != n.shardOf[l.To]
+}
+
+// doom books the loss of the packet being serialized on pt for the instant
+// its last bit leaves: an evTxDrop at busyUntil now owns it.
+func (n *Network) doom(ln *lane, pt *port, p *packet.Packet) {
+	ev := ln.pool.getEvent()
+	ev.n, ev.kind, ev.ln, ev.pt, ev.p = n, evTxDrop, ln, pt, p
+	ln.clk.Post(pt.busyUntil, ev)
+	pt.doomed, pt.doom = true, ev
+}
+
+// txDrop settles a doomed transmission at t1, on the source shard: the
+// bytes on the wire count as dropped and the packet is lost at the link's
+// near end.
+func (n *Network) txDrop(ln *lane, pt *port, p *packet.Packet) {
+	size := pt.wireBytes
+	pt.wireBytes, pt.doomed = 0, false
+	n.refuse(ln, pt, n.G.Link(pt.link), p, size, packet.DropLinkDown)
+}
+
+// linkChanged is the topology's link-state hook (topo.Graph.SetDown). A
+// link's state is sampled where the last bit leaves the port, at busyUntil:
+// a packet still serializing when the link dies is doomed — its arrival is
+// emptied and an evTxDrop at busyUntil takes the packet — and is reprieved
+// with a fresh arrival if the link comes back before then; a packet already
+// propagating is delivered. Link state only changes on the coordinator
+// between segments (or on the serial engine), so this may touch the source
+// shard's port, pool and clock, and the arrival pending on the destination
+// shard.
+func (n *Network) linkChanged(id topo.LinkID, down bool) {
+	pt := n.port(id)
+	l := n.G.Link(id)
+	if pt == nil || down == pt.doomed {
+		return
+	}
+	ln := n.laneOf(l.From)
+	now := ln.clk.Now()
+	if now >= pt.busyUntil {
+		return
+	}
+	if down {
+		p := pt.fly.p
+		pt.fly.p = nil
+		if n.cut(l) {
+			n.count(ln, ctrHandoffs, -1)
+		}
+		n.doom(ln, pt, p)
+		return
+	}
+	p := pt.doom.p
+	pt.doom.p = nil
+	pt.doomed = false
+	pt.fly = n.launch(ln, l, p, pt.busyUntil-now+l.Delay)
+}
+
+func (n *Network) drop(ln *lane, at topo.NodeID, p *packet.Packet, reason packet.DropReason) {
+	n.count(ln, ctrDropped, 1)
+	if sh := ln.sh; sh != nil {
 		if n.OnDrop == nil {
-			pl.putPacket(p)
+			ln.pool.putPacket(p)
 			return
 		}
-		ev := pl.getEvent()
+		ev := ln.pool.getEvent()
 		ev.n, ev.kind, ev.node, ev.p, ev.reason = n, evDropNote, at, p, reason
 		sh.DeferAction(ev)
 		return
@@ -462,7 +578,7 @@ func (n *Network) drop(clk sim.Clock, at topo.NodeID, p *packet.Packet, reason p
 	if n.OnDrop != nil {
 		n.OnDrop(at, p, reason)
 	}
-	n.pools[0].putPacket(p)
+	ln.pool.putPacket(p)
 }
 
 // Run executes events until quiescence.
@@ -477,7 +593,15 @@ func (n *Network) PortQueue(link topo.LinkID, c qos.Class) *qos.Queue {
 }
 
 // LinkTxBytes returns the bytes serialized onto a directed link so far.
-func (n *Network) LinkTxBytes(link topo.LinkID) int64 { return n.portFor(link).txBytes }
+func (n *Network) LinkTxBytes(link topo.LinkID) int64 { return n.ledger(link).txBytes }
+
+// ledger returns a port with its tx ledger settled as of now. Like every
+// ledger read it belongs to the coordinator: between segments, or serial.
+func (n *Network) ledger(link topo.LinkID) *port {
+	pt := n.portFor(link)
+	pt.settle(n.E.Now())
+	return pt
+}
 
 // LinkOfferedBytes returns the bytes offered to a directed link's egress
 // port so far (transmitted + dropped).
@@ -502,6 +626,7 @@ func (n *Network) CheckConservation() error {
 		if pt == nil {
 			continue
 		}
+		pt.settle(n.E.Now())
 		var queued int64
 		if pt.sched != nil {
 			// Dedupe shared queues (a FIFO serves every class) by pointer.
@@ -533,5 +658,5 @@ func (n *Network) LinkUtilization(link topo.LinkID) float64 {
 		return 0
 	}
 	l := n.G.Link(link)
-	return float64(n.portFor(link).txBytes*8) / (l.Bandwidth * t)
+	return float64(n.ledger(link).txBytes*8) / (l.Bandwidth * t)
 }

@@ -3,8 +3,8 @@
 // packet path performs zero heap allocations — the simulated analogue of a
 // line card's preallocated buffer ring.
 //
-// Pools are strictly per shard (index 0 is the serial engine's pool) and
-// follow the same ownership rules as every other shard structure: the
+// Pools are strictly per shard, one per lane (lane 0 is the serial engine's)
+// and follow the same ownership rules as every other shard structure: the
 // owning worker during a segment, the coordinator between segments. A
 // deterministic freelist — never sync.Pool — keeps object reuse order a
 // pure function of the event schedule, which is what lets pooling stay
@@ -20,13 +20,23 @@ import (
 // dpEvent kinds. One pooled struct stands in for all of the hot path's
 // former closures; the kind selects the continuation.
 const (
-	evArrive      uint8 = iota // propagation done: process at node via link
+	evArrive      uint8 = iota // serialization + propagation done: process at node via link
 	evEnqueue                  // hop/processing delay done: enqueue on link
-	evTxDone                   // serialization finished on pt
-	evTxKick                   // shaper conformance wait expired on pt
+	evTxKick                   // pt's wake-up: the wire freed behind a backlog, or the shaper conforms
+	evTxDrop                   // the link died under the packet serializing on pt: lose it at t1
 	evDeliverNote              // deferred delivery notification + recycle
 	evDropNote                 // deferred drop notification + recycle
 )
+
+// lane is one shard's data-plane context — its clock, its counter cell
+// index and its freelists — resolved once when an event is created instead
+// of by type switch at every call. The serial engine is lane 0 with sh nil.
+type lane struct {
+	clk  sim.Clock
+	sh   *sim.Shard
+	id   int
+	pool dpPool
+}
 
 // dpEvent is the pooled sim.Action for every data-plane continuation.
 // A pointer-to-dpEvent stored in the Action interface does not allocate.
@@ -35,12 +45,11 @@ type dpEvent struct {
 	pool   *dpPool // recycle target; nil for one-shot cross-shard events
 	kind   uint8
 	reason packet.DropReason
-	clk    sim.Clock
+	ln     *lane // where the continuation runs
 	node   topo.NodeID
 	link   topo.LinkID
 	pt     *port
-	p      *packet.Packet
-	size   int64
+	p      *packet.Packet // nil on an emptied evArrive/evTxDrop (see linkChanged)
 }
 
 // Run dispatches the continuation. The event recycles itself *before*
@@ -48,20 +57,24 @@ type dpEvent struct {
 // a fresh event from the same pool (often this very one).
 func (ev *dpEvent) Run() {
 	n, pl := ev.n, ev.pool
-	kind, clk, node, link, pt, p, size, reason :=
-		ev.kind, ev.clk, ev.node, ev.link, ev.pt, ev.p, ev.size, ev.reason
+	kind, ln, node, link, pt, p, reason :=
+		ev.kind, ev.ln, ev.node, ev.link, ev.pt, ev.p, ev.reason
 	if pl != nil {
 		pl.putEvent(ev)
 	}
 	switch kind {
 	case evArrive:
-		n.process(clk, node, p, link)
+		if p != nil {
+			n.process(ln, node, p, link)
+		}
 	case evEnqueue:
-		n.enqueue(clk, node, link, p)
-	case evTxDone:
-		n.txDone(clk, pt, p, size)
+		n.enqueue(ln, node, link, p)
 	case evTxKick:
-		n.transmitNext(clk, pt)
+		n.wakeUp(ln, pt)
+	case evTxDrop:
+		if p != nil {
+			n.txDrop(ln, pt, p)
+		}
 	case evDeliverNote:
 		// Runs on the coordinator at a barrier: hook first, then recycle —
 		// the hook must see the packet intact.
@@ -135,29 +148,13 @@ func (pl *dpPool) putPacket(p *packet.Packet) {
 // that point. Probes and tests that outlive delivery should build a plain
 // &packet.Packet{} instead.
 func (n *Network) NewPacket(at topo.NodeID) *packet.Packet {
-	return n.poolOf(at).getPacket()
+	return n.laneOf(at).pool.getPacket()
 }
 
 // DisablePooling turns packet/event recycling off (E17's GC-pressure
 // ablation). Call before traffic starts.
 func (n *Network) DisablePooling() {
-	for _, pl := range n.pools {
-		pl.disabled = true
+	for _, ln := range n.lanes {
+		ln.pool.disabled = true
 	}
-}
-
-// poolFor returns the pool owned by the scheduling context clk.
-func (n *Network) poolFor(clk sim.Clock) *dpPool {
-	if len(n.pools) == 1 {
-		return n.pools[0]
-	}
-	return n.pools[clk.(*sim.Shard).ID()]
-}
-
-// poolOf returns the pool owning a node.
-func (n *Network) poolOf(at topo.NodeID) *dpPool {
-	if n.shardOf == nil {
-		return n.pools[0]
-	}
-	return n.pools[n.shardOf[at]]
 }

@@ -78,17 +78,14 @@ func (n *Network) SetSharding(assign []int) error {
 		n.portFor(topo.LinkID(i))
 	}
 	n.shardOf = assign
-	n.shClk = make([]*sim.Shard, shards)
-	for i := 0; i < shards; i++ {
-		n.shClk[i] = n.E.Shard(i)
-	}
-	// One freelist per shard, replacing the serial pool. Any packets already
-	// drawn from pools[0] stay valid — recycle routes by current clock, not
-	// by origin.
-	disabled := n.pools[0].disabled
-	n.pools = make([]*dpPool, shards)
-	for i := range n.pools {
-		n.pools[i] = &dpPool{disabled: disabled}
+	// One lane per shard, replacing the serial one. Any packets already
+	// drawn from the serial pool stay valid — recycle routes by the lane a
+	// packet ends its journey on, not by origin.
+	disabled := n.lanes[0].pool.disabled
+	n.lanes = make([]*lane, shards)
+	for i := range n.lanes {
+		sh := n.E.Shard(i)
+		n.lanes[i] = &lane{clk: sh, sh: sh, id: i, pool: dpPool{disabled: disabled}}
 	}
 	n.acc = telemetry.NewShardAccumulator(shards, numShardCtrs)
 	n.E.OnBarrier(n.mergeShardCounters)
@@ -126,20 +123,20 @@ func (n *Network) CrossShardHandoffs() int64 { return n.handoffs }
 // when serial. Generators that pace themselves (CBR, Poisson, OnOff) use
 // this so their injections run inside the node's shard.
 func (n *Network) SourceClock(node topo.NodeID) sim.Clock {
-	return n.clockFor(node)
+	return n.laneOf(node).clk
 }
 
-// clockFor returns the scheduling clock owning a node.
-func (n *Network) clockFor(node topo.NodeID) sim.Clock {
+// laneOf returns the lane owning a node.
+func (n *Network) laneOf(node topo.NodeID) *lane {
 	if n.shardOf == nil {
-		return n.E
+		return n.lanes[0]
 	}
-	return n.shClk[n.mustShard(node)]
+	return n.lanes[n.mustShard(node)]
 }
 
 // count bumps a network-wide tally: directly when serial, through the
-// shard's accumulator cell when parallel.
-func (n *Network) count(clk sim.Clock, ctr int, delta int64) {
+// lane's accumulator cell when parallel.
+func (n *Network) count(ln *lane, ctr int, delta int64) {
 	if n.acc == nil {
 		switch ctr {
 		case ctrInjected:
@@ -153,7 +150,7 @@ func (n *Network) count(clk sim.Clock, ctr int, delta int64) {
 		}
 		return
 	}
-	n.acc.Add(clk.(*sim.Shard).ID(), ctr, delta)
+	n.acc.Add(ln.id, ctr, delta)
 }
 
 // mergeShardCounters folds the per-shard cells into the public totals at

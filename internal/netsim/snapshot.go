@@ -42,7 +42,11 @@ func (n *Network) SaveState(w *snapshot.Writer) {
 		if pt == nil {
 			continue
 		}
-		w.Bool(pt.busy)
+		// Settled first, so the record is the same whether or not anything
+		// read the ledger since the port's last start.
+		pt.settle(n.E.Now())
+		w.I64(int64(pt.busyUntil))
+		w.Bool(pt.wake)
 		w.I64(pt.txBytes)
 		w.I64(pt.txPkts)
 		w.I64(pt.wireBytes)
@@ -94,7 +98,6 @@ func (n *Network) SaveState(w *snapshot.Writer) {
 			ptLink = ev.pt.link
 		}
 		w.I64(int64(ptLink))
-		w.I64(ev.size)
 		w.Bool(ev.p != nil)
 		if ev.p != nil {
 			packet.Save(w, ev.p)
@@ -130,9 +133,11 @@ func (n *Network) LoadState(r *snapshot.Reader) error {
 		if pt == nil {
 			continue
 		}
-		src := n.G.Link(pt.link).From
-		alloc := func() *packet.Packet { return n.poolOf(src).getPacket() }
-		pt.busy = r.Bool()
+		pool := &n.laneOf(n.G.Link(pt.link).From).pool
+		alloc := pool.getPacket
+		pt.busyUntil = sim.Time(r.I64())
+		pt.wake = r.Bool()
+		pt.doomed, pt.fly, pt.doom = false, nil, nil // re-linked from the in-flight events below
 		pt.txBytes = r.I64()
 		pt.txPkts = r.I64()
 		pt.wireBytes = r.I64()
@@ -184,28 +189,46 @@ func (n *Network) LoadState(r *snapshot.Reader) error {
 		node := topo.NodeID(r.I64())
 		link := topo.LinkID(r.I64())
 		ptLink := topo.LinkID(r.I64())
-		size := r.I64()
 		hasPkt := r.Bool()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		var clk sim.Clock = n.E
-		if shard != sim.GlobalBand {
-			if n.shClk == nil || shard < 0 || shard >= len(n.shClk) {
-				return fmt.Errorf("%w: in-flight event on shard %d, scenario is not sharded that way", snapshot.ErrMismatch, shard)
-			}
-			clk = n.shClk[shard]
+		var ln *lane
+		switch {
+		case shard == sim.GlobalBand && n.shardOf == nil:
+			ln = n.lanes[0]
+		case shard >= 0 && shard < len(n.lanes) && n.shardOf != nil:
+			ln = n.lanes[shard]
+		default:
+			return fmt.Errorf("%w: in-flight event on shard %d, scenario is not sharded that way", snapshot.ErrMismatch, shard)
 		}
-		ev := &dpEvent{n: n, pool: n.poolFor(clk), kind: kind, reason: reason, clk: clk, node: node, link: link, size: size}
+		ev := &dpEvent{n: n, pool: &ln.pool, kind: kind, reason: reason, ln: ln, node: node, link: link}
 		if ptLink >= 0 {
 			ev.pt = n.portFor(ptLink)
 		}
 		if hasPkt {
-			p := n.poolFor(clk).getPacket()
+			p := ln.pool.getPacket()
 			if err := packet.Load(r, p); err != nil {
 				return err
 			}
 			ev.p = p
+			// Re-link the event that holds the packet a port is serializing,
+			// for linkChanged: a loaded evTxDrop is that port's doom, and the
+			// arrival due exactly one propagation delay after busyUntil its
+			// fly.
+			switch kind {
+			case evTxDrop:
+				if ev.pt != nil {
+					ev.pt.doomed, ev.pt.doom = true, ev
+				}
+			case evArrive:
+				if link < 0 {
+					break
+				}
+				if pt := n.port(link); pt != nil && at == pt.busyUntil+n.G.Link(link).Delay {
+					pt.fly = ev
+				}
+			}
 		}
 		n.E.RestoreAction(shard, at, seq, ev)
 	}

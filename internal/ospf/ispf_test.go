@@ -77,12 +77,12 @@ func TestISPFMatchesFullSPFAcrossFlapSequences(t *testing.T) {
 			switch (ev >> 8) % 3 {
 			case 0: // duplex flap (the FailLink/RestoreLink shape)
 				down := !l.Down
-				l.Down = down
+				g.SetDown(lid, down)
 				if rev, ok := g.Reverse(lid); ok {
-					rev.Down = down
+					g.SetDown(rev.ID, down)
 				}
 			case 1: // single-direction flap
-				l.Down = !l.Down
+				g.SetDown(lid, !l.Down)
 			default: // metric change
 				l.Metric = 1 + int(ev>>10)%6
 			}
@@ -144,9 +144,9 @@ func TestISPFFallbackAfterStateDrop(t *testing.T) {
 	fullBefore := d.FullSPFRuns
 
 	l := g.Link(0)
-	l.Down = true
+	g.SetDown(0, true)
 	if rev, ok := g.Reverse(0); ok {
-		rev.Down = true
+		g.SetDown(rev.ID, true)
 	}
 	d.NotifyLinkChange(l.From, l.To)
 	if d.FullSPFRuns != fullBefore+len(d.Instances) {
@@ -155,9 +155,9 @@ func TestISPFFallbackAfterStateDrop(t *testing.T) {
 	}
 
 	ispfBefore := d.ISPFRuns
-	l.Down = false
+	g.SetDown(0, false)
 	if rev, ok := g.Reverse(0); ok {
-		rev.Down = false
+		g.SetDown(rev.ID, false)
 	}
 	d.NotifyLinkChange(l.From, l.To)
 	// Instances the restored link doesn't route through stay clean and skip

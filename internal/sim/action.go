@@ -55,7 +55,7 @@ func (e *Engine) Post(at Time, act Action) {
 	ev := e.pool.get()
 	ev.at, ev.seq, ev.act = at, e.seq, act
 	e.seq++
-	heapPushEvent(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // PostAfter schedules act d after the current time on a pooled event.
@@ -79,7 +79,7 @@ func (s *Shard) Post(at Time, act Action) {
 	ev := s.pool.get()
 	ev.at, ev.seq, ev.act = at, s.seq, act
 	s.seq++
-	heapPushEvent(&s.q, ev)
+	s.q.push(ev)
 }
 
 // PostAfter schedules act d after the shard's current time on a pooled
@@ -117,22 +117,4 @@ func (s *Shard) HandoffAction(dst *Shard, d Time, act Action) {
 // notifications by (time, source shard, emit sequence).
 func (s *Shard) DeferAction(act Action) {
 	s.pushNote(noteMsg{at: s.Now(), act: act})
-}
-
-// heapPushEvent is heap.Push specialized to the event heap. The generic
-// container/heap API forces the pushed value through an interface{}, which
-// heap-allocates the *Event pointer's box on some paths; open-coding sift-up
-// keeps Post allocation-free.
-func heapPushEvent(h *eventHeap, ev *Event) {
-	*h = append(*h, ev)
-	i := len(*h) - 1
-	ev.idx = i
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.Less(i, parent) {
-			break
-		}
-		h.Swap(i, parent)
-		i = parent
-	}
 }

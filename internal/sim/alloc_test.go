@@ -8,8 +8,9 @@ func (a *nopAction) Run() { a.ran++ }
 
 // Post + Step on a warmed engine must be allocation-free: the carrying
 // Event comes from the freelist, the Action is a pointer-to-struct in an
-// interface (no box), and the open-coded heap push never goes through
-// container/heap's interface{}.
+// interface (no box), and the heap's push and pop move value-typed entries
+// inside one backing array — first draining to empty, then in the hold
+// pattern (one pop, one push) at a steady depth of 4096.
 func TestEnginePostZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 	act := &nopAction{}
@@ -29,6 +30,26 @@ func TestEnginePostZeroAlloc(t *testing.T) {
 	}
 	if act.ran == 0 {
 		t.Fatal("actions never ran")
+	}
+
+	for i := 0; i < 4096; i++ {
+		e.PostAfter(Time(1+i%97), act)
+	}
+	i := 0
+	allocs = testing.AllocsPerRun(100, func() {
+		for k := 0; k < 64; k++ {
+			if !e.Step() {
+				t.Fatal("queue ran dry")
+			}
+			e.PostAfter(Time(1+i%97), act)
+			i++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("engine Step/Post at depth 4096 allocates %v per run, want 0", allocs)
+	}
+	if e.Pending() != 4096 {
+		t.Fatalf("hold pattern drifted to depth %d", e.Pending())
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock, a binary-heap event queue with stable FIFO ordering for
-// simultaneous events, and a seeded random number generator.
+// a virtual clock, a 4-ary value-typed heap event queue (heap.go) with stable
+// FIFO ordering for simultaneous events, and a seeded random number
+// generator.
 //
 // The engine is single-threaded by default. Determinism — the property that
 // a given seed reproduces a run exactly — is what makes the experiment
@@ -11,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -47,7 +47,6 @@ type Event struct {
 	fn     func()
 	act    Action
 	tag    Tag // snapshot identity for dynamically scheduled closures
-	idx    int // heap index; -1 once popped or cancelled
 	dead   bool
 	pooled bool // owned by a scheduler freelist; recycled after execution
 }
@@ -61,35 +60,6 @@ func (e *Event) Cancelled() bool { return e.dead }
 
 // At returns the virtual time the event is (or was) scheduled for.
 func (e *Event) At() Time { return e.at }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
-}
 
 // Engine is the discrete-event scheduler. The zero value is not usable; use
 // NewEngine.
@@ -148,7 +118,7 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	}
 	ev := &Event{at: at, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -168,26 +138,31 @@ func (e *Engine) Step() bool {
 		panic("sim: Step is not supported on a sharded engine; use Run or RunUntil")
 	}
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		if ev.dead {
 			continue
 		}
-		e.now = ev.at
-		e.events++
-		if ev.act != nil {
-			// Recycle before running: pooled events never escape, and the
-			// action may immediately Post again, reusing this very Event.
-			act := ev.act
-			if ev.pooled {
-				e.pool.put(ev)
-			}
-			act.Run()
-		} else {
-			ev.fn()
-		}
+		e.exec(ev)
 		return true
 	}
 	return false
+}
+
+// exec runs one popped, live event with the clock set to its due time.
+func (e *Engine) exec(ev *Event) {
+	e.now = ev.at
+	e.events++
+	if ev.act != nil {
+		// Recycle before running: pooled events never escape, and the
+		// action may immediately Post again, reusing this very Event.
+		act := ev.act
+		if ev.pooled {
+			e.pool.put(ev)
+		}
+		act.Run()
+	} else {
+		ev.fn()
+	}
 }
 
 // Run executes events until the queue is empty.
@@ -208,16 +183,15 @@ func (e *Engine) RunUntil(deadline Time) {
 		return
 	}
 	for len(e.queue) > 0 {
-		// Peek.
 		next := e.queue[0]
-		if next.dead {
-			heap.Pop(&e.queue)
+		if next.ev.dead {
+			e.queue.pop()
 			continue
 		}
 		if next.at > deadline {
 			break
 		}
-		e.Step()
+		e.exec(e.queue.pop())
 	}
 	if e.now < deadline {
 		e.now = deadline

@@ -1,0 +1,99 @@
+package sim
+
+// The event queue: one implementation for the serial engine, every shard,
+// the barrier's bulk handoff merge, FilterPending and restore.
+//
+// Layout. The heap is a slice of 24-byte {at, seq, *Event} entries, so a
+// sift compares keys that sit in the array itself and never dereferences an
+// event; only the popped winner is touched. It is 4-ary — node i's children
+// are 4i+1..4i+4, its parent (i-1)/4 — which halves the depth of a binary
+// heap (six levels at 4096 entries) and keeps the four children of a node
+// inside two cache lines. Sifts move a hole instead of swapping: the entry
+// being placed is held in a register and written once.
+//
+// Order. Entries compare by the strict total order (at, seq); seq is unique
+// per scheduler, so no two entries are ever equal and pop order is a pure
+// function of the set of pending events, independent of arity, array layout
+// or the order the entries were pushed in. That is why swapping the heap
+// implementation cannot move a digest.
+
+type heapEntry struct {
+	at  Time
+	seq uint64 // tie-break: FIFO among simultaneous events
+	ev  *Event
+}
+
+func (a heapEntry) before(b heapEntry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+type eventHeap []heapEntry
+
+// push inserts ev, keyed by its (at, seq).
+func (h *eventHeap) push(ev *Event) {
+	x := heapEntry{ev.at, ev.seq, ev}
+	q := append(*h, x)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !x.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = x
+	*h = q
+}
+
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (h *eventHeap) pop() *Event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0].ev, q[n]
+	q[n] = heapEntry{} // do not pin the event through the spare capacity
+	q = q[:n]
+	*h = q
+	if n > 0 {
+		q.siftDown(0, last)
+	}
+	return top
+}
+
+// init establishes the heap invariant over arbitrary contents in O(n): the
+// bulk-load path for a barrier's handoff slabs and for FilterPending.
+func (h eventHeap) init() {
+	if len(h) < 2 {
+		return
+	}
+	for i := (len(h) - 2) / 4; i >= 0; i-- {
+		h.siftDown(i, h[i])
+	}
+}
+
+// siftDown places x in the subtree rooted at the hole i.
+func (h eventHeap) siftDown(i int, x heapEntry) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
+}

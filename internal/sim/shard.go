@@ -46,7 +46,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
@@ -135,7 +134,7 @@ func (s *Shard) Schedule(at Time, fn func()) *Event {
 	}
 	ev := &Event{at: at, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.q, ev)
+	s.q.push(ev)
 	return ev
 }
 
@@ -209,7 +208,7 @@ func (s *Shard) drain(boundary Time) {
 		if ev == nil || ev.at >= boundary {
 			break
 		}
-		heap.Pop(&s.q)
+		s.q.pop()
 		s.now = ev.at
 		s.executed++
 		if ev.act != nil {
@@ -228,11 +227,10 @@ func (s *Shard) drain(boundary Time) {
 // peekAlive discards cancelled events and returns the head, or nil.
 func peekAlive(h *eventHeap) *Event {
 	for len(*h) > 0 {
-		if (*h)[0].dead {
-			heap.Pop(h)
-			continue
+		if ev := (*h)[0].ev; !ev.dead {
+			return ev
 		}
-		return (*h)[0]
+		h.pop()
 	}
 	return nil
 }
@@ -537,19 +535,8 @@ func (p *parEngine) run(deadline Time) {
 				if ev == nil || ev.at != g0 {
 					break
 				}
-				heap.Pop(&p.e.queue)
-				p.e.events++
-				if ev.act != nil {
-					// Mirror Engine.Step: recycle the pooled event before the
-					// action runs so Run can repost without growing the pool.
-					act := ev.act
-					if ev.pooled {
-						p.e.pool.put(ev)
-					}
-					act.Run()
-				} else {
-					ev.fn()
-				}
+				p.e.queue.pop()
+				p.e.exec(ev)
 			}
 			// Globals may Defer through shard clocks at the barrier; those
 			// notes stamp at >= g0 and stay retained until a future
@@ -694,17 +681,16 @@ func (p *parEngine) mergeHandoffs() bool {
 				}
 				dst.seq++
 				if bulk {
-					dst.q = append(dst.q, ev)
-					ev.idx = len(dst.q) - 1
+					dst.q = append(dst.q, heapEntry{ev.at, ev.seq, ev})
 				} else {
-					heapPushEvent(&dst.q, ev)
+					dst.q.push(ev)
 				}
 				slab[i] = handoffMsg{}
 			}
 			src.outTo[di] = slab[:0]
 		}
 		if bulk {
-			heap.Init(&dst.q)
+			dst.q.init()
 		}
 	}
 	return moved

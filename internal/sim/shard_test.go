@@ -249,3 +249,23 @@ func TestExecutedPendingSumShards(t *testing.T) {
 		t.Fatalf("executed %d, want 3", e.Executed())
 	}
 }
+
+// A handoff sent between runs sits in its slab, not in any heap, until the
+// next barrier; a checkpoint walk taken first must still see it, with the
+// sequence number the next run would have given it.
+func TestWalkPendingSeesUnmergedHandoffs(t *testing.T) {
+	e := NewEngine(1)
+	e.EnableShards(2, Millisecond, 1)
+	act := &nopAction{}
+	e.Shard(1).Post(5*Millisecond, act)
+	e.Shard(0).HandoffAction(e.Shard(1), 2*Millisecond, act)
+	var seen []PendingEvent
+	e.WalkPending(func(pe PendingEvent) { seen = append(seen, pe) })
+	if len(seen) != 2 || seen[0].Shard != 1 || seen[0].At != 2*Millisecond || seen[0].Seq != 1 || seen[1].Seq != 0 {
+		t.Fatalf("walk saw %+v, want the handoff (shard 1, 2ms, seq 1) then the local post (seq 0)", seen)
+	}
+	e.Run()
+	if act.ran != 2 {
+		t.Fatalf("%d of 2 events ran", act.ran)
+	}
+}

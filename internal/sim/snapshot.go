@@ -21,7 +21,7 @@
 // from a fresh one, so pooling stays invisible to the contract).
 package sim
 
-import "sort"
+import "slices"
 
 // Tag is the serializable identity of a dynamically scheduled closure. Kind
 // selects a re-arm handler registered by the subsystem that scheduled it;
@@ -94,6 +94,11 @@ func (e *Engine) MarkSetup() {
 func (e *Engine) WalkPending(visit func(PendingEvent)) {
 	walkHeap(e.queue, GlobalBand, e.setupSeq, visit)
 	if e.par != nil {
+		// A handoff sent from outside a run (a packet injected onto a cut
+		// edge between two RunUntil calls) waits in its slab for the next
+		// barrier. Merge first — exactly what the next run's opening flush
+		// would do — or the walk, and the checkpoint built on it, misses it.
+		e.par.mergeHandoffs()
 		for _, s := range e.par.shards {
 			walkHeap(s.q, s.id, s.setupSeq, visit)
 		}
@@ -101,22 +106,25 @@ func (e *Engine) WalkPending(visit func(PendingEvent)) {
 }
 
 func walkHeap(h eventHeap, shard int, setupSeq uint64, visit func(PendingEvent)) {
-	live := make([]*Event, 0, len(h))
-	for _, ev := range h {
-		if ev != nil && !ev.dead {
-			live = append(live, ev)
+	live := make([]heapEntry, 0, len(h))
+	for _, x := range h {
+		if !x.ev.dead {
+			live = append(live, x)
 		}
 	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].at != live[j].at {
-			return live[i].at < live[j].at
+	slices.SortFunc(live, func(a, b heapEntry) int {
+		switch {
+		case a.before(b):
+			return -1
+		case b.before(a):
+			return 1
 		}
-		return live[i].seq < live[j].seq
+		return 0
 	})
-	for _, ev := range live {
+	for _, x := range live {
 		visit(PendingEvent{
-			Shard: shard, At: ev.at, Seq: ev.seq, Tag: ev.tag,
-			Act: ev.act, Setup: ev.seq < setupSeq,
+			Shard: shard, At: x.at, Seq: x.seq, Tag: x.ev.tag,
+			Act: x.ev.act, Setup: x.seq < setupSeq,
 		})
 	}
 }
@@ -135,35 +143,19 @@ func (e *Engine) FilterPending(keep func(shard int, seq uint64) bool) {
 
 func filterHeap(h eventHeap, shard int, keep func(int, uint64) bool) eventHeap {
 	out := h[:0]
-	for _, ev := range h {
-		if ev == nil || ev.dead || !keep(shard, ev.seq) {
+	for _, x := range h {
+		if x.ev.dead || !keep(shard, x.seq) {
 			continue
 		}
-		out = append(out, ev)
+		out = append(out, x)
 	}
 	// Trailing slots keep stale pointers otherwise.
 	for i := len(out); i < len(h); i++ {
-		h[i] = nil
+		h[i] = heapEntry{}
 	}
-	// Sift order restores trivially: re-push preserves the heap invariant
-	// and pop order depends only on (at, seq), not array layout.
-	reheap(out)
+	// Pop order depends only on (at, seq), not array layout.
+	out.init()
 	return out
-}
-
-func reheap(h eventHeap) {
-	for i := range h {
-		h[i].idx = i
-		j := i
-		for j > 0 {
-			parent := (j - 1) / 2
-			if !h.Less(j, parent) {
-				break
-			}
-			h.Swap(j, parent)
-			j = parent
-		}
-	}
 }
 
 // RestoreEvent re-arms a dynamic closure event with its original identity.
@@ -181,10 +173,10 @@ func (e *Engine) RestoreAction(shard int, at Time, seq uint64, act Action) {
 
 func (e *Engine) pushRestored(shard int, ev *Event) {
 	if shard == GlobalBand {
-		heapPushEvent(&e.queue, ev)
+		e.queue.push(ev)
 		return
 	}
-	heapPushEvent(&e.par.shards[shard].q, ev)
+	e.par.shards[shard].q.push(ev)
 }
 
 // RestoreClock overwrites a scheduler's clock: the engine clock for

@@ -29,7 +29,8 @@ var (
 	// ErrCorrupt reports structurally invalid input: bad magic, a CRC
 	// mismatch, a malformed varint, or a length that exceeds the input.
 	ErrCorrupt = errors.New("snapshot: corrupt input")
-	// ErrVersion reports a checkpoint written by a newer format version.
+	// ErrVersion reports a checkpoint whose format version this decoder does
+	// not read: newer than Version or older than MinVersion.
 	ErrVersion = errors.New("snapshot: unsupported version")
 	// ErrMismatch reports a checkpoint that decoded cleanly but does not
 	// belong to the scenario being restored (fingerprint or shape skew).
@@ -214,9 +215,19 @@ func (r *Reader) Count(minElemBytes int) int {
 // CRC32 (Castagnoli) trailer over everything before it.
 
 // Version is the current container format version. Decoders accept any file
-// whose version is <= Version (older fields read with defaults, unknown
-// sections ignored by name lookup) and refuse newer files with ErrVersion.
-const Version = 1
+// whose version is in [MinVersion, Version] (older fields read with defaults,
+// unknown sections ignored by name lookup) and refuse the rest with
+// ErrVersion.
+//
+//	1  first format.
+//	2  "net" section: a port records busyUntil and its wake-pending flag in
+//	   place of busy, in-flight events lose the size field, evTxDone is gone
+//	   and the event kinds are renumbered. The two layouts cannot be told
+//	   apart from the bytes, so version 1 is refused rather than mis-parsed.
+const (
+	Version    = 2
+	MinVersion = 2
+)
 
 var magic = []byte{'M', 'V', 'S', 'N'}
 
@@ -287,8 +298,8 @@ func Decode(data []byte) (*File, error) {
 	r := NewReader(body[len(magic):])
 	f := &File{sections: make(map[string][]byte)}
 	f.Version = r.U64()
-	if r.Err() == nil && f.Version > Version {
-		return nil, fmt.Errorf("%w: file version %d, decoder supports <= %d", ErrVersion, f.Version, Version)
+	if r.Err() == nil && (f.Version < MinVersion || f.Version > Version) {
+		return nil, fmt.Errorf("%w: file version %d, decoder supports %d..%d", ErrVersion, f.Version, MinVersion, Version)
 	}
 	n := r.Count(2) // a section costs at least an empty name + empty body
 	for i := 0; i < n && r.Err() == nil; i++ {

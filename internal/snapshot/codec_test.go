@@ -229,6 +229,20 @@ func TestContainerRejectsFutureVersion(t *testing.T) {
 	}
 }
 
+// Version 1 laid the "net" section out differently, with nothing in the bytes
+// to tell the two apart: it is refused whole, never parsed as version 2.
+func TestContainerRejectsRetiredVersion(t *testing.T) {
+	for v := uint64(0); v < MinVersion; v++ {
+		var w Writer
+		w.b = append(w.b, magic...)
+		w.U64(v)
+		w.U64(0)
+		if _, err := Decode(reseal(w.Data())); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: err = %v, want ErrVersion", v, err)
+		}
+	}
+}
+
 func TestContainerRejectsDuplicateSection(t *testing.T) {
 	var w Writer
 	w.b = append(w.b, magic...)

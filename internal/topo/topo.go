@@ -37,7 +37,7 @@ type Link struct {
 	Bandwidth float64  // bits per second
 	Delay     sim.Time // propagation delay
 	Metric    int      // IGP cost
-	Down      bool     // administratively or failure down
+	Down      bool     // administratively or failure down; written only by Graph.SetDown
 
 	// ReservedBw is bandwidth claimed by RSVP-TE reservations (bits/s).
 	ReservedBw float64
@@ -53,6 +53,8 @@ type Graph struct {
 	links  []Link
 	out    [][]LinkID // adjacency: out[n] = links leaving n
 	byName map[string]NodeID
+
+	onLinkState []func(id LinkID, down bool)
 }
 
 // New returns an empty graph.
@@ -135,12 +137,34 @@ func (g *Graph) Reverse(id LinkID) (*Link, bool) {
 	return g.FindLink(l.To, l.From)
 }
 
+// SetDown is the one place a directed link's state is written: failures,
+// restarts, inter-AS outages and checkpoint loads all funnel through it, so
+// the observers registered with OnLinkState see every transition (and only
+// transitions — setting the state a link already has is a no-op).
+func (g *Graph) SetDown(id LinkID, down bool) {
+	l := &g.links[id]
+	if l.Down == down {
+		return
+	}
+	l.Down = down
+	for _, fn := range g.onLinkState {
+		fn(id, down)
+	}
+}
+
+// OnLinkState registers fn to run after every link-state transition. The
+// data plane uses it to settle the packet in mid-serialization on a link
+// that just died or came back.
+func (g *Graph) OnLinkState(fn func(id LinkID, down bool)) {
+	g.onLinkState = append(g.onLinkState, fn)
+}
+
 // SetLinkDown marks both directions between a and b as down (or up).
 func (g *Graph) SetLinkDown(a, b NodeID, down bool) {
 	for i := range g.links {
 		l := &g.links[i]
 		if (l.From == a && l.To == b) || (l.From == b && l.To == a) {
-			l.Down = down
+			g.SetDown(l.ID, down)
 		}
 	}
 }
