@@ -11,6 +11,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -32,7 +33,9 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Reconvergence is the unit of work every injected fault triggers; track it.
+# Reconvergence is the unit of work every injected fault triggers; track
+# both branches: BenchmarkReconverge (full: node crash, untracked cause) and
+# BenchmarkReconvergeLinkFlap (incremental: what a link flap costs).
 bench-reconverge:
 	$(GO) test -run='^$$' -bench=BenchmarkReconverge -benchmem ./internal/core
 
@@ -116,14 +119,14 @@ verify-snapshot:
 
 # The scalable-control-plane acceptance gate under the race detector: the
 # reflection oracle (clustered best paths == full-mesh under seeded churn),
-# the incremental SPF/CSPF oracles (identical tables to full recompute
-# across random flap sequences), the RT-constrained update-volume and
-# loop-prevention contracts, the reflector/ISPF chaos-boundary restore
-# proof at 1/8 shards, and the E20 scaling scorecard.
+# the incremental SPF/CSPF and LDP-delta oracles (identical tables to a
+# full recompute across random flap sequences), the RT-constrained
+# update-volume and loop-prevention contracts, the reflector/ISPF
+# chaos-boundary restore proof at 1/8 shards, and the E20 scaling scorecard.
 verify-controlplane:
 	$(GO) test -race -count=1 \
-		-run='TestClustered|TestRTConstrained|TestISPF|TestIncrementalSPF|TestClusterPEs|TestReflectorSnapshotBoundary|TestE20' \
-		./internal/bgp ./internal/ospf ./internal/topo ./internal/chaos ./internal/experiments
+		-run='TestClustered|TestRTConstrained|TestISPF|TestIncremental|TestClusterPEs|TestReflectorSnapshotBoundary|TestE20' \
+		./internal/bgp ./internal/ospf ./internal/ldp ./internal/topo ./internal/chaos ./internal/experiments
 
 # The inter-AS survivability acceptance gate under the race detector: the
 # RFC 4364 option A/B/C delivery and failover unit tests, the mid-GR

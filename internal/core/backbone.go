@@ -219,8 +219,9 @@ type Backbone struct {
 	// snapshot can re-arm each pending event on the right AS (0 standalone).
 	tagDomain uint16
 	// onReconverged hooks run at the end of every reconvergeProvider pass.
-	// The inter-AS layer uses them to re-bind boundary label state that the
-	// wholesale LFIB/FTN rebuild would otherwise silently drop.
+	// The inter-AS layer uses them to re-derive boundary label state: the
+	// full branch drops it with the tables, and on either branch the
+	// transport labels it captured may have moved with the next hops.
 	onReconverged []func()
 
 	// surv is the control-plane survivability layer (nil until
@@ -512,10 +513,13 @@ func (b *Backbone) BuildProvider() {
 	}
 
 	// Global IP routes to provider loopbacks (control traffic, and the
-	// entire data plane in PlainIP mode).
+	// entire data plane in PlainIP mode). The IGP's change ledgers are
+	// drained: everything they list is installed here, and the first
+	// link-flap reconvergence must see only its own delta.
 	for _, n := range b.providerNodes {
 		r := b.routers[n]
 		inst := b.IGP.Instances[n]
+		inst.TakeChangedDests()
 		for _, rt := range inst.Routes() {
 			r.IPTable.Insert(addr.HostPrefix(ospf.Loopback(rt.Dest)), rt.NextHop)
 		}

@@ -147,9 +147,11 @@ func TestTelemetryDisabledZeroAllocDelta(t *testing.T) {
 	t.Logf("allocs per 100-pkt burst: disabled=%v enabled=%v", off, on)
 }
 
-// BenchmarkReconverge measures one full provider reconvergence — the unit
-// of work every injected fault triggers, and the hot loop of any chaos
-// scenario: IGP SPF, LDP re-signal, VPN label re-install, and TE CSPF.
+// BenchmarkReconverge measures one reconvergence down the full branch (a
+// reconvergence with nothing pending has no tracked cause): full IGP flood
+// and SPF, fresh label tables, LDP flooded from nothing, VPN labels
+// re-bound, TE re-signalled. It is what a node crash or restart costs, and
+// the yardstick for BenchmarkReconvergeLinkFlap.
 func BenchmarkReconverge(b *testing.B) {
 	bb := fourPEBackboneForTest(Config{Seed: 77, Scheduler: SchedHybrid})
 	bb.DefineVPN("corp")
@@ -170,5 +172,26 @@ func BenchmarkReconverge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bb.reconvergeProvider()
+	}
+}
+
+// BenchmarkReconvergeLinkFlap measures what a link flap costs — the
+// incremental branch: ISPF, the LDP delta, and the TE re-signal — on a 5x5
+// grid with 120 sites and three TE LSPs. Each iteration is one FailLink or
+// RestoreLink detected at once, alternating over two links.
+func BenchmarkReconvergeLinkFlap(b *testing.B) {
+	bb := gridBackbone(Config{Seed: 77, Scheduler: SchedHybrid}, 5)
+	gridSites(bb, 120)
+	for i, pe := range []string{"PE2", "PE3", "PE4"} {
+		if _, err := bb.SetupTELSPForVPN(fmt.Sprintf("te%d", i), "PE1", pe, "v", 1e6, -1, rsvp.SetupOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	links := [][2]string{{"P2-2", "P2-3"}, {"P1-1", "P2-1"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := links[i/2%2]
+		flapStep{a: l[0], z: l[1], restore: i%2 == 1}.apply(bb, 0, false)
 	}
 }

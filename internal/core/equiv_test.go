@@ -32,6 +32,9 @@ type equivScenario struct {
 	dur     sim.Time
 	build   func() *Backbone
 	traffic func(b *Backbone) []*trafgen.Flow
+	// check, when set, asserts scenario-specific properties of the finished
+	// run, in every engine mode.
+	check func(t *testing.T, b *Backbone)
 }
 
 // fingerprint renders everything observable about a finished run.
@@ -64,6 +67,9 @@ func runEquiv(t *testing.T, sc equivScenario, shards, workers int) string {
 	if err := b.Net.CheckConservation(); err != nil {
 		t.Fatalf("%s shards=%d: %v", sc.name, shards, err)
 	}
+	if sc.check != nil {
+		sc.check(t, b)
+	}
 	return fingerprint(b, flows)
 }
 
@@ -79,6 +85,10 @@ func diffLine(a, b string) string {
 }
 
 func equivScenarios() []equivScenario {
+	return append(baseEquivScenarios(), linkFlapScenarios()...)
+}
+
+func baseEquivScenarios() []equivScenario {
 	return []equivScenario{
 		{
 			// Two VPNs meshed over the 4-PE backbone with hybrid (PQ+WFQ)

@@ -375,41 +375,92 @@ func (b *Backbone) signalBypasses() {
 	}
 }
 
-// reconvergeProvider rebuilds the interior control plane against the
-// current topology. The IGP converges incrementally when every queued
-// event is a single-link flap — NotifyLinkChange per flap drives the
-// per-instance incremental SPF, whose routes are proven identical to a
-// full recompute by the ospf oracle suite — and falls back to the full
-// flood for anything wider (node crashes, or a reconvergence with no
-// tracked cause). The label plane is always re-signalled from scratch
-// (fresh LFIBs/FTNs; label allocation is not incremental by design — a
-// delta label plane would have to prove it never reuses a label that is
-// still in flight), VPN egress labels are re-installed from the
-// provisioning records, TE LSPs are re-signalled (falling back to LDP
-// transport where no path fits), and global IP routes are refreshed —
-// by delta on the incremental path, by rebuild on the full path.
+// reconvergeProvider brings the interior control plane in line with the
+// current topology, on one of two branches.
 //
-// A real network converges incrementally; both paths reach the same
-// steady state and keep the emulation honest about *which* state exists
-// after the event, which is what the experiments check.
+// Incremental — every queued event is a single-link flap (and the data
+// plane is MPLS): the IGP folds each flap in through NotifyLinkChange, and
+// the label plane follows by delta. b.LDP, every router's LFIB and FTN,
+// every LDP label and every VPN egress ILM entry stay; LDP re-derives only
+// the (router, FEC) pairs the IGP reports as changed plus every FEC at the
+// flapped links' endpoints (ldp.ApplyIGPDelta), and the provider IP tables
+// take the same changed set. No label value changes, so a packet in flight
+// keeps being switched.
+//
+// Full — node crash or restart, AS failure, PlainIP, or a reconvergence
+// with no tracked cause: full IGP flood, fresh LFIB/FTN on every router, a
+// fresh LDP instance flooded from nothing, VPN egress labels re-bound from
+// the provisioning records, IP tables rebuilt. Labels are allocated anew. It
+// is the oracle the incremental branch is tested against, as ospf.Converge
+// is for NotifyLinkChange.
+//
+// TE re-signalling is the same full sweep on both branches: every
+// reservation released, a fresh RSVP instance, every recorded intent
+// re-signalled in order (falling back to LDP transport where no path fits),
+// bypasses re-signalled. Its outcome depends on signalling order, so it is
+// not a delta; on the incremental branch the old instance's ILM entries are
+// first unbound from the tables that outlive it.
 func (b *Backbone) reconvergeProvider() {
-	// 1. IGP: delta-notify queued single-link flaps, or full flood.
 	// PlainIP mode always rebuilds: customer prefixes live in the provider
 	// IP tables with SPF-derived next-hops, and only installPlainRoutes
 	// knows how to refresh them.
 	incremental := !b.Cfg.PlainIP && !b.pendingFull && len(b.pendingLinks) > 0
 	if incremental {
-		for _, p := range b.pendingLinks {
-			b.IGP.NotifyLinkChange(p.lo, p.hi)
-		}
+		b.reconvergeLinkFlaps()
 	} else {
-		b.IGP.Converge()
+		b.reconvergeFull()
 	}
 	b.pendingLinks = b.pendingLinks[:0]
 	b.pendingFull = false
 
 	if !b.Cfg.PlainIP {
-		// 2. Fresh label plane.
+		b.resignalTE()
+	}
+
+	// Layered planes (inter-AS boundary state) re-derive what they captured
+	// from the label tables: transport labels may have moved with the next
+	// hops, and the full branch dropped their bindings outright.
+	for _, fn := range b.onReconverged {
+		fn()
+	}
+}
+
+// reconvergeLinkFlaps is the incremental branch: IGP, label plane and IP
+// tables each take the delta of the queued link flaps.
+func (b *Backbone) reconvergeLinkFlaps() {
+	flapped := make([][2]topo.NodeID, len(b.pendingLinks))
+	for i, p := range b.pendingLinks {
+		b.IGP.NotifyLinkChange(p.lo, p.hi)
+		flapped[i] = [2]topo.NodeID{p.lo, p.hi}
+	}
+	changed := make(map[topo.NodeID][]topo.NodeID)
+	for _, n := range b.providerNodes {
+		inst := b.IGP.Instances[n]
+		dests := inst.TakeChangedDests()
+		if len(dests) == 0 {
+			continue
+		}
+		changed[n] = dests
+		r := b.routers[n]
+		for _, d := range dests {
+			pfx := addr.HostPrefix(ospf.Loopback(d))
+			if rt, ok := inst.RouteTo(d); ok {
+				r.IPTable.Insert(pfx, rt.NextHop)
+			} else {
+				r.IPTable.Delete(pfx)
+			}
+		}
+	}
+	b.LDP.ApplyIGPDelta(flapped, changed)
+	b.RSVP.UnbindAll()
+}
+
+// reconvergeFull is the full branch: everything below the TE layer is
+// rebuilt from the current topology.
+func (b *Backbone) reconvergeFull() {
+	b.IGP.Converge()
+
+	if !b.Cfg.PlainIP {
 		for _, n := range b.providerNodes {
 			r := b.routers[n]
 			r.LFIB = mpls.NewLFIB()
@@ -438,92 +489,74 @@ func (b *Backbone) reconvergeProvider() {
 			}
 		}
 
-		// 3. VPN egress labels back into the fresh LFIBs.
+		// VPN egress labels back into the fresh LFIBs.
 		for _, rec := range b.sites {
 			pe := b.routers[rec.PE]
 			for _, l := range rec.labels {
 				pe.LFIB.BindILM(l, mpls.NHLFE{Op: mpls.OpPop, OutLink: rec.peToCE})
 			}
-		}
-
-		// 4. TE LSPs: release every reservation, then re-signal each
-		// recorded intent against the new topology.
-		for i := 0; i < b.G.NumLinks(); i++ {
-			b.G.Link(topo.LinkID(i)).ReservedBw = 0
-		}
-		lfibs := make(map[topo.NodeID]*mpls.LFIB)
-		for _, n := range b.providerNodes {
-			lfibs[n] = b.routers[n].LFIB
-		}
-		oldDrainSeq := b.RSVP.DrainSeq()
-		b.RSVP = rsvp.New(b.G, b.allocs, lfibs)
-		b.RSVP.SetDrainSeq(oldDrainSeq)
-		b.wireRSVPHooks()
-		b.configureDSTE()
-		for _, n := range b.providerNodes {
-			for k := range b.routers[n].TE {
-				b.routers[n].DeleteTE(k)
-			}
-		}
-		// The old protocol instance is gone and the new one restarts LSP IDs
-		// at 1: clear every stale pointer first so no event from the fresh
-		// instance can be mis-attributed to an old LSP by ID collision.
-		for _, req := range b.teRequests {
-			req.lsp = nil
-		}
-		for _, req := range b.teRequests {
-			l, err := b.RSVP.Setup(req.name, req.ingress, req.egress, req.bandwidth, req.opt)
-			if err != nil {
-				// No path with capacity: fall back to the LDP LSP. With
-				// resilience on, the intent also enters the retry queue so
-				// it re-signals when capacity returns.
-				b.teSignalFailed(req)
-				continue
-			}
-			req.lsp = l
-			b.routers[req.ingress].SetTE(teKeyFor(req), l.Entry)
-		}
-		b.signalBypasses()
-	}
-
-	// 5. Global IP routes to provider loopbacks. On the incremental path
-	// only the destinations the IGP reports as changed are touched — the
-	// rest of the table (including PlainIP site routes) stands. The full
-	// path rebuilds the table and drains the change ledgers so a later
-	// incremental pass does not replay stale deltas.
-	if incremental {
-		for _, n := range b.providerNodes {
-			r := b.routers[n]
-			inst := b.IGP.Instances[n]
-			for _, d := range inst.TakeChangedDests() {
-				pfx := addr.HostPrefix(ospf.Loopback(d))
-				if rt, ok := inst.RouteTo(d); ok {
-					r.IPTable.Insert(pfx, rt.NextHop)
-				} else {
-					r.IPTable.Delete(pfx)
-				}
-			}
-		}
-	} else {
-		for _, n := range b.providerNodes {
-			r := b.routers[n]
-			inst := b.IGP.Instances[n]
-			inst.TakeChangedDests()
-			r.IPTable = addr.NewTable[topo.LinkID]()
-			for _, rt := range inst.Routes() {
-				r.IPTable.Insert(addr.HostPrefix(ospf.Loopback(rt.Dest)), rt.NextHop)
-			}
-		}
-		if b.Cfg.PlainIP {
-			for _, rec := range b.sites {
-				b.installPlainRoutes(rec)
+			for _, l := range rec.backupLabels {
+				b.routers[rec.backupPE].LFIB.BindILM(l, mpls.NHLFE{Op: mpls.OpPop, OutLink: rec.backupPEToCE})
 			}
 		}
 	}
 
-	// 6. Layered planes (inter-AS boundary state) re-bind whatever the
-	// wholesale label-plane rebuild above dropped.
-	for _, fn := range b.onReconverged {
-		fn()
+	// Global IP routes to provider loopbacks, and a drain of the change
+	// ledgers so a later incremental pass does not replay stale deltas.
+	for _, n := range b.providerNodes {
+		r := b.routers[n]
+		inst := b.IGP.Instances[n]
+		inst.TakeChangedDests()
+		r.IPTable = addr.NewTable[topo.LinkID]()
+		for _, rt := range inst.Routes() {
+			r.IPTable.Insert(addr.HostPrefix(ospf.Loopback(rt.Dest)), rt.NextHop)
+		}
 	}
+	if b.Cfg.PlainIP {
+		for _, rec := range b.sites {
+			b.installPlainRoutes(rec)
+		}
+	}
+}
+
+// resignalTE releases every reservation and re-signals each recorded TE
+// intent, then the FRR bypasses, on a fresh RSVP instance over the routers'
+// current label tables.
+func (b *Backbone) resignalTE() {
+	for i := 0; i < b.G.NumLinks(); i++ {
+		b.G.Link(topo.LinkID(i)).ReservedBw = 0
+	}
+	lfibs := make(map[topo.NodeID]*mpls.LFIB)
+	for _, n := range b.providerNodes {
+		lfibs[n] = b.routers[n].LFIB
+	}
+	oldDrainSeq := b.RSVP.DrainSeq()
+	b.RSVP = rsvp.New(b.G, b.allocs, lfibs)
+	b.RSVP.SetDrainSeq(oldDrainSeq)
+	b.wireRSVPHooks()
+	b.configureDSTE()
+	for _, n := range b.providerNodes {
+		for k := range b.routers[n].TE {
+			b.routers[n].DeleteTE(k)
+		}
+	}
+	// The old protocol instance is gone and the new one restarts LSP IDs
+	// at 1: clear every stale pointer first so no event from the fresh
+	// instance can be mis-attributed to an old LSP by ID collision.
+	for _, req := range b.teRequests {
+		req.lsp = nil
+	}
+	for _, req := range b.teRequests {
+		l, err := b.RSVP.Setup(req.name, req.ingress, req.egress, req.bandwidth, req.opt)
+		if err != nil {
+			// No path with capacity: fall back to the LDP LSP. With
+			// resilience on, the intent also enters the retry queue so
+			// it re-signals when capacity returns.
+			b.teSignalFailed(req)
+			continue
+		}
+		req.lsp = l
+		b.routers[req.ingress].SetTE(teKeyFor(req), l.Entry)
+	}
+	b.signalBypasses()
 }

@@ -53,9 +53,9 @@ type InterASOption int
 // Inter-AS interconnect options.
 const (
 	OptionDefault InterASOption = iota // resolve from Config.InterASOption
-	OptionA                           // back-to-back VRF subinterfaces
-	OptionB                           // labeled eBGP VPN-IPv4 between ASBRs
-	OptionC                           // multihop eBGP VPNv4, label end to end
+	OptionA                            // back-to-back VRF subinterfaces
+	OptionB                            // labeled eBGP VPN-IPv4 between ASBRs
+	OptionC                            // multihop eBGP VPNv4, label end to end
 )
 
 func (o InterASOption) String() string {

@@ -73,6 +73,34 @@ func TestDualHomedFailover(t *testing.T) {
 	}
 }
 
+// The backup PE's VPN labels must survive both reconvergence branches: a
+// full rebuild re-binds them from the provisioning record (it used to
+// re-bind the primary's only, black-holing the backup path after any
+// reconvergence), and a link flap never touches them.
+func TestDualHomedFailoverAfterReconvergence(t *testing.T) {
+	for name, reconverge := range map[string]func(b *Backbone){
+		"full": func(b *Backbone) { b.reconvergeProvider() },
+		"link-flap": func(b *Backbone) {
+			flapStep{a: "PE1", z: "P1"}.apply(b, 0, false)
+			flapStep{a: "PE1", z: "P1", restore: true}.apply(b, 0, false)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			b := dualHomedSetup(t)
+			reconverge(b)
+			if err := b.FailSitePrimary("dc"); err != nil {
+				t.Fatal(err)
+			}
+			f, _ := b.FlowBetween("f", "hq", "dc", 80)
+			trafgen.CBR(b.Net, f, 200, 10*sim.Millisecond, 0, sim.Second)
+			b.Net.Run()
+			if f.Stats.Sent == 0 || f.Stats.Delivered != f.Stats.Sent {
+				t.Fatalf("delivery over the backup PE %d/%d", f.Stats.Delivered, f.Stats.Sent)
+			}
+		})
+	}
+}
+
 func TestFailSitePrimaryErrors(t *testing.T) {
 	b := dualHomedSetup(t)
 	if err := b.FailSitePrimary("hq"); err == nil {

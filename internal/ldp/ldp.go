@@ -1,13 +1,17 @@
 // Package ldp implements a Label Distribution Protocol in downstream-
-// unsolicited mode with ordered control (RFC 5036 shape): every router
-// advertises label mappings for its own loopback FEC, mappings propagate
-// upstream hop by hop, and each router installs forwarding state only for
-// mappings received from its IGP next hop toward the FEC.
+// unsolicited mode with ordered control and liberal label retention (RFC
+// 5036 shape): every router advertises label mappings for its own loopback
+// FEC, mappings propagate upstream hop by hop, and each router installs
+// forwarding state only for mappings received from its IGP next hop toward
+// the FEC.
 //
 // The result is one LSP from every router to every other router's loopback
 // — the "set of LSPs to provide connectivity among the different sites"
 // (§4) over which BGP/MPLS VPN traffic is tunnelled. Penultimate-hop
 // popping is signalled with the implicit-null label.
+//
+// Converge floods the mappings from nothing; ApplyIGPDelta (delta.go)
+// carries a converged instance across link flaps without changing a label.
 package ldp
 
 import (
@@ -52,6 +56,21 @@ func (s *Speaker) LocalBinding(fec addr.Prefix) (packet.Label, bool) {
 	return l, ok
 }
 
+// learn records the label neighbour from advertised for fec and reports
+// whether that was news.
+func (s *Speaker) learn(fec addr.Prefix, from topo.NodeID, label packet.Label) bool {
+	byN := s.fromNeighbor[fec]
+	if byN == nil {
+		byN = make(map[topo.NodeID]packet.Label)
+		s.fromNeighbor[fec] = byN
+	}
+	if old, have := byN[from]; have && old == label {
+		return false
+	}
+	byN[from] = label
+	return true
+}
+
 // mapping is one advertisement in flight.
 type mapping struct {
 	from  topo.NodeID
@@ -72,7 +91,10 @@ type Protocol struct {
 	DisablePHP bool
 	Speakers   map[topo.NodeID]*Speaker
 
-	// MessagesSent counts label-mapping advertisements (E1 metric).
+	// MessagesSent counts label mapping and withdraw messages over the
+	// instance's life: Converge's flood (the E1 metric) plus whatever each
+	// ApplyIGPDelta would put on the wire. Rounds counts Converge's flooding
+	// waves only.
 	MessagesSent int
 	Rounds       int
 
@@ -222,15 +244,9 @@ func (p *Protocol) accept(m mapping) []mapping {
 	if sp == nil {
 		return nil // neighbor is not an LDP speaker (a CE)
 	}
-	byN := sp.fromNeighbor[m.fec]
-	if byN == nil {
-		byN = make(map[topo.NodeID]packet.Label)
-		sp.fromNeighbor[m.fec] = byN
-	}
-	if old, have := byN[m.from]; have && old == m.label {
+	if !sp.learn(m.fec, m.from, m.label) {
 		return nil // duplicate
 	}
-	byN[m.from] = m.label
 
 	// Install only if the advertiser is one of our IGP (ECMP) next hops
 	// for the FEC.
@@ -271,7 +287,17 @@ func (p *Protocol) accept(m mapping) []mapping {
 	var out []mapping
 	for _, lid := range p.G.OutLinks(m.to) {
 		l := p.G.Link(lid)
-		if l.Down || l.To == m.from {
+		if l.Down {
+			continue
+		}
+		if l.To == m.from {
+			// Split horizon spares the flood a message that could trigger
+			// nothing, not the neighbour the binding: a downstream-
+			// unsolicited speaker sends every binding to every peer, and
+			// the retention database must say so, or a fresh flood and an
+			// instance carried across link flaps by ApplyIGPDelta would
+			// disagree on what each speaker has learned.
+			p.Speakers[m.from].learn(m.fec, m.to, local)
 			continue
 		}
 		out = append(out, mapping{from: m.to, to: l.To, fec: m.fec, label: local})

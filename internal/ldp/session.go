@@ -1,10 +1,13 @@
 // LDP session lifecycle: a lightweight adjacency state machine layered on
-// the one-shot converge model. When a neighbor's control plane dies, each
-// surviving speaker counts the label bindings it learned from that
-// neighbor; with graceful restart (RFC 3478 shape) those bindings — and
-// the ILM/FTN state built from them — stay installed, so the data plane
-// keeps switching on stale labels until the neighbor returns or the
-// reconvergence rebuilds the label plane wholesale.
+// the converge model. When a neighbor's control plane dies, each surviving
+// speaker counts the label bindings it learned from that neighbor; with
+// graceful restart (RFC 3478 shape) those bindings — and the ILM/FTN state
+// built from them — stay installed, so the data plane keeps switching on
+// stale labels until the neighbor returns or the crash hardens into a
+// reconvergence down the full branch, which builds a fresh instance. The
+// states marked here outlive link-flap reconvergences with the instance;
+// the per-link sessions those flaps take down and bring up are
+// ApplyIGPDelta's business (delta.go).
 package ldp
 
 import (
@@ -49,8 +52,8 @@ func (p *Protocol) SessionState(n topo.NodeID) SessState {
 }
 
 // MarkSession sets n's adjacency state without counting a flap — used to
-// re-apply session state to a freshly rebuilt protocol instance after a
-// reconvergence.
+// re-apply session state to the fresh protocol instance a full-branch
+// reconvergence builds.
 func (p *Protocol) MarkSession(n topo.NodeID, st SessState) {
 	if p.sessions == nil {
 		p.sessions = make(map[topo.NodeID]SessState)
@@ -67,7 +70,7 @@ func (p *Protocol) MarkSession(n topo.NodeID, st SessState) {
 // returned sorted by neighbor. The binding and ILM state itself is left
 // installed either way: with graceful restart that is the point
 // (forwarding-state preservation); without it the caller follows up with
-// a full reconvergence that rebuilds the label plane.
+// a full-branch reconvergence that rebuilds the label plane.
 func (p *Protocol) SessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 	st := SessionDownState
 	if graceful {
@@ -99,7 +102,8 @@ func (p *Protocol) SessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 }
 
 // SessionUp re-establishes node n's adjacencies; stale bindings are
-// considered refreshed (the converge model re-derives them anyway).
+// considered refreshed: the restarted neighbour re-advertises the labels it
+// kept.
 func (p *Protocol) SessionUp(n topo.NodeID) {
 	p.MarkSession(n, SessionUp)
 }

@@ -100,15 +100,34 @@ func (f *LFIB) BindILM(in packet.Label, e NHLFE) {
 	f.ilm[in] = []NHLFE{e}
 }
 
-// AddILM appends an equal-cost action for an incoming label (ECMP).
+// AddILM adds an equal-cost action for an incoming label (ECMP), keeping
+// the set in ascending OutLink order — the IGP's NextHops order, so the
+// member a flow hashes to does not depend on the order mappings arrived in.
 // Duplicate out-links are ignored.
 func (f *LFIB) AddILM(in packet.Label, e NHLFE) {
-	for _, cur := range f.ilm[in] {
-		if cur.OutLink == e.OutLink {
-			return
-		}
+	f.ilm[in] = insertByOutLink(f.ilm[in], e)
+}
+
+// SetILM replaces the whole action set for an incoming label. The LFIB
+// keeps es; the caller must not reuse it.
+func (f *LFIB) SetILM(in packet.Label, es []NHLFE) {
+	f.ilm[in] = es
+}
+
+// insertByOutLink returns es with e inserted at its OutLink position; es is
+// returned unchanged when it already holds a member on e.OutLink.
+func insertByOutLink(es []NHLFE, e NHLFE) []NHLFE {
+	i := 0
+	for i < len(es) && es[i].OutLink < e.OutLink {
+		i++
 	}
-	f.ilm[in] = append(f.ilm[in], e)
+	if i < len(es) && es[i].OutLink == e.OutLink {
+		return es
+	}
+	es = append(es, NHLFE{})
+	copy(es[i+1:], es[i:])
+	es[i] = e
+	return es
 }
 
 // UnbindILM removes the action for an incoming label (LSP teardown).
@@ -262,20 +281,16 @@ func NewFTN() *FTN { return &FTN{table: addr.NewTable[[]NHLFE]()} }
 // Bind associates a FEC (prefix) with an NHLFE, replacing any existing set.
 func (f *FTN) Bind(fec addr.Prefix, e NHLFE) { f.table.Insert(fec, []NHLFE{e}) }
 
-// AddBind appends an equal-cost entry for a FEC (ECMP); duplicate
-// out-links are ignored.
+// AddBind adds an equal-cost entry for a FEC (ECMP) in ascending OutLink
+// order, like AddILM; duplicate out-links are ignored.
 func (f *FTN) AddBind(fec addr.Prefix, e NHLFE) {
-	if es, ok := f.table.Exact(fec); ok {
-		for _, cur := range es {
-			if cur.OutLink == e.OutLink {
-				return
-			}
-		}
-		f.table.Insert(fec, append(es, e))
-		return
-	}
-	f.table.Insert(fec, []NHLFE{e})
+	es, _ := f.table.Exact(fec)
+	f.table.Insert(fec, insertByOutLink(es, e))
 }
+
+// BindSet replaces the whole entry set for a FEC. The FTN keeps es; the
+// caller must not reuse it.
+func (f *FTN) BindSet(fec addr.Prefix, es []NHLFE) { f.table.Insert(fec, es) }
 
 // Unbind removes a FEC binding (inter-AS stitch teardown). Unknown FECs
 // are a no-op.
@@ -288,6 +303,13 @@ func (f *FTN) Lookup(ip addr.IPv4) (NHLFE, bool) {
 		return NHLFE{}, false
 	}
 	return es[0], true
+}
+
+// LookupAll returns every equal-cost entry for a destination, in the
+// order LookupHashed indexes them.
+func (f *FTN) LookupAll(ip addr.IPv4) ([]NHLFE, bool) {
+	es, ok := f.table.Lookup(ip)
+	return es, ok && len(es) > 0
 }
 
 // LookupHashed picks among equal-cost entries by flow hash.

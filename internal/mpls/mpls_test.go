@@ -5,6 +5,7 @@ import (
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/packet"
+	"mplsvpn/internal/topo"
 )
 
 func labeledPkt(label packet.Label, ttl uint8) *packet.Packet {
@@ -251,6 +252,49 @@ func TestFTNMultipath(t *testing.T) {
 	e, _ := f.LookupHashed(addr.MustParseIPv4("10.1.1.1"), 12345)
 	if e.OutLabel != 9 {
 		t.Fatal("Bind did not replace ECMP set")
+	}
+}
+
+// The order of an equal-cost set is forwarding state (the flow hash indexes
+// it), so it must not depend on the order the members arrived in: AddILM and
+// AddBind keep ascending OutLink order, and SetILM/BindSet install a whole
+// set as given.
+func TestECMPSetOrderIsCanonical(t *testing.T) {
+	member := func(op Op, link topo.LinkID) NHLFE {
+		return NHLFE{Op: op, OutLabel: packet.Label(100 + link), OutLink: link}
+	}
+	fec := addr.MustParsePrefix("10.255.0.7/32")
+	ip := addr.MustParseIPv4("10.255.0.7")
+	for _, arrival := range [][]topo.LinkID{{2, 5, 9}, {9, 5, 2}, {5, 9, 2, 5}} {
+		l, f := NewLFIB(), NewFTN()
+		for _, link := range arrival {
+			l.AddILM(40, member(OpSwap, link))
+			f.AddBind(fec, member(OpPush, link))
+		}
+		ilm, _ := l.LookupILMAll(40)
+		ftn, _ := f.LookupAll(ip)
+		for i, want := range []topo.LinkID{2, 5, 9} {
+			if len(ilm) != 3 || len(ftn) != 3 || ilm[i].OutLink != want || ftn[i].OutLink != want {
+				t.Fatalf("arrival %v: ILM %v FTN %v, want out-links 2 5 9", arrival, ilm, ftn)
+			}
+		}
+	}
+
+	l, f := NewLFIB(), NewFTN()
+	l.AddILM(40, member(OpSwap, 2))
+	f.AddBind(fec, member(OpPush, 2))
+	l.SetILM(40, []NHLFE{member(OpSwap, 5), member(OpSwap, 9)})
+	f.BindSet(fec, []NHLFE{member(OpPush, 5), member(OpPush, 9)})
+	ilm, _ := l.LookupILMAll(40)
+	ftn, _ := f.LookupAll(ip)
+	if len(ilm) != 2 || ilm[0].OutLink != 5 || ilm[1].OutLink != 9 || l.ILMSize() != 1 {
+		t.Fatalf("SetILM left %v", ilm)
+	}
+	if len(ftn) != 2 || ftn[0].OutLink != 5 || ftn[1].OutLink != 9 || f.Size() != 1 {
+		t.Fatalf("BindSet left %v", ftn)
+	}
+	if e, _ := f.LookupHashed(ip, 3); e.OutLink != 9 {
+		t.Fatalf("LookupHashed(3) picked link %d, want member 3 %% 2 = link 9", e.OutLink)
 	}
 }
 

@@ -122,3 +122,48 @@ func TestResignalRejectsDownLSP(t *testing.T) {
 		t.Fatal("resignalled a torn-down LSP")
 	}
 }
+
+// UnbindAll is what lets label tables outlive the instance that wrote into
+// them: every interior ILM entry of a live LSP and of a pending
+// make-before-break drain goes, silently, and the ledgers stay for the
+// caller to zero.
+func TestUnbindAllClearsLiveLSPsAndPendingDrains(t *testing.T) {
+	g, src, m, x, y, dst := fish()
+	p := New(g, nil, nil)
+	p.Defer = func(int) {} // drains stay pending: nobody runs them
+	long := topo.Path{}
+	for _, hop := range [][2]topo.NodeID{{src, x}, {x, y}, {y, dst}} {
+		l, _ := g.FindLink(hop[0], hop[1])
+		long.Links = append(long.Links, l.ID)
+	}
+	moved, err := p.Setup("moved", src, dst, 2e6, SetupOptions{Explicit: &long})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Resignal(moved.ID, 2e6, SetupOptions{}); err != nil { // onto SRC-M-DST; X, Y drain
+		t.Fatal(err)
+	}
+	if len(p.PendingDrains()) != 1 {
+		t.Fatalf("pending drains = %v, want the old path's", p.PendingDrains())
+	}
+	ilm := func() int {
+		n := 0
+		for _, node := range []topo.NodeID{src, m, x, y, dst} {
+			n += p.LFIBFor(node).ILMSize()
+		}
+		return n
+	}
+	if got := ilm(); got != 3 { // M live; X and Y draining
+		t.Fatalf("interior ILM entries before = %d, want 3", got)
+	}
+	events := 0
+	p.OnEvent = func(Event) { events++ }
+	p.UnbindAll()
+	if got := ilm(); got != 0 {
+		t.Fatalf("interior ILM entries after UnbindAll = %d, want 0", got)
+	}
+	lk, _ := g.FindLink(src, m)
+	if events != 0 || lk.ReservedBw != 2e6 {
+		t.Fatalf("UnbindAll emitted %d events and left %v reserved, want 0 and 2e6", events, lk.ReservedBw)
+	}
+}

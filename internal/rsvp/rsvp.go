@@ -521,6 +521,20 @@ func (p *Protocol) unbindDrain(rec drainRec) {
 	}
 }
 
+// UnbindAll removes every interior ILM entry this instance still holds in
+// the shared LFIBs — live LSPs and pending make-before-break drains alike —
+// emitting no event and leaving the reservation ledgers alone. The core
+// calls it before replacing the instance on a reconvergence that keeps the
+// label tables, where nothing else would ever unbind the old generation.
+func (p *Protocol) UnbindAll() {
+	for _, l := range p.lsps {
+		p.unbindDrain(drainRec{path: l.Path, labels: l.hopLabels})
+	}
+	for _, rec := range p.drains {
+		p.unbindDrain(rec)
+	}
+}
+
 // RunDrain executes and retires a pending deferred unbind. Running an
 // unknown (already-run or never-registered) drain is a no-op, so a restore
 // that re-arms drain timers tolerates duplicates safely.
@@ -537,7 +551,7 @@ func (p *Protocol) RunDrain(id int) {
 func (p *Protocol) DrainSeq() int { return p.drainSeq }
 
 // SetDrainSeq continues drain numbering from an earlier protocol generation
-// (reconvergence replaces the protocol wholesale); monotone ids mean a
+// (reconvergence replaces the RSVP instance); monotone ids mean a
 // pending drain timer from a dead generation can never collide with a live
 // one.
 func (p *Protocol) SetDrainSeq(n int) {
