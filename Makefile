@@ -95,26 +95,32 @@ verify-intent:
 		-run='TestSpec|TestStore|TestReconciler|TestKill|TestChaosScriptedKill|TestQuarantine|TestSession|TestValidate|TestCommit|TestConfirmed|TestClose|TestConcurrent|TestRemoveAdd|TestE18' \
 		./internal/intent ./internal/netconf ./internal/experiments
 
-# Ten seconds each on the text-input parsers: the netconf config loader,
+# Ten seconds each on the text-input parsers — the netconf config loader,
 # the chaos scenario DSL (generic, plus the survivability/damping knobs),
-# and the intent spec language (round-trip contract).
+# and the intent spec language (round-trip contract) — and on the two
+# binary ones: the checkpoint container, and the section payloads of real
+# checkpoints fed to Backbone.Restore, InterAS.Restore and Mesh.LoadState.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/netconf
 	$(GO) test -run='^$$' -fuzz=FuzzScenario -fuzztime=10s ./internal/chaos
 	$(GO) test -run='^$$' -fuzz=FuzzSurvivability -fuzztime=10s ./internal/chaos
 	$(GO) test -run='^$$' -fuzz=FuzzIntentSpec -fuzztime=10s ./internal/intent
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz=FuzzRestoreSection -fuzztime=10s ./internal/chaos
 
 # The checkpoint/restore acceptance gate under the race detector: the
 # restore-equivalence contract (run-to-T + snapshot + restore + run-to-end
 # byte-identical to uninterrupted, serial and sharded), retry/damping state
-# carried across the boundary, the crash-recovery Runner (incl. torn
-# checkpoints), bisection, corrupt-checkpoint rejection, the codec/store
-# unit tests, and the E19 day-in-the-life soak.
+# carried across the boundary, the recorded wire-format pins, the per-section
+# hostile-input sweep, the declared element minimums, the crash-recovery
+# Runner (incl. torn checkpoints), bisection, the codec/store unit tests,
+# and the E19 day-in-the-life soak. The pattern names what a checkpoint test
+# is about, not where it lives, and runs over every package, so a renamed or
+# new one cannot fall out of the gate.
 verify-snapshot:
 	$(GO) test -race -count=1 \
-		-run='TestSnapshot|TestRunner|TestBisect|TestRestoreRejectsCorrupt|TestE19' \
-		./internal/chaos ./internal/experiments
+		-run='Snapshot|Restore|Checkpoint|Runner|Bisect|ElementMinimums|TestE19' \
+		./internal/...
 	$(GO) test -race -count=1 ./internal/snapshot
 
 # The scalable-control-plane acceptance gate under the race detector: the

@@ -1,0 +1,31 @@
+package addr
+
+import (
+	"testing"
+
+	"mplsvpn/internal/snapshot"
+)
+
+// TestElementMinimumsAreLowerBounds: every minimum this package declares
+// for an element walk bounds the counts a loader accepts, so it must not
+// exceed what the walk can write. The smallest legal value of each element
+// is saved and must encode to exactly the declared minimum: no smaller, or a
+// saver could write a count its own loader refuses; no larger, or the bound
+// is looser than it need be.
+func TestElementMinimumsAreLowerBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		min  int
+		save func(c *snapshot.Codec)
+	}{
+		{"prefix", PrefixMin, func(c *snapshot.Codec) { PrefixState(c, new(Prefix)) }},
+		{"route target", RTMin, func(c *snapshot.Codec) { RTState(c, new(RouteTarget)) }},
+		{"VPN prefix", VPNPrefixMin, func(c *snapshot.Codec) { VPNPrefixState(c, new(VPNPrefix)) }},
+	} {
+		var w snapshot.Writer
+		tc.save(snapshot.Saver(&w))
+		if w.Len() != tc.min {
+			t.Errorf("%s: smallest value encodes to %d bytes, declared minimum %d", tc.name, w.Len(), tc.min)
+		}
+	}
+}

@@ -1,59 +1,95 @@
 package addr
 
-import "mplsvpn/internal/snapshot"
+import (
+	"cmp"
 
-// Snapshot codec helpers shared by every package that serializes addressed
-// state. Prefixes and route distinguishers are small fixed tuples, so they
-// encode as bare varints with no framing.
+	"mplsvpn/internal/snapshot"
+)
 
-// SavePrefix appends p to the snapshot stream.
-func SavePrefix(w *snapshot.Writer, p Prefix) {
-	w.U64(uint64(p.Addr))
-	w.U64(uint64(p.Len))
+// State walks shared by every package that checkpoints addressed state.
+// Prefixes and route distinguishers are small fixed tuples, so they encode
+// as bare varints with no framing. Each *Min is the fewest bytes its walk
+// writes (every varint takes at least one), for the callers that count
+// these as sequence elements.
+const (
+	PrefixMin    = 2
+	RTMin        = 2
+	VPNPrefixMin = 2 + PrefixMin
+)
+
+// PrefixState walks a prefix.
+func PrefixState(c *snapshot.Codec, p *Prefix) {
+	snapshot.Uint(c, &p.Addr)
+	snapshot.Uint(c, &p.Len)
 }
 
-// LoadPrefix decodes a prefix written by SavePrefix.
-func LoadPrefix(r *snapshot.Reader) Prefix {
-	a := IPv4(uint32(r.U64()))
-	l := uint8(r.U64())
-	return Prefix{Addr: a, Len: l}
+// RDState walks a route distinguisher.
+func RDState(c *snapshot.Codec, rd *RouteDistinguisher) {
+	snapshot.Uint(c, &rd.Admin)
+	snapshot.Uint(c, &rd.Assigned)
 }
 
-// SaveRD appends a route distinguisher.
-func SaveRD(w *snapshot.Writer, rd RouteDistinguisher) {
-	w.U64(uint64(rd.Admin))
-	w.U64(uint64(rd.Assigned))
+// RTState walks a route target.
+func RTState(c *snapshot.Codec, rt *RouteTarget) {
+	snapshot.Uint(c, &rt.Admin)
+	snapshot.Uint(c, &rt.Assigned)
 }
 
-// LoadRD decodes a route distinguisher.
-func LoadRD(r *snapshot.Reader) RouteDistinguisher {
-	admin := uint16(r.U64())
-	assigned := uint32(r.U64())
-	return RouteDistinguisher{Admin: admin, Assigned: assigned}
+// VPNPrefixState walks a VPN-qualified prefix.
+func VPNPrefixState(c *snapshot.Codec, vp *VPNPrefix) {
+	RDState(c, &vp.RD)
+	PrefixState(c, &vp.Prefix)
 }
 
-// SaveRT appends a route target.
-func SaveRT(w *snapshot.Writer, rt RouteTarget) {
-	w.U64(uint64(rt.Admin))
-	w.U64(uint64(rt.Assigned))
+// CompareVPNPrefix orders VPN prefixes as VPNPrefix.Less does: the key
+// order of every checkpointed map keyed by one.
+func CompareVPNPrefix(a, b VPNPrefix) int {
+	if a.RD.Admin != b.RD.Admin {
+		return cmp.Compare(a.RD.Admin, b.RD.Admin)
+	}
+	if a.RD.Assigned != b.RD.Assigned {
+		return cmp.Compare(a.RD.Assigned, b.RD.Assigned)
+	}
+	return ComparePrefix(a.Prefix, b.Prefix)
 }
 
-// LoadRT decodes a route target.
-func LoadRT(r *snapshot.Reader) RouteTarget {
-	admin := uint16(r.U64())
-	assigned := uint32(r.U64())
-	return RouteTarget{Admin: admin, Assigned: assigned}
+// ComparePrefix orders prefixes by address, then length.
+func ComparePrefix(a, b Prefix) int {
+	if a.Addr != b.Addr {
+		return cmp.Compare(a.Addr, b.Addr)
+	}
+	return cmp.Compare(a.Len, b.Len)
 }
 
-// SaveVPNPrefix appends a VPN-qualified prefix.
-func SaveVPNPrefix(w *snapshot.Writer, vp VPNPrefix) {
-	SaveRD(w, vp.RD)
-	SavePrefix(w, vp.Prefix)
-}
-
-// LoadVPNPrefix decodes a VPN-qualified prefix.
-func LoadVPNPrefix(r *snapshot.Reader) VPNPrefix {
-	rd := LoadRD(r)
-	p := LoadPrefix(r)
-	return VPNPrefix{RD: rd, Prefix: p}
+// TableState walks a prefix table: the entry count, then each prefix and
+// its value in the trie's deterministic walk order. A load replaces *t with
+// a new table. min is one entry's minimum encoding, PrefixMin plus the
+// value's; val is handed the entry's prefix for values that repeat it.
+func TableState[V any](c *snapshot.Codec, t **Table[V], min int, val func(*snapshot.Codec, Prefix, *V)) {
+	// One cell each for the prefix and the value in flight: val is a func
+	// value, so they escape, and one allocation per table beats one per
+	// entry.
+	var p Prefix
+	var v V
+	if !c.Loading() {
+		c.Len((*t).Len(), min)
+		(*t).Walk(func(wp Prefix, wv V) bool {
+			p, v = wp, wv
+			PrefixState(c, &p)
+			val(c, p, &v)
+			return true
+		})
+		return
+	}
+	*t = NewTable[V]()
+	for n := c.Len(0, min); n > 0; n-- {
+		var zero V
+		v = zero
+		PrefixState(c, &p)
+		val(c, p, &v)
+		if c.Err() != nil {
+			return
+		}
+		(*t).Insert(p, v)
+	}
 }

@@ -1,8 +1,10 @@
 package bgp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"mplsvpn/internal/addr"
@@ -82,5 +84,76 @@ func TestClusteredSnapshotRoundTrip(t *testing.T) {
 	trunc := w.Data()[:len(w.Data())-1]
 	if err := clusteredMesh().LoadState(snapshot.NewReader(trunc)); !errors.Is(err, snapshot.ErrTruncated) && !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Errorf("truncated section: err = %v, want a typed error", err)
+	}
+}
+
+// TestCheckpointBytesUnchanged pins the "bgp" section's wire format on a
+// three-cluster mesh: length and CRC-32C recorded at the last commit that
+// wrote every field twice. See the chaos package's test of the same name for
+// the whole-container pins.
+func TestCheckpointBytesUnchanged(t *testing.T) {
+	m := NewMesh()
+	var clusters []Cluster
+	for c := topo.NodeID(0); c < 3; c++ {
+		rrs := []topo.NodeID{1 + 2*c, 2 + 2*c}
+		clients := []topo.NodeID{100 + 2*c, 101 + 2*c}
+		for _, n := range append(append([]topo.NodeID(nil), rrs...), clients...) {
+			m.AddSpeaker(n, Loopback(n))
+		}
+		clusters = append(clusters, Cluster{ID: uint32(10 * (c + 1)), RRs: rrs, Clients: clients})
+	}
+	m.UseClusters(clusters)
+	for _, c := range clusters {
+		for i, pe := range c.Clients {
+			s, _ := m.Speaker(pe)
+			s.Originate(&VPNRoute{
+				Prefix:    addr.VPNPrefix{RD: vpnRD(int(c.ID)), Prefix: addr.MustParsePrefix(fmt.Sprintf("10.%d.%d.0/24", c.ID, pe))},
+				NextHop:   Loopback(pe),
+				Label:     packet.Label(1000 + pe),
+				RTs:       []addr.RouteTarget{vpnRT(1), vpnRT(2 + i)},
+				LocalPref: 100,
+				OriginPE:  pe,
+			})
+		}
+	}
+	m.Converge()
+	var w snapshot.Writer
+	m.SaveState(&w)
+	const wantLen, wantCRC = 3150, 0xb5e27b7b
+	if got := crc32.Checksum(w.Data(), crc32.MakeTable(crc32.Castagnoli)); w.Len() != wantLen || got != wantCRC {
+		t.Errorf("3-cluster mesh: %d bytes, CRC-32C %#08x; the recorded format is %d bytes, %#08x", w.Len(), got, wantLen, wantCRC)
+	}
+}
+
+// TestSnapshotSmallRouteTargets: a route target encodes in two bytes when
+// both halves are small, so six of them behind the section's last route take
+// twelve bytes — the loader used to demand four apiece and refused the
+// checkpoint its own SaveState had just written.
+func TestSnapshotSmallRouteTargets(t *testing.T) {
+	build := func() *Mesh {
+		m := NewMesh()
+		m.AddSpeaker(1, Loopback(1))
+		s, _ := m.Speaker(1)
+		r := &VPNRoute{
+			Prefix:  addr.VPNPrefix{RD: vpnRD(1), Prefix: addr.MustParsePrefix("10.1.0.0/16")},
+			NextHop: Loopback(1), Label: 16, LocalPref: 100, OriginPE: 1,
+		}
+		for i := uint32(0); i < 6; i++ {
+			r.RTs = append(r.RTs, addr.RouteTarget{Admin: 1, Assigned: i})
+		}
+		s.Originate(r)
+		m.Converge()
+		return m
+	}
+	var w snapshot.Writer
+	build().SaveState(&w)
+	m2 := build()
+	if err := m2.LoadState(snapshot.NewReader(w.Data())); err != nil {
+		t.Fatalf("LoadState of a route with six small RTs: %v", err)
+	}
+	var w2 snapshot.Writer
+	m2.SaveState(&w2)
+	if !bytes.Equal(w.Data(), w2.Data()) {
+		t.Fatalf("save(load(s)) != s (%d vs %d bytes)", w2.Len(), w.Len())
 	}
 }

@@ -2,6 +2,9 @@ package chaos
 
 import (
 	"errors"
+	"fmt"
+	"runtime/debug"
+	"runtime/metrics"
 	"testing"
 
 	"mplsvpn/internal/snapshot"
@@ -68,11 +71,6 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		}
 		return g
 	}), fp))
-	typed("truncated section", restore(resect(func(f *snapshot.File) *snapshot.File {
-		p, _ := f.Section("bgp")
-		f.Add("bgp", p[:len(p)/2])
-		return f
-	}), fp))
 	typed("future version", restore(resect(func(f *snapshot.File) *snapshot.File {
 		f.Version = snapshot.Version + 1
 		return f
@@ -96,4 +94,189 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 	if err := restore(data, fp); err != nil {
 		t.Fatalf("pristine checkpoint rejected: %v", err)
 	}
+
+	// Damage inside every section, behind a valid CRC.
+	for _, tg := range restoreTargets(t) {
+		tg.sweep(t)
+	}
+}
+
+// restoreTarget is one restore entry point and a real mid-run checkpoint
+// for it: the section sweep and FuzzRestoreSection damage the checkpoint one
+// section at a time and feed it to restore, which builds a fresh scenario
+// for every attempt (the contract for any failed restore).
+type restoreTarget struct {
+	name     string
+	sections []string
+	section  func(name string) []byte
+	// restore applies the checkpoint with one section's payload replaced.
+	restore func(t testing.TB, section string, payload []byte) error
+}
+
+// container wraps a sealed checkpoint file as a restoreTarget.
+func container(t testing.TB, name string, data []byte, restore func(testing.TB, []byte) error) restoreTarget {
+	f, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restoreTarget{
+		name:     name,
+		sections: f.Names(),
+		section: func(sec string) []byte {
+			p, _ := f.Section(sec)
+			return p
+		},
+		restore: func(t testing.TB, sec string, payload []byte) error {
+			g := snapshot.NewFile()
+			for _, n := range f.Names() {
+				p, _ := f.Section(n)
+				if n == sec {
+					p = payload
+				}
+				g.Add(n, p)
+			}
+			return restore(t, g.Encode())
+		},
+	}
+}
+
+// restoreTargets snapshots the three rigs mid-run: Backbone.Restore on the
+// survivability rig, InterAS.Restore on the three-carrier rig (options A, B
+// and C), and Mesh.LoadState on the clustered-reflector rig's mesh.
+func restoreTargets(t testing.TB) []restoreTarget {
+	rig := buildSnapRig(t, 0, 0)
+	rig.b.E.MarkSetup()
+	rig.b.Net.RunUntil(snapT)
+	data, err := rig.b.Snapshot("fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xrig := buildInterASRig(t, 0, 0)
+	xrig.x.E.MarkSetup()
+	xrig.x.Net.RunUntil(interASSnapT)
+	xdata, err := xrig.x.Snapshot("fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refl := buildReflRig(t, 0, 0)
+	refl.b.E.MarkSetup()
+	refl.b.Net.RunUntil(reflSnapT)
+	var mesh snapshot.Writer
+	refl.b.BGP.SaveState(&mesh)
+
+	return []restoreTarget{
+		container(t, "Backbone.Restore", data, func(t testing.TB, d []byte) error { return buildSnapRig(t, 0, 0).b.Restore(d, "fp") }),
+		container(t, "InterAS.Restore", xdata, func(t testing.TB, d []byte) error { return buildInterASRig(t, 0, 0).x.Restore(d, "fp") }),
+		{
+			name:     "Mesh.LoadState",
+			sections: []string{"mesh"},
+			section:  func(string) []byte { return mesh.Data() },
+			restore: func(t testing.TB, _ string, payload []byte) error {
+				return buildReflRig(t, 0, 0).b.BGP.LoadState(snapshot.NewReader(payload))
+			},
+		},
+	}
+}
+
+// allocatedBytes is the process's cumulative heap allocation.
+func allocatedBytes() uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
+}
+
+// attempt restores one damaged variant and requires a typed refusal or a
+// clean accept — never a panic, and never more allocation than budget
+// bytes, which the caller derives from what the pristine restore costs.
+func (tg restoreTarget) attempt(t testing.TB, what, section string, payload []byte, budget uint64) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s, section %q, %s: panic: %v\n%s", tg.name, section, what, r, debug.Stack())
+		}
+	}()
+	before := allocatedBytes()
+	err := tg.restore(t, section, payload)
+	if err != nil && !errors.Is(err, snapshot.ErrTruncated) && !errors.Is(err, snapshot.ErrCorrupt) &&
+		!errors.Is(err, snapshot.ErrVersion) && !errors.Is(err, snapshot.ErrMismatch) {
+		t.Errorf("%s, section %q, %s: untyped error %v", tg.name, section, what, err)
+	}
+	if got := allocatedBytes() - before; budget > 0 && got > budget {
+		t.Errorf("%s, section %q, %s: restore allocated %d bytes, budget %d", tg.name, section, what, got, budget)
+	}
+}
+
+// sweep truncates every section at every offset (at 200 evenly spaced ones
+// above 4 KB) and rewrites sampled single bytes three ways: all bits
+// flipped, the low bit flipped, and the varint continuation bit set. Short
+// mode thins the offsets; the fuzz target covers what the samples skip.
+func (tg restoreTarget) sweep(t *testing.T) {
+	before := allocatedBytes()
+	if err := tg.restore(t, tg.sections[0], tg.section(tg.sections[0])); err != nil {
+		t.Fatalf("%s: pristine checkpoint rejected: %v", tg.name, err)
+	}
+	// Scenario build and restore of the real state, twice over, plus slack
+	// for the runtime's own bookkeeping: a crafted count that drove an
+	// allocation the input does not justify lands far beyond it.
+	budget := 2*(allocatedBytes()-before) + 1<<20
+
+	for _, sec := range tg.sections {
+		p := tg.section(sec)
+		step := 1
+		if len(p) >= 4096 {
+			step = len(p) / 200
+		}
+		if testing.Short() {
+			step *= 11
+		}
+		for n := 0; n < len(p); n += step {
+			tg.attempt(t, fmt.Sprintf("truncated to %d of %d bytes", n, len(p)), sec, p[:n], budget)
+		}
+		step = 1 + len(p)/48
+		if testing.Short() {
+			step *= 5
+		}
+		for i := 0; i < len(p); i += step {
+			for _, b := range []byte{^p[i], p[i] ^ 0x01, p[i] | 0x80} {
+				if b == p[i] {
+					continue
+				}
+				bad := append([]byte(nil), p...)
+				bad[i] = b
+				tg.attempt(t, fmt.Sprintf("byte %d: %#02x -> %#02x", i, p[i], b), sec, bad, budget)
+			}
+		}
+	}
+}
+
+// FuzzRestoreSection is the sweep's mutator under the fuzzer: pick a
+// target, a section, an offset and an edit, seeded with the real
+// checkpoints. Same contract as attempt.
+func FuzzRestoreSection(f *testing.F) {
+	targets := restoreTargets(f)
+	for tg := range targets {
+		for sec := range targets[tg].sections {
+			f.Add(uint8(tg), uint8(sec), uint32(0), uint8(0), uint8(0xff))
+			f.Add(uint8(tg), uint8(sec), uint32(7), uint8(1), uint8(0x80))
+			f.Add(uint8(tg), uint8(sec), uint32(3), uint8(2), uint8(0))
+		}
+	}
+	f.Fuzz(func(t *testing.T, target, section uint8, off uint32, op, val uint8) {
+		tg := targets[int(target)%len(targets)]
+		sec := tg.sections[int(section)%len(tg.sections)]
+		p := append([]byte(nil), tg.section(sec)...)
+		if len(p) == 0 {
+			return
+		}
+		i := int(off) % len(p)
+		switch op % 3 {
+		case 0:
+			p[i] = val
+		case 1:
+			p = p[:i]
+		case 2: // splice a byte in, shifting the rest
+			p = append(p[:i], append([]byte{val}, p[i:]...)...)
+		}
+		tg.attempt(t, fmt.Sprintf("op %d at %d val %#02x", op%3, i, val), sec, p, 0)
+	})
 }

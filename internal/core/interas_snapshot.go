@@ -14,14 +14,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
 
 	"mplsvpn/internal/addr"
-	"mplsvpn/internal/packet"
 	"mplsvpn/internal/sim"
 	"mplsvpn/internal/snapshot"
-	"mplsvpn/internal/topo"
+	"mplsvpn/internal/trafgen"
 )
 
 const secInterAS = "interas"
@@ -34,61 +33,9 @@ func (x *InterAS) Snapshot(scenario string) ([]byte, error) {
 			return nil, fmt.Errorf("core: snapshot before BuildProvider of AS %q", name)
 		}
 	}
-
-	f := snapshot.NewFile()
-	scheds := x.E.Schedulers()
-
-	var w snapshot.Writer
-	w.Str(scenario)
-	w.I64(int64(x.E.Now()))
-	w.U64(uint64(len(scheds)))
-	w.U64(uint64(len(x.order)))
-	for _, name := range x.order {
-		b := x.ASes[name]
-		w.Str(name)
-		w.U64(b.Cfg.Seed)
-		w.Bool(b.Cfg.PlainIP)
-	}
-	f.Add(secManifest, w.Data())
-
-	w = snapshot.Writer{}
-	saveSchedState(&w, x.E)
-	for _, name := range x.order {
-		x.ASes[name].saveAuxRngs(&w)
-	}
-	f.Add(secEngine, w.Data())
-
-	pending, err := classifyPendingOn(x.E, x.Net.OwnsAction, x.sourceResolver())
-	if err != nil {
-		return nil, err
-	}
-	f.Add(secPending, pending)
-
-	f.Add(secTopo, saveTopoState(x.G))
-
-	for _, name := range x.order {
-		x.ASes[name].addControlSections(f, name+"/")
-	}
-
-	w = snapshot.Writer{}
-	x.Net.SaveState(&w)
-	f.Add(secNet, w.Data())
-
-	for _, name := range x.order {
-		x.ASes[name].addTrafficSections(f, name+"/")
-	}
-
-	w = snapshot.Writer{}
-	x.savePlane(&w)
-	f.Add(secInterAS, w.Data())
-
-	return f.Encode(), nil
-}
-
-// sourceResolver maps a pending source action to a global index over the
-// concatenation of every AS's registered sources, in AS order.
-func (x *InterAS) sourceResolver() func(sim.Action) (int, bool) {
-	return func(a sim.Action) (int, bool) {
+	// A pending source action resolves to a global index over the
+	// concatenation of every AS's registered sources, in AS order.
+	pend, err := classifyPending(x.E, x.Net.OwnsAction, func(a sim.Action) (int, bool) {
 		offset := 0
 		for _, name := range x.order {
 			b := x.ASes[name]
@@ -98,420 +45,226 @@ func (x *InterAS) sourceResolver() func(sim.Action) (int, bool) {
 			offset += len(b.sources)
 		}
 		return 0, false
+	})
+	if err != nil {
+		return nil, err
 	}
+	return encodeSections(x.sections(scenario, pend)), nil
 }
 
 // Restore overlays a multi-provider checkpoint onto a freshly rebuilt
 // scenario: same builder (including peerings and the initial reconcile),
 // same seed, same sharding, nothing run yet.
 func (x *InterAS) Restore(data []byte, scenario string) error {
-	f, err := snapshot.Decode(data)
-	if err != nil {
+	pend := &pendingSet{}
+	if err := restoreSections(data, x.sections(scenario, pend)); err != nil {
 		return err
 	}
-	sec := func(name string) (*snapshot.Reader, error) {
-		p, ok := f.Section(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: missing section %q", snapshot.ErrCorrupt, name)
-		}
-		return snapshot.NewReader(p), nil
-	}
-
-	r, err := sec(secManifest)
-	if err != nil {
-		return err
-	}
-	wantScenario := r.Str()
-	snapT := sim.Time(r.I64())
-	wantScheds := r.U64()
-	nas := r.Count(3)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if wantScenario != scenario {
-		return fmt.Errorf("%w: scenario %q, checkpoint %q", snapshot.ErrMismatch, scenario, wantScenario)
-	}
-	if wantScheds != uint64(len(x.E.Schedulers())) {
-		return fmt.Errorf("%w: %d schedulers, checkpoint %d", snapshot.ErrMismatch, len(x.E.Schedulers()), wantScheds)
-	}
-	if nas != len(x.order) {
-		return fmt.Errorf("%w: %d ASes, checkpoint %d", snapshot.ErrMismatch, len(x.order), nas)
-	}
-	for _, name := range x.order {
-		wantName := r.Str()
-		wantSeed := r.U64()
-		wantPlain := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		b := x.ASes[name]
-		switch {
-		case wantName != name:
-			return fmt.Errorf("%w: AS %q, checkpoint %q", snapshot.ErrMismatch, name, wantName)
-		case wantSeed != b.Cfg.Seed:
-			return fmt.Errorf("%w: AS %q seed %d, checkpoint %d", snapshot.ErrMismatch, name, b.Cfg.Seed, wantSeed)
-		case wantPlain != b.Cfg.PlainIP:
-			return fmt.Errorf("%w: AS %q PlainIP=%v, checkpoint %v", snapshot.ErrMismatch, name, b.Cfg.PlainIP, wantPlain)
-		case !b.built:
-			return fmt.Errorf("%w: restore before BuildProvider of AS %q", snapshot.ErrMismatch, name)
-		}
-	}
-	_ = snapT
-
-	x.E.MarkSetup()
-	pr, err := sec(secPending)
-	if err != nil {
-		return err
-	}
-	keep, tagged, srcEvents, err := loadPending(pr)
-	if err != nil {
-		return err
-	}
-	x.E.FilterPending(func(shard int, seq uint64) bool {
-		return keep[[2]uint64{uint64(shard + 1), seq}]
-	})
-
-	if r, err = sec(secTopo); err != nil {
-		return err
-	}
-	if err := loadTopoState(r, x.G); err != nil {
-		return err
-	}
-
-	for _, name := range x.order {
-		if err := x.ASes[name].restoreControlSections(sec, name+"/"); err != nil {
-			return fmt.Errorf("AS %s: %w", name, err)
-		}
-	}
-
-	if r, err = sec(secNet); err != nil {
-		return err
-	}
-	if err := x.Net.LoadState(r); err != nil {
-		return err
-	}
-
-	for _, name := range x.order {
-		if err := x.ASes[name].restoreTrafficSections(sec, name+"/"); err != nil {
-			return fmt.Errorf("AS %s: %w", name, err)
-		}
-	}
-
-	if r, err = sec(secInterAS); err != nil {
-		return err
-	}
-	if err := x.loadPlane(r); err != nil {
-		return err
-	}
-
 	// Re-arm tagged control-plane timers, routed by tag domain.
-	for _, t := range tagged {
+	for _, t := range pend.tagged {
 		domain := int(t.tag.Kind >> 4)
 		if domain < 1 || domain > len(x.order) {
 			return fmt.Errorf("%w: pending event with tag domain %d, %d ASes", snapshot.ErrCorrupt, domain, len(x.order))
 		}
-		fn, err := x.ASes[x.order[domain-1]].rearmOwnTagged(t.tag)
-		if err != nil {
+		if err := x.ASes[x.order[domain-1]].rearmOwnTagged(t); err != nil {
 			return err
 		}
-		x.E.RestoreEvent(t.shard, t.at, t.seq, t.tag, fn)
 	}
-	if err := x.rearmSharedSources(srcEvents); err != nil {
-		return err
-	}
-
-	if r, err = sec(secEngine); err != nil {
-		return err
-	}
-	if err := loadSchedState(r, x.E); err != nil {
-		return err
-	}
-	for _, name := range x.order {
-		if err := x.ASes[name].loadAuxRngs(r); err != nil {
-			return fmt.Errorf("AS %s: %w", name, err)
-		}
-	}
-	return r.Err()
-}
-
-// rearmSharedSources resolves global source indexes back to (AS, local
-// source) and re-arms the repost events.
-func (x *InterAS) rearmSharedSources(srcEvents []pendingSource) error {
-	total := 0
-	for _, name := range x.order {
-		total += len(x.ASes[name].sources)
-	}
-	for _, s := range srcEvents {
-		if s.idx < 0 || s.idx >= total {
-			return fmt.Errorf("%w: pending event for source %d, only %d registered", snapshot.ErrMismatch, s.idx, total)
-		}
+	// Global source indexes resolve back to (AS, local source).
+	for _, s := range pend.srcs {
+		var src trafgen.Source
 		idx := s.idx
 		for _, name := range x.order {
 			b := x.ASes[name]
-			if idx < len(b.sources) {
-				x.E.RestoreAction(s.shard, s.at, s.seq, b.sources[idx])
+			if idx >= 0 && idx < len(b.sources) {
+				src = b.sources[idx]
 				break
 			}
 			idx -= len(b.sources)
 		}
+		if src == nil {
+			return fmt.Errorf("%w: pending event for source %d, beyond those registered", snapshot.ErrMismatch, s.idx)
+		}
+		x.E.RestoreAction(s.shard, s.at, s.seq, src)
 	}
 	return nil
 }
 
-// savePlane serializes the peering plane: failure set, counters, session
-// state machines, installed (VPN, origin) trees with their teardown
-// records, and the refcounted stitch cache.
-func (x *InterAS) savePlane(w *snapshot.Writer) {
-	pl := x.plane()
-
-	saveASSet(w, pl.failed)
-	saveASSet(w, pl.restoring)
-
-	w.I64(int64(pl.stats.PeeringFlaps))
-	w.I64(int64(pl.stats.PeeringRestores))
-	w.I64(int64(pl.stats.Failovers))
-	w.I64(int64(pl.stats.Reinstalls))
-	w.I64(int64(pl.stats.Partitioned))
-
-	w.Bool(pl.surv != nil)
-
-	w.U64(uint64(len(pl.peerings)))
-	for _, p := range pl.peerings {
-		w.I64(int64(p.state))
-		w.I64(int64(p.misses))
-		w.I64(int64(p.grDeadline))
-		w.Bool(p.down)
-		w.Bool(p.cut)
+// sections is the multi-provider checkpoint in file order: the shared
+// engine, topology and network sections once, every member AS's control and
+// traffic sections under its "<as>/" prefix, and the peering plane.
+func (x *InterAS) sections(scenario string, pend *pendingSet) []section {
+	secs := []section{
+		{name: secManifest, walk: func(c *snapshot.Codec) { x.manifestState(c, scenario) }},
+		{name: secEngine, late: true, walk: func(c *snapshot.Codec) {
+			schedState(c, x.E)
+			for _, name := range x.order {
+				x.ASes[name].auxRngState(c)
+			}
+		}},
+		{name: secPending, walk: func(c *snapshot.Codec) { pendingState(c, x.E, pend) }},
+		{name: secTopo, walk: func(c *snapshot.Codec) { topoState(c, x.G) }},
 	}
+	for _, name := range x.order {
+		secs = append(secs, x.ASes[name].controlSections(name+"/")...)
+	}
+	secs = append(secs, section{name: secNet, walk: x.Net.State})
+	for _, name := range x.order {
+		secs = append(secs, x.ASes[name].trafficSections(name+"/")...)
+	}
+	return append(secs, section{name: secInterAS, walk: x.planeState})
+}
 
-	keys := sortedOriginKeys(pl.installs)
-	w.U64(uint64(len(keys)))
-	for _, k := range keys {
-		inst := pl.installs[k]
-		w.Str(k.vpn)
-		w.Str(k.origin)
-		w.U64(uint64(len(inst.hops)))
-		for _, h := range inst.hops {
-			w.I64(int64(h.peering))
-			w.Str(h.from)
-			w.Str(h.to)
+// manifestState walks what identifies the run: the scenario fingerprint,
+// snapshot instant, scheduler count, and each member AS's name, seed and
+// forwarding mode. A load refuses a checkpoint of any other run.
+func (x *InterAS) manifestState(c *snapshot.Codec, scenario string) {
+	got := scenario
+	c.Str(&got)
+	c.I64(int64(x.E.Now()))
+	scheds := len(x.E.Schedulers())
+	nsched := c.U64(uint64(scheds))
+	if c.Loaded() && got != scenario {
+		c.Mismatch("scenario %q, checkpoint %q", scenario, got)
+	}
+	if c.Loaded() && nsched != uint64(scheds) {
+		c.Mismatch("%d schedulers, checkpoint %d", scheds, nsched)
+	}
+	// An AS writes its name, its seed and the forwarding flag.
+	if !c.FixedLen(len(x.order), 3, "ASes") {
+		return
+	}
+	for _, name := range x.order {
+		b := x.ASes[name]
+		gotName := name
+		c.Str(&gotName)
+		seed := c.U64(b.Cfg.Seed)
+		plain := c.Has(b.Cfg.PlainIP)
+		if !c.Loaded() {
+			continue
 		}
-		saveILMRefs(w, inst.ilms)
-		saveFTNRefs(w, inst.ftns)
-		w.U64(uint64(len(inst.exts)))
-		for _, e := range inst.exts {
-			w.Str(e.as)
-			w.I64(int64(e.node))
-			addr.SavePrefix(w, e.prefix)
-			w.Str(e.site)
-		}
-		w.U64(uint64(len(inst.routes)))
-		for _, rt := range inst.routes {
-			w.Str(rt.as)
-			w.I64(int64(rt.node))
-			addr.SaveVPNPrefix(w, rt.prefix)
-		}
-		w.U64(uint64(len(inst.access)))
-		for _, a := range inst.access {
-			w.Str(a.as)
-			w.I64(int64(a.node))
-			w.I64(int64(a.link))
-		}
-		w.U64(uint64(len(inst.stitchK)))
-		for _, sk := range inst.stitchK {
-			saveStitchKey(w, sk)
+		switch {
+		case gotName != name:
+			c.Mismatch("AS %q, checkpoint %q", name, gotName)
+		case seed != b.Cfg.Seed:
+			c.Mismatch("AS %q seed %d, checkpoint %d", name, b.Cfg.Seed, seed)
+		case plain != b.Cfg.PlainIP:
+			c.Mismatch("AS %q PlainIP=%v, checkpoint %v", name, b.Cfg.PlainIP, plain)
+		case !b.built:
+			c.Mismatch("restore before BuildProvider of AS %q", name)
 		}
 	}
+}
 
-	sks := make([]stitchKey, 0, len(pl.stitches))
-	for sk := range pl.stitches {
-		sks = append(sks, sk)
+// asSetState walks a set of member-AS names; a load refuses a name the
+// scenario does not have.
+func (x *InterAS) asSetState(c *snapshot.Codec, set *map[string]bool) {
+	snapshot.Set(c, set, cmp.Compare[string], 1, (*snapshot.Codec).Str)
+	if c.Loaded() {
+		for name := range *set {
+			if _, ok := x.ASes[name]; !ok {
+				c.Mismatch("AS %q not in scenario", name)
+			}
+		}
 	}
-	sort.Slice(sks, func(i, j int) bool {
-		if sks[i].peering != sks[j].peering {
-			return sks[i].peering < sks[j].peering
-		}
-		if sks[i].from != sks[j].from {
-			return sks[i].from < sks[j].from
-		}
-		return sks[i].target < sks[j].target
+}
+
+// The teardown references of an install: a name, a node and a label or
+// prefix each, so three bytes at least.
+
+func ilmRefsState(c *snapshot.Codec, refs *[]ilmRef) {
+	snapshot.Slice(c, refs, 3, func(c *snapshot.Codec, i *ilmRef) {
+		c.Str(&i.as)
+		snapshot.Int(c, &i.node)
+		snapshot.Uint(c, &i.label)
 	})
-	w.U64(uint64(len(sks)))
-	for _, sk := range sks {
-		rec := pl.stitches[sk]
-		saveStitchKey(w, sk)
-		w.I64(int64(rec.count))
-		w.U64(uint64(rec.tn))
-		saveILMRefs(w, rec.ilms)
-		saveFTNRefs(w, rec.ftns)
-	}
 }
 
-// loadPlane is the decode side of savePlane. The rebuild's own plane state
-// (from the builder's ReconcilePeerings) is discarded and replaced.
-func (x *InterAS) loadPlane(r *snapshot.Reader) error {
+func ftnRefsState(c *snapshot.Codec, refs *[]ftnRef) {
+	snapshot.Slice(c, refs, 2+addr.PrefixMin, func(c *snapshot.Codec, f *ftnRef) {
+		c.Str(&f.as)
+		snapshot.Int(c, &f.node)
+		addr.PrefixState(c, &f.fec)
+	})
+}
+
+func stitchKeyState(c *snapshot.Codec, sk *stitchKey) {
+	snapshot.Int(c, &sk.peering)
+	c.Str(&sk.from)
+	snapshot.Int(c, &sk.target)
+}
+
+func installState(c *snapshot.Codec, inst *originInstall) {
+	snapshot.Slice(c, &inst.hops, 3, func(c *snapshot.Codec, h *hopRef) {
+		snapshot.Int(c, &h.peering)
+		c.Str(&h.from)
+		c.Str(&h.to)
+	})
+	ilmRefsState(c, &inst.ilms)
+	ftnRefsState(c, &inst.ftns)
+	snapshot.Slice(c, &inst.exts, 3+addr.PrefixMin, func(c *snapshot.Codec, e *extRef) {
+		c.Str(&e.as)
+		snapshot.Int(c, &e.node)
+		addr.PrefixState(c, &e.prefix)
+		c.Str(&e.site)
+	})
+	snapshot.Slice(c, &inst.routes, 2+addr.VPNPrefixMin, func(c *snapshot.Codec, rt *routeRef) {
+		c.Str(&rt.as)
+		snapshot.Int(c, &rt.node)
+		addr.VPNPrefixState(c, &rt.prefix)
+	})
+	snapshot.Slice(c, &inst.access, 3, func(c *snapshot.Codec, a *accessRef) {
+		c.Str(&a.as)
+		snapshot.Int(c, &a.node)
+		snapshot.Int(c, &a.link)
+	})
+	snapshot.Slice(c, &inst.stitchK, 3, stitchKeyState)
+}
+
+// planeState walks the peering plane: failure sets, counters, session state
+// machines, installed (VPN, origin) trees with their teardown records, and
+// the refcounted stitch cache. A load discards the rebuild's own plane state
+// (from the builder's ReconcilePeerings) in favour of the checkpoint's.
+func (x *InterAS) planeState(c *snapshot.Codec) {
 	pl := x.plane()
+	x.asSetState(c, &pl.failed)
+	x.asSetState(c, &pl.restoring)
 
-	var err error
-	if pl.failed, err = x.loadASSet(r); err != nil {
-		return err
-	}
-	if pl.restoring, err = x.loadASSet(r); err != nil {
-		return err
-	}
+	snapshot.Int(c, &pl.stats.PeeringFlaps)
+	snapshot.Int(c, &pl.stats.PeeringRestores)
+	snapshot.Int(c, &pl.stats.Failovers)
+	snapshot.Int(c, &pl.stats.Reinstalls)
+	snapshot.Int(c, &pl.stats.Partitioned)
 
-	pl.stats.PeeringFlaps = int(r.I64())
-	pl.stats.PeeringRestores = int(r.I64())
-	pl.stats.Failovers = int(r.I64())
-	pl.stats.Reinstalls = int(r.I64())
-	pl.stats.Partitioned = int(r.I64())
+	c.Same(pl.surv != nil, "inter-AS survivability")
 
-	hasSurv := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if hasSurv != (pl.surv != nil) {
-		return fmt.Errorf("%w: inter-AS survivability in checkpoint=%v, scenario=%v", snapshot.ErrMismatch, hasSurv, pl.surv != nil)
-	}
-
-	np := r.Count(5)
-	if np != len(pl.peerings) {
-		return fmt.Errorf("%w: %d peerings in checkpoint, %d in scenario", snapshot.ErrMismatch, np, len(pl.peerings))
+	// A peering is three varints and two flags.
+	if !c.FixedLen(len(pl.peerings), 5, "peerings") {
+		return
 	}
 	for _, p := range pl.peerings {
-		p.state = survState(r.I64())
-		p.misses = int(r.I64())
-		p.grDeadline = sim.Time(r.I64())
-		p.down = r.Bool()
-		p.cut = r.Bool()
+		snapshot.Int(c, &p.state)
+		snapshot.Int(c, &p.misses)
+		snapshot.Int(c, &p.grDeadline)
+		c.Bool(&p.down)
+		c.Bool(&p.cut)
 	}
 
-	ni := r.Count(2)
-	pl.installs = make(map[originKey]*originInstall, ni)
-	for i := 0; i < ni; i++ {
-		k := originKey{vpn: r.Str(), origin: r.Str()}
-		inst := &originInstall{}
-		nh := r.Count(3)
-		for j := 0; j < nh; j++ {
-			inst.hops = append(inst.hops, hopRef{
-				peering: int(r.I64()), from: r.Str(), to: r.Str()})
-		}
-		inst.ilms = loadILMRefs(r)
-		inst.ftns = loadFTNRefs(r)
-		ne := r.Count(4)
-		for j := 0; j < ne; j++ {
-			inst.exts = append(inst.exts, extRef{
-				as: r.Str(), node: topo.NodeID(r.I64()),
-				prefix: addr.LoadPrefix(r), site: r.Str()})
-		}
-		nr := r.Count(3)
-		for j := 0; j < nr; j++ {
-			inst.routes = append(inst.routes, routeRef{
-				as: r.Str(), node: topo.NodeID(r.I64()),
-				prefix: addr.LoadVPNPrefix(r)})
-		}
-		na := r.Count(3)
-		for j := 0; j < na; j++ {
-			inst.access = append(inst.access, accessRef{
-				as: r.Str(), node: topo.NodeID(r.I64()),
-				link: topo.LinkID(r.I64())})
-		}
-		nsk := r.Count(3)
-		for j := 0; j < nsk; j++ {
-			inst.stitchK = append(inst.stitchK, loadStitchKey(r))
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		pl.installs[k] = inst
-	}
+	// An install is its two-name key and seven lists.
+	snapshot.MapPtrs(c, &pl.installs, func(a, b originKey) int {
+		return cmp.Or(cmp.Compare(a.vpn, b.vpn), cmp.Compare(a.origin, b.origin))
+	}, 2+7, func(c *snapshot.Codec, k *originKey) {
+		c.Str(&k.vpn)
+		c.Str(&k.origin)
+	}, installState)
 
-	ns := r.Count(4)
-	pl.stitches = make(map[stitchKey]*stitchRec, ns)
-	for i := 0; i < ns; i++ {
-		sk := loadStitchKey(r)
-		rec := &stitchRec{count: int(r.I64()), tn: packet.Label(r.U64())}
-		rec.ilms = loadILMRefs(r)
-		rec.ftns = loadFTNRefs(r)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		pl.stitches[sk] = rec
-	}
-	return r.Err()
-}
-
-// saveASSet writes a set of member-AS names in sorted order.
-func saveASSet(w *snapshot.Writer, set map[string]bool) {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	w.U64(uint64(len(names)))
-	for _, n := range names {
-		w.Str(n)
-	}
-}
-
-// loadASSet is the decode side of saveASSet, validating membership.
-func (x *InterAS) loadASSet(r *snapshot.Reader) (map[string]bool, error) {
-	n := r.Count(1)
-	set := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
-		name := r.Str()
-		if _, ok := x.ASes[name]; !ok {
-			return nil, fmt.Errorf("%w: AS %q not in scenario", snapshot.ErrMismatch, name)
-		}
-		set[name] = true
-	}
-	return set, r.Err()
-}
-
-func saveILMRefs(w *snapshot.Writer, refs []ilmRef) {
-	w.U64(uint64(len(refs)))
-	for _, i := range refs {
-		w.Str(i.as)
-		w.I64(int64(i.node))
-		w.U64(uint64(i.label))
-	}
-}
-
-func loadILMRefs(r *snapshot.Reader) []ilmRef {
-	n := r.Count(3)
-	out := make([]ilmRef, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, ilmRef{
-			as: r.Str(), node: topo.NodeID(r.I64()), label: packet.Label(r.U64())})
-	}
-	return out
-}
-
-func saveFTNRefs(w *snapshot.Writer, refs []ftnRef) {
-	w.U64(uint64(len(refs)))
-	for _, f := range refs {
-		w.Str(f.as)
-		w.I64(int64(f.node))
-		addr.SavePrefix(w, f.fec)
-	}
-}
-
-func loadFTNRefs(r *snapshot.Reader) []ftnRef {
-	n := r.Count(3)
-	out := make([]ftnRef, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, ftnRef{
-			as: r.Str(), node: topo.NodeID(r.I64()), fec: addr.LoadPrefix(r)})
-	}
-	return out
-}
-
-func saveStitchKey(w *snapshot.Writer, sk stitchKey) {
-	w.I64(int64(sk.peering))
-	w.Str(sk.from)
-	w.I64(int64(sk.target))
-}
-
-func loadStitchKey(r *snapshot.Reader) stitchKey {
-	return stitchKey{peering: int(r.I64()), from: r.Str(), target: topo.NodeID(r.I64())}
+	// A stitch is its three-field key, a refcount, a label and two lists.
+	snapshot.MapPtrs(c, &pl.stitches, func(a, b stitchKey) int {
+		return cmp.Or(cmp.Compare(a.peering, b.peering), cmp.Compare(a.from, b.from), cmp.Compare(a.target, b.target))
+	}, 3+4, stitchKeyState, func(c *snapshot.Codec, rec *stitchRec) {
+		snapshot.Int(c, &rec.count)
+		snapshot.Uint(c, &rec.tn)
+		ilmRefsState(c, &rec.ilms)
+		ftnRefsState(c, &rec.ftns)
+	})
 }

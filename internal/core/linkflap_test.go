@@ -122,9 +122,10 @@ func onWire(b *Backbone, a, z string) int {
 // labelTableBytes serializes every provider router's LFIB and FTN.
 func labelTableBytes(b *Backbone) []byte {
 	var w snapshot.Writer
+	c := snapshot.Saver(&w)
 	for _, n := range b.providerNodes {
-		b.routers[n].LFIB.SaveState(&w)
-		b.routers[n].FTN.SaveState(&w)
+		b.routers[n].LFIB.State(c)
+		b.routers[n].FTN.State(c)
 	}
 	return w.Data()
 }

@@ -30,12 +30,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"mplsvpn/internal/addr"
+	"mplsvpn/internal/device"
+	"mplsvpn/internal/mpls"
 	"mplsvpn/internal/packet"
-	"mplsvpn/internal/qos"
 	"mplsvpn/internal/rsvp"
 	"mplsvpn/internal/sim"
 	"mplsvpn/internal/snapshot"
@@ -104,6 +105,59 @@ const (
 	secTelemetry = "telemetry"
 )
 
+// section is one named part of the checkpoint container and the state walk
+// that writes it on a snapshot and reads it on a restore. Snapshot emits a
+// table of sections in order, which is the file order; Restore applies the
+// same table in the same order, except that late sections wait until every
+// other one is in.
+type section struct {
+	name string
+	walk func(*snapshot.Codec)
+	late bool
+}
+
+// encodeSections runs every walk over a Saver and seals the container.
+func encodeSections(secs []section) []byte {
+	f := snapshot.NewFile()
+	for _, s := range secs {
+		var w snapshot.Writer
+		s.walk(snapshot.Saver(&w))
+		f.Add(s.name, w.Data())
+	}
+	return f.Encode()
+}
+
+// restoreSections decodes the container and runs every walk over a Loader
+// of its section. The CRC check up front means a failure past it is a
+// scenario mismatch or hand-built damage, never a torn file.
+func restoreSections(data []byte, secs []section) error {
+	f, err := snapshot.Decode(data)
+	if err != nil {
+		return err
+	}
+	load := func(s section) error {
+		p, ok := f.Section(s.name)
+		if !ok {
+			return fmt.Errorf("%w: missing section %q", snapshot.ErrCorrupt, s.name)
+		}
+		if err := snapshot.Load(snapshot.NewReader(p), s.walk); err != nil {
+			return fmt.Errorf("section %q: %w", s.name, err)
+		}
+		return nil
+	}
+	for _, late := range []bool{false, true} {
+		for _, s := range secs {
+			if s.late != late {
+				continue
+			}
+			if err := load(s); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // pendingTagged is one serialized dynamic timer awaiting re-arm.
 type pendingTagged struct {
 	shard int
@@ -120,6 +174,14 @@ type pendingSource struct {
 	seq   uint64
 }
 
+// pendingSet is the "pending" section: every live event of the heaps that
+// core accounts for, by class.
+type pendingSet struct {
+	setup  [][2]uint64 // shard+1 (to keep GlobalBand=-1 unsigned-safe), seq
+	tagged []pendingTagged
+	srcs   []pendingSource
+}
+
 // Snapshot serializes the backbone's dynamic state at the current virtual
 // time. scenario is the caller's fingerprint of the scenario construction
 // (builder name, parameters, shard count); Restore refuses a checkpoint
@@ -130,252 +192,232 @@ func (b *Backbone) Snapshot(scenario string) ([]byte, error) {
 	if !b.built {
 		return nil, fmt.Errorf("core: snapshot before BuildProvider")
 	}
-
-	f := snapshot.NewFile()
-	scheds := b.E.Schedulers()
-
-	var w snapshot.Writer
-	w.Str(scenario)
-	w.U64(b.Cfg.Seed)
-	w.I64(int64(b.E.Now()))
-	w.U64(uint64(len(scheds)))
-	w.Bool(b.Cfg.PlainIP)
-	f.Add(secManifest, w.Data())
-
-	w = snapshot.Writer{}
-	saveSchedState(&w, b.E)
-	b.saveAuxRngs(&w)
-	f.Add(secEngine, w.Data())
-
-	pending, err := b.classifyPending()
+	pend, err := classifyPending(b.E, b.Net.OwnsAction, func(a sim.Action) (int, bool) {
+		idx, ok := b.srcIndex[a]
+		return idx, ok
+	})
 	if err != nil {
 		return nil, err
 	}
-	f.Add(secPending, pending)
-
-	f.Add(secTopo, saveTopoState(b.G))
-
-	b.addControlSections(f, "")
-
-	w = snapshot.Writer{}
-	b.Net.SaveState(&w)
-	f.Add(secNet, w.Data())
-
-	b.addTrafficSections(f, "")
-
-	return f.Encode(), nil
+	return encodeSections(b.sections(scenario, pend)), nil
 }
 
-// saveSchedState serializes the engine's scheduler clocks/sequence counters
-// and the engine-wide random stream — the state shared by every backbone on
-// the engine.
-func saveSchedState(w *snapshot.Writer, e *sim.Engine) {
-	for _, s := range e.Schedulers() {
-		w.I64(int64(s))
-		w.I64(int64(e.ClockOf(s)))
-		w.U64(e.Seq(s))
-		w.U64(e.ExecutedOn(s))
+// Restore overlays a checkpoint onto a freshly rebuilt scenario: same
+// builder, same seed, same sharding, nothing run yet. On any error the
+// backbone must be discarded and rebuilt — a failed restore does not roll
+// back.
+func (b *Backbone) Restore(data []byte, scenario string) error {
+	pend := &pendingSet{}
+	if err := restoreSections(data, b.sections(scenario, pend)); err != nil {
+		return err
 	}
-	w.U64(e.Rand().State())
+	// Re-arm the dynamic timers and source reposts with their original
+	// identities.
+	for _, t := range pend.tagged {
+		if err := b.rearmOwnTagged(t); err != nil {
+			return err
+		}
+	}
+	for _, s := range pend.srcs {
+		if s.idx < 0 || s.idx >= len(b.sources) {
+			return fmt.Errorf("%w: pending event for source %d, only %d registered", snapshot.ErrMismatch, s.idx, len(b.sources))
+		}
+		b.E.RestoreAction(s.shard, s.at, s.seq, b.sources[s.idx])
+	}
+	return nil
 }
 
-// loadSchedState is the decode side of saveSchedState.
-func loadSchedState(r *snapshot.Reader, e *sim.Engine) error {
-	for range e.Schedulers() {
-		s := int(r.I64())
-		clock := sim.Time(r.I64())
-		seq := r.U64()
-		executed := r.U64()
-		if r.Err() != nil {
-			return r.Err()
+// sections is the backbone's checkpoint: what Snapshot writes and Restore
+// reads, in file order. The engine section goes in last on a restore, so
+// the schedulers advance to the snapshot instant only once nothing else can
+// touch their clocks and sequence counters.
+func (b *Backbone) sections(scenario string, pend *pendingSet) []section {
+	secs := []section{
+		{name: secManifest, walk: func(c *snapshot.Codec) { b.manifestState(c, scenario) }},
+		{name: secEngine, late: true, walk: func(c *snapshot.Codec) {
+			schedState(c, b.E)
+			b.auxRngState(c)
+		}},
+		{name: secPending, walk: func(c *snapshot.Codec) { pendingState(c, b.E, pend) }},
+		{name: secTopo, walk: func(c *snapshot.Codec) { topoState(c, b.G) }},
+	}
+	secs = append(secs, b.controlSections("")...)
+	secs = append(secs, section{name: secNet, walk: b.Net.State})
+	return append(secs, b.trafficSections("")...)
+}
+
+// manifestState walks what identifies the run: the scenario fingerprint,
+// seed, snapshot instant, scheduler count and forwarding mode. A load
+// refuses a checkpoint of any other run.
+func (b *Backbone) manifestState(c *snapshot.Codec, scenario string) {
+	got := scenario
+	c.Str(&got)
+	seed := c.U64(b.Cfg.Seed)
+	c.I64(int64(b.E.Now()))
+	scheds := len(b.E.Schedulers())
+	nsched := c.U64(uint64(scheds))
+	plain := c.Has(b.Cfg.PlainIP)
+	if !c.Loaded() {
+		return
+	}
+	switch {
+	case got != scenario:
+		c.Mismatch("scenario %q, checkpoint %q", scenario, got)
+	case seed != b.Cfg.Seed:
+		c.Mismatch("seed %d, checkpoint %d", b.Cfg.Seed, seed)
+	case nsched != uint64(scheds):
+		c.Mismatch("%d schedulers, checkpoint %d", scheds, nsched)
+	case plain != b.Cfg.PlainIP:
+		c.Mismatch("PlainIP=%v, checkpoint %v", b.Cfg.PlainIP, plain)
+	case !b.built:
+		c.Mismatch("restore before BuildProvider")
+	}
+}
+
+// schedState walks the engine's scheduler clocks and sequence counters and
+// the engine-wide random stream — the state shared by every backbone on the
+// engine.
+func schedState(c *snapshot.Codec, e *sim.Engine) {
+	for _, s := range e.Schedulers() {
+		id := c.I64(int64(s))
+		clock := sim.Time(c.I64(int64(e.ClockOf(s))))
+		seq := c.U64(e.Seq(s))
+		executed := c.U64(e.ExecutedOn(s))
+		if !c.Loaded() {
+			continue
+		}
+		if id != int64(s) {
+			c.Mismatch("scheduler %d in checkpoint where the scenario has %d", id, s)
+			return
 		}
 		e.RestoreClock(s, clock)
 		e.RestoreSeq(s, seq)
 		e.RestoreExecuted(s, executed)
 	}
-	e.Rand().SetState(r.U64())
-	return r.Err()
+	e.Rand().SetState(c.U64(e.Rand().State()))
 }
 
-// saveAuxRngs serializes the backbone's forked random streams (control-plane
+// auxRngState walks the backbone's forked random streams (control-plane
 // loss, TE retry jitter).
-func (b *Backbone) saveAuxRngs(w *snapshot.Writer) {
-	w.Bool(b.ctrlRng != nil)
-	if b.ctrlRng != nil {
-		w.U64(b.ctrlRng.State())
-	}
-	w.Bool(b.res != nil)
-	if b.res != nil {
-		w.U64(b.res.rng.State())
-	}
-}
-
-// loadAuxRngs is the decode side of saveAuxRngs.
-func (b *Backbone) loadAuxRngs(r *snapshot.Reader) error {
-	hasCtrl := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if hasCtrl {
+func (b *Backbone) auxRngState(c *snapshot.Codec) {
+	if c.Has(b.ctrlRng != nil) {
 		if b.ctrlRng == nil {
-			return fmt.Errorf("%w: control-plane loss rng in checkpoint but not in scenario", snapshot.ErrMismatch)
+			c.Mismatch("control-plane loss rng in checkpoint but not in scenario")
+			return
 		}
-		b.ctrlRng.SetState(r.U64())
+		b.ctrlRng.SetState(c.U64(b.ctrlRng.State()))
 	}
-	hasRes := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
+	if c.Same(b.res != nil, "resilience") {
+		b.res.rng.SetState(c.U64(b.res.rng.State()))
 	}
-	if hasRes != (b.res != nil) {
-		return fmt.Errorf("%w: resilience in checkpoint=%v, scenario=%v", snapshot.ErrMismatch, hasRes, b.res != nil)
-	}
-	if b.res != nil {
-		b.res.rng.SetState(r.U64())
-	}
-	return r.Err()
 }
 
-// saveTopoState serializes the graph's dynamic link state.
-func saveTopoState(g *topo.Graph) []byte {
-	var w snapshot.Writer
-	w.U64(uint64(g.NumLinks()))
+// topoState walks the graph's dynamic link state: a flag and a float64 per
+// link.
+func topoState(c *snapshot.Codec, g *topo.Graph) {
+	if !c.FixedLen(g.NumLinks(), 9, "links") {
+		return
+	}
 	for i := 0; i < g.NumLinks(); i++ {
 		l := g.Link(topo.LinkID(i))
-		w.Bool(l.Down)
-		w.F64(l.ReservedBw)
+		g.SetDown(topo.LinkID(i), c.Has(l.Down))
+		c.F64(&l.ReservedBw)
 	}
-	return w.Data()
 }
 
-// loadTopoState is the decode side of saveTopoState.
-func loadTopoState(r *snapshot.Reader, g *topo.Graph) error {
-	nl := r.Count(9)
-	if nl != g.NumLinks() {
-		return fmt.Errorf("%w: %d links in checkpoint, %d in scenario", snapshot.ErrMismatch, nl, g.NumLinks())
+// controlSections lists the backbone's control-plane sections (IGP, label
+// plane, BGP, routers, core bookkeeping, registry) under a section name
+// prefix — empty for a standalone snapshot, "<as>/" per AS in an inter-AS
+// one.
+func (b *Backbone) controlSections(prefix string) []section {
+	nodeID := snapshot.Int[topo.NodeID]
+	return []section{
+		{name: prefix + secIGP, walk: b.IGP.State},
+		{name: prefix + secLabels, walk: func(c *snapshot.Codec) {
+			snapshot.Overlay(c, b.allocs, cmp.Compare[topo.NodeID], 2, "allocator for node", nodeID,
+				func(c *snapshot.Codec, a *mpls.Allocator) { a.State(c) })
+			if c.Same(b.LDP != nil, "LDP") {
+				b.LDP.State(c)
+			}
+			if c.Same(b.RSVP != nil, "RSVP") {
+				b.RSVP.State(c)
+			}
+		}},
+		{name: prefix + secBGP, walk: b.BGP.State},
+		{name: prefix + secRouters, walk: func(c *snapshot.Codec) {
+			snapshot.Overlay(c, b.routers, cmp.Compare[topo.NodeID], 1+device.StateMin, "router for node", nodeID,
+				func(c *snapshot.Codec, r *device.Router) { r.State(c) })
+		}},
+		{name: prefix + secCore, walk: b.coreState},
+		{name: prefix + secRegistry, walk: b.Registry.State},
 	}
-	for i := 0; i < nl; i++ {
-		g.SetDown(topo.LinkID(i), r.Bool())
-		g.Link(topo.LinkID(i)).ReservedBw = r.F64()
-	}
-	return r.Err()
 }
 
-// addControlSections emits the backbone's control-plane sections (IGP,
-// label plane, BGP, routers, core bookkeeping, registry) under a section
-// name prefix — empty for a standalone snapshot, "<as>/" per AS in an
-// inter-AS one.
-func (b *Backbone) addControlSections(f *snapshot.File, prefix string) {
-	var w snapshot.Writer
-	b.IGP.SaveState(&w)
-	f.Add(prefix+secIGP, w.Data())
-
-	w = snapshot.Writer{}
-	nodes := sortedNodeIDs(b.allocs)
-	w.U64(uint64(len(nodes)))
-	for _, n := range nodes {
-		w.I64(int64(n))
-		b.allocs[n].SaveState(&w)
-	}
-	w.Bool(b.LDP != nil)
-	if b.LDP != nil {
-		b.LDP.SaveState(&w)
-	}
-	w.Bool(b.RSVP != nil)
-	if b.RSVP != nil {
-		b.RSVP.SaveState(&w)
-	}
-	f.Add(prefix+secLabels, w.Data())
-
-	w = snapshot.Writer{}
-	b.BGP.SaveState(&w)
-	f.Add(prefix+secBGP, w.Data())
-
-	w = snapshot.Writer{}
-	rnodes := sortedNodeIDs(b.routers)
-	w.U64(uint64(len(rnodes)))
-	for _, n := range rnodes {
-		w.I64(int64(n))
-		b.routers[n].SaveState(&w)
-	}
-	f.Add(prefix+secRouters, w.Data())
-
-	w = snapshot.Writer{}
-	b.saveCoreState(&w)
-	f.Add(prefix+secCore, w.Data())
-
-	w = snapshot.Writer{}
-	b.Registry.SaveState(&w)
-	f.Add(prefix+secRegistry, w.Data())
+func compareFlowKey(a, b packet.FlowKey) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst),
+		cmp.Compare(a.SrcPort, b.SrcPort), cmp.Compare(a.DstPort, b.DstPort), cmp.Compare(a.Protocol, b.Protocol))
 }
 
-// addTrafficSections emits the backbone's traffic-plane sections (flow
-// stats, sources, telemetry) under a section name prefix.
-func (b *Backbone) addTrafficSections(f *snapshot.File, prefix string) {
-	var w snapshot.Writer
-	keys := make([]packet.FlowKey, 0, len(b.flows))
-	for k := range b.flows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return flowKeyLess(keys[i], keys[j]) })
-	w.U64(uint64(len(keys)))
-	for _, k := range keys {
-		saveFlowKey(&w, k)
-		b.flows[k].SaveState(&w)
-	}
-	f.Add(prefix+secFlows, w.Data())
-
-	w = snapshot.Writer{}
-	w.U64(uint64(len(b.sources)))
-	for _, s := range b.sources {
-		s.SaveState(&w)
-	}
-	f.Add(prefix+secSources, w.Data())
-
-	w = snapshot.Writer{}
-	w.Bool(b.tel != nil)
-	if b.tel != nil {
-		b.tel.Reg.SaveState(&w)
-		b.tel.Journal.SaveState(&w)
-		b.tel.Flows.SaveState(&w)
-		w.Bool(b.tel.Watcher != nil)
-		if b.tel.Watcher != nil {
-			b.tel.Watcher.SaveState(&w)
-		}
-	}
-	f.Add(prefix+secTelemetry, w.Data())
+func flowKeyState(c *snapshot.Codec, k *packet.FlowKey) {
+	snapshot.Uint(c, &k.Src)
+	snapshot.Uint(c, &k.Dst)
+	snapshot.Uint(c, &k.SrcPort)
+	snapshot.Uint(c, &k.DstPort)
+	snapshot.Uint(c, &k.Protocol)
 }
 
-// classifyPending walks the event heaps and serializes every pending event
-// by class: setup events as (shard, seq) keep-entries, tagged control-plane
+// trafficSections lists the backbone's traffic-plane sections (flow stats,
+// sources, telemetry) under a section name prefix.
+func (b *Backbone) trafficSections(prefix string) []section {
+	return []section{
+		{name: prefix + secFlows, walk: func(c *snapshot.Codec) {
+			// A flow writes its five-varint key, then forty-odd bytes of
+			// counters and aggregates.
+			snapshot.Overlay(c, b.flows, compareFlowKey, 5+40, "flow", flowKeyState,
+				func(c *snapshot.Codec, f *trafgen.Flow) { f.State(c) })
+		}},
+		{name: prefix + secSources, walk: func(c *snapshot.Codec) {
+			if c.FixedLen(len(b.sources), 1, "sources") {
+				for _, s := range b.sources {
+					s.State(c)
+				}
+			}
+		}},
+		{name: prefix + secTelemetry, walk: func(c *snapshot.Codec) {
+			if !c.Same(b.tel != nil, "telemetry") {
+				return
+			}
+			b.tel.Reg.State(c)
+			b.tel.Journal.State(c)
+			b.tel.Flows.State(c)
+			if c.Same(b.tel.Watcher != nil, "SLA watcher") {
+				b.tel.Watcher.State(c)
+			}
+		}},
+	}
+}
+
+// classifyPending walks the event heaps and sorts every pending event into
+// its class: setup events as (shard, seq) keep-entries, tagged control-plane
 // timers as re-arm records, registered source reposts by registry index.
 // Data-plane events are netsim's to serialize; anything else is a strict
-// error naming the offender.
-func (b *Backbone) classifyPending() ([]byte, error) {
-	return classifyPendingOn(b.E, b.Net.OwnsAction, func(a sim.Action) (int, bool) {
-		idx, ok := b.srcIndex[a]
-		return idx, ok
-	})
-}
-
-// classifyPendingOn is classifyPending over an explicit engine, data-plane
-// ownership test, and source resolver, so an inter-AS snapshot can classify
-// a shared engine's heap against the union of every AS's source registry.
-func classifyPendingOn(e *sim.Engine, owns func(sim.Action) bool, srcOf func(sim.Action) (int, bool)) ([]byte, error) {
-	var setup [][2]uint64 // shard+1 (to keep GlobalBand=-1 unsigned-safe), seq
-	var tagged []pendingTagged
-	var srcs []pendingSource
+// error naming the offender. The engine, data-plane ownership test, and
+// source resolver are explicit so an inter-AS snapshot can classify a shared
+// engine's heap against the union of every AS's source registry.
+func classifyPending(e *sim.Engine, owns func(sim.Action) bool, srcOf func(sim.Action) (int, bool)) (*pendingSet, error) {
+	p := &pendingSet{}
 	var unknown []string
 	e.WalkPending(func(pe sim.PendingEvent) {
 		switch {
 		case pe.Setup:
-			setup = append(setup, [2]uint64{uint64(pe.Shard + 1), pe.Seq})
+			p.setup = append(p.setup, [2]uint64{uint64(pe.Shard + 1), pe.Seq})
 		case pe.Tag.Kind != 0:
-			tagged = append(tagged, pendingTagged{shard: pe.Shard, at: pe.At, seq: pe.Seq, tag: pe.Tag})
+			p.tagged = append(p.tagged, pendingTagged{shard: pe.Shard, at: pe.At, seq: pe.Seq, tag: pe.Tag})
 		case pe.Act != nil && owns(pe.Act):
 			// In-flight data plane: serialized and re-armed by netsim.
 		case pe.Act != nil:
 			if idx, ok := srcOf(pe.Act); ok {
-				srcs = append(srcs, pendingSource{idx: idx, shard: pe.Shard, at: pe.At, seq: pe.Seq})
+				p.srcs = append(p.srcs, pendingSource{idx: idx, shard: pe.Shard, at: pe.At, seq: pe.Seq})
 			} else {
 				unknown = append(unknown, fmt.Sprintf("action %T at %v", pe.Act, pe.At))
 			}
@@ -391,471 +433,76 @@ func classifyPendingOn(e *sim.Engine, owns func(sim.Action) bool, srcOf func(sim
 	// snapshots of identical simulation state could otherwise serialize
 	// their pending events differently. Sorting by (shard, seq) makes the
 	// encoding a pure function of state — snapshot(restore(s)) == s.
-	sort.Slice(setup, func(i, j int) bool {
-		if setup[i][0] != setup[j][0] {
-			return setup[i][0] < setup[j][0]
-		}
-		return setup[i][1] < setup[j][1]
-	})
-	sort.Slice(tagged, func(i, j int) bool {
-		if tagged[i].shard != tagged[j].shard {
-			return tagged[i].shard < tagged[j].shard
-		}
-		return tagged[i].seq < tagged[j].seq
-	})
-	sort.Slice(srcs, func(i, j int) bool {
-		if srcs[i].shard != srcs[j].shard {
-			return srcs[i].shard < srcs[j].shard
-		}
-		return srcs[i].seq < srcs[j].seq
-	})
-
-	var w snapshot.Writer
-	w.U64(uint64(len(setup)))
-	for _, s := range setup {
-		w.U64(s[0])
-		w.U64(s[1])
-	}
-	w.U64(uint64(len(tagged)))
-	for _, t := range tagged {
-		w.I64(int64(t.shard))
-		w.I64(int64(t.at))
-		w.U64(t.seq)
-		w.U64(uint64(t.tag.Kind))
-		w.U64(t.tag.A)
-		w.U64(t.tag.B)
-	}
-	w.U64(uint64(len(srcs)))
-	for _, s := range srcs {
-		w.I64(int64(s.idx))
-		w.I64(int64(s.shard))
-		w.I64(int64(s.at))
-		w.U64(s.seq)
-	}
-	return w.Data(), nil
+	slices.SortFunc(p.setup, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	slices.SortFunc(p.tagged, func(a, b pendingTagged) int { return cmp.Or(cmp.Compare(a.shard, b.shard), cmp.Compare(a.seq, b.seq)) })
+	slices.SortFunc(p.srcs, func(a, b pendingSource) int { return cmp.Or(cmp.Compare(a.shard, b.shard), cmp.Compare(a.seq, b.seq)) })
+	return p, nil
 }
 
-// saveCoreState serializes the backbone's own dynamic bookkeeping: fault
-// maps, TE intents, bypass bindings, survivability sessions, and the
-// telemetry utilization cache.
-func (b *Backbone) saveCoreState(w *snapshot.Writer) {
-	w.I64(int64(b.IsolationViolations))
-	w.I64(int64(b.teReqSeq))
-
-	pairs := make([]linkPair, 0, len(b.failedLinks))
-	for p := range b.failedLinks {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].lo != pairs[j].lo {
-			return pairs[i].lo < pairs[j].lo
-		}
-		return pairs[i].hi < pairs[j].hi
+// pendingState walks the pending set. A load then kills, on the freshly
+// rebuilt engine, the setup events the original run had already consumed;
+// MarkSetup is idempotent there: nothing has run, so the watermark equals
+// the builder's.
+func pendingState(c *snapshot.Codec, e *sim.Engine, p *pendingSet) {
+	snapshot.Slice(c, &p.setup, 2, func(c *snapshot.Codec, s *[2]uint64) {
+		s[0] = c.U64(s[0])
+		s[1] = c.U64(s[1])
 	})
-	w.U64(uint64(len(pairs)))
-	for _, p := range pairs {
-		w.I64(int64(p.lo))
-		w.I64(int64(p.hi))
-	}
-
-	saveNodeSet(w, b.nodeDown)
-	saveNodeSet(w, b.ctrlDown)
-
-	cut := make([]string, 0, len(b.cutSites))
-	for s := range b.cutSites {
-		cut = append(cut, s)
-	}
-	sort.Strings(cut)
-	w.U64(uint64(len(cut)))
-	for _, s := range cut {
-		w.Str(s)
-	}
-
-	w.U64(uint64(len(b.teRequests)))
-	for _, req := range b.teRequests {
-		w.I64(int64(req.id))
-		w.Str(req.name)
-		w.I64(int64(req.ingress))
-		w.I64(int64(req.egress))
-		w.Str(req.vpn)
-		w.F64(req.bandwidth)
-		w.I64(int64(req.class))
-		saveSetupOptions(w, req.opt)
-		lspID := -1
-		if req.lsp != nil {
-			lspID = req.lsp.ID
-		}
-		w.I64(int64(lspID))
-		w.F64(req.fullBandwidth)
-		w.I64(int64(req.fullClassType))
-		w.Bool(req.degraded)
-		w.I64(int64(req.attempts))
-		w.Bool(req.retryPending)
-		w.Bool(req.removed)
-	}
-
-	w.Bool(b.bypasses != nil)
-	if b.bypasses != nil {
-		lids := make([]topo.LinkID, 0, len(b.bypasses))
-		for l := range b.bypasses {
-			lids = append(lids, l)
-		}
-		sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
-		w.U64(uint64(len(lids)))
-		for _, l := range lids {
-			w.I64(int64(l))
-			w.I64(int64(b.bypasses[l].ID))
-		}
-	}
-
-	w.Bool(b.surv != nil)
-	if b.surv != nil {
-		s := b.surv
-		w.I64(int64(s.flaps))
-		w.I64(int64(s.restores))
-		w.I64(int64(s.staleSwept))
-		w.I64(int64(s.withdrawn))
-		w.I64(int64(s.damped))
-		w.I64(int64(s.reused))
-		nodes := sortedNodeIDs(s.sess)
-		w.U64(uint64(len(nodes)))
-		for _, n := range nodes {
-			st := s.sess[n]
-			w.I64(int64(n))
-			w.I64(int64(st.state))
-			w.I64(int64(st.misses))
-			w.I64(int64(st.grDeadline))
-		}
-	}
-
-	w.U64(uint64(len(b.telPrevTx)))
-	for i := range b.telPrevTx {
-		w.I64(b.telPrevTx[i])
-		w.F64(b.telLastUtil[i])
-	}
-
-	// Delta-reconvergence queue: the single-link flaps awaiting the next
-	// reconvergence, in arrival order (it is a queue, not a set), and the
-	// wider-event marker that forces the full rebuild. A checkpoint taken
-	// inside a detection window must resume with the same reconvergence
-	// mode or the IGP message counters diverge from the uninterrupted run.
-	w.U64(uint64(len(b.pendingLinks)))
-	for _, p := range b.pendingLinks {
-		w.I64(int64(p.lo))
-		w.I64(int64(p.hi))
-	}
-	w.Bool(b.pendingFull)
-}
-
-// Restore overlays a checkpoint onto a freshly rebuilt scenario: same
-// builder, same seed, same sharding, nothing run yet. On any error the
-// backbone must be discarded and rebuilt — a failed restore does not roll
-// back (the CRC check up front means that only happens on a scenario
-// mismatch, never on a corrupt file).
-func (b *Backbone) Restore(data []byte, scenario string) error {
-	f, err := snapshot.Decode(data)
-	if err != nil {
-		return err
-	}
-	sec := func(name string) (*snapshot.Reader, error) {
-		p, ok := f.Section(name)
-		if !ok {
-			return nil, fmt.Errorf("%w: missing section %q", snapshot.ErrCorrupt, name)
-		}
-		return snapshot.NewReader(p), nil
-	}
-
-	r, err := sec(secManifest)
-	if err != nil {
-		return err
-	}
-	wantScenario := r.Str()
-	wantSeed := r.U64()
-	snapT := sim.Time(r.I64())
-	wantScheds := r.U64()
-	wantPlain := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	scheds := b.E.Schedulers()
-	switch {
-	case wantScenario != scenario:
-		return fmt.Errorf("%w: scenario %q, checkpoint %q", snapshot.ErrMismatch, scenario, wantScenario)
-	case wantSeed != b.Cfg.Seed:
-		return fmt.Errorf("%w: seed %d, checkpoint %d", snapshot.ErrMismatch, b.Cfg.Seed, wantSeed)
-	case wantScheds != uint64(len(scheds)):
-		return fmt.Errorf("%w: %d schedulers, checkpoint %d", snapshot.ErrMismatch, len(scheds), wantScheds)
-	case wantPlain != b.Cfg.PlainIP:
-		return fmt.Errorf("%w: PlainIP=%v, checkpoint %v", snapshot.ErrMismatch, b.Cfg.PlainIP, wantPlain)
-	case !b.built:
-		return fmt.Errorf("%w: restore before BuildProvider", snapshot.ErrMismatch)
-	}
-	_ = snapT
-
-	// Kill the setup events the original run had already consumed. MarkSetup
-	// is idempotent here: nothing has run, so the watermark equals the
-	// builder's.
-	b.E.MarkSetup()
-	pr, err := sec(secPending)
-	if err != nil {
-		return err
-	}
-	keep, tagged, srcEvents, err := loadPending(pr)
-	if err != nil {
-		return err
-	}
-	b.E.FilterPending(func(shard int, seq uint64) bool {
-		return keep[[2]uint64{uint64(shard + 1), seq}]
+	snapshot.Slice(c, &p.tagged, 6, func(c *snapshot.Codec, t *pendingTagged) {
+		snapshot.Int(c, &t.shard)
+		snapshot.Int(c, &t.at)
+		snapshot.Uint(c, &t.seq)
+		snapshot.Uint(c, &t.tag.Kind)
+		snapshot.Uint(c, &t.tag.A)
+		snapshot.Uint(c, &t.tag.B)
 	})
-
-	if r, err = sec(secTopo); err != nil {
-		return err
+	snapshot.Slice(c, &p.srcs, 4, func(c *snapshot.Codec, s *pendingSource) {
+		snapshot.Int(c, &s.idx)
+		snapshot.Int(c, &s.shard)
+		snapshot.Int(c, &s.at)
+		snapshot.Uint(c, &s.seq)
+	})
+	if !c.Loaded() {
+		return
 	}
-	if err := loadTopoState(r, b.G); err != nil {
-		return err
-	}
-
-	if err := b.restoreControlSections(sec, ""); err != nil {
-		return err
-	}
-
-	if r, err = sec(secNet); err != nil {
-		return err
-	}
-	if err := b.Net.LoadState(r); err != nil {
-		return err
-	}
-
-	if err := b.restoreTrafficSections(sec, ""); err != nil {
-		return err
-	}
-
-	// Re-arm the dynamic timers and source reposts with their original
-	// identities, then advance the schedulers to the snapshot instant.
-	for _, t := range tagged {
-		fn, err := b.rearmOwnTagged(t.tag)
-		if err != nil {
-			return err
+	// A shard the rebuilt engine does not have cannot be re-armed on.
+	shards := len(e.Schedulers()) - 1
+	onEngine := func(shard int) bool {
+		if shard < sim.GlobalBand || shard >= shards {
+			c.Mismatch("pending event on shard %d, scenario has %d", shard, shards)
 		}
-		b.E.RestoreEvent(t.shard, t.at, t.seq, t.tag, fn)
+		return c.Err() == nil
 	}
-	if err := b.rearmSources(srcEvents); err != nil {
-		return err
+	for _, t := range p.tagged {
+		if !onEngine(t.shard) {
+			return
+		}
 	}
-
-	if r, err = sec(secEngine); err != nil {
-		return err
+	for _, s := range p.srcs {
+		if !onEngine(s.shard) {
+			return
+		}
 	}
-	if err := loadSchedState(r, b.E); err != nil {
-		return err
+	keep := make(map[[2]uint64]bool, len(p.setup))
+	for _, s := range p.setup {
+		keep[s] = true
 	}
-	return b.loadAuxRngs(r)
+	e.MarkSetup()
+	e.FilterPending(func(shard int, seq uint64) bool { return keep[[2]uint64{uint64(shard + 1), seq}] })
 }
 
-// loadPending is the decode side of classifyPendingOn.
-func loadPending(pr *snapshot.Reader) (map[[2]uint64]bool, []pendingTagged, []pendingSource, error) {
-	ns := pr.Count(2)
-	keep := make(map[[2]uint64]bool, ns)
-	for i := 0; i < ns; i++ {
-		keep[[2]uint64{pr.U64(), pr.U64()}] = true
-	}
-	nt := pr.Count(6)
-	tagged := make([]pendingTagged, 0, nt)
-	for i := 0; i < nt; i++ {
-		t := pendingTagged{
-			shard: int(pr.I64()),
-			at:    sim.Time(pr.I64()),
-			seq:   pr.U64(),
-		}
-		t.tag = sim.Tag{Kind: uint16(pr.U64()), A: pr.U64(), B: pr.U64()}
-		tagged = append(tagged, t)
-	}
-	nsrc := pr.Count(4)
-	srcEvents := make([]pendingSource, 0, nsrc)
-	for i := 0; i < nsrc; i++ {
-		srcEvents = append(srcEvents, pendingSource{
-			idx:   int(pr.I64()),
-			shard: int(pr.I64()),
-			at:    sim.Time(pr.I64()),
-			seq:   pr.U64(),
-		})
-	}
-	return keep, tagged, srcEvents, pr.Err()
-}
-
-// rearmOwnTagged rebuilds the closure for a tag that belongs to this
-// backbone, resolving TE intents through the freshly restored request list.
-func (b *Backbone) rearmOwnTagged(tag sim.Tag) (func(), error) {
+// rearmOwnTagged re-arms a pending timer whose tag belongs to this backbone,
+// resolving TE intents through the freshly restored request list.
+func (b *Backbone) rearmOwnTagged(t pendingTagged) error {
 	reqByID := make(map[int]*teRequest, len(b.teRequests))
 	for _, req := range b.teRequests {
 		reqByID[req.id] = req
 	}
-	return b.rearmTagged(tag, reqByID)
-}
-
-// rearmSources re-arms serialized source repost events against the
-// registered source list.
-func (b *Backbone) rearmSources(srcEvents []pendingSource) error {
-	for _, s := range srcEvents {
-		if s.idx < 0 || s.idx >= len(b.sources) {
-			return fmt.Errorf("%w: pending event for source %d, only %d registered", snapshot.ErrMismatch, s.idx, len(b.sources))
-		}
-		b.E.RestoreAction(s.shard, s.at, s.seq, b.sources[s.idx])
-	}
-	return nil
-}
-
-// restoreControlSections is the decode side of addControlSections.
-func (b *Backbone) restoreControlSections(sec func(string) (*snapshot.Reader, error), prefix string) error {
-	r, err := sec(prefix + secIGP)
+	fn, err := b.rearmTagged(t.tag, reqByID)
 	if err != nil {
 		return err
 	}
-	if err := b.IGP.LoadState(r); err != nil {
-		return err
-	}
-
-	if r, err = sec(prefix + secLabels); err != nil {
-		return err
-	}
-	na := r.Count(2)
-	for i := 0; i < na; i++ {
-		n := topo.NodeID(r.I64())
-		a, ok := b.allocs[n]
-		if !ok {
-			return fmt.Errorf("%w: allocator for unknown node %d", snapshot.ErrMismatch, n)
-		}
-		if err := a.LoadState(r); err != nil {
-			return err
-		}
-	}
-	hasLDP := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if hasLDP != (b.LDP != nil) {
-		return fmt.Errorf("%w: LDP in checkpoint=%v, scenario=%v", snapshot.ErrMismatch, hasLDP, b.LDP != nil)
-	}
-	if b.LDP != nil {
-		if err := b.LDP.LoadState(r); err != nil {
-			return err
-		}
-	}
-	hasRSVP := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if hasRSVP != (b.RSVP != nil) {
-		return fmt.Errorf("%w: RSVP in checkpoint=%v, scenario=%v", snapshot.ErrMismatch, hasRSVP, b.RSVP != nil)
-	}
-	if b.RSVP != nil {
-		if err := b.RSVP.LoadState(r); err != nil {
-			return err
-		}
-	}
-
-	if r, err = sec(prefix + secBGP); err != nil {
-		return err
-	}
-	if err := b.BGP.LoadState(r); err != nil {
-		return err
-	}
-
-	if r, err = sec(prefix + secRouters); err != nil {
-		return err
-	}
-	nr := r.Count(2)
-	for i := 0; i < nr; i++ {
-		n := topo.NodeID(r.I64())
-		rt, ok := b.routers[n]
-		if !ok {
-			return fmt.Errorf("%w: router state for unknown node %d", snapshot.ErrMismatch, n)
-		}
-		if err := rt.LoadState(r); err != nil {
-			return err
-		}
-	}
-
-	if r, err = sec(prefix + secCore); err != nil {
-		return err
-	}
-	if err := b.loadCoreState(r); err != nil {
-		return err
-	}
-
-	if r, err = sec(prefix + secRegistry); err != nil {
-		return err
-	}
-	return b.Registry.LoadState(r)
-}
-
-// restoreTrafficSections is the decode side of addTrafficSections.
-func (b *Backbone) restoreTrafficSections(sec func(string) (*snapshot.Reader, error), prefix string) error {
-	r, err := sec(prefix + secFlows)
-	if err != nil {
-		return err
-	}
-	nf := r.Count(8)
-	for i := 0; i < nf; i++ {
-		k := loadFlowKey(r)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		fl, ok := b.flows[k]
-		if !ok {
-			return fmt.Errorf("%w: flow %v not registered by the rebuild", snapshot.ErrMismatch, k)
-		}
-		if err := fl.LoadState(r); err != nil {
-			return err
-		}
-	}
-
-	if r, err = sec(prefix + secSources); err != nil {
-		return err
-	}
-	nsources := r.Count(1)
-	if nsources != len(b.sources) {
-		return fmt.Errorf("%w: %d sources in checkpoint, %d registered", snapshot.ErrMismatch, nsources, len(b.sources))
-	}
-	for _, s := range b.sources {
-		if err := s.LoadState(r); err != nil {
-			return err
-		}
-	}
-
-	if r, err = sec(prefix + secTelemetry); err != nil {
-		return err
-	}
-	hasTel := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if hasTel != (b.tel != nil) {
-		return fmt.Errorf("%w: telemetry in checkpoint=%v, scenario=%v", snapshot.ErrMismatch, hasTel, b.tel != nil)
-	}
-	if b.tel != nil {
-		if err := b.tel.Reg.LoadState(r); err != nil {
-			return err
-		}
-		if err := b.tel.Journal.LoadState(r); err != nil {
-			return err
-		}
-		if err := b.tel.Flows.LoadState(r); err != nil {
-			return err
-		}
-		hasWatcher := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if hasWatcher != (b.tel.Watcher != nil) {
-			return fmt.Errorf("%w: SLA watcher in checkpoint=%v, scenario=%v", snapshot.ErrMismatch, hasWatcher, b.tel.Watcher != nil)
-		}
-		if b.tel.Watcher != nil {
-			if err := b.tel.Watcher.LoadState(r); err != nil {
-				return err
-			}
-		}
-	}
+	b.E.RestoreEvent(t.shard, t.at, t.seq, t.tag, fn)
 	return nil
 }
 
@@ -889,244 +536,134 @@ func (b *Backbone) rearmTagged(tag sim.Tag, reqByID map[int]*teRequest) (func(),
 	return nil, fmt.Errorf("%w: unknown event tag kind %d", snapshot.ErrCorrupt, tag.Kind)
 }
 
-// loadCoreState is the decode side of saveCoreState.
-func (b *Backbone) loadCoreState(r *snapshot.Reader) error {
-	b.IsolationViolations = int(r.I64())
-	b.teReqSeq = int(r.I64())
+func compareLinkPair(a, b linkPair) int {
+	return cmp.Or(cmp.Compare(a.lo, b.lo), cmp.Compare(a.hi, b.hi))
+}
 
-	np := r.Count(2)
-	b.failedLinks = make(map[linkPair]bool, np)
-	for i := 0; i < np; i++ {
-		b.failedLinks[linkPair{topo.NodeID(r.I64()), topo.NodeID(r.I64())}] = true
-	}
+func linkPairState(c *snapshot.Codec, p *linkPair) {
+	snapshot.Int(c, &p.lo)
+	snapshot.Int(c, &p.hi)
+}
 
-	var err error
-	if b.nodeDown, err = loadNodeSet(r); err != nil {
-		return err
-	}
-	if b.ctrlDown, err = loadNodeSet(r); err != nil {
-		return err
-	}
+func nodeSetState(c *snapshot.Codec, set *map[topo.NodeID]bool) {
+	snapshot.Set(c, set, cmp.Compare[topo.NodeID], 1, snapshot.Int[topo.NodeID])
+}
 
-	nc := r.Count(1)
-	b.cutSites = make(map[string]bool, nc)
-	for i := 0; i < nc; i++ {
-		b.cutSites[r.Str()] = true
+// lspRef walks a reference to a signalled LSP as its ID, -1 for none. A
+// load resolves it against the RSVP state restored in the section before.
+func (b *Backbone) lspRef(c *snapshot.Codec, l **rsvp.LSP) {
+	id := -1
+	if *l != nil {
+		id = (*l).ID
 	}
+	snapshot.Int(c, &id)
+	if !c.Loaded() {
+		return
+	}
+	*l = nil
+	if id < 0 {
+		return
+	}
+	if b.RSVP != nil {
+		*l, _ = b.RSVP.Get(id)
+	}
+	if *l == nil {
+		c.Corrupt("reference to LSP %d, absent from the checkpoint", id)
+	}
+}
 
-	nreq := r.Count(16)
-	b.teRequests = make([]*teRequest, 0, nreq)
-	for i := 0; i < nreq; i++ {
-		req := &teRequest{
-			id:      int(r.I64()),
-			name:    r.Str(),
-			ingress: topo.NodeID(r.I64()),
-			egress:  topo.NodeID(r.I64()),
-			vpn:     r.Str(),
+// teRequestMin is the fewest bytes teRequestState writes: two float64s,
+// the options' flag and four varints, and twelve more one-byte fields.
+const teRequestMin = 16 + 5 + 12
+
+func (b *Backbone) teRequestState(c *snapshot.Codec, req *teRequest) {
+	snapshot.Int(c, &req.id)
+	c.Str(&req.name)
+	snapshot.Int(c, &req.ingress)
+	snapshot.Int(c, &req.egress)
+	c.Str(&req.vpn)
+	c.F64(&req.bandwidth)
+	snapshot.Int(c, &req.class)
+
+	if c.Has(req.opt.Explicit != nil) {
+		if c.Loading() {
+			req.opt.Explicit = &topo.Path{}
 		}
-		req.bandwidth = r.F64()
-		req.class = qos.Class(r.I64())
-		opt, err := loadSetupOptions(r)
-		if err != nil {
-			return err
-		}
-		req.opt = opt
-		lspID := int(r.I64())
-		req.fullBandwidth = r.F64()
-		req.fullClassType = rsvp.ClassType(r.I64())
-		req.degraded = r.Bool()
-		req.attempts = int(r.I64())
-		req.retryPending = r.Bool()
-		req.removed = r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if lspID >= 0 {
-			l, ok := b.RSVP.Get(lspID)
-			if !ok {
-				return fmt.Errorf("%w: TE intent %q references LSP %d absent from the checkpoint", snapshot.ErrCorrupt, req.name, lspID)
+		rsvp.PathState(c, req.opt.Explicit)
+	}
+	snapshot.Int(c, &req.opt.SetupPri)
+	snapshot.Int(c, &req.opt.HoldPri)
+	snapshot.Int(c, &req.opt.ClassType)
+	snapshot.Set(c, &req.opt.Avoid, cmp.Compare[topo.LinkID], 1, snapshot.Int[topo.LinkID])
+
+	b.lspRef(c, &req.lsp)
+	c.F64(&req.fullBandwidth)
+	snapshot.Int(c, &req.fullClassType)
+	c.Bool(&req.degraded)
+	snapshot.Int(c, &req.attempts)
+	c.Bool(&req.retryPending)
+	c.Bool(&req.removed)
+}
+
+// coreState walks the backbone's own dynamic bookkeeping: fault maps, TE
+// intents, bypass bindings, survivability sessions, the telemetry
+// utilization cache, and the delta-reconvergence queue.
+func (b *Backbone) coreState(c *snapshot.Codec) {
+	snapshot.Int(c, &b.IsolationViolations)
+	snapshot.Int(c, &b.teReqSeq)
+	snapshot.Set(c, &b.failedLinks, compareLinkPair, 2, linkPairState)
+	nodeSetState(c, &b.nodeDown)
+	nodeSetState(c, &b.ctrlDown)
+	snapshot.Set(c, &b.cutSites, cmp.Compare[string], 1, (*snapshot.Codec).Str)
+	snapshot.Ptrs(c, &b.teRequests, teRequestMin, b.teRequestState)
+
+	if c.Has(b.bypasses != nil) {
+		snapshot.Map(c, &b.bypasses, cmp.Compare[topo.LinkID], 2, snapshot.Int[topo.LinkID], func(c *snapshot.Codec, l **rsvp.LSP) {
+			if b.lspRef(c, l); c.Loaded() && *l == nil {
+				c.Corrupt("bypass without an LSP")
 			}
-			req.lsp = l
-		}
-		b.teRequests = append(b.teRequests, req)
+		})
+	} else {
+		b.bypasses = nil
 	}
 
-	hasByp := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	b.bypasses = nil
-	if hasByp {
-		nb := r.Count(2)
-		b.bypasses = make(map[topo.LinkID]*rsvp.LSP, nb)
-		for i := 0; i < nb; i++ {
-			lid := topo.LinkID(r.I64())
-			lspID := int(r.I64())
-			if r.Err() != nil {
-				return r.Err()
-			}
-			l, ok := b.RSVP.Get(lspID)
-			if !ok {
-				return fmt.Errorf("%w: bypass for link %d references LSP %d absent from the checkpoint", snapshot.ErrCorrupt, lid, lspID)
-			}
-			b.bypasses[lid] = l
-		}
-	}
-
-	hasSurv := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if hasSurv != (b.surv != nil) {
-		return fmt.Errorf("%w: survivability in checkpoint=%v, scenario=%v", snapshot.ErrMismatch, hasSurv, b.surv != nil)
-	}
-	if b.surv != nil {
+	if c.Same(b.surv != nil, "survivability") {
 		s := b.surv
-		s.flaps = int(r.I64())
-		s.restores = int(r.I64())
-		s.staleSwept = int(r.I64())
-		s.withdrawn = int(r.I64())
-		s.damped = int(r.I64())
-		s.reused = int(r.I64())
-		nsess := r.Count(4)
-		s.sess = make(map[topo.NodeID]*survSession, nsess)
-		for i := 0; i < nsess; i++ {
-			n := topo.NodeID(r.I64())
-			s.sess[n] = &survSession{
-				state:      survState(r.I64()),
-				misses:     int(r.I64()),
-				grDeadline: sim.Time(r.I64()),
-			}
-		}
+		snapshot.Int(c, &s.flaps)
+		snapshot.Int(c, &s.restores)
+		snapshot.Int(c, &s.staleSwept)
+		snapshot.Int(c, &s.withdrawn)
+		snapshot.Int(c, &s.damped)
+		snapshot.Int(c, &s.reused)
+		snapshot.MapPtrs(c, &s.sess, cmp.Compare[topo.NodeID], 4, snapshot.Int[topo.NodeID], func(c *snapshot.Codec, st *survSession) {
+			snapshot.Int(c, &st.state)
+			snapshot.Int(c, &st.misses)
+			snapshot.Int(c, &st.grDeadline)
+		})
 	}
 
-	nu := r.Count(9)
-	b.telPrevTx = make([]int64, nu)
-	b.telLastUtil = make([]float64, nu)
-	for i := 0; i < nu; i++ {
-		b.telPrevTx[i] = r.I64()
-		b.telLastUtil[i] = r.F64()
+	// Per link, the tx bytes at the last interval roll and the utilization
+	// over that interval: a varint and a float64.
+	n := c.Len(len(b.telPrevTx), 9)
+	if c.Loading() {
+		b.telPrevTx, b.telLastUtil = make([]int64, n), make([]float64, n)
+	}
+	for i := range b.telPrevTx {
+		snapshot.Int(c, &b.telPrevTx[i])
+		c.F64(&b.telLastUtil[i])
 	}
 
-	npl := r.Count(2)
-	b.pendingLinks = b.pendingLinks[:0]
-	for i := 0; i < npl; i++ {
-		b.pendingLinks = append(b.pendingLinks, linkPair{topo.NodeID(r.I64()), topo.NodeID(r.I64())})
-	}
-	b.pendingFull = r.Bool()
+	// Delta-reconvergence queue: the single-link flaps awaiting the next
+	// reconvergence, in arrival order (it is a queue, not a set), and the
+	// wider-event marker that forces the full rebuild. A checkpoint taken
+	// inside a detection window must resume with the same reconvergence
+	// mode or the IGP message counters diverge from the uninterrupted run.
+	snapshot.Slice(c, &b.pendingLinks, 2, linkPairState)
+	c.Bool(&b.pendingFull)
 
-	// The TE plain-path cache is derived state: anything the builder
-	// pre-computed reflects pre-restore topology, so it goes.
-	b.dropTECache()
-	return r.Err()
-}
-
-func saveSetupOptions(w *snapshot.Writer, opt rsvp.SetupOptions) {
-	w.Bool(opt.Explicit != nil)
-	if opt.Explicit != nil {
-		w.U64(uint64(len(opt.Explicit.Links)))
-		for _, l := range opt.Explicit.Links {
-			w.I64(int64(l))
-		}
+	if c.Loading() {
+		// The TE plain-path cache is derived state: anything the builder
+		// pre-computed reflects pre-restore topology, so it goes.
+		b.dropTECache()
 	}
-	w.I64(int64(opt.SetupPri))
-	w.I64(int64(opt.HoldPri))
-	w.I64(int64(opt.ClassType))
-	avoid := make([]topo.LinkID, 0, len(opt.Avoid))
-	for l := range opt.Avoid {
-		avoid = append(avoid, l)
-	}
-	sort.Slice(avoid, func(i, j int) bool { return avoid[i] < avoid[j] })
-	w.U64(uint64(len(avoid)))
-	for _, l := range avoid {
-		w.I64(int64(l))
-	}
-}
-
-func loadSetupOptions(r *snapshot.Reader) (rsvp.SetupOptions, error) {
-	var opt rsvp.SetupOptions
-	hasExplicit := r.Bool()
-	if r.Err() != nil {
-		return opt, r.Err()
-	}
-	if hasExplicit {
-		n := r.Count(1)
-		p := &topo.Path{Links: make([]topo.LinkID, 0, n)}
-		for i := 0; i < n; i++ {
-			p.Links = append(p.Links, topo.LinkID(r.I64()))
-		}
-		opt.Explicit = p
-	}
-	opt.SetupPri = int(r.I64())
-	opt.HoldPri = int(r.I64())
-	opt.ClassType = rsvp.ClassType(r.I64())
-	na := r.Count(1)
-	if na > 0 {
-		opt.Avoid = make(map[topo.LinkID]bool, na)
-		for i := 0; i < na; i++ {
-			opt.Avoid[topo.LinkID(r.I64())] = true
-		}
-	}
-	return opt, r.Err()
-}
-
-func saveFlowKey(w *snapshot.Writer, k packet.FlowKey) {
-	w.U64(uint64(k.Src))
-	w.U64(uint64(k.Dst))
-	w.U64(uint64(k.SrcPort))
-	w.U64(uint64(k.DstPort))
-	w.U64(uint64(k.Protocol))
-}
-
-func loadFlowKey(r *snapshot.Reader) packet.FlowKey {
-	return packet.FlowKey{
-		Src:      addr.IPv4(uint32(r.U64())),
-		Dst:      addr.IPv4(uint32(r.U64())),
-		SrcPort:  uint16(r.U64()),
-		DstPort:  uint16(r.U64()),
-		Protocol: uint8(r.U64()),
-	}
-}
-
-// flowKeyLess orders flow keys for deterministic serialization.
-func flowKeyLess(a, b packet.FlowKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Protocol < b.Protocol
-}
-
-func sortedNodeIDs[V any](m map[topo.NodeID]V) []topo.NodeID {
-	out := make([]topo.NodeID, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func saveNodeSet(w *snapshot.Writer, set map[topo.NodeID]bool) {
-	nodes := sortedNodeIDs(set)
-	w.U64(uint64(len(nodes)))
-	for _, n := range nodes {
-		w.I64(int64(n))
-	}
-}
-
-func loadNodeSet(r *snapshot.Reader) (map[topo.NodeID]bool, error) {
-	n := r.Count(1)
-	set := make(map[topo.NodeID]bool, n)
-	for i := 0; i < n; i++ {
-		set[topo.NodeID(r.I64())] = true
-	}
-	return set, r.Err()
 }

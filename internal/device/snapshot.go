@@ -1,8 +1,7 @@
 package device
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/mpls"
@@ -12,246 +11,71 @@ import (
 	"mplsvpn/internal/vpn"
 )
 
-// SaveState serializes the router's forwarding state: label plane, IP
-// tables, VRFs, access bindings, TE steering, classifier dynamics, and the
-// pipeline counters. Identity (node, kind, loopback) and feature switches
-// (MapDSCPToEXP) are scenario configuration. IPSec gateway state is not
-// checkpointed — the overlay baseline runs uninterrupted in the soak.
-func (r *Router) SaveState(w *snapshot.Writer) {
-	r.LFIB.SaveState(w)
-	r.FTN.SaveState(w)
+func compareTEKey(a, b TEKey) int {
+	if a.EgressPE != b.EgressPE {
+		return cmp.Compare(a.EgressPE, b.EgressPE)
+	}
+	if a.Class != b.Class {
+		return cmp.Compare(a.Class, b.Class)
+	}
+	return cmp.Compare(a.VRF, b.VRF)
+}
 
-	saveLinkTable(w, r.IPTable)
-	w.Bool(r.LocalPrefixes != nil)
-	if r.LocalPrefixes != nil {
-		type ent struct {
-			p addr.Prefix
-			v bool
-		}
-		var entries []ent
-		r.LocalPrefixes.Walk(func(p addr.Prefix, v bool) bool {
-			entries = append(entries, ent{p, v})
-			return true
+// StateMin is the fewest bytes State writes: eleven counters, two flags and
+// seven empty tables.
+const StateMin = 20
+
+// State walks the router's forwarding state: label plane, IP tables, VRFs,
+// access bindings, TE steering, classifier dynamics, and the pipeline
+// counters. Identity (node, kind, loopback) and feature switches
+// (MapDSCPToEXP) are scenario configuration, and a load needs the scenario
+// rebuild of the same node (same kind and classifier shape). IPSec gateway
+// state is not checkpointed — the overlay baseline runs uninterrupted in the
+// soak.
+func (r *Router) State(c *snapshot.Codec) {
+	r.LFIB.State(c)
+	r.FTN.State(c)
+
+	addr.TableState(c, &r.IPTable, addr.PrefixMin+1, func(c *snapshot.Codec, _ addr.Prefix, l *topo.LinkID) { snapshot.Int(c, l) })
+	if c.Has(r.LocalPrefixes != nil) {
+		addr.TableState(c, &r.LocalPrefixes, addr.PrefixMin+1, func(c *snapshot.Codec, _ addr.Prefix, v *bool) { c.Bool(v) })
+	} else {
+		r.LocalPrefixes = nil
+	}
+
+	snapshot.KeyedPtrs(c, &r.VRFs, cmp.Compare[string], vpn.VRFMin, func(v *vpn.VRF) string { return v.Name }, vpn.VRFState)
+	snapshot.Map(c, &r.accessVRF, cmp.Compare[topo.LinkID], 2, snapshot.Int[topo.LinkID], (*snapshot.Codec).Str)
+	snapshot.Map(c, &r.siteAccess, cmp.Compare[string], 2, (*snapshot.Codec).Str,
+		func(c *snapshot.Codec, m *map[string]topo.LinkID) {
+			snapshot.Map(c, m, cmp.Compare[string], 2, (*snapshot.Codec).Str, snapshot.Int[topo.LinkID])
 		})
-		w.U64(uint64(len(entries)))
-		for _, e := range entries {
-			addr.SavePrefix(w, e.p)
-			w.Bool(e.v)
-		}
-	}
 
-	names := make([]string, 0, len(r.VRFs))
-	for n := range r.VRFs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	w.U64(uint64(len(names)))
-	for _, n := range names {
-		r.VRFs[n].SaveState(w)
-	}
-
-	links := make([]topo.LinkID, 0, len(r.accessVRF))
-	for l := range r.accessVRF {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	w.U64(uint64(len(links)))
-	for _, l := range links {
-		w.I64(int64(l))
-		w.Str(r.accessVRF[l])
-	}
-
-	vrfNames := make([]string, 0, len(r.siteAccess))
-	for n := range r.siteAccess {
-		vrfNames = append(vrfNames, n)
-	}
-	sort.Strings(vrfNames)
-	w.U64(uint64(len(vrfNames)))
-	for _, n := range vrfNames {
-		w.Str(n)
-		m := r.siteAccess[n]
-		sites := make([]string, 0, len(m))
-		for s := range m {
-			sites = append(sites, s)
-		}
-		sort.Strings(sites)
-		w.U64(uint64(len(sites)))
-		for _, s := range sites {
-			w.Str(s)
-			w.I64(int64(m[s]))
-		}
-	}
-
-	keys := make([]TEKey, 0, len(r.TE))
-	for k := range r.TE {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].EgressPE != keys[j].EgressPE {
-			return keys[i].EgressPE < keys[j].EgressPE
-		}
-		if keys[i].Class != keys[j].Class {
-			return keys[i].Class < keys[j].Class
-		}
-		return keys[i].VRF < keys[j].VRF
-	})
-	w.U64(uint64(len(keys)))
-	for _, k := range keys {
-		w.I64(int64(k.EgressPE))
-		w.I64(int64(k.Class))
-		w.Str(k.VRF)
-		mpls.SaveNHLFE(w, r.TE[k])
-	}
-
-	w.Bool(r.Classifier != nil)
-	if r.Classifier != nil {
-		r.Classifier.SaveState(w)
-	}
-
-	w.I64(int64(r.Delivered))
-	w.I64(int64(r.DroppedTTL))
-	w.I64(int64(r.DroppedNoLabel))
-	w.I64(int64(r.DroppedNoRoute))
-	w.I64(int64(r.DroppedPolicer))
-	w.I64(int64(r.IPLookups))
-	w.I64(int64(r.LabelLookups))
-	w.I64(int64(r.EXPMapped))
-}
-
-// LoadState replaces the router's forwarding state. The router must be the
-// scenario rebuild of the same node (same kind and classifier shape).
-func (r *Router) LoadState(rd *snapshot.Reader) error {
-	if err := r.LFIB.LoadState(rd); err != nil {
-		return err
-	}
-	if err := r.FTN.LoadState(rd); err != nil {
-		return err
-	}
-
-	var err error
-	r.IPTable, err = loadLinkTable(rd)
-	if err != nil {
-		return err
-	}
-	hasLocal := rd.Bool()
-	if rd.Err() != nil {
-		return rd.Err()
-	}
-	r.LocalPrefixes = nil
-	if hasLocal {
-		t := addr.NewTable[bool]()
-		n := rd.Count(3)
-		for i := 0; i < n; i++ {
-			p := addr.LoadPrefix(rd)
-			v := rd.Bool()
-			if rd.Err() != nil {
-				return rd.Err()
+	snapshot.Map(c, &r.TE, compareTEKey, 3+mpls.NHLFEMin, func(c *snapshot.Codec, k *TEKey) {
+		snapshot.Int(c, &k.EgressPE)
+		snapshot.Int(c, &k.Class)
+		c.Str(&k.VRF)
+	}, mpls.NHLFEState)
+	if c.Loaded() {
+		r.teIdx = make(map[topo.NodeID]*teIndex)
+		for k, e := range r.TE {
+			if k.Class >= qos.NumClasses {
+				c.Corrupt("TE steering entry for class %d", k.Class)
+				return
 			}
-			t.Insert(p, v)
-		}
-		r.LocalPrefixes = t
-	}
-
-	nv := rd.Count(8)
-	r.VRFs = make(map[string]*vpn.VRF, nv)
-	for i := 0; i < nv; i++ {
-		v, err := vpn.LoadVRF(rd)
-		if err != nil {
-			return err
-		}
-		r.VRFs[v.Name] = v
-	}
-
-	na := rd.Count(2)
-	r.accessVRF = make(map[topo.LinkID]string, na)
-	for i := 0; i < na; i++ {
-		l := topo.LinkID(rd.I64())
-		r.accessVRF[l] = rd.Str()
-	}
-
-	ns := rd.Count(2)
-	r.siteAccess = make(map[string]map[string]topo.LinkID, ns)
-	for i := 0; i < ns; i++ {
-		name := rd.Str()
-		nsites := rd.Count(2)
-		m := make(map[string]topo.LinkID, nsites)
-		for j := 0; j < nsites; j++ {
-			s := rd.Str()
-			m[s] = topo.LinkID(rd.I64())
-		}
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		r.siteAccess[name] = m
-	}
-
-	nte := rd.Count(5)
-	r.TE = make(map[TEKey]mpls.NHLFE, nte)
-	r.teIdx = make(map[topo.NodeID]*teIndex)
-	for i := 0; i < nte; i++ {
-		k := TEKey{
-			EgressPE: topo.NodeID(rd.I64()),
-			Class:    qos.Class(rd.I64()),
-			VRF:      rd.Str(),
-		}
-		e := mpls.LoadNHLFE(rd)
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		r.SetTE(k, e)
-	}
-
-	hasCl := rd.Bool()
-	if rd.Err() != nil {
-		return rd.Err()
-	}
-	if hasCl != (r.Classifier != nil) {
-		return fmt.Errorf("%w: classifier on %s in snapshot=%v, scenario=%v", snapshot.ErrMismatch, r.Name, hasCl, r.Classifier != nil)
-	}
-	if r.Classifier != nil {
-		if err := r.Classifier.LoadState(rd); err != nil {
-			return err
+			r.SetTE(k, e)
 		}
 	}
 
-	r.Delivered = int(rd.I64())
-	r.DroppedTTL = int(rd.I64())
-	r.DroppedNoLabel = int(rd.I64())
-	r.DroppedNoRoute = int(rd.I64())
-	r.DroppedPolicer = int(rd.I64())
-	r.IPLookups = int(rd.I64())
-	r.LabelLookups = int(rd.I64())
-	r.EXPMapped = int(rd.I64())
-	return rd.Err()
-}
+	if c.Same(r.Classifier != nil, "classifier") {
+		r.Classifier.State(c)
+	}
 
-func saveLinkTable(w *snapshot.Writer, t *addr.Table[topo.LinkID]) {
-	type ent struct {
-		p addr.Prefix
-		v topo.LinkID
-	}
-	var entries []ent
-	t.Walk(func(p addr.Prefix, v topo.LinkID) bool {
-		entries = append(entries, ent{p, v})
-		return true
-	})
-	w.U64(uint64(len(entries)))
-	for _, e := range entries {
-		addr.SavePrefix(w, e.p)
-		w.I64(int64(e.v))
-	}
-}
-
-func loadLinkTable(r *snapshot.Reader) (*addr.Table[topo.LinkID], error) {
-	t := addr.NewTable[topo.LinkID]()
-	n := r.Count(3)
-	for i := 0; i < n; i++ {
-		p := addr.LoadPrefix(r)
-		v := topo.LinkID(r.I64())
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		t.Insert(p, v)
-	}
-	return t, r.Err()
+	snapshot.Int(c, &r.Delivered)
+	snapshot.Int(c, &r.DroppedTTL)
+	snapshot.Int(c, &r.DroppedNoLabel)
+	snapshot.Int(c, &r.DroppedNoRoute)
+	snapshot.Int(c, &r.DroppedPolicer)
+	snapshot.Int(c, &r.IPLookups)
+	snapshot.Int(c, &r.LabelLookups)
+	snapshot.Int(c, &r.EXPMapped)
 }

@@ -322,9 +322,10 @@ func TestIncrementalLDPMatchesConvergeAcrossFlapSequences(t *testing.T) {
 // tableBytes serializes every speaker's ILM and FTN.
 func tableBytes(p *Protocol) []byte {
 	var w snapshot.Writer
+	c := snapshot.Saver(&w)
 	for _, n := range p.sortedNodes() {
-		p.Speakers[n].LFIB.SaveState(&w)
-		p.Speakers[n].FTN.SaveState(&w)
+		p.Speakers[n].LFIB.State(c)
+		p.Speakers[n].FTN.State(c)
 	}
 	return w.Data()
 }

@@ -1,8 +1,7 @@
 package ldp
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/packet"
@@ -10,117 +9,25 @@ import (
 	"mplsvpn/internal/topo"
 )
 
-func sortedFECs[V any](m map[addr.Prefix]V) []addr.Prefix {
-	out := make([]addr.Prefix, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
-		}
-		return out[i].Len < out[j].Len
-	})
-	return out
+// speakerState walks one speaker's local and neighbor-learned bindings.
+func speakerState(c *snapshot.Codec, sp *Speaker) {
+	snapshot.Map(c, &sp.local, addr.ComparePrefix, addr.PrefixMin+1, addr.PrefixState, snapshot.Uint[packet.Label])
+	snapshot.Map(c, &sp.fromNeighbor, addr.ComparePrefix, addr.PrefixMin+1, addr.PrefixState,
+		func(c *snapshot.Codec, byN *map[topo.NodeID]packet.Label) {
+			snapshot.Map(c, byN, cmp.Compare[topo.NodeID], 2, snapshot.Int[topo.NodeID], snapshot.Uint[packet.Label])
+		})
 }
 
-// SaveState serializes the protocol's dynamic state: every speaker's local
-// and neighbor-learned bindings, adjacency states, and the message
-// counters. The ILM/FTN built from these bindings live in the shared label
-// tables and are serialized by the mpls layer.
-func (p *Protocol) SaveState(w *snapshot.Writer) {
-	w.I64(int64(p.MessagesSent))
-	w.I64(int64(p.Rounds))
-	w.I64(int64(p.SessionFlaps))
-	w.I64(int64(p.StaleBindings))
-
-	sess := make([]topo.NodeID, 0, len(p.sessions))
-	for n := range p.sessions {
-		sess = append(sess, n)
-	}
-	sort.Slice(sess, func(i, j int) bool { return sess[i] < sess[j] })
-	w.U64(uint64(len(sess)))
-	for _, n := range sess {
-		w.I64(int64(n))
-		w.I64(int64(p.sessions[n]))
-	}
-
-	ids := p.sortedNodes()
-	w.U64(uint64(len(ids)))
-	for _, n := range ids {
-		sp := p.Speakers[n]
-		w.I64(int64(n))
-		local := sortedFECs(sp.local)
-		w.U64(uint64(len(local)))
-		for _, fec := range local {
-			addr.SavePrefix(w, fec)
-			w.U64(uint64(sp.local[fec]))
-		}
-		fromN := sortedFECs(sp.fromNeighbor)
-		w.U64(uint64(len(fromN)))
-		for _, fec := range fromN {
-			addr.SavePrefix(w, fec)
-			byN := sp.fromNeighbor[fec]
-			nbrs := make([]topo.NodeID, 0, len(byN))
-			for nb := range byN {
-				nbrs = append(nbrs, nb)
-			}
-			sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-			w.U64(uint64(len(nbrs)))
-			for _, nb := range nbrs {
-				w.I64(int64(nb))
-				w.U64(uint64(byN[nb]))
-			}
-		}
-	}
-}
-
-// LoadState replaces the protocol's dynamic state. Speakers must already
-// exist (scenario rebuild).
-func (p *Protocol) LoadState(r *snapshot.Reader) error {
-	p.MessagesSent = int(r.I64())
-	p.Rounds = int(r.I64())
-	p.SessionFlaps = int(r.I64())
-	p.StaleBindings = int(r.I64())
-
-	ns := r.Count(2)
-	p.sessions = nil
-	if ns > 0 {
-		p.sessions = make(map[topo.NodeID]SessState, ns)
-	}
-	for i := 0; i < ns; i++ {
-		n := topo.NodeID(r.I64())
-		p.sessions[n] = SessState(r.I64())
-	}
-
-	nsp := r.Count(3)
-	for i := 0; i < nsp; i++ {
-		n := topo.NodeID(r.I64())
-		sp, ok := p.Speakers[n]
-		if !ok {
-			return fmt.Errorf("%w: LDP speaker %d not in scenario", snapshot.ErrMismatch, n)
-		}
-		nl := r.Count(3)
-		sp.local = make(map[addr.Prefix]packet.Label, nl)
-		for j := 0; j < nl; j++ {
-			fec := addr.LoadPrefix(r)
-			sp.local[fec] = packet.Label(r.U64())
-		}
-		nf := r.Count(3)
-		sp.fromNeighbor = make(map[addr.Prefix]map[topo.NodeID]packet.Label, nf)
-		for j := 0; j < nf; j++ {
-			fec := addr.LoadPrefix(r)
-			nn := r.Count(2)
-			byN := make(map[topo.NodeID]packet.Label, nn)
-			for k := 0; k < nn; k++ {
-				nb := topo.NodeID(r.I64())
-				byN[nb] = packet.Label(r.U64())
-			}
-			if r.Err() != nil {
-				return r.Err()
-			}
-			sp.fromNeighbor[fec] = byN
-		}
-	}
-	return r.Err()
+// State walks the protocol's dynamic state: the message counters, adjacency
+// states, and every speaker's bindings. Speakers are scenario configuration
+// and must already exist. The ILM/FTN built from the bindings live in the
+// shared label tables and are walked by the mpls layer.
+func (p *Protocol) State(c *snapshot.Codec) {
+	snapshot.Int(c, &p.MessagesSent)
+	snapshot.Int(c, &p.Rounds)
+	snapshot.Int(c, &p.SessionFlaps)
+	snapshot.Int(c, &p.StaleBindings)
+	snapshot.Map(c, &p.sessions, cmp.Compare[topo.NodeID], 2, snapshot.Int[topo.NodeID], snapshot.Int[SessState])
+	// A speaker writes its node and two binding counts at least.
+	snapshot.Overlay(c, p.Speakers, cmp.Compare[topo.NodeID], 3, "LDP speaker", snapshot.Int[topo.NodeID], speakerState)
 }

@@ -1,127 +1,41 @@
 package mpls
 
 import (
-	"sort"
+	"cmp"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/snapshot"
-	"mplsvpn/internal/topo"
 )
 
-// SaveNHLFE appends one forwarding entry, bypass state included.
-func SaveNHLFE(w *snapshot.Writer, e NHLFE) {
-	w.I64(int64(e.Op))
-	w.U64(uint64(e.OutLabel))
-	w.I64(int64(e.OutLink))
-	w.U64(uint64(e.BypassLabel))
-	w.I64(int64(e.BypassLink))
+// NHLFEMin is the fewest bytes NHLFEState writes: five varints.
+const NHLFEMin = 5
+
+// NHLFEState walks one forwarding entry, bypass state included.
+func NHLFEState(c *snapshot.Codec, e *NHLFE) {
+	snapshot.Int(c, &e.Op)
+	snapshot.Uint(c, &e.OutLabel)
+	snapshot.Int(c, &e.OutLink)
+	snapshot.Uint(c, &e.BypassLabel)
+	snapshot.Int(c, &e.BypassLink)
 }
 
-// LoadNHLFE decodes a forwarding entry written by SaveNHLFE.
-func LoadNHLFE(r *snapshot.Reader) NHLFE {
-	return NHLFE{
-		Op:          Op(r.I64()),
-		OutLabel:    packet.Label(r.U64()),
-		OutLink:     topo.LinkID(r.I64()),
-		BypassLabel: packet.Label(r.U64()),
-		BypassLink:  topo.LinkID(r.I64()),
-	}
+func nhlfesState(c *snapshot.Codec, es *[]NHLFE) { snapshot.Slice(c, es, NHLFEMin, NHLFEState) }
+
+// State walks the allocator position, so restored routers hand out the same
+// labels the uninterrupted run would.
+func (a *Allocator) State(c *snapshot.Codec) { snapshot.Uint(c, &a.next) }
+
+// State walks the forwarding counters and the ILM, ascending by incoming
+// label.
+func (f *LFIB) State(c *snapshot.Codec) {
+	snapshot.Int(c, &f.Swapped)
+	snapshot.Int(c, &f.Pushed)
+	snapshot.Int(c, &f.Popped)
+	snapshot.Map(c, &f.ilm, cmp.Compare[packet.Label], 2, snapshot.Uint[packet.Label], nhlfesState)
 }
 
-// SaveState serializes the allocator position so restored routers hand out
-// the same labels the uninterrupted run would.
-func (a *Allocator) SaveState(w *snapshot.Writer) {
-	w.U64(uint64(a.next))
-}
-
-// LoadState restores the allocator position.
-func (a *Allocator) LoadState(r *snapshot.Reader) error {
-	a.next = packet.Label(r.U64())
-	return r.Err()
-}
-
-// SaveState serializes the ILM (sorted by incoming label) and the
-// forwarding counters.
-func (f *LFIB) SaveState(w *snapshot.Writer) {
-	w.I64(int64(f.Swapped))
-	w.I64(int64(f.Pushed))
-	w.I64(int64(f.Popped))
-	labels := make([]packet.Label, 0, len(f.ilm))
-	for l := range f.ilm {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	w.U64(uint64(len(labels)))
-	for _, l := range labels {
-		es := f.ilm[l]
-		w.U64(uint64(l))
-		w.U64(uint64(len(es)))
-		for _, e := range es {
-			SaveNHLFE(w, e)
-		}
-	}
-}
-
-// LoadState replaces the ILM and counters with the serialized state.
-func (f *LFIB) LoadState(r *snapshot.Reader) error {
-	f.Swapped = int(r.I64())
-	f.Pushed = int(r.I64())
-	f.Popped = int(r.I64())
-	n := r.Count(2)
-	f.ilm = make(map[packet.Label][]NHLFE, n)
-	for i := 0; i < n; i++ {
-		l := packet.Label(r.U64())
-		ne := r.Count(5)
-		es := make([]NHLFE, 0, ne)
-		for j := 0; j < ne; j++ {
-			es = append(es, LoadNHLFE(r))
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		f.ilm[l] = es
-	}
-	return r.Err()
-}
-
-// SaveState serializes the FEC bindings in the trie's deterministic walk
-// order.
-func (f *FTN) SaveState(w *snapshot.Writer) {
-	type binding struct {
-		fec addr.Prefix
-		es  []NHLFE
-	}
-	var bindings []binding
-	f.table.Walk(func(p addr.Prefix, es []NHLFE) bool {
-		bindings = append(bindings, binding{fec: p, es: es})
-		return true
-	})
-	w.U64(uint64(len(bindings)))
-	for _, b := range bindings {
-		addr.SavePrefix(w, b.fec)
-		w.U64(uint64(len(b.es)))
-		for _, e := range b.es {
-			SaveNHLFE(w, e)
-		}
-	}
-}
-
-// LoadState replaces the FEC bindings with the serialized set.
-func (f *FTN) LoadState(r *snapshot.Reader) error {
-	n := r.Count(3)
-	f.table = addr.NewTable[[]NHLFE]()
-	for i := 0; i < n; i++ {
-		fec := addr.LoadPrefix(r)
-		ne := r.Count(5)
-		es := make([]NHLFE, 0, ne)
-		for j := 0; j < ne; j++ {
-			es = append(es, LoadNHLFE(r))
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		f.table.Insert(fec, es)
-	}
-	return r.Err()
+// State walks the FEC bindings in the trie's deterministic walk order.
+func (f *FTN) State(c *snapshot.Codec) {
+	addr.TableState(c, &f.table, addr.PrefixMin+1, func(c *snapshot.Codec, _ addr.Prefix, es *[]NHLFE) { nhlfesState(c, es) })
 }

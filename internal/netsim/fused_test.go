@@ -276,7 +276,7 @@ func snapRun(t *testing.T, shards int, cut bool, failAt, restoreAt sim.Time) str
 				return
 			}
 			var w snapshot.Writer
-			n.SaveState(&w)
+			n.State(snapshot.Saver(&w))
 			e := n.E
 			prefix := *log
 			n, nodes, links, log = build()
@@ -288,11 +288,11 @@ func snapRun(t *testing.T, shards int, cut bool, failAt, restoreAt sim.Time) str
 			}
 			// Link state loads first, as in core.Restore.
 			n.G.SetLinkDown(nodes[0], nodes[1], failAt != 0 && failAt <= 10*ms)
-			if err := n.LoadState(snapshot.NewReader(w.Data())); err != nil {
-				t.Fatalf("LoadState: %v", err)
+			if err := snapshot.Load(snapshot.NewReader(w.Data()), n.State); err != nil {
+				t.Fatalf("load: %v", err)
 			}
 			var w2 snapshot.Writer
-			n.SaveState(&w2)
+			n.State(snapshot.Saver(&w2))
 			if string(w2.Data()) != string(w.Data()) {
 				t.Fatalf("save(load(s)) != s")
 			}

@@ -8,8 +8,8 @@
 package netsim
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/qos"
@@ -20,217 +20,165 @@ import (
 
 // OwnsAction reports whether a pending action belongs to the data plane
 // (an in-flight packet event). The core orchestrator uses it to classify
-// pending events during a snapshot: data-plane events are serialized and
-// re-armed by this package's SaveState/LoadState, not by core.
+// pending events during a snapshot: data-plane events are walked and
+// re-armed by this package's State, not by core.
 func (n *Network) OwnsAction(act sim.Action) bool {
 	_, ok := act.(*dpEvent)
 	return ok
 }
 
-// SaveState serializes the network-wide counters, every port, and every
-// pending data-plane event. Call only between segments (the same rule as
-// WalkPending).
-func (n *Network) SaveState(w *snapshot.Writer) {
-	w.I64(int64(n.Injected))
-	w.I64(int64(n.Delivered))
-	w.I64(int64(n.Dropped))
-	w.I64(n.handoffs)
+// State walks the network-wide counters, every port, and every pending
+// data-plane event. Save only between segments (the same rule as
+// WalkPending). A load restores port state and re-arms the in-flight events
+// with their original (time, seq) identities; the network must be a fresh
+// scenario rebuild with identical topology, schedulers, and sharding.
+func (n *Network) State(c *snapshot.Codec) {
+	snapshot.Int(c, &n.Injected)
+	snapshot.Int(c, &n.Delivered)
+	snapshot.Int(c, &n.Dropped)
+	snapshot.Int(c, &n.handoffs)
 
-	w.U64(uint64(len(n.ports)))
+	if !c.FixedLen(len(n.ports), 1, "ports") {
+		return
+	}
 	for _, pt := range n.ports {
-		w.Bool(pt != nil)
-		if pt == nil {
-			continue
+		if c.Same(pt != nil, "port") {
+			n.portState(c, pt)
 		}
+	}
+	n.inflightState(c)
+}
+
+func (n *Network) portState(c *snapshot.Codec, pt *port) {
+	var alloc qos.PacketAlloc // a load's packets come from the port's own lane
+	if c.Loading() {
+		alloc = n.laneOf(n.G.Link(pt.link).From).pool.getPacket
+		pt.doomed, pt.fly, pt.doom = false, nil, nil // re-linked from the in-flight events
+	} else {
 		// Settled first, so the record is the same whether or not anything
 		// read the ledger since the port's last start.
 		pt.settle(n.E.Now())
-		w.I64(int64(pt.busyUntil))
-		w.Bool(pt.wake)
-		w.I64(pt.txBytes)
-		w.I64(pt.txPkts)
-		w.I64(pt.wireBytes)
-		w.I64(pt.offeredBytes)
-		w.I64(pt.offeredPkts)
-		w.I64(pt.dropBytes)
-		w.I64(pt.dropPkts)
-		w.Bool(pt.shaper != nil)
-		if pt.shaper != nil {
-			pt.shaper.SaveState(w)
-		}
-		w.Bool(pt.pending != nil)
-		if pt.pending != nil {
-			packet.Save(w, pt.pending)
-		}
-		w.Bool(pt.sched != nil)
-		if pt.sched != nil {
-			qos.SaveScheduler(w, pt.sched)
-		}
 	}
+	snapshot.Int(c, &pt.busyUntil)
+	c.Bool(&pt.wake)
+	snapshot.Int(c, &pt.txBytes)
+	snapshot.Int(c, &pt.txPkts)
+	snapshot.Int(c, &pt.wireBytes)
+	snapshot.Int(c, &pt.offeredBytes)
+	snapshot.Int(c, &pt.offeredPkts)
+	snapshot.Int(c, &pt.dropBytes)
+	snapshot.Int(c, &pt.dropPkts)
+	if c.Same(pt.shaper != nil, "shaper") {
+		pt.shaper.State(c)
+	}
+	if c.Has(pt.pending != nil) {
+		if c.Loading() {
+			pt.pending = alloc()
+		}
+		packet.State(c, pt.pending)
+	} else {
+		pt.pending = nil
+	}
+	if c.Same(pt.sched != nil, "scheduler") {
+		qos.SchedulerState(c, pt.sched, alloc)
+	}
+}
 
-	// In-flight events: everything the data plane has booked in the heaps,
-	// in canonical (shard, seq) order so the encoding does not depend on
-	// heap layout history.
+// inflightState walks everything the data plane has booked in the heaps, in
+// canonical (shard, seq) order so the encoding does not depend on heap
+// layout history. An event is eight varints and the packet flag at least.
+func (n *Network) inflightState(c *snapshot.Codec) {
 	var inflight []sim.PendingEvent
-	n.E.WalkPending(func(pe sim.PendingEvent) {
-		if _, ok := pe.Act.(*dpEvent); ok {
-			inflight = append(inflight, pe)
+	if !c.Loading() {
+		n.E.WalkPending(func(pe sim.PendingEvent) {
+			if n.OwnsAction(pe.Act) {
+				inflight = append(inflight, pe)
+			}
+		})
+		slices.SortFunc(inflight, func(a, b sim.PendingEvent) int {
+			if a.Shard != b.Shard {
+				return cmp.Compare(a.Shard, b.Shard)
+			}
+			return cmp.Compare(a.Seq, b.Seq)
+		})
+	}
+	for i, ne := 0, c.Len(len(inflight), 9); i < ne && c.Err() == nil; i++ {
+		var pe sim.PendingEvent
+		var ev *dpEvent
+		if c.Loading() {
+			ev = &dpEvent{n: n}
+		} else {
+			pe = inflight[i]
+			ev = pe.Act.(*dpEvent)
 		}
-	})
-	sort.Slice(inflight, func(i, j int) bool {
-		if inflight[i].Shard != inflight[j].Shard {
-			return inflight[i].Shard < inflight[j].Shard
-		}
-		return inflight[i].Seq < inflight[j].Seq
-	})
-	w.U64(uint64(len(inflight)))
-	for _, pe := range inflight {
-		ev := pe.Act.(*dpEvent)
-		w.I64(int64(pe.Shard))
-		w.I64(int64(pe.At))
-		w.U64(pe.Seq)
-		w.U64(uint64(ev.kind))
-		w.U64(uint64(ev.reason))
-		w.I64(int64(ev.node))
-		w.I64(int64(ev.link))
+		snapshot.Int(c, &pe.Shard)
+		snapshot.Int(c, &pe.At)
+		snapshot.Uint(c, &pe.Seq)
+		snapshot.Uint(c, &ev.kind)
+		snapshot.Uint(c, &ev.reason)
+		snapshot.Int(c, &ev.node)
+		snapshot.Int(c, &ev.link)
 		ptLink := topo.LinkID(-1)
 		if ev.pt != nil {
 			ptLink = ev.pt.link
 		}
-		w.I64(int64(ptLink))
-		w.Bool(ev.p != nil)
-		if ev.p != nil {
-			packet.Save(w, ev.p)
+		snapshot.Int(c, &ptLink)
+		hasPkt := c.Has(ev.p != nil)
+		if c.Loaded() {
+			n.placeEvent(c, ev, pe.Shard, ptLink)
+		}
+		if hasPkt && c.Err() == nil {
+			if c.Loading() {
+				ev.p = ev.pool.getPacket()
+			}
+			packet.State(c, ev.p)
+		}
+		if c.Loaded() {
+			if hasPkt {
+				n.relink(ev, pe.At)
+			}
+			n.E.RestoreAction(pe.Shard, pe.At, pe.Seq, ev)
 		}
 	}
 }
 
-// LoadState restores port state and re-arms the in-flight events with their
-// original (time, seq) identities. The network must be a fresh scenario
-// rebuild with identical topology, schedulers, and sharding.
-func (n *Network) LoadState(r *snapshot.Reader) error {
-	n.Injected = int(r.I64())
-	n.Delivered = int(r.I64())
-	n.Dropped = int(r.I64())
-	n.handoffs = r.I64()
+// placeEvent resolves a loaded event's lane, pool and port against the
+// rebuilt network, refusing what that network does not have.
+func (n *Network) placeEvent(c *snapshot.Codec, ev *dpEvent, shard int, ptLink topo.LinkID) {
+	switch {
+	case shard == sim.GlobalBand && n.shardOf == nil:
+		ev.ln = n.lanes[0]
+	case shard >= 0 && shard < len(n.lanes) && n.shardOf != nil:
+		ev.ln = n.lanes[shard]
+	default:
+		c.Mismatch("in-flight event on shard %d, scenario is not sharded that way", shard)
+		return
+	}
+	ev.pool = &ev.ln.pool
+	if nl := topo.LinkID(n.G.NumLinks()); ev.link >= nl || ptLink >= nl {
+		c.Corrupt("in-flight event on link %d/%d, scenario has %d", ev.link, ptLink, nl)
+		return
+	}
+	if ptLink >= 0 {
+		ev.pt = n.portFor(ptLink)
+	}
+}
 
-	np := r.Count(1)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if np != len(n.ports) {
-		return fmt.Errorf("%w: %d ports in snapshot, %d in scenario", snapshot.ErrMismatch, np, len(n.ports))
-	}
-	for i := 0; i < np; i++ {
-		present := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
+// relink re-attaches the event that holds the packet a port is serializing,
+// for linkChanged: a loaded evTxDrop is that port's doom, and the arrival
+// due exactly one propagation delay after busyUntil its fly.
+func (n *Network) relink(ev *dpEvent, at sim.Time) {
+	switch ev.kind {
+	case evTxDrop:
+		if ev.pt != nil {
+			ev.pt.doomed, ev.pt.doom = true, ev
 		}
-		pt := n.ports[i]
-		if present != (pt != nil) {
-			return fmt.Errorf("%w: port %d present in snapshot=%v, scenario=%v", snapshot.ErrMismatch, i, present, pt != nil)
+	case evArrive:
+		if ev.link < 0 {
+			break
 		}
-		if pt == nil {
-			continue
-		}
-		pool := &n.laneOf(n.G.Link(pt.link).From).pool
-		alloc := pool.getPacket
-		pt.busyUntil = sim.Time(r.I64())
-		pt.wake = r.Bool()
-		pt.doomed, pt.fly, pt.doom = false, nil, nil // re-linked from the in-flight events below
-		pt.txBytes = r.I64()
-		pt.txPkts = r.I64()
-		pt.wireBytes = r.I64()
-		pt.offeredBytes = r.I64()
-		pt.offeredPkts = r.I64()
-		pt.dropBytes = r.I64()
-		pt.dropPkts = r.I64()
-		hasShaper := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if hasShaper != (pt.shaper != nil) {
-			return fmt.Errorf("%w: port %d shaper in snapshot=%v, scenario=%v", snapshot.ErrMismatch, i, hasShaper, pt.shaper != nil)
-		}
-		if pt.shaper != nil {
-			if err := pt.shaper.LoadState(r); err != nil {
-				return err
-			}
-		}
-		pt.pending = nil
-		if r.Bool() {
-			p := alloc()
-			if err := packet.Load(r, p); err != nil {
-				return err
-			}
-			pt.pending = p
-		}
-		hasSched := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if hasSched != (pt.sched != nil) {
-			return fmt.Errorf("%w: port %d scheduler in snapshot=%v, scenario=%v", snapshot.ErrMismatch, i, hasSched, pt.sched != nil)
-		}
-		if pt.sched != nil {
-			if err := qos.LoadScheduler(r, pt.sched, alloc); err != nil {
-				return err
-			}
+		if pt := n.port(ev.link); pt != nil && at == pt.busyUntil+n.G.Link(ev.link).Delay {
+			pt.fly = ev
 		}
 	}
-
-	ne := r.Count(8)
-	for i := 0; i < ne; i++ {
-		shard := int(r.I64())
-		at := sim.Time(r.I64())
-		seq := r.U64()
-		kind := uint8(r.U64())
-		reason := packet.DropReason(r.U64())
-		node := topo.NodeID(r.I64())
-		link := topo.LinkID(r.I64())
-		ptLink := topo.LinkID(r.I64())
-		hasPkt := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		var ln *lane
-		switch {
-		case shard == sim.GlobalBand && n.shardOf == nil:
-			ln = n.lanes[0]
-		case shard >= 0 && shard < len(n.lanes) && n.shardOf != nil:
-			ln = n.lanes[shard]
-		default:
-			return fmt.Errorf("%w: in-flight event on shard %d, scenario is not sharded that way", snapshot.ErrMismatch, shard)
-		}
-		ev := &dpEvent{n: n, pool: &ln.pool, kind: kind, reason: reason, ln: ln, node: node, link: link}
-		if ptLink >= 0 {
-			ev.pt = n.portFor(ptLink)
-		}
-		if hasPkt {
-			p := ln.pool.getPacket()
-			if err := packet.Load(r, p); err != nil {
-				return err
-			}
-			ev.p = p
-			// Re-link the event that holds the packet a port is serializing,
-			// for linkChanged: a loaded evTxDrop is that port's doom, and the
-			// arrival due exactly one propagation delay after busyUntil its
-			// fly.
-			switch kind {
-			case evTxDrop:
-				if ev.pt != nil {
-					ev.pt.doomed, ev.pt.doom = true, ev
-				}
-			case evArrive:
-				if link < 0 {
-					break
-				}
-				if pt := n.port(link); pt != nil && at == pt.busyUntil+n.G.Link(link).Delay {
-					pt.fly = ev
-				}
-			}
-		}
-		n.E.RestoreAction(shard, at, seq, ev)
-	}
-	return r.Err()
 }

@@ -1,126 +1,57 @@
 package ospf
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
 
 	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/topo"
 )
 
-// SaveState serializes the domain's dynamic state: every instance's LSDB,
-// originate sequence, and SPF routes, plus the flooding counters. Routes are
-// serialized rather than recomputed at restore because a pending reconverge
-// event legitimately leaves them lagging the live topology — recomputing
-// would fold in changes the control plane has not yet reacted to.
-func (d *Domain) SaveState(w *snapshot.Writer) {
-	w.I64(int64(d.MessagesSent))
-	w.I64(int64(d.FloodRounds))
-	ids := make([]topo.NodeID, 0, len(d.Instances))
-	for n := range d.Instances {
-		ids = append(ids, n)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.U64(uint64(len(ids)))
-	for _, n := range ids {
-		in := d.Instances[n]
-		w.I64(int64(n))
-		w.I64(int64(in.seq))
-		// LSDB, keyed by origin.
-		origins := make([]topo.NodeID, 0, len(in.lsdb))
-		for o := range in.lsdb {
-			origins = append(origins, o)
-		}
-		sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-		w.U64(uint64(len(origins)))
-		for _, o := range origins {
-			lsa := in.lsdb[o]
-			w.I64(int64(o))
-			w.I64(int64(lsa.Origin))
-			w.I64(int64(lsa.Seq))
-			w.U64(uint64(len(lsa.Links)))
-			for _, l := range lsa.Links {
-				w.I64(int64(l.Neighbor))
-				w.I64(int64(l.Metric))
-				w.I64(int64(l.LinkID))
-			}
-		}
-		// Routes, keyed by destination.
-		dsts := make([]topo.NodeID, 0, len(in.routes))
-		for dst := range in.routes {
-			dsts = append(dsts, dst)
-		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		w.U64(uint64(len(dsts)))
-		for _, dst := range dsts {
-			rt := in.routes[dst]
-			w.I64(int64(rt.Dest))
-			w.I64(int64(rt.NextHop))
-			w.I64(int64(rt.Metric))
-			w.U64(uint64(len(rt.NextHops)))
-			for _, h := range rt.NextHops {
-				w.I64(int64(h))
-			}
-		}
-	}
+// lsaState walks one LSA; it writes its origin, its sequence number and a
+// link count at least, and each link is three varints.
+func lsaState(c *snapshot.Codec, lsa *LSA) {
+	snapshot.Int(c, &lsa.Origin)
+	snapshot.Int(c, &lsa.Seq)
+	snapshot.Slice(c, &lsa.Links, 3, func(c *snapshot.Codec, l *LSALink) {
+		snapshot.Int(c, &l.Neighbor)
+		snapshot.Int(c, &l.Metric)
+		snapshot.Int(c, &l.LinkID)
+	})
 }
 
-// LoadState overlays serialized state onto the domain's existing instances
-// (rebuilt by the scenario). An instance present in the snapshot but absent
-// from the domain means the checkpoint belongs to a different scenario.
-func (d *Domain) LoadState(r *snapshot.Reader) error {
-	d.MessagesSent = int(r.I64())
-	d.FloodRounds = int(r.I64())
-	n := r.Count(2)
-	for i := 0; i < n; i++ {
-		node := topo.NodeID(r.I64())
-		seq := int(r.I64())
-		nlsa := r.Count(2)
-		lsdb := make(map[topo.NodeID]LSA, nlsa)
-		for j := 0; j < nlsa; j++ {
-			origin := topo.NodeID(r.I64())
-			lsa := LSA{Origin: topo.NodeID(r.I64()), Seq: int(r.I64())}
-			nl := r.Count(3)
-			for k := 0; k < nl; k++ {
-				lsa.Links = append(lsa.Links, LSALink{
-					Neighbor: topo.NodeID(r.I64()),
-					Metric:   int(r.I64()),
-					LinkID:   topo.LinkID(r.I64()),
-				})
-			}
-			lsdb[origin] = lsa
-		}
-		nrt := r.Count(3)
-		routes := make(map[topo.NodeID]Route, nrt)
-		for j := 0; j < nrt; j++ {
-			rt := Route{
-				Dest:    topo.NodeID(r.I64()),
-				NextHop: topo.LinkID(r.I64()),
-				Metric:  int(r.I64()),
-			}
-			nh := r.Count(1)
-			for k := 0; k < nh; k++ {
-				rt.NextHops = append(rt.NextHops, topo.LinkID(r.I64()))
-			}
-			routes[rt.Dest] = rt
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-		in, ok := d.Instances[node]
-		if !ok {
-			return fmt.Errorf("%w: IGP instance for node %d not in scenario", snapshot.ErrMismatch, node)
-		}
-		in.seq = seq
-		in.lsdb = lsdb
-		in.routes = routes
-		in.outbox = nil
+// routeState walks one SPF route: three varints and a next-hop count at
+// least.
+func routeState(c *snapshot.Codec, rt *Route) {
+	snapshot.Int(c, &rt.Dest)
+	snapshot.Int(c, &rt.NextHop)
+	snapshot.Int(c, &rt.Metric)
+	snapshot.Slice(c, &rt.NextHops, 1, snapshot.Int[topo.LinkID])
+}
+
+// instanceState walks one instance: originate sequence, LSDB by origin, and
+// SPF routes by destination.
+func instanceState(c *snapshot.Codec, in *Instance) {
+	snapshot.Int(c, &in.seq)
+	snapshot.Map(c, &in.lsdb, cmp.Compare[topo.NodeID], 1+3, snapshot.Int[topo.NodeID], lsaState)
+	snapshot.Keyed(c, &in.routes, cmp.Compare[topo.NodeID], 4, func(rt *Route) topo.NodeID { return rt.Dest }, routeState)
+	if c.Loading() {
 		// ISPF state is derived, not serialized: drop it and let the next
 		// recompute fall back to a full SPF, which rebuilds it. The full
 		// path is route-identical to the incremental one, so resumed runs
 		// stay byte-identical to uninterrupted ones.
-		in.ispf = nil
-		in.changed = nil
+		in.outbox, in.ispf, in.changed = nil, nil, nil
 	}
-	return r.Err()
+}
+
+// State walks the domain's dynamic state: the flooding counters, then every
+// instance's LSDB, originate sequence, and SPF routes, overlaid onto the
+// instances the scenario rebuilt. Routes are serialized rather than
+// recomputed at restore because a pending reconverge event legitimately
+// leaves them lagging the live topology — recomputing would fold in changes
+// the control plane has not yet reacted to.
+func (d *Domain) State(c *snapshot.Codec) {
+	snapshot.Int(c, &d.MessagesSent)
+	snapshot.Int(c, &d.FloodRounds)
+	// An instance writes its node, its sequence number and two counts.
+	snapshot.Overlay(c, d.Instances, cmp.Compare[topo.NodeID], 4, "IGP instance for node", snapshot.Int[topo.NodeID], instanceState)
 }

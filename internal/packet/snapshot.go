@@ -1,114 +1,68 @@
 package packet
 
-import (
-	"mplsvpn/internal/addr"
-	"mplsvpn/internal/sim"
-	"mplsvpn/internal/snapshot"
-)
+import "mplsvpn/internal/snapshot"
 
-// Save serializes an in-flight packet: headers, label stack, payload size,
-// and timing metadata. The memoized flow hash and wire length are pure
-// functions of the headers, so they are recomputed lazily after Load rather
-// than stored; freelist ownership is the allocating pool's business.
-func Save(w *snapshot.Writer, p *Packet) {
-	w.U64(uint64(p.IP.DSCP))
-	w.U64(uint64(p.IP.ECN))
-	w.U64(uint64(p.IP.TotalLen))
-	w.U64(uint64(p.IP.ID))
-	w.U64(uint64(p.IP.Flags))
-	w.U64(uint64(p.IP.FragOff))
-	w.U64(uint64(p.IP.TTL))
-	w.U64(uint64(p.IP.Protocol))
-	w.U64(uint64(p.IP.Src))
-	w.U64(uint64(p.IP.Dst))
+// Min is the fewest bytes State writes: an unlabelled packet without ESP is
+// nineteen one-byte varints (an empty VPN name included) and the ESP flag.
+const Min = 20
 
-	d := p.MPLS.Depth()
-	w.U64(uint64(d))
-	for i := 0; i < d; i++ {
-		e := p.MPLS.e[i] // bottom-first, the storage order
-		w.U64(uint64(e.Label))
-		w.U64(uint64(e.EXP))
-		w.Bool(e.S)
-		w.U64(uint64(e.TTL))
+// State walks an in-flight packet: headers, label stack, payload size, and
+// timing metadata. A load fills p, typically fresh from a pool. The
+// memoized flow hash and wire length are pure functions of the headers, so
+// they are recomputed lazily afterwards rather than stored; freelist
+// ownership is the allocating pool's business.
+func State(c *snapshot.Codec, p *Packet) {
+	if c.Loading() {
+		*p = Packet{pooled: p.pooled}
 	}
+	snapshot.Uint(c, &p.IP.DSCP)
+	snapshot.Uint(c, &p.IP.ECN)
+	snapshot.Uint(c, &p.IP.TotalLen)
+	snapshot.Uint(c, &p.IP.ID)
+	snapshot.Uint(c, &p.IP.Flags)
+	snapshot.Uint(c, &p.IP.FragOff)
+	snapshot.Uint(c, &p.IP.TTL)
+	snapshot.Uint(c, &p.IP.Protocol)
+	snapshot.Uint(c, &p.IP.Src)
+	snapshot.Uint(c, &p.IP.Dst)
 
-	w.U64(uint64(p.L4.SrcPort))
-	w.U64(uint64(p.L4.DstPort))
-	w.I64(int64(p.Payload))
-
-	w.Bool(p.ESP != nil)
-	if p.ESP != nil {
-		w.U64(uint64(p.ESP.SPI))
-		w.U64(p.ESP.SeqNum)
-		w.U64(uint64(p.ESP.InnerDSCP))
-		w.U64(uint64(p.ESP.InnerSrc))
-		w.U64(uint64(p.ESP.InnerDst))
-		w.Bool(p.ESP.InnerHidden)
-		w.I64(int64(p.ESP.AuthBytes))
-		w.I64(int64(p.ESP.PadBytes))
-	}
-
-	w.U64(p.Seq)
-	w.I64(int64(p.SentAt))
-	w.I64(int64(p.EnqueuedAt))
-	w.I64(int64(p.Hops))
-	w.Str(p.OriginVPN)
-}
-
-// Load fills p (typically fresh from a pool) with a packet written by Save.
-func Load(r *snapshot.Reader, p *Packet) error {
-	pooled := p.pooled
-	*p = Packet{pooled: pooled}
-
-	p.IP.DSCP = DSCP(r.U64())
-	p.IP.ECN = uint8(r.U64())
-	p.IP.TotalLen = uint16(r.U64())
-	p.IP.ID = uint16(r.U64())
-	p.IP.Flags = uint8(r.U64())
-	p.IP.FragOff = uint16(r.U64())
-	p.IP.TTL = uint8(r.U64())
-	p.IP.Protocol = uint8(r.U64())
-	p.IP.Src = addr.IPv4(uint32(r.U64()))
-	p.IP.Dst = addr.IPv4(uint32(r.U64()))
-
-	d := r.Count(4)
+	// Entries bottom-first, the storage order; each is three varints and
+	// the S flag.
+	d := c.Len(p.MPLS.Depth(), 4)
 	if d > MaxLabelDepth {
-		return snapshot.ErrCorrupt
+		c.Corrupt("label stack of %d entries", d)
+		return
 	}
+	p.MPLS.depth = int32(d)
 	for i := 0; i < d; i++ {
-		e := LabelStackEntry{
-			Label: Label(r.U64()),
-			EXP:   uint8(r.U64()),
-			S:     r.Bool(),
-			TTL:   uint8(r.U64()),
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		p.MPLS.Push(e)
+		e := &p.MPLS.e[i]
+		snapshot.Uint(c, &e.Label)
+		snapshot.Uint(c, &e.EXP)
+		c.Bool(&e.S)
+		snapshot.Uint(c, &e.TTL)
 	}
 
-	p.L4.SrcPort = uint16(r.U64())
-	p.L4.DstPort = uint16(r.U64())
-	p.Payload = int(r.I64())
+	snapshot.Uint(c, &p.L4.SrcPort)
+	snapshot.Uint(c, &p.L4.DstPort)
+	snapshot.Int(c, &p.Payload)
 
-	if r.Bool() {
-		p.ESP = &ESPInfo{
-			SPI:         uint32(r.U64()),
-			SeqNum:      r.U64(),
-			InnerDSCP:   DSCP(r.U64()),
-			InnerSrc:    addr.IPv4(uint32(r.U64())),
-			InnerDst:    addr.IPv4(uint32(r.U64())),
-			InnerHidden: r.Bool(),
-			AuthBytes:   int(r.I64()),
-			PadBytes:    int(r.I64()),
+	if c.Has(p.ESP != nil) {
+		if c.Loading() {
+			p.ESP = &ESPInfo{}
 		}
+		snapshot.Uint(c, &p.ESP.SPI)
+		snapshot.Uint(c, &p.ESP.SeqNum)
+		snapshot.Uint(c, &p.ESP.InnerDSCP)
+		snapshot.Uint(c, &p.ESP.InnerSrc)
+		snapshot.Uint(c, &p.ESP.InnerDst)
+		c.Bool(&p.ESP.InnerHidden)
+		snapshot.Int(c, &p.ESP.AuthBytes)
+		snapshot.Int(c, &p.ESP.PadBytes)
 	}
 
-	p.Seq = r.U64()
-	p.SentAt = sim.Time(r.I64())
-	p.EnqueuedAt = sim.Time(r.I64())
-	p.Hops = int(r.I64())
-	p.OriginVPN = r.Str()
-	return r.Err()
+	snapshot.Uint(c, &p.Seq)
+	snapshot.Int(c, &p.SentAt)
+	snapshot.Int(c, &p.EnqueuedAt)
+	snapshot.Int(c, &p.Hops)
+	c.Str(&p.OriginVPN)
 }

@@ -1,112 +1,60 @@
 package qos
 
 import (
-	"fmt"
-
 	"mplsvpn/internal/packet"
-	"mplsvpn/internal/sim"
 	"mplsvpn/internal/snapshot"
 )
 
 // PacketAlloc supplies fresh packets at restore time. Netsim passes its
 // pool's allocator so restored queue contents are recycled exactly like
-// packets from an uninterrupted run.
+// packets from an uninterrupted run. Saving never calls it.
 type PacketAlloc func() *packet.Packet
 
-func saveBucket(w *snapshot.Writer, tb *TokenBucket) {
-	w.F64(tb.tokens)
-	w.I64(int64(tb.last))
-	w.Bool(tb.inited)
+// State walks the bucket's fill level and refill timestamp (rate and depth
+// are configuration).
+func (tb *TokenBucket) State(c *snapshot.Codec) {
+	c.F64(&tb.tokens)
+	snapshot.Int(c, &tb.last)
+	c.Bool(&tb.inited)
 }
 
-func loadBucket(r *snapshot.Reader, tb *TokenBucket) {
-	tb.tokens = r.F64()
-	tb.last = sim.Time(r.I64())
-	tb.inited = r.Bool()
-}
-
-// SaveState serializes the bucket's fill level and refill timestamp (rate
-// and depth are configuration).
-func (tb *TokenBucket) SaveState(w *snapshot.Writer) { saveBucket(w, tb) }
-
-// LoadState restores the bucket's fill level.
-func (tb *TokenBucket) LoadState(r *snapshot.Reader) error {
-	loadBucket(r, tb)
-	return r.Err()
-}
-
-// SaveState serializes the marker's bucket levels (rates and depths are
+// State walks the marker's bucket levels (rates and depths are
 // configuration).
-func (m *SrTCM) SaveState(w *snapshot.Writer) {
-	saveBucket(w, m.c)
-	saveBucket(w, m.e)
+func (m *SrTCM) State(c *snapshot.Codec) {
+	m.c.State(c)
+	m.e.State(c)
 }
 
-// LoadState restores the marker's bucket levels.
-func (m *SrTCM) LoadState(r *snapshot.Reader) error {
-	loadBucket(r, m.c)
-	loadBucket(r, m.e)
-	return r.Err()
-}
+// State walks the queue: drop counters, the early-drop policy's dynamic
+// state, and the queued packets in FIFO order. Limits and policy thresholds
+// are configuration, and the rebuilt queue must carry the same drop policy
+// type as the saved one. A load allocates its packets via alloc.
+func (q *Queue) State(c *snapshot.Codec, alloc PacketAlloc) {
+	snapshot.Int(c, &q.Enqueued)
+	snapshot.Int(c, &q.DroppedFull)
+	snapshot.Int(c, &q.DroppedEarly)
 
-// SaveState serializes the queue: drop counters, the early-drop policy's
-// dynamic state, and the queued packets in FIFO order. Limits and policy
-// thresholds are configuration.
-func (q *Queue) SaveState(w *snapshot.Writer) {
-	w.I64(int64(q.Enqueued))
-	w.I64(int64(q.DroppedFull))
-	w.I64(int64(q.DroppedEarly))
-
-	red, _ := q.Drop.(*RED)
-	w.Bool(red != nil)
-	if red != nil {
-		w.F64(red.avg)
-		w.I64(int64(red.count))
-		w.U64(red.rng.State())
+	if red, _ := q.Drop.(*RED); c.Same(red != nil, "RED") {
+		c.F64(&red.avg)
+		snapshot.Int(c, &red.count)
+		red.rng.SetState(c.U64(red.rng.State()))
 	}
 
-	w.U64(uint64(q.count))
-	for i := 0; i < q.count; i++ {
-		packet.Save(w, q.pkts[(q.head+i)%len(q.pkts)])
+	n := c.Len(q.count, packet.Min)
+	if c.Loading() {
+		q.pkts = make([]*packet.Packet, n+8)
+		q.head, q.count, q.bytes = 0, n, 0
 	}
-}
-
-// LoadState restores the queue, allocating packets via alloc. The rebuilt
-// queue must carry the same drop policy type as the serialized one.
-func (q *Queue) LoadState(r *snapshot.Reader, alloc PacketAlloc) error {
-	q.Enqueued = int(r.I64())
-	q.DroppedFull = int(r.I64())
-	q.DroppedEarly = int(r.I64())
-
-	hasRED := r.Bool()
-	red, _ := q.Drop.(*RED)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if hasRED != (red != nil) {
-		return fmt.Errorf("%w: RED in snapshot=%v, scenario=%v", snapshot.ErrMismatch, hasRED, red != nil)
-	}
-	if red != nil {
-		red.avg = r.F64()
-		red.count = int(r.I64())
-		red.rng.SetState(r.U64())
-	}
-
-	n := r.Count(8)
-	q.pkts = make([]*packet.Packet, n+8)
-	q.head = 0
-	q.count = 0
-	q.bytes = 0
-	for i := 0; i < n; i++ {
-		p := alloc()
-		if err := packet.Load(r, p); err != nil {
-			return err
+	for i := 0; i < n && c.Err() == nil; i++ {
+		slot := &q.pkts[(q.head+i)%len(q.pkts)]
+		if c.Loading() {
+			*slot = alloc()
 		}
-		q.pkts[i] = p
-		q.count++
-		q.bytes += p.Wire()
+		packet.State(c, *slot)
+		if c.Loading() {
+			q.bytes += (*slot).Wire()
+		}
 	}
-	return r.Err()
 }
 
 // Scheduler kinds for the snapshot type tag.
@@ -134,146 +82,63 @@ func schedKind(s Scheduler) int {
 	return -1
 }
 
-// SaveScheduler serializes any of the package's scheduler implementations:
-// a type tag, the algorithm's dynamic state, then every queue.
-func SaveScheduler(w *snapshot.Writer, s Scheduler) {
-	kind := schedKind(s)
-	w.I64(int64(kind))
-	switch sc := s.(type) {
-	case *FIFOScheduler:
-		sc.q.SaveState(w)
-	case *PriorityScheduler:
-		for _, q := range sc.qs {
-			q.SaveState(w)
-		}
-	case *WFQScheduler:
-		for _, f := range sc.finish {
-			w.F64(f)
-		}
-		w.F64(sc.vtime)
-		for _, q := range sc.qs {
-			q.SaveState(w)
-		}
-	case *DRRScheduler:
-		for _, d := range sc.deficit {
-			w.I64(int64(d))
-		}
-		w.I64(int64(sc.cursor))
-		w.Bool(sc.granted)
-		for _, q := range sc.qs {
-			q.SaveState(w)
-		}
-	case *HybridScheduler:
-		w.I64(int64(sc.EFPoliced))
-		w.Bool(sc.efLimit != nil)
-		if sc.efLimit != nil {
-			saveBucket(w, sc.efLimit)
-		}
-		SaveScheduler(w, sc.pq)
-		SaveScheduler(w, sc.wfq)
+// SchedulerState walks any of the package's scheduler implementations: a
+// type tag, the algorithm's dynamic state, then every queue. A load overlays
+// a scheduler rebuilt by the scenario, whose concrete type must match the
+// saved one.
+func SchedulerState(c *snapshot.Codec, s Scheduler, alloc PacketAlloc) {
+	if kind := int(c.I64(int64(schedKind(s)))); kind != schedKind(s) && c.Err() == nil {
+		c.Mismatch("scheduler kind %d in checkpoint, %d in scenario", kind, schedKind(s))
 	}
-}
-
-// LoadScheduler restores state into a scheduler rebuilt by the scenario; the
-// concrete type must match the serialized one.
-func LoadScheduler(r *snapshot.Reader, s Scheduler, alloc PacketAlloc) error {
-	kind := int(r.I64())
-	if r.Err() != nil {
-		return r.Err()
+	if c.Err() != nil {
+		return
 	}
-	if kind != schedKind(s) {
-		return fmt.Errorf("%w: scheduler kind %d in snapshot, %d in scenario", snapshot.ErrMismatch, kind, schedKind(s))
+	queues := func(qs *[NumClasses]*Queue) {
+		for _, q := range qs {
+			q.State(c, alloc)
+		}
 	}
 	switch sc := s.(type) {
 	case *FIFOScheduler:
-		return sc.q.LoadState(r, alloc)
+		sc.q.State(c, alloc)
 	case *PriorityScheduler:
-		for _, q := range sc.qs {
-			if err := q.LoadState(r, alloc); err != nil {
-				return err
-			}
-		}
+		queues(&sc.qs)
 	case *WFQScheduler:
 		for i := range sc.finish {
-			sc.finish[i] = r.F64()
+			c.F64(&sc.finish[i])
 		}
-		sc.vtime = r.F64()
-		for _, q := range sc.qs {
-			if err := q.LoadState(r, alloc); err != nil {
-				return err
-			}
-		}
+		c.F64(&sc.vtime)
+		queues(&sc.qs)
 	case *DRRScheduler:
 		for i := range sc.deficit {
-			sc.deficit[i] = int(r.I64())
+			snapshot.Int(c, &sc.deficit[i])
 		}
-		sc.cursor = int(r.I64())
-		sc.granted = r.Bool()
-		for _, q := range sc.qs {
-			if err := q.LoadState(r, alloc); err != nil {
-				return err
-			}
-		}
+		snapshot.Int(c, &sc.cursor)
+		c.Bool(&sc.granted)
+		queues(&sc.qs)
 	case *HybridScheduler:
-		sc.EFPoliced = int(r.I64())
-		hasLimit := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
+		snapshot.Int(c, &sc.EFPoliced)
+		if c.Same(sc.efLimit != nil, "EF limit") {
+			sc.efLimit.State(c)
 		}
-		if hasLimit != (sc.efLimit != nil) {
-			return fmt.Errorf("%w: EF limit in snapshot=%v, scenario=%v", snapshot.ErrMismatch, hasLimit, sc.efLimit != nil)
-		}
-		if sc.efLimit != nil {
-			loadBucket(r, sc.efLimit)
-		}
-		if err := LoadScheduler(r, sc.pq, alloc); err != nil {
-			return err
-		}
-		return LoadScheduler(r, sc.wfq, alloc)
-	}
-	return r.Err()
-}
-
-// SaveState serializes the classifier's per-policy counters and meter
-// levels. The policy list itself is configuration, rebuilt by the scenario.
-func (cl *Classifier) SaveState(w *snapshot.Writer) {
-	w.U64(uint64(len(cl.Policies)))
-	for _, p := range cl.Policies {
-		w.I64(int64(p.Matched))
-		w.I64(int64(p.Remarked))
-		w.I64(int64(p.Policed))
-		w.Bool(p.Meter != nil)
-		if p.Meter != nil {
-			p.Meter.SaveState(w)
-		}
+		SchedulerState(c, sc.pq, alloc)
+		SchedulerState(c, sc.wfq, alloc)
 	}
 }
 
-// LoadState overlays counters and meter levels onto the rebuilt policies.
-func (cl *Classifier) LoadState(r *snapshot.Reader) error {
-	n := r.Count(4)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n != len(cl.Policies) {
-		return fmt.Errorf("%w: %d classifier policies in snapshot, %d in scenario", snapshot.ErrMismatch, n, len(cl.Policies))
+// State walks the classifier's per-policy counters and meter levels. The
+// policy list itself is configuration, rebuilt by the scenario.
+func (cl *Classifier) State(c *snapshot.Codec) {
+	// A policy writes three counters and the meter flag.
+	if !c.FixedLen(len(cl.Policies), 4, "classifier policies") {
+		return
 	}
 	for _, p := range cl.Policies {
-		p.Matched = int(r.I64())
-		p.Remarked = int(r.I64())
-		p.Policed = int(r.I64())
-		hasMeter := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if hasMeter != (p.Meter != nil) {
-			return fmt.Errorf("%w: meter on policy %q in snapshot=%v, scenario=%v", snapshot.ErrMismatch, p.Name, hasMeter, p.Meter != nil)
-		}
-		if p.Meter != nil {
-			if err := p.Meter.LoadState(r); err != nil {
-				return err
-			}
+		snapshot.Int(c, &p.Matched)
+		snapshot.Int(c, &p.Remarked)
+		snapshot.Int(c, &p.Policed)
+		if c.Same(p.Meter != nil, "policy meter") {
+			p.Meter.State(c)
 		}
 	}
-	return r.Err()
 }

@@ -1,8 +1,7 @@
 package rsvp
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
 
 	"mplsvpn/internal/mpls"
 	"mplsvpn/internal/packet"
@@ -10,167 +9,60 @@ import (
 	"mplsvpn/internal/topo"
 )
 
-func savePath(w *snapshot.Writer, p topo.Path) {
-	w.U64(uint64(len(p.Links)))
-	for _, l := range p.Links {
-		w.I64(int64(l))
-	}
+// PathState walks a path as its link list: a count at least.
+func PathState(c *snapshot.Codec, p *topo.Path) {
+	snapshot.Slice(c, &p.Links, 1, snapshot.Int[topo.LinkID])
 }
 
-func loadPath(r *snapshot.Reader) topo.Path {
-	n := r.Count(1)
-	var p topo.Path
-	for i := 0; i < n; i++ {
-		p.Links = append(p.Links, topo.LinkID(r.I64()))
-	}
-	return p
+// lspMin is the fewest bytes lspState writes: the 8-byte bandwidth, the
+// ingress NHLFE, and eleven one-byte varints, names and counts.
+const lspMin = 8 + mpls.NHLFEMin + 11
+
+func lspState(c *snapshot.Codec, l *LSP) {
+	snapshot.Int(c, &l.ID)
+	c.Str(&l.Name)
+	snapshot.Int(c, &l.Ingress)
+	snapshot.Int(c, &l.Egress)
+	c.F64(&l.Bandwidth)
+	snapshot.Int(c, &l.SetupPri)
+	snapshot.Int(c, &l.HoldPri)
+	snapshot.Int(c, &l.ClassType)
+	snapshot.Int(c, &l.State)
+	PathState(c, &l.Path)
+	mpls.NHLFEState(c, &l.Entry)
+	snapshot.Slice(c, &l.hopLabels, 1, snapshot.Uint[packet.Label])
+	snapshot.Int(c, &l.refreshMisses)
 }
 
-// SaveState serializes the full signalling state: every LSP (path, labels,
-// priorities, soft-state misses), the ID allocator, pending drains, the
-// DS-TE pools, and the message counters. LSPs serialize by value rather
-// than being re-signalled at restore — re-signalling would re-run CSPF
-// against the *current* topology and could pick different paths or labels
-// than the run being resumed actually holds.
-func (p *Protocol) SaveState(w *snapshot.Writer) {
-	w.I64(int64(p.nextID))
-	w.I64(int64(p.PathMessages))
-	w.I64(int64(p.ResvMessages))
-	w.I64(int64(p.Preemptions))
-	w.I64(int64(p.SetupFails))
-	w.I64(int64(p.Timeouts))
+// State walks the full signalling state: the ID allocator and message
+// counters, every LSP (path, labels, priorities, soft-state misses),
+// pending drains, and the DS-TE pools. LSPs are walked by value rather than
+// re-signalled at restore — re-signalling would re-run CSPF against the
+// *current* topology and could pick different paths or labels than the run
+// being resumed actually holds. A load needs the protocol already wired to
+// the scenario's graph and label tables (a fresh rebuild).
+func (p *Protocol) State(c *snapshot.Codec) {
+	snapshot.Int(c, &p.nextID)
+	snapshot.Int(c, &p.PathMessages)
+	snapshot.Int(c, &p.ResvMessages)
+	snapshot.Int(c, &p.Preemptions)
+	snapshot.Int(c, &p.SetupFails)
+	snapshot.Int(c, &p.Timeouts)
+	snapshot.KeyedPtrs(c, &p.lsps, cmp.Compare[int], lspMin, func(l *LSP) int { return l.ID }, lspState)
 
-	ids := make([]int, 0, len(p.lsps))
-	for id := range p.lsps {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.U64(uint64(len(ids)))
-	for _, id := range ids {
-		l := p.lsps[id]
-		w.I64(int64(l.ID))
-		w.Str(l.Name)
-		w.I64(int64(l.Ingress))
-		w.I64(int64(l.Egress))
-		w.F64(l.Bandwidth)
-		w.I64(int64(l.SetupPri))
-		w.I64(int64(l.HoldPri))
-		w.I64(int64(l.ClassType))
-		w.I64(int64(l.State))
-		savePath(w, l.Path)
-		mpls.SaveNHLFE(w, l.Entry)
-		w.U64(uint64(len(l.hopLabels)))
-		for _, hl := range l.hopLabels {
-			w.U64(uint64(hl))
-		}
-		w.I64(int64(l.refreshMisses))
-	}
+	snapshot.Int(c, &p.drainSeq)
+	// A drain writes its ID, a path and a label count at least.
+	snapshot.Map(c, &p.drains, cmp.Compare[int], 3, snapshot.Int[int], func(c *snapshot.Codec, rec *drainRec) {
+		PathState(c, &rec.path)
+		snapshot.Slice(c, &rec.labels, 1, snapshot.Uint[packet.Label])
+	})
 
-	w.I64(int64(p.drainSeq))
-	dids := p.PendingDrains()
-	w.U64(uint64(len(dids)))
-	for _, id := range dids {
-		rec := p.drains[id]
-		w.I64(int64(id))
-		savePath(w, rec.path)
-		w.U64(uint64(len(rec.labels)))
-		for _, hl := range rec.labels {
-			w.U64(uint64(hl))
-		}
+	if c.Same(p.DSTE != nil, "DS-TE") {
+		snapshot.MapPtrs(c, &p.DSTE.reserved, cmp.Compare[topo.LinkID], 1+8*int(NumClassTypes), snapshot.Int[topo.LinkID],
+			func(c *snapshot.Codec, pool *[NumClassTypes]float64) {
+				for ct := range pool {
+					c.F64(&pool[ct])
+				}
+			})
 	}
-
-	w.Bool(p.DSTE != nil)
-	if p.DSTE != nil {
-		links := make([]topo.LinkID, 0, len(p.DSTE.reserved))
-		for lid := range p.DSTE.reserved {
-			links = append(links, lid)
-		}
-		sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-		w.U64(uint64(len(links)))
-		for _, lid := range links {
-			w.I64(int64(lid))
-			pool := p.DSTE.reserved[lid]
-			for ct := 0; ct < int(NumClassTypes); ct++ {
-				w.F64(pool[ct])
-			}
-		}
-	}
-}
-
-// LoadState replaces the protocol's dynamic state with the serialized one.
-// The protocol must already be wired to the scenario's graph and label
-// tables (a fresh rebuild).
-func (p *Protocol) LoadState(r *snapshot.Reader) error {
-	p.nextID = int(r.I64())
-	p.PathMessages = int(r.I64())
-	p.ResvMessages = int(r.I64())
-	p.Preemptions = int(r.I64())
-	p.SetupFails = int(r.I64())
-	p.Timeouts = int(r.I64())
-
-	n := r.Count(8)
-	p.lsps = make(map[int]*LSP, n)
-	for i := 0; i < n; i++ {
-		l := &LSP{
-			ID:        int(r.I64()),
-			Name:      r.Str(),
-			Ingress:   topo.NodeID(r.I64()),
-			Egress:    topo.NodeID(r.I64()),
-			Bandwidth: r.F64(),
-			SetupPri:  int(r.I64()),
-			HoldPri:   int(r.I64()),
-			ClassType: ClassType(r.I64()),
-			State:     State(r.I64()),
-		}
-		l.Path = loadPath(r)
-		l.Entry = mpls.LoadNHLFE(r)
-		nh := r.Count(1)
-		l.hopLabels = make([]packet.Label, 0, nh)
-		for j := 0; j < nh; j++ {
-			l.hopLabels = append(l.hopLabels, packet.Label(r.U64()))
-		}
-		l.refreshMisses = int(r.I64())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		p.lsps[l.ID] = l
-	}
-
-	p.drainSeq = int(r.I64())
-	nd := r.Count(2)
-	p.drains = make(map[int]drainRec, nd)
-	for i := 0; i < nd; i++ {
-		id := int(r.I64())
-		rec := drainRec{path: loadPath(r)}
-		nl := r.Count(1)
-		for j := 0; j < nl; j++ {
-			rec.labels = append(rec.labels, packet.Label(r.U64()))
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		p.drains[id] = rec
-	}
-
-	hasDSTE := r.Bool()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if hasDSTE != (p.DSTE != nil) {
-		return fmt.Errorf("%w: DS-TE enabled in snapshot=%v, scenario=%v",
-			snapshot.ErrMismatch, hasDSTE, p.DSTE != nil)
-	}
-	if hasDSTE {
-		nl := r.Count(1 + 8*int(NumClassTypes))
-		p.DSTE.reserved = make(map[topo.LinkID]*[NumClassTypes]float64, nl)
-		for i := 0; i < nl; i++ {
-			lid := topo.LinkID(r.I64())
-			pool := &[NumClassTypes]float64{}
-			for ct := 0; ct < int(NumClassTypes); ct++ {
-				pool[ct] = r.F64()
-			}
-			p.DSTE.reserved[lid] = pool
-		}
-	}
-	return r.Err()
 }

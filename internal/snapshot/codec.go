@@ -1,9 +1,16 @@
 // Package snapshot implements versioned, forward-compatible binary
 // serialization for simulation checkpoints: a primitive codec
-// (varint/zigzag/length-prefixed), a section-framed container with a CRC32
-// integrity trailer, an atomic on-disk checkpoint store with retention, and
-// a bisector that localizes failures by partial replays between
-// checkpoints.
+// (varint/zigzag/length-prefixed), the bidirectional Codec that state walks
+// are written against, a section-framed container with a CRC32 integrity
+// trailer, an atomic on-disk checkpoint store with retention, and a
+// bisector that localizes failures by partial replays between checkpoints.
+//
+// A checkpointed type describes its fields once, as a walk over a *Codec
+// (walk.go): each leaf call appends the field it points at when the Codec
+// wraps a Writer and reads into it when the Codec wraps a Reader, and the
+// Slice/Map/Set/Keyed/Overlay helpers own counting, key order and
+// allocation. Writer and Reader stay usable on their own; DESIGN.md §9 is
+// the format reference.
 //
 // The decoder is hostile-input safe by construction: every read is bounds
 // checked, element counts are validated against the bytes that remain, and

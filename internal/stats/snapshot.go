@@ -1,92 +1,40 @@
 package stats
 
-import (
-	"mplsvpn/internal/sim"
-	"mplsvpn/internal/snapshot"
-)
+import "mplsvpn/internal/snapshot"
 
-// SaveState serializes the sample: every retained observation (in current
-// storage order) plus the exact aggregates and decimation state.
-func (s *Sample) SaveState(w *snapshot.Writer) {
-	w.U64(uint64(len(s.xs)))
-	for _, x := range s.xs {
-		w.F64(x)
-	}
-	w.Bool(s.sorted)
-	w.F64(s.sum)
-	w.I64(int64(s.n))
-	w.F64(s.min)
-	w.F64(s.max)
-	w.I64(int64(s.cap))
-	w.I64(int64(s.stride))
-	w.I64(int64(s.skip))
-	w.I64(int64(s.dropped))
+// State walks the sample: every retained observation (in current storage
+// order) plus the exact aggregates and decimation state.
+func (s *Sample) State(c *snapshot.Codec) {
+	c.F64s(&s.xs)
+	c.Bool(&s.sorted)
+	c.F64(&s.sum)
+	snapshot.Int(c, &s.n)
+	c.F64(&s.min)
+	c.F64(&s.max)
+	snapshot.Int(c, &s.cap)
+	snapshot.Int(c, &s.stride)
+	snapshot.Int(c, &s.skip)
+	snapshot.Int(c, &s.dropped)
 }
 
-// LoadState replaces the sample's contents.
-func (s *Sample) LoadState(r *snapshot.Reader) error {
-	n := r.Count(8)
-	s.xs = make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		s.xs = append(s.xs, r.F64())
-	}
-	s.sorted = r.Bool()
-	s.sum = r.F64()
-	s.n = int(r.I64())
-	s.min = r.F64()
-	s.max = r.F64()
-	s.cap = int(r.I64())
-	s.stride = int(r.I64())
-	s.skip = int(r.I64())
-	s.dropped = int(r.I64())
-	return r.Err()
+// State walks the jitter estimator.
+func (j *Jitter) State(c *snapshot.Codec) {
+	snapshot.Int(c, &j.lastTransit)
+	c.Bool(&j.have)
+	c.F64(&j.j)
+	snapshot.Int(c, &j.n)
 }
 
-// SaveState serializes the jitter estimator.
-func (j *Jitter) SaveState(w *snapshot.Writer) {
-	w.I64(int64(j.lastTransit))
-	w.Bool(j.have)
-	w.F64(j.j)
-	w.I64(int64(j.n))
-}
-
-// LoadState replaces the jitter estimator's state.
-func (j *Jitter) LoadState(r *snapshot.Reader) error {
-	j.lastTransit = sim.Time(r.I64())
-	j.have = r.Bool()
-	j.j = r.F64()
-	j.n = int(r.I64())
-	return r.Err()
-}
-
-// SaveState serializes the flow's counters and distributions. Name is
-// identity, kept by the owner.
-func (f *FlowStats) SaveState(w *snapshot.Writer) {
-	w.I64(int64(f.Sent))
-	w.I64(int64(f.Delivered))
-	w.I64(int64(f.Dropped))
-	w.I64(f.Bytes)
-	f.Latency.SaveState(w)
-	f.Jit.SaveState(w)
-	w.I64(int64(f.first))
-	w.I64(int64(f.last))
-	w.Bool(f.haveTime)
-}
-
-// LoadState replaces the flow's counters and distributions.
-func (f *FlowStats) LoadState(r *snapshot.Reader) error {
-	f.Sent = int(r.I64())
-	f.Delivered = int(r.I64())
-	f.Dropped = int(r.I64())
-	f.Bytes = r.I64()
-	if err := f.Latency.LoadState(r); err != nil {
-		return err
-	}
-	if err := f.Jit.LoadState(r); err != nil {
-		return err
-	}
-	f.first = sim.Time(r.I64())
-	f.last = sim.Time(r.I64())
-	f.haveTime = r.Bool()
-	return r.Err()
+// State walks the flow's counters and distributions. Name is identity, kept
+// by the owner.
+func (f *FlowStats) State(c *snapshot.Codec) {
+	snapshot.Int(c, &f.Sent)
+	snapshot.Int(c, &f.Delivered)
+	snapshot.Int(c, &f.Dropped)
+	snapshot.Int(c, &f.Bytes)
+	f.Latency.State(c)
+	f.Jit.State(c)
+	snapshot.Int(c, &f.first)
+	snapshot.Int(c, &f.last)
+	c.Bool(&f.haveTime)
 }

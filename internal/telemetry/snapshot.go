@@ -1,10 +1,9 @@
 package telemetry
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
-	"mplsvpn/internal/sim"
 	"mplsvpn/internal/snapshot"
 )
 
@@ -17,340 +16,177 @@ func (j *Journal) Evicted() uint64 {
 	return j.seq - uint64(j.n)
 }
 
-func saveLabels(w *snapshot.Writer, l Labels) {
-	w.Str(l.VPN)
-	w.Str(l.Site)
-	w.Str(l.Node)
-	w.Str(l.Link)
-	w.Str(l.Class)
-	w.Str(l.Policy)
-	w.Str(l.Reason)
+// seriesKeyMin is the fewest bytes seriesKeyState writes: a name and seven
+// labels, all empty.
+const seriesKeyMin = 8
+
+func seriesKeyState(c *snapshot.Codec, k *seriesKey) {
+	c.Str(&k.name)
+	c.Str(&k.labels.VPN)
+	c.Str(&k.labels.Site)
+	c.Str(&k.labels.Node)
+	c.Str(&k.labels.Link)
+	c.Str(&k.labels.Class)
+	c.Str(&k.labels.Policy)
+	c.Str(&k.labels.Reason)
 }
 
-func loadLabels(r *snapshot.Reader) Labels {
-	return Labels{
-		VPN:    r.Str(),
-		Site:   r.Str(),
-		Node:   r.Str(),
-		Link:   r.Str(),
-		Class:  r.Str(),
-		Policy: r.Str(),
-		Reason: r.Str(),
-	}
-}
+// histogramMin is the fewest bytes histogramState writes: no bounds, the
+// overflow bucket, the total, and the 8-byte sum.
+const histogramMin = 1 + 1 + 1 + 8
 
-func saveHistogram(w *snapshot.Writer, h *Histogram) {
-	w.U64(uint64(len(h.bounds)))
-	for _, b := range h.bounds {
-		w.F64(b)
+// histogramState walks a histogram's bucket layout and contents. A load
+// overlays a histogram the scenario rebuild created, which must have the
+// same layout, or fills an empty shell from the saved bounds.
+func histogramState(c *snapshot.Codec, h *Histogram) {
+	nb := c.Len(len(h.bounds), 8)
+	if c.Loading() {
+		switch {
+		case h.counts == nil:
+			h.bounds, h.counts = make([]float64, nb), make([]uint64, nb+1)
+		case nb != len(h.bounds) && c.Err() == nil:
+			c.Mismatch("histogram has %d bounds, checkpoint %d", len(h.bounds), nb)
+			return
+		}
 	}
-	for _, c := range h.counts {
-		w.U64(c)
-	}
-	w.U64(h.total)
-	w.F64(h.sum)
-}
-
-// loadHistogramInto overlays serialized contents onto h, which must have the
-// same bucket layout (the scenario rebuild creates it with the same bounds).
-func loadHistogramInto(r *snapshot.Reader, h *Histogram) error {
-	nb := r.Count(8)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nb != len(h.bounds) {
-		return fmt.Errorf("%w: histogram has %d bounds, snapshot %d", snapshot.ErrMismatch, len(h.bounds), nb)
-	}
-	for i := 0; i < nb; i++ {
-		h.bounds[i] = r.F64()
+	for i := range h.bounds {
+		c.F64(&h.bounds[i])
 	}
 	for i := range h.counts {
-		h.counts[i] = r.U64()
+		snapshot.Uint(c, &h.counts[i])
 	}
-	h.total = r.U64()
-	h.sum = r.F64()
-	return r.Err()
+	snapshot.Uint(c, &h.total)
+	c.F64(&h.sum)
 }
 
-// SaveState serializes every live series, sorted by (name, labels) so the
-// encoding is independent of map iteration order.
-func (r *Registry) SaveState(w *snapshot.Writer) {
-	cks := make([]seriesKey, 0, len(r.counters))
-	for k := range r.counters {
-		cks = append(cks, k)
+// seriesState walks one family of instruments, sorted by (name, labels) so
+// the encoding is independent of map iteration order. A load overlays the
+// values: instruments already resolved by the scenario rebuild keep their
+// pointers (the hot path holds them directly); series the rebuild has not
+// touched yet are created. min is the value's minimum encoding.
+func seriesState[T any](c *snapshot.Codec, m map[seriesKey]*T, min int, val func(*snapshot.Codec, *T)) {
+	// Labels render once per key, not once per comparison.
+	type rendered struct {
+		key    seriesKey
+		labels string
 	}
-	sortSeries(cks)
-	w.U64(uint64(len(cks)))
-	for _, k := range cks {
-		w.Str(k.name)
-		saveLabels(w, k.labels)
-		w.I64(r.counters[k].v)
-	}
-
-	gks := make([]seriesKey, 0, len(r.gauges))
-	for k := range r.gauges {
-		gks = append(gks, k)
-	}
-	sortSeries(gks)
-	w.U64(uint64(len(gks)))
-	for _, k := range gks {
-		w.Str(k.name)
-		saveLabels(w, k.labels)
-		w.F64(r.gauges[k].v)
-	}
-
-	hks := make([]seriesKey, 0, len(r.hists))
-	for k := range r.hists {
-		hks = append(hks, k)
-	}
-	sortSeries(hks)
-	w.U64(uint64(len(hks)))
-	for _, k := range hks {
-		w.Str(k.name)
-		saveLabels(w, k.labels)
-		saveHistogram(w, r.hists[k])
-	}
-}
-
-func sortSeries(keys []seriesKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
+	var keys []rendered
+	if !c.Loading() {
+		keys = make([]rendered, 0, len(m))
+		for k := range m {
+			keys = append(keys, rendered{k, k.labels.String()})
 		}
-		return keys[i].labels.String() < keys[j].labels.String()
+		slices.SortFunc(keys, func(a, b rendered) int {
+			return cmp.Or(cmp.Compare(a.key.name, b.key.name), cmp.Compare(a.labels, b.labels))
+		})
+	}
+	var k seriesKey
+	for i, n := 0, c.Len(len(keys), seriesKeyMin+min); i < n && c.Err() == nil; i++ {
+		if !c.Loading() {
+			k = keys[i].key
+		}
+		seriesKeyState(c, &k)
+		inst, ok := m[k]
+		if !ok {
+			inst = new(T)
+			m[k] = inst
+		}
+		val(c, inst)
+	}
+}
+
+// State walks every live series.
+func (r *Registry) State(c *snapshot.Codec) {
+	seriesState(c, r.counters, 1, func(c *snapshot.Codec, ctr *Counter) { snapshot.Int(c, &ctr.v) })
+	seriesState(c, r.gauges, 8, func(c *snapshot.Codec, g *Gauge) { c.F64(&g.v) })
+	seriesState(c, r.hists, histogramMin, histogramState)
+}
+
+// State walks the journal ring: capacity, the global sequence cursor, then
+// the retained entries oldest-first. The capacity is scenario configuration.
+// A load re-normalizes the ring to start at slot zero — equivalent state,
+// since eviction order depends only on entry order, not slot positions.
+func (j *Journal) State(c *snapshot.Codec) {
+	if capacity := c.U64(uint64(len(j.buf))); capacity != uint64(len(j.buf)) && c.Err() == nil {
+		c.Mismatch("journal capacity %d in checkpoint, %d in scenario", capacity, len(j.buf))
+	}
+	snapshot.Uint(c, &j.seq)
+	// An entry is three varints and two strings.
+	n := c.Len(j.n, 5)
+	if n > len(j.buf) {
+		c.Corrupt("journal of %d entries with capacity %d", n, len(j.buf))
+		return
+	}
+	if c.Loading() {
+		clear(j.buf)
+		j.start, j.n = 0, n
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		e := &j.buf[(j.start+i)%len(j.buf)]
+		snapshot.Uint(c, &e.Seq)
+		snapshot.Int(c, &e.At)
+		kind := c.U64(uint64(e.Kind))
+		if kind > uint64(eventKindEnd) {
+			c.Corrupt("journal event kind %d", kind)
+		}
+		e.Kind = EventKind(kind)
+		c.Str(&e.Subject)
+		c.Str(&e.Detail)
+	}
+}
+
+func flowKeyState(c *snapshot.Codec, k *FlowKey) {
+	c.Str(&k.VPN)
+	c.Str(&k.SrcSite)
+	c.Str(&k.DstSite)
+	c.Str(&k.Class)
+}
+
+// State walks the exporter's dynamics: eviction count, the interval cursor,
+// per-key accumulators (in the keys' sorted order), and retained records.
+// Interval, MaxRecords, and OnRoll are scenario configuration.
+func (x *FlowExporter) State(c *snapshot.Codec) {
+	snapshot.Int(c, &x.Evicted)
+	snapshot.Int(c, &x.start)
+	if c.Loading() {
+		x.acct = make(map[FlowKey]*flowAcct)
+	}
+	// A key is four strings, its accumulator two varints.
+	snapshot.Slice(c, &x.keys, 4+2, func(c *snapshot.Codec, k *FlowKey) {
+		flowKeyState(c, k)
+		a := x.acct[*k]
+		if c.Loading() {
+			a = &flowAcct{}
+			x.acct[*k] = a
+		}
+		snapshot.Int(c, &a.pkts)
+		snapshot.Int(c, &a.bytes)
+	})
+	snapshot.Slice(c, &x.records, 2+4+2, func(c *snapshot.Codec, rec *FlowRecord) {
+		snapshot.Int(c, &rec.Start)
+		snapshot.Int(c, &rec.End)
+		flowKeyState(c, &rec.FlowKey)
+		snapshot.Int(c, &rec.Packets)
+		snapshot.Int(c, &rec.Bytes)
 	})
 }
 
-// LoadState overlays serialized series values onto the registry. Instruments
-// already resolved by the scenario rebuild keep their pointers (the hot path
-// holds them directly); series the rebuild has not touched yet are created.
-func (r *Registry) LoadState(rd *snapshot.Reader) error {
-	nc := rd.Count(9)
-	for i := 0; i < nc; i++ {
-		name := rd.Str()
-		l := loadLabels(rd)
-		v := rd.I64()
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		r.Counter(name, l).v = v
-	}
-
-	ng := rd.Count(9)
-	for i := 0; i < ng; i++ {
-		name := rd.Str()
-		l := loadLabels(rd)
-		v := rd.F64()
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		r.Gauge(name, l).v = v
-	}
-
-	nh := rd.Count(9)
-	for i := 0; i < nh; i++ {
-		name := rd.Str()
-		l := loadLabels(rd)
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		h, ok := r.hists[seriesKey{name, l}]
-		if !ok {
-			// Peek the bounds to build an identical histogram, then rewind is
-			// not possible on a stream — so load into a shell sized from the
-			// serialized bound count instead.
-			nb := rd.Count(8)
-			if rd.Err() != nil {
-				return rd.Err()
-			}
-			bounds := make([]float64, nb)
-			for j := range bounds {
-				bounds[j] = rd.F64()
-			}
-			h = &Histogram{bounds: bounds, counts: make([]uint64, nb+1)}
-			for j := range h.counts {
-				h.counts[j] = rd.U64()
-			}
-			h.total = rd.U64()
-			h.sum = rd.F64()
-			if rd.Err() != nil {
-				return rd.Err()
-			}
-			r.hists[seriesKey{name, l}] = h
-			continue
-		}
-		if err := loadHistogramInto(rd, h); err != nil {
-			return err
-		}
-	}
-	return rd.Err()
-}
-
-// SaveState serializes the journal ring: retained entries oldest-first plus
-// the global sequence cursor.
-func (j *Journal) SaveState(w *snapshot.Writer) {
-	w.U64(uint64(len(j.buf)))
-	w.U64(j.seq)
-	w.U64(uint64(j.n))
-	for i := 0; i < j.n; i++ {
-		e := j.buf[(j.start+i)%len(j.buf)]
-		w.U64(e.Seq)
-		w.I64(int64(e.At))
-		w.U64(uint64(e.Kind))
-		w.Str(e.Subject)
-		w.Str(e.Detail)
-	}
-}
-
-// LoadState replaces the journal's contents. The ring is re-normalized to
-// start at slot zero — equivalent state, since eviction order depends only
-// on entry order, not slot positions.
-func (j *Journal) LoadState(r *snapshot.Reader) error {
-	capacity := int(r.U64())
-	seq := r.U64()
-	n := r.Count(5)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if capacity <= 0 || n > capacity {
-		return fmt.Errorf("%w: journal capacity %d with %d entries", snapshot.ErrCorrupt, capacity, n)
-	}
-	buf := make([]Event, capacity)
-	for i := 0; i < n; i++ {
-		k := r.U64()
-		at := sim.Time(r.I64())
-		kind := r.U64()
-		subj := r.Str()
-		det := r.Str()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if kind > uint64(eventKindEnd) {
-			return fmt.Errorf("%w: journal event kind %d", snapshot.ErrCorrupt, kind)
-		}
-		buf[i] = Event{Seq: k, At: at, Kind: EventKind(kind), Subject: subj, Detail: det}
-	}
-	j.buf = buf
-	j.start = 0
-	j.n = n
-	j.seq = seq
-	return r.Err()
-}
-
-// SaveState serializes the exporter's dynamics: eviction count, per-key
-// accumulators (already sorted), retained records, and the interval cursor.
-// Interval, MaxRecords, and OnRoll are scenario configuration.
-func (x *FlowExporter) SaveState(w *snapshot.Writer) {
-	w.I64(int64(x.Evicted))
-	w.I64(int64(x.start))
-	w.U64(uint64(len(x.keys)))
-	for _, k := range x.keys {
-		w.Str(k.VPN)
-		w.Str(k.SrcSite)
-		w.Str(k.DstSite)
-		w.Str(k.Class)
-		a := x.acct[k]
-		w.I64(a.pkts)
-		w.I64(a.bytes)
-	}
-	w.U64(uint64(len(x.records)))
-	for _, rec := range x.records {
-		w.I64(int64(rec.Start))
-		w.I64(int64(rec.End))
-		w.Str(rec.VPN)
-		w.Str(rec.SrcSite)
-		w.Str(rec.DstSite)
-		w.Str(rec.Class)
-		w.I64(rec.Packets)
-		w.I64(rec.Bytes)
-	}
-}
-
-// LoadState replaces the exporter's dynamics, keeping its configuration and
-// OnRoll hook from the scenario rebuild.
-func (x *FlowExporter) LoadState(r *snapshot.Reader) error {
-	x.Evicted = int(r.I64())
-	x.start = sim.Time(r.I64())
-	nk := r.Count(6)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	x.keys = make([]FlowKey, 0, nk)
-	x.acct = make(map[FlowKey]*flowAcct, nk)
-	for i := 0; i < nk; i++ {
-		k := FlowKey{VPN: r.Str(), SrcSite: r.Str(), DstSite: r.Str(), Class: r.Str()}
-		a := &flowAcct{pkts: r.I64(), bytes: r.I64()}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		x.keys = append(x.keys, k)
-		x.acct[k] = a
-	}
-	nr := r.Count(8)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	x.records = make([]FlowRecord, 0, nr)
-	for i := 0; i < nr; i++ {
-		rec := FlowRecord{
-			Start: sim.Time(r.I64()),
-			End:   sim.Time(r.I64()),
-			FlowKey: FlowKey{
-				VPN: r.Str(), SrcSite: r.Str(), DstSite: r.Str(), Class: r.Str(),
-			},
-			Packets: r.I64(),
-			Bytes:   r.I64(),
-		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		x.records = append(x.records, rec)
-	}
-	return r.Err()
-}
-
-// SaveState serializes every target's interval window and breach state
-// machine, in target order. Targets and hooks are scenario configuration.
-func (w *Watcher) SaveState(sw *snapshot.Writer) {
-	sw.U64(uint64(len(w.Targets)))
-	for _, t := range w.Targets {
-		st := w.states[t.VPN]
-		saveHistogram(sw, st.lat)
-		sw.I64(st.delivered)
-		sw.I64(st.dropped)
-		sw.I64(int64(st.bad))
-		sw.I64(int64(st.good))
-		sw.Bool(st.breached)
-		sw.I64(int64(st.breaches))
-		sw.I64(int64(st.clears))
-	}
-}
-
-// LoadState overlays serialized state onto the watcher, which must have been
-// rebuilt with the same target list.
-func (w *Watcher) LoadState(r *snapshot.Reader) error {
-	n := r.Count(10)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n != len(w.Targets) {
-		return fmt.Errorf("%w: watcher has %d targets, snapshot %d", snapshot.ErrMismatch, len(w.Targets), n)
+// State walks every target's interval window and breach state machine, in
+// target order. Targets and hooks are scenario configuration: a load needs
+// a watcher rebuilt with the same target list.
+func (w *Watcher) State(c *snapshot.Codec) {
+	if !c.FixedLen(len(w.Targets), histogramMin+7, "SLA targets") {
+		return
 	}
 	for _, t := range w.Targets {
 		st := w.states[t.VPN]
-		if err := loadHistogramInto(r, st.lat); err != nil {
-			return err
-		}
-		st.delivered = r.I64()
-		st.dropped = r.I64()
-		st.bad = int(r.I64())
-		st.good = int(r.I64())
-		st.breached = r.Bool()
-		st.breaches = int(r.I64())
-		st.clears = int(r.I64())
-		if r.Err() != nil {
-			return r.Err()
-		}
+		histogramState(c, st.lat)
+		snapshot.Int(c, &st.delivered)
+		snapshot.Int(c, &st.dropped)
+		snapshot.Int(c, &st.bad)
+		snapshot.Int(c, &st.good)
+		c.Bool(&st.breached)
+		snapshot.Int(c, &st.breaches)
+		snapshot.Int(c, &st.clears)
 	}
-	return r.Err()
 }

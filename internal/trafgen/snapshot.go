@@ -1,78 +1,41 @@
 package trafgen
 
-import (
-	"mplsvpn/internal/sim"
-	"mplsvpn/internal/snapshot"
-)
+import "mplsvpn/internal/snapshot"
 
-// SaveState serializes the flow's dynamic state: the packet sequence number
-// and the accumulated statistics. Addressing is scenario configuration.
-func (f *Flow) SaveState(w *snapshot.Writer) {
-	w.U64(f.seq)
-	f.Stats.SaveState(w)
+// State walks the flow's dynamic state: the packet sequence number and the
+// accumulated statistics. Addressing is scenario configuration.
+func (f *Flow) State(c *snapshot.Codec) {
+	snapshot.Uint(c, &f.seq)
+	f.Stats.State(c)
 }
 
-// LoadState replaces the flow's dynamic state.
-func (f *Flow) LoadState(r *snapshot.Reader) error {
-	f.seq = r.U64()
-	return f.Stats.LoadState(r)
-}
-
-// The sources serialize their pacing cursor and the state of their private
+// The sources walk their pacing cursor and the state of their private
 // random stream; rates, intervals, and endpoints are construction arguments
 // the scenario rebuild supplies (the rebuilt source holds an equally-forked
-// stream whose state the load then overwrites).
+// stream whose state a load then overwrites).
 
-func (s *cbrSrc) SaveState(w *snapshot.Writer) { w.I64(int64(s.t)) }
+func (s *cbrSrc) State(c *snapshot.Codec) { snapshot.Int(c, &s.t) }
 
-func (s *cbrSrc) LoadState(r *snapshot.Reader) error {
-	s.t = sim.Time(r.I64())
-	return r.Err()
+func (s *poissonSrc) State(c *snapshot.Codec) {
+	snapshot.Int(c, &s.t)
+	s.rng.SetState(c.U64(s.rng.State()))
 }
 
-func (s *poissonSrc) SaveState(w *snapshot.Writer) {
-	w.I64(int64(s.t))
-	w.U64(s.rng.State())
+// State walks AIMD's full congestion state — cwnd, ssthresh, the in-flight
+// count, and the ack ledger the RTO probe compares against. Flow, payload,
+// stop, and RTO are construction arguments. The pending probe event itself
+// travels through core's source registry.
+func (a *AIMD) State(c *snapshot.Codec) {
+	c.F64(&a.window)
+	c.F64(&a.ssthresh)
+	snapshot.Int(c, &a.inFlight)
+	snapshot.Uint(c, &a.acked)
+	snapshot.Uint(c, &a.probed)
 }
 
-func (s *poissonSrc) LoadState(r *snapshot.Reader) error {
-	s.t = sim.Time(r.I64())
-	s.rng.SetState(r.U64())
-	return r.Err()
-}
-
-// AIMD serializes its full congestion state — cwnd, ssthresh, the
-// in-flight count, and the ack ledger the RTO probe compares against.
-// Flow, payload, stop, and RTO are construction arguments. The pending
-// probe event itself travels through core's source registry.
-func (a *AIMD) SaveState(w *snapshot.Writer) {
-	w.F64(a.window)
-	w.F64(a.ssthresh)
-	w.I64(int64(a.inFlight))
-	w.U64(a.acked)
-	w.U64(a.probed)
-}
-
-func (a *AIMD) LoadState(r *snapshot.Reader) error {
-	a.window = r.F64()
-	a.ssthresh = r.F64()
-	a.inFlight = int(r.I64())
-	a.acked = r.U64()
-	a.probed = r.U64()
-	return r.Err()
-}
-
-func (s *onOffSrc) SaveState(w *snapshot.Writer) {
-	w.I64(int64(s.t))
-	w.I64(int64(s.end))
-	w.Bool(s.inBurst)
-	w.U64(s.rng.State())
-}
-
-func (s *onOffSrc) LoadState(r *snapshot.Reader) error {
-	s.t = sim.Time(r.I64())
-	s.end = sim.Time(r.I64())
-	s.inBurst = r.Bool()
-	s.rng.SetState(r.U64())
-	return r.Err()
+func (s *onOffSrc) State(c *snapshot.Codec) {
+	snapshot.Int(c, &s.t)
+	snapshot.Int(c, &s.end)
+	c.Bool(&s.inBurst)
+	s.rng.SetState(c.U64(s.rng.State()))
 }

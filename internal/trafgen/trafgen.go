@@ -78,8 +78,7 @@ func (f *Flow) send(n *netsim.Network, payload int) {
 // restore (register sources with core's RegisterSource for that).
 type Source interface {
 	sim.Action
-	SaveState(w *snapshot.Writer)
-	LoadState(r *snapshot.Reader) error
+	State(c *snapshot.Codec)
 }
 
 // CBR emits fixed-size packets at a fixed interval from start until stop:

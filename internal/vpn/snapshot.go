@@ -1,181 +1,79 @@
 package vpn
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mplsvpn/internal/addr"
-	"mplsvpn/internal/packet"
 	"mplsvpn/internal/snapshot"
-	"mplsvpn/internal/topo"
 )
 
-func saveSite(w *snapshot.Writer, s *Site) {
-	w.Str(s.Name)
-	w.Str(s.VPN)
-	w.I64(int64(s.PE))
-	w.U64(uint64(len(s.Prefixes)))
-	for _, p := range s.Prefixes {
-		addr.SavePrefix(w, p)
-	}
+// siteMin is the fewest bytes siteState writes: two empty names, the PE,
+// and an empty prefix list.
+const siteMin = 4
+
+func siteState(c *snapshot.Codec, s *Site) {
+	c.Str(&s.Name)
+	c.Str(&s.VPN)
+	snapshot.Int(c, &s.PE)
+	snapshot.Slice(c, &s.Prefixes, addr.PrefixMin, addr.PrefixState)
 }
 
-func loadSite(r *snapshot.Reader) *Site {
-	s := &Site{Name: r.Str(), VPN: r.Str(), PE: topo.NodeID(r.I64())}
-	n := r.Count(2)
-	for i := 0; i < n; i++ {
-		s.Prefixes = append(s.Prefixes, addr.LoadPrefix(r))
-	}
-	return s
-}
+// VRFMin is the fewest bytes VRFState writes: an empty name, the PE, the RD,
+// the SLA class, and four empty collections.
+const VRFMin = 9
 
-// SaveState serializes the whole VRF: identity, policy, attached sites, and
-// every forwarding entry. VRFs are created by provisioning — which can run
-// mid-simulation — so restore reconstructs them from the snapshot (LoadVRF)
-// rather than overlaying onto scenario-built ones.
-func (v *VRF) SaveState(w *snapshot.Writer) {
-	w.Str(v.Name)
-	w.I64(int64(v.PE))
-	addr.SaveRD(w, v.RD)
-	w.U64(uint64(len(v.Import)))
-	for _, rt := range v.Import {
-		addr.SaveRT(w, rt)
-	}
-	w.U64(uint64(len(v.Export)))
-	for _, rt := range v.Export {
-		addr.SaveRT(w, rt)
-	}
-	w.I64(int64(v.SLAClass))
-
-	names := v.Sites()
-	w.U64(uint64(len(names)))
-	for _, n := range names {
-		saveSite(w, v.sites[n])
-	}
-
-	type entry struct {
-		p  addr.Prefix
-		rt Route
-	}
-	var entries []entry
-	v.table.Walk(func(p addr.Prefix, rt Route) bool {
-		entries = append(entries, entry{p, rt})
-		return true
+// VRFState walks a whole VRF: identity, policy, attached sites, and every
+// forwarding entry. VRFs are created by provisioning — which can run
+// mid-simulation — so a load fills a new VRF from the checkpoint rather
+// than overlaying a scenario-built one.
+func VRFState(c *snapshot.Codec, v *VRF) {
+	c.Str(&v.Name)
+	snapshot.Int(c, &v.PE)
+	addr.RDState(c, &v.RD)
+	snapshot.Slice(c, &v.Import, addr.RTMin, addr.RTState)
+	snapshot.Slice(c, &v.Export, addr.RTMin, addr.RTState)
+	snapshot.Int(c, &v.SLAClass)
+	snapshot.KeyedPtrs(c, &v.sites, cmp.Compare[string], siteMin, func(s *Site) string { return s.Name }, siteState)
+	// A route writes two names' worth of flags and varints after its prefix.
+	addr.TableState(c, &v.table, addr.PrefixMin+6, func(c *snapshot.Codec, p addr.Prefix, rt *Route) {
+		rt.Prefix = p
+		c.Bool(&rt.Local)
+		c.Str(&rt.SiteName)
+		snapshot.Int(c, &rt.EgressPE)
+		snapshot.Uint(c, &rt.NextHop)
+		snapshot.Uint(c, &rt.VPNLabel)
+		c.Bool(&rt.External)
 	})
-	w.U64(uint64(len(entries)))
-	for _, e := range entries {
-		addr.SavePrefix(w, e.p)
-		w.Bool(e.rt.Local)
-		w.Str(e.rt.SiteName)
-		w.I64(int64(e.rt.EgressPE))
-		w.U64(uint64(e.rt.NextHop))
-		w.U64(uint64(e.rt.VPNLabel))
-		w.Bool(e.rt.External)
+}
+
+// membersState walks one VPN's member sites, ascending by name, each behind
+// a true flag and the list closed by a false one.
+func membersState(c *snapshot.Codec, m *map[string]Site) {
+	names := make([]string, 0, len(*m))
+	for n := range *m {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	if c.Loading() {
+		*m = make(map[string]Site)
+	}
+	for i := 0; c.Has(i < len(names)); i++ {
+		var s Site
+		if !c.Loading() {
+			s = (*m)[names[i]]
+		}
+		siteState(c, &s)
+		if c.Loading() {
+			(*m)[s.Name] = s
+		}
 	}
 }
 
-// LoadVRF reconstructs a VRF serialized by SaveState.
-func LoadVRF(r *snapshot.Reader) (*VRF, error) {
-	v := &VRF{
-		Name:  r.Str(),
-		PE:    topo.NodeID(r.I64()),
-		RD:    addr.LoadRD(r),
-		table: addr.NewTable[Route](),
-		sites: make(map[string]*Site),
-	}
-	ni := r.Count(2)
-	for i := 0; i < ni; i++ {
-		v.Import = append(v.Import, addr.LoadRT(r))
-	}
-	ne := r.Count(2)
-	for i := 0; i < ne; i++ {
-		v.Export = append(v.Export, addr.LoadRT(r))
-	}
-	v.SLAClass = int(r.I64())
-
-	ns := r.Count(4)
-	for i := 0; i < ns; i++ {
-		s := loadSite(r)
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		v.sites[s.Name] = s
-	}
-
-	nr := r.Count(8)
-	for i := 0; i < nr; i++ {
-		p := addr.LoadPrefix(r)
-		rt := Route{
-			Prefix:   p,
-			Local:    r.Bool(),
-			SiteName: r.Str(),
-			EgressPE: topo.NodeID(r.I64()),
-			NextHop:  addr.IPv4(uint32(r.U64())),
-			VPNLabel: packet.Label(r.U64()),
-			External: r.Bool(),
-		}
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		v.table.Insert(p, rt)
-	}
-	return v, r.Err()
-}
-
-// SaveState serializes the discovery service's membership and delivery
-// counters. Subscriber callbacks are live wiring re-established by the
-// scenario rebuild; LoadState replaces the data they observed.
-func (r *Registry) SaveState(w *snapshot.Writer) {
-	vpns := make([]string, 0, len(r.members))
-	for v := range r.members {
-		vpns = append(vpns, v)
-	}
-	sort.Strings(vpns)
-	w.U64(uint64(len(vpns)))
-	for _, v := range vpns {
-		w.Str(v)
-		for _, s := range r.membersSorted(v) {
-			w.Bool(true)
-			cp := s
-			saveSite(w, &cp)
-		}
-		w.Bool(false)
-	}
-	hv := make([]string, 0, len(r.History))
-	for v := range r.History {
-		hv = append(hv, v)
-	}
-	sort.Strings(hv)
-	w.U64(uint64(len(hv)))
-	for _, v := range hv {
-		w.Str(v)
-		w.I64(int64(r.History[v]))
-	}
-}
-
-// LoadState replaces membership and history, keeping subscriptions.
-func (r *Registry) LoadState(rd *snapshot.Reader) error {
-	nv := rd.Count(2)
-	r.members = make(map[string]map[string]Site, nv)
-	for i := 0; i < nv; i++ {
-		v := rd.Str()
-		m := make(map[string]Site)
-		for rd.Bool() {
-			s := loadSite(rd)
-			if rd.Err() != nil {
-				return rd.Err()
-			}
-			m[s.Name] = *s
-		}
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		r.members[v] = m
-	}
-	nh := rd.Count(2)
-	r.History = make(map[string]int, nh)
-	for i := 0; i < nh; i++ {
-		v := rd.Str()
-		r.History[v] = int(rd.I64())
-	}
-	return rd.Err()
+// State walks the discovery service's membership and delivery counters.
+// Subscriber callbacks are live wiring re-established by the scenario
+// rebuild; a load replaces the data they observed.
+func (r *Registry) State(c *snapshot.Codec) {
+	snapshot.Map(c, &r.members, cmp.Compare[string], 2, (*snapshot.Codec).Str, membersState)
+	snapshot.Map(c, &r.History, cmp.Compare[string], 2, (*snapshot.Codec).Str, snapshot.Int[int])
 }
