@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet bench bench-reconverge bench-gate alloc-gate fuzz-short verify-parallel verify-scaling verify-survivability verify-intent verify-snapshot verify-controlplane verify-interas cover examples record clean
+.PHONY: all build test test-short test-race vet bench bench-reconverge bench-bgp bench-gate alloc-gate fuzz-short verify-parallel verify-scaling verify-survivability verify-intent verify-snapshot verify-controlplane verify-interas cover examples record clean
 
 all: build vet test test-race fuzz-short verify-intent verify-snapshot verify-controlplane verify-interas verify-scaling bench-reconverge bench-gate
 
@@ -38,6 +38,11 @@ bench:
 # BenchmarkReconvergeLinkFlap (incremental: what a link flap costs).
 bench-reconverge:
 	$(GO) test -run='^$$' -bench=BenchmarkReconverge -benchmem ./internal/core
+
+# The BGP layer at the repository benchmark's vpnv4_100k shape: ns/update of
+# Converge and B/route of the converged mesh, with `go test -bench` alone.
+bench-bgp:
+	$(GO) test -run='^$$' -bench=BenchmarkClustered1000x100 -benchtime=5x ./internal/bgp
 
 # The allocation-budget tests alone: every hot-path component must be
 # zero-alloc at steady state (label stack ops, Router.Receive, scheduler
@@ -119,19 +124,21 @@ fuzz-short:
 # new one cannot fall out of the gate.
 verify-snapshot:
 	$(GO) test -race -count=1 \
-		-run='Snapshot|Restore|Checkpoint|Runner|Bisect|ElementMinimums|TestE19' \
+		-run='Snapshot|Restore|LoadState|Checkpoint|Runner|Bisect|ElementMinimums|TestE19' \
 		./internal/...
 	$(GO) test -race -count=1 ./internal/snapshot
 
 # The scalable-control-plane acceptance gate under the race detector: the
 # reflection oracle (clustered best paths == full-mesh under seeded churn),
+# the RIB oracle (sorted runs == the map model, every observable, all three
+# layouts) and the single-reflector stale-refresh reproducer,
 # the incremental SPF/CSPF and LDP-delta oracles (identical tables to a
 # full recompute across random flap sequences), the RT-constrained
 # update-volume and loop-prevention contracts, the reflector/ISPF
 # chaos-boundary restore proof at 1/8 shards, and the E20 scaling scorecard.
 verify-controlplane:
 	$(GO) test -race -count=1 \
-		-run='TestClustered|TestRTConstrained|TestISPF|TestIncremental|TestClusterPEs|TestReflectorSnapshotBoundary|TestE20' \
+		-run='TestClustered|TestRTConstrained|RIB|SingleReflector|TestISPF|TestIncremental|TestClusterPEs|TestReflectorSnapshotBoundary|TestE20' \
 		./internal/bgp ./internal/ospf ./internal/ldp ./internal/topo ./internal/chaos ./internal/experiments
 
 # The inter-AS survivability acceptance gate under the race detector: the

@@ -1,9 +1,12 @@
 package bgp
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"mplsvpn/internal/addr"
+	"mplsvpn/internal/packet"
 	"mplsvpn/internal/topo"
 )
 
@@ -35,3 +38,64 @@ func benchMesh(b *testing.B, speakers, routesPer int, rr bool) {
 func BenchmarkFullMesh8x50(b *testing.B)        { benchMesh(b, 8, 50, false) }
 func BenchmarkFullMesh32x50(b *testing.B)       { benchMesh(b, 32, 50, false) }
 func BenchmarkRouteReflector32x50(b *testing.B) { benchMesh(b, 32, 50, true) }
+
+// BenchmarkClustered1000x100 is the repository benchmark's vpnv4_100k shape
+// — 1000 clients of 100 VPN-IPv4 /32s each, ten to a VPN, through 10
+// clusters of 2 reflectors, RT-constrained with one target per client —
+// measured at this layer alone: ns/update is Converge's time over the NLRIs
+// it sent, B/route the heap a converged mesh holds (HeapInuse after a
+// collection, less the same before the mesh was built) over its routes.
+func BenchmarkClustered1000x100(b *testing.B) {
+	const clients, routesPer, perCluster = 1000, 100, 100
+	var before, after runtime.MemStats
+	var convergeNs, updates, heap float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m := NewMesh()
+		var clusters []Cluster
+		for p := 0; p < clients; p++ {
+			rt := addr.RouteTarget{Admin: 65000, Assigned: uint32(p / 10 % 100)}
+			sp := m.AddSpeaker(topo.NodeID(p), addr.IPv4(0xac000000+uint32(p)))
+			sp.Filter = func(r *VPNRoute) bool { return r.HasRT(rt) }
+			m.SetRTInterest(sp.Node, []addr.RouteTarget{rt})
+			for r := 0; r < routesPer; r++ {
+				sp.Originate(&VPNRoute{
+					Prefix: addr.VPNPrefix{
+						RD:     addr.RouteDistinguisher{Admin: 65000, Assigned: rt.Assigned},
+						Prefix: addr.NewPrefix(addr.IPv4(uint32(p)<<8|uint32(r)), 32),
+					},
+					NextHop: sp.Loopback, Label: packet.Label(16 + p),
+					RTs:      []addr.RouteTarget{rt},
+					OriginPE: sp.Node,
+				})
+			}
+			if p%perCluster == 0 {
+				c := Cluster{ID: uint32(len(clusters) + 1)}
+				for rr := 0; rr < 2; rr++ {
+					n := topo.NodeID(clients + 2*len(clusters) + rr)
+					m.AddSpeaker(n, addr.IPv4(0xad000000+uint32(n)))
+					c.RRs = append(c.RRs, n)
+				}
+				clusters = append(clusters, c)
+			}
+			c := &clusters[len(clusters)-1]
+			c.Clients = append(c.Clients, sp.Node)
+		}
+		m.UseClusters(clusters)
+		b.StartTimer()
+		start := time.Now()
+		m.Converge()
+		convergeNs += float64(time.Since(start))
+		b.StopTimer()
+		updates += float64(m.UpdatesSent)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		heap += float64(after.HeapInuse) - float64(before.HeapInuse)
+		runtime.KeepAlive(m)
+		b.StartTimer()
+	}
+	b.ReportMetric(convergeNs/updates, "ns/update")
+	b.ReportMetric(heap/float64(b.N)/(clients*routesPer), "B/route")
+}

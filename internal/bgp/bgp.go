@@ -8,6 +8,14 @@
 //
 // Best-path selection is a deterministic subset of the BGP decision
 // process: LocalPref, then AS-path length, then lowest next hop.
+//
+// A speaker's Adj-RIB-In and Loc-RIB are two slices of route pointers kept
+// in prefix order (rib.go), not maps: receivers share one *VPNRoute per
+// announcement, so a retained route costs each holder eight bytes, and the
+// checkpoint writes each distinct route once (snapshot.go). Converge appends
+// what a speaker receives to an unsorted tail and seals the speaker —
+// sort, fold re-announcements, merge — at the points where its RIB is next
+// read. The sparse ledgers (stale marks, damping) stay maps.
 package bgp
 
 import (
@@ -77,10 +85,8 @@ type Speaker struct {
 
 	// exports are locally originated VPN routes (from attached VRFs).
 	exports []*VPNRoute
-	// adjRIBIn holds every retained route per prefix.
-	adjRIBIn map[addr.VPNPrefix][]*VPNRoute
-	// locRIB maps prefix -> selected best route.
-	locRIB map[addr.VPNPrefix]*VPNRoute
+	// rib holds every retained route and the selected best per prefix.
+	rib rib
 
 	Filter ImportFilter
 
@@ -99,14 +105,6 @@ type Speaker struct {
 	damp        map[addr.VPNPrefix]*dampState
 	prevHad     map[addr.VPNPrefix]bool
 	flapPending map[addr.VPNPrefix]bool
-}
-
-func newSpeaker(n topo.NodeID, lb addr.IPv4) *Speaker {
-	return &Speaker{
-		Node: n, Loopback: lb,
-		adjRIBIn: make(map[addr.VPNPrefix][]*VPNRoute),
-		locRIB:   make(map[addr.VPNPrefix]*VPNRoute),
-	}
 }
 
 // Originate adds (or replaces) a locally originated route.
@@ -129,78 +127,6 @@ func (s *Speaker) WithdrawLocal(p addr.VPNPrefix) bool {
 		}
 	}
 	return false
-}
-
-// receive offers a route to the speaker. A route reflector bypasses the
-// import filter: it must retain routes for VPNs it does not serve, or it
-// could not reflect them.
-func (s *Speaker) receive(r *VPNRoute, bypassFilter bool) {
-	s.Received++
-	if !bypassFilter && s.Filter != nil && !s.Filter(r) {
-		return
-	}
-	s.Retained++
-	rs := s.adjRIBIn[r.Prefix]
-	for i, old := range rs {
-		if old.OriginPE == r.OriginPE {
-			// A re-announcement from the same origin refreshes the retained
-			// route in place, clearing any graceful-restart stale mark
-			// (RFC 4724 mark-and-sweep).
-			rs[i] = r
-			s.clearStale(r.Prefix, r.OriginPE)
-			return
-		}
-	}
-	s.adjRIBIn[r.Prefix] = append(rs, r)
-}
-
-// selectBest runs the decision process over adj-RIB-in plus local routes.
-func (s *Speaker) selectBest() {
-	s.locRIB = make(map[addr.VPNPrefix]*VPNRoute)
-	consider := func(r *VPNRoute) {
-		cur, ok := s.locRIB[r.Prefix]
-		if !ok || better(r, cur) {
-			s.locRIB[r.Prefix] = r
-		}
-	}
-	for _, r := range s.exports {
-		consider(r)
-	}
-	for p, rs := range s.adjRIBIn {
-		if d, ok := s.damp[p]; ok && d.suppressed {
-			continue // damped: received paths are suppressed (exports never are)
-		}
-		for _, r := range rs {
-			consider(r)
-		}
-	}
-}
-
-// Best returns the selected route for a VPN prefix.
-func (s *Speaker) Best(p addr.VPNPrefix) (*VPNRoute, bool) {
-	r, ok := s.locRIB[p]
-	return r, ok
-}
-
-// BestRoutes returns all selected routes, sorted for determinism.
-func (s *Speaker) BestRoutes() []*VPNRoute {
-	out := make([]*VPNRoute, 0, len(s.locRIB))
-	for _, r := range s.locRIB {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Prefix.Less(out[j].Prefix)
-	})
-	return out
-}
-
-// RIBSize returns the number of retained routes (adj-RIB-in entries).
-func (s *Speaker) RIBSize() int {
-	n := 0
-	for _, rs := range s.adjRIBIn {
-		n += len(rs)
-	}
-	return n
 }
 
 // Topology selects the iBGP session layout.
@@ -260,7 +186,7 @@ func NewMesh() *Mesh {
 
 // AddSpeaker registers a PE (or RR) with its loopback.
 func (m *Mesh) AddSpeaker(n topo.NodeID, loopback addr.IPv4) *Speaker {
-	s := newSpeaker(n, loopback)
+	s := &Speaker{Node: n, Loopback: loopback}
 	m.speakers[n] = s
 	return s
 }
@@ -321,8 +247,7 @@ func (m *Mesh) Converge() {
 		if m.StateOf(s.Node) == PeerUp {
 			s.clearAdjRIBKeepStale()
 		} else {
-			s.adjRIBIn = make(map[addr.VPNPrefix][]*VPNRoute)
-			s.locRIB = make(map[addr.VPNPrefix]*VPNRoute)
+			s.rib = rib{}
 			s.stale = nil
 		}
 		s.Received = 0
@@ -366,12 +291,9 @@ func (m *Mesh) Converge() {
 				m.UpdatesSent++
 			}
 		}
+		rr.seal()
 		// RR reflects everything (its own exports included) to clients.
-		var all []*VPNRoute
-		all = append(all, rr.exports...)
-		for _, p := range rr.sortedPrefixes() {
-			all = append(all, rr.adjRIBIn[p]...)
-		}
+		all := rr.announced()
 		for _, to := range ids {
 			if to == m.rr || m.StateOf(to) != PeerUp {
 				continue
@@ -389,21 +311,26 @@ func (m *Mesh) Converge() {
 	}
 	now := m.now()
 	for _, id := range ids {
+		s := m.speakers[id]
+		s.seal()
 		if m.StateOf(id) == PeerUp {
-			m.speakers[id].updateDamping(m, now)
+			s.updateDamping(m, now)
 		}
-	}
-	for _, s := range m.speakers {
 		s.selectBest()
 	}
 }
 
-// sortedPrefixes lists adj-RIB-in prefixes in deterministic order.
-func (s *Speaker) sortedPrefixes() []addr.VPNPrefix {
-	out := make([]addr.VPNPrefix, 0, len(s.adjRIBIn))
-	for p := range s.adjRIBIn {
-		out = append(out, p)
+// announced lists what a reflector re-advertises, in deterministic order:
+// its exports, then its adj-RIB-in by prefix. Stale-retained routes are kept
+// for forwarding, not re-announced: refreshing them downstream would erase
+// the peers' own graceful-restart marks.
+func (s *Speaker) announced() []*VPNRoute {
+	out := make([]*VPNRoute, 0, len(s.exports)+s.rib.sealed)
+	out = append(out, s.exports...)
+	for _, r := range s.rib.paths[:s.rib.sealed] {
+		if !s.isStale(r.Prefix, r.OriginPE) {
+			out = append(out, r)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }

@@ -19,6 +19,7 @@ func TestElementMinimumsAreLowerBounds(t *testing.T) {
 		save func(c *snapshot.Codec)
 	}{
 		{"route", routeMin, func(c *snapshot.Codec) { routeState(c, new(VPNRoute)) }},
+		{"route reference", refMin, func(c *snapshot.Codec) { new(routeTable).ref(c, new(*VPNRoute)) }},
 		{"damping state", dampMin, func(c *snapshot.Codec) { dampStateState(c, new(dampState)) }},
 	} {
 		var w snapshot.Writer

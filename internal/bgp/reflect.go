@@ -118,16 +118,17 @@ func (m *Mesh) SetRTInterest(n topo.NodeID, rts []addr.RouteTarget) {
 	m.rtInterest[n] = dedup
 }
 
-// stamp returns the reflected copy of r for origin cluster cid: the
-// original attributes plus ORIGINATOR_ID and a fresh CLUSTER_LIST.
-// Already-stamped routes (graceful-restart leftovers) pass through.
-func stamp(r *VPNRoute, cid uint32) *VPNRoute {
+// stamp returns the reflected copy of r for its origin cluster: the
+// original attributes plus ORIGINATOR_ID and the cluster's CLUSTER_LIST,
+// which every copy of one round shares (nothing ever appends to it).
+// Already-stamped routes pass through.
+func stamp(r *VPNRoute, list []uint32) *VPNRoute {
 	if len(r.ClusterList) > 0 {
 		return r
 	}
 	c := *r
 	c.OriginatorID = r.OriginPE
-	c.ClusterList = []uint32{cid}
+	c.ClusterList = list
 	return &c
 }
 
@@ -186,48 +187,51 @@ func (m *Mesh) rrInterest(c Cluster, rrn topo.NodeID) []addr.RouteTarget {
 // distribution. Routes with no RT land in the catch-all bucket and are
 // sent to every receiver (they cannot be matched, only flooded).
 type rtIndex struct {
-	byRT     map[addr.RouteTarget][]*VPNRoute
-	untagged []*VPNRoute
 	all      []*VPNRoute
+	byRT     map[addr.RouteTarget][]int32 // positions in all
+	untagged []*VPNRoute
+
+	// selectFor's scratch: the result it hands out, and per position in all
+	// the epoch of the call that last emitted it.
+	out   []*VPNRoute
+	mark  []uint32
+	epoch uint32
 }
 
 func buildRTIndex(routes []*VPNRoute) *rtIndex {
-	ix := &rtIndex{byRT: make(map[addr.RouteTarget][]*VPNRoute)}
-	ix.all = routes
-	for _, r := range routes {
+	ix := &rtIndex{all: routes, byRT: make(map[addr.RouteTarget][]int32), mark: make([]uint32, len(routes))}
+	for i, r := range routes {
 		if len(r.RTs) == 0 {
 			ix.untagged = append(ix.untagged, r)
 			continue
 		}
 		for _, rt := range r.RTs {
-			ix.byRT[rt] = append(ix.byRT[rt], r)
+			ix.byRT[rt] = append(ix.byRT[rt], int32(i))
 		}
 	}
 	return ix
 }
 
 // selectFor returns the routes a receiver with the given interest should
-// be offered, in deterministic order. nil interest means everything.
+// be offered, each once: interest order, then index order, untagged last —
+// the order same-prefix ties are broken by downstream. nil interest means
+// everything. The result is valid until the next call.
 func (ix *rtIndex) selectFor(interest []addr.RouteTarget) []*VPNRoute {
 	if interest == nil {
 		return ix.all
 	}
-	var out []*VPNRoute
-	seen := make(map[*VPNRoute]bool)
+	ix.epoch++
+	out := ix.out[:0]
 	for _, rt := range interest {
-		for _, r := range ix.byRT[rt] {
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
+		for _, i := range ix.byRT[rt] {
+			if ix.mark[i] != ix.epoch {
+				ix.mark[i] = ix.epoch
+				out = append(out, ix.all[i])
 			}
 		}
 	}
-	for _, r := range ix.untagged {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
+	out = append(out, ix.untagged...)
+	ix.out = out
 	return out
 }
 
@@ -235,49 +239,46 @@ func (ix *rtIndex) selectFor(interest []addr.RouteTarget) []*VPNRoute {
 // phases that mirror steady-state reflection.
 //
 //  1. Every Up client sends its exports to every Up reflector of its
-//     cluster; the reflector then replaces those adj-RIB-in entries with
-//     their stamped copies (reflection happens once, at the origin).
+//     cluster. Reflection happens once, at the origin: the route is stamped
+//     on the way in and the cluster's reflectors hold that one copy.
 //  2. Reflectors exchange over their full mesh: own exports plus stamped
 //     client routes, RT-filtered per receiver. A receiving reflector
 //     drops routes already carrying its cluster (redundant-RR loop) or
 //     originated by itself.
 //  3. Each reflector reflects everything it holds to its own Up clients,
 //     RT-filtered; a client drops routes it originated.
+//
+// A speaker is sealed before its RIB is next read: a reflector after each
+// phase that fed it, a cluster's clients once its reflectors have sent.
 func (m *Mesh) convergeClustered() {
 	up := func(n topo.NodeID) bool { return m.StateOf(n) == PeerUp }
 
-	// Phase 1: clients -> own-cluster reflectors, then stamp in place.
+	// Phase 1: clients -> own-cluster reflectors, stamped.
 	for ci := range m.clusters {
 		c := &m.clusters[ci]
+		var rrs []*Speaker
+		for _, rrn := range c.RRs {
+			if up(rrn) {
+				rrs = append(rrs, m.speakers[rrn])
+			}
+		}
+		list := []uint32{c.ID}
 		for _, cl := range c.Clients {
-			if !up(cl) {
+			if !up(cl) || len(rrs) == 0 {
 				continue
 			}
-			sc := m.speakers[cl]
-			for _, rrn := range c.RRs {
-				if !up(rrn) {
-					continue
+			for _, r := range m.speakers[cl].exports {
+				if oc, isClient := m.clientClusterIdx[r.OriginPE]; isClient && oc == ci {
+					r = stamp(r, list)
 				}
-				rr := m.speakers[rrn]
-				for _, r := range sc.exports {
+				for _, rr := range rrs {
 					rr.receive(r, true)
 					m.UpdatesSent++
 				}
 			}
 		}
-		for _, rrn := range c.RRs {
-			if !up(rrn) {
-				continue
-			}
-			rr := m.speakers[rrn]
-			for _, p := range rr.sortedPrefixes() {
-				rs := rr.adjRIBIn[p]
-				for i, r := range rs {
-					if oc, isClient := m.clientClusterIdx[r.OriginPE]; isClient && oc == ci {
-						rs[i] = stamp(r, c.ID)
-					}
-				}
-			}
+		for _, rr := range rrs {
+			rr.seal()
 		}
 	}
 
@@ -300,15 +301,15 @@ func (m *Mesh) convergeClustered() {
 		}
 		sf := m.speakers[from]
 		cid := m.clusters[m.rrClusterIdx[from]].ID
+		// What this phase has already delivered to sf sits in its tail, out
+		// of reach: none of it is sf's to pass on.
 		sendable := append([]*VPNRoute(nil), sf.exports...)
-		for _, p := range sf.sortedPrefixes() {
-			for _, r := range sf.adjRIBIn[p] {
-				// Stale-retained routes are kept for forwarding, not
-				// re-announced: refreshing them downstream would erase the
-				// peers' own graceful-restart marks.
-				if len(r.ClusterList) > 0 && r.ClusterList[0] == cid && !sf.isStale(p, r.OriginPE) {
-					sendable = append(sendable, r)
-				}
+		for _, r := range sf.rib.paths[:sf.rib.sealed] {
+			// Stale-retained routes are kept for forwarding, not
+			// re-announced: refreshing them downstream would erase the
+			// peers' own graceful-restart marks.
+			if len(r.ClusterList) > 0 && r.ClusterList[0] == cid && !sf.isStale(r.Prefix, r.OriginPE) {
+				sendable = append(sendable, r)
 			}
 		}
 		ix := buildRTIndex(sendable)
@@ -341,15 +342,8 @@ func (m *Mesh) convergeClustered() {
 				continue
 			}
 			rr := m.speakers[rrn]
-			reflect := append([]*VPNRoute(nil), rr.exports...)
-			for _, p := range rr.sortedPrefixes() {
-				for _, r := range rr.adjRIBIn[p] {
-					if !rr.isStale(p, r.OriginPE) {
-						reflect = append(reflect, r)
-					}
-				}
-			}
-			ix := buildRTIndex(reflect)
+			rr.seal()
+			ix := buildRTIndex(rr.announced())
 			for _, cl := range c.Clients {
 				if !up(cl) {
 					continue
@@ -371,6 +365,11 @@ func (m *Mesh) convergeClustered() {
 					}
 					sc.receive(r, false)
 				}
+			}
+		}
+		for _, cl := range c.Clients {
+			if up(cl) {
+				m.speakers[cl].seal()
 			}
 		}
 	}

@@ -108,10 +108,8 @@ func (m *Mesh) SetDamping(cfg DampingConfig) {
 		if s.prevHad != nil {
 			continue
 		}
-		s.prevHad = make(map[addr.VPNPrefix]bool, len(s.adjRIBIn))
-		for p := range s.adjRIBIn {
-			s.prevHad[p] = true
-		}
+		s.prevHad = make(map[addr.VPNPrefix]bool)
+		s.rib.eachPrefix(func(p addr.VPNPrefix) { s.prevHad[p] = true })
 	}
 }
 
@@ -205,8 +203,7 @@ func (m *Mesh) SessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 	m.setState(n, st)
 	m.SessionFlaps++
 	if own, ok := m.speakers[n]; ok {
-		own.adjRIBIn = make(map[addr.VPNPrefix][]*VPNRoute)
-		own.locRIB = make(map[addr.VPNPrefix]*VPNRoute)
+		own.rib = rib{}
 		own.stale = nil
 		own.damp = nil
 		own.prevHad = nil
@@ -220,40 +217,29 @@ func (m *Mesh) SessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 		s := m.speakers[id]
 		match := m.lostOrigins(s, n)
 		im := PeerImpact{Peer: id}
-		changed := false
-		for p, rs := range s.adjRIBIn {
-			if graceful {
-				for _, r := range rs {
-					if !match(r) {
-						continue
-					}
-					if !s.isStale(p, r.OriginPE) {
-						m.StaleRetained++
-					}
-					s.markStale(p, r.OriginPE)
-					im.Stale++
-				}
-				continue
-			}
-			kept := rs[:0]
-			for _, r := range rs {
-				if match(r) {
-					s.clearStale(p, r.OriginPE)
-					im.Withdrawn++
-					m.WithdrawalsSent++
-					changed = true
+		if graceful {
+			for _, r := range s.rib.paths {
+				if !match(r) {
 					continue
 				}
-				kept = append(kept, r)
+				if !s.isStale(r.Prefix, r.OriginPE) {
+					m.StaleRetained++
+				}
+				s.markStale(r.Prefix, r.OriginPE)
+				im.Stale++
 			}
-			if len(kept) == 0 {
-				delete(s.adjRIBIn, p)
-				s.noteWithdrawn(p)
-			} else {
-				s.adjRIBIn[p] = kept
-			}
+		} else {
+			s.rib.retain(func(r *VPNRoute) bool {
+				if !match(r) {
+					return true
+				}
+				s.clearStale(r.Prefix, r.OriginPE)
+				im.Withdrawn++
+				m.WithdrawalsSent++
+				return false
+			}, s.noteWithdrawn)
 		}
-		if changed {
+		if im.Withdrawn > 0 {
 			s.selectBest()
 		}
 		if im.Stale > 0 || im.Withdrawn > 0 {
@@ -279,16 +265,7 @@ func (m *Mesh) StaleFrom(n topo.NodeID) []PeerImpact {
 			continue
 		}
 		s := m.speakers[id]
-		match := m.lostOrigins(s, n)
-		count := 0
-		for p, origins := range s.stale {
-			for _, r := range s.adjRIBIn[p] {
-				if origins[r.OriginPE] && match(r) {
-					count++
-				}
-			}
-		}
-		if count > 0 {
+		if count := s.countStale(m.lostOrigins(s, n)); count > 0 {
 			out = append(out, PeerImpact{Peer: id, Stale: count})
 		}
 	}
@@ -299,13 +276,7 @@ func (m *Mesh) StaleFrom(n topo.NodeID) []PeerImpact {
 func (m *Mesh) StaleCount() int {
 	n := 0
 	for _, s := range m.speakers {
-		for p, origins := range s.stale {
-			for _, r := range s.adjRIBIn[p] {
-				if origins[r.OriginPE] {
-					n++
-				}
-			}
-		}
+		n += s.StaleRoutes()
 	}
 	return n
 }
@@ -325,23 +296,15 @@ func (m *Mesh) SweepStale(n topo.NodeID) (int, []PeerImpact) {
 		s := m.speakers[id]
 		match := m.lostOrigins(s, n)
 		im := PeerImpact{Peer: id}
-		for p, origins := range s.stale {
-			rs := s.adjRIBIn[p]
-			kept := rs[:0]
-			for _, r := range rs {
-				if origins[r.OriginPE] && match(r) {
-					s.clearStale(p, r.OriginPE)
-					im.Withdrawn++
-					continue
+		if len(s.stale) > 0 {
+			s.rib.retain(func(r *VPNRoute) bool {
+				if !s.isStale(r.Prefix, r.OriginPE) || !match(r) {
+					return true
 				}
-				kept = append(kept, r)
-			}
-			if len(kept) == 0 {
-				delete(s.adjRIBIn, p)
-				s.noteWithdrawn(p)
-			} else {
-				s.adjRIBIn[p] = kept
-			}
+				s.clearStale(r.Prefix, r.OriginPE)
+				im.Withdrawn++
+				return false
+			}, s.noteWithdrawn)
 		}
 		if im.Withdrawn > 0 {
 			s.selectBest()
@@ -386,10 +349,15 @@ func (s *Speaker) clearStale(p addr.VPNPrefix, origin topo.NodeID) {
 
 // StaleRoutes returns the number of stale-retained routes at this speaker.
 func (s *Speaker) StaleRoutes() int {
+	return s.countStale(func(*VPNRoute) bool { return true })
+}
+
+// countStale counts the stale-retained routes that match selects.
+func (s *Speaker) countStale(match func(*VPNRoute) bool) int {
 	n := 0
 	for p, origins := range s.stale {
-		for _, r := range s.adjRIBIn[p] {
-			if origins[r.OriginPE] {
+		for _, r := range s.rib.forPrefix(p) {
+			if origins[r.OriginPE] && match(r) {
 				n++
 			}
 		}
@@ -401,19 +369,7 @@ func (s *Speaker) StaleRoutes() int {
 // while preserving stale-retained routes, which refresh in place when the
 // restarted origin re-announces them.
 func (s *Speaker) clearAdjRIBKeepStale() {
-	if len(s.stale) == 0 {
-		s.adjRIBIn = make(map[addr.VPNPrefix][]*VPNRoute)
-		return
-	}
-	fresh := make(map[addr.VPNPrefix][]*VPNRoute, len(s.stale))
-	for p, origins := range s.stale {
-		for _, r := range s.adjRIBIn[p] {
-			if origins[r.OriginPE] {
-				fresh[p] = append(fresh[p], r)
-			}
-		}
-	}
-	s.adjRIBIn = fresh
+	s.rib.retain(func(r *VPNRoute) bool { return s.isStale(r.Prefix, r.OriginPE) }, nil)
 }
 
 // damping: the receiver-side flap ledger. A flap is a prefix that left
@@ -453,10 +409,8 @@ func (s *Speaker) updateDamping(m *Mesh, now sim.Time) {
 	if !m.damping.Enabled() {
 		return
 	}
-	nowHas := make(map[addr.VPNPrefix]bool, len(s.adjRIBIn))
-	for p := range s.adjRIBIn {
-		nowHas[p] = true
-	}
+	nowHas := make(map[addr.VPNPrefix]bool, len(s.prevHad))
+	s.rib.eachPrefix(func(p addr.VPNPrefix) { nowHas[p] = true })
 	for p := range s.prevHad {
 		if !nowHas[p] {
 			if s.flapPending == nil {

@@ -5,6 +5,7 @@ import (
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/sim"
+	"mplsvpn/internal/topo"
 )
 
 func vp(rd addr.RouteDistinguisher, prefix string) addr.VPNPrefix {
@@ -284,5 +285,42 @@ func TestDampingMaxPenaltyCaps(t *testing.T) {
 	now = 2 * sim.Second
 	if got := m.DecayDamping(now); len(got) != 1 {
 		t.Fatalf("reused = %v, want the capped prefix back", got)
+	}
+}
+
+// TestSingleReflectorDoesNotRefreshStale: a reflector keeps a restarting
+// client's routes for forwarding but must not re-announce them — the
+// reflected copies would refresh the other clients' stale routes in place,
+// clear their marks, and leave a dead route as a best path that no sweep
+// finds. The single-reflector arm of Converge used to do exactly that; the
+// same four speakers as one cluster never did, and the two must agree.
+func TestSingleReflectorDoesNotRefreshStale(t *testing.T) {
+	p := vp(rdA, "10.1.0.0/16")
+	for _, layout := range []string{"route reflector", "one cluster"} {
+		m := NewMesh()
+		for n := topo.NodeID(0); n < 4; n++ {
+			m.AddSpeaker(n, addr.IPv4(0x0aff0000+uint32(n)))
+		}
+		if layout == "one cluster" {
+			m.UseClusters([]Cluster{{ID: 1, RRs: []topo.NodeID{0}, Clients: []topo.NodeID{1, 2, 3}}})
+		} else {
+			m.UseRouteReflector(0)
+		}
+		s1, _ := m.Speaker(1)
+		s3, _ := m.Speaker(3)
+		s1.Originate(route(rdA, "10.1.0.0/16", 1, 100, 1, rtA))
+		m.Converge()
+
+		m.SessionDown(1, true)
+		before := m.StaleCount()
+		m.Converge()
+		after := m.StaleCount()
+		swept, _ := m.SweepStale(1)
+		if before != 3 || after != 3 || swept != 3 {
+			t.Errorf("%s: stale routes %d, %d after a Converge, %d swept; want 3, 3, 3", layout, before, after, swept)
+		}
+		if r, ok := s3.Best(p); ok {
+			t.Errorf("%s: client 3 still selects %v after the sweep", layout, r)
+		}
 	}
 }

@@ -87,11 +87,9 @@ func TestClusteredSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesUnchanged pins the "bgp" section's wire format on a
-// three-cluster mesh: length and CRC-32C recorded at the last commit that
-// wrote every field twice. See the chaos package's test of the same name for
-// the whole-container pins.
-func TestCheckpointBytesUnchanged(t *testing.T) {
+// threeClusterMesh is the pinned mesh: three clusters of two reflectors and
+// two clients, every client exporting one route with two route targets.
+func threeClusterMesh() *Mesh {
 	m := NewMesh()
 	var clusters []Cluster
 	for c := topo.NodeID(0); c < 3; c++ {
@@ -116,12 +114,61 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 			})
 		}
 	}
+	return m
+}
+
+// TestCheckpointBytesUnchanged pins the "bgp" section's wire format on a
+// three-cluster mesh: length and CRC-32C recorded at the commit that moved
+// the section to a route table plus indices (snapshot.Version 3). See the
+// chaos package's test of the same name for the whole-container pins.
+func TestCheckpointBytesUnchanged(t *testing.T) {
+	m := threeClusterMesh()
 	m.Converge()
 	var w snapshot.Writer
 	m.SaveState(&w)
-	const wantLen, wantCRC = 3150, 0xb5e27b7b
+	const wantLen, wantCRC = 583, 0xe7bb858a
 	if got := crc32.Checksum(w.Data(), crc32.MakeTable(crc32.Castagnoli)); w.Len() != wantLen || got != wantCRC {
 		t.Errorf("3-cluster mesh: %d bytes, CRC-32C %#08x; the recorded format is %d bytes, %#08x", w.Len(), got, wantLen, wantCRC)
+	}
+}
+
+// distinctRoutes counts the VPNRoute objects reachable from a mesh.
+func distinctRoutes(m *Mesh) int {
+	seen := map[*VPNRoute]bool{}
+	for _, s := range m.speakers {
+		for _, rs := range [][]*VPNRoute{s.exports, s.rib.paths, s.rib.best} {
+			for _, r := range rs {
+				seen[r] = true
+			}
+		}
+	}
+	return len(seen)
+}
+
+// TestLoadStatePreservesSharing: receivers share one route object per
+// announcement, and a restored mesh must too. The section used to write
+// every adj-RIB-in entry by value and a load gave each its own copy, so a
+// restored mesh was several times heavier than the one it was saved from.
+func TestLoadStatePreservesSharing(t *testing.T) {
+	m := threeClusterMesh()
+	m.Converge()
+	// Six originals and one stamped copy of each, whoever holds them.
+	if got := distinctRoutes(m); got != 12 {
+		t.Fatalf("converged mesh holds %d distinct routes, want 12", got)
+	}
+	var w snapshot.Writer
+	m.SaveState(&w)
+	m2 := threeClusterMesh()
+	if err := m2.LoadState(snapshot.NewReader(w.Data())); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := distinctRoutes(m2), distinctRoutes(m); got != want {
+		t.Errorf("restored mesh holds %d distinct routes, the saved one %d", got, want)
+	}
+	var w2 snapshot.Writer
+	m2.SaveState(&w2)
+	if !bytes.Equal(w.Data(), w2.Data()) {
+		t.Errorf("save(load(s)) != s (%d vs %d bytes)", w2.Len(), w.Len())
 	}
 }
 

@@ -2,11 +2,13 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"hash/crc32"
 	"os"
 	"testing"
 
 	"mplsvpn/internal/sim"
+	"mplsvpn/internal/snapshot"
 )
 
 // castagnoli is the container's own checksum polynomial. A sealed container
@@ -16,11 +18,11 @@ import (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // TestCheckpointBytesUnchanged pins the checkpoint wire format. The lengths
-// and CRC-32Cs were recorded at the last commit that wrote every field
-// twice (once in a Save*, once in a Load*); the state walk that replaced
-// those pairs must reproduce them bit for bit, which is what lets
-// snapshot.Version stay 2. A deliberate format change re-records them and
-// bumps Version in the same commit.
+// and CRC-32Cs were recorded at the commit that made snapshot.Version 3 (the
+// "bgp" section became a route table plus indices); a change that is not
+// meant to move the format must reproduce them bit for bit. A deliberate
+// format change re-records them and the testdata file and bumps Version in
+// the same commit.
 func TestCheckpointBytesUnchanged(t *testing.T) {
 	backbone := func(rig *snapRig, at sim.Time, fp string) []byte {
 		rig.b.E.MarkSetup()
@@ -37,9 +39,9 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		n    int
 		crc  uint32
 	}{
-		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 54019, 0xcd4abe6d},
-		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 54101, 0xace169d4},
-		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 78113, 0x6887955b},
+		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 53888, 0xa99fa8a9},
+		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 53970, 0x133715ba},
+		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 77793, 0x79adc3ba},
 		{"inter-AS rig (options A, B, C), serial", func() []byte {
 			rig := buildInterASRig(t, 0, 0)
 			rig.x.E.MarkSetup()
@@ -49,7 +51,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			return data
-		}, 134905, 0x7745bc23},
+		}, 134846, 0x7d94ae5c},
 	}
 	for _, tc := range cases {
 		data := tc.data()
@@ -61,7 +63,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 
 	// A checkpoint file written by that same commit restores, re-encodes to
 	// the same bytes, and finishes the run like the uninterrupted one.
-	old, err := os.ReadFile("testdata/snap-serial-v2.mvsnap")
+	old, err := os.ReadFile("testdata/snap-serial-v3.mvsnap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,5 +81,15 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 	rig.b.Net.RunUntil(snapHorizon + sim.Second)
 	if got, want := rig.fingerprint(), runUninterrupted(t, 0, 0); got != want {
 		t.Errorf("run resumed from the recorded checkpoint diverged; first difference:\n%s", firstDiff(want, got))
+	}
+
+	// The file the previous format's last commit wrote is refused by version:
+	// its "bgp" section would otherwise be read as the wrong layout.
+	retired, err := os.ReadFile("testdata/snap-serial-v2.mvsnap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := buildSnapRig(t, 0, 0).b.Restore(retired, "snap-equiv"); !errors.Is(err, snapshot.ErrVersion) {
+		t.Errorf("restore of the version-2 checkpoint: err = %v, want ErrVersion", err)
 	}
 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"runtime/debug"
 	"runtime/metrics"
+	"sort"
 	"testing"
 
+	"mplsvpn/internal/addr"
 	"mplsvpn/internal/snapshot"
+	"mplsvpn/internal/topo"
 )
 
 // TestRestoreRejectsCorrupt feeds a real mid-run checkpoint through a
@@ -77,12 +80,15 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 	}), fp))
 
 	// A version-1 file (ports saved busy, not busyUntil; evTxDone records)
-	// is refused by version, before any section is read as the wrong layout.
-	if err := restore(resect(func(f *snapshot.File) *snapshot.File {
-		f.Version = 1
-		return f
-	}), fp); !errors.Is(err, snapshot.ErrVersion) {
-		t.Errorf("version 1: err = %v, want ErrVersion", err)
+	// or version-2 file ("bgp" routes by value under a per-prefix map) is
+	// refused by version, before any section is read as the wrong layout.
+	for v := uint64(1); v < snapshot.MinVersion; v++ {
+		if err := restore(resect(func(f *snapshot.File) *snapshot.File {
+			f.Version = v
+			return f
+		}), fp); !errors.Is(err, snapshot.ErrVersion) {
+			t.Errorf("version %d: err = %v, want ErrVersion", v, err)
+		}
 	}
 
 	// Scenario skew: right bytes, wrong world.
@@ -109,6 +115,10 @@ type restoreTarget struct {
 	name     string
 	sections []string
 	section  func(name string) []byte
+	// corrupt names the sections that are hand-made to be refused as they
+	// stand, each with ErrCorrupt: the sweep and the fuzzer then damage them
+	// further like any other.
+	corrupt []string
 	// restore applies the checkpoint with one section's payload replaced.
 	restore func(t testing.TB, section string, payload []byte) error
 }
@@ -163,19 +173,75 @@ func restoreTargets(t testing.TB) []restoreTarget {
 	refl.b.Net.RunUntil(reflSnapT)
 	var mesh snapshot.Writer
 	refl.b.BGP.SaveState(&mesh)
+	meshes, badMeshes := corruptMeshSections(refl.b.BGP.Clusters()[0].Clients[0])
+	meshes["mesh"] = mesh.Data()
 
 	return []restoreTarget{
 		container(t, "Backbone.Restore", data, func(t testing.TB, d []byte) error { return buildSnapRig(t, 0, 0).b.Restore(d, "fp") }),
 		container(t, "InterAS.Restore", xdata, func(t testing.TB, d []byte) error { return buildInterASRig(t, 0, 0).x.Restore(d, "fp") }),
 		{
 			name:     "Mesh.LoadState",
-			sections: []string{"mesh"},
-			section:  func(string) []byte { return mesh.Data() },
+			sections: append([]string{"mesh"}, badMeshes...),
+			section:  func(sec string) []byte { return meshes[sec] },
+			corrupt:  badMeshes,
 			restore: func(t testing.TB, _ string, payload []byte) error {
 				return buildReflRig(t, 0, 0).b.BGP.LoadState(snapshot.NewReader(payload))
 			},
 		},
 	}
+}
+
+// corruptMeshSections hand-writes three "bgp" sections for a mesh that has
+// speaker n, each well-formed but for one defect no saver produces: a route
+// index past the table, an adj-RIB-in out of prefix order, and one that
+// holds a (prefix, origin) twice. The layout written here is the version-3
+// one bgp.Mesh.State walks.
+func corruptMeshSections(n topo.NodeID) (sections map[string][]byte, names []string) {
+	section := func(origins []topo.NodeID, thirds []uint32, paths ...uint64) []byte {
+		var w snapshot.Writer
+		c := snapshot.Saver(&w)
+		for i := 0; i < 8; i++ {
+			w.I64(0) // mesh counters
+		}
+		w.U64(0) // session states
+		w.U64(0) // newly suppressed prefixes
+		w.U64(uint64(len(origins)))
+		for i, origin := range origins {
+			p := addr.VPNPrefix{Prefix: addr.NewPrefix(addr.IPv4(0x0a000000+thirds[i]<<8), 24)}
+			addr.VPNPrefixState(c, &p)
+			w.U64(1)  // next hop
+			w.U64(16) // label
+			w.U64(0)  // route targets
+			w.I64(100)
+			w.I64(0)
+			w.I64(int64(origin))
+			w.I64(0) // originator
+			w.U64(0) // cluster list
+		}
+		w.U64(1) // speakers
+		w.I64(int64(n))
+		w.I64(0) // received
+		w.I64(0) // retained
+		w.U64(0) // exports
+		w.U64(uint64(len(paths)))
+		for _, k := range paths {
+			w.U64(k)
+		}
+		for i := 0; i < 4; i++ {
+			w.U64(0) // stale marks, damping, previous round's prefixes, pending flaps
+		}
+		return w.Data()
+	}
+	sections = map[string][]byte{
+		"mesh: route index past the table": section([]topo.NodeID{1, 2}, []uint32{1, 2}, 0, 2),
+		"mesh: paths out of prefix order":  section([]topo.NodeID{1, 2}, []uint32{2, 1}, 0, 1),
+		"mesh: repeated (prefix, origin)":  section([]topo.NodeID{1, 1}, []uint32{1, 1}, 0, 1),
+	}
+	for name := range sections {
+		names = append(names, name)
+	}
+	sort.Strings(names) // the fuzzer's corpus addresses sections by position
+	return sections, names
 }
 
 // allocatedBytes is the process's cumulative heap allocation.
@@ -220,6 +286,11 @@ func (tg restoreTarget) sweep(t *testing.T) {
 	// allocation the input does not justify lands far beyond it.
 	budget := 2*(allocatedBytes()-before) + 1<<20
 
+	for _, sec := range tg.corrupt {
+		if err := tg.restore(t, sec, tg.section(sec)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s, section %q: err = %v, want ErrCorrupt", tg.name, sec, err)
+		}
+	}
 	for _, sec := range tg.sections {
 		p := tg.section(sec)
 		step := 1

@@ -231,9 +231,13 @@ func (r *Reader) Count(minElemBytes int) int {
 //	   place of busy, in-flight events lose the size field, evTxDone is gone
 //	   and the event kinds are renumbered. The two layouts cannot be told
 //	   apart from the bytes, so version 1 is refused rather than mis-parsed.
+//	3  "bgp" section: a table of the distinct routes, written once by value,
+//	   then each speaker's exports and adj-RIB-in as indices into it (sorted
+//	   by prefix), in place of every entry by value under a per-prefix map.
+//	   Version 2 is refused for the same reason version 1 is.
 const (
-	Version    = 2
-	MinVersion = 2
+	Version    = 3
+	MinVersion = 3
 )
 
 var magic = []byte{'M', 'V', 'S', 'N'}
