@@ -6,6 +6,8 @@ import (
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/core"
+	"mplsvpn/internal/mpls"
+	"mplsvpn/internal/packet"
 	"mplsvpn/internal/rsvp"
 	"mplsvpn/internal/sim"
 	"mplsvpn/internal/telemetry"
@@ -121,6 +123,43 @@ func chaosBackboneBare(seed uint64, horizon sim.Time) (*core.Backbone, *telemetr
 		panic(err)
 	}
 	return b, tel
+}
+
+// TestCheckerFlagsLabelLoop wires the smallest forwarding loop there is —
+// the ingress PE and its next hop swapping one label back and forth — and
+// expects the loop-freedom pass to report it from Trace.Loop.
+func TestCheckerFlagsLabelLoop(t *testing.T) {
+	b, _ := chaosBackbone(3, sim.Second)
+	c := NewChecker(b)
+	if c.Check(); len(c.Violations) != 0 {
+		t.Fatalf("violations before the loop: %v", c.Violations)
+	}
+	dst, _ := b.SiteAddr("a2")
+	tr := b.TraceRoute("a1", dst, 0)
+	if !tr.Delivered || tr.Loop || len(tr.Hops) < 3 || tr.Hops[1].Stack.Depth() == 0 {
+		t.Fatalf("a1 -> a2 is not a labelled path:\n%s", tr)
+	}
+	pe, next := tr.Hops[1], tr.Hops[2]
+	out := pe.Stack.Top().Label // what the PE sends its next hop
+	const back = packet.MaxLabel
+	fwd, _ := b.G.FindLink(pe.Node, next.Node)
+	rev, _ := b.G.FindLink(next.Node, pe.Node)
+	b.Router(next.Name).LFIB.BindILM(out, mpls.NHLFE{Op: mpls.OpSwap, OutLabel: back, OutLink: rev.ID})
+	b.Router(pe.Name).LFIB.BindILM(back, mpls.NHLFE{Op: mpls.OpSwap, OutLabel: out, OutLink: fwd.ID})
+
+	if tr = b.TraceRoute("a1", dst, 0); !tr.Loop || tr.Delivered {
+		t.Fatalf("trace through the loop: Loop=%v Delivered=%v\n%s", tr.Loop, tr.Delivered, tr)
+	}
+	c.Check()
+	loops := 0
+	for _, v := range c.Violations {
+		if v.Kind == "loop" {
+			loops++
+		}
+	}
+	if loops == 0 {
+		t.Fatalf("checker missed the loop: %v", c.Violations)
+	}
 }
 
 // scriptedScenario is the acceptance scenario: >= 20 operations mixing

@@ -58,6 +58,10 @@ func runScriptedEquiv(t *testing.T, shards, workers int) string {
 	if len(inj.Checker.Violations) != 0 {
 		t.Fatalf("shards=%d invariant violations: %v", shards, inj.Checker.Violations)
 	}
+	// A clamp is an instant the serial engine would not have used.
+	if n := b.E.Clamped(); n != 0 {
+		t.Errorf("shards=%d: %d past timestamps clamped", shards, n)
+	}
 
 	var sb strings.Builder
 	sb.WriteString(b.StateDigest())

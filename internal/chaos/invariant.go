@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"mplsvpn/internal/core"
 	"mplsvpn/internal/sim"
@@ -73,7 +72,7 @@ func (c *Checker) Check() {
 				continue
 			}
 			tr := c.b.TraceRoute(from, dst, 0)
-			if strings.Contains(tr.Reason, "hop limit") {
+			if tr.Loop {
 				c.add(now, "loop", fmt.Sprintf("%s -> %s: %s", from, to, tr.Reason))
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -148,6 +149,61 @@ func TestRequestResponseUnderCongestion(t *testing.T) {
 	}
 	if p99 := rr.RTT.Percentile(99); p99 > 30 {
 		t.Fatalf("business rpc p99 RTT = %v ms under congestion", p99)
+	}
+}
+
+// TestRequestResponseSurvivesCheckpoint cuts a transactional exchange in
+// mid-flight — requests on the wire, their send times in the pending map,
+// the pacer's next request booked on the engine — and resumes it on a
+// rebuild: completions, outstanding transactions and every RTT sample must
+// match the uninterrupted run, serial and sharded.
+func TestRequestResponseSurvivesCheckpoint(t *testing.T) {
+	for _, shards := range []int{0, 8} {
+		build := func() (*Backbone, *trafgen.ReqResp) {
+			b := buildSmall(Config{Seed: 98, Scheduler: SchedHybrid})
+			twoSites(b)
+			if shards > 0 {
+				if _, err := b.EnableSharding(ShardingOptions{Shards: shards, Workers: 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rr, err := b.RequestResponse("rpc", "hq", "branch", 9000, 400)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.RegisterSource(rr)
+			rr.SendRequests(100, 5*sim.Millisecond, 0, sim.Second)
+			b.E.MarkSetup()
+			return b, rr
+		}
+		render := func(rr *trafgen.ReqResp) string {
+			return fmt.Sprintf("completed=%d outstanding=%d rtt n=%d mean=%v p50=%v p99=%v max=%v",
+				rr.Completed, rr.Outstanding(), rr.RTT.Count(), rr.RTT.Mean(),
+				rr.RTT.Percentile(50), rr.RTT.Percentile(99), rr.RTT.Max())
+		}
+		const fp = "reqresp-resume"
+		b1, rr1 := build()
+		b1.Net.RunUntil(503 * sim.Millisecond)
+		if rr1.Outstanding() < 2 || rr1.Completed == 0 {
+			t.Fatalf("shards=%d: cut is not mid-exchange: %s", shards, render(rr1))
+		}
+		data, err := b1.Snapshot(fp)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		b1.Net.RunUntil(1500 * sim.Millisecond)
+
+		b2, rr2 := build()
+		if err := b2.Restore(data, fp); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		b2.Net.RunUntil(1500 * sim.Millisecond)
+		if got, want := render(rr2), render(rr1); got != want || rr2.Outstanding() != 0 {
+			t.Errorf("shards=%d: resumed exchange diverged:\n got %s\nwant %s", shards, got, want)
+		}
+		if got, want := fingerprint(b2, []*trafgen.Flow{rr2.Req, rr2.Resp.Flow}), fingerprint(b1, []*trafgen.Flow{rr1.Req, rr1.Resp.Flow}); got != want {
+			t.Errorf("shards=%d: resumed run diverged at %s", shards, diffLine(want, got))
+		}
 	}
 }
 

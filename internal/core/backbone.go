@@ -214,10 +214,11 @@ type Backbone struct {
 	// res is the TE resilience plane (nil until EnableResilience).
 	res *resilience
 
-	// tagDomain is this backbone's index within a multi-AS simulation,
-	// folded into the high bits of every event tag's Kind so a shared-engine
-	// snapshot can re-arm each pending event on the right AS (0 standalone).
-	tagDomain uint16
+	// domain is this backbone's index within a multi-AS simulation, folded
+	// into the high bits of every control timer's encoded kind so a
+	// shared-engine snapshot can re-arm each one on the right AS (0
+	// standalone).
+	domain uint16
 	// onReconverged hooks run at the end of every reconvergeProvider pass.
 	// The inter-AS layer uses them to re-derive boundary label state: the
 	// full branch drops it with the tables, and on either branch the

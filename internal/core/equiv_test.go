@@ -67,6 +67,10 @@ func runEquiv(t *testing.T, sc equivScenario, shards, workers int) string {
 	if err := b.Net.CheckConservation(); err != nil {
 		t.Fatalf("%s shards=%d: %v", sc.name, shards, err)
 	}
+	// A clamp is an instant the serial engine would not have used.
+	if n := b.E.Clamped(); n != 0 {
+		t.Errorf("%s shards=%d: %d past timestamps clamped", sc.name, shards, n)
+	}
 	if sc.check != nil {
 		sc.check(t, b)
 	}

@@ -103,7 +103,7 @@ func (b *Backbone) scheduleReconverge(detect sim.Time) {
 		b.reconvergeProvider()
 		return
 	}
-	b.E.AfterTagged(detect, b.tag(tagReconverge, 0, 0), b.reconvergeProvider)
+	b.after(detect, timerReconverge, 0, 0)
 }
 
 // SetControlPlaneLoss configures the control-plane message loss model:
@@ -146,9 +146,7 @@ func (b *Backbone) FailLink(a, z string, detectDelay sim.Time) error {
 		// Protection is never slower than reconvergence: the bypass
 		// activates at min(detect, LocalRepairDelay), so even an
 		// aggressively fast detection still goes through local repair.
-		b.E.AfterTagged(min(detectDelay, LocalRepairDelay),
-			b.tag(tagLocalRepair, uint64(na), uint64(nz)),
-			func() { b.localRepair(na, nz) })
+		b.after(min(detectDelay, LocalRepairDelay), timerLocalRepair, uint64(na), uint64(nz))
 	}
 	b.scheduleReconverge(detectDelay)
 	return nil

@@ -63,10 +63,10 @@ func NewInterAS(seed uint64, names []string, cfgs []Config) *InterAS {
 	x.Net.OnDeliver = x.dispatch
 	for i, name := range names {
 		b := newBackboneOn(cfgs[i], x.E, x.G, x.Net)
-		// Distinct tag domains keep each AS's tagged pending events
+		// Distinct domains keep each AS's pending control timers
 		// attributable (and re-armable) after a checkpoint of the shared
 		// engine; domain 0 stays reserved for standalone backbones.
-		b.tagDomain = uint16(i + 1)
+		b.domain = uint16(i + 1)
 		// A wholesale label-plane rebuild inside any member AS invalidates
 		// every boundary binding derived from its tables; re-derive them
 		// (and complete any pending AS-level restore).

@@ -8,9 +8,9 @@
 // original multi-AS scenario builder (including AddPeering and the initial
 // ReconcilePeerings), then overlays the serialized dynamic state — the
 // rebuild's boundary installations are discarded wholesale in favour of the
-// checkpoint's records, exactly as router forwarding state is. Pending
-// tagged events carry their backbone's tag domain in the high bits of
-// Tag.Kind, which is what routes each re-arm to the right AS here.
+// checkpoint's records, exactly as router forwarding state is. A pending
+// control timer carries its backbone's domain in the high bits of its
+// encoded kind, which is what routes each re-arm to the right AS here.
 package core
 
 import (
@@ -60,13 +60,13 @@ func (x *InterAS) Restore(data []byte, scenario string) error {
 	if err := restoreSections(data, x.sections(scenario, pend)); err != nil {
 		return err
 	}
-	// Re-arm tagged control-plane timers, routed by tag domain.
-	for _, t := range pend.tagged {
-		domain := int(t.tag.Kind >> 4)
+	// Re-arm the control timers, routed by domain.
+	for _, t := range pend.timers {
+		domain := int(t.kind >> 4)
 		if domain < 1 || domain > len(x.order) {
-			return fmt.Errorf("%w: pending event with tag domain %d, %d ASes", snapshot.ErrCorrupt, domain, len(x.order))
+			return fmt.Errorf("%w: pending timer with domain %d, %d ASes", snapshot.ErrCorrupt, domain, len(x.order))
 		}
-		if err := x.ASes[x.order[domain-1]].rearmOwnTagged(t); err != nil {
+		if err := x.ASes[x.order[domain-1]].rearmTimer(t); err != nil {
 			return err
 		}
 	}

@@ -233,8 +233,7 @@ func (b *Backbone) scheduleRetry(req *teRequest) {
 	req.retryPending = true
 	b.journal(telemetry.EventTERetry, "lsp:"+req.name,
 		fmt.Sprintf("attempt %d in %v", req.attempts+1, delay))
-	b.E.AfterTagged(delay, b.tag(tagTERetry, uint64(req.id), 0),
-		func() { b.retrySignal(req) })
+	b.after(delay, timerTERetry, uint64(req.id), 0)
 }
 
 // retrySignal attempts one re-signal of req at its current (possibly

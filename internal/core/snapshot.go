@@ -22,11 +22,17 @@
 //	rebuild the same scenario; err := b.Restore(data, fp); run onward
 //
 // Dynamically provisioned sites are assumed to be part of the rebuild
-// (provisioning is setup). AIMD bulk sources checkpoint like paced ones:
-// their congestion state serializes and the single pending RTO probe
-// re-arms through the source registry. Request/response sources still
-// schedule untagged closures and make a snapshot fail strictly rather
-// than silently dropping their timers.
+// (provisioning is setup). Every traffic source checkpoints the same way:
+// it is a self-reposting sim.Action whose state serializes (AIMD's
+// congestion window and ack ledger, a request/response exchange's
+// outstanding transactions and RTT samples) and whose one pending event —
+// the RTO probe, the next request — re-arms through the source registry.
+// The control plane's own dynamic timers are ctlTimer actions. What is left
+// are the closures scheduled mid-run with After: the intent reconciler's
+// scan/commit/confirm steps, netconf's confirmed-commit timeout and the
+// RSVP soft-state refresh tick. One of those pending at the cut makes a
+// snapshot fail strictly ("untagged closure") rather than silently drop
+// the timer.
 package core
 
 import (
@@ -44,30 +50,58 @@ import (
 	"mplsvpn/internal/trafgen"
 )
 
-// Tag kinds for the dynamically scheduled control-plane closures. A pending
-// tagged event serializes as (kind, A, B) and the restore re-arms it by
-// rebuilding the closure from the tag.
+// Control-timer kinds, as the "pending" section encodes them.
 const (
-	// tagReconverge is a pending provider reconvergence (no operands).
-	tagReconverge uint16 = iota + 1
-	// tagLocalRepair is a pending FRR activation; A and B are the failed
+	// timerReconverge is a pending provider reconvergence (no operands).
+	timerReconverge uint16 = iota + 1
+	// timerLocalRepair is a pending FRR activation; a and z are the failed
 	// link's endpoint node IDs.
-	tagLocalRepair
-	// tagTERetry is a pending TE re-signal; A is the intent's stable id.
-	tagTERetry
-	// tagDrain is a pending make-before-break drain; A is the drain id.
-	tagDrain
+	timerLocalRepair
+	// timerTERetry is a pending TE re-signal; a is the intent's stable id.
+	timerTERetry
+	// timerDrain is a pending make-before-break drain; a is the drain id.
+	timerDrain
 )
 
-// tagKindMask extracts the event kind from a Tag.Kind whose high bits carry
-// the backbone's tag domain (its AS index in a multi-provider simulation).
-const tagKindMask uint16 = 0x000F
+// timerKindMask extracts the kind from an encoded timer whose high bits
+// carry the backbone's domain (its AS index in a multi-provider simulation,
+// 0 standalone), which is what routes a re-arm to the right AS.
+const timerKindMask uint16 = 0x000F
 
-// tag builds a control-plane event tag stamped with this backbone's domain,
-// so a shared-engine (inter-AS) snapshot can re-arm the event on the right
-// AS. Standalone backbones have domain 0 and the Kind is the bare constant.
-func (b *Backbone) tag(kind uint16, a, z uint64) sim.Tag {
-	return sim.Tag{Kind: kind | b.tagDomain<<4, A: a, B: z}
+// ctlTimer is a dynamically scheduled control-plane timer: a sim.Action
+// whose whole state is the backbone it fires on, a kind and two operands,
+// so a checkpoint can write a pending one down and a restore re-arm it. Run
+// is the only place each continuation is written.
+type ctlTimer struct {
+	b    *Backbone
+	kind uint16
+	a, z uint64
+}
+
+// after arms a control timer d from now.
+func (b *Backbone) after(d sim.Time, kind uint16, a, z uint64) {
+	b.E.PostAfter(d, &ctlTimer{b, kind, a, z})
+}
+
+func (t *ctlTimer) Run() {
+	b := t.b
+	switch t.kind {
+	case timerReconverge:
+		b.reconvergeProvider()
+	case timerLocalRepair:
+		b.localRepair(topo.NodeID(t.a), topo.NodeID(t.z))
+	case timerTERetry:
+		// By id, so a restored timer finds the restored intent. An intent
+		// torn down meanwhile is gone from the list: nothing to retry.
+		if i := slices.IndexFunc(b.teRequests, func(r *teRequest) bool { return r.id == int(t.a) }); i >= 0 {
+			b.retrySignal(b.teRequests[i])
+		}
+	case timerDrain:
+		// An id from a pre-reconverge protocol generation is a safe no-op.
+		if b.RSVP != nil {
+			b.RSVP.RunDrain(int(t.a))
+		}
+	}
 }
 
 // RegisterSource records a checkpointable traffic source in creation order.
@@ -158,12 +192,14 @@ func restoreSections(data []byte, secs []section) error {
 	return nil
 }
 
-// pendingTagged is one serialized dynamic timer awaiting re-arm.
-type pendingTagged struct {
+// pendingTimer is one serialized control timer awaiting re-arm; kind holds
+// the owning backbone's domain in its high bits.
+type pendingTimer struct {
 	shard int
 	at    sim.Time
 	seq   uint64
-	tag   sim.Tag
+	kind  uint16
+	a, z  uint64
 }
 
 // pendingSource is one serialized traffic-source repost awaiting re-arm.
@@ -178,7 +214,7 @@ type pendingSource struct {
 // core accounts for, by class.
 type pendingSet struct {
 	setup  [][2]uint64 // shard+1 (to keep GlobalBand=-1 unsigned-safe), seq
-	tagged []pendingTagged
+	timers []pendingTimer
 	srcs   []pendingSource
 }
 
@@ -213,8 +249,8 @@ func (b *Backbone) Restore(data []byte, scenario string) error {
 	}
 	// Re-arm the dynamic timers and source reposts with their original
 	// identities.
-	for _, t := range pend.tagged {
-		if err := b.rearmOwnTagged(t); err != nil {
+	for _, t := range pend.timers {
+		if err := b.rearmTimer(t); err != nil {
 			return err
 		}
 	}
@@ -279,10 +315,11 @@ func (b *Backbone) manifestState(c *snapshot.Codec, scenario string) {
 // engine.
 func schedState(c *snapshot.Codec, e *sim.Engine) {
 	for _, s := range e.Schedulers() {
+		q := e.Queue(s)
+		now, seq, executed := q.Counters()
 		id := c.I64(int64(s))
-		clock := sim.Time(c.I64(int64(e.ClockOf(s))))
-		seq := c.U64(e.Seq(s))
-		executed := c.U64(e.ExecutedOn(s))
+		now = sim.Time(c.I64(int64(now)))
+		seq, executed = c.U64(seq), c.U64(executed)
 		if !c.Loaded() {
 			continue
 		}
@@ -290,9 +327,7 @@ func schedState(c *snapshot.Codec, e *sim.Engine) {
 			c.Mismatch("scheduler %d in checkpoint where the scenario has %d", id, s)
 			return
 		}
-		e.RestoreClock(s, clock)
-		e.RestoreSeq(s, seq)
-		e.RestoreExecuted(s, executed)
+		q.RestoreCounters(now, seq, executed)
 	}
 	e.Rand().SetState(c.U64(e.Rand().State()))
 }
@@ -398,7 +433,7 @@ func (b *Backbone) trafficSections(prefix string) []section {
 }
 
 // classifyPending walks the event heaps and sorts every pending event into
-// its class: setup events as (shard, seq) keep-entries, tagged control-plane
+// its class: setup events as (shard, seq) keep-entries, control-plane
 // timers as re-arm records, registered source reposts by registry index.
 // Data-plane events are netsim's to serialize; anything else is a strict
 // error naming the offender. The engine, data-plane ownership test, and
@@ -411,18 +446,18 @@ func classifyPending(e *sim.Engine, owns func(sim.Action) bool, srcOf func(sim.A
 		switch {
 		case pe.Setup:
 			p.setup = append(p.setup, [2]uint64{uint64(pe.Shard + 1), pe.Seq})
-		case pe.Tag.Kind != 0:
-			p.tagged = append(p.tagged, pendingTagged{shard: pe.Shard, at: pe.At, seq: pe.Seq, tag: pe.Tag})
-		case pe.Act != nil && owns(pe.Act):
+		case pe.Act == nil:
+			unknown = append(unknown, fmt.Sprintf("untagged closure at %v (seq %d)", pe.At, pe.Seq))
+		case owns(pe.Act):
 			// In-flight data plane: serialized and re-armed by netsim.
-		case pe.Act != nil:
-			if idx, ok := srcOf(pe.Act); ok {
+		default:
+			if t, ok := pe.Act.(*ctlTimer); ok {
+				p.timers = append(p.timers, pendingTimer{pe.Shard, pe.At, pe.Seq, t.kind | t.b.domain<<4, t.a, t.z})
+			} else if idx, ok := srcOf(pe.Act); ok {
 				p.srcs = append(p.srcs, pendingSource{idx: idx, shard: pe.Shard, at: pe.At, seq: pe.Seq})
 			} else {
 				unknown = append(unknown, fmt.Sprintf("action %T at %v", pe.Act, pe.At))
 			}
-		default:
-			unknown = append(unknown, fmt.Sprintf("untagged closure at %v (seq %d)", pe.At, pe.Seq))
 		}
 	})
 	if len(unknown) > 0 {
@@ -434,7 +469,7 @@ func classifyPending(e *sim.Engine, owns func(sim.Action) bool, srcOf func(sim.A
 	// their pending events differently. Sorting by (shard, seq) makes the
 	// encoding a pure function of state — snapshot(restore(s)) == s.
 	slices.SortFunc(p.setup, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
-	slices.SortFunc(p.tagged, func(a, b pendingTagged) int { return cmp.Or(cmp.Compare(a.shard, b.shard), cmp.Compare(a.seq, b.seq)) })
+	slices.SortFunc(p.timers, func(a, b pendingTimer) int { return cmp.Or(cmp.Compare(a.shard, b.shard), cmp.Compare(a.seq, b.seq)) })
 	slices.SortFunc(p.srcs, func(a, b pendingSource) int { return cmp.Or(cmp.Compare(a.shard, b.shard), cmp.Compare(a.seq, b.seq)) })
 	return p, nil
 }
@@ -448,13 +483,13 @@ func pendingState(c *snapshot.Codec, e *sim.Engine, p *pendingSet) {
 		s[0] = c.U64(s[0])
 		s[1] = c.U64(s[1])
 	})
-	snapshot.Slice(c, &p.tagged, 6, func(c *snapshot.Codec, t *pendingTagged) {
+	snapshot.Slice(c, &p.timers, 6, func(c *snapshot.Codec, t *pendingTimer) {
 		snapshot.Int(c, &t.shard)
 		snapshot.Int(c, &t.at)
 		snapshot.Uint(c, &t.seq)
-		snapshot.Uint(c, &t.tag.Kind)
-		snapshot.Uint(c, &t.tag.A)
-		snapshot.Uint(c, &t.tag.B)
+		snapshot.Uint(c, &t.kind)
+		snapshot.Uint(c, &t.a)
+		snapshot.Uint(c, &t.z)
 	})
 	snapshot.Slice(c, &p.srcs, 4, func(c *snapshot.Codec, s *pendingSource) {
 		snapshot.Int(c, &s.idx)
@@ -473,7 +508,7 @@ func pendingState(c *snapshot.Codec, e *sim.Engine, p *pendingSet) {
 		}
 		return c.Err() == nil
 	}
-	for _, t := range p.tagged {
+	for _, t := range p.timers {
 		if !onEngine(t.shard) {
 			return
 		}
@@ -491,49 +526,15 @@ func pendingState(c *snapshot.Codec, e *sim.Engine, p *pendingSet) {
 	e.FilterPending(func(shard int, seq uint64) bool { return keep[[2]uint64{uint64(shard + 1), seq}] })
 }
 
-// rearmOwnTagged re-arms a pending timer whose tag belongs to this backbone,
-// resolving TE intents through the freshly restored request list.
-func (b *Backbone) rearmOwnTagged(t pendingTagged) error {
-	reqByID := make(map[int]*teRequest, len(b.teRequests))
-	for _, req := range b.teRequests {
-		reqByID[req.id] = req
+// rearmTimer re-arms a pending control timer on this backbone. The domain
+// bits are masked off: the caller has already routed the timer here.
+func (b *Backbone) rearmTimer(t pendingTimer) error {
+	kind := t.kind & timerKindMask
+	if kind < timerReconverge || kind > timerDrain {
+		return fmt.Errorf("%w: unknown control timer kind %d", snapshot.ErrCorrupt, t.kind)
 	}
-	fn, err := b.rearmTagged(t.tag, reqByID)
-	if err != nil {
-		return err
-	}
-	b.E.RestoreEvent(t.shard, t.at, t.seq, t.tag, fn)
+	b.E.RestoreAction(t.shard, t.at, t.seq, &ctlTimer{b, kind, t.a, t.z})
 	return nil
-}
-
-// rearmTagged rebuilds the closure a serialized tag stands for. The domain
-// bits are masked off: the caller has already routed the tag to the right
-// backbone.
-func (b *Backbone) rearmTagged(tag sim.Tag, reqByID map[int]*teRequest) (func(), error) {
-	switch tag.Kind & tagKindMask {
-	case tagReconverge:
-		return b.reconvergeProvider, nil
-	case tagLocalRepair:
-		na, nz := topo.NodeID(tag.A), topo.NodeID(tag.B)
-		return func() { b.localRepair(na, nz) }, nil
-	case tagTERetry:
-		req, ok := reqByID[int(tag.A)]
-		if !ok {
-			// The intent was torn down between checkpoint and crash replay
-			// semantics never see this, but a no-op matches retrySignal's own
-			// handling of removed intents.
-			return func() {}, nil
-		}
-		return func() { b.retrySignal(req) }, nil
-	case tagDrain:
-		id := int(tag.A)
-		return func() {
-			if b.RSVP != nil {
-				b.RSVP.RunDrain(id)
-			}
-		}, nil
-	}
-	return nil, fmt.Errorf("%w: unknown event tag kind %d", snapshot.ErrCorrupt, tag.Kind)
 }
 
 func compareLinkPair(a, b linkPair) int {

@@ -144,13 +144,7 @@ func (b *Backbone) wireRSVPHooks() {
 		return
 	}
 	b.RSVP.PlainSPF = b.plainSPF
-	b.RSVP.Defer = func(id int) {
-		// Tagged so a checkpoint can serialize the pending drain and a
-		// restore can re-arm it. RunDrain on an id from a pre-reconverge
-		// protocol generation is a safe no-op.
-		b.E.AfterTagged(LSPDrainDelay, b.tag(tagDrain, uint64(id), 0),
-			func() { b.RSVP.RunDrain(id) })
-	}
+	b.RSVP.Defer = func(id int) { b.after(LSPDrainDelay, timerDrain, uint64(id), 0) }
 	if b.tel == nil && b.res == nil {
 		return
 	}

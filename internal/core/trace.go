@@ -25,6 +25,7 @@ type Hop struct {
 type Trace struct {
 	Hops      []Hop
 	Delivered bool
+	Loop      bool   // the walk ran out of hops: the tables forward in a circle
 	Reason    string // why the trace ended
 }
 
@@ -96,6 +97,7 @@ func (b *Backbone) TraceRoute(fromSite string, dst addr.IPv4, dscp packet.DSCP) 
 		at = l.To
 		inLink = v.OutLink
 	}
+	tr.Loop = true
 	tr.Reason = "hop limit exceeded (forwarding loop?)"
 	return tr
 }

@@ -282,9 +282,7 @@ func snapRun(t *testing.T, shards int, cut bool, failAt, restoreAt sim.Time) str
 			n, nodes, links, log = build()
 			*log = prefix
 			for _, s := range e.Schedulers() {
-				n.E.RestoreClock(s, e.ClockOf(s))
-				n.E.RestoreSeq(s, e.Seq(s))
-				n.E.RestoreExecuted(s, e.ExecutedOn(s))
+				n.E.Queue(s).RestoreCounters(e.Queue(s).Counters())
 			}
 			// Link state loads first, as in core.Restore.
 			n.G.SetLinkDown(nodes[0], nodes[1], failAt != 0 && failAt <= 10*ms)

@@ -36,7 +36,7 @@ type Network struct {
 	routerAt []*device.Router
 	ports    []*port
 
-	lanes []*lane // per-shard clock + freelists; [0] alone when serial
+	lanes []*lane // per-shard queue + freelists; [0] alone when serial
 
 	// OnDeliver is invoked when a packet reaches its destination. The
 	// packet is recycled when the hook returns: do not retain it.
@@ -150,7 +150,7 @@ func New(e *sim.Engine, g *topo.Graph) *Network {
 	n := &Network{
 		E: e, G: g,
 		Routers: make(map[topo.NodeID]*device.Router),
-		lanes:   []*lane{{clk: e}},
+		lanes:   []*lane{{q: e.Queue(sim.GlobalBand)}},
 	}
 	g.OnLinkState(n.linkChanged)
 	if nn := g.NumNodes(); nn > 0 {
@@ -302,7 +302,7 @@ func (n *Network) SampleTelemetry() {
 // the node's owning shard.
 func (n *Network) Inject(at topo.NodeID, p *packet.Packet) {
 	ln := n.laneOf(at)
-	p.SentAt = ln.clk.Now()
+	p.SentAt = ln.q.Now()
 	n.count(ln, ctrInjected, 1)
 	n.process(ln, at, p, -1)
 }
@@ -315,7 +315,7 @@ func (n *Network) process(ln *lane, at topo.NodeID, p *packet.Packet, inLink top
 		n.drop(ln, at, p, packet.DropNoRouter)
 		return
 	}
-	v := r.Receive(ln.clk.Now(), p, inLink)
+	v := r.Receive(ln.q.Now(), p, inLink)
 	if v.Drop != packet.DropNone {
 		n.drop(ln, at, p, v.Drop)
 		return
@@ -331,7 +331,7 @@ func (n *Network) process(ln *lane, at topo.NodeID, p *packet.Packet, inLink top
 	if delay > 0 {
 		ev := ln.pool.getEvent()
 		ev.n, ev.kind, ev.ln, ev.node, ev.link, ev.p = n, evEnqueue, ln, at, v.OutLink, p
-		ln.clk.PostAfter(delay, ev)
+		ln.q.PostAfter(delay, ev)
 		return
 	}
 	n.enqueue(ln, at, v.OutLink, p)
@@ -344,12 +344,12 @@ func (n *Network) process(ln *lane, at topo.NodeID, p *packet.Packet, inLink top
 // rides the same note, because the hook must see the packet intact.
 func (n *Network) deliver(ln *lane, at topo.NodeID, p *packet.Packet) {
 	n.count(ln, ctrDelivered, 1)
-	if sh := ln.sh; sh != nil {
+	if n.shardOf != nil {
 		if n.OnDeliverLocal != nil {
 			// Shard-confined accounting: no barrier note, no coordinator
 			// round trip — the delivery settles entirely inside the
 			// segment that produced it.
-			n.OnDeliverLocal(sh.ID(), sh.Now(), at, p)
+			n.OnDeliverLocal(ln.id, ln.q.Now(), at, p)
 			ln.pool.putPacket(p)
 			return
 		}
@@ -361,7 +361,7 @@ func (n *Network) deliver(ln *lane, at topo.NodeID, p *packet.Packet) {
 		}
 		ev := ln.pool.getEvent()
 		ev.n, ev.kind, ev.node, ev.p = n, evDeliverNote, at, p
-		sh.DeferAction(ev)
+		ln.q.Defer(ev)
 		return
 	}
 	if n.OnDeliver != nil {
@@ -392,7 +392,7 @@ func (n *Network) enqueue(ln *lane, at topo.NodeID, link topo.LinkID, p *packet.
 		n.refuse(ln, pt, l, p, size, packet.DropLinkDown)
 		return
 	}
-	now := ln.clk.Now()
+	now := ln.q.Now()
 	if !pt.sched.Enqueue(now, cls, p) {
 		n.refuse(ln, pt, l, p, size, packet.DropQueueOverflow)
 		return
@@ -422,7 +422,7 @@ func (n *Network) kick(ln *lane, pt *port, at sim.Time) {
 	pt.wake = true
 	ev := ln.pool.getEvent()
 	ev.n, ev.kind, ev.ln, ev.pt = n, evTxKick, ln, pt
-	ln.clk.Post(at, ev)
+	ln.q.Post(at, ev)
 }
 
 // wakeUp runs the port's evTxKick: serve the next packet and, if that
@@ -443,7 +443,7 @@ func (n *Network) wakeUp(ln *lane, pt *port) {
 // ln is the lane of the shard owning the port's source node; all of the
 // port's timers stay on it.
 func (n *Network) transmitNext(ln *lane, pt *port) {
-	now := ln.clk.Now()
+	now := ln.q.Now()
 	p := pt.pending
 	pt.pending = nil
 	if p == nil {
@@ -496,12 +496,12 @@ func (n *Network) launch(ln *lane, l *topo.Link, p *packet.Packet, d sim.Time) *
 		// worker runs them, and recycling into the source shard's pool
 		// from there would race. Handoffs are rare — only cut edges.
 		ev := &dpEvent{n: n, kind: evArrive, ln: dln, node: l.To, link: l.ID, p: p}
-		ln.sh.HandoffAction(dln.sh, d, ev)
+		ln.q.Handoff(dln.q, d, ev)
 		return ev
 	}
 	ev := ln.pool.getEvent()
 	ev.n, ev.kind, ev.ln, ev.node, ev.link, ev.p = n, evArrive, ln, l.To, l.ID, p
-	ln.clk.PostAfter(d, ev)
+	ln.q.PostAfter(d, ev)
 	return ev
 }
 
@@ -515,7 +515,7 @@ func (n *Network) cut(l *topo.Link) bool {
 func (n *Network) doom(ln *lane, pt *port, p *packet.Packet) {
 	ev := ln.pool.getEvent()
 	ev.n, ev.kind, ev.ln, ev.pt, ev.p = n, evTxDrop, ln, pt, p
-	ln.clk.Post(pt.busyUntil, ev)
+	ln.q.Post(pt.busyUntil, ev)
 	pt.doomed, pt.doom = true, ev
 }
 
@@ -544,7 +544,7 @@ func (n *Network) linkChanged(id topo.LinkID, down bool) {
 		return
 	}
 	ln := n.laneOf(l.From)
-	now := ln.clk.Now()
+	now := ln.q.Now()
 	if now >= pt.busyUntil {
 		return
 	}
@@ -565,14 +565,14 @@ func (n *Network) linkChanged(id topo.LinkID, down bool) {
 
 func (n *Network) drop(ln *lane, at topo.NodeID, p *packet.Packet, reason packet.DropReason) {
 	n.count(ln, ctrDropped, 1)
-	if sh := ln.sh; sh != nil {
+	if n.shardOf != nil {
 		if n.OnDrop == nil {
 			ln.pool.putPacket(p)
 			return
 		}
 		ev := ln.pool.getEvent()
 		ev.n, ev.kind, ev.node, ev.p, ev.reason = n, evDropNote, at, p, reason
-		sh.DeferAction(ev)
+		ln.q.Defer(ev)
 		return
 	}
 	if n.OnDrop != nil {

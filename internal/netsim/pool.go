@@ -28,12 +28,11 @@ const (
 	evDropNote                 // deferred drop notification + recycle
 )
 
-// lane is one shard's data-plane context — its clock, its counter cell
-// index and its freelists — resolved once when an event is created instead
-// of by type switch at every call. The serial engine is lane 0 with sh nil.
+// lane is one shard's data-plane context — its scheduler, its counter cell
+// index and its freelists — resolved once when an event is created. The
+// serial engine is lane 0, whose scheduler is the engine's own queue.
 type lane struct {
-	clk  sim.Clock
-	sh   *sim.Shard
+	q    *sim.Queue
 	id   int
 	pool dpPool
 }

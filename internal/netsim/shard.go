@@ -6,7 +6,7 @@
 //   - every router, egress port, queue, and per-port telemetry counter is
 //     owned by the shard of the node it hangs off, and only that shard's
 //     worker touches it during a segment;
-//   - a packet crossing a shard boundary travels through sim.Shard.Handoff,
+//   - a packet crossing a shard boundary travels through sim.Queue.Handoff,
 //     which transfers ownership at the barrier (the propagation delay of a
 //     cross-shard link must be at least the engine's lookahead quantum);
 //   - network-wide counters (Injected/Delivered/Dropped) accumulate in
@@ -84,8 +84,7 @@ func (n *Network) SetSharding(assign []int) error {
 	disabled := n.lanes[0].pool.disabled
 	n.lanes = make([]*lane, shards)
 	for i := range n.lanes {
-		sh := n.E.Shard(i)
-		n.lanes[i] = &lane{clk: sh, sh: sh, id: i, pool: dpPool{disabled: disabled}}
+		n.lanes[i] = &lane{q: n.E.Queue(i), id: i, pool: dpPool{disabled: disabled}}
 	}
 	n.acc = telemetry.NewShardAccumulator(shards, numShardCtrs)
 	n.E.OnBarrier(n.mergeShardCounters)
@@ -118,12 +117,12 @@ func (n *Network) mustShard(node topo.NodeID) int {
 // Handoffs returns the number of packets that crossed a shard boundary.
 func (n *Network) CrossShardHandoffs() int64 { return n.handoffs }
 
-// SourceClock returns the clock a traffic source attached at node must
-// schedule on: the owning shard's clock when sharded, the engine itself
+// SourceClock returns the scheduler a traffic source attached at node must
+// schedule on: the owning shard's queue when sharded, the engine's own
 // when serial. Generators that pace themselves (CBR, Poisson, OnOff) use
 // this so their injections run inside the node's shard.
-func (n *Network) SourceClock(node topo.NodeID) sim.Clock {
-	return n.laneOf(node).clk
+func (n *Network) SourceClock(node topo.NodeID) *sim.Queue {
+	return n.laneOf(node).q
 }
 
 // laneOf returns the lane owning a node.

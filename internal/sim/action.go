@@ -1,120 +1,31 @@
 package sim
 
-import "fmt"
-
-// Action is a schedulable unit of work, the allocation-free alternative to
-// a func() closure. Hot-path components implement Run on a pooled struct
-// (a pointer-to-struct stored in the interface does not allocate) and
-// schedule it with Post/PostAfter; the engine recycles the carrying Event
-// through a scheduler-local freelist.
+// Action is a schedulable unit of work, and the only form an event takes:
+// the heap holds the interface value itself beside its (time, sequence)
+// key. Hot-path components implement Run on a struct they own or pool (a
+// pointer-to-struct stored in the interface does not allocate) and schedule
+// it with Post/PostAfter, so scheduling allocates nothing.
 //
-// Pooled events are fire-and-forget by construction: Post never returns
-// the *Event, so no caller can hold a reference across the recycle. Work
-// that needs cancellation keeps using Schedule/After, which allocate a
-// fresh, never-recycled Event.
+// Events are fire-and-forget by construction: Post returns nothing, so no
+// caller holds a handle on a pending event and there is nothing to cancel.
+// Work that may have to be called off empties its own action instead — the
+// event still fires, as a no-op, at the (time, sequence) it always had,
+// which is what keeps the event count and every later tie-break where they
+// were (netsim's doomed and reprieved transmissions work this way).
 //
-// Freelists are strictly per-scheduler (per Engine, per Shard) — never a
-// sync.Pool, whose steal-anything semantics would make allocation order,
-// and therefore memory reuse, depend on goroutine timing. Determinism of
-// the simulation requires that a recycled object is indistinguishable from
-// a fresh one AND that reuse itself follows a fixed order.
+// An Action that must survive a checkpoint describes itself to the package
+// that owns it (netsim's in-flight events, trafgen's sources, core's control
+// timers); a restore re-arms it with RestoreAction. Anything an action
+// recycles must come from a freelist owned by one scheduler — never a
+// sync.Pool, whose steal-anything semantics would make reuse order depend
+// on goroutine timing.
 type Action interface {
 	Run()
 }
 
-// eventFree is the shared freelist implementation embedded in Engine and
-// Shard. Only the scheduler that owns it ever touches it (the coordinator
-// between segments counts as the owner, synchronized by the barrier).
-type eventFree struct {
-	free []*Event
-}
+// funcAction carries the closure of Schedule/After. A func value is
+// pointer-shaped, so converting it to an Action does not allocate. It has
+// no serializable identity: a checkpoint walk reports it with a nil Act.
+type funcAction func()
 
-func (f *eventFree) get() *Event {
-	if n := len(f.free); n > 0 {
-		ev := f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
-		return ev
-	}
-	return &Event{pooled: true}
-}
-
-func (f *eventFree) put(ev *Event) {
-	ev.fn = nil
-	ev.act = nil
-	ev.tag = Tag{}
-	ev.dead = false
-	f.free = append(f.free, ev)
-}
-
-// Post schedules act at absolute virtual time at on a pooled event.
-func (e *Engine) Post(at Time, act Action) {
-	if at < e.now {
-		panic("sim: posting event before now")
-	}
-	ev := e.pool.get()
-	ev.at, ev.seq, ev.act = at, e.seq, act
-	e.seq++
-	e.queue.push(ev)
-}
-
-// PostAfter schedules act d after the current time on a pooled event.
-func (e *Engine) PostAfter(d Time, act Action) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	e.Post(e.now+d, act)
-}
-
-// Post schedules act at absolute shard time at on a pooled event. Like
-// Schedule, a past timestamp panics during a segment and clamps to the
-// shard clock from a barrier callback.
-func (s *Shard) Post(at Time, act Action) {
-	if at < s.now {
-		if s.draining {
-			panic("sim: shard posting event before now")
-		}
-		at = s.now
-	}
-	ev := s.pool.get()
-	ev.at, ev.seq, ev.act = at, s.seq, act
-	s.seq++
-	s.q.push(ev)
-}
-
-// PostAfter schedules act d after the shard's current time on a pooled
-// event.
-func (s *Shard) PostAfter(d Time, act Action) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	s.Post(s.Now()+d, act)
-}
-
-// HandoffAction is the Action counterpart of Handoff: schedule act on dst,
-// d from now, buffered until the next barrier. The carrying handoff entry
-// lives in the shard's reusable buffer, so steady-state cross-shard sends
-// do not allocate either.
-func (s *Shard) HandoffAction(dst *Shard, d Time, act Action) {
-	if d < 0 {
-		panic("sim: negative handoff delay")
-	}
-	if dst == s {
-		s.PostAfter(d, act)
-		return
-	}
-	if s.draining {
-		if bound := s.eng.par.lookFor(s.id, dst.id); d < bound {
-			panic(fmt.Sprintf("sim: handoff shard %d -> shard %d delay %v below pair lookahead bound %v (global quantum %v)",
-				s.id, dst.id, d, bound, s.eng.par.quantum))
-		}
-	}
-	s.outTo[dst.id] = append(s.outTo[dst.id], handoffMsg{at: s.Now() + d, act: act})
-}
-
-// DeferAction is the Action counterpart of Defer: act runs at the next
-// barrier on the coordinating goroutine, ordered with all other deferred
-// notifications by (time, source shard, emit sequence).
-func (s *Shard) DeferAction(act Action) {
-	s.pushNote(noteMsg{at: s.Now(), act: act})
-}
+func (f funcAction) Run() { f() }

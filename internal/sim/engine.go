@@ -3,11 +3,19 @@
 // FIFO ordering for simultaneous events, and a seeded random number
 // generator.
 //
+// There is one scheduler type, Queue: a clock, a heap and a sequence
+// counter. An event is an Action and the (time, sequence) pair it was
+// scheduled with, held by value in the heap; it runs once, at its time, and
+// cannot be cancelled — a component that must call work off empties the
+// action it posted and lets the event fire as a no-op. The engine owns one
+// Queue and forwards Now, Post, PostAfter, Schedule and After to it.
+//
 // The engine is single-threaded by default. Determinism — the property that
 // a given seed reproduces a run exactly — is what makes the experiment
 // harness in this repository trustworthy. For large topologies the engine
 // can instead be switched to the sharded parallel backend (EnableShards, see
-// shard.go), which preserves exact determinism: same-seed runs are
+// shard.go): every shard is one more Queue, the engine's own becomes the
+// global band, and exact determinism is preserved — same-seed runs are
 // byte-identical for any worker count.
 package sim
 
@@ -38,50 +46,115 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the virtual time like a time.Duration.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. The callback runs with the clock set to the
-// event's due time. Exactly one of fn and act is set: fn for closure-based
-// Schedule/After, act for pooled Post/PostAfter (see action.go).
-type Event struct {
-	at     Time
-	seq    uint64 // tie-break: FIFO among simultaneous events
-	fn     func()
-	act    Action
-	tag    Tag // snapshot identity for dynamically scheduled closures
-	dead   bool
-	pooled bool // owned by a scheduler freelist; recycled after execution
+// Queue is the scheduler: a virtual clock, the heap of pending events and
+// the sequence counter that orders simultaneous ones FIFO. The engine's own
+// queue (the global band once shards are enabled) and every shard are this
+// one type; the shard-only fields stay zero on the band.
+type Queue struct {
+	id       int // GlobalBand, or the shard's index
+	eng      *Engine
+	now      Time
+	q        eventHeap
+	seq      uint64
+	setupSeq uint64 // watermark set by MarkSetup; lower seqs are setup events
+	executed uint64 // for diagnostics
+	clamped  uint64 // past timestamps moved up to the clock (see Post)
+
+	limit    Time // current segment boundary, set by the coordinator
+	draining bool // true only while the owning worker drains a segment
+
+	outTo  [][]handoffMsg // per-destination cross-shard slabs for the barrier
+	notes  []noteMsg      // deferred notifications, retained in emit order
+	noteLo int            // dispatch cursor into notes (entries below are done)
 }
 
-// Cancel prevents the event from running. Cancelling an already-executed or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.dead = true }
+// atBarrier reports whether q is a shard used from outside its own segment:
+// by a barrier callback, a global-band event, or between runs. The two
+// rules that differ between the band and a shard both hang off it.
+func (q *Queue) atBarrier() bool { return q.id != GlobalBand && !q.draining }
 
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.dead }
+// Now returns the queue's virtual time. A shard at a barrier reports the
+// engine clock when that is ahead — callbacks dispatched at a barrier see
+// the time they were stamped with, not the stale end of the last segment.
+func (q *Queue) Now() Time {
+	if q.atBarrier() && q.eng.band.now > q.now {
+		return q.eng.band.now
+	}
+	return q.now
+}
 
-// At returns the virtual time the event is (or was) scheduled for.
-func (e *Event) At() Time { return e.at }
+// Post schedules act at absolute virtual time at. Scheduling in the past
+// panics: it always indicates a logic error in a discrete-event model. The
+// one exception is a shard at a barrier, which has already drained past at:
+// the request is clamped to the shard clock — the bounded batching latency
+// that parallel mode trades for speed — and counted (Engine.Clamped),
+// because a clamp is an instant the serial engine would not have used.
+func (q *Queue) Post(at Time, act Action) {
+	if at < q.now {
+		at = q.past(at)
+	}
+	q.q.push(heapEntry{at, q.seq, act})
+	q.seq++
+}
+
+// past is Post's cold path: panic, or clamp and count.
+func (q *Queue) past(at Time) Time {
+	if !q.atBarrier() {
+		panic(fmt.Sprintf("sim: queue %d scheduling event at %v before now %v", q.id, at, q.now))
+	}
+	q.clamped++
+	return q.now
+}
+
+// PostAfter schedules act d after the current time.
+func (q *Queue) PostAfter(d Time, act Action) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	q.Post(q.Now()+d, act)
+}
+
+// Schedule runs fn at absolute virtual time at: Post for a closure.
+func (q *Queue) Schedule(at Time, fn func()) { q.Post(at, funcAction(fn)) }
+
+// After runs fn d after the current time: PostAfter for a closure.
+func (q *Queue) After(d Time, fn func()) { q.PostAfter(d, funcAction(fn)) }
+
+// step pops the earliest event and runs it with the clock at its due time.
+// The entry has left the heap before the action runs, so an action that
+// reposts itself reuses the slot it just vacated.
+func (q *Queue) step() {
+	x := q.q.pop()
+	q.now = x.at
+	q.executed++
+	x.act.Run()
+}
 
 // Engine is the discrete-event scheduler. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
-	now      Time
-	queue    eventHeap
-	seq      uint64
-	setupSeq uint64 // watermark set by MarkSetup; lower seqs are setup events
-	events   uint64 // total executed, for diagnostics
-	rand     *Rand
-	pool     eventFree  // freelist backing Post/PostAfter
-	par      *parEngine // nil until EnableShards
+	band Queue    // the engine's own queue; the global band when sharded
+	all  []*Queue // the band, then every shard in index order
+	rand *Rand
+	par  *parEngine // nil until EnableShards
 }
 
 // NewEngine returns an engine with the clock at zero and randomness seeded
 // with seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rand: NewRand(seed)}
+	e := &Engine{rand: NewRand(seed)}
+	e.band = Queue{id: GlobalBand, eng: e}
+	e.all = []*Queue{&e.band}
+	return e
 }
 
-// Now returns the current virtual time.
-func (e *Engine) Now() Time { return e.now }
+// Now, Post, PostAfter, Schedule and After act on the engine's own queue.
+
+func (e *Engine) Now() Time                    { return e.band.now }
+func (e *Engine) Post(at Time, act Action)     { e.band.Post(at, act) }
+func (e *Engine) PostAfter(d Time, act Action) { e.band.PostAfter(d, act) }
+func (e *Engine) Schedule(at Time, fn func())  { e.band.Schedule(at, fn) }
+func (e *Engine) After(d Time, fn func())      { e.band.After(d, fn) }
 
 // Rand returns the engine's root random stream. Components should Fork it.
 func (e *Engine) Rand() *Rand { return e.rand }
@@ -89,11 +162,9 @@ func (e *Engine) Rand() *Rand { return e.rand }
 // Executed returns the number of events executed so far, summed across
 // shards when the parallel backend is enabled.
 func (e *Engine) Executed() uint64 {
-	n := e.events
-	if e.par != nil {
-		for _, s := range e.par.shards {
-			n += s.executed
-		}
+	var n uint64
+	for _, q := range e.all {
+		n += q.executed
 	}
 	return n
 }
@@ -101,33 +172,24 @@ func (e *Engine) Executed() uint64 {
 // Pending returns the number of events currently scheduled, summed across
 // shards when the parallel backend is enabled.
 func (e *Engine) Pending() int {
-	n := len(e.queue)
-	if e.par != nil {
-		for _, s := range e.par.shards {
-			n += len(s.q)
-		}
+	n := 0
+	for _, q := range e.all {
+		n += len(q.q)
 	}
 	return n
 }
 
-// Schedule runs fn at absolute virtual time at. Scheduling in the past
-// panics: it always indicates a logic error in a discrete-event model.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+// Clamped returns how many past timestamps were moved up to a shard's clock
+// — a Post from a barrier callback behind the shard, or a handoff merged
+// into a destination already past its stamp — summed across shards. Each is
+// an instant the serial engine would not have used, so the equivalence
+// harness asserts zero. Diagnostic only: no digest or checkpoint carries it.
+func (e *Engine) Clamped() uint64 {
+	var n uint64
+	for _, q := range e.all {
+		n += q.clamped
 	}
-	ev := &Event{at: at, seq: e.seq, fn: fn}
-	e.seq++
-	e.queue.push(ev)
-	return ev
-}
-
-// After runs fn d after the current time.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.Schedule(e.now+d, fn)
+	return n
 }
 
 // Step executes the next event. It returns false when the queue is empty.
@@ -137,43 +199,16 @@ func (e *Engine) Step() bool {
 	if e.par != nil {
 		panic("sim: Step is not supported on a sharded engine; use Run or RunUntil")
 	}
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		if ev.dead {
-			continue
-		}
-		e.exec(ev)
-		return true
+	if len(e.band.q) == 0 {
+		return false
 	}
-	return false
+	e.band.step()
+	return true
 }
 
-// exec runs one popped, live event with the clock set to its due time.
-func (e *Engine) exec(ev *Event) {
-	e.now = ev.at
-	e.events++
-	if ev.act != nil {
-		// Recycle before running: pooled events never escape, and the
-		// action may immediately Post again, reusing this very Event.
-		act := ev.act
-		if ev.pooled {
-			e.pool.put(ev)
-		}
-		act.Run()
-	} else {
-		ev.fn()
-	}
-}
-
-// Run executes events until the queue is empty.
-func (e *Engine) Run() {
-	if e.par != nil {
-		e.par.run(MaxTime)
-		return
-	}
-	for e.Step() {
-	}
-}
+// Run executes events until the queue is empty: RunUntil with no deadline,
+// which leaves the clock at the last event.
+func (e *Engine) Run() { e.RunUntil(MaxTime) }
 
 // RunUntil executes events with due time <= deadline, then advances the
 // clock to deadline. Events scheduled beyond the deadline stay queued.
@@ -182,39 +217,11 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.par.run(deadline)
 		return
 	}
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.ev.dead {
-			e.queue.pop()
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
-		e.exec(e.queue.pop())
+	b := &e.band
+	for len(b.q) > 0 && b.q[0].at <= deadline {
+		b.step()
 	}
-	if e.now < deadline {
-		e.now = deadline
+	if b.now < deadline && deadline < MaxTime {
+		b.now = deadline
 	}
-}
-
-// Ticker invokes fn every interval until the returned stop function is
-// called. The first invocation happens one interval from now.
-func (e *Engine) Ticker(interval Time, fn func()) (stop func()) {
-	if interval <= 0 {
-		panic("sim: non-positive ticker interval")
-	}
-	stopped := false
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		fn()
-		if !stopped {
-			e.After(interval, tick)
-		}
-	}
-	e.After(interval, tick)
-	return func() { stopped = true }
 }

@@ -3,13 +3,14 @@ package sim
 // The event queue: one implementation for the serial engine, every shard,
 // the barrier's bulk handoff merge, FilterPending and restore.
 //
-// Layout. The heap is a slice of 24-byte {at, seq, *Event} entries, so a
-// sift compares keys that sit in the array itself and never dereferences an
-// event; only the popped winner is touched. It is 4-ary — node i's children
-// are 4i+1..4i+4, its parent (i-1)/4 — which halves the depth of a binary
-// heap (six levels at 4096 entries) and keeps the four children of a node
-// inside two cache lines. Sifts move a hole instead of swapping: the entry
-// being placed is held in a register and written once.
+// Layout. The heap is a slice of 32-byte {at, seq, Action} entries: the
+// event is the entry, by value, so a sift compares keys that sit in the
+// array itself, a pop has nothing to dereference and nothing to skip, and
+// scheduling allocates nothing beyond the array's own growth. It is 4-ary —
+// node i's children are 4i+1..4i+4, its parent (i-1)/4 — which halves the
+// depth of a binary heap (six levels at 4096 entries) and keeps the four
+// children of a node inside two cache lines. Sifts move a hole instead of
+// swapping: the entry being placed is held in registers and written once.
 //
 // Order. Entries compare by the strict total order (at, seq); seq is unique
 // per scheduler, so no two entries are ever equal and pop order is a pure
@@ -20,7 +21,7 @@ package sim
 type heapEntry struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among simultaneous events
-	ev  *Event
+	act Action
 }
 
 func (a heapEntry) before(b heapEntry) bool {
@@ -29,9 +30,8 @@ func (a heapEntry) before(b heapEntry) bool {
 
 type eventHeap []heapEntry
 
-// push inserts ev, keyed by its (at, seq).
-func (h *eventHeap) push(ev *Event) {
-	x := heapEntry{ev.at, ev.seq, ev}
+// push inserts x.
+func (h *eventHeap) push(x heapEntry) {
 	q := append(*h, x)
 	i := len(q) - 1
 	for i > 0 {
@@ -46,12 +46,12 @@ func (h *eventHeap) push(ev *Event) {
 	*h = q
 }
 
-// pop removes and returns the earliest event. The heap must be non-empty.
-func (h *eventHeap) pop() *Event {
+// pop removes and returns the earliest entry. The heap must be non-empty.
+func (h *eventHeap) pop() heapEntry {
 	q := *h
 	n := len(q) - 1
-	top, last := q[0].ev, q[n]
-	q[n] = heapEntry{} // do not pin the event through the spare capacity
+	top, last := q[0], q[n]
+	q[n] = heapEntry{} // do not pin the action through the spare capacity
 	q = q[:n]
 	*h = q
 	if n > 0 {

@@ -13,11 +13,11 @@ import (
 // and the FIFO tie-break carries the order.
 
 type oracleEv struct {
-	at   Time
-	seq  uint64
-	id   int
-	ev   *Event // Schedule only; nil for Post and handoffs
-	gone bool   // cancelled or filtered out
+	at    Time
+	seq   uint64
+	id    int
+	notes bool // the event Defers a note when it runs (sharded test only)
+	gone  bool // filtered out
 }
 
 // oracleQueue mirrors one scheduler's pending set.
@@ -25,30 +25,32 @@ type oracleQueue struct {
 	pending []*oracleEv
 }
 
-func (q *oracleQueue) add(at Time, seq uint64, id int, ev *Event) {
-	q.pending = append(q.pending, &oracleEv{at: at, seq: seq, id: id, ev: ev})
+func (q *oracleQueue) add(at Time, seq uint64, id int) *oracleEv {
+	o := &oracleEv{at: at, seq: seq, id: id}
+	q.pending = append(q.pending, o)
+	return o
 }
 
-// due removes and returns, in (at, seq) order, the ids of the live events
-// with at <= deadline, at most max of them (max < 0: all).
-func (q *oracleQueue) due(deadline Time, max int) []int {
+// due removes and returns, in (at, seq) order, the live events with
+// at <= deadline, at most max of them (max < 0: all).
+func (q *oracleQueue) due(deadline Time, max int) []*oracleEv {
 	sort.SliceStable(q.pending, func(i, j int) bool {
 		a, b := q.pending[i], q.pending[j]
 		return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 	})
-	var ids []int
+	var out []*oracleEv
 	rest := q.pending[:0]
 	for _, o := range q.pending {
 		switch {
 		case o.gone:
-		case o.at <= deadline && (max < 0 || len(ids) < max):
-			ids = append(ids, o.id)
+		case o.at <= deadline && (max < 0 || len(out) < max):
+			out = append(out, o)
 		default:
 			rest = append(rest, o)
 		}
 	}
 	q.pending = rest
-	return ids
+	return out
 }
 
 type recAction struct {
@@ -58,14 +60,14 @@ type recAction struct {
 
 func (a *recAction) Run() { *a.got = append(*a.got, a.id) }
 
-func sameIDs(t *testing.T, what string, got, want []int) {
+func sameIDs(t *testing.T, what string, got []int, want []*oracleEv) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: executed %d events, oracle says %d", what, len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: event %d of %d was id %d, oracle says id %d", what, i, len(want), got[i], want[i])
+		if got[i] != want[i].id {
+			t.Fatalf("%s: event %d of %d was id %d, oracle says id %d", what, i, len(want), got[i], want[i].id)
 		}
 	}
 }
@@ -81,15 +83,15 @@ func TestQueueMatchesSortOracleSerial(t *testing.T) {
 			at := e.Now() + Time(rng.Intn(40))
 			id := nextID
 			nextID++
-			seq := e.Seq(GlobalBand)
+			_, seq, _ := e.Queue(GlobalBand).Counters()
 			if rng.Intn(2) == 0 {
-				q.add(at, seq, id, e.Schedule(at, func() { got = append(got, id) }))
+				e.Schedule(at, func() { got = append(got, id) })
 			} else {
 				e.Post(at, &recAction{&got, id})
-				q.add(at, seq, id, nil)
 			}
+			q.add(at, seq, id)
 		}
-		check := func(what string, want []int) {
+		check := func(what string, want []*oracleEv) {
 			t.Helper()
 			sameIDs(t, fmt.Sprintf("seed %d %s", seed, what), got, want)
 			got = got[:0]
@@ -98,19 +100,12 @@ func TestQueueMatchesSortOracleSerial(t *testing.T) {
 			push()
 		}
 		for round := 0; round < 400; round++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0: // a burst of pushes
 				for i := rng.Intn(300); i > 0; i-- {
 					push()
 				}
-			case 1: // cancel some Schedule events
-				for i := rng.Intn(50); i > 0 && len(q.pending) > 0; i-- {
-					if o := q.pending[rng.Intn(len(q.pending))]; o.ev != nil {
-						o.ev.Cancel()
-						o.gone = true
-					}
-				}
-			case 2: // single steps
+			case 1: // single steps
 				k := rng.Intn(200)
 				want := q.due(MaxTime, k)
 				for i := 0; i < k; i++ {
@@ -119,14 +114,14 @@ func TestQueueMatchesSortOracleSerial(t *testing.T) {
 					}
 				}
 				check("Step", want)
-			case 3:
+			case 2:
 				deadline := e.Now() + Time(rng.Intn(8))
 				e.RunUntil(deadline)
 				check("RunUntil", q.due(deadline, -1))
 				if e.Now() != deadline {
 					t.Fatalf("seed %d: clock %v after RunUntil(%v)", seed, e.Now(), deadline)
 				}
-			case 4: // FilterPending drops a pseudo-random third by seq
+			case 3: // FilterPending drops a pseudo-random third by seq
 				salt := uint64(rng.Intn(1 << 20))
 				keep := func(seq uint64) bool { return (seq*2654435761+salt)%3 != 0 }
 				e.FilterPending(func(_ int, seq uint64) bool { return keep(seq) })
@@ -135,7 +130,7 @@ func TestQueueMatchesSortOracleSerial(t *testing.T) {
 						o.gone = true
 					}
 				}
-			case 5: // refill towards full depth
+			case 4: // refill towards full depth
 				for len(q.pending) < 10000 {
 					push()
 				}
@@ -143,17 +138,40 @@ func TestQueueMatchesSortOracleSerial(t *testing.T) {
 		}
 		e.Run()
 		check("final Run", q.due(MaxTime, -1))
+		if e.Clamped() != 0 {
+			t.Fatalf("seed %d: serial engine clamped %d timestamps", seed, e.Clamped())
+		}
 	}
 }
 
-// The same on a 4-shard engine: local Schedule/Post on each shard, Cancel,
-// FilterPending, and cross-shard Handoff/HandoffAction batches that the
-// barrier merges in bulk (a batch of at least a quarter of the destination
-// heap is appended and re-heapified; a smaller one is pushed entry by
-// entry). A merged entry takes its destination sequence number at the merge,
-// in (source shard, send order) per destination — the oracle numbers them
-// the same way — and every shard must then execute in its own (at, seq)
-// order.
+// notingAction records its id like recAction and Defers a note from inside
+// the segment; the note records the id again when the barrier dispatches it.
+type notingAction struct {
+	recAction
+	q     *Queue
+	notes *[]int
+}
+
+func (a *notingAction) Run() {
+	a.recAction.Run()
+	a.q.Defer(&recAction{a.notes, a.id})
+}
+
+// The same on a 4-shard engine: local Schedule/Post on each shard,
+// FilterPending, and cross-shard Handoff batches that the barrier merges in
+// bulk (a batch of at least a quarter of the destination heap is appended
+// and re-heapified; a smaller one is pushed entry by entry). A merged entry
+// takes its destination sequence number at the merge, in (source shard, send
+// order) per destination — the oracle numbers them the same way — and every
+// shard must then execute in its own (at, seq) order.
+//
+// Three more properties ride on the same traffic. One event in eight Defers
+// a note from inside its segment, and the notes of a run must dispatch in
+// the oracle's (time, shard, emit) order however the segments were cut. A
+// Post from outside a run into a shard's past is clamped to the shard clock
+// and counted — the only clamps the whole run may count. And a handoff sent
+// between two RunUntil calls a few ticks apart must run on its destination
+// inside the second one, at the stamp it was sent with.
 func TestQueueMatchesSortOracleSharded(t *testing.T) {
 	const shards = 4
 	for _, seed := range []uint64{1, 2} {
@@ -162,43 +180,46 @@ func TestQueueMatchesSortOracleSharded(t *testing.T) {
 		rng := NewRand(seed * 7919)
 		var q [shards]oracleQueue
 		var got [shards][]int
+		var notes []int
+		var clamps uint64
 		type sent struct {
 			at Time
 			id int
 		}
 		var slab [shards][shards][]sent // [src][dst], awaiting the merge
 		nextID := 0
-		pushLocal := func(s int) {
-			sh := e.Shard(s)
-			at := sh.Now() + Time(rng.Intn(40))
+		pushLocal := func(s int, at Time) {
+			sh := e.Queue(s)
 			id := nextID
 			nextID++
-			seq := e.Seq(s)
-			if rng.Intn(2) == 0 {
-				q[s].add(at, seq, id, sh.Schedule(at, func() { got[s] = append(got[s], id) }))
-			} else {
+			now, seq, _ := sh.Counters()
+			o := q[s].add(max(at, now), seq, id)
+			if at < now {
+				clamps++ // and max above is what the clamp must do
+			}
+			switch rng.Intn(8) {
+			case 0:
+				o.notes = true
+				sh.Post(at, &notingAction{recAction{&got[s], id}, sh, &notes})
+			case 1, 2, 3:
+				sh.Schedule(at, func() { got[s] = append(got[s], id) })
+			default:
 				sh.Post(at, &recAction{&got[s], id})
-				q[s].add(at, seq, id, nil)
 			}
 		}
-		handoff := func(src, dst int) {
-			d := Time(1 + rng.Intn(40))
+		handoff := func(src, dst int, d Time) {
 			id := nextID
 			nextID++
-			slab[src][dst] = append(slab[src][dst], sent{e.Shard(src).Now() + d, id})
-			if rng.Intn(2) == 0 {
-				e.Shard(src).Handoff(e.Shard(dst), d, func() { got[dst] = append(got[dst], id) })
-			} else {
-				e.Shard(src).HandoffAction(e.Shard(dst), d, &recAction{&got[dst], id})
-			}
+			slab[src][dst] = append(slab[src][dst], sent{e.Queue(src).Now() + d, id})
+			e.Queue(src).Handoff(e.Queue(dst), d, &recAction{&got[dst], id})
 		}
 		run := func(deadline Time) {
 			// The oracle's merge: per destination, sources in index order.
 			for dst := 0; dst < shards; dst++ {
-				seq := e.Seq(dst)
+				_, seq, _ := e.Queue(dst).Counters()
 				for src := 0; src < shards; src++ {
 					for _, m := range slab[src][dst] {
-						q[dst].add(m.at, seq, m.id, nil)
+						q[dst].add(m.at, seq, m.id)
 						seq++
 					}
 					slab[src][dst] = nil
@@ -209,21 +230,55 @@ func TestQueueMatchesSortOracleSharded(t *testing.T) {
 			} else {
 				e.RunUntil(deadline)
 			}
+			what := fmt.Sprintf("seed %d run to %v", seed, deadline)
+			// The oracle's note stream: every noting event that ran, by
+			// (time, shard, position in the shard's own execution order).
+			type noteKey struct {
+				o        *oracleEv
+				shard, k int
+			}
+			var wantNotes []noteKey
 			for s := 0; s < shards; s++ {
-				sameIDs(t, fmt.Sprintf("seed %d shard %d run to %v", seed, s, deadline), got[s], q[s].due(deadline, -1))
+				want := q[s].due(deadline, -1)
+				sameIDs(t, fmt.Sprintf("%s, shard %d", what, s), got[s], want)
 				got[s] = got[s][:0]
+				for k, o := range want {
+					if o.notes {
+						wantNotes = append(wantNotes, noteKey{o, s, k})
+					}
+				}
+			}
+			sort.Slice(wantNotes, func(i, j int) bool {
+				a, b := wantNotes[i], wantNotes[j]
+				if a.o.at != b.o.at {
+					return a.o.at < b.o.at
+				}
+				if a.shard != b.shard {
+					return a.shard < b.shard
+				}
+				return a.k < b.k
+			})
+			want := make([]*oracleEv, len(wantNotes))
+			for i, nk := range wantNotes {
+				want[i] = nk.o
+			}
+			sameIDs(t, what+", deferred notes", notes, want)
+			notes = notes[:0]
+			if e.Clamped() != clamps {
+				t.Fatalf("%s: engine counts %d clamps, oracle %d", what, e.Clamped(), clamps)
 			}
 		}
 		for s := 0; s < shards; s++ {
 			for i := 0; i < 2500; i++ {
-				pushLocal(s)
+				pushLocal(s, Time(rng.Intn(40)))
 			}
 		}
 		for round := 0; round < 200; round++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(7) {
 			case 0:
 				for i := rng.Intn(400); i > 0; i-- {
-					pushLocal(rng.Intn(shards))
+					s := rng.Intn(shards)
+					pushLocal(s, e.Queue(s).Now()+Time(rng.Intn(40)))
 				}
 			case 1: // one big batch onto one pair, a few strays elsewhere
 				src, dst := rng.Intn(shards), rng.Intn(shards)
@@ -231,21 +286,13 @@ func TestQueueMatchesSortOracleSharded(t *testing.T) {
 					dst = (dst + 1) % shards
 				}
 				for i := rng.Intn(2000); i > 0; i-- {
-					handoff(src, dst)
+					handoff(src, dst, Time(1+rng.Intn(40)))
 				}
 				for i := rng.Intn(5); i > 0; i-- {
 					a := rng.Intn(shards)
-					handoff(a, (a+1+rng.Intn(shards-1))%shards)
+					handoff(a, (a+1+rng.Intn(shards-1))%shards, Time(1+rng.Intn(40)))
 				}
-			case 2:
-				s := rng.Intn(shards)
-				for i := rng.Intn(50); i > 0 && len(q[s].pending) > 0; i-- {
-					if o := q[s].pending[rng.Intn(len(q[s].pending))]; o.ev != nil {
-						o.ev.Cancel()
-						o.gone = true
-					}
-				}
-			case 3:
+			case 2, 3:
 				run(e.Now() + Time(rng.Intn(8)))
 			case 4:
 				// Filtering is a restore-time operation on a settled engine:
@@ -261,9 +308,22 @@ func TestQueueMatchesSortOracleSharded(t *testing.T) {
 						}
 					}
 				}
+			case 5: // posts from outside a run, behind the shard clock
+				for i := rng.Intn(20); i > 0; i-- {
+					s := rng.Intn(shards)
+					pushLocal(s, e.Queue(s).Now()-Time(1+rng.Intn(5)))
+				}
+			case 6: // a handoff between two RunUntil calls, due in the second
+				run(e.Now() + Time(rng.Intn(4)))
+				a := rng.Intn(shards)
+				handoff(a, (a+1+rng.Intn(shards-1))%shards, Time(1+rng.Intn(3)))
+				run(e.Now() + 3)
 			}
 		}
 		run(MaxTime)
+		if clamps == 0 {
+			t.Fatalf("seed %d: the script never posted into a shard's past", seed)
+		}
 	}
 }
 

@@ -59,12 +59,6 @@ func TestSetLookaheadValidation(t *testing.T) {
 	if got := e.PairLookahead(1, 0); got != 2*Millisecond {
 		t.Errorf("PairLookahead(1,0) = %v, want 2ms", got)
 	}
-
-	mustPanic("update below quantum", func() { e.UpdatePairLookahead(0, 2, Microsecond) })
-	e.UpdatePairLookahead(0, 2, 7*Millisecond)
-	if got := e.PairLookahead(0, 2); got != 7*Millisecond {
-		t.Errorf("PairLookahead(0,2) = %v after update, want 7ms", got)
-	}
 }
 
 // TestLookaheadClosure pins the min-plus transitive closure: segment
@@ -90,11 +84,6 @@ func TestLookaheadClosure(t *testing.T) {
 	}
 	if got := p.closedFor(1, 0); got != 7*Millisecond {
 		t.Errorf("closed 1->0 = %v, want 7ms (1->2->0)", got)
-	}
-	// Incremental updates re-close.
-	e.UpdatePairLookahead(0, 2, 4*Millisecond)
-	if got := p.closedFor(0, 2); got != 4*Millisecond {
-		t.Errorf("closed 0->2 after update = %v, want 4ms", got)
 	}
 }
 
@@ -141,7 +130,7 @@ func TestHandoffBelowPairBoundPanics(t *testing.T) {
 	m := mat(2, Millisecond)
 	m[0][1] = 8 * Millisecond
 	e.SetLookahead(m)
-	s0, s1 := e.Shard(0), e.Shard(1)
+	s0, s1 := e.Queue(0), e.Queue(1)
 	s0.Schedule(Millisecond, func() {
 		defer func() {
 			r := recover()
@@ -157,7 +146,7 @@ func TestHandoffBelowPairBoundPanics(t *testing.T) {
 			}
 		}()
 		// 2ms clears the global quantum but not this pair's 8ms bound.
-		s0.Handoff(s1, 2*Millisecond, func() {})
+		s0.Handoff(s1, 2*Millisecond, funcAction(func() {}))
 	})
 	e.Run()
 }

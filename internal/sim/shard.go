@@ -56,201 +56,106 @@ import (
 // MaxTime is the largest representable virtual time.
 const MaxTime Time = math.MaxInt64
 
-// Clock is the scheduling surface shared by the serial Engine and the
-// per-shard clocks of the parallel backend. Components that only ever
-// schedule follow-up work for their own locality (a port serializing its
-// queue, a traffic source pacing itself) accept a Clock so the same code
-// runs single-threaded or sharded.
-type Clock interface {
-	Now() Time
-	Schedule(at Time, fn func()) *Event
-	After(d Time, fn func()) *Event
-	// Post and PostAfter are the pooled, fire-and-forget counterparts of
-	// Schedule and After: no *Event escapes, so the engine recycles it.
-	Post(at Time, act Action)
-	PostAfter(d Time, act Action)
-}
-
-// Shard is one partition's event queue and clock. Within a segment exactly
-// one worker drains it; between segments the coordinator owns it.
-type Shard struct {
-	id       int
-	eng      *Engine
-	q        eventHeap
-	seq      uint64
-	setupSeq uint64 // watermark set by MarkSetup; lower seqs are setup events
-	now      Time
-	executed uint64
-	limit    Time      // current segment boundary, set by the coordinator
-	draining bool      // true only while the owning worker drains a segment
-	pool     eventFree // freelist backing Post/PostAfter
-
-	outTo  [][]handoffMsg // per-destination cross-shard slabs for the barrier
-	notes  []noteMsg      // deferred notifications, retained in emit order
-	noteLo int            // dispatch cursor into notes (entries below are done)
-}
-
-// handoffMsg is a cross-shard event waiting for the barrier merge. One of
-// fn and act is set.
+// handoffMsg is a cross-shard event waiting for the barrier merge.
 type handoffMsg struct {
 	at  Time
-	fn  func()
 	act Action
 }
 
-// noteMsg is a deferred notification: a callback that must run on the
+// noteMsg is a deferred notification: an action that must run on the
 // coordinating goroutine (it touches global state) stamped with the
-// shard-local time it was emitted. One of fn and act is set.
+// shard-local time it was emitted.
 type noteMsg struct {
 	at  Time
-	fn  func()
 	act Action
 }
 
-// ID returns the shard's index.
-func (s *Shard) ID() int { return s.id }
-
-// Now returns the shard-local virtual time. During a barrier it reports the
-// engine clock when that is ahead — callbacks dispatched at a barrier see
-// the time they were stamped with, not the stale end of the last segment.
-func (s *Shard) Now() Time {
-	if !s.draining && s.eng.now > s.now {
-		return s.eng.now
-	}
-	return s.now
-}
-
-// Schedule runs fn at absolute shard time at. Scheduling in the past panics
-// during a segment (a logic error, exactly as on the serial engine). From a
-// barrier callback the request is clamped to the shard clock instead: the
-// shard has already drained past at, and the clamp is the bounded
-// batching latency that parallel mode trades for speed.
-func (s *Shard) Schedule(at Time, fn func()) *Event {
-	if at < s.now {
-		if s.draining {
-			panic(fmt.Sprintf("sim: shard %d scheduling event at %v before now %v", s.id, at, s.now))
-		}
-		at = s.now
-	}
-	ev := &Event{at: at, seq: s.seq, fn: fn}
-	s.seq++
-	s.q.push(ev)
-	return ev
-}
-
-// After runs fn d after the shard's current time.
-func (s *Shard) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.Schedule(s.Now()+d, fn)
-}
-
-// Handoff schedules fn on dst, d from now — the only legal way to move work
+// Handoff schedules act on dst, d from now — the only legal way to move work
 // across shards. During a segment d must be at least the pair's lookahead
 // bound (the conservative lookahead for this src->dst direction); violating
 // that would let a shard affect another within the same segment and is a
-// hard error, not a silent determinism bug. The message is buffered and
-// merged into dst at the next barrier in (source shard, send order)
-// sequence.
-func (s *Shard) Handoff(dst *Shard, d Time, fn func()) {
+// hard error, not a silent determinism bug. The message is buffered in the
+// shard's reusable per-destination slab, so steady-state cross-shard sends
+// do not allocate, and merged into dst at the next barrier in (source shard,
+// send order) sequence.
+func (q *Queue) Handoff(dst *Queue, d Time, act Action) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative handoff delay %v", d))
 	}
-	if dst == s {
-		s.After(d, fn)
+	if dst == q {
+		q.PostAfter(d, act)
 		return
 	}
-	if s.draining {
-		if bound := s.eng.par.lookFor(s.id, dst.id); d < bound {
+	if q.draining {
+		if p := q.eng.par; d < p.lookFor(q.id, dst.id) {
 			panic(fmt.Sprintf("sim: handoff shard %d -> shard %d delay %v below pair lookahead bound %v (global quantum %v)",
-				s.id, dst.id, d, bound, s.eng.par.quantum))
+				q.id, dst.id, d, p.lookFor(q.id, dst.id), p.quantum))
 		}
 	}
-	s.outTo[dst.id] = append(s.outTo[dst.id], handoffMsg{at: s.Now() + d, fn: fn})
+	q.outTo[dst.id] = append(q.outTo[dst.id], handoffMsg{q.Now() + d, act})
 }
 
-// Defer queues fn as a deferred notification: it runs at a barrier
-// on the coordinating goroutine, with the engine clock set to the
-// shard-local time of the Defer call. Notifications from all shards
-// dispatch in (time, source shard, sequence) order — across barriers too,
-// via watermark retention — so global observers (delivery hooks, SLA
-// watchers, journals) see one deterministic, time-sorted stream.
-func (s *Shard) Defer(fn func()) {
-	s.pushNote(noteMsg{at: s.Now(), fn: fn})
-}
-
-// pushNote appends a deferred notification, keeping the retained queue
-// sorted by stamp. Emission stamps are nondecreasing by construction (the
-// shard clock never runs backwards), so the common case is a plain append;
-// the insertion fallback makes retention robust to any out-of-order
-// emitter rather than silently breaking the time-sorted dispatch contract.
-func (s *Shard) pushNote(nt noteMsg) {
-	n := len(s.notes)
-	if n == 0 || s.notes[n-1].at <= nt.at {
-		s.notes = append(s.notes, nt)
+// Defer queues act as a deferred notification: it runs at a barrier on the
+// coordinating goroutine, with the engine clock set to the shard-local time
+// of the Defer call. Notifications from all shards dispatch in (time,
+// source shard, sequence) order — across barriers too, via watermark
+// retention — so global observers (delivery hooks, SLA watchers, journals)
+// see one deterministic, time-sorted stream.
+//
+// The retained queue is kept sorted by stamp. Emission stamps are
+// nondecreasing by construction (the shard clock never runs backwards), so
+// the common case is a plain append; the insertion fallback makes retention
+// robust to any out-of-order emitter rather than silently breaking the
+// time-sorted dispatch contract.
+func (q *Queue) Defer(act Action) {
+	nt := noteMsg{q.Now(), act}
+	n := len(q.notes)
+	if n == 0 || q.notes[n-1].at <= nt.at {
+		q.notes = append(q.notes, nt)
 		return
 	}
-	i := sort.Search(n, func(i int) bool { return s.notes[i].at > nt.at })
-	if i < s.noteLo {
-		i = s.noteLo // never reorder behind the dispatch cursor
+	i := sort.Search(n, func(i int) bool { return q.notes[i].at > nt.at })
+	if i < q.noteLo {
+		i = q.noteLo // never reorder behind the dispatch cursor
 	}
-	s.notes = append(s.notes, noteMsg{})
-	copy(s.notes[i+1:], s.notes[i:])
-	s.notes[i] = nt
+	q.notes = append(q.notes, noteMsg{})
+	copy(q.notes[i+1:], q.notes[i:])
+	q.notes[i] = nt
 }
 
 // drain executes the shard's events with due time strictly before boundary.
-func (s *Shard) drain(boundary Time) {
-	s.draining = true
-	for {
-		ev := peekAlive(&s.q)
-		if ev == nil || ev.at >= boundary {
-			break
-		}
-		s.q.pop()
-		s.now = ev.at
-		s.executed++
-		if ev.act != nil {
-			act := ev.act
-			if ev.pooled {
-				s.pool.put(ev)
-			}
-			act.Run()
-		} else {
-			ev.fn()
-		}
+func (q *Queue) drain(boundary Time) {
+	q.draining = true
+	for len(q.q) > 0 && q.q[0].at < boundary {
+		q.step()
 	}
-	s.draining = false
+	q.draining = false
 }
 
-// peekAlive discards cancelled events and returns the head, or nil.
-func peekAlive(h *eventHeap) *Event {
-	for len(*h) > 0 {
-		if ev := (*h)[0].ev; !ev.dead {
-			return ev
-		}
-		h.pop()
+// head returns the due time of the queue's earliest event, MaxTime if none.
+func (q *Queue) head() Time {
+	if len(q.q) == 0 {
+		return MaxTime
 	}
-	return nil
+	return q.q[0].at
 }
 
 // parEngine coordinates the shard queues, the worker pool, and the global
 // band (the engine's original heap).
 type parEngine struct {
 	e         *Engine
-	shards    []*Shard
+	shards    []*Queue
 	quantum   Time     // global floor: minimum over all pair bounds
 	look      [][]Time // direct pair lookahead matrix [src][dst]; nil = uniform quantum
 	closed    [][]Time // min-plus transitive closure of look; governs segment bounds
 	workers   int
 	onBarrier []func()
 
-	jobs chan *Shard
+	jobs chan *Queue
 	wg   sync.WaitGroup
 	scan func(int) // when set, workers run this instead of drain (RunOnShards)
 
-	active []*Shard // scratch
+	active []*Queue // scratch
 	next   []Time   // scratch: per-shard earliest pending event this round
 }
 
@@ -277,8 +182,9 @@ func (e *Engine) EnableShards(n int, quantum Time, workers int) {
 	}
 	p := &parEngine{e: e, quantum: quantum, workers: workers}
 	for i := 0; i < n; i++ {
-		p.shards = append(p.shards, &Shard{id: i, eng: e, now: e.now, outTo: make([][]handoffMsg, n)})
+		p.shards = append(p.shards, &Queue{id: i, eng: e, now: e.band.now, outTo: make([][]handoffMsg, n)})
 	}
+	e.all = append(e.all, p.shards...)
 	p.next = make([]Time, n)
 	e.par = p
 }
@@ -326,8 +232,7 @@ func (e *Engine) SetLookahead(look [][]Time) {
 // reach shard i through an intermediate shard k in look[j][k]+look[k][i]
 // virtual time even when no direct j->i cut link exists — a bound built
 // from direct entries alone would let i race past a multi-hop arrival and
-// clamp it into the past. O(n³) on the shard count, so rebuilding on every
-// incremental pair update is cheap.
+// clamp it into the past. O(n³) on the shard count, once per SetLookahead.
 func (p *parEngine) recomputeClosure() {
 	n := len(p.shards)
 	c := p.closed
@@ -358,28 +263,6 @@ func (p *parEngine) recomputeClosure() {
 			}
 		}
 	}
-}
-
-// UpdatePairLookahead narrows or widens one pair bound in place — the
-// incremental hook for partition-edge changes (a new cut link, a delay
-// edit) without rebuilding the whole matrix. The bound must still respect
-// the global quantum floor.
-func (e *Engine) UpdatePairLookahead(src, dst int, bound Time) {
-	p := e.par
-	if p == nil {
-		panic("sim: UpdatePairLookahead requires a sharded engine")
-	}
-	if p.look == nil {
-		panic("sim: UpdatePairLookahead requires SetLookahead first")
-	}
-	if src == dst {
-		return
-	}
-	if bound < p.quantum {
-		panic(fmt.Sprintf("sim: pair lookahead %d -> %d bound %v below quantum %v", src, dst, bound, p.quantum))
-	}
-	p.look[src][dst] = bound
-	p.recomputeClosure()
 }
 
 // PairLookahead returns the conservative bound for src->dst causality: the
@@ -413,15 +296,7 @@ func (p *parEngine) closedFor(src, dst int) Time {
 func (e *Engine) Sharded() bool { return e.par != nil }
 
 // NumShards returns the shard count (0 when serial).
-func (e *Engine) NumShards() int {
-	if e.par == nil {
-		return 0
-	}
-	return len(e.par.shards)
-}
-
-// Shard returns shard i's clock.
-func (e *Engine) Shard(i int) *Shard { return e.par.shards[i] }
+func (e *Engine) NumShards() int { return len(e.all) - 1 }
 
 // Quantum returns the conservative lookahead floor (0 when serial).
 func (e *Engine) Quantum() Time {
@@ -479,19 +354,14 @@ func (p *parEngine) run(deadline Time) {
 		// phase and the segment bounds.
 		e0 := MaxTime
 		for i, s := range p.shards {
-			t := MaxTime
-			if ev := peekAlive(&s.q); ev != nil {
-				t = ev.at
-			}
+			t := s.head()
 			p.next[i] = t
 			if t < e0 {
 				e0 = t
 			}
 		}
-		g0 := MaxTime
-		if ev := peekAlive(&p.e.queue); ev != nil {
-			g0 = ev.at
-		}
+		band := &p.e.band
+		g0 := band.head()
 		if e0 == MaxTime && g0 == MaxTime {
 			if p.hasRetainedNotes() {
 				// Retained notes are all that is left; they may generate
@@ -527,16 +397,11 @@ func (p *parEngine) run(deadline Time) {
 				p.flush(g0)
 				continue
 			}
-			if p.e.now < g0 {
-				p.e.now = g0
+			if band.now < g0 {
+				band.now = g0
 			}
-			for {
-				ev := peekAlive(&p.e.queue)
-				if ev == nil || ev.at != g0 {
-					break
-				}
-				p.e.queue.pop()
-				p.e.exec(ev)
+			for band.head() == g0 {
+				band.step()
 			}
 			// Globals may Defer through shard clocks at the barrier; those
 			// notes stamp at >= g0 and stay retained until a future
@@ -583,8 +448,8 @@ func (p *parEngine) run(deadline Time) {
 		p.flush(W)
 	}
 	if deadline < MaxTime {
-		if p.e.now < deadline {
-			p.e.now = deadline
+		if p.e.band.now < deadline {
+			p.e.band.now = deadline
 		}
 		for _, s := range p.shards {
 			if s.now < deadline {
@@ -595,8 +460,8 @@ func (p *parEngine) run(deadline Time) {
 		// Quiescent Run: settle the engine clock at the global maximum so
 		// post-run reads (utilization over elapsed time) match serial.
 		for _, s := range p.shards {
-			if s.now > p.e.now {
-				p.e.now = s.now
+			if s.now > p.e.band.now {
+				p.e.band.now = s.now
 			}
 		}
 	}
@@ -662,28 +527,21 @@ func (p *parEngine) mergeHandoffs() bool {
 		bulk := total*4 >= len(dst.q)
 		for _, src := range p.shards {
 			slab := src.outTo[di]
-			for i := range slab {
-				h := &slab[i]
-				at := h.at
-				if at < dst.now {
-					// Setup- and barrier-origin sends clamp exactly as
-					// Post/Schedule would outside a segment; in-segment
+			for i, h := range slab {
+				x := heapEntry{h.at, dst.seq, h.act}
+				if x.at < dst.now {
+					// Setup- and barrier-origin sends clamp, and count,
+					// exactly as Post would outside a segment; in-segment
 					// sends can never arrive in the destination's past
 					// (that is what the pair bounds guarantee).
-					at = dst.now
-				}
-				var ev *Event
-				if h.act != nil {
-					ev = dst.pool.get()
-					ev.at, ev.seq, ev.act = at, dst.seq, h.act
-				} else {
-					ev = &Event{at: at, seq: dst.seq, fn: h.fn}
+					x.at = dst.now
+					dst.clamped++
 				}
 				dst.seq++
 				if bulk {
-					dst.q = append(dst.q, heapEntry{ev.at, ev.seq, ev})
+					dst.q = append(dst.q, x)
 				} else {
-					dst.q.push(ev)
+					dst.q.push(x)
 				}
 				slab[i] = handoffMsg{}
 			}
@@ -728,14 +586,10 @@ func (p *parEngine) dispatchNotes(W Time) bool {
 		s.notes[s.noteLo] = noteMsg{}
 		s.noteLo++
 		ran = true
-		if p.e.now < nt.at {
-			p.e.now = nt.at
+		if p.e.band.now < nt.at {
+			p.e.band.now = nt.at
 		}
-		if nt.act != nil {
-			nt.act.Run()
-		} else {
-			nt.fn()
-		}
+		nt.act.Run()
 	}
 	// Compact each queue: drop the dispatched prefix, keep retained tails.
 	for _, s := range p.shards {
@@ -778,7 +632,7 @@ func (p *parEngine) startWorkers() {
 	if p.workers <= 1 {
 		return
 	}
-	jobs := make(chan *Shard)
+	jobs := make(chan *Queue)
 	p.jobs = jobs
 	for i := 0; i < p.workers; i++ {
 		go func() {

@@ -15,7 +15,7 @@ import (
 // expected trace is unambiguous.
 func buildPingPong(e *Engine, nShards int, trace *[]string) {
 	for i := 0; i < nShards; i++ {
-		s := e.Shard(i)
+		s := e.Queue(i)
 		id := i
 		var tick func(k int)
 		tick = func(k int) {
@@ -23,17 +23,17 @@ func buildPingPong(e *Engine, nShards int, trace *[]string) {
 				return
 			}
 			now := s.Now()
-			s.Defer(func() {
+			s.Defer(funcAction(func() {
 				*trace = append(*trace, fmt.Sprintf("%v shard%d tick%d", now, id, k))
-			})
+			}))
 			if k%3 == 2 {
-				dst := e.Shard((id + 1) % nShards)
-				s.Handoff(dst, 5*Millisecond, func() {
+				dst := e.Queue((id + 1) % nShards)
+				s.Handoff(dst, 5*Millisecond, funcAction(func() {
 					at := dst.Now()
-					dst.Defer(func() {
+					dst.Defer(funcAction(func() {
 						*trace = append(*trace, fmt.Sprintf("%v shard%d got msg from shard%d", at, (id+1)%nShards, id))
-					})
-				})
+					}))
+				}))
 			}
 			s.After(Millisecond, func() { tick(k + 1) })
 		}
@@ -83,12 +83,12 @@ func TestGlobalBandBarriers(t *testing.T) {
 	e.EnableShards(2, Millisecond, 2)
 	var shardEvents int
 	for i := 0; i < 2; i++ {
-		s := e.Shard(i)
+		s := e.Queue(i)
 		for k := 1; k <= 10; k++ {
 			at := Time(k) * Millisecond
 			s.Schedule(at, func() {}) // data event
 			s.Schedule(at, func() {
-				s.Defer(func() { shardEvents++ })
+				s.Defer(funcAction(func() { shardEvents++ }))
 			})
 		}
 	}
@@ -109,7 +109,7 @@ func TestGlobalBandBarriers(t *testing.T) {
 func TestHandoffBelowQuantumPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.EnableShards(2, Millisecond, 1)
-	s0, s1 := e.Shard(0), e.Shard(1)
+	s0, s1 := e.Queue(0), e.Queue(1)
 	s0.Schedule(Millisecond, func() {
 		defer func() {
 			r := recover()
@@ -119,7 +119,7 @@ func TestHandoffBelowQuantumPanics(t *testing.T) {
 				t.Errorf("unexpected panic: %v", r)
 			}
 		}()
-		s0.Handoff(s1, Microsecond, func() {})
+		s0.Handoff(s1, Microsecond, funcAction(func() {}))
 	})
 	e.Run()
 }
@@ -129,7 +129,7 @@ func TestHandoffBelowQuantumPanics(t *testing.T) {
 func TestShardSchedulePastPanicsDuringDrain(t *testing.T) {
 	e := NewEngine(1)
 	e.EnableShards(1, Millisecond, 1)
-	s := e.Shard(0)
+	s := e.Queue(0)
 	s.Schedule(Millisecond, func() {
 		defer func() {
 			if recover() == nil {
@@ -159,8 +159,8 @@ func TestShardedRunUntil(t *testing.T) {
 	e := NewEngine(1)
 	e.EnableShards(2, Millisecond, 2)
 	var ran []string
-	e.Shard(0).Schedule(10*Millisecond, func() { ran = append(ran, "at-deadline") })
-	e.Shard(1).Schedule(10*Millisecond+1, func() { ran = append(ran, "late") })
+	e.Queue(0).Schedule(10*Millisecond, func() { ran = append(ran, "at-deadline") })
+	e.Queue(1).Schedule(10*Millisecond+1, func() { ran = append(ran, "late") })
 	e.RunUntil(10 * Millisecond)
 	if !reflect.DeepEqual(ran, []string{"at-deadline"}) {
 		t.Fatalf("ran %v, want [at-deadline]", ran)
@@ -169,7 +169,7 @@ func TestShardedRunUntil(t *testing.T) {
 		t.Errorf("engine clock %v, want 10ms", e.Now())
 	}
 	for i := 0; i < 2; i++ {
-		if got := e.Shard(i).Now(); got != 10*Millisecond {
+		if got := e.Queue(i).Now(); got != 10*Millisecond {
 			t.Errorf("shard %d clock %v, want 10ms", i, got)
 		}
 	}
@@ -179,20 +179,6 @@ func TestShardedRunUntil(t *testing.T) {
 	e.RunUntil(11 * Millisecond)
 	if len(ran) != 2 {
 		t.Errorf("late event did not run on the second RunUntil")
-	}
-}
-
-// TestShardedCancel: cancelled shard events never run.
-func TestShardedCancel(t *testing.T) {
-	e := NewEngine(1)
-	e.EnableShards(1, Millisecond, 1)
-	s := e.Shard(0)
-	ran := false
-	ev := s.Schedule(Millisecond, func() { ran = true })
-	ev.Cancel()
-	e.Run()
-	if ran {
-		t.Error("cancelled event ran")
 	}
 }
 
@@ -210,7 +196,7 @@ func TestOnBarrierMerges(t *testing.T) {
 		}
 	})
 	for i := 0; i < 2; i++ {
-		s := e.Shard(i)
+		s := e.Queue(i)
 		cell := &cells[i]
 		for k := 1; k <= 4; k++ {
 			s.Schedule(Time(k)*Millisecond, func() { *cell++ })
@@ -238,8 +224,8 @@ func TestOnBarrierMerges(t *testing.T) {
 func TestExecutedPendingSumShards(t *testing.T) {
 	e := NewEngine(1)
 	e.EnableShards(2, Millisecond, 1)
-	e.Shard(0).Schedule(Millisecond, func() {})
-	e.Shard(1).Schedule(Millisecond, func() {})
+	e.Queue(0).Schedule(Millisecond, func() {})
+	e.Queue(1).Schedule(Millisecond, func() {})
 	e.Schedule(Millisecond, func() {})
 	if e.Pending() != 3 {
 		t.Fatalf("pending %d, want 3", e.Pending())
@@ -257,8 +243,8 @@ func TestWalkPendingSeesUnmergedHandoffs(t *testing.T) {
 	e := NewEngine(1)
 	e.EnableShards(2, Millisecond, 1)
 	act := &nopAction{}
-	e.Shard(1).Post(5*Millisecond, act)
-	e.Shard(0).HandoffAction(e.Shard(1), 2*Millisecond, act)
+	e.Queue(1).Post(5*Millisecond, act)
+	e.Queue(0).Handoff(e.Queue(1), 2*Millisecond, act)
 	var seen []PendingEvent
 	e.WalkPending(func(pe PendingEvent) { seen = append(seen, pe) })
 	if len(seen) != 2 || seen[0].Shard != 1 || seen[0].At != 2*Millisecond || seen[0].Seq != 1 || seen[1].Seq != 0 {

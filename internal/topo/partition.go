@@ -264,26 +264,6 @@ func Partition(g *Graph, k int) *PartitionResult {
 	return res
 }
 
-// RecomputePair refreshes the (src, dst) pair bound from the graph — the
-// incremental hook for a partition-edge change (a link added between the
-// two shards, or a cut link's delay edited). A full link scan filtered to
-// one pair; callers feed the result to sim.Engine.UpdatePairLookahead.
-func (r *PartitionResult) RecomputePair(g *Graph, src, dst int) sim.Time {
-	d := sim.MaxTime
-	if src == dst {
-		return 0
-	}
-	for i := 0; i < g.NumLinks(); i++ {
-		l := g.Link(LinkID(i))
-		if int(l.From) < len(r.Assign) && int(l.To) < len(r.Assign) &&
-			r.Assign[l.From] == src && r.Assign[l.To] == dst && l.Delay < d {
-			d = l.Delay
-		}
-	}
-	r.PairDelay[src][dst] = d
-	return d
-}
-
 // Validate checks the partition invariants against g: full coverage, shard
 // indices in range, and no zero-delay link cut.
 func (r *PartitionResult) Validate(g *Graph) error {

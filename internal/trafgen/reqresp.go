@@ -22,6 +22,13 @@ type ReqResp struct {
 
 	net     *netsim.Network
 	pending map[uint64]sim.Time
+
+	// The request pacer: ReqResp is its own self-reposting sim.Action on
+	// the engine, like cbrSrc on a shard, so it satisfies Source and a
+	// pending request timer survives a checkpoint.
+	payload        int
+	interval, stop sim.Time
+	t              sim.Time // next send
 }
 
 // Resp describes the response direction: where responses are injected and
@@ -46,20 +53,21 @@ func NewReqResp(n *netsim.Network, req *Flow, resp *Flow, respPayload int) *ReqR
 // SendRequests issues requests of reqPayload bytes every interval from
 // start to stop.
 func (rr *ReqResp) SendRequests(reqPayload int, interval, start, stop sim.Time) {
-	var tick func(t sim.Time)
-	tick = func(t sim.Time) {
-		if t > stop {
-			return
-		}
-		rr.net.E.Schedule(t, func() {
-			rr.Req.Stats.RecordSent()
-			p := rr.Req.fill(rr.net.NewPacket(rr.Req.At), reqPayload)
-			rr.pending[p.Seq] = rr.net.E.Now()
-			rr.net.Inject(rr.Req.At, p)
-			tick(t + interval)
-		})
+	rr.payload, rr.interval, rr.stop, rr.t = reqPayload, interval, stop, start
+	if start <= stop {
+		rr.net.E.Post(start, rr)
 	}
-	tick(start)
+}
+
+// Run sends one request and books the next.
+func (rr *ReqResp) Run() {
+	rr.Req.Stats.RecordSent()
+	p := rr.Req.fill(rr.net.NewPacket(rr.Req.At), rr.payload)
+	rr.pending[p.Seq] = rr.net.E.Now()
+	rr.net.Inject(rr.Req.At, p)
+	if rr.t += rr.interval; rr.t <= rr.stop {
+		rr.net.E.Post(rr.t, rr)
+	}
 }
 
 // HandleDelivery reacts to a delivered packet: a request triggers the

@@ -1,6 +1,11 @@
 package trafgen
 
-import "mplsvpn/internal/snapshot"
+import (
+	"cmp"
+
+	"mplsvpn/internal/sim"
+	"mplsvpn/internal/snapshot"
+)
 
 // State walks the flow's dynamic state: the packet sequence number and the
 // accumulated statistics. Addressing is scenario configuration.
@@ -38,4 +43,14 @@ func (s *onOffSrc) State(c *snapshot.Codec) {
 	snapshot.Int(c, &s.end)
 	c.Bool(&s.inBurst)
 	s.rng.SetState(c.U64(s.rng.State()))
+}
+
+// State walks the exchange: the pacer's cursor, the outstanding requests by
+// transaction sequence with the time each was sent, and the results so far.
+// The two flows travel with every other registered flow.
+func (rr *ReqResp) State(c *snapshot.Codec) {
+	snapshot.Int(c, &rr.t)
+	snapshot.Map(c, &rr.pending, cmp.Compare[uint64], 2, snapshot.Uint[uint64], snapshot.Int[sim.Time])
+	snapshot.Int(c, &rr.Completed)
+	rr.RTT.State(c)
 }

@@ -95,11 +95,12 @@ func CBR(n *netsim.Network, f *Flow, payload int, interval, start, stop sim.Time
 }
 
 // cbrSrc is a self-rescheduling sim.Action: one struct per source, reposted
-// on a pooled event every tick, so the steady state allocates nothing.
+// every tick into the heap slot it just left, so the steady state allocates
+// nothing.
 type cbrSrc struct {
 	n              *netsim.Network
 	f              *Flow
-	clk            sim.Clock
+	clk            *sim.Queue
 	payload        int
 	interval, stop sim.Time
 	t              sim.Time
@@ -127,7 +128,7 @@ func Poisson(n *netsim.Network, f *Flow, payload int, pktPerSec float64, start, 
 type poissonSrc struct {
 	n       *netsim.Network
 	f       *Flow
-	clk     sim.Clock
+	clk     *sim.Queue
 	payload int
 	rate    float64
 	stop    sim.Time
@@ -165,7 +166,7 @@ func OnOff(n *netsim.Network, f *Flow, payload int, interval, meanOn, meanOff, s
 type onOffSrc struct {
 	n                         *netsim.Network
 	f                         *Flow
-	clk                       sim.Clock
+	clk                       *sim.Queue
 	payload                   int
 	interval, meanOn, meanOff sim.Time
 	stop, end, t              sim.Time
