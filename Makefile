@@ -47,8 +47,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Reconvergence is the unit of work every injected fault triggers; track
-# both branches: BenchmarkReconverge (full: node crash, untracked cause) and
-# BenchmarkReconvergeLinkFlap (incremental: what a link flap costs).
+# both branches: BenchmarkReconverge (full: node crash, untracked cause),
+# BenchmarkReconvergeLinkFlap (incremental: what a link flap costs) and
+# BenchmarkReconvergeLinkFlapTE (the same with 48 TE intents to keep or move).
 bench-reconverge:
 	$(GO) test -run='^$$' -bench=BenchmarkReconverge -benchmem ./internal/core
 
@@ -146,13 +147,18 @@ verify-snapshot:
 # the RIB oracle (sorted runs == the map model, every observable, all three
 # layouts) and the single-reflector stale-refresh reproducer,
 # the incremental SPF/CSPF and LDP-delta oracles (identical tables to a
-# full recompute across random flap sequences), the RT-constrained
-# update-volume and loop-prevention contracts, the reflector/ISPF
-# chaos-boundary restore proof at 1/8 shards, and the E20 scaling scorecard.
+# full recompute across random flap sequences), the TE-delta oracles (the
+# dirty-set re-signal ≡ the full sweep across 208 flap sequences, its named
+# fallbacks, the provider-only path scope, a clean LSP untouched by someone
+# else's fault, the overtaken detection timer, no local repair around a link
+# already back, rsvp's batch primitives), the
+# RT-constrained update-volume and loop-prevention contracts, the
+# reflector/ISPF chaos-boundary restore proof at 1/8 shards, and the E20
+# scaling scorecard.
 verify-controlplane:
 	$(GO) test -race -count=1 \
-		-run='TestClustered|TestRTConstrained|RIB|SingleReflector|TestISPF|TestIncremental|TestClusterPEs|TestReflectorSnapshotBoundary|TestE20' \
-		./internal/bgp ./internal/ospf ./internal/ldp ./internal/topo ./internal/chaos ./internal/experiments
+		-run='TestClustered|TestRTConstrained|RIB|SingleReflector|TestISPF|TestIncremental|TestCSPF|TestClusterPEs|TestTEDeltaMatchesFullSweep|TestTESweepFallbackReasons|TestTELSPNeverTransitsCustomer|TestCleanLSPLosesNothing|TestOverlappingDetectionWindows|TestLocalRepairSkipsRestoredLink|TestReleaseIsSilent|TestRebindReleases|TestReflectorSnapshotBoundary|TestE20' \
+		./internal/bgp ./internal/ospf ./internal/ldp ./internal/topo ./internal/rsvp ./internal/core ./internal/chaos ./internal/experiments
 
 # The inter-AS survivability acceptance gate under the race detector: the
 # RFC 4364 option A/B/C delivery and failover unit tests, the mid-GR

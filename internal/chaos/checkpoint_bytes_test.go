@@ -22,7 +22,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // "bgp" section became a route table plus indices); a change that is not
 // meant to move the format must reproduce them bit for bit. A deliberate
 // format change re-records them and the testdata file and bumps Version in
-// the same commit.
+// the same commit. The three rigs with TE intents, and the testdata file,
+// were re-recorded once since, format unchanged, when TE re-signalling
+// became a delta (DESIGN.md §8.7): their content moved — LSP IDs run on
+// instead of restarting at every reconvergence, the journal reports each
+// reconvergence's TE outcome instead of an lsp_up per intent — and the
+// inter-AS rig, which has no TE, did not.
 func TestCheckpointBytesUnchanged(t *testing.T) {
 	backbone := func(rig *snapRig, at sim.Time, fp string) []byte {
 		rig.b.E.MarkSetup()
@@ -39,9 +44,9 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		n    int
 		crc  uint32
 	}{
-		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 53888, 0xa99fa8a9},
-		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 53970, 0x133715ba},
-		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 77793, 0x79adc3ba},
+		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 54804, 0x45ad6596},
+		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 54886, 0xde9f23b2},
+		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 77898, 0x0d18f427},
 		{"inter-AS rig (options A, B, C), serial", func() []byte {
 			rig := buildInterASRig(t, 0, 0)
 			rig.x.E.MarkSetup()

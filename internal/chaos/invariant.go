@@ -12,7 +12,7 @@ import (
 // Violation is one invariant breach found after an injected fault.
 type Violation struct {
 	At     sim.Time
-	Kind   string // "isolation", "loop", or "conservation"
+	Kind   string // "isolation", "loop", "conservation", or "te-scope"
 	Detail string
 }
 
@@ -22,8 +22,9 @@ func (v Violation) String() string {
 
 // Checker asserts the safety invariants that must hold through any fault
 // sequence: no packet crosses VPNs, the forwarding tables contain no
-// loops, and every port's byte ledger balances. Undelivered traffic is
-// expected during faults; unsafe traffic never is.
+// loops, every port's byte ledger balances, and no provider LSP runs through
+// a customer's router. Undelivered traffic is expected during faults; unsafe
+// traffic never is.
 type Checker struct {
 	Checks     int
 	Violations []Violation
@@ -53,6 +54,12 @@ func (c *Checker) Check() {
 	// Per-port byte conservation: offered == tx + dropped + queued + in-flight.
 	if err := c.b.Net.CheckConservation(); err != nil {
 		c.add(now, "conservation", err.Error())
+	}
+
+	// TE stays inside the provider: no Up LSP or bypass transits a CE,
+	// however cheap a dual-homed site makes the detour look.
+	for _, v := range c.b.TEScopeViolations() {
+		c.add(now, "te-scope", v)
 	}
 
 	// Loop freedom: walk the forwarding tables between every site pair.

@@ -261,11 +261,15 @@ type Backbone struct {
 	pendingLinks []linkPair
 	pendingFull  bool
 	// teISPF caches an incrementally maintained unconstrained SPT per TE
-	// ingress, serving RSVP's plain-path preemption fallback without a
-	// fresh Dijkstra per query. Derived state: dropped on graph growth,
-	// node crashes, and restore; never serialized.
-	teISPF      map[topo.NodeID]*topo.IncrementalSPF
-	teISPFLinks int
+	// ingress over RSVP's node scope. An intent's target path is read from it on every
+	// reconvergence (resignalTE), as is RSVP's plain-path preemption
+	// fallback. Derived state: dropped on node crashes and restore, never
+	// serialized; customer links are outside the scope, so provisioning a
+	// site does not disturb it.
+	teISPF map[topo.NodeID]*topo.IncrementalSPF
+	// TE counts what resignalTE did over this process's lifetime, and
+	// TELast what it did on the latest reconvergence.
+	TE, TELast TEResignalStats
 	// aimd dispatches delivery/drop feedback to congestion-controlled sources.
 	aimd map[packet.FlowKey]*trafgen.AIMD
 	// sources are the checkpointable traffic generators in creation order;
@@ -507,10 +511,10 @@ func (b *Backbone) BuildProvider() {
 			lfibs[n] = r.LFIB
 		}
 		b.LDP.Converge()
-		b.RSVP = rsvp.New(b.G, b.allocs, lfibs)
+		b.RSVP = rsvp.NewOver(b.G, b.allocs, lfibs, b.providerNodes)
 		b.wireRSVPHooks()
 		b.configureDSTE()
-		b.signalBypasses()
+		b.signalBypasses(nil)
 	}
 
 	// Global IP routes to provider loopbacks (control traffic, and the
@@ -579,19 +583,18 @@ func (b *Backbone) electClusters() []bgp.Cluster {
 	return clusters
 }
 
-// plainSPF serves RSVP's unconstrained-SPT queries from incrementally
-// maintained per-ingress trees (the preemption fallback path). The cache
-// is derived state: it is rebuilt lazily whenever the graph has grown
-// (provisioning adds CE links) and dropped outright on node-level faults
-// and restores.
+// plainSPF serves the unconstrained shortest-path tree from a TE ingress
+// over the provider routers, from incrementally maintained per-ingress
+// trees: the source of every intent's target path and of RSVP's preemption
+// fallback. The cache is derived state, built on first use and dropped
+// outright on node-level faults and restores.
 func (b *Backbone) plainSPF(src topo.NodeID) *topo.SPFResult {
-	if b.teISPF == nil || b.teISPFLinks != b.G.NumLinks() {
-		b.teISPF = make(map[topo.NodeID]*topo.IncrementalSPF)
-		b.teISPFLinks = b.G.NumLinks()
-	}
 	sp, ok := b.teISPF[src]
 	if !ok {
-		sp = topo.NewIncrementalSPF(b.G, src, topo.Constraints{})
+		if b.teISPF == nil {
+			b.teISPF = make(map[topo.NodeID]*topo.IncrementalSPF)
+		}
+		sp = topo.NewIncrementalSPF(b.G, src, topo.Constraints{Within: b.RSVP.Scope()})
 		b.teISPF[src] = sp
 	}
 	return sp.Result()

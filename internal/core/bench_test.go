@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"mplsvpn/internal/addr"
@@ -194,4 +195,31 @@ func BenchmarkReconvergeLinkFlap(b *testing.B) {
 		l := links[i/2%2]
 		flapStep{a: l[0], z: l[1], restore: i%2 == 1}.apply(bb, 0, false)
 	}
+}
+
+// BenchmarkReconvergeLinkFlapTE is BenchmarkReconvergeLinkFlap where TE is
+// most of the state: the 7x7 grid of the delta ≡ sweep property test with 48
+// TE intents between its eight PEs. A flap dirties the few intents whose
+// target path it moves; the rest are compared and kept (DESIGN.md §8.7).
+// kept/op and resignalled/op say how the 48 split.
+func BenchmarkReconvergeLinkFlapTE(b *testing.B) {
+	r := teGrid(Config{Seed: 77, Scheduler: SchedHybrid}, 7, 1e9)
+	r.signalIntents(rand.New(rand.NewSource(77)), 48, 8, []float64{10e6}, false)
+	if len(r.b.teRequests) != 48 {
+		b.Fatalf("%d of 48 intents admitted", len(r.b.teRequests))
+	}
+	links := [][2]string{{"P3-3", "P3-4"}, {"P1-1", "P2-1"}, {"P5-2", "P5-3"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := links[i/2%len(links)]
+		flapStep{a: l[0], z: l[1], restore: i%2 == 1}.apply(r.b, 0, false)
+	}
+	b.StopTimer()
+	st := r.b.TE
+	if len(st.Sweeps) != 0 {
+		b.Fatalf("fell back to the full sweep: %+v", st)
+	}
+	b.ReportMetric(float64(st.Kept)/float64(b.N), "kept/op")
+	b.ReportMetric(float64(st.Moved+st.Resetup)/float64(b.N), "resignalled/op")
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/device"
@@ -157,7 +158,7 @@ func (b *Backbone) FailLink(a, z string, detectDelay sim.Time) error {
 func (b *Backbone) localRepair(a, z topo.NodeID) {
 	for _, dir := range [][2]topo.NodeID{{a, z}, {z, a}} {
 		l, ok := b.G.FindLink(dir[0], dir[1])
-		if !ok {
+		if !ok || !l.Down { // restored before the repair fired: nothing to go around
 			continue
 		}
 		byp, ok := b.bypasses[l.ID]
@@ -236,8 +237,6 @@ func (b *Backbone) CrashNode(name string, detectDelay sim.Time) error {
 	return nil
 }
 
-// hardCrashNode applies the data-plane consequences of a hard crash: all
-// incident links down, forwarding state wiped.
 // noteLinkFlap records a single-link topology event for the delta paths:
 // queued for the IGP's incremental SPF at the next reconvergence, and
 // folded immediately into the cached TE plain-path trees.
@@ -246,6 +245,8 @@ func (b *Backbone) noteLinkFlap(a, z topo.NodeID) {
 	b.applyTELinkChange(a, z)
 }
 
+// hardCrashNode applies the data-plane consequences of a hard crash: all
+// incident links down, forwarding state wiped.
 func (b *Backbone) hardCrashNode(id topo.NodeID) {
 	b.nodeDown[id] = true
 	b.pendingFull = true
@@ -322,7 +323,6 @@ func (b *Backbone) CutSiteAttachment(site string) error {
 	}
 	b.cutSites[site] = true
 	b.G.SetLinkDown(rec.CE, rec.PE, true)
-	b.applyTELinkChange(rec.CE, rec.PE)
 	b.journal(telemetry.EventLinkDown, subject, "attachment cut")
 	return nil
 }
@@ -340,37 +340,59 @@ func (b *Backbone) RestoreSiteAttachment(site string) error {
 	delete(b.cutSites, site)
 	if !b.nodeDown[rec.PE] {
 		b.G.SetLinkDown(rec.CE, rec.PE, false)
-		b.applyTELinkChange(rec.CE, rec.PE)
 	}
 	b.journal(telemetry.EventLinkUp, subject, "attachment restored")
 	return nil
 }
 
-// signalBypasses pre-establishes an FRR bypass around every up core link
-// (both directions) when the FRR policy is on. Links with no alternative
-// path simply go unprotected.
-func (b *Backbone) signalBypasses() {
+// signalBypasses keeps an FRR bypass around every up core link (both
+// directions) when the FRR policy is on: the detour around the protected
+// fibre is recomputed, a bypass already on it is kept as it stands — unless
+// it crosses a flapped link, where local repair may have rewritten its
+// entries — any other is replaced, and a dead link's is withdrawn. Links
+// with no alternative path simply go unprotected.
+func (b *Backbone) signalBypasses(flapped []linkPair) {
 	if !b.Cfg.FRR || b.RSVP == nil {
 		return
 	}
-	b.bypasses = make(map[topo.LinkID]*rsvp.LSP)
-	provider := make(map[topo.NodeID]bool, len(b.providerNodes))
-	for _, n := range b.providerNodes {
-		provider[n] = true
+	if b.bypasses == nil {
+		b.bypasses = make(map[topo.LinkID]*rsvp.LSP)
 	}
 	for i := 0; i < b.G.NumLinks(); i++ {
 		lid := topo.LinkID(i)
 		l := b.G.Link(lid)
-		if l.Down || !provider[l.From] || !provider[l.To] {
+		if !b.isProvider(l.From) || !b.isProvider(l.To) {
 			continue
 		}
-		byp, err := b.RSVP.SetupBypass(
-			"bypass-"+b.G.Name(l.From)+"-"+b.G.Name(l.To), lid)
+		held := b.bypasses[lid]
+		if held != nil && (l.Down || b.crossesAny(held.Path, flapped)) {
+			b.RSVP.Release(held.ID, false)
+			delete(b.bypasses, lid)
+			held = nil
+		}
+		if l.Down {
+			continue
+		}
+		byp, err := b.RSVP.SetupBypass("bypass-"+b.G.Name(l.From)+"-"+b.G.Name(l.To), lid, held)
 		if err != nil {
+			delete(b.bypasses, lid)
 			continue
 		}
 		b.bypasses[lid] = byp
 	}
+}
+
+// reconvergeDetected is a detection timer firing. Every fault entry point
+// records its cause before arming one, so a timer that finds none queued was
+// overtaken: an earlier timer, armed by a fault whose detection window
+// overlapped this one's, already reconverged for both. It is a journalled
+// no-op, not the full rebuild a causeless reconvergeProvider call means.
+func (b *Backbone) reconvergeDetected() {
+	if len(b.pendingLinks) == 0 && !b.pendingFull {
+		b.journal(telemetry.EventReconverged, "provider", "nothing queued: an overlapping detection window already reconverged")
+		return
+	}
+	b.reconvergeProvider()
 }
 
 // reconvergeProvider brings the interior control plane in line with the
@@ -385,19 +407,17 @@ func (b *Backbone) signalBypasses() {
 // take the same changed set. No label value changes, so a packet in flight
 // keeps being switched.
 //
-// Full — node crash or restart, AS failure, PlainIP, or a reconvergence
-// with no tracked cause: full IGP flood, fresh LFIB/FTN on every router, a
-// fresh LDP instance flooded from nothing, VPN egress labels re-bound from
-// the provisioning records, IP tables rebuilt. Labels are allocated anew. It
+// Full — node crash or restart, AS failure, PlainIP, or a direct call with
+// no tracked cause: full IGP flood, fresh LFIB/FTN on every router, a fresh
+// LDP instance flooded from nothing, VPN egress labels re-bound from the
+// provisioning records, IP tables rebuilt. Labels are allocated anew. It
 // is the oracle the incremental branch is tested against, as ospf.Converge
 // is for NotifyLinkChange.
 //
-// TE re-signalling is the same full sweep on both branches: every
-// reservation released, a fresh RSVP instance, every recorded intent
-// re-signalled in order (falling back to LDP transport where no path fits),
-// bypasses re-signalled. Its outcome depends on signalling order, so it is
-// not a delta; on the incremental branch the old instance's ILM entries are
-// first unbound from the tables that outlive it.
+// TE follows on the one long-lived RSVP instance (resignalTE): a delta on
+// the incremental branch — intents the flaps did not touch keep LSP, labels,
+// reservation and steering entry — and every intent re-signalled on the full
+// one, whose tables RSVP was just rebound to.
 func (b *Backbone) reconvergeProvider() {
 	// PlainIP mode always rebuilds: customer prefixes live in the provider
 	// IP tables with SPF-derived next-hops, and only installPlainRoutes
@@ -408,12 +428,11 @@ func (b *Backbone) reconvergeProvider() {
 	} else {
 		b.reconvergeFull()
 	}
+	if !b.Cfg.PlainIP {
+		b.resignalTE(b.pendingLinks, !incremental)
+	}
 	b.pendingLinks = b.pendingLinks[:0]
 	b.pendingFull = false
-
-	if !b.Cfg.PlainIP {
-		b.resignalTE()
-	}
 
 	// Layered planes (inter-AS boundary state) re-derive what they captured
 	// from the label tables: transport labels may have moved with the next
@@ -450,7 +469,6 @@ func (b *Backbone) reconvergeLinkFlaps() {
 		}
 	}
 	b.LDP.ApplyIGPDelta(flapped, changed)
-	b.RSVP.UnbindAll()
 }
 
 // reconvergeFull is the full branch: everything below the TE layer is
@@ -459,11 +477,14 @@ func (b *Backbone) reconvergeFull() {
 	b.IGP.Converge()
 
 	if !b.Cfg.PlainIP {
+		lfibs := make(map[topo.NodeID]*mpls.LFIB, len(b.providerNodes))
 		for _, n := range b.providerNodes {
 			r := b.routers[n]
 			r.LFIB = mpls.NewLFIB()
 			r.FTN = mpls.NewFTN()
+			lfibs[n] = r.LFIB
 		}
+		b.RSVP.Rebind(lfibs)
 		b.LDP = ldp.NewOver(b.G, b.IGP, b.providerNodes)
 		if b.Cfg.LDPIndependent {
 			b.LDP.Mode = ldp.Independent
@@ -517,44 +538,146 @@ func (b *Backbone) reconvergeFull() {
 	}
 }
 
-// resignalTE releases every reservation and re-signals each recorded TE
-// intent, then the FRR bypasses, on a fresh RSVP instance over the routers'
-// current label tables.
-func (b *Backbone) resignalTE() {
-	for i := 0; i < b.G.NumLinks(); i++ {
-		b.G.Link(topo.LinkID(i)).ReservedBw = 0
-	}
-	lfibs := make(map[topo.NodeID]*mpls.LFIB)
-	for _, n := range b.providerNodes {
-		lfibs[n] = b.routers[n].LFIB
-	}
-	oldDrainSeq := b.RSVP.DrainSeq()
-	b.RSVP = rsvp.New(b.G, b.allocs, lfibs)
-	b.RSVP.SetDrainSeq(oldDrainSeq)
-	b.wireRSVPHooks()
-	b.configureDSTE()
-	for _, n := range b.providerNodes {
-		for k := range b.routers[n].TE {
-			b.routers[n].DeleteTE(k)
+// teTargets reads every intent's target path — the canonical unconstrained
+// shortest path over the provider routers, from the per-ingress trees the
+// link flaps already updated — and decides whether re-signalling only the
+// intents off their targets provably equals re-signalling all of them in
+// order. It does when each intent leaves path choice to CSPF, none can
+// preempt another, and all targets together fit every link and DS-TE pool
+// beside whatever else is reserved there: then at every step of the ordered
+// sweep each target survives bandwidth pruning, the lowest-link tie-break
+// picks the same in-edges in the pruned graph as in the whole one, and the
+// sweep ends with every intent on its target whatever the order. When it
+// does not, sweep names why (for the counters) and targets is nil.
+func (b *Backbone) teTargets() (targets []*topo.Path, sweep string) {
+	for _, req := range b.teRequests {
+		first := b.teRequests[0].opt
+		switch {
+		case req.opt.Explicit != nil:
+			return nil, "explicit"
+		case len(req.opt.Avoid) > 0:
+			return nil, "avoid"
+		case req.opt.SetupPri != first.SetupPri || req.opt.HoldPri != first.HoldPri:
+			return nil, "priority"
 		}
 	}
-	// The old protocol instance is gone and the new one restarts LSP IDs
-	// at 1: clear every stale pointer first so no event from the fresh
-	// instance can be mis-attributed to an old LSP by ID collision.
-	for _, req := range b.teRequests {
-		req.lsp = nil
+	// load is what each link's ledgers would gain, per class type, were
+	// every intent moved from the LSP it holds to its target.
+	targets = make([]*topo.Path, len(b.teRequests))
+	load := make(map[topo.LinkID]*[rsvp.NumClassTypes]float64)
+	add := func(lid topo.LinkID, ct rsvp.ClassType, bw float64) {
+		if load[lid] == nil {
+			load[lid] = new([rsvp.NumClassTypes]float64)
+		}
+		load[lid][ct] += bw
 	}
-	for _, req := range b.teRequests {
-		l, err := b.RSVP.Setup(req.name, req.ingress, req.egress, req.bandwidth, req.opt)
-		if err != nil {
-			// No path with capacity: fall back to the LDP LSP. With
-			// resilience on, the intent also enters the retry queue so
-			// it re-signals when capacity returns.
-			b.teSignalFailed(req)
+	for i, req := range b.teRequests {
+		if l := req.lsp; l != nil && l.State == rsvp.Up {
+			for _, lid := range l.Path.Links {
+				add(lid, l.ClassType, -l.Bandwidth)
+			}
+		}
+		if path, ok := b.plainSPF(req.ingress).PathTo(b.G, req.egress); ok {
+			targets[i] = &path
+			for _, lid := range path.Links {
+				add(lid, req.opt.ClassType, req.bandwidth)
+			}
+		}
+	}
+	for lid, gain := range load {
+		l, total := b.G.Link(lid), 0.0
+		for ct, d := range gain {
+			total += d
+			if ds := b.RSVP.DSTE; ds != nil && d > 0 && ds.Reserved(lid, rsvp.ClassType(ct))+d > ds.BC[ct]*l.Bandwidth {
+				return nil, "fit"
+			}
+		}
+		if total > 0 && l.ReservedBw+total > l.Bandwidth {
+			return nil, "fit"
+		}
+	}
+	return targets, ""
+}
+
+// crossesAny reports whether the path runs over one of the fibres, either way.
+func (b *Backbone) crossesAny(path topo.Path, pairs []linkPair) bool {
+	return len(pairs) > 0 && slices.ContainsFunc(path.Links, func(lid topo.LinkID) bool {
+		l := b.G.Link(lid)
+		return slices.Contains(pairs, pairKey(l.From, l.To))
+	})
+}
+
+// resignalTE brings the TE intents in line with the topology, on the RSVP
+// instance that lives as long as the backbone. An intent is dirty when it
+// holds no Up LSP, when its LSP is not what it would be signalled as now — off
+// its target path (a path over a dead link always is), or at another
+// bandwidth or class type — and when its path crosses a link that flapped
+// since the last reconvergence, even one back up and on the target: FRR local
+// repair rewrote the entries leaving it (LFIB.DetourVia) and nothing undoes
+// that, so new labels are bound, as LDP re-derives flapped endpoints
+// unconditionally. Dirty intents give up their reservations together, then
+// are signalled in intent order against the ledger none of them holds; one
+// whose old path still forwards moves make-before-break (its labels drain, its
+// ingress entry is repointed within this same event), one over a dead link is
+// torn down and set up, one with no path falls back to the LDP LSP — and, with
+// resilience on, enters the retry queue. Clean intents are not touched. The
+// full sweep is this function with every intent dirty: after a rebuild, or
+// when teTargets cannot vouch for the delta.
+func (b *Backbone) resignalTE(flapped []linkPair, rebuilt bool) {
+	var targets []*topo.Path
+	sweep := "rebuild"
+	if !rebuilt {
+		targets, sweep = b.teTargets()
+	}
+	const (
+		clean = iota
+		move
+		setup
+	)
+	st := TEResignalStats{Reconvergences: 1}
+	plan := make([]uint8, len(b.teRequests))
+	for i, req := range b.teRequests {
+		l := req.lsp
+		up := l != nil && l.State == rsvp.Up
+		if up && sweep == "" && targets[i] != nil && slices.Equal(l.Path.Links, targets[i].Links) &&
+			l.Bandwidth == req.bandwidth && l.ClassType == req.opt.ClassType && !b.crossesAny(l.Path, flapped) {
+			st.Kept++
 			continue
 		}
-		req.lsp = l
-		b.routers[req.ingress].SetTE(teKeyFor(req), l.Entry)
+		plan[i] = setup
+		b.routers[req.ingress].DeleteTE(teKeyFor(req))
+		if !up {
+			continue
+		}
+		forwards := !slices.ContainsFunc(l.Path.Links, func(lid topo.LinkID) bool { return b.G.Link(lid).Down })
+		b.RSVP.Release(l.ID, forwards)
+		if forwards {
+			plan[i] = move
+		}
 	}
-	b.signalBypasses()
+	for i, req := range b.teRequests {
+		if plan[i] != clean {
+			l, err := b.RSVP.Setup(req.name, req.ingress, req.egress, req.bandwidth, req.opt)
+			if err != nil {
+				// No path with capacity: fall back to the LDP LSP. With
+				// resilience on, the intent also enters the retry queue so
+				// it re-signals when capacity returns.
+				req.lsp = nil
+				st.Failed++
+				b.teSignalFailed(req)
+				continue
+			}
+			req.lsp = l
+			if plan[i] == move {
+				st.Moved++
+			} else {
+				st.Resetup++
+			}
+		}
+		// In intent order, clean and dirty alike: where two intents steer
+		// the same traffic, the later one's entry stands, as in the sweep.
+		b.routers[req.ingress].SetTE(teKeyFor(req), req.lsp.Entry)
+	}
+	b.signalBypasses(flapped)
+	b.noteTEResignal(st, sweep)
 }

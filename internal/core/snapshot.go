@@ -87,7 +87,7 @@ func (t *ctlTimer) Run() {
 	b := t.b
 	switch t.kind {
 	case timerReconverge:
-		b.reconvergeProvider()
+		b.reconvergeDetected()
 	case timerLocalRepair:
 		b.localRepair(topo.NodeID(t.a), topo.NodeID(t.z))
 	case timerTERetry:
@@ -97,7 +97,7 @@ func (t *ctlTimer) Run() {
 			b.retrySignal(b.teRequests[i])
 		}
 	case timerDrain:
-		// An id from a pre-reconverge protocol generation is a safe no-op.
+		// A drain a full reconvergence forgot with its tables is a no-op.
 		if b.RSVP != nil {
 			b.RSVP.RunDrain(int(t.a))
 		}

@@ -27,7 +27,9 @@ import (
 //	        and the provider reconverges at 320 ms          (timerReconverge)
 //	320 ms  7 Mb/s of intents no longer fit the one 5 Mb/s side left: te-c
 //	        fails admission and backs off                     (timerTERetry)
-//	600 ms  PE1-P1 returns.
+//	600 ms  PE1-P1 returns, detected after 20 ms                (timerReconverge)
+//	620 ms  the intents that fit move back to the short side, make before
+//	        break: the long side's labels drain               (timerDrain)
 
 const timerHorizon = sim.Second
 
@@ -144,6 +146,11 @@ func TestSnapshotWithEachControlTimerPending(t *testing.T) {
 		{300*sim.Millisecond + 500*sim.Microsecond, timerLocalRepair},
 		{310 * sim.Millisecond, timerReconverge},
 		{325 * sim.Millisecond, timerTERetry},
+		// The restore: between the fault and its reconvergence, and between
+		// the make-before-break moves that reconvergence made (resignalTE
+		// takes the intents back to the short side) and their drains.
+		{610 * sim.Millisecond, timerReconverge},
+		{640 * sim.Millisecond, timerDrain},
 	}
 	const fp = "control-timers"
 	for _, interAS := range []bool{false, true} {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"mplsvpn/internal/packet"
@@ -136,9 +138,82 @@ func (b *Backbone) TelemetrySnapshot() *telemetry.Snapshot {
 // black-holing at the first unbound hop.
 const LSPDrainDelay = 50 * sim.Millisecond
 
+// TEResignalStats counts what reconvergences did to the TE intents: how many
+// each kept untouched, moved make-before-break, tore down and set up again
+// (or set up from nothing), and failed to signal, and how many times every
+// intent was re-signalled instead of the dirty ones, by reason — "rebuild"
+// after a full reconvergence, or the fallbacks "fit", "explicit", "avoid"
+// and "priority" (see teTargets). Process-lifetime observability, not
+// checkpointed; the registry's te_resignal_* counters are.
+type TEResignalStats struct {
+	Reconvergences               int
+	Kept, Moved, Resetup, Failed int
+	Sweeps                       map[string]int
+}
+
+// noteTEResignal accounts one resignalTE pass: into TELast and TE, and —
+// when there are intents to speak of — the registry and one journal line.
+func (b *Backbone) noteTEResignal(st TEResignalStats, sweep string) {
+	if sweep != "" {
+		st.Sweeps = map[string]int{sweep: 1}
+		if b.TE.Sweeps == nil {
+			b.TE.Sweeps = make(map[string]int)
+		}
+		b.TE.Sweeps[sweep]++
+	}
+	b.TELast = st
+	b.TE.Reconvergences++
+	b.TE.Kept += st.Kept
+	b.TE.Moved += st.Moved
+	b.TE.Resetup += st.Resetup
+	b.TE.Failed += st.Failed
+	if b.tel == nil || len(b.teRequests) == 0 {
+		return
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"te_resignal_kept", st.Kept}, {"te_resignal_moved", st.Moved},
+		{"te_resignal_resetup", st.Resetup}, {"te_resignal_failed", st.Failed}} {
+		if c.n > 0 {
+			b.tel.Reg.Counter(c.name, telemetry.Labels{}).Add(int64(c.n))
+		}
+	}
+	detail := fmt.Sprintf("kept %d moved %d resetup %d failed %d", st.Kept, st.Moved, st.Resetup, st.Failed)
+	if sweep != "" {
+		b.tel.Reg.Counter("te_resignal_full_sweeps", telemetry.Labels{Reason: sweep}).Inc()
+		detail += "; full sweep: " + sweep
+	}
+	b.journal(telemetry.EventReconverged, "te", detail)
+}
+
+// isProvider reports whether n is one of this backbone's P or PE routers.
+func (b *Backbone) isProvider(n topo.NodeID) bool {
+	scope := b.RSVP.Scope()
+	return int(n) < len(scope) && scope[n]
+}
+
+// TEScopeViolations lists the Up LSPs — intents' and bypasses' alike — whose
+// path visits a node that is not one of this backbone's provider routers. A
+// provider tunnel through a customer's router would have labels bound on a
+// box the provider does not run; the chaos checker asserts there is none.
+func (b *Backbone) TEScopeViolations() []string {
+	if b.RSVP == nil {
+		return nil
+	}
+	var out []string
+	for _, l := range b.RSVP.LSPs() {
+		if l.State == rsvp.Up && slices.ContainsFunc(l.Path.Nodes(b.G), func(n topo.NodeID) bool { return !b.isProvider(n) }) {
+			out = append(out, fmt.Sprintf("lsp %d %s via %s", l.ID, l.Name, b.pathName(l.Path)))
+		}
+	}
+	return out
+}
+
 // wireRSVPHooks routes RSVP signalling events into the telemetry journal
-// and, when resilience is on, into the TE retry queue. Must be re-applied
-// whenever b.RSVP is recreated (reconvergeProvider).
+// and, when resilience is on, into the TE retry queue. Applied at build and
+// again whenever telemetry or resilience is enabled: the one RSVP instance
+// lives as long as the backbone.
 func (b *Backbone) wireRSVPHooks() {
 	if b.RSVP == nil {
 		return

@@ -6,12 +6,15 @@
 // adjacency, its reverse index, and the distance field — and repairs them
 // edge by edge as LSAs are installed (Ramalingam–Reps dynamic SSSP: an
 // improved edge relaxes forward from its head; a degraded edge floods the
-// affected region, then re-settles it from its boundary). Routes are then
-// re-derived from distances in one linear pass: a node's ECMP parents are
+// affected region, then re-settles it from its boundary). Each repair
+// records the nodes it touched, and routes are then re-derived for those
+// alone and, in increasing-distance order, for the shortest-path-DAG
+// descendants whose first-hop set actually moved: a node's ECMP parents are
 // exactly its in-edges satisfying dist[u] + metric == dist[v], which is
 // also exactly the parent set the full Dijkstra collects, so ISPF routes
-// are identical to full-SPF routes (property_test.go proves this against
-// a shadow domain across random flap sequences).
+// are identical to full-SPF routes (ispf_test.go proves this, and that the
+// changed-destination ledger equals the full derivation's diff, against a
+// shadow domain across random flap sequences).
 //
 // ISPF state is derived, never serialized: snapshot restore drops it and
 // the next recompute falls back to a full SPF, which rebuilds it.
@@ -45,15 +48,28 @@ type ispfState struct {
 	// dist holds the shortest distance from the instance's node to every
 	// reachable node (the node itself at 0); unreachable nodes are absent.
 	dist map[topo.NodeID]int
-	// dirty is set when the routing table may differ from the last
-	// derivation: a distance moved (grow/shrink ran), or an edited edge
-	// entered or left the ECMP parent set (dist[u]+metric == dist[v])
-	// without moving any distance. Edge edits that touch neither leave the
-	// state clean, so a clean instance skips route derivation entirely —
-	// that skip, not the distance repair, is where most of the incremental
-	// win comes from on single-link events. Parent sets are a function of
-	// (dist, adjacency), so the two triggers together are exhaustive.
-	dirty bool
+	// touched lists the nodes whose route may differ from the last
+	// derivation other than through a parent's first hops (which deriveRoutes
+	// follows by itself): a node whose distance moved, with the heads of its
+	// out-edges at that moment, whose parent sets its distance feeds
+	// (moved); and the head of an edited edge that entered or left the ECMP
+	// parent set (dist[u]+metric == dist[v]) without moving any distance.
+	// Parent sets are a function of (dist, adjacency), and each of the two
+	// is recorded at the moment it changes, so the list is exhaustive
+	// however many repairs pile up between derivations; duplicates are
+	// harmless. Edge edits that touch neither leave it empty, and an
+	// instance with nothing touched skips route derivation entirely — that
+	// skip, not the distance repair, is where most of the incremental win
+	// comes from on single-link events.
+	touched []topo.NodeID
+}
+
+// moved records that v's distance changed.
+func (st *ispfState) moved(v topo.NodeID) {
+	st.touched = append(st.touched, v)
+	for _, e := range st.adj[v] {
+		st.touched = append(st.touched, e.to)
+	}
 }
 
 // advertises reports whether the LSA lists n as a neighbor.
@@ -176,10 +192,10 @@ func (st *ispfState) addEdge(from topo.NodeID, e iedge) {
 	st.adj[from] = append(st.adj[from], e)
 	st.radj[e.to] = append(st.radj[e.to], redge{from: from, metric: e.metric, link: e.link})
 	// A new edge landing exactly on the shortest distance widens the ECMP
-	// parent set without moving any distance; a shorter one dirties the
-	// state from the grow it triggers in the repair that follows.
+	// parent set without moving any distance; a shorter one is recorded by
+	// the grow it triggers in the repair that follows.
 	if st.onTree(from, e.to, e.metric) {
-		st.dirty = true
+		st.touched = append(st.touched, e.to)
 	}
 }
 
@@ -188,7 +204,7 @@ func (st *ispfState) removeEdge(from, to topo.NodeID, link topo.LinkID) {
 	for i, e := range row {
 		if e.link == link {
 			if st.onTree(from, to, e.metric) {
-				st.dirty = true // a parent edge vanished
+				st.touched = append(st.touched, to) // a parent edge vanished
 			}
 			st.adj[from] = append(row[:i], row[i+1:]...)
 			break
@@ -207,9 +223,9 @@ func (st *ispfState) setMetric(from, to topo.NodeID, link topo.LinkID, metric in
 	for i := range st.adj[from] {
 		if st.adj[from][i].link == link {
 			// Routes change if the edge leaves or joins the parent set;
-			// otherwise only a repair-driven distance move can dirty them.
+			// otherwise only a repair-driven distance move can touch them.
 			if st.onTree(from, to, st.adj[from][i].metric) || st.onTree(from, to, metric) {
-				st.dirty = true
+				st.touched = append(st.touched, to)
 			}
 			st.adj[from][i].metric = metric
 			break
@@ -276,8 +292,8 @@ func (h *distHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]
 // grow propagates an improvement at v forward; only strictly-improved
 // nodes are re-settled.
 func (st *ispfState) grow(v topo.NodeID, dist int) {
-	st.dirty = true // v's distance strictly improves
 	st.dist[v] = dist
+	st.moved(v)
 	h := &distHeap{{node: v, dist: dist}}
 	for h.Len() > 0 {
 		it := heap.Pop(h).(distItem)
@@ -288,6 +304,7 @@ func (st *ispfState) grow(v topo.NodeID, dist int) {
 			nd := st.dist[it.node] + e.metric
 			if cur, ok := st.dist[e.to]; !ok || nd < cur {
 				st.dist[e.to] = nd
+				st.moved(e.to)
 				heap.Push(h, distItem{node: e.to, dist: nd})
 			}
 		}
@@ -298,7 +315,6 @@ func (st *ispfState) grow(v topo.NodeID, dist int) {
 // whose distance no longer has an unaffected certificate), reset it, seed
 // each member from the unaffected boundary, and re-settle the region.
 func (st *ispfState) shrink(src, v topo.NodeID) {
-	st.dirty = true // v's distance strictly degrades or becomes unreachable
 	aff := []topo.NodeID{v}
 	affected := map[topo.NodeID]bool{v: true}
 	for i := 0; i < len(aff); i++ {
@@ -321,6 +337,7 @@ func (st *ispfState) shrink(src, v topo.NodeID) {
 		}
 	}
 	for _, u := range aff {
+		st.moved(u) // strictly degrades, or becomes unreachable
 		delete(st.dist, u)
 	}
 	h := &distHeap{}
@@ -350,61 +367,80 @@ func (st *ispfState) shrink(src, v topo.NodeID) {
 	}
 }
 
-// deriveRoutes rebuilds the instance's routing table from the live ISPF
-// state in one linear pass. The ECMP parents of a node are its in-edges
-// achieving equality with its distance — the same set a full Dijkstra
-// collects — so the derived table is identical to full SPF's. Destinations
-// whose route changed are merged into the instance's changed set for
-// delta-based propagation into the routers' IP tables.
+// deriveRoutes brings the instance's routing table in line with the live
+// ISPF state, re-deriving only what the repairs since the last derivation
+// can have changed. The ECMP parents of a node are its in-edges achieving
+// equality with its distance — the same set a full Dijkstra collects — and
+// its first hops are the union of its parents' (a parent that is the source
+// contributes the connecting link), so the table equals full SPF's. The
+// walk starts from the touched nodes and visits nodes nearest first, so every parent is final before its children read
+// it; a node whose route comes out as it was stops the walk there, one
+// whose route moved is written in place, entered in the changed set for
+// delta-based propagation into the routers' IP tables, and hands the walk
+// to its children on the shortest-path DAG.
 func (d *Domain) deriveRoutes(in *Instance) {
 	d.ISPFRuns++
 	st := in.ispf
-	// A node's ECMP parents are read straight off the reverse index — the
-	// in-edges achieving distance equality — so no global parent structure
-	// is built. First-hop sets are shared by aliasing: a single-parent node
-	// (the common case) points at its parent's slice, and only genuine ECMP
-	// joins allocate a merged copy. Slices stay sorted, so NextHop (the
-	// lowest link) and table comparisons are deterministic.
-	memo := make(map[topo.NodeID][]topo.LinkID, len(st.dist))
-	var firstHops func(n topo.NodeID) []topo.LinkID
-	firstHops = func(n topo.NodeID) []topo.LinkID {
-		if hops, ok := memo[n]; ok {
-			return hops
+	h := &distHeap{}
+	queued := make(map[topo.NodeID]bool)
+	push := func(v topo.NodeID) {
+		if v == in.Node || queued[v] {
+			return
 		}
-		memo[n] = nil // break cycles defensively; parents are acyclic
-		dv := st.dist[n]
-		var hops []topo.LinkID
-		for _, e := range st.radj[n] {
-			du, ok := st.dist[e.from]
-			if !ok || du+e.metric != dv {
-				continue // not a shortest-path in-edge
-			}
-			var ph []topo.LinkID
-			if e.from == in.Node {
-				ph = []topo.LinkID{e.link}
-			} else {
-				ph = firstHops(e.from)
-			}
-			hops = mergeHops(hops, ph)
+		queued[v] = true
+		dv, ok := st.dist[v]
+		if !ok {
+			dv = -1 // unreachable: depends on nobody, goes first
 		}
-		memo[n] = hops
-		return hops
+		heap.Push(h, distItem{node: v, dist: dv})
+	}
+	for _, v := range st.touched {
+		push(v)
+	}
+	st.touched = st.touched[:0]
+	if in.changed == nil {
+		in.changed = make(map[topo.NodeID]bool)
 	}
 
-	routes := make(map[topo.NodeID]Route, len(st.dist))
-	for dst := range st.dist {
-		if dst == in.Node {
-			continue
+	for h.Len() > 0 {
+		v := heap.Pop(h).(distItem).node
+		dv, reach := st.dist[v]
+		// First-hop sets are shared by aliasing: a single-parent node (the
+		// common case) points at its parent's slice, and only genuine ECMP
+		// joins allocate a merged copy. Slices stay sorted, so NextHop (the
+		// lowest link) and table comparisons are deterministic.
+		var hops []topo.LinkID
+		for _, e := range st.radj[v] {
+			du, ok := st.dist[e.from]
+			if !reach || !ok || du+e.metric != dv {
+				continue // not a shortest-path in-edge
+			}
+			if e.from == in.Node {
+				hops = mergeHops(hops, []topo.LinkID{e.link})
+			} else {
+				hops = mergeHops(hops, in.routes[e.from].NextHops)
+			}
 		}
-		hops := firstHops(dst)
+		old, had := in.routes[v]
 		if len(hops) == 0 {
-			continue
+			if !had {
+				continue
+			}
+			delete(in.routes, v)
+		} else {
+			next := Route{Dest: v, NextHop: hops[0], NextHops: hops, Metric: dv}
+			if had && sameRoute(old, next) {
+				continue
+			}
+			in.routes[v] = next
 		}
-		routes[dst] = Route{Dest: dst, NextHop: hops[0], NextHops: hops, Metric: st.dist[dst]}
+		in.changed[v] = true
+		for _, e := range st.adj[v] {
+			if dw, ok := st.dist[e.to]; ok && reach && dv+e.metric == dw {
+				push(e.to)
+			}
+		}
 	}
-	in.noteChanged(routes)
-	in.routes = routes
-	st.dirty = false
 }
 
 // mergeHops unions two sorted link-ID sets. When one side already contains

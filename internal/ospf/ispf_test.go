@@ -1,6 +1,7 @@
 package ospf
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -49,7 +50,8 @@ func copyRoutes(m map[topo.NodeID]Route) map[topo.NodeID]Route {
 // the same graph produce identical routing tables at every router after
 // every event of a random link-flap / metric-change sequence; flooding
 // counters are unaffected by ISPF; and TakeChangedDests reports exactly
-// the destinations whose route changed at each step.
+// the destinations whose route changed at each step — the same list, in
+// the same order, as the full derivation's own diff in the shadow domain.
 func TestISPFMatchesFullSPFAcrossFlapSequences(t *testing.T) {
 	f := func(nRaw uint8, extras []uint16, seq []uint16) bool {
 		nodes := 3 + int(nRaw%8)
@@ -66,8 +68,9 @@ func TestISPFMatchesFullSPFAcrossFlapSequences(t *testing.T) {
 		full.DisableISPF = true
 		full.Converge()
 		// Converge diffs are not under test here; drop them.
-		for _, in := range inc.Instances {
+		for n, in := range inc.Instances {
 			in.TakeChangedDests()
+			full.Instances[n].TakeChangedDests()
 		}
 
 		routeChanges := 0
@@ -102,7 +105,7 @@ func TestISPFMatchesFullSPFAcrossFlapSequences(t *testing.T) {
 				want := routeDiff(prev[n], in.routes)
 				routeChanges += len(want)
 				got := in.TakeChangedDests()
-				if len(got) != len(want) {
+				if len(got) != len(want) || !slices.Equal(got, full.Instances[n].TakeChangedDests()) {
 					return false
 				}
 				for _, dst := range got {
@@ -125,7 +128,7 @@ func TestISPFMatchesFullSPFAcrossFlapSequences(t *testing.T) {
 		// incremental one must never fall back (no crashes in this test).
 		return full.ISPFRuns == 0 && inc.FullSPFRuns == len(inc.Instances)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

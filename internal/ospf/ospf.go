@@ -191,7 +191,7 @@ func (d *Domain) NotifyLinkChange(a, b topo.NodeID) {
 		switch {
 		case in.ispf == nil:
 			d.spf(in)
-		case in.ispf.dirty:
+		case len(in.ispf.touched) > 0:
 			d.deriveRoutes(in)
 		}
 	}

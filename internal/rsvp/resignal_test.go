@@ -3,6 +3,7 @@ package rsvp
 import (
 	"testing"
 
+	"mplsvpn/internal/mpls"
 	"mplsvpn/internal/topo"
 )
 
@@ -123,11 +124,10 @@ func TestResignalRejectsDownLSP(t *testing.T) {
 	}
 }
 
-// UnbindAll is what lets label tables outlive the instance that wrote into
-// them: every interior ILM entry of a live LSP and of a pending
-// make-before-break drain goes, silently, and the ledgers stay for the
-// caller to zero.
-func TestUnbindAllClearsLiveLSPsAndPendingDrains(t *testing.T) {
+// movedWithDrain sets up one LSP on the fish's long side and moves it to the
+// short one, leaving the old path's interior labels in a pending drain.
+func movedWithDrain(t *testing.T) (*Protocol, *topo.Graph, []topo.NodeID, *LSP) {
+	t.Helper()
 	g, src, m, x, y, dst := fish()
 	p := New(g, nil, nil)
 	p.Defer = func(int) {} // drains stay pending: nobody runs them
@@ -140,30 +140,80 @@ func TestUnbindAllClearsLiveLSPsAndPendingDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Resignal(moved.ID, 2e6, SetupOptions{}); err != nil { // onto SRC-M-DST; X, Y drain
+	nl, err := p.Resignal(moved.ID, 2e6, SetupOptions{}) // onto SRC-M-DST; X, Y drain
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.PendingDrains()) != 1 {
 		t.Fatalf("pending drains = %v, want the old path's", p.PendingDrains())
 	}
-	ilm := func() int {
-		n := 0
-		for _, node := range []topo.NodeID{src, m, x, y, dst} {
-			n += p.LFIBFor(node).ILMSize()
+	return p, g, []topo.NodeID{src, m, x, y, dst}, nl
+}
+
+func ilmEntries(p *Protocol, nodes []topo.NodeID) int {
+	n := 0
+	for _, node := range nodes {
+		n += p.LFIBFor(node).ILMSize()
+	}
+	return n
+}
+
+// Release is the batch half of make-before-break: silent, the reservation
+// gone at once, and with drain set the interior labels left switchable until
+// the deferred unbind; without it they go immediately.
+func TestReleaseIsSilentAndDrainsOnRequest(t *testing.T) {
+	for _, drain := range []bool{true, false} {
+		p, g, nodes, l := movedWithDrain(t)
+		events := 0
+		p.OnEvent = func(Event) { events++ }
+		if !p.Release(l.ID, drain) {
+			t.Fatalf("drain=%t: Release refused an Up LSP", drain)
 		}
-		return n
+		lk, _ := g.FindLink(nodes[0], nodes[1])
+		if events != 0 || lk.ReservedBw != 0 || l.State != Down {
+			t.Fatalf("drain=%t: %d events, %v reserved, state %v; want silent, released, down", drain, events, lk.ReservedBw, l.State)
+		}
+		wantILM, wantDrains := 2, 1 // X and Y from the earlier move
+		if drain {
+			wantILM, wantDrains = 3, 2 // plus M, now draining too
+		}
+		if got := ilmEntries(p, nodes); got != wantILM || len(p.PendingDrains()) != wantDrains {
+			t.Fatalf("drain=%t: %d ILM entries and drains %v, want %d and %d", drain, got, p.PendingDrains(), wantILM, wantDrains)
+		}
+		if p.Release(l.ID, drain) {
+			t.Fatalf("drain=%t: released the same LSP twice", drain)
+		}
 	}
-	if got := ilm(); got != 3 { // M live; X and Y draining
-		t.Fatalf("interior ILM entries before = %d, want 3", got)
+}
+
+// Rebind is what a full reconvergence does to the one long-lived protocol:
+// the old tables are the caller's to discard, so nothing is unbound, every
+// LSP is Down with its reservation returned, pending drains are forgotten,
+// and the next LSP takes the next ID, never an old one.
+func TestRebindReleasesEverythingAndKeepsCounting(t *testing.T) {
+	p, g, nodes, l := movedWithDrain(t)
+	fresh := map[topo.NodeID]*mpls.LFIB{}
+	msgs := p.PathMessages
+	p.Rebind(fresh)
+	if l.State != Down || len(p.LSPs()) != 0 || len(p.PendingDrains()) != 0 {
+		t.Fatalf("after Rebind: state %v, %d LSPs, drains %v", l.State, len(p.LSPs()), p.PendingDrains())
 	}
-	events := 0
-	p.OnEvent = func(Event) { events++ }
-	p.UnbindAll()
-	if got := ilm(); got != 0 {
-		t.Fatalf("interior ILM entries after UnbindAll = %d, want 0", got)
+	for i := 0; i < g.NumLinks(); i++ {
+		if r := g.Link(topo.LinkID(i)).ReservedBw; r != 0 {
+			t.Fatalf("link %d still holds %v", i, r)
+		}
 	}
-	lk, _ := g.FindLink(src, m)
-	if events != 0 || lk.ReservedBw != 2e6 {
-		t.Fatalf("UnbindAll emitted %d events and left %v reserved, want 0 and 2e6", events, lk.ReservedBw)
+	if got := ilmEntries(p, nodes); got != 0 {
+		t.Fatalf("fresh tables hold %d ILM entries", got)
+	}
+	nl, err := p.Setup("again", nodes[0], nodes[4], 2e6, SetupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nl.ID <= l.ID || p.PathMessages <= msgs {
+		t.Fatalf("LSP ID %d after %d, PathMessages %d after %d: identity and totals must carry on", nl.ID, l.ID, p.PathMessages, msgs)
+	}
+	if fresh[nodes[1]] == nil || fresh[nodes[1]].ILMSize() != 1 {
+		t.Fatal("the new LSP's transit label is not in the replacement tables")
 	}
 }

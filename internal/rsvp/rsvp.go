@@ -13,6 +13,7 @@ package rsvp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mplsvpn/internal/mpls"
@@ -115,12 +116,15 @@ type Protocol struct {
 	lfib   map[topo.NodeID]*mpls.LFIB
 	lsps   map[int]*LSP
 	nextID int
+	// scope, when non-nil, marks the nodes every path search stays within
+	// (NewOver); explicit routes are the operator's word and are not checked.
+	scope []bool
 
 	// DSTE, when non-nil, enforces per-class-type pool limits on every
 	// reservation (RFC 4124 MAM).
 	DSTE *DSTE
 
-	// Signalling statistics.
+	// Signalling statistics, totals over the protocol's lifetime.
 	PathMessages int
 	ResvMessages int
 	Preemptions  int
@@ -135,8 +139,9 @@ type Protocol struct {
 	// avoid set applies. The core wires this to an incrementally-maintained
 	// tree (topo.IncrementalSPF) so re-signalling storms after a failure do
 	// not pay a full Dijkstra per LSP. The callback must return a tree
-	// equal to G.CSPF(ingress, topo.Constraints{}); constrained searches
-	// always run a fresh CSPF, since reservation state shifts under them.
+	// equal to G.CSPF(ingress, topo.Constraints{Within: p.Scope()}); constrained
+	// searches always run a fresh CSPF, since reservation state shifts under
+	// them.
 	PlainSPF func(topo.NodeID) *topo.SPFResult
 
 	// Defer, when set, postpones the interior label unbind of a
@@ -174,6 +179,21 @@ func New(g *topo.Graph, alloc map[topo.NodeID]*mpls.Allocator, lfib map[topo.Nod
 	return &Protocol{G: g, alloc: alloc, lfib: lfib, lsps: make(map[int]*LSP), nextID: 1,
 		drains: make(map[int]drainRec), drainSeq: 1}
 }
+
+// NewOver creates the protocol over the given nodes only — the provider's
+// interior, as ospf.NewDomainOver and ldp.NewOver scope the IGP and LDP.
+// Customer nodes sharing the graph are invisible to CSPF, the preemption
+// fallback and bypass computation: a dual-homed site is never a transit hop
+// of a provider LSP, however cheap the detour through it looks.
+func NewOver(g *topo.Graph, alloc map[topo.NodeID]*mpls.Allocator, lfib map[topo.NodeID]*mpls.LFIB, nodes []topo.NodeID) *Protocol {
+	p := New(g, alloc, lfib)
+	p.scope = g.NodeMask(nodes)
+	return p
+}
+
+// Scope is the node mask every path search stays within (nil: the whole
+// graph). A PlainSPF callback searches under it rather than cutting its own.
+func (p *Protocol) Scope() []bool { return p.scope }
 
 func (p *Protocol) allocFor(n topo.NodeID) *mpls.Allocator {
 	a, ok := p.alloc[n]
@@ -310,7 +330,7 @@ func (p *Protocol) findPath(ingress, egress topo.NodeID, bw float64, opt SetupOp
 			exclude[lid] = true
 		}
 	}
-	res := p.G.CSPF(ingress, topo.Constraints{MinAvailableBw: bw, ExcludeLinks: exclude})
+	res := p.G.CSPF(ingress, topo.Constraints{MinAvailableBw: bw, ExcludeLinks: exclude, Within: p.scope})
 	if path, ok := res.PathTo(p.G, egress); ok {
 		return &path, nil
 	}
@@ -321,7 +341,7 @@ func (p *Protocol) findPath(ingress, egress topo.NodeID, bw float64, opt SetupOp
 	if p.PlainSPF != nil && len(opt.Avoid) == 0 {
 		plain = p.PlainSPF(ingress)
 	} else {
-		plain = p.G.CSPF(ingress, topo.Constraints{ExcludeLinks: opt.Avoid})
+		plain = p.G.CSPF(ingress, topo.Constraints{ExcludeLinks: opt.Avoid, Within: p.scope})
 	}
 	path, ok := plain.PathTo(p.G, egress)
 	if !ok {
@@ -464,6 +484,30 @@ func (p *Protocol) addReservation(l *LSP, sign float64) {
 // Teardown releases an LSP's reservations and label state.
 func (p *Protocol) Teardown(id int) bool { return p.teardown(id, true) }
 
+// Release withdraws an Up LSP silently, ahead of a batch re-signalling that
+// reports the replacement instead: the reservation goes at once, so every
+// LSP of the batch is admitted against the ledger none of them holds (the
+// shared-explicit accounting of Resignal, applied to a set). With drain set
+// — the old path still forwards — its interior labels linger until the
+// deferred unbind, and a caller that repoints the ingress within the same
+// event has moved the LSP make-before-break.
+func (p *Protocol) Release(id int, drain bool) bool { return p.teardownMode(id, false, drain) }
+
+// Rebind moves the protocol onto replacement label tables after the caller
+// discarded the old ones wholesale (a full reconvergence): every LSP goes
+// Down and gives its reservation back, pending drains are forgotten — their
+// entries died with the tables — and IDs and counters carry on, so nothing
+// signalled afterwards can be mistaken for anything signalled before.
+func (p *Protocol) Rebind(lfib map[topo.NodeID]*mpls.LFIB) {
+	for _, l := range p.LSPs() {
+		p.addReservation(l, -1)
+		l.State = Down
+	}
+	p.lsps = make(map[int]*LSP)
+	p.drains = make(map[int]drainRec)
+	p.lfib = lfib
+}
+
 // ReclaimID returns a torn-down LSP's ID to the allocator when — and only
 // when — it was the most recent assignment. Transactional rollback undoes
 // setups in reverse order, so LIFO reclaim is exactly enough for a rolled
@@ -521,20 +565,6 @@ func (p *Protocol) unbindDrain(rec drainRec) {
 	}
 }
 
-// UnbindAll removes every interior ILM entry this instance still holds in
-// the shared LFIBs — live LSPs and pending make-before-break drains alike —
-// emitting no event and leaving the reservation ledgers alone. The core
-// calls it before replacing the instance on a reconvergence that keeps the
-// label tables, where nothing else would ever unbind the old generation.
-func (p *Protocol) UnbindAll() {
-	for _, l := range p.lsps {
-		p.unbindDrain(drainRec{path: l.Path, labels: l.hopLabels})
-	}
-	for _, rec := range p.drains {
-		p.unbindDrain(rec)
-	}
-}
-
 // RunDrain executes and retires a pending deferred unbind. Running an
 // unknown (already-run or never-registered) drain is a no-op, so a restore
 // that re-arms drain timers tolerates duplicates safely.
@@ -545,19 +575,6 @@ func (p *Protocol) RunDrain(id int) {
 	}
 	delete(p.drains, id)
 	p.unbindDrain(rec)
-}
-
-// DrainSeq returns the next drain id to be assigned.
-func (p *Protocol) DrainSeq() int { return p.drainSeq }
-
-// SetDrainSeq continues drain numbering from an earlier protocol generation
-// (reconvergence replaces the RSVP instance); monotone ids mean a
-// pending drain timer from a dead generation can never collide with a live
-// one.
-func (p *Protocol) SetDrainSeq(n int) {
-	if n > p.drainSeq {
-		p.drainSeq = n
-	}
 }
 
 // PendingDrains lists the ids of drains registered but not yet run, sorted.
@@ -574,15 +591,24 @@ func (p *Protocol) PendingDrains() []int {
 // directed link: an LSP from the link's head (the point of local repair)
 // to its tail (the merge point) that avoids the protected fibre in both
 // directions. Bypass tunnels reserve no bandwidth — they are an insurance
-// path, engineered to exist rather than to guarantee rate.
-func (p *Protocol) SetupBypass(name string, protected topo.LinkID) (*LSP, error) {
+// path, engineered to exist rather than to guarantee rate. held, when not
+// nil, is the bypass the link has now: Up on the path just computed it is
+// returned as it stands, otherwise it is released before its replacement is
+// signalled (or found to have no path).
+func (p *Protocol) SetupBypass(name string, protected topo.LinkID, held *LSP) (*LSP, error) {
 	l := p.G.Link(protected)
 	ex := map[topo.LinkID]bool{protected: true}
 	if rev, ok := p.G.Reverse(protected); ok {
 		ex[rev.ID] = true
 	}
-	res := p.G.CSPF(l.From, topo.Constraints{ExcludeLinks: ex})
+	res := p.G.CSPF(l.From, topo.Constraints{ExcludeLinks: ex, Within: p.scope})
 	path, ok := res.PathTo(p.G, l.To)
+	if held != nil {
+		if ok && held.State == Up && slices.Equal(held.Path.Links, path.Links) {
+			return held, nil
+		}
+		p.Release(held.ID, false)
+	}
 	if !ok {
 		return nil, fmt.Errorf("rsvp: no bypass path around link %s -> %s",
 			p.G.Name(l.From), p.G.Name(l.To))

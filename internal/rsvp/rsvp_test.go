@@ -259,7 +259,7 @@ func TestSetupBypassAvoidsProtectedFibre(t *testing.T) {
 	g, src, m, x, y, dst := fish()
 	p := New(g, nil, nil)
 	l, _ := g.FindLink(src, m)
-	byp, err := p.SetupBypass("byp", l.ID)
+	byp, err := p.SetupBypass("byp", l.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestSetupBypassAvoidsProtectedFibre(t *testing.T) {
 	g2.AddDuplexLink(a, b, 10e6, sim.Millisecond, 1)
 	p2 := New(g2, nil, nil)
 	l2, _ := g2.FindLink(a, b)
-	if _, err := p2.SetupBypass("x", l2.ID); err == nil {
+	if _, err := p2.SetupBypass("x", l2.ID, nil); err == nil {
 		t.Fatal("protected an unprotectable link")
 	}
 }

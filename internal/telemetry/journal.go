@@ -38,10 +38,11 @@ const (
 	EventIntentCommit
 	EventIntentRollback
 	EventIntentQuarantine
+	EventReconverged
 )
 
 // eventKindEnd is the last valid kind; UnmarshalJSON ranges up to it.
-const eventKindEnd = EventIntentQuarantine
+const eventKindEnd = EventReconverged
 
 func (k EventKind) String() string {
 	switch k {
@@ -97,6 +98,8 @@ func (k EventKind) String() string {
 		return "intent_rollback"
 	case EventIntentQuarantine:
 		return "intent_quarantine"
+	case EventReconverged:
+		return "reconverged"
 	}
 	return fmt.Sprintf("event(%d)", int(k))
 }

@@ -64,12 +64,25 @@ func randomConstraints(rng *rand.Rand, g *Graph, src NodeID) Constraints {
 			}
 		}
 	}
+	if rng.Intn(3) == 0 {
+		// A node scope: the source plus roughly three nodes in four.
+		c.Within = make([]bool, g.NumNodes())
+		for i := range c.Within {
+			c.Within[i] = NodeID(i) == src || rng.Intn(4) != 0
+		}
+	}
 	return c
+}
+
+// inScope restates the node-scope rule independently: no mask admits every
+// node; a mask admits the nodes it marks and none beyond its length.
+func inScope(c Constraints, n NodeID) bool {
+	return c.Within == nil || (int(n) < len(c.Within) && c.Within[n])
 }
 
 // linkEligible restates the CSPF pruning rule independently.
 func linkEligible(l *Link, lid LinkID, c Constraints) bool {
-	if l.Down || c.ExcludeLinks[lid] {
+	if l.Down || c.ExcludeLinks[lid] || !inScope(c, l.From) || !inScope(c, l.To) {
 		return false
 	}
 	if c.MinAvailableBw > 0 && l.AvailableBw() < c.MinAvailableBw {

@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // IncrementalSPF maintains a CSPF result across single-link events without
 // recomputing the whole tree. It implements the dynamic-SSSP scheme of
@@ -28,10 +25,9 @@ type IncrementalSPF struct {
 	c   Constraints
 	res *SPFResult
 
-	// in[v] lists the directed links entering v; refreshed when the graph
-	// has grown since the last (re)build.
-	in    [][]LinkID
-	links int
+	// links and nodes are the graph's size at the last (re)build: the tree
+	// is current for that much of it.
+	links, nodes int
 
 	// FullRuns counts from-scratch recomputes (construction, Rebuild, and
 	// topology-growth fallbacks); IncrementalRuns counts delta updates.
@@ -57,26 +53,32 @@ func (s *IncrementalSPF) Result() *SPFResult { return s.res }
 // than a single link (node crashes, bulk reservation shifts, graph growth).
 func (s *IncrementalSPF) Rebuild() {
 	s.res = s.g.CSPF(s.src, s.c)
-	s.buildIndex()
+	s.links, s.nodes = s.g.NumLinks(), s.g.NumNodes()
+	s.affected = make([]bool, len(s.res.Dist))
 	s.FullRuns++
 }
 
-func (s *IncrementalSPF) buildIndex() {
-	n := s.g.NumNodes()
-	s.in = make([][]LinkID, n)
-	for i := 0; i < s.g.NumLinks(); i++ {
-		l := s.g.Link(LinkID(i))
-		s.in[l.To] = append(s.in[l.To], LinkID(i))
+// current reports whether the tree still spans the graph. Links added since
+// the last build with an end outside the node scope are not part of this
+// tree's world and are stepped over; any other growth is stale state.
+func (s *IncrementalSPF) current() bool {
+	if s.c.Within == nil && s.g.NumNodes() != s.nodes {
+		return false
 	}
-	s.links = s.g.NumLinks()
-	s.affected = make([]bool, n)
+	for ; s.links < s.g.NumLinks(); s.links++ {
+		if l := s.g.Link(LinkID(s.links)); s.c.within(l.From) && s.c.within(l.To) {
+			return false
+		}
+	}
+	return true
 }
 
-// eligible mirrors CSPF's link pruning: down links, excluded links,
-// bandwidth-starved links, and links leaving an excluded transit node are
-// invisible (the source relaxes even when excluded, as in CSPF).
+// eligible mirrors CSPF's link pruning: down links, excluded links, links
+// with an end outside the node scope, bandwidth-starved links, and links
+// leaving an excluded transit node are invisible (the source relaxes even
+// when excluded, as in CSPF).
 func (s *IncrementalSPF) eligible(lid LinkID, l *Link) bool {
-	if l.Down || s.c.ExcludeLinks[lid] {
+	if l.Down || s.c.ExcludeLinks[lid] || !s.c.within(l.To) || !s.c.within(l.From) {
 		return false
 	}
 	if s.c.MinAvailableBw > 0 && l.AvailableBw() < s.c.MinAvailableBw {
@@ -92,7 +94,7 @@ func (s *IncrementalSPF) eligible(lid LinkID, l *Link) bool {
 // in-edges, and the lowest link ID achieving it — the canonical Prev.
 func (s *IncrementalSPF) certify(v NodeID) (int, LinkID) {
 	best, bestLid := math.MaxInt, LinkID(-1)
-	for _, lid := range s.in[v] {
+	for _, lid := range s.g.InLinks(v) {
 		l := s.g.Link(lid)
 		if !s.eligible(lid, l) {
 			continue
@@ -113,15 +115,16 @@ func (s *IncrementalSPF) certify(v NodeID) (int, LinkID) {
 // metric, or bandwidth eligibility) into the tree. Both halves of a duplex
 // flap need their own call. Safe to call when nothing actually changed.
 func (s *IncrementalSPF) ApplyLinkChange(lid LinkID) {
-	if s.g.NumLinks() != s.links || len(s.affected) != s.g.NumNodes() {
-		// The graph grew since the last build; indexes are stale.
+	if !s.current() {
+		// The graph grew since the last build; the tree is stale.
 		s.Rebuild()
 		return
 	}
 	v := s.g.Link(lid).To
-	if v == s.src {
+	if v == s.src || !s.c.within(v) {
 		// Dist[src] is pinned at 0 and Prev[src] at -1; an in-edge to the
-		// source never changes the tree (metrics are strictly positive).
+		// source never changes the tree (metrics are strictly positive). Nor
+		// does a link into a node the tree does not span.
 		return
 	}
 	s.IncrementalRuns++
@@ -145,10 +148,9 @@ func (s *IncrementalSPF) ApplyLinkChange(lid LinkID) {
 func (s *IncrementalSPF) grow(v NodeID, dist int, via LinkID) {
 	res := s.res
 	res.Dist[v], res.Prev[v] = dist, via
-	h := &spfHeap{}
-	heap.Push(h, &spfItem{node: v, dist: dist})
-	for h.Len() > 0 {
-		it := heap.Pop(h).(*spfItem)
+	h := spfHeap{{node: v, dist: dist}}
+	for len(h) > 0 {
+		it := h.pop()
 		u := it.node
 		if it.dist > res.Dist[u] {
 			continue // superseded by a later improvement
@@ -168,7 +170,7 @@ func (s *IncrementalSPF) grow(v NodeID, dist int, via LinkID) {
 			nd := res.Dist[u] + l.Metric
 			if nd < res.Dist[w] {
 				res.Dist[w], res.Prev[w] = nd, olid
-				heap.Push(h, &spfItem{node: w, dist: nd})
+				h.push(spfItem{node: w, dist: nd})
 			} else if nd == res.Dist[w] && olid < res.Prev[w] {
 				res.Prev[w] = olid
 			}
@@ -214,7 +216,7 @@ func (s *IncrementalSPF) shrink(v NodeID) {
 		}
 	}
 
-	h := &spfHeap{}
+	var h spfHeap
 	for _, u := range aff {
 		res.Dist[u], res.Prev[u] = math.MaxInt, -1
 	}
@@ -224,11 +226,11 @@ func (s *IncrementalSPF) shrink(v NodeID) {
 		cert, certLid := s.certify(u)
 		if cert < math.MaxInt {
 			res.Dist[u], res.Prev[u] = cert, certLid
-			heap.Push(h, &spfItem{node: u, dist: cert})
+			h.push(spfItem{node: u, dist: cert})
 		}
 	}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(*spfItem)
+	for len(h) > 0 {
+		it := h.pop()
 		u := it.node
 		if it.dist > res.Dist[u] {
 			continue
@@ -248,7 +250,7 @@ func (s *IncrementalSPF) shrink(v NodeID) {
 			nd := res.Dist[u] + l.Metric
 			if nd < res.Dist[w] {
 				res.Dist[w], res.Prev[w] = nd, olid
-				heap.Push(h, &spfItem{node: w, dist: nd})
+				h.push(spfItem{node: w, dist: nd})
 			} else if nd == res.Dist[w] && olid < res.Prev[w] {
 				res.Prev[w] = olid
 			}
@@ -263,9 +265,9 @@ func (s *IncrementalSPF) shrink(v NodeID) {
 // region being flooded in shrink's first phase.
 func (s *IncrementalSPF) certifyUnaffected(v NodeID) (int, LinkID) {
 	best, bestLid := math.MaxInt, LinkID(-1)
-	for _, lid := range s.in[v] {
+	for _, lid := range s.g.InLinks(v) {
 		l := s.g.Link(lid)
-		if s.affected[l.From] || !s.eligible(lid, l) {
+		if !s.eligible(lid, l) || s.affected[l.From] {
 			continue
 		}
 		du := s.res.Dist[l.From]

@@ -90,6 +90,66 @@ func TestIncrementalSPFRebuildOnGrowth(t *testing.T) {
 	sameTree(t, 7, 0, inc.Result(), g.SPF(src))
 }
 
+// TestIncrementalSPFScopedIgnoresStubGrowth: a tree scoped to a node mask
+// is not disturbed by nodes and links added outside it — the customer stubs
+// a provider's TE trees must neither span nor pay for — and keeps equalling
+// the scoped CSPF, which never routes through a stub even when the stub
+// offers the cheaper path.
+func TestIncrementalSPFScopedIgnoresStubGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := randomGraph(rng)
+	src := NodeID(0)
+	core := make([]NodeID, g.NumNodes())
+	for i := range core {
+		core[i] = NodeID(i)
+	}
+	c := Constraints{Within: g.NodeMask(core)}
+	inc := NewIncrementalSPF(g, src, c)
+	full := inc.FullRuns
+	unscoped := g.SPF(src)
+
+	for step := 0; step < 40; step++ {
+		// A dual-homed stub at metric 1: a shortcut for any unscoped search.
+		stub := g.AddNode(fmt.Sprintf("stub%d", step))
+		a, b := NodeID(rng.Intn(len(core))), NodeID(rng.Intn(len(core)))
+		l1, _ := g.AddDuplexLink(stub, a, 1e9, sim.Millisecond, 1)
+		g.AddDuplexLink(stub, b, 1e9, sim.Millisecond, 1)
+		inc.ApplyLinkChange(l1)
+		for _, lid := range mutateLink(rng, g) {
+			inc.ApplyLinkChange(lid)
+		}
+		got := inc.Result()
+		want := g.CSPF(src, c)
+		if len(want.Dist) != len(core) || want.Reachable(stub) {
+			t.Fatalf("step %d: scoped CSPF spans %d nodes of a %d-node core, stub reachable: %t",
+				step, len(want.Dist), len(core), want.Reachable(stub))
+		}
+		sameTree(t, 9, step, got, want)
+		for v := range core {
+			if p, ok := got.PathTo(g, NodeID(v)); ok {
+				for _, n := range p.Nodes(g) {
+					if int(n) >= len(core) {
+						t.Fatalf("step %d: scoped path to %d transits stub %d", step, v, n)
+					}
+				}
+			}
+		}
+	}
+	if inc.FullRuns != full {
+		t.Fatalf("stub growth rebuilt a scoped tree %d times", inc.FullRuns-full)
+	}
+	shortcut := false
+	now := g.SPF(src)
+	for v := range core {
+		if now.Dist[v] < unscoped.Dist[v] && now.Dist[v] < g.CSPF(src, c).Dist[v] {
+			shortcut = true
+		}
+	}
+	if !shortcut {
+		t.Fatal("no stub ever offered a cheaper path: the scope was never what kept paths inside")
+	}
+}
+
 // TestClusterPEs checks the reflector-cluster helper: full coverage of the
 // given PE set, at most k clusters, deterministic output, and members
 // sorted within each cluster.

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 )
@@ -27,21 +26,85 @@ type Constraints struct {
 	ExcludeLinks map[LinkID]bool
 	// ExcludeNodes prunes transit through specific nodes.
 	ExcludeNodes map[NodeID]bool
+	// Within, when non-nil, scopes the search to the nodes it marks: a link
+	// with either end outside it (an unmarked node, or one added to the graph
+	// after the mask was cut) is treated as absent. The provider's TE plane
+	// searches its own routers this way, so a customer stub hanging off two
+	// PEs can never carry — or cost — a provider path.
+	Within []bool
 }
 
+// within reports whether node n is inside the constraint's scope.
+func (c *Constraints) within(n NodeID) bool {
+	return c.Within == nil || (int(n) < len(c.Within) && c.Within[n])
+}
+
+// NodeMask marks the given nodes in a mask sized to the graph as it stands,
+// the form Constraints.Within takes.
+func (g *Graph) NodeMask(nodes []NodeID) []bool {
+	mask := make([]bool, g.NumNodes())
+	for _, n := range nodes {
+		mask[n] = true
+	}
+	return mask
+}
+
+// spfItem is one tentative distance in the search frontier.
 type spfItem struct {
 	node NodeID
 	dist int
-	idx  int
 }
 
-type spfHeap []*spfItem
+// spfHeap is a binary min-heap of frontier entries by distance, held by
+// value: a relaxation appends sixteen bytes instead of allocating an item
+// and boxing it through container/heap. Entries of equal distance pop in
+// no particular order; the searches' results do not depend on it, because
+// every in-edge that can tie at a node leaves a strictly nearer one.
+type spfHeap []spfItem
 
-func (h spfHeap) Len() int           { return len(h) }
-func (h spfHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h spfHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
-func (h *spfHeap) Push(x any)        { it := x.(*spfItem); it.idx = len(*h); *h = append(*h, it) }
-func (h *spfHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h *spfHeap) push(it spfItem) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if q[up].dist <= it.dist {
+			break
+		}
+		q[i] = q[up]
+		i = up
+	}
+	q[i] = it
+	*h = q
+}
+
+// pop removes and returns a nearest entry. The heap must be non-empty.
+func (h *spfHeap) pop() spfItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	it := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		kid := 2*i + 1
+		if kid >= n {
+			break
+		}
+		if kid+1 < n && q[kid+1].dist < q[kid].dist {
+			kid++
+		}
+		if it.dist <= q[kid].dist {
+			break
+		}
+		q[i] = q[kid]
+		i = kid
+	}
+	if n > 0 {
+		q[i] = it
+	}
+	*h = q
+	return top
+}
 
 // SPF runs Dijkstra from src over up links using IGP metrics.
 func (g *Graph) SPF(src NodeID) *SPFResult {
@@ -52,7 +115,12 @@ func (g *Graph) SPF(src NodeID) *SPFResult {
 // treated as absent. Ties between equal-cost paths are broken by lower link
 // ID, which makes path selection deterministic.
 func (g *Graph) CSPF(src NodeID, c Constraints) *SPFResult {
+	// A scoped tree spans only the node IDs its mask covers: nothing beyond
+	// them can be reached, and Reachable and PathTo say so.
 	n := g.NumNodes()
+	if c.Within != nil && int(src) < len(c.Within) && len(c.Within) < n {
+		n = len(c.Within)
+	}
 	res := &SPFResult{
 		Source: src,
 		Dist:   make([]int, n),
@@ -64,13 +132,11 @@ func (g *Graph) CSPF(src NodeID, c Constraints) *SPFResult {
 	}
 	res.Dist[src] = 0
 
-	h := &spfHeap{}
-	heap.Push(h, &spfItem{node: src, dist: 0})
+	h := spfHeap{{node: src, dist: 0}}
 	done := make([]bool, n)
 
-	for h.Len() > 0 {
-		it := heap.Pop(h).(*spfItem)
-		u := it.node
+	for len(h) > 0 {
+		u := h.pop().node
 		if done[u] {
 			continue
 		}
@@ -89,11 +155,15 @@ func (g *Graph) CSPF(src NodeID, c Constraints) *SPFResult {
 				continue
 			}
 			v := l.To
+			if !c.within(v) {
+				continue
+			}
 			nd := res.Dist[u] + l.Metric
-			if nd < res.Dist[v] || (nd == res.Dist[v] && res.Prev[v] >= 0 && lid < res.Prev[v]) {
-				res.Dist[v] = nd
-				res.Prev[v] = lid
-				heap.Push(h, &spfItem{node: v, dist: nd})
+			if nd < res.Dist[v] {
+				res.Dist[v], res.Prev[v] = nd, lid
+				h.push(spfItem{node: v, dist: nd})
+			} else if nd == res.Dist[v] && res.Prev[v] >= 0 && lid < res.Prev[v] {
+				res.Prev[v] = lid // same distance, lower link: only the tie-break moves
 			}
 		}
 	}
@@ -102,7 +172,7 @@ func (g *Graph) CSPF(src NodeID, c Constraints) *SPFResult {
 
 // Reachable reports whether dst has a path in the SPF tree.
 func (r *SPFResult) Reachable(dst NodeID) bool {
-	return dst == r.Source || r.Prev[dst] >= 0
+	return dst == r.Source || (int(dst) < len(r.Prev) && r.Prev[dst] >= 0)
 }
 
 // PathTo extracts the path from the SPF source to dst.
@@ -110,7 +180,7 @@ func (r *SPFResult) PathTo(g *Graph, dst NodeID) (Path, bool) {
 	if dst == r.Source {
 		return Path{}, true
 	}
-	if r.Prev[dst] < 0 {
+	if !r.Reachable(dst) {
 		return Path{}, false
 	}
 	var rev []LinkID

@@ -52,6 +52,7 @@ type Graph struct {
 	nodes  []Node
 	links  []Link
 	out    [][]LinkID // adjacency: out[n] = links leaving n
+	in     [][]LinkID // reverse adjacency: in[n] = links entering n
 	byName map[string]NodeID
 
 	onLinkState []func(id LinkID, down bool)
@@ -70,6 +71,7 @@ func (g *Graph) AddNode(name string) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name})
 	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
 	g.byName[name] = id
 	return id
 }
@@ -108,6 +110,7 @@ func (g *Graph) addLink(from, to NodeID, bw float64, delay sim.Time, metric int)
 		Bandwidth: bw, Delay: delay, Metric: metric,
 	})
 	g.out[from] = append(g.out[from], id)
+	g.in[to] = append(g.in[to], id)
 	return id
 }
 
@@ -117,6 +120,9 @@ func (g *Graph) Link(id LinkID) *Link { return &g.links[id] }
 
 // OutLinks returns the IDs of links leaving n.
 func (g *Graph) OutLinks(n NodeID) []LinkID { return g.out[n] }
+
+// InLinks returns the IDs of links entering n, in creation order.
+func (g *Graph) InLinks(n NodeID) []LinkID { return g.in[n] }
 
 // FindLink returns the directed link from a to b, if any. With parallel
 // links it returns the lowest-metric one.
