@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet check-gates bench bench-reconverge bench-bgp bench-gate alloc-gate fuzz-short verify-parallel verify-scaling verify-survivability verify-intent verify-snapshot verify-controlplane verify-interas cover examples record clean
+.PHONY: all build test test-short test-race vet check-gates bench bench-reconverge bench-bgp bench-addr bench-gate alloc-gate fuzz-short verify-parallel verify-scaling verify-survivability verify-intent verify-snapshot verify-controlplane verify-interas cover examples record clean
 
 all: build vet check-gates test test-race fuzz-short verify-intent verify-snapshot verify-controlplane verify-interas verify-scaling bench-reconverge bench-gate
 
@@ -58,12 +58,20 @@ bench-reconverge:
 bench-bgp:
 	$(GO) test -run='^$$' -bench=BenchmarkClustered1000x100 -benchtime=5x ./internal/bgp
 
+# The forwarding table at the shapes that matter: vrf20 (what a PE ingress
+# looks up per customer packet, on one hot table and across 160), rand1k and
+# rand100k (E4's and the benchmark probes' shape, hits and misses apart),
+# and what building each costs in time and allocations.
+bench-addr:
+	$(GO) test -run='^$$' -bench=BenchmarkTable -benchmem ./internal/addr
+
 # The allocation-budget tests alone: every hot-path component must be
-# zero-alloc at steady state (label stack ops, Router.Receive, scheduler
-# enqueue/dequeue, engine Post, and the full netsim per-hop path).
+# zero-alloc at steady state (label stack ops, table lookups, Router.Receive,
+# scheduler enqueue/dequeue, engine Post, and the full netsim per-hop path),
+# and a forwarding table is built in a handful of allocations.
 alloc-gate:
-	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults' \
-		./internal/packet ./internal/sim ./internal/qos ./internal/device ./internal/netsim
+	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint' \
+		./internal/packet ./internal/addr ./internal/sim ./internal/qos ./internal/device ./internal/netsim
 
 # The performance regression gate: the zero-alloc tests above, then a
 # measured perf snapshot (E4 lookup cost, 200-site data-plane PPS and
@@ -116,9 +124,10 @@ verify-intent:
 
 # Ten seconds each on the text-input parsers — the netconf config loader,
 # the chaos scenario DSL (generic, plus the survivability/damping knobs),
-# and the intent spec language (round-trip contract) — and on the two
+# and the intent spec language (round-trip contract) — on the two
 # binary ones: the checkpoint container, and the section payloads of real
-# checkpoints fed to Backbone.Restore, InterAS.Restore and Mesh.LoadState.
+# checkpoints fed to Backbone.Restore, InterAS.Restore and Mesh.LoadState —
+# and on the forwarding table, an operation stream against the naive model.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/netconf
 	$(GO) test -run='^$$' -fuzz=FuzzScenario -fuzztime=10s ./internal/chaos
@@ -126,6 +135,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzIntentSpec -fuzztime=10s ./internal/intent
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzRestoreSection -fuzztime=10s ./internal/chaos
+	$(GO) test -run='^$$' -fuzz=FuzzTableOps -fuzztime=10s ./internal/addr
 
 # The checkpoint/restore acceptance gate under the race detector: the
 # restore-equivalence contract (run-to-T + snapshot + restore + run-to-end

@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"errors"
 	"testing"
 
 	"mplsvpn/internal/snapshot"
@@ -27,5 +28,25 @@ func TestElementMinimumsAreLowerBounds(t *testing.T) {
 		if w.Len() != tc.min {
 			t.Errorf("%s: smallest value encodes to %d bytes, declared minimum %d", tc.name, w.Len(), tc.min)
 		}
+	}
+}
+
+// TestTableStateRefusesImpossibleLength: a checkpoint is outside input, and a
+// prefix length above 32 in one must fail the load, not reach Insert.
+func TestTableStateRefusesImpossibleLength(t *testing.T) {
+	var w snapshot.Writer
+	w.U64(1)  // one entry
+	w.U64(0)  // address
+	w.U64(33) // length
+	w.U64(7)  // value
+	tb := NewTable[int]()
+	err := snapshot.Load(snapshot.NewReader(w.Data()), func(c *snapshot.Codec) {
+		TableState(c, &tb, PrefixMin+1, func(c *snapshot.Codec, _ Prefix, v *int) { snapshot.Int(c, v) })
+	})
+	if !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("load of a /33 returned %v, want ErrCorrupt", err)
+	}
+	if tb.Len() != 0 {
+		t.Fatalf("a /33 was installed: %v", tb.Prefixes())
 	}
 }

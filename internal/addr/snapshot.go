@@ -17,10 +17,15 @@ const (
 	VPNPrefixMin = 2 + PrefixMin
 )
 
-// PrefixState walks a prefix.
+// PrefixState walks a prefix. A loaded length no prefix can have fails the
+// load and leaves the zero prefix.
 func PrefixState(c *snapshot.Codec, p *Prefix) {
 	snapshot.Uint(c, &p.Addr)
 	snapshot.Uint(c, &p.Len)
+	if c.Loading() && p.Len > 32 {
+		c.Corrupt("prefix length %d", p.Len)
+		*p = Prefix{}
+	}
 }
 
 // RDState walks a route distinguisher.
@@ -62,9 +67,10 @@ func ComparePrefix(a, b Prefix) int {
 }
 
 // TableState walks a prefix table: the entry count, then each prefix and
-// its value in the trie's deterministic walk order. A load replaces *t with
-// a new table. min is one entry's minimum encoding, PrefixMin plus the
-// value's; val is handed the entry's prefix for values that repeat it.
+// its value in Walk's order, which the set of prefixes alone decides. A load
+// replaces *t with a new table. min is one entry's minimum encoding,
+// PrefixMin plus the value's; val is handed the entry's prefix for values
+// that repeat it.
 func TableState[V any](c *snapshot.Codec, t **Table[V], min int, val func(*snapshot.Codec, Prefix, *V)) {
 	// One cell each for the prefix and the value in flight: val is a func
 	// value, so they escape, and one allocation per table beats one per

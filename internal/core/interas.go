@@ -145,7 +145,7 @@ func (x *InterAS) bindSide(local *Backbone, vpnName, pe string, inLink, outLink 
 	r := local.routers[peID]
 	if _, ok := r.VRFs[vpnName]; !ok {
 		cfg := local.vpns[vpnName]
-		r.VRFs[vpnName] = vpn.NewVRF(vpnName, peID, cfg.RD, cfg.Imports, cfg.Exports)
+		r.AddVRF(vpn.NewVRF(vpnName, peID, cfg.RD, cfg.Imports, cfg.Exports))
 	}
 	r.BindAccess(inLink, vpnName)
 	r.BindSiteAccess(vpnName, externalSiteName(peerAS), outLink)

@@ -730,7 +730,7 @@ func (x *InterAS) installHopA(inst *originInstall, key originKey, fromAS string,
 	fromR := from.routers[fromASBR]
 	if _, ok := fromR.VRFs[key.vpn]; !ok {
 		cfg := from.vpns[key.vpn]
-		fromR.VRFs[key.vpn] = newVRFFor(cfg, fromASBR)
+		fromR.AddVRF(newVRFFor(cfg, fromASBR))
 	}
 	fromR.BindAccess(impToExp, key.vpn)
 	inst.access = append(inst.access, accessRef{as: fromAS, node: fromASBR, link: impToExp})
@@ -738,7 +738,7 @@ func (x *InterAS) installHopA(inst *originInstall, key originKey, fromAS string,
 	toR := to.routers[toASBR]
 	cfg := to.vpns[key.vpn]
 	if _, ok := toR.VRFs[key.vpn]; !ok {
-		toR.VRFs[key.vpn] = newVRFFor(cfg, toASBR)
+		toR.AddVRF(newVRFFor(cfg, toASBR))
 	}
 	v := toR.VRFs[key.vpn]
 	sp, haveBGP := to.BGP.Speaker(toASBR)

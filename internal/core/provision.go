@@ -96,7 +96,7 @@ func (b *Backbone) UndefineVPN(name string) error {
 		}
 	}
 	for _, id := range b.peNodes {
-		delete(b.routers[id].VRFs, name)
+		b.routers[id].RemoveVRF(name)
 	}
 	delete(b.vpns, name)
 	if cfg.RD.Assigned == b.nextRD-1 {
@@ -343,7 +343,7 @@ func (b *Backbone) provisionVPNSite(rec *siteRecord, cfg *vpnConfig, pe *device.
 	if !ok {
 		v = vpn.NewVRF(cfg.Name, rec.PE, cfg.RD, cfg.Imports, cfg.Exports)
 		v.SLAClass = int(cfg.SLAClass)
-		pe.VRFs[cfg.Name] = v
+		pe.AddVRF(v)
 	}
 	pe.BindAccess(rec.ceToPE, cfg.Name)
 	pe.BindSiteAccess(cfg.Name, rec.Spec.Name, rec.peToCE)
@@ -397,7 +397,7 @@ func (b *Backbone) provisionBackupAttachment(rec *siteRecord, cfg *vpnConfig, fr
 	if !ok {
 		v = vpn.NewVRF(cfg.Name, peID, cfg.RD, cfg.Imports, cfg.Exports)
 		v.SLAClass = int(cfg.SLAClass)
-		pe.VRFs[cfg.Name] = v
+		pe.AddVRF(v)
 	}
 	pe.BindAccess(rec.backupCEToPE, cfg.Name)
 	pe.BindSiteAccess(cfg.Name, rec.Spec.Name, rec.backupPEToCE)

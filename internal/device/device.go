@@ -95,9 +95,10 @@ type Router struct {
 	// matching traffic is delivered rather than forwarded.
 	LocalPrefixes *addr.Table[bool]
 
-	// VPN state (PE only).
+	// VPN state (PE only). Install and remove VRFs only through
+	// AddVRF/RemoveVRF, which keep the access bindings pointing at them.
 	VRFs       map[string]*vpn.VRF
-	accessVRF  map[topo.LinkID]string            // inbound access link -> VRF
+	accessVRF  map[topo.LinkID]accessBinding     // inbound access link -> VRF
 	siteAccess map[string]map[string]topo.LinkID // vrf -> site -> outbound access link
 
 	// TE steering (ingress PE): overrides the LDP transport label. Mutate
@@ -141,7 +142,7 @@ func New(node topo.NodeID, name string, kind Kind, loopback addr.IPv4) *Router {
 		FTN:        mpls.NewFTN(),
 		IPTable:    addr.NewTable[topo.LinkID](),
 		VRFs:       make(map[string]*vpn.VRF),
-		accessVRF:  make(map[topo.LinkID]string),
+		accessVRF:  make(map[topo.LinkID]accessBinding),
 		siteAccess: make(map[string]map[string]topo.LinkID),
 		TE:         make(map[TEKey]mpls.NHLFE),
 		teIdx:      make(map[topo.NodeID]*teIndex),
@@ -149,21 +150,47 @@ func New(node topo.NodeID, name string, kind Kind, loopback addr.IPv4) *Router {
 	}
 }
 
+// accessBinding is what an inbound access link is bound to: the VRF's name,
+// which is what a checkpoint carries, and the VRF itself, resolved when
+// either side of the binding changes and not per packet. vrf is nil while
+// the router has no VRF of that name.
+type accessBinding struct {
+	name string
+	vrf  *vpn.VRF
+}
+
+// AddVRF installs v under its name, replacing any VRF of the same name.
+func (r *Router) AddVRF(v *vpn.VRF) {
+	r.VRFs[v.Name] = v
+	r.rebindAccess(v.Name, v)
+}
+
+// RemoveVRF removes the named VRF. Access links bound to it stay bound to
+// the name and match nothing until a VRF of that name is added again.
+func (r *Router) RemoveVRF(name string) {
+	delete(r.VRFs, name)
+	r.rebindAccess(name, nil)
+}
+
+func (r *Router) rebindAccess(name string, v *vpn.VRF) {
+	for in, b := range r.accessVRF {
+		if b.name == name {
+			r.accessVRF[in] = accessBinding{name, v}
+		}
+	}
+}
+
 // BindAccess associates an inbound access link with a VRF: packets arriving
 // on it are looked up in that VPN's table. This is the "VPN interface" of
 // the paper's Fig. 3.
 func (r *Router) BindAccess(in topo.LinkID, vrfName string) {
-	r.accessVRF[in] = vrfName
+	r.accessVRF[in] = accessBinding{vrfName, r.VRFs[vrfName]}
 }
 
 // AccessVRF returns the VRF bound to an inbound link.
 func (r *Router) AccessVRF(in topo.LinkID) (*vpn.VRF, bool) {
-	name, ok := r.accessVRF[in]
-	if !ok {
-		return nil, false
-	}
-	v, ok := r.VRFs[name]
-	return v, ok
+	b := r.accessVRF[in]
+	return b.vrf, b.vrf != nil
 }
 
 // UnbindAccess removes the inbound access-link binding installed by

@@ -9,6 +9,7 @@ import (
 	"mplsvpn/internal/mpls"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/qos"
+	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/topo"
 	"mplsvpn/internal/vpn"
 )
@@ -35,9 +36,61 @@ func buildIngressPE() (*Router, *vpn.VRF) {
 	pe := New(1, "PE1", PE, addr.MustParseIPv4("10.255.0.1"))
 	pe.MapDSCPToEXP = true
 	v := vpn.NewVRF("acme", 1, rdA, []addr.RouteTarget{rtA}, []addr.RouteTarget{rtA})
-	pe.VRFs["acme"] = v
+	pe.AddVRF(v)
 	pe.BindAccess(100, "acme")
 	return pe, v
+}
+
+// TestAccessBindingFollowsVRF: AccessVRF answers from the binding alone, so
+// everything that changes either side of one must leave it pointing at the
+// router's VRF of that name, or at nothing: a binding made before the VRF
+// exists, the VRF removed and a new one added, a checkpoint restored into a
+// rebuilt router, and the unbind.
+func TestAccessBindingFollowsVRF(t *testing.T) {
+	bound := func(r *Router) *vpn.VRF {
+		v, ok := r.AccessVRF(100)
+		if ok != (v != nil) {
+			t.Fatalf("AccessVRF = %v, %v", v, ok)
+		}
+		return v
+	}
+	newVRF := func() *vpn.VRF {
+		return vpn.NewVRF("acme", 1, rdA, []addr.RouteTarget{rtA}, []addr.RouteTarget{rtA})
+	}
+	pe := New(1, "PE1", PE, addr.MustParseIPv4("10.255.0.1"))
+	pe.BindAccess(100, "acme")
+	if v := bound(pe); v != nil {
+		t.Fatalf("bound to %v before any VRF exists", v)
+	}
+	first := newVRF()
+	pe.AddVRF(first)
+	if bound(pe) != first {
+		t.Fatal("a VRF added after the binding is not bound")
+	}
+	pe.RemoveVRF("acme")
+	if v := bound(pe); v != nil {
+		t.Fatalf("still bound to removed VRF %v", v)
+	}
+	second := newVRF()
+	pe.AddVRF(second)
+	if bound(pe) != second {
+		t.Fatal("not rebound to the VRF that replaced the removed one")
+	}
+
+	var w snapshot.Writer
+	pe.State(snapshot.Saver(&w))
+	rebuilt := New(1, "PE1", PE, addr.MustParseIPv4("10.255.0.1"))
+	if err := snapshot.Load(snapshot.NewReader(w.Data()), rebuilt.State); err != nil {
+		t.Fatal(err)
+	}
+	if v := bound(rebuilt); v == nil || v != rebuilt.VRFs["acme"] {
+		t.Fatalf("restored binding is %v, restored VRF %v", v, rebuilt.VRFs["acme"])
+	}
+
+	pe.UnbindAccess(100)
+	if v := bound(pe); v != nil {
+		t.Fatalf("bound to %v after the unbind", v)
+	}
 }
 
 func TestPEPushesTwoLabels(t *testing.T) {

@@ -44,7 +44,13 @@ func (r *Router) State(c *snapshot.Codec) {
 	}
 
 	snapshot.KeyedPtrs(c, &r.VRFs, cmp.Compare[string], vpn.VRFMin, func(v *vpn.VRF) string { return v.Name }, vpn.VRFState)
-	snapshot.Map(c, &r.accessVRF, cmp.Compare[topo.LinkID], 2, snapshot.Int[topo.LinkID], (*snapshot.Codec).Str)
+	snapshot.Map(c, &r.accessVRF, cmp.Compare[topo.LinkID], 2, snapshot.Int[topo.LinkID],
+		func(c *snapshot.Codec, b *accessBinding) {
+			c.Str(&b.name)
+			if c.Loading() {
+				b.vrf = r.VRFs[b.name]
+			}
+		})
 	snapshot.Map(c, &r.siteAccess, cmp.Compare[string], 2, (*snapshot.Codec).Str,
 		func(c *snapshot.Codec, m *map[string]topo.LinkID) {
 			snapshot.Map(c, m, cmp.Compare[string], 2, (*snapshot.Codec).Str, snapshot.Int[topo.LinkID])
