@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet check-gates bench bench-reconverge bench-bgp bench-addr bench-gate alloc-gate fuzz-short verify-parallel verify-scaling verify-survivability verify-intent verify-snapshot verify-controlplane verify-interas cover examples record clean
+.PHONY: all build test test-short test-race vet check-gates bench bench-reconverge bench-bgp bench-addr bench-hop bench-gate alloc-gate fuzz-short verify-parallel verify-scaling verify-survivability verify-intent verify-snapshot verify-controlplane verify-interas cover examples record clean
 
 all: build vet check-gates test test-race fuzz-short verify-intent verify-snapshot verify-controlplane verify-interas verify-scaling bench-reconverge bench-gate
 
@@ -65,9 +65,18 @@ bench-bgp:
 bench-addr:
 	$(GO) test -run='^$$' -bench=BenchmarkTable -benchmem ./internal/addr
 
+# The three index operations of an uncongested packet-hop, each alone: the
+# event queue's hold cost at depth 256/4096/65536 (every delay inside the
+# wheel's window, and a near/far mix through the far heap), what an idle port
+# pays its scheduler (Pass against the Enqueue+Dequeue it replaced, hybrid
+# and FIFO, one hot scheduler and 470 round-robin), and the ILM lookup and
+# swap (1,000 labels, one hot LFIB and 470 round-robin).
+bench-hop:
+	$(GO) test -run='^$$' -bench='BenchmarkQueueHold|BenchmarkSchedulerIdle|BenchmarkILM' ./internal/sim ./internal/qos ./internal/mpls
+
 # The allocation-budget tests alone: every hot-path component must be
 # zero-alloc at steady state (label stack ops, table lookups, Router.Receive,
-# scheduler enqueue/dequeue, engine Post, and the full netsim per-hop path),
+# scheduler enqueue/dequeue and Pass, engine Post, and the full netsim per-hop path),
 # and a forwarding table is built in a handful of allocations.
 alloc-gate:
 	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint' \
@@ -127,7 +136,8 @@ verify-intent:
 # and the intent spec language (round-trip contract) — on the two
 # binary ones: the checkpoint container, and the section payloads of real
 # checkpoints fed to Backbone.Restore, InterAS.Restore and Mesh.LoadState —
-# and on the forwarding table, an operation stream against the naive model.
+# on the forwarding table, an operation stream against the naive model — and
+# on the event queue, an operation stream against the bare heap it replaced.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/netconf
 	$(GO) test -run='^$$' -fuzz=FuzzScenario -fuzztime=10s ./internal/chaos
@@ -136,6 +146,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzRestoreSection -fuzztime=10s ./internal/chaos
 	$(GO) test -run='^$$' -fuzz=FuzzTableOps -fuzztime=10s ./internal/addr
+	$(GO) test -run='^$$' -fuzz=FuzzQueueOps -fuzztime=10s ./internal/sim
 
 # The checkpoint/restore acceptance gate under the race detector: the
 # restore-equivalence contract (run-to-T + snapshot + restore + run-to-end

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mplsvpn/internal/addr"
+	"mplsvpn/internal/packet"
 	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/topo"
 )
@@ -123,31 +124,75 @@ type restoreTarget struct {
 	restore func(t testing.TB, section string, payload []byte) error
 }
 
-// container wraps a sealed checkpoint file as a restoreTarget.
-func container(t testing.TB, name string, data []byte, restore func(testing.TB, []byte) error) restoreTarget {
+// handMade is a section written to be refused: payload stands in for the
+// checkpoint's real section sec.
+type handMade struct {
+	name, sec string
+	payload   []byte
+}
+
+// container wraps a sealed checkpoint file, and any hand-made variants of
+// its sections, as a restoreTarget.
+func container(t testing.TB, name string, data []byte, restore func(testing.TB, []byte) error, bad ...handMade) restoreTarget {
 	f, err := snapshot.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return restoreTarget{
-		name:     name,
-		sections: f.Names(),
-		section: func(sec string) []byte {
-			p, _ := f.Section(sec)
-			return p
-		},
-		restore: func(t testing.TB, sec string, payload []byte) error {
-			g := snapshot.NewFile()
-			for _, n := range f.Names() {
-				p, _ := f.Section(n)
-				if n == sec {
-					p = payload
-				}
-				g.Add(n, p)
-			}
-			return restore(t, g.Encode())
-		},
+	tg := restoreTarget{name: name, sections: f.Names()}
+	variant := map[string]handMade{}
+	for _, b := range bad {
+		variant[b.name] = b
+		tg.sections = append(tg.sections, b.name)
+		tg.corrupt = append(tg.corrupt, b.name)
 	}
+	tg.section = func(sec string) []byte {
+		if b, ok := variant[sec]; ok {
+			return b.payload
+		}
+		p, _ := f.Section(sec)
+		return p
+	}
+	tg.restore = func(t testing.TB, sec string, payload []byte) error {
+		if b, ok := variant[sec]; ok {
+			sec = b.sec
+		}
+		g := snapshot.NewFile()
+		for _, n := range f.Names() {
+			p, _ := f.Section(n)
+			if n == sec {
+				p = payload
+			}
+			g.Add(n, p)
+		}
+		return restore(t, g.Encode())
+	}
+	return tg
+}
+
+// labelAboveSpace rewrites the first ILM label of the first router in a
+// real "routers" section to one past the 20-bit space. The ILM is a slice
+// indexed by label: a restore must refuse the label, not grow to it.
+func labelAboveSpace(t testing.TB, data []byte) handMade {
+	f, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := f.Section("routers")
+	r := snapshot.NewReader(p)
+	r.U64() // routers
+	r.I64() // the first one's node
+	for i := 0; i < 3; i++ {
+		r.I64() // its LFIB's forwarding counters
+	}
+	if bound := r.U64(); bound == 0 || r.Err() != nil {
+		t.Fatalf("first router binds %d labels (%v): nothing to rewrite", bound, r.Err())
+	}
+	at := len(p) - r.Remaining()
+	r.U64() // the label
+	var w snapshot.Writer
+	w.U64(uint64(packet.MaxLabel) + 1)
+	bad := append(append(append([]byte(nil), p[:at]...), w.Data()...), p[len(p)-r.Remaining():]...)
+	return handMade{"routers: ILM label above the label space", "routers", bad}
 }
 
 // restoreTargets snapshots the three rigs mid-run: Backbone.Restore on the
@@ -177,7 +222,8 @@ func restoreTargets(t testing.TB) []restoreTarget {
 	meshes["mesh"] = mesh.Data()
 
 	return []restoreTarget{
-		container(t, "Backbone.Restore", data, func(t testing.TB, d []byte) error { return buildSnapRig(t, 0, 0).b.Restore(d, "fp") }),
+		container(t, "Backbone.Restore", data, func(t testing.TB, d []byte) error { return buildSnapRig(t, 0, 0).b.Restore(d, "fp") },
+			labelAboveSpace(t, data)),
 		container(t, "InterAS.Restore", xdata, func(t testing.TB, d []byte) error { return buildInterASRig(t, 0, 0).x.Restore(d, "fp") }),
 		{
 			name:     "Mesh.LoadState",

@@ -7,8 +7,9 @@
 // This is the machinery behind the paper's §3 claim: "The labels enable
 // routers and switches to forward traffic based on information in the
 // labels instead of having to inspect the various fields deep within each
-// and every packet." Experiment E4 measures exactly that: ILM lookup versus
-// longest-prefix match.
+// and every packet." Here that is literal: the ILM is a slice and the
+// incoming label its index (LFIB). Experiment E4 measures exactly that: ILM
+// lookup versus longest-prefix match.
 package mpls
 
 import (
@@ -80,8 +81,15 @@ func (a *Allocator) Allocated() int { return int(a.next - packet.MinDynamicLabel
 // LFIB is one router's label forwarding information base: the ILM for
 // labelled traffic plus an FTN per context (the global table and one per
 // VRF) for unlabelled traffic entering an LSP.
+//
+// The ILM is a slice indexed by the incoming label — "the label is an
+// index", literally: a router allocates its labels densely from 16 and
+// never reuses one, so the slice is as long as its allocator has counted
+// and a transit lookup is one bounds check. A nil element is an unbound
+// label; a bound one is never nil, even when its action set is empty.
 type LFIB struct {
-	ilm map[packet.Label][]NHLFE
+	ilm   [][]NHLFE
+	bound int // non-nil elements of ilm
 
 	// Counters for the forwarding experiments.
 	Swapped int
@@ -90,28 +98,42 @@ type LFIB struct {
 }
 
 // NewLFIB returns an empty LFIB.
-func NewLFIB() *LFIB {
-	return &LFIB{ilm: make(map[packet.Label][]NHLFE)}
-}
+func NewLFIB() *LFIB { return &LFIB{} }
 
 // BindILM installs the action for an incoming label, replacing any
 // existing set.
-func (f *LFIB) BindILM(in packet.Label, e NHLFE) {
-	f.ilm[in] = []NHLFE{e}
-}
+func (f *LFIB) BindILM(in packet.Label, e NHLFE) { f.SetILM(in, []NHLFE{e}) }
 
 // AddILM adds an equal-cost action for an incoming label (ECMP), keeping
 // the set in ascending OutLink order — the IGP's NextHops order, so the
 // member a flow hashes to does not depend on the order mappings arrived in.
 // Duplicate out-links are ignored.
-func (f *LFIB) AddILM(in packet.Label, e NHLFE) {
-	f.ilm[in] = insertByOutLink(f.ilm[in], e)
-}
+func (f *LFIB) AddILM(in packet.Label, e NHLFE) { f.SetILM(in, insertByOutLink(f.actions(in), e)) }
 
 // SetILM replaces the whole action set for an incoming label. The LFIB
 // keeps es; the caller must not reuse it.
 func (f *LFIB) SetILM(in packet.Label, es []NHLFE) {
+	if in > packet.MaxLabel {
+		panic("mpls: label outside the 20-bit space")
+	}
+	if int(in) >= len(f.ilm) {
+		f.ilm = append(f.ilm, make([][]NHLFE, int(in)+1-len(f.ilm))...)
+	}
+	if es == nil {
+		es = []NHLFE{}
+	}
+	if f.ilm[in] == nil {
+		f.bound++
+	}
 	f.ilm[in] = es
+}
+
+// actions returns the action set bound to an incoming label, nil if none.
+func (f *LFIB) actions(in packet.Label) []NHLFE {
+	if int(in) >= len(f.ilm) {
+		return nil
+	}
+	return f.ilm[in]
 }
 
 // insertByOutLink returns es with e inserted at its OutLink position; es is
@@ -132,16 +154,19 @@ func insertByOutLink(es []NHLFE, e NHLFE) []NHLFE {
 
 // UnbindILM removes the action for an incoming label (LSP teardown).
 func (f *LFIB) UnbindILM(in packet.Label) {
-	delete(f.ilm, in)
+	if f.actions(in) != nil {
+		f.ilm[in] = nil
+		f.bound--
+	}
 }
 
 // ILMSize returns the number of incoming-label bindings.
-func (f *LFIB) ILMSize() int { return len(f.ilm) }
+func (f *LFIB) ILMSize() int { return f.bound }
 
 // LookupILM returns the first action for an incoming label.
 func (f *LFIB) LookupILM(in packet.Label) (NHLFE, bool) {
-	es, ok := f.ilm[in]
-	if !ok || len(es) == 0 {
+	es := f.actions(in)
+	if len(es) == 0 {
 		return NHLFE{}, false
 	}
 	return es[0], true
@@ -149,8 +174,8 @@ func (f *LFIB) LookupILM(in packet.Label) (NHLFE, bool) {
 
 // LookupILMAll returns every equal-cost action for an incoming label.
 func (f *LFIB) LookupILMAll(in packet.Label) ([]NHLFE, bool) {
-	es, ok := f.ilm[in]
-	return es, ok && len(es) > 0
+	es := f.actions(in)
+	return es, len(es) > 0
 }
 
 // ProcessLabeled applies the ILM action to a labelled packet *in place* and
@@ -165,8 +190,8 @@ func (f *LFIB) LookupILMAll(in packet.Label) ([]NHLFE, bool) {
 // lookup — the default behaviour signalled by LDP in this system.
 func (f *LFIB) ProcessLabeled(p *packet.Packet) (out topo.LinkID, labeled bool, drop packet.DropReason) {
 	top := p.MPLS.Top()
-	es, ok := f.ilm[top.Label]
-	if !ok || len(es) == 0 {
+	es := f.actions(top.Label)
+	if len(es) == 0 {
 		// No ILM binding: the MPLS equivalent of a routing black hole; the
 		// packet must be dropped (RFC 3031 §3.18).
 		return -1, false, packet.DropNoLabelBinding
@@ -235,8 +260,7 @@ func (f *LFIB) detour(p *packet.Packet, e NHLFE, exp uint8, out topo.LinkID, lab
 // bypass is a direct parallel path: entries just switch output link.
 func (f *LFIB) DetourVia(failedLink topo.LinkID, bypassLabel packet.Label, bypassLink topo.LinkID) int {
 	n := 0
-	for in, es := range f.ilm {
-		changed := false
+	for _, es := range f.ilm {
 		for i, e := range es {
 			if e.OutLink != failedLink || e.OutLink < 0 {
 				continue
@@ -247,11 +271,7 @@ func (f *LFIB) DetourVia(failedLink topo.LinkID, bypassLabel packet.Label, bypas
 				es[i].BypassLabel = bypassLabel
 				es[i].BypassLink = bypassLink
 			}
-			changed = true
 			n++
-		}
-		if changed {
-			f.ilm[in] = es
 		}
 	}
 	return n

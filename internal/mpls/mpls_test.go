@@ -190,7 +190,7 @@ func TestILMMultipath(t *testing.T) {
 	}
 
 	// Distinct flows hash across both members; one flow is stable.
-	outs := map[packet.Label]int{}
+	var outs [301]int // by outgoing label
 	for port := 0; port < 64; port++ {
 		p := &packet.Packet{
 			IP:   packet.IPv4Header{TTL: 64, Src: 1, Dst: 2},

@@ -1,8 +1,6 @@
 package mpls
 
 import (
-	"cmp"
-
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/snapshot"
@@ -26,13 +24,36 @@ func nhlfesState(c *snapshot.Codec, es *[]NHLFE) { snapshot.Slice(c, es, NHLFEMi
 // labels the uninterrupted run would.
 func (a *Allocator) State(c *snapshot.Codec) { snapshot.Uint(c, &a.next) }
 
-// State walks the forwarding counters and the ILM, ascending by incoming
-// label.
+// State walks the forwarding counters and the ILM as a map would be
+// walked: the count of bound labels, then each (label, actions) ascending.
+// A loaded label is checked against the label space before the slice grows
+// to hold it, so the input cannot size the allocation.
 func (f *LFIB) State(c *snapshot.Codec) {
 	snapshot.Int(c, &f.Swapped)
 	snapshot.Int(c, &f.Pushed)
 	snapshot.Int(c, &f.Popped)
-	snapshot.Map(c, &f.ilm, cmp.Compare[packet.Label], 2, snapshot.Uint[packet.Label], nhlfesState)
+	n := c.Len(f.bound, 2)
+	if !c.Loading() {
+		for in, es := range f.ilm {
+			if es != nil {
+				c.U64(uint64(in))
+				nhlfesState(c, &es)
+			}
+		}
+		return
+	}
+	f.ilm, f.bound = nil, 0
+	for ; n > 0 && c.Err() == nil; n-- {
+		in := c.U64(0)
+		var es []NHLFE
+		nhlfesState(c, &es)
+		if in > uint64(packet.MaxLabel) {
+			c.Corrupt("ILM label %d above the 20-bit label space", in)
+		}
+		if c.Err() == nil {
+			f.SetILM(packet.Label(in), es)
+		}
+	}
 }
 
 // State walks the FEC bindings in the trie's deterministic walk order.

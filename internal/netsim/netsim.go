@@ -78,14 +78,16 @@ type Network struct {
 //
 //   - busyUntil is the instant the last bit of the packet being serialized
 //     leaves (t1). The port is idle iff now >= busyUntil and no wake-up is
-//     pending; an idle port starts a packet the moment it is offered and
-//     posts the far-end arrival directly at busyUntil + link delay — one
+//     pending; an idle port starts a packet the moment it is offered — the
+//     scheduler rules on it (qos.Scheduler.Pass) without queueing it — and
+//     posts the far-end arrival directly at busyUntil + link delay: one
 //     event per hop.
 //   - wake is set while an evTxKick is pending for the port: at busyUntil,
 //     posted by the first packet that had to queue behind the wire (and
 //     re-posted by each wake-up that leaves a backlog behind), or at the
 //     shaper's conformance instant. Invariant: a packet in the scheduler or
-//     in pending implies wake.
+//     in pending implies wake. It is what lets enqueue treat "idle" as "the
+//     scheduler holds nothing", and CheckConservation verifies it.
 //
 // The tx ledger settles lazily: wireBytes holds the size of the packet last
 // started until settle folds it into txBytes (or, doomed, an evTxDrop at
@@ -393,17 +395,22 @@ func (n *Network) enqueue(ln *lane, at topo.NodeID, link topo.LinkID, p *packet.
 		return
 	}
 	now := ln.q.Now()
+	if !pt.wake && now >= pt.busyUntil {
+		// Idle: nothing is queued or held (the port invariant), so the
+		// scheduler only has to rule on this packet, not to store it.
+		if !pt.sched.Pass(now, cls, p) {
+			n.refuse(ln, pt, l, p, size, packet.DropQueueOverflow)
+			return
+		}
+		n.transmit(ln, pt, p)
+		return
+	}
 	if !pt.sched.Enqueue(now, cls, p) {
 		n.refuse(ln, pt, l, p, size, packet.DropQueueOverflow)
 		return
 	}
-	switch {
-	case pt.wake:
-		// A wake-up is already booked; it will find this packet queued.
-	case now < pt.busyUntil:
+	if !pt.wake {
 		n.kick(ln, pt, pt.busyUntil)
-	default:
-		n.transmitNext(ln, pt)
 	}
 }
 
@@ -436,22 +443,26 @@ func (n *Network) wakeUp(ln *lane, pt *port) {
 	}
 }
 
-// transmitNext starts serializing the scheduler's next packet, honouring
-// the port shaper if one is installed, and launches it: the far-end arrival
-// is posted now, at the instant the last bit will have propagated. The
-// caller guarantees the wire is free (now >= busyUntil, no wake-up pending).
-// ln is the lane of the shard owning the port's source node; all of the
-// port's timers stay on it.
+// transmitNext starts serializing the packet the shaper held back, or else
+// the scheduler's next one. The caller guarantees the wire is free
+// (now >= busyUntil, no wake-up pending).
 func (n *Network) transmitNext(ln *lane, pt *port) {
-	now := ln.q.Now()
 	p := pt.pending
 	pt.pending = nil
 	if p == nil {
-		p = pt.sched.Dequeue(now)
+		p = pt.sched.Dequeue(ln.q.Now())
 	}
-	if p == nil {
-		return
+	if p != nil {
+		n.transmit(ln, pt, p)
 	}
+}
+
+// transmit starts serializing p on a free wire, honouring the port shaper
+// if one is installed, and launches it: the far-end arrival is posted now,
+// at the instant the last bit will have propagated. ln is the lane of the
+// shard owning the port's source node; all of the port's timers stay on it.
+func (n *Network) transmit(ln *lane, pt *port, p *packet.Packet) {
+	now := ln.q.Now()
 	wire := p.Wire()
 	if pt.shaper != nil {
 		if d := pt.shaper.DelayUntilConform(now, wire); d > 0 {
@@ -616,9 +627,11 @@ func (n *Network) LinkDroppedPkts(link topo.LinkID) int64 { return n.portFor(lin
 
 // CheckConservation verifies the per-port byte ledger on every port:
 // every byte offered must be transmitted, dropped, still queued, held by
-// the shaper, or mid-serialization — nothing lost, nothing double-counted.
-// It returns an error naming the first offending port, or nil. Safe to
-// call mid-run: in-flight bytes are tracked, not ignored.
+// the shaper, or mid-serialization — nothing lost, nothing double-counted —
+// and the port invariant the idle pass-through in enqueue rests on: a packet
+// queued or held implies a wake-up is booked. It returns an error naming the
+// first offending port, or nil. Safe to call mid-run: in-flight bytes are
+// tracked, not ignored.
 func (n *Network) CheckConservation() error {
 	for i := 0; i < n.G.NumLinks(); i++ {
 		id := topo.LinkID(i)
@@ -640,6 +653,11 @@ func (n *Network) CheckConservation() error {
 		}
 		if pt.pending != nil {
 			queued += int64(pt.pending.Wire())
+		}
+		if !pt.wake && (pt.pending != nil || (pt.sched != nil && pt.sched.Len() != 0)) {
+			l := n.G.Link(id)
+			return fmt.Errorf("netsim: port %s->%s has no wake-up booked for %d queued bytes (shaper holds one: %v)",
+				n.G.Name(l.From), n.G.Name(l.To), queued, pt.pending != nil)
 		}
 		if got := pt.txBytes + pt.dropBytes + queued + pt.wireBytes; got != pt.offeredBytes {
 			l := n.G.Link(id)

@@ -203,18 +203,19 @@ func (d *Domain) NotifyLinkChange(a, b topo.NodeID) {
 // queue it for further flooding — exactly OSPF's reliable-flooding shape,
 // minus the per-packet acks.
 func (d *Domain) flood() {
+	type delivery struct {
+		to  topo.NodeID
+		lsa LSA
+	}
+	var deliveries []delivery // one buffer, reused by every round
+	// Collect sends deterministically by node ID.
+	ids := make([]topo.NodeID, 0, len(d.Instances))
+	for n := range d.Instances {
+		ids = append(ids, n)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for {
-		type delivery struct {
-			to  topo.NodeID
-			lsa LSA
-		}
-		var deliveries []delivery
-		// Collect sends deterministically by node ID.
-		ids := make([]topo.NodeID, 0, len(d.Instances))
-		for n := range d.Instances {
-			ids = append(ids, n)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		deliveries = deliveries[:0]
 		any := false
 		for _, n := range ids {
 			in := d.Instances[n]

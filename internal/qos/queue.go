@@ -106,11 +106,12 @@ func (q *Queue) Len() int { return q.count }
 // Bytes returns the queued byte count.
 func (q *Queue) Bytes() int { return q.bytes }
 
-// Enqueue appends p unless a limit or the drop policy rejects it. It
-// reports whether the packet was accepted.
-func (q *Queue) Enqueue(now sim.Time, p *packet.Packet) bool {
-	n := p.Wire()
-	if (q.LimitBytes > 0 && q.bytes+n > q.LimitBytes) ||
+// admit is everything Enqueue decides and counts before the ring is
+// touched: the limits, the drop policy, the arrival stamp. On an empty
+// queue it is also all that Enqueue followed at once by Dequeue leaves
+// behind, which is what the schedulers' Pass is made of.
+func (q *Queue) admit(now sim.Time, p *packet.Packet) bool {
+	if (q.LimitBytes > 0 && q.bytes+p.Wire() > q.LimitBytes) ||
 		(q.LimitPkts > 0 && q.count+1 > q.LimitPkts) {
 		q.DroppedFull++
 		q.TelDropFull.Inc()
@@ -122,13 +123,22 @@ func (q *Queue) Enqueue(now sim.Time, p *packet.Packet) bool {
 		return false
 	}
 	p.EnqueuedAt = now
+	q.Enqueued++
+	return true
+}
+
+// Enqueue appends p unless a limit or the drop policy rejects it. It
+// reports whether the packet was accepted.
+func (q *Queue) Enqueue(now sim.Time, p *packet.Packet) bool {
+	if !q.admit(now, p) {
+		return false
+	}
 	if q.count == len(q.pkts) {
 		q.grow()
 	}
 	q.pkts[(q.head+q.count)%len(q.pkts)] = p
 	q.count++
-	q.bytes += n
-	q.Enqueued++
+	q.bytes += p.Wire()
 	return true
 }
 

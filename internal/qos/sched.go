@@ -15,6 +15,13 @@ type Scheduler interface {
 	// Dequeue picks the next packet to transmit, or nil if all queues are
 	// empty.
 	Dequeue(now sim.Time) *packet.Packet
+	// Pass offers p to a scheduler that holds nothing (Len() == 0) and
+	// takes it straight back: it reports what Enqueue would and leaves the
+	// scheduler, its queues' counters and drop policies, and p exactly as
+	// Enqueue followed by Dequeue would, without a ring or another class's
+	// queue being touched. An idle port uses it (netsim.enqueue); on a
+	// scheduler holding a packet it is undefined.
+	Pass(now sim.Time, c Class, p *packet.Packet) bool
 	// Len returns the total number of queued packets.
 	Len() int
 	// ClassQueue exposes the queue backing class c (for occupancy stats
@@ -45,6 +52,9 @@ func (s *FIFOScheduler) Enqueue(now sim.Time, _ Class, p *packet.Packet) bool {
 
 // Dequeue pops the shared queue.
 func (s *FIFOScheduler) Dequeue(sim.Time) *packet.Packet { return s.q.Dequeue() }
+
+// Pass admits p to the shared queue without queueing it.
+func (s *FIFOScheduler) Pass(now sim.Time, _ Class, p *packet.Packet) bool { return s.q.admit(now, p) }
 
 // Len returns the shared queue length.
 func (s *FIFOScheduler) Len() int { return s.q.Len() }
@@ -85,6 +95,11 @@ func (s *PriorityScheduler) Dequeue(sim.Time) *packet.Packet {
 		}
 	}
 	return nil
+}
+
+// Pass admits p to its class queue without queueing it.
+func (s *PriorityScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
+	return s.qs[c].admit(now, p)
 }
 
 // Len sums all class queues.
@@ -130,11 +145,28 @@ func (s *WFQScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) bool {
 	if !s.qs[c].Enqueue(now, p) {
 		return false
 	}
+	s.stamp(c, p)
+	return true
+}
+
+// stamp advances class c's virtual finish time past p.
+func (s *WFQScheduler) stamp(c Class, p *packet.Packet) {
 	start := s.finish[c]
 	if s.vtime > start {
 		start = s.vtime
 	}
 	s.finish[c] = start + float64(p.Wire())/s.weights[c]
+}
+
+// Pass admits and stamps p, then serves it: alone in the scheduler it is
+// the head that finishes earliest, with nothing queued behind it, so
+// virtual time moves to its finish.
+func (s *WFQScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
+	if !s.qs[c].admit(now, p) {
+		return false
+	}
+	s.stamp(c, p)
+	s.vtime = s.finish[c]
 	return true
 }
 
@@ -240,6 +272,12 @@ func (s *DRRScheduler) Dequeue(sim.Time) *packet.Packet {
 	}
 }
 
+// Pass is the pair itself: the cursor's walk to class c and the deficit it
+// grants on the way are the state a later backlog starts from.
+func (s *DRRScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
+	return s.Enqueue(now, c, p) && s.Dequeue(now) != nil
+}
+
 // Len sums all class queues.
 func (s *DRRScheduler) Len() int {
 	n := 0
@@ -289,13 +327,26 @@ func (s *HybridScheduler) SetEFLimit(tb *TokenBucket) { s.efLimit = tb }
 // Enqueue routes the packet to the priority or WFQ tier by class.
 func (s *HybridScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) bool {
 	if isPriorityClass(c) {
-		if c == ClassVoice && s.efLimit != nil && !s.efLimit.Conforms(now, p.Wire()) {
-			s.EFPoliced++
-			return false
-		}
-		return s.pq.Enqueue(now, c, p)
+		return s.efConforms(now, c, p) && s.pq.Enqueue(now, c, p)
 	}
 	return s.wfq.Enqueue(now, c, p)
+}
+
+// efConforms polices a voice packet against the EF cap, if one is set.
+func (s *HybridScheduler) efConforms(now sim.Time, c Class, p *packet.Packet) bool {
+	if c == ClassVoice && s.efLimit != nil && !s.efLimit.Conforms(now, p.Wire()) {
+		s.EFPoliced++
+		return false
+	}
+	return true
+}
+
+// Pass routes the packet through its tier alone.
+func (s *HybridScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
+	if isPriorityClass(c) {
+		return s.efConforms(now, c, p) && s.pq.Pass(now, c, p)
+	}
+	return s.wfq.Pass(now, c, p)
 }
 
 // Dequeue drains the priority tier first, then WFQ.

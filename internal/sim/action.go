@@ -1,7 +1,7 @@
 package sim
 
 // Action is a schedulable unit of work, and the only form an event takes:
-// the heap holds the interface value itself beside its (time, sequence)
+// the queue holds the interface value itself beside its (time, sequence)
 // key. Hot-path components implement Run on a struct they own or pool (a
 // pointer-to-struct stored in the interface does not allocate) and schedule
 // it with Post/PostAfter, so scheduling allocates nothing.

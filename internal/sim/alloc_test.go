@@ -97,9 +97,10 @@ func (a *tokenAction) Run() {
 	a.at, a.to = a.to, a.at
 }
 
-// A self-reposting action (the traffic-source pattern) must run on one heap
-// slot forever: its entry has left the heap before it runs, so the repost
-// lands where it was. 10^5 hops may neither allocate nor grow the heap.
+// A self-reposting action (the traffic-source pattern) must run on one slab
+// node forever: its entry has left the wheel before it runs, so the repost
+// takes the node it just freed. 10^5 hops may neither allocate nor grow the
+// slab beyond the nil node and that one.
 func TestSelfRepostChainZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 	act := &chainAction{e: e}
@@ -109,12 +110,12 @@ func TestSelfRepostChainZeroAlloc(t *testing.T) {
 		e.Run()
 	}
 	chain()
-	capBefore := cap(e.band.q)
+	slabBefore := len(e.band.q.slab)
 	if allocs := testing.AllocsPerRun(1, chain); allocs != 0 {
 		t.Fatalf("a 10^5-hop self-reposting chain allocates %v, want 0", allocs)
 	}
-	if act.hops != 3*100000 || cap(e.band.q) != capBefore || capBefore > 4 {
-		t.Fatalf("hops = %d, heap capacity %d -> %d", act.hops, capBefore, cap(e.band.q))
+	if act.hops != 3*100000 || len(e.band.q.slab) != slabBefore || slabBefore != 2 {
+		t.Fatalf("hops = %d, slab %d -> %d nodes", act.hops, slabBefore, len(e.band.q.slab))
 	}
 }
 

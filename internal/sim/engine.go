@@ -1,12 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock, a 4-ary value-typed heap event queue (heap.go) with stable
-// FIFO ordering for simultaneous events, and a seeded random number
-// generator.
+// a virtual clock, an event queue indexed by time (wheel.go: a wheel of
+// microsecond buckets for what is due within 4 ms, a 4-ary value-typed heap,
+// heap.go, for the rest) with stable FIFO ordering for simultaneous events,
+// and a seeded random number generator.
 //
-// There is one scheduler type, Queue: a clock, a heap and a sequence
-// counter. An event is an Action and the (time, sequence) pair it was
-// scheduled with, held by value in the heap; it runs once, at its time, and
-// cannot be cancelled — a component that must call work off empties the
+// There is one scheduler type, Queue: a clock, the pending events and a
+// sequence counter. An event is an Action and the (time, sequence) pair it
+// was scheduled with, held by value in the queue; it runs once, at its time,
+// and cannot be cancelled — a component that must call work off empties the
 // action it posted and lets the event fire as a no-op. The engine owns one
 // Queue and forwards Now, Post, PostAfter, Schedule and After to it.
 //
@@ -46,15 +47,15 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the virtual time like a time.Duration.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Queue is the scheduler: a virtual clock, the heap of pending events and
-// the sequence counter that orders simultaneous ones FIFO. The engine's own
+// Queue is the scheduler: a virtual clock, the pending events and the
+// sequence counter that orders simultaneous ones FIFO. The engine's own
 // queue (the global band once shards are enabled) and every shard are this
 // one type; the shard-only fields stay zero on the band.
 type Queue struct {
 	id       int // GlobalBand, or the shard's index
 	eng      *Engine
 	now      Time
-	q        eventHeap
+	q        eventQueue
 	seq      uint64
 	setupSeq uint64 // watermark set by MarkSetup; lower seqs are setup events
 	executed uint64 // for diagnostics
@@ -120,14 +121,25 @@ func (q *Queue) Schedule(at Time, fn func()) { q.Post(at, funcAction(fn)) }
 // After runs fn d after the current time: PostAfter for a closure.
 func (q *Queue) After(d Time, fn func()) { q.PostAfter(d, funcAction(fn)) }
 
-// step pops the earliest event and runs it with the clock at its due time.
-// The entry has left the heap before the action runs, so an action that
-// reposts itself reuses the slot it just vacated.
-func (q *Queue) step() {
-	x := q.q.pop()
-	q.now = x.at
+// step takes the event next located and runs it with the clock at its due
+// time. The entry has left the queue before the action runs, so an action
+// that reposts itself reuses the slot it just vacated.
+func (q *Queue) step(at Time, bucket int) {
+	x := q.q.take(bucket)
+	q.now = at
 	q.executed++
 	x.act.Run()
+}
+
+// runThrough steps, in order, through every event due at or before last.
+func (q *Queue) runThrough(last Time) {
+	for q.q.len() > 0 {
+		at, bucket := q.q.next()
+		if at > last {
+			return
+		}
+		q.step(at, bucket)
+	}
 }
 
 // Engine is the discrete-event scheduler. The zero value is not usable; use
@@ -174,7 +186,7 @@ func (e *Engine) Executed() uint64 {
 func (e *Engine) Pending() int {
 	n := 0
 	for _, q := range e.all {
-		n += len(q.q)
+		n += q.q.len()
 	}
 	return n
 }
@@ -199,10 +211,11 @@ func (e *Engine) Step() bool {
 	if e.par != nil {
 		panic("sim: Step is not supported on a sharded engine; use Run or RunUntil")
 	}
-	if len(e.band.q) == 0 {
+	b := &e.band
+	if b.q.len() == 0 {
 		return false
 	}
-	e.band.step()
+	b.step(b.q.next())
 	return true
 }
 
@@ -218,9 +231,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		return
 	}
 	b := &e.band
-	for len(b.q) > 0 && b.q[0].at <= deadline {
-		b.step()
-	}
+	b.runThrough(deadline)
 	if b.now < deadline && deadline < MaxTime {
 		b.now = deadline
 	}

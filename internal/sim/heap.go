@@ -1,7 +1,8 @@
 package sim
 
-// The event queue: one implementation for the serial engine, every shard,
-// the barrier's bulk handoff merge, FilterPending and restore.
+// The far band of the event queue (wheel.go): what is due beyond the wheel's
+// window, or was refused by a bucket, waits in this heap — and with nothing
+// in the wheel the queue is exactly this heap.
 //
 // Layout. The heap is a slice of 32-byte {at, seq, Action} entries: the
 // event is the entry, by value, so a sift compares keys that sit in the
@@ -15,8 +16,8 @@ package sim
 // Order. Entries compare by the strict total order (at, seq); seq is unique
 // per scheduler, so no two entries are ever equal and pop order is a pure
 // function of the set of pending events, independent of arity, array layout
-// or the order the entries were pushed in. That is why swapping the heap
-// implementation cannot move a digest.
+// or the order the entries were pushed in. That is why neither the heap's
+// implementation nor the wheel in front of it can move a digest.
 
 type heapEntry struct {
 	at  Time
@@ -58,17 +59,6 @@ func (h *eventHeap) pop() heapEntry {
 		q.siftDown(0, last)
 	}
 	return top
-}
-
-// init establishes the heap invariant over arbitrary contents in O(n): the
-// bulk-load path for a barrier's handoff slabs and for FilterPending.
-func (h eventHeap) init() {
-	if len(h) < 2 {
-		return
-	}
-	for i := (len(h) - 2) / 4; i >= 0; i-- {
-		h.siftDown(i, h[i])
-	}
 }
 
 // siftDown places x in the subtree rooted at the hole i.

@@ -158,9 +158,8 @@ func (a *notingAction) Run() {
 }
 
 // The same on a 4-shard engine: local Schedule/Post on each shard,
-// FilterPending, and cross-shard Handoff batches that the barrier merges in
-// bulk (a batch of at least a quarter of the destination heap is appended
-// and re-heapified; a smaller one is pushed entry by entry). A merged entry
+// FilterPending, and cross-shard Handoff batches that the barrier merges,
+// large and small. A merged entry
 // takes its destination sequence number at the merge, in (source shard, send
 // order) per destination — the oracle numbers them the same way — and every
 // shard must then execute in its own (at, seq) order.
@@ -327,29 +326,36 @@ func TestQueueMatchesSortOracleSharded(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineHold is the classic hold model: a queue kept at a steady
+// BenchmarkQueueHold is the classic hold model: a queue kept at a steady
 // depth, each operation one Step plus one Post of a successor a random
 // distance ahead. It is the queue alone — no packets, no routers — so
-// `make bench` shows how the cost of an event grows with depth.
-func BenchmarkEngineHold(b *testing.B) {
+// `make bench-hop` shows how the cost of an event grows with depth. "near"
+// draws every delay below 1 ms, the wheel's case; "mixed" sends every other
+// successor up to 1 s out, through the far heap.
+func BenchmarkQueueHold(b *testing.B) {
 	for _, depth := range []int{256, 4096, 65536} {
-		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			e := NewEngine(1)
-			rng := NewRand(7)
-			act := &nopAction{}
-			delays := make([]Time, 1<<12)
-			for i := range delays {
-				delays[i] = Time(1 + rng.Intn(1000))
-			}
-			for i := 0; i < depth; i++ {
-				e.PostAfter(delays[i%len(delays)], act)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step()
-				e.PostAfter(delays[i%len(delays)], act)
-			}
-		})
+		for _, mix := range []string{"near", "mixed"} {
+			b.Run(fmt.Sprintf("depth%d/%s", depth, mix), func(b *testing.B) {
+				e := NewEngine(1)
+				rng := NewRand(7)
+				act := &nopAction{}
+				delays := make([]Time, 1<<12)
+				for i := range delays {
+					delays[i] = Time(1 + rng.Intn(int(Millisecond)))
+					if mix == "mixed" && i%2 == 1 {
+						delays[i] = Time(1 + rng.Intn(int(Second)))
+					}
+				}
+				for i := 0; i < depth; i++ {
+					e.PostAfter(delays[i%len(delays)], act)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.Step()
+					e.PostAfter(delays[i%len(delays)], act)
+				}
+			})
+		}
 	}
 }

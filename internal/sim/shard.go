@@ -17,8 +17,7 @@
 //     the classic global min-cut bound.
 //   - a *barrier*: cross-shard handoffs buffered during the segment are
 //     merged into their destination queues in (source shard, sequence)
-//     order — per-destination slabs bulk-loaded in one pass, not
-//     per-message heap pushes — deferred notifications run on the
+//     order, deferred notifications run on the
 //     coordinating goroutine in (time, source shard, sequence) order, and
 //     per-shard telemetry accumulators merge. Then any due global events
 //     run.
@@ -126,18 +125,17 @@ func (q *Queue) Defer(act Action) {
 // drain executes the shard's events with due time strictly before boundary.
 func (q *Queue) drain(boundary Time) {
 	q.draining = true
-	for len(q.q) > 0 && q.q[0].at < boundary {
-		q.step()
-	}
+	q.runThrough(boundary - 1)
 	q.draining = false
 }
 
 // head returns the due time of the queue's earliest event, MaxTime if none.
 func (q *Queue) head() Time {
-	if len(q.q) == 0 {
+	if q.q.len() == 0 {
 		return MaxTime
 	}
-	return q.q[0].at
+	at, _ := q.q.next()
+	return at
 }
 
 // parEngine coordinates the shard queues, the worker pool, and the global
@@ -400,9 +398,7 @@ func (p *parEngine) run(deadline Time) {
 			if band.now < g0 {
 				band.now = g0
 			}
-			for band.head() == g0 {
-				band.step()
-			}
+			band.runThrough(g0)
 			// Globals may Defer through shard clocks at the barrier; those
 			// notes stamp at >= g0 and stay retained until a future
 			// watermark passes them. This flush merges the handoffs and
@@ -505,26 +501,12 @@ func (p *parEngine) flush(W Time) {
 }
 
 // mergeHandoffs folds every source shard's per-destination slab into the
-// destination heaps. Order is (source shard, send sequence) per
+// destination queues. Order is (source shard, send sequence) per
 // destination: slabs are already in send order and sources visit in index
-// order, and destination heaps tie-break equal times by arrival sequence —
-// so a bulk load followed by one heapify pass pops identically to
-// per-message pushes, at a fraction of the sift cost for large batches.
+// order, and a destination ties equal times by arrival sequence.
 func (p *parEngine) mergeHandoffs() bool {
 	moved := false
 	for di, dst := range p.shards {
-		total := 0
-		for _, src := range p.shards {
-			total += len(src.outTo[di])
-		}
-		if total == 0 {
-			continue
-		}
-		moved = true
-		// Bulk-load when the batch is big relative to the heap: appending
-		// all entries and re-heapifying is O(n), versus O(batch log n) for
-		// individual sift-ups.
-		bulk := total*4 >= len(dst.q)
 		for _, src := range p.shards {
 			slab := src.outTo[di]
 			for i, h := range slab {
@@ -538,17 +520,11 @@ func (p *parEngine) mergeHandoffs() bool {
 					dst.clamped++
 				}
 				dst.seq++
-				if bulk {
-					dst.q = append(dst.q, x)
-				} else {
-					dst.q.push(x)
-				}
+				dst.q.push(x)
 				slab[i] = handoffMsg{}
+				moved = true
 			}
 			src.outTo[di] = slab[:0]
-		}
-		if bulk {
-			dst.q.init()
 		}
 	}
 	return moved

@@ -1,6 +1,6 @@
 // Checkpoint support for the event scheduler.
 //
-// An event heap holds Actions, which cannot be serialized as such. The
+// The event queue holds Actions, which cannot be serialized as such. The
 // snapshot architecture therefore splits pending work into two classes:
 //
 //   - *setup* events, scheduled before MarkSetup (topology construction,
@@ -23,11 +23,6 @@
 // accessor here takes a scheduler index — GlobalBand or a shard — and goes
 // through Engine.Queue: the band and the shards are one type.
 package sim
-
-import (
-	"cmp"
-	"slices"
-)
 
 // GlobalBand is the scheduler index of the engine's own queue.
 const GlobalBand = -1
@@ -78,11 +73,7 @@ func (e *Engine) WalkPending(visit func(PendingEvent)) {
 		e.par.mergeHandoffs()
 	}
 	for _, q := range e.all {
-		sorted := slices.Clone(q.q)
-		slices.SortFunc(sorted, func(a, b heapEntry) int {
-			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
-		})
-		for _, x := range sorted {
+		for _, x := range q.q.sorted() {
 			pe := PendingEvent{Shard: q.id, At: x.at, Seq: x.seq, Act: x.act, Setup: x.seq < q.setupSeq}
 			if _, closure := x.act.(funcAction); closure {
 				pe.Act = nil
@@ -97,9 +88,7 @@ func (e *Engine) WalkPending(visit func(PendingEvent)) {
 // the original run had already executed by snapshot time.
 func (e *Engine) FilterPending(keep func(shard int, seq uint64) bool) {
 	for _, q := range e.all {
-		q.q = slices.DeleteFunc(q.q, func(x heapEntry) bool { return !keep(q.id, x.seq) })
-		// Pop order depends only on (at, seq), not array layout.
-		q.q.init()
+		q.q.filter(func(x heapEntry) bool { return keep(q.id, x.seq) })
 	}
 }
 
