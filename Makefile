@@ -49,9 +49,13 @@ bench:
 # Reconvergence is the unit of work every injected fault triggers; track
 # both branches: BenchmarkReconverge (full: node crash, untracked cause),
 # BenchmarkReconvergeLinkFlap (incremental: what a link flap costs) and
-# BenchmarkReconvergeLinkFlapTE (the same with 48 TE intents to keep or move).
+# BenchmarkReconvergeLinkFlapTE (the same with 48 TE intents to keep or move);
+# and what the full branch spends below core at the repository benchmark's
+# 7x7+98 grid: BenchmarkConvergePop147 (147 LSAs flooded, 147 full SPFs) and
+# BenchmarkLDPOrderedPop147 (147 x 146 LSPs flooded from nothing).
 bench-reconverge:
-	$(GO) test -run='^$$' -bench=BenchmarkReconverge -benchmem ./internal/core
+	$(GO) test -run='^$$' -bench='BenchmarkReconverge|BenchmarkConvergePop147|BenchmarkLDPOrderedPop147' -benchmem \
+		./internal/core ./internal/ospf ./internal/ldp
 
 # The BGP layer at the repository benchmark's vpnv4_100k shape: ns/update of
 # Converge and B/route of the converged mesh, with `go test -bench` alone.

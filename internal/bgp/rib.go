@@ -101,6 +101,45 @@ func (s *Speaker) place(dst []*VPNRoute, g int, r *VPNRoute) []*VPNRoute {
 	return append(dst, r)
 }
 
+// sortRuns sorts rs by prefix, stably: what slices.SortStableFunc does, for
+// an input that is a few ascending runs end to end — a tail is one run per
+// sending peer. It finds the runs and merges neighbours pairwise, to and
+// fro between rs and one buffer of its size, the left run winning ties; a
+// tail in no order at all is runs of one and an ordinary merge sort.
+func sortRuns(rs []*VPNRoute) {
+	var ends []int // where each run ends
+	for i := 1; i <= len(rs); i++ {
+		if i == len(rs) || byPrefix(rs[i-1], rs[i]) > 0 {
+			ends = append(ends, i)
+		}
+	}
+	if len(ends) < 2 {
+		return
+	}
+	src, dst := rs, make([]*VPNRoute, len(rs))
+	for ; len(ends) > 1; src, dst = dst, src {
+		merged, lo := ends[:0], 0
+		for r := 0; r < len(ends); r += 2 {
+			mid, hi := ends[r], ends[min(r+1, len(ends)-1)]
+			a, b, out := src[lo:mid], src[mid:hi], dst[lo:lo]
+			for len(a) > 0 && len(b) > 0 {
+				if byPrefix(b[0], a[0]) < 0 {
+					out, b = append(out, b[0]), b[1:]
+				} else {
+					out, a = append(out, a[0]), a[1:]
+				}
+			}
+			copy(dst[lo+len(out):hi], a) // one of the two is spent
+			copy(dst[hi-len(b):hi], b)
+			merged, lo = append(merged, hi), hi
+		}
+		ends = merged
+	}
+	if &src[0] != &rs[0] {
+		copy(rs, src)
+	}
+}
+
 // seal folds the tail into the run, leaving what offering the same routes
 // one by one to a per-prefix list would have: the stable sort keeps arrival
 // order inside a prefix, and place applies each arrival in that order.
@@ -110,7 +149,7 @@ func (s *Speaker) seal() {
 	if len(tail) == 0 {
 		return
 	}
-	slices.SortStableFunc(tail, byPrefix)
+	sortRuns(tail)
 	out := make([]*VPNRoute, 0, len(b.paths))
 	for i, j := 0, 0; i < len(head) || j < len(tail); {
 		p, g := first(head[i:], tail[j:]), len(out)

@@ -680,3 +680,56 @@ func TestRIBMatchesMapModel(t *testing.T) {
 		}
 	}
 }
+
+// TestSealKeepsArrivalOrderWhateverTheRuns pins seal's sort to the stable
+// sort it replaced. A tail is usually one ascending run per sending peer;
+// one that arrives descending has no run longer than a prefix group, and
+// inside each prefix the routes must still come out in arrival order,
+// which is what place then refreshes or appends in. Random run shapes
+// cover the merge's odd run out and its ties.
+func TestSealKeepsArrivalOrderWhateverTheRuns(t *testing.T) {
+	route := func(third, origin int) *VPNRoute {
+		return &VPNRoute{
+			Prefix:   addr.VPNPrefix{Prefix: addr.NewPrefix(addr.IPv4(0x0a000000+third<<8), 24)},
+			OriginPE: topo.NodeID(origin),
+		}
+	}
+	check := func(what string, tail []*VPNRoute) {
+		t.Helper()
+		want := slices.Clone(tail)
+		slices.SortStableFunc(want, byPrefix)
+		got := slices.Clone(tail)
+		sortRuns(got)
+		if !slices.Equal(got, want) { // pointers: the very routes, in the very order
+			t.Fatalf("%s: sortRuns and the stable sort disagree over %d routes", what, len(tail))
+		}
+		s, ref := &Speaker{}, &mapRIB{adj: map[addr.VPNPrefix][]*VPNRoute{}}
+		for _, r := range tail {
+			s.receive(r, true)
+			ref.receive(s, r, true)
+		}
+		s.seal()
+		if held := ref.sortedAdj(true); !slices.Equal(s.rib.paths, held) {
+			t.Fatalf("%s: sealed adj-RIB-in differs from the map model's", what)
+		}
+	}
+
+	check("empty", nil)
+	var descending []*VPNRoute
+	for third := 40; third > 0; third-- {
+		for origin := 3; origin > 0; origin-- {
+			descending = append(descending, route(third/2, origin)) // two thirds share a prefix
+		}
+	}
+	check("descending", descending)
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 200; i++ {
+		var tail []*VPNRoute
+		for run := rng.Intn(6); run >= 0; run-- {
+			for third := rng.Intn(4); third < 30; third += 1 + rng.Intn(5) {
+				tail = append(tail, route(third, rng.Intn(4)))
+			}
+		}
+		check(fmt.Sprint("random runs ", i), tail)
+	}
+}

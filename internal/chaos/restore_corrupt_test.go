@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mplsvpn/internal/addr"
+	"mplsvpn/internal/ospf"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/topo"
@@ -195,6 +196,62 @@ func labelAboveSpace(t testing.TB, data []byte) handMade {
 	return handMade{"routers: ILM label above the label space", "routers", bad}
 }
 
+// outsideDomain hand-writes "igp" and "labels" sections for a backbone whose
+// provider routers include n, each well-formed but for one node that is no
+// router of the domain (stray is past the end of the graph) in a place the
+// loader files by the router's rank: OSPF and LDP hold their per-router state
+// in slices, and a restore must refuse the node, not index with it.
+func outsideDomain(n topo.NodeID) []handMade {
+	const stray = topo.NodeID(1 << 20)
+	// A section is a head and then its fields: counts, labels and addresses
+	// are unsigned varints, nodes, links, metrics and sequence numbers signed.
+	type u = uint64
+	section := func(head func(w *snapshot.Writer), fields ...any) []byte {
+		var w snapshot.Writer
+		head(&w)
+		for _, f := range fields {
+			switch v := f.(type) {
+			case u:
+				w.U64(v)
+			case int64:
+				w.I64(v)
+			}
+		}
+		return w.Data()
+	}
+	loopback := func(n topo.NodeID) u { return u(ospf.Loopback(n)) }
+	igp := func(w *snapshot.Writer) {
+		w.I64(0) // LSA messages sent
+		w.I64(0) // flood rounds
+		w.U64(1) // instances
+	}
+	ldp := func(w *snapshot.Writer) {
+		w.U64(0)     // allocators
+		w.Bool(true) // the backbone runs LDP
+		for i := 0; i < 4; i++ {
+			w.I64(0) // messages, rounds, session flaps, stale bindings
+		}
+	}
+	speaker := func(w *snapshot.Writer) {
+		ldp(w)
+		w.U64(0) // sessions not up
+		w.U64(1) // speakers
+		w.I64(int64(n))
+	}
+	me, out, one := int64(n), int64(stray), int64(1)
+	return []handMade{
+		{"igp: instance of a node outside the domain", "igp", section(igp, out, one, u(0), u(0))},
+		{"igp: LSA origin outside the domain", "igp", section(igp, me, one, u(1), out, out, one, u(0))},
+		{"igp: LSA neighbour outside the graph", "igp", section(igp, me, one, u(1), me, me, one, u(1), out, one, int64(0), u(0))},
+		{"igp: route to a destination outside the domain", "igp", section(igp, me, one, u(0), u(1), out, int64(0), one, u(1), int64(0))},
+		{"labels: session of a node outside the domain", "labels", section(ldp, u(1), out, one)},
+		{"labels: speaker at a node outside the domain", "labels", section(ldp, u(0), u(1), out, u(0), u(0))},
+		{"labels: local binding for a FEC nobody owns", "labels", section(speaker, u(1), loopback(stray), u(32), u(16))},
+		{"labels: bindings learned for a FEC nobody owns", "labels", section(speaker, u(0), u(1), loopback(stray), u(32), u(0))},
+		{"labels: binding learned from a node outside the domain", "labels", section(speaker, u(0), u(1), loopback(n), u(32), u(1), out, u(16))},
+	}
+}
+
 // restoreTargets snapshots the three rigs mid-run: Backbone.Restore on the
 // survivability rig, InterAS.Restore on the three-carrier rig (options A, B
 // and C), and Mesh.LoadState on the clustered-reflector rig's mesh.
@@ -223,7 +280,7 @@ func restoreTargets(t testing.TB) []restoreTarget {
 
 	return []restoreTarget{
 		container(t, "Backbone.Restore", data, func(t testing.TB, d []byte) error { return buildSnapRig(t, 0, 0).b.Restore(d, "fp") },
-			labelAboveSpace(t, data)),
+			append([]handMade{labelAboveSpace(t, data)}, outsideDomain(rig.b.Router("P1").Node)...)...),
 		container(t, "InterAS.Restore", xdata, func(t testing.TB, d []byte) error { return buildInterASRig(t, 0, 0).x.Restore(d, "fp") }),
 		{
 			name:     "Mesh.LoadState",

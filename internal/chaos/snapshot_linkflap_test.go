@@ -142,7 +142,7 @@ func TestSnapshotBetweenLinkFlaps(t *testing.T) {
 		cut := buildFlapRig(t, shards)
 		cut.b.E.MarkSetup()
 		cut.b.Net.RunUntil(flapCut)
-		if p1, p2 := cut.b.Router("P1").Node, cut.b.Router("P2").Node; cut.b.LDP.Speakers[p1].LFIB.ILMSize() == 0 {
+		if p1, p2 := cut.b.Router("P1").Node, cut.b.Router("P2").Node; cut.b.LDP.Speaker(p1).LFIB.ILMSize() == 0 {
 			t.Fatalf("shards=%d: no LDP state at the cut", shards)
 		} else if l, _ := cut.b.G.FindLink(p1, p2); !l.Down {
 			t.Fatalf("shards=%d: P1-P2 is up at the cut", shards)
@@ -160,7 +160,7 @@ func TestSnapshotBetweenLinkFlaps(t *testing.T) {
 		}
 		for _, name := range flapRouters {
 			rt := resumed.b.Router(name)
-			sp := resumed.b.LDP.Speakers[rt.Node]
+			sp := resumed.b.LDP.Speaker(rt.Node)
 			if sp.LFIB != rt.LFIB || sp.FTN != rt.FTN {
 				t.Fatalf("shards=%d: after Restore LDP's tables at %s are not the router's", shards, name)
 			}

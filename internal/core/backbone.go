@@ -523,7 +523,7 @@ func (b *Backbone) BuildProvider() {
 	// link-flap reconvergence must see only its own delta.
 	for _, n := range b.providerNodes {
 		r := b.routers[n]
-		inst := b.IGP.Instances[n]
+		inst := b.IGP.Instance(n)
 		inst.TakeChangedDests()
 		for _, rt := range inst.Routes() {
 			r.IPTable.Insert(addr.HostPrefix(ospf.Loopback(rt.Dest)), rt.NextHop)

@@ -100,7 +100,7 @@ func TestECMPIGPRouteHasBothNextHops(t *testing.T) {
 	b := diamond(Config{Seed: 73})
 	pe1 := b.mustNode("PE1")
 	pe2 := b.mustNode("PE2")
-	r, ok := b.IGP.Instances[pe1].RouteTo(pe2)
+	r, ok := b.IGP.Instance(pe1).RouteTo(pe2)
 	if !ok {
 		t.Fatal("no route PE1->PE2")
 	}

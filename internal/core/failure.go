@@ -452,7 +452,7 @@ func (b *Backbone) reconvergeLinkFlaps() {
 	}
 	changed := make(map[topo.NodeID][]topo.NodeID)
 	for _, n := range b.providerNodes {
-		inst := b.IGP.Instances[n]
+		inst := b.IGP.Instance(n)
 		dests := inst.TakeChangedDests()
 		if len(dests) == 0 {
 			continue
@@ -524,7 +524,7 @@ func (b *Backbone) reconvergeFull() {
 	// ledgers so a later incremental pass does not replay stale deltas.
 	for _, n := range b.providerNodes {
 		r := b.routers[n]
-		inst := b.IGP.Instances[n]
+		inst := b.IGP.Instance(n)
 		inst.TakeChangedDests()
 		r.IPTable = addr.NewTable[topo.LinkID]()
 		for _, rt := range inst.Routes() {

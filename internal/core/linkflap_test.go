@@ -142,14 +142,14 @@ func labelTableBytes(b *Backbone) []byte {
 // leave by a link the IGP does not name as a next hop.
 func ldpDetours(b *Backbone, n topo.NodeID) []string {
 	var out []string
-	sp := b.LDP.Speakers[n]
+	sp := b.LDP.Speaker(n)
 	for _, d := range b.providerNodes {
 		local, ok := sp.LocalBinding(addr.HostPrefix(ospf.Loopback(d)))
 		if !ok || d == n {
 			continue
 		}
 		es, _ := sp.LFIB.LookupILMAll(local)
-		rt, _ := b.IGP.Instances[n].RouteTo(d)
+		rt, _ := b.IGP.Instance(n).RouteTo(d)
 		for i, e := range es {
 			if e.BypassLabel != 0 || i >= len(rt.NextHops) || e.OutLink != rt.NextHops[i] {
 				out = append(out, fmt.Sprintf("%s->%s member %d: link %d bypass %d", b.G.Name(n), b.G.Name(d), i, e.OutLink, e.BypassLabel))

@@ -236,7 +236,7 @@ func (b *Backbone) sessionLost(n topo.NodeID, st *survSession) {
 		}
 	}
 	if b.LDP != nil {
-		if _, ok := b.LDP.Speakers[n]; ok {
+		if b.LDP.Speaker(n) != nil {
 			for _, im := range b.LDP.SessionDown(n, gr) {
 				b.journal(telemetry.EventSessionFlap, "session:ldp:"+name,
 					fmt.Sprintf("protocol=ldp node=%s peer=%s stale_bindings=%d",
@@ -314,7 +314,7 @@ func (b *Backbone) grExpired(n topo.NodeID, st *survSession) {
 		}
 	}
 	if b.LDP != nil {
-		if _, ok := b.LDP.Speakers[n]; ok {
+		if b.LDP.Speaker(n) != nil {
 			b.LDP.MarkSession(n, ldp.SessionDownState)
 		}
 	}

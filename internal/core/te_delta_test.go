@@ -683,7 +683,7 @@ func TestOverlappingDetectionWindowsReconvergeOnce(t *testing.T) {
 		var sb strings.Builder
 		for _, n := range b.providerNodes {
 			for _, d := range b.providerNodes {
-				if l, ok := b.LDP.Speakers[n].LocalBinding(addr.HostPrefix(ospf.Loopback(d))); ok {
+				if l, ok := b.LDP.Speaker(n).LocalBinding(addr.HostPrefix(ospf.Loopback(d))); ok {
 					fmt.Fprintf(&sb, "%d/%d=%d ", n, d, l)
 				}
 			}

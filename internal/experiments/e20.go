@@ -228,8 +228,8 @@ func e20ISPFTier(events, side int) (speedup float64, oracleOK bool) {
 		tFull += time.Since(t0)
 
 		for src := 0; src < n; src += 37 { // sampled oracle check
-			ii := incr.Instances[topo.NodeID(src)]
-			fi := full.Instances[topo.NodeID(src)]
+			ii := incr.Instance(topo.NodeID(src))
+			fi := full.Instance(topo.NodeID(src))
 			for dst := 0; dst < n; dst++ {
 				ri, oki := ii.RouteTo(topo.NodeID(dst))
 				rf, okf := fi.RouteTo(topo.NodeID(dst))

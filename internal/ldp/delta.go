@@ -1,9 +1,7 @@
 package ldp
 
 import (
-	"mplsvpn/internal/addr"
 	"mplsvpn/internal/mpls"
-	"mplsvpn/internal/ospf"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/topo"
 )
@@ -40,72 +38,74 @@ import (
 // and sends it again when the route returns. MessagesSent counts exactly
 // those messages — none for a next-hop change.
 func (p *Protocol) ApplyIGPDelta(flapped [][2]topo.NodeID, changed map[topo.NodeID][]topo.NodeID) int {
-	endpoint := make(map[topo.NodeID]bool, 2*len(flapped))
+	endpoint := make([]bool, len(p.Speakers))
 	for _, pr := range flapped {
-		a, z := pr[0], pr[1]
-		if p.Speakers[a] == nil || p.Speakers[z] == nil {
+		a, z := p.idx.Of(pr[0]), p.idx.Of(pr[1])
+		if a < 0 || z < 0 {
 			continue
 		}
 		endpoint[a], endpoint[z] = true, true
-		if !p.adjacent(a, z) {
+		if !p.adjacent(pr[0], pr[1]) {
 			p.forget(a, z)
 			p.forget(z, a)
 		}
 	}
-	ids := p.sortedNodes()
 	pairs := 0
-	for _, n := range ids {
-		dests := changed[n]
+	for n, sp := range p.Speakers {
 		if endpoint[n] {
-			p.advertise(n, addr.HostPrefix(ospf.Loopback(n)))
-			dests = ids
-		}
-		for _, d := range dests {
-			if d == n {
-				continue
+			p.advertise(sp, n)
+			for f := range p.Speakers {
+				if f != n {
+					p.reinstall(sp, f)
+					pairs++
+				}
 			}
-			p.reinstall(n, addr.HostPrefix(ospf.Loopback(d)))
-			pairs++
+			continue
+		}
+		for _, d := range changed[sp.Node] {
+			if f := p.idx.Of(d); f >= 0 && f != n {
+				p.reinstall(sp, f)
+				pairs++
+			}
 		}
 	}
 	return pairs
 }
 
-// reinstall re-derives n's ILM and FTN state for one foreign FEC from the
+// reinstall re-derives sp's ILM and FTN state for one foreign FEC from the
 // IGP's current next hops.
-func (p *Protocol) reinstall(n topo.NodeID, fec addr.Prefix) {
-	sp := p.Speakers[n]
-	hops := p.nextHopsFor(n, fec)
+func (p *Protocol) reinstall(sp *Speaker, f int) {
+	hops := p.nextHopsFor(sp, f)
 	if len(hops) == 0 {
-		if local, ok := sp.local[fec]; ok {
-			sp.LFIB.UnbindILM(local)
+		if sp.local[f] != noLabel {
+			sp.LFIB.UnbindILM(sp.local[f])
 		}
-		sp.FTN.Unbind(fec)
+		sp.FTN.Unbind(p.fec(f))
 		if p.Mode == Ordered {
-			p.withdraw(n, fec)
+			p.withdraw(sp, f)
 		} else {
-			p.advertise(n, fec)
+			p.advertise(sp, f)
 		}
 		return
 	}
 	ilm := make([]mpls.NHLFE, len(hops))
 	ftn := make([]mpls.NHLFE, len(hops))
 	for i, lid := range hops {
-		out := p.localFor(p.G.Link(lid).To, fec)
+		out := p.localFor(p.Speaker(p.G.Link(lid).To), f)
 		ilm[i] = mpls.NHLFE{Op: mpls.OpSwap, OutLabel: out, OutLink: lid}
 		ftn[i] = mpls.NHLFE{Op: mpls.OpPush, OutLabel: out, OutLink: lid}
 	}
-	sp.LFIB.SetILM(p.advertise(n, fec), ilm)
-	sp.FTN.BindSet(fec, ftn)
+	sp.LFIB.SetILM(p.advertise(sp, f), ilm)
+	sp.FTN.BindSet(p.fec(f), ftn)
 }
 
-// localFor returns n's label for fec, allocating and advertising it on
+// localFor returns sp's label for FEC f, allocating and advertising it on
 // first need.
-func (p *Protocol) localFor(n topo.NodeID, fec addr.Prefix) packet.Label {
-	if l, ok := p.Speakers[n].local[fec]; ok {
-		return l
+func (p *Protocol) localFor(sp *Speaker, f int) packet.Label {
+	if sp.local[f] != noLabel {
+		return sp.local[f]
 	}
-	return p.advertise(n, fec)
+	return p.advertise(sp, f)
 }
 
 // adjacent reports whether an up link joins a to z.
@@ -118,50 +118,36 @@ func (p *Protocol) adjacent(a, z topo.NodeID) bool {
 	return false
 }
 
-// forget drops every binding n learned from peer (session down).
-func (p *Protocol) forget(n, peer topo.NodeID) {
-	for _, byN := range p.Speakers[n].fromNeighbor {
-		delete(byN, peer)
+// forget drops every binding speaker n learned from peer (session down).
+func (p *Protocol) forget(n, peer int) {
+	for f := range p.Speakers[n].fromNeighbor {
+		p.Speakers[n].unlearn(f, peer)
 	}
 }
 
-// advertise makes sure every adjacent speaker holds n's binding for fec,
+// advertise makes sure every adjacent speaker holds sp's binding for FEC f,
 // counting one mapping message per neighbour that did not, and returns the
-// label (allocated here if n never had one).
-func (p *Protocol) advertise(n topo.NodeID, fec addr.Prefix) packet.Label {
-	sp := p.Speakers[n]
-	label, ok := sp.local[fec]
-	if !ok {
-		label = sp.Alloc.Alloc()
-		sp.local[fec] = label
+// label (allocated here if sp never had one).
+func (p *Protocol) advertise(sp *Speaker, f int) packet.Label {
+	if sp.local[f] == noLabel {
+		sp.local[f] = sp.Alloc.Alloc()
 	}
-	for _, lid := range p.G.OutLinks(n) {
-		l := p.G.Link(lid)
-		peer := p.Speakers[l.To]
-		if l.Down || peer == nil {
-			continue
-		}
-		if peer.learn(fec, n, label) {
+	n := p.idx.Of(sp.Node)
+	p.peers(sp, func(peer int) {
+		if peer >= 0 && p.Speakers[peer].learn(f, n, sp.local[f]) {
 			p.MessagesSent++
 		}
-	}
-	return label
+	})
+	return sp.local[f]
 }
 
-// withdraw removes n's binding for fec from every adjacent speaker,
+// withdraw removes sp's binding for FEC f from every adjacent speaker,
 // counting one withdraw message per neighbour that held it.
-func (p *Protocol) withdraw(n topo.NodeID, fec addr.Prefix) {
-	for _, lid := range p.G.OutLinks(n) {
-		l := p.G.Link(lid)
-		peer := p.Speakers[l.To]
-		if l.Down || peer == nil {
-			continue
+func (p *Protocol) withdraw(sp *Speaker, f int) {
+	n := p.idx.Of(sp.Node)
+	p.peers(sp, func(peer int) {
+		if peer >= 0 && p.Speakers[peer].unlearn(f, n) {
+			p.MessagesSent++
 		}
-		if byN := peer.fromNeighbor[fec]; byN != nil {
-			if _, have := byN[n]; have {
-				delete(byN, n)
-				p.MessagesSent++
-			}
-		}
-	}
+	})
 }

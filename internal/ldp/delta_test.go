@@ -193,16 +193,25 @@ func (n *flapNet) pass() (got, want int) {
 	}
 	changed := map[topo.NodeID][]topo.NodeID{}
 	want = len(endpoint) * (n.g.NumNodes() - 1)
-	for id, in := range n.igp.Instances {
-		changed[id] = in.TakeChangedDests()
-		if !endpoint[id] {
-			want += len(changed[id])
+	for _, in := range n.igp.Instances {
+		changed[in.Node] = in.TakeChangedDests()
+		if !endpoint[in.Node] {
+			want += len(changed[in.Node])
 		}
 	}
 	return n.p.ApplyIGPDelta(flapped, changed), want
 }
 
 func loopbackFEC(n topo.NodeID) addr.Prefix { return addr.HostPrefix(ospf.Loopback(n)) }
+
+// heard returns the label sp holds as learned from neighbour nbr for fec.
+func (sp *Speaker) heard(fec addr.Prefix, nbr topo.NodeID) (packet.Label, bool) {
+	row := sp.fromNeighbor[sp.p.fecRank(fec)]
+	if i, ok := find(row, sp.p.idx.Of(nbr)); ok {
+		return row[i].label, true
+	}
+	return 0, false
+}
 
 // checkAgainstOracle compares the delta-maintained instance with a fresh
 // instance flooded from nothing on the same graph and IGP.
@@ -211,9 +220,9 @@ func (n *flapNet) checkAgainstOracle(t *testing.T, step int) {
 	p := n.p
 	oracle := newLDP(n.g, n.igp, p.Mode, p.DisablePHP)
 	comp := n.component()
-	nodes := p.sortedNodes()
+	nodes := p.idx.Nodes
 	for _, at := range nodes {
-		sp, osp := p.Speakers[at], oracle.Speakers[at]
+		sp, osp := p.Speaker(at), oracle.Speaker(at)
 		if sp.LFIB.ILMSize() != osp.LFIB.ILMSize() || sp.FTN.Size() != osp.FTN.Size() {
 			t.Fatalf("step %d: %s has ilm=%d ftn=%d, oracle ilm=%d ftn=%d", step, n.g.Name(at),
 				sp.LFIB.ILMSize(), sp.FTN.Size(), osp.LFIB.ILMSize(), osp.FTN.Size())
@@ -244,12 +253,12 @@ func (n *flapNet) checkAgainstOracle(t *testing.T, step int) {
 					t.Fatalf("step %d: %s->%s member %d keeps a bypass", step, n.g.Name(at), n.g.Name(d), i)
 				}
 				nbr := n.g.Link(e.OutLink).To
-				want, _ := p.Speakers[nbr].LocalBinding(fec)
+				want, _ := p.Speaker(nbr).LocalBinding(fec)
 				if e.OutLabel != want || ilm[i].OutLabel != want || e.Op != mpls.OpPush || ilm[i].Op != mpls.OpSwap {
 					t.Fatalf("step %d: %s->%s via %s carries label %d/%d, neighbour binds %d",
 						step, n.g.Name(at), n.g.Name(d), n.g.Name(nbr), e.OutLabel, ilm[i].OutLabel, want)
 				}
-				if got, have := sp.fromNeighbor[fec][nbr]; !have || got != want {
+				if got, have := sp.heard(fec, nbr); !have || got != want {
 					t.Fatalf("step %d: %s installed %s's label for %s without having learned it", step, n.g.Name(at), n.g.Name(nbr), n.g.Name(d))
 				}
 			}
@@ -264,11 +273,12 @@ func (n *flapNet) checkAgainstOracle(t *testing.T, step int) {
 		// The retention database: everything the flood's holds, and nothing
 		// more.
 		learned := 0
-		for fec, byN := range osp.fromNeighbor {
-			for nbr := range byN {
+		for f, row := range osp.fromNeighbor {
+			for _, b := range row {
 				learned++
-				got, have := sp.fromNeighbor[fec][nbr]
-				if want := p.Speakers[nbr].local[fec]; !have || got != want {
+				fec, nbr := p.fec(f), nodes[b.from]
+				got, have := sp.heard(fec, nbr)
+				if want, _ := p.Speaker(nbr).LocalBinding(fec); !have || got != want {
 					t.Fatalf("step %d: %s lacks %s's binding for %v (have %v: %d, want %d)", step, n.g.Name(at), n.g.Name(nbr), fec, have, got, want)
 				}
 			}
@@ -323,9 +333,9 @@ func TestIncrementalLDPMatchesConvergeAcrossFlapSequences(t *testing.T) {
 func tableBytes(p *Protocol) []byte {
 	var w snapshot.Writer
 	c := snapshot.Saver(&w)
-	for _, n := range p.sortedNodes() {
-		p.Speakers[n].LFIB.State(c)
-		p.Speakers[n].FTN.State(c)
+	for _, sp := range p.Speakers {
+		sp.LFIB.State(c)
+		sp.FTN.State(c)
 	}
 	return w.Data()
 }
@@ -384,8 +394,8 @@ func (n *flapNet) failAndReconverge(l duplex) bool {
 	var flapped [][2]topo.NodeID
 	n.flap(l, &flapped)
 	changed := map[topo.NodeID][]topo.NodeID{}
-	for id, in := range n.igp.Instances {
-		changed[id] = in.TakeChangedDests()
+	for _, in := range n.igp.Instances {
+		changed[in.Node] = in.TakeChangedDests()
 	}
 	n.p.ApplyIGPDelta(flapped, changed)
 	return true
@@ -419,8 +429,8 @@ func TestIncrementalLDPMessageCounts(t *testing.T) {
 		g.SetLinkDown(a, z, down)
 		igp.NotifyLinkChange(a, z)
 		changed := map[topo.NodeID][]topo.NodeID{}
-		for id, in := range igp.Instances {
-			changed[id] = in.TakeChangedDests()
+		for _, in := range igp.Instances {
+			changed[in.Node] = in.TakeChangedDests()
 		}
 		before := p.MessagesSent
 		p.ApplyIGPDelta([][2]topo.NodeID{{a, z}}, changed)
@@ -442,7 +452,7 @@ func TestIncrementalLDPMessageCounts(t *testing.T) {
 	if got := pass(r[0], s, true); got != 8 {
 		t.Fatalf("partition sent %d messages, want 8 withdraws", got)
 	}
-	if _, ok := p.Speakers[r[2]].FTN.Lookup(ospf.Loopback(s)); ok {
+	if _, ok := p.Speaker(r[2]).FTN.Lookup(ospf.Loopback(s)); ok {
 		t.Fatal("r2 keeps an FTN entry for the unreachable S")
 	}
 	// It heals: r0 and S exchange what they advertise (r0: 4 ring FECs + S's
@@ -458,7 +468,7 @@ func TestIncrementalLDPMessageCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lbl packet.Label
-	if lbl, _ = p.Speakers[r[0]].LocalBinding(loopbackFEC(s)); lbl == 0 {
+	if lbl, _ = p.Speaker(r[0]).LocalBinding(loopbackFEC(s)); lbl == 0 {
 		t.Fatal("r0 lost its label for S")
 	}
 }

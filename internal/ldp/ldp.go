@@ -12,11 +12,17 @@
 //
 // Converge floods the mappings from nothing; ApplyIGPDelta (delta.go)
 // carries a converged instance across link flaps without changing a label.
+//
+// A FEC is a speaker's loopback, so speakers, FECs and neighbours are all
+// named by one index, the speaker's rank by node ID (topo.Ranks, as in
+// ospf): Speakers, each speaker's bindings by FEC, and the session states
+// are slices indexed by it, and the prefix appears only where a table or a
+// checkpoint wants it.
 package ldp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/mpls"
@@ -43,40 +49,82 @@ type Speaker struct {
 	Alloc *mpls.Allocator
 	LFIB  *mpls.LFIB
 	FTN   *mpls.FTN
+	p     *Protocol
 
-	// local[fec] is the label this router advertised for fec.
-	local map[addr.Prefix]packet.Label
-	// fromNeighbor[fec][n] is the label neighbor n advertised for fec.
-	fromNeighbor map[addr.Prefix]map[topo.NodeID]packet.Label
+	// local[f] is the label this router advertised for FEC f, noLabel if
+	// none.
+	local []packet.Label
+	// fromNeighbor[f] lists the labels neighbours advertised for FEC f,
+	// ascending by neighbour. A nil row is a FEC nothing was ever learned
+	// for; one emptied by forget or withdraw stays non-nil, as the map entry
+	// it replaces stayed behind, and checkpoints tell the two apart.
+	fromNeighbor [][]binding
+	// deg counts the links to other speakers: all a row can come to hold.
+	deg int
 }
+
+// binding is the label the speaker of rank from advertised for a FEC.
+type binding struct {
+	from  int32
+	label packet.Label
+}
+
+// noLabel marks a FEC the speaker has no label for.
+const noLabel = packet.MaxLabel + 1
+
+func learned(row *[]binding) bool { return *row != nil }
 
 // LocalBinding returns the label this speaker advertised for fec.
 func (s *Speaker) LocalBinding(fec addr.Prefix) (packet.Label, bool) {
-	l, ok := s.local[fec]
-	return l, ok
+	if f := s.p.fecRank(fec); f >= 0 && s.local[f] != noLabel {
+		return s.local[f], true
+	}
+	return 0, false
 }
 
-// learn records the label neighbour from advertised for fec and reports
+// find returns the position in row of neighbour from's binding, or where it
+// would go.
+func find(row []binding, from int) (int, bool) {
+	i := 0
+	for i < len(row) && int(row[i].from) < from {
+		i++
+	}
+	return i, i < len(row) && int(row[i].from) == from
+}
+
+// learn records the label neighbour from advertised for FEC f and reports
 // whether that was news.
-func (s *Speaker) learn(fec addr.Prefix, from topo.NodeID, label packet.Label) bool {
-	byN := s.fromNeighbor[fec]
-	if byN == nil {
-		byN = make(map[topo.NodeID]packet.Label)
-		s.fromNeighbor[fec] = byN
+func (s *Speaker) learn(f, from int, label packet.Label) bool {
+	row := s.fromNeighbor[f]
+	i, have := find(row, from)
+	if have {
+		if row[i].label == label {
+			return false
+		}
+		row[i].label = label
+		return true
 	}
-	if old, have := byN[from]; have && old == label {
-		return false
+	if row == nil {
+		row = make([]binding, 0, s.deg)
 	}
-	byN[from] = label
+	s.fromNeighbor[f] = slices.Insert(row, i, binding{from: int32(from), label: label})
 	return true
 }
 
-// mapping is one advertisement in flight.
+// unlearn drops neighbour from's binding for FEC f and reports whether there
+// was one.
+func (s *Speaker) unlearn(f, from int) bool {
+	i, have := find(s.fromNeighbor[f], from)
+	if have {
+		s.fromNeighbor[f] = slices.Delete(s.fromNeighbor[f], i, i+1)
+	}
+	return have
+}
+
+// mapping is one advertisement in flight: speakers and the FEC by rank.
 type mapping struct {
-	from  topo.NodeID
-	to    topo.NodeID
-	fec   addr.Prefix
-	label packet.Label
+	from, to, fec int
+	label         packet.Label
 }
 
 // Protocol is the LDP instance covering a topology. It shares the graph and
@@ -89,7 +137,10 @@ type Protocol struct {
 	// implicit null, so the last hop pops instead of the penultimate one
 	// (ultimate-hop popping; the DESIGN.md §4.4 ablation).
 	DisablePHP bool
-	Speakers   map[topo.NodeID]*Speaker
+	// Speakers holds the protocol's routers in rank order; Speaker finds one
+	// by node.
+	Speakers []*Speaker
+	idx      *topo.Ranks
 
 	// MessagesSent counts label mapping and withdraw messages over the
 	// instance's life: Converge's flood (the E1 metric) plus whatever each
@@ -98,12 +149,11 @@ type Protocol struct {
 	MessagesSent int
 	Rounds       int
 
-	// Session machinery (session.go): adjacency states and flap counters.
-	sessions      map[topo.NodeID]SessState
+	// Session machinery (session.go): adjacency states by rank, and flap
+	// counters.
+	sessions      []SessState
 	SessionFlaps  int
 	StaleBindings int
-
-	owners map[addr.Prefix]topo.NodeID
 }
 
 // New creates the protocol with one speaker per router currently in g.
@@ -119,84 +169,106 @@ func New(g *topo.Graph, igp *ospf.Domain) *Protocol {
 // MPLS-enabled provider routers). CE nodes sharing the graph do not speak
 // LDP.
 func NewOver(g *topo.Graph, igp *ospf.Domain, nodes []topo.NodeID) *Protocol {
-	p := &Protocol{
-		G: g, IGP: igp,
-		Speakers: make(map[topo.NodeID]*Speaker),
-		owners:   make(map[addr.Prefix]topo.NodeID),
-	}
-	for _, n := range nodes {
-		p.owners[addr.HostPrefix(ospf.Loopback(n))] = n
-		p.Speakers[n] = &Speaker{
-			Node:         n,
+	p := &Protocol{G: g, IGP: igp, idx: topo.RanksOf(nodes)}
+	n := len(p.idx.Nodes)
+	p.sessions = make([]SessState, n)
+	for _, node := range p.idx.Nodes {
+		sp := &Speaker{
+			Node:         node,
 			Alloc:        mpls.NewAllocator(),
 			LFIB:         mpls.NewLFIB(),
 			FTN:          mpls.NewFTN(),
-			local:        make(map[addr.Prefix]packet.Label),
-			fromNeighbor: make(map[addr.Prefix]map[topo.NodeID]packet.Label),
+			p:            p,
+			local:        make([]packet.Label, n),
+			fromNeighbor: make([][]binding, n),
 		}
+		for f := range sp.local {
+			sp.local[f] = noLabel
+		}
+		for _, lid := range g.OutLinks(node) {
+			if p.idx.Of(g.Link(lid).To) >= 0 {
+				sp.deg++
+			}
+		}
+		p.Speakers = append(p.Speakers, sp)
 	}
 	return p
+}
+
+// Speaker returns the speaker at router n, nil for a node that runs none.
+func (p *Protocol) Speaker(n topo.NodeID) *Speaker {
+	if r := p.idx.Of(n); r >= 0 {
+		return p.Speakers[r]
+	}
+	return nil
 }
 
 // UseTables points speaker n at externally owned label tables, letting LDP
 // and RSVP-TE share one label space and one LFIB per router (as a real LSR
 // does). Call before Converge.
 func (p *Protocol) UseTables(n topo.NodeID, alloc *mpls.Allocator, lfib *mpls.LFIB, ftn *mpls.FTN) {
-	sp := p.Speakers[n]
+	sp := p.Speaker(n)
 	sp.Alloc = alloc
 	sp.LFIB = lfib
 	sp.FTN = ftn
 }
 
-// fecOwner extracts the router owning a loopback FEC.
-func (p *Protocol) fecOwner(fec addr.Prefix) (topo.NodeID, bool) {
-	n, ok := p.owners[fec]
-	return n, ok
+// fec returns the FEC of rank f: the loopback of the speaker of that rank.
+func (p *Protocol) fec(f int) addr.Prefix {
+	return addr.HostPrefix(ospf.Loopback(p.idx.Nodes[f]))
 }
 
-// nextHopsFor returns every ECMP next-hop link from node n toward the
-// owner of fec.
-func (p *Protocol) nextHopsFor(n topo.NodeID, fec addr.Prefix) []topo.LinkID {
-	owner, ok := p.fecOwner(fec)
-	if !ok || owner == n {
-		return nil
+// fecRank returns the rank of the speaker whose loopback fec is, -1 if it is
+// nobody's.
+func (p *Protocol) fecRank(fec addr.Prefix) int {
+	if fec.Len != 32 {
+		return -1
 	}
-	r, ok := p.IGP.Instances[n].RouteTo(owner)
-	if !ok {
-		return nil
+	return p.idx.Of(topo.NodeID(fec.Addr - ospf.Loopback(0)))
+}
+
+// nextHopsFor returns every ECMP next-hop link from speaker n toward the
+// owner of FEC f.
+func (p *Protocol) nextHopsFor(n *Speaker, f int) []topo.LinkID {
+	r, _ := p.IGP.Instance(n.Node).RouteTo(p.idx.Nodes[f])
+	return r.NextHops
+}
+
+// peers calls fn for each up link out of sp with the rank of the speaker at
+// its far end, -1 for a neighbour that runs none (a CE).
+func (p *Protocol) peers(sp *Speaker, fn func(peer int)) {
+	for _, lid := range p.G.OutLinks(sp.Node) {
+		if l := p.G.Link(lid); !l.Down {
+			fn(p.idx.Of(l.To))
+		}
 	}
-	if len(r.NextHops) > 0 {
-		return r.NextHops
-	}
-	return []topo.LinkID{r.NextHop}
 }
 
 // Converge distributes labels for every router loopback until quiescence
 // and installs ILM/FTN state. Requires the IGP to have converged first.
 func (p *Protocol) Converge() {
-	var inflight []mapping
+	var inflight, next []mapping
+	// send queues sp's binding for FEC f to every neighbour; one to a
+	// neighbour that runs no speaker (a CE) is sent, counted and lost.
+	send := func(sp *Speaker, from, f int) {
+		p.peers(sp, func(to int) {
+			p.MessagesSent++
+			if to >= 0 {
+				inflight = append(inflight, mapping{from: from, to: to, fec: f, label: sp.local[f]})
+			}
+		})
+	}
 
 	// Egress origination: every router advertises a binding for its own
 	// loopback to all neighbors — implicit null when PHP is on (the
 	// default), a real label otherwise.
-	ids := p.sortedNodes()
-	for _, n := range ids {
-		fec := addr.HostPrefix(ospf.Loopback(n))
-		sp := p.Speakers[n]
-		egressLabel := packet.LabelImplicitNull
+	for n, sp := range p.Speakers {
+		sp.local[n] = packet.LabelImplicitNull
 		if p.DisablePHP {
-			egressLabel = sp.Alloc.Alloc()
-			sp.LFIB.BindILM(egressLabel, mpls.NHLFE{Op: mpls.OpPop, OutLink: -1})
+			sp.local[n] = sp.Alloc.Alloc()
+			sp.LFIB.BindILM(sp.local[n], mpls.NHLFE{Op: mpls.OpPop, OutLink: -1})
 		}
-		sp.local[fec] = egressLabel
-		for _, lid := range p.G.OutLinks(n) {
-			l := p.G.Link(lid)
-			if l.Down {
-				continue
-			}
-			inflight = append(inflight, mapping{from: n, to: l.To, fec: fec, label: egressLabel})
-			p.MessagesSent++
-		}
+		send(sp, n, n)
 	}
 
 	// Independent control: every speaker allocates and advertises its own
@@ -205,22 +277,11 @@ func (p *Protocol) Converge() {
 	// per hop — at the price that a router may briefly advertise an LSP it
 	// cannot yet complete (the blackhole window ordered mode avoids).
 	if p.Mode == Independent {
-		for _, n := range ids {
-			sp := p.Speakers[n]
-			for _, owner := range ids {
-				if owner == n {
-					continue
-				}
-				fec := addr.HostPrefix(ospf.Loopback(owner))
-				local := sp.Alloc.Alloc()
-				sp.local[fec] = local
-				for _, lid := range p.G.OutLinks(n) {
-					l := p.G.Link(lid)
-					if l.Down {
-						continue
-					}
-					inflight = append(inflight, mapping{from: n, to: l.To, fec: fec, label: local})
-					p.MessagesSent++
+		for n, sp := range p.Speakers {
+			for f := range p.Speakers {
+				if f != n {
+					sp.local[f] = sp.Alloc.Alloc()
+					send(sp, n, f)
 				}
 			}
 		}
@@ -228,69 +289,57 @@ func (p *Protocol) Converge() {
 
 	for len(inflight) > 0 {
 		p.Rounds++
-		var next []mapping
+		next = next[:0]
 		for _, m := range inflight {
-			adv := p.accept(m)
-			next = append(next, adv...)
+			next = p.accept(m, next)
 		}
-		inflight = next
+		inflight, next = next, inflight
 	}
 }
 
-// accept processes one received mapping at m.to and returns any further
-// advertisements it triggers.
-func (p *Protocol) accept(m mapping) []mapping {
+// accept processes one received mapping at m.to and appends to out any
+// further advertisements it triggers.
+func (p *Protocol) accept(m mapping, out []mapping) []mapping {
 	sp := p.Speakers[m.to]
-	if sp == nil {
-		return nil // neighbor is not an LDP speaker (a CE)
-	}
 	if !sp.learn(m.fec, m.from, m.label) {
-		return nil // duplicate
+		return out // duplicate
 	}
 
 	// Install only if the advertiser is one of our IGP (ECMP) next hops
 	// for the FEC.
 	var nhLink topo.LinkID = -1
-	for _, lid := range p.nextHopsFor(m.to, m.fec) {
-		if p.G.Link(lid).To == m.from {
-			nhLink = lid
-			break
+	if m.fec != m.to {
+		for _, lid := range p.nextHopsFor(sp, m.fec) {
+			if p.idx.Of(p.G.Link(lid).To) == m.from {
+				nhLink = lid
+				break
+			}
 		}
 	}
 	if nhLink < 0 {
-		return nil
+		return out
 	}
 
 	// Allocate (once) our local label for this FEC; each equal-cost next
 	// hop contributes its own ILM/FTN member with that neighbor's label.
-	local, have := sp.local[m.fec]
-	first := !have
-	if !have {
-		local = sp.Alloc.Alloc()
-		sp.local[m.fec] = local
+	first := sp.local[m.fec] == noLabel
+	if first {
+		sp.local[m.fec] = sp.Alloc.Alloc()
 	}
+	local := sp.local[m.fec]
 	sp.LFIB.AddILM(local, mpls.NHLFE{Op: mpls.OpSwap, OutLabel: m.label, OutLink: nhLink})
 	// Ingress state: unlabelled traffic to the FEC enters the LSP here.
-	sp.FTN.AddBind(m.fec, mpls.NHLFE{Op: mpls.OpPush, OutLabel: m.label, OutLink: nhLink})
+	sp.FTN.AddBind(p.fec(m.fec), mpls.NHLFE{Op: mpls.OpPush, OutLabel: m.label, OutLink: nhLink})
 
-	// Independent mode already advertised everything up front.
-	if p.Mode == Independent {
-		return nil
+	// Independent mode already advertised everything up front. Ordered
+	// control advertises upstream once the first downstream binding
+	// completes the path (additional ECMP members refine the set without
+	// re-advertising — the local label is unchanged).
+	if p.Mode == Independent || !first {
+		return out
 	}
-
-	// Ordered control: advertise upstream once the first downstream
-	// binding completes the path (additional ECMP members refine the set
-	// without re-advertising — the local label is unchanged).
-	if !first {
-		return nil
-	}
-	var out []mapping
-	for _, lid := range p.G.OutLinks(m.to) {
-		l := p.G.Link(lid)
-		if l.Down {
-			continue
-		}
-		if l.To == m.from {
+	p.peers(sp, func(to int) {
+		if to == m.from {
 			// Split horizon spares the flood a message that could trigger
 			// nothing, not the neighbour the binding: a downstream-
 			// unsolicited speaker sends every binding to every peer, and
@@ -298,21 +347,14 @@ func (p *Protocol) accept(m mapping) []mapping {
 			// instance carried across link flaps by ApplyIGPDelta would
 			// disagree on what each speaker has learned.
 			p.Speakers[m.from].learn(m.fec, m.to, local)
-			continue
+			return
 		}
-		out = append(out, mapping{from: m.to, to: l.To, fec: m.fec, label: local})
 		p.MessagesSent++
-	}
+		if to >= 0 {
+			out = append(out, mapping{from: m.to, to: to, fec: m.fec, label: local})
+		}
+	})
 	return out
-}
-
-func (p *Protocol) sortedNodes() []topo.NodeID {
-	ids := make([]topo.NodeID, 0, len(p.Speakers))
-	for n := range p.Speakers {
-		ids = append(ids, n)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // TransportEntry returns the NHLFE an ingress at node n uses to reach the
@@ -322,7 +364,7 @@ func (p *Protocol) TransportEntry(n, egress topo.NodeID) (mpls.NHLFE, bool) {
 	if n == egress {
 		return mpls.NHLFE{}, false
 	}
-	return p.Speakers[n].FTN.Lookup(ospf.Loopback(egress))
+	return p.Speaker(n).FTN.Lookup(ospf.Loopback(egress))
 }
 
 // TraceLSP follows the LSP from ingress toward the owner of fec, returning
@@ -348,7 +390,7 @@ func (p *Protocol) TraceLSP(ingress topo.NodeID, egress topo.NodeID) ([]topo.Nod
 		if at == egress {
 			return nodes, nil
 		}
-		e, ok := p.Speakers[at].LFIB.LookupILM(label)
+		e, ok := p.Speaker(at).LFIB.LookupILM(label)
 		if !ok {
 			return nodes, fmt.Errorf("ldp: broken LSP at %v: no ILM for %d", at, label)
 		}

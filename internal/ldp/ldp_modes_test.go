@@ -99,7 +99,7 @@ func traceUHP(p *Protocol, g *topo.Graph, ingress, egress topo.NodeID) ([]topo.N
 	at := g.Link(entry.OutLink).To
 	nodes = append(nodes, at)
 	for hop := 0; hop < g.NumNodes()+2; hop++ {
-		e, ok := p.Speakers[at].LFIB.LookupILM(label)
+		e, ok := p.Speaker(at).LFIB.LookupILM(label)
 		if !ok {
 			return nodes, errBrokenChain
 		}
@@ -136,7 +136,7 @@ func TestUseTablesSharesLabelSpace(t *testing.T) {
 		t.Fatalf("shared tables unused: ilm=%d ftn=%d alloc=%d",
 			lfib.ILMSize(), ftn.Size(), alloc.Allocated())
 	}
-	if p.Speakers[ids["P1"]].LFIB != lfib {
+	if p.Speaker(ids["P1"]).LFIB != lfib {
 		t.Fatal("speaker not using injected LFIB")
 	}
 }
@@ -146,7 +146,7 @@ func TestTraceLSPBrokenChain(t *testing.T) {
 	p := New(g, d)
 	p.Converge()
 	// Sabotage: unbind P1's ILM entries to break every LSP through it.
-	sp := p.Speakers[ids["P1"]]
+	sp := p.Speaker(ids["P1"])
 	fec := addr.HostPrefix(ospf.Loopback(ids["PE2"]))
 	label, _ := sp.LocalBinding(fec)
 	sp.LFIB.UnbindILM(label)

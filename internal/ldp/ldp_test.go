@@ -77,11 +77,11 @@ func TestPHPSignalled(t *testing.T) {
 	// P2 is the penultimate hop toward PE2: its ILM entry for the PE2 FEC
 	// must swap to implicit null.
 	fec := addr.HostPrefix(ospf.Loopback(ids["PE2"]))
-	label, ok := p.Speakers[ids["P2"]].LocalBinding(fec)
+	label, ok := p.Speaker(ids["P2"]).LocalBinding(fec)
 	if !ok {
 		t.Fatal("P2 has no local binding for PE2's loopback")
 	}
-	e, ok := p.Speakers[ids["P2"]].LFIB.LookupILM(label)
+	e, ok := p.Speaker(ids["P2"]).LFIB.LookupILM(label)
 	if !ok {
 		t.Fatal("P2 has no ILM for its own binding")
 	}
@@ -114,7 +114,7 @@ func TestLabelsAreLocallyUnique(t *testing.T) {
 	for n, sp := range p.Speakers {
 		seen := map[packet.Label]bool{}
 		for fec, l := range sp.local {
-			if l == packet.LabelImplicitNull {
+			if l == packet.LabelImplicitNull || l == noLabel {
 				continue
 			}
 			if seen[l] {

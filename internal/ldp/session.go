@@ -10,11 +10,7 @@
 // ApplyIGPDelta's business (delta.go).
 package ldp
 
-import (
-	"sort"
-
-	"mplsvpn/internal/topo"
-)
+import "mplsvpn/internal/topo"
 
 // SessState is one adjacency's state as seen by the protocol instance.
 type SessState int
@@ -45,24 +41,19 @@ type PeerImpact struct {
 
 // SessionState returns the adjacency state of node n.
 func (p *Protocol) SessionState(n topo.NodeID) SessState {
-	if p.sessions == nil {
-		return SessionUp
+	if r := p.idx.Of(n); r >= 0 {
+		return p.sessions[r]
 	}
-	return p.sessions[n]
+	return SessionUp
 }
 
 // MarkSession sets n's adjacency state without counting a flap — used to
 // re-apply session state to the fresh protocol instance a full-branch
 // reconvergence builds.
 func (p *Protocol) MarkSession(n topo.NodeID, st SessState) {
-	if p.sessions == nil {
-		p.sessions = make(map[topo.NodeID]SessState)
+	if r := p.idx.Of(n); r >= 0 {
+		p.sessions[r] = st
 	}
-	if st == SessionUp {
-		delete(p.sessions, n)
-		return
-	}
-	p.sessions[n] = st
 }
 
 // SessionDown flaps node n's LDP adjacencies. The per-neighbor impact
@@ -79,18 +70,19 @@ func (p *Protocol) SessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 	p.MarkSession(n, st)
 	p.SessionFlaps++
 	var out []PeerImpact
-	for _, id := range p.sortedNodes() {
-		if id == n {
+	r := p.idx.Of(n)
+	for _, sp := range p.Speakers {
+		if sp.Node == n {
 			continue
 		}
 		count := 0
-		for _, byN := range p.Speakers[id].fromNeighbor {
-			if _, ok := byN[n]; ok {
+		for _, row := range sp.fromNeighbor {
+			if _, ok := find(row, r); ok {
 				count++
 			}
 		}
 		if count > 0 {
-			out = append(out, PeerImpact{Peer: id, Bindings: count})
+			out = append(out, PeerImpact{Peer: sp.Node, Bindings: count})
 		}
 	}
 	if graceful {
@@ -112,25 +104,11 @@ func (p *Protocol) SessionUp(n topo.NodeID) {
 // restarting neighbors — the stale forwarding state the data plane is
 // riding during graceful restart.
 func (p *Protocol) StaleBindingCount() int {
-	if len(p.sessions) == 0 {
-		return 0
-	}
-	restarting := make([]topo.NodeID, 0, len(p.sessions))
-	for n, st := range p.sessions {
-		if st == SessionRestarting {
-			restarting = append(restarting, n)
-		}
-	}
-	sort.Slice(restarting, func(i, j int) bool { return restarting[i] < restarting[j] })
 	total := 0
-	for _, id := range p.sortedNodes() {
-		sp := p.Speakers[id]
-		for _, byN := range sp.fromNeighbor {
-			for _, n := range restarting {
-				if id == n {
-					continue
-				}
-				if _, ok := byN[n]; ok {
+	for _, sp := range p.Speakers {
+		for _, row := range sp.fromNeighbor {
+			for _, b := range row {
+				if p.sessions[b.from] == SessionRestarting {
 					total++
 				}
 			}

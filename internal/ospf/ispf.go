@@ -21,33 +21,38 @@
 package ospf
 
 import (
-	"container/heap"
-	"sort"
+	"math"
+	"slices"
 
 	"mplsvpn/internal/topo"
 )
 
-// iedge is one directed edge of the believed topology (out-direction).
+// iedge is one directed edge of the believed topology (out-direction);
+// nodes are ranks.
 type iedge struct {
-	to     topo.NodeID
+	to     int
 	metric int
 	link   topo.LinkID
 }
 
 // redge is the reverse-index twin of iedge.
 type redge struct {
-	from   topo.NodeID
+	from   int
 	metric int
 	link   topo.LinkID
 }
 
-// ispfState is the incrementally-maintained SPF state of one instance.
+// unreachable is the distance of a node no path leads to.
+const unreachable = math.MaxInt
+
+// ispfState is the incrementally-maintained SPF state of one instance, every
+// slice indexed by rank.
 type ispfState struct {
-	adj  map[topo.NodeID][]iedge
-	radj map[topo.NodeID][]redge
-	// dist holds the shortest distance from the instance's node to every
-	// reachable node (the node itself at 0); unreachable nodes are absent.
-	dist map[topo.NodeID]int
+	adj  [][]iedge
+	radj [][]redge
+	// dist holds the shortest distance from the instance's node (itself at
+	// 0) to every node, unreachable for those no path leads to.
+	dist []int
 	// touched lists the nodes whose route may differ from the last
 	// derivation other than through a parent's first hops (which deriveRoutes
 	// follows by itself): a node whose distance moved, with the heads of its
@@ -61,25 +66,58 @@ type ispfState struct {
 	// instance with nothing touched skips route derivation entirely — that
 	// skip, not the distance repair, is where most of the incremental win
 	// comes from on single-link events.
-	touched []topo.NodeID
+	touched []int
+	sc      *scratch
+}
+
+// scratch is the working memory of a domain's computations, one at a time:
+// nothing in it outlives the call that uses it, and marks is all false
+// between calls.
+type scratch struct {
+	heap       distHeap
+	marks      []bool          // deriveRoutes: queued; shrink: affected
+	hops       [][]topo.LinkID // full SPF: first-hop set per destination
+	rowA, rowB []iedge         // install: the origin's old and new rows
 }
 
 // moved records that v's distance changed.
-func (st *ispfState) moved(v topo.NodeID) {
+func (st *ispfState) moved(v int) {
 	st.touched = append(st.touched, v)
 	for _, e := range st.adj[v] {
 		st.touched = append(st.touched, e.to)
 	}
 }
 
-// advertises reports whether the LSA lists n as a neighbor.
-func advertises(lsa LSA, n topo.NodeID) bool {
-	for _, l := range lsa.Links {
+// advertises reports whether an LSA with these links lists n as a neighbor.
+func advertises(links []LSALink, n topo.NodeID) bool {
+	for _, l := range links {
 		if l.Neighbor == n {
 			return true
 		}
 	}
 	return false
+}
+
+// believed appends to row the out-edges of lsa's origin as the instance
+// believes them: those to a neighbour whose own LSA advertises the origin
+// back (the bidirectional check).
+func (d *Domain) believed(in *Instance, row []iedge, lsa *LSA) []iedge {
+	for _, l := range lsa.Links {
+		if to := d.idx.Of(l.Neighbor); to >= 0 && advertises(in.lsdb[to].Links, lsa.Origin) {
+			row = append(row, iedge{to: to, metric: l.Metric, link: l.LinkID})
+		}
+	}
+	return row
+}
+
+// findEdge returns the position of the edge over link in row, or -1.
+func findEdge(row []iedge, link topo.LinkID) int {
+	for i := range row {
+		if row[i].link == link {
+			return i
+		}
+	}
+	return -1
 }
 
 // install replaces origin's LSA in the instance's database. When ISPF
@@ -88,107 +126,75 @@ func advertises(lsa LSA, n topo.NodeID) bool {
 // dynamic-SSSP invariant (distances optimal for the current adjacency)
 // must hold before each single-edge update.
 func (d *Domain) install(in *Instance, lsa LSA) {
-	old := in.lsdb[lsa.Origin]
-	in.lsdb[lsa.Origin] = lsa
+	o := d.idx.Of(lsa.Origin)
+	old := in.lsdb[o]
+	in.lsdb[o] = lsa
 	st := in.ispf
 	if st == nil {
 		return
 	}
+	src := d.idx.Of(in.Node)
 
 	// Out-edges of the origin under the bidirectional check, from the new
-	// LSA against the (already updated) database.
-	var outNew []iedge
-	for _, l := range lsa.Links {
-		if advertises(in.lsdb[l.Neighbor], lsa.Origin) {
-			outNew = append(outNew, iedge{to: l.Neighbor, metric: l.Metric, link: l.LinkID})
-		}
-	}
-	// Copy the old row: removeEdge below mutates the live slice in place.
-	outOld := append([]iedge(nil), st.adj[lsa.Origin]...)
-	newBy := make(map[topo.LinkID]iedge, len(outNew))
-	for _, e := range outNew {
-		newBy[e.link] = e
-	}
-	oldBy := make(map[topo.LinkID]iedge, len(outOld))
+	// LSA against the (already updated) database, diffed by link against a
+	// copy of the old row: removeEdge below edits the live one in place.
+	outNew := d.believed(in, d.rowA[:0], &lsa)
+	outOld := append(d.rowB[:0], st.adj[o]...)
+	d.rowA, d.rowB = outNew, outOld
 	for _, e := range outOld {
-		oldBy[e.link] = e
-	}
-	for _, e := range outOld {
-		if _, keep := newBy[e.link]; !keep {
-			st.removeEdge(lsa.Origin, e.to, e.link)
-			st.repair(in.Node, e.to)
+		if findEdge(outNew, e.link) < 0 {
+			st.removeEdge(o, e.to, e.link)
+			st.repair(src, e.to)
 		}
 	}
 	for _, e := range outNew {
-		o, had := oldBy[e.link]
-		switch {
-		case !had:
-			st.addEdge(lsa.Origin, e)
-			st.repair(in.Node, e.to)
-		case o.metric != e.metric:
-			st.setMetric(lsa.Origin, e.to, e.link, e.metric)
-			st.repair(in.Node, e.to)
+		switch i := findEdge(outOld, e.link); {
+		case i < 0:
+			st.addEdge(o, e)
+			st.repair(src, e.to)
+		case outOld[i].metric != e.metric:
+			st.setMetric(o, e.to, e.link, e.metric)
+			st.repair(src, e.to)
 		}
 	}
 
 	// Reverse edges N->origin appear or vanish when the origin's
 	// advertisement of N toggles (their own metric/link live in N's LSA,
-	// which did not change here).
-	oldAdv := neighborSet(old)
-	newAdv := neighborSet(lsa)
-	flip := func(n topo.NodeID, up bool) {
-		nb, ok := in.lsdb[n]
-		if !ok {
-			return
-		}
-		for _, bl := range nb.Links {
-			if bl.Neighbor != lsa.Origin {
+	// which did not change here). Each neighbour lost or gained is visited
+	// once, at its first link in the LSA that names it.
+	flip := func(was, is *LSA, up bool) {
+		for i, l := range was.Links {
+			n := d.idx.Of(l.Neighbor)
+			if n < 0 || advertises(is.Links, l.Neighbor) || advertises(was.Links[:i], l.Neighbor) {
 				continue
 			}
-			if up {
-				st.addEdge(n, iedge{to: lsa.Origin, metric: bl.Metric, link: bl.LinkID})
-			} else {
-				st.removeEdge(n, lsa.Origin, bl.LinkID)
+			for _, bl := range in.lsdb[n].Links {
+				if bl.Neighbor != lsa.Origin {
+					continue
+				}
+				if up {
+					st.addEdge(n, iedge{to: o, metric: bl.Metric, link: bl.LinkID})
+				} else {
+					st.removeEdge(n, o, bl.LinkID)
+				}
+				st.repair(src, o)
 			}
-			st.repair(in.Node, lsa.Origin)
 		}
 	}
-	for _, l := range old.Links {
-		if oldAdv[l.Neighbor] && !newAdv[l.Neighbor] {
-			oldAdv[l.Neighbor] = false // visit each lost neighbor once
-			flip(l.Neighbor, false)
-		}
-	}
-	for _, l := range lsa.Links {
-		if newAdv[l.Neighbor] && !oldAdv[l.Neighbor] {
-			newAdv[l.Neighbor] = false // visit each gained neighbor once
-			flip(l.Neighbor, true)
-		}
-	}
-}
-
-func neighborSet(lsa LSA) map[topo.NodeID]bool {
-	s := make(map[topo.NodeID]bool, len(lsa.Links))
-	for _, l := range lsa.Links {
-		s[l.Neighbor] = true
-	}
-	return s
+	flip(&old, &lsa, false)
+	flip(&lsa, &old, true)
 }
 
 // onTree reports whether the edge from->to at the given metric supports a
 // shortest path, i.e. dist[from] + metric == dist[to]. Such edges are
 // exactly the ECMP parent edges deriveRoutes collects, so toggling one
 // changes routes even when no distance moves.
-func (st *ispfState) onTree(from, to topo.NodeID, metric int) bool {
-	du, ok := st.dist[from]
-	if !ok {
-		return false
-	}
-	dv, ok := st.dist[to]
-	return ok && du+metric == dv
+func (st *ispfState) onTree(from, to, metric int) bool {
+	du := st.dist[from]
+	return du != unreachable && du+metric == st.dist[to]
 }
 
-func (st *ispfState) addEdge(from topo.NodeID, e iedge) {
+func (st *ispfState) addEdge(from int, e iedge) {
 	st.adj[from] = append(st.adj[from], e)
 	st.radj[e.to] = append(st.radj[e.to], redge{from: from, metric: e.metric, link: e.link})
 	// A new edge landing exactly on the shortest distance widens the ECMP
@@ -199,16 +205,13 @@ func (st *ispfState) addEdge(from topo.NodeID, e iedge) {
 	}
 }
 
-func (st *ispfState) removeEdge(from, to topo.NodeID, link topo.LinkID) {
+func (st *ispfState) removeEdge(from, to int, link topo.LinkID) {
 	row := st.adj[from]
-	for i, e := range row {
-		if e.link == link {
-			if st.onTree(from, to, e.metric) {
-				st.touched = append(st.touched, to) // a parent edge vanished
-			}
-			st.adj[from] = append(row[:i], row[i+1:]...)
-			break
+	if i := findEdge(row, link); i >= 0 {
+		if st.onTree(from, to, row[i].metric) {
+			st.touched = append(st.touched, to) // a parent edge vanished
 		}
+		st.adj[from] = append(row[:i], row[i+1:]...)
 	}
 	rrow := st.radj[to]
 	for i, e := range rrow {
@@ -219,17 +222,14 @@ func (st *ispfState) removeEdge(from, to topo.NodeID, link topo.LinkID) {
 	}
 }
 
-func (st *ispfState) setMetric(from, to topo.NodeID, link topo.LinkID, metric int) {
-	for i := range st.adj[from] {
-		if st.adj[from][i].link == link {
-			// Routes change if the edge leaves or joins the parent set;
-			// otherwise only a repair-driven distance move can touch them.
-			if st.onTree(from, to, st.adj[from][i].metric) || st.onTree(from, to, metric) {
-				st.touched = append(st.touched, to)
-			}
-			st.adj[from][i].metric = metric
-			break
+func (st *ispfState) setMetric(from, to int, link topo.LinkID, metric int) {
+	if i := findEdge(st.adj[from], link); i >= 0 {
+		// Routes change if the edge leaves or joins the parent set;
+		// otherwise only a repair-driven distance move can touch them.
+		if st.onTree(from, to, st.adj[from][i].metric) || st.onTree(from, to, metric) {
+			st.touched = append(st.touched, to)
 		}
+		st.adj[from][i].metric = metric
 	}
 	for i := range st.radj[to] {
 		if st.radj[to][i].link == link {
@@ -239,73 +239,54 @@ func (st *ispfState) setMetric(from, to topo.NodeID, link topo.LinkID, metric in
 	}
 }
 
-// certify returns the best distance v can claim through its in-edges,
-// skipping sources in the excluded set (nil = none).
-func (st *ispfState) certify(v topo.NodeID, excl map[topo.NodeID]bool) (int, bool) {
-	best, ok := 0, false
+// certify returns the best distance v can claim through its in-edges
+// (unreachable if none), skipping sources marked in excl (nil = none).
+func (st *ispfState) certify(v int, excl []bool) int {
+	best := unreachable
 	for _, e := range st.radj[v] {
-		if excl[e.from] {
-			continue
-		}
-		du, reach := st.dist[e.from]
-		if !reach {
-			continue
-		}
-		if nd := du + e.metric; !ok || nd < best {
-			best, ok = nd, true
+		if du := st.dist[e.from]; du != unreachable && du+e.metric < best && (excl == nil || !excl[e.from]) {
+			best = du + e.metric
 		}
 	}
-	return best, ok
+	return best
 }
 
 // repair restores distance optimality after one directed edge into v
 // changed. src is the instance's own node, whose distance is pinned at 0.
-func (st *ispfState) repair(src, v topo.NodeID) {
+func (st *ispfState) repair(src, v int) {
 	if v == src {
 		return
 	}
-	cert, reach := st.certify(v, nil)
-	cur, have := st.dist[v]
-	switch {
-	case !reach && !have:
-	case reach && have && cert == cur:
-	case reach && (!have || cert < cur):
+	switch cert := st.certify(v, nil); {
+	case cert < st.dist[v]:
 		st.grow(v, cert)
-	default:
+	case cert > st.dist[v]:
 		st.shrink(src, v)
 	}
 }
 
-type distItem struct {
-	node topo.NodeID
-	dist int
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int           { return len(h) }
-func (h distHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)        { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+type (
+	distItem = topo.DistItem[int]
+	distHeap = topo.DistHeap[int]
+)
 
 // grow propagates an improvement at v forward; only strictly-improved
 // nodes are re-settled.
-func (st *ispfState) grow(v topo.NodeID, dist int) {
+func (st *ispfState) grow(v int, dist int) {
 	st.dist[v] = dist
 	st.moved(v)
-	h := &distHeap{{node: v, dist: dist}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(distItem)
-		if cur, ok := st.dist[it.node]; !ok || it.dist > cur {
+	h := &st.sc.heap
+	*h = append((*h)[:0], distItem{Node: v, Dist: dist})
+	for len(*h) > 0 {
+		it := h.Pop()
+		if it.Dist > st.dist[it.Node] {
 			continue
 		}
-		for _, e := range st.adj[it.node] {
-			nd := st.dist[it.node] + e.metric
-			if cur, ok := st.dist[e.to]; !ok || nd < cur {
+		for _, e := range st.adj[it.Node] {
+			if nd := it.Dist + e.metric; nd < st.dist[e.to] {
 				st.dist[e.to] = nd
 				st.moved(e.to)
-				heap.Push(h, distItem{node: e.to, dist: nd})
+				h.Push(distItem{Node: e.to, Dist: nd})
 			}
 		}
 	}
@@ -314,9 +295,10 @@ func (st *ispfState) grow(v topo.NodeID, dist int) {
 // shrink handles a degradation at v: flood the affected region (nodes
 // whose distance no longer has an unaffected certificate), reset it, seed
 // each member from the unaffected boundary, and re-settle the region.
-func (st *ispfState) shrink(src, v topo.NodeID) {
-	aff := []topo.NodeID{v}
-	affected := map[topo.NodeID]bool{v: true}
+func (st *ispfState) shrink(src, v int) {
+	aff := []int{v}
+	affected := st.sc.marks
+	affected[v] = true
 	for i := 0; i < len(aff); i++ {
 		u := aff[i]
 		du := st.dist[u]
@@ -325,11 +307,11 @@ func (st *ispfState) shrink(src, v topo.NodeID) {
 			if w == src || affected[w] {
 				continue
 			}
-			dw, ok := st.dist[w]
-			if !ok || du+e.metric != dw {
+			dw := st.dist[w]
+			if du+e.metric != dw {
 				continue // u never supported w's distance
 			}
-			if cert, reach := st.certify(w, affected); reach && cert == dw {
+			if st.certify(w, affected) == dw {
 				continue // an unaffected in-edge still certifies w
 			}
 			affected[w] = true
@@ -338,32 +320,35 @@ func (st *ispfState) shrink(src, v topo.NodeID) {
 	}
 	for _, u := range aff {
 		st.moved(u) // strictly degrades, or becomes unreachable
-		delete(st.dist, u)
+		st.dist[u] = unreachable
 	}
-	h := &distHeap{}
+	h := &st.sc.heap
+	*h = (*h)[:0]
 	for _, u := range aff {
-		// With the region's distances deleted, certify sees only the
+		// With the region's distances reset, certify sees only the
 		// unaffected boundary.
-		if cert, reach := st.certify(u, nil); reach {
+		if cert := st.certify(u, nil); cert != unreachable {
 			st.dist[u] = cert
-			heap.Push(h, distItem{node: u, dist: cert})
+			h.Push(distItem{Node: u, Dist: cert})
 		}
 	}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(distItem)
-		if cur, ok := st.dist[it.node]; !ok || it.dist > cur {
+	for len(*h) > 0 {
+		it := h.Pop()
+		if it.Dist > st.dist[it.Node] {
 			continue
 		}
-		for _, e := range st.adj[it.node] {
+		for _, e := range st.adj[it.Node] {
 			if !affected[e.to] {
 				continue // boundary distances are already optimal
 			}
-			nd := st.dist[it.node] + e.metric
-			if cur, ok := st.dist[e.to]; !ok || nd < cur {
+			if nd := it.Dist + e.metric; nd < st.dist[e.to] {
 				st.dist[e.to] = nd
-				heap.Push(h, distItem{node: e.to, dist: nd})
+				h.Push(distItem{Node: e.to, Dist: nd})
 			}
 		}
+	}
+	for _, u := range aff {
+		affected[u] = false
 	}
 }
 
@@ -373,70 +358,66 @@ func (st *ispfState) shrink(src, v topo.NodeID) {
 // equality with its distance — the same set a full Dijkstra collects — and
 // its first hops are the union of its parents' (a parent that is the source
 // contributes the connecting link), so the table equals full SPF's. The
-// walk starts from the touched nodes and visits nodes nearest first, so every parent is final before its children read
-// it; a node whose route comes out as it was stops the walk there, one
+// walk starts from the touched nodes and visits nodes nearest first, so
+// every parent is final before its children read it; a node whose route comes out as it was stops the walk there, one
 // whose route moved is written in place, entered in the changed set for
 // delta-based propagation into the routers' IP tables, and hands the walk
 // to its children on the shortest-path DAG.
 func (d *Domain) deriveRoutes(in *Instance) {
 	d.ISPFRuns++
 	st := in.ispf
-	h := &distHeap{}
-	queued := make(map[topo.NodeID]bool)
-	push := func(v topo.NodeID) {
-		if v == in.Node || queued[v] {
+	src := d.idx.Of(in.Node)
+	h, queued := &d.heap, d.marks
+	*h = (*h)[:0]
+	push := func(v int) {
+		if v == src || queued[v] {
 			return
 		}
 		queued[v] = true
-		dv, ok := st.dist[v]
-		if !ok {
-			dv = -1 // unreachable: depends on nobody, goes first
+		dv := st.dist[v]
+		if dv == unreachable {
+			dv = -1 // depends on nobody, goes first
 		}
-		heap.Push(h, distItem{node: v, dist: dv})
+		h.Push(distItem{Node: v, Dist: dv})
 	}
 	for _, v := range st.touched {
 		push(v)
 	}
 	st.touched = st.touched[:0]
-	if in.changed == nil {
-		in.changed = make(map[topo.NodeID]bool)
-	}
 
-	for h.Len() > 0 {
-		v := heap.Pop(h).(distItem).node
-		dv, reach := st.dist[v]
+	for len(*h) > 0 {
+		v := h.Pop().Node
+		queued[v] = false
+		dv := st.dist[v]
 		// First-hop sets are shared by aliasing: a single-parent node (the
 		// common case) points at its parent's slice, and only genuine ECMP
 		// joins allocate a merged copy. Slices stay sorted, so NextHop (the
 		// lowest link) and table comparisons are deterministic.
-		var hops []topo.LinkID
-		for _, e := range st.radj[v] {
-			du, ok := st.dist[e.from]
-			if !reach || !ok || du+e.metric != dv {
-				continue // not a shortest-path in-edge
+		var next Route
+		if dv != unreachable {
+			var hops []topo.LinkID
+			for _, e := range st.radj[v] {
+				switch {
+				case !st.onTree(e.from, v, e.metric): // not a shortest-path in-edge
+				case e.from == src:
+					hops = mergeHops(hops, []topo.LinkID{e.link})
+				default:
+					hops = mergeHops(hops, in.routes[e.from].NextHops)
+				}
 			}
-			if e.from == in.Node {
-				hops = mergeHops(hops, []topo.LinkID{e.link})
-			} else {
-				hops = mergeHops(hops, in.routes[e.from].NextHops)
+			if len(hops) > 0 {
+				next = Route{Dest: d.idx.Nodes[v], NextHop: hops[0], NextHops: hops, Metric: dv}
 			}
 		}
-		old, had := in.routes[v]
-		if len(hops) == 0 {
-			if !had {
-				continue
-			}
-			delete(in.routes, v)
-		} else {
-			next := Route{Dest: v, NextHop: hops[0], NextHops: hops, Metric: dv}
-			if had && sameRoute(old, next) {
-				continue
-			}
-			in.routes[v] = next
+		if sameRoute(in.routes[v], next) {
+			continue
 		}
-		in.changed[v] = true
+		in.routes[v], in.changed[v] = next, true
+		if dv == unreachable {
+			continue
+		}
 		for _, e := range st.adj[v] {
-			if dw, ok := st.dist[e.to]; ok && reach && dv+e.metric == dw {
+			if dv+e.metric == st.dist[e.to] {
 				push(e.to)
 			}
 		}
@@ -500,50 +481,21 @@ func hopsContain(a, b []topo.LinkID) bool {
 	return true
 }
 
-// noteChanged merges the differences between the current and next routing
-// tables into the instance's changed-destination set.
-func (in *Instance) noteChanged(next map[topo.NodeID]Route) {
-	if in.changed == nil {
-		in.changed = make(map[topo.NodeID]bool)
-	}
-	for dst, old := range in.routes {
-		nw, ok := next[dst]
-		if !ok || !sameRoute(old, nw) {
-			in.changed[dst] = true
-		}
-	}
-	for dst := range next {
-		if _, ok := in.routes[dst]; !ok {
-			in.changed[dst] = true
-		}
-	}
-}
-
+// sameRoute reports whether two routes, or two absences of one, are equal.
 func sameRoute(a, b Route) bool {
-	if a.Dest != b.Dest || a.NextHop != b.NextHop || a.Metric != b.Metric || len(a.NextHops) != len(b.NextHops) {
-		return false
-	}
-	for i := range a.NextHops {
-		if a.NextHops[i] != b.NextHops[i] {
-			return false
-		}
-	}
-	return true
+	return a.Dest == b.Dest && a.NextHop == b.NextHop && a.Metric == b.Metric && slices.Equal(a.NextHops, b.NextHops)
 }
 
 // TakeChangedDests returns the destinations whose route changed since the
 // last call (sorted) and resets the set. The core's reconvergence path
 // uses this for delta-based propagation into the routers' IP tables.
 func (in *Instance) TakeChangedDests() []topo.NodeID {
-	if len(in.changed) == 0 {
-		in.changed = nil
-		return nil
+	var out []topo.NodeID
+	for v, c := range in.changed {
+		if c {
+			out = append(out, in.idx.Nodes[v])
+			in.changed[v] = false
+		}
 	}
-	out := make([]topo.NodeID, 0, len(in.changed))
-	for dst := range in.changed {
-		out = append(out, dst)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	in.changed = nil
 	return out
 }

@@ -38,10 +38,11 @@ func routeDiff(old, nw map[topo.NodeID]Route) map[topo.NodeID]bool {
 	return diff
 }
 
-func copyRoutes(m map[topo.NodeID]Route) map[topo.NodeID]Route {
-	out := make(map[topo.NodeID]Route, len(m))
-	for k, v := range m {
-		out[k] = v
+// routeMap returns the instance's routing table as the map it stands for.
+func routeMap(in *Instance) map[topo.NodeID]Route {
+	out := map[topo.NodeID]Route{}
+	for _, r := range in.Routes() {
+		out[r.Dest] = r
 	}
 	return out
 }
@@ -90,19 +91,19 @@ func TestISPFMatchesFullSPFAcrossFlapSequences(t *testing.T) {
 				l.Metric = 1 + int(ev>>10)%6
 			}
 
-			prev := make(map[topo.NodeID]map[topo.NodeID]Route, len(inc.Instances))
+			prev := make([]map[topo.NodeID]Route, len(inc.Instances))
 			for n, in := range inc.Instances {
-				prev[n] = copyRoutes(in.routes)
+				prev[n] = routeMap(in)
 			}
 
 			inc.NotifyLinkChange(l.From, l.To)
 			full.NotifyLinkChange(l.From, l.To)
 
 			for n, in := range inc.Instances {
-				if !sameRouteTable(in.routes, full.Instances[n].routes) {
+				if !sameRouteTable(routeMap(in), routeMap(full.Instances[n])) {
 					return false
 				}
-				want := routeDiff(prev[n], in.routes)
+				want := routeDiff(prev[n], routeMap(in))
 				routeChanges += len(want)
 				got := in.TakeChangedDests()
 				if len(got) != len(want) || !slices.Equal(got, full.Instances[n].TakeChangedDests()) {
@@ -142,7 +143,7 @@ func TestISPFFallbackAfterStateDrop(t *testing.T) {
 	d.Converge()
 	for _, in := range d.Instances {
 		in.ispf = nil // what snapshot restore does
-		in.changed = nil
+		in.TakeChangedDests()
 	}
 	fullBefore := d.FullSPFRuns
 
@@ -173,13 +174,15 @@ func TestISPFFallbackAfterStateDrop(t *testing.T) {
 		t.Fatalf("unexpected full fallback after rebuild, FullSPFRuns %d -> %d",
 			fullBefore+len(d.Instances), d.FullSPFRuns)
 	}
-	for src := range d.Instances {
+	for _, in := range d.Instances {
+		src := in.Node
 		oracle := g.SPF(src)
-		for dst := range d.Instances {
+		for _, to := range d.Instances {
+			dst := to.Node
 			if dst == src {
 				continue
 			}
-			r, ok := d.Instances[src].RouteTo(dst)
+			r, ok := in.RouteTo(dst)
 			if !ok || r.Metric != oracle.Dist[dst] {
 				t.Fatalf("%d->%d: route %+v ok=%v, oracle %d", src, dst, r, ok, oracle.Dist[dst])
 			}

@@ -10,11 +10,18 @@
 // not exchange QoS information" (§2.2) — is the deficiency that motivates
 // RSVP-TE. The emulation therefore floods plain topology only; bandwidth
 // awareness enters exclusively through the TE layer.
+//
+// A router is its index: a Domain ranks its routers by node ID once, and
+// every per-router collection in the package — Instances, each instance's
+// LSDB, routes and change ledger, the believed topology and distance field
+// of its ISPF state — is a slice indexed by that rank, of the domain's size
+// however many customer stubs share the graph. LSAs name neighbours by node
+// ID, as the wire and the checkpoint do; a neighbour outside the domain has
+// no rank and drops out wherever one is looked up (DESIGN.md §13).
 package ospf
 
 import (
 	"fmt"
-	"sort"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/topo"
@@ -52,11 +59,16 @@ type Route struct {
 type Instance struct {
 	Node     topo.NodeID
 	Loopback addr.IPv4
-	lsdb     map[topo.NodeID]LSA
-	seq      int
+	idx      *topo.Ranks
 
-	// routes maps destination router -> route. Rebuilt by SPF.
-	routes map[topo.NodeID]Route
+	// lsdb holds the freshest LSA of each origin. Sequence numbers start at
+	// one, so Seq 0 marks an origin not heard from.
+	lsdb []LSA
+	seq  int
+
+	// routes holds the route to each destination, rebuilt by SPF; one with
+	// no NextHops is no route (SPF never writes such a route).
+	routes []Route
 
 	// outbox holds LSAs to flood to each neighbor on the next round.
 	outbox []LSA
@@ -64,27 +76,41 @@ type Instance struct {
 	// ispf is the incrementally-maintained SPF state (see ispf.go); nil
 	// means the next recompute must be a full SPF, which rebuilds it.
 	ispf *ispfState
-	// changed accumulates destinations whose route changed, consumed by
+	// changed marks destinations whose route changed, consumed by
 	// TakeChangedDests for delta propagation into routers' IP tables.
-	changed map[topo.NodeID]bool
+	changed []bool
 }
 
+func (lsa *LSA) held() bool  { return lsa.Seq != 0 }
+func (r *Route) valid() bool { return len(r.NextHops) > 0 }
+
 // LSDBSize returns the number of LSAs held (for the E1 state accounting).
-func (in *Instance) LSDBSize() int { return len(in.lsdb) }
+func (in *Instance) LSDBSize() int {
+	n := 0
+	for i := range in.lsdb {
+		if in.lsdb[i].held() {
+			n++
+		}
+	}
+	return n
+}
 
 // RouteTo returns the IGP route to the router dst.
 func (in *Instance) RouteTo(dst topo.NodeID) (Route, bool) {
-	r, ok := in.routes[dst]
-	return r, ok
+	if r := in.idx.Of(dst); r >= 0 && in.routes[r].valid() {
+		return in.routes[r], true
+	}
+	return Route{}, false
 }
 
-// Routes returns all routes, sorted by destination for determinism.
+// Routes returns all routes, in destination order.
 func (in *Instance) Routes() []Route {
 	out := make([]Route, 0, len(in.routes))
-	for _, r := range in.routes {
-		out = append(out, r)
+	for i := range in.routes {
+		if in.routes[i].valid() {
+			out = append(out, in.routes[i])
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dest < out[j].Dest })
 	return out
 }
 
@@ -93,8 +119,11 @@ func (in *Instance) Routes() []Route {
 // keeps convergence deterministic while still counting the messages a real
 // deployment would exchange.
 type Domain struct {
-	G         *topo.Graph
-	Instances map[topo.NodeID]*Instance
+	G *topo.Graph
+	// Instances holds the domain's routers in rank order; Instance finds one
+	// by node.
+	Instances []*Instance
+	idx       *topo.Ranks
 
 	// MessagesSent counts LSA transmissions (one LSA to one neighbor),
 	// reported by the scalability experiment.
@@ -111,6 +140,10 @@ type Domain struct {
 	// kind (a seq-only refresh counts as neither: routes stand untouched).
 	FullSPFRuns int
 	ISPFRuns    int
+
+	// Shared by every instance's computations, so that a Converge allocates
+	// what its instances keep and nothing per instance besides.
+	scratch
 }
 
 // NewDomain creates an IGP domain over every node currently in g.
@@ -128,29 +161,42 @@ func NewDomain(g *topo.Graph) *Domain {
 // stay outside the IGP, exactly as CE routers stay outside a provider's
 // OSPF in a real deployment.
 func NewDomainOver(g *topo.Graph, nodes []topo.NodeID) *Domain {
-	d := &Domain{G: g, Instances: make(map[topo.NodeID]*Instance)}
-	for _, n := range nodes {
-		d.Instances[n] = &Instance{
-			Node:     n,
-			Loopback: Loopback(n),
-			lsdb:     make(map[topo.NodeID]LSA),
-			routes:   make(map[topo.NodeID]Route),
-		}
+	d := &Domain{G: g, idx: topo.RanksOf(nodes)}
+	n := len(d.idx.Nodes)
+	d.marks, d.hops = make([]bool, n), make([][]topo.LinkID, n)
+	for _, node := range d.idx.Nodes {
+		d.Instances = append(d.Instances, &Instance{
+			Node:     node,
+			Loopback: Loopback(node),
+			idx:      d.idx,
+			lsdb:     make([]LSA, n),
+			routes:   make([]Route, n),
+			changed:  make([]bool, n),
+		})
 	}
 	return d
 }
 
-// Loopback returns the conventional loopback address for router n.
-func Loopback(n topo.NodeID) addr.IPv4 {
-	return addr.IPv4(uint32(addr.MustParseIPv4("10.255.0.0")) + uint32(n))
+// Instance returns the instance of router n, nil for a node outside the
+// domain.
+func (d *Domain) Instance(n topo.NodeID) *Instance {
+	if r := d.idx.Of(n); r >= 0 {
+		return d.Instances[r]
+	}
+	return nil
 }
 
-// originate builds (or refreshes) the LSA for node n from the live graph.
-func (d *Domain) originate(n topo.NodeID) {
-	in := d.Instances[n]
+// loopbackBase is 10.255.0.0, the start of the loopback range.
+const loopbackBase addr.IPv4 = 10<<24 | 255<<16
+
+// Loopback returns the conventional loopback address for router n.
+func Loopback(n topo.NodeID) addr.IPv4 { return loopbackBase + addr.IPv4(n) }
+
+// originate builds (or refreshes) the instance's own LSA from the live graph.
+func (d *Domain) originate(in *Instance) {
 	in.seq++
-	lsa := LSA{Origin: n, Seq: in.seq}
-	for _, lid := range d.G.OutLinks(n) {
+	lsa := LSA{Origin: in.Node, Seq: in.seq}
+	for _, lid := range d.G.OutLinks(in.Node) {
 		l := d.G.Link(lid)
 		if l.Down {
 			continue
@@ -169,8 +215,8 @@ func (d *Domain) Converge() {
 	for _, in := range d.Instances {
 		in.ispf = nil // full recompute below; skip delta tracking during flood
 	}
-	for n := range d.Instances {
-		d.originate(n)
+	for _, in := range d.Instances {
+		d.originate(in)
 	}
 	d.flood()
 	for _, in := range d.Instances {
@@ -184,8 +230,8 @@ func (d *Domain) Converge() {
 // (and skip even that on a seq-only refresh); instances without it fall
 // back to a full SPF.
 func (d *Domain) NotifyLinkChange(a, b topo.NodeID) {
-	d.originate(a)
-	d.originate(b)
+	d.originate(d.Instance(a))
+	d.originate(d.Instance(b))
 	d.flood()
 	for _, in := range d.Instances {
 		switch {
@@ -204,36 +250,33 @@ func (d *Domain) NotifyLinkChange(a, b topo.NodeID) {
 // minus the per-packet acks.
 func (d *Domain) flood() {
 	type delivery struct {
-		to  topo.NodeID
+		to  int // the receiving instance's rank
 		lsa LSA
 	}
 	var deliveries []delivery // one buffer, reused by every round
-	// Collect sends deterministically by node ID.
-	ids := make([]topo.NodeID, 0, len(d.Instances))
-	for n := range d.Instances {
-		ids = append(ids, n)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for {
 		deliveries = deliveries[:0]
 		any := false
-		for _, n := range ids {
-			in := d.Instances[n]
+		for _, in := range d.Instances {
 			if len(in.outbox) == 0 {
 				continue
 			}
 			any = true
-			for _, lid := range d.G.OutLinks(n) {
+			for _, lid := range d.G.OutLinks(in.Node) {
 				l := d.G.Link(lid)
 				if l.Down {
 					continue
 				}
+				d.MessagesSent += len(in.outbox)
+				to := d.idx.Of(l.To)
+				if to < 0 {
+					continue // neighbor outside the IGP (a CE)
+				}
 				for _, lsa := range in.outbox {
-					deliveries = append(deliveries, delivery{to: l.To, lsa: lsa})
-					d.MessagesSent++
+					deliveries = append(deliveries, delivery{to: to, lsa: lsa})
 				}
 			}
-			in.outbox = nil
+			in.outbox = in.outbox[:0]
 		}
 		if !any {
 			return
@@ -241,11 +284,7 @@ func (d *Domain) flood() {
 		d.FloodRounds++
 		for _, dv := range deliveries {
 			in := d.Instances[dv.to]
-			if in == nil {
-				continue // neighbor outside the IGP (a CE)
-			}
-			cur, have := in.lsdb[dv.lsa.Origin]
-			if !have || fresher(dv.lsa, cur) {
+			if fresher(dv.lsa, in.lsdb[d.idx.Of(dv.lsa.Origin)]) {
 				d.install(in, dv.lsa)
 				in.outbox = append(in.outbox, dv.lsa)
 			}
@@ -255,126 +294,86 @@ func (d *Domain) flood() {
 
 // spf computes routes for one instance from its own LSDB. The instance
 // reconstructs the topology it believes in; a link is usable only if both
-// endpoints advertise it (OSPF's bidirectional check). The reconstructed
-// adjacency and distance field are kept as live ISPF state (unless the
-// domain disables it), which install then maintains across LSA changes.
+// endpoints advertise it (OSPF's bidirectional check). Dijkstra then runs
+// over that adjacency with a binary heap, and first-hop sets are derived as
+// nodes settle: a node's ECMP next hops are the union of its shortest-path
+// parents' (a parent that is the source contributes the connecting link),
+// and metrics are positive, so every parent has settled before its child.
+// The adjacency and distance field stay behind as the instance's live ISPF
+// state (unless the domain disables it), which install then maintains across
+// LSA changes.
 func (d *Domain) spf(in *Instance) {
 	d.FullSPFRuns++
-	st := &ispfState{
-		adj:  make(map[topo.NodeID][]iedge),
-		radj: make(map[topo.NodeID][]redge),
-		dist: make(map[topo.NodeID]int),
-	}
-	for origin, lsa := range in.lsdb {
-		for _, l := range lsa.Links {
-			// Bidirectional check: neighbor must advertise origin back.
-			back, ok := in.lsdb[l.Neighbor]
-			if !ok {
-				continue
+	n := len(d.Instances)
+	edges := 0
+	for o := range in.lsdb {
+		for _, l := range in.lsdb[o].Links {
+			if d.idx.Of(l.Neighbor) >= 0 {
+				edges++
 			}
-			seen := false
-			for _, bl := range back.Links {
-				if bl.Neighbor == origin {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				continue
-			}
-			st.adj[origin] = append(st.adj[origin], iedge{to: l.Neighbor, metric: l.Metric, link: l.LinkID})
 		}
+	}
+	// One slab for every row: rows are cut to their length, so an edge ISPF
+	// adds later moves that row out of the slab instead of into its neighbour.
+	st := &ispfState{adj: make([][]iedge, n), dist: make([]int, n), sc: &d.scratch}
+	slab := make([]iedge, 0, edges)
+	for o := range in.lsdb {
+		from := len(slab)
+		slab = d.believed(in, slab, &in.lsdb[o])
+		st.adj[o] = slab[from:len(slab):len(slab)]
 	}
 
-	// Dijkstra over the believed topology, keeping *all* equal-cost
-	// parents per node so ECMP first-hop sets can be derived.
-	const inf = int(^uint(0) >> 1)
-	type parent struct {
-		node topo.NodeID
-		link topo.LinkID
+	src := d.idx.Of(in.Node)
+	dist, hops := st.dist, d.hops
+	for v := range dist {
+		dist[v], hops[v] = unreachable, nil
 	}
-	dist := st.dist
-	dist[in.Node] = 0
-	parents := map[topo.NodeID][]parent{}
-	visited := map[topo.NodeID]bool{}
-	for {
-		// Extract min (deterministic by node ID tie-break). Linear scan is
-		// fine at emulated scales.
-		best := topo.Invalid
-		bd := inf
-		for n, dn := range dist {
-			if visited[n] {
-				continue
-			}
-			if dn < bd || (dn == bd && (best == topo.Invalid || n < best)) {
-				best, bd = n, dn
-			}
+	dist[src] = 0
+	d.heap = append(d.heap[:0], distItem{Node: src})
+	for len(d.heap) > 0 {
+		it := d.heap.Pop()
+		if it.Dist > dist[it.Node] {
+			continue // superseded by a shorter entry
 		}
-		if best == topo.Invalid {
-			break
-		}
-		visited[best] = true
-		edges := st.adj[best]
-		sort.Slice(edges, func(i, j int) bool { return edges[i].link < edges[j].link })
-		for _, e := range edges {
-			nd := bd + e.metric
-			cur, have := dist[e.to]
-			switch {
-			case !have || nd < cur:
-				dist[e.to] = nd
-				parents[e.to] = []parent{{node: best, link: e.link}}
-			case nd == cur:
-				parents[e.to] = append(parents[e.to], parent{node: best, link: e.link})
+		for _, e := range st.adj[it.Node] {
+			first := hops[it.Node]
+			if it.Node == src {
+				first = []topo.LinkID{e.link}
+			}
+			switch nd := it.Dist + e.metric; {
+			case nd < dist[e.to]:
+				dist[e.to], hops[e.to] = nd, first
+				d.heap.Push(distItem{Node: e.to, Dist: nd})
+			case nd == dist[e.to]:
+				hops[e.to] = mergeHops(hops[e.to], first)
 			}
 		}
 	}
 
-	// First-hop sets via memoized walk back to the source: the ECMP
-	// next hops of dst are the union of its parents' first hops (a parent
-	// that *is* the source contributes its connecting link).
-	memo := map[topo.NodeID][]topo.LinkID{}
-	var firstHops func(n topo.NodeID) []topo.LinkID
-	firstHops = func(n topo.NodeID) []topo.LinkID {
-		if hops, ok := memo[n]; ok {
-			return hops
+	for v := range in.routes {
+		var next Route
+		if v != src && len(hops[v]) > 0 {
+			next = Route{Dest: d.idx.Nodes[v], NextHop: hops[v][0], NextHops: hops[v], Metric: dist[v]}
 		}
-		memo[n] = nil // break cycles defensively; Dijkstra parents are acyclic
-		set := map[topo.LinkID]bool{}
-		for _, p := range parents[n] {
-			if p.node == in.Node {
-				set[p.link] = true
-				continue
-			}
-			for _, l := range firstHops(p.node) {
-				set[l] = true
-			}
+		if !sameRoute(in.routes[v], next) {
+			in.routes[v], in.changed[v] = next, true
 		}
-		hops := make([]topo.LinkID, 0, len(set))
-		for l := range set {
-			hops = append(hops, l)
-		}
-		sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
-		memo[n] = hops
-		return hops
 	}
-
-	routes := make(map[topo.NodeID]Route, len(dist))
-	for dst := range dist {
-		if dst == in.Node {
-			continue
-		}
-		hops := firstHops(dst)
-		if len(hops) == 0 {
-			continue
-		}
-		routes[dst] = Route{Dest: dst, NextHop: hops[0], NextHops: hops, Metric: dist[dst]}
-	}
-	in.noteChanged(routes)
-	in.routes = routes
 
 	if d.DisableISPF {
 		in.ispf = nil
 		return
+	}
+	// The reverse index, rows cut from one slab to their in-degree.
+	indeg := make([]int, n)
+	for _, e := range slab {
+		indeg[e.to]++
+	}
+	st.radj = make([][]redge, n)
+	rslab := make([]redge, len(slab))
+	for v, at := 0, 0; v < n; v++ {
+		st.radj[v] = rslab[at : at : at+indeg[v]]
+		at += indeg[v]
 	}
 	for from, row := range st.adj {
 		for _, e := range row {
@@ -389,9 +388,8 @@ func (d *Domain) spf(in *Instance) {
 // table LDP consults when binding labels to loopback FECs.
 func (d *Domain) LoopbackTable(n topo.NodeID) *addr.Table[topo.LinkID] {
 	t := addr.NewTable[topo.LinkID]()
-	in := d.Instances[n]
-	for dst, r := range in.routes {
-		t.Insert(addr.HostPrefix(Loopback(dst)), r.NextHop)
+	for _, r := range d.Instance(n).Routes() {
+		t.Insert(addr.HostPrefix(Loopback(r.Dest)), r.NextHop)
 	}
 	return t
 }

@@ -44,7 +44,7 @@ func TestRoutesMatchGlobalSPF(t *testing.T) {
 	// Dijkstra distance: the distributed computation agrees with the oracle.
 	for _, src := range nodes {
 		oracle := g.SPF(src)
-		in := d.Instances[src]
+		in := d.Instance(src)
 		for _, dst := range nodes {
 			if dst == src {
 				continue
@@ -71,7 +71,7 @@ func TestLinkFailureReroute(t *testing.T) {
 	a, b, c := n[0], n[1], n[2]
 
 	// Before failure: A reaches C in 2 (via B or D).
-	r, _ := d.Instances[a].RouteTo(c)
+	r, _ := d.Instance(a).RouteTo(c)
 	if r.Metric != 2 {
 		t.Fatalf("pre-failure metric = %d", r.Metric)
 	}
@@ -79,7 +79,7 @@ func TestLinkFailureReroute(t *testing.T) {
 	// Fail A-B; A must still reach B the long way (A-D-C-B = 3).
 	g.SetLinkDown(a, b, true)
 	d.NotifyLinkChange(a, b)
-	r, ok := d.Instances[a].RouteTo(b)
+	r, ok := d.Instance(a).RouteTo(b)
 	if !ok || r.Metric != 3 {
 		t.Fatalf("post-failure route to B = %+v ok=%v, want metric 3", r, ok)
 	}
@@ -90,7 +90,7 @@ func TestLinkFailureReroute(t *testing.T) {
 	// Recovery restores the direct route.
 	g.SetLinkDown(a, b, false)
 	d.NotifyLinkChange(a, b)
-	r, _ = d.Instances[a].RouteTo(b)
+	r, _ = d.Instance(a).RouteTo(b)
 	if r.Metric != 1 {
 		t.Fatalf("post-recovery metric = %d", r.Metric)
 	}
@@ -106,15 +106,15 @@ func TestPartitionedNetwork(t *testing.T) {
 	g.AddDuplexLink(c, d, 10e6, sim.Millisecond, 1)
 	dom := NewDomain(g)
 	dom.Converge()
-	if _, ok := dom.Instances[a].RouteTo(c); ok {
+	if _, ok := dom.Instance(a).RouteTo(c); ok {
 		t.Fatal("route across partition")
 	}
-	if _, ok := dom.Instances[a].RouteTo(b); !ok {
+	if _, ok := dom.Instance(a).RouteTo(b); !ok {
 		t.Fatal("no route within partition")
 	}
 	// LSDBs do not leak across the partition.
-	if dom.Instances[a].LSDBSize() != 2 {
-		t.Fatalf("A's LSDB = %d, want 2", dom.Instances[a].LSDBSize())
+	if dom.Instance(a).LSDBSize() != 2 {
+		t.Fatalf("A's LSDB = %d, want 2", dom.Instance(a).LSDBSize())
 	}
 }
 
@@ -149,7 +149,7 @@ func TestRoutesSorted(t *testing.T) {
 	g, n := square()
 	d := NewDomain(g)
 	d.Converge()
-	rs := d.Instances[n[0]].Routes()
+	rs := d.Instance(n[0]).Routes()
 	if len(rs) != 3 {
 		t.Fatalf("Routes len = %d", len(rs))
 	}
@@ -171,7 +171,7 @@ func TestMetricsRespected(t *testing.T) {
 	g.AddDuplexLink(a, c, 10e6, sim.Millisecond, 5)
 	d := NewDomain(g)
 	d.Converge()
-	r, _ := d.Instances[a].RouteTo(c)
+	r, _ := d.Instance(a).RouteTo(c)
 	if r.Metric != 2 || g.Link(r.NextHop).To != b {
 		t.Fatalf("route to C = %+v, want via B at metric 2", r)
 	}

@@ -46,7 +46,7 @@ func TestDistributedSPFMatchesOracleProperty(t *testing.T) {
 		d.Converge()
 		for src := topo.NodeID(0); int(src) < nodes; src++ {
 			oracle := g.SPF(src)
-			in := d.Instances[src]
+			in := d.Instance(src)
 			for dst := topo.NodeID(0); int(dst) < nodes; dst++ {
 				if dst == src {
 					continue
@@ -67,7 +67,7 @@ func TestDistributedSPFMatchesOracleProperty(t *testing.T) {
 				nb := l.To
 				rest := 0
 				if nb != dst {
-					nbRoute, ok := d.Instances[nb].RouteTo(dst)
+					nbRoute, ok := d.Instance(nb).RouteTo(dst)
 					if !ok {
 						return false
 					}
@@ -81,7 +81,7 @@ func TestDistributedSPFMatchesOracleProperty(t *testing.T) {
 					ll := g.Link(lid)
 					nrest := 0
 					if ll.To != dst {
-						nr, ok := d.Instances[ll.To].RouteTo(dst)
+						nr, ok := d.Instance(ll.To).RouteTo(dst)
 						if !ok {
 							return false
 						}
@@ -127,7 +127,7 @@ func TestReconvergenceMatchesOracleProperty(t *testing.T) {
 				if dst == src {
 					continue
 				}
-				r, ok := d.Instances[src].RouteTo(dst)
+				r, ok := d.Instance(src).RouteTo(dst)
 				if !ok || r.Metric != oracle.Dist[dst] {
 					return false
 				}

@@ -348,6 +348,46 @@ func Overlay[K comparable, V any](c *Codec, m map[K]V, cmp func(a, b K) int, min
 	}
 }
 
+// Dense walks a slice that stands for a map keyed by position, where present
+// says which positions hold an entry: it is written exactly as Map writes
+// that map — the number of entries, then each in ascending position as key,
+// value — so a type may trade a map for a slice without moving a checkpoint
+// byte. key exchanges a position for its wire form: a save hands it the
+// position whose key to write; a load hands it -1 and gets back the position
+// the key it read names, negative for a key that names none, which fails the
+// load (ErrCorrupt) before anything is indexed. A load walks into the
+// elements it finds named, in the order it finds them; the caller clears s
+// first if absent entries must read as absent.
+func Dense[T any](c *Codec, s []T, present func(*T) bool, min int, key func(c *Codec, pos int) int, val func(*Codec, *T)) {
+	if c.r != nil {
+		for n := c.Len(0, min); n > 0 && c.r.err == nil; n-- {
+			i := key(c, -1)
+			if (i < 0 || i >= len(s)) && c.r.err == nil {
+				c.Corrupt("key outside the table it indexes")
+			}
+			if c.r.err == nil {
+				val(c, &s[i])
+			}
+		}
+		return
+	}
+	n := 0
+	for i := range s {
+		if present(&s[i]) {
+			n++
+		}
+	}
+	c.Len(n, min)
+	for i := range s {
+		if present(&s[i]) {
+			start := c.w.Len()
+			key(c, i)
+			val(c, &s[i])
+			c.sized(start, min)
+		}
+	}
+}
+
 // Keyed walks a map of records keyed by one of their own fields (routes by
 // destination): a count, then each record ascending by key — the key itself
 // is not written twice. A load replaces the map, walking each record and

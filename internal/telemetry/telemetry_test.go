@@ -1,11 +1,14 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
 	"mplsvpn/internal/sim"
+	"mplsvpn/internal/snapshot"
 )
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
@@ -182,6 +185,56 @@ func TestFlowExporterEviction(t *testing.T) {
 	// Oldest evicted: the retained records are the most recent intervals.
 	if x.Records()[0].Start != 20*sim.Millisecond {
 		t.Fatalf("oldest retained start = %v", x.Records()[0].Start)
+	}
+}
+
+// The retained window once the cap is passed three times over, against the
+// definition: append, then shift everything down by one while over the cap.
+// Records (oldest first), Evicted and the checkpoint bytes must all agree.
+func TestFlowExporterEvictionMatchesShiftByOne(t *testing.T) {
+	x := NewFlowExporter(10 * sim.Millisecond)
+	x.MaxRecords = 64
+	keys := []FlowKey{
+		{VPN: "v", SrcSite: "a", DstSite: "b", Class: "voice"},
+		{VPN: "v", SrcSite: "a", DstSite: "c", Class: "bulk"},
+		{VPN: "w", SrcSite: "d", DstSite: "e", Class: "voice"},
+	}
+	var want []FlowRecord
+	evicted := 0
+	for i := 0; len(want)+evicted < 4*x.MaxRecords; i++ {
+		start := sim.Time(i) * x.Interval
+		for j, k := range keys {
+			if (i+j)%3 == 0 {
+				continue // not every key is seen in every interval
+			}
+			x.Record(start+sim.Millisecond, k, 100+j)
+		}
+		x.RollTo(start + x.Interval)
+		for j, k := range keys { // keys is in flush order
+			if (i+j)%3 == 0 {
+				continue
+			}
+			want = append(want, FlowRecord{Start: start, End: start + x.Interval, FlowKey: k, Packets: 1, Bytes: int64(100 + j)})
+			if len(want) > x.MaxRecords {
+				copy(want, want[1:])
+				want = want[:len(want)-1]
+				evicted++
+			}
+		}
+	}
+	if evicted < 3*x.MaxRecords-len(keys) {
+		t.Fatalf("only %d evictions: the cap was not passed three times over", evicted)
+	}
+	if got := x.Records(); !slices.Equal(got, want) || x.Evicted != evicted {
+		t.Fatalf("%d records and %d evicted, want %d and %d; or the windows differ", len(got), x.Evicted, len(want), evicted)
+	}
+	ref := &FlowExporter{Interval: x.Interval, MaxRecords: x.MaxRecords, Evicted: evicted,
+		keys: x.keys, acct: x.acct, records: want, start: x.start}
+	var got, wantBytes snapshot.Writer
+	x.State(snapshot.Saver(&got))
+	ref.State(snapshot.Saver(&wantBytes))
+	if !bytes.Equal(got.Data(), wantBytes.Data()) {
+		t.Fatal("the exporter's checkpoint differs from the reference window's")
 	}
 }
 

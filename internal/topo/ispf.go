@@ -148,11 +148,11 @@ func (s *IncrementalSPF) ApplyLinkChange(lid LinkID) {
 func (s *IncrementalSPF) grow(v NodeID, dist int, via LinkID) {
 	res := s.res
 	res.Dist[v], res.Prev[v] = dist, via
-	h := spfHeap{{node: v, dist: dist}}
+	h := spfHeap{{Node: v, Dist: dist}}
 	for len(h) > 0 {
-		it := h.pop()
-		u := it.node
-		if it.dist > res.Dist[u] {
+		it := h.Pop()
+		u := it.Node
+		if it.Dist > res.Dist[u] {
 			continue // superseded by a later improvement
 		}
 		if s.c.ExcludeNodes[u] && u != s.src {
@@ -170,7 +170,7 @@ func (s *IncrementalSPF) grow(v NodeID, dist int, via LinkID) {
 			nd := res.Dist[u] + l.Metric
 			if nd < res.Dist[w] {
 				res.Dist[w], res.Prev[w] = nd, olid
-				h.push(spfItem{node: w, dist: nd})
+				h.Push(spfItem{Node: w, Dist: nd})
 			} else if nd == res.Dist[w] && olid < res.Prev[w] {
 				res.Prev[w] = olid
 			}
@@ -226,13 +226,13 @@ func (s *IncrementalSPF) shrink(v NodeID) {
 		cert, certLid := s.certify(u)
 		if cert < math.MaxInt {
 			res.Dist[u], res.Prev[u] = cert, certLid
-			h.push(spfItem{node: u, dist: cert})
+			h.Push(spfItem{Node: u, Dist: cert})
 		}
 	}
 	for len(h) > 0 {
-		it := h.pop()
-		u := it.node
-		if it.dist > res.Dist[u] {
+		it := h.Pop()
+		u := it.Node
+		if it.Dist > res.Dist[u] {
 			continue
 		}
 		if s.c.ExcludeNodes[u] && u != s.src {
@@ -250,7 +250,7 @@ func (s *IncrementalSPF) shrink(v NodeID) {
 			nd := res.Dist[u] + l.Metric
 			if nd < res.Dist[w] {
 				res.Dist[w], res.Prev[w] = nd, olid
-				h.push(spfItem{node: w, dist: nd})
+				h.Push(spfItem{Node: w, Dist: nd})
 			} else if nd == res.Dist[w] && olid < res.Prev[w] {
 				res.Prev[w] = olid
 			}

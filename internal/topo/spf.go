@@ -49,25 +49,31 @@ func (g *Graph) NodeMask(nodes []NodeID) []bool {
 	return mask
 }
 
-// spfItem is one tentative distance in the search frontier.
-type spfItem struct {
-	node NodeID
-	dist int
+// DistItem is one tentative distance in a search frontier; N is whatever the
+// search names its nodes by (node IDs here, ranks in ospf).
+type DistItem[N ~int] struct {
+	Node N
+	Dist int
 }
 
-// spfHeap is a binary min-heap of frontier entries by distance, held by
+// DistHeap is a binary min-heap of frontier entries by distance, held by
 // value: a relaxation appends sixteen bytes instead of allocating an item
 // and boxing it through container/heap. Entries of equal distance pop in
 // no particular order; the searches' results do not depend on it, because
 // every in-edge that can tie at a node leaves a strictly nearer one.
-type spfHeap []spfItem
+type DistHeap[N ~int] []DistItem[N]
 
-func (h *spfHeap) push(it spfItem) {
+type (
+	spfItem = DistItem[NodeID]
+	spfHeap = DistHeap[NodeID]
+)
+
+func (h *DistHeap[N]) Push(it DistItem[N]) {
 	q := append(*h, it)
 	i := len(q) - 1
 	for i > 0 {
 		up := (i - 1) / 2
-		if q[up].dist <= it.dist {
+		if q[up].Dist <= it.Dist {
 			break
 		}
 		q[i] = q[up]
@@ -77,8 +83,8 @@ func (h *spfHeap) push(it spfItem) {
 	*h = q
 }
 
-// pop removes and returns a nearest entry. The heap must be non-empty.
-func (h *spfHeap) pop() spfItem {
+// Pop removes and returns a nearest entry. The heap must be non-empty.
+func (h *DistHeap[N]) Pop() DistItem[N] {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
@@ -90,10 +96,10 @@ func (h *spfHeap) pop() spfItem {
 		if kid >= n {
 			break
 		}
-		if kid+1 < n && q[kid+1].dist < q[kid].dist {
+		if kid+1 < n && q[kid+1].Dist < q[kid].Dist {
 			kid++
 		}
-		if it.dist <= q[kid].dist {
+		if it.Dist <= q[kid].Dist {
 			break
 		}
 		q[i] = q[kid]
@@ -132,11 +138,11 @@ func (g *Graph) CSPF(src NodeID, c Constraints) *SPFResult {
 	}
 	res.Dist[src] = 0
 
-	h := spfHeap{{node: src, dist: 0}}
+	h := spfHeap{{Node: src}}
 	done := make([]bool, n)
 
 	for len(h) > 0 {
-		u := h.pop().node
+		u := h.Pop().Node
 		if done[u] {
 			continue
 		}
@@ -161,7 +167,7 @@ func (g *Graph) CSPF(src NodeID, c Constraints) *SPFResult {
 			nd := res.Dist[u] + l.Metric
 			if nd < res.Dist[v] {
 				res.Dist[v], res.Prev[v] = nd, lid
-				h.push(spfItem{node: v, dist: nd})
+				h.Push(spfItem{Node: v, Dist: nd})
 			} else if nd == res.Dist[v] && res.Prev[v] >= 0 && lid < res.Prev[v] {
 				res.Prev[v] = lid // same distance, lower link: only the tie-break moves
 			}
