@@ -43,6 +43,10 @@ test-race:
 	$(GO) test -race -count=1 -run='TestClusteredEquivalenceUnderChurn' ./internal/bgp
 	$(GO) test -race -count=1 -run='TestASFailoverEquivalence' ./internal/chaos
 
+# Every benchmark, among them the checkpoint alone at the repository
+# benchmark's shapes, write and read apart: BenchmarkCheckpointMesh1000x100
+# (vpnv4_100k's SaveState/LoadState) and BenchmarkCheckpointPop147
+# (pop147_churn's Snapshot/Restore).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -156,9 +160,11 @@ fuzz-short:
 # restore-equivalence contract (run-to-T + snapshot + restore + run-to-end
 # byte-identical to uninterrupted, serial and sharded), retry/damping state
 # carried across the boundary, the recorded wire-format pins, the per-section
-# hostile-input sweep, the declared element minimums, the crash-recovery
-# Runner (incl. torn checkpoints), bisection, the codec/store unit tests,
-# and the E19 day-in-the-life soak. The pattern names what a checkpoint test
+# hostile-input sweep, the declared element minimums, what a second Snapshot
+# and a refused LoadState may allocate, the field ledger of the "bgp"
+# section's types, the crash-recovery Runner (incl. torn checkpoints),
+# bisection, the codec/store/framer unit tests, and the E19 day-in-the-life
+# soak. The pattern names what a checkpoint test
 # is about, not where it lives, and runs over every package, so a renamed or
 # new one cannot fall out of the gate.
 verify-snapshot:

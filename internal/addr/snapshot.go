@@ -68,9 +68,11 @@ func ComparePrefix(a, b Prefix) int {
 
 // TableState walks a prefix table: the entry count, then each prefix and
 // its value in Walk's order, which the set of prefixes alone decides. A load
-// replaces *t with a new table. min is one entry's minimum encoding,
-// PrefixMin plus the value's; val is handed the entry's prefix for values
-// that repeat it.
+// replaces *t with a new table, its slices made once for the count the
+// checkpoint declares — which, like every count, the bytes that remain have
+// vouched for — and filled by inserting in the order found. min is one
+// entry's minimum encoding, PrefixMin plus the value's; val is handed the
+// entry's prefix for values that repeat it.
 func TableState[V any](c *snapshot.Codec, t **Table[V], min int, val func(*snapshot.Codec, Prefix, *V)) {
 	// One cell each for the prefix and the value in flight: val is a func
 	// value, so they escape, and one allocation per table beats one per
@@ -87,8 +89,9 @@ func TableState[V any](c *snapshot.Codec, t **Table[V], min int, val func(*snaps
 		})
 		return
 	}
-	*t = NewTable[V]()
-	for n := c.Len(0, min); n > 0; n-- {
+	n := c.Len(0, min)
+	*t = newTable[V](2 * n)
+	for ; n > 0; n-- {
 		var zero V
 		v = zero
 		PrefixState(c, &p)

@@ -57,8 +57,14 @@ const (
 )
 
 // NewTable returns an empty table.
-func NewTable[V any]() *Table[V] {
-	return &Table[V]{nodes: make([]node, 1, tableCap), vals: make([]V, 1, tableCap)}
+func NewTable[V any]() *Table[V] { return newTable[V](tableCap) }
+
+// newTable returns an empty table with room for the given number of nodes,
+// tableCap at least. A table of n prefixes has at most 2n nodes, and has
+// about that many when few of the prefixes lie inside one another.
+func newTable[V any](nodes int) *Table[V] {
+	nodes = max(nodes, tableCap)
+	return &Table[V]{nodes: make([]node, 1, nodes), vals: make([]V, 1, nodes)}
 }
 
 // Len returns the number of installed prefixes.

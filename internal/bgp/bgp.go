@@ -45,6 +45,11 @@ type VPNRoute struct {
 	// OriginatorID is meaningful only then. See reflect.go.
 	OriginatorID topo.NodeID
 	ClusterList  []uint32
+
+	// slot is scratch of a checkpoint being written: where the route stands
+	// in the section's route table (snapshot.go). It means nothing outside a
+	// save and fits in the padding of the route's allocation size class.
+	slot int
 }
 
 // HasRT reports whether the route carries the given route target.

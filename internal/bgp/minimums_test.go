@@ -18,8 +18,15 @@ func TestElementMinimumsAreLowerBounds(t *testing.T) {
 		min  int
 		save func(c *snapshot.Codec)
 	}{
-		{"route", routeMin, func(c *snapshot.Codec) { routeState(c, new(VPNRoute)) }},
-		{"route reference", refMin, func(c *snapshot.Codec) { new(routeTable).ref(c, new(*VPNRoute)) }},
+		{"route", routeMin, func(c *snapshot.Codec) { new(routeTable).route(c, new(VPNRoute)) }},
+		// A list of one reference, to the only route of the table: its
+		// one-byte count, then the reference.
+		{"route reference", 1 + refMin, func(c *snapshot.Codec) {
+			var t routeTable
+			rs := []*VPNRoute{new(VPNRoute)}
+			t.add(rs)
+			t.refs(c, &rs)
+		}},
 		{"damping state", dampMin, func(c *snapshot.Codec) { dampStateState(c, new(dampState)) }},
 	} {
 		var w snapshot.Writer

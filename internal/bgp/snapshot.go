@@ -8,57 +8,56 @@ import (
 	"mplsvpn/internal/topo"
 )
 
-// routeMin is the fewest bytes routeState writes: the prefix, six one-byte
-// varints, and two empty lists.
+// routeMin is the fewest bytes a route's walk writes: the prefix, six
+// one-byte varints, and two empty lists.
 const routeMin = addr.VPNPrefixMin + 8
-
-func routeState(c *snapshot.Codec, r *VPNRoute) {
-	addr.VPNPrefixState(c, &r.Prefix)
-	snapshot.Uint(c, &r.NextHop)
-	snapshot.Uint(c, &r.Label)
-	snapshot.Slice(c, &r.RTs, addr.RTMin, addr.RTState)
-	snapshot.Int(c, &r.LocalPref)
-	snapshot.Int(c, &r.ASPathLen)
-	snapshot.Int(c, &r.OriginPE)
-	snapshot.Int(c, &r.OriginatorID)
-	snapshot.Slice(c, &r.ClusterList, 1, snapshot.Uint[uint32])
-}
 
 // routeTable is the section's table of distinct routes. Speakers share
 // routes by pointer — one announcement, many holders — so the section writes
 // each route once, by value, and every exports and adj-RIB-in entry after it
-// as the route's position in the table. A load allocates one VPNRoute per
-// table entry and hands out those pointers, so the sharing survives.
+// as the route's position in the table. A load hands out pointers to the
+// table's routes, so the sharing survives, and routes that carry equal route
+// targets or an equal cluster list share those too, as an original and its
+// stamped copies do in the mesh that was saved.
 type routeTable struct {
-	routes []*VPNRoute
-	index  map[*VPNRoute]int // saving only: each route's position in routes
+	routes   []*VPNRoute
+	rts      snapshot.SharedSlice[addr.RouteTarget]
+	clusters snapshot.SharedSlice[uint32]
 }
 
-// add appends the routes of rs the table does not hold yet.
+// route walks one route of the table.
+func (t *routeTable) route(c *snapshot.Codec, r *VPNRoute) {
+	addr.VPNPrefixState(c, &r.Prefix)
+	snapshot.Uint(c, &r.NextHop)
+	snapshot.Uint(c, &r.Label)
+	t.rts.Walk(c, &r.RTs, addr.RTMin, addr.RTState)
+	snapshot.Int(c, &r.LocalPref)
+	snapshot.Int(c, &r.ASPathLen)
+	snapshot.Int(c, &r.OriginPE)
+	snapshot.Int(c, &r.OriginatorID)
+	t.clusters.Walk(c, &r.ClusterList, 1, snapshot.Uint[uint32])
+}
+
+// add appends the routes of rs the table does not hold yet. A route's slot
+// is one more than its position, and only the table can vouch for it: a slot
+// is believed when the table holds this very route there, so what an earlier
+// save left behind, or what stamp copied along with the rest of the route,
+// reads as "not in the table" without anything having been reset.
 func (t *routeTable) add(rs []*VPNRoute) {
 	for _, r := range rs {
-		if _, ok := t.index[r]; !ok {
-			t.index[r] = len(t.routes)
+		if s := r.slot; s < 1 || s > len(t.routes) || t.routes[s-1] != r {
 			t.routes = append(t.routes, r)
+			r.slot = len(t.routes)
 		}
 	}
 }
 
-// refMin is the fewest bytes ref writes: a one-byte index.
+// refMin is the fewest bytes one entry of refs writes: a one-byte position.
 const refMin = 1
 
-// ref walks one entry of a route list as the route's position in the table.
-// A position past the table is ErrCorrupt.
-func (t *routeTable) ref(c *snapshot.Codec, r **VPNRoute) {
-	k := c.U64(uint64(t.index[*r]))
-	if !c.Loaded() {
-		return
-	}
-	if k >= uint64(len(t.routes)) {
-		c.Corrupt("route index %d past a table of %d", k, len(t.routes))
-		return
-	}
-	*r = t.routes[k]
+// refs walks a route list as positions in the table.
+func (t *routeTable) refs(c *snapshot.Codec, rs *[]*VPNRoute) {
+	snapshot.Refs(c, rs, t.routes, func(r *VPNRoute) int { return r.slot - 1 })
 }
 
 // checkRun refuses an adj-RIB-in that seal could not have left: prefixes
@@ -94,8 +93,8 @@ func dampStateState(c *snapshot.Codec, d *dampState) {
 func (t *routeTable) speakerState(c *snapshot.Codec, s *Speaker) {
 	snapshot.Int(c, &s.Received)
 	snapshot.Int(c, &s.Retained)
-	snapshot.Slice(c, &s.exports, refMin, t.ref)
-	snapshot.Slice(c, &s.rib.paths, refMin, t.ref)
+	t.refs(c, &s.exports)
+	t.refs(c, &s.rib.paths)
 	if c.Loaded() {
 		checkRun(c, s.rib.paths)
 		s.rib.sealed = len(s.rib.paths)
@@ -128,13 +127,20 @@ func (m *Mesh) State(c *snapshot.Codec) {
 	snapshot.Slice(c, &m.newlySuppressed, addr.VPNPrefixMin, addr.VPNPrefixState)
 	var t routeTable
 	if !c.Loading() {
-		t.index = make(map[*VPNRoute]int)
+		refs := 0
 		for _, id := range m.sortedIDs() {
-			t.add(m.speakers[id].exports)
-			t.add(m.speakers[id].rib.paths)
+			s := m.speakers[id]
+			t.add(s.exports)
+			t.add(s.rib.paths)
+			refs += len(s.exports) + len(s.rib.paths)
 		}
+		// Nearly all of the section is the table and the references: a
+		// route with one target and a cluster list runs to some thirty
+		// bytes, a reference to three in a table of up to two million. A
+		// guess that falls short costs a regrowth, not a byte.
+		c.Grow(len(t.routes)*(routeMin+20) + refs*3 + len(m.speakers)*16)
 	}
-	snapshot.Ptrs(c, &t.routes, routeMin, routeState)
+	snapshot.Ptrs(c, &t.routes, routeMin, t.route)
 	// A speaker writes at least two counters and six empty collections.
 	snapshot.Overlay(c, m.speakers, cmp.Compare[topo.NodeID], 1+8, "BGP speaker", snapshot.Int[topo.NodeID], t.speakerState)
 	if c.Loaded() {

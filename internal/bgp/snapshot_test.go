@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"mplsvpn/internal/addr"
@@ -145,10 +146,32 @@ func distinctRoutes(m *Mesh) int {
 	return len(seen)
 }
 
+// distinctLists counts the backing arrays behind the route-target lists and
+// behind the cluster lists of the routes reachable from a mesh.
+func distinctLists(m *Mesh) (rts, clusters int) {
+	seenRTs, seenClusters := map[*addr.RouteTarget]bool{}, map[*uint32]bool{}
+	for _, s := range m.speakers {
+		for _, rs := range [][]*VPNRoute{s.exports, s.rib.paths, s.rib.best} {
+			for _, r := range rs {
+				if len(r.RTs) > 0 {
+					seenRTs[&r.RTs[0]] = true
+				}
+				if len(r.ClusterList) > 0 {
+					seenClusters[&r.ClusterList[0]] = true
+				}
+			}
+		}
+	}
+	return len(seenRTs), len(seenClusters)
+}
+
 // TestLoadStatePreservesSharing: receivers share one route object per
 // announcement, and a restored mesh must too. The section used to write
 // every adj-RIB-in entry by value and a load gave each its own copy, so a
 // restored mesh was several times heavier than the one it was saved from.
+// The same goes one level down: a stamped copy shares its original's route
+// targets and its cluster's CLUSTER_LIST, and a load used to give every
+// route a list of its own.
 func TestLoadStatePreservesSharing(t *testing.T) {
 	m := threeClusterMesh()
 	m.Converge()
@@ -164,6 +187,16 @@ func TestLoadStatePreservesSharing(t *testing.T) {
 	}
 	if got, want := distinctRoutes(m2), distinctRoutes(m); got != want {
 		t.Errorf("restored mesh holds %d distinct routes, the saved one %d", got, want)
+	}
+	// Six target lists, one per original, and three cluster lists, one per
+	// cluster, in the mesh that was saved.
+	rts, clusters := distinctLists(m)
+	if rts != 6 || clusters != 3 {
+		t.Fatalf("converged mesh holds %d route-target lists and %d cluster lists, want 6 and 3", rts, clusters)
+	}
+	if gotRTs, gotClusters := distinctLists(m2); gotRTs > rts || gotClusters > clusters {
+		t.Errorf("restored mesh holds %d route-target lists and %d cluster lists, the saved one %d and %d",
+			gotRTs, gotClusters, rts, clusters)
 	}
 	var w2 snapshot.Writer
 	m2.SaveState(&w2)
@@ -202,5 +235,73 @@ func TestSnapshotSmallRouteTargets(t *testing.T) {
 	m2.SaveState(&w2)
 	if !bytes.Equal(w.Data(), w2.Data()) {
 		t.Fatalf("save(load(s)) != s (%d vs %d bytes)", w2.Len(), w.Len())
+	}
+}
+
+// TestRestoredMeshHoldsNoMoreThanSaved: at the repository benchmark's
+// vpnv4_100k shape, the heap a mesh holds after LoadState is within 2 % of
+// what the converged mesh it was saved from held (it used to be 5 % more:
+// one route-target list and one cluster list per route, where the converged
+// mesh shares them between an original and its stamped copies).
+func TestRestoredMeshHoldsNoMoreThanSaved(t *testing.T) {
+	if testing.Short() {
+		t.Skip("converges 100k routes")
+	}
+	base := heapInuse()
+	m := clustered1000x100()
+	m.Converge()
+	converged := heapInuse() - base
+	var w snapshot.Writer
+	m.SaveState(&w)
+	m = nil
+
+	base = heapInuse()
+	m2 := clustered1000x100()
+	if err := m2.LoadState(snapshot.NewReader(w.Data())); err != nil {
+		t.Fatal(err)
+	}
+	restored := heapInuse() - base
+	runtime.KeepAlive(m2)
+	if restored > 1.02*converged {
+		t.Errorf("restored mesh holds %.1f MB, the converged one %.1f MB: more than 1.02x", restored/(1<<20), converged/(1<<20))
+	}
+}
+
+// TestLoadStateAllocatesWhatItDecodes: a section that declares as many
+// routes as its remaining bytes admit, and then holds ten, is refused with a
+// typed error having allocated in proportion to its length — the table of
+// pointers the count was validated for and one chunk of routes — and not the
+// hundred thousand routes it declared.
+func TestLoadStateAllocatesWhatItDecodes(t *testing.T) {
+	const declared = 100_000
+	var w snapshot.Writer
+	for i := 0; i < 8; i++ {
+		w.I64(0) // mesh counters
+	}
+	w.U64(0) // session states
+	w.U64(0) // newly suppressed prefixes
+	w.U64(declared)
+	c := snapshot.Saver(&w)
+	for i := 0; i < 10; i++ {
+		new(routeTable).route(c, &VPNRoute{OriginPE: topo.NodeID(i)})
+	}
+	// Ten bytes with the continuation bit set are no varint.
+	section := append(w.Data(), bytes.Repeat([]byte{0xff}, declared*routeMin)...)
+
+	m := NewMesh()
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { err = m.LoadState(snapshot.NewReader(section)) })
+	if !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrTruncated) {
+		t.Fatalf("err = %v, want a typed error", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_ = m.LoadState(snapshot.NewReader(section))
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(section)) {
+		t.Errorf("refusing a %d-byte section allocated %d bytes", len(section), got)
+	}
+	if allocs > 20 {
+		t.Errorf("refusing the section took %.0f allocations, want a handful", allocs)
 	}
 }

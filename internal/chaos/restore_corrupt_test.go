@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -294,21 +295,23 @@ func restoreTargets(t testing.TB) []restoreTarget {
 	}
 }
 
-// corruptMeshSections hand-writes three "bgp" sections for a mesh that has
+// corruptMeshSections hand-writes four "bgp" sections for a mesh that has
 // speaker n, each well-formed but for one defect no saver produces: a route
-// index past the table, an adj-RIB-in out of prefix order, and one that
-// holds a (prefix, origin) twice. The layout written here is the version-3
-// one bgp.Mesh.State walks.
+// index past the table, an adj-RIB-in out of prefix order, one that holds a
+// (prefix, origin) twice, and a route table that declares the most routes
+// its remaining bytes admit and holds two. The layout written here is the
+// version-3 one bgp.Mesh.State walks.
 func corruptMeshSections(n topo.NodeID) (sections map[string][]byte, names []string) {
-	section := func(origins []topo.NodeID, thirds []uint32, paths ...uint64) []byte {
-		var w snapshot.Writer
-		c := snapshot.Saver(&w)
+	// table writes the section up to the end of its route table, which
+	// declares count routes and holds one per origin.
+	table := func(w *snapshot.Writer, count int, origins []topo.NodeID, thirds []uint32) {
+		c := snapshot.Saver(w)
 		for i := 0; i < 8; i++ {
 			w.I64(0) // mesh counters
 		}
 		w.U64(0) // session states
 		w.U64(0) // newly suppressed prefixes
-		w.U64(uint64(len(origins)))
+		w.U64(uint64(count))
 		for i, origin := range origins {
 			p := addr.VPNPrefix{Prefix: addr.NewPrefix(addr.IPv4(0x0a000000+thirds[i]<<8), 24)}
 			addr.VPNPrefixState(c, &p)
@@ -321,6 +324,10 @@ func corruptMeshSections(n topo.NodeID) (sections map[string][]byte, names []str
 			w.I64(0) // originator
 			w.U64(0) // cluster list
 		}
+	}
+	section := func(origins []topo.NodeID, thirds []uint32, paths ...uint64) []byte {
+		var w snapshot.Writer
+		table(&w, len(origins), origins, thirds)
 		w.U64(1) // speakers
 		w.I64(int64(n))
 		w.I64(0) // received
@@ -335,10 +342,17 @@ func corruptMeshSections(n topo.NodeID) (sections map[string][]byte, names []str
 		}
 		return w.Data()
 	}
+	// A thousand routes declared, each admitted at its 12-byte minimum; two
+	// present, and behind them bytes that are no varint. The count passes,
+	// so what bounds the load is what it decodes (see also bgp's
+	// TestLoadStateAllocatesWhatItDecodes).
+	var short snapshot.Writer
+	table(&short, 1000, []topo.NodeID{1, 2}, []uint32{1, 2})
 	sections = map[string][]byte{
-		"mesh: route index past the table": section([]topo.NodeID{1, 2}, []uint32{1, 2}, 0, 2),
-		"mesh: paths out of prefix order":  section([]topo.NodeID{1, 2}, []uint32{2, 1}, 0, 1),
-		"mesh: repeated (prefix, origin)":  section([]topo.NodeID{1, 1}, []uint32{1, 1}, 0, 1),
+		"mesh: route index past the table":       section([]topo.NodeID{1, 2}, []uint32{1, 2}, 0, 2),
+		"mesh: paths out of prefix order":        section([]topo.NodeID{1, 2}, []uint32{2, 1}, 0, 1),
+		"mesh: repeated (prefix, origin)":        section([]topo.NodeID{1, 1}, []uint32{1, 1}, 0, 1),
+		"mesh: route count past the routes held": append(short.Data(), bytes.Repeat([]byte{0xff}, 1000*12)...),
 	}
 	for name := range sections {
 		names = append(names, name)

@@ -276,6 +276,10 @@ type Backbone struct {
 	// srcIndex identifies their pending self-repost events in the heaps.
 	sources  []trafgen.Source
 	srcIndex map[sim.Action]int
+	// checkpointLen is the length of the last checkpoint written or restored:
+	// the next one's buffer is sized from it. The buffer itself is the
+	// caller's; nothing of a checkpoint is kept here.
+	checkpointLen int
 
 	// siteByPrefix resolves a customer address to its provisioned site
 	// (telemetry flow attribution).

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"mplsvpn/internal/addr"
@@ -222,4 +224,90 @@ func BenchmarkReconvergeLinkFlapTE(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Kept)/float64(b.N), "kept/op")
 	b.ReportMetric(float64(st.Moved+st.Resetup)/float64(b.N), "resignalled/op")
+}
+
+// pop147Backbone builds the repository benchmark's pop147_churn shape: a 7x7
+// grid of P routers on 1 Gb/s links of metric 1-4, two PEs per P, seven
+// reflector clusters, 2,000 sites in 100 VPNs round-robin over the PEs, and
+// 48 TE LSPs; setup is marked, nothing has run.
+func pop147Backbone(tb testing.TB) *Backbone {
+	const side, pes, sites, vpns, lsps = 7, 98, 2000, 100, 48
+	b := NewBackbone(Config{Seed: 77, Scheduler: SchedHybrid, ReflectorClusters: 7})
+	for i := 0; i < side; i++ {
+		for j := 0; j < side; j++ {
+			b.AddP(gridP(i, j))
+		}
+	}
+	for i := 0; i < side; i++ {
+		for j := 0; j < side; j++ {
+			if j+1 < side {
+				b.Link(gridP(i, j), gridP(i, j+1), 1e9, sim.Millisecond, 1+(i*7+j*3)%4)
+			}
+			if i+1 < side {
+				b.Link(gridP(i, j), gridP(i+1, j), 1e9, sim.Millisecond, 1+(i*5+j*11)%4)
+			}
+		}
+	}
+	pe := func(k int) string { return fmt.Sprintf("PE%d", k) }
+	for k := 0; k < pes; k++ {
+		b.AddPE(pe(k))
+		b.Link(pe(k), gridP(k/2/side, k/2%side), 1e9, sim.Millisecond, 1)
+	}
+	b.BuildProvider()
+	for v := 0; v < vpns; v++ {
+		b.DefineVPN(fmt.Sprintf("v%d", v))
+	}
+	for i := 0; i < sites; i++ {
+		b.AddSite(SiteSpec{VPN: fmt.Sprintf("v%d", i%vpns), Name: fmt.Sprintf("s%d", i), PE: pe(i * 37 % pes),
+			Prefixes: []addr.Prefix{addr.NewPrefix(addr.IPv4(0x0a000000|uint32(i+1)<<8), 24)}})
+	}
+	b.ConvergeVPNs()
+	for k := 0; k < lsps; k++ {
+		in := k * 29 % pes
+		if _, err := b.SetupTELSP(fmt.Sprintf("te%d", k), pe(in), pe((in+1+k*13%(pes-1))%pes), 10e6, -1, rsvp.SetupOptions{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	b.E.MarkSetup()
+	return b
+}
+
+// BenchmarkCheckpointPop147 is the pop147_churn checkpoint at this layer
+// alone, snapshot and restore apart, taken as the repository benchmark takes
+// them: each from a collected heap with the collector held off, the restore
+// onto a backbone rebuilt from nothing. The first Snapshot, which has no
+// previous checkpoint to size its buffer from, is outside the loop.
+func BenchmarkCheckpointPop147(b *testing.B) {
+	bb := pop147Backbone(b)
+	bb.Net.RunUntil(10 * sim.Millisecond)
+	data, err := bb.Snapshot("pop147")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.Run("snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
+			if _, err := bb.Snapshot("pop147"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			b2 := pop147Backbone(b)
+			runtime.GC()
+			b.StartTimer()
+			if err := b2.Restore(data, "pop147"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

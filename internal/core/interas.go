@@ -38,6 +38,10 @@ type InterAS struct {
 	// peer is the generic RFC 4364 option A/B/C peering plane (interpeer.go);
 	// lazily built by plane().
 	peer *interASPlane
+
+	// checkpointLen is the length of the last checkpoint written or restored
+	// (see Backbone.checkpointLen).
+	checkpointLen int
 }
 
 type interconnect struct {

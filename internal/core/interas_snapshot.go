@@ -49,7 +49,9 @@ func (x *InterAS) Snapshot(scenario string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeSections(x.sections(scenario, pend)), nil
+	data := encodeSections(x.sections(scenario, pend), x.checkpointLen)
+	x.checkpointLen = len(data)
+	return data, nil
 }
 
 // Restore overlays a multi-provider checkpoint onto a freshly rebuilt
@@ -60,6 +62,7 @@ func (x *InterAS) Restore(data []byte, scenario string) error {
 	if err := restoreSections(data, x.sections(scenario, pend)); err != nil {
 		return err
 	}
+	x.checkpointLen = len(data)
 	// Re-arm the control timers, routed by domain.
 	for _, t := range pend.timers {
 		domain := int(t.kind >> 4)

@@ -150,15 +150,15 @@ type section struct {
 	late bool
 }
 
-// encodeSections runs every walk over a Saver and seals the container.
-func encodeSections(secs []section) []byte {
-	f := snapshot.NewFile()
+// encodeSections runs every walk over the container's one buffer and seals
+// it. sizeHint is the length of the owner's previous checkpoint, 0 for none:
+// what the buffer is sized from, so that writing this one allocates once.
+func encodeSections(secs []section, sizeHint int) []byte {
+	f := snapshot.NewFramer(len(secs), sizeHint)
 	for _, s := range secs {
-		var w snapshot.Writer
-		s.walk(snapshot.Saver(&w))
-		f.Add(s.name, w.Data())
+		f.Section(s.name, s.walk)
 	}
-	return f.Encode()
+	return f.Seal()
 }
 
 // restoreSections decodes the container and runs every walk over a Loader
@@ -235,7 +235,9 @@ func (b *Backbone) Snapshot(scenario string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeSections(b.sections(scenario, pend)), nil
+	data := encodeSections(b.sections(scenario, pend), b.checkpointLen)
+	b.checkpointLen = len(data)
+	return data, nil
 }
 
 // Restore overlays a checkpoint onto a freshly rebuilt scenario: same
@@ -247,6 +249,7 @@ func (b *Backbone) Restore(data []byte, scenario string) error {
 	if err := restoreSections(data, b.sections(scenario, pend)); err != nil {
 		return err
 	}
+	b.checkpointLen = len(data)
 	// Re-arm the dynamic timers and source reposts with their original
 	// identities.
 	for _, t := range pend.timers {

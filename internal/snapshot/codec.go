@@ -9,8 +9,10 @@
 // (walk.go): each leaf call appends the field it points at when the Codec
 // wraps a Writer and reads into it when the Codec wraps a Reader, and the
 // Slice/Map/Set/Keyed/Overlay helpers own counting, key order and
-// allocation. Writer and Reader stay usable on their own; DESIGN.md §9 is
-// the format reference.
+// allocation. A container is written by a Framer: every section's walk
+// appends to the one buffer the finished checkpoint is, sized up front from
+// the checkpoint before it. Writer and Reader stay usable on their own;
+// DESIGN.md §9 is the format reference.
 //
 // The decoder is hostile-input safe by construction: every read is bounds
 // checked, element counts are validated against the bytes that remain, and
@@ -26,6 +28,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Typed decode failures. Restores must treat any of them as "this file does
@@ -44,8 +48,9 @@ var (
 	ErrMismatch = errors.New("snapshot: checkpoint does not match scenario")
 )
 
-// Writer encodes primitives into a growing byte buffer. The zero value is
-// ready to use.
+// Writer encodes primitives into a byte buffer that grows as needed. The
+// zero value is ready to use; a caller that knows roughly what it is about
+// to write calls Grow first and pays for one allocation.
 type Writer struct {
 	b []byte
 }
@@ -55,6 +60,36 @@ func (w *Writer) Data() []byte { return w.b }
 
 // Len returns the number of bytes encoded so far.
 func (w *Writer) Len() int { return len(w.b) }
+
+// Grow makes room for n more bytes, so that writing them allocates nothing.
+func (w *Writer) Grow(n int) { w.b = slices.Grow(w.b, n) }
+
+// reserve appends width bytes for a length not known yet and returns where
+// they start: the payload is written next, and frame fills the length in.
+func (w *Writer) reserve(width int) int {
+	at := len(w.b)
+	w.b = slices.Grow(w.b, width)[:at+width]
+	return at
+}
+
+// frame turns everything written since reserve(width) returned at into a
+// length-prefixed byte string, exactly as Bytes would have written it. The
+// prefix is the canonical varint: when it needs other than the width bytes
+// kept for it, the payload moves to meet it — a prefix padded to a fixed
+// width would decode to the same length and be a different checkpoint.
+func (w *Writer) frame(at, width int) {
+	n := len(w.b) - at - width
+	need := uvarintLen(uint64(n))
+	if need != width {
+		payload := w.b[at+width:]
+		w.b = slices.Grow(w.b, max(need-width, 0))[:at+need+n]
+		copy(w.b[at+need:], payload)
+	}
+	binary.PutUvarint(w.b[at:], uint64(n))
+}
+
+// uvarintLen is the number of bytes U64 writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // U64 appends an unsigned varint.
 func (w *Writer) U64(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
@@ -277,17 +312,67 @@ func (f *File) Names() []string { return f.names }
 // Encode serializes the container: magic, version, section count, sections,
 // CRC32C trailer.
 func (f *File) Encode() []byte {
-	var w Writer
-	w.b = append(w.b, magic...)
-	w.U64(f.Version)
-	w.U64(uint64(len(f.names)))
+	size := 0
 	for _, name := range f.names {
-		w.Str(name)
-		w.Bytes(f.sections[name])
+		size += len(name) + len(f.sections[name]) + 2*binary.MaxVarintLen32
 	}
-	sum := crc32.Checksum(w.b, crcTable)
-	w.b = binary.LittleEndian.AppendUint32(w.b, sum)
-	return w.b
+	fr := newFramer(f.Version, len(f.names), size)
+	for _, name := range f.names {
+		fr.Section(name, func(c *Codec) { c.w.b = append(c.w.b, f.sections[name]...) })
+	}
+	return fr.Seal()
+}
+
+// Framer writes a container in place: one buffer holds the header, every
+// section as its walk appends it, and the trailer, and that buffer is the
+// checkpoint. A section's length is not known until its walk returns, so
+// Section keeps room for the prefix, lets the walk write behind it, and
+// frames the payload where it lies.
+type Framer struct {
+	w     Writer
+	c     Codec // the Saver every section's walk runs over
+	left  int   // sections declared and not yet written
+	width int   // bytes kept for a section's length prefix
+}
+
+// NewFramer starts a container of the current version that will hold the
+// given number of sections. sizeHint is the caller's guess at the finished
+// length — the length of its previous checkpoint, 0 for none — and costs
+// nothing but time when wrong: the buffer starts at that plus a thirty-
+// second, since state grows a little between checkpoints and whoever keeps
+// the checkpoint keeps the slack, and grows like any Writer past it.
+func NewFramer(sections, sizeHint int) *Framer { return newFramer(Version, sections, sizeHint) }
+
+func newFramer(version uint64, sections, sizeHint int) *Framer {
+	// No section of a checkpoint the hinted size has a longer length than
+	// the hint itself, so the largest ones are framed without moving.
+	f := &Framer{left: sections, width: uvarintLen(uint64(sizeHint))}
+	f.c.w = &f.w
+	f.w.b = append(make([]byte, 0, sizeHint+sizeHint/32+64), magic...)
+	f.w.U64(version)
+	f.w.U64(uint64(sections))
+	return f
+}
+
+// Section appends one named section, whose payload is what walk writes.
+func (f *Framer) Section(name string, walk func(*Codec)) {
+	f.left--
+	f.w.Str(name)
+	at := f.w.reserve(f.width)
+	walk(&f.c)
+	f.w.frame(at, f.width)
+}
+
+// Seal appends the CRC32C trailer and returns the finished container. The
+// Framer keeps nothing of it. Sealing with other than the declared number of
+// sections written is a bug in the caller, and panics.
+func (f *Framer) Seal() []byte {
+	if f.left != 0 {
+		panic(fmt.Sprintf("snapshot: container sealed %d sections away from its declared count", f.left))
+	}
+	b := binary.LittleEndian.AppendUint32(f.w.b, crc32.Checksum(f.w.b, crcTable))
+	f.w.b = nil
+	return b
 }
 
 // Decode parses and integrity-checks a container. Any structural problem

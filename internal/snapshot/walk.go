@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -28,6 +29,8 @@ import (
 type Codec struct {
 	w *Writer
 	r *Reader
+	// names holds one copy of every string Interned has loaded.
+	names map[string]string
 }
 
 // Saver returns a Codec whose walks append to w.
@@ -41,6 +44,14 @@ func Load(r *Reader, walk func(*Codec)) error {
 	c := Loader(r)
 	walk(c)
 	return c.Err()
+}
+
+// Grow tells a save it is about to write some n bytes, so that the Writer
+// makes room for them once. A load ignores it.
+func (c *Codec) Grow(n int) {
+	if c.w != nil {
+		c.w.Grow(n)
+	}
 }
 
 // Loading reports whether walks read state in rather than write it out.
@@ -131,6 +142,26 @@ func (c *Codec) Str(p *string) {
 	} else {
 		c.w.Str(*p)
 	}
+}
+
+// Interned is Str for a string that many records repeat (the site a VRF's
+// routes lead to): a load keeps one copy of each distinct value, where Str
+// would allocate one per record.
+func (c *Codec) Interned(p *string) {
+	if c.r == nil {
+		c.w.Str(*p)
+		return
+	}
+	b := c.r.Bytes()
+	s, ok := c.names[string(b)]
+	if !ok {
+		if c.names == nil {
+			c.names = make(map[string]string)
+		}
+		s = string(b)
+		c.names[s] = s
+	}
+	*p = s
 }
 
 // Has walks the presence flag of optional state: it writes present when
@@ -231,9 +262,75 @@ func (c *Codec) F64s(s *[]float64) {
 	}
 }
 
-// Ptrs is Slice for a slice of pointers: a load allocates each element
-// before walking it. (Not a wrapper over Slice: the closure that would take
-// is an allocation per call, and route lists are walked once per prefix.)
+// SharedSlice walks, one after another, lists of which many are equal (the
+// route targets and cluster lists of a table of routes). Saved, each is
+// written in full, as Slice writes it. A load hands out one list per
+// distinct value: the encoding is self-delimiting and read front to back, so
+// equal bytes are an equal list, and the common case — the list walked just
+// before, again — is recognised from its bytes without decoding anything.
+// The lists a load returns therefore share backing arrays and must not be
+// modified in place.
+type SharedSlice[T any] struct {
+	enc  []byte // the previous list as encoded, aliasing the input
+	list []T
+	seen map[string][]T // every list loaded so far, by its encoding
+}
+
+// Walk walks one list, like Slice.
+func (sh *SharedSlice[T]) Walk(c *Codec, s *[]T, min int, elem func(*Codec, *T)) {
+	if c.r == nil {
+		Slice(c, s, min, elem)
+		return
+	}
+	start := c.r.off
+	if c.r.err == nil && len(sh.enc) > 0 && bytes.HasPrefix(c.r.b[start:], sh.enc) {
+		c.r.off += len(sh.enc)
+		*s = sh.list
+		return
+	}
+	Slice(c, s, min, elem)
+	if c.r.err != nil {
+		return
+	}
+	sh.enc = c.r.b[start:c.r.off]
+	if list, ok := sh.seen[string(sh.enc)]; ok {
+		*s = list
+	} else {
+		if sh.seen == nil {
+			sh.seen = make(map[string][]T)
+		}
+		sh.seen[string(sh.enc)] = *s
+	}
+	sh.list = *s
+}
+
+// ptrChunk is how many elements a load of pointers allocates at a time.
+const ptrChunk = 64
+
+// slab hands a load of pointers the elements they point at, from backing
+// arrays of up to ptrChunk elements instead of one allocation each. A chunk
+// is allocated when an element is about to be decoded into it, which is
+// after every element of the chunk before has been: what a load allocates
+// stays bounded by the bytes it has decoded, whatever count they declared.
+// An element keeps its whole chunk reachable.
+type slab[T any] struct {
+	free []T
+	left int // elements the validated count still promises
+}
+
+func (s *slab[T]) next() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, min(s.left, ptrChunk))
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	s.left--
+	return p
+}
+
+// Ptrs is Slice for a slice of pointers: a load allocates the elements, in
+// chunks, before walking them. (Not a wrapper over Slice: the closure that
+// would take is an allocation per call.)
 func Ptrs[T any](c *Codec, s *[]*T, min int, elem func(*Codec, *T)) {
 	n := c.Len(len(*s), min)
 	if c.r == nil {
@@ -248,9 +345,39 @@ func Ptrs[T any](c *Codec, s *[]*T, min int, elem func(*Codec, *T)) {
 	if n > 0 {
 		*s = make([]*T, n)
 	}
+	elems := slab[T]{left: n}
 	for i := 0; i < n && c.r.err == nil; i++ {
-		(*s)[i] = new(T)
+		(*s)[i] = elems.next()
 		elem(c, (*s)[i])
+	}
+}
+
+// Refs walks a slice of pointers into table, a list of distinct elements
+// walked earlier, as each one's position there: a count, then a varint
+// each, in one loop either way. pos is an element's position in table, asked
+// only when saving; a loaded position past the table is ErrCorrupt.
+func Refs[T any](c *Codec, s *[]*T, table []*T, pos func(*T) int) {
+	n := c.Len(len(*s), 1)
+	if c.r == nil {
+		for _, p := range *s {
+			c.w.U64(uint64(pos(p)))
+		}
+		return
+	}
+	*s = nil
+	if n > 0 {
+		*s = make([]*T, n)
+	}
+	for i := range *s {
+		k := c.r.U64()
+		if c.r.err != nil {
+			return
+		}
+		if k >= uint64(len(table)) {
+			c.Corrupt("reference to element %d of a table of %d", k, len(table))
+			return
+		}
+		(*s)[i] = table[k]
 	}
 }
 
@@ -286,6 +413,13 @@ func Map[K comparable, V any](c *Codec, m *map[K]V, cmp func(a, b K) int, min in
 		}
 		return
 	}
+	*m = loadMap(c, n, key, val)
+}
+
+// loadMap reads the n entries of a map whose count has been validated.
+func loadMap[K comparable, V any](c *Codec, n int, key func(*Codec, *K), val func(*Codec, *V)) map[K]V {
+	var k K
+	var v V
 	out := make(map[K]V, n)
 	for i := 0; i < n; i++ {
 		var zero V
@@ -297,16 +431,20 @@ func Map[K comparable, V any](c *Codec, m *map[K]V, cmp func(a, b K) int, min in
 		}
 		out[k] = v
 	}
-	*m = out
+	return out
 }
 
-// MapPtrs is Map for pointer values: a load allocates each value before
-// walking it.
+// MapPtrs is Map for pointer values: a load allocates the values, in chunks,
+// before walking them.
 func MapPtrs[K comparable, V any](c *Codec, m *map[K]*V, cmp func(a, b K) int, min int, key func(*Codec, *K), val func(*Codec, *V)) {
-	Map(c, m, cmp, min, key, func(c *Codec, p **V) {
-		if c.r != nil {
-			*p = new(V)
-		}
+	if c.r == nil {
+		Map(c, m, cmp, min, key, func(c *Codec, p **V) { val(c, *p) })
+		return
+	}
+	n := c.Len(0, min)
+	vals := slab[V]{left: n}
+	*m = loadMap(c, n, key, func(c *Codec, p **V) {
+		*p = vals.next()
 		val(c, *p)
 	})
 }
@@ -404,25 +542,38 @@ func Keyed[K comparable, V any](c *Codec, m *map[K]V, cmp func(a, b K) int, min 
 		}
 		return
 	}
-	*m = make(map[K]V, n)
+	*m = loadKeyed(c, n, keyOf, val)
+}
+
+// loadKeyed reads the n records of a keyed map whose count has been
+// validated.
+func loadKeyed[K comparable, V any](c *Codec, n int, keyOf func(*V) K, val func(*Codec, *V)) map[K]V {
+	var v V
+	out := make(map[K]V, n)
 	for i := 0; i < n; i++ {
 		var zero V
 		v = zero
 		val(c, &v)
 		if c.r.err != nil {
-			return
+			break
 		}
-		(*m)[keyOf(&v)] = v
+		out[keyOf(&v)] = v
 	}
+	return out
 }
 
 // KeyedPtrs is Keyed for pointer values (VRFs by name, LSPs by ID): a load
-// allocates each record before walking it.
+// allocates the records, in chunks, before walking them.
 func KeyedPtrs[K comparable, V any](c *Codec, m *map[K]*V, cmp func(a, b K) int, min int, keyOf func(*V) K, val func(*Codec, *V)) {
-	Keyed(c, m, cmp, min, func(p **V) K { return keyOf(*p) }, func(c *Codec, p **V) {
-		if c.r != nil {
-			*p = new(V)
-		}
+	byPtr := func(p **V) K { return keyOf(*p) }
+	if c.r == nil {
+		Keyed(c, m, cmp, min, byPtr, func(c *Codec, p **V) { val(c, *p) })
+		return
+	}
+	n := c.Len(0, min)
+	recs := slab[V]{left: n}
+	*m = loadKeyed(c, n, byPtr, func(c *Codec, p **V) {
+		*p = recs.next()
 		val(c, *p)
 	})
 }

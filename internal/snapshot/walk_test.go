@@ -1,10 +1,13 @@
 package snapshot
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 type walkRec struct {
@@ -192,4 +195,123 @@ func TestWalkMinimumCheckedOnSave(t *testing.T) {
 	tags := []uint16{1}
 	var w Writer
 	Slice(Saver(&w), &tags, 2, Uint[uint16])
+}
+
+// TestPtrsLoadInChunks: a load of pointers takes its elements from backing
+// arrays of up to ptrChunk, and a count the remaining bytes admit but do not
+// hold costs one chunk, not the count.
+func TestPtrsLoadInChunks(t *testing.T) {
+	in := make([]*walkRec, 3*ptrChunk/2)
+	for i := range in {
+		in[i] = &walkRec{ID: i}
+	}
+	var w Writer
+	Ptrs(Saver(&w), &in, 3, walkRecState)
+
+	var out []*walkRec
+	c := Loader(NewReader(w.Data()))
+	if Ptrs(c, &out, 3, walkRecState); c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatal("loaded pointers differ from the ones saved")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		Ptrs(Loader(NewReader(w.Data())), &out, 3, walkRecState)
+	}); allocs > 6 {
+		t.Errorf("loading %d pointers took %.0f allocations, want the codec, the reader, the slice and two chunks", len(in), allocs)
+	}
+
+	// 30,000 declared, 3 bytes each admitted, two present.
+	var h Writer
+	h.U64(30_000)
+	walkRecState(Saver(&h), &walkRec{ID: 1})
+	walkRecState(Saver(&h), &walkRec{ID: 2})
+	hostile := append(h.Data(), bytes.Repeat([]byte{0xff}, 90_000)...)
+	var m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m1)
+	c = Loader(NewReader(hostile))
+	Ptrs(c, &out, 3, walkRecState)
+	runtime.ReadMemStats(&m2)
+	if !errors.Is(c.Err(), ErrCorrupt) {
+		t.Errorf("err = %v, want ErrCorrupt", c.Err())
+	}
+	// The slice of pointers is the count's (240 KB), and the count was
+	// validated; the elements, 48 bytes each, must be one chunk's worth and
+	// not the 1.4 MB the count would have them be.
+	if got := m2.TotalAlloc - m1.TotalAlloc; got > 300_000 {
+		t.Errorf("refusing the list allocated %d bytes", got)
+	}
+}
+
+// TestRefs: a list of pointers into a table round-trips as positions, keeps
+// the identity of what it points at, and refuses a position past the table.
+func TestRefs(t *testing.T) {
+	table := []*walkRec{{ID: 10}, {ID: 11}, {ID: 12}}
+	pos := func(r *walkRec) int { return r.ID - 10 }
+	in := []*walkRec{table[2], table[0], table[2]}
+	var w Writer
+	Refs(Saver(&w), &in, table, pos)
+	if want := []byte{3, 2, 0, 2}; !bytes.Equal(w.Data(), want) {
+		t.Fatalf("encoded % x, want % x", w.Data(), want)
+	}
+	var out []*walkRec
+	c := Loader(NewReader(w.Data()))
+	if Refs(c, &out, table, pos); c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	if len(out) != 3 || out[0] != table[2] || out[1] != table[0] || out[2] != table[2] {
+		t.Errorf("loaded references do not point into the table: %v", out)
+	}
+	c = Loader(NewReader([]byte{2, 1, 3}))
+	if Refs(c, &out, table, pos); !errors.Is(c.Err(), ErrCorrupt) {
+		t.Errorf("position past the table: err = %v, want ErrCorrupt", c.Err())
+	}
+	c = Loader(NewReader([]byte{3, 1}))
+	if Refs(c, &out, table, pos); !errors.Is(c.Err(), ErrCorrupt) && !errors.Is(c.Err(), ErrTruncated) {
+		t.Errorf("list cut short: err = %v, want a typed error", c.Err())
+	}
+}
+
+// TestSharedSliceAndInterned: equal lists load as one list and equal strings
+// as one string, next to each other or not; unequal ones stay apart; and
+// what is loaded saves to the bytes it was loaded from.
+func TestSharedSliceAndInterned(t *testing.T) {
+	lists := [][]uint16{{1, 300}, {1, 300}, {2}, nil, {1, 300}, {2}, nil}
+	names := []string{"alpha", "alpha", "beta", "", "alpha", "beta", ""}
+	walk := func(c *Codec, lists [][]uint16, names []string) {
+		var sh SharedSlice[uint16]
+		for i := range lists {
+			sh.Walk(c, &lists[i], 1, Uint[uint16])
+			c.Interned(&names[i])
+		}
+	}
+	var w Writer
+	walk(Saver(&w), lists, names)
+
+	gotLists, gotNames := make([][]uint16, len(lists)), make([]string, len(names))
+	c := Loader(NewReader(w.Data()))
+	if walk(c, gotLists, gotNames); c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	if !reflect.DeepEqual(gotLists, lists) || !reflect.DeepEqual(gotNames, names) {
+		t.Fatalf("loaded %v %q, want %v %q", gotLists, gotNames, lists, names)
+	}
+	for _, same := range [][2]int{{0, 1}, {0, 4}, {2, 5}} {
+		i, j := same[0], same[1]
+		if &gotLists[i][0] != &gotLists[j][0] {
+			t.Errorf("lists %d and %d are equal and were loaded apart", i, j)
+		}
+		if unsafe.StringData(gotNames[i]) != unsafe.StringData(gotNames[j]) {
+			t.Errorf("names %d and %d are equal and were loaded apart", i, j)
+		}
+	}
+	if &gotLists[0][0] == &gotLists[2][0] {
+		t.Error("unequal lists share a backing array")
+	}
+	var w2 Writer
+	walk(Saver(&w2), gotLists, gotNames)
+	if !bytes.Equal(w2.Data(), w.Data()) {
+		t.Error("save(load(s)) != s")
+	}
 }

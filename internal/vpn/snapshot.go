@@ -39,7 +39,7 @@ func VRFState(c *snapshot.Codec, v *VRF) {
 	addr.TableState(c, &v.table, addr.PrefixMin+6, func(c *snapshot.Codec, p addr.Prefix, rt *Route) {
 		rt.Prefix = p
 		c.Bool(&rt.Local)
-		c.Str(&rt.SiteName)
+		c.Interned(&rt.SiteName)
 		snapshot.Int(c, &rt.EgressPE)
 		snapshot.Uint(c, &rt.NextHop)
 		snapshot.Uint(c, &rt.VPNLabel)
