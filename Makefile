@@ -175,8 +175,9 @@ verify-snapshot:
 
 # The scalable-control-plane acceptance gate under the race detector: the
 # reflection oracle (clustered best paths == full-mesh under seeded churn),
-# the RIB oracle (sorted runs == the map model, every observable, all three
-# layouts) and the single-reflector stale-refresh reproducer,
+# the RIB oracle (sorted runs == the map model, every observable, over the
+# full mesh, a single reflector as one cluster, and two clusters) and the
+# single-reflector stale-refresh reproducer,
 # the incremental SPF/CSPF and LDP-delta oracles (identical tables to a
 # full recompute across random flap sequences), the TE-delta oracles (the
 # dirty-set re-signal ≡ the full sweep across 208 flap sequences, its named
@@ -192,13 +193,14 @@ verify-controlplane:
 		./internal/bgp ./internal/ospf ./internal/ldp ./internal/topo ./internal/rsvp ./internal/core ./internal/chaos ./internal/experiments
 
 # The inter-AS survivability acceptance gate under the race detector: the
-# RFC 4364 option A/B/C delivery and failover unit tests, the mid-GR
+# RFC 4364 option A/B/C delivery and failover unit tests, the export refresh
+# after a site is added or removed behind a provisioned peering, the mid-GR
 # peer-AS-outage snapshot boundary proof at 0/1/8 shards, the AS-failover
-# serial-vs-8-shard equivalence, the asfail/asrestore DSL surface, and the
-# E21 three-carrier outage scorecard.
+# serial-vs-8-shard equivalence, the asfail/asrestore DSL surface, the E13
+# option comparison and the E21 three-carrier outage scorecard.
 verify-interas:
 	$(GO) test -race -count=1 \
-		-run='TestInterAS|TestASFailoverEquivalence|TestParseScenarioASDirectives|TestParseScenarioErrorPaths|TestE21' \
+		-run='TestInterAS|TestRefreshInterASPicksUpNewSites|TestASFailoverEquivalence|TestParseScenarioASDirectives|TestParseScenarioErrorPaths|TestE13|TestE21' \
 		./internal/core ./internal/chaos ./internal/experiments
 
 cover:

@@ -147,11 +147,11 @@ func BenchmarkE12FastReroute(b *testing.B) {
 	}
 }
 
-// BenchmarkE13InterASOptions regenerates the option A/B comparison.
+// BenchmarkE13InterASOptions regenerates the option A/B/C comparison.
 func BenchmarkE13InterASOptions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiments.E13InterASOptions(sim.Second, 4)
-		if res.Delivered["A"] != res.Delivered["B"] {
+		if d := res.Delivered; d["A"] != d["B"] || d["A"] != d["C"] {
 			b.Fatal("inter-AS options diverged")
 		}
 	}

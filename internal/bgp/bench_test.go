@@ -31,7 +31,13 @@ func benchMesh(b *testing.B, speakers, routesPer int, rr bool) {
 			}
 		}
 		if rr {
-			m.UseRouteReflector(0)
+			// A single route reflector: one cluster, every other speaker
+			// its client.
+			c := Cluster{ID: 1, RRs: []topo.NodeID{0}}
+			for s := 1; s < speakers; s++ {
+				c.Clients = append(c.Clients, topo.NodeID(s))
+			}
+			m.UseClusters([]Cluster{c})
 		}
 		m.Converge()
 	}

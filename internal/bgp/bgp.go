@@ -3,8 +3,10 @@
 // a VPN label piggybacked on each route — "The ISP's routing system
 // distributes this information by piggybacking labels in the routing
 // protocol updates" (§4) — and route-target extended communities that
-// control VRF import. Sessions form either an iBGP full mesh or a route
-// reflector topology; the session-count difference feeds experiment E1.
+// control VRF import. Sessions form either an iBGP full mesh or clustered
+// route reflection (reflect.go), of which a single route reflector is the
+// one-cluster case; the session-count difference feeds experiments E1 and
+// E8.
 //
 // Best-path selection is a deterministic subset of the BGP decision
 // process: LocalPref, then AS-path length, then lowest next hop.
@@ -140,7 +142,6 @@ type Topology int
 // Session layouts.
 const (
 	FullMesh Topology = iota
-	RouteReflector
 	// Clustered partitions the PEs into reflection clusters with
 	// (optionally redundant) reflectors meshed among themselves; see
 	// reflect.go.
@@ -151,7 +152,6 @@ const (
 type Mesh struct {
 	Layout   Topology
 	speakers map[topo.NodeID]*Speaker
-	rr       topo.NodeID // route reflector when Layout == RouteReflector
 
 	// Clustered-reflection state (reflect.go): the canonicalized cluster
 	// set, node -> cluster indexes for both roles, and declared RT
@@ -186,7 +186,7 @@ type Mesh struct {
 
 // NewMesh creates an empty full-mesh iBGP domain.
 func NewMesh() *Mesh {
-	return &Mesh{Layout: FullMesh, speakers: make(map[topo.NodeID]*Speaker), rr: topo.Invalid}
+	return &Mesh{Layout: FullMesh, speakers: make(map[topo.NodeID]*Speaker)}
 }
 
 // AddSpeaker registers a PE (or RR) with its loopback.
@@ -202,22 +202,13 @@ func (m *Mesh) Speaker(n topo.NodeID) (*Speaker, bool) {
 	return s, ok
 }
 
-// UseRouteReflector switches the session layout: all speakers peer only
-// with rr, which reflects routes between them.
-func (m *Mesh) UseRouteReflector(rr topo.NodeID) {
-	m.Layout = RouteReflector
-	m.rr = rr
-}
-
 // SessionCount returns the number of iBGP sessions the layout needs —
 // the §2.1 scaling story applied to the control plane: full mesh is
-// n(n-1)/2, a single route reflector is n-1, and clustered reflection is
-// one session per (client, own-cluster RR) pair plus the reflector mesh.
+// n(n-1)/2, and clustered reflection is one session per (client,
+// own-cluster RR) pair plus the reflector mesh — n-1 for a single reflector.
 func (m *Mesh) SessionCount() int {
 	n := len(m.speakers)
 	switch m.Layout {
-	case RouteReflector:
-		return n - 1
 	case Clustered:
 		sessions, rrs := 0, 0
 		for _, c := range m.clusters {
@@ -276,41 +267,6 @@ func (m *Mesh) Converge() {
 				}
 			}
 		}
-	case RouteReflector:
-		rr, ok := m.speakers[m.rr]
-		if !ok {
-			panic("bgp: route reflector is not a speaker")
-		}
-		if m.StateOf(m.rr) != PeerUp {
-			// The reflector is down: no redistribution at all. Clients keep
-			// whatever graceful restart preserved.
-			break
-		}
-		// Clients -> RR, bypassing any import filter on the RR.
-		for _, from := range ids {
-			if from == m.rr || m.StateOf(from) != PeerUp {
-				continue
-			}
-			for _, r := range m.speakers[from].exports {
-				rr.receive(r, true)
-				m.UpdatesSent++
-			}
-		}
-		rr.seal()
-		// RR reflects everything (its own exports included) to clients.
-		all := rr.announced()
-		for _, to := range ids {
-			if to == m.rr || m.StateOf(to) != PeerUp {
-				continue
-			}
-			for _, r := range all {
-				if r.OriginPE == to {
-					continue // do not reflect a route back to its origin
-				}
-				m.speakers[to].receive(r, false)
-				m.UpdatesSent++
-			}
-		}
 	case Clustered:
 		m.convergeClustered()
 	}
@@ -323,19 +279,4 @@ func (m *Mesh) Converge() {
 		}
 		s.selectBest()
 	}
-}
-
-// announced lists what a reflector re-advertises, in deterministic order:
-// its exports, then its adj-RIB-in by prefix. Stale-retained routes are kept
-// for forwarding, not re-announced: refreshing them downstream would erase
-// the peers' own graceful-restart marks.
-func (s *Speaker) announced() []*VPNRoute {
-	out := make([]*VPNRoute, 0, len(s.exports)+s.rib.sealed)
-	out = append(out, s.exports...)
-	for _, r := range s.rib.paths[:s.rib.sealed] {
-		if !s.isStale(r.Prefix, r.OriginPE) {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -115,12 +115,24 @@ func TestImportFilterLimitsRIB(t *testing.T) {
 	}
 }
 
+// useReflector makes rr the one reflector of a single cluster whose clients
+// are every other speaker of m: a single route reflector.
+func useReflector(m *Mesh, rr topo.NodeID) {
+	var clients []topo.NodeID
+	for _, n := range m.sortedIDs() {
+		if n != rr {
+			clients = append(clients, n)
+		}
+	}
+	m.UseClusters([]Cluster{{ID: 1, RRs: []topo.NodeID{rr}, Clients: clients}})
+}
+
 func TestRouteReflector(t *testing.T) {
 	m := NewMesh()
 	s1 := m.AddSpeaker(1, addr.MustParseIPv4("10.255.0.1"))
 	m.AddSpeaker(2, addr.MustParseIPv4("10.255.0.2"))
 	s3 := m.AddSpeaker(3, addr.MustParseIPv4("10.255.0.3"))
-	m.UseRouteReflector(2)
+	useReflector(m, 2)
 	s1.Originate(route(rdA, "10.1.0.0/16", 1, 100, 1, rtA))
 	m.Converge()
 	r, ok := s3.Best(addr.VPNPrefix{RD: rdA, Prefix: addr.MustParsePrefix("10.1.0.0/16")})
@@ -136,7 +148,7 @@ func TestRRDoesNotReflectBackToOrigin(t *testing.T) {
 	m := NewMesh()
 	s1 := m.AddSpeaker(1, addr.MustParseIPv4("10.255.0.1"))
 	m.AddSpeaker(2, addr.MustParseIPv4("10.255.0.2"))
-	m.UseRouteReflector(2)
+	useReflector(m, 2)
 	s1.Originate(route(rdA, "10.1.0.0/16", 1, 100, 1, rtA))
 	m.Converge()
 	if s1.RIBSize() != 0 {
@@ -149,7 +161,7 @@ func TestRRBypassesOwnFilter(t *testing.T) {
 	s1 := m.AddSpeaker(1, addr.MustParseIPv4("10.255.0.1"))
 	rr := m.AddSpeaker(2, addr.MustParseIPv4("10.255.0.2"))
 	s3 := m.AddSpeaker(3, addr.MustParseIPv4("10.255.0.3"))
-	m.UseRouteReflector(2)
+	useReflector(m, 2)
 	rr.Filter = func(r *VPNRoute) bool { return false } // would drop everything
 	s1.Originate(route(rdA, "10.1.0.0/16", 1, 100, 1, rtA))
 	m.Converge()

@@ -55,9 +55,8 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 		"best":   {derived, "Speaker.selectBest"},
 	},
 	reflect.TypeOf(Mesh{}): {
-		"Layout":            {derived, "Mesh.UseRouteReflector, Mesh.UseClusters"},
+		"Layout":            {derived, "Mesh.UseClusters"},
 		"speakers":          {walked, "Mesh.State (overlaid on the set Mesh.AddSpeaker built)"},
-		"rr":                {derived, "Mesh.UseRouteReflector"},
 		"clusters":          {derived, "Mesh.UseClusters"},
 		"rrClusterIdx":      {derived, "Mesh.UseClusters"},
 		"clientClusterIdx":  {derived, "Mesh.UseClusters"},

@@ -4,7 +4,9 @@
 // single reflector merely moves the hot spot. Clusters split the PE
 // population into regions: each client peers with its region's
 // reflector(s), and only the reflectors form a full mesh among
-// themselves, so sessions drop from O(n²) to O(n·clusters).
+// themselves, so sessions drop from O(n²) to O(n·clusters). A single
+// route reflector is one cluster with one reflector and every other
+// speaker its client.
 //
 // Reflection stamps each route once, at its origin cluster: the reflector
 // sets ORIGINATOR_ID to the originating PE and seeds CLUSTER_LIST with
@@ -232,6 +234,21 @@ func (ix *rtIndex) selectFor(interest []addr.RouteTarget) []*VPNRoute {
 	}
 	out = append(out, ix.untagged...)
 	ix.out = out
+	return out
+}
+
+// announced lists what a reflector re-advertises, in deterministic order:
+// its exports, then its adj-RIB-in by prefix. Stale-retained routes are kept
+// for forwarding, not re-announced: refreshing them downstream would erase
+// the peers' own graceful-restart marks.
+func (s *Speaker) announced() []*VPNRoute {
+	out := make([]*VPNRoute, 0, len(s.exports)+s.rib.sealed)
+	out = append(out, s.exports...)
+	for _, r := range s.rib.paths[:s.rib.sealed] {
+		if !s.isStale(r.Prefix, r.OriginPE) {
+			out = append(out, r)
+		}
+	}
 	return out
 }
 

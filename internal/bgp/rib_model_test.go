@@ -214,31 +214,6 @@ func (mm *mapMesh) converge(now sim.Time) {
 				}
 			}
 		}
-	case RouteReflector:
-		if !mm.up(m.rr) {
-			break
-		}
-		for _, from := range ids {
-			if from == m.rr || !mm.up(from) {
-				continue
-			}
-			for _, r := range m.speakers[from].exports {
-				send(m.rr, r, true)
-				mm.updates++
-			}
-		}
-		all := append(slices.Clone(m.speakers[m.rr].exports), mm.ribs[m.rr].sortedAdj(false)...)
-		for _, to := range ids {
-			if to == m.rr || !mm.up(to) {
-				continue
-			}
-			for _, r := range all {
-				if r.OriginPE != to {
-					send(to, r, false)
-					mm.updates++
-				}
-			}
-		}
 	case Clustered:
 		mm.convergeClustered()
 	}
@@ -496,24 +471,18 @@ type modelRig struct {
 	what     string
 }
 
-// newModelRig builds nine speakers in one of the three layouts. Clients
-// import by route target; two of them declare a two-target interest, one
-// declares none, so the constrained and the flooded paths both run, and the
-// clustered layout has redundant reflectors.
-func newModelRig(t *testing.T, layout Topology, seed int64) *modelRig {
+// newModelRig builds nine speakers, fully meshed when clusters is nil and
+// reflected through them otherwise. Clients import by route target; two of
+// them declare a two-target interest, one declares none, so the constrained
+// and the flooded paths both run.
+func newModelRig(t *testing.T, clusters []Cluster, seed int64) *modelRig {
 	rig := &modelRig{t: t, m: NewMesh(), rng: rand.New(rand.NewSource(seed))}
 	for n := topo.NodeID(0); n < 9; n++ {
 		rig.ids = append(rig.ids, n)
 		rig.m.AddSpeaker(n, addr.IPv4(0x0aff0000+uint32(n)))
 	}
-	switch layout {
-	case RouteReflector:
-		rig.m.UseRouteReflector(0)
-	case Clustered:
-		rig.m.UseClusters([]Cluster{
-			{ID: 10, RRs: []topo.NodeID{0, 1}, Clients: []topo.NodeID{4, 5, 6}},
-			{ID: 20, RRs: []topo.NodeID{2, 3}, Clients: []topo.NodeID{7, 8}},
-		})
+	if clusters != nil {
+		rig.m.UseClusters(clusters)
 	}
 	for n := topo.NodeID(4); n < 9; n++ {
 		want := []addr.RouteTarget{vpnRT(int(n) % 3)}
@@ -663,16 +632,26 @@ func (rig *modelRig) compare() {
 }
 
 // TestRIBMatchesMapModel drives the mesh and the map model with the same
-// seeded random operations over all three layouts and requires every
-// observable to agree after every step.
+// seeded random operations over every layout — the full mesh, a single
+// reflector (one cluster, every other speaker its client) and two clusters
+// of redundant reflectors — and requires every observable to agree after
+// every step.
 func TestRIBMatchesMapModel(t *testing.T) {
 	seeds, steps := 10, 200
 	if testing.Short() {
 		seeds = 2
 	}
-	for _, layout := range []Topology{FullMesh, RouteReflector, Clustered} {
+	layouts := [][]Cluster{
+		nil,
+		{{ID: 1, RRs: []topo.NodeID{0}, Clients: []topo.NodeID{1, 2, 3, 4, 5, 6, 7, 8}}},
+		{
+			{ID: 10, RRs: []topo.NodeID{0, 1}, Clients: []topo.NodeID{4, 5, 6}},
+			{ID: 20, RRs: []topo.NodeID{2, 3}, Clients: []topo.NodeID{7, 8}},
+		},
+	}
+	for i, clusters := range layouts {
 		for seed := 0; seed < seeds; seed++ {
-			rig := newModelRig(t, layout, int64(1000*int(layout)+seed))
+			rig := newModelRig(t, clusters, int64(1000*i+seed))
 			for rig.step = 0; rig.step < steps; rig.step++ {
 				rig.stepOnce()
 				rig.compare()

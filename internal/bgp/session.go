@@ -143,16 +143,12 @@ func (m *Mesh) setState(n topo.NodeID, st PeerState) {
 }
 
 // lostOrigins returns the predicate selecting the routes speaker s loses
-// when its session toward n dies. Losing the route reflector severs a
-// client from everything it did not originate; otherwise only routes
+// when its session toward n dies. Losing a cluster's last reflector severs
+// its clients from everything they did not originate; otherwise only routes
 // originated by n are affected (in the full mesh they arrived on the
-// direct session; through an RR the reflector withdraws them on the
-// origin's behalf).
+// direct session; through a reflector it withdraws them on the origin's
+// behalf).
 func (m *Mesh) lostOrigins(s *Speaker, n topo.NodeID) func(*VPNRoute) bool {
-	if m.Layout == RouteReflector && n == m.rr && s.Node != m.rr {
-		self := s.Node
-		return func(r *VPNRoute) bool { return r.OriginPE != self }
-	}
 	if m.Layout == Clustered {
 		if ci, isRR := m.rrClusterIdx[n]; isRR {
 			// Redundancy first: with another Up reflector in n's cluster,

@@ -154,7 +154,7 @@ func TestRRSessionLossSeversClients(t *testing.T) {
 	s1 := m.AddSpeaker(1, addr.MustParseIPv4("10.255.0.1"))
 	m.AddSpeaker(2, addr.MustParseIPv4("10.255.0.2"))
 	s3 := m.AddSpeaker(3, addr.MustParseIPv4("10.255.0.3"))
-	m.UseRouteReflector(2)
+	useReflector(m, 2)
 	s1.Originate(route(rdA, "10.1.0.0/16", 1, 100, 1, rtA))
 	m.Converge()
 	if _, ok := s3.Best(vp(rdA, "10.1.0.0/16")); !ok {
@@ -292,19 +292,29 @@ func TestDampingMaxPenaltyCaps(t *testing.T) {
 // client's routes for forwarding but must not re-announce them — the
 // reflected copies would refresh the other clients' stale routes in place,
 // clear their marks, and leave a dead route as a best path that no sweep
-// finds. The single-reflector arm of Converge used to do exactly that; the
-// same four speakers as one cluster never did, and the two must agree.
+// finds. A single reflector is one cluster; the inputs cover a reflector
+// that originates nothing (a P node, as E9 and netconf's routereflector
+// build it), one that originates routes of its own, and one whose node ID
+// sits between its clients'.
 func TestSingleReflectorDoesNotRefreshStale(t *testing.T) {
 	p := vp(rdA, "10.1.0.0/16")
-	for _, layout := range []string{"route reflector", "one cluster"} {
+	for _, tc := range []struct {
+		name       string
+		rr         topo.NodeID
+		originates bool
+	}{
+		{"P-node reflector", 0, false},
+		{"PE reflector", 0, true},
+		{"reflector between its clients", 2, false},
+	} {
 		m := NewMesh()
 		for n := topo.NodeID(0); n < 4; n++ {
 			m.AddSpeaker(n, addr.IPv4(0x0aff0000+uint32(n)))
 		}
-		if layout == "one cluster" {
-			m.UseClusters([]Cluster{{ID: 1, RRs: []topo.NodeID{0}, Clients: []topo.NodeID{1, 2, 3}}})
-		} else {
-			m.UseRouteReflector(0)
+		useReflector(m, tc.rr)
+		if tc.originates {
+			rr, _ := m.Speaker(tc.rr)
+			rr.Originate(route(rdA, "10.9.0.0/16", 9, 900, tc.rr, rtA))
 		}
 		s1, _ := m.Speaker(1)
 		s3, _ := m.Speaker(3)
@@ -317,10 +327,10 @@ func TestSingleReflectorDoesNotRefreshStale(t *testing.T) {
 		after := m.StaleCount()
 		swept, _ := m.SweepStale(1)
 		if before != 3 || after != 3 || swept != 3 {
-			t.Errorf("%s: stale routes %d, %d after a Converge, %d swept; want 3, 3, 3", layout, before, after, swept)
+			t.Errorf("%s: stale routes %d, %d after a Converge, %d swept; want 3, 3, 3", tc.name, before, after, swept)
 		}
 		if r, ok := s3.Best(p); ok {
-			t.Errorf("%s: client 3 still selects %v after the sweep", layout, r)
+			t.Errorf("%s: client 3 still selects %v after the sweep", tc.name, r)
 		}
 	}
 }

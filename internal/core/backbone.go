@@ -110,7 +110,8 @@ type Config struct {
 	DSTEPremiumFraction float64
 
 	// RouteReflector, when non-empty, names the P/PE node to use as an
-	// iBGP route reflector instead of a full mesh.
+	// iBGP route reflector instead of a full mesh: the one reflector of a
+	// single reflection cluster whose clients are every other PE.
 	RouteReflector string
 
 	// ReflectorClusters, when positive, replaces the full iBGP mesh with
@@ -119,7 +120,7 @@ type Config struct {
 	// ReflectorRedundancy PEs of each cluster serve as its reflectors,
 	// with the remaining PEs as their clients. Session count drops from
 	// O(N²) to O(N·redundancy) plus the reflector mesh. Ignored when
-	// RouteReflector is set (the single-reflector legacy knob wins).
+	// RouteReflector is set.
 	ReflectorClusters int
 	// ReflectorRedundancy is the number of reflectors per cluster
 	// (default 2, so one reflector failure never partitions distribution).
@@ -127,12 +128,6 @@ type Config struct {
 
 	// BGPAdmin is the RD/RT administrator number (default 65000).
 	BGPAdmin uint16
-
-	// InterASOption is this provider's default RFC 4364 inter-AS
-	// interconnect style (option A/B/C) for peerings anchored at one of its
-	// ASBRs. A PeeringSpec can override it per peering; OptionDefault here
-	// resolves to option A.
-	InterASOption InterASOption
 }
 
 // vpnConfig is the per-VPN control-plane identity.
@@ -224,6 +219,11 @@ type Backbone struct {
 	// full branch drops it with the tables, and on either branch the
 	// transport labels it captured may have moved with the next hops.
 	onReconverged []func()
+	// onExportsChanged hooks run after AddSite or RemoveSite changes the
+	// named VPN's site prefixes. The inter-AS layer uses them to mark that
+	// VPN's boundary export set for re-provisioning by the next
+	// ReconcilePeerings.
+	onExportsChanged []func(vpn string)
 
 	// surv is the control-plane survivability layer (nil until
 	// EnableSurvivability); ctrlDown tracks routers whose control plane is
@@ -545,7 +545,13 @@ func (b *Backbone) BuildProvider() {
 		if _, ok := b.BGP.Speaker(rrNode); !ok {
 			b.BGP.AddSpeaker(rrNode, ospf.Loopback(rrNode))
 		}
-		b.BGP.UseRouteReflector(rrNode)
+		c := bgp.Cluster{ID: 1, RRs: []topo.NodeID{rrNode}}
+		for _, n := range b.peNodes {
+			if n != rrNode {
+				c.Clients = append(c.Clients, n)
+			}
+		}
+		b.BGP.UseClusters([]bgp.Cluster{c})
 	} else if b.Cfg.ReflectorClusters > 0 {
 		b.BGP.UseClusters(b.electClusters())
 	}

@@ -27,6 +27,7 @@ const (
 	ProvDuplicateSite                         // site name already provisioned
 	ProvUnknownSite                           // site name not provisioned
 	ProvUnknownNode                           // node name not in the topology
+	ProvUnknownAS                             // AS name not in the multi-provider simulation
 	ProvSkeletonMismatch                      // retired site skeleton is shaped differently
 	ProvSingleHomed                           // dual-homing op on a single-homed site
 	ProvNoBGPSpeaker                          // attachment PE runs no BGP speaker
@@ -49,6 +50,7 @@ var provisionCodeNames = [NumProvisionCodes]string{
 	ProvDuplicateSite:    "duplicate_site",
 	ProvUnknownSite:      "unknown_site",
 	ProvUnknownNode:      "unknown_node",
+	ProvUnknownAS:        "unknown_as",
 	ProvSkeletonMismatch: "skeleton_mismatch",
 	ProvSingleHomed:      "single_homed",
 	ProvNoBGPSpeaker:     "no_bgp_speaker",

@@ -1,18 +1,19 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/sim"
 	"mplsvpn/internal/trafgen"
+	"mplsvpn/internal/vpn"
 )
 
-// buildTwoCarriers provisions VPN "acme" across two providers: a site in
-// AS1 and a site in AS2, joined at ASBR PEs with an option-A interconnect.
-func buildTwoCarriers(t *testing.T) (*InterAS, *trafgen.Flow, *trafgen.Flow) {
-	t.Helper()
-	x := NewInterAS(42,
+// newTwoCarriers builds two providers, each a PE, a P and an ASBR PE in a
+// line, with no VPNs yet.
+func newTwoCarriers(seed uint64) *InterAS {
+	x := NewInterAS(seed,
 		[]string{"as1", "as2"},
 		[]Config{{Scheduler: SchedHybrid}, {Scheduler: SchedHybrid}})
 
@@ -31,7 +32,27 @@ func buildTwoCarriers(t *testing.T) (*InterAS, *trafgen.Flow, *trafgen.Flow) {
 	as2.Link("as2-ASBR", "as2-P1", 100e6, sim.Millisecond, 1)
 	as2.Link("as2-P1", "as2-PE1", 100e6, sim.Millisecond, 1)
 	as2.BuildProvider()
+	return x
+}
 
+// peerCarriers joins the two carriers' ASBRs with one peering of the given
+// option carrying vpns, and provisions it.
+func peerCarriers(t *testing.T, x *InterAS, opt InterASOption, vpns ...string) {
+	t.Helper()
+	if _, err := x.AddPeering(PeeringSpec{ASA: "as1", ASBRA: "as1-ASBR", ASB: "as2", ASBRB: "as2-ASBR",
+		VPNs: vpns, Option: opt, Bandwidth: 100e6, Delay: 2 * sim.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	x.ReconcilePeerings()
+}
+
+// buildTwoCarriers provisions VPN "acme" across two providers: a site in
+// AS1 and a site in AS2, joined at ASBR PEs with one peering of the given
+// option.
+func buildTwoCarriers(t *testing.T, opt InterASOption) (*InterAS, *trafgen.Flow, *trafgen.Flow) {
+	t.Helper()
+	x := newTwoCarriers(42)
+	as1, as2 := x.AS("as1"), x.AS("as2")
 	as1.DefineVPN("acme")
 	as2.DefineVPN("acme")
 	as1.AddSite(SiteSpec{VPN: "acme", Name: "west", PE: "as1-PE1",
@@ -40,10 +61,7 @@ func buildTwoCarriers(t *testing.T) (*InterAS, *trafgen.Flow, *trafgen.Flow) {
 		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.2.0.0/16")}})
 	as1.ConvergeVPNs()
 	as2.ConvergeVPNs()
-
-	if err := x.ConnectVPN("acme", "as1", "as1-ASBR", "as2", "as2-ASBR", 100e6, 2*sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	peerCarriers(t, x, opt, "acme")
 
 	fwd, err := x.FlowBetween("fwd", "as1", "west", "as2", "east", 80)
 	if err != nil {
@@ -56,8 +74,27 @@ func buildTwoCarriers(t *testing.T) (*InterAS, *trafgen.Flow, *trafgen.Flow) {
 	return x, fwd, rev
 }
 
+// asbrHolds reports whether the named ASBR of b holds prefix p of a VPN: as
+// a BGP best path, or as a route of its VRF.
+func asbrHolds(b *Backbone, asbr, vpnName string, p addr.Prefix) bool {
+	id := b.mustNode(asbr)
+	if sp, ok := b.BGP.Speaker(id); ok {
+		if _, ok := sp.Best(addr.VPNPrefix{RD: b.vpns[vpnName].RD, Prefix: p}); ok {
+			return true
+		}
+	}
+	held := false
+	if v, ok := b.routers[id].VRFs[vpnName]; ok {
+		v.Walk(func(q addr.Prefix, _ vpn.Route) bool {
+			held = q == p
+			return !held
+		})
+	}
+	return held
+}
+
 func TestInterASVPNDelivery(t *testing.T) {
-	x, fwd, rev := buildTwoCarriers(t)
+	x, fwd, rev := buildTwoCarriers(t, OptionA)
 	trafgen.CBR(x.Net, fwd, 200, 10*sim.Millisecond, 0, sim.Second)
 	trafgen.CBR(x.Net, rev, 200, 10*sim.Millisecond, 0, sim.Second)
 	x.Net.Run()
@@ -73,14 +110,14 @@ func TestInterASVPNDelivery(t *testing.T) {
 	}
 	// Labels stayed within each AS: the core of AS2 label-switched the
 	// forward traffic (re-labelled at the ASBR), and no label crossed the
-	// boundary (the inter-AS hop is plain IP: both ASBRs popped).
+	// boundary (the option-A hop is plain IP: both ASBRs popped).
 	if x.AS("as2").Router("as2-P1").LabelLookups == 0 {
 		t.Fatal("AS2 core did not label-switch transit VPN traffic")
 	}
 }
 
 func TestInterASLatencyCrossesBothCores(t *testing.T) {
-	x, fwd, _ := buildTwoCarriers(t)
+	x, fwd, _ := buildTwoCarriers(t, OptionA)
 	trafgen.CBR(x.Net, fwd, 200, 10*sim.Millisecond, 0, sim.Second)
 	x.Net.Run()
 	// Path: ce - PE1 - P1 - ASBR =2ms= ASBR - P1 - PE1 - ce:
@@ -94,12 +131,13 @@ func TestInterASLatencyCrossesBothCores(t *testing.T) {
 func TestInterASIsolationOtherVPN(t *testing.T) {
 	// A second VPN exists only in AS1 and is NOT interconnected: its
 	// traffic must not reach AS2 even though the ASBRs are linked.
-	x, _, _ := buildTwoCarriers(t)
+	x, _, _ := buildTwoCarriers(t, OptionA)
 	as1 := x.AS("as1")
 	as1.DefineVPN("solo")
 	as1.AddSite(SiteSpec{VPN: "solo", Name: "lonely", PE: "as1-PE1",
 		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.5.0.0/16")}})
 	as1.ConvergeVPNs()
+	x.ReconcilePeerings()
 	f, _ := as1.FlowBetween("leak", "lonely", "lonely", 80)
 	// Aim at AS2's east prefix from the unconnected VPN.
 	f.Dst = addr.MustParseIPv4("10.2.0.1")
@@ -111,48 +149,84 @@ func TestInterASIsolationOtherVPN(t *testing.T) {
 	}
 }
 
+// TestRefreshInterASPicksUpNewSites: a site added in AS2 after the peering
+// was provisioned is exported across the boundary by the next
+// ReconcilePeerings, under every option, without disturbing the old site or
+// the reverse path; a site removed afterwards is withdrawn from the far
+// ASBR by the reconcile after that.
 func TestRefreshInterASPicksUpNewSites(t *testing.T) {
-	x, _, _ := buildTwoCarriers(t)
-	as1, as2 := x.AS("as1"), x.AS("as2")
-	// A new site appears in AS2 after the interconnect was built.
-	as2.AddSite(SiteSpec{VPN: "acme", Name: "east2", PE: "as2-PE1",
-		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.3.0.0/16")}})
-	as2.ConvergeVPNs()
-	x.RefreshInterAS()
-	as1.ConvergeVPNs()
+	east2 := addr.MustParsePrefix("10.3.0.0/16")
+	for _, opt := range []InterASOption{OptionA, OptionB, OptionC} {
+		t.Run("option"+opt.String(), func(t *testing.T) {
+			x, fwd, rev := buildTwoCarriers(t, opt)
+			as1, as2 := x.AS("as1"), x.AS("as2")
+			as2.AddSite(SiteSpec{VPN: "acme", Name: "east2", PE: "as2-PE1",
+				Prefixes: []addr.Prefix{east2}})
+			as2.ConvergeVPNs()
+			x.ReconcilePeerings()
+			if !asbrHolds(as1, "as1-ASBR", "acme", east2) {
+				t.Fatalf("option %s: far ASBR never learned the new site's prefix", opt)
+			}
 
-	f, err := x.FlowBetween("f2", "as1", "west", "as2", "east2", 82)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trafgen.CBR(x.Net, f, 200, 10*sim.Millisecond, 0, 500*sim.Millisecond)
-	x.Net.Run()
-	if f.Stats.Delivered != f.Stats.Sent || f.Stats.Sent == 0 {
-		t.Fatalf("new remote site unreachable after refresh: %d/%d", f.Stats.Delivered, f.Stats.Sent)
+			f2, err := x.FlowBetween("f2", "as1", "west", "as2", "east2", 82)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []*trafgen.Flow{fwd, rev, f2} {
+				trafgen.CBR(x.Net, f, 200, 10*sim.Millisecond, 0, 500*sim.Millisecond)
+			}
+			x.Net.Run()
+			for _, f := range []*trafgen.Flow{fwd, rev, f2} {
+				if f.Stats.Delivered != f.Stats.Sent || f.Stats.Sent == 0 {
+					t.Fatalf("option %s flow %s: %d/%d delivered after the new site",
+						opt, f.Stats.Name, f.Stats.Delivered, f.Stats.Sent)
+				}
+			}
+			if v := as1.IsolationViolations + as2.IsolationViolations; v != 0 {
+				t.Fatalf("option %s: %d isolation violations", opt, v)
+			}
+
+			if err := as2.RemoveSite("east2"); err != nil {
+				t.Fatal(err)
+			}
+			as2.ConvergeVPNs()
+			x.ReconcilePeerings()
+			if asbrHolds(as1, "as1-ASBR", "acme", east2) {
+				t.Fatalf("option %s: far ASBR still holds the removed site's prefix", opt)
+			}
+			east := addr.MustParsePrefix("10.2.0.0/16")
+			if !asbrHolds(as1, "as1-ASBR", "acme", east) {
+				t.Fatalf("option %s: far ASBR lost the remaining site's prefix", opt)
+			}
+
+			// A site change the next reconcile meets with no path at all:
+			// the boundary state is torn down, not kept for the old sites.
+			east3 := addr.MustParsePrefix("10.4.0.0/16")
+			as2.AddSite(SiteSpec{VPN: "acme", Name: "east3", PE: "as2-PE1",
+				Prefixes: []addr.Prefix{east3}})
+			as2.ConvergeVPNs()
+			if err := x.FailPeering(0); err != nil {
+				t.Fatal(err)
+			}
+			if asbrHolds(as1, "as1-ASBR", "acme", east) {
+				t.Fatalf("option %s: far ASBR holds a prefix across a cut peering", opt)
+			}
+			if err := x.RestorePeering(0); err != nil {
+				t.Fatal(err)
+			}
+			if !asbrHolds(as1, "as1-ASBR", "acme", east) || !asbrHolds(as1, "as1-ASBR", "acme", east3) {
+				t.Fatalf("option %s: far ASBR did not relearn both sites after the peering came back", opt)
+			}
+		})
 	}
 }
 
 func TestInterASOptionB(t *testing.T) {
-	x := NewInterAS(43,
-		[]string{"as1", "as2"},
-		[]Config{{Scheduler: SchedHybrid}, {Scheduler: SchedHybrid}})
-	as1 := x.AS("as1")
-	as1.AddPE("as1-PE1")
-	as1.AddP("as1-P1")
-	as1.AddPE("as1-ASBR")
-	as1.Link("as1-PE1", "as1-P1", 100e6, sim.Millisecond, 1)
-	as1.Link("as1-P1", "as1-ASBR", 100e6, sim.Millisecond, 1)
-	as1.BuildProvider()
-	as2 := x.AS("as2")
-	as2.AddPE("as2-ASBR")
-	as2.AddP("as2-P1")
-	as2.AddPE("as2-PE1")
-	as2.Link("as2-ASBR", "as2-P1", 100e6, sim.Millisecond, 1)
-	as2.Link("as2-P1", "as2-PE1", 100e6, sim.Millisecond, 1)
-	as2.BuildProvider()
-	for _, asn := range []string{"as1", "as2"} {
-		x.AS(asn).DefineVPN("acme")
-		x.AS(asn).DefineVPN("globex")
+	x := newTwoCarriers(43)
+	as1, as2 := x.AS("as1"), x.AS("as2")
+	for _, b := range []*Backbone{as1, as2} {
+		b.DefineVPN("acme")
+		b.DefineVPN("globex")
 	}
 	as1.AddSite(SiteSpec{VPN: "acme", Name: "west", PE: "as1-PE1",
 		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.1.0.0/16")}})
@@ -165,10 +239,12 @@ func TestInterASOptionB(t *testing.T) {
 	as1.ConvergeVPNs()
 	as2.ConvergeVPNs()
 
-	// ONE shared link carries both VPNs (option A would need two).
-	if err := x.ConnectVPNOptionB("as1", "as1-ASBR", "as2", "as2-ASBR",
-		[]string{"acme", "globex"}, 100e6, 2*sim.Millisecond); err != nil {
-		t.Fatal(err)
+	// ONE shared link carries both VPNs (option A would need a subinterface
+	// per VPN beside it).
+	links := x.G.NumLinks()
+	peerCarriers(t, x, OptionB, "acme", "globex")
+	if added := x.G.NumLinks() - links; added != 2 {
+		t.Fatalf("option B peering added %d links, want one duplex pair", added)
 	}
 
 	fa, _ := x.FlowBetween("fa", "as1", "west", "as2", "east", 80)
@@ -186,27 +262,55 @@ func TestInterASOptionB(t *testing.T) {
 	}
 	// Option B keeps the boundary labelled: both ASBRs swap, never popping
 	// customer traffic to IP at the border.
-	if x.AS("as2").Router("as2-ASBR").LFIB.Swapped == 0 {
-		t.Fatal("importing ASBR never swapped")
+	if as2.Router("as2-ASBR").LFIB.Swapped == 0 {
+		t.Fatal("as2's ASBR never swapped")
 	}
-	if x.AS("as1").Router("as1-ASBR").LFIB.Swapped == 0 {
-		t.Fatal("exporting ASBR never swapped")
+	if as1.Router("as1-ASBR").LFIB.Swapped == 0 {
+		t.Fatal("as1's ASBR never swapped")
 	}
-	if x.AS("as1").IsolationViolations+x.AS("as2").IsolationViolations != 0 {
+	if as1.IsolationViolations+as2.IsolationViolations != 0 {
 		t.Fatal("isolation violations with option B")
 	}
 	// Overlapping address spaces stayed separate across the boundary:
 	// acme's 10.2.0.1 and globex's 10.2.0.1 both delivered correctly above.
 }
 
+// TestInterASOptionBUnknownVPN: AddPeering refuses a spec naming an unknown
+// VPN, AS or ASBR with a typed error, never a panic, and adds no link.
 func TestInterASOptionBUnknownVPN(t *testing.T) {
 	x := NewInterAS(44, []string{"a", "b"}, []Config{{}, {}})
 	x.AS("a").AddPE("a-PE")
+	x.AS("a").AddP("a-P")
+	x.AS("a").Link("a-PE", "a-P", 100e6, sim.Millisecond, 1)
 	x.AS("a").BuildProvider()
 	x.AS("b").AddPE("b-PE")
 	x.AS("b").BuildProvider()
 	x.AS("a").DefineVPN("v")
-	if err := x.ConnectVPNOptionB("a", "a-PE", "b", "b-PE", []string{"v"}, 0, 0); err == nil {
-		t.Fatal("unknown VPN accepted")
+	ok := PeeringSpec{ASA: "a", ASBRA: "a-PE", ASB: "b", ASBRB: "b-PE", Option: OptionB}
+	for _, tc := range []struct {
+		name string
+		edit func(*PeeringSpec)
+		want ProvisionCode
+	}{
+		{"VPN one side lacks", func(s *PeeringSpec) { s.VPNs = []string{"v"} }, ProvUnknownVPN},
+		{"VPN neither side has", func(s *PeeringSpec) { s.VPNs = []string{"w"} }, ProvUnknownVPN},
+		{"option A with no shared VPN", func(s *PeeringSpec) { s.Option = OptionA }, ProvUnknownVPN},
+		{"unknown AS A", func(s *PeeringSpec) { s.ASA = "zz" }, ProvUnknownAS},
+		{"unknown AS B", func(s *PeeringSpec) { s.ASB = "zz" }, ProvUnknownAS},
+		{"unknown ASBR", func(s *PeeringSpec) { s.ASBRA = "nope" }, ProvUnknownNode},
+		{"ASBR of the other AS", func(s *PeeringSpec) { s.ASBRB = "a-PE" }, ProvUnknownNode},
+		{"P router as ASBR", func(s *PeeringSpec) { s.ASBRA = "a-P" }, ProvUnknownNode},
+	} {
+		spec := ok
+		tc.edit(&spec)
+		links := x.G.NumLinks()
+		_, err := x.AddPeering(spec)
+		var pe *ProvisionError
+		if !errors.As(err, &pe) || pe.Code != tc.want {
+			t.Errorf("%s: AddPeering = %v, want a ProvisionError %v", tc.name, err, tc.want)
+		}
+		if n := x.G.NumLinks(); n != links {
+			t.Errorf("%s: refused spec added %d links", tc.name, n-links)
+		}
 	}
 }

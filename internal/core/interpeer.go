@@ -1,6 +1,6 @@
-// Inter-AS peerings (RFC 4364 §10): the generic boundary layer that lets a
-// VPN span any number of provider backbones over option A, B, or C
-// interconnects, selected per peering, with AS-level failover.
+// Inter-AS peerings (RFC 4364 §10): the boundary layer that lets a VPN span
+// any number of provider backbones over option A, B, or C peerings, the
+// option selected per peering, with AS-level failover.
 //
 // The layer works in handles. For every (VPN, origin AS) pair it computes
 // the prefixes the origin exports and, per prefix, a handle — a (node,
@@ -34,6 +34,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mplsvpn/internal/addr"
@@ -52,7 +53,7 @@ type InterASOption int
 
 // Inter-AS interconnect options.
 const (
-	OptionDefault InterASOption = iota // resolve from Config.InterASOption
+	OptionDefault InterASOption = iota // option A
 	OptionA                            // back-to-back VRF subinterfaces
 	OptionB                            // labeled eBGP VPN-IPv4 between ASBRs
 	OptionC                            // multihop eBGP VPNv4, label end to end
@@ -98,8 +99,7 @@ type PeeringSpec struct {
 	// define.
 	VPNs []string
 
-	// Option is the interconnect style; OptionDefault resolves through
-	// ASA's Config.InterASOption, and an unset config means option A.
+	// Option is the interconnect style; OptionDefault means option A.
 	Option InterASOption
 
 	// Physical peering-link parameters (defaults 100 Mb/s, 1 ms).
@@ -319,15 +319,25 @@ func (x *InterAS) SetASTransit(name string, transitDelay, capacity float64) {
 // between the ASBRs with QoS schedulers on both directions, and a distinct
 // multigraph edge for the selector. Returns the peering id. Call
 // ReconcilePeerings once sites are provisioned and both ASes converged.
+//
+// A spec naming an AS the simulation does not host, an ASBR that is not a
+// PE of its AS, or a VPN one side does not define is refused with a
+// *ProvisionError before anything is added.
 func (x *InterAS) AddPeering(spec PeeringSpec) (int, error) {
-	a := x.AS(spec.ASA)
-	b := x.AS(spec.ASB)
+	a, na, err := x.peeringEnd(spec.ASA, spec.ASBRA)
+	if err != nil {
+		return -1, err
+	}
+	b, nb, err := x.peeringEnd(spec.ASB, spec.ASBRB)
+	if err != nil {
+		return -1, err
+	}
 	for _, v := range spec.VPNs {
 		if _, ok := a.vpns[v]; !ok {
-			return -1, fmt.Errorf("core: AS %s has no VPN %q", spec.ASA, v)
+			return -1, provErr(ProvUnknownVPN, "vpn:"+v, "AS %s has no VPN %q", spec.ASA, v)
 		}
 		if _, ok := b.vpns[v]; !ok {
-			return -1, fmt.Errorf("core: AS %s has no VPN %q", spec.ASB, v)
+			return -1, provErr(ProvUnknownVPN, "vpn:"+v, "AS %s has no VPN %q", spec.ASB, v)
 		}
 	}
 	if spec.Bandwidth == 0 {
@@ -338,15 +348,33 @@ func (x *InterAS) AddPeering(spec PeeringSpec) (int, error) {
 	}
 	opt := spec.Option
 	if opt == OptionDefault {
-		opt = a.Cfg.InterASOption
-	}
-	if opt == OptionDefault {
 		opt = OptionA
 	}
 	if spec.AbstractDelay == 0 {
 		spec.AbstractDelay = spec.Delay.Seconds() + opt.abstractCost()
 	}
-	na, nb := a.mustNode(spec.ASBRA), b.mustNode(spec.ASBRB)
+
+	// Back-to-back VRFs exchange plain IP, so option A's arrival
+	// classification needs one subinterface (modelled as its own link pair)
+	// per VPN. The carried set is frozen here: list the VPNs in the spec or
+	// define them before AddPeering.
+	var subVPNs []string
+	if opt == OptionA {
+		subVPNs = spec.VPNs
+		if len(subVPNs) == 0 {
+			for v := range a.vpns {
+				if _, ok := b.vpns[v]; ok {
+					subVPNs = append(subVPNs, v)
+				}
+			}
+			sort.Strings(subVPNs)
+		}
+		if len(subVPNs) == 0 {
+			return -1, provErr(ProvUnknownVPN, "peering:"+spec.ASA+"<->"+spec.ASB,
+				"option A peering %s<->%s carries no VPNs", spec.ASA, spec.ASB)
+		}
+	}
+
 	ab, ba := x.G.AddDuplexLink(na, nb, spec.Bandwidth, spec.Delay, 1)
 	x.Net.SetScheduler(ab, a.newScheduler())
 	x.Net.SetScheduler(ba, b.newScheduler())
@@ -354,26 +382,9 @@ func (x *InterAS) AddPeering(spec PeeringSpec) (int, error) {
 	pl := x.plane()
 	p := &peering{id: len(pl.peerings), spec: spec, opt: opt,
 		nA: na, nB: nb, linkAB: ab, linkBA: ba}
-
-	if opt == OptionA {
-		// Back-to-back VRFs exchange plain IP, so arrival classification
-		// needs one subinterface (modelled as its own link pair) per VPN.
-		// The carried set is frozen here: list the VPNs in the spec or
-		// define them before AddPeering.
-		vpns := spec.VPNs
-		if len(vpns) == 0 {
-			for v := range a.vpns {
-				if _, ok := b.vpns[v]; ok {
-					vpns = append(vpns, v)
-				}
-			}
-			sort.Strings(vpns)
-		}
-		if len(vpns) == 0 {
-			return -1, fmt.Errorf("core: option A peering %s<->%s carries no VPNs", spec.ASA, spec.ASB)
-		}
-		p.subs = make(map[string]subif, len(vpns))
-		for _, v := range vpns {
+	if subVPNs != nil {
+		p.subs = make(map[string]subif, len(subVPNs))
+		for _, v := range subVPNs {
 			sab, sba := x.G.AddDuplexLink(na, nb, spec.Bandwidth, spec.Delay, 1)
 			x.Net.SetScheduler(sab, a.newScheduler())
 			x.Net.SetScheduler(sba, b.newScheduler())
@@ -383,6 +394,20 @@ func (x *InterAS) AddPeering(spec PeeringSpec) (int, error) {
 
 	pl.peerings = append(pl.peerings, p)
 	return p.id, nil
+}
+
+// peeringEnd resolves one end of a peering spec: the AS by name, and its
+// ASBR, which must be one of that AS's PEs.
+func (x *InterAS) peeringEnd(as, asbr string) (*Backbone, topo.NodeID, error) {
+	b, ok := x.ASes[as]
+	if !ok {
+		return nil, 0, provErr(ProvUnknownAS, "as:"+as, "unknown AS %q", as)
+	}
+	if !b.IsPE(asbr) {
+		return nil, 0, provErr(ProvUnknownNode, "node:"+asbr, "AS %s has no PE %q to serve as ASBR", as, asbr)
+	}
+	id, _ := b.G.NodeByName(asbr)
+	return b, id, nil
 }
 
 // vpnGraph builds the selector's view for one VPN: every AS as a node with
@@ -498,22 +523,25 @@ func (x *InterAS) desiredHops(vpn, origin string) []hopRef {
 	return hops
 }
 
-func hopsEqual(a, b []hopRef) bool {
-	if len(a) != len(b) {
+// current reports whether an install still provisions the selection
+// desired. exportsChanged clears an install's hops, so a cleared install
+// differs from every selection but the empty one; an install of the empty
+// selection provisions nothing, so one that holds boundary state was cleared
+// and is out of date too.
+func (inst *originInstall) current(desired []hopRef) bool {
+	if !slices.Equal(inst.hops, desired) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return len(desired) > 0 || len(inst.ilms)+len(inst.ftns)+len(inst.exts)+
+		len(inst.routes)+len(inst.access)+len(inst.stitchK) == 0
 }
 
 // ReconcilePeerings (re)selects every (VPN, origin) tree over the current
-// multigraph and re-provisions the boundaries whose selection changed.
-// Call it after initial provisioning, and after any out-of-band topology
-// change; the survivability scan calls it on every detected transition.
+// multigraph and re-provisions the boundaries whose selection changed, or
+// whose origin AS added or removed a site of the VPN since they were
+// installed. Call it after initial provisioning, after site changes, and
+// after any out-of-band topology change; the survivability scan calls it on
+// every detected transition.
 func (x *InterAS) ReconcilePeerings() {
 	pl := x.plane()
 	touched := make(map[string]bool)
@@ -533,7 +561,7 @@ func (x *InterAS) ReconcilePeerings() {
 			live[key] = true
 			desired := x.desiredHops(vpn, origin)
 			inst := pl.installs[key]
-			if inst != nil && hopsEqual(inst.hops, desired) {
+			if inst != nil && inst.current(desired) {
 				continue
 			}
 			if inst != nil {
@@ -584,6 +612,20 @@ func (x *InterAS) reinstallAll() {
 		}
 	}
 	x.convergeTouched(touched)
+}
+
+// exportsChanged is each member's onExportsChanged hook: AS origin added or
+// removed a site of vpn, so the boundary state installed for that export set
+// no longer matches it. Clearing the install's hops leaves the marker in
+// state a checkpoint already carries; the next ReconcilePeerings finds the
+// install out of date, tears it down and provisions it afresh.
+func (x *InterAS) exportsChanged(vpn, origin string) {
+	if x.peer == nil {
+		return
+	}
+	if inst := x.peer.installs[originKey{vpn: vpn, origin: origin}]; inst != nil {
+		inst.hops = nil
+	}
 }
 
 func sortedOriginKeys(m map[originKey]*originInstall) []originKey {
@@ -997,6 +1039,10 @@ func (x *InterAS) entryLabel(inst *originInstall, asName string, b *Backbone,
 	inst.ilms = append(inst.ilms, ilmRef{as: asName, node: asbr, label: e})
 	return e, true
 }
+
+// externalSiteName is the site an option-A importer attributes a peer AS's
+// prefixes to.
+func externalSiteName(peerAS string) string { return "interas:" + peerAS }
 
 // newVRFFor builds an empty VRF from a VPN's control-plane identity.
 func newVRFFor(cfg *vpnConfig, pe topo.NodeID) *vpn.VRF {

@@ -142,7 +142,8 @@ type SiteSpec struct {
 // AddSite provisions a site end to end: a CE node and access link, the VRF
 // at the PE (created on first use), VPN labels for every site prefix with
 // egress ILM entries, BGP export, and a membership announcement. Call
-// ConvergeVPNs afterwards (sites may be added in batches).
+// ConvergeVPNs afterwards (sites may be added in batches), and in a
+// multi-provider simulation InterAS.ReconcilePeerings after that.
 func (b *Backbone) AddSite(spec SiteSpec) *device.Router {
 	if !b.built {
 		panic(provErr(ProvNotBuilt, "site:"+spec.Name, "BuildProvider before AddSite"))
@@ -171,7 +172,9 @@ func (b *Backbone) AddSite(spec SiteSpec) *device.Router {
 		if err := b.skeletonCompatible(old, spec); err != nil {
 			panic(err)
 		}
-		return b.reviveSite(old, spec, cfg, pe)
+		ce := b.reviveSite(old, spec, cfg, pe)
+		b.exportsChanged(spec.VPN)
+		return ce
 	}
 
 	// CE node, router, and access link.
@@ -251,7 +254,16 @@ func (b *Backbone) AddSite(spec SiteSpec) *device.Router {
 	}); err != nil {
 		panic(provErr(ProvMembership, "site:"+spec.Name, "%v", err))
 	}
+	b.exportsChanged(spec.VPN)
 	return ce
+}
+
+// exportsChanged runs the onExportsChanged hooks for a VPN whose site
+// prefixes a provisioning call just changed.
+func (b *Backbone) exportsChanged(vpn string) {
+	for _, fn := range b.onExportsChanged {
+		fn(vpn)
+	}
 }
 
 // skeletonCompatible checks that a new spec can reuse a retired site's
@@ -498,7 +510,8 @@ func (b *Backbone) installPlainRoutes(rec *siteRecord) {
 // (CE node, access links, host LAN) is retired rather than destroyed —
 // node and link IDs are immutable — so a later AddSite with a compatible
 // spec revives it with identical identifiers and the remove+add round-trip
-// is invisible in the StateDigest. ConvergeVPNs must run afterwards.
+// is invisible in the StateDigest. ConvergeVPNs must run afterwards (and
+// InterAS.ReconcilePeerings in a multi-provider simulation).
 func (b *Backbone) RemoveSite(name string) error {
 	rec, ok := b.sites[name]
 	if !ok {
@@ -522,6 +535,7 @@ func (b *Backbone) RemoveSite(name string) error {
 	}
 	delete(b.cutSites, name)
 	b.retired[name] = rec
+	b.exportsChanged(rec.Spec.VPN)
 	return b.Registry.Leave(rec.Spec.VPN, name)
 }
 

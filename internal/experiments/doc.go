@@ -13,10 +13,10 @@
 //	E7  Edge mapping     §5    DSCP -> EXP -> queue -> DSCP fidelity
 //	E8  Resilience       §3/5  loss window vs detection delay; iBGP mesh vs RR
 //	E9  Ablations        §4(D) LDP modes, PHP, route reflector: cost not correctness
-//	E10 Multi-carrier    §5    option-A interconnect; weakest-link SLA
+//	E10 Multi-carrier    §5    option-A peering; weakest-link SLA
 //	E11 VPN tiers        §2.2  per-VPN QoS levels; self-marking blocked
 //	E12 Fast reroute     §3    RFC 4090 bypass bounds the loss window
-//	E13 Inter-AS A vs B  §5    provisioning-vs-state trade at the boundary
+//	E13 Inter-AS A/B/C   §5    provisioning-vs-state trade at the boundary
 //	E14 Flap storm       §3/5  TE reservation continuity: retry/backoff + graceful degradation vs LDP fallback
 //
 // Every run is seeded; the recorded numbers in EXPERIMENTS.md regenerate

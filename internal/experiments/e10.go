@@ -42,7 +42,7 @@ func E10MultiCarrier(dur sim.Time) *E10Result {
 			[]string{"as1", "as2"},
 			[]core.Config{{Seed: 1, Scheduler: s1}, {Seed: 2, Scheduler: s2}})
 
-		for i, asn := range []string{"as1", "as2"} {
+		for _, asn := range []string{"as1", "as2"} {
 			b := x.AS(asn)
 			b.AddPE(asn + "-PE")
 			b.AddP(asn + "-P1")
@@ -53,7 +53,6 @@ func E10MultiCarrier(dur sim.Time) *E10Result {
 			b.Link(asn+"-P2", asn+"-ASBR", 100e6, sim.Millisecond, 1)
 			b.BuildProvider()
 			b.DefineVPN("acme")
-			_ = i
 		}
 		x.AS("as1").AddSite(core.SiteSpec{VPN: "acme", Name: "west", PE: "as1-PE",
 			Prefixes: []addr.Prefix{addr.MustParsePrefix("10.1.0.0/16")}})
@@ -61,9 +60,11 @@ func E10MultiCarrier(dur sim.Time) *E10Result {
 			Prefixes: []addr.Prefix{addr.MustParsePrefix("10.2.0.0/16")}})
 		x.AS("as1").ConvergeVPNs()
 		x.AS("as2").ConvergeVPNs()
-		if err := x.ConnectVPN("acme", "as1", "as1-ASBR", "as2", "as2-ASBR", 100e6, 2*sim.Millisecond); err != nil {
+		if _, err := x.AddPeering(core.PeeringSpec{ASA: "as1", ASBRA: "as1-ASBR", ASB: "as2", ASBRB: "as2-ASBR",
+			VPNs: []string{"acme"}, Option: core.OptionA, Bandwidth: 100e6, Delay: 2 * sim.Millisecond}); err != nil {
 			panic(err)
 		}
+		x.ReconcilePeerings()
 
 		voice, _ := x.FlowBetween("voice", "as1", "west", "as2", "east", 5060)
 		bulk, _ := x.FlowBetween("bulk", "as1", "west", "as2", "east", 80)

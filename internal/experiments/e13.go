@@ -13,18 +13,22 @@ import (
 // E13Result carries the inter-AS option comparison.
 type E13Result struct {
 	Table *stats.Table
-	// LinksA / LinksB: inter-AS links each option provisions for N VPNs.
-	LinksA, LinksB int
+	// Links maps each option ("A", "B", "C") to the inter-AS duplex links
+	// its peering provisions for N VPNs.
+	Links map[string]int
 	// Delivered per option must match.
 	Delivered map[string]int
 }
 
-// E13InterASOptions compares the two implemented RFC 2547 inter-provider
-// interconnects for a growing number of shared VPNs. Option A needs one
-// interconnect (sub)interface and VRF per VPN at each ASBR; option B needs
-// one shared link and per-route label state instead. Both must deliver the
-// same traffic — the §2.1 provisioning-vs-state trade, replayed at the
-// provider boundary the paper's §5 wants VPNs to cross.
+// E13InterASOptions compares the three RFC 4364 inter-provider
+// interconnect options for a growing number of shared VPNs, each wired by
+// one AddPeering. Option A needs one interconnect subinterface and VRF per
+// VPN at each ASBR beside the shared bearer; option B needs the one shared
+// link and per-route label state at the ASBRs instead; option C carries the
+// VPN label end to end and keeps only per-egress-PE transport stitches at
+// the ASBRs. All three must deliver the same traffic — the §2.1
+// provisioning-vs-state trade, replayed at the provider boundary the
+// paper's §5 wants VPNs to cross.
 func E13InterASOptions(dur sim.Time, numVPNs int) *E13Result {
 	if dur == 0 {
 		dur = sim.Second
@@ -33,9 +37,14 @@ func E13InterASOptions(dur sim.Time, numVPNs int) *E13Result {
 		numVPNs = 4
 	}
 	res := &E13Result{
-		Table: stats.NewTable("E13 — inter-AS option A vs option B with N shared VPNs",
+		Table: stats.NewTable("E13 — inter-AS options A, B and C with N shared VPNs",
 			"option", "vpns", "interas_links", "asbr_vrfs", "asbr_ilm_entries", "delivered", "p50ms"),
+		Links:     map[string]int{},
 		Delivered: map[string]int{},
+	}
+	var names []string
+	for v := 0; v < numVPNs; v++ {
+		names = append(names, fmt.Sprintf("vpn%d", v))
 	}
 
 	build := func(seed uint64) *core.InterAS {
@@ -51,8 +60,7 @@ func E13InterASOptions(dur sim.Time, numVPNs int) *E13Result {
 			b.Link(asn+"-P", asn+"-ASBR", 100e6, sim.Millisecond, 1)
 			b.BuildProvider()
 		}
-		for v := 0; v < numVPNs; v++ {
-			name := fmt.Sprintf("vpn%d", v)
+		for _, name := range names {
 			for _, asn := range []string{"as1", "as2"} {
 				x.AS(asn).DefineVPN(name)
 			}
@@ -66,31 +74,18 @@ func E13InterASOptions(dur sim.Time, numVPNs int) *E13Result {
 		return x
 	}
 
-	run := func(option string) {
+	for _, opt := range []core.InterASOption{core.OptionA, core.OptionB, core.OptionC} {
 		x := build(131)
 		linksBefore := x.G.NumLinks()
-		switch option {
-		case "A":
-			for v := 0; v < numVPNs; v++ {
-				name := fmt.Sprintf("vpn%d", v)
-				if err := x.ConnectVPN(name, "as1", "as1-ASBR", "as2", "as2-ASBR", 100e6, sim.Millisecond); err != nil {
-					panic(err)
-				}
-			}
-		case "B":
-			var names []string
-			for v := 0; v < numVPNs; v++ {
-				names = append(names, fmt.Sprintf("vpn%d", v))
-			}
-			if err := x.ConnectVPNOptionB("as1", "as1-ASBR", "as2", "as2-ASBR", names, 100e6, sim.Millisecond); err != nil {
-				panic(err)
-			}
+		if _, err := x.AddPeering(core.PeeringSpec{ASA: "as1", ASBRA: "as1-ASBR", ASB: "as2", ASBRB: "as2-ASBR",
+			VPNs: names, Option: opt, Bandwidth: 100e6, Delay: sim.Millisecond}); err != nil {
+			panic(err)
 		}
+		x.ReconcilePeerings()
 		interASLinks := (x.G.NumLinks() - linksBefore) / 2 // duplex pairs
 
 		var flows []*trafgen.Flow
-		for v := 0; v < numVPNs; v++ {
-			name := fmt.Sprintf("vpn%d", v)
+		for v, name := range names {
 			f, err := x.FlowBetween(name, "as1", name+"-w", "as2", name+"-e", uint16(5000+v))
 			if err != nil {
 				panic(err)
@@ -107,18 +102,11 @@ func E13InterASOptions(dur sim.Time, numVPNs int) *E13Result {
 			delivered += f.Stats.Delivered
 			lat.Add(f.Stats.Latency.Percentile(50))
 		}
+		option := opt.String()
+		res.Links[option] = interASLinks
 		res.Delivered[option] = delivered
 		res.Table.AddRow(option, numVPNs, interASLinks,
 			len(asbr2.VRFs), asbr2.LFIB.ILMSize(), delivered, lat.Mean())
-		switch option {
-		case "A":
-			res.LinksA = interASLinks
-		case "B":
-			res.LinksB = interASLinks
-		}
 	}
-
-	run("A")
-	run("B")
 	return res
 }

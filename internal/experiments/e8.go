@@ -108,7 +108,12 @@ func E8Resilience(dur sim.Time) *E8Result {
 				}
 			}
 			if useRR {
-				m.UseRouteReflector(topo.NodeID(0))
+				// A single reflector: one cluster, every other PE its client.
+				c := bgp.Cluster{ID: 1, RRs: []topo.NodeID{0}}
+				for i := 1; i < pes; i++ {
+					c.Clients = append(c.Clients, topo.NodeID(i))
+				}
+				m.UseClusters([]bgp.Cluster{c})
 			}
 			m.Converge()
 			return m.SessionCount(), m.UpdatesSent

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -208,12 +209,15 @@ func TestE12FRRIndependentOfDetection(t *testing.T) {
 }
 
 func TestE13OptionsTradeLinksForState(t *testing.T) {
-	res := E13InterASOptions(sim.Second, 4)
-	if res.LinksA != 4 || res.LinksB != 1 {
-		t.Fatalf("interconnect links A=%d B=%d, want 4 and 1", res.LinksA, res.LinksB)
+	const vpns = 4
+	res := E13InterASOptions(sim.Second, vpns)
+	// Option A: one subinterface per VPN beside the shared bearer; B and C
+	// share the bearer alone.
+	if want := map[string]int{"A": vpns + 1, "B": 1, "C": 1}; !reflect.DeepEqual(res.Links, want) {
+		t.Fatalf("interconnect links %v, want %v", res.Links, want)
 	}
-	if res.Delivered["A"] != res.Delivered["B"] || res.Delivered["A"] == 0 {
-		t.Fatalf("options deliver differently: %v", res.Delivered)
+	if d := res.Delivered; d["A"] == 0 || d["B"] != d["A"] || d["C"] != d["A"] {
+		t.Fatalf("options deliver differently: %v", d)
 	}
 }
 
