@@ -84,11 +84,13 @@ bench-hop:
 
 # The allocation-budget tests alone: every hot-path component must be
 # zero-alloc at steady state (label stack ops, table lookups, Router.Receive,
-# scheduler enqueue/dequeue and Pass, engine Post, and the full netsim per-hop path),
-# and a forwarding table is built in a handful of allocations.
+# scheduler enqueue/dequeue and Pass, an idle scheduler's checkpoint load,
+# engine Post, the full netsim per-hop path, and a delivery's and a drop's
+# accounting with telemetry on), and a forwarding table is built in a
+# handful of allocations.
 alloc-gate:
 	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint' \
-		./internal/packet ./internal/addr ./internal/sim ./internal/qos ./internal/device ./internal/netsim
+		./internal/packet ./internal/addr ./internal/sim ./internal/qos ./internal/device ./internal/netsim ./internal/core
 
 # The performance regression gate: the zero-alloc tests above, then a
 # measured perf snapshot (E4 lookup cost, 200-site data-plane PPS and

@@ -57,7 +57,9 @@ func main() {
 		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.2.0.0/16")}})
 	for _, asn := range []string{"carrierA", "carrierT", "carrierB"} {
 		x.AS(asn).ConvergeVPNs()
-		x.SetASTransit(asn, 0.002, 10e6)
+		if err := x.SetASTransit(asn, 0.002, 10e6); err != nil {
+			panic(err)
+		}
 	}
 
 	// One peering per RFC 4364 option: labeled eBGP into the transit

@@ -122,9 +122,11 @@ func buildInterASRig(t testing.TB, shards, workers int) *interASRig {
 			Horizon: interASHorizon, JournalCap: 4096})
 	}
 
-	x.SetASTransit("alpha", 0.001, 100e6)
-	x.SetASTransit("beta", 0.001, 100e6)
-	x.SetASTransit("gamma", 0.001, 100e6)
+	for _, asn := range []string{"alpha", "beta", "gamma"} {
+		if err := x.SetASTransit(asn, 0.001, 100e6); err != nil {
+			t.Fatal(err)
+		}
+	}
 	add := func(spec core.PeeringSpec) {
 		if _, err := x.AddPeering(spec); err != nil {
 			t.Fatal(err)

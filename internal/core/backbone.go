@@ -158,6 +158,16 @@ type siteRecord struct {
 
 	// hosts are the workstation nodes behind the CE (Spec.Hosts > 0).
 	hosts []topo.NodeID
+
+	// tel holds the delivery instruments of the site's VPN and its SLA
+	// window, resolved at the first delivery (nil until then, and again
+	// after a revival, which may change the VPN).
+	tel *vpnTel
+}
+
+// nodes lists the site's CE and hosts: the nodes its packets terminate at.
+func (rec *siteRecord) nodes() []topo.NodeID {
+	return append([]topo.NodeID{rec.CE}, rec.hosts...)
 }
 
 // Backbone is the provisioned provider network.
@@ -180,7 +190,13 @@ type Backbone struct {
 	peNodes       []topo.NodeID
 	vpns          map[string]*vpnConfig
 	sites         map[string]*siteRecord // by site name
-	siteByCE      map[topo.NodeID]*siteRecord
+	// siteByNode is indexed by node ID: the site whose CE or host a node
+	// is, nil for every other node (read it through siteAt).
+	siteByNode []*siteRecord
+	// siteEpoch counts site additions, revivals and removals, and
+	// checkpoint loads of the flow exporter: a flow slot's cached flow
+	// accumulators are trusted only while it is unchanged.
+	siteEpoch uint64
 	// retired keeps the physical skeleton (CE node, access links, hosts)
 	// of removed sites: the graph cannot delete nodes, and fibre does not
 	// evaporate when a service is deprovisioned. Re-adding a site with a
@@ -249,6 +265,12 @@ type Backbone struct {
 	deliverHooks []func(topo.NodeID, *packet.Packet)
 	// flows dispatches delivered packets to their measuring flow.
 	flows map[packet.FlowKey]*trafgen.Flow
+	// slots are the registered 5-tuples by slot index (slots[0] unused):
+	// what flows and aimd map each tuple to, reached from a packet's
+	// FlowSlot without hashing; slotIdx finds a tuple's slot at
+	// registration.
+	slots   []flowSlot
+	slotIdx map[packet.FlowKey]int32
 	// teRequests records TE intents for re-signalling after failures;
 	// teReqSeq issues their stable ids.
 	teRequests []*teRequest
@@ -337,7 +359,6 @@ func newBackboneOn(cfg Config, e *sim.Engine, g *topo.Graph, net *netsim.Network
 		allocs:       make(map[topo.NodeID]*mpls.Allocator),
 		vpns:         make(map[string]*vpnConfig),
 		sites:        make(map[string]*siteRecord),
-		siteByCE:     make(map[topo.NodeID]*siteRecord),
 		retired:      make(map[string]*siteRecord),
 		siteByPrefix: addr.NewTable[*siteRecord](),
 		nextRD:       1,
@@ -356,89 +377,6 @@ func (b *Backbone) OnDeliver(fn func(topo.NodeID, *packet.Packet)) {
 	// Caller hooks observe the global time-sorted stream; deliveries must
 	// come back to the coordinator.
 	b.disableLocalDeliver()
-}
-
-// installLocalDeliver moves per-packet delivery accounting into the
-// destination shard's segment when that is safe: the backbone owns
-// delivery dispatch, and no global observer (telemetry, AIMD feedback,
-// caller hooks, request/response) needs the barrier's deterministic
-// time-sorted stream. Isolation checks and flow stats qualify — the
-// isolation count goes through a per-shard accumulator cell, and a flow's
-// deliveries all land on the one shard owning its destination, so each
-// FlowStats keeps a single writer.
-func (b *Backbone) installLocalDeliver() {
-	if b.ownsDelivery && b.E.Sharded() && b.tel == nil && b.aimd == nil && len(b.deliverHooks) == 0 {
-		b.Net.OnDeliverLocal = b.onDeliverLocal
-	}
-}
-
-// disableLocalDeliver routes deliveries back through the deferred barrier
-// notes. Called whenever a global observer appears.
-func (b *Backbone) disableLocalDeliver() {
-	b.Net.OnDeliverLocal = nil
-}
-
-// onDeliverLocal is the shard-segment twin of onDeliver: identical
-// accounting, but IsolationViolations accumulates in the shard's cell and
-// the flow lookup uses the shard-local clock. The maps it reads (siteByCE,
-// vpns, flows) only mutate on the global band, which never overlaps a
-// segment.
-func (b *Backbone) onDeliverLocal(shard int, now sim.Time, at topo.NodeID, p *packet.Packet) {
-	if p.OriginVPN != "" {
-		if rec, ok := b.siteByCE[at]; ok && !b.legitimateDelivery(p.OriginVPN, rec.Spec.VPN) {
-			b.isoAcc.Add(shard, 0, 1)
-		}
-	}
-	if fl, ok := b.flows[p.FlowKey()]; ok {
-		fl.Stats.RecordDelivery(p.SentAt, now, p.Payload)
-	}
-}
-
-// onDeliver enforces the E6 invariant: a packet may only terminate in the
-// VPN it entered, or in a VPN that deliberately exported routes into it
-// (an extranet). The check uses simulator metadata only — the forwarding
-// path never sees OriginVPN.
-func (b *Backbone) onDeliver(at topo.NodeID, p *packet.Packet) {
-	if p.OriginVPN != "" {
-		if rec, ok := b.siteByCE[at]; ok && !b.legitimateDelivery(p.OriginVPN, rec.Spec.VPN) {
-			b.IsolationViolations++
-		}
-	}
-	if fl, ok := b.flows[p.FlowKey()]; ok {
-		fl.Stats.RecordDelivery(p.SentAt, b.E.Now(), p.Payload)
-	}
-	if src, ok := b.aimd[p.FlowKey()]; ok {
-		src.Ack()
-	}
-	if b.tel != nil {
-		b.telDeliver(at, p)
-	}
-	for _, fn := range b.deliverHooks {
-		fn(at, p)
-	}
-}
-
-// legitimateDelivery reports whether a packet injected in VPN origin may
-// terminate at a site of VPN dest: same VPN, or dest exported a route
-// target that origin imports (the extranet contract that put dest's routes
-// into origin's VRF in the first place).
-func (b *Backbone) legitimateDelivery(origin, dest string) bool {
-	if origin == dest {
-		return true
-	}
-	o, ok1 := b.vpns[origin]
-	d, ok2 := b.vpns[dest]
-	if !ok1 || !ok2 {
-		return false
-	}
-	for _, ex := range d.Exports {
-		for _, im := range o.Imports {
-			if ex == im {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // addProviderRouter creates a node + router of the given kind.

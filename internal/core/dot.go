@@ -32,7 +32,7 @@ func (b *Backbone) DOT() string {
 			fmt.Fprintf(&out, "  %q [shape=circle, style=filled, fillcolor=lightgray];\n", r.Name)
 		default:
 			vpnName := ""
-			if rec, ok := b.siteByCE[id]; ok {
+			if rec := b.siteAt(id); rec != nil {
 				vpnName = " (" + rec.Spec.VPN + ")"
 			}
 			fmt.Fprintf(&out, "  %q [shape=house, label=\"%s%s\"];\n", r.Name, r.Name, vpnName)

@@ -80,7 +80,10 @@ func (x *InterAS) EnableSharding(opts ShardingOptions) (*topo.PartitionResult, e
 	return x.ASes[x.order[0]].EnableSharding(opts)
 }
 
-// AS returns the named backbone.
+// AS returns the named backbone. It is the must-style accessor for names
+// the caller built the simulation with, and panics on any other; code
+// handling a name from input looks it up in ASes, as AddPeering and
+// SetASTransit do.
 func (x *InterAS) AS(name string) *Backbone {
 	b, ok := x.ASes[name]
 	if !ok {

@@ -314,3 +314,24 @@ func TestInterASOptionBUnknownVPN(t *testing.T) {
 		}
 	}
 }
+
+// TestInterASSetASTransitUnknownAS: publishing the abstraction of an AS the
+// simulation does not host is a typed refusal, never a panic, and leaves the
+// selector's view of the hosted ASes as it was.
+func TestInterASSetASTransitUnknownAS(t *testing.T) {
+	x := NewInterAS(45, []string{"a", "b"}, []Config{{}, {}})
+	if err := x.SetASTransit("a", 0.002, 10e6); err != nil {
+		t.Fatalf("hosted AS refused: %v", err)
+	}
+	err := x.SetASTransit("zz", 0.001, 10e6)
+	var pe *ProvisionError
+	if !errors.As(err, &pe) || pe.Code != ProvUnknownAS || pe.Subject != "as:zz" {
+		t.Fatalf("SetASTransit(unknown) = %v, want a ProvisionError %v on as:zz", err, ProvUnknownAS)
+	}
+	if _, ok := x.plane().abstract["zz"]; ok {
+		t.Fatal("the refused AS entered the selector's abstraction table")
+	}
+	if got := x.plane().abstract["a"]; got.transitDelay != 0.002 || got.capacity != 10e6 {
+		t.Fatalf("hosted AS abstraction = %+v", got)
+	}
+}

@@ -309,10 +309,14 @@ func (x *InterAS) plane() *interASPlane {
 
 // SetASTransit publishes one AS's abstraction to the cross-provider
 // selector: an interior transit delay (seconds) charged when paths cross
-// the AS, and an informational capacity floor.
-func (x *InterAS) SetASTransit(name string, transitDelay, capacity float64) {
-	x.AS(name) // validate
+// the AS, and an informational capacity floor. An AS the simulation does
+// not host is refused with a *ProvisionError (ProvUnknownAS).
+func (x *InterAS) SetASTransit(name string, transitDelay, capacity float64) error {
+	if _, ok := x.ASes[name]; !ok {
+		return provErr(ProvUnknownAS, "as:"+name, "unknown AS %q", name)
+	}
 	x.plane().abstract[name] = asAbstract{transitDelay: transitDelay, capacity: capacity}
+	return nil
 }
 
 // AddPeering provisions one inter-AS interconnect: the physical duplex link
@@ -480,8 +484,9 @@ func (x *InterAS) originPrefixes(b *Backbone, vpn string) ([]addr.Prefix, map[ad
 		if rec.Spec.VPN != vpn {
 			continue
 		}
-		ps := make([]addr.Prefix, 0, len(rec.labels))
-		for p := range rec.labels {
+		pe, labels := b.egressOf(rec)
+		ps := make([]addr.Prefix, 0, len(labels))
+		for p := range labels {
 			ps = append(ps, p)
 		}
 		sort.Slice(ps, func(i, j int) bool { return ps[i].String() < ps[j].String() })
@@ -490,10 +495,22 @@ func (x *InterAS) originPrefixes(b *Backbone, vpn string) ([]addr.Prefix, map[ad
 				continue
 			}
 			prefixes = append(prefixes, p)
-			handles[p] = prefixHandle{node: rec.PE, label: rec.labels[p]}
+			handles[p] = prefixHandle{node: pe, label: labels[p]}
 		}
 	}
 	return prefixes, handles
+}
+
+// egressOf returns the PE a site's traffic leaves its AS at, and that
+// attachment's VPN labels: the primary's, unless FailSitePrimary has
+// detached the site from it and the backup carries it.
+func (b *Backbone) egressOf(rec *siteRecord) (topo.NodeID, map[addr.Prefix]packet.Label) {
+	if rec.backupLabels != nil {
+		if v, ok := b.routers[rec.PE].VRFs[rec.Spec.VPN]; !ok || !v.HasSite(rec.Spec.Name) {
+			return rec.backupPE, rec.backupLabels
+		}
+	}
+	return rec.PE, rec.labels
 }
 
 // desiredHops computes the install tree for one (VPN, origin): the directed

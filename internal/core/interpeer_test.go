@@ -16,6 +16,13 @@ import (
 // and gamma (plant); beta is pure transit.
 func buildThreeProviders(t *testing.T, opt InterASOption) *InterAS {
 	t.Helper()
+	return buildThreeProvidersWith(t, opt, false)
+}
+
+// buildThreeProvidersWith is buildThreeProviders; with dualHomed, gamma has a
+// second edge router g-PE2 and plant is dual-homed to it.
+func buildThreeProvidersWith(t *testing.T, opt InterASOption, dualHomed bool) *InterAS {
+	t.Helper()
 	x := NewInterAS(77,
 		[]string{"alpha", "beta", "gamma"},
 		[]Config{{Scheduler: SchedHybrid}, {Scheduler: SchedHybrid}, {Scheduler: SchedHybrid}})
@@ -46,6 +53,13 @@ func buildThreeProviders(t *testing.T, opt InterASOption) *InterAS {
 	gamma.Link("g-ASBR1", "g-P", 100e6, sim.Millisecond, 1)
 	gamma.Link("g-P", "g-PE", 100e6, sim.Millisecond, 1)
 	gamma.Link("g-P", "g-ASBR2", 100e6, sim.Millisecond, 1)
+	plant := SiteSpec{VPN: "extranet", Name: "plant", PE: "g-PE",
+		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.2.0.0/16")}}
+	if dualHomed {
+		gamma.AddPE("g-PE2")
+		gamma.Link("g-P", "g-PE2", 100e6, sim.Millisecond, 1)
+		plant.BackupPE = "g-PE2"
+	}
 	gamma.BuildProvider()
 
 	for _, asn := range []string{"alpha", "beta", "gamma"} {
@@ -53,15 +67,16 @@ func buildThreeProviders(t *testing.T, opt InterASOption) *InterAS {
 	}
 	alpha.AddSite(SiteSpec{VPN: "extranet", Name: "hq", PE: "a-PE",
 		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.1.0.0/16")}})
-	gamma.AddSite(SiteSpec{VPN: "extranet", Name: "plant", PE: "g-PE",
-		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.2.0.0/16")}})
+	gamma.AddSite(plant)
 	alpha.ConvergeVPNs()
 	beta.ConvergeVPNs()
 	gamma.ConvergeVPNs()
 
-	x.SetASTransit("alpha", 0.001, 100e6)
-	x.SetASTransit("beta", 0.001, 100e6)
-	x.SetASTransit("gamma", 0.001, 100e6)
+	for _, asn := range []string{"alpha", "beta", "gamma"} {
+		if err := x.SetASTransit(asn, 0.001, 100e6); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	add := func(spec PeeringSpec) int {
 		id, err := x.AddPeering(spec)
@@ -234,5 +249,55 @@ func TestInterASStateDigestStable(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same-seed digests differ:\n%s\n----\n%s", a, b)
+	}
+}
+
+// TestInterASDualHomedFailover fails over a dual-homed site behind
+// provisioned peerings, under each option, and reconciles: the boundary
+// state must follow the site onto its backup PE, so that traffic from the
+// far AS reaches it again — and the site's own traffic still leaves.
+func TestInterASDualHomedFailover(t *testing.T) {
+	for _, opt := range []InterASOption{OptionA, OptionB, OptionC} {
+		t.Run("option"+opt.String(), func(t *testing.T) {
+			x := buildThreeProvidersWith(t, opt, true)
+			fwd, err := x.FlowBetween("fwd", "alpha", "hq", "gamma", "plant", 80)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rev, err := x.FlowBetween("rev", "gamma", "plant", "alpha", "hq", 81)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trafgen.CBR(x.Net, fwd, 200, 10*sim.Millisecond, 0, 2*sim.Second)
+			trafgen.CBR(x.Net, rev, 200, 10*sim.Millisecond, 0, 2*sim.Second)
+			var sent, delivered [2]int
+			x.E.Schedule(sim.Second+5*sim.Millisecond, func() {
+				if err := x.AS("gamma").FailSitePrimary("plant"); err != nil {
+					t.Error(err)
+				}
+				x.ReconcilePeerings()
+				for i, f := range []*trafgen.Flow{fwd, rev} {
+					sent[i], delivered[i] = f.Stats.Sent, f.Stats.Delivered
+				}
+			})
+			x.Net.Run()
+			for i, f := range []*trafgen.Flow{fwd, rev} {
+				// The packet sent at 1 s is still in flight at the failover.
+				if delivered[i] < sent[i]-1 {
+					t.Errorf("option %s flow %s: %d of %d delivered before the failover", opt, f.Stats.Name, delivered[i], sent[i])
+				}
+				// A packet already past the primary PE's boundary when it
+				// fails may be lost; everything sent afterwards must arrive.
+				after, got := f.Stats.Sent-sent[i], f.Stats.Delivered-delivered[i]
+				if after < 90 || got < after-5 {
+					t.Errorf("option %s flow %s: %d of %d delivered after the failover", opt, f.Stats.Name, got, after)
+				}
+			}
+			for _, asn := range []string{"alpha", "beta", "gamma"} {
+				if v := x.AS(asn).IsolationViolations; v != 0 {
+					t.Errorf("option %s: %d isolation violations in %s", opt, v, asn)
+				}
+			}
+		})
 	}
 }

@@ -228,13 +228,10 @@ func (b *Backbone) AddSite(spec SiteSpec) *device.Router {
 		hosts:  hostIDs,
 	}
 	b.sites[spec.Name] = rec
-	b.siteByCE[ceID] = rec
-	for _, hid := range hostIDs {
-		b.siteByCE[hid] = rec
-	}
 	for _, p := range spec.Prefixes {
 		b.siteByPrefix.Insert(p, rec)
 	}
+	b.placeSite(rec.nodes(), rec)
 	if b.tel != nil && spec.Classifier != nil {
 		spec.Classifier.BindTelemetry(b.tel.Reg, "ce-"+spec.Name)
 	}
@@ -310,6 +307,7 @@ func (b *Backbone) reviveSite(rec *siteRecord, spec SiteSpec, cfg *vpnConfig, pe
 	ce.Classifier = spec.Classifier
 	ce.IPTable.Insert(addr.Prefix{}, rec.ceToPE) // default route back to the primary
 	rec.Spec = spec
+	rec.tel = nil
 	rec.labels = make(map[addr.Prefix]packet.Label)
 	rec.backupLabels = nil
 	if !b.nodeDown[rec.PE] {
@@ -322,13 +320,10 @@ func (b *Backbone) reviveSite(rec *siteRecord, spec SiteSpec, cfg *vpnConfig, pe
 	}
 
 	b.sites[spec.Name] = rec
-	b.siteByCE[rec.CE] = rec
-	for _, hid := range rec.hosts {
-		b.siteByCE[hid] = rec
-	}
 	for _, p := range spec.Prefixes {
 		b.siteByPrefix.Insert(p, rec)
 	}
+	b.placeSite(rec.nodes(), rec)
 	if b.tel != nil && spec.Classifier != nil {
 		spec.Classifier.BindTelemetry(b.tel.Reg, "ce-"+spec.Name)
 	}
@@ -464,6 +459,7 @@ func (b *Backbone) FailSitePrimary(name string) error {
 	ce := b.routers[rec.CE]
 	ce.IPTable.Insert(addr.Prefix{}, rec.backupCEToPE)
 	b.ConvergeVPNs()
+	b.exportsChanged(rec.Spec.VPN)
 	return nil
 }
 
@@ -526,13 +522,10 @@ func (b *Backbone) RemoveSite(name string) error {
 	b.Net.SetShaper(rec.ceToPE, nil)
 
 	delete(b.sites, name)
-	delete(b.siteByCE, rec.CE)
-	for _, hid := range rec.hosts {
-		delete(b.siteByCE, hid)
-	}
 	for _, p := range rec.Spec.Prefixes {
 		b.siteByPrefix.Delete(p)
 	}
+	b.placeSite(rec.nodes(), nil)
 	delete(b.cutSites, name)
 	b.retired[name] = rec
 	b.exportsChanged(rec.Spec.VPN)

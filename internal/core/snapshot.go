@@ -428,6 +428,10 @@ func (b *Backbone) trafficSections(prefix string) []section {
 			b.tel.Reg.State(c)
 			b.tel.Journal.State(c)
 			b.tel.Flows.State(c)
+			if c.Loading() {
+				// The load renumbered the flow accumulators the slots cache.
+				b.siteEpoch++
+			}
 			if c.Same(b.tel.Watcher != nil, "SLA watcher") {
 				b.tel.Watcher.State(c)
 			}

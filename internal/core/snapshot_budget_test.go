@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+
+	"mplsvpn/internal/addr"
 
 	"mplsvpn/internal/snapshot"
 )
@@ -43,4 +46,53 @@ func TestSnapshotAllocationBudget(t *testing.T) {
 	if got != want {
 		t.Errorf("the second Snapshot took %.0f allocations, recorded %d: a walk allocates differently (re-record if meant)", got, want)
 	}
+}
+
+// TestRestoreAllocationBudget pins what a restore allocates onto a rebuilt
+// backbone for its ports: the "net" section, every port's scheduler and
+// class queues, loaded alone. A queue loaded empty keeps the ring it has —
+// none, on a rebuild that has run nothing — and grows one on its first
+// Enqueue; here that is 26 hybrid ports of 12 queues, 312 rings a restore
+// used to make and no longer does. The whole Restore is recorded beside it
+// (the race detector's build allocates differently, so it is logged, not
+// pinned).
+func TestRestoreAllocationBudget(t *testing.T) {
+	build := func() *Backbone {
+		b := fourPEBackboneForTest(Config{Seed: 7, Scheduler: SchedHybrid})
+		b.DefineVPN("v")
+		for i := 0; i < 8; i++ {
+			b.AddSite(SiteSpec{VPN: "v", Name: fmt.Sprintf("s%d", i), PE: fmt.Sprintf("PE%d", 1+i%4),
+				Prefixes: []addr.Prefix{addr.NewPrefix(addr.IPv4(0x0a000000|uint32(i+1)<<16), 16)}})
+		}
+		b.ConvergeVPNs()
+		b.E.MarkSetup()
+		return b
+	}
+	data, err := build().Snapshot("budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, _ := file.Section(secNet)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(restore func(b *Backbone) error) uint64 {
+		b := build()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := restore(b); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	loadNet := func(b *Backbone) error { return snapshot.Load(snapshot.NewReader(net), b.Net.State) }
+	measure(loadNet) // first-use allocations outside the walk
+	// The Reader and its Codec; it was 314 while every queue made a ring.
+	if got := measure(loadNet); got != 2 {
+		t.Errorf("loading the ports took %d allocations, want 2 (the reader and its codec)", got)
+	}
+	t.Logf("the whole Restore took %d allocations", measure(func(b *Backbone) error { return b.Restore(data, "budget") }))
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"mplsvpn/internal/packet"
-	"mplsvpn/internal/qos"
 	"mplsvpn/internal/rsvp"
 	"mplsvpn/internal/sim"
 	"mplsvpn/internal/telemetry"
@@ -38,14 +37,6 @@ type TelemetryOptions struct {
 	// ReoptimizeAvoiding of the VPN's TE LSPs). The default still runs; the
 	// override runs after it. Set SLAs for this to matter.
 	OnBreach func(vpn, reason string)
-}
-
-// vpnTel caches one VPN's pre-resolved delivery instruments so the per-packet
-// path does a single map lookup, not three registry lookups.
-type vpnTel struct {
-	delivered *telemetry.Counter // bytes
-	dropped   *telemetry.Counter // packets
-	latency   *telemetry.Histogram
 }
 
 // EnableTelemetry switches the observability plane on: registry counters
@@ -252,57 +243,6 @@ func (b *Backbone) wireRSVPHooks() {
 			b.teLost(e.LSPID)
 		}
 	}
-}
-
-// vpnTelFor resolves (once per VPN) the delivery instruments.
-func (b *Backbone) vpnTelFor(vpn string) *vpnTel {
-	vt, ok := b.vpnTel[vpn]
-	if !ok {
-		l := telemetry.Labels{VPN: vpn}
-		vt = &vpnTel{
-			delivered: b.tel.Reg.Counter("vpn_delivered_bytes", l),
-			dropped:   b.tel.Reg.Counter("vpn_dropped_pkts", l),
-			latency:   b.tel.Reg.Histogram("vpn_latency_ms", l, nil),
-		}
-		b.vpnTel[vpn] = vt
-	}
-	return vt
-}
-
-// telDeliver accounts one delivered packet: per-VPN counters, the latency
-// histogram, the flow exporter, and the SLA watcher's interval window.
-func (b *Backbone) telDeliver(at topo.NodeID, p *packet.Packet) {
-	now := b.E.Now()
-	rec, ok := b.siteByCE[at]
-	if !ok {
-		return
-	}
-	vpn := rec.Spec.VPN
-	latMs := float64(now-p.SentAt) / float64(sim.Millisecond)
-	size := p.SerializedLen()
-
-	vt := b.vpnTelFor(vpn)
-	vt.delivered.Add(int64(size))
-	vt.latency.Observe(latMs)
-	b.tel.Watcher.ObserveDelivery(vpn, latMs)
-
-	srcSite := ""
-	if src, ok := b.siteByPrefix.Lookup(p.IP.Src); ok {
-		srcSite = src.Spec.Name
-	}
-	b.tel.Flows.Record(now, telemetry.FlowKey{
-		VPN: vpn, SrcSite: srcSite, DstSite: rec.Spec.Name,
-		Class: qos.ClassOf(p).String(),
-	}, size)
-}
-
-// telDrop accounts one dropped packet against its origin VPN.
-func (b *Backbone) telDrop(p *packet.Packet) {
-	if p.OriginVPN == "" {
-		return
-	}
-	b.vpnTelFor(p.OriginVPN).dropped.Inc()
-	b.tel.Watcher.ObserveDrop(p.OriginVPN)
 }
 
 // telRoll closes one export interval: per-link utilization over the interval

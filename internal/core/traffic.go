@@ -69,16 +69,25 @@ func (b *Backbone) FlowBetweenHosts(name, fromSite string, fromHost int, toSite 
 func (b *Backbone) ReregisterFlow(f *trafgen.Flow) { b.registerFlow(f) }
 
 // registerFlow wires delivery accounting for a flow (dispatch happens in
-// onDeliver).
+// onDeliver): its 5-tuple now credits f, and its packets carry the tuple's
+// slot. A tuple registered before keeps crediting whichever flow it was
+// last registered to.
 func (b *Backbone) registerFlow(f *trafgen.Flow) {
 	if b.flows == nil {
 		b.flows = make(map[packet.FlowKey]*trafgen.Flow)
 	}
-	key := packet.FlowKey{
+	key := flowKeyOf(f)
+	b.flows[key] = f
+	f.Slot = b.slotFor(key)
+	b.slots[f.Slot].flow = f
+}
+
+// flowKeyOf is the 5-tuple of a flow's packets.
+func flowKeyOf(f *trafgen.Flow) packet.FlowKey {
+	return packet.FlowKey{
 		Src: f.Src, Dst: f.Dst,
 		SrcPort: f.SrcPort, DstPort: f.DstPort, Protocol: f.Proto,
 	}
-	b.flows[key] = f
 }
 
 // RequestResponse builds a transactional exchange between two sites: the
@@ -104,17 +113,14 @@ func (b *Backbone) RequestResponse(name, clientSite, serverSite string, dstPort 
 // (multiplicative decrease). Returns the source; call Start on it.
 func (b *Backbone) AttachAIMD(f *trafgen.Flow, payload int, stop sim.Time) *trafgen.AIMD {
 	a := trafgen.NewAIMD(b.Net, f, payload, stop)
-	key := packet.FlowKey{
-		Src: f.Src, Dst: f.Dst,
-		SrcPort: f.SrcPort, DstPort: f.DstPort, Protocol: f.Proto,
-	}
+	key := flowKeyOf(f)
 	if b.aimd == nil {
 		b.aimd = make(map[packet.FlowKey]*trafgen.AIMD)
 		// AIMD acks ride the barrier's time-sorted delivery stream.
 		b.disableLocalDeliver()
 		prevDrop := b.Net.OnDrop
 		b.Net.OnDrop = func(at topo.NodeID, p *packet.Packet, reason packet.DropReason) {
-			if src, ok := b.aimd[p.FlowKey()]; ok {
+			if _, src := b.flowOf(b.slotOf(p), p); src != nil {
 				src.Loss()
 			}
 			if prevDrop != nil {
@@ -123,6 +129,8 @@ func (b *Backbone) AttachAIMD(f *trafgen.Flow, payload int, stop sim.Time) *traf
 		}
 	}
 	b.aimd[key] = a
+	f.Slot = b.slotFor(key)
+	b.slots[f.Slot].aimd = a
 	b.RegisterSource(a)
 	return a
 }

@@ -156,9 +156,11 @@ func e21Build(opt core.InterASOption, shards, workers int) (*e21Rig, error) {
 			Horizon: e21Horizon + sim.Second, JournalCap: 8192})
 	}
 
-	x.SetASTransit("alpha", 0.001, 20e6)
-	x.SetASTransit("beta", 0.001, 20e6)
-	x.SetASTransit("gamma", 0.001, 20e6)
+	for _, asn := range []string{"alpha", "beta", "gamma"} {
+		if err := x.SetASTransit(asn, 0.001, 20e6); err != nil {
+			return nil, err
+		}
+	}
 	for _, spec := range []core.PeeringSpec{
 		{ASA: "alpha", ASBRA: "a-ASBR1", ASB: "beta", ASBRB: "b-ASBR1",
 			VPNs: []string{"extranet"}, Option: opt, Delay: sim.Millisecond},

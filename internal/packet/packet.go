@@ -37,6 +37,11 @@ type Packet struct {
 	// packet was injected into, used only to *check* isolation — the data
 	// plane itself must never consult it for forwarding.
 	OriginVPN string
+	// FlowSlot is the sending flow's delivery-accounting slot in the
+	// backbone that registered it (0 = none), stamped at send time. Like
+	// OriginVPN it is simulator metadata and never serialized; the backbone
+	// trusts it only after comparing the slot's 5-tuple with the packet's.
+	FlowSlot int32
 
 	// Hot-path caches. fh memoizes the 5-tuple hash (flows never change
 	// their tuple in flight except at an IPSec gateway, which invalidates);

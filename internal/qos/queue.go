@@ -93,11 +93,31 @@ type Queue struct {
 	// nothing when telemetry is off.
 	TelDropFull  *telemetry.Counter
 	TelDropEarly *telemetry.Counter
+
+	// occ is the occupancy mask of the scheduler holding this queue, nil for
+	// a queue on its own: the queue keeps bit set in it exactly while it
+	// holds a packet, whoever adds or removes one (a scheduler, a ClassQueue
+	// caller, a checkpoint load).
+	occ *uint32
+	bit uint32
 }
 
 // NewQueue builds a queue with the given limits and tail-drop behaviour.
 func NewQueue(limitBytes, limitPkts int) *Queue {
 	return &Queue{LimitBytes: limitBytes, LimitPkts: limitPkts, Drop: TailDrop{}}
+}
+
+// markOcc brings the queue's bit in its scheduler's occupancy mask in line
+// with its count.
+func (q *Queue) markOcc() {
+	if q.occ == nil {
+		return
+	}
+	if q.count > 0 {
+		*q.occ |= q.bit
+	} else {
+		*q.occ &^= q.bit
+	}
 }
 
 // Len returns the number of queued packets.
@@ -139,6 +159,9 @@ func (q *Queue) Enqueue(now sim.Time, p *packet.Packet) bool {
 	q.pkts[(q.head+q.count)%len(q.pkts)] = p
 	q.count++
 	q.bytes += p.Wire()
+	if q.count == 1 {
+		q.markOcc()
+	}
 	return true
 }
 
@@ -163,6 +186,9 @@ func (q *Queue) Dequeue() *packet.Packet {
 	q.head = (q.head + 1) % len(q.pkts)
 	q.count--
 	q.bytes -= p.Wire()
+	if q.count == 0 {
+		q.markOcc()
+	}
 	return p
 }
 

@@ -1,8 +1,11 @@
 package qos
 
 import (
+	"math/bits"
+
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/sim"
+	"mplsvpn/internal/snapshot"
 )
 
 // Scheduler owns the per-class queues of one egress interface and decides
@@ -37,12 +40,12 @@ type Scheduler interface {
 // which "IP applications today have no direct mechanism to specify QoS"
 // (§2.2). All classes share fate.
 type FIFOScheduler struct {
-	q *Queue
+	q Queue
 }
 
 // NewFIFO builds a FIFO scheduler with one shared queue of limitBytes.
 func NewFIFO(limitBytes int) *FIFOScheduler {
-	return &FIFOScheduler{q: NewQueue(limitBytes, 0)}
+	return &FIFOScheduler{q: Queue{LimitBytes: limitBytes, Drop: TailDrop{}}}
 }
 
 // Enqueue ignores the class.
@@ -60,7 +63,47 @@ func (s *FIFOScheduler) Pass(now sim.Time, _ Class, p *packet.Packet) bool { ret
 func (s *FIFOScheduler) Len() int { return s.q.Len() }
 
 // ClassQueue returns the single shared queue for every class.
-func (s *FIFOScheduler) ClassQueue(Class) *Queue { return s.q }
+func (s *FIFOScheduler) ClassQueue(Class) *Queue { return &s.q }
+
+// ---------------------------------------------------------------------------
+// Per-class queues
+
+// classQueues is what every multi-queue scheduler holds by value: one queue
+// per class, and the occupancy mask those queues keep current (bit c set
+// exactly while class c holds a packet), so Dequeue and Len visit only the
+// backlogged classes. A scheduler is one allocation, queues included, and
+// the pointers ClassQueue hands out stay valid for its lifetime.
+type classQueues struct {
+	qs   [NumClasses]Queue
+	busy uint32
+}
+
+// init sizes every class queue in place; the queues report into busy, so
+// the struct must not be copied afterwards.
+func (cq *classQueues) init(limitBytes int) {
+	for i := range cq.qs {
+		cq.qs[i] = Queue{LimitBytes: limitBytes, Drop: TailDrop{}, occ: &cq.busy, bit: 1 << i}
+	}
+}
+
+// Len sums the backlogged class queues.
+func (cq *classQueues) Len() int {
+	n := 0
+	for m := cq.busy; m != 0; m &= m - 1 {
+		n += cq.qs[bits.TrailingZeros32(m)].count
+	}
+	return n
+}
+
+// ClassQueue returns the queue for class c.
+func (cq *classQueues) ClassQueue(c Class) *Queue { return &cq.qs[c] }
+
+// state walks every class queue in class order.
+func (cq *classQueues) state(c *snapshot.Codec, alloc PacketAlloc) {
+	for i := range cq.qs {
+		cq.qs[i].State(c, alloc)
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Strict priority
@@ -69,16 +112,14 @@ func (s *FIFOScheduler) ClassQueue(Class) *Queue { return s.q }
 // index first). Starvation of low classes under overload is intentional and
 // shows up in the E2 ablation.
 type PriorityScheduler struct {
-	qs [NumClasses]*Queue
+	classQueues
 }
 
 // NewPriority builds a strict-priority scheduler with one queue of
 // limitBytes per class.
 func NewPriority(limitBytes int) *PriorityScheduler {
 	s := &PriorityScheduler{}
-	for i := range s.qs {
-		s.qs[i] = NewQueue(limitBytes, 0)
-	}
+	s.init(limitBytes)
 	return s
 }
 
@@ -89,30 +130,16 @@ func (s *PriorityScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) boo
 
 // Dequeue serves the highest-priority non-empty queue.
 func (s *PriorityScheduler) Dequeue(sim.Time) *packet.Packet {
-	for _, q := range s.qs {
-		if p := q.Dequeue(); p != nil {
-			return p
-		}
+	if s.busy == 0 {
+		return nil
 	}
-	return nil
+	return s.qs[bits.TrailingZeros32(s.busy)].Dequeue()
 }
 
 // Pass admits p to its class queue without queueing it.
 func (s *PriorityScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
 	return s.qs[c].admit(now, p)
 }
-
-// Len sums all class queues.
-func (s *PriorityScheduler) Len() int {
-	n := 0
-	for _, q := range s.qs {
-		n += q.Len()
-	}
-	return n
-}
-
-// ClassQueue returns the queue for class c.
-func (s *PriorityScheduler) ClassQueue(c Class) *Queue { return s.qs[c] }
 
 // ---------------------------------------------------------------------------
 // Weighted fair queueing
@@ -121,7 +148,7 @@ func (s *PriorityScheduler) ClassQueue(c Class) *Queue { return s.qs[c] }
 // (self-clocked fair queueing). Each class receives bandwidth in proportion
 // to its weight when backlogged.
 type WFQScheduler struct {
-	qs      [NumClasses]*Queue
+	classQueues
 	weights [NumClasses]float64
 	finish  [NumClasses]float64 // virtual finish time of the class's tail
 	vtime   float64             // system virtual time
@@ -130,14 +157,20 @@ type WFQScheduler struct {
 // NewWFQ builds a WFQ scheduler. weights[c] is the bandwidth share of class
 // c; zero-weight classes get a minimal share rather than starving.
 func NewWFQ(limitBytes int, weights [NumClasses]float64) *WFQScheduler {
-	s := &WFQScheduler{weights: weights}
-	for i := range s.qs {
-		s.qs[i] = NewQueue(limitBytes, 0)
+	s := &WFQScheduler{}
+	s.init(limitBytes, weights)
+	return s
+}
+
+// init sets the scheduler up in place.
+func (s *WFQScheduler) init(limitBytes int, weights [NumClasses]float64) {
+	s.classQueues.init(limitBytes)
+	s.weights = weights
+	for i := range s.weights {
 		if s.weights[i] <= 0 {
 			s.weights[i] = 0.01
 		}
 	}
-	return s
 }
 
 // Enqueue stamps the packet's virtual finish time via its class state.
@@ -176,13 +209,11 @@ func (s *WFQScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
 func (s *WFQScheduler) Dequeue(sim.Time) *packet.Packet {
 	best := -1
 	var bestFinish float64
-	for c := range s.qs {
-		q := s.qs[c]
-		if q.Len() == 0 {
-			continue
-		}
+	for m := s.busy; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros32(m)
+		q := &s.qs[c]
 		// Head finish time = finish[c] - (bytes queued behind head)/weight.
-		behind := float64(q.Bytes()-q.Head().Wire()) / s.weights[c]
+		behind := float64(q.bytes-q.pkts[q.head].Wire()) / s.weights[c]
 		f := s.finish[c] - behind
 		if best < 0 || f < bestFinish {
 			best, bestFinish = c, f
@@ -195,25 +226,13 @@ func (s *WFQScheduler) Dequeue(sim.Time) *packet.Packet {
 	return s.qs[best].Dequeue()
 }
 
-// Len sums all class queues.
-func (s *WFQScheduler) Len() int {
-	n := 0
-	for _, q := range s.qs {
-		n += q.Len()
-	}
-	return n
-}
-
-// ClassQueue returns the queue for class c.
-func (s *WFQScheduler) ClassQueue(c Class) *Queue { return s.qs[c] }
-
 // ---------------------------------------------------------------------------
 // Deficit round robin
 
 // DRRScheduler is deficit round robin: an O(1) approximation of fair
 // queueing. Quanta are per-class byte allowances per round.
 type DRRScheduler struct {
-	qs      [NumClasses]*Queue
+	classQueues
 	quantum [NumClasses]int
 	deficit [NumClasses]int
 	cursor  int
@@ -224,8 +243,8 @@ type DRRScheduler struct {
 // receives each round (≥ MTU for work-conserving behaviour).
 func NewDRR(limitBytes int, quantum [NumClasses]int) *DRRScheduler {
 	s := &DRRScheduler{quantum: quantum}
-	for i := range s.qs {
-		s.qs[i] = NewQueue(limitBytes, 0)
+	s.init(limitBytes)
+	for i := range s.quantum {
 		if s.quantum[i] <= 0 {
 			s.quantum[i] = 100
 		}
@@ -240,13 +259,13 @@ func (s *DRRScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) bool {
 
 // Dequeue serves queues round-robin, letting each spend its deficit.
 func (s *DRRScheduler) Dequeue(sim.Time) *packet.Packet {
-	if s.Len() == 0 {
+	if s.busy == 0 {
 		return nil
 	}
 	for {
 		c := Class(s.cursor % int(NumClasses))
-		q := s.qs[c]
-		if q.Len() == 0 {
+		q := &s.qs[c]
+		if s.busy&(1<<c) == 0 {
 			s.deficit[c] = 0
 			s.cursor++
 			s.granted = false
@@ -278,18 +297,6 @@ func (s *DRRScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
 	return s.Enqueue(now, c, p) && s.Dequeue(now) != nil
 }
 
-// Len sums all class queues.
-func (s *DRRScheduler) Len() int {
-	n := 0
-	for _, q := range s.qs {
-		n += q.Len()
-	}
-	return n
-}
-
-// ClassQueue returns the queue for class c.
-func (s *DRRScheduler) ClassQueue(c Class) *Queue { return s.qs[c] }
-
 // ---------------------------------------------------------------------------
 // Hybrid: strict priority for control/voice, WFQ for the rest
 
@@ -298,8 +305,8 @@ func (s *DRRScheduler) ClassQueue(c Class) *Queue { return s.qs[c] }
 // EF policer upstream so they cannot starve the link), while business,
 // assured, and best-effort classes share the remainder via WFQ.
 type HybridScheduler struct {
-	pq  *PriorityScheduler
-	wfq *WFQScheduler
+	pq  PriorityScheduler
+	wfq WFQScheduler
 	// efLimit, when set, polices the voice queue's admission so an
 	// unpoliced EF flood cannot starve the WFQ tier (real routers always
 	// cap their priority queue).
@@ -311,10 +318,10 @@ type HybridScheduler struct {
 // NewHybrid builds the hybrid scheduler. wfqWeights applies to the
 // non-priority classes; entries for control/voice are ignored.
 func NewHybrid(limitBytes int, wfqWeights [NumClasses]float64) *HybridScheduler {
-	return &HybridScheduler{
-		pq:  NewPriority(limitBytes),
-		wfq: NewWFQ(limitBytes, wfqWeights),
-	}
+	s := &HybridScheduler{}
+	s.pq.init(limitBytes)
+	s.wfq.init(limitBytes, wfqWeights)
+	return s
 }
 
 func isPriorityClass(c Class) bool {

@@ -28,7 +28,9 @@ func (m *SrTCM) State(c *snapshot.Codec) {
 // State walks the queue: drop counters, the early-drop policy's dynamic
 // state, and the queued packets in FIFO order. Limits and policy thresholds
 // are configuration, and the rebuilt queue must carry the same drop policy
-// type as the saved one. A load allocates its packets via alloc.
+// type as the saved one. A load allocates its packets via alloc; a queue
+// loaded empty keeps whatever ring it has (none, on a rebuilt scenario that
+// has run nothing) and grows one on its first Enqueue.
 func (q *Queue) State(c *snapshot.Codec, alloc PacketAlloc) {
 	snapshot.Int(c, &q.Enqueued)
 	snapshot.Int(c, &q.DroppedFull)
@@ -42,8 +44,13 @@ func (q *Queue) State(c *snapshot.Codec, alloc PacketAlloc) {
 
 	n := c.Len(q.count, packet.Min)
 	if c.Loading() {
-		q.pkts = make([]*packet.Packet, n+8)
+		if n > 0 {
+			q.pkts = make([]*packet.Packet, n+8)
+		} else {
+			clear(q.pkts)
+		}
 		q.head, q.count, q.bytes = 0, n, 0
+		q.markOcc()
 	}
 	for i := 0; i < n && c.Err() == nil; i++ {
 		slot := &q.pkts[(q.head+i)%len(q.pkts)]
@@ -93,36 +100,31 @@ func SchedulerState(c *snapshot.Codec, s Scheduler, alloc PacketAlloc) {
 	if c.Err() != nil {
 		return
 	}
-	queues := func(qs *[NumClasses]*Queue) {
-		for _, q := range qs {
-			q.State(c, alloc)
-		}
-	}
 	switch sc := s.(type) {
 	case *FIFOScheduler:
 		sc.q.State(c, alloc)
 	case *PriorityScheduler:
-		queues(&sc.qs)
+		sc.state(c, alloc)
 	case *WFQScheduler:
 		for i := range sc.finish {
 			c.F64(&sc.finish[i])
 		}
 		c.F64(&sc.vtime)
-		queues(&sc.qs)
+		sc.state(c, alloc)
 	case *DRRScheduler:
 		for i := range sc.deficit {
 			snapshot.Int(c, &sc.deficit[i])
 		}
 		snapshot.Int(c, &sc.cursor)
 		c.Bool(&sc.granted)
-		queues(&sc.qs)
+		sc.state(c, alloc)
 	case *HybridScheduler:
 		snapshot.Int(c, &sc.EFPoliced)
 		if c.Same(sc.efLimit != nil, "EF limit") {
 			sc.efLimit.State(c)
 		}
-		SchedulerState(c, sc.pq, alloc)
-		SchedulerState(c, sc.wfq, alloc)
+		SchedulerState(c, &sc.pq, alloc)
+		SchedulerState(c, &sc.wfq, alloc)
 	}
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mplsvpn/internal/sim"
@@ -60,6 +61,7 @@ const (
 // persist across intervals (zeroed at flush) so a steady flow allocates
 // exactly once over the whole run.
 type flowAcct struct {
+	key   FlowKey
 	pkts  int64
 	bytes int64
 }
@@ -69,6 +71,11 @@ type flowAcct struct {
 // of its own: Record and RollTo advance it lazily, so an engine Run() can
 // still quiesce, and a caller wanting wall-aligned ticks just schedules
 // RollTo on the sim engine up to its horizon.
+//
+// Each key gets an accumulator index on first sight (Acc). An index stays
+// valid across flushes for the exporter's lifetime, so a hot path that has
+// resolved its key once records with RecordAt and never hashes the key
+// again — until a checkpoint load, which renumbers the accumulators.
 type FlowExporter struct {
 	// Interval is the export period (<= 0 selects DefaultExportInterval).
 	Interval sim.Time
@@ -82,8 +89,9 @@ type FlowExporter struct {
 	// Evicted counts records dropped to honour MaxRecords.
 	Evicted int
 
-	keys    []FlowKey // sorted; insertion is rare (first sight of a key)
-	acct    map[FlowKey]*flowAcct
+	accs    []flowAcct        // by accumulator index
+	index   map[FlowKey]int32 // key -> accumulator index
+	order   []int32           // accumulator indices in key order
 	records []FlowRecord
 	start   sim.Time // current interval's start
 }
@@ -91,7 +99,7 @@ type FlowExporter struct {
 // NewFlowExporter returns an exporter with the given interval
 // (<= 0 selects DefaultExportInterval).
 func NewFlowExporter(interval sim.Time) *FlowExporter {
-	x := &FlowExporter{Interval: interval, acct: make(map[FlowKey]*flowAcct)}
+	x := &FlowExporter{Interval: interval, index: make(map[FlowKey]int32)}
 	x.normalize()
 	return x
 }
@@ -106,22 +114,33 @@ func (x *FlowExporter) normalize() {
 }
 
 // Record accounts one delivered packet at virtual time now, first flushing
-// any export intervals that now has passed. Steady-state cost is one map
-// lookup and two adds — no allocation once a key has been seen.
+// any export intervals that now has passed.
 func (x *FlowExporter) Record(now sim.Time, k FlowKey, bytes int) {
 	if x == nil {
 		return
 	}
-	x.RollTo(now)
-	a, ok := x.acct[k]
-	if !ok {
-		a = &flowAcct{}
-		x.acct[k] = a
-		i := sort.Search(len(x.keys), func(i int) bool { return !flowKeyLess(x.keys[i], k) })
-		x.keys = append(x.keys, FlowKey{})
-		copy(x.keys[i+1:], x.keys[i:])
-		x.keys[i] = k
+	x.RecordAt(now, x.Acc(k), bytes)
+}
+
+// Acc resolves k to its accumulator index, creating an empty accumulator on
+// first sight. The index is valid until the next State load.
+func (x *FlowExporter) Acc(k FlowKey) int32 {
+	if i, ok := x.index[k]; ok {
+		return i
 	}
+	i := int32(len(x.accs))
+	x.accs = append(x.accs, flowAcct{key: k})
+	x.index[k] = i
+	at := sort.Search(len(x.order), func(j int) bool { return !flowKeyLess(x.accs[x.order[j]].key, k) })
+	x.order = slices.Insert(x.order, at, i)
+	return i
+}
+
+// RecordAt is Record for a key already resolved to accumulator i: two adds
+// once the intervals are rolled.
+func (x *FlowExporter) RecordAt(now sim.Time, i int32, bytes int) {
+	x.RollTo(now)
+	a := &x.accs[i]
 	a.pkts++
 	a.bytes += int64(bytes)
 }
@@ -145,8 +164,8 @@ func (x *FlowExporter) RollTo(now sim.Time) {
 // flush emits the current interval's non-empty accumulators in key order,
 // zeroes them, and fires OnRoll.
 func (x *FlowExporter) flush(start, end sim.Time) {
-	for _, k := range x.keys {
-		a := x.acct[k]
+	for _, i := range x.order {
+		a := &x.accs[i]
 		if a.pkts == 0 {
 			continue
 		}
@@ -158,7 +177,7 @@ func (x *FlowExporter) flush(start, end sim.Time) {
 			x.Evicted++
 		}
 		x.records = append(x.records, FlowRecord{
-			Start: start, End: end, FlowKey: k, Packets: a.pkts, Bytes: a.bytes,
+			Start: start, End: end, FlowKey: a.key, Packets: a.pkts, Bytes: a.bytes,
 		})
 		a.pkts, a.bytes = 0, 0
 	}

@@ -38,8 +38,10 @@ func (t SLATarget) clear() int {
 	return t.Clear
 }
 
-// slaState is the per-target interval window plus the breach state machine.
-type slaState struct {
+// SLAWindow is one VPN's interval window plus its breach state machine. A
+// delivery path resolves it once (Watcher.Window) and observes through it;
+// a nil *SLAWindow — a VPN without a target — ignores every observation.
+type SLAWindow struct {
 	lat       *Histogram // this interval's latency samples, reset each Eval
 	delivered int64
 	dropped   int64
@@ -75,39 +77,44 @@ type Watcher struct {
 	// OnClear runs once per recovery transition.
 	OnClear func(vpn string)
 
-	states map[string]*slaState
+	states map[string]*SLAWindow
 }
 
 // NewWatcher builds a watcher over the given targets, journaling
 // transitions into j (which may be nil).
 func NewWatcher(targets []SLATarget, j *Journal) *Watcher {
-	w := &Watcher{Targets: targets, Journal: j, states: make(map[string]*slaState)}
+	w := &Watcher{Targets: targets, Journal: j, states: make(map[string]*SLAWindow)}
 	for _, t := range targets {
-		w.states[t.VPN] = &slaState{lat: NewHistogram(nil)}
+		w.states[t.VPN] = &SLAWindow{lat: NewHistogram(nil)}
 	}
 	return w
 }
 
-// ObserveDelivery feeds one delivered packet's one-way latency (ms) into
-// the VPN's current interval window. VPNs without a target are ignored.
-func (w *Watcher) ObserveDelivery(vpn string, latencyMs float64) {
+// Window returns the VPN's interval window, or nil when no target names the
+// VPN (or w is nil). The window lives as long as the watcher.
+func (w *Watcher) Window(vpn string) *SLAWindow {
 	if w == nil {
-		return
+		return nil
 	}
-	if st, ok := w.states[vpn]; ok {
-		st.lat.Observe(latencyMs)
-		st.delivered++
-	}
+	return w.states[vpn]
 }
 
-// ObserveDrop feeds one dropped packet into the VPN's interval window.
-func (w *Watcher) ObserveDrop(vpn string) {
-	if w == nil {
+// ObserveDelivery feeds one delivered packet's one-way latency (ms) into
+// the window.
+func (st *SLAWindow) ObserveDelivery(latencyMs float64) {
+	if st == nil {
 		return
 	}
-	if st, ok := w.states[vpn]; ok {
-		st.dropped++
+	st.lat.Observe(latencyMs)
+	st.delivered++
+}
+
+// ObserveDrop feeds one dropped packet into the window.
+func (st *SLAWindow) ObserveDrop() {
+	if st == nil {
+		return
 	}
+	st.dropped++
 }
 
 // Eval closes the interval ending at 'at': each target's window is scored

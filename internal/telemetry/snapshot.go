@@ -149,15 +149,19 @@ func (x *FlowExporter) State(c *snapshot.Codec) {
 	snapshot.Int(c, &x.Evicted)
 	snapshot.Int(c, &x.start)
 	if c.Loading() {
-		x.acct = make(map[FlowKey]*flowAcct)
+		x.accs, x.index = nil, make(map[FlowKey]int32)
 	}
-	// A key is four strings, its accumulator two varints.
-	snapshot.Slice(c, &x.keys, 4+2, func(c *snapshot.Codec, k *FlowKey) {
-		flowKeyState(c, k)
-		a := x.acct[*k]
+	// A key is four strings, its accumulator two varints, in key order; a
+	// load numbers the accumulators in that order.
+	snapshot.Slice(c, &x.order, 4+2, func(c *snapshot.Codec, i *int32) {
 		if c.Loading() {
-			a = &flowAcct{}
-			x.acct[*k] = a
+			*i = int32(len(x.accs))
+			x.accs = append(x.accs, flowAcct{})
+		}
+		a := &x.accs[*i]
+		flowKeyState(c, &a.key)
+		if c.Loading() {
+			x.index[a.key] = *i
 		}
 		snapshot.Int(c, &a.pkts)
 		snapshot.Int(c, &a.bytes)

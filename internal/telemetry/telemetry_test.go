@@ -229,7 +229,7 @@ func TestFlowExporterEvictionMatchesShiftByOne(t *testing.T) {
 		t.Fatalf("%d records and %d evicted, want %d and %d; or the windows differ", len(got), x.Evicted, len(want), evicted)
 	}
 	ref := &FlowExporter{Interval: x.Interval, MaxRecords: x.MaxRecords, Evicted: evicted,
-		keys: x.keys, acct: x.acct, records: want, start: x.start}
+		accs: x.accs, index: x.index, order: x.order, records: want, start: x.start}
 	var got, wantBytes snapshot.Writer
 	x.State(snapshot.Saver(&got))
 	ref.State(snapshot.Saver(&wantBytes))
@@ -247,7 +247,7 @@ func TestWatcherBreachAndRecovery(t *testing.T) {
 
 	feed := func(lat float64, n int) {
 		for i := 0; i < n; i++ {
-			w.ObserveDelivery("v", lat)
+			w.Window("v").ObserveDelivery(lat)
 		}
 	}
 
@@ -299,8 +299,8 @@ func TestWatcherLossBreach(t *testing.T) {
 	fired := false
 	w.OnBreach = func(vpn, reason string) { fired = strings.Contains(reason, "loss") }
 	// 100% loss: drops only.
-	w.ObserveDrop("v")
-	w.ObserveDrop("v")
+	w.Window("v").ObserveDrop()
+	w.Window("v").ObserveDrop()
 	w.Eval(100 * sim.Millisecond)
 	if !fired || !w.Breached("v") {
 		t.Fatal("total starvation must breach the loss target")
@@ -355,5 +355,53 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	snap := r.Snapshot()
 	if snap[0].Name != "a" || snap[0].Labels.Node != "m" || snap[2].Name != "b" {
 		t.Fatalf("snapshot order wrong: %+v", snap)
+	}
+}
+
+// An accumulator index names its key for the exporter's lifetime: across
+// flushes it keeps counting that key and no other, whatever keys arrive
+// later; after a checkpoint load the keys resolve afresh and count on from
+// the loaded totals.
+func TestFlowExporterAccumulatorIndices(t *testing.T) {
+	x := NewFlowExporter(10 * sim.Millisecond)
+	k := []FlowKey{
+		{VPN: "v", SrcSite: "b", DstSite: "c", Class: "voice"},
+		{VPN: "v", SrcSite: "a", DstSite: "c", Class: "voice"}, // sorts first
+	}
+	i0 := x.Acc(k[0])
+	x.RecordAt(sim.Millisecond, i0, 100)
+	i1 := x.Acc(k[1])
+	x.RecordAt(15*sim.Millisecond, i1, 50) // flushes [0,10ms)
+	x.RecordAt(16*sim.Millisecond, i0, 70)
+	if x.Acc(k[0]) != i0 || x.Acc(k[1]) != i1 || i0 == i1 {
+		t.Fatalf("indices %d, %d moved or collide", i0, i1)
+	}
+	x.RollTo(20 * sim.Millisecond)
+	want := []FlowRecord{
+		{Start: 0, End: 10 * sim.Millisecond, FlowKey: k[0], Packets: 1, Bytes: 100},
+		{Start: 10 * sim.Millisecond, End: 20 * sim.Millisecond, FlowKey: k[1], Packets: 1, Bytes: 50},
+		{Start: 10 * sim.Millisecond, End: 20 * sim.Millisecond, FlowKey: k[0], Packets: 1, Bytes: 70},
+	}
+	if !slices.Equal(x.Records(), want) {
+		t.Fatalf("records %v, want %v", x.Records(), want)
+	}
+
+	x.Record(21*sim.Millisecond, k[0], 5)
+	var saved snapshot.Writer
+	x.State(snapshot.Saver(&saved))
+	y := NewFlowExporter(10 * sim.Millisecond)
+	y.Acc(FlowKey{VPN: "stale"}) // resolved before the load, gone after it
+	if err := snapshot.Load(snapshot.NewReader(saved.Data()), y.State); err != nil {
+		t.Fatal(err)
+	}
+	y.RecordAt(22*sim.Millisecond, y.Acc(k[0]), 6)
+	x.RecordAt(22*sim.Millisecond, i0, 6)
+	x.RollTo(30 * sim.Millisecond)
+	y.RollTo(30 * sim.Millisecond)
+	var a, b snapshot.Writer
+	x.State(snapshot.Saver(&a))
+	y.State(snapshot.Saver(&b))
+	if !bytes.Equal(a.Data(), b.Data()) {
+		t.Fatalf("after a load the exporter differs: %v, want %v", y.Records(), x.Records())
 	}
 }

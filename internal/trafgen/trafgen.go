@@ -29,6 +29,9 @@ type Flow struct {
 	Proto    uint8
 	DSCP     packet.DSCP // pre-marked DSCP (0 when the CE classifier marks)
 	Stats    *stats.FlowStats
+	// Slot is the delivery-accounting slot the backbone registering the flow
+	// assigned its 5-tuple, stamped on every packet as FlowSlot (0 = none).
+	Slot int32
 
 	seq uint64
 }
@@ -60,6 +63,7 @@ func (f *Flow) fill(p *packet.Packet, payload int) *packet.Packet {
 	p.Payload = payload
 	p.Seq = f.seq
 	p.OriginVPN = f.VPN
+	p.FlowSlot = f.Slot
 	return p
 }
 

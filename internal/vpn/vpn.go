@@ -203,6 +203,12 @@ func (v *VRF) Walk(fn func(addr.Prefix, Route) bool) {
 // Size returns the number of installed routes (E1 state metric).
 func (v *VRF) Size() int { return v.table.Len() }
 
+// HasSite reports whether the named site is attached to the VRF.
+func (v *VRF) HasSite(name string) bool {
+	_, ok := v.sites[name]
+	return ok
+}
+
 // Sites returns attached site names, sorted.
 func (v *VRF) Sites() []string {
 	out := make([]string, 0, len(v.sites))
