@@ -85,12 +85,12 @@ bench-hop:
 # The allocation-budget tests alone: every hot-path component must be
 # zero-alloc at steady state (label stack ops, table lookups, Router.Receive,
 # scheduler enqueue/dequeue and Pass, an idle scheduler's checkpoint load,
-# engine Post, the full netsim per-hop path, and a delivery's and a drop's
-# accounting with telemetry on), and a forwarding table is built in a
-# handful of allocations.
+# engine Post, the full netsim per-hop path, a delivery's and a drop's
+# accounting with telemetry on, and an incremental SPF tree folding a duplex
+# link flap), and a forwarding table is built in a handful of allocations.
 alloc-gate:
 	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint' \
-		./internal/packet ./internal/addr ./internal/sim ./internal/qos ./internal/device ./internal/netsim ./internal/core
+		./internal/packet ./internal/addr ./internal/sim ./internal/qos ./internal/device ./internal/netsim ./internal/core ./internal/topo
 
 # The performance regression gate: the zero-alloc tests above, then a
 # measured perf snapshot (E4 lookup cost, 200-site data-plane PPS and
@@ -181,8 +181,9 @@ verify-snapshot:
 # full mesh, a single reflector as one cluster, and two clusters) and the
 # single-reflector stale-refresh reproducer,
 # the incremental SPF/CSPF and LDP-delta oracles (identical tables to a
-# full recompute across random flap sequences), the TE-delta oracles (the
-# dirty-set re-signal ≡ the full sweep across 208 flap sequences, its named
+# full recompute across random flap sequences; the IGP and the TE trees,
+# both clients of one engine, agreeing on every distance), the TE-delta
+# oracles (the dirty-set re-signal ≡ the full sweep across 208 flap sequences, its named
 # fallbacks, the provider-only path scope, a clean LSP untouched by someone
 # else's fault, the overtaken detection timer, no local repair around a link
 # already back, rsvp's batch primitives), the

@@ -134,6 +134,89 @@ func TestISPFMatchesFullSPFAcrossFlapSequences(t *testing.T) {
 	}
 }
 
+// TestIncrementalSPFMatchesIGP ties the engine's two clients together: on
+// random graphs changed by duplex flaps and metric changes, after every
+// NotifyLinkChange each instance's route to every router has the Dist of a
+// topo.IncrementalSPF from the same router that was fed the same links, and
+// the first link of the tracker's path is one of the route's NextHops. A
+// duplex flap takes every link between the two routers, both ways. Left out
+// are the two cases where the IGP and the live graph legitimately differ:
+// one-way flaps (the bidirectional check), and a flap that partitions the
+// graph (flooding stops at the cut and nothing resynchronises the two
+// halves' databases when it heals), which is skipped.
+func TestIncrementalSPFMatchesIGP(t *testing.T) {
+	igpRuns, teRuns := 0, 0
+	f := func(nRaw uint8, extras []uint16, seq []uint16) bool {
+		nodes := 3 + int(nRaw%8)
+		if len(extras) > 12 {
+			extras = extras[:12]
+		}
+		if len(seq) > 30 {
+			seq = seq[:30]
+		}
+		g := randomGraph(nodes, extras)
+		d := NewDomain(g)
+		d.Converge()
+		trackers := make([]*topo.IncrementalSPF, len(d.Instances))
+		for r, in := range d.Instances {
+			trackers[r] = topo.NewIncrementalSPF(g, in.Node, topo.Constraints{})
+		}
+		for _, ev := range seq {
+			l := g.Link(topo.LinkID(int(ev) % g.NumLinks()))
+			var fed []topo.LinkID
+			if (ev>>8)%2 == 0 {
+				down := !l.Down
+				for lid := range g.NumLinks() {
+					if m := g.Link(topo.LinkID(lid)); (m.From == l.From && m.To == l.To) || (m.From == l.To && m.To == l.From) {
+						g.SetDown(m.ID, down)
+						fed = append(fed, m.ID)
+					}
+				}
+				if !g.SPF(l.From).Reachable(l.To) {
+					for _, lid := range fed {
+						g.SetDown(lid, !down)
+					}
+					continue
+				}
+			} else {
+				l.Metric = 1 + int(ev>>10)%6
+				fed = append(fed, l.ID)
+			}
+			d.NotifyLinkChange(l.From, l.To)
+			for r, in := range d.Instances {
+				tr := trackers[r]
+				for _, lid := range fed {
+					tr.ApplyLinkChange(lid)
+				}
+				res := tr.Result()
+				for dst := range topo.NodeID(g.NumNodes()) {
+					if dst == in.Node {
+						continue
+					}
+					rt, ok := in.RouteTo(dst)
+					if ok != res.Reachable(dst) || (ok && rt.Metric != res.Dist[dst]) {
+						t.Logf("%d->%d: route %+v (%t), tracker dist %d", in.Node, dst, rt, ok, res.Dist[dst])
+						return false
+					}
+					if p, _ := res.PathTo(g, dst); ok && !slices.Contains(rt.NextHops, p.Links[0]) {
+						t.Logf("%d->%d: tracker's first link %d is not among %v", in.Node, dst, p.Links[0], rt.NextHops)
+						return false
+					}
+				}
+				teRuns += tr.IncrementalRuns
+			}
+		}
+		igpRuns += d.ISPFRuns
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if igpRuns == 0 || teRuns == 0 {
+		t.Fatalf("incremental paths never exercised: %d IGP derivations, %d tracker updates", igpRuns, teRuns)
+	}
+}
+
 // A restored (or freshly built) instance has no ISPF state; the next
 // NotifyLinkChange must fall back to a full SPF, rebuild the state, and
 // subsequent events must ride the incremental path again.

@@ -75,7 +75,7 @@ type Instance struct {
 
 	// ispf is the incrementally-maintained SPF state (see ispf.go); nil
 	// means the next recompute must be a full SPF, which rebuilds it.
-	ispf *ispfState
+	ispf *topo.SSSP
 	// changed marks destinations whose route changed, consumed by
 	// TakeChangedDests for delta propagation into routers' IP tables.
 	changed []bool
@@ -163,7 +163,7 @@ func NewDomain(g *topo.Graph) *Domain {
 func NewDomainOver(g *topo.Graph, nodes []topo.NodeID) *Domain {
 	d := &Domain{G: g, idx: topo.RanksOf(nodes)}
 	n := len(d.idx.Nodes)
-	d.marks, d.hops = make([]bool, n), make([][]topo.LinkID, n)
+	d.marks = make([]bool, n)
 	for _, node := range d.idx.Nodes {
 		d.Instances = append(d.Instances, &Instance{
 			Node:     node,
@@ -237,7 +237,8 @@ func (d *Domain) NotifyLinkChange(a, b topo.NodeID) {
 		switch {
 		case in.ispf == nil:
 			d.spf(in)
-		case len(in.ispf.touched) > 0:
+		case len(in.ispf.Touched) > 0:
+			d.ISPFRuns++
 			d.deriveRoutes(in)
 		}
 	}
@@ -293,18 +294,14 @@ func (d *Domain) flood() {
 }
 
 // spf computes routes for one instance from its own LSDB. The instance
-// reconstructs the topology it believes in; a link is usable only if both
-// endpoints advertise it (OSPF's bidirectional check). Dijkstra then runs
-// over that adjacency with a binary heap, and first-hop sets are derived as
-// nodes settle: a node's ECMP next hops are the union of its shortest-path
-// parents' (a parent that is the source contributes the connecting link),
-// and metrics are positive, so every parent has settled before its child.
-// The adjacency and distance field stay behind as the instance's live ISPF
-// state (unless the domain disables it), which install then maintains across
-// LSA changes.
+// reconstructs the topology it believes in — a link is usable only if both
+// endpoints advertise it (OSPF's bidirectional check) — as one slab of rows,
+// each cut to its length, and builds a topo.SSSP over it; deriveRoutes then
+// walks every node the build touched, which is all of them. The state stays
+// behind as the instance's live ISPF state (unless the domain disables it),
+// which install then maintains across LSA changes.
 func (d *Domain) spf(in *Instance) {
 	d.FullSPFRuns++
-	n := len(d.Instances)
 	edges := 0
 	for o := range in.lsdb {
 		for _, l := range in.lsdb[o].Links {
@@ -313,74 +310,19 @@ func (d *Domain) spf(in *Instance) {
 			}
 		}
 	}
-	// One slab for every row: rows are cut to their length, so an edge ISPF
-	// adds later moves that row out of the slab instead of into its neighbour.
-	st := &ispfState{adj: make([][]iedge, n), dist: make([]int, n), sc: &d.scratch}
-	slab := make([]iedge, 0, edges)
+	out := make([][]topo.Edge, len(d.Instances))
+	slab := make([]topo.Edge, 0, edges)
 	for o := range in.lsdb {
 		from := len(slab)
 		slab = d.believed(in, slab, &in.lsdb[o])
-		st.adj[o] = slab[from:len(slab):len(slab)]
+		out[o] = slab[from:len(slab):len(slab)]
 	}
-
-	src := d.idx.Of(in.Node)
-	dist, hops := st.dist, d.hops
-	for v := range dist {
-		dist[v], hops[v] = unreachable, nil
-	}
-	dist[src] = 0
-	d.heap = append(d.heap[:0], distItem{Node: src})
-	for len(d.heap) > 0 {
-		it := d.heap.Pop()
-		if it.Dist > dist[it.Node] {
-			continue // superseded by a shorter entry
-		}
-		for _, e := range st.adj[it.Node] {
-			first := hops[it.Node]
-			if it.Node == src {
-				first = []topo.LinkID{e.link}
-			}
-			switch nd := it.Dist + e.metric; {
-			case nd < dist[e.to]:
-				dist[e.to], hops[e.to] = nd, first
-				d.heap.Push(distItem{Node: e.to, Dist: nd})
-			case nd == dist[e.to]:
-				hops[e.to] = mergeHops(hops[e.to], first)
-			}
-		}
-	}
-
-	for v := range in.routes {
-		var next Route
-		if v != src && len(hops[v]) > 0 {
-			next = Route{Dest: d.idx.Nodes[v], NextHop: hops[v][0], NextHops: hops[v], Metric: dist[v]}
-		}
-		if !sameRoute(in.routes[v], next) {
-			in.routes[v], in.changed[v] = next, true
-		}
-	}
-
+	in.ispf = topo.NewSSSP(&d.sssp)
+	in.ispf.Build(d.idx.Of(in.Node), out)
+	d.deriveRoutes(in)
 	if d.DisableISPF {
 		in.ispf = nil
-		return
 	}
-	// The reverse index, rows cut from one slab to their in-degree.
-	indeg := make([]int, n)
-	for _, e := range slab {
-		indeg[e.to]++
-	}
-	st.radj = make([][]redge, n)
-	rslab := make([]redge, len(slab))
-	for v, at := 0, 0; v < n; v++ {
-		st.radj[v] = rslab[at : at : at+indeg[v]]
-		at += indeg[v]
-	}
-	for from, row := range st.adj {
-		for _, e := range row {
-			st.radj[e.to] = append(st.radj[e.to], redge{from: from, metric: e.metric, link: e.link})
-		}
-	}
-	in.ispf = st
 }
 
 // LoopbackTable builds an IP routing table for router n mapping every

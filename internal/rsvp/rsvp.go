@@ -137,8 +137,9 @@ type Protocol struct {
 	// PlainSPF, when set, serves the unconstrained shortest-path tree from
 	// the given ingress — the preemption fallback in findPath when no
 	// avoid set applies. The core wires this to an incrementally-maintained
-	// tree (topo.IncrementalSPF) so re-signalling storms after a failure do
-	// not pay a full Dijkstra per LSP. The callback must return a tree
+	// tree (topo.IncrementalSPF, a client of the topo.SSSP engine the IGP
+	// also runs on) so re-signalling storms after a failure do not pay a
+	// full Dijkstra per LSP. The callback must return a tree
 	// equal to G.CSPF(ingress, topo.Constraints{Within: p.Scope()}); constrained
 	// searches always run a fresh CSPF, since reservation state shifts under
 	// them.

@@ -1,13 +1,9 @@
 package topo
 
-import "math"
-
 // IncrementalSPF maintains a CSPF result across single-link events without
-// recomputing the whole tree. It implements the dynamic-SSSP scheme of
-// Ramalingam–Reps: an improved edge triggers a bounded Dijkstra forward
-// from its head, a worsened edge first identifies the affected region
-// (nodes whose distance can no longer be certified by an unaffected
-// in-edge) and then re-settles only that region from its boundary.
+// recomputing the whole tree. It is a client of SSSP: it holds the links
+// CSPF would see as the engine's adjacency, feeds it the difference a link
+// event makes, and keeps Prev for the nodes the repair touched.
 //
 // The maintained result is canonical: after every ApplyLinkChange, Dist and
 // Prev are exactly what Graph.CSPF would compute from scratch on the
@@ -24,6 +20,8 @@ type IncrementalSPF struct {
 	src NodeID
 	c   Constraints
 	res *SPFResult
+	sp  *SSSP
+	sc  SPFScratch
 
 	// links and nodes are the graph's size at the last (re)build: the tree
 	// is current for that much of it.
@@ -33,12 +31,9 @@ type IncrementalSPF struct {
 	// topology-growth fallbacks); IncrementalRuns counts delta updates.
 	FullRuns        int
 	IncrementalRuns int
-
-	// affected marks the shrink-phase region; cleared after each update.
-	affected []bool
 }
 
-// NewIncrementalSPF computes the initial tree with a full CSPF run.
+// NewIncrementalSPF computes the initial tree with a full search.
 func NewIncrementalSPF(g *Graph, src NodeID, c Constraints) *IncrementalSPF {
 	s := &IncrementalSPF{g: g, src: src, c: c}
 	s.Rebuild()
@@ -52,9 +47,32 @@ func (s *IncrementalSPF) Result() *SPFResult { return s.res }
 // Rebuild recomputes the tree from scratch — the fallback for events wider
 // than a single link (node crashes, bulk reservation shifts, graph growth).
 func (s *IncrementalSPF) Rebuild() {
-	s.res = s.g.CSPF(s.src, s.c)
+	n := s.g.span(s.src, s.c)
+	out := make([][]Edge, n)
+	edges := 0
+	for u := range out {
+		for _, lid := range s.g.OutLinks(NodeID(u)) {
+			if s.eligible(lid, s.g.Link(lid)) {
+				edges++
+			}
+		}
+	}
+	// One slab, each row cut to its length (SSSP.Build).
+	slab := make([]Edge, 0, edges)
+	for u := range out {
+		at := len(slab)
+		for _, lid := range s.g.OutLinks(NodeID(u)) {
+			if l := s.g.Link(lid); s.eligible(lid, l) {
+				slab = append(slab, Edge{Node: int(l.To), Metric: l.Metric, Link: lid})
+			}
+		}
+		out[u] = slab[at:len(slab):len(slab)]
+	}
+	s.sp = NewSSSP(&s.sc)
+	s.sp.Build(int(s.src), out)
+	s.res = &SPFResult{Source: s.src, Dist: s.sp.Dist, Prev: make([]LinkID, n)}
+	s.refresh()
 	s.links, s.nodes = s.g.NumLinks(), s.g.NumNodes()
-	s.affected = make([]bool, len(s.res.Dist))
 	s.FullRuns++
 }
 
@@ -76,7 +94,7 @@ func (s *IncrementalSPF) current() bool {
 // eligible mirrors CSPF's link pruning: down links, excluded links, links
 // with an end outside the node scope, bandwidth-starved links, and links
 // leaving an excluded transit node are invisible (the source relaxes even
-// when excluded, as in CSPF).
+// when excluded, as in CSPF). The eligible links are the engine's adjacency.
 func (s *IncrementalSPF) eligible(lid LinkID, l *Link) bool {
 	if l.Down || s.c.ExcludeLinks[lid] || !s.c.within(l.To) || !s.c.within(l.From) {
 		return false
@@ -90,27 +108,6 @@ func (s *IncrementalSPF) eligible(lid LinkID, l *Link) bool {
 	return true
 }
 
-// certify returns the best distance v can claim through its current
-// in-edges, and the lowest link ID achieving it — the canonical Prev.
-func (s *IncrementalSPF) certify(v NodeID) (int, LinkID) {
-	best, bestLid := math.MaxInt, LinkID(-1)
-	for _, lid := range s.g.InLinks(v) {
-		l := s.g.Link(lid)
-		if !s.eligible(lid, l) {
-			continue
-		}
-		du := s.res.Dist[l.From]
-		if du == math.MaxInt {
-			continue
-		}
-		nd := du + l.Metric
-		if nd < best || (nd == best && lid < bestLid) {
-			best, bestLid = nd, lid
-		}
-	}
-	return best, bestLid
-}
-
 // ApplyLinkChange folds one directed link's state change (Down flag,
 // metric, or bandwidth eligibility) into the tree. Both halves of a duplex
 // flap need their own call. Safe to call when nothing actually changed.
@@ -120,164 +117,37 @@ func (s *IncrementalSPF) ApplyLinkChange(lid LinkID) {
 		s.Rebuild()
 		return
 	}
-	v := s.g.Link(lid).To
-	if v == s.src || !s.c.within(v) {
-		// Dist[src] is pinned at 0 and Prev[src] at -1; an in-edge to the
-		// source never changes the tree (metrics are strictly positive). Nor
-		// does a link into a node the tree does not span.
-		return
+	l := s.g.Link(lid)
+	if l.To != s.src && s.c.within(l.To) {
+		s.IncrementalRuns++
 	}
-	s.IncrementalRuns++
-	cert, certLid := s.certify(v)
+	if !s.c.within(l.From) {
+		return // never held: the tree does not span its tail
+	}
+	u := int(l.From)
+	ok, held := s.eligible(lid, l), find(s.sp.Out(u), lid) >= 0
 	switch {
-	case cert == s.res.Dist[v]:
-		// Distance unchanged; only the tie-break may have moved.
-		s.res.Prev[v] = certLid
-	case cert < s.res.Dist[v]:
-		s.grow(v, cert, certLid)
-	default:
-		s.shrink(v)
+	case held && !ok:
+		s.sp.RemoveEdge(u, lid)
+	case !held && ok:
+		s.sp.AddEdge(u, Edge{Node: int(l.To), Metric: l.Metric, Link: lid})
+	case held:
+		s.sp.SetMetric(u, lid, l.Metric)
 	}
+	s.refresh()
 }
 
-// grow handles an improvement at v: bounded Dijkstra forward. Only nodes
-// whose distance strictly improves are re-settled; unchanged neighbors of
-// improved nodes get their Prev tie-break refreshed in place, because an
-// improved in-neighbor can create a new equal-cost in-edge with a lower
-// link ID (old optimality guarantees it can never destroy one).
-func (s *IncrementalSPF) grow(v NodeID, dist int, via LinkID) {
-	res := s.res
-	res.Dist[v], res.Prev[v] = dist, via
-	h := spfHeap{{Node: v, Dist: dist}}
-	for len(h) > 0 {
-		it := h.Pop()
-		u := it.Node
-		if it.Dist > res.Dist[u] {
-			continue // superseded by a later improvement
-		}
-		if s.c.ExcludeNodes[u] && u != s.src {
-			continue
-		}
-		for _, olid := range s.g.OutLinks(u) {
-			l := s.g.Link(olid)
-			if !s.eligible(olid, l) {
-				continue
+// refresh sets Prev — the lowest-ID parent link, CSPF's tie-break — of every
+// node the engine touched, and empties its ledger.
+func (s *IncrementalSPF) refresh() {
+	for _, v := range s.sp.Touched {
+		best := LinkID(-1)
+		s.sp.Parents(v, func(e Edge) {
+			if best < 0 || e.Link < best {
+				best = e.Link
 			}
-			w := l.To
-			if w == s.src {
-				continue
-			}
-			nd := res.Dist[u] + l.Metric
-			if nd < res.Dist[w] {
-				res.Dist[w], res.Prev[w] = nd, olid
-				h.Push(spfItem{Node: w, Dist: nd})
-			} else if nd == res.Dist[w] && olid < res.Prev[w] {
-				res.Prev[w] = olid
-			}
-		}
+		})
+		s.res.Prev[v] = best
 	}
-}
-
-// shrink handles a degradation at v. Phase 1 floods the affected region:
-// a node joins when every in-edge that certified its distance comes from a
-// node already in the region. Nodes that keep an unaffected certificate
-// only refresh their Prev tie-break. Phase 2 resets the region to
-// unreachable, seeds each member with its best boundary in-edge, and runs
-// Dijkstra restricted to the region — unaffected distances are already
-// optimal (a degradation never improves anyone) and stay untouched.
-func (s *IncrementalSPF) shrink(v NodeID) {
-	res := s.res
-	aff := []NodeID{v}
-	s.affected[v] = true
-	for i := 0; i < len(aff); i++ {
-		u := aff[i]
-		if s.c.ExcludeNodes[u] && u != s.src {
-			continue
-		}
-		for _, olid := range s.g.OutLinks(u) {
-			l := s.g.Link(olid)
-			if !s.eligible(olid, l) {
-				continue
-			}
-			w := l.To
-			if w == s.src || s.affected[w] || res.Dist[w] == math.MaxInt {
-				continue
-			}
-			if res.Dist[u]+l.Metric != res.Dist[w] {
-				continue // u never supported w's distance
-			}
-			cert, certLid := s.certifyUnaffected(w)
-			if cert == res.Dist[w] {
-				res.Prev[w] = certLid
-			} else {
-				s.affected[w] = true
-				aff = append(aff, w)
-			}
-		}
-	}
-
-	var h spfHeap
-	for _, u := range aff {
-		res.Dist[u], res.Prev[u] = math.MaxInt, -1
-	}
-	for _, u := range aff {
-		// certify sees affected sources as unreachable now, so this is the
-		// best boundary (unaffected) in-edge.
-		cert, certLid := s.certify(u)
-		if cert < math.MaxInt {
-			res.Dist[u], res.Prev[u] = cert, certLid
-			h.Push(spfItem{Node: u, Dist: cert})
-		}
-	}
-	for len(h) > 0 {
-		it := h.Pop()
-		u := it.Node
-		if it.Dist > res.Dist[u] {
-			continue
-		}
-		if s.c.ExcludeNodes[u] && u != s.src {
-			continue
-		}
-		for _, olid := range s.g.OutLinks(u) {
-			l := s.g.Link(olid)
-			if !s.eligible(olid, l) {
-				continue
-			}
-			w := l.To
-			if !s.affected[w] {
-				continue // boundary distances are already optimal
-			}
-			nd := res.Dist[u] + l.Metric
-			if nd < res.Dist[w] {
-				res.Dist[w], res.Prev[w] = nd, olid
-				h.Push(spfItem{Node: w, Dist: nd})
-			} else if nd == res.Dist[w] && olid < res.Prev[w] {
-				res.Prev[w] = olid
-			}
-		}
-	}
-	for _, u := range aff {
-		s.affected[u] = false
-	}
-}
-
-// certifyUnaffected is certify restricted to sources outside the affected
-// region being flooded in shrink's first phase.
-func (s *IncrementalSPF) certifyUnaffected(v NodeID) (int, LinkID) {
-	best, bestLid := math.MaxInt, LinkID(-1)
-	for _, lid := range s.g.InLinks(v) {
-		l := s.g.Link(lid)
-		if !s.eligible(lid, l) || s.affected[l.From] {
-			continue
-		}
-		du := s.res.Dist[l.From]
-		if du == math.MaxInt {
-			continue
-		}
-		nd := du + l.Metric
-		if nd < best || (nd == best && lid < bestLid) {
-			best, bestLid = nd, lid
-		}
-	}
-	return best, bestLid
+	s.sp.Touched = s.sp.Touched[:0]
 }

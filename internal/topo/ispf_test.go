@@ -150,6 +150,45 @@ func TestIncrementalSPFScopedIgnoresStubGrowth(t *testing.T) {
 	}
 }
 
+// TestIncrementalSPFZeroAllocFlap: a warm tracker folds a duplex flap of a
+// link on its tree, down and back up with both halves fed to it, without
+// allocating. The repairs work in the engine's scratch, and an edge taken
+// out of a row leaves the slot its return fills.
+func TestIncrementalSPFZeroAllocFlap(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(3)))
+	inc := NewIncrementalSPF(g, 0, Constraints{})
+	var lid, rid LinkID = -1, -1
+	for _, p := range inc.Result().Prev {
+		if p < 0 {
+			continue
+		}
+		if rev, ok := g.Reverse(p); ok && !rev.Down {
+			lid, rid = p, rev.ID
+			break
+		}
+	}
+	if lid < 0 {
+		t.Fatal("no duplex link on the tree")
+	}
+	flap := func() {
+		for _, down := range [...]bool{true, false} {
+			g.SetDown(lid, down)
+			g.SetDown(rid, down)
+			inc.ApplyLinkChange(lid)
+			inc.ApplyLinkChange(rid)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, flap); allocs != 0 {
+		t.Fatalf("a duplex flap of on-tree link %d costs %.1f allocations, want 0", lid, allocs)
+	}
+	g.SetDown(lid, true)
+	inc.ApplyLinkChange(lid)
+	if got := inc.Result(); got.Prev[g.Link(lid).To] == lid {
+		t.Fatalf("link %d is down and still on the tree", lid)
+	}
+	sameTree(t, 3, 0, inc.Result(), g.SPF(0))
+}
+
 // TestClusterPEs checks the reflector-cluster helper: full coverage of the
 // given PE set, at most k clusters, deterministic output, and members
 // sorted within each cluster.

@@ -50,7 +50,7 @@ func (g *Graph) NodeMask(nodes []NodeID) []bool {
 }
 
 // DistItem is one tentative distance in a search frontier; N is whatever the
-// search names its nodes by (node IDs here, ranks in ospf).
+// search names its nodes by (node IDs in CSPF, dense indices in SSSP).
 type DistItem[N ~int] struct {
 	Node N
 	Dist int
@@ -121,12 +121,7 @@ func (g *Graph) SPF(src NodeID) *SPFResult {
 // treated as absent. Ties between equal-cost paths are broken by lower link
 // ID, which makes path selection deterministic.
 func (g *Graph) CSPF(src NodeID, c Constraints) *SPFResult {
-	// A scoped tree spans only the node IDs its mask covers: nothing beyond
-	// them can be reached, and Reachable and PathTo say so.
-	n := g.NumNodes()
-	if c.Within != nil && int(src) < len(c.Within) && len(c.Within) < n {
-		n = len(c.Within)
-	}
+	n := g.span(src, c)
 	res := &SPFResult{
 		Source: src,
 		Dist:   make([]int, n),
@@ -174,6 +169,16 @@ func (g *Graph) CSPF(src NodeID, c Constraints) *SPFResult {
 		}
 	}
 	return res
+}
+
+// span is the number of nodes a tree from src under c spans: a scoped tree
+// spans only the node IDs its mask covers, since nothing beyond them can be
+// reached, and Reachable and PathTo say so.
+func (g *Graph) span(src NodeID, c Constraints) int {
+	if c.Within != nil && int(src) < len(c.Within) && len(c.Within) < g.NumNodes() {
+		return len(c.Within)
+	}
+	return g.NumNodes()
 }
 
 // Reachable reports whether dst has a path in the SPF tree.

@@ -2,7 +2,9 @@
 // by duplex links with bandwidth, propagation delay, and an IGP metric. It
 // provides shortest-path-first (Dijkstra) computation for the IGP and
 // constrained SPF (CSPF) — the resource-aware path selection the paper's
-// §2.2 identifies as the missing piece in plain IP routing — for RSVP-TE.
+// §2.2 identifies as the missing piece in plain IP routing — for RSVP-TE,
+// and one incremental shortest-path engine (SSSP) that keeps both the IGP's
+// routes and the TE trees current across single-link events.
 package topo
 
 import (
