@@ -86,11 +86,13 @@ bench-hop:
 # zero-alloc at steady state (label stack ops, table lookups, Router.Receive,
 # scheduler enqueue/dequeue and Pass, an idle scheduler's checkpoint load,
 # engine Post, the full netsim per-hop path, a delivery's and a drop's
-# accounting with telemetry on, and an incremental SPF tree folding a duplex
-# link flap), and a forwarding table is built in a handful of allocations.
+# accounting with telemetry on, telemetry's instruments on and off, a warm
+# latency histogram, and an incremental SPF tree folding a duplex link flap),
+# and a forwarding table is built in a handful of allocations. Like
+# verify-snapshot, the pattern runs over every package, so a new or moved
+# test cannot fall out of the gate.
 alloc-gate:
-	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint' \
-		./internal/packet ./internal/addr ./internal/sim ./internal/qos ./internal/device ./internal/netsim ./internal/core ./internal/topo
+	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint' ./internal/...
 
 # The performance regression gate: the zero-alloc tests above, then a
 # measured perf snapshot (E4 lookup cost, 200-site data-plane PPS and

@@ -67,6 +67,17 @@ func newTable[V any](nodes int) *Table[V] {
 	return &Table[V]{nodes: make([]node, 1, nodes), vals: make([]V, 1, nodes)}
 }
 
+// Grow makes room for n more prefixes, so that inserting them does not
+// reallocate: a table that knows what it is about to hold (a VRF importing
+// its routes) is sized once instead of growing through the small-table
+// steps and leaving each step behind as garbage.
+func (t *Table[V]) Grow(n int) {
+	if need := 2*(t.size+n) + 1; need > cap(t.nodes) {
+		t.nodes = append(make([]node, 0, need), t.nodes...)
+		t.vals = append(make([]V, 0, need), t.vals...)
+	}
+}
+
 // Len returns the number of installed prefixes.
 func (t *Table[V]) Len() int { return t.size }
 

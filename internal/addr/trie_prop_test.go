@@ -415,3 +415,30 @@ func TestTableChurnDoesNotGrow(t *testing.T) {
 	}
 	checkInvariants(t, tb)
 }
+
+// TestTableGrowMakesRoomOnce: Grow(n) reserves what n more prefixes can take,
+// so the inserts that follow never reallocate — also when the table is
+// drained and refilled round after round, as a VRF's re-import is.
+func TestTableGrowMakesRoomOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	tb := NewTable[int]()
+	tb.Insert(NewPrefix(IPv4(0x0a000000), 8), -1)
+	for round := 0; round < 3; round++ {
+		ps := make([]Prefix, 100)
+		for i := range ps {
+			ps[i] = NewPrefix(IPv4(rng.Uint32()), uint8(8+rng.Intn(25)))
+		}
+		tb.Grow(len(ps))
+		nodes, vals := cap(tb.nodes), cap(tb.vals)
+		for i, p := range ps {
+			tb.Insert(p, i)
+		}
+		if cap(tb.nodes) != nodes || cap(tb.vals) != vals {
+			t.Fatalf("round %d: %d inserts grew the table from %d/%d to %d/%d", round, len(ps), nodes, vals, cap(tb.nodes), cap(tb.vals))
+		}
+		for _, p := range ps {
+			tb.Delete(p)
+		}
+	}
+	checkInvariants(t, tb)
+}

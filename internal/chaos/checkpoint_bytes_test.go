@@ -18,16 +18,12 @@ import (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // TestCheckpointBytesUnchanged pins the checkpoint wire format. The lengths
-// and CRC-32Cs were recorded at the commit that made snapshot.Version 3 (the
-// "bgp" section became a route table plus indices); a change that is not
-// meant to move the format must reproduce them bit for bit. A deliberate
-// format change re-records them and the testdata file and bumps Version in
-// the same commit. The three rigs with TE intents, and the testdata file,
-// were re-recorded once since, format unchanged, when TE re-signalling
-// became a delta (DESIGN.md §8.7): their content moved — LSP IDs run on
-// instead of restarting at every reconvergence, the journal reports each
-// reconvergence's TE outcome instead of an lsp_up per intent — and the
-// inter-AS rig, which has no TE, did not.
+// and CRC-32Cs were recorded at the commit that made snapshot.Version 4 (a
+// latency distribution became a log-linear bucket window plus its exact
+// aggregates, in place of every observation); a change that is not meant to
+// move the format must reproduce them bit for bit. A deliberate format
+// change re-records them and the testdata file and bumps Version in the same
+// commit.
 func TestCheckpointBytesUnchanged(t *testing.T) {
 	backbone := func(rig *snapRig, at sim.Time, fp string) []byte {
 		rig.b.E.MarkSetup()
@@ -44,9 +40,9 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		n    int
 		crc  uint32
 	}{
-		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 54804, 0x45ad6596},
-		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 54886, 0xde9f23b2},
-		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 77898, 0x0d18f427},
+		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 33885, 0x72345930},
+		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 33967, 0x70729228},
+		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 62215, 0x7eb9b336},
 		{"inter-AS rig (options A, B, C), serial", func() []byte {
 			rig := buildInterASRig(t, 0, 0)
 			rig.x.E.MarkSetup()
@@ -56,7 +52,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			return data
-		}, 134846, 0x7d94ae5c},
+		}, 121139, 0x2eea72ac},
 	}
 	for _, tc := range cases {
 		data := tc.data()
@@ -68,7 +64,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 
 	// A checkpoint file written by that same commit restores, re-encodes to
 	// the same bytes, and finishes the run like the uninterrupted one.
-	old, err := os.ReadFile("testdata/snap-serial-v3.mvsnap")
+	old, err := os.ReadFile("testdata/snap-serial-v4.mvsnap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +85,13 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 	}
 
 	// The file the previous format's last commit wrote is refused by version:
-	// its "bgp" section would otherwise be read as the wrong layout.
-	retired, err := os.ReadFile("testdata/snap-serial-v2.mvsnap")
+	// its "flows" and "telemetry" sections would otherwise be read as the
+	// wrong layout.
+	retired, err := os.ReadFile("testdata/snap-serial-v3.mvsnap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := buildSnapRig(t, 0, 0).b.Restore(retired, "snap-equiv"); !errors.Is(err, snapshot.ErrVersion) {
-		t.Errorf("restore of the version-2 checkpoint: err = %v, want ErrVersion", err)
+		t.Errorf("restore of the version-3 checkpoint: err = %v, want ErrVersion", err)
 	}
 }

@@ -82,9 +82,10 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		return f
 	}), fp))
 
-	// A version-1 file (ports saved busy, not busyUntil; evTxDone records)
-	// or version-2 file ("bgp" routes by value under a per-prefix map) is
-	// refused by version, before any section is read as the wrong layout.
+	// A version-1 file (ports saved busy, not busyUntil; evTxDone records),
+	// version-2 file ("bgp" routes by value under a per-prefix map) or
+	// version-3 file (every latency observation) is refused by version,
+	// before any section is read as the wrong layout.
 	for v := uint64(1); v < snapshot.MinVersion; v++ {
 		if err := restore(resect(func(f *snapshot.File) *snapshot.File {
 			f.Version = v

@@ -200,7 +200,7 @@ func (b *Backbone) vpnTelFor(vpn string) *vpnTel {
 		vt = &vpnTel{
 			delivered: b.tel.Reg.Counter("vpn_delivered_bytes", l),
 			dropped:   b.tel.Reg.Counter("vpn_dropped_pkts", l),
-			latency:   b.tel.Reg.Histogram("vpn_latency_ms", l, nil),
+			latency:   b.tel.Reg.Histogram("vpn_latency_ms", l),
 			window:    b.tel.Watcher.Window(vpn),
 		}
 		b.vpnTel[vpn] = vt

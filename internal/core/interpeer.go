@@ -126,10 +126,8 @@ type peering struct {
 	// leave subs nil).
 	subs map[string]subif
 
-	// Survivability state machine (EnableInterASSurvivability).
-	state      survState
-	misses     int
-	grDeadline sim.Time
+	// The hello state machine (EnableInterASSurvivability).
+	survSession
 	// down marks the edge unselectable (detected failure, or FailPeering).
 	down bool
 	// cut marks a deliberate peering-link failure (FailPeering), an
@@ -264,11 +262,6 @@ type InterASSurvivabilityOptions struct {
 	Horizon sim.Time
 }
 
-// interASSurv is the live survivability state plus counters.
-type interASSurv struct {
-	opt InterASSurvivabilityOptions
-}
-
 // InterASStats is the inter-AS layer's externally visible accounting.
 type InterASStats struct {
 	PeeringFlaps    int // peering sessions declared lost
@@ -290,7 +283,7 @@ type interASPlane struct {
 	// control plane is actually back, so the selector never routes into a
 	// half-rebuilt label plane.
 	restoring map[string]bool
-	surv      *interASSurv
+	surv      *InterASSurvivabilityOptions // nil until EnableInterASSurvivability
 	stats     InterASStats
 }
 
@@ -1254,16 +1247,8 @@ func (x *InterAS) EnableInterASSurvivability(opts InterASSurvivabilityOptions) {
 	if pl.surv != nil {
 		return
 	}
-	if opts.Hello == 0 {
-		opts.Hello = DefaultHelloInterval
-	}
-	if opts.HoldMisses == 0 {
-		opts.HoldMisses = DefaultHoldMisses
-	}
-	if opts.RestartTime == 0 {
-		opts.RestartTime = DefaultRestartTime
-	}
-	pl.surv = &interASSurv{opt: opts}
+	helloDefaults(&opts.Hello, &opts.HoldMisses, &opts.RestartTime)
+	pl.surv = &opts
 	if opts.Horizon > 0 {
 		for t := opts.Hello; t <= opts.Horizon; t += opts.Hello {
 			x.E.After(t, x.peeringScan)
@@ -1283,53 +1268,29 @@ func (x *InterAS) peeringScan() {
 			continue // deliberate fibre cut: not the hello machine's case
 		}
 		dead := pl.failed[p.spec.ASA] || pl.failed[p.spec.ASB]
-		switch p.state {
-		case sessUp:
-			if !dead {
-				p.misses = 0
-				continue
-			}
-			p.misses++
-			if p.misses < s.opt.HoldMisses {
-				continue
-			}
+		switch p.scan(dead, now, s.HoldMisses, s.GracefulRestart, s.RestartTime) {
+		case helloLost:
 			pl.stats.PeeringFlaps++
-			if s.opt.GracefulRestart {
-				p.state = sessRestarting
-				p.grDeadline = now + s.opt.RestartTime
-				x.journalPeering(p, telemetry.EventSessionFlap,
-					"peering session lost; boundary labels stale-retained")
-			} else {
-				p.state = sessDown
-				p.down = true
-				changed = true
-				x.journalPeering(p, telemetry.EventSessionFlap,
-					"peering session lost; boundary routes withdrawn")
+			detail := "peering session lost; boundary labels stale-retained"
+			if p.state == sessDown {
+				p.down, changed = true, true
+				detail = "peering session lost; boundary routes withdrawn"
 			}
-		case sessRestarting:
-			if !dead {
-				p.state = sessUp
-				p.misses = 0
-				pl.stats.PeeringRestores++
-				x.journalPeering(p, telemetry.EventSessionRestored,
-					"peering session re-established within graceful restart")
-			} else if now >= p.grDeadline {
-				p.state = sessDown
-				p.down = true
-				changed = true
-				x.journalPeering(p, telemetry.EventStaleSwept,
-					"peering graceful restart expired; stale boundary state swept")
+			x.journalPeering(p, telemetry.EventSessionFlap, detail)
+		case helloExpired:
+			p.down, changed = true, true
+			x.journalPeering(p, telemetry.EventStaleSwept,
+				"peering graceful restart expired; stale boundary state swept")
+		case helloRestored:
+			// Back from a restart the edge never left the selection; back
+			// from down it rejoins it.
+			pl.stats.PeeringRestores++
+			detail := "peering session re-established within graceful restart"
+			if p.down {
+				p.down, changed = false, true
+				detail = "peering session re-established"
 			}
-		case sessDown:
-			if !dead {
-				p.state = sessUp
-				p.misses = 0
-				p.down = false
-				changed = true
-				pl.stats.PeeringRestores++
-				x.journalPeering(p, telemetry.EventSessionRestored,
-					"peering session re-established")
-			}
+			x.journalPeering(p, telemetry.EventSessionRestored, detail)
 		}
 	}
 	if changed {

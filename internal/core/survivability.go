@@ -68,11 +68,62 @@ func (s survState) String() string {
 	return "up"
 }
 
-// survSession is the per-node hello state.
+// survSession is one hello session's state: a provider router's, or an
+// inter-AS peering's.
 type survSession struct {
 	state      survState
 	misses     int
 	grDeadline sim.Time
+}
+
+// helloStep is the transition one hello scan made.
+type helloStep int
+
+const (
+	helloSteady   helloStep = iota // no transition
+	helloLost                      // HoldMisses silent scans: restarting with GR, else down
+	helloRestored                  // heard from again: up
+	helloExpired                   // the restart timer ran out: down
+)
+
+// scan advances the session by one hello round in which the far end is
+// silent (dead) or not. hold, gr and restart are the HoldMisses,
+// GracefulRestart and RestartTime options. The state moves before the
+// caller's side effects run, which may read it.
+func (st *survSession) scan(dead bool, now sim.Time, hold int, gr bool, restart sim.Time) helloStep {
+	switch {
+	case st.state == sessUp && !dead:
+		st.misses = 0
+	case st.state == sessUp:
+		if st.misses++; st.misses < hold {
+			return helloSteady
+		}
+		st.state = sessDown
+		if gr {
+			st.state, st.grDeadline = sessRestarting, now+restart
+		}
+		return helloLost
+	case !dead:
+		st.state, st.misses = sessUp, 0
+		return helloRestored
+	case st.state == sessRestarting && now >= st.grDeadline:
+		st.state = sessDown
+		return helloExpired
+	}
+	return helloSteady
+}
+
+// helloDefaults fills the hello options left zero.
+func helloDefaults(hello *sim.Time, hold *int, restart *sim.Time) {
+	if *hello == 0 {
+		*hello = DefaultHelloInterval
+	}
+	if *hold == 0 {
+		*hold = DefaultHoldMisses
+	}
+	if *restart == 0 {
+		*restart = DefaultRestartTime
+	}
 }
 
 // survivability is the live state hanging off the backbone.
@@ -115,15 +166,7 @@ func (b *Backbone) EnableSurvivability(opts SurvivabilityOptions) {
 	if b.surv != nil {
 		return
 	}
-	if opts.Hello == 0 {
-		opts.Hello = DefaultHelloInterval
-	}
-	if opts.HoldMisses == 0 {
-		opts.HoldMisses = DefaultHoldMisses
-	}
-	if opts.RestartTime == 0 {
-		opts.RestartTime = DefaultRestartTime
-	}
+	helloDefaults(&opts.Hello, &opts.HoldMisses, &opts.RestartTime)
 	b.surv = &survivability{opt: opts, sess: make(map[topo.NodeID]*survSession)}
 	b.BGP.SetClock(func() sim.Time { return b.E.Now() })
 	if opts.Damping.Enabled() {
@@ -169,27 +212,13 @@ func (b *Backbone) helloScan() {
 	now := b.E.Now()
 	for _, n := range b.providerNodes {
 		st := s.sessionFor(n)
-		dead := b.nodeDown[n] || b.ctrlDown[n]
-		switch st.state {
-		case sessUp:
-			if !dead {
-				st.misses = 0
-				continue
-			}
-			st.misses++
-			if st.misses >= s.opt.HoldMisses {
-				b.sessionLost(n, st)
-			}
-		case sessRestarting:
-			if !dead {
-				b.sessionRestored(n, st)
-			} else if now >= st.grDeadline {
-				b.grExpired(n, st)
-			}
-		case sessDown:
-			if !dead {
-				b.sessionRestored(n, st)
-			}
+		switch st.scan(b.nodeDown[n] || b.ctrlDown[n], now, s.opt.HoldMisses, s.opt.GracefulRestart, s.opt.RestartTime) {
+		case helloLost:
+			b.sessionLost(n)
+		case helloRestored:
+			b.sessionRestored(n)
+		case helloExpired:
+			b.grExpired(n)
 		}
 	}
 	if reused := b.BGP.DecayDamping(now); len(reused) > 0 {
@@ -205,16 +234,10 @@ func (b *Backbone) helloScan() {
 // sessionLost flaps every session of node n: BGP routes are stale-retained
 // (graceful restart) or withdrawn, LDP bindings likewise, and the per-peer
 // impact is journaled as session_flap events.
-func (b *Backbone) sessionLost(n topo.NodeID, st *survSession) {
+func (b *Backbone) sessionLost(n topo.NodeID) {
 	s := b.surv
 	gr := s.opt.GracefulRestart
 	name := b.G.Name(n)
-	if gr {
-		st.state = sessRestarting
-		st.grDeadline = b.E.Now() + s.opt.RestartTime
-	} else {
-		st.state = sessDown
-	}
 	s.flaps++
 
 	if _, ok := b.BGP.Speaker(n); ok {
@@ -254,11 +277,9 @@ func (b *Backbone) sessionLost(n topo.NodeID, st *survSession) {
 // returned box re-announces (refreshing stale routes in place), then the
 // mark-and-sweep pass withdraws what it no longer announces, and VRFs
 // re-import.
-func (b *Backbone) sessionRestored(n topo.NodeID, st *survSession) {
+func (b *Backbone) sessionRestored(n topo.NodeID) {
 	s := b.surv
 	name := b.G.Name(n)
-	st.state = sessUp
-	st.misses = 0
 	s.restores++
 
 	if _, ok := b.BGP.Speaker(n); ok {
@@ -298,10 +319,9 @@ func (b *Backbone) sessionRestored(n topo.NodeID, st *survSession) {
 // grExpired ends a graceful restart that outlived its timer: stale routes
 // are swept and withdrawn, and a control-plane-only crash hardens into a
 // real one — the preserved forwarding state has aged out.
-func (b *Backbone) grExpired(n topo.NodeID, st *survSession) {
+func (b *Backbone) grExpired(n topo.NodeID) {
 	s := b.surv
 	name := b.G.Name(n)
-	st.state = sessDown
 
 	if _, ok := b.BGP.Speaker(n); ok {
 		swept, _ := b.BGP.SweepStale(n)

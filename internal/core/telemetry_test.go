@@ -184,7 +184,7 @@ func TestTelemetryFlowAttribution(t *testing.T) {
 	if v := tel.Reg.Counter("vpn_delivered_bytes", telemetry.Labels{VPN: "acme"}).Value(); v == 0 {
 		t.Fatal("vpn_delivered_bytes not accumulating")
 	}
-	if h := tel.Reg.Histogram("vpn_latency_ms", telemetry.Labels{VPN: "acme"}, nil); h.Count() == 0 {
+	if h := tel.Reg.Histogram("vpn_latency_ms", telemetry.Labels{VPN: "acme"}); h.Count() == 0 {
 		t.Fatal("vpn_latency_ms not accumulating")
 	}
 }

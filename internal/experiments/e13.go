@@ -97,16 +97,16 @@ func E13InterASOptions(dur sim.Time, numVPNs int) *E13Result {
 
 		asbr2 := x.AS("as2").Router("as2-ASBR")
 		delivered := 0
-		var lat stats.Sample
+		p50s := 0.0
 		for _, f := range flows {
 			delivered += f.Stats.Delivered
-			lat.Add(f.Stats.Latency.Percentile(50))
+			p50s += f.Stats.Latency.Percentile(50)
 		}
 		option := opt.String()
 		res.Links[option] = interASLinks
 		res.Delivered[option] = delivered
 		res.Table.AddRow(option, numVPNs, interASLinks,
-			len(asbr2.VRFs), asbr2.LFIB.ILMSize(), delivered, lat.Mean())
+			len(asbr2.VRFs), asbr2.LFIB.ILMSize(), delivered, p50s/float64(len(flows)))
 	}
 	return res
 }

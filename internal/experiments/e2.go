@@ -51,7 +51,7 @@ func E2QoS(dur sim.Time) *E2Result {
 		{"mpls-hybrid-noexp", core.Config{Seed: 28, Scheduler: core.SchedHybrid, DisableEXPMapping: true}},
 	}
 
-	cdfs := map[string][]stats.CDFRow{}
+	voice := map[string]*stats.FlowStats{}
 	for _, c := range configs {
 		b := bottleneckBackbone(c.cfg)
 		twoSiteVPN(b)
@@ -64,16 +64,14 @@ func E2QoS(dur sim.Time) *E2Result {
 		res.VoiceP99[c.name] = w.voice.Stats.Latency.Percentile(99)
 		res.VoiceLoss[c.name] = w.voice.Stats.LossRate()
 		res.BulkLoss[c.name] = w.bulk.Stats.LossRate()
-		if c.name == "mpls-fifo" || c.name == "mpls-hybrid" {
-			cdfs[c.name] = w.voice.Stats.Latency.CDF()
-		}
+		voice[c.name] = w.voice.Stats
 	}
 
 	res.CDF = stats.NewTable("E2-figure — voice one-way latency CDF (ms): FIFO vs the QoS architecture",
 		"percentile", "mpls-fifo", "mpls-hybrid")
-	fifo, hybrid := cdfs["mpls-fifo"], cdfs["mpls-hybrid"]
-	for i := range fifo {
-		res.CDF.AddRow(fifo[i].Percentile, fifo[i].Value, hybrid[i].Value)
+	fifo, hybrid := &voice["mpls-fifo"].Latency, &voice["mpls-hybrid"].Latency
+	for _, p := range []float64{10, 25, 50, 75, 90, 95, 99, 99.9} {
+		res.CDF.AddRow(p, fifo.Percentile(p), hybrid.Percentile(p))
 	}
 	return res
 }

@@ -270,9 +270,13 @@ func (r *Reader) Count(minElemBytes int) int {
 //	   then each speaker's exports and adj-RIB-in as indices into it (sorted
 //	   by prefix), in place of every entry by value under a per-prefix map.
 //	   Version 2 is refused for the same reason version 1 is.
+//	4  "flows", "sources" and "telemetry" sections: a latency distribution is
+//	   its exact count, sum, min and max and a window of log-linear bucket
+//	   counts, in place of every observation and a decimation state.
+//	   Version 3 is refused for the same reason.
 const (
-	Version    = 3
-	MinVersion = 3
+	Version    = 4
+	MinVersion = 4
 )
 
 var magic = []byte{'M', 'V', 'S', 'N'}

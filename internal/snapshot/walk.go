@@ -2,9 +2,7 @@ package snapshot
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -236,29 +234,6 @@ func Slice[T any](c *Codec, s *[]T, min int, elem func(*Codec, *T)) {
 	}
 	for i := 0; i < n && c.r.err == nil; i++ {
 		elem(c, &(*s)[i])
-	}
-}
-
-// F64s is Slice for a []float64 — latency samples are most of a traffic
-// checkpoint's bytes — without a call per element: the count bounds the
-// whole run of 8-byte values at once.
-func (c *Codec) F64s(s *[]float64) {
-	n := c.Len(len(*s), 8)
-	if c.r == nil {
-		off := c.w.Len()
-		c.w.b = slices.Grow(c.w.b, 8*n)[:off+8*n]
-		for i, x := range *s {
-			binary.LittleEndian.PutUint64(c.w.b[off+8*i:], math.Float64bits(x))
-		}
-		return
-	}
-	*s = nil
-	if n > 0 {
-		*s = make([]float64, n)
-	}
-	for i := range *s {
-		(*s)[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.r.b[c.r.off:]))
-		c.r.off += 8
 	}
 }
 

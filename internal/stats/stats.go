@@ -1,188 +1,15 @@
 // Package stats provides the measurement side of the experiment harness:
-// latency distributions with percentiles, RFC 3550 interarrival jitter,
+// per-flow latency (a telemetry.Histogram), RFC 3550 interarrival jitter,
 // loss and throughput accounting, and fixed-width table rendering for the
 // paper-style reports in EXPERIMENTS.md.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"mplsvpn/internal/sim"
+	"mplsvpn/internal/telemetry"
 )
-
-// Sample collects scalar observations and answers distribution queries.
-// By default it keeps every observation — the simplest correct choice at
-// experiment sizes of a few million points. Long-horizon runs (the E19
-// soak) call SetCap to bound memory: past the cap the sample decimates
-// deterministically, keeping every stride-th observation so percentiles
-// stay a uniform subsample while the count, sum, min, and max remain exact.
-type Sample struct {
-	xs     []float64
-	sorted bool
-	sum    float64
-	n      int // total observations, including decimated ones
-	min    float64
-	max    float64
-
-	cap     int // 0 = unbounded
-	stride  int // record every stride-th observation (1 = all)
-	skip    int // observations to pass over before the next retained one
-	dropped int // observations not retained in xs
-}
-
-// Add records one observation.
-func (s *Sample) Add(x float64) {
-	if s.n == 0 || x < s.min {
-		s.min = x
-	}
-	if s.n == 0 || x > s.max {
-		s.max = x
-	}
-	s.n++
-	s.sum += x
-	if s.skip > 0 {
-		s.skip--
-		s.dropped++
-		return
-	}
-	s.xs = append(s.xs, x)
-	s.sorted = false
-	if s.stride > 1 {
-		s.skip = s.stride - 1
-	}
-	if s.cap > 0 && len(s.xs) >= s.cap {
-		s.decimate()
-	}
-}
-
-// SetCap bounds the retained observations to at most c points (0 removes
-// the bound). Statistics already collected are kept; if more than c points
-// are retained the sample decimates immediately.
-func (s *Sample) SetCap(c int) {
-	s.cap = c
-	if s.stride < 1 {
-		s.stride = 1
-	}
-	for s.cap > 0 && len(s.xs) >= s.cap {
-		s.decimate()
-	}
-}
-
-// decimate halves the retained points by keeping every other one (in
-// arrival order) and doubles the stride for future observations.
-func (s *Sample) decimate() {
-	if len(s.xs) < 2 {
-		return
-	}
-	// Decimate the sorted view: keeping every other order statistic is a
-	// uniform thinning of the empirical distribution, which preserves
-	// percentile queries far better than thinning by arrival order would.
-	s.sort()
-	keep := s.xs[:0]
-	for i := 0; i < len(s.xs); i += 2 {
-		keep = append(keep, s.xs[i])
-	}
-	s.dropped += len(s.xs) - len(keep)
-	s.xs = keep
-	if s.stride < 1 {
-		s.stride = 1
-	}
-	s.stride *= 2
-	s.skip = s.stride - 1
-}
-
-// DroppedObservations returns how many observations the cap has discarded
-// from the retained set (they still count toward Count, Mean, Min, Max).
-func (s *Sample) DroppedObservations() int { return s.dropped }
-
-// Retained returns the number of observations currently held.
-func (s *Sample) Retained() int { return len(s.xs) }
-
-// AddDuration records a virtual duration in milliseconds.
-func (s *Sample) AddDuration(d sim.Time) { s.Add(float64(d) / float64(sim.Millisecond)) }
-
-// Count returns the total number of observations, including any the cap
-// decimated away.
-func (s *Sample) Count() int { return s.n }
-
-// Mean returns the arithmetic mean (0 with no observations).
-func (s *Sample) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Min returns the smallest observation (0 with no observations).
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 with no observations).
-func (s *Sample) Max() float64 { return s.max }
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
-// interpolation between closest ranks.
-func (s *Sample) Percentile(p float64) float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	s.sort()
-	if p <= 0 {
-		return s.xs[0]
-	}
-	if p >= 100 {
-		return s.xs[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s.xs[lo]
-	}
-	frac := rank - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// CDFRow is one point of a cumulative distribution table.
-type CDFRow struct {
-	Percentile float64
-	Value      float64
-}
-
-// CDF returns the distribution at the standard report percentiles — the
-// data behind a latency-CDF figure.
-func (s *Sample) CDF() []CDFRow {
-	ps := []float64{10, 25, 50, 75, 90, 95, 99, 99.9}
-	out := make([]CDFRow, len(ps))
-	for i, p := range ps {
-		out[i] = CDFRow{Percentile: p, Value: s.Percentile(p)}
-	}
-	return out
-}
-
-func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-}
 
 // Jitter computes RFC 3550 §6.4.1 interarrival jitter: a smoothed estimate
 // of transit-time variation, the metric voice SLAs are written against.
@@ -221,8 +48,8 @@ type FlowStats struct {
 	Sent      int
 	Delivered int
 	Dropped   int
-	Bytes     int64 // delivered payload bytes
-	Latency   Sample
+	Bytes     int64               // delivered payload bytes
+	Latency   telemetry.Histogram // one-way latency, ms
 	Jit       Jitter
 	first     sim.Time
 	last      sim.Time
@@ -239,7 +66,7 @@ func (f *FlowStats) RecordDrop() { f.Dropped++ }
 func (f *FlowStats) RecordDelivery(sent, arrived sim.Time, payloadBytes int) {
 	f.Delivered++
 	f.Bytes += int64(payloadBytes)
-	f.Latency.AddDuration(arrived - sent)
+	f.Latency.ObserveDuration(arrived - sent)
 	f.Jit.Observe(sent, arrived)
 	if !f.haveTime || sent < f.first {
 		f.first = sent

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,61 +9,19 @@ import (
 	"mplsvpn/internal/sim"
 )
 
-func TestSampleBasics(t *testing.T) {
-	var s Sample
-	if s.Mean() != 0 || s.Count() != 0 || s.Percentile(50) != 0 {
-		t.Fatal("empty sample should report zeros")
-	}
-	for _, x := range []float64{5, 1, 3, 2, 4} {
-		s.Add(x)
-	}
-	if s.Count() != 5 {
-		t.Fatalf("Count = %d", s.Count())
-	}
-	if s.Mean() != 3 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	if got := s.Percentile(50); got != 3 {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := s.Percentile(0); got != 1 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := s.Percentile(100); got != 5 {
-		t.Fatalf("p100 = %v", got)
-	}
-	want := math.Sqrt(2) // population stddev of 1..5
-	if got := s.StdDev(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("StdDev = %v, want %v", got, want)
-	}
-}
-
-func TestSampleInterpolation(t *testing.T) {
-	var s Sample
-	s.Add(0)
-	s.Add(10)
-	if got := s.Percentile(50); got != 5 {
-		t.Fatalf("interpolated p50 = %v, want 5", got)
-	}
-	if got := s.Percentile(25); got != 2.5 {
-		t.Fatalf("interpolated p25 = %v, want 2.5", got)
-	}
-}
-
-// Property: percentiles are monotone in p and bounded by min/max.
+// Property: a flow's latency percentiles are monotone in p and bounded by
+// min/max, whatever the values, the grid's far ends included.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b uint8) bool {
-		var s Sample
+		var s FlowStats
 		for _, x := range raw {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				continue
 			}
-			s.Add(x)
+			s.Latency.Observe(x)
 		}
-		if s.Count() == 0 {
+		h := &s.Latency
+		if h.Count() == 0 {
 			return true
 		}
 		p1 := float64(a % 101)
@@ -72,27 +29,11 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if p1 > p2 {
 			p1, p2 = p2, p1
 		}
-		v1, v2 := s.Percentile(p1), s.Percentile(p2)
-		return v1 <= v2 && v1 >= s.Min() && v2 <= s.Max()
+		v1, v2 := h.Percentile(p1), h.Percentile(p2)
+		return v1 <= v2 && v1 >= h.Min() && v2 <= h.Max()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: interleaving Add with Percentile never corrupts the data.
-func TestSampleResortAfterAdd(t *testing.T) {
-	var s Sample
-	s.Add(10)
-	_ = s.Percentile(50)
-	s.Add(1)
-	if s.Min() != 1 {
-		t.Fatal("Add after sort lost data ordering")
-	}
-	xs := []float64{10, 1}
-	sort.Float64s(xs)
-	if s.Percentile(0) != xs[0] || s.Percentile(100) != xs[1] {
-		t.Fatal("percentiles wrong after resort")
 	}
 }
 

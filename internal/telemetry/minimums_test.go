@@ -19,7 +19,7 @@ func TestElementMinimumsAreLowerBounds(t *testing.T) {
 		save func(c *snapshot.Codec)
 	}{
 		{"series key", seriesKeyMin, func(c *snapshot.Codec) { seriesKeyState(c, new(seriesKey)) }},
-		{"histogram", histogramMin, func(c *snapshot.Codec) { histogramState(c, &Histogram{counts: make([]uint64, 1)}) }},
+		{"histogram", histogramMin, func(c *snapshot.Codec) { new(Histogram).State(c) }},
 	} {
 		var w snapshot.Writer
 		tc.save(snapshot.Saver(&w))

@@ -1,5 +1,5 @@
 // Package telemetry is the backbone's streaming observability plane: a
-// metrics registry (counters, gauges, fixed-bucket histograms) keyed by
+// metrics registry (counters, gauges, log-linear histograms) keyed by
 // typed labels, an IPFIX-style interval flow exporter, a bounded event
 // journal, and an online SLA watcher that closes the paper's QoS loop by
 // reacting to sustained breaches during the run instead of reporting them
@@ -116,127 +116,74 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// DefaultLatencyBounds are the histogram bucket upper bounds (in ms) used
-// for latency series when the caller does not supply its own: half-decade
-// steps from sub-millisecond to one second.
-var DefaultLatencyBounds = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
-
-// Histogram is a fixed-bucket histogram. counts has one slot per bound
-// plus an overflow slot; Observe is a linear scan over ~a dozen bounds,
-// allocation-free, and safe on a nil receiver.
-type Histogram struct {
-	bounds []float64
-	counts []uint64
-	total  uint64
-	sum    float64
-}
-
-// NewHistogram builds a histogram over the given ascending upper bounds
-// (nil = DefaultLatencyBounds).
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBounds
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.total++
-	h.sum += v
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.total
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Quantile estimates the q-quantile (q in (0,1]) by linear interpolation
-// within the containing bucket. Values in the overflow bucket report the
-// last finite bound — a deliberate floor: the caller compares against SLA
-// limits that live well inside the finite range.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.total == 0 {
-		return 0
-	}
-	target := q * float64(h.total)
-	cum := uint64(0)
-	for i, c := range h.counts {
-		cum += c
-		if float64(cum) < target {
-			continue
-		}
-		if i >= len(h.bounds) {
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return hi
-		}
-		frac := (target - float64(cum-c)) / float64(c)
-		return lo + frac*(hi-lo)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Reset zeroes the histogram (used by interval windows).
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-	h.sum = 0
-}
-
 // seriesKey identifies one metric series in the registry.
 type seriesKey struct {
 	name   string
 	labels Labels
 }
 
+// seriesID is a seriesKey with its eight strings interned: the registry
+// holds a series per port, class and counter, thousands on a provider
+// backbone, and a pointer-free 32-byte key keeps its maps a third the size
+// of ones keyed by eight string headers.
+type seriesID [8]uint32
+
 // Registry is the metric store. Instruments are get-or-create: resolving
 // the same (name, labels) twice returns the same instrument, so counts
 // from different attach points merge. A nil *Registry resolves every
 // instrument to nil — the disabled plane.
 type Registry struct {
-	counters map[seriesKey]*Counter
-	gauges   map[seriesKey]*Gauge
-	hists    map[seriesKey]*Histogram
+	strs     []string          // interned strings, by id
+	ids      map[string]uint32 // and their ids
+	counters map[seriesID]*Counter
+	gauges   map[seriesID]*Gauge
+	hists    map[seriesID]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[seriesKey]*Counter),
-		gauges:   make(map[seriesKey]*Gauge),
-		hists:    make(map[seriesKey]*Histogram),
+		ids:      make(map[string]uint32),
+		counters: make(map[seriesID]*Counter),
+		gauges:   make(map[seriesID]*Gauge),
+		hists:    make(map[seriesID]*Histogram),
 	}
+}
+
+// intern returns the id of s, numbering it on first sight.
+func (r *Registry) intern(s string) uint32 {
+	i, ok := r.ids[s]
+	if !ok {
+		i = uint32(len(r.strs))
+		r.strs = append(r.strs, s)
+		r.ids[s] = i
+	}
+	return i
+}
+
+// id interns a series key.
+func (r *Registry) id(k seriesKey) seriesID {
+	l := k.labels
+	return seriesID{r.intern(k.name), r.intern(l.VPN), r.intern(l.Site), r.intern(l.Node),
+		r.intern(l.Link), r.intern(l.Class), r.intern(l.Policy), r.intern(l.Reason)}
+}
+
+// key is the series key an id interns.
+func (r *Registry) key(id seriesID) seriesKey {
+	s := r.strs
+	return seriesKey{s[id[0]], Labels{VPN: s[id[1]], Site: s[id[2]], Node: s[id[3]],
+		Link: s[id[4]], Class: s[id[5]], Policy: s[id[6]], Reason: s[id[7]]}}
+}
+
+// instrument resolves k to its instrument in m, creating it on first use.
+func instrument[T any](r *Registry, m map[seriesID]*T, k seriesKey) *T {
+	id := r.id(k)
+	x, ok := m[id]
+	if !ok {
+		x = new(T)
+		m[id] = x
+	}
+	return x
 }
 
 // Counter resolves (name, labels) to its counter, creating it on first use.
@@ -244,13 +191,7 @@ func (r *Registry) Counter(name string, l Labels) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := seriesKey{name, l}
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
+	return instrument(r, r.counters, seriesKey{name, l})
 }
 
 // Gauge resolves (name, labels) to its gauge, creating it on first use.
@@ -258,33 +199,20 @@ func (r *Registry) Gauge(name string, l Labels) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := seriesKey{name, l}
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
+	return instrument(r, r.gauges, seriesKey{name, l})
 }
 
-// Histogram resolves (name, labels) to its histogram, creating it with the
-// given bounds (nil = DefaultLatencyBounds) on first use.
-func (r *Registry) Histogram(name string, l Labels, bounds []float64) *Histogram {
+// Histogram resolves (name, labels) to its histogram, creating it on first
+// use.
+func (r *Registry) Histogram(name string, l Labels) *Histogram {
 	if r == nil {
 		return nil
 	}
-	k := seriesKey{name, l}
-	h, ok := r.hists[k]
-	if !ok {
-		h = NewHistogram(bounds)
-		r.hists[k] = h
-	}
-	return h
+	return instrument(r, r.hists, seriesKey{name, l})
 }
 
-// Bucket is one histogram bucket in a snapshot. LE < 0 denotes the
-// overflow (+Inf) bucket — a sentinel rather than math.Inf so the value
-// survives encoding/json.
+// Bucket is one non-empty bucket of a histogram's grid in a snapshot: its
+// upper edge and its count.
 type Bucket struct {
 	LE    float64 `json:"le"`
 	Count uint64  `json:"count"`
@@ -322,21 +250,22 @@ func (r *Registry) Snapshot() []Metric {
 		return nil
 	}
 	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for k, c := range r.counters {
+	for id, c := range r.counters {
+		k := r.key(id)
 		out = append(out, Metric{Name: k.name, Labels: k.labels, Kind: "counter", Value: float64(c.v)})
 	}
-	for k, g := range r.gauges {
+	for id, g := range r.gauges {
+		k := r.key(id)
 		out = append(out, Metric{Name: k.name, Labels: k.labels, Kind: "gauge", Value: g.v})
 	}
-	for k, h := range r.hists {
-		m := Metric{Name: k.name, Labels: k.labels, Kind: "histogram", Count: h.total, Sum: h.sum}
-		m.Buckets = make([]Bucket, len(h.counts))
+	for id, h := range r.hists {
+		k := r.key(id)
+		m := Metric{Name: k.name, Labels: k.labels, Kind: "histogram", Count: h.n, Sum: h.sum}
 		for i, c := range h.counts {
-			le := -1.0
-			if i < len(h.bounds) {
-				le = h.bounds[i]
+			if c > 0 {
+				_, le := edges(h.base + i)
+				m.Buckets = append(m.Buckets, Bucket{LE: le, Count: c})
 			}
-			m.Buckets[i] = Bucket{LE: le, Count: c}
 		}
 		out = append(out, m)
 	}

@@ -42,7 +42,7 @@ func (t SLATarget) clear() int {
 // delivery path resolves it once (Watcher.Window) and observes through it;
 // a nil *SLAWindow — a VPN without a target — ignores every observation.
 type SLAWindow struct {
-	lat       *Histogram // this interval's latency samples, reset each Eval
+	lat       Histogram // this interval's latencies, reset each Eval
 	delivered int64
 	dropped   int64
 
@@ -85,7 +85,7 @@ type Watcher struct {
 func NewWatcher(targets []SLATarget, j *Journal) *Watcher {
 	w := &Watcher{Targets: targets, Journal: j, states: make(map[string]*SLAWindow)}
 	for _, t := range targets {
-		w.states[t.VPN] = &SLAWindow{lat: NewHistogram(nil)}
+		w.states[t.VPN] = &SLAWindow{}
 	}
 	return w
 }
@@ -134,12 +134,12 @@ func (w *Watcher) Eval(at sim.Time) {
 		}
 		var reasons []string
 		if t.MaxP50Ms > 0 {
-			if p50 := st.lat.Quantile(0.50); p50 > t.MaxP50Ms {
+			if p50 := st.lat.Percentile(50); p50 > t.MaxP50Ms {
 				reasons = append(reasons, fmt.Sprintf("p50 %.1fms > %.1fms", p50, t.MaxP50Ms))
 			}
 		}
 		if t.MaxP99Ms > 0 {
-			if p99 := st.lat.Quantile(0.99); p99 > t.MaxP99Ms {
+			if p99 := st.lat.Percentile(99); p99 > t.MaxP99Ms {
 				reasons = append(reasons, fmt.Sprintf("p99 %.1fms > %.1fms", p99, t.MaxP99Ms))
 			}
 		}

@@ -31,32 +31,32 @@ func seriesKeyState(c *snapshot.Codec, k *seriesKey) {
 	c.Str(&k.labels.Reason)
 }
 
-// histogramMin is the fewest bytes histogramState writes: no bounds, the
-// overflow bucket, the total, and the 8-byte sum.
-const histogramMin = 1 + 1 + 1 + 8
+// histogramMin is the fewest bytes Histogram.State writes: the count, the
+// 8-byte sum, min and max, the window's base and an empty window.
+const histogramMin = 1 + 3*8 + 1 + 1
 
-// histogramState walks a histogram's bucket layout and contents. A load
-// overlays a histogram the scenario rebuild created, which must have the
-// same layout, or fills an empty shell from the saved bounds.
-func histogramState(c *snapshot.Codec, h *Histogram) {
-	nb := c.Len(len(h.bounds), 8)
+// State walks the histogram: its exact count, sum, min and max, then its
+// window as the grid index of the first bucket and a uvarint count per
+// bucket, so its size follows the window, not the observations. A load
+// refuses counts that do not add up to the count and a window off the grid.
+func (h *Histogram) State(c *snapshot.Codec) {
+	snapshot.Uint(c, &h.n)
+	c.F64(&h.sum)
+	c.F64(&h.min)
+	c.F64(&h.max)
+	snapshot.Int(c, &h.base)
+	n := c.Len(len(h.counts), 1)
 	if c.Loading() {
-		switch {
-		case h.counts == nil:
-			h.bounds, h.counts = make([]float64, nb), make([]uint64, nb+1)
-		case nb != len(h.bounds) && c.Err() == nil:
-			c.Mismatch("histogram has %d bounds, checkpoint %d", len(h.bounds), nb)
-			return
-		}
+		h.counts = slices.Grow(h.counts[:0], n)[:n]
 	}
-	for i := range h.bounds {
-		c.F64(&h.bounds[i])
-	}
+	var total uint64
 	for i := range h.counts {
 		snapshot.Uint(c, &h.counts[i])
+		total += h.counts[i]
 	}
-	snapshot.Uint(c, &h.total)
-	c.F64(&h.sum)
+	if c.Loaded() && (total != h.n || n > 0 && (h.base < loIndex || h.base > hiIndex+1-n)) {
+		c.Corrupt("histogram of %d observations holds %d in grid buckets [%d, %d)", h.n, total, h.base, h.base+n)
+	}
 }
 
 // seriesState walks one family of instruments, sorted by (name, labels) so
@@ -64,17 +64,19 @@ func histogramState(c *snapshot.Codec, h *Histogram) {
 // values: instruments already resolved by the scenario rebuild keep their
 // pointers (the hot path holds them directly); series the rebuild has not
 // touched yet are created. min is the value's minimum encoding.
-func seriesState[T any](c *snapshot.Codec, m map[seriesKey]*T, min int, val func(*snapshot.Codec, *T)) {
+func seriesState[T any](c *snapshot.Codec, r *Registry, m map[seriesID]*T, min int, val func(*snapshot.Codec, *T)) {
 	// Labels render once per key, not once per comparison.
 	type rendered struct {
 		key    seriesKey
 		labels string
+		inst   *T
 	}
 	var keys []rendered
 	if !c.Loading() {
 		keys = make([]rendered, 0, len(m))
-		for k := range m {
-			keys = append(keys, rendered{k, k.labels.String()})
+		for id, inst := range m {
+			k := r.key(id)
+			keys = append(keys, rendered{k, k.labels.String(), inst})
 		}
 		slices.SortFunc(keys, func(a, b rendered) int {
 			return cmp.Or(cmp.Compare(a.key.name, b.key.name), cmp.Compare(a.labels, b.labels))
@@ -82,14 +84,13 @@ func seriesState[T any](c *snapshot.Codec, m map[seriesKey]*T, min int, val func
 	}
 	var k seriesKey
 	for i, n := 0, c.Len(len(keys), seriesKeyMin+min); i < n && c.Err() == nil; i++ {
+		var inst *T
 		if !c.Loading() {
-			k = keys[i].key
+			k, inst = keys[i].key, keys[i].inst
 		}
 		seriesKeyState(c, &k)
-		inst, ok := m[k]
-		if !ok {
-			inst = new(T)
-			m[k] = inst
+		if c.Loading() {
+			inst = instrument(r, m, k)
 		}
 		val(c, inst)
 	}
@@ -97,9 +98,9 @@ func seriesState[T any](c *snapshot.Codec, m map[seriesKey]*T, min int, val func
 
 // State walks every live series.
 func (r *Registry) State(c *snapshot.Codec) {
-	seriesState(c, r.counters, 1, func(c *snapshot.Codec, ctr *Counter) { snapshot.Int(c, &ctr.v) })
-	seriesState(c, r.gauges, 8, func(c *snapshot.Codec, g *Gauge) { c.F64(&g.v) })
-	seriesState(c, r.hists, histogramMin, histogramState)
+	seriesState(c, r, r.counters, 1, func(c *snapshot.Codec, ctr *Counter) { snapshot.Int(c, &ctr.v) })
+	seriesState(c, r, r.gauges, 8, func(c *snapshot.Codec, g *Gauge) { c.F64(&g.v) })
+	seriesState(c, r, r.hists, histogramMin, func(c *snapshot.Codec, h *Histogram) { h.State(c) })
 }
 
 // State walks the journal ring: capacity, the global sequence cursor, then
@@ -184,7 +185,7 @@ func (w *Watcher) State(c *snapshot.Codec) {
 	}
 	for _, t := range w.Targets {
 		st := w.states[t.VPN]
-		histogramState(c, st.lat)
+		st.lat.State(c)
 		snapshot.Int(c, &st.delivered)
 		snapshot.Int(c, &st.dropped)
 		snapshot.Int(c, &st.bad)

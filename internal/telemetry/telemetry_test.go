@@ -20,12 +20,12 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Set(3)
 	h.Observe(1)
 	h.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.99) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Percentile(99) != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	var r *Registry
 	if r.Counter("x", Labels{}) != nil || r.Gauge("x", Labels{}) != nil ||
-		r.Histogram("x", Labels{}, nil) != nil || r.Snapshot() != nil {
+		r.Histogram("x", Labels{}) != nil || r.Snapshot() != nil {
 		t.Fatal("nil registry must resolve nil instruments")
 	}
 }
@@ -49,7 +49,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 func TestEnabledPathZeroAllocSteadyState(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("pkts", Labels{VPN: "v"})
-	h := r.Histogram("lat", Labels{VPN: "v"}, nil)
+	h := r.Histogram("lat", Labels{VPN: "v"})
 	x := NewFlowExporter(100 * sim.Millisecond)
 	k := FlowKey{VPN: "v", SrcSite: "a", DstSite: "b", Class: "voice"}
 	x.Record(0, k, 100) // first sight allocates the accumulator
@@ -81,20 +81,26 @@ func TestRegistryGetOrCreate(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 5, 10})
+	var h Histogram
 	for i := 0; i < 100; i++ {
-		h.Observe(1.5) // all in the (1,2] bucket
+		h.Observe(1.5) // one bucket, one value
 	}
-	if q := h.Quantile(0.5); q < 1 || q > 2 {
-		t.Fatalf("p50 = %v, want within (1,2]", q)
-	}
-	h2 := NewHistogram([]float64{1, 2, 5, 10})
-	h2.Observe(100) // overflow bucket
-	if q := h2.Quantile(0.99); q != 10 {
-		t.Fatalf("overflow quantile = %v, want last bound 10", q)
+	if q := h.Percentile(50); q != 1.5 {
+		t.Fatalf("p50 of a constant stream = %v, want 1.5", q)
 	}
 	if h.Count() != 100 || h.Sum() != 150 {
 		t.Fatalf("count=%d sum=%v", h.Count(), h.Sum())
+	}
+	// Beyond the grid's top octave a value shares the highest bucket, and
+	// the percentiles that reach it still end at the exact max.
+	var h2 Histogram
+	h2.Observe(3)
+	h2.Observe(5e10)
+	if q := h2.Percentile(99); q <= 3 || q > 5e10 {
+		t.Fatalf("p99 = %v, want in (3, 5e10]", q)
+	}
+	if q := h2.Percentile(100); q != 5e10 {
+		t.Fatalf("p100 = %v, want the max 5e10", q)
 	}
 }
 
@@ -311,7 +317,7 @@ func TestSnapshotRendering(t *testing.T) {
 	tel := New(100*sim.Millisecond, 0)
 	tel.Reg.Counter("pkts", Labels{VPN: "v"}).Add(5)
 	tel.Reg.Gauge("util", Labels{Link: "A->B"}).Set(0.5)
-	tel.Reg.Histogram("lat", Labels{VPN: "v"}, nil).Observe(3)
+	tel.Reg.Histogram("lat", Labels{VPN: "v"}).Observe(3)
 	tel.Journal.Record(sim.Second, EventLinkDown, "link:A<->B", "detect 50ms")
 	tel.Flows.Record(sim.Millisecond, FlowKey{VPN: "v", SrcSite: "a", DstSite: "b", Class: "voice"}, 100)
 	sampled := false

@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mplsvpn/internal/sim"
 )
@@ -111,15 +112,11 @@ func Partition(g *Graph, k int) *PartitionResult {
 	// Supernode adjacency, deduplicated, neighbor lists in deterministic
 	// (link scan) order.
 	adj := make([][]int, nc)
-	seen := make(map[[2]int]bool)
 	for i := 0; i < g.NumLinks(); i++ {
 		l := g.Link(LinkID(i))
-		a, b := compOf[l.From], compOf[l.To]
-		if a == b || seen[[2]int{a, b}] {
-			continue
+		if a, b := compOf[l.From], compOf[l.To]; a != b && !slices.Contains(adj[a], b) {
+			adj[a] = append(adj[a], b)
 		}
-		seen[[2]int{a, b}] = true
-		adj[a] = append(adj[a], b)
 	}
 
 	// 2. Greedy k-center seeds over hop distance: dist holds each

@@ -4,7 +4,7 @@ import (
 	"mplsvpn/internal/netsim"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/sim"
-	"mplsvpn/internal/stats"
+	"mplsvpn/internal/telemetry"
 )
 
 // ReqResp models transactional traffic (the paper's "legacy systems and
@@ -16,7 +16,7 @@ type ReqResp struct {
 	Resp *Resp // server -> client direction metadata
 
 	// RTT collects request->response round trips in milliseconds.
-	RTT stats.Sample
+	RTT telemetry.Histogram
 	// Completed counts finished transactions; Outstanding those in flight.
 	Completed int
 
@@ -86,7 +86,7 @@ func (rr *ReqResp) HandleDelivery(p *packet.Packet) bool {
 	case flowKey(rr.Resp.Flow):
 		if sentAt, ok := rr.pending[p.Seq]; ok {
 			delete(rr.pending, p.Seq)
-			rr.RTT.AddDuration(rr.net.E.Now() - sentAt)
+			rr.RTT.ObserveDuration(rr.net.E.Now() - sentAt)
 			rr.Completed++
 		}
 		return true

@@ -128,13 +128,17 @@ func (v *VRF) WantsRoute(r *bgp.VPNRoute) bool {
 // (attached-site routes are preferred, as in real PEs). It returns how
 // many routes were installed.
 func (v *VRF) ImportRemote(routes []*bgp.VPNRoute) int {
+	want := 0
+	for _, r := range routes {
+		if v.imports(r) {
+			want++
+		}
+	}
+	v.table.Grow(want)
 	n := 0
 	for _, r := range routes {
-		if !v.WantsRoute(r) {
+		if !v.imports(r) {
 			continue
-		}
-		if r.OriginPE == v.PE && r.Prefix.RD == v.RD {
-			continue // our own export
 		}
 		if cur, ok := v.table.Exact(r.Prefix.Prefix); ok && cur.Local {
 			continue
@@ -148,6 +152,12 @@ func (v *VRF) ImportRemote(routes []*bgp.VPNRoute) int {
 		n++
 	}
 	return n
+}
+
+// imports reports whether r is a remote route the import policy admits: a
+// wanted route target, and not the VRF's own export.
+func (v *VRF) imports(r *bgp.VPNRoute) bool {
+	return v.WantsRoute(r) && !(r.OriginPE == v.PE && r.Prefix.RD == v.RD)
 }
 
 // Lookup forwards within the VPN's address space.
