@@ -143,22 +143,19 @@ verify-intent:
 		-run='TestSpec|TestStore|TestReconciler|TestKill|TestChaosScriptedKill|TestQuarantine|TestSession|TestValidate|TestCommit|TestConfirmed|TestClose|TestConcurrent|TestRemoveAdd|TestE18' \
 		./internal/intent ./internal/netconf ./internal/experiments
 
-# Ten seconds each on the text-input parsers — the netconf config loader,
-# the chaos scenario DSL (generic, plus the survivability/damping knobs),
-# and the intent spec language (round-trip contract) — on the two
-# binary ones: the checkpoint container, and the section payloads of real
-# checkpoints fed to Backbone.Restore, InterAS.Restore and Mesh.LoadState —
-# on the forwarding table, an operation stream against the naive model — and
-# on the event queue, an operation stream against the bare heap it replaced.
+# Ten seconds on every fuzz target under internal/ — the three line
+# languages (netconf configs, chaos scripts, intent specs), the checkpoint
+# container and section payloads, the forwarding table and the event queue
+# against their models, the packet decoders. The list comes from
+# `go test -list`, like the -run patterns of alloc-gate and verify-snapshot,
+# so a new target cannot be left out.
 fuzz-short:
-	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=10s ./internal/netconf
-	$(GO) test -run='^$$' -fuzz=FuzzScenario -fuzztime=10s ./internal/chaos
-	$(GO) test -run='^$$' -fuzz=FuzzSurvivability -fuzztime=10s ./internal/chaos
-	$(GO) test -run='^$$' -fuzz=FuzzIntentSpec -fuzztime=10s ./internal/intent
-	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot
-	$(GO) test -run='^$$' -fuzz=FuzzRestoreSection -fuzztime=10s ./internal/chaos
-	$(GO) test -run='^$$' -fuzz=FuzzTableOps -fuzztime=10s ./internal/addr
-	$(GO) test -run='^$$' -fuzz=FuzzQueueOps -fuzztime=10s ./internal/sim
+	@list=$$($(GO) test -list '^Fuzz' ./internal/...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { n[++k] = $$1; next } /^ok/ { for (i = 1; i <= k; i++) print $$2, n[i]; k = 0 }' | \
+		while read -r pkg target; do \
+			echo "fuzz-short: $$target ($$pkg)"; \
+			$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s $$pkg || exit 1; \
+		done
 
 # The checkpoint/restore acceptance gate under the race detector: the
 # restore-equivalence contract (run-to-T + snapshot + restore + run-to-end

@@ -227,7 +227,9 @@ func run(path, sched string, seed uint64, verbose bool, dotFile, metricsFile, ch
 
 	if verbose {
 		fmt.Println("\n=== router counters ===")
-		for _, name := range b.SiteNames() {
+		names := b.SiteNames()
+		sort.Strings(names)
+		for _, name := range names {
 			ce, _ := b.Site(name)
 			r := b.Net.Router(ce)
 			fmt.Printf("%-16s delivered=%-6d policed=%-4d noroute=%d\n",

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"mplsvpn/internal/netconf"
+	"mplsvpn/internal/dsl"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/sim"
 )
@@ -92,16 +92,18 @@ func TestDOTFlag(t *testing.T) {
 	}
 }
 
+// TestParseBw, TestParseClassCoverage and TestParseDur: the bandwidth,
+// class and duration notation a config is written in.
 func TestParseBw(t *testing.T) {
 	cases := map[string]float64{"10M": 10e6, "2.5G": 2.5e9, "100K": 100e3, "42": 42}
 	for in, want := range cases {
-		got, err := netconf.ParseBandwidth(in)
+		got, err := dsl.Bandwidth("bandwidth", in)
 		if err != nil || got != want {
-			t.Fatalf("netconf.ParseBandwidth(%q) = %v, %v", in, got, err)
+			t.Fatalf("dsl.Bandwidth(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := netconf.ParseBandwidth("x"); err == nil {
-		t.Fatal("parseBw accepted garbage")
+	if _, err := dsl.Bandwidth("bandwidth", "x"); err == nil {
+		t.Fatal("dsl.Bandwidth accepted garbage")
 	}
 }
 
@@ -111,17 +113,17 @@ func TestParseClassCoverage(t *testing.T) {
 		"be": packet.DSCPBestEffort, "cs0": packet.DSCPBestEffort,
 		"cs1": packet.DSCPCS1, "cs6": packet.DSCPCS6, "EF": packet.DSCPEF,
 	} {
-		got, err := netconf.ParseClass(in)
+		got, err := dsl.Class(in)
 		if err != nil || got != want {
-			t.Fatalf("netconf.ParseClass(%q) = %v, %v", in, got, err)
+			t.Fatalf("dsl.Class(%q) = %v, %v", in, got, err)
 		}
 	}
 }
 
 func TestParseDur(t *testing.T) {
-	d, err := netconf.ParseDuration("1500ms")
+	d, err := dsl.Duration("duration", "1500ms")
 	if err != nil || d != 1500*sim.Millisecond {
-		t.Fatalf("parseDur = %v, %v", d, err)
+		t.Fatalf("dsl.Duration = %v, %v", d, err)
 	}
 }
 

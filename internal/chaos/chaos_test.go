@@ -1,11 +1,13 @@
 package chaos
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/core"
+	"mplsvpn/internal/dsl"
 	"mplsvpn/internal/mpls"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/rsvp"
@@ -346,6 +348,8 @@ func FuzzScenario(f *testing.F) {
 	f.Add("asfail beta at=2s\nasrestore beta at=5s detect=100ms\n")
 	f.Add("asfail at=1s\nasrestore gamma\n")
 	f.Add("survivability hello=25ms hold=3 gr=on\nasfail alpha at=3s\n")
+	f.Add("ctrlloss NaN\n")
+	f.Add("damping penalty=NaN suppress=2000 halflife=15s\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -353,10 +357,22 @@ func FuzzScenario(f *testing.F) {
 			}
 		}()
 		sc, err := ParseScenario(strings.NewReader(input), "fuzz")
-		if err == nil && sc != nil {
-			// Derived quantities must not panic either.
-			_ = sc.EventCount()
-			_ = sc.Duration()
+		if err != nil {
+			checkParseError(t, input, err)
+			return
 		}
+		// Derived quantities must not panic either.
+		_ = sc.EventCount()
+		_ = sc.Duration()
 	})
+}
+
+// checkParseError fails unless err is a *dsl.Error placed within input's
+// lines or just past them.
+func checkParseError(t *testing.T, input string, err error) {
+	t.Helper()
+	var de *dsl.Error
+	if lines := strings.Count(input, "\n") + 1; !errors.As(err, &de) || de.Line < 1 || de.Line > lines+1 {
+		t.Fatalf("error %#v is not a *dsl.Error within the input's %d lines", err, lines)
+	}
 }

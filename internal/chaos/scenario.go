@@ -6,7 +6,8 @@
 // plane loss — is drawn from streams forked off the engine's seed, so the
 // same seed and script always produce byte-identical runs.
 //
-// The scenario DSL is line-based, # comments allowed:
+// The scenario DSL is line-based (lexical rules, value kinds and errors:
+// internal/dsl):
 //
 //	ctrlloss 0.3 extra=300ms
 //	survivability hello=25ms hold=3 restart=800ms gr=on
@@ -44,13 +45,12 @@
 package chaos
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-	"time"
+	"slices"
 
+	"mplsvpn/internal/dsl"
 	"mplsvpn/internal/sim"
 )
 
@@ -75,30 +75,16 @@ const (
 	OpASRestore
 )
 
+// opNames are the directive names of the operations, in Op order.
+var opNames = [...]string{
+	OpFail: "fail", OpRestore: "restore", OpFlap: "flap", OpCrash: "crash",
+	OpRestart: "restart", OpCut: "cut", OpUncut: "uncut", OpRKill: "rkill",
+	OpRRestart: "rrestart", OpASFail: "asfail", OpASRestore: "asrestore",
+}
+
 func (o Op) String() string {
-	switch o {
-	case OpFail:
-		return "fail"
-	case OpRestore:
-		return "restore"
-	case OpFlap:
-		return "flap"
-	case OpCrash:
-		return "crash"
-	case OpRestart:
-		return "restart"
-	case OpCut:
-		return "cut"
-	case OpUncut:
-		return "uncut"
-	case OpRKill:
-		return "rkill"
-	case OpRRestart:
-		return "rrestart"
-	case OpASFail:
-		return "asfail"
-	case OpASRestore:
-		return "asrestore"
+	if o >= 0 && int(o) < len(opNames) {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", int(o))
 }
@@ -189,273 +175,140 @@ func (s *Scenario) Duration() sim.Time {
 }
 
 // ParseScenario reads the fault script DSL. name labels errors and the
-// parsed scenario.
+// parsed scenario. Every error is a *dsl.Error at the offending line.
 func ParseScenario(r io.Reader, name string) (*Scenario, error) {
 	sc := &Scenario{Name: name}
-	scan := bufio.NewScanner(r)
-	scan.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for scan.Scan() {
-		lineNo++
-		line := scan.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("%s:%d: %s", name, lineNo, fmt.Sprintf(format, args...))
-		}
-		switch fields[0] {
-		case "ctrlloss":
-			if len(fields) < 2 || len(fields) > 3 {
-				return nil, fail("ctrlloss <prob> [extra=<dur>]")
-			}
-			p, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || p < 0 || p > 1 {
-				return nil, fail("bad probability %q", fields[1])
-			}
-			sc.CtrlLoss = p
-			sc.CtrlExtra = 100 * sim.Millisecond
-			if len(fields) == 3 {
-				kv, err := parseKVs(fields[2:], "extra")
-				if err != nil {
-					return nil, fail("%v", err)
-				}
-				if d, ok := kv["extra"]; ok {
-					sc.CtrlExtra = d
-				}
-			}
-		case "survivability":
-			if sc.Surv != nil {
-				return nil, fail("duplicate survivability directive")
-			}
-			cfg := &SurvConfig{GR: true}
-			for _, tok := range fields[1:] {
-				k, v, found := strings.Cut(tok, "=")
-				if !found {
-					return nil, fail("unexpected token %q", tok)
-				}
-				switch k {
-				case "hello", "restart":
-					d, err := time.ParseDuration(v)
-					if err != nil || d <= 0 {
-						return nil, fail("bad duration %q for %s", v, k)
-					}
-					if k == "hello" {
-						cfg.Hello = sim.Time(d)
-					} else {
-						cfg.Restart = sim.Time(d)
-					}
-				case "hold":
-					n, err := strconv.Atoi(v)
-					if err != nil || n < 1 || n > 100 {
-						return nil, fail("bad hold count %q", v)
-					}
-					cfg.Hold = n
-				case "gr":
-					switch v {
-					case "on":
-						cfg.GR = true
-					case "off":
-						cfg.GR = false
-					default:
-						return nil, fail("gr must be on or off, not %q", v)
-					}
-				default:
-					return nil, fail("unexpected token %q", tok)
-				}
-			}
-			sc.Surv = cfg
-		case "damping":
-			if sc.Damping != nil {
-				return nil, fail("duplicate damping directive")
-			}
-			cfg := &DampConfig{}
-			for _, tok := range fields[1:] {
-				k, v, found := strings.Cut(tok, "=")
-				if !found {
-					return nil, fail("unexpected token %q", tok)
-				}
-				switch k {
-				case "penalty", "suppress", "reuse", "max":
-					f, err := strconv.ParseFloat(v, 64)
-					if err != nil || f < 0 || f > 1e9 {
-						return nil, fail("bad value %q for %s", v, k)
-					}
-					switch k {
-					case "penalty":
-						cfg.Penalty = f
-					case "suppress":
-						cfg.Suppress = f
-					case "reuse":
-						cfg.Reuse = f
-					case "max":
-						cfg.Max = f
-					}
-				case "halflife":
-					d, err := time.ParseDuration(v)
-					if err != nil || d <= 0 {
-						return nil, fail("bad duration %q for halflife", v)
-					}
-					cfg.HalfLife = sim.Time(d)
-				default:
-					return nil, fail("unexpected token %q", tok)
-				}
-			}
-			if cfg.Penalty <= 0 || cfg.Suppress <= 0 || cfg.HalfLife <= 0 {
-				return nil, fail("damping needs penalty=, suppress=, and halflife=")
-			}
-			if cfg.Reuse > cfg.Suppress {
-				return nil, fail("damping reuse=%g above suppress=%g", cfg.Reuse, cfg.Suppress)
-			}
-			if cfg.Max > 0 && cfg.Max < cfg.Suppress {
-				return nil, fail("damping max=%g below suppress=%g", cfg.Max, cfg.Suppress)
-			}
-			sc.Damping = cfg
-		case "fail", "restore":
-			if len(fields) < 4 {
-				return nil, fail("%s <a> <z> at=<t> [detect=<d>]", fields[0])
-			}
-			kv, err := parseKVs(fields[3:], "at", "detect")
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			at, ok := kv["at"]
-			if !ok {
-				return nil, fail("%s needs at=<t>", fields[0])
-			}
-			ev := Event{At: at, Op: OpFail, A: fields[1], Z: fields[2], Detect: detectOr(kv)}
-			if fields[0] == "restore" {
-				ev.Op = OpRestore
-			}
-			sc.Events = append(sc.Events, ev)
-		case "flap":
-			if len(fields) < 6 {
-				return nil, fail("flap <a> <z> at=<t> count=<n> down=<d> up=<d> [detect=<d>] [jitter=<d>]")
-			}
-			count := 0
-			var rest []string
-			for _, f := range fields[3:] {
-				if c, ok := strings.CutPrefix(f, "count="); ok {
-					n, err := strconv.Atoi(c)
-					if err != nil || n < 1 || n > 10000 {
-						return nil, fail("bad count %q", c)
-					}
-					count = n
-					continue
-				}
-				rest = append(rest, f)
-			}
-			if count == 0 {
-				return nil, fail("flap needs count=<n>")
-			}
-			kv, err := parseKVs(rest, "at", "down", "up", "detect", "jitter")
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			at, okAt := kv["at"]
-			down, okDown := kv["down"]
-			up, okUp := kv["up"]
-			if !okAt || !okDown || !okUp {
-				return nil, fail("flap needs at=, down=, and up=")
-			}
-			if down <= 0 || up <= 0 {
-				return nil, fail("flap periods must be positive")
-			}
-			sc.Events = append(sc.Events, Event{
-				At: at, Op: OpFlap, A: fields[1], Z: fields[2],
-				Detect: detectOr(kv), Count: count, Down: down, Up: up,
-				Jitter: kv["jitter"],
-			})
-		case "crash", "restart", "cut", "uncut", "asfail", "asrestore":
-			if len(fields) < 3 {
-				return nil, fail("%s <name> at=<t> [detect=<d>]", fields[0])
-			}
-			kv, err := parseKVs(fields[2:], "at", "detect")
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			at, ok := kv["at"]
-			if !ok {
-				return nil, fail("%s needs at=<t>", fields[0])
-			}
-			op := map[string]Op{
-				"crash": OpCrash, "restart": OpRestart, "cut": OpCut, "uncut": OpUncut,
-				"asfail": OpASFail, "asrestore": OpASRestore,
-			}[fields[0]]
-			sc.Events = append(sc.Events, Event{At: at, Op: op, A: fields[1], Detect: detectOr(kv)})
-		case "rkill", "rrestart":
-			if len(fields) != 2 {
-				return nil, fail("%s at=<t>", fields[0])
-			}
-			kv, err := parseKVs(fields[1:], "at")
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			at, ok := kv["at"]
-			if !ok {
-				return nil, fail("%s needs at=<t>", fields[0])
-			}
-			op := OpRKill
-			if fields[0] == "rrestart" {
-				op = OpRRestart
-			}
-			sc.Events = append(sc.Events, Event{At: at, Op: op})
-		case "ckpt", "ckill+resume":
-			if len(fields) != 2 {
-				return nil, fail("%s at=<t>", fields[0])
-			}
-			kv, err := parseKVs(fields[1:], "at")
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			at, ok := kv["at"]
-			if !ok {
-				return nil, fail("%s needs at=<t>", fields[0])
-			}
-			if fields[0] == "ckpt" {
-				sc.Checkpoints = append(sc.Checkpoints, at)
-			} else {
-				sc.CrashResumes = append(sc.CrashResumes, at)
-			}
-		default:
-			return nil, fail("unknown directive %q", fields[0])
-		}
-	}
-	if err := scan.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+	if _, err := dsl.Scan(r, name, sc.directive); err != nil {
+		return nil, err
 	}
 	return sc, nil
 }
 
-// detectOr applies the default detection delay.
-func detectOr(kv map[string]sim.Time) sim.Time {
-	if d, ok := kv["detect"]; ok {
-		return d
-	}
-	return DefaultDetect
-}
-
-// parseKVs parses key=<duration> tokens, rejecting unknown keys.
-func parseKVs(tokens []string, allowed ...string) (map[string]sim.Time, error) {
-	ok := make(map[string]bool, len(allowed))
-	for _, a := range allowed {
-		ok[a] = true
-	}
-	out := make(map[string]sim.Time)
-	for _, tok := range tokens {
-		k, v, found := strings.Cut(tok, "=")
-		if !found || !ok[k] {
-			return nil, fmt.Errorf("unexpected token %q", tok)
+// directive parses one line into sc.
+func (sc *Scenario) directive(ln *dsl.Line) error {
+	f := ln.Fields
+	// Every fault takes at= and most detect=; -1 marks at= absent, since
+	// the duration check refuses negatives.
+	ev := Event{At: -1, Op: Op(slices.Index(opNames[:], f[0])), Detect: DefaultDetect}
+	timing := dsl.Options{"at": dsl.Set(&ev.At, dsl.Duration), "detect": dsl.Set(&ev.Detect, dsl.Duration)}
+	needAt := func(opts []string) error {
+		if err := timing.Apply(f[0], opts); err != nil {
+			return err
 		}
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("bad duration %q for %s", v, k)
+		if ev.At < 0 {
+			return fmt.Errorf("%s needs at=<t>", f[0])
 		}
-		out[k] = sim.Time(d)
+		return nil
 	}
-	return out, nil
+	switch f[0] {
+	case "ctrlloss":
+		if len(f) < 2 || len(f) > 3 {
+			return errors.New("ctrlloss <prob> [extra=<dur>]")
+		}
+		p, err := dsl.Float("probability", f[1], 0, 1)
+		if err != nil {
+			return err
+		}
+		sc.CtrlLoss, sc.CtrlExtra = p, 100*sim.Millisecond
+		return dsl.Options{"extra": dsl.Set(&sc.CtrlExtra, dsl.Duration)}.Apply(f[0], f[2:])
+	case "survivability":
+		if sc.Surv != nil {
+			return errors.New("duplicate survivability directive")
+		}
+		cfg := &SurvConfig{GR: true}
+		err := dsl.Options{
+			"hello":   dsl.Set(&cfg.Hello, dsl.PositiveDuration),
+			"restart": dsl.Set(&cfg.Restart, dsl.PositiveDuration),
+			"hold":    dsl.SetInt(&cfg.Hold, 1, 100),
+			"gr": func(_, v string) error {
+				if v != "on" && v != "off" {
+					return fmt.Errorf("gr must be on or off, not %q", v)
+				}
+				cfg.GR = v == "on"
+				return nil
+			},
+		}.Apply(f[0], f[1:])
+		sc.Surv = cfg
+		return err
+	case "damping":
+		if sc.Damping != nil {
+			return errors.New("duplicate damping directive")
+		}
+		cfg := &DampConfig{}
+		if err := (dsl.Options{
+			"penalty":  dsl.SetFloat(&cfg.Penalty, 0, 1e9),
+			"suppress": dsl.SetFloat(&cfg.Suppress, 0, 1e9),
+			"reuse":    dsl.SetFloat(&cfg.Reuse, 0, 1e9),
+			"max":      dsl.SetFloat(&cfg.Max, 0, 1e9),
+			"halflife": dsl.Set(&cfg.HalfLife, dsl.PositiveDuration),
+		}.Apply(f[0], f[1:])); err != nil {
+			return err
+		}
+		if cfg.Penalty <= 0 || cfg.Suppress <= 0 || cfg.HalfLife <= 0 {
+			return errors.New("damping needs penalty=, suppress=, and halflife=")
+		}
+		if cfg.Reuse > cfg.Suppress {
+			return fmt.Errorf("damping reuse=%g above suppress=%g", cfg.Reuse, cfg.Suppress)
+		}
+		if cfg.Max > 0 && cfg.Max < cfg.Suppress {
+			return fmt.Errorf("damping max=%g below suppress=%g", cfg.Max, cfg.Suppress)
+		}
+		sc.Damping = cfg
+	case "fail", "restore":
+		if len(f) < 4 {
+			return fmt.Errorf("%s <a> <z> at=<t> [detect=<d>]", f[0])
+		}
+		ev.A, ev.Z = f[1], f[2]
+		if err := needAt(f[3:]); err != nil {
+			return err
+		}
+		sc.Events = append(sc.Events, ev)
+	case "flap":
+		if len(f) < 6 {
+			return errors.New("flap <a> <z> at=<t> count=<n> down=<d> up=<d> [detect=<d>] [jitter=<d>]")
+		}
+		ev.A, ev.Z = f[1], f[2]
+		timing["count"] = dsl.SetInt(&ev.Count, 1, 10000)
+		timing["down"] = dsl.Set(&ev.Down, dsl.PositiveDuration)
+		timing["up"] = dsl.Set(&ev.Up, dsl.PositiveDuration)
+		timing["jitter"] = dsl.Set(&ev.Jitter, dsl.Duration)
+		if err := timing.Apply(f[0], f[3:]); err != nil {
+			return err
+		}
+		if ev.Count == 0 {
+			return errors.New("flap needs count=<n>")
+		}
+		if ev.At < 0 || ev.Down == 0 || ev.Up == 0 {
+			return errors.New("flap needs at=, down=, and up=")
+		}
+		sc.Events = append(sc.Events, ev)
+	case "crash", "restart", "cut", "uncut", "asfail", "asrestore":
+		if len(f) < 3 {
+			return fmt.Errorf("%s <name> at=<t> [detect=<d>]", f[0])
+		}
+		ev.A = f[1]
+		if err := needAt(f[2:]); err != nil {
+			return err
+		}
+		sc.Events = append(sc.Events, ev)
+	case "rkill", "rrestart", "ckpt", "ckill+resume":
+		if len(f) != 2 {
+			return fmt.Errorf("%s at=<t>", f[0])
+		}
+		delete(timing, "detect")
+		if err := needAt(f[1:]); err != nil {
+			return err
+		}
+		switch f[0] {
+		case "ckpt":
+			sc.Checkpoints = append(sc.Checkpoints, ev.At)
+		case "ckill+resume":
+			sc.CrashResumes = append(sc.CrashResumes, ev.At)
+		default:
+			sc.Events = append(sc.Events, Event{At: ev.At, Op: ev.Op})
+		}
+	default:
+		return fmt.Errorf("unknown directive %q", f[0])
+	}
+	return nil
 }

@@ -126,6 +126,8 @@ func FuzzSurvivability(f *testing.F) {
 		"damping penalty=-1 suppress=2 halflife=1s\n",
 		"damping penalty=1e12 suppress=2 halflife=1s\n",
 		"survivability\nsurvivability hello=1ms hold=1 restart=1ms gr=on\n",
+		"damping penalty=NaN suppress=2000 halflife=15s\n",
+		"ctrlloss NaN\nsurvivability hello=25ms hold=3 restart=800ms gr=on\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -133,6 +135,7 @@ func FuzzSurvivability(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script string) {
 		sc, err := ParseScenario(strings.NewReader(script), "fuzz")
 		if err != nil {
+			checkParseError(t, script, err)
 			return
 		}
 		_ = sc.EventCount()

@@ -1,9 +1,12 @@
 package intent
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"mplsvpn/internal/dsl"
 )
 
 // FuzzIntentSpec checks the parser's total-function contract: arbitrary
@@ -16,9 +19,15 @@ func FuzzIntentSpec(f *testing.F) {
 	f.Add("intent s version=2\nvpn v\nsite v s1 PE1 10.0.0.0/24 hosts=4 shape=20M backup=PE2 bw=25M delay=2ms\ntunnel v t1 PE1 PE2 10M class=af41\n")
 	f.Add("# comment\n\nintent x version=1\n")
 	f.Add("intent a version=1\nbulk c count=65536 pes=P base=0.0.0.0/0\n")
+	f.Add("intent a version=1\nvpn v\ntunnel v t PE1 PE2 NaN\n")
+	f.Add("intent a version=1\nvpn v\nsite v s PE1 10.0.0.0/24 bw=Inf\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		sp, err := Parse(strings.NewReader(text), "fuzz")
 		if err != nil {
+			var de *dsl.Error
+			if lines := strings.Count(text, "\n") + 1; !errors.As(err, &de) || de.Line < 1 || de.Line > lines+1 {
+				t.Fatalf("error %#v is not a *dsl.Error within the input's %d lines", err, lines)
+			}
 			return
 		}
 		if verr := sp.Validate(); verr != nil {

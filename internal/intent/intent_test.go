@@ -1,12 +1,14 @@
 package intent
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mplsvpn/internal/chaos"
 	"mplsvpn/internal/core"
+	"mplsvpn/internal/dsl"
 	"mplsvpn/internal/netconf"
 	"mplsvpn/internal/qos"
 	"mplsvpn/internal/sim"
@@ -86,20 +88,28 @@ func TestSpecBulkExpansion(t *testing.T) {
 }
 
 func TestSpecParseErrors(t *testing.T) {
-	cases := []string{
-		"vpn acme\n",           // missing intent header
-		"intent a version=0\n", // bad version
-		"intent a version=1\nintent b version=2\n",                                        // duplicate header
-		"intent a version=1\nsite acme s PE1 10.0.0.0/24\n",                               // undeclared VPN
-		"intent a version=1\nvpn v\nvpn v\n",                                              // duplicate VPN
-		"intent a version=1\nvpn v\nsite v s PE1 10.0.0.0/24\nsite v s PE1 10.1.0.0/24\n", // duplicate site
-		"intent a version=1\nvpn v\nsite v s PE1 bogus\n",                                 // bad prefix
-		"intent a version=1\nbulk c count=1 pes=PE1\n",                                    // missing base
-		"intent a version=1\nfrobnicate x\n",                                              // unknown directive
+	cases := []struct {
+		spec string
+		line int // where the *dsl.Error must point
+	}{
+		{"vpn acme\n", 1},                                                                      // missing intent header
+		{"intent a version=0\n", 1},                                                            // bad version
+		{"intent a version=1\nintent b version=2\n", 2},                                        // duplicate header
+		{"intent a version=1\nsite acme s PE1 10.0.0.0/24\n", 2},                               // undeclared VPN
+		{"intent a version=1\nvpn v\nvpn v\n", 3},                                              // duplicate VPN
+		{"intent a version=1\nvpn v\nsite v s PE1 10.0.0.0/24\nsite v s PE1 10.1.0.0/24\n", 4}, // duplicate site
+		{"intent a version=1\nvpn v\nsite v s PE1 bogus\n", 3},                                 // bad prefix
+		{"intent a version=1\nbulk c count=1 pes=PE1\n", 2},                                    // missing base
+		{"intent a version=1\nfrobnicate x\n", 2},                                              // unknown directive
+		{"intent a version=1\nvpn v\ntunnel v t PE1 PE2 NaN\n", 3},                             // NaN bandwidth
+		{"intent a version=1\nvpn v\nsite v s PE1 10.0.0.0/24 bw=Inf\n", 3},                    // infinite access bandwidth
+		{"# nothing but comments\n\n", 3},                                                      // no header: end of input
 	}
 	for _, c := range cases {
-		if _, err := Parse(strings.NewReader(c), "t"); err == nil {
-			t.Errorf("accepted invalid spec %q", c)
+		_, err := Parse(strings.NewReader(c.spec), "t")
+		var de *dsl.Error
+		if !errors.As(err, &de) || de.Line != c.line {
+			t.Errorf("spec %q: error %#v, want a *dsl.Error at line %d", c.spec, err, c.line)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // cannot scale; here one spec line can declare a thousand VPNs and the
 // reconciler compiles the difference into batched control-plane commits.
 //
-// Spec language (# starts a comment):
+// Spec language (lexical rules, value kinds and errors: internal/dsl):
 //
 //	intent <name> version=<n>        (first directive, exactly once)
 //	vpn    <name> [sla=<class>]
@@ -16,14 +16,16 @@
 //
 // bulk expands at parse time into count VPNs named <prefix>-0001 ...,
 // each with k sites (default 2) attached round-robin over the listed PEs,
-// their /24 prefixes carved consecutively out of base. Classes and
-// bandwidth use the netconf notation (ef/af41/..., 10M/1G).
+// their /24 prefixes carved consecutively out of base. site takes
+// netconf's site grammar (netconf.ParseSite).
 package intent
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,6 +33,7 @@ import (
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/core"
+	"mplsvpn/internal/dsl"
 	"mplsvpn/internal/netconf"
 	"mplsvpn/internal/qos"
 )
@@ -58,179 +61,98 @@ type Spec struct {
 	VPNs    []VPNSpec // declaration order; names unique
 }
 
-// Parse reads a spec from r (name is used in error messages only).
+// Parse reads a spec from r (name is used in error messages only). Every
+// error is a *dsl.Error at the offending line.
 func Parse(r io.Reader, name string) (*Spec, error) {
 	sp := &Spec{}
 	byName := make(map[string]*VPNSpec)
 	siteNames := make(map[string]string)   // site -> vpn
 	tunnelNames := make(map[string]string) // tunnel -> vpn
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	end, err := dsl.Scan(r, name, func(ln *dsl.Line) error {
+		f := ln.Fields
+		if sp.Name == "" && f[0] != "intent" {
+			return errors.New("spec must start with: intent <name> version=<n>")
 		}
-		fields := strings.Fields(line)
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("%s:%d: %s", name, lineNo, fmt.Sprintf(format, args...))
-		}
-		if sp.Name == "" && fields[0] != "intent" {
-			return nil, fail("spec must start with: intent <name> version=<n>")
-		}
-		switch fields[0] {
+		switch f[0] {
 		case "intent":
 			if sp.Name != "" {
-				return nil, fail("duplicate intent directive")
+				return errors.New("duplicate intent directive")
 			}
-			if len(fields) != 3 {
-				return nil, fail("intent <name> version=<n>")
+			if len(f) != 3 {
+				return errors.New("intent <name> version=<n>")
 			}
-			v, ok := strings.CutPrefix(fields[2], "version=")
-			if !ok {
-				return nil, fail("intent <name> version=<n>")
+			if err := (dsl.Options{"version": dsl.SetInt(&sp.Version, 1, math.MaxInt)}).Apply(f[0], f[2:]); err != nil {
+				return err
 			}
-			ver, err := strconv.Atoi(v)
-			if err != nil || ver < 1 {
-				return nil, fail("bad version %q (positive integer)", v)
-			}
-			sp.Name = fields[1]
-			sp.Version = ver
+			sp.Name = f[1]
 		case "vpn":
-			if len(fields) < 2 || len(fields) > 3 {
-				return nil, fail("vpn <name> [sla=<class>]")
+			if len(f) < 2 || len(f) > 3 {
+				return errors.New("vpn <name> [sla=<class>]")
 			}
-			vs := VPNSpec{Name: fields[1], SLA: -1}
-			if len(fields) == 3 {
-				v, ok := strings.CutPrefix(fields[2], "sla=")
-				if !ok {
-					return nil, fail("vpn option %q (want sla=<class>)", fields[2])
-				}
-				c, err := parseClass(v)
-				if err != nil {
-					return nil, fail("%v", err)
-				}
-				vs.SLA = c
+			vs := VPNSpec{Name: f[1], SLA: -1}
+			if err := (dsl.Options{"sla": dsl.Set(&vs.SLA, class)}).Apply(f[0], f[2:]); err != nil {
+				return err
 			}
-			if err := addVPN(sp, byName, vs); err != nil {
-				return nil, fail("%v", err)
-			}
+			return addVPN(sp, byName, vs)
 		case "site":
-			if len(fields) < 5 {
-				return nil, fail("site <vpn> <name> <pe> <prefix> [options]")
-			}
-			vs, ok := byName[fields[1]]
-			if !ok {
-				return nil, fail("site %q references undeclared VPN %q", fields[2], fields[1])
-			}
-			pfx, err := addr.ParsePrefix(fields[4])
+			spec, err := netconf.ParseSite(f)
 			if err != nil {
-				return nil, fail("bad prefix: %v", err)
+				return err
 			}
-			spec := core.SiteSpec{
-				VPN: fields[1], Name: fields[2], PE: fields[3],
-				Prefixes: []addr.Prefix{pfx},
-			}
-			seen := map[string]bool{}
-			for _, opt := range fields[5:] {
-				k, v, found := strings.Cut(opt, "=")
-				if !found {
-					return nil, fail("site option %q is not key=value", opt)
-				}
-				if seen[k] {
-					return nil, fail("duplicate site option %q", k)
-				}
-				seen[k] = true
-				switch k {
-				case "hosts":
-					n, err := strconv.Atoi(v)
-					if err != nil || n < 0 || n > 1024 {
-						return nil, fail("bad hosts count %q (0..1024)", v)
-					}
-					spec.Hosts = n
-				case "shape":
-					bw, err := netconf.ParseBandwidth(v)
-					if err != nil || bw <= 0 {
-						return nil, fail("bad shape rate %q", v)
-					}
-					spec.ShapeRate = bw
-				case "backup":
-					spec.BackupPE = v
-				case "bw":
-					bw, err := netconf.ParseBandwidth(v)
-					if err != nil || bw <= 0 {
-						return nil, fail("bad access bandwidth %q", v)
-					}
-					spec.AccessBw = bw
-				case "delay":
-					d, err := netconf.ParseDuration(v)
-					if err != nil || d <= 0 {
-						return nil, fail("bad access delay %q", v)
-					}
-					spec.AccessDelay = d
-				default:
-					return nil, fail("unknown site option %q", k)
-				}
+			vs, ok := byName[spec.VPN]
+			if !ok {
+				return fmt.Errorf("site %q references undeclared VPN %q", spec.Name, spec.VPN)
 			}
 			if owner, dup := siteNames[spec.Name]; dup {
-				return nil, fail("site %q already declared (in VPN %q)", spec.Name, owner)
+				return fmt.Errorf("site %q already declared (in VPN %q)", spec.Name, owner)
 			}
 			if len(vs.Sites) >= maxSitesPerVPN {
-				return nil, fail("VPN %q exceeds %d sites", vs.Name, maxSitesPerVPN)
+				return fmt.Errorf("VPN %q exceeds %d sites", vs.Name, maxSitesPerVPN)
 			}
 			siteNames[spec.Name] = spec.VPN
 			vs.Sites = append(vs.Sites, spec)
 		case "tunnel":
-			if len(fields) < 6 || len(fields) > 7 {
-				return nil, fail("tunnel <vpn> <name> <ingress> <egress> <bw> [class=<class>]")
+			if len(f) < 6 || len(f) > 7 {
+				return errors.New("tunnel <vpn> <name> <ingress> <egress> <bw> [class=<class>]")
 			}
-			vs, ok := byName[fields[1]]
+			vs, ok := byName[f[1]]
 			if !ok {
-				return nil, fail("tunnel %q references undeclared VPN %q", fields[2], fields[1])
+				return fmt.Errorf("tunnel %q references undeclared VPN %q", f[2], f[1])
 			}
-			bw, err := netconf.ParseBandwidth(fields[5])
-			if err != nil || bw <= 0 {
-				return nil, fail("bad bandwidth %q", fields[5])
+			bw, err := dsl.Bandwidth("bandwidth", f[5])
+			if err != nil {
+				return err
 			}
-			t := netconf.TunnelSpec{
-				VPN: fields[1], Name: fields[2],
-				Ingress: fields[3], Egress: fields[4],
-				Bandwidth: bw, Class: -1,
-			}
-			if len(fields) == 7 {
-				v, ok := strings.CutPrefix(fields[6], "class=")
-				if !ok {
-					return nil, fail("tunnel option %q (want class=<class>)", fields[6])
-				}
-				c, err := parseClass(v)
-				if err != nil {
-					return nil, fail("%v", err)
-				}
-				t.Class = c
+			t := netconf.TunnelSpec{VPN: f[1], Name: f[2], Ingress: f[3], Egress: f[4], Bandwidth: bw, Class: -1}
+			if err := (dsl.Options{"class": dsl.Set(&t.Class, class)}).Apply(f[0], f[6:]); err != nil {
+				return err
 			}
 			if owner, dup := tunnelNames[t.Name]; dup {
-				return nil, fail("tunnel %q already declared (in VPN %q)", t.Name, owner)
+				return fmt.Errorf("tunnel %q already declared (in VPN %q)", t.Name, owner)
 			}
 			tunnelNames[t.Name] = t.VPN
 			vs.Tunnels = append(vs.Tunnels, t)
 		case "bulk":
-			if err := expandBulk(sp, byName, siteNames, fields, fail); err != nil {
-				return nil, err
-			}
+			return expandBulk(sp, byName, siteNames, f)
 		default:
-			return nil, fail("unknown directive %q", fields[0])
+			return fmt.Errorf("unknown directive %q", f[0])
 		}
+		return nil
+	})
+	if err == nil && sp.Name == "" {
+		err = end.At(errors.New("empty spec (no intent directive)"))
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s:%d: %v", name, lineNo+1, err)
-	}
-	if sp.Name == "" {
-		return nil, fmt.Errorf("%s: empty spec (no intent directive)", name)
+	if err != nil {
+		return nil, err
 	}
 	return sp, nil
+}
+
+// class reads a class name as the forwarding class it selects.
+func class(_, s string) (qos.Class, error) {
+	d, err := dsl.Class(s)
+	return qos.ClassForDSCP(d), err
 }
 
 func addVPN(sp *Spec, byName map[string]*VPNSpec, vs VPNSpec) error {
@@ -249,79 +171,49 @@ func addVPN(sp *Spec, byName map[string]*VPNSpec, vs VPNSpec) error {
 }
 
 // expandBulk turns one bulk directive into count fully-specified VPNs.
-func expandBulk(sp *Spec, byName map[string]*VPNSpec, siteNames map[string]string,
-	fields []string, fail func(string, ...any) error) error {
-	if len(fields) < 5 {
-		return fail("bulk <prefix> count=<n> pes=<a,b,c> base=<cidr> [sites=<k>] [sla=<class>] [bw=BW]")
+func expandBulk(sp *Spec, byName map[string]*VPNSpec, siteNames map[string]string, f []string) error {
+	if len(f) < 5 {
+		return errors.New("bulk <prefix> count=<n> pes=<a,b,c> base=<cidr> [sites=<k>] [sla=<class>] [bw=BW]")
 	}
-	prefix := fields[1]
+	prefix := f[1]
 	count, sites := 0, 2
 	var pes []string
 	var base addr.Prefix
 	baseSet := false
 	sla := qos.Class(-1)
 	accessBw := 0.0
-	seen := map[string]bool{}
-	for _, opt := range fields[2:] {
-		k, v, found := strings.Cut(opt, "=")
-		if !found {
-			return fail("bulk option %q is not key=value", opt)
-		}
-		if seen[k] {
-			return fail("duplicate bulk option %q", k)
-		}
-		seen[k] = true
-		switch k {
-		case "count":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 || n > maxBulkCount {
-				return fail("bad count %q (1..%d)", v, maxBulkCount)
-			}
-			count = n
-		case "pes":
+	err := dsl.Options{
+		"count": dsl.SetInt(&count, 1, maxBulkCount),
+		"pes": func(_, v string) error {
 			pes = strings.Split(v, ",")
-			for _, p := range pes {
-				if p == "" {
-					return fail("empty PE name in pes=%q", v)
-				}
+			if slices.Contains(pes, "") {
+				return fmt.Errorf("empty PE name in pes=%q", v)
 			}
-		case "base":
-			p, err := addr.ParsePrefix(v)
-			if err != nil {
-				return fail("bad base %q: %v", v, err)
+			return nil
+		},
+		"base": func(_, v string) (err error) {
+			if base, err = addr.ParsePrefix(v); err != nil {
+				return fmt.Errorf("bad base %q: %v", v, err)
 			}
-			if p.Len > 24 {
-				return fail("base %q must be /24 or shorter", v)
+			if base.Len > 24 {
+				return fmt.Errorf("base %q must be /24 or shorter", v)
 			}
-			base, baseSet = p, true
-		case "sites":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 || n > maxSitesPerVPN {
-				return fail("bad sites count %q (1..%d)", v, maxSitesPerVPN)
-			}
-			sites = n
-		case "sla":
-			c, err := parseClass(v)
-			if err != nil {
-				return fail("%v", err)
-			}
-			sla = c
-		case "bw":
-			bw, err := netconf.ParseBandwidth(v)
-			if err != nil || bw <= 0 {
-				return fail("bad bw %q", v)
-			}
-			accessBw = bw
-		default:
-			return fail("unknown bulk option %q", k)
-		}
+			baseSet = true
+			return nil
+		},
+		"sites": dsl.SetInt(&sites, 1, maxSitesPerVPN),
+		"sla":   dsl.Set(&sla, class),
+		"bw":    dsl.Set(&accessBw, dsl.Bandwidth),
+	}.Apply(f[0], f[2:])
+	if err != nil {
+		return err
 	}
 	if count == 0 || len(pes) == 0 || !baseSet {
-		return fail("bulk needs count=, pes=, and base=")
+		return errors.New("bulk needs count=, pes=, and base=")
 	}
 	capacity := 1 << (24 - base.Len)
 	if count*sites > capacity {
-		return fail("bulk needs %d /24s but base has room for %d", count*sites, capacity)
+		return fmt.Errorf("bulk needs %d /24s but base has room for %d", count*sites, capacity)
 	}
 	slot := 0
 	for i := 0; i < count; i++ {
@@ -337,13 +229,13 @@ func expandBulk(sp *Spec, byName map[string]*VPNSpec, siteNames map[string]strin
 				AccessBw: accessBw,
 			}
 			if owner, dup := siteNames[spec.Name]; dup {
-				return fail("bulk site %q collides with site in VPN %q", spec.Name, owner)
+				return fmt.Errorf("bulk site %q collides with site in VPN %q", spec.Name, owner)
 			}
 			siteNames[spec.Name] = vs.Name
 			vs.Sites = append(vs.Sites, spec)
 		}
 		if err := addVPN(sp, byName, vs); err != nil {
-			return fail("%v", err)
+			return err
 		}
 	}
 	return nil
@@ -357,7 +249,7 @@ func (sp *Spec) Render() string {
 	fmt.Fprintf(&b, "intent %s version=%d\n", sp.Name, sp.Version)
 	for _, vs := range sp.VPNs {
 		if vs.SLA >= 0 {
-			fmt.Fprintf(&b, "vpn %s sla=%s\n", vs.Name, classToken(vs.SLA))
+			fmt.Fprintf(&b, "vpn %s sla=%s\n", vs.Name, dsl.ClassName(qos.DSCPForClass(vs.SLA)))
 		} else {
 			fmt.Fprintf(&b, "vpn %s\n", vs.Name)
 		}
@@ -383,7 +275,7 @@ func (sp *Spec) Render() string {
 		for _, t := range vs.Tunnels {
 			fmt.Fprintf(&b, "tunnel %s %s %s %s %s", t.VPN, t.Name, t.Ingress, t.Egress, renderBw(t.Bandwidth))
 			if t.Class >= 0 {
-				fmt.Fprintf(&b, " class=%s", classToken(t.Class))
+				fmt.Fprintf(&b, " class=%s", dsl.ClassName(qos.DSCPForClass(t.Class)))
 			}
 			b.WriteByte('\n')
 		}
@@ -418,7 +310,7 @@ func (sp *Spec) Validate() error {
 			sites[s.Name] = true
 		}
 		for _, t := range vs.Tunnels {
-			if t.Name == "" || t.VPN != vs.Name || t.Bandwidth <= 0 {
+			if t.Name == "" || t.VPN != vs.Name || !(t.Bandwidth > 0) {
 				return fmt.Errorf("intent: malformed tunnel %q in VPN %q", t.Name, vs.Name)
 			}
 			if tunnels[t.Name] {
@@ -436,32 +328,6 @@ func (sp *Spec) SortedVPNs() []VPNSpec {
 	copy(out, sp.VPNs)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// parseClass accepts the netconf DSCP tokens and resolves to a class.
-func parseClass(s string) (qos.Class, error) {
-	d, err := netconf.ParseClass(s)
-	if err != nil {
-		return 0, err
-	}
-	return qos.ClassForDSCP(d), nil
-}
-
-// classToken renders a class as its canonical spec token.
-func classToken(c qos.Class) string {
-	switch c {
-	case qos.ClassNetworkControl:
-		return "cs6"
-	case qos.ClassVoice:
-		return "ef"
-	case qos.ClassBusiness:
-		return "af41"
-	case qos.ClassAssured:
-		return "af21"
-	case qos.ClassScavenger:
-		return "cs1"
-	}
-	return "be"
 }
 
 // renderBw renders bits/s with the largest exact suffix.

@@ -1,10 +1,12 @@
 package netconf
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"mplsvpn/internal/core"
+	"mplsvpn/internal/dsl"
 )
 
 // loadEdge is the table-test driver: every case must return cleanly — a
@@ -75,16 +77,36 @@ func TestLoadEdgeCases(t *testing.T) {
 		{"payload zero", validPreamble + "flow f1 west east 80 ef cbr 0 1ms\n", "bad payload"},
 		{"payload oversized", validPreamble + "flow f1 west east 80 ef cbr 1000000 1ms\n", "bad payload"},
 		{"hosts oversized", validPreamble + "site acme s3 PE1 10.3.0.0/16 hosts=100000\n", "bad hosts"},
-		{"link zero bandwidth", "pe A\npe B\nlink A B 0 1ms 1\n", "positive bandwidth"},
-		{"link zero metric", "pe A\npe B\nlink A B 1G 1ms 0\n", "metric >= 1"},
+		{"link zero bandwidth", "pe A\npe B\nlink A B 0 1ms 1\n", `bad bandwidth "0"`},
+		{"link zero metric", "pe A\npe B\nlink A B 1G 1ms 0\n", `bad metric "0"`},
 
 		// Degenerate generator parameters that would livelock the engine.
-		{"cbr zero interval", validPreamble + "flow f1 west east 80 ef cbr 100 0s\n", "interval must be positive"},
+		{"cbr zero interval", validPreamble + "flow f1 west east 80 ef cbr 100 0s\n", `bad interval "0s"`},
 		{"poisson zero rate", validPreamble + "flow f1 west east 80 ef poisson 100 0\n", "bad rate"},
 		{"poisson negative rate", validPreamble + "flow f1 west east 80 ef poisson 100 -5\n", "bad rate"},
-		{"onoff zero meanOn", validPreamble + "flow f1 west east 80 ef onoff 100 1ms 0s 1ms\n", "must all be positive"},
-		{"run zero", validPreamble + "run 0s\n", "must be positive"},
-		{"run negative", validPreamble + "run -3s\n", "must be positive"},
+		{"onoff zero meanOn", validPreamble + "flow f1 west east 80 ef onoff 100 1ms 0s 1ms\n", `bad meanOn "0s"`},
+		{"run zero", validPreamble + "run 0s\n", `bad duration "0s"`},
+		{"run negative", validPreamble + "run -3s\n", `bad duration "-3s"`},
+
+		// Hostile values the engine must never see: each used to load and
+		// then panic on the first packet, or signal a negative reservation.
+		{"link NaN bandwidth", "pe A\npe B\nlink A B NaN 1ms 1\n", `bad bandwidth "NaN"`},
+		{"site negative delay", validPreamble + "site acme s3 PE1 10.3.0.0/16 delay=-5ms\n", `bad delay "-5ms"`},
+		{"site negative bw", validPreamble + "site acme s3 PE1 10.3.0.0/16 bw=-1M\n", `bad bw "-1M"`},
+		{"site NaN bw", validPreamble + "site acme s3 PE1 10.3.0.0/16 bw=NaN\n", `bad bw "NaN"`},
+		{"telsp negative bandwidth", validPreamble + "telsp t1 PE1 PE2 -1M\n", `bad bandwidth "-1M"`},
+		{"site negative shape", validPreamble + "site acme s3 PE1 10.3.0.0/16 shape=-1M\n", `bad shape "-1M"`},
+		{"sla NaN loss", validPreamble + "sla f loss=NaN\n", `bad loss "NaN"`},
+
+		// Lexical rules shared with the chaos and intent languages.
+		{"inline comment", "pe PE3 # core\n", ""},
+		{"unknown route reflector", "pe A\nroutereflector GHOST\nvpn v\n", "GHOST"},
+	}
+	// A name the core refuses keeps the core's typed code.
+	codes := map[string]core.ProvisionCode{
+		"duplicate site":          core.ProvDuplicateSite,
+		"site unknown vpn":        core.ProvUnknownVPN,
+		"unknown route reflector": core.ProvUnknownNode,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,8 +126,23 @@ func TestLoadEdgeCases(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
+			// The offending line is the input's last.
+			var de *dsl.Error
+			if want := lastLine(tc.config); !errors.As(err, &de) || de.Line != want {
+				t.Fatalf("error %#v is not a *dsl.Error at line %d", err, want)
+			}
+			if want, typed := codes[tc.name]; typed {
+				if code, ok := core.CodeOf(err); !ok || code != want {
+					t.Fatalf("CodeOf(%v) = %v, %t; want %v", err, code, ok, want)
+				}
+			}
 		})
 	}
+}
+
+// lastLine is the number of the last line of text holding anything.
+func lastLine(text string) int {
+	return strings.Count(strings.TrimRight(text, "\n\t "), "\n") + 1
 }
 
 // TestLoadOversizedLine: a line beyond the scanner's token limit must

@@ -4,7 +4,7 @@
 // core.Backbone plus the scheduled workload — the repository's equivalent
 // of a router-config + test-plan pair.
 //
-// Directives (# starts a comment):
+// Directives (lexical rules, value kinds and errors: internal/dsl):
 //
 //	pe   <name>
 //	p    <name>
@@ -23,21 +23,17 @@
 //	routereflector <node>        (before any vpn/site)
 //	dste <fraction>              (before any vpn/site)
 //	run  <duration>
-//
-// Classes: ef, af41, af21, be/cs0, cs1, cs6. Bandwidth accepts K/M/G
-// suffixes; delays/durations use Go syntax (10ms, 2s).
 package netconf
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-	"time"
+	"math"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/core"
+	"mplsvpn/internal/dsl"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/qos"
 	"mplsvpn/internal/rsvp"
@@ -68,187 +64,90 @@ type Scenario struct {
 	SLAs map[string]stats.SLATarget
 }
 
-// ParseBandwidth parses "10M", "2.5G", "100K", or a plain bits/s number.
-func ParseBandwidth(s string) (float64, error) {
-	mult := 1.0
-	switch {
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1e9, strings.TrimSuffix(s, "G")
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1e6, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1e3, strings.TrimSuffix(s, "K")
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	return v * mult, err
-}
-
-// ParseDuration parses Go duration syntax into virtual time.
-func ParseDuration(s string) (sim.Time, error) {
-	d, err := time.ParseDuration(s)
-	return sim.Time(d.Nanoseconds()), err
-}
-
-// ParseClass parses a DiffServ class name.
-func ParseClass(s string) (packet.DSCP, error) {
-	switch strings.ToLower(s) {
-	case "ef":
-		return packet.DSCPEF, nil
-	case "af41":
-		return packet.DSCPAF41, nil
-	case "af21":
-		return packet.DSCPAF21, nil
-	case "be", "cs0":
-		return packet.DSCPBestEffort, nil
-	case "cs1":
-		return packet.DSCPCS1, nil
-	case "cs6":
-		return packet.DSCPCS6, nil
-	}
-	return 0, fmt.Errorf("unknown class %q", s)
-}
-
-// provision runs one core provisioning call, converting the panics the
-// core API reserves for programmer error into parse errors: in a config
-// file a duplicate or unknown name is user input, not a bug.
-func provision(fail func(string, ...any) error, fn func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fail("%v", r)
-		}
-	}()
-	fn()
-	return nil
-}
-
 // Load parses the configuration from r (name is used in error messages)
 // and provisions a backbone with the given base config. The returned
-// scenario's engine holds all scheduled traffic and events.
+// scenario's engine holds all scheduled traffic and events. Every error is
+// a *dsl.Error at the offending line; one the core refused keeps the
+// core's *ProvisionError as its cause.
 func Load(r io.Reader, name string, cfg core.Config) (*Scenario, error) {
 	b := core.NewBackbone(cfg)
 	sc := &Scenario{B: b, Duration: 5 * sim.Second, SLAs: map[string]stats.SLATarget{}}
-	built := false
-	converged := false
-
-	ensureBuilt := func() {
-		if !built {
-			b.BuildProvider()
-			built = true
+	built, converged := false, false
+	build := func() error {
+		if built {
+			return nil
 		}
+		built = true
+		return capture(b.BuildProvider)
 	}
-	ensureConverged := func() {
-		if !converged {
-			b.ConvergeVPNs()
-			converged = true
+	converge := func() error {
+		if converged {
+			return nil
 		}
+		converged = true
+		return capture(b.ConvergeVPNs)
 	}
 
-	scanner := bufio.NewScanner(r)
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		fail := func(format string, args ...any) error {
-			return fmt.Errorf("%s:%d: %s", name, lineNo, fmt.Sprintf(format, args...))
-		}
-		switch fields[0] {
+	end, err := dsl.Scan(r, name, func(ln *dsl.Line) error {
+		f := ln.Fields
+		switch f[0] {
 		case "routereflector":
-			if len(fields) != 2 || built {
-				return nil, fail("routereflector <node> (before any vpn/site)")
+			if len(f) != 2 || built {
+				return errors.New("routereflector <node> (before any vpn/site)")
 			}
-			b.Cfg.RouteReflector = fields[1]
+			b.Cfg.RouteReflector = f[1]
 		case "dste":
-			if len(fields) != 2 || built {
-				return nil, fail("dste <fraction> (before any vpn/site)")
+			if len(f) != 2 || built {
+				return errors.New("dste <fraction> (before any vpn/site)")
 			}
-			fr, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || fr < 0 || fr > 1 {
-				return nil, fail("bad dste fraction")
-			}
+			fr, err := dsl.Float("dste fraction", f[1], 0, 1)
 			b.Cfg.DSTEPremiumFraction = fr
+			return err
 		case "sla":
-			if len(fields) < 3 {
-				return nil, fail("sla <flow> [p99=D] [p50=D] [loss=F] [jitter=D] [mos=F] [kbps=F]")
+			if len(f) < 3 {
+				return errors.New("sla <flow> [p99=D] [p50=D] [loss=F] [jitter=D] [mos=F] [kbps=F]")
 			}
-			target := stats.SLATarget{Name: fields[1]}
-			seen := map[string]bool{}
-			for _, opt := range fields[2:] {
-				k, v, found := strings.Cut(opt, "=")
-				if !found {
-					return nil, fail("sla option %q is not key=value", opt)
-				}
-				if seen[k] {
-					return nil, fail("duplicate sla option %q", k)
-				}
-				seen[k] = true
-				switch k {
-				case "p99", "p50", "jitter":
-					d, err := ParseDuration(v)
-					if err != nil {
-						return nil, fail("bad %s: %v", k, err)
-					}
-					ms := float64(d) / float64(sim.Millisecond)
-					switch k {
-					case "p99":
-						target.MaxP99Ms = ms
-					case "p50":
-						target.MaxP50Ms = ms
-					default:
-						target.MaxJitterMs = ms
-					}
-				case "loss", "mos", "kbps":
-					x, err := strconv.ParseFloat(v, 64)
-					if err != nil {
-						return nil, fail("bad %s: %v", k, err)
-					}
-					switch k {
-					case "loss":
-						target.MaxLoss = x
-					case "mos":
-						target.MinMOS = x
-					default:
-						target.MinKbps = x
-					}
-				default:
-					return nil, fail("unknown sla option %q", k)
-				}
-			}
-			sc.SLAs[fields[1]] = target
+			t := stats.SLATarget{Name: f[1]}
+			err := dsl.Options{
+				"p99": millis(&t.MaxP99Ms), "p50": millis(&t.MaxP50Ms), "jitter": millis(&t.MaxJitterMs),
+				"loss": dsl.SetFloat(&t.MaxLoss, 0, 1),
+				"mos":  dsl.SetFloat(&t.MinMOS, 0, 5),
+				"kbps": dsl.SetFloat(&t.MinKbps, 0, math.MaxFloat64),
+			}.Apply("sla", f[2:])
+			sc.SLAs[f[1]] = t
+			return err
 		case "trace":
-			if len(fields) < 3 || len(fields) > 4 {
-				return nil, fail("trace <from-site> <dst-ip> [<class>]")
+			if len(f) < 3 || len(f) > 4 {
+				return errors.New("trace <from-site> <dst-ip> [<class>]")
 			}
-			ip, err := addr.ParseIPv4(fields[2])
+			ip, err := addr.ParseIPv4(f[2])
 			if err != nil {
-				return nil, fail("bad address: %v", err)
+				return fmt.Errorf("bad address: %v", err)
 			}
 			var dscp packet.DSCP
-			if len(fields) == 4 {
-				dscp, err = ParseClass(fields[3])
-				if err != nil {
-					return nil, fail("%v", err)
+			if len(f) == 4 {
+				if dscp, err = dsl.Class(f[3]); err != nil {
+					return err
 				}
 			}
-			sc.Traces = append(sc.Traces, TraceReq{Site: fields[1], Dst: ip, DSCP: dscp})
+			sc.Traces = append(sc.Traces, TraceReq{Site: f[1], Dst: ip, DSCP: dscp})
 		case "fail", "restore":
-			if len(fields) != 5 {
-				return nil, fail("%s <a> <b> <at> <detect>", fields[0])
+			if len(f) != 5 {
+				return fmt.Errorf("%s <a> <b> <at> <detect>", f[0])
 			}
-			ensureBuilt()
-			at, err := ParseDuration(fields[3])
+			if err := build(); err != nil {
+				return err
+			}
+			at, err := dsl.Duration("time", f[3])
 			if err != nil {
-				return nil, fail("bad time: %v", err)
+				return err
 			}
-			detect, err := ParseDuration(fields[4])
+			detect, err := dsl.Duration("detect delay", f[4])
 			if err != nil {
-				return nil, fail("bad detect delay: %v", err)
+				return err
 			}
-			a, z := fields[1], fields[2]
-			down := fields[0] == "fail"
+			a, z := f[1], f[2]
+			down := f[0] == "fail"
 			b.E.Schedule(at, func() {
 				if down {
 					b.FailLink(a, z, detect)
@@ -256,178 +155,156 @@ func Load(r io.Reader, name string, cfg core.Config) (*Scenario, error) {
 					b.RestoreLink(a, z, detect)
 				}
 			})
-		case "pe":
-			if len(fields) != 2 {
-				return nil, fail("pe needs a name")
+		case "pe", "p":
+			if len(f) != 2 {
+				return fmt.Errorf("%s needs a name", f[0])
 			}
-			if err := provision(fail, func() { b.AddPE(fields[1]) }); err != nil {
-				return nil, err
+			add := b.AddPE
+			if f[0] == "p" {
+				add = b.AddP
 			}
-		case "p":
-			if len(fields) != 2 {
-				return nil, fail("p needs a name")
-			}
-			if err := provision(fail, func() { b.AddP(fields[1]) }); err != nil {
-				return nil, err
-			}
+			return capture(func() { add(f[1]) })
 		case "link":
-			if len(fields) != 6 {
-				return nil, fail("link <a> <b> <bw> <delay> <metric>")
+			if len(f) != 6 {
+				return errors.New("link <a> <b> <bw> <delay> <metric>")
 			}
-			bw, err := ParseBandwidth(fields[3])
+			bw, err := dsl.Bandwidth("bandwidth", f[3])
 			if err != nil {
-				return nil, fail("bad bandwidth: %v", err)
+				return err
 			}
-			d, err := ParseDuration(fields[4])
+			d, err := dsl.Duration("delay", f[4])
 			if err != nil {
-				return nil, fail("bad delay: %v", err)
+				return err
 			}
-			m, err := strconv.Atoi(fields[5])
+			m, err := dsl.Int("metric", f[5], 1, math.MaxInt)
 			if err != nil {
-				return nil, fail("bad metric: %v", err)
+				return err
 			}
-			if bw <= 0 || d < 0 || m < 1 {
-				return nil, fail("link needs positive bandwidth, non-negative delay, metric >= 1")
-			}
-			if err := provision(fail, func() { b.Link(fields[1], fields[2], bw, d, m) }); err != nil {
-				return nil, err
-			}
+			return capture(func() { b.Link(f[1], f[2], bw, d, m) })
 		case "vpn":
-			if len(fields) < 2 || len(fields) > 3 {
-				return nil, fail("vpn <name> [sla=<class>]")
+			if len(f) < 2 || len(f) > 3 {
+				return errors.New("vpn <name> [sla=<class>]")
 			}
-			ensureBuilt()
-			if err := provision(fail, func() { b.DefineVPN(fields[1]) }); err != nil {
-				return nil, err
+			if err := build(); err != nil {
+				return err
 			}
-			if len(fields) == 3 {
-				k, v, found := strings.Cut(fields[2], "=")
-				if !found || k != "sla" {
-					return nil, fail("vpn option %q (want sla=<class>)", fields[2])
+			if err := capture(func() { b.DefineVPN(f[1]) }); err != nil {
+				return err
+			}
+			return dsl.Options{"sla": func(_, v string) error {
+				d, err := dsl.Class(v)
+				if err == nil {
+					b.SetVPNSLA(f[1], qos.ClassForDSCP(d))
 				}
-				d, err := ParseClass(v)
-				if err != nil {
-					return nil, fail("%v", err)
-				}
-				b.SetVPNSLA(fields[1], qos.ClassForDSCP(d))
-			}
+				return err
+			}}.Apply("vpn", f[2:])
 		case "site":
-			if len(fields) < 5 {
-				return nil, fail("site <vpn> <site> <pe> <prefix> [options]")
-			}
-			ensureBuilt()
-			pfx, err := addr.ParsePrefix(fields[4])
+			spec, err := ParseSite(f)
 			if err != nil {
-				return nil, fail("bad prefix: %v", err)
+				return err
 			}
-			spec := core.SiteSpec{
-				VPN: fields[1], Name: fields[2], PE: fields[3],
-				Prefixes: []addr.Prefix{pfx},
-			}
-			seen := map[string]bool{}
-			for _, opt := range fields[5:] {
-				k, v, found := strings.Cut(opt, "=")
-				if !found {
-					return nil, fail("site option %q is not key=value", opt)
-				}
-				if seen[k] {
-					return nil, fail("duplicate site option %q", k)
-				}
-				seen[k] = true
-				switch k {
-				case "hosts":
-					n, err := strconv.Atoi(v)
-					if err != nil || n < 0 || n > maxHosts {
-						return nil, fail("bad hosts count %q (0..%d)", v, maxHosts)
-					}
-					spec.Hosts = n
-				case "shape":
-					bw, err := ParseBandwidth(v)
-					if err != nil {
-						return nil, fail("bad shape rate: %v", err)
-					}
-					spec.ShapeRate = bw
-				case "backup":
-					spec.BackupPE = v
-				case "bw":
-					bw, err := ParseBandwidth(v)
-					if err != nil {
-						return nil, fail("bad access bandwidth: %v", err)
-					}
-					spec.AccessBw = bw
-				case "delay":
-					d, err := ParseDuration(v)
-					if err != nil {
-						return nil, fail("bad access delay: %v", err)
-					}
-					spec.AccessDelay = d
-				default:
-					return nil, fail("unknown site option %q", k)
-				}
-			}
-			if err := provision(fail, func() { b.AddSite(spec) }); err != nil {
-				return nil, err
+			if err := build(); err != nil {
+				return err
 			}
 			converged = false
+			return capture(func() { b.AddSite(spec) })
 		case "telsp":
-			if len(fields) < 5 {
-				return nil, fail("telsp <name> <ingress> <egress> <bw> [<class>]")
+			if len(f) < 5 {
+				return errors.New("telsp <name> <ingress> <egress> <bw> [<class>]")
 			}
-			ensureBuilt()
-			bw, err := ParseBandwidth(fields[4])
+			if err := build(); err != nil {
+				return err
+			}
+			bw, err := dsl.Bandwidth("bandwidth", f[4])
 			if err != nil {
-				return nil, fail("bad bandwidth: %v", err)
+				return err
 			}
 			class := qos.Class(-1)
-			if len(fields) == 6 {
-				d, err := ParseClass(fields[5])
+			if len(f) == 6 {
+				d, err := dsl.Class(f[5])
 				if err != nil {
-					return nil, fail("%v", err)
+					return err
 				}
 				class = qos.ClassForDSCP(d)
 			}
 			var lsp *rsvp.LSP
-			if perr := provision(fail, func() {
-				var serr error
-				lsp, serr = b.SetupTELSP(fields[1], fields[2], fields[3], bw, class, rsvp.SetupOptions{})
-				if serr != nil {
-					panic(fmt.Sprintf("telsp: %v", serr))
-				}
-			}); perr != nil {
-				return nil, perr
+			var serr error
+			if err := capture(func() {
+				lsp, serr = b.SetupTELSP(f[1], f[2], f[3], bw, class, rsvp.SetupOptions{})
+			}); err != nil {
+				return err
+			}
+			if serr != nil {
+				return fmt.Errorf("telsp: %w", serr)
 			}
 			sc.TELSPs = append(sc.TELSPs, lsp)
 		case "flow":
-			if len(fields) < 8 {
-				return nil, fail("flow <name> <from> <to> <port> <class> cbr|poisson|onoff|aimd ...")
+			if len(f) < 8 {
+				return errors.New("flow <name> <from> <to> <port> <class> cbr|poisson|onoff|aimd ...")
 			}
-			ensureBuilt()
-			ensureConverged()
-			if err := sc.addFlow(fields, fail); err != nil {
-				return nil, err
+			if err := build(); err != nil {
+				return err
 			}
+			if err := converge(); err != nil {
+				return err
+			}
+			return sc.addFlow(f)
 		case "run":
-			if len(fields) != 2 {
-				return nil, fail("run <duration>")
+			if len(f) != 2 {
+				return errors.New("run <duration>")
 			}
-			d, err := ParseDuration(fields[1])
+			d, err := dsl.PositiveDuration("duration", f[1])
 			if err != nil {
-				return nil, fail("bad duration: %v", err)
-			}
-			if d <= 0 {
-				return nil, fail("run duration must be positive, got %v", d)
+				return err
 			}
 			sc.Duration = d
 		default:
-			return nil, fail("unknown directive %q", fields[0])
+			return fmt.Errorf("unknown directive %q", f[0])
 		}
+		return nil
+	})
+	if err == nil {
+		if err = build(); err == nil {
+			err = converge()
+		}
+		err = end.At(err)
 	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("%s:%d: %v", name, lineNo+1, err)
+	if err != nil {
+		return nil, err
 	}
-	ensureBuilt()
-	ensureConverged()
 	return sc, nil
+}
+
+// ParseSite reads the fields of a site directive, the one site grammar a
+// config and an intent spec share:
+//
+//	site <vpn> <site> <pe> <prefix> [hosts=N] [shape=BW] [backup=PE] [bw=BW] [delay=D]
+func ParseSite(f []string) (core.SiteSpec, error) {
+	if len(f) < 5 {
+		return core.SiteSpec{}, errors.New("site <vpn> <site> <pe> <prefix> [options]")
+	}
+	pfx, err := addr.ParsePrefix(f[4])
+	if err != nil {
+		return core.SiteSpec{}, fmt.Errorf("bad prefix: %v", err)
+	}
+	s := core.SiteSpec{VPN: f[1], Name: f[2], PE: f[3], Prefixes: []addr.Prefix{pfx}}
+	err = dsl.Options{
+		"hosts":  dsl.SetInt(&s.Hosts, 0, maxHosts),
+		"shape":  dsl.Set(&s.ShapeRate, dsl.Bandwidth),
+		"backup": func(_, v string) error { s.BackupPE = v; return nil },
+		"bw":     dsl.Set(&s.AccessBw, dsl.Bandwidth),
+		"delay":  dsl.Set(&s.AccessDelay, dsl.PositiveDuration),
+	}.Apply("site", f[5:])
+	return s, err
+}
+
+// millis is the option setter of an SLA delay bound, held in milliseconds.
+func millis(p *float64) func(string, string) error {
+	return func(k, v string) error {
+		d, err := dsl.Duration(k, v)
+		*p = float64(d) / float64(sim.Millisecond)
+		return err
+	}
 }
 
 // maxHosts bounds hosts= so a typo cannot provision a million routers.
@@ -437,75 +314,65 @@ const maxHosts = 1024
 const maxPayload = 65535
 
 // addFlow parses one flow directive and schedules its generator.
-func (sc *Scenario) addFlow(fields []string, fail func(string, ...any) error) error {
+func (sc *Scenario) addFlow(f []string) error {
 	b := sc.B
-	port, err := strconv.Atoi(fields[4])
-	if err != nil || port < 0 || port > 65535 {
-		return fail("bad port %q (0..65535)", fields[4])
-	}
-	dscp, err := ParseClass(fields[5])
+	port, err := dsl.Int("port", f[4], 0, 65535)
 	if err != nil {
-		return fail("%v", err)
+		return err
 	}
-	payload, err := strconv.Atoi(fields[7])
-	if err != nil || payload < 1 || payload > maxPayload {
-		return fail("bad payload %q (1..%d bytes)", fields[7], maxPayload)
-	}
-	fl, err := b.FlowBetween(fields[1], fields[2], fields[3], uint16(port))
+	dscp, err := dsl.Class(f[5])
 	if err != nil {
-		return fail("%v", err)
+		return err
+	}
+	payload, err := dsl.Int("payload", f[7], 1, maxPayload)
+	if err != nil {
+		return err
+	}
+	fl, err := b.FlowBetween(f[1], f[2], f[3], uint16(port))
+	if err != nil {
+		return err
 	}
 	fl.DSCP = dscp
-	switch fields[6] {
+	switch f[6] {
 	case "cbr":
-		if len(fields) != 9 {
-			return fail("flow ... cbr <payload> <interval>")
+		if len(f) != 9 {
+			return errors.New("flow ... cbr <payload> <interval>")
 		}
-		iv, err := ParseDuration(fields[8])
+		iv, err := dsl.PositiveDuration("interval", f[8])
 		if err != nil {
-			return fail("bad interval: %v", err)
-		}
-		if iv <= 0 {
-			return fail("cbr interval must be positive, got %v", iv)
+			return err
 		}
 		trafgen.CBR(b.Net, fl, payload, iv, 0, sc.Duration)
 	case "poisson":
-		if len(fields) != 9 {
-			return fail("flow ... poisson <payload> <pkt/s>")
+		if len(f) != 9 {
+			return errors.New("flow ... poisson <payload> <pkt/s>")
 		}
-		rate, err := strconv.ParseFloat(fields[8], 64)
-		if err != nil || rate <= 0 || rate > 1e9 {
-			return fail("bad rate %q (must be positive pkt/s)", fields[8])
+		rate, err := dsl.Float("rate", f[8], 0, 1e9)
+		if err == nil && rate == 0 {
+			err = fmt.Errorf("bad rate %q: must be > 0 pkt/s", f[8])
+		}
+		if err != nil {
+			return err
 		}
 		trafgen.Poisson(b.Net, fl, payload, rate, 0, sc.Duration, b.E.Rand().Fork())
 	case "onoff":
-		if len(fields) != 11 {
-			return fail("flow ... onoff <payload> <interval> <meanOn> <meanOff>")
+		if len(f) != 11 {
+			return errors.New("flow ... onoff <payload> <interval> <meanOn> <meanOff>")
 		}
-		iv, err := ParseDuration(fields[8])
-		if err != nil {
-			return fail("bad interval: %v", err)
+		var d [3]sim.Time
+		for i, name := range []string{"interval", "meanOn", "meanOff"} {
+			if d[i], err = dsl.PositiveDuration(name, f[8+i]); err != nil {
+				return err
+			}
 		}
-		on, err := ParseDuration(fields[9])
-		if err != nil {
-			return fail("bad meanOn: %v", err)
-		}
-		off, err := ParseDuration(fields[10])
-		if err != nil {
-			return fail("bad meanOff: %v", err)
-		}
-		if iv <= 0 || on <= 0 || off <= 0 {
-			return fail("onoff interval/meanOn/meanOff must all be positive")
-		}
-		trafgen.OnOff(b.Net, fl, payload, iv, on, off, 0, sc.Duration, b.E.Rand().Fork())
+		trafgen.OnOff(b.Net, fl, payload, d[0], d[1], d[2], 0, sc.Duration, b.E.Rand().Fork())
 	case "aimd":
-		if len(fields) != 8 {
-			return fail("flow ... aimd <payload>")
+		if len(f) != 8 {
+			return errors.New("flow ... aimd <payload>")
 		}
-		src := b.AttachAIMD(fl, payload, sc.Duration)
-		src.Start(0)
+		b.AttachAIMD(fl, payload, sc.Duration).Start(0)
 	default:
-		return fail("unknown pattern %q", fields[6])
+		return fmt.Errorf("unknown pattern %q", f[6])
 	}
 	sc.Flows = append(sc.Flows, fl)
 	return nil

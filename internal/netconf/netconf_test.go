@@ -1,11 +1,13 @@
 package netconf
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/core"
+	"mplsvpn/internal/dsl"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/sim"
 )
@@ -83,20 +85,21 @@ run 100ms
 	}
 }
 
+// TestParseHelpers: the value checks a config is read with.
 func TestParseHelpers(t *testing.T) {
-	if v, err := ParseBandwidth("2.5G"); err != nil || v != 2.5e9 {
-		t.Fatalf("ParseBandwidth = %v, %v", v, err)
+	if v, err := dsl.Bandwidth("bandwidth", "2.5G"); err != nil || v != 2.5e9 {
+		t.Fatalf("Bandwidth = %v, %v", v, err)
 	}
-	if _, err := ParseBandwidth("xx"); err == nil {
+	if _, err := dsl.Bandwidth("bandwidth", "xx"); err == nil {
 		t.Fatal("garbage bandwidth accepted")
 	}
-	if d, err := ParseDuration("250ms"); err != nil || d != 250*sim.Millisecond {
-		t.Fatalf("ParseDuration = %v, %v", d, err)
+	if d, err := dsl.Duration("delay", "250ms"); err != nil || d != 250*sim.Millisecond {
+		t.Fatalf("Duration = %v, %v", d, err)
 	}
-	if c, err := ParseClass("AF41"); err != nil || c != packet.DSCPAF41 {
-		t.Fatalf("ParseClass = %v, %v", c, err)
+	if c, err := dsl.Class("AF41"); err != nil || c != packet.DSCPAF41 {
+		t.Fatalf("Class = %v, %v", c, err)
 	}
-	if _, err := ParseClass("gold"); err == nil {
+	if _, err := dsl.Class("gold"); err == nil {
 		t.Fatal("unknown class accepted")
 	}
 }
@@ -222,11 +225,19 @@ func TestTopLevelErrors(t *testing.T) {
 	}
 }
 
+// TestParseClassAll: every class name the grammar documents is accepted
+// where a config names a class, and an unknown one is refused at its line.
 func TestParseClassAll(t *testing.T) {
-	for _, c := range []string{"ef", "af41", "af21", "be", "cs0", "cs1", "cs6"} {
-		if _, err := ParseClass(c); err != nil {
+	for _, c := range []string{"ef", "af41", "af21", "be", "cs0", "cs1", "cs6", "EF"} {
+		conf := "pe A\npe B\nlink A B 100M 1ms 1\nvpn v sla=" + c + "\n"
+		if _, err := Load(strings.NewReader(conf), "test.conf", core.Config{Seed: 1}); err != nil {
 			t.Fatalf("class %s rejected: %v", c, err)
 		}
+	}
+	_, err := Load(strings.NewReader("pe A\npe B\nlink A B 100M 1ms 1\nvpn v sla=gold\n"), "test.conf", core.Config{Seed: 1})
+	var de *dsl.Error
+	if !errors.As(err, &de) || de.Line != 4 || !strings.Contains(err.Error(), `unknown class "gold"`) {
+		t.Fatalf("sla=gold: %v", err)
 	}
 }
 
