@@ -14,10 +14,11 @@
 // A speaker's Adj-RIB-In and Loc-RIB are two slices of route pointers kept
 // in prefix order (rib.go), not maps: receivers share one *VPNRoute per
 // announcement, so a retained route costs each holder eight bytes, and the
-// checkpoint writes each distinct route once (snapshot.go). Converge appends
-// what a speaker receives to an unsorted tail and seals the speaker —
-// sort, fold re-announcements, merge — at the points where its RIB is next
-// read. The sparse ledgers (stale marks, damping) stay maps.
+// checkpoint writes each distinct route once (snapshot.go). Converge fills
+// receivers one at a time: a speaker's arrivals collect in one tail the call
+// owns, and a seal sorts them, folds re-announcements and merges them into
+// the run, which it then allocates once at its size. The sparse ledgers
+// (stale marks, damping) stay maps.
 package bgp
 
 import (
@@ -250,30 +251,32 @@ func (m *Mesh) Converge() {
 		s.Retained = 0
 	}
 	ids := m.sortedIDs()
+	var rd round
 	switch m.Layout {
 	case FullMesh:
-		for _, from := range ids {
-			if m.StateOf(from) != PeerUp {
+		for _, to := range ids {
+			if m.StateOf(to) != PeerUp {
 				continue
 			}
-			sf := m.speakers[from]
-			for _, to := range ids {
-				if to == from || m.StateOf(to) != PeerUp {
+			st := m.speakers[to]
+			for _, from := range ids {
+				if from == to || m.StateOf(from) != PeerUp {
 					continue
 				}
-				for _, r := range sf.exports {
-					m.speakers[to].receive(r, false)
-					m.UpdatesSent++
+				ex := m.speakers[from].exports
+				for _, r := range ex {
+					rd.receive(st, r, false)
 				}
+				m.UpdatesSent += len(ex)
 			}
+			rd.seal(st)
 		}
 	case Clustered:
-		m.convergeClustered()
+		m.convergeClustered(&rd)
 	}
 	now := m.now()
 	for _, id := range ids {
 		s := m.speakers[id]
-		s.seal()
 		if m.StateOf(id) == PeerUp {
 			s.updateDamping(m, now)
 		}

@@ -50,9 +50,8 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 		"flapPending": {walked, "routeTable.speakerState"},
 	},
 	reflect.TypeOf(rib{}): {
-		"paths":  {walked, "routeTable.speakerState"},
-		"sealed": {derived, "routeTable.speakerState (the tail is empty outside Converge)"},
-		"best":   {derived, "Speaker.selectBest"},
+		"paths": {walked, "routeTable.speakerState"},
+		"best":  {derived, "Speaker.selectBest"},
 	},
 	reflect.TypeOf(Mesh{}): {
 		"Layout":            {derived, "Mesh.UseClusters"},

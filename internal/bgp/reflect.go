@@ -27,6 +27,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mplsvpn/internal/addr"
@@ -185,13 +186,16 @@ func (m *Mesh) rrInterest(c Cluster, rrn topo.NodeID) []addr.RouteTarget {
 	return out
 }
 
-// rtIndex buckets routes by route target for sender-side constrained
-// distribution. Routes with no RT land in the catch-all bucket and are
-// sent to every receiver (they cannot be matched, only flooded).
+// rtIndex buckets by route target what several senders offer, for
+// sender-side constrained distribution: the senders' routes end to end in
+// all, and per target their positions there, ascending. Routes with no RT
+// are sent to every receiver (they cannot be matched, only flooded). A
+// round keeps one and refills it for every phase and cluster.
 type rtIndex struct {
 	all      []*VPNRoute
+	ends     []int                        // where each sender's routes end in all
 	byRT     map[addr.RouteTarget][]int32 // positions in all
-	untagged []*VPNRoute
+	untagged []int32
 
 	// selectFor's scratch: the result it hands out, and per position in all
 	// the epoch of the call that last emitted it.
@@ -200,60 +204,90 @@ type rtIndex struct {
 	epoch uint32
 }
 
-func buildRTIndex(routes []*VPNRoute) *rtIndex {
-	ix := &rtIndex{all: routes, byRT: make(map[addr.RouteTarget][]int32), mark: make([]uint32, len(routes))}
-	for i, r := range routes {
-		if len(r.RTs) == 0 {
-			ix.untagged = append(ix.untagged, r)
-			continue
-		}
-		for _, rt := range r.RTs {
-			ix.byRT[rt] = append(ix.byRT[rt], int32(i))
-		}
+// reset empties the index, keeping its memory, for the speakers at ns to
+// add themselves. It makes room at once for all they could offer: growing
+// by appends would leave garbage several times the index's size.
+func (ix *rtIndex) reset(m *Mesh, ns []topo.NodeID) {
+	n := 0
+	for _, id := range ns {
+		n += len(m.speakers[id].exports) + len(m.speakers[id].rib.paths)
 	}
-	return ix
+	ix.all, ix.ends, ix.untagged = slices.Grow(ix.all[:0], n), ix.ends[:0], ix.untagged[:0]
+	if len(ix.mark) < n {
+		ix.mark = make([]uint32, n)
+	}
+	if ix.byRT == nil {
+		ix.byRT = make(map[addr.RouteTarget][]int32)
+	}
+	for rt, at := range ix.byRT {
+		ix.byRT[rt] = at[:0]
+	}
 }
 
-// selectFor returns the routes a receiver with the given interest should
-// be offered, each once: interest order, then index order, untagged last —
-// the order same-prefix ties are broken by downstream. nil interest means
-// everything. The result is valid until the next call.
-func (ix *rtIndex) selectFor(interest []addr.RouteTarget) []*VPNRoute {
+// add indexes one more sender: its exports, then the routes of its
+// Adj-RIB-In that keep (when given) accepts. Stale-retained routes are kept
+// for forwarding, not re-announced: refreshing them downstream would erase
+// the peers' own graceful-restart marks.
+func (ix *rtIndex) add(s *Speaker, keep func(*VPNRoute) bool) {
+	put := func(r *VPNRoute) {
+		at := int32(len(ix.all))
+		ix.all = append(ix.all, r)
+		if len(r.RTs) == 0 {
+			ix.untagged = append(ix.untagged, at)
+		}
+		for _, rt := range r.RTs {
+			ix.byRT[rt] = append(ix.byRT[rt], at)
+		}
+	}
+	for _, r := range s.exports {
+		put(r)
+	}
+	for _, r := range s.rib.paths {
+		if (keep == nil || keep(r)) && !s.isStale(r.Prefix, r.OriginPE) {
+			put(r)
+		}
+	}
+	ix.ends = append(ix.ends, len(ix.all))
+}
+
+// selectFor returns the routes sender k should offer a receiver with the
+// given interest, each once: interest order, then index order, untagged
+// last — the order same-prefix ties are broken by downstream. nil interest
+// means everything. The result is valid until the next call.
+func (ix *rtIndex) selectFor(k int, interest []addr.RouteTarget) []*VPNRoute {
+	lo, hi := 0, ix.ends[k]
+	if k > 0 {
+		lo = ix.ends[k-1]
+	}
 	if interest == nil {
-		return ix.all
+		return ix.all[lo:hi]
+	}
+	// sender picks sender k's positions out of an ascending list.
+	sender := func(at []int32) []int32 {
+		i, _ := slices.BinarySearch(at, int32(lo))
+		j, _ := slices.BinarySearch(at, int32(hi))
+		return at[i:j]
 	}
 	ix.epoch++
 	out := ix.out[:0]
 	for _, rt := range interest {
-		for _, i := range ix.byRT[rt] {
+		for _, i := range sender(ix.byRT[rt]) {
 			if ix.mark[i] != ix.epoch {
 				ix.mark[i] = ix.epoch
 				out = append(out, ix.all[i])
 			}
 		}
 	}
-	out = append(out, ix.untagged...)
+	for _, i := range sender(ix.untagged) {
+		out = append(out, ix.all[i])
+	}
 	ix.out = out
 	return out
 }
 
-// announced lists what a reflector re-advertises, in deterministic order:
-// its exports, then its adj-RIB-in by prefix. Stale-retained routes are kept
-// for forwarding, not re-announced: refreshing them downstream would erase
-// the peers' own graceful-restart marks.
-func (s *Speaker) announced() []*VPNRoute {
-	out := make([]*VPNRoute, 0, len(s.exports)+s.rib.sealed)
-	out = append(out, s.exports...)
-	for _, r := range s.rib.paths[:s.rib.sealed] {
-		if !s.isStale(r.Prefix, r.OriginPE) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // convergeClustered is the Clustered arm of Converge: three deterministic
-// phases that mirror steady-state reflection.
+// phases that mirror steady-state reflection, each filling its receivers
+// one at a time, every one in the order the sends reach it.
 //
 //  1. Every Up client sends its exports to every Up reflector of its
 //     cluster. Reflection happens once, at the origin: the route is stamped
@@ -265,38 +299,40 @@ func (s *Speaker) announced() []*VPNRoute {
 //  3. Each reflector reflects everything it holds to its own Up clients,
 //     RT-filtered; a client drops routes it originated.
 //
-// A speaker is sealed before its RIB is next read: a reflector after each
-// phase that fed it, a cluster's clients once its reflectors have sent.
-func (m *Mesh) convergeClustered() {
+// A phase indexes what its senders offer before it seals any receiver, so
+// a reflector passes on what it held when the phase began.
+func (m *Mesh) convergeClustered(rd *round) {
 	up := func(n topo.NodeID) bool { return m.StateOf(n) == PeerUp }
 
 	// Phase 1: clients -> own-cluster reflectors, stamped.
 	for ci := range m.clusters {
 		c := &m.clusters[ci]
-		var rrs []*Speaker
-		for _, rrn := range c.RRs {
-			if up(rrn) {
-				rrs = append(rrs, m.speakers[rrn])
-			}
+		if !slices.ContainsFunc(c.RRs, up) {
+			continue
 		}
-		list := []uint32{c.ID}
+		list, sent := []uint32{c.ID}, rd.sent[:0]
 		for _, cl := range c.Clients {
-			if !up(cl) || len(rrs) == 0 {
+			if !up(cl) {
 				continue
 			}
 			for _, r := range m.speakers[cl].exports {
 				if oc, isClient := m.clientClusterIdx[r.OriginPE]; isClient && oc == ci {
 					r = stamp(r, list)
 				}
-				for _, rr := range rrs {
-					rr.receive(r, true)
-					m.UpdatesSent++
-				}
+				sent = append(sent, r)
 			}
 		}
-		for _, rr := range rrs {
-			rr.seal()
+		for _, rrn := range c.RRs {
+			if up(rrn) {
+				rr := m.speakers[rrn]
+				for _, r := range sent {
+					rd.receive(rr, r, true)
+				}
+				m.UpdatesSent += len(sent)
+				rd.seal(rr)
+			}
 		}
+		rd.sent = sent
 	}
 
 	// Phase 2: reflector full mesh. The send set is exports plus stamped
@@ -305,89 +341,61 @@ func (m *Mesh) convergeClustered() {
 	// only), which is exactly why the reflectors must stay fully meshed.
 	var rrs []topo.NodeID
 	for _, c := range m.clusters {
-		rrs = append(rrs, c.RRs...)
-	}
-	sort.Slice(rrs, func(i, j int) bool { return rrs[i] < rrs[j] })
-	interest := make(map[topo.NodeID][]addr.RouteTarget, len(rrs))
-	for _, rrn := range rrs {
-		interest[rrn] = m.rrInterest(m.clusters[m.rrClusterIdx[rrn]], rrn)
-	}
-	for _, from := range rrs {
-		if !up(from) {
-			continue
-		}
-		sf := m.speakers[from]
-		cid := m.clusters[m.rrClusterIdx[from]].ID
-		// What this phase has already delivered to sf sits in its tail, out
-		// of reach: none of it is sf's to pass on.
-		sendable := append([]*VPNRoute(nil), sf.exports...)
-		for _, r := range sf.rib.paths[:sf.rib.sealed] {
-			// Stale-retained routes are kept for forwarding, not
-			// re-announced: refreshing them downstream would erase the
-			// peers' own graceful-restart marks.
-			if len(r.ClusterList) > 0 && r.ClusterList[0] == cid && !sf.isStale(r.Prefix, r.OriginPE) {
-				sendable = append(sendable, r)
+		for _, rrn := range c.RRs {
+			if up(rrn) {
+				rrs = append(rrs, rrn)
 			}
 		}
-		ix := buildRTIndex(sendable)
-		for _, to := range rrs {
-			if to == from || !up(to) {
+	}
+	slices.Sort(rrs)
+	rd.ix.reset(m, rrs)
+	for _, from := range rrs {
+		cid := m.clusters[m.rrClusterIdx[from]].ID
+		rd.ix.add(m.speakers[from], func(r *VPNRoute) bool { return len(r.ClusterList) > 0 && r.ClusterList[0] == cid })
+	}
+	for _, to := range rrs {
+		tc := m.clusters[m.rrClusterIdx[to]]
+		want, st := m.rrInterest(tc, to), m.speakers[to]
+		for k, from := range rrs {
+			if from == to {
 				continue
 			}
-			tcid := m.clusters[m.rrClusterIdx[to]].ID
-			st := m.speakers[to]
-			for _, r := range ix.selectFor(interest[to]) {
+			for _, r := range rd.ix.selectFor(k, want) {
 				m.UpdatesSent++
-				if len(r.ClusterList) > 0 && (r.OriginatorID == to || clusterListHas(r.ClusterList, tcid)) {
+				if (len(r.ClusterList) > 0 && (r.OriginatorID == to || clusterListHas(r.ClusterList, tc.ID))) || r.OriginPE == to {
 					m.LoopPrevented++
 					continue
 				}
-				if r.OriginPE == to {
-					m.LoopPrevented++
-					continue
-				}
-				st.receive(r, true)
+				rd.receive(st, r, true)
 			}
 		}
+		rd.seal(st)
 	}
 
 	// Phase 3: reflect down to clients.
-	for ci := range m.clusters {
-		c := &m.clusters[ci]
+	for _, c := range m.clusters {
+		rd.ix.reset(m, c.RRs)
 		for _, rrn := range c.RRs {
-			if !up(rrn) {
-				continue
-			}
-			rr := m.speakers[rrn]
-			rr.seal()
-			ix := buildRTIndex(rr.announced())
-			for _, cl := range c.Clients {
-				if !up(cl) {
-					continue
-				}
-				var want []addr.RouteTarget
-				if m.rtInterest != nil {
-					want = m.rtInterest[cl]
-				}
-				sc := m.speakers[cl]
-				for _, r := range ix.selectFor(want) {
-					m.UpdatesSent++
-					if len(r.ClusterList) > 0 && r.OriginatorID == cl {
-						m.LoopPrevented++
-						continue
-					}
-					if r.OriginPE == cl {
-						m.LoopPrevented++
-						continue
-					}
-					sc.receive(r, false)
-				}
+			if up(rrn) {
+				rd.ix.add(m.speakers[rrn], nil)
 			}
 		}
 		for _, cl := range c.Clients {
-			if up(cl) {
-				m.speakers[cl].seal()
+			if !up(cl) {
+				continue
 			}
+			sc := m.speakers[cl]
+			for k := range rd.ix.ends {
+				for _, r := range rd.ix.selectFor(k, m.rtInterest[cl]) {
+					m.UpdatesSent++
+					if (len(r.ClusterList) > 0 && r.OriginatorID == cl) || r.OriginPE == cl {
+						m.LoopPrevented++
+						continue
+					}
+					rd.receive(sc, r, false)
+				}
+			}
+			rd.seal(sc)
 		}
 	}
 }

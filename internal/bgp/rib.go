@@ -11,16 +11,25 @@ import (
 // search and walked in order without sorting anything — and costs eight
 // bytes an entry, where a hash map keyed by prefix cost five times that.
 type rib struct {
-	// paths is Adj-RIB-In. paths[:sealed] ascends by prefix; inside a prefix
-	// routes keep arrival order (the decision process keeps the first route
-	// on a full tie, so that order is semantics) and there is one route per
-	// OriginPE. paths[sealed:] is the unsorted tail receive appends to;
-	// seal folds it in. Outside Converge the tail is empty.
-	paths  []*VPNRoute
-	sealed int
+	// paths is Adj-RIB-In, ascending by prefix; inside a prefix routes keep
+	// arrival order (the decision process keeps the first route on a full
+	// tie, so that order is semantics) and there is one route per OriginPE.
+	paths []*VPNRoute
 	// best is Loc-RIB: the selected route of every prefix that has one,
 	// ascending by prefix.
 	best []*VPNRoute
+}
+
+// round is the scratch of one Converge call, dropped when it returns.
+// Receivers are filled one at a time: a receiver's arrivals collect in tail
+// and seal folds them into its run, sorting through buf and ends and merging
+// into merged, so one set of buffers serves every speaker of the round. sent
+// is a cluster's stamped send list and ix what a phase's senders offer
+// (reflect.go).
+type round struct {
+	tail, buf, merged, sent []*VPNRoute
+	ends                    []int
+	ix                      rtIndex
 }
 
 func byPrefix(a, b *VPNRoute) int { return addr.CompareVPNPrefix(a.Prefix, b.Prefix) }
@@ -38,17 +47,16 @@ func span(rs []*VPNRoute, i int) int {
 
 // forPrefix returns the retained routes for p, in arrival order.
 func (b *rib) forPrefix(p addr.VPNPrefix) []*VPNRoute {
-	run := b.paths[:b.sealed]
-	i, ok := slices.BinarySearchFunc(run, p, atPrefix)
+	i, ok := slices.BinarySearchFunc(b.paths, p, atPrefix)
 	if !ok {
 		return nil
 	}
-	return run[i:span(run, i)]
+	return b.paths[i:span(b.paths, i)]
 }
 
 // eachPrefix calls fn for every prefix that has a retained route, ascending.
 func (b *rib) eachPrefix(fn func(addr.VPNPrefix)) {
-	for i := 0; i < b.sealed; i = span(b.paths[:b.sealed], i) {
+	for i := 0; i < len(b.paths); i = span(b.paths, i) {
 		fn(b.paths[i].Prefix)
 	}
 }
@@ -56,7 +64,7 @@ func (b *rib) eachPrefix(fn func(addr.VPNPrefix)) {
 // retain drops, in place, the routes keep refuses, and reports to gone (when
 // given) every prefix that lost its last route.
 func (b *rib) retain(keep func(*VPNRoute) bool, gone func(addr.VPNPrefix)) {
-	run, out := b.paths[:b.sealed], b.paths[:0]
+	run, out := b.paths, b.paths[:0]
 	for i := 0; i < len(run); {
 		j, n, p := span(run, i), len(out), run[i].Prefix
 		for _, r := range run[i:j] {
@@ -70,20 +78,20 @@ func (b *rib) retain(keep func(*VPNRoute) bool, gone func(addr.VPNPrefix)) {
 		i = j
 	}
 	clear(run[len(out):])
-	b.paths, b.sealed = out, len(out)
+	b.paths = out
 }
 
-// receive offers a route to the speaker. A route reflector bypasses the
-// import filter: it must retain routes for VPNs it does not serve, or it
-// could not reflect them. The route joins the tail; it is in the RIB for
-// readers once the speaker is sealed.
-func (s *Speaker) receive(r *VPNRoute, bypassFilter bool) {
+// receive offers a route to s, the receiver being filled. A route reflector
+// bypasses the import filter: it must retain routes for VPNs it does not
+// serve, or it could not reflect them. The route joins the tail, and s's
+// RIB once seal folds the tail in.
+func (rd *round) receive(s *Speaker, r *VPNRoute, bypassFilter bool) {
 	s.Received++
 	if !bypassFilter && s.Filter != nil && !s.Filter(r) {
 		return
 	}
 	s.Retained++
-	s.rib.paths = append(s.rib.paths, r)
+	rd.tail = append(rd.tail, r)
 }
 
 // place puts r into the group of its prefix that starts at dst[g]. A
@@ -104,19 +112,20 @@ func (s *Speaker) place(dst []*VPNRoute, g int, r *VPNRoute) []*VPNRoute {
 // sortRuns sorts rs by prefix, stably: what slices.SortStableFunc does, for
 // an input that is a few ascending runs end to end — a tail is one run per
 // sending peer. It finds the runs and merges neighbours pairwise, to and
-// fro between rs and one buffer of its size, the left run winning ties; a
-// tail in no order at all is runs of one and an ordinary merge sort.
-func sortRuns(rs []*VPNRoute) {
-	var ends []int // where each run ends
+// fro between rs and the round's buffer, the left run winning ties; a tail
+// in no order at all is runs of one and an ordinary merge sort.
+func (rd *round) sortRuns(rs []*VPNRoute) {
+	ends := rd.ends[:0] // where each run ends
 	for i := 1; i <= len(rs); i++ {
 		if i == len(rs) || byPrefix(rs[i-1], rs[i]) > 0 {
 			ends = append(ends, i)
 		}
 	}
-	if len(ends) < 2 {
+	if rd.ends = ends; len(ends) < 2 {
 		return
 	}
-	src, dst := rs, make([]*VPNRoute, len(rs))
+	rd.buf = slices.Grow(rd.buf[:0], len(rs))
+	src, dst := rs, rd.buf[:len(rs)]
 	for ; len(ends) > 1; src, dst = dst, src {
 		merged, lo := ends[:0], 0
 		for r := 0; r < len(ends); r += 2 {
@@ -140,17 +149,19 @@ func sortRuns(rs []*VPNRoute) {
 	}
 }
 
-// seal folds the tail into the run, leaving what offering the same routes
-// one by one to a per-prefix list would have: the stable sort keeps arrival
-// order inside a prefix, and place applies each arrival in that order.
-func (s *Speaker) seal() {
-	b := &s.rib
-	head, tail := b.paths[:b.sealed], b.paths[b.sealed:]
+// seal folds the tail into s's run and empties it, leaving what offering the
+// same routes one by one to a per-prefix list would have: the stable sort
+// keeps arrival order inside a prefix, and place applies each arrival in
+// that order. The fold is merged in the round's buffer and the run allocated
+// once, at its size: redundant reflectors send everything twice, and the
+// run holds no slack for it.
+func (rd *round) seal(s *Speaker) {
+	head, tail := s.rib.paths, rd.tail
 	if len(tail) == 0 {
 		return
 	}
-	sortRuns(tail)
-	out := make([]*VPNRoute, 0, len(b.paths))
+	rd.sortRuns(tail)
+	out := rd.merged[:0]
 	for i, j := 0, 0; i < len(head) || j < len(tail); {
 		p, g := first(head[i:], tail[j:]), len(out)
 		for ; i < len(head) && head[i].Prefix == p; i++ {
@@ -160,11 +171,8 @@ func (s *Speaker) seal() {
 			out = s.place(out, g, tail[j])
 		}
 	}
-	if len(out) < cap(out) {
-		// Redundant reflectors send everything twice: hold no slack for it.
-		out = slices.Clone(out)
-	}
-	b.paths, b.sealed = out, len(out)
+	s.rib.paths = slices.Clone(out)
+	rd.merged, rd.tail = out, tail[:0]
 }
 
 // first returns the lesser of the prefixes two runs start with; one of the
@@ -185,7 +193,7 @@ func (s *Speaker) selectBest() {
 		ex = slices.Clone(ex)
 		slices.SortStableFunc(ex, byPrefix)
 	}
-	paths := s.rib.paths[:s.rib.sealed]
+	paths := s.rib.paths
 	best := make([]*VPNRoute, 0, len(ex)+len(paths))
 	for i, j := 0, 0; i < len(ex) || j < len(paths); {
 		p := first(ex[i:], paths[j:])
@@ -225,4 +233,4 @@ func (s *Speaker) Best(p addr.VPNPrefix) (*VPNRoute, bool) {
 func (s *Speaker) BestRoutes() []*VPNRoute { return slices.Clip(s.rib.best) }
 
 // RIBSize returns the number of retained routes (adj-RIB-in entries).
-func (s *Speaker) RIBSize() int { return s.rib.sealed }
+func (s *Speaker) RIBSize() int { return len(s.rib.paths) }

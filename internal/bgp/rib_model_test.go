@@ -633,9 +633,11 @@ func (rig *modelRig) compare() {
 
 // TestRIBMatchesMapModel drives the mesh and the map model with the same
 // seeded random operations over every layout — the full mesh, a single
-// reflector (one cluster, every other speaker its client) and two clusters
-// of redundant reflectors — and requires every observable to agree after
-// every step.
+// reflector (one cluster, every other speaker its client), two clusters of
+// redundant reflectors, and an uneven one: three reflectors in one cluster,
+// a cluster with no clients and a speaker in no cluster — and requires every
+// observable to agree after every step. Sessions go down and restart at
+// random, so every phase meets reflectors that are Down or Restarting.
 func TestRIBMatchesMapModel(t *testing.T) {
 	seeds, steps := 10, 200
 	if testing.Short() {
@@ -647,6 +649,10 @@ func TestRIBMatchesMapModel(t *testing.T) {
 		{
 			{ID: 10, RRs: []topo.NodeID{0, 1}, Clients: []topo.NodeID{4, 5, 6}},
 			{ID: 20, RRs: []topo.NodeID{2, 3}, Clients: []topo.NodeID{7, 8}},
+		},
+		{
+			{ID: 10, RRs: []topo.NodeID{0, 1, 2}, Clients: []topo.NodeID{4, 5, 6, 7}},
+			{ID: 20, RRs: []topo.NodeID{3}},
 		},
 	}
 	for i, clusters := range layouts {
@@ -665,7 +671,9 @@ func TestRIBMatchesMapModel(t *testing.T) {
 // one that arrives descending has no run longer than a prefix group, and
 // inside each prefix the routes must still come out in arrival order,
 // which is what place then refreshes or appends in. Random run shapes
-// cover the merge's odd run out and its ties.
+// cover the merge's odd run out and its ties. Every case goes through one
+// round, as a Converge's speakers do, longest tails first: an entry a seal
+// left in the round's buffers would surface in a later, shorter case.
 func TestSealKeepsArrivalOrderWhateverTheRuns(t *testing.T) {
 	route := func(third, origin int) *VPNRoute {
 		return &VPNRoute{
@@ -673,34 +681,18 @@ func TestSealKeepsArrivalOrderWhateverTheRuns(t *testing.T) {
 			OriginPE: topo.NodeID(origin),
 		}
 	}
-	check := func(what string, tail []*VPNRoute) {
-		t.Helper()
-		want := slices.Clone(tail)
-		slices.SortStableFunc(want, byPrefix)
-		got := slices.Clone(tail)
-		sortRuns(got)
-		if !slices.Equal(got, want) { // pointers: the very routes, in the very order
-			t.Fatalf("%s: sortRuns and the stable sort disagree over %d routes", what, len(tail))
-		}
-		s, ref := &Speaker{}, &mapRIB{adj: map[addr.VPNPrefix][]*VPNRoute{}}
-		for _, r := range tail {
-			s.receive(r, true)
-			ref.receive(s, r, true)
-		}
-		s.seal()
-		if held := ref.sortedAdj(true); !slices.Equal(s.rib.paths, held) {
-			t.Fatalf("%s: sealed adj-RIB-in differs from the map model's", what)
-		}
+	type tailCase struct {
+		what string
+		tail []*VPNRoute
 	}
-
-	check("empty", nil)
+	cases := []tailCase{{what: "empty"}}
 	var descending []*VPNRoute
 	for third := 40; third > 0; third-- {
 		for origin := 3; origin > 0; origin-- {
 			descending = append(descending, route(third/2, origin)) // two thirds share a prefix
 		}
 	}
-	check("descending", descending)
+	cases = append(cases, tailCase{"descending", descending})
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 200; i++ {
 		var tail []*VPNRoute
@@ -709,6 +701,31 @@ func TestSealKeepsArrivalOrderWhateverTheRuns(t *testing.T) {
 				tail = append(tail, route(third, rng.Intn(4)))
 			}
 		}
-		check(fmt.Sprint("random runs ", i), tail)
+		cases = append(cases, tailCase{fmt.Sprint("random runs ", i), tail})
+	}
+	slices.SortStableFunc(cases, func(a, b tailCase) int { return len(b.tail) - len(a.tail) })
+
+	var rd round
+	for _, c := range cases {
+		want := slices.Clone(c.tail)
+		slices.SortStableFunc(want, byPrefix)
+		got := slices.Clone(c.tail)
+		rd.sortRuns(got)
+		if !slices.Equal(got, want) { // pointers: the very routes, in the very order
+			t.Fatalf("%s: sortRuns and the stable sort disagree over %d routes", c.what, len(c.tail))
+		}
+		// In two seals, so the second merges into a run and refreshes in it.
+		s, ref := &Speaker{}, &mapRIB{adj: map[addr.VPNPrefix][]*VPNRoute{}}
+		for i, r := range c.tail {
+			rd.receive(s, r, true)
+			ref.receive(s, r, true)
+			if i == len(c.tail)/2 {
+				rd.seal(s)
+			}
+		}
+		rd.seal(s)
+		if held := ref.sortedAdj(true); !slices.Equal(s.rib.paths, held) || len(rd.tail) > 0 {
+			t.Fatalf("%s: sealed adj-RIB-in differs from the map model's, or the tail kept %d routes", c.what, len(rd.tail))
+		}
 	}
 }

@@ -97,7 +97,6 @@ func (t *routeTable) speakerState(c *snapshot.Codec, s *Speaker) {
 	t.refs(c, &s.rib.paths)
 	if c.Loaded() {
 		checkRun(c, s.rib.paths)
-		s.rib.sealed = len(s.rib.paths)
 	}
 	snapshot.Map(c, &s.stale, addr.CompareVPNPrefix, addr.VPNPrefixMin+1, addr.VPNPrefixState,
 		func(c *snapshot.Codec, origins *map[topo.NodeID]bool) {

@@ -11,6 +11,7 @@ import (
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/packet"
+	"mplsvpn/internal/sim"
 	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/topo"
 )
@@ -131,6 +132,95 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 	const wantLen, wantCRC = 583, 0xe7bb858a
 	if got := crc32.Checksum(w.Data(), crc32.MakeTable(crc32.Castagnoli)); w.Len() != wantLen || got != wantCRC {
 		t.Errorf("3-cluster mesh: %d bytes, CRC-32C %#08x; the recorded format is %d bytes, %#08x", w.Len(), got, wantLen, wantCRC)
+	}
+}
+
+// restartingMesh is a small mesh with everything Converge orders arrivals
+// by: two clusters of redundant reflectors, clients that share prefixes and
+// reflectors that originate one prefix (full ties broken by arrival order),
+// an untagged route, a prefix that flapped under damping, and one client in
+// graceful restart whose routes its peers hold stale.
+func restartingMesh() *Mesh {
+	m := NewMesh()
+	for _, n := range []topo.NodeID{1, 2, 3, 4, 100, 101, 102, 103, 104} {
+		m.AddSpeaker(n, Loopback(n))
+	}
+	m.UseClusters([]Cluster{
+		{ID: 10, RRs: []topo.NodeID{1, 2}, Clients: []topo.NodeID{100, 101, 102}},
+		{ID: 20, RRs: []topo.NodeID{3, 4}, Clients: []topo.NodeID{103, 104}},
+	})
+	now := sim.Time(0)
+	m.SetClock(clockAt(&now))
+	m.SetDamping(DampingConfig{Penalty: 1000, Suppress: 1500, Reuse: 700, HalfLife: 10 * sim.Second})
+	anycast := func(pe topo.NodeID, i int) *VPNRoute {
+		return &VPNRoute{
+			Prefix:  addr.VPNPrefix{RD: vpnRD(1), Prefix: addr.MustParsePrefix(fmt.Sprintf("10.9.%d.0/24", i))},
+			NextHop: Loopback(1), Label: packet.Label(2000 + pe), LocalPref: 100, OriginPE: pe,
+			RTs: []addr.RouteTarget{vpnRT(i % 2)},
+		}
+	}
+	untagged := func(pe topo.NodeID) *VPNRoute {
+		return &VPNRoute{
+			Prefix:  addr.VPNPrefix{RD: vpnRD(2), Prefix: addr.MustParsePrefix(fmt.Sprintf("10.2.%d.0/24", pe))},
+			NextHop: Loopback(pe), Label: packet.Label(1000 + pe), LocalPref: 100, OriginPE: pe,
+		}
+	}
+	for _, pe := range []topo.NodeID{100, 101, 102, 103, 104} {
+		s, _ := m.Speaker(pe)
+		if pe != 104 {
+			m.SetRTInterest(pe, []addr.RouteTarget{vpnRT(0), vpnRT(1)})
+		}
+		for i := 0; i < 3; i++ {
+			s.Originate(anycast(pe, i))
+		}
+		s.Originate(untagged(pe))
+	}
+	for _, rrn := range []topo.NodeID{2, 1, 3} { // reflectors originate too: one prefix, full ties
+		s, _ := m.Speaker(rrn)
+		s.Originate(anycast(rrn, 8))
+	}
+	m.Converge()
+	flapper, _ := m.Speaker(103)
+	for flap := 0; flap < 2; flap++ {
+		now += sim.Second
+		flapper.WithdrawLocal(untagged(103).Prefix)
+		m.Converge()
+		now += sim.Second
+		flapper.Originate(untagged(103))
+		m.Converge()
+	}
+	m.SessionDown(102, true)
+	now += sim.Second
+	m.Converge()
+	return m
+}
+
+// TestConvergeSectionPinned pins what Converge leaves, through the "bgp"
+// section it checkpoints to: CRC-32C values recorded before the RIBs were
+// filled receiver by receiver. Arrival order decides every Adj-RIB-In's
+// order inside a prefix and the route table's numbering, so any change to
+// the order in which a speaker hears its routes moves these bytes.
+func TestConvergeSectionPinned(t *testing.T) {
+	crc := func(m *Mesh) uint32 {
+		var w snapshot.Writer
+		m.SaveState(&w)
+		return crc32.Checksum(w.Data(), crc32.MakeTable(crc32.Castagnoli))
+	}
+	small := restartingMesh()
+	if small.RouteSuppressions == 0 || small.StaleCount() == 0 {
+		t.Fatalf("restarting mesh: %d suppressions, %d stale routes: the pin would not cover damping and restart",
+			small.RouteSuppressions, small.StaleCount())
+	}
+	if got, want := crc(small), uint32(0x4c3b57b4); got != want {
+		t.Errorf("restarting mesh: CRC-32C %#08x, recorded %#08x", got, want)
+	}
+	if testing.Short() {
+		return
+	}
+	m := clustered1000x100()
+	m.Converge()
+	if got, want := crc(m), uint32(0xeb72ad6e); got != want {
+		t.Errorf("vpnv4_100k mesh: CRC-32C %#08x, recorded %#08x", got, want)
 	}
 }
 
