@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -382,9 +383,14 @@ func TestLoadStateAllocatesWhatItDecodes(t *testing.T) {
 	m := NewMesh()
 	var err error
 	// With the collector held off: a collection inside the measured load
-	// would empty the error formatter's sync.Pool and count its refill.
+	// would empty the error formatter's sync.Pool and count its refill. The
+	// race detector drops pool puts at random all the same, so the count is
+	// the fewest of five loads: a dropped put can only add allocations.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(1, func() { err = m.LoadState(snapshot.NewReader(section)) })
+	allocs := math.Inf(1)
+	for i := 0; i < 5; i++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, func() { err = m.LoadState(snapshot.NewReader(section)) }))
+	}
 	if !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrTruncated) {
 		t.Fatalf("err = %v, want a typed error", err)
 	}

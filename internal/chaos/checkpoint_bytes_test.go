@@ -18,15 +18,14 @@ import (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // TestCheckpointBytesUnchanged pins the checkpoint wire format. The lengths
-// and CRC-32Cs were recorded at the commit that made snapshot.Version 4 (a
-// latency distribution became a log-linear bucket window plus its exact
-// aggregates, in place of every observation); a change that is not meant to
-// move the format must reproduce them bit for bit. A deliberate format
+// and CRC-32Cs were recorded at the commit that made snapshot.Version 5 (the
+// "pending" section lost its list of setup events: every pending event is a
+// control timer or a registered action); a change that is not meant to move
+// the format must reproduce them bit for bit. A deliberate format
 // change re-records them and the testdata file and bumps Version in the same
 // commit.
 func TestCheckpointBytesUnchanged(t *testing.T) {
 	backbone := func(rig *snapRig, at sim.Time, fp string) []byte {
-		rig.b.E.MarkSetup()
 		rig.b.Net.RunUntil(at)
 		data, err := rig.b.Snapshot(fp)
 		if err != nil {
@@ -40,19 +39,18 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		n    int
 		crc  uint32
 	}{
-		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 33885, 0x72345930},
-		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 33967, 0x70729228},
-		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 62215, 0x7eb9b336},
+		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 33285, 0x11f89dfa},
+		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 33366, 0xc78b2aa0},
+		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 61357, 0x45f61772},
 		{"inter-AS rig (options A, B, C), serial", func() []byte {
 			rig := buildInterASRig(t, 0, 0)
-			rig.x.E.MarkSetup()
 			rig.x.Net.RunUntil(interASSnapT)
 			data, err := rig.x.Snapshot("interas-snap")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return data
-		}, 121139, 0x2eea72ac},
+		}, 119595, 0x12f2f4b6},
 	}
 	for _, tc := range cases {
 		data := tc.data()
@@ -64,7 +62,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 
 	// A checkpoint file written by that same commit restores, re-encodes to
 	// the same bytes, and finishes the run like the uninterrupted one.
-	old, err := os.ReadFile("testdata/snap-serial-v4.mvsnap")
+	old, err := os.ReadFile("testdata/snap-serial-v5.mvsnap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +83,12 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 	}
 
 	// The file the previous format's last commit wrote is refused by version:
-	// its "flows" and "telemetry" sections would otherwise be read as the
-	// wrong layout.
-	retired, err := os.ReadFile("testdata/snap-serial-v3.mvsnap")
+	// its "pending" section would otherwise be read as the wrong layout.
+	retired, err := os.ReadFile("testdata/snap-serial-v4.mvsnap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := buildSnapRig(t, 0, 0).b.Restore(retired, "snap-equiv"); !errors.Is(err, snapshot.ErrVersion) {
-		t.Errorf("restore of the version-3 checkpoint: err = %v, want ErrVersion", err)
+		t.Errorf("restore of the version-4 checkpoint: err = %v, want ErrVersion", err)
 	}
 }

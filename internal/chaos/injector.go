@@ -6,6 +6,7 @@ import (
 	"mplsvpn/internal/bgp"
 	"mplsvpn/internal/core"
 	"mplsvpn/internal/sim"
+	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/telemetry"
 )
 
@@ -60,8 +61,11 @@ func New(b *core.Backbone, s *Scenario) *Injector {
 	return &Injector{B: b, S: s, Checker: NewChecker(b), rng: b.E.Rand().Fork()}
 }
 
-// timedOp is one expanded, concrete operation.
+// timedOp is one expanded, concrete operation, booked as a registered
+// action: a checkpoint with it pending re-arms it by registry index on the
+// rebuild, whose Schedule books the same operations in the same order.
 type timedOp struct {
+	inj    *Injector
 	at     sim.Time
 	op     Op
 	a, z   string
@@ -81,24 +85,27 @@ func (inj *Injector) Schedule() {
 		inj.B.EnableSurvivability(SurvivabilityOptions(inj.S, inj.S.Duration()+2*sim.Second))
 	}
 	for _, ev := range inj.S.Events {
-		for _, op := range inj.expand(ev) {
-			op := op
-			inj.B.E.Schedule(op.at, func() { inj.fire(op) })
+		ops := inj.expand(ev)
+		for i := range ops {
+			inj.B.E.Post(ops[i].at, inj.B.RegisterSource(&ops[i]))
 		}
 	}
 }
 
+// State walks nothing: the rebuild's operation is the same.
+func (*timedOp) State(*snapshot.Codec) {}
+
 // expand turns one scripted event into its concrete operations.
 func (inj *Injector) expand(ev Event) []timedOp {
 	if ev.Op != OpFlap {
-		return []timedOp{{at: ev.At, op: ev.Op, a: ev.A, z: ev.Z, detect: ev.Detect}}
+		return []timedOp{{inj: inj, at: ev.At, op: ev.Op, a: ev.A, z: ev.Z, detect: ev.Detect}}
 	}
 	out := make([]timedOp, 0, 2*ev.Count)
 	t := ev.At
 	for i := 0; i < ev.Count; i++ {
-		out = append(out, timedOp{at: t, op: OpFail, a: ev.A, z: ev.Z, detect: ev.Detect})
+		out = append(out, timedOp{inj: inj, at: t, op: OpFail, a: ev.A, z: ev.Z, detect: ev.Detect})
 		t += ev.Down + inj.jitter(ev.Jitter)
-		out = append(out, timedOp{at: t, op: OpRestore, a: ev.A, z: ev.Z, detect: ev.Detect})
+		out = append(out, timedOp{inj: inj, at: t, op: OpRestore, a: ev.A, z: ev.Z, detect: ev.Detect})
 		t += ev.Up + inj.jitter(ev.Jitter)
 	}
 	return out
@@ -111,8 +118,9 @@ func (inj *Injector) jitter(j sim.Time) sim.Time {
 	return sim.Time(inj.rng.Float64() * float64(j))
 }
 
-// fire applies one operation, journals it, and checks the invariants.
-func (inj *Injector) fire(op timedOp) {
+// Run applies the operation, journals it, and checks the invariants.
+func (op *timedOp) Run() {
+	inj := op.inj
 	var err error
 	switch op.op {
 	case OpFail:

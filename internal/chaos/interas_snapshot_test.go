@@ -219,7 +219,6 @@ func (r *interASRig) fingerprint() string {
 func runInterASUninterrupted(t testing.TB, shards, workers int) string {
 	t.Helper()
 	rig := buildInterASRig(t, shards, workers)
-	rig.x.E.MarkSetup()
 	rig.x.Net.RunUntil(interASHorizon + sim.Second)
 	if err := rig.x.Net.CheckConservation(); err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
@@ -254,7 +253,6 @@ func runInterASInterrupted(t testing.TB, shards, workers int) string {
 	t.Helper()
 	const fp = "interas-snap"
 	rig1 := buildInterASRig(t, shards, workers)
-	rig1.x.E.MarkSetup()
 	rig1.x.Net.RunUntil(interASSnapT)
 
 	// The checkpoint must land in the advertised regime: beta dead, its
@@ -266,6 +264,7 @@ func runInterASInterrupted(t testing.TB, shards, workers int) string {
 		t.Fatalf("shards=%d: no peering mid-GR at snapshot instant:\n%s", shards, dig)
 	}
 
+	noClosures(t, rig1.x.E)
 	data, err := rig1.x.Snapshot(fp)
 	if err != nil {
 		t.Fatalf("shards=%d snapshot: %v", shards, err)

@@ -149,7 +149,6 @@ func reflFingerprint(r *snapRig) string {
 func runReflUninterrupted(t testing.TB, shards, workers int) string {
 	t.Helper()
 	rig := buildReflRig(t, shards, workers)
-	rig.b.E.MarkSetup()
 	rig.b.Net.RunUntil(reflHorizon + sim.Second)
 	if err := rig.b.Net.CheckConservation(); err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
@@ -173,8 +172,8 @@ func runReflInterrupted(t testing.TB, shards, workers int) string {
 	t.Helper()
 	const fp = "refl-snap"
 	rig1 := buildReflRig(t, shards, workers)
-	rig1.b.E.MarkSetup()
 	rig1.b.Net.RunUntil(reflSnapT)
+	noClosures(t, rig1.b.E)
 	data, err := rig1.b.Snapshot(fp)
 	if err != nil {
 		t.Fatalf("shards=%d snapshot: %v", shards, err)

@@ -25,7 +25,6 @@ import (
 func TestRestoreRejectsCorrupt(t *testing.T) {
 	const fp = "snap-equiv"
 	rig := buildSnapRig(t, 0, 0)
-	rig.b.E.MarkSetup()
 	rig.b.Net.RunUntil(snapT)
 	data, err := rig.b.Snapshot(fp)
 	if err != nil {
@@ -259,21 +258,18 @@ func outsideDomain(n topo.NodeID) []handMade {
 // and C), and Mesh.LoadState on the clustered-reflector rig's mesh.
 func restoreTargets(t testing.TB) []restoreTarget {
 	rig := buildSnapRig(t, 0, 0)
-	rig.b.E.MarkSetup()
 	rig.b.Net.RunUntil(snapT)
 	data, err := rig.b.Snapshot("fp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	xrig := buildInterASRig(t, 0, 0)
-	xrig.x.E.MarkSetup()
 	xrig.x.Net.RunUntil(interASSnapT)
 	xdata, err := xrig.x.Snapshot("fp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	refl := buildReflRig(t, 0, 0)
-	refl.b.E.MarkSetup()
 	refl.b.Net.RunUntil(reflSnapT)
 	var mesh snapshot.Writer
 	refl.b.BGP.SaveState(&mesh)

@@ -24,7 +24,7 @@ type Runner struct {
 	// built, traffic sources registered, telemetry attached, chaos
 	// scheduled. It is called once at start and once more per crash
 	// recovery, and must be deterministic (same seed, same construction
-	// order). The runner marks the setup watermark itself.
+	// order).
 	Build func() (*core.Backbone, error)
 
 	// Fingerprint identifies the scenario construction. Snapshot embeds it
@@ -68,7 +68,6 @@ func (r *Runner) Run() error {
 	if err != nil {
 		return err
 	}
-	b.E.MarkSetup()
 	r.B = b
 
 	type point struct {

@@ -92,10 +92,10 @@ func TestRunnerRecoverySkipsTornCheckpoint(t *testing.T) {
 	// Drive the segments by hand so the corruption lands mid-run: run to
 	// 4s taking the 2s and 4s checkpoints, tear the 4s one, then recover.
 	rig = buildSnapRig(t, 0, 0)
-	rig.b.E.MarkSetup()
 	r.B = rig.b
 	for _, ct := range []sim.Time{2 * sim.Second, 4 * sim.Second} {
 		rig.b.Net.RunUntil(ct)
+		noClosures(t, rig.b.E)
 		data, err := rig.b.Snapshot(r.Fingerprint)
 		if err != nil {
 			t.Fatal(err)

@@ -117,11 +117,21 @@ func (r *snapRig) fingerprint() string {
 	return sb.String()
 }
 
+// noClosures fails the test when a closure is pending at a cut: every event
+// a checkpoint carries must be a typed action it can write down.
+func noClosures(t testing.TB, e *sim.Engine) {
+	t.Helper()
+	e.WalkPending(func(pe sim.PendingEvent) {
+		if pe.Act == nil {
+			t.Fatalf("closure pending at the cut: due %v, seq %d", pe.At, pe.Seq)
+		}
+	})
+}
+
 // runUninterrupted drives the scenario end to end with no checkpoint.
 func runUninterrupted(t testing.TB, shards, workers int) string {
 	t.Helper()
 	rig := buildSnapRig(t, shards, workers)
-	rig.b.E.MarkSetup()
 	rig.b.Net.RunUntil(snapHorizon + sim.Second)
 	if err := rig.b.Net.CheckConservation(); err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
@@ -138,8 +148,8 @@ func runInterrupted(t testing.TB, shards, workers int) string {
 	t.Helper()
 	const fp = "snap-equiv"
 	rig1 := buildSnapRig(t, shards, workers)
-	rig1.b.E.MarkSetup()
 	rig1.b.Net.RunUntil(snapT)
+	noClosures(t, rig1.b.E)
 	data, err := rig1.b.Snapshot(fp)
 	if err != nil {
 		t.Fatalf("shards=%d snapshot: %v", shards, err)
@@ -152,6 +162,7 @@ func runInterrupted(t testing.TB, shards, workers int) string {
 
 	// A snapshot is a pure function of simulation state: re-snapshotting
 	// the freshly restored run must reproduce the original bytes.
+	noClosures(t, rig2.b.E)
 	data2, err := rig2.b.Snapshot(fp)
 	if err != nil {
 		t.Fatalf("shards=%d re-snapshot: %v", shards, err)

@@ -115,13 +115,13 @@ func TestSnapshotMidSerializationMidPropagation(t *testing.T) {
 	const fp = "fused-hop"
 	for _, shards := range []int{0, 2} {
 		live := buildFusedRig(t, shards)
-		live.b.E.MarkSetup()
 		live.b.Net.RunUntil(fusedCut)
 		l := live.bottleneck()
 		wire := live.b.Net.LinkOfferedBytes(l) - live.b.Net.LinkTxBytes(l) - live.b.Net.LinkDroppedBytes(l)
 		if wire != 1236 {
 			t.Fatalf("shards=%d: %d bytes on the bottleneck wire at the cut, want one 1236-byte packet mid-serialization", shards, wire)
 		}
+		noClosures(t, live.b.E)
 		data, err := live.b.Snapshot(fp)
 		if err != nil {
 			t.Fatalf("shards=%d snapshot: %v", shards, err)

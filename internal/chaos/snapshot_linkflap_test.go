@@ -136,11 +136,9 @@ func TestSnapshotBetweenLinkFlaps(t *testing.T) {
 	const fp = "link-flaps"
 	for _, shards := range []int{0, 8} {
 		whole := buildFlapRig(t, shards)
-		whole.b.E.MarkSetup()
 		want := whole.finish(t)
 
 		cut := buildFlapRig(t, shards)
-		cut.b.E.MarkSetup()
 		cut.b.Net.RunUntil(flapCut)
 		if p1, p2 := cut.b.Router("P1").Node, cut.b.Router("P2").Node; cut.b.LDP.Speaker(p1).LFIB.ILMSize() == 0 {
 			t.Fatalf("shards=%d: no LDP state at the cut", shards)
@@ -149,6 +147,7 @@ func TestSnapshotBetweenLinkFlaps(t *testing.T) {
 		} else if _, ok := cut.b.Router("PE1").FTN.Lookup(cut.b.Router("PE2").Loopback); ok {
 			t.Fatalf("shards=%d: PE1 still has an LSP to PE2 across the split", shards)
 		}
+		noClosures(t, cut.b.E)
 		data, err := cut.b.Snapshot(fp)
 		if err != nil {
 			t.Fatalf("shards=%d snapshot: %v", shards, err)

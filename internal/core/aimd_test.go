@@ -83,7 +83,6 @@ func TestAIMDSnapshotResume(t *testing.T) {
 		f, _ := b.FlowBetween("bulk", "hq", "branch", 80)
 		a := b.AttachAIMD(f, 1400, 2*sim.Second)
 		a.Start(0)
-		b.E.MarkSetup()
 		return b, f, a
 	}
 	const fp = "aimd-resume"
@@ -173,7 +172,6 @@ func TestRequestResponseSurvivesCheckpoint(t *testing.T) {
 			}
 			b.RegisterSource(rr)
 			rr.SendRequests(100, 5*sim.Millisecond, 0, sim.Second)
-			b.E.MarkSetup()
 			return b, rr
 		}
 		render := func(rr *trafgen.ReqResp) string {

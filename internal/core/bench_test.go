@@ -268,7 +268,6 @@ func pop147Backbone(tb testing.TB) *Backbone {
 			tb.Fatal(err)
 		}
 	}
-	b.E.MarkSetup()
 	return b
 }
 

@@ -254,7 +254,6 @@ func buildShadowRig(t *testing.T, sh *deliveryShadow) *shadowRig {
 	r.bulk.Start(0)
 
 	sh.attach(b)
-	b.E.MarkSetup()
 	return r
 }
 

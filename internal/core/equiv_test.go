@@ -97,7 +97,7 @@ func baseEquivScenarios() []equivScenario {
 		{
 			// Two VPNs meshed over the 4-PE backbone with hybrid (PQ+WFQ)
 			// scheduling, voice CBR and Poisson data, the SLA watcher armed,
-			// and export ticks pre-scheduled on the global band.
+			// and the export tick on the global band.
 			name: "qos-mesh",
 			dur:  400 * sim.Millisecond,
 			build: func() *Backbone {

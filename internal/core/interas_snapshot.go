@@ -10,7 +10,8 @@
 // rebuild's boundary installations are discarded wholesale in favour of the
 // checkpoint's records, exactly as router forwarding state is. A pending
 // control timer carries its backbone's domain in the high bits of its
-// encoded kind, which is what routes each re-arm to the right AS here.
+// encoded kind, which is what routes each re-arm to the right AS here, or
+// with domain 0 to the plane (its peering hello tick).
 package core
 
 import (
@@ -18,9 +19,7 @@ import (
 	"fmt"
 
 	"mplsvpn/internal/addr"
-	"mplsvpn/internal/sim"
 	"mplsvpn/internal/snapshot"
-	"mplsvpn/internal/trafgen"
 )
 
 const secInterAS = "interas"
@@ -33,19 +32,7 @@ func (x *InterAS) Snapshot(scenario string) ([]byte, error) {
 			return nil, fmt.Errorf("core: snapshot before BuildProvider of AS %q", name)
 		}
 	}
-	// A pending source action resolves to a global index over the
-	// concatenation of every AS's registered sources, in AS order.
-	pend, err := classifyPending(x.E, x.Net.OwnsAction, func(a sim.Action) (int, bool) {
-		offset := 0
-		for _, name := range x.order {
-			b := x.ASes[name]
-			if idx, ok := b.srcIndex[a]; ok {
-				return offset + idx, true
-			}
-			offset += len(b.sources)
-		}
-		return 0, false
-	})
+	pend, err := classifyPending(x.E, x.Net.OwnsAction, x.members())
 	if err != nil {
 		return nil, err
 	}
@@ -58,39 +45,23 @@ func (x *InterAS) Snapshot(scenario string) ([]byte, error) {
 // scenario: same builder (including peerings and the initial reconcile),
 // same seed, same sharding, nothing run yet.
 func (x *InterAS) Restore(data []byte, scenario string) error {
+	// Every pending event comes from the checkpoint: the rebuild's go.
+	x.E.DropPending()
 	pend := &pendingSet{}
 	if err := restoreSections(data, x.sections(scenario, pend)); err != nil {
 		return err
 	}
 	x.checkpointLen = len(data)
-	// Re-arm the control timers, routed by domain.
-	for _, t := range pend.timers {
-		domain := int(t.kind >> 4)
-		if domain < 1 || domain > len(x.order) {
-			return fmt.Errorf("%w: pending timer with domain %d, %d ASes", snapshot.ErrCorrupt, domain, len(x.order))
-		}
-		if err := x.ASes[x.order[domain-1]].rearmTimer(t); err != nil {
-			return err
-		}
+	return pend.rearm(x.E, x.members(), x)
+}
+
+// members returns the member backbones in AS order.
+func (x *InterAS) members() []*Backbone {
+	ases := make([]*Backbone, len(x.order))
+	for i, name := range x.order {
+		ases[i] = x.ASes[name]
 	}
-	// Global source indexes resolve back to (AS, local source).
-	for _, s := range pend.srcs {
-		var src trafgen.Source
-		idx := s.idx
-		for _, name := range x.order {
-			b := x.ASes[name]
-			if idx >= 0 && idx < len(b.sources) {
-				src = b.sources[idx]
-				break
-			}
-			idx -= len(b.sources)
-		}
-		if src == nil {
-			return fmt.Errorf("%w: pending event for source %d, beyond those registered", snapshot.ErrMismatch, s.idx)
-		}
-		x.E.RestoreAction(s.shard, s.at, s.seq, src)
-	}
-	return nil
+	return ases
 }
 
 // sections is the multi-provider checkpoint in file order: the shared

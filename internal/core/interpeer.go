@@ -258,7 +258,7 @@ type InterASSurvivabilityOptions struct {
 	// dead and re-selecting — RFC 4724 stale retention at the AS boundary.
 	GracefulRestart bool
 	RestartTime     sim.Time
-	// Horizon bounds the pre-scheduled scans in virtual time.
+	// Horizon bounds the scans in virtual time.
 	Horizon sim.Time
 }
 
@@ -1249,11 +1249,7 @@ func (x *InterAS) EnableInterASSurvivability(opts InterASSurvivabilityOptions) {
 	}
 	helloDefaults(&opts.Hello, &opts.HoldMisses, &opts.RestartTime)
 	pl.surv = &opts
-	if opts.Horizon > 0 {
-		for t := opts.Hello; t <= opts.Horizon; t += opts.Hello {
-			x.E.After(t, x.peeringScan)
-		}
-	}
+	tick(x.E, &ctlTimer{x: x, kind: timerPeering}, opts.Hello, opts.Horizon)
 }
 
 // peeringScan is one hello round over every peering. Transitions that

@@ -81,9 +81,9 @@ type ResilienceOptions struct {
 	Refresh       sim.Time
 	RefreshMisses int
 
-	// Horizon bounds the pre-scheduled refresh scans and restore probes in
-	// virtual time, like TelemetryOptions.Horizon: the engine can still
-	// quiesce after it. Retries are not scheduled past it either.
+	// Horizon bounds the refresh scans and restore probes in virtual time,
+	// like TelemetryOptions.Horizon: the engine can still quiesce after it.
+	// Retries are not scheduled past it either.
 	Horizon sim.Time
 }
 
@@ -128,17 +128,11 @@ func (b *Backbone) EnableResilience(opts ResilienceOptions) {
 	}
 	b.res = &resilience{opt: opts, rng: b.E.Rand().Fork()}
 	b.wireRSVPHooks()
-	if opts.Horizon > 0 {
-		if opts.Refresh > 0 {
-			for t := opts.Refresh; t <= opts.Horizon; t += opts.Refresh {
-				b.E.After(t, b.refreshScan)
-			}
-		}
-		if opts.RestoreProbe > 0 {
-			for t := opts.RestoreProbe; t <= opts.Horizon; t += opts.RestoreProbe {
-				b.E.After(t, b.probeRestore)
-			}
-		}
+	if opts.Refresh > 0 {
+		tick(b.E, &ctlTimer{b: b, kind: timerRefresh}, opts.Refresh, opts.Horizon)
+	}
+	if opts.RestoreProbe > 0 {
+		tick(b.E, &ctlTimer{b: b, kind: timerProbe}, opts.RestoreProbe, opts.Horizon)
 	}
 }
 

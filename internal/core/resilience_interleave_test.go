@@ -10,7 +10,7 @@ import (
 
 // TestRestoreProbeRacesNewDegradation drives the nastiest soft-state
 // interleaving in the resilience plane: a restore probe fires on the very
-// tick a new preemptor arrives. Probes are pre-scheduled at
+// tick a new preemptor arrives. The probe tick is first posted at
 // EnableResilience time, so on a shared tick the probe runs first — the
 // victim is restored to full bandwidth and immediately preempted again,
 // starting a second degradation cycle. The outcome must be deterministic

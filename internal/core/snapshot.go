@@ -1,38 +1,34 @@
 // Checkpoint/restore orchestration: Snapshot serializes the backbone's full
 // dynamic state — control plane, forwarding tables, in-flight packets,
-// traffic sources, telemetry, and every pending timer — and Restore overlays
+// traffic sources, telemetry, and every pending event — and Restore overlays
 // it onto a freshly rebuilt scenario.
 //
 // The architecture is "dynamic-state delta over a deterministic rebuild":
 // a snapshot does not serialize topology, policy, or wiring (closures,
 // telemetry hooks, schedulers). The restore path re-runs the original
-// scenario builder, which re-creates all of that byte-identically, then
-// kills the setup events the original run had already executed, overlays
-// the serialized dynamic state, and re-arms the dynamic timers with their
-// original (time, seq) identities so the event order — and therefore the
-// StateDigest, journal, and flow statistics — continues exactly as an
-// uninterrupted run's would.
+// scenario builder, which re-creates all of that byte-identically, empties
+// the rebuilt event queue, overlays the serialized dynamic state, and
+// re-arms every pending event with its original (time, seq) identity so the
+// event order — and therefore the StateDigest, journal, and flow statistics
+// — continues exactly as an uninterrupted run's would.
 //
 // Protocol, on the original run:
 //
-//	build scenario; b.E.MarkSetup(); run to T; data, err := b.Snapshot(fp)
+//	build scenario; run to T; data, err := b.Snapshot(fp)
 //
 // and on resume:
 //
 //	rebuild the same scenario; err := b.Restore(data, fp); run onward
 //
 // Dynamically provisioned sites are assumed to be part of the rebuild
-// (provisioning is setup). Every traffic source checkpoints the same way:
-// it is a self-reposting sim.Action whose state serializes (AIMD's
-// congestion window and ack ledger, a request/response exchange's
-// outstanding transactions and RTT samples) and whose one pending event —
-// the RTO probe, the next request — re-arms through the source registry.
-// The control plane's own dynamic timers are ctlTimer actions. What is left
-// are the closures scheduled mid-run with After: the intent reconciler's
-// scan/commit/confirm steps, netconf's confirmed-commit timeout and the
-// RSVP soft-state refresh tick. One of those pending at the cut makes a
-// snapshot fail strictly ("untagged closure") rather than silently drop
-// the timer.
+// (provisioning is setup). Every pending event is a typed action: netsim's
+// in-flight packets, a registered action (a traffic source whose state
+// serializes, or a scripted chaos or netconf event) re-armed by registry
+// index, or a ctlTimer, periodic scans included. Closures posted with After
+// are left only where no checkpoint holds their owner: the intent
+// reconciler's steps and netconf's confirmed-commit timeout. One of those
+// pending at the cut makes a snapshot fail strictly ("untagged closure")
+// rather than silently drop the event.
 package core
 
 import (
@@ -61,26 +57,61 @@ const (
 	timerTERetry
 	// timerDrain is a pending make-before-break drain; a is the drain id.
 	timerDrain
+
+	// The periodic ticks (see tick); a is the last instant an occurrence
+	// may fall on, z the interval.
+	timerHello    // survivability hello scan
+	timerRefresh  // resilience plane's RSVP soft-state scan
+	timerProbe    // resilience plane's restore probe
+	timerFlowRoll // telemetry flow-export roll
+	timerPeering  // the inter-AS plane's peering hello scan
 )
 
 // timerKindMask extracts the kind from an encoded timer whose high bits
-// carry the backbone's domain (its AS index in a multi-provider simulation,
-// 0 standalone), which is what routes a re-arm to the right AS.
+// carry its domain: the backbone's AS index in a multi-provider simulation
+// (from 1; 0 standalone), or 0 for the inter-AS plane's own tick. That is
+// what routes a re-arm to the right AS, or to the plane.
 const timerKindMask uint16 = 0x000F
 
-// ctlTimer is a dynamically scheduled control-plane timer: a sim.Action
-// whose whole state is the backbone it fires on, a kind and two operands,
-// so a checkpoint can write a pending one down and a restore re-arm it. Run
-// is the only place each continuation is written.
+// ctlTimer is a control-plane timer: a sim.Action whose whole state is the
+// backbone it fires on (or, for the peering tick, the inter-AS plane), a
+// kind, two operands and, for a periodic tick, the seq it re-arms under, so
+// a checkpoint can write a pending one down and a restore re-arm it. Run is
+// the only place each continuation is written.
 type ctlTimer struct {
 	b    *Backbone
+	x    *InterAS // the peering tick's plane; b is nil then
 	kind uint16
 	a, z uint64
+	seq  uint64
+}
+
+// owner returns the engine the timer runs on and the domain a checkpoint
+// routes its re-arm by.
+func (t *ctlTimer) owner() (*sim.Engine, uint16) {
+	if t.b == nil {
+		return t.x.E, 0
+	}
+	return t.b.E, t.b.domain
+}
+
+// tick starts a periodic job: t runs every interval from now while within
+// horizon of now (never for horizon <= 0). Each run re-arms the next under
+// the seq the first was posted with, so every occurrence sorts against a
+// same-instant event as the first would: after everything posted before
+// the tick started, before everything posted after.
+func tick(e *sim.Engine, t *ctlTimer, interval, horizon sim.Time) {
+	if horizon <= 0 || interval > horizon {
+		return
+	}
+	_, t.seq, _ = e.Queue(sim.GlobalBand).Counters()
+	t.a, t.z = uint64(e.Now()+horizon), uint64(interval)
+	e.PostAfter(interval, t)
 }
 
 // after arms a control timer d from now.
 func (b *Backbone) after(d sim.Time, kind uint16, a, z uint64) {
-	b.E.PostAfter(d, &ctlTimer{b, kind, a, z})
+	b.E.PostAfter(d, &ctlTimer{b: b, kind: kind, a: a, z: z})
 }
 
 func (t *ctlTimer) Run() {
@@ -101,14 +132,30 @@ func (t *ctlTimer) Run() {
 		if b.RSVP != nil {
 			b.RSVP.RunDrain(int(t.a))
 		}
+	case timerHello:
+		b.helloScan()
+	case timerRefresh:
+		b.refreshScan()
+	case timerProbe:
+		b.probeRestore()
+	case timerFlowRoll:
+		b.tel.Flows.RollTo(b.E.Now())
+	case timerPeering:
+		t.x.peeringScan()
+	}
+	// next > now also stops a tick whose interval came from a damaged file.
+	e, _ := t.owner()
+	if next := e.Now() + sim.Time(t.z); t.kind >= timerHello && next > e.Now() && next <= sim.Time(t.a) {
+		e.RestoreAction(sim.GlobalBand, next, t.seq, t)
 	}
 }
 
-// RegisterSource records a checkpointable traffic source in creation order.
-// A snapshot identifies a source's pending self-repost event through this
-// registry and a restore re-arms it on the rebuilt source, so every source
-// that runs across a checkpoint boundary must be registered — in the same
-// order — by both the original builder and the rebuild.
+// RegisterSource records a checkpointable action in creation order: a
+// traffic source, or an event posted from outside core (a chaos operation,
+// a netconf fail/restore line) whose State walks nothing. A snapshot finds
+// a registered action's pending event through this registry and a restore
+// re-arms it on the rebuilt one, so the original builder and the rebuild
+// must register the same actions in the same order.
 func (b *Backbone) RegisterSource(s trafgen.Source) trafgen.Source {
 	if b.srcIndex == nil {
 		b.srcIndex = make(map[sim.Action]int)
@@ -213,7 +260,6 @@ type pendingSource struct {
 // pendingSet is the "pending" section: every live event of the heaps that
 // core accounts for, by class.
 type pendingSet struct {
-	setup  [][2]uint64 // shard+1 (to keep GlobalBand=-1 unsigned-safe), seq
 	timers []pendingTimer
 	srcs   []pendingSource
 }
@@ -221,17 +267,12 @@ type pendingSet struct {
 // Snapshot serializes the backbone's dynamic state at the current virtual
 // time. scenario is the caller's fingerprint of the scenario construction
 // (builder name, parameters, shard count); Restore refuses a checkpoint
-// whose fingerprint differs. The builder must have called b.E.MarkSetup()
-// after construction, or every pre-scheduled scan and tick is misclassified
-// as unserializable.
+// whose fingerprint differs.
 func (b *Backbone) Snapshot(scenario string) ([]byte, error) {
 	if !b.built {
 		return nil, fmt.Errorf("core: snapshot before BuildProvider")
 	}
-	pend, err := classifyPending(b.E, b.Net.OwnsAction, func(a sim.Action) (int, bool) {
-		idx, ok := b.srcIndex[a]
-		return idx, ok
-	})
+	pend, err := classifyPending(b.E, b.Net.OwnsAction, []*Backbone{b})
 	if err != nil {
 		return nil, err
 	}
@@ -245,25 +286,14 @@ func (b *Backbone) Snapshot(scenario string) ([]byte, error) {
 // backbone must be discarded and rebuilt — a failed restore does not roll
 // back.
 func (b *Backbone) Restore(data []byte, scenario string) error {
+	// Every pending event comes from the checkpoint: the rebuild's go.
+	b.E.DropPending()
 	pend := &pendingSet{}
 	if err := restoreSections(data, b.sections(scenario, pend)); err != nil {
 		return err
 	}
 	b.checkpointLen = len(data)
-	// Re-arm the dynamic timers and source reposts with their original
-	// identities.
-	for _, t := range pend.timers {
-		if err := b.rearmTimer(t); err != nil {
-			return err
-		}
-	}
-	for _, s := range pend.srcs {
-		if s.idx < 0 || s.idx >= len(b.sources) {
-			return fmt.Errorf("%w: pending event for source %d, only %d registered", snapshot.ErrMismatch, s.idx, len(b.sources))
-		}
-		b.E.RestoreAction(s.shard, s.at, s.seq, b.sources[s.idx])
-	}
-	return nil
+	return pend.rearm(b.E, []*Backbone{b}, nil)
 }
 
 // sections is the backbone's checkpoint: what Snapshot writes and Restore
@@ -415,7 +445,8 @@ func (b *Backbone) trafficSections(prefix string) []section {
 				func(c *snapshot.Codec, f *trafgen.Flow) { f.State(c) })
 		}},
 		{name: prefix + secSources, walk: func(c *snapshot.Codec) {
-			if c.FixedLen(len(b.sources), 1, "sources") {
+			// Scripted events walk nothing, so no bytes bound the count.
+			if c.FixedLen(len(b.sources), 0, "sources") {
 				for _, s := range b.sources {
 					s.State(c)
 				}
@@ -440,26 +471,34 @@ func (b *Backbone) trafficSections(prefix string) []section {
 }
 
 // classifyPending walks the event heaps and sorts every pending event into
-// its class: setup events as (shard, seq) keep-entries, control-plane
-// timers as re-arm records, registered source reposts by registry index.
-// Data-plane events are netsim's to serialize; anything else is a strict
-// error naming the offender. The engine, data-plane ownership test, and
-// source resolver are explicit so an inter-AS snapshot can classify a shared
-// engine's heap against the union of every AS's source registry.
-func classifyPending(e *sim.Engine, owns func(sim.Action) bool, srcOf func(sim.Action) (int, bool)) (*pendingSet, error) {
+// its class: control-plane timers as re-arm records, registered actions by
+// index into the concatenation of the ases' registries, in order (one
+// backbone standalone, every AS of an inter-AS simulation). Data-plane
+// events are netsim's to serialize; anything else is a strict error naming
+// the offender.
+func classifyPending(e *sim.Engine, owns func(sim.Action) bool, ases []*Backbone) (*pendingSet, error) {
+	srcOf := func(a sim.Action) (int, bool) {
+		offset := 0
+		for _, b := range ases {
+			if idx, ok := b.srcIndex[a]; ok {
+				return offset + idx, true
+			}
+			offset += len(b.sources)
+		}
+		return 0, false
+	}
 	p := &pendingSet{}
 	var unknown []string
 	e.WalkPending(func(pe sim.PendingEvent) {
 		switch {
-		case pe.Setup:
-			p.setup = append(p.setup, [2]uint64{uint64(pe.Shard + 1), pe.Seq})
 		case pe.Act == nil:
 			unknown = append(unknown, fmt.Sprintf("untagged closure at %v (seq %d)", pe.At, pe.Seq))
 		case owns(pe.Act):
 			// In-flight data plane: serialized and re-armed by netsim.
 		default:
 			if t, ok := pe.Act.(*ctlTimer); ok {
-				p.timers = append(p.timers, pendingTimer{pe.Shard, pe.At, pe.Seq, t.kind | t.b.domain<<4, t.a, t.z})
+				_, domain := t.owner()
+				p.timers = append(p.timers, pendingTimer{pe.Shard, pe.At, pe.Seq, t.kind | domain<<4, t.a, t.z})
 			} else if idx, ok := srcOf(pe.Act); ok {
 				p.srcs = append(p.srcs, pendingSource{idx: idx, shard: pe.Shard, at: pe.At, seq: pe.Seq})
 			} else {
@@ -475,21 +514,14 @@ func classifyPending(e *sim.Engine, owns func(sim.Action) bool, srcOf func(sim.A
 	// snapshots of identical simulation state could otherwise serialize
 	// their pending events differently. Sorting by (shard, seq) makes the
 	// encoding a pure function of state — snapshot(restore(s)) == s.
-	slices.SortFunc(p.setup, func(a, b [2]uint64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	slices.SortFunc(p.timers, func(a, b pendingTimer) int { return cmp.Or(cmp.Compare(a.shard, b.shard), cmp.Compare(a.seq, b.seq)) })
 	slices.SortFunc(p.srcs, func(a, b pendingSource) int { return cmp.Or(cmp.Compare(a.shard, b.shard), cmp.Compare(a.seq, b.seq)) })
 	return p, nil
 }
 
-// pendingState walks the pending set. A load then kills, on the freshly
-// rebuilt engine, the setup events the original run had already consumed;
-// MarkSetup is idempotent there: nothing has run, so the watermark equals
-// the builder's.
+// pendingState walks the pending set; the restore re-arms it once every
+// section is in.
 func pendingState(c *snapshot.Codec, e *sim.Engine, p *pendingSet) {
-	snapshot.Slice(c, &p.setup, 2, func(c *snapshot.Codec, s *[2]uint64) {
-		s[0] = c.U64(s[0])
-		s[1] = c.U64(s[1])
-	})
 	snapshot.Slice(c, &p.timers, 6, func(c *snapshot.Codec, t *pendingTimer) {
 		snapshot.Int(c, &t.shard)
 		snapshot.Int(c, &t.at)
@@ -525,22 +557,57 @@ func pendingState(c *snapshot.Codec, e *sim.Engine, p *pendingSet) {
 			return
 		}
 	}
-	keep := make(map[[2]uint64]bool, len(p.setup))
-	for _, s := range p.setup {
-		keep[s] = true
-	}
-	e.MarkSetup()
-	e.FilterPending(func(shard int, seq uint64) bool { return keep[[2]uint64{uint64(shard + 1), seq}] })
 }
 
-// rearmTimer re-arms a pending control timer on this backbone. The domain
-// bits are masked off: the caller has already routed the timer here.
-func (b *Backbone) rearmTimer(t pendingTimer) error {
-	kind := t.kind & timerKindMask
-	if kind < timerReconverge || kind > timerDrain {
-		return fmt.Errorf("%w: unknown control timer kind %d", snapshot.ErrCorrupt, t.kind)
+// rearm re-arms every pending control timer and registered action on e,
+// once every section is in. A timer goes to the backbone its domain names
+// (ases[domain-1]; the one standalone backbone for domain 0 without x) or,
+// domain 0 with x, to x's plane; a tick must drive a plane the rebuild has
+// switched on. A registered action goes by its index into the
+// concatenation of the ases' registries.
+func (p *pendingSet) rearm(e *sim.Engine, ases []*Backbone, x *InterAS) error {
+	for _, t := range p.timers {
+		var b *Backbone
+		switch domain := int(t.kind >> 4); {
+		case domain > len(ases):
+			return fmt.Errorf("%w: pending timer with domain %d, %d ASes", snapshot.ErrCorrupt, domain, len(ases))
+		case domain > 0:
+			b = ases[domain-1]
+		case x == nil:
+			b = ases[0]
+		}
+		kind := t.kind & timerKindMask
+		ok := kind >= timerReconverge && kind <= timerPeering && (kind == timerPeering) == (b == nil)
+		switch {
+		case !ok || kind < timerHello:
+		case kind == timerHello:
+			ok = b.surv != nil
+		case kind == timerRefresh || kind == timerProbe:
+			ok = b.res != nil
+		case kind == timerFlowRoll:
+			ok = b.tel != nil
+		default:
+			ok = x.peer != nil && x.peer.surv != nil
+		}
+		if !ok {
+			return fmt.Errorf("%w: control timer kind %d in domain %d", snapshot.ErrCorrupt, kind, t.kind>>4)
+		}
+		e.RestoreAction(t.shard, t.at, t.seq, &ctlTimer{b: b, x: x, kind: kind, a: t.a, z: t.z, seq: t.seq})
 	}
-	b.E.RestoreAction(t.shard, t.at, t.seq, &ctlTimer{b, kind, t.a, t.z})
+	for _, s := range p.srcs {
+		src, idx := trafgen.Source(nil), s.idx
+		for _, b := range ases {
+			if idx >= 0 && idx < len(b.sources) {
+				src = b.sources[idx]
+				break
+			}
+			idx -= len(b.sources)
+		}
+		if src == nil {
+			return fmt.Errorf("%w: pending event for registered action %d, beyond those registered", snapshot.ErrMismatch, s.idx)
+		}
+		e.RestoreAction(s.shard, s.at, s.seq, src)
+	}
 	return nil
 }
 

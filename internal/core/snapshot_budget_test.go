@@ -31,7 +31,6 @@ func TestSnapshotAllocationBudget(t *testing.T) {
 	}
 
 	b := reflectedBackbone()
-	b.E.MarkSetup()
 	first, err := b.Snapshot("budget")
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +64,6 @@ func TestRestoreAllocationBudget(t *testing.T) {
 				Prefixes: []addr.Prefix{addr.NewPrefix(addr.IPv4(0x0a000000|uint32(i+1)<<16), 16)}})
 		}
 		b.ConvergeVPNs()
-		b.E.MarkSetup()
 		return b
 	}
 	data, err := build().Snapshot("budget")

@@ -49,7 +49,6 @@ func TestRestoreReflectorClustersWithoutSurvivability(t *testing.T) {
 	if !reflected {
 		t.Fatal("the highest-numbered speaker holds no reflected route: the regression would be vacuous")
 	}
-	b.E.MarkSetup()
 	b.Net.RunUntil(50 * sim.Millisecond)
 	data, err := b.Snapshot(fp)
 	if err != nil {

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/rsvp"
 	"mplsvpn/internal/sim"
+	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/topo"
 	"mplsvpn/internal/trafgen"
 )
@@ -44,6 +46,29 @@ type timerRig struct {
 // which the caller has created (standalone, or as an InterAS member).
 func timerDiamond(t *testing.T, b *Backbone) {
 	t.Helper()
+	timerTopology(b)
+	b.EnableTelemetry(TelemetryOptions{Horizon: timerHorizon, JournalCap: 1024})
+	b.EnableResilience(ResilienceOptions{Policy: DegradeNone, RestoreProbe: -1, Refresh: -1, Horizon: timerHorizon})
+	for _, te := range []struct {
+		name string
+		bw   float64
+	}{{"te-a", 1e6}, {"te-b", 3e6}, {"te-c", 3e6}} {
+		if _, err := b.SetupTELSP(te.name, "PE1", "PE2", te.bw, -1, rsvp.SetupOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	short, _ := b.G.FindLink(b.Router("PE1").Node, b.Router("P1").Node)
+	script(b, 100*sim.Millisecond, func() {
+		if err := b.ReoptimizeTE("te-a", map[topo.LinkID]bool{short.ID: true}); err != nil {
+			t.Errorf("reoptimize te-a: %v", err)
+		}
+	})
+	script(b, 300*sim.Millisecond, func() { b.FailLink("PE1", "P1", 20*sim.Millisecond) })
+	script(b, 600*sim.Millisecond, func() { b.RestoreLink("PE1", "P1", 20*sim.Millisecond) })
+}
+
+// timerTopology provisions the rig's topology, VPN and two sites on b.
+func timerTopology(b *Backbone) {
 	b.AddPE("PE1")
 	b.AddP("P1")
 	b.AddP("P2")
@@ -59,24 +84,19 @@ func timerDiamond(t *testing.T, b *Backbone) {
 	b.AddSite(SiteSpec{VPN: "acme", Name: "branch", PE: "PE2",
 		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.2.0.0/16")}})
 	b.ConvergeVPNs()
-	b.EnableTelemetry(TelemetryOptions{Horizon: timerHorizon, JournalCap: 1024})
-	b.EnableResilience(ResilienceOptions{Policy: DegradeNone, RestoreProbe: -1, Refresh: -1, Horizon: timerHorizon})
-	for _, te := range []struct {
-		name string
-		bw   float64
-	}{{"te-a", 1e6}, {"te-b", 3e6}, {"te-c", 3e6}} {
-		if _, err := b.SetupTELSP(te.name, "PE1", "PE2", te.bw, -1, rsvp.SetupOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	short, _ := b.G.FindLink(b.Router("PE1").Node, b.Router("P1").Node)
-	b.E.Schedule(100*sim.Millisecond, func() {
-		if err := b.ReoptimizeTE("te-a", map[topo.LinkID]bool{short.ID: true}); err != nil {
-			t.Errorf("reoptimize te-a: %v", err)
-		}
-	})
-	b.E.Schedule(300*sim.Millisecond, func() { b.FailLink("PE1", "P1", 20*sim.Millisecond) })
-	b.E.Schedule(600*sim.Millisecond, func() { b.RestoreLink("PE1", "P1", 20*sim.Millisecond) })
+}
+
+// scripted is a test's timed step as a registered action: a checkpoint
+// with it pending re-arms it by registry index on the rebuild, which
+// scripts the same steps in the same order.
+type scripted struct{ fn func() }
+
+func (s *scripted) Run()                { s.fn() }
+func (*scripted) State(*snapshot.Codec) {}
+
+// script books fn at the given time on b's engine.
+func script(b *Backbone, at sim.Time, fn func()) {
+	b.E.Post(at, b.RegisterSource(&scripted{fn}))
 }
 
 func buildTimerRig(t *testing.T, interAS bool, shards int) *timerRig {
@@ -117,7 +137,6 @@ func buildTimerRig(t *testing.T, interAS bool, shards int) *timerRig {
 		r.b.RegisterSource(trafgen.CBR(r.b.Net, f, 300, 2*sim.Millisecond, sim.Time(i)*137*sim.Microsecond, timerHorizon-50*sim.Millisecond))
 		r.flows = append(r.flows, f)
 	}
-	r.b.E.MarkSetup()
 	return r
 }
 
@@ -178,6 +197,109 @@ func TestSnapshotWithEachControlTimerPending(t *testing.T) {
 					t.Errorf("%s cut %v: resumed run diverged at %s", what, cut.at, diffLine(want, got))
 				}
 			}
+		}
+	}
+}
+
+// TestSnapshotAfterLateEnable: the periodic scans are control timers
+// whenever they start, so a run that switches survivability, the
+// resilience plane and telemetry on after it has started checkpoints like
+// any other. Cut with all four ticks pending and resumed on a rebuild that
+// switches them on before the restore, it ends where the uninterrupted run
+// does, serial and at 8 shards.
+func TestSnapshotAfterLateEnable(t *testing.T) {
+	const enableAt, cut, fp = 130 * sim.Millisecond, 410 * sim.Millisecond, "late-enable"
+	build := func(shards int) (*Backbone, []*trafgen.Flow) {
+		b := NewBackbone(Config{Seed: 67, Scheduler: SchedHybrid, FRR: true})
+		timerTopology(b)
+		if _, err := b.SetupTELSP("te", "PE1", "PE2", 4e6, -1, rsvp.SetupOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		script(b, 300*sim.Millisecond, func() { b.FailLink("PE1", "P1", 20*sim.Millisecond) })
+		script(b, 600*sim.Millisecond, func() { b.RestoreLink("PE1", "P1", 20*sim.Millisecond) })
+		f, err := b.FlowBetween("f", "hq", "branch", 5060)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.RegisterSource(trafgen.CBR(b.Net, f, 300, 2*sim.Millisecond, 0, timerHorizon-50*sim.Millisecond))
+		if shards > 0 {
+			if _, err := b.EnableSharding(ShardingOptions{Shards: shards, Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b, []*trafgen.Flow{f}
+	}
+	enable := func(b *Backbone) {
+		b.EnableSurvivability(SurvivabilityOptions{Hello: 30 * sim.Millisecond, Horizon: timerHorizon})
+		b.EnableResilience(ResilienceOptions{Policy: DegradeShrink, Refresh: 40 * sim.Millisecond,
+			RestoreProbe: 70 * sim.Millisecond, Horizon: timerHorizon})
+		b.EnableTelemetry(TelemetryOptions{Interval: 50 * sim.Millisecond, Horizon: timerHorizon, JournalCap: 1024})
+	}
+	ticks := func(b *Backbone) map[uint16]int {
+		kinds := map[uint16]int{}
+		b.E.WalkPending(func(pe sim.PendingEvent) {
+			if ct, ok := pe.Act.(*ctlTimer); ok && ct.kind >= timerHello {
+				kinds[ct.kind]++
+			}
+		})
+		return kinds
+	}
+	for _, shards := range []int{0, 8} {
+		b, flows := build(shards)
+		b.Net.RunUntil(enableAt)
+		enable(b)
+		b.Net.RunUntil(cut)
+		data, err := b.Snapshot(fp)
+		if err != nil {
+			t.Fatalf("shards=%d: snapshot: %v", shards, err)
+		}
+		had := ticks(b)
+		if want := "map[5:1 6:1 7:1 8:1]"; fmt.Sprint(had) != want {
+			t.Fatalf("shards=%d: ticks pending at the cut %v, want one of each: %s", shards, had, want)
+		}
+		b.Net.RunUntil(timerHorizon)
+		want := fingerprint(b, flows)
+
+		resumed, rflows := build(shards)
+		enable(resumed)
+		if err := resumed.Restore(data, fp); err != nil {
+			t.Fatalf("shards=%d: restore: %v", shards, err)
+		}
+		if got := ticks(resumed); fmt.Sprint(got) != fmt.Sprint(had) {
+			t.Fatalf("shards=%d: restored ticks %v, snapshot had %v", shards, got, had)
+		}
+		resumed.Net.RunUntil(timerHorizon)
+		if got := fingerprint(resumed, rflows); got != want {
+			t.Errorf("shards=%d: resumed run diverged at %s", shards, diffLine(want, got))
+		}
+	}
+}
+
+// TestRestoreRefusesTickWithoutItsPlane: a tick record is checkpoint input
+// like any other. One for a plane the rebuild has not switched on, or for
+// the inter-AS plane on a standalone backbone, is ErrCorrupt; one whose
+// interval is not positive runs once and stops.
+func TestRestoreRefusesTickWithoutItsPlane(t *testing.T) {
+	b := NewBackbone(Config{Seed: 3, Scheduler: SchedHybrid})
+	timerTopology(b)
+	tick := func(kind uint16, z uint64) *pendingSet {
+		at := b.E.Now() + sim.Second
+		return &pendingSet{timers: []pendingTimer{{shard: sim.GlobalBand, at: at, kind: kind, a: uint64(at + 2*sim.Second), z: z}}}
+	}
+	for kind := timerHello; kind <= timerPeering+1; kind++ {
+		if err := tick(kind, uint64(sim.Millisecond)).rearm(b.E, []*Backbone{b}, nil); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("kind %d without its plane: err = %v, want ErrCorrupt", kind, err)
+		}
+	}
+	b.EnableTelemetry(TelemetryOptions{})
+	for _, z := range []uint64{0, 1 << 63} {
+		b.E.DropPending()
+		if err := tick(timerFlowRoll, z).rearm(b.E, []*Backbone{b}, nil); err != nil {
+			t.Fatal(err)
+		}
+		b.E.RunUntil(b.E.Now() + 5*sim.Second)
+		if b.E.Pending() != 0 {
+			t.Errorf("interval %#x: %d events pending after the tick's first run", z, b.E.Pending())
 		}
 	}
 }

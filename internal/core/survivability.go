@@ -43,7 +43,7 @@ type SurvivabilityOptions struct {
 	// Damping enables route-flap damping at every speaker (zero = off).
 	Damping bgp.DampingConfig
 
-	// Horizon bounds the pre-scheduled hello scans in virtual time, like
+	// Horizon bounds the hello scans in virtual time, like
 	// TelemetryOptions.Horizon; the engine can still quiesce after it.
 	Horizon sim.Time
 }
@@ -161,7 +161,7 @@ func (s *survivability) stateOf(n topo.NodeID) survState {
 }
 
 // EnableSurvivability switches the control-plane survivability layer on.
-// Idempotent; call before the run with Horizon covering its duration.
+// Idempotent; Horizon, counted from the call, should cover the run.
 func (b *Backbone) EnableSurvivability(opts SurvivabilityOptions) {
 	if b.surv != nil {
 		return
@@ -172,11 +172,7 @@ func (b *Backbone) EnableSurvivability(opts SurvivabilityOptions) {
 	if opts.Damping.Enabled() {
 		b.BGP.SetDamping(opts.Damping)
 	}
-	if opts.Horizon > 0 {
-		for t := opts.Hello; t <= opts.Horizon; t += opts.Hello {
-			b.E.After(t, b.helloScan)
-		}
-	}
+	tick(b.E, &ctlTimer{b: b, kind: timerHello}, opts.Hello, opts.Horizon)
 }
 
 // SessionStats is the survivability layer's externally visible accounting.
@@ -204,8 +200,8 @@ func (b *Backbone) SessionStats() SessionStats {
 }
 
 // helloScan is one hello/keepalive round over every provider router, plus
-// the damping decay tick. Pre-scheduled on the engine's global band every
-// Hello up to the horizon, so the serial and sharded engines see the same
+// the damping decay tick. A tick on the engine's global band every Hello
+// up to the horizon, so the serial and sharded engines see the same
 // schedule.
 func (b *Backbone) helloScan() {
 	s := b.surv

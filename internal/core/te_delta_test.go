@@ -674,9 +674,8 @@ func TestOverlappingDetectionWindowsReconvergeOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		b.E.Schedule(10*sim.Millisecond, func() { b.FailLink("P0-0", "P0-1", detect) })
-		b.E.Schedule(10*sim.Millisecond+gap, func() { b.FailLink("P1-1", "P1-2", detect) })
-		b.E.MarkSetup()
+		script(b, 10*sim.Millisecond, func() { b.FailLink("P0-0", "P0-1", detect) })
+		script(b, 10*sim.Millisecond+gap, func() { b.FailLink("P1-1", "P1-2", detect) })
 		return b
 	}
 	ldpLabels := func(b *Backbone) string {

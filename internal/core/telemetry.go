@@ -23,10 +23,10 @@ type TelemetryOptions struct {
 	Interval sim.Time
 	// JournalCap bounds the event journal (0 = telemetry.DefaultJournalCap).
 	JournalCap int
-	// Horizon, when positive, pre-schedules export ticks at every interval
-	// boundary up to this virtual time, so intervals roll even while no
-	// traffic is flowing. Without it the exporter rolls lazily on traffic
-	// and the engine can still quiesce.
+	// Horizon, when positive, runs export ticks at every interval boundary
+	// up to this virtual time, so intervals roll even while no traffic is
+	// flowing. Without it the exporter rolls lazily on traffic and the
+	// engine can still quiesce.
 	Horizon sim.Time
 	// SLAs, when non-empty, enables the online SLA watcher.
 	SLAs []telemetry.SLATarget
@@ -102,12 +102,7 @@ func (b *Backbone) EnableTelemetry(opts TelemetryOptions) *telemetry.Telemetry {
 		}
 	}
 
-	if opts.Horizon > 0 {
-		interval := b.tel.Flows.Interval
-		for t := interval; t <= opts.Horizon; t += interval {
-			b.E.After(t, func() { b.tel.Flows.RollTo(b.E.Now()) })
-		}
-	}
+	tick(b.E, &ctlTimer{b: b, kind: timerFlowRoll}, b.tel.Flows.Interval, opts.Horizon)
 	return b.tel
 }
 

@@ -293,7 +293,6 @@ func E19DayInTheLife(ckptDir string) (*E19Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref.b.E.MarkSetup()
 	ref.b.Net.RunUntil(e19Horizon + sim.Second)
 	refDigest := ref.digest()
 
@@ -338,7 +337,6 @@ func E19DayInTheLife(ckptDir string) (*E19Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	overlay.b.E.MarkSetup()
 	overlay.b.Net.RunUntil(e19Horizon + sim.Second)
 
 	score := func(plane string, rig *e19Rig) {
@@ -392,7 +390,6 @@ func LocalizeE19Divergence(ckptDir string) (snapshot.Window, int, error) {
 		if err != nil {
 			return false, err
 		}
-		ref.b.E.MarkSetup()
 		ref.b.Net.RunUntil(sim.Time(t))
 
 		_, data, err := store.LatestAtOrBefore(t)

@@ -257,7 +257,6 @@ func e21Run(opt core.InterASOption, shards, workers int) (*e21Rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	rig.x.E.MarkSetup()
 	rig.x.Net.RunUntil(e21Horizon + sim.Second)
 	if err := rig.x.Net.CheckConservation(); err != nil {
 		return nil, err

@@ -7,11 +7,7 @@
 // (a hello timeout) tears it down and releases its reservations.
 package rsvp
 
-import (
-	"fmt"
-
-	"mplsvpn/internal/sim"
-)
+import "fmt"
 
 // DefaultRefreshMisses is the standard RSVP keep multiplier: three missed
 // refreshes expire the state (RFC 2205 K=3).
@@ -89,32 +85,3 @@ func (p *Protocol) pathBroken(l *LSP) bool {
 	}
 	return false
 }
-
-// SoftState runs periodic refresh scans on an engine for standalone use
-// (core pre-schedules scans itself to preserve engine quiescence).
-type SoftState struct {
-	p        *Protocol
-	interval sim.Time
-	maxMiss  int
-	stopped  bool
-}
-
-// StartSoftState schedules refresh scans every interval until Stop is
-// called. Because the engine runs until quiescence, callers using Run()
-// (not RunUntil) must Stop the soft-state first or the run never ends.
-func (p *Protocol) StartSoftState(e *sim.Engine, interval sim.Time, maxMiss int) *SoftState {
-	ss := &SoftState{p: p, interval: interval, maxMiss: maxMiss}
-	var tick func()
-	tick = func() {
-		if ss.stopped {
-			return
-		}
-		ss.p.RefreshScan(ss.maxMiss)
-		e.After(ss.interval, tick)
-	}
-	e.After(interval, tick)
-	return ss
-}
-
-// Stop ends the scan loop after the currently scheduled tick.
-func (ss *SoftState) Stop() { ss.stopped = true }

@@ -1,10 +1,6 @@
 package rsvp
 
-import (
-	"testing"
-
-	"mplsvpn/internal/sim"
-)
+import "testing"
 
 func TestRefreshScanExpiresBrokenLSP(t *testing.T) {
 	g, src, m, _, _, dst := fish()
@@ -81,23 +77,5 @@ func TestRefreshScanMissCounterResets(t *testing.T) {
 	}
 	if got := p.RefreshScan(3); len(got) != 1 {
 		t.Fatalf("third consecutive miss should expire, got %v", got)
-	}
-}
-
-func TestStartSoftStateOnEngine(t *testing.T) {
-	g, src, m, _, _, dst := fish()
-	e := sim.NewEngine(7)
-	p := New(g, nil, nil)
-	if _, err := p.Setup("engine", src, dst, 2e6, SetupOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	ss := p.StartSoftState(e, 10*sim.Millisecond, 3)
-	e.Schedule(25*sim.Millisecond, func() { g.SetLinkDown(src, m, true) })
-	// Stop the loop after the timeout has had time to fire, or Run() never
-	// reaches quiescence.
-	e.Schedule(100*sim.Millisecond, func() { ss.Stop() })
-	e.Run()
-	if p.Timeouts != 1 {
-		t.Fatalf("Timeouts = %d, want 1", p.Timeouts)
 	}
 }

@@ -57,7 +57,6 @@ type Queue struct {
 	now      Time
 	q        eventQueue
 	seq      uint64
-	setupSeq uint64 // watermark set by MarkSetup; lower seqs are setup events
 	executed uint64 // for diagnostics
 	clamped  uint64 // past timestamps moved up to the clock (see Post)
 

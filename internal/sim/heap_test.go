@@ -17,7 +17,7 @@ type oracleEv struct {
 	seq   uint64
 	id    int
 	notes bool // the event Defers a note when it runs (sharded test only)
-	gone  bool // filtered out
+	gone  bool // dropped by DropPending
 }
 
 // oracleQueue mirrors one scheduler's pending set.
@@ -121,14 +121,13 @@ func TestQueueMatchesSortOracleSerial(t *testing.T) {
 				if e.Now() != deadline {
 					t.Fatalf("seed %d: clock %v after RunUntil(%v)", seed, e.Now(), deadline)
 				}
-			case 3: // FilterPending drops a pseudo-random third by seq
-				salt := uint64(rng.Intn(1 << 20))
-				keep := func(seq uint64) bool { return (seq*2654435761+salt)%3 != 0 }
-				e.FilterPending(func(_ int, seq uint64) bool { return keep(seq) })
+			case 3: // DropPending, rarely: it empties the queue
+				if rng.Intn(8) != 0 {
+					continue
+				}
+				e.DropPending()
 				for _, o := range q.pending {
-					if !keep(o.seq) {
-						o.gone = true
-					}
+					o.gone = true
 				}
 			case 4: // refill towards full depth
 				for len(q.pending) < 10000 {
@@ -158,7 +157,7 @@ func (a *notingAction) Run() {
 }
 
 // The same on a 4-shard engine: local Schedule/Post on each shard,
-// FilterPending, and cross-shard Handoff batches that the barrier merges,
+// DropPending, and cross-shard Handoff batches that the barrier merges,
 // large and small. A merged entry
 // takes its destination sequence number at the merge, in (source shard, send
 // order) per destination — the oracle numbers them the same way — and every
@@ -294,17 +293,20 @@ func TestQueueMatchesSortOracleSharded(t *testing.T) {
 			case 2, 3:
 				run(e.Now() + Time(rng.Intn(8)))
 			case 4:
-				// Filtering is a restore-time operation on a settled engine:
-				// merge outstanding slabs first, as a run would.
+				// Emptying is a restore-time operation on a settled engine,
+				// and rare here. A handoff sent since the last run waits in
+				// its slab, and goes too.
 				run(e.Now())
-				salt := uint64(rng.Intn(1 << 20))
-				keep := func(shard int, seq uint64) bool { return (seq*2654435761+salt+uint64(shard))%3 != 0 }
-				e.FilterPending(keep)
+				if rng.Intn(8) != 0 {
+					continue
+				}
+				a := rng.Intn(shards)
+				handoff(a, (a+1)%shards, Time(1+rng.Intn(3)))
+				e.DropPending()
+				slab = [shards][shards][]sent{}
 				for s := range q {
 					for _, o := range q[s].pending {
-						if !keep(s, o.seq) {
-							o.gone = true
-						}
+						o.gone = true
 					}
 				}
 			case 5: // posts from outside a run, behind the shard clock

@@ -1,23 +1,16 @@
 // Checkpoint support for the event scheduler.
 //
-// The event queue holds Actions, which cannot be serialized as such. The
-// snapshot architecture therefore splits pending work into two classes:
-//
-//   - *setup* events, scheduled before MarkSetup (topology construction,
-//     pre-expanded chaos scripts, horizon-spanning scan series). A restore
-//     rebuilds the scenario from its builder, which re-creates every setup
-//     event with an identical (time, seq); the snapshot only records which
-//     of them were still pending, by (shard, seq), and FilterPending kills
-//     the rest.
-//   - *dynamic* events, scheduled during the run, are self-describing
-//     Actions: the package that owns the type (netsim's in-flight packet
-//     events, trafgen's sources, core's control timers) encodes what it
-//     needs to rebuild one, and a restore re-arms it with RestoreAction at
-//     its original (time, seq), so the FIFO tie-break order — and therefore
-//     the entire future of the run — is byte-identical to the uninterrupted
-//     execution. A closure scheduled with Schedule/After has no such
-//     identity; the walk reports it with a nil Act and a strict snapshot
-//     refuses it.
+// The event queue holds Actions, which cannot be serialized as such, so
+// every event a checkpoint carries is a self-describing Action: the package
+// that owns the type (netsim's in-flight packet events, trafgen's sources
+// and the other registered actions, core's control timers) encodes what it
+// needs to rebuild one. A restore rebuilds the scenario from its builder,
+// empties the rebuilt queues with DropPending and re-arms every event the
+// checkpoint holds with RestoreAction at its original (time, seq), so the
+// FIFO tie-break order — and therefore the entire future of the run — is
+// byte-identical to the uninterrupted execution. A closure scheduled with
+// Schedule/After has no such identity; the walk reports it with a nil Act
+// and a strict snapshot refuses it.
 //
 // Sequence counters, clocks, and executed counts restore explicitly. Every
 // accessor here takes a scheduler index — GlobalBand or a shard — and goes
@@ -33,7 +26,6 @@ type PendingEvent struct {
 	At    Time
 	Seq   uint64
 	Act   Action // nil for closure events
-	Setup bool   // scheduled before MarkSetup
 }
 
 // Queue returns the scheduler with the given index: the engine's own queue
@@ -50,15 +42,10 @@ func (e *Engine) Schedulers() []int {
 	return ids
 }
 
-// MarkSetup records the setup watermark on every scheduler: events with a
-// lower sequence number were scheduled during scenario construction and are
-// re-created by a rebuild. Call exactly once, after the builder finishes and
-// before the first Run.
-func (e *Engine) MarkSetup() {
-	for _, q := range e.all {
-		q.setupSeq = q.seq
-	}
-}
+// MarkSetup does nothing: a restore re-arms every pending event from the
+// checkpoint, so no event needs marking as one the rebuild re-creates. It
+// is kept only because the benchmark harness calls it.
+func (e *Engine) MarkSetup() {}
 
 // WalkPending visits every scheduled event — the global band first, then
 // each shard in index order, each scheduler's events in (time, seq) order.
@@ -74,7 +61,7 @@ func (e *Engine) WalkPending(visit func(PendingEvent)) {
 	}
 	for _, q := range e.all {
 		for _, x := range q.q.sorted() {
-			pe := PendingEvent{Shard: q.id, At: x.at, Seq: x.seq, Act: x.act, Setup: x.seq < q.setupSeq}
+			pe := PendingEvent{Shard: q.id, At: x.at, Seq: x.seq, Act: x.act}
 			if _, closure := x.act.(funcAction); closure {
 				pe.Act = nil
 			}
@@ -83,16 +70,20 @@ func (e *Engine) WalkPending(visit func(PendingEvent)) {
 	}
 }
 
-// FilterPending removes every scheduled event for which keep returns false.
-// A restore calls it on a freshly rebuilt engine to kill the setup events
-// the original run had already executed by snapshot time.
-func (e *Engine) FilterPending(keep func(shard int, seq uint64) bool) {
+// DropPending empties every scheduler, handoffs waiting for a barrier
+// included. A restore calls it once on a freshly rebuilt engine, before it
+// re-arms the events the checkpoint holds.
+func (e *Engine) DropPending() {
+	if e.par != nil {
+		e.par.mergeHandoffs()
+	}
 	for _, q := range e.all {
-		q.q.filter(func(x heapEntry) bool { return keep(q.id, x.seq) })
+		q.q = eventQueue{base: q.q.base}
 	}
 }
 
-// RestoreAction re-arms a dynamic event with its original identity.
+// RestoreAction arms act at its original identity (at, seq): a restored
+// event, or a periodic action re-arming under its first seq.
 func (e *Engine) RestoreAction(shard int, at Time, seq uint64, act Action) {
 	e.Queue(shard).q.push(heapEntry{at, seq, act})
 }

@@ -211,15 +211,3 @@ func (q *eventQueue) sorted() []heapEntry {
 	})
 	return all
 }
-
-// filter drops the events keep refuses by rebuilding the queue from the
-// rest: the restore-time path.
-func (q *eventQueue) filter(keep func(heapEntry) bool) {
-	all := q.sorted()
-	*q = eventQueue{base: q.base}
-	for _, x := range all {
-		if keep(x) {
-			q.push(x)
-		}
-	}
-}

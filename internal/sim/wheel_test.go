@@ -9,10 +9,10 @@ import (
 // The queue against the structure it replaced: an engine and a bare
 // eventHeap are fed one monotone operation stream, and everything the
 // queue can be asked — what runs next, when, how much is pending, the
-// checkpoint walk, who survives a filter — must come out the same. The heap
-// alone was the whole queue before the wheel, so it is the oracle for where
-// an event may sit (wheel bucket, far heap, refused by a bucket) never
-// showing.
+// checkpoint walk, what runs after the queue is emptied and refilled —
+// must come out the same. The heap alone was the whole queue before the
+// wheel, so it is the oracle for where an event may sit (wheel bucket, far
+// heap, refused by a bucket) never showing.
 
 // queueTwin is the engine under test and its oracle.
 type queueTwin struct {
@@ -97,16 +97,10 @@ func (w *queueTwin) runUntil(deadline Time) {
 	}
 }
 
-func (w *queueTwin) filter(salt uint64) {
-	keep := func(seq uint64) bool { return (seq*2654435761+salt)%4 != 0 }
-	w.e.FilterPending(func(_ int, seq uint64) bool { return keep(seq) })
-	var kept eventHeap
-	for _, x := range w.h {
-		if keep(x.seq) {
-			kept.push(x)
-		}
-	}
-	w.h = kept
+// drop empties the queue, as a restore does before it re-arms.
+func (w *queueTwin) drop() {
+	w.e.DropPending()
+	w.h = nil
 }
 
 // check compares everything that can be read without running an event.
@@ -139,7 +133,7 @@ const (
 	opStep           // Step up to 16 events
 	opRun            // RunUntil a deadline ahead
 	opRestore        // RestoreAction near or far, sorting ahead of its ties
-	opFilter         // FilterPending
+	opDrop           // DropPending, one time in 16 (operand byte c%16 == 0)
 	opClock          // RestoreCounters: the clock jumps ahead, up to the head
 	numOps
 )
@@ -167,8 +161,10 @@ func (w *queueTwin) drive(ops []byte) {
 			w.runUntil(w.now() + v<<(c%12))
 		case opRestore:
 			w.restore(w.now() + v<<(6+12*(c&1)))
-		case opFilter:
-			w.filter(uint64(v))
+		case opDrop:
+			if c%16 == 0 {
+				w.drop()
+			}
 		case opClock:
 			b := &w.e.band
 			to := w.now() + v<<(c%12)
@@ -206,8 +202,11 @@ var queueScripts = map[string][]byte{
 		op(opFar, 20, 0), op(opFar, 24, 0), op(opFar, 28, 0), op(opFar, 32, 0), op(opFar, 36, 0), op(opFar, 40, 0),
 		op(opFar, 44, 0), op(opFar, 48, 0), op(opFar, 52, 0), op(opFar, 56, 0), op(opFar, 60, 0),
 		op(opStep, 0, 4), op(opNear, 54000, 0), op(opNear, 32000, 0), op(opStep, 0, 15)),
-	"filter, then ties across both bands": slices.Concat(
-		op(opFar, 17, 0), op(opTie, 0, 0), op(opNear, 60000, 0), op(opTie, 0, 0), op(opTie, 0, 0), op(opFilter, 3, 0),
+	// Emptied with events in both bands, then refilled as a restore
+	// refills it: re-armed events under old seqs among fresh posts.
+	"drop, then ties across both bands": slices.Concat(
+		op(opFar, 17, 0), op(opTie, 0, 0), op(opNear, 60000, 0), op(opTie, 0, 0), op(opTie, 0, 0), op(opDrop, 0, 0),
+		op(opRestore, 900, 1), op(opRestore, 40, 0), op(opNear, 40, 0), op(opTie, 0, 0), op(opRestore, 0, 0),
 		op(opRun, 3000, 11), op(opTie, 0, 0), op(opRestore, 0, 0), op(opStep, 0, 15)),
 }
 
@@ -217,12 +216,13 @@ func TestQueueMatchesHeapOracle(t *testing.T) {
 	}
 	// Random streams, in phases of 4,000 operations: a growing phase of
 	// mostly pushes, near and far in equal parts, between short steps and
-	// clock jumps, then a draining phase of mostly steps, runs and filters.
+	// clock jumps, then a draining phase of mostly steps and runs, with now
+	// and then the queue emptied.
 	for _, seed := range []uint64{1, 2, 3} {
 		t.Run(fmt.Sprintf("random seed %d", seed), func(t *testing.T) {
 			rng := NewRand(seed)
 			pushes := []byte{opNear, opNear, opNear, opFar, opFar, opFar, opTie, opBurst, opRestore, opRestore}
-			others := []byte{opStep, opStep, opStep, opStep, opStep, opRun, opRun, opRun, opRun, opClock, opClock, opFilter}
+			others := []byte{opStep, opStep, opStep, opStep, opStep, opRun, opRun, opRun, opRun, opClock, opClock, opDrop}
 			var ops []byte
 			for i := 0; i < 12000; i++ {
 				growing := i/4000%2 == 0

@@ -274,9 +274,13 @@ func (r *Reader) Count(minElemBytes int) int {
 //	   its exact count, sum, min and max and a window of log-linear bucket
 //	   counts, in place of every observation and a decimation state.
 //	   Version 3 is refused for the same reason.
+//	5  "pending" section: the list of setup events a rebuild re-creates is
+//	   gone; every pending event is a control timer or a registered action,
+//	   and a control timer may be a periodic tick (interval and last instant
+//	   in its operands). Version 4 is refused for the same reason.
 const (
-	Version    = 4
-	MinVersion = 4
+	Version    = 5
+	MinVersion = 5
 )
 
 var magic = []byte{'M', 'V', 'S', 'N'}

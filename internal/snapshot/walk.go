@@ -198,9 +198,17 @@ func (c *Codec) Len(n, min int) int {
 // FixedLen is Len for a sequence whose length is scenario configuration
 // (ports, policies, registered sources): the rebuild already holds n
 // elements for the walk to overlay, and a checkpoint with another count is
-// an ErrMismatch naming what. It reports whether to walk the elements.
+// an ErrMismatch naming what. It reports whether to walk the elements. min
+// 0 declares elements that may encode to nothing; the count is then
+// checked against n alone, which bounds everything it drives.
 func (c *Codec) FixedLen(n, min int, what string) bool {
-	if got := c.Len(n, min); got != n && c.Err() == nil {
+	var got uint64
+	if min > 0 {
+		got = uint64(c.Len(n, min))
+	} else {
+		got = c.U64(uint64(n))
+	}
+	if got != uint64(n) && c.Err() == nil {
 		c.Mismatch("%d %s in checkpoint, %d in scenario", got, what, n)
 	}
 	return c.Err() == nil

@@ -146,8 +146,8 @@ func (x *FlowExporter) RecordAt(now sim.Time, i int32, bytes int) {
 }
 
 // RollTo flushes every interval that ends at or before now. Callers drive
-// this from delivery/drop hooks (lazy mode) or from pre-scheduled engine
-// events (tick mode); both yield the same records because intervals are
+// this from delivery/drop hooks (lazy mode) or from a periodic engine
+// event (tick mode); both yield the same records because intervals are
 // aligned to multiples of Interval regardless of who triggers the flush.
 func (x *FlowExporter) RollTo(now sim.Time) {
 	if x == nil {
