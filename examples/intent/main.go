@@ -1,8 +1,9 @@
 // Intent: the declarative provisioning plane at scale — one bulk directive
 // declares a thousand VPNs, the reconciler compiles the desired-vs-actual
 // diff into rate-limited transactional commits, and a mid-commit crash of
-// the reconciler is shown to leave the backbone byte-identical (by state
-// digest) to a run that was never interrupted.
+// the reconciler is shown to leave the provisioned service identical (by
+// service digest) to a run that was never interrupted. Label numbering may
+// differ: the rolled-back commit advanced the label allocators.
 //
 //	go run ./examples/intent
 package main
@@ -77,7 +78,7 @@ func provision(killAt, restartAt sim.Time) (string, *netconf.Server, *intent.Rec
 	if !rec.Converged() {
 		panic(fmt.Sprintf("reconciler did not converge; %d ops pending", len(rec.Diff())))
 	}
-	return b.StateDigest(), srv, rec
+	return b.ServiceDigest(), srv, rec
 }
 
 func main() {

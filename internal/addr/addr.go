@@ -51,11 +51,6 @@ func (ip IPv4) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 }
 
-// Octets returns the four bytes of the address in network order.
-func (ip IPv4) Octets() [4]byte {
-	return [4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}
-}
-
 // Prefix is an IPv4 CIDR prefix. Addr is stored with host bits zeroed.
 type Prefix struct {
 	Addr IPv4
@@ -122,11 +117,6 @@ func (p Prefix) Overlaps(q Prefix) bool {
 // String formats the prefix in CIDR notation.
 func (p Prefix) String() string {
 	return fmt.Sprintf("%s/%d", p.Addr, p.Len)
-}
-
-// Bit returns bit i (0 = most significant) of the prefix address.
-func (p Prefix) Bit(i uint8) byte {
-	return byte(uint32(p.Addr) >> (31 - i) & 1)
 }
 
 // RouteDistinguisher disambiguates customer routes with overlapping address

@@ -63,18 +63,15 @@ func runScriptedEquiv(t *testing.T, shards, workers int) string {
 		t.Errorf("shards=%d: %d past timestamps clamped", shards, n)
 	}
 
-	var sb strings.Builder
-	sb.WriteString(b.StateDigest())
-	fmt.Fprintf(&sb, "ops: applied=%d rejected=%d checks=%d\n",
-		inj.Applied, inj.Rejected, inj.Checker.Checks)
-	fmt.Fprintf(&sb, "net: injected=%d delivered=%d dropped=%d isolation=%d\n",
-		b.Net.Injected, b.Net.Delivered, b.Net.Dropped, b.IsolationViolations)
-	sb.WriteString(fa.Stats.Summary())
-	sb.WriteByte('\n')
-	sb.WriteString(fb.Stats.Summary())
-	sb.WriteByte('\n')
-	sb.WriteString(tel.Journal.Render())
-	return sb.String()
+	// The equivalence proves something only if the chaos machinery ran.
+	if j := tel.Journal.Render(); !strings.Contains(j, "node_down") || !strings.Contains(j, "chaos") {
+		t.Fatalf("shards=%d: the run did not exercise the chaos machinery:\n%s", shards, j)
+	}
+	// StateDigest holds the flows and the journal. The injector's counters
+	// live in the harness, and the net section depends on the shard count,
+	// so neither is in it.
+	return b.StateDigest() + fmt.Sprintf("ops: applied=%d rejected=%d checks=%d\nnet: injected=%d delivered=%d dropped=%d\n",
+		inj.Applied, inj.Rejected, inj.Checker.Checks, b.Net.Injected, b.Net.Delivered, b.Net.Dropped)
 }
 
 // TestChaosScriptSerialParallelEquivalence is the chaos leg of the
@@ -83,9 +80,6 @@ func runScriptedEquiv(t *testing.T, shards, workers int) string {
 // parallel backend at 1, 2, and 8 shards.
 func TestChaosScriptSerialParallelEquivalence(t *testing.T) {
 	want := runScriptedEquiv(t, 0, 0)
-	if !strings.Contains(want, "node_down") || !strings.Contains(want, "chaos") {
-		t.Fatalf("serial run did not exercise the chaos machinery:\n%s", want)
-	}
 	for _, shards := range []int{1, 2, 8} {
 		got := runScriptedEquiv(t, shards, 4)
 		if got != want {

@@ -88,7 +88,7 @@ func buildReflRig(t testing.TB, shards, workers int) *snapRig {
 	}
 	b.ConvergeVPNs()
 
-	tel := b.EnableTelemetry(core.TelemetryOptions{Horizon: reflHorizon, JournalCap: 4096})
+	b.EnableTelemetry(core.TelemetryOptions{Horizon: reflHorizon, JournalCap: 4096})
 	b.EnableResilience(core.ResilienceOptions{
 		Policy:       core.DegradeShrink,
 		RestoreProbe: 250 * sim.Millisecond,
@@ -124,7 +124,7 @@ func buildReflRig(t testing.TB, shards, workers int) *snapRig {
 
 	inj := New(b, sc)
 	inj.Schedule()
-	return &snapRig{b: b, tel: tel, fl: []*trafgen.Flow{fa, fb, fc}, inj: inj}
+	return &snapRig{b: b, inj: inj}
 }
 
 func isReflector(cs []bgp.Cluster, n topo.NodeID) bool {

@@ -69,23 +69,21 @@ func runGREquiv(t *testing.T, shards, workers int) string {
 		t.Fatalf("shards=%d invariant violations: %v", shards, inj.Checker.Violations)
 	}
 
-	var sb strings.Builder
-	sb.WriteString(b.StateDigest())
-	st := b.SessionStats()
-	fmt.Fprintf(&sb, "sessions: flaps=%d restores=%d swept=%d withdrawn=%d damped=%d reused=%d\n",
-		st.Flaps, st.Restores, st.StaleSwept, st.Withdrawn, st.Damped, st.Reused)
-	fmt.Fprintf(&sb, "bgp: stale_retained=%d stale_swept=%d withdrawals=%d\n",
-		b.BGP.StaleRetained, b.BGP.StaleSwept, b.BGP.WithdrawalsSent)
-	fmt.Fprintf(&sb, "ops: applied=%d rejected=%d checks=%d\n",
-		inj.Applied, inj.Rejected, inj.Checker.Checks)
-	fmt.Fprintf(&sb, "net: injected=%d delivered=%d dropped=%d isolation=%d\n",
-		b.Net.Injected, b.Net.Delivered, b.Net.Dropped, b.IsolationViolations)
-	sb.WriteString(fa.Stats.Summary())
-	sb.WriteByte('\n')
-	sb.WriteString(fb.Stats.Summary())
-	sb.WriteByte('\n')
-	sb.WriteString(tel.Journal.Render())
-	return sb.String()
+	// The equivalence proves something only if sessions flapped and came
+	// back.
+	for _, probe := range []string{"session_flap", "session_restored"} {
+		if !strings.Contains(tel.Journal.Render(), probe) {
+			t.Fatalf("shards=%d: the run did not exercise %q:\n%s", shards, probe, tel.Journal.Render())
+		}
+	}
+	if b.SessionStats().Restores == 0 {
+		t.Fatalf("shards=%d: no session restores", shards)
+	}
+	// StateDigest holds the session and BGP ledgers, the flows and the
+	// journal. The injector's counters live in the harness, and the net
+	// section depends on the shard count, so neither is in it.
+	return b.StateDigest() + fmt.Sprintf("ops: applied=%d rejected=%d checks=%d\nnet: injected=%d delivered=%d dropped=%d\n",
+		inj.Applied, inj.Rejected, inj.Checker.Checks, b.Net.Injected, b.Net.Delivered, b.Net.Dropped)
 }
 
 // TestSurvivabilitySerialParallelEquivalence: the graceful-restart and
@@ -94,14 +92,6 @@ func runGREquiv(t *testing.T, shards, workers int) string {
 // backend at 1, 2, and 8 shards.
 func TestSurvivabilitySerialParallelEquivalence(t *testing.T) {
 	want := runGREquiv(t, 0, 0)
-	for _, probe := range []string{"session_flap", "session_restored"} {
-		if !strings.Contains(want, probe) {
-			t.Fatalf("serial run did not exercise %q:\n%s", probe, want)
-		}
-	}
-	if !strings.Contains(want, "restores=") || strings.Contains(want, "restores=0 ") {
-		t.Fatalf("no session restores in serial run:\n%s", want)
-	}
 	for _, shards := range []int{1, 2, 8} {
 		got := runGREquiv(t, shards, 4)
 		if got != want {

@@ -77,30 +77,30 @@ func TestAIMDSharesWithVoice(t *testing.T) {
 // ack ledger) serializes and the pending RTO probe re-arms with its
 // original event identity.
 func TestAIMDSnapshotResume(t *testing.T) {
-	build := func() (*Backbone, *trafgen.Flow, *trafgen.AIMD) {
+	build := func() (*Backbone, *trafgen.AIMD) {
 		b := buildSmall(Config{Seed: 92, Scheduler: SchedHybrid})
 		twoSites(b)
 		f, _ := b.FlowBetween("bulk", "hq", "branch", 80)
 		a := b.AttachAIMD(f, 1400, 2*sim.Second)
 		a.Start(0)
-		return b, f, a
+		return b, a
 	}
 	const fp = "aimd-resume"
-	b1, f1, _ := build()
+	b1, _ := build()
 	b1.Net.RunUntil(700 * sim.Millisecond)
 	data, err := b1.Snapshot(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b1.Net.RunUntil(2500 * sim.Millisecond)
-	want := fingerprint(b1, []*trafgen.Flow{f1})
+	want := fingerprint(b1)
 
-	b2, f2, a2 := build()
+	b2, a2 := build()
 	if err := b2.Restore(data, fp); err != nil {
 		t.Fatal(err)
 	}
 	b2.Net.RunUntil(2500 * sim.Millisecond)
-	if got := fingerprint(b2, []*trafgen.Flow{f2}); got != want {
+	if got := fingerprint(b2); got != want {
 		t.Fatalf("AIMD resume diverged at %s", diffLine(want, got))
 	}
 	if a2.Window() < 1 || a2.Ssthresh() <= 0 {
@@ -199,7 +199,7 @@ func TestRequestResponseSurvivesCheckpoint(t *testing.T) {
 		if got, want := render(rr2), render(rr1); got != want || rr2.Outstanding() != 0 {
 			t.Errorf("shards=%d: resumed exchange diverged:\n got %s\nwant %s", shards, got, want)
 		}
-		if got, want := fingerprint(b2, []*trafgen.Flow{rr2.Req, rr2.Resp.Flow}), fingerprint(b1, []*trafgen.Flow{rr1.Req, rr1.Resp.Flow}); got != want {
+		if got, want := fingerprint(b2), fingerprint(b1); got != want {
 			t.Errorf("shards=%d: resumed run diverged at %s", shards, diffLine(want, got))
 		}
 	}

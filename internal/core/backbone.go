@@ -202,7 +202,7 @@ type Backbone struct {
 	// evaporate when a service is deprovisioned. Re-adding a site with a
 	// compatible spec revives its skeleton with the same node and link
 	// IDs, which is what makes a rolled-back-then-reapplied provisioning
-	// transaction converge to a byte-identical StateDigest.
+	// transaction converge to a byte-identical ServiceDigest.
 	retired  map[string]*siteRecord
 	nextRD   uint32
 	built    bool

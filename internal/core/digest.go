@@ -7,15 +7,59 @@ import (
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/device"
+	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/topo"
 )
 
-// StateDigest renders the provider control-plane state — per-router table
-// sizes and TE steering, every RSVP LSP, and per-link down/reservation
-// state — as deterministic text. Two same-seed runs of the same scenario
-// must produce byte-identical digests; that is the final-state half of the
-// chaos determinism contract (the journal is the event half).
-func (b *Backbone) StateDigest() string {
+// StateDigest describes the run's state as one line per checkpoint section:
+// its name and the CRC-32C of the bytes the section's state walk writes.
+// The checkpoint walks are the one description of run state, so two runs
+// with the same history — serial or sharded, uninterrupted or resumed from
+// a checkpoint — digest alike, and a change to any table's contents shows.
+// The first line that differs names the section that did. Sections whose
+// bytes depend on how the run was executed rather than on what it simulated
+// (manifest, engine, pending, net) are left out.
+func (b *Backbone) StateDigest() string { return digestSections(b.sections("", nil), b.checkpointLen) }
+
+// StateDigest is the multi-provider StateDigest: the shared topology,
+// every member AS's sections under its "<as>/" prefix, and the inter-AS
+// peering plane.
+func (x *InterAS) StateDigest() string { return digestSections(x.sections("", nil), x.checkpointLen) }
+
+// digestSections walks every section that describes simulated state through
+// one Writer, emptied between sections. sizeHint is the length of the
+// owner's previous checkpoint, 0 for none: it bounds every section, so the
+// Writer is sized once instead of regrowing through the largest. No pending
+// walk runs, which is what lets a run with closures pending be digested.
+func digestSections(secs []section, sizeHint int) string {
+	var sb strings.Builder
+	var w snapshot.Writer
+	w.Grow(sizeHint)
+	c := snapshot.Saver(&w)
+	for _, s := range secs {
+		switch s.name {
+		case secManifest, secEngine, secPending, secNet:
+			continue
+		}
+		w.Reset()
+		s.walk(c)
+		fmt.Fprintf(&sb, "%s %08x\n", s.name, snapshot.Checksum(w.Data()))
+	}
+	return sb.String()
+}
+
+// ServiceDigest renders the provisioned service — per-router table sizes
+// and TE steering, every RSVP LSP with its path, and per-link down and
+// reservation state — as deterministic text. It is the digest for two runs
+// with different histories that must end up providing the same service: a
+// transaction rolled back against one never attempted, a site removed and
+// re-added, a link flap reconverged by delta against the full rebuild.
+// StateDigest cannot serve that contract, because the walked state records
+// history: undone or redone provisioning advances the label allocators and
+// a full reconvergence relabels every router, the IGP keeps message counts
+// and LSA sequence numbers, the VPN registry keeps its history, and a
+// rolled-back AddSite keeps its CE skeleton.
+func (b *Backbone) ServiceDigest() string {
 	var sb strings.Builder
 	for _, n := range b.providerNodes {
 		r := b.routers[n]
@@ -38,9 +82,10 @@ func (b *Backbone) StateDigest() string {
 		}
 		sb.WriteByte('\n')
 	}
+	// Not the LSP's ID: a re-signalled LSP carries a new one.
 	if b.RSVP != nil {
 		for _, l := range b.RSVP.LSPs() {
-			fmt.Fprintf(&sb, "lsp %d %s %s %.0f %s\n", l.ID, l.Name, l.State, l.Bandwidth, b.pathName(l.Path))
+			fmt.Fprintf(&sb, "lsp %s %s %.0f %s\n", l.Name, l.State, l.Bandwidth, b.pathName(l.Path))
 		}
 	}
 	// Links touching a retired site's skeleton are not service state: a

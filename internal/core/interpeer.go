@@ -1348,14 +1348,3 @@ func (x *InterAS) SelectionDigest() string {
 	}
 	return out
 }
-
-// StateDigest renders every member AS's control-plane digest plus the
-// inter-AS selection state — the multi-provider half of the chaos
-// determinism contract.
-func (x *InterAS) StateDigest() string {
-	out := ""
-	for _, name := range x.order {
-		out += "== as " + name + " ==\n" + x.ASes[name].StateDigest()
-	}
-	return out + "== interas ==\n" + x.SelectionDigest()
-}

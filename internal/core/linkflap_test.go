@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"regexp"
 	"testing"
 
 	"mplsvpn/internal/addr"
@@ -18,13 +17,6 @@ import (
 // The link-flap scenarios of the equivalence harness: what the delta label
 // plane (ldp.ApplyIGPDelta behind reconvergeProvider's incremental branch)
 // promises, checked on the serial engine and at every shard count.
-
-// digestModuloLSPIDs is StateDigest with every LSP's ID masked: two
-// backbones whose reconvergences re-signalled different subsets of the same
-// intents agree on everything but which IDs the survivors carry.
-func digestModuloLSPIDs(b *Backbone) string {
-	return regexp.MustCompile(`(?m)^lsp \d+ `).ReplaceAllString(b.StateDigest(), "lsp # ")
-}
 
 func gridP(i, j int) string { return fmt.Sprintf("P%d-%d", i, j) }
 
@@ -214,15 +206,13 @@ func linkFlapScenarios() []equivScenario {
 			name:  "link-flap-script",
 			dur:   flapStart + 24*flapEvery + 30*sim.Millisecond,
 			build: flapBuild,
-			traffic: func(b *Backbone) []*trafgen.Flow {
-				var flows []*trafgen.Flow
+			traffic: func(b *Backbone) {
 				for i, pr := range [][2]string{{"s0", "s3"}, {"s3", "s0"}, {"s1", "s2"}, {"s2", "s1"}, {"s0", "s1"}} {
 					f, err := b.FlowBetween(fmt.Sprintf("f%d", i), pr[0], pr[1], uint16(5060+i))
 					if err != nil {
 						panic(err)
 					}
 					trafgen.CBR(b.Net, f, 200, sim.Millisecond, sim.Time(i)*173*sim.Microsecond, flapStart+24*flapEvery+10*sim.Millisecond)
-					flows = append(flows, f)
 				}
 				prevDropped, allowed, inFlight := 0, 0, 0
 				var prev flapStep
@@ -254,16 +244,16 @@ func linkFlapScenarios() []equivScenario {
 						}
 					}
 				})
-				return flows
 			},
 			check: func(t *testing.T, b *Backbone) {
 				report(t, b)
 				twin := flapBuild()
 				playFlaps(twin, true, nil)
 				twin.Net.RunUntil(flapStart + 24*flapEvery + 30*sim.Millisecond)
-				// Modulo LSP IDs: the delta keeps the LSPs a flap did not touch,
-				// the full branch signals every one again under a new ID.
-				if got, want := digestModuloLSPIDs(b), digestModuloLSPIDs(twin); got != want {
+				// The service, not the state: the delta keeps the labels and LSPs
+				// a flap did not touch, the full branch relabels every router and
+				// signals every LSP again under a new ID.
+				if got, want := b.ServiceDigest(), twin.ServiceDigest(); got != want {
 					t.Errorf("delta and full branch digest differently at %s", diffLine(want, got))
 				}
 				if b.IGP.ISPFRuns == 0 || twin.IGP.ISPFRuns != 0 {
@@ -284,7 +274,7 @@ func linkFlapScenarios() []equivScenario {
 				gridSites(b, 4)
 				return b
 			},
-			traffic: func(b *Backbone) []*trafgen.Flow {
+			traffic: func(b *Backbone) {
 				before := labelTableBytes(b)
 				script := overlappingFlaps([][2]string{{"P1-1", "P1-2"}, {"P0-0", "P0-1"}})
 				for k, s := range script {
@@ -301,7 +291,6 @@ func linkFlapScenarios() []equivScenario {
 						failf("fail+restore did not return the label tables to their pre-failure bytes")
 					}
 				})
-				return nil
 			},
 			check: report,
 		},
@@ -327,7 +316,7 @@ func linkFlapScenarios() []equivScenario {
 				}
 				return b
 			},
-			traffic: func(b *Backbone) []*trafgen.Flow {
+			traffic: func(b *Backbone) {
 				a, z := b.mustNode("P1-1"), b.mustNode("P1-2")
 				detours := func() []string {
 					return append(append(ldpDetours(b, a), ldpDetours(b, z)...), teLabelsOffPath(b)...)
@@ -358,7 +347,6 @@ func linkFlapScenarios() []equivScenario {
 							b.IGP.FullSPFRuns, full, b.TE.Reconvergences)
 					}
 				})
-				return nil
 			},
 			check: report,
 		},
@@ -373,7 +361,7 @@ func TestInterASLinkFlapDeltaMatchesFullBranch(t *testing.T) {
 	digest := func(x *InterAS) string {
 		s := ""
 		for _, name := range x.order {
-			s += "as " + name + "\n" + x.AS(name).StateDigest()
+			s += "as " + name + "\n" + x.AS(name).ServiceDigest()
 		}
 		return s
 	}

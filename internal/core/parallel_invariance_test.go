@@ -56,9 +56,9 @@ func TestUniformQuantumMatchesPairMatrix(t *testing.T) {
 		if _, err := b.EnableSharding(ShardingOptions{Shards: 8, Workers: 4, Quantum: quantum}); err != nil {
 			t.Fatal(err)
 		}
-		flows := sc.traffic(b)
+		sc.traffic(b)
 		b.Net.RunUntil(sc.dur)
-		return fingerprint(b, flows)
+		return fingerprint(b)
 	}
 
 	withMatrix := run(0)           // default: per-pair lookahead matrix

@@ -506,7 +506,7 @@ func (b *Backbone) installPlainRoutes(rec *siteRecord) {
 // (CE node, access links, host LAN) is retired rather than destroyed —
 // node and link IDs are immutable — so a later AddSite with a compatible
 // spec revives it with identical identifiers and the remove+add round-trip
-// is invisible in the StateDigest. ConvergeVPNs must run afterwards (and
+// is invisible in the ServiceDigest. ConvergeVPNs must run afterwards (and
 // InterAS.ReconcilePeerings in a multi-provider simulation).
 func (b *Backbone) RemoveSite(name string) error {
 	rec, ok := b.sites[name]

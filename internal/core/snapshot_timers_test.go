@@ -37,7 +37,6 @@ const timerHorizon = sim.Second
 
 type timerRig struct {
 	b        *Backbone
-	flows    []*trafgen.Flow
 	snapshot func(string) ([]byte, error)
 	restore  func([]byte, string) error
 }
@@ -135,7 +134,6 @@ func buildTimerRig(t *testing.T, interAS bool, shards int) *timerRig {
 			t.Fatal(err)
 		}
 		r.b.RegisterSource(trafgen.CBR(r.b.Net, f, 300, 2*sim.Millisecond, sim.Time(i)*137*sim.Microsecond, timerHorizon-50*sim.Millisecond))
-		r.flows = append(r.flows, f)
 	}
 	return r
 }
@@ -153,7 +151,7 @@ func (r *timerRig) pendingTimers() map[uint16]int {
 
 func (r *timerRig) finish() string {
 	r.b.Net.RunUntil(timerHorizon)
-	return fingerprint(r.b, r.flows)
+	return fingerprint(r.b)
 }
 
 func TestSnapshotWithEachControlTimerPending(t *testing.T) {
@@ -209,7 +207,7 @@ func TestSnapshotWithEachControlTimerPending(t *testing.T) {
 // does, serial and at 8 shards.
 func TestSnapshotAfterLateEnable(t *testing.T) {
 	const enableAt, cut, fp = 130 * sim.Millisecond, 410 * sim.Millisecond, "late-enable"
-	build := func(shards int) (*Backbone, []*trafgen.Flow) {
+	build := func(shards int) *Backbone {
 		b := NewBackbone(Config{Seed: 67, Scheduler: SchedHybrid, FRR: true})
 		timerTopology(b)
 		if _, err := b.SetupTELSP("te", "PE1", "PE2", 4e6, -1, rsvp.SetupOptions{}); err != nil {
@@ -227,7 +225,7 @@ func TestSnapshotAfterLateEnable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return b, []*trafgen.Flow{f}
+		return b
 	}
 	enable := func(b *Backbone) {
 		b.EnableSurvivability(SurvivabilityOptions{Hello: 30 * sim.Millisecond, Horizon: timerHorizon})
@@ -245,7 +243,7 @@ func TestSnapshotAfterLateEnable(t *testing.T) {
 		return kinds
 	}
 	for _, shards := range []int{0, 8} {
-		b, flows := build(shards)
+		b := build(shards)
 		b.Net.RunUntil(enableAt)
 		enable(b)
 		b.Net.RunUntil(cut)
@@ -258,9 +256,9 @@ func TestSnapshotAfterLateEnable(t *testing.T) {
 			t.Fatalf("shards=%d: ticks pending at the cut %v, want one of each: %s", shards, had, want)
 		}
 		b.Net.RunUntil(timerHorizon)
-		want := fingerprint(b, flows)
+		want := fingerprint(b)
 
-		resumed, rflows := build(shards)
+		resumed := build(shards)
 		enable(resumed)
 		if err := resumed.Restore(data, fp); err != nil {
 			t.Fatalf("shards=%d: restore: %v", shards, err)
@@ -269,7 +267,7 @@ func TestSnapshotAfterLateEnable(t *testing.T) {
 			t.Fatalf("shards=%d: restored ticks %v, snapshot had %v", shards, got, had)
 		}
 		resumed.Net.RunUntil(timerHorizon)
-		if got := fingerprint(resumed, rflows); got != want {
+		if got := fingerprint(resumed); got != want {
 			t.Errorf("shards=%d: resumed run diverged at %s", shards, diffLine(want, got))
 		}
 	}

@@ -119,7 +119,7 @@ func E18TransactionalProvisioning(dur sim.Time) *E18Result {
 		res.Rollbacks[name] = srv.Rollbacks
 		res.AutoRolled[name] = srv.AutoRolled
 		res.Converged[name] = rec.Converged()
-		return b.StateDigest()
+		return b.ServiceDigest()
 	}
 
 	base := run("clean", 0, 0)

@@ -125,8 +125,7 @@ func e19SLAs() map[string]stats.SLATarget {
 	}
 }
 
-// e19Classes orders the scored classes everywhere a digest or table is
-// rendered.
+// e19Classes orders the scored classes everywhere a table is rendered.
 var e19Classes = []string{"voice", "business", "bulk", "transfer"}
 
 type e19Rig struct {
@@ -256,18 +255,6 @@ func e19Build(mpls bool) (*e19Rig, error) {
 	}, nil
 }
 
-// e19Digest renders the observables a crash recovery must reproduce.
-func (r *e19Rig) digest() string {
-	var sb strings.Builder
-	sb.WriteString(r.b.StateDigest())
-	for _, class := range e19Classes {
-		sb.WriteString(r.fl[class].Stats.Summary())
-		sb.WriteByte('\n')
-	}
-	sb.WriteString(r.tel.Journal.Render())
-	return sb.String()
-}
-
 // E19DayInTheLife runs the soak. ckptDir receives the MPLS plane's
 // checkpoint store ("" = a temporary directory, removed afterwards).
 func E19DayInTheLife(ckptDir string) (*E19Result, error) {
@@ -294,7 +281,7 @@ func E19DayInTheLife(ckptDir string) (*E19Result, error) {
 		return nil, err
 	}
 	ref.b.Net.RunUntil(e19Horizon + sim.Second)
-	refDigest := ref.digest()
+	refDigest := ref.b.StateDigest()
 
 	// The scored day: same plane through the checkpoint Runner — periodic
 	// checkpoints, the scripted ones, and three crash recoveries.
@@ -325,7 +312,7 @@ func E19DayInTheLife(ckptDir string) (*E19Result, error) {
 	res.Checkpoints = runner.Saved
 	res.Cycles = runner.Resumes
 	res.ReplayedMs = float64(runner.Replayed) / float64(sim.Millisecond)
-	res.DigestMatch = mplsRig.digest() == refDigest
+	res.DigestMatch = mplsRig.b.StateDigest() == refDigest
 	res.Suppressions = mplsRig.b.BGP.RouteSuppressions
 	res.Reuses = mplsRig.b.BGP.RouteReuses
 	res.Reoptimized = strings.Count(mplsRig.tel.Journal.Render(), "lsp_reoptimized")
@@ -404,7 +391,7 @@ func LocalizeE19Divergence(ckptDir string) (snapshot.Window, int, error) {
 			return false, err
 		}
 		rig.b.Net.RunUntil(sim.Time(t))
-		return rig.digest() != ref.digest(), nil
+		return rig.b.StateDigest() != ref.b.StateDigest(), nil
 	}
 	return snapshot.Bisect(times, probe)
 }

@@ -251,7 +251,7 @@ func TestKillMidCommitConverges(t *testing.T) {
 	if srv.AutoRolled < 1 {
 		t.Fatalf("auto-rollback never fired (AutoRolled=%d); kill missed the window", srv.AutoRolled)
 	}
-	if got, want := b.StateDigest(), clean.StateDigest(); got != want {
+	if got, want := b.ServiceDigest(), clean.ServiceDigest(); got != want {
 		t.Fatalf("interrupted run diverged from clean run:\n--- clean\n%s\n--- interrupted\n%s", want, got)
 	}
 }

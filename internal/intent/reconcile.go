@@ -168,9 +168,6 @@ func (r *Reconciler) Restart() error {
 	return nil
 }
 
-// Running reports whether the loop is live.
-func (r *Reconciler) Running() bool { return r.running }
-
 // Converged reports whether the actual state matches the desired state
 // (quarantined subjects excepted) with no batch in flight.
 func (r *Reconciler) Converged() bool {

@@ -26,7 +26,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -320,14 +319,6 @@ func (sp *Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortedVPNs returns the spec's VPNs sorted by name (diff order).
-func (sp *Spec) SortedVPNs() []VPNSpec {
-	out := make([]VPNSpec, len(sp.VPNs))
-	copy(out, sp.VPNs)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // renderBw renders bits/s with the largest exact suffix.

@@ -70,16 +70,6 @@ func (st *Store) Version(name string) int {
 	return 0
 }
 
-// SpecNames lists stored specs, sorted.
-func (st *Store) SpecNames() []string {
-	out := make([]string, 0, len(st.specs))
-	for n := range st.specs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Desired merges every stored spec into one deterministic desired state:
 // all VPNs across all specs, sorted by VPN name.
 func (st *Store) Desired() []VPNSpec {

@@ -206,9 +206,6 @@ func (s *Session) Stage(ops ...Op) error {
 	return nil
 }
 
-// Staged returns the current candidate batch size.
-func (s *Session) Staged() int { return len(s.staged) }
-
 // Discard drops the candidate configuration (NETCONF discard-changes),
 // leaving the session open for a fresh Stage.
 func (s *Session) Discard() error {
@@ -403,7 +400,7 @@ func applyOp(b *core.Backbone, op Op) (undo func(), err error) {
 	case OpRemoveSite:
 		spec, ok := b.SiteSpecOf(op.Name)
 		if !ok {
-			return nil, fmt.Errorf("core: unknown site %q", op.Name)
+			return nil, refuse(core.ProvUnknownSite, "site:"+op.Name, "unknown site %q", op.Name)
 		}
 		if err := b.RemoveSite(op.Name); err != nil {
 			return nil, err
@@ -448,7 +445,7 @@ func applyOp(b *core.Backbone, op Op) (undo func(), err error) {
 		imports, exports, ok := b.VPNRTs(op.VPN)
 		sla, _ := b.VPNSLA(op.VPN)
 		if !ok {
-			return nil, fmt.Errorf("core: VPN %q not defined", op.VPN)
+			return nil, refuse(core.ProvUnknownVPN, "vpn:"+op.VPN, "VPN %q not defined", op.VPN)
 		}
 		if err := b.UndefineVPN(op.VPN); err != nil {
 			return nil, err
@@ -514,6 +511,12 @@ func newValidateView(b *core.Backbone) *validateView {
 	return v
 }
 
+// refuse is a refusal netconf makes before core would make the same one:
+// core's code, subject and message, so core.CodeOf classifies it alike.
+func refuse(code core.ProvisionCode, subject, format string, args ...any) error {
+	return &core.ProvisionError{Code: code, Subject: subject, Detail: "core: " + fmt.Sprintf(format, args...)}
+}
+
 func (v *validateView) check(op Op) error {
 	switch op.Kind {
 	case OpDefineVPN:
@@ -521,12 +524,12 @@ func (v *validateView) check(op Op) error {
 			return fmt.Errorf("netconf: VPN needs a name")
 		}
 		if v.vpns[op.VPN] {
-			return fmt.Errorf("core: VPN %q already defined", op.VPN)
+			return refuse(core.ProvDuplicateVPN, "vpn:"+op.VPN, "VPN %q already defined", op.VPN)
 		}
 		v.vpns[op.VPN] = true
 	case OpSetVPNSLA:
 		if !v.vpns[op.VPN] {
-			return fmt.Errorf("core: VPN %q not defined", op.VPN)
+			return refuse(core.ProvUnknownVPN, "vpn:"+op.VPN, "VPN %q not defined", op.VPN)
 		}
 	case OpAddSite:
 		spec := op.Site
@@ -534,10 +537,10 @@ func (v *validateView) check(op Op) error {
 			return fmt.Errorf("netconf: site needs both a name and a VPN")
 		}
 		if !v.vpns[spec.VPN] {
-			return fmt.Errorf("core: VPN %q not defined", spec.VPN)
+			return refuse(core.ProvUnknownVPN, "vpn:"+spec.VPN, "VPN %q not defined", spec.VPN)
 		}
 		if _, dup := v.sites[spec.Name]; dup {
-			return fmt.Errorf("core: site %q already provisioned", spec.Name)
+			return refuse(core.ProvDuplicateSite, "site:"+spec.Name, "site %q already provisioned", spec.Name)
 		}
 		if len(spec.Prefixes) == 0 {
 			return fmt.Errorf("netconf: site %q has no prefixes", spec.Name)
@@ -554,7 +557,7 @@ func (v *validateView) check(op Op) error {
 		v.sites[spec.Name] = spec.VPN
 	case OpRemoveSite:
 		if _, ok := v.sites[op.Name]; !ok {
-			return fmt.Errorf("core: unknown site %q", op.Name)
+			return refuse(core.ProvUnknownSite, "site:"+op.Name, "unknown site %q", op.Name)
 		}
 		delete(v.sites, op.Name)
 	case OpSetupTunnel:
@@ -563,10 +566,10 @@ func (v *validateView) check(op Op) error {
 			return fmt.Errorf("netconf: tunnel needs a name")
 		}
 		if _, dup := v.tunnels[t.Name]; dup {
-			return fmt.Errorf("core: TE intent %q already exists", t.Name)
+			return refuse(core.ProvDuplicateTE, "lsp:"+t.Name, "TE intent %q already exists", t.Name)
 		}
 		if t.VPN != "" && !v.vpns[t.VPN] {
-			return fmt.Errorf("core: VPN %q not defined", t.VPN)
+			return refuse(core.ProvUnknownVPN, "vpn:"+t.VPN, "VPN %q not defined", t.VPN)
 		}
 		if !v.b.IsPE(t.Ingress) {
 			return fmt.Errorf("core: %q is not a PE", t.Ingress)
@@ -580,21 +583,21 @@ func (v *validateView) check(op Op) error {
 		v.tunnels[t.Name] = t.VPN
 	case OpTeardownTunnel:
 		if _, ok := v.tunnels[op.Name]; !ok {
-			return fmt.Errorf("core: unknown TE intent %q", op.Name)
+			return refuse(core.ProvUnknownTE, "lsp:"+op.Name, "unknown TE intent %q", op.Name)
 		}
 		delete(v.tunnels, op.Name)
 	case OpUndefineVPN:
 		if !v.vpns[op.VPN] {
-			return fmt.Errorf("core: VPN %q not defined", op.VPN)
+			return refuse(core.ProvUnknownVPN, "vpn:"+op.VPN, "VPN %q not defined", op.VPN)
 		}
 		for site, vpn := range v.sites {
 			if vpn == op.VPN {
-				return fmt.Errorf("core: VPN %q still has site %q provisioned", op.VPN, site)
+				return refuse(core.ProvVPNInUse, "vpn:"+op.VPN, "VPN %q still has site %q provisioned", op.VPN, site)
 			}
 		}
 		for tun, vpn := range v.tunnels {
 			if vpn == op.VPN {
-				return fmt.Errorf("core: VPN %q is still steered by TE intent %q", op.VPN, tun)
+				return refuse(core.ProvVPNInUse, "vpn:"+op.VPN, "VPN %q is still steered by TE intent %q", op.VPN, tun)
 			}
 		}
 		delete(v.vpns, op.VPN)

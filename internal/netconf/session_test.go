@@ -124,10 +124,44 @@ func TestValidateCatchesBatchCollisions(t *testing.T) {
 	}
 }
 
+// TestValidateRefusalsAreTyped: a refusal validate shares with core carries
+// core's code and message, so core.CodeOf classifies an op alike whether
+// validate or apply refuses it.
+func TestValidateRefusalsAreTyped(t *testing.T) {
+	b := sessionBackbone(t)
+	b.DefineVPN("acme")
+	b.AddSite(core.SiteSpec{VPN: "acme", Name: "hq", PE: "PE1",
+		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.1.0.0/16")}})
+	b.ConvergeVPNs()
+	srv := NewServer(b)
+	s, _ := srv.Open("s")
+	for _, tc := range []struct {
+		name  string
+		op    Op
+		code  core.ProvisionCode
+		apply string // core's message for the same refusal
+	}{
+		{"unknown VPN", Op{Kind: OpUndefineVPN, VPN: "nosuch"}, core.ProvUnknownVPN, b.UndefineVPN("nosuch").Error()},
+		{"duplicate site", siteOp("acme", "hq", "PE2", "10.9.0.0/16"), core.ProvDuplicateSite, `core: site "hq" already provisioned`},
+		{"VPN in use", Op{Kind: OpUndefineVPN, VPN: "acme"}, core.ProvVPNInUse, b.UndefineVPN("acme").Error()},
+	} {
+		s.Discard()
+		s.Stage(tc.op)
+		err := s.Validate()
+		if code, ok := core.CodeOf(err); !ok || code != tc.code {
+			t.Errorf("%s: CodeOf(%v) = %v, %t; want %v", tc.name, err, code, ok, tc.code)
+		}
+		var ce *CommitError
+		if !errors.As(err, &ce) || ce.Cause.Error() != tc.apply {
+			t.Errorf("%s: validate says %v, core says %q", tc.name, err, tc.apply)
+		}
+	}
+}
+
 func TestCommitFailureRollsBackAppliedPrefix(t *testing.T) {
 	b := sessionBackbone(t)
 	srv := NewServer(b)
-	before := b.StateDigest()
+	before := b.ServiceDigest()
 
 	s, _ := srv.Open("s")
 	s.Stage(
@@ -152,7 +186,7 @@ func TestCommitFailureRollsBackAppliedPrefix(t *testing.T) {
 	if _, ok := b.Site("hq"); ok {
 		t.Fatal("site survived a failed commit")
 	}
-	if got := b.StateDigest(); got != before {
+	if got := b.ServiceDigest(); got != before {
 		t.Fatalf("digest changed across failed commit:\nbefore:\n%s\nafter:\n%s", before, got)
 	}
 	if srv.Rollbacks != 1 || srv.Commits != 0 {
@@ -194,7 +228,7 @@ func TestConcurrentCommitRejected(t *testing.T) {
 func TestConfirmedCommitAutoRollback(t *testing.T) {
 	b := sessionBackbone(t)
 	srv := NewServer(b)
-	before := b.StateDigest()
+	before := b.ServiceDigest()
 
 	s, _ := srv.Open("s")
 	s.Stage(
@@ -222,7 +256,7 @@ func TestConfirmedCommitAutoRollback(t *testing.T) {
 	if len(b.TEIntents()) != 0 {
 		t.Fatal("auto-rollback left the tunnel signalled")
 	}
-	if got := b.StateDigest(); got != before {
+	if got := b.ServiceDigest(); got != before {
 		t.Fatalf("digest differs after auto-rollback:\nbefore:\n%s\nafter:\n%s", before, got)
 	}
 	if srv.AutoRolled != 1 {
@@ -259,7 +293,7 @@ func TestConfirmedCommitConfirmKeepsState(t *testing.T) {
 func TestCloseBeforeConfirmRollsBack(t *testing.T) {
 	b := sessionBackbone(t)
 	srv := NewServer(b)
-	before := b.StateDigest()
+	before := b.ServiceDigest()
 	s, _ := srv.Open("s")
 	s.Stage(Op{Kind: OpDefineVPN, VPN: "acme"}, siteOp("acme", "hq", "PE2", "10.2.0.0/16"))
 	if err := s.CommitConfirmed(sim.Second); err != nil {
@@ -268,13 +302,13 @@ func TestCloseBeforeConfirmRollsBack(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.StateDigest(); got != before {
+	if got := b.ServiceDigest(); got != before {
 		t.Fatalf("close-before-confirm left state behind:\nbefore:\n%s\nafter:\n%s", before, got)
 	}
 }
 
 // TestRemoveAddRoundTripDigest proves the retire/revive contract: removing
-// a site and re-adding the same spec is invisible in the StateDigest, so
+// a site and re-adding the same spec is invisible in the ServiceDigest, so
 // transactional rollback of an AddSite (which is RemoveSite) followed by a
 // re-apply converges to the identical state.
 func TestRemoveAddRoundTripDigest(t *testing.T) {
@@ -294,20 +328,20 @@ func TestRemoveAddRoundTripDigest(t *testing.T) {
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	want := b.StateDigest()
+	want := b.ServiceDigest()
 
 	s.Stage(Op{Kind: OpRemoveSite, Name: "hq"})
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.StateDigest(); got == want {
+	if got := b.ServiceDigest(); got == want {
 		t.Fatal("digest unchanged by site removal")
 	}
 	s.Stage(Op{Kind: OpAddSite, Site: spec})
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.StateDigest(); got != want {
+	if got := b.ServiceDigest(); got != want {
 		t.Fatalf("digest differs after remove+re-add:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 

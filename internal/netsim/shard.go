@@ -94,14 +94,6 @@ func (n *Network) SetSharding(assign []int) error {
 // Sharded reports whether the data plane is partitioned.
 func (n *Network) Sharded() bool { return n.shardOf != nil }
 
-// ShardOf returns the shard owning a node, or -1 when serial.
-func (n *Network) ShardOf(node topo.NodeID) int {
-	if n.shardOf == nil {
-		return -1
-	}
-	return n.shardOf[node]
-}
-
 // mustShard returns the shard owning a node, panicking with the actual
 // contract violation when the node postdates the sharding assignment —
 // the raw index-out-of-range this replaces pointed at the slice access,

@@ -512,8 +512,7 @@ func (p *Protocol) Rebind(lfib map[topo.NodeID]*mpls.LFIB) {
 // ReclaimID returns a torn-down LSP's ID to the allocator when — and only
 // when — it was the most recent assignment. Transactional rollback undoes
 // setups in reverse order, so LIFO reclaim is exactly enough for a rolled
-// back and re-applied batch to sign LSPs with identical IDs, keeping the
-// StateDigest (which renders LSP IDs) equal across the round trip.
+// back and re-applied batch to sign its LSPs with the IDs they had.
 func (p *Protocol) ReclaimID(id int) bool {
 	if _, live := p.lsps[id]; live || id != p.nextID-1 {
 		return false

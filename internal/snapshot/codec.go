@@ -64,6 +64,9 @@ func (w *Writer) Len() int { return len(w.b) }
 // Grow makes room for n more bytes, so that writing them allocates nothing.
 func (w *Writer) Grow(n int) { w.b = slices.Grow(w.b, n) }
 
+// Reset empties the buffer and keeps its capacity for what is written next.
+func (w *Writer) Reset() { w.b = w.b[:0] }
+
 // reserve appends width bytes for a length not known yet and returns where
 // they start: the payload is written next, and frame fills the length in.
 func (w *Writer) reserve(width int) int {
@@ -287,6 +290,9 @@ var magic = []byte{'M', 'V', 'S', 'N'}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// Checksum is the CRC-32C of p, the checksum a container's trailer carries.
+func Checksum(p []byte) uint32 { return crc32.Checksum(p, crcTable) }
+
 // File is a decoded (or under-construction) checkpoint container.
 type File struct {
 	Version  uint64
@@ -378,7 +384,7 @@ func (f *Framer) Seal() []byte {
 	if f.left != 0 {
 		panic(fmt.Sprintf("snapshot: container sealed %d sections away from its declared count", f.left))
 	}
-	b := binary.LittleEndian.AppendUint32(f.w.b, crc32.Checksum(f.w.b, crcTable))
+	b := binary.LittleEndian.AppendUint32(f.w.b, Checksum(f.w.b))
 	f.w.b = nil
 	return b
 }
@@ -396,7 +402,7 @@ func Decode(data []byte) (*File, error) {
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	want := binary.LittleEndian.Uint32(trailer)
-	if got := crc32.Checksum(body, crcTable); got != want {
+	if got := Checksum(body); got != want {
 		return nil, fmt.Errorf("%w: CRC mismatch (got %08x want %08x)", ErrCorrupt, got, want)
 	}
 	r := NewReader(body[len(magic):])

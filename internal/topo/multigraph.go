@@ -7,11 +7,9 @@
 // three edges with independent failure fates, not one.
 //
 // Selection is a deterministic Dijkstra over AS hops; on boundary failure
-// the caller flips the dead edges/ASes down and re-selects, and the diff of
+// the caller flips the dead edges down and re-selects, and the diff of
 // the two trees is what must be re-provisioned.
 package topo
-
-import "sort"
 
 // MGNode is one AS in the multigraph with its abstracted internals.
 type MGNode struct {
@@ -23,8 +21,6 @@ type MGNode struct {
 	// AS promises to carry in transit. Informational for scoring; not a
 	// constraint the selector enforces.
 	Capacity float64
-	// Down marks the whole AS failed: no path may enter it.
-	Down bool
 }
 
 // MGEdge is one peering interconnect between two ASes. Parallel edges
@@ -78,28 +74,8 @@ func (m *Multigraph) AddEdge(a, b string, delay, capacity float64) int {
 // Edge returns the edge with the given ID.
 func (m *Multigraph) Edge(id int) *MGEdge { return m.edges[id] }
 
-// NumEdges returns the number of peering edges ever added.
-func (m *Multigraph) NumEdges() int { return len(m.edges) }
-
-// ASNames returns the AS names in insertion order.
-func (m *Multigraph) ASNames() []string { return m.order }
-
 // SetEdgeDown marks one peering edge failed or restored.
 func (m *Multigraph) SetEdgeDown(id int, down bool) { m.edges[id].Down = down }
-
-// SetASDown marks a whole AS failed or restored; its peering edges stay as
-// they are (an AS outage and a fibre cut are independent failure axes).
-func (m *Multigraph) SetASDown(name string, down bool) {
-	if n, ok := m.nodes[name]; ok {
-		n.Down = down
-	}
-}
-
-// ASDown reports whether an AS is marked failed.
-func (m *Multigraph) ASDown(name string) bool {
-	n, ok := m.nodes[name]
-	return ok && n.Down
-}
 
 // MGHop is one boundary crossing on a selected path.
 type MGHop struct {
@@ -123,8 +99,7 @@ type MGPath struct {
 func (m *Multigraph) shortestTree(origin string) (dist map[string]float64, parent map[string]MGHop) {
 	dist = make(map[string]float64)
 	parent = make(map[string]MGHop)
-	o, ok := m.nodes[origin]
-	if !ok || o.Down {
+	if _, ok := m.nodes[origin]; !ok {
 		return dist, parent
 	}
 	dist[origin] = 0
@@ -163,7 +138,7 @@ func (m *Multigraph) shortestTree(origin string) (dist map[string]float64, paren
 			default:
 				continue
 			}
-			if m.nodes[to].Down || done[to] {
+			if done[to] {
 				continue
 			}
 			nd := best + transit + e.Delay
@@ -177,7 +152,7 @@ func (m *Multigraph) shortestTree(origin string) (dist map[string]float64, paren
 }
 
 // SelectPath returns the least-delay AS path from origin to target over up
-// edges and ASes, or ok=false when the providers are partitioned.
+// edges, or ok=false when the providers are partitioned.
 func (m *Multigraph) SelectPath(origin, target string) (MGPath, bool) {
 	dist, parent := m.shortestTree(origin)
 	d, ok := dist[target]
@@ -235,17 +210,4 @@ func (m *Multigraph) pathFromTree(origin, target string, dist map[string]float64
 		hops = append(hops, rev[i])
 	}
 	return MGPath{Hops: hops, Delay: dist[target]}, true
-}
-
-// EdgesBetween returns the IDs of every edge (up or down) between two ASes,
-// sorted — the parallel-edge inventory a failover report enumerates.
-func (m *Multigraph) EdgesBetween(a, b string) []int {
-	var out []int
-	for _, e := range m.edges {
-		if (e.A == a && e.B == b) || (e.A == b && e.B == a) {
-			out = append(out, e.ID)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -54,7 +54,6 @@ type Graph struct {
 	nodes  []Node
 	links  []Link
 	out    [][]LinkID // adjacency: out[n] = links leaving n
-	in     [][]LinkID // reverse adjacency: in[n] = links entering n
 	byName map[string]NodeID
 
 	onLinkState []func(id LinkID, down bool)
@@ -73,7 +72,6 @@ func (g *Graph) AddNode(name string) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name})
 	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	g.byName[name] = id
 	return id
 }
@@ -112,7 +110,6 @@ func (g *Graph) addLink(from, to NodeID, bw float64, delay sim.Time, metric int)
 		Bandwidth: bw, Delay: delay, Metric: metric,
 	})
 	g.out[from] = append(g.out[from], id)
-	g.in[to] = append(g.in[to], id)
 	return id
 }
 
@@ -122,9 +119,6 @@ func (g *Graph) Link(id LinkID) *Link { return &g.links[id] }
 
 // OutLinks returns the IDs of links leaving n.
 func (g *Graph) OutLinks(n NodeID) []LinkID { return g.out[n] }
-
-// InLinks returns the IDs of links entering n, in creation order.
-func (g *Graph) InLinks(n NodeID) []LinkID { return g.in[n] }
 
 // FindLink returns the directed link from a to b, if any. With parallel
 // links it returns the lowest-metric one.
