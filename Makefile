@@ -136,14 +136,16 @@ verify-survivability:
 		-run='TestE16|TestGRTimer|TestDoubleRestartWithinWindow|TestSessionLossWithoutGR|TestMBBReoptimize|TestCtrlLossCompounds|TestGraceful|TestSurvivability|TestDamping' \
 		./internal/experiments ./internal/core ./internal/chaos ./internal/bgp
 
-# The intent-plane acceptance gate under the race detector: spec round
-# trip, reconciler convergence, the kill-mid-commit / kill-pre-commit
-# digest-equality proofs (direct and chaos-scripted), session transaction
-# semantics, and the E18 provisioning-crash scorecard.
+# The intent-plane acceptance gate under the race detector: all of netconf
+# (sessions, rollbacks, the config loader that commits through them), spec
+# round trip, reconciler convergence, the kill-mid-commit / kill-pre-commit
+# digest-equality proofs (direct and chaos-scripted), and the E18
+# provisioning-crash scorecard.
 verify-intent:
+	$(GO) test -race -count=1 ./internal/netconf
 	$(GO) test -race -count=1 \
-		-run='TestSpec|TestStore|TestReconciler|TestKill|TestChaosScriptedKill|TestQuarantine|TestSession|TestValidate|TestCommit|TestConfirmed|TestClose|TestConcurrent|TestRemoveAdd|TestE18' \
-		./internal/intent ./internal/netconf ./internal/experiments
+		-run='TestSpec|TestStore|TestReconciler|TestKill|TestChaosScriptedKill|TestQuarantine|TestE18' \
+		./internal/intent ./internal/experiments
 
 # Ten seconds on every fuzz target under internal/ — the three line
 # languages (netconf configs, chaos scripts, intent specs), the checkpoint

@@ -47,17 +47,10 @@ func main() {
 }
 
 func schedKind(s string) (core.SchedulerKind, error) {
-	switch s {
-	case "fifo":
-		return core.SchedFIFO, nil
-	case "priority":
-		return core.SchedPriority, nil
-	case "wfq":
-		return core.SchedWFQ, nil
-	case "drr":
-		return core.SchedDRR, nil
-	case "hybrid":
-		return core.SchedHybrid, nil
+	for k := core.SchedFIFO; k <= core.SchedHybrid; k++ {
+		if k.String() == s {
+			return k, nil
+		}
 	}
 	return 0, fmt.Errorf("unknown scheduler %q", s)
 }

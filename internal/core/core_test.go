@@ -378,3 +378,34 @@ func TestWithdrawnRoutesLeaveNoStaleState(t *testing.T) {
 		t.Fatal("drops not at the ingress VRF")
 	}
 }
+
+// TestAddSiteRefusesBeforeMutating: an attachment PE that runs no BGP
+// speaker (here a P router, as primary and as backup) is refused before
+// the site's CE, access links or site entry exist.
+func TestAddSiteRefusesBeforeMutating(t *testing.T) {
+	b := NewBackbone(Config{Seed: 1})
+	b.AddPE("PE1")
+	b.AddP("P1")
+	b.AddPE("PE2")
+	b.Link("PE1", "P1", 10e6, sim.Millisecond, 1)
+	b.Link("P1", "PE2", 10e6, sim.Millisecond, 1)
+	b.BuildProvider()
+	b.DefineVPN("v")
+	links := b.G.NumLinks()
+	for _, spec := range []SiteSpec{{PE: "P1"}, {PE: "PE1", BackupPE: "P1"}} {
+		spec.VPN, spec.Name = "v", "s"
+		spec.Prefixes = []addr.Prefix{addr.MustParsePrefix("10.1.0.0/16")}
+		err := func() (err error) {
+			defer func() { err, _ = recover().(error) }()
+			b.AddSite(spec)
+			return nil
+		}()
+		if code, ok := CodeOf(err); !ok || code != ProvNoBGPSpeaker {
+			t.Fatalf("PE %s backup %q: AddSite = %v, want %v", spec.PE, spec.BackupPE, err, ProvNoBGPSpeaker)
+		}
+		if n := len(b.SiteNames()); n != 0 || b.G.NumLinks() != links {
+			t.Fatalf("PE %s backup %q: refusal left %d sites and %d links, want 0 and %d",
+				spec.PE, spec.BackupPE, n, b.G.NumLinks(), links)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mplsvpn/internal/addr"
@@ -83,17 +84,26 @@ func (b *Backbone) UndefineVPN(name string) error {
 	if !ok {
 		return provErr(ProvUnknownVPN, "vpn:"+name, "VPN %q not defined", name)
 	}
+	// The refusal names the smallest site or intent, so it reads the same
+	// on every run.
+	var sites, intents []string
 	for _, rec := range b.sites {
 		if rec.Spec.VPN == name {
-			return provErr(ProvVPNInUse, "vpn:"+name,
-				"VPN %q still has site %q provisioned", name, rec.Spec.Name)
+			sites = append(sites, rec.Spec.Name)
 		}
+	}
+	if len(sites) > 0 {
+		return provErr(ProvVPNInUse, "vpn:"+name,
+			"VPN %q still has site %q provisioned", name, slices.Min(sites))
 	}
 	for _, req := range b.teRequests {
 		if req.vpn == name {
-			return provErr(ProvVPNInUse, "vpn:"+name,
-				"VPN %q is still steered by TE intent %q", name, req.name)
+			intents = append(intents, req.name)
 		}
+	}
+	if len(intents) > 0 {
+		return provErr(ProvVPNInUse, "vpn:"+name,
+			"VPN %q is still steered by TE intent %q", name, slices.Min(intents))
 	}
 	for _, id := range b.peNodes {
 		b.routers[id].RemoveVRF(name)
@@ -164,6 +174,13 @@ func (b *Backbone) AddSite(spec SiteSpec) *device.Router {
 
 	peID := b.mustNode(spec.PE)
 	pe := b.routers[peID]
+	// Every attachment PE runs a BGP speaker; refuse before anything changes.
+	if !b.Cfg.PlainIP {
+		b.mustSpeak(peID, "PE")
+		if spec.BackupPE != "" {
+			b.mustSpeak(b.mustNode(spec.BackupPE), "backup PE")
+		}
+	}
 
 	// A previously removed site of the same name left its physical
 	// skeleton behind; revive it instead of growing the graph (node names
@@ -370,12 +387,18 @@ func (b *Backbone) provisionVPNSite(rec *siteRecord, cfg *vpnConfig, pe *device.
 		pe.LFIB.BindILM(l, mpls.NHLFE{Op: mpls.OpPop, OutLink: rec.peToCE})
 	}
 	// Control plane: export into BGP.
-	sp, ok := b.BGP.Speaker(rec.PE)
-	if !ok {
-		panic(provErr(ProvNoBGPSpeaker, "node:"+pe.Name, "PE %s has no BGP speaker", pe.Name))
-	}
+	sp, _ := b.BGP.Speaker(rec.PE)
 	for _, e := range exports {
 		sp.Originate(e)
+	}
+}
+
+// mustSpeak refuses an attachment PE that runs no BGP speaker; role names
+// the attachment in the refusal.
+func (b *Backbone) mustSpeak(id topo.NodeID, role string) {
+	if _, ok := b.BGP.Speaker(id); !ok {
+		name := b.G.Name(id)
+		panic(provErr(ProvNoBGPSpeaker, "node:"+name, "%s %s has no BGP speaker", role, name))
 	}
 }
 
@@ -421,10 +444,7 @@ func (b *Backbone) provisionBackupAttachment(rec *siteRecord, cfg *vpnConfig, fr
 	for _, l := range rec.backupLabels {
 		pe.LFIB.BindILM(l, mpls.NHLFE{Op: mpls.OpPop, OutLink: rec.backupPEToCE})
 	}
-	sp, ok := b.BGP.Speaker(peID)
-	if !ok {
-		panic(provErr(ProvNoBGPSpeaker, "node:"+pe.Name, "backup PE %s has no BGP speaker", pe.Name))
-	}
+	sp, _ := b.BGP.Speaker(peID)
 	for _, e := range exports {
 		e.LocalPref = 50 // primary (100) wins while it lives
 		sp.Originate(e)

@@ -26,9 +26,9 @@
 // serializes, or a scripted chaos or netconf event) re-armed by registry
 // index, or a ctlTimer, periodic scans included. Closures posted with After
 // are left only where no checkpoint holds their owner: the intent
-// reconciler's steps and netconf's confirmed-commit timeout. One of those
-// pending at the cut makes a snapshot fail strictly ("untagged closure")
-// rather than silently drop the event.
+// reconciler's steps. One of those pending at the cut makes a snapshot fail
+// strictly ("untagged closure") rather than silently drop the event, as does
+// a typed action no section owns (netconf's confirmed-commit timeout).
 package core
 
 import (

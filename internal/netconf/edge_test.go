@@ -65,6 +65,10 @@ func TestLoadEdgeCases(t *testing.T) {
 		{"site unknown vpn", validPreamble + "site ghost g1 PE1 10.9.0.0/16\n", "not defined"},
 		{"site unknown pe", validPreamble + "site acme g1 GHOST 10.9.0.0/16\n", "unknown node"},
 		{"telsp unknown ingress", validPreamble + "telsp t1 GHOST PE2 1M\n", "GHOST"},
+		{"site on a P router", validPreamble + "site acme g1 P1 10.9.0.0/16\n", `"P1" is not a PE`},
+		// Refused when the lines commit, at the end of the input, and
+		// placed at the line of the op that failed.
+		{"telsp no path admits", validPreamble + "telsp t1 PE1 PE2 1G\n", "setup-tunnel lsp:t1: rsvp: insufficient bandwidth"},
 		{"fail unknown node parses", validPreamble + "fail PE1 GHOST 1s 10ms\n", ""}, // rejected at run time, journaled
 
 		// Duplicate option keys.
@@ -106,6 +110,8 @@ func TestLoadEdgeCases(t *testing.T) {
 	codes := map[string]core.ProvisionCode{
 		"duplicate site":          core.ProvDuplicateSite,
 		"site unknown vpn":        core.ProvUnknownVPN,
+		"site unknown pe":         core.ProvUnknownNode,
+		"telsp no path admits":    core.ProvNoTEPath,
 		"unknown route reflector": core.ProvUnknownNode,
 	}
 	for _, tc := range cases {

@@ -1,8 +1,20 @@
-// Package netconf loads the plain-text network description language used
-// by cmd/vpnctl: topology, VPNs, sites, TE tunnels, traffic, and events,
-// one directive per line. It turns a file into a fully provisioned
-// core.Backbone plus the scheduled workload — the repository's equivalent
-// of a router-config + test-plan pair.
+// Package netconf provisions a core.Backbone through NETCONF-style
+// sessions, and reads cmd/vpnctl's plain-text network description onto one.
+//
+// A session stages ops into a candidate batch, validates it against the
+// running state, and commits it — finally, or as a confirmed commit that
+// rolls back unless confirmed within a timeout (RFC 6241 §8.4, the safety
+// net that saves an operator who provisions themselves off the box). A
+// commit is transactional: applyOp applies each op and returns its
+// inverse, and if an op fails the inverses of the applied prefix go back
+// through applyOp in reverse order. One BGP convergence runs per commit,
+// whatever the batch size.
+//
+// A config file is topology, service, traffic and events, one directive
+// per line. Its vpn, site and telsp lines compile to ops, each validated at
+// its line, that commit through one session at the first flow line after
+// them and at the end of the input; a failed commit is reported at the
+// line of the op that failed.
 //
 // Directives (lexical rules, value kinds and errors: internal/dsl):
 //
@@ -30,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/core"
@@ -73,32 +86,55 @@ type Scenario struct {
 func Load(r io.Reader, name string, cfg core.Config) (*Scenario, error) {
 	b := core.NewBackbone(cfg)
 	sc := &Scenario{B: b, Duration: 5 * sim.Second, SLAs: map[string]stats.SLATarget{}}
-	built, converged := false, false
+	sess, _ := NewServer(b).Open(name) // a new server has no ID in use
+	var (
+		v       *validateView // set once the provider is built
+		lines   []int         // the line of each staged op
+		tunnels []string      // telsp names, in line order
+	)
 	build := func() error {
-		if built {
+		if v != nil {
 			return nil
 		}
-		built = true
+		v = newValidateView(b)
 		return capture(b.BuildProvider)
 	}
-	converge := func() error {
-		if converged {
+	stage := func(ln *dsl.Line, ops ...Op) error {
+		if err := build(); err != nil {
+			return err
+		}
+		for _, op := range ops {
+			if err := v.check(op); err != nil {
+				return err
+			}
+			sess.Stage(op) // never closed, so never refused
+			lines = append(lines, ln.N)
+		}
+		return nil
+	}
+	commit := func() error {
+		if len(lines) == 0 {
 			return nil
 		}
-		converged = true
-		return capture(b.ConvergeVPNs)
+		err := sess.Commit()
+		var ce *CommitError
+		if errors.As(err, &ce) {
+			return (&dsl.Line{File: name, N: lines[ce.Index]}).At(fmt.Errorf("%s: %w", ce.Op, ce.Cause))
+		}
+		lines = lines[:0]
+		return err
 	}
 
 	end, err := dsl.Scan(r, name, func(ln *dsl.Line) error {
 		f := ln.Fields
 		switch f[0] {
 		case "routereflector":
-			if len(f) != 2 || built {
+			if len(f) != 2 || v != nil {
 				return errors.New("routereflector <node> (before any vpn/site)")
 			}
 			b.Cfg.RouteReflector = f[1]
 		case "dste":
-			if len(f) != 2 || built {
+			if len(f) != 2 || v != nil {
 				return errors.New("dste <fraction> (before any vpn/site)")
 			}
 			fr, err := dsl.Float("dste fraction", f[1], 0, 1)
@@ -182,59 +218,40 @@ func Load(r io.Reader, name string, cfg core.Config) (*Scenario, error) {
 			if len(f) < 2 || len(f) > 3 {
 				return errors.New("vpn <name> [sla=<class>]")
 			}
-			if err := build(); err != nil {
-				return err
-			}
-			if err := capture(func() { b.DefineVPN(f[1]) }); err != nil {
-				return err
-			}
-			return dsl.Options{"sla": func(_, v string) error {
-				d, err := dsl.Class(v)
-				if err == nil {
-					b.SetVPNSLA(f[1], qos.ClassForDSCP(d))
-				}
+			ops := []Op{{Kind: OpDefineVPN, VPN: f[1]}}
+			err := dsl.Options{"sla": func(_, class string) error {
+				d, err := dsl.Class(class)
+				ops = append(ops, Op{Kind: OpSetVPNSLA, VPN: f[1], SLA: qos.ClassForDSCP(d)})
 				return err
 			}}.Apply("vpn", f[2:])
+			if err != nil {
+				return err
+			}
+			return stage(ln, ops...)
 		case "site":
 			spec, err := ParseSite(f)
 			if err != nil {
 				return err
 			}
-			if err := build(); err != nil {
-				return err
-			}
-			converged = false
-			return capture(func() { b.AddSite(spec) })
+			return stage(ln, Op{Kind: OpAddSite, Site: spec})
 		case "telsp":
 			if len(f) < 5 {
 				return errors.New("telsp <name> <ingress> <egress> <bw> [<class>]")
 			}
-			if err := build(); err != nil {
+			t := TunnelSpec{Name: f[1], Ingress: f[2], Egress: f[3], Class: -1}
+			var err error
+			if t.Bandwidth, err = dsl.Bandwidth("bandwidth", f[4]); err != nil {
 				return err
 			}
-			bw, err := dsl.Bandwidth("bandwidth", f[4])
-			if err != nil {
-				return err
-			}
-			class := qos.Class(-1)
 			if len(f) == 6 {
 				d, err := dsl.Class(f[5])
 				if err != nil {
 					return err
 				}
-				class = qos.ClassForDSCP(d)
+				t.Class = qos.ClassForDSCP(d)
 			}
-			var lsp *rsvp.LSP
-			var serr error
-			if err := capture(func() {
-				lsp, serr = b.SetupTELSP(f[1], f[2], f[3], bw, class, rsvp.SetupOptions{})
-			}); err != nil {
-				return err
-			}
-			if serr != nil {
-				return fmt.Errorf("telsp: %w", serr)
-			}
-			sc.TELSPs = append(sc.TELSPs, lsp)
+			tunnels = append(tunnels, t.Name)
+			return stage(ln, Op{Kind: OpSetupTunnel, Tunnel: t})
 		case "flow":
 			if len(f) < 8 {
 				return errors.New("flow <name> <from> <to> <port> <class> cbr|poisson|onoff|aimd ...")
@@ -242,7 +259,7 @@ func Load(r io.Reader, name string, cfg core.Config) (*Scenario, error) {
 			if err := build(); err != nil {
 				return err
 			}
-			if err := converge(); err != nil {
+			if err := commit(); err != nil {
 				return err
 			}
 			return sc.addFlow(f)
@@ -262,12 +279,21 @@ func Load(r io.Reader, name string, cfg core.Config) (*Scenario, error) {
 	})
 	if err == nil {
 		if err = build(); err == nil {
-			err = converge()
+			err = commit()
 		}
 		err = end.At(err)
 	}
 	if err != nil {
 		return nil, err
+	}
+	// The commit signalled each telsp line's tunnel, in line order, which
+	// is ID order. (Without a telsp line, a PlainIP backbone has no RSVP.)
+	if len(tunnels) > 0 {
+		for _, l := range b.RSVP.LSPs() {
+			if slices.Contains(tunnels, l.Name) {
+				sc.TELSPs = append(sc.TELSPs, l)
+			}
+		}
 	}
 	return sc, nil
 }

@@ -1,19 +1,10 @@
-// NETCONF-style transactional provisioning sessions. A client opens a
-// session, stages operations into a candidate configuration, validates it
-// against the running state, and commits — either finally, or as a
-// confirmed commit that auto-rolls back unless confirmed within a timeout
-// (RFC 6241 §8.4, the safety net that saves an operator who provisions
-// themselves off the box). Commits are transactional: if any staged op
-// fails mid-apply, the already-applied prefix is undone in reverse order
-// and the backbone converges once, so no half-provisioned VRF or LSP state
-// survives. One BGP convergence runs per commit regardless of batch size —
-// the batching win that makes bulk provisioning scale.
 package netconf
 
 import (
 	"errors"
 	"fmt"
 
+	"mplsvpn/internal/addr"
 	"mplsvpn/internal/core"
 	"mplsvpn/internal/qos"
 	"mplsvpn/internal/rsvp"
@@ -52,22 +43,12 @@ const (
 	OpUndefineVPN
 )
 
+var opKindNames = [...]string{"define-vpn", "set-vpn-sla", "add-site", "remove-site",
+	"setup-tunnel", "teardown-tunnel", "undefine-vpn"}
+
 func (k OpKind) String() string {
-	switch k {
-	case OpDefineVPN:
-		return "define-vpn"
-	case OpSetVPNSLA:
-		return "set-vpn-sla"
-	case OpAddSite:
-		return "add-site"
-	case OpRemoveSite:
-		return "remove-site"
-	case OpSetupTunnel:
-		return "setup-tunnel"
-	case OpTeardownTunnel:
-		return "teardown-tunnel"
-	case OpUndefineVPN:
-		return "undefine-vpn"
+	if int(k) < len(opKindNames) {
+		return opKindNames[k]
 	}
 	return fmt.Sprintf("op(%d)", uint8(k))
 }
@@ -92,6 +73,16 @@ type Op struct {
 	Site   core.SiteSpec // OpAddSite
 	Name   string        // OpRemoveSite / OpTeardownTunnel
 	Tunnel TunnelSpec    // OpSetupTunnel
+
+	// prior, on the OpDefineVPN that undoes an OpUndefineVPN, is the VPN
+	// as it was: the define re-creates its route targets and SLA.
+	prior *vpnState
+}
+
+// vpnState is what an undefined VPN took with it.
+type vpnState struct {
+	imports, exports []addr.RouteTarget
+	sla              qos.Class
 }
 
 // Subject renders the op's target as a journal subject ("vpn:acme",
@@ -189,10 +180,10 @@ type Session struct {
 	staged []Op
 	closed bool
 
-	// Confirmed-commit state: the undo stack of the applied batch, valid
-	// while awaitingConfirm. confirmSeq guards the auto-rollback timer —
-	// bumping it orphans any timer already scheduled.
-	undo            []func()
+	// Confirmed-commit state: the inverse of each op of the applied batch,
+	// in apply order, valid while awaitingConfirm. confirmSeq guards the
+	// auto-rollback timer — bumping it orphans any timer already posted.
+	undo            []Op
 	awaitingConfirm bool
 	confirmSeq      int
 }
@@ -264,22 +255,16 @@ func (s *Session) commit(confirmTimeout sim.Time) error {
 		return err
 	}
 	b := s.srv.B
-	var undo []func()
+	var undo []Op
 	for i, op := range s.staged {
-		u, err := applyOp(b, op)
+		inv, err := applyOp(b, op)
 		if err != nil {
-			// Roll back the applied prefix in reverse order; the batch
-			// never happened.
-			for j := len(undo) - 1; j >= 0; j-- {
-				undo[j]()
-			}
-			s.srv.Rollbacks++
-			s.srv.converge()
-			s.srv.journal(telemetry.EventIntentRollback, op.Subject(),
+			// Undo the applied prefix; the batch never happened.
+			s.rollback(undo, op.Subject(),
 				fmt.Sprintf("commit failed at op %d/%d: %v", i+1, len(s.staged), err))
 			return &CommitError{Index: i, Op: op, Cause: err}
 		}
-		undo = append(undo, u)
+		undo = append(undo, inv)
 		s.srv.OpsApplied++
 	}
 	n := len(s.staged)
@@ -292,15 +277,24 @@ func (s *Session) commit(confirmTimeout sim.Time) error {
 		s.undo = undo
 		s.awaitingConfirm = true
 		s.srv.inConfirm = s
-		seq := s.confirmSeq
-		b.E.After(confirmTimeout, func() {
-			if s.awaitingConfirm && s.confirmSeq == seq {
-				s.srv.AutoRolled++
-				s.doRollback("confirm timeout expired")
-			}
-		})
+		b.E.PostAfter(confirmTimeout, &confirmTimer{s: s, seq: s.confirmSeq})
 	}
 	return nil
+}
+
+// confirmTimer is a confirmed commit's auto-rollback, posted for the
+// session's confirmSeq at commit time: it rolls the batch back unless a
+// Confirm, Rollback or Close bumped the seq first.
+type confirmTimer struct {
+	s   *Session
+	seq int
+}
+
+func (t *confirmTimer) Run() {
+	if s := t.s; s.awaitingConfirm && s.confirmSeq == t.seq {
+		s.srv.AutoRolled++
+		s.doRollback("confirm timeout expired")
+	}
 }
 
 // Confirm accepts the pending confirmed commit: the undo state is
@@ -336,18 +330,24 @@ func (s *Session) Rollback() error {
 func (s *Session) doRollback(why string) {
 	s.confirmSeq++
 	s.awaitingConfirm = false
-	for j := len(s.undo) - 1; j >= 0; j-- {
-		s.undo[j]()
-	}
-	n := len(s.undo)
+	undo := s.undo
 	s.undo = nil
 	if s.srv.inConfirm == s {
 		s.srv.inConfirm = nil
 	}
+	s.rollback(undo, "session:"+s.ID, fmt.Sprintf("%d ops rolled back: %s", len(undo), why))
+}
+
+// rollback applies the inverses of an applied batch in reverse order,
+// converges once and journals the rollback.
+func (s *Session) rollback(undo []Op, subject, detail string) {
+	for j := len(undo) - 1; j >= 0; j-- {
+		// Nothing is left to undo a failed inverse; the rest still apply.
+		_, _ = applyOp(s.srv.B, undo[j])
+	}
 	s.srv.Rollbacks++
 	s.srv.converge()
-	s.srv.journal(telemetry.EventIntentRollback, "session:"+s.ID,
-		fmt.Sprintf("%d ops rolled back: %s", n, why))
+	s.srv.journal(telemetry.EventIntentRollback, subject, detail)
 }
 
 // Close ends the session. A pending confirmed commit rolls back
@@ -369,111 +369,69 @@ func (s *Session) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// Apply / undo
+// Apply
 
-// applyOp applies one op to the backbone, returning its undo. Core-API
-// panics (precondition failures) are captured as errors, preserving the
-// typed *core.ProvisionError for retryable-vs-terminal classification.
-func applyOp(b *core.Backbone, op Op) (undo func(), err error) {
+// applyOp applies one op to the backbone and returns its inverse: the op
+// that, applied here in turn, puts back what this one changed. A core
+// precondition panic comes back as its error, keeping the typed
+// *core.ProvisionError for retryable-vs-terminal classification.
+func applyOp(b *core.Backbone, op Op) (inverse Op, err error) {
+	defer recovered(&err)
 	switch op.Kind {
 	case OpDefineVPN:
-		if err := capture(func() { b.DefineVPN(op.VPN) }); err != nil {
-			return nil, err
+		if p := op.prior; p != nil {
+			b.DefineVPNWithRTs(op.VPN, p.imports, p.exports)
+			b.SetVPNSLA(op.VPN, p.sla)
+		} else {
+			b.DefineVPN(op.VPN)
 		}
-		return func() { _ = b.UndefineVPN(op.VPN) }, nil
+		return Op{Kind: OpUndefineVPN, VPN: op.VPN}, nil
 	case OpSetVPNSLA:
-		prev, ok := b.VPNSLA(op.VPN)
-		if err := capture(func() { b.SetVPNSLA(op.VPN, op.SLA) }); err != nil {
-			return nil, err
-		}
-		return func() {
-			if ok {
-				b.SetVPNSLA(op.VPN, prev)
-			}
-		}, nil
+		prev, _ := b.VPNSLA(op.VPN)
+		b.SetVPNSLA(op.VPN, op.SLA)
+		return Op{Kind: OpSetVPNSLA, VPN: op.VPN, SLA: prev}, nil
 	case OpAddSite:
-		if err := capture(func() { b.AddSite(op.Site) }); err != nil {
-			return nil, err
-		}
-		name := op.Site.Name
-		return func() { _ = b.RemoveSite(name) }, nil
+		b.AddSite(op.Site)
+		return Op{Kind: OpRemoveSite, Name: op.Site.Name}, nil
 	case OpRemoveSite:
-		spec, ok := b.SiteSpecOf(op.Name)
-		if !ok {
-			return nil, refuse(core.ProvUnknownSite, "site:"+op.Name, "unknown site %q", op.Name)
-		}
-		if err := b.RemoveSite(op.Name); err != nil {
-			return nil, err
-		}
-		return func() { _ = capture(func() { b.AddSite(spec) }) }, nil
+		spec, _ := b.SiteSpecOf(op.Name)
+		return Op{Kind: OpAddSite, Site: spec}, b.RemoveSite(op.Name)
 	case OpSetupTunnel:
 		t := op.Tunnel
-		err := capture(func() {
-			_, serr := b.SetupTELSPForVPN(t.Name, t.Ingress, t.Egress, t.VPN, t.Bandwidth, t.Class, rsvp.SetupOptions{})
-			if serr != nil {
-				panic(serr)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return func() { _ = b.TeardownTE(t.Name) }, nil
+		_, err = b.SetupTELSPForVPN(t.Name, t.Ingress, t.Egress, t.VPN, t.Bandwidth, t.Class, rsvp.SetupOptions{})
+		return Op{Kind: OpTeardownTunnel, Name: t.Name}, err
 	case OpTeardownTunnel:
-		var prev *core.TEIntentStatus
+		inv := Op{Kind: OpSetupTunnel}
 		for _, st := range b.TEIntents() {
 			if st.Name == op.Name {
-				cp := st
-				prev = &cp
-				break
+				inv.Tunnel = TunnelSpec{Name: st.Name, Ingress: st.Ingress, Egress: st.Egress,
+					VPN: st.VPN, Bandwidth: st.FullBandwidth, Class: st.Class}
 			}
 		}
-		if err := b.TeardownTE(op.Name); err != nil {
-			return nil, err
-		}
-		return func() {
-			if prev != nil {
-				_ = capture(func() {
-					_, serr := b.SetupTELSPForVPN(prev.Name, prev.Ingress, prev.Egress,
-						prev.VPN, prev.FullBandwidth, prev.Class, rsvp.SetupOptions{})
-					if serr != nil {
-						panic(serr)
-					}
-				})
-			}
-		}, nil
+		return inv, b.TeardownTE(op.Name)
 	case OpUndefineVPN:
-		imports, exports, ok := b.VPNRTs(op.VPN)
+		imports, exports, _ := b.VPNRTs(op.VPN)
 		sla, _ := b.VPNSLA(op.VPN)
-		if !ok {
-			return nil, refuse(core.ProvUnknownVPN, "vpn:"+op.VPN, "VPN %q not defined", op.VPN)
-		}
-		if err := b.UndefineVPN(op.VPN); err != nil {
-			return nil, err
-		}
-		return func() {
-			_ = capture(func() {
-				b.DefineVPNWithRTs(op.VPN, imports, exports)
-				if sla >= 0 {
-					b.SetVPNSLA(op.VPN, sla)
-				}
-			})
-		}, nil
+		return Op{Kind: OpDefineVPN, VPN: op.VPN, prior: &vpnState{imports, exports, sla}}, b.UndefineVPN(op.VPN)
 	}
-	return nil, fmt.Errorf("netconf: unknown op kind %d", op.Kind)
+	return Op{}, fmt.Errorf("netconf: unknown op kind %d", op.Kind)
 }
 
-// capture converts a core-API panic into an error, keeping error panic
-// values (the typed ProvisionError) intact.
-func capture(fn func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = e
-			} else {
-				err = fmt.Errorf("%v", r)
-			}
+// recovered, deferred, turns a core-API panic into *err, keeping an error
+// panic value (the typed ProvisionError) intact.
+func recovered(err *error) {
+	if r := recover(); r != nil {
+		if e, ok := r.(error); ok {
+			*err = e
+		} else {
+			*err = fmt.Errorf("%v", r)
 		}
-	}()
+	}
+}
+
+// capture runs fn, returning a core-API panic as its error.
+func capture(fn func()) (err error) {
+	defer recovered(&err)
 	fn()
 	return nil
 }
@@ -545,11 +503,13 @@ func (v *validateView) check(op Op) error {
 		if len(spec.Prefixes) == 0 {
 			return fmt.Errorf("netconf: site %q has no prefixes", spec.Name)
 		}
-		if !v.b.IsPE(spec.PE) {
-			return fmt.Errorf("core: %q is not a PE", spec.PE)
+		if err := v.pe("", spec.PE); err != nil {
+			return err
 		}
-		if spec.BackupPE != "" && !v.b.IsPE(spec.BackupPE) {
-			return fmt.Errorf("core: backup %q is not a PE", spec.BackupPE)
+		if spec.BackupPE != "" {
+			if err := v.pe("backup ", spec.BackupPE); err != nil {
+				return err
+			}
 		}
 		if err := v.b.SkeletonCompatibleSpec(spec); err != nil {
 			return err
@@ -571,11 +531,11 @@ func (v *validateView) check(op Op) error {
 		if t.VPN != "" && !v.vpns[t.VPN] {
 			return refuse(core.ProvUnknownVPN, "vpn:"+t.VPN, "VPN %q not defined", t.VPN)
 		}
-		if !v.b.IsPE(t.Ingress) {
-			return fmt.Errorf("core: %q is not a PE", t.Ingress)
+		if err := v.pe("", t.Ingress); err != nil {
+			return err
 		}
-		if !v.b.IsPE(t.Egress) {
-			return fmt.Errorf("core: %q is not a PE", t.Egress)
+		if err := v.pe("", t.Egress); err != nil {
+			return err
 		}
 		if t.Bandwidth <= 0 {
 			return fmt.Errorf("netconf: tunnel %q needs positive bandwidth", t.Name)
@@ -590,19 +550,38 @@ func (v *validateView) check(op Op) error {
 		if !v.vpns[op.VPN] {
 			return refuse(core.ProvUnknownVPN, "vpn:"+op.VPN, "VPN %q not defined", op.VPN)
 		}
-		for site, vpn := range v.sites {
-			if vpn == op.VPN {
-				return refuse(core.ProvVPNInUse, "vpn:"+op.VPN, "VPN %q still has site %q provisioned", op.VPN, site)
-			}
+		if site, ok := smallestOf(v.sites, op.VPN); ok {
+			return refuse(core.ProvVPNInUse, "vpn:"+op.VPN, "VPN %q still has site %q provisioned", op.VPN, site)
 		}
-		for tun, vpn := range v.tunnels {
-			if vpn == op.VPN {
-				return refuse(core.ProvVPNInUse, "vpn:"+op.VPN, "VPN %q is still steered by TE intent %q", op.VPN, tun)
-			}
+		if tun, ok := smallestOf(v.tunnels, op.VPN); ok {
+			return refuse(core.ProvVPNInUse, "vpn:"+op.VPN, "VPN %q is still steered by TE intent %q", op.VPN, tun)
 		}
 		delete(v.vpns, op.VPN)
 	default:
 		return fmt.Errorf("netconf: unknown op kind %d", op.Kind)
 	}
 	return nil
+}
+
+// pe refuses a name that is not a PE: an unknown one as core refuses it, a
+// known one of another kind in the role's words.
+func (v *validateView) pe(role, name string) error {
+	if v.b.IsPE(name) {
+		return nil
+	}
+	if _, ok := v.b.G.NodeByName(name); !ok {
+		return refuse(core.ProvUnknownNode, "node:"+name, "unknown node %q", name)
+	}
+	return fmt.Errorf("core: %s%q is not a PE", role, name)
+}
+
+// smallestOf returns the smallest name m maps to vpn, as core names the
+// site or intent that keeps a VPN in use: the same one on every run.
+func smallestOf(m map[string]string, vpn string) (name string, ok bool) {
+	for n, in := range m {
+		if in == vpn && (!ok || n < name) {
+			name, ok = n, true
+		}
+	}
+	return name, ok
 }

@@ -2,12 +2,15 @@ package netconf
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/core"
 	"mplsvpn/internal/qos"
+	"mplsvpn/internal/rsvp"
 	"mplsvpn/internal/sim"
 )
 
@@ -116,11 +119,53 @@ func TestValidateCatchesBatchCollisions(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("validate after discard: %v", err)
 	}
-	// Referencing an unknown PE fails closed.
+	// Referencing an unknown PE fails closed, with core's refusal; a known
+	// node that is not a PE says so.
 	s.Discard()
 	s.Stage(Op{Kind: OpDefineVPN, VPN: "v2"}, siteOp("v2", "x", "nosuch", "10.9.0.0/16"))
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "not a PE") {
+	if err := s.Validate(); !errors.Is(err, core.ProvUnknownNode) || !strings.Contains(err.Error(), `unknown node "nosuch"`) {
 		t.Fatalf("unknown PE: got %v", err)
+	}
+	s.Discard()
+	s.Stage(Op{Kind: OpDefineVPN, VPN: "v2"}, siteOp("v2", "x", "P1", "10.9.0.0/16"))
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "not a PE") {
+		t.Fatalf("P router as PE: got %v", err)
+	}
+}
+
+// TestVPNInUseRefusalIsStable: a VPN kept in use by several sites, or (with
+// no sites) by several tunnels, is refused naming the smallest of them —
+// by core and by Validate alike, and the same text on every try.
+func TestVPNInUseRefusalIsStable(t *testing.T) {
+	b := sessionBackbone(t)
+	b.DefineVPN("three")
+	for i, name := range []string{"c", "a", "b"} {
+		b.AddSite(core.SiteSpec{VPN: "three", Name: name, PE: "PE1",
+			Prefixes: []addr.Prefix{addr.MustParsePrefix(fmt.Sprintf("10.%d.0.0/16", i+1))}})
+	}
+	b.DefineVPN("two")
+	for _, name := range []string{"t2", "t1"} {
+		if _, err := b.SetupTELSPForVPN(name, "PE1", "PE2", "two", 1e6, -1, rsvp.SetupOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.ConvergeVPNs()
+	s, _ := NewServer(b).Open("s")
+	for _, tc := range []struct{ vpn, want string }{
+		{"three", `core: VPN "three" still has site "a" provisioned`},
+		{"two", `core: VPN "two" is still steered by TE intent "t1"`},
+	} {
+		for i := 0; i < 20; i++ {
+			if err := b.UndefineVPN(tc.vpn); err == nil || err.Error() != tc.want {
+				t.Fatalf("core, try %d: %v, want %q", i, err, tc.want)
+			}
+			s.Discard()
+			s.Stage(Op{Kind: OpUndefineVPN, VPN: tc.vpn})
+			var ce *CommitError
+			if err := s.Validate(); !errors.As(err, &ce) || ce.Cause.Error() != tc.want {
+				t.Fatalf("Validate, try %d: %v, want %q", i, err, tc.want)
+			}
+		}
 	}
 }
 
@@ -191,6 +236,69 @@ func TestCommitFailureRollsBackAppliedPrefix(t *testing.T) {
 	}
 	if srv.Rollbacks != 1 || srv.Commits != 0 {
 		t.Fatalf("counters: rollbacks=%d commits=%d", srv.Rollbacks, srv.Commits)
+	}
+}
+
+// TestRollbackRestoresEveryOpKind: one batch of all seven op kinds, then an
+// op that fails at apply. Each applied op's inverse goes back through
+// applyOp, so the VPN undefined in the batch returns with its explicit
+// route targets and SLA, the site and tunnel removed in it return, and
+// what it added or changed is gone.
+func TestRollbackRestoresEveryOpKind(t *testing.T) {
+	b := sessionBackbone(t)
+	rt := addr.RouteTarget{Admin: 65000, Assigned: 900}
+	b.DefineVPNWithRTs("ext", []addr.RouteTarget{rt, {Admin: 65000, Assigned: 901}}, []addr.RouteTarget{rt})
+	b.SetVPNSLA("ext", qos.ClassBusiness)
+	b.DefineVPN("keep")
+	b.AddSite(core.SiteSpec{VPN: "keep", Name: "old", PE: "PE1",
+		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.1.0.0/16")}})
+	if _, err := b.SetupTELSPForVPN("oldt", "PE1", "PE2", "keep", 5e6, qos.ClassVoice, rsvp.SetupOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	b.ConvergeVPNs()
+
+	type vpnView struct {
+		sla              qos.Class
+		imports, exports []addr.RouteTarget
+	}
+	view := func() map[string]vpnView {
+		out := map[string]vpnView{}
+		for _, n := range []string{"ext", "keep", "new"} {
+			sla, _ := b.VPNSLA(n)
+			im, ex, _ := b.VPNRTs(n)
+			out[n] = vpnView{sla, im, ex}
+		}
+		return out
+	}
+	vpns, intents, digest := view(), b.TEIntents(), b.ServiceDigest()
+
+	srv := NewServer(b)
+	s, _ := srv.Open("s")
+	s.Stage(
+		Op{Kind: OpDefineVPN, VPN: "new"},
+		Op{Kind: OpSetVPNSLA, VPN: "keep", SLA: qos.ClassVoice},
+		siteOp("new", "n1", "PE2", "10.2.0.0/16"),
+		Op{Kind: OpRemoveSite, Name: "old"},
+		Op{Kind: OpSetupTunnel, Tunnel: TunnelSpec{Name: "newt", Ingress: "PE2", Egress: "PE1", VPN: "new", Bandwidth: 2e6, Class: -1}},
+		Op{Kind: OpTeardownTunnel, Name: "oldt"},
+		Op{Kind: OpUndefineVPN, VPN: "ext"},
+		Op{Kind: OpSetupTunnel, Tunnel: TunnelSpec{Name: "huge", Ingress: "PE1", Egress: "PE2", Bandwidth: 1e12, Class: -1}},
+	)
+	var ce *CommitError
+	if err := s.Commit(); !errors.As(err, &ce) || ce.Index != 7 {
+		t.Fatalf("commit: %v, want a failure at op 7", err)
+	}
+	if got := view(); !reflect.DeepEqual(got, vpns) {
+		t.Errorf("VPNs after rollback:\n%+v\nwant:\n%+v", got, vpns)
+	}
+	if got := b.TEIntents(); !reflect.DeepEqual(got, intents) {
+		t.Errorf("TE intents after rollback:\n%+v\nwant:\n%+v", got, intents)
+	}
+	if got := b.ServiceDigest(); got != digest {
+		t.Errorf("digest after rollback:\n%s\nwant:\n%s", got, digest)
+	}
+	if srv.Rollbacks != 1 || srv.Commits != 0 || srv.OpsApplied != 7 {
+		t.Errorf("counters: rollbacks=%d commits=%d ops=%d", srv.Rollbacks, srv.Commits, srv.OpsApplied)
 	}
 }
 
