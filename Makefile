@@ -137,15 +137,14 @@ verify-survivability:
 		./internal/experiments ./internal/core ./internal/chaos ./internal/bgp
 
 # The intent-plane acceptance gate under the race detector: all of netconf
-# (sessions, rollbacks, the config loader that commits through them), spec
-# round trip, reconciler convergence, the kill-mid-commit / kill-pre-commit
-# digest-equality proofs (direct and chaos-scripted), and the E18
+# (sessions, rollbacks, the config loader that commits through them) and all
+# of intent (spec round trip, reconciler convergence, the kill-mid-commit /
+# kill-pre-commit digest-equality proofs, direct and chaos-scripted, and the
+# refusal of a snapshot with a reconciler step pending), then the E18
 # provisioning-crash scorecard.
 verify-intent:
-	$(GO) test -race -count=1 ./internal/netconf
-	$(GO) test -race -count=1 \
-		-run='TestSpec|TestStore|TestReconciler|TestKill|TestChaosScriptedKill|TestQuarantine|TestE18' \
-		./internal/intent ./internal/experiments
+	$(GO) test -race -count=1 ./internal/netconf ./internal/intent
+	$(GO) test -race -count=1 -run='TestE18' ./internal/experiments
 
 # Ten seconds on every fuzz target under internal/ — the three line
 # languages (netconf configs, chaos scripts, intent specs), the checkpoint

@@ -114,7 +114,7 @@ func main() {
 	})
 
 	// The fibre cut: CHI-NYC goes down at t=2 s.
-	b.E.Schedule(2*sim.Second, func() { b.FailLink("CHI", "NYC", 150*sim.Millisecond) })
+	b.At(2*sim.Second, func() { b.FailLink("CHI", "NYC", 150*sim.Millisecond) })
 
 	b.Net.RunUntil(dur + sim.Second)
 

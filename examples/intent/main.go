@@ -55,12 +55,8 @@ func provision(killAt, restartAt sim.Time) (string, *netconf.Server, *intent.Rec
 	srv := netconf.NewServer(b)
 	store := intent.NewStore()
 	sp, err := intent.Parse(strings.NewReader(spec), "fleet")
-	if err != nil {
-		panic(err)
-	}
-	if err := store.Put(sp); err != nil {
-		panic(err)
-	}
+	must(err)
+	must(store.Put(sp))
 	rec := intent.NewReconciler(srv, store, intent.Options{
 		Interval:       20 * sim.Millisecond,
 		BatchOps:       128,
@@ -71,14 +67,20 @@ func provision(killAt, restartAt sim.Time) (string, *netconf.Server, *intent.Rec
 	})
 	rec.Start()
 	if killAt > 0 {
-		b.E.Schedule(killAt, func() { rec.Kill() })
-		b.E.Schedule(restartAt, func() { rec.Restart() })
+		b.At(killAt, func() { must(rec.Kill()) })
+		b.At(restartAt, func() { must(rec.Restart()) })
 	}
 	b.Net.RunUntil(10 * sim.Second)
 	if !rec.Converged() {
 		panic(fmt.Sprintf("reconciler did not converge; %d ops pending", len(rec.Diff())))
 	}
 	return b.ServiceDigest(), srv, rec
+}
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 func main() {
@@ -109,9 +111,12 @@ func main() {
 		srvB.Commits, srvB.Rollbacks, srvB.AutoRolled)
 
 	fmt.Printf("state digest A: %d bytes, digest B: %d bytes\n", len(digA), len(digB))
-	if digA == digB {
+	switch {
+	case srvB.AutoRolled < 1:
+		fmt.Println("kill MISSED the commit window: no auto-rollback, nothing proven")
+	case digA == digB:
 		fmt.Println("digests IDENTICAL: the crash left no trace in the provisioned state")
-	} else {
+	default:
 		fmt.Println("digests DIVERGED: transactional provisioning is broken")
 	}
 }

@@ -96,16 +96,16 @@ func main() {
 	trafgen.CBR(x.Net, bulk, 1400, 2*sim.Millisecond, 0, 4*sim.Second)
 
 	// The outage: every node and session of the transit carrier at once.
-	x.E.Schedule(1500*sim.Millisecond, func() {
+	x.AS("carrierA").At(1500*sim.Millisecond, func() {
 		if err := x.FailAS("carrierT"); err != nil {
 			panic(err)
 		}
 	})
 	var midPath []int
-	x.E.Schedule(2800*sim.Millisecond, func() {
+	x.AS("carrierA").At(2800*sim.Millisecond, func() {
 		midPath, _ = x.SelectedPath("worldcorp", "carrierB", "carrierA")
 	})
-	x.E.Schedule(3*sim.Second, func() {
+	x.AS("carrierA").At(3*sim.Second, func() {
 		if err := x.RestoreAS("carrierT", 100*sim.Millisecond); err != nil {
 			panic(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"mplsvpn/internal/bgp"
 	"mplsvpn/internal/core"
 	"mplsvpn/internal/sim"
-	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/telemetry"
 )
 
@@ -61,9 +60,9 @@ func New(b *core.Backbone, s *Scenario) *Injector {
 	return &Injector{B: b, S: s, Checker: NewChecker(b), rng: b.E.Rand().Fork()}
 }
 
-// timedOp is one expanded, concrete operation, booked as a registered
-// action: a checkpoint with it pending re-arms it by registry index on the
-// rebuild, whose Schedule books the same operations in the same order.
+// timedOp is one expanded, concrete operation, booked with Backbone.At: a
+// checkpoint with it pending re-arms it by registry index on the rebuild,
+// whose Schedule books the same operations in the same order.
 type timedOp struct {
 	inj    *Injector
 	at     sim.Time
@@ -87,13 +86,10 @@ func (inj *Injector) Schedule() {
 	for _, ev := range inj.S.Events {
 		ops := inj.expand(ev)
 		for i := range ops {
-			inj.B.E.Post(ops[i].at, inj.B.RegisterSource(&ops[i]))
+			inj.B.At(ops[i].at, ops[i].apply)
 		}
 	}
 }
-
-// State walks nothing: the rebuild's operation is the same.
-func (*timedOp) State(*snapshot.Codec) {}
 
 // expand turns one scripted event into its concrete operations.
 func (inj *Injector) expand(ev Event) []timedOp {
@@ -118,8 +114,8 @@ func (inj *Injector) jitter(j sim.Time) sim.Time {
 	return sim.Time(inj.rng.Float64() * float64(j))
 }
 
-// Run applies the operation, journals it, and checks the invariants.
-func (op *timedOp) Run() {
+// apply applies the operation, journals it, and checks the invariants.
+func (op *timedOp) apply() {
 	inj := op.inj
 	var err error
 	switch op.op {

@@ -242,7 +242,6 @@ func runInterASInterrupted(t testing.TB, shards, workers int) string {
 		t.Fatalf("shards=%d: no peering mid-GR at snapshot instant:\n%s", shards, dig)
 	}
 
-	noClosures(t, rig1.x.E)
 	data, err := rig1.x.Snapshot(fp)
 	if err != nil {
 		t.Fatalf("shards=%d snapshot: %v", shards, err)

@@ -173,7 +173,6 @@ func runReflInterrupted(t testing.TB, shards, workers int) string {
 	const fp = "refl-snap"
 	rig1 := buildReflRig(t, shards, workers)
 	rig1.b.Net.RunUntil(reflSnapT)
-	noClosures(t, rig1.b.E)
 	data, err := rig1.b.Snapshot(fp)
 	if err != nil {
 		t.Fatalf("shards=%d snapshot: %v", shards, err)

@@ -95,7 +95,6 @@ func TestRunnerRecoverySkipsTornCheckpoint(t *testing.T) {
 	r.B = rig.b
 	for _, ct := range []sim.Time{2 * sim.Second, 4 * sim.Second} {
 		rig.b.Net.RunUntil(ct)
-		noClosures(t, rig.b.E)
 		data, err := rig.b.Snapshot(r.Fingerprint)
 		if err != nil {
 			t.Fatal(err)

@@ -118,7 +118,6 @@ func TestSnapshotMidSerializationMidPropagation(t *testing.T) {
 		if wire != 1236 {
 			t.Fatalf("shards=%d: %d bytes on the bottleneck wire at the cut, want one 1236-byte packet mid-serialization", shards, wire)
 		}
-		noClosures(t, live.b.E)
 		data, err := live.b.Snapshot(fp)
 		if err != nil {
 			t.Fatalf("shards=%d snapshot: %v", shards, err)

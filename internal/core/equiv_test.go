@@ -200,12 +200,12 @@ func baseEquivScenarios() []equivScenario {
 				trafgen.CBR(b.Net, f, 160, 10*sim.Millisecond, 17*sim.Microsecond, 480*sim.Millisecond)
 				r, _ := b.FlowBetween("rev", "z", "a", 5062)
 				trafgen.CBR(b.Net, r, 160, 10*sim.Millisecond, 5*sim.Millisecond+313*sim.Microsecond, 480*sim.Millisecond)
-				b.E.Schedule(150*sim.Millisecond, func() {
+				b.At(150*sim.Millisecond, func() {
 					if err := b.FailLink("P1", "P2", 10*sim.Millisecond); err != nil {
 						panic(err)
 					}
 				})
-				b.E.Schedule(350*sim.Millisecond, func() {
+				b.At(350*sim.Millisecond, func() {
 					if err := b.RestoreLink("P1", "P2", 10*sim.Millisecond); err != nil {
 						panic(err)
 					}
@@ -270,10 +270,10 @@ func baseEquivScenarios() []equivScenario {
 						panic(err)
 					}
 				}
-				b.E.Schedule(100*sim.Millisecond, failMidPacket) // 0.91 ms into a packet
-				b.E.Schedule(102*sim.Millisecond, restore)       // 2 ms before its last bit
-				b.E.Schedule(160*sim.Millisecond, failMidPacket)
-				b.E.Schedule(220*sim.Millisecond, restore)
+				b.At(100*sim.Millisecond, failMidPacket) // 0.91 ms into a packet
+				b.At(102*sim.Millisecond, restore)       // 2 ms before its last bit
+				b.At(160*sim.Millisecond, failMidPacket)
+				b.At(220*sim.Millisecond, restore)
 			},
 		},
 		{

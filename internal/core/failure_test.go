@@ -36,7 +36,7 @@ func TestLinkFailureReroutesVPNTraffic(t *testing.T) {
 	f, _ := b.FlowBetween("f", "hq", "branch", 80)
 	// Continuous traffic across the failure at t=1s (instant detection).
 	trafgen.CBR(b.Net, f, 200, 10*sim.Millisecond, 0, 3*sim.Second)
-	b.E.Schedule(sim.Second, func() { b.FailLink("PE1", "P1", 0) })
+	b.At(sim.Second, func() { b.FailLink("PE1", "P1", 0) })
 	b.Net.Run()
 
 	// Everything still delivers (no loss window with instant detection —
@@ -56,7 +56,7 @@ func TestLinkFailureLossWindowScalesWithDetection(t *testing.T) {
 		twoSites(b)
 		f, _ := b.FlowBetween("f", "hq", "branch", 80)
 		trafgen.CBR(b.Net, f, 200, 5*sim.Millisecond, 0, 3*sim.Second)
-		b.E.Schedule(sim.Second, func() { b.FailLink("PE1", "P1", detect) })
+		b.At(sim.Second, func() { b.FailLink("PE1", "P1", detect) })
 		b.Net.Run()
 		return f.Stats.LossRate()
 	}

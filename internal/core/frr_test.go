@@ -35,7 +35,7 @@ func frrLoss(t *testing.T, frr bool) (loss float64, viaP3 bool) {
 	}
 	trafgen.CBR(b.Net, f, 200, 2*sim.Millisecond, 0, 3*sim.Second)
 	// Slow head-end convergence: 500 ms. FRR has 1 ms local repair.
-	b.E.Schedule(sim.Second, func() { b.FailLink("P1", "P2", 500*sim.Millisecond) })
+	b.At(sim.Second, func() { b.FailLink("P1", "P2", 500*sim.Millisecond) })
 	b.Net.Run()
 	return f.Stats.LossRate(), b.Router("P3").LabelLookups > 0
 }
@@ -89,7 +89,7 @@ func TestFRRThenReconvergeIsClean(t *testing.T) {
 	twoSites(b)
 	f, _ := b.FlowBetween("f", "hq", "branch", 80)
 	trafgen.CBR(b.Net, f, 200, 2*sim.Millisecond, 0, 4*sim.Second)
-	b.E.Schedule(sim.Second, func() { b.FailLink("P1", "P2", 300*sim.Millisecond) })
+	b.At(sim.Second, func() { b.FailLink("P1", "P2", 300*sim.Millisecond) })
 	b.Net.Run()
 	if f.Stats.LossRate() > 0.01 {
 		t.Fatalf("loss across FRR->reconverge handoff = %v", f.Stats.LossRate())

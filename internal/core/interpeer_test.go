@@ -167,7 +167,7 @@ func TestInterASFailover(t *testing.T) {
 			trafgen.CBR(x.Net, fwd, 200, 10*sim.Millisecond, 0, 3500*sim.Millisecond)
 			trafgen.CBR(x.Net, rev, 200, 10*sim.Millisecond, 0, 3500*sim.Millisecond)
 
-			x.E.Schedule(sim.Second, func() {
+			x.AS("alpha").At(sim.Second, func() {
 				if err := x.FailAS("beta"); err != nil {
 					t.Errorf("FailAS: %v", err)
 				}
@@ -175,11 +175,11 @@ func TestInterASFailover(t *testing.T) {
 			var midHops []int
 			var midOK bool
 			var deliveredAtMid int
-			x.E.Schedule(2*sim.Second, func() {
+			x.AS("alpha").At(2*sim.Second, func() {
 				midHops, midOK = x.SelectedPath("extranet", "gamma", "alpha")
 				deliveredAtMid = fwd.Stats.Delivered
 			})
-			x.E.Schedule(2200*sim.Millisecond, func() {
+			x.AS("alpha").At(2200*sim.Millisecond, func() {
 				if err := x.RestoreAS("beta", 100*sim.Millisecond); err != nil {
 					t.Errorf("RestoreAS: %v", err)
 				}
@@ -271,7 +271,7 @@ func TestInterASDualHomedFailover(t *testing.T) {
 			trafgen.CBR(x.Net, fwd, 200, 10*sim.Millisecond, 0, 2*sim.Second)
 			trafgen.CBR(x.Net, rev, 200, 10*sim.Millisecond, 0, 2*sim.Second)
 			var sent, delivered [2]int
-			x.E.Schedule(sim.Second+5*sim.Millisecond, func() {
+			x.AS("alpha").At(sim.Second+5*sim.Millisecond, func() {
 				if err := x.AS("gamma").FailSitePrimary("plant"); err != nil {
 					t.Error(err)
 				}

@@ -182,7 +182,7 @@ func linkFlapScenarios() []equivScenario {
 	playFlaps := func(b *Backbone, full bool, before func(k int, s flapStep)) {
 		for k, s := range grid3Flaps() {
 			k, s := k, s
-			b.E.Schedule(flapStart+sim.Time(k)*flapEvery, func() {
+			b.At(flapStart+sim.Time(k)*flapEvery, func() {
 				if before != nil {
 					before(k, s)
 				}
@@ -233,7 +233,7 @@ func linkFlapScenarios() []equivScenario {
 						inFlight++
 					}
 				})
-				b.E.Schedule(flapStart+24*flapEvery+25*sim.Millisecond, func() {
+				b.At(flapStart+24*flapEvery+25*sim.Millisecond, func() {
 					settle(24)
 					if inFlight < 20 {
 						failf("packets were in flight at only %d of 24 flaps: the script proves nothing", inFlight)
@@ -279,14 +279,14 @@ func linkFlapScenarios() []equivScenario {
 				script := overlappingFlaps([][2]string{{"P1-1", "P1-2"}, {"P0-0", "P0-1"}})
 				for k, s := range script {
 					s := s
-					b.E.Schedule(sim.Time(20+30*k)*sim.Millisecond, func() { s.apply(b, 5*sim.Millisecond, false) })
+					b.At(sim.Time(20+30*k)*sim.Millisecond, func() { s.apply(b, 5*sim.Millisecond, false) })
 				}
-				b.E.Schedule(60*sim.Millisecond, func() {
+				b.At(60*sim.Millisecond, func() {
 					if bytes.Equal(before, labelTableBytes(b)) {
 						failf("two links down and no table changed: the scenario proves nothing")
 					}
 				})
-				b.E.Schedule(180*sim.Millisecond, func() {
+				b.At(180*sim.Millisecond, func() {
 					if !bytes.Equal(before, labelTableBytes(b)) {
 						failf("fail+restore did not return the label tables to their pre-failure bytes")
 					}
@@ -322,15 +322,15 @@ func linkFlapScenarios() []equivScenario {
 					return append(append(ldpDetours(b, a), ldpDetours(b, z)...), teLabelsOffPath(b)...)
 				}
 				full := b.IGP.FullSPFRuns
-				b.E.Schedule(20*sim.Millisecond, func() { flapStep{a: "P1-1", z: "P1-2"}.apply(b, 80*sim.Millisecond, false) })
-				b.E.Schedule(25*sim.Millisecond, func() {
+				b.At(20*sim.Millisecond, func() { flapStep{a: "P1-1", z: "P1-2"}.apply(b, 80*sim.Millisecond, false) })
+				b.At(25*sim.Millisecond, func() {
 					if len(ldpDetours(b, a)) == 0 || len(teLabelsOffPath(b)) == 0 {
 						failf("local repair detoured %d LDP entries and %d LSP hops: the scenario proves nothing",
 							len(ldpDetours(b, a)), len(teLabelsOffPath(b)))
 					}
 				})
-				b.E.Schedule(30*sim.Millisecond, func() { flapStep{a: "P1-1", z: "P1-2", restore: true}.apply(b, 5*sim.Millisecond, false) })
-				b.E.Schedule(50*sim.Millisecond, func() {
+				b.At(30*sim.Millisecond, func() { flapStep{a: "P1-1", z: "P1-2", restore: true}.apply(b, 5*sim.Millisecond, false) })
+				b.At(50*sim.Millisecond, func() {
 					for _, d := range detours() {
 						failf("after the reconvergence, still detoured: %s", d)
 					}
@@ -338,7 +338,7 @@ func linkFlapScenarios() []equivScenario {
 						failf("the LSP over the blipped link was not re-signalled: %+v", b.TELast)
 					}
 				})
-				b.E.Schedule(110*sim.Millisecond, func() {
+				b.At(110*sim.Millisecond, func() {
 					for _, d := range detours() {
 						failf("after the overtaken timer, detoured: %s", d)
 					}

@@ -52,7 +52,7 @@ func TestDualHomedFailover(t *testing.T) {
 	rev, _ := b.FlowBetween("rev", "dc", "hq", 81)
 	trafgen.CBR(b.Net, f, 200, 10*sim.Millisecond, 0, 2*sim.Second)
 	trafgen.CBR(b.Net, rev, 200, 10*sim.Millisecond, 0, 2*sim.Second)
-	b.E.Schedule(sim.Second, func() {
+	b.At(sim.Second, func() {
 		if err := b.FailSitePrimary("dc"); err != nil {
 			t.Error(err)
 		}

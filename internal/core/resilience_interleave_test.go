@@ -30,7 +30,7 @@ func runRestoreRace(t *testing.T) (*Backbone, string, string) {
 	eg, _ := b.G.NodeByName("PE2")
 
 	var b1, b2 *rsvp.LSP
-	b.E.Schedule(100*sim.Millisecond, func() {
+	b.At(100*sim.Millisecond, func() {
 		l, err := b.RSVP.Setup("blocker1", in, eg, 7e6, rsvp.SetupOptions{SetupPri: 2, HoldPri: 2})
 		if err != nil {
 			t.Errorf("blocker1: %v", err)
@@ -38,14 +38,14 @@ func runRestoreRace(t *testing.T) (*Backbone, string, string) {
 		}
 		b1 = l
 	})
-	b.E.Schedule(2*sim.Second, func() { b.RSVP.Teardown(b1.ID) })
+	b.At(2*sim.Second, func() { b.RSVP.Teardown(b1.ID) })
 
 	// 2100 ms is a restore-probe tick. The probe was scheduled at
 	// EnableResilience time so it wins the tie: by the time blocker2's
 	// setup runs the victim is back at its full 8 Mb/s — which blocker2
 	// then preempts, forcing degradation cycle number two.
 	var atTick TEIntentStatus
-	b.E.Schedule(2100*sim.Millisecond, func() {
+	b.At(2100*sim.Millisecond, func() {
 		atTick = b.TEIntents()[0]
 		l, err := b.RSVP.Setup("blocker2", in, eg, 7e6, rsvp.SetupOptions{SetupPri: 2, HoldPri: 2})
 		if err != nil {
@@ -55,8 +55,8 @@ func runRestoreRace(t *testing.T) (*Backbone, string, string) {
 		b2 = l
 	})
 	var afterPreempt TEIntentStatus
-	b.E.Schedule(2100*sim.Millisecond, func() { afterPreempt = b.TEIntents()[0] })
-	b.E.Schedule(3*sim.Second, func() { b.RSVP.Teardown(b2.ID) })
+	b.At(2100*sim.Millisecond, func() { afterPreempt = b.TEIntents()[0] })
+	b.At(3*sim.Second, func() { b.RSVP.Teardown(b2.ID) })
 	b.Net.RunUntil(4 * sim.Second)
 
 	if atTick.State != "up" || atTick.Bandwidth != 8e6 {

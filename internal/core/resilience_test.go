@@ -35,7 +35,7 @@ func TestTERetryResignalsWhenCapacityReturns(t *testing.T) {
 	in, _ := b.G.NodeByName("PE1")
 	eg, _ := b.G.NodeByName("PE2")
 	var blocker *rsvp.LSP
-	b.E.Schedule(100*sim.Millisecond, func() {
+	b.At(100*sim.Millisecond, func() {
 		l, err := b.RSVP.Setup("blocker", in, eg, 8e6, rsvp.SetupOptions{SetupPri: 2, HoldPri: 2})
 		if err != nil {
 			t.Errorf("blocker setup: %v", err)
@@ -43,7 +43,7 @@ func TestTERetryResignalsWhenCapacityReturns(t *testing.T) {
 		}
 		blocker = l
 	})
-	b.E.Schedule(sim.Second, func() { b.RSVP.Teardown(blocker.ID) })
+	b.At(sim.Second, func() { b.RSVP.Teardown(blocker.ID) })
 	b.Net.RunUntil(2 * sim.Second)
 
 	ints := b.TEIntents()
@@ -77,7 +77,7 @@ func TestTEDegradeShrinkThenRestore(t *testing.T) {
 	var blocker *rsvp.LSP
 	// 7 Mb/s preemptor: the victim's 8 Mb/s no longer fits (3 Mb/s free),
 	// so it must shrink 8 -> 4 -> 2 (the 25% floor) to get back up.
-	b.E.Schedule(100*sim.Millisecond, func() {
+	b.At(100*sim.Millisecond, func() {
 		l, err := b.RSVP.Setup("blocker", in, eg, 7e6, rsvp.SetupOptions{SetupPri: 2, HoldPri: 2})
 		if err != nil {
 			t.Errorf("blocker setup: %v", err)
@@ -86,8 +86,8 @@ func TestTEDegradeShrinkThenRestore(t *testing.T) {
 		blocker = l
 	})
 	var midRun TEIntentStatus
-	b.E.Schedule(1900*sim.Millisecond, func() { midRun = b.TEIntents()[0] })
-	b.E.Schedule(2*sim.Second, func() { b.RSVP.Teardown(blocker.ID) })
+	b.At(1900*sim.Millisecond, func() { midRun = b.TEIntents()[0] })
+	b.At(2*sim.Second, func() { b.RSVP.Teardown(blocker.ID) })
 	b.Net.RunUntil(3 * sim.Second)
 
 	if midRun.State != "degraded" || midRun.Bandwidth != 2e6 {
@@ -217,12 +217,12 @@ func TestFRRFloorBeatsStalledReconvergence(t *testing.T) {
 	b.SetControlPlaneLoss(1.0, 300*sim.Millisecond)
 
 	const detect = 200 * sim.Microsecond
-	b.E.Schedule(sim.Second, func() { b.FailLink("P1", "PE2", detect) })
+	b.At(sim.Second, func() { b.FailLink("P1", "PE2", detect) })
 	var repaired, reconverged *Trace
 	// 500 us after the failure: past min(detect, LocalRepairDelay) = 200 us
 	// but long before the stalled reconvergence at ~300 ms.
-	b.E.Schedule(sim.Second+500*sim.Microsecond, func() { repaired = b.TraceRoute("hq", dst, 0) })
-	b.E.Schedule(2*sim.Second, func() { reconverged = b.TraceRoute("hq", dst, 0) })
+	b.At(sim.Second+500*sim.Microsecond, func() { repaired = b.TraceRoute("hq", dst, 0) })
+	b.At(2*sim.Second, func() { reconverged = b.TraceRoute("hq", dst, 0) })
 	b.Net.RunUntil(3 * sim.Second)
 
 	if repaired == nil || !repaired.Delivered {
@@ -245,13 +245,13 @@ func runCoreChaosScenario(seed uint64) (*Backbone, *telemetry.Telemetry) {
 	trafgen.CBR(b.Net, bulk, 1400, 2*sim.Millisecond, 0, 6*sim.Second)
 	for i := 0; i < 4; i++ {
 		at := sim.Second + sim.Time(i)*400*sim.Millisecond
-		b.E.Schedule(at, func() { b.FailLink("PEb", "P2", 10*sim.Millisecond) })
-		b.E.Schedule(at+200*sim.Millisecond, func() { b.RestoreLink("PEb", "P2", 10*sim.Millisecond) })
+		b.At(at, func() { b.FailLink("PEb", "P2", 10*sim.Millisecond) })
+		b.At(at+200*sim.Millisecond, func() { b.RestoreLink("PEb", "P2", 10*sim.Millisecond) })
 	}
-	b.E.Schedule(3*sim.Second, func() { b.CrashNode("P2", 50*sim.Millisecond) })
-	b.E.Schedule(4*sim.Second, func() { b.RestartNode("P2", 50*sim.Millisecond) })
-	b.E.Schedule(4500*sim.Millisecond, func() { b.CutSiteAttachment("b-src") })
-	b.E.Schedule(5*sim.Second, func() { b.RestoreSiteAttachment("b-src") })
+	b.At(3*sim.Second, func() { b.CrashNode("P2", 50*sim.Millisecond) })
+	b.At(4*sim.Second, func() { b.RestartNode("P2", 50*sim.Millisecond) })
+	b.At(4500*sim.Millisecond, func() { b.CutSiteAttachment("b-src") })
+	b.At(5*sim.Second, func() { b.RestoreSiteAttachment("b-src") })
 	b.Net.RunUntil(7 * sim.Second)
 	return b, tel
 }

@@ -23,12 +23,12 @@
 // Dynamically provisioned sites are assumed to be part of the rebuild
 // (provisioning is setup). Every pending event is a typed action: netsim's
 // in-flight packets, a registered action (a traffic source whose state
-// serializes, or a scripted chaos or netconf event) re-armed by registry
-// index, or a ctlTimer, periodic scans included. Closures posted with After
-// are left only where no checkpoint holds their owner: the intent
-// reconciler's steps. One of those pending at the cut makes a snapshot fail
-// strictly ("untagged closure") rather than silently drop the event, as does
-// a typed action no section owns (netconf's confirmed-commit timeout).
+// serializes, or a callback booked with At: a scripted chaos or netconf
+// event, a driver's timed step) re-armed by registry index, or a ctlTimer,
+// periodic scans included. An action no section owns (the intent
+// reconciler's step, netconf's confirmed-commit timeout) pending at the cut
+// makes a snapshot fail strictly, naming its type, rather than silently drop
+// the event.
 package core
 
 import (
@@ -151,9 +151,8 @@ func (t *ctlTimer) Run() {
 }
 
 // RegisterSource records a checkpointable action in creation order: a
-// traffic source, or an event posted from outside core (a chaos operation,
-// a netconf fail/restore line) whose State walks nothing. A snapshot finds
-// a registered action's pending event through this registry and a restore
+// traffic source, or a callback booked with At. A snapshot finds a
+// registered action's pending event through this registry and a restore
 // re-arms it on the rebuilt one, so the original builder and the rebuild
 // must register the same actions in the same order.
 func (b *Backbone) RegisterSource(s trafgen.Source) trafgen.Source {
@@ -167,6 +166,20 @@ func (b *Backbone) RegisterSource(s trafgen.Source) trafgen.Source {
 	b.sources = append(b.sources, s)
 	return s
 }
+
+// At books fn at virtual time at: the one way a driver books a callback.
+// fn is a registered action, so a checkpoint with it pending re-arms it on
+// a rebuild that books the same callbacks in the same order.
+func (b *Backbone) At(at sim.Time, fn func()) {
+	b.E.Post(at, b.RegisterSource(&callback{fn}))
+}
+
+// callback is a func booked with At. Its State walks nothing: the rebuild's
+// callback is the same.
+type callback struct{ fn func() }
+
+func (c *callback) Run()                { c.fn() }
+func (*callback) State(*snapshot.Codec) {}
 
 // Section names of the checkpoint container, in file order.
 const (
@@ -490,20 +503,16 @@ func classifyPending(e *sim.Engine, owns func(sim.Action) bool, ases []*Backbone
 	p := &pendingSet{}
 	var unknown []string
 	e.WalkPending(func(pe sim.PendingEvent) {
-		switch {
-		case pe.Act == nil:
-			unknown = append(unknown, fmt.Sprintf("untagged closure at %v (seq %d)", pe.At, pe.Seq))
-		case owns(pe.Act):
-			// In-flight data plane: serialized and re-armed by netsim.
-		default:
-			if t, ok := pe.Act.(*ctlTimer); ok {
-				_, domain := t.owner()
-				p.timers = append(p.timers, pendingTimer{pe.Shard, pe.At, pe.Seq, t.kind | domain<<4, t.a, t.z})
-			} else if idx, ok := srcOf(pe.Act); ok {
-				p.srcs = append(p.srcs, pendingSource{idx: idx, shard: pe.Shard, at: pe.At, seq: pe.Seq})
-			} else {
-				unknown = append(unknown, fmt.Sprintf("action %T at %v", pe.Act, pe.At))
-			}
+		if owns(pe.Act) {
+			return // in-flight data plane: serialized and re-armed by netsim
+		}
+		if t, ok := pe.Act.(*ctlTimer); ok {
+			_, domain := t.owner()
+			p.timers = append(p.timers, pendingTimer{pe.Shard, pe.At, pe.Seq, t.kind | domain<<4, t.a, t.z})
+		} else if idx, ok := srcOf(pe.Act); ok {
+			p.srcs = append(p.srcs, pendingSource{idx: idx, shard: pe.Shard, at: pe.At, seq: pe.Seq})
+		} else {
+			unknown = append(unknown, fmt.Sprintf("action %T at %v", pe.Act, pe.At))
 		}
 	})
 	if len(unknown) > 0 {

@@ -57,13 +57,13 @@ func timerDiamond(t *testing.T, b *Backbone) {
 		}
 	}
 	short, _ := b.G.FindLink(b.Router("PE1").Node, b.Router("P1").Node)
-	script(b, 100*sim.Millisecond, func() {
+	b.At(100*sim.Millisecond, func() {
 		if err := b.ReoptimizeTE("te-a", map[topo.LinkID]bool{short.ID: true}); err != nil {
 			t.Errorf("reoptimize te-a: %v", err)
 		}
 	})
-	script(b, 300*sim.Millisecond, func() { b.FailLink("PE1", "P1", 20*sim.Millisecond) })
-	script(b, 600*sim.Millisecond, func() { b.RestoreLink("PE1", "P1", 20*sim.Millisecond) })
+	b.At(300*sim.Millisecond, func() { b.FailLink("PE1", "P1", 20*sim.Millisecond) })
+	b.At(600*sim.Millisecond, func() { b.RestoreLink("PE1", "P1", 20*sim.Millisecond) })
 }
 
 // timerTopology provisions the rig's topology, VPN and two sites on b.
@@ -83,19 +83,6 @@ func timerTopology(b *Backbone) {
 	b.AddSite(SiteSpec{VPN: "acme", Name: "branch", PE: "PE2",
 		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.2.0.0/16")}})
 	b.ConvergeVPNs()
-}
-
-// scripted is a test's timed step as a registered action: a checkpoint
-// with it pending re-arms it by registry index on the rebuild, which
-// scripts the same steps in the same order.
-type scripted struct{ fn func() }
-
-func (s *scripted) Run()                { s.fn() }
-func (*scripted) State(*snapshot.Codec) {}
-
-// script books fn at the given time on b's engine.
-func script(b *Backbone, at sim.Time, fn func()) {
-	b.E.Post(at, b.RegisterSource(&scripted{fn}))
 }
 
 func buildTimerRig(t *testing.T, interAS bool, shards int) *timerRig {
@@ -213,8 +200,8 @@ func TestSnapshotAfterLateEnable(t *testing.T) {
 		if _, err := b.SetupTELSP("te", "PE1", "PE2", 4e6, -1, rsvp.SetupOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		script(b, 300*sim.Millisecond, func() { b.FailLink("PE1", "P1", 20*sim.Millisecond) })
-		script(b, 600*sim.Millisecond, func() { b.RestoreLink("PE1", "P1", 20*sim.Millisecond) })
+		b.At(300*sim.Millisecond, func() { b.FailLink("PE1", "P1", 20*sim.Millisecond) })
+		b.At(600*sim.Millisecond, func() { b.RestoreLink("PE1", "P1", 20*sim.Millisecond) })
 		f, err := b.FlowBetween("f", "hq", "branch", 5060)
 		if err != nil {
 			t.Fatal(err)

@@ -35,7 +35,7 @@ func TestGRTimerExpirySweepsStale(t *testing.T) {
 		GracefulRestart: true, RestartTime: 200 * sim.Millisecond,
 		Horizon: 2 * sim.Second,
 	})
-	b.E.Schedule(100*sim.Millisecond, func() { b.CrashNode("PE1", 0) })
+	b.At(100*sim.Millisecond, func() { b.CrashNode("PE1", 0) })
 	b.Net.RunUntil(2 * sim.Second)
 
 	st := b.SessionStats()
@@ -85,10 +85,10 @@ func TestDoubleRestartWithinWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	trafgen.CBR(b.Net, f, 200, 10*sim.Millisecond, 0, 2*sim.Second)
-	b.E.Schedule(200*sim.Millisecond, func() { b.CrashNode("PE1", 0) })
-	b.E.Schedule(500*sim.Millisecond, func() { b.RestartNode("PE1", 0) })
-	b.E.Schedule(900*sim.Millisecond, func() { b.CrashNode("PE1", 0) })
-	b.E.Schedule(1200*sim.Millisecond, func() { b.RestartNode("PE1", 0) })
+	b.At(200*sim.Millisecond, func() { b.CrashNode("PE1", 0) })
+	b.At(500*sim.Millisecond, func() { b.RestartNode("PE1", 0) })
+	b.At(900*sim.Millisecond, func() { b.CrashNode("PE1", 0) })
+	b.At(1200*sim.Millisecond, func() { b.RestartNode("PE1", 0) })
 	b.Net.RunUntil(3 * sim.Second)
 
 	if b.BGP.WithdrawalsSent != 0 {
@@ -120,7 +120,7 @@ func TestSessionLossWithoutGRWithdraws(t *testing.T) {
 		GracefulRestart: false,
 		Horizon:         sim.Second,
 	})
-	b.E.Schedule(100*sim.Millisecond, func() { b.CrashNode("PE1", 0) })
+	b.At(100*sim.Millisecond, func() { b.CrashNode("PE1", 0) })
 	b.Net.RunUntil(sim.Second)
 	if b.BGP.WithdrawalsSent == 0 {
 		t.Fatalf("no withdrawals without GR:\n%s", tel.Journal.Render())
@@ -168,7 +168,7 @@ func TestMBBReoptimizeConservesBytes(t *testing.T) {
 	trafgen.CBR(b.Net, f, 500, 2*sim.Millisecond, 0, 2*sim.Second)
 
 	// Mid-run, steer the LSP off the P1 leg while packets are in flight.
-	b.E.Schedule(sim.Second, func() {
+	b.At(sim.Second, func() {
 		p1, _ := b.G.NodeByName("P1")
 		pe2, _ := b.G.NodeByName("PE2")
 		lk, ok := b.G.FindLink(p1, pe2)
@@ -215,7 +215,7 @@ func TestCtrlLossCompoundsRetryBackoff(t *testing.T) {
 	}
 	in, _ := b.G.NodeByName("PE1")
 	eg, _ := b.G.NodeByName("PE2")
-	b.E.Schedule(100*sim.Millisecond, func() {
+	b.At(100*sim.Millisecond, func() {
 		if _, err := b.RSVP.Setup("blocker", in, eg, 8e6,
 			rsvp.SetupOptions{SetupPri: 2, HoldPri: 2}); err != nil {
 			t.Errorf("blocker setup: %v", err)

@@ -614,8 +614,8 @@ func TestCleanLSPLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	trafgen.CBR(b.Net, f, 200, sim.Millisecond, 0, 200*sim.Millisecond)
-	b.E.Schedule(50*sim.Millisecond, func() { b.FailLink("P2-0", "P2-1", 5*sim.Millisecond) })
-	b.E.Schedule(120*sim.Millisecond, func() { b.RestoreLink("P2-0", "P2-1", 5*sim.Millisecond) })
+	b.At(50*sim.Millisecond, func() { b.FailLink("P2-0", "P2-1", 5*sim.Millisecond) })
+	b.At(120*sim.Millisecond, func() { b.RestoreLink("P2-0", "P2-1", 5*sim.Millisecond) })
 	b.Net.RunUntil(300 * sim.Millisecond)
 
 	if f.Stats.Sent < 190 || f.Stats.Delivered != f.Stats.Sent {
@@ -647,8 +647,8 @@ func TestLocalRepairSkipsRestoredLink(t *testing.T) {
 	if _, err := b.SetupTELSP("te-mid", "P1-0", "P1-2", 1e6, -1, rsvp.SetupOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	b.E.Schedule(10*sim.Millisecond, func() { b.FailLink("P1-1", "P1-2", 5*sim.Millisecond) })
-	b.E.Schedule(10*sim.Millisecond+LocalRepairDelay/2, func() { b.RestoreLink("P1-1", "P1-2", 0) })
+	b.At(10*sim.Millisecond, func() { b.FailLink("P1-1", "P1-2", 5*sim.Millisecond) })
+	b.At(10*sim.Millisecond+LocalRepairDelay/2, func() { b.RestoreLink("P1-1", "P1-2", 0) })
 	b.Net.RunUntil(20 * sim.Millisecond)
 	off := append(teLabelsOffPath(b), ldpDetours(b, b.mustNode("P1-1"))...)
 	if off = append(off, ldpDetours(b, b.mustNode("P1-2"))...); len(off) != 0 {
@@ -674,8 +674,8 @@ func TestOverlappingDetectionWindowsReconvergeOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		script(b, 10*sim.Millisecond, func() { b.FailLink("P0-0", "P0-1", detect) })
-		script(b, 10*sim.Millisecond+gap, func() { b.FailLink("P1-1", "P1-2", detect) })
+		b.At(10*sim.Millisecond, func() { b.FailLink("P0-0", "P0-1", detect) })
+		b.At(10*sim.Millisecond+gap, func() { b.FailLink("P1-1", "P1-2", detect) })
 		return b
 	}
 	ldpLabels := func(b *Backbone) string {

@@ -71,7 +71,7 @@ func runBreachScenario(seed uint64) (*Backbone, *telemetry.Telemetry) {
 	})
 	trafgen.CBR(b.Net, voice, 160, 20*sim.Millisecond, 0, 6*sim.Second)
 	trafgen.CBR(b.Net, bulk, 1400, sim.Millisecond, 0, 6*sim.Second)
-	b.E.After(2*sim.Second, func() { b.FailLink("PEb", "P2", 10*sim.Millisecond) })
+	b.At(2*sim.Second, func() { b.FailLink("PEb", "P2", 10*sim.Millisecond) })
 	b.Net.RunUntil(7 * sim.Second)
 	return b, tel
 }

@@ -53,7 +53,7 @@ func E12FastReroute(dur sim.Time) *E12Result {
 
 		f, _ := b.FlowBetween("f", "west", "east", 80)
 		trafgen.CBR(b.Net, f, 200, 2*sim.Millisecond, 0, dur)
-		b.E.Schedule(dur/3, func() { b.FailLink("P1", "P2", sim.Time(detectMs)*sim.Millisecond) })
+		b.At(dur/3, func() { b.FailLink("P1", "P2", sim.Time(detectMs)*sim.Millisecond) })
 		b.Net.Run()
 
 		name := "none"

@@ -108,10 +108,12 @@ func E14FlapStorm(dur sim.Time) *E14Result {
 		inj := chaos.New(b, sc)
 		inj.Schedule()
 
-		// Sample reservation state every 50 ms of virtual time.
+		// Sample reservation state every 50 ms of virtual time, as booked
+		// events: the 1.05 s sample ties with the reconvergence the 1 s
+		// crash posts, and runs first because it was booked first.
 		fullyUp := 0
 		for t := 50 * sim.Millisecond; t <= dur; t += 50 * sim.Millisecond {
-			b.E.Schedule(t, func() {
+			b.At(t, func() {
 				down, degraded := false, false
 				for _, st := range b.TEIntents() {
 					switch st.State {

@@ -101,12 +101,12 @@ func E18TransactionalProvisioning(dur sim.Time) *E18Result {
 		rec := intent.NewReconciler(srv, store, opts)
 		rec.Start()
 		if killAt > 0 {
-			b.E.Schedule(killAt, func() {
+			b.At(killAt, func() {
 				if err := rec.Kill(); err != nil {
 					panic(fmt.Sprintf("e18 %s kill: %v", name, err))
 				}
 			})
-			b.E.Schedule(restartAt, func() {
+			b.At(restartAt, func() {
 				if err := rec.Restart(); err != nil {
 					panic(fmt.Sprintf("e18 %s restart: %v", name, err))
 				}

@@ -311,12 +311,16 @@ func heapInUse() uint64 {
 // headline build (10k PEs / 1k VPNs); the short variant used by unit tests
 // scales the headline down 10x while keeping every structural property.
 func E20ControlPlaneScaling(full bool) *E20Result {
+	events, side := 30, 24 // tier C's IGP grid
+	if !full {
+		events, side = 12, 12
+	}
 	res := &E20Result{
 		Comparison: stats.NewTable("E20a — iBGP layout comparison (identical best paths, oracle-checked)",
 			"PEs", "routes", "sessions_mesh", "sessions_clu", "updates_mesh", "updates_clu", "conv_mesh_ms", "conv_clu_ms", "equal"),
 		Headline: stats.NewTable("E20b — million-route clustered reflection build",
 			"PEs", "VPNs", "routes", "clusters", "sessions", "sessions_mesh", "updates", "loop_drops", "conv_s", "B/route"),
-		ISPF: stats.NewTable("E20c — incremental vs full SPF/CSPF on single-link events (24x24 grid)",
+		ISPF: stats.NewTable(fmt.Sprintf("E20c — incremental vs full SPF/CSPF on single-link events (%dx%d grid)", side, side),
 			"plane", "events", "speedup", "oracle_equal"),
 	}
 
@@ -366,10 +370,6 @@ func E20ControlPlaneScaling(full bool) *E20Result {
 		fmt.Sprintf("%.0f", res.BytesPerRoute))
 
 	// --- Tier C: incremental SPF / CSPF vs full recompute.
-	events, side := 30, 24
-	if !full {
-		events, side = 12, 12
-	}
 	res.ISPFSpeedup, res.ISPFOracleOK = e20ISPFTier(events, side)
 	res.ICSPFSpeedup, res.ICSPFOracleOK = e20ICSPFTier(events, 64)
 	res.ISPF.AddRow("ospf-spf", events, fmt.Sprintf("%.1fx", res.ISPFSpeedup), res.ISPFOracleOK)

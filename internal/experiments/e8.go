@@ -70,7 +70,7 @@ func E8Resilience(dur sim.Time) *E8Result {
 		// LDP's counter runs over the instance's life, and a link failure
 		// keeps the instance: what the fault cost is the difference.
 		ldpAtFault := 0
-		b.E.Schedule(dur/3, func() {
+		b.At(dur/3, func() {
 			ldpAtFault = b.LDP.MessagesSent
 			b.FailLink("PE1", "P1", detect)
 		})

@@ -218,12 +218,12 @@ func reconcileRun(t *testing.T, killAt, restartAt sim.Time) (*core.Backbone, *ne
 	rec := NewReconciler(srv, st, testOptions())
 	rec.Start()
 	if killAt > 0 {
-		b.E.Schedule(killAt, func() {
+		b.At(killAt, func() {
 			if err := rec.Kill(); err != nil {
 				t.Errorf("kill: %v", err)
 			}
 		})
-		b.E.Schedule(restartAt, func() {
+		b.At(restartAt, func() {
 			if err := rec.Restart(); err != nil {
 				t.Errorf("restart: %v", err)
 			}
@@ -269,7 +269,12 @@ func TestKillBeforeCommitAppliesNothing(t *testing.T) {
 	}
 	rec := NewReconciler(srv, st, testOptions())
 	rec.Start()
-	b.E.Schedule(500*sim.Microsecond, func() { rec.Kill() })
+	// The kill runs between two runs, not as a booked callback: a booked
+	// one would join the registry StateDigest compares with the clean run.
+	b.Net.RunUntil(500 * sim.Microsecond)
+	if err := rec.Kill(); err != nil {
+		t.Fatal(err)
+	}
 	b.Net.RunUntil(20 * sim.Millisecond)
 	if srv.Commits != 0 || srv.OpsApplied != 0 {
 		t.Fatalf("ops leaked through an abandoned session: commits=%d applied=%d", srv.Commits, srv.OpsApplied)
@@ -286,6 +291,50 @@ func TestKillBeforeCommitAppliesNothing(t *testing.T) {
 	}
 	if got, want := b.StateDigest(), clean.StateDigest(); got != want {
 		t.Fatalf("restart run diverged from clean run:\n--- clean\n%s\n--- restarted\n%s", want, got)
+	}
+}
+
+// TestSnapshotRefusesPendingReconcilerStep: no checkpoint section owns the
+// reconciler's step, so a snapshot with one pending is refused by type —
+// cut once between validate and commit, once between commit and confirm,
+// where netconf's confirmTimer is pending beside it — and a refused
+// snapshot leaves the run as it was.
+func TestSnapshotRefusesPendingReconcilerStep(t *testing.T) {
+	clean, _, _ := reconcileRun(t, 0, 0)
+
+	b := intentBackbone(t)
+	srv := netconf.NewServer(b)
+	st := NewStore()
+	if err := st.Put(mustSpec(t, testSpec)); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewReconciler(srv, st, testOptions())
+	rec.Start()
+	for _, cut := range []struct {
+		at      sim.Time
+		commits int // the first batch commits at 1 ms and confirms at 3 ms
+		refused []string
+	}{
+		{500 * sim.Microsecond, 0, []string{"*intent.step"}},
+		{2 * sim.Millisecond, 1, []string{"*intent.step", "*netconf.confirmTimer"}},
+	} {
+		b.Net.RunUntil(cut.at)
+		if srv.Commits != cut.commits {
+			t.Fatalf("cut at %v: %d commits, want %d (outside the window)", cut.at, srv.Commits, cut.commits)
+		}
+		_, err := b.Snapshot("intent")
+		if err == nil {
+			t.Fatalf("cut at %v: snapshot accepted a pending reconciler step", cut.at)
+		}
+		for _, typ := range cut.refused {
+			if !strings.Contains(err.Error(), typ) {
+				t.Errorf("cut at %v: refusal does not name %s: %v", cut.at, typ, err)
+			}
+		}
+	}
+	b.Net.RunUntil(200 * sim.Millisecond)
+	if got, want := b.StateDigest(), clean.StateDigest(); got != want {
+		t.Fatalf("refused snapshots changed the run:\n--- clean\n%s\n--- cut\n%s", want, got)
 	}
 }
 

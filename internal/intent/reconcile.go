@@ -84,8 +84,8 @@ type Reconciler struct {
 	Store *Store
 	Opt   Options
 
-	// epoch invalidates every scheduled closure of a previous life: Kill
-	// and Restart bump it, and stale closures see the mismatch and die.
+	// epoch invalidates every step posted in a previous life: Kill and
+	// Restart bump it, and a stale step fires as a no-op.
 	epoch    int
 	running  bool
 	inFlight bool
@@ -134,12 +134,11 @@ func (r *Reconciler) Start() {
 	}
 	r.running = true
 	r.epoch++
-	ep := r.epoch
-	r.Srv.B.E.After(0, func() { r.scan(ep, true) })
+	r.post(0, step{periodic: true})
 }
 
-// Kill stops the reconciler abruptly — mid-commit, mid-anything. Scheduled
-// continuations die on the epoch guard; an unconfirmed commit is left for
+// Kill stops the reconciler abruptly — mid-commit, mid-anything. Posted
+// steps die on the epoch guard; an unconfirmed commit is left for
 // the server's auto-rollback timer, exactly as if the process crashed.
 func (r *Reconciler) Kill() error {
 	if !r.running {
@@ -163,8 +162,7 @@ func (r *Reconciler) Restart() error {
 	r.epoch++
 	r.inFlight = false
 	r.attempts = make(map[string]int)
-	ep := r.epoch
-	r.Srv.B.E.After(0, func() { r.scan(ep, true) })
+	r.post(0, step{periodic: true})
 	return nil
 }
 
@@ -174,7 +172,7 @@ func (r *Reconciler) Converged() bool {
 	return !r.inFlight && len(r.Diff()) == 0
 }
 
-// Quarantined returns the subjects the reconciler has given up on, sorted.
+// Quarantined returns a copy of the subjects given up on, with their errors.
 func (r *Reconciler) Quarantined() map[string]error {
 	out := make(map[string]error, len(r.quarantine))
 	for k, v := range r.quarantine {
@@ -199,15 +197,47 @@ func (r *Reconciler) Diff() []netconf.Op {
 // opKey identifies an op for attempt/quarantine bookkeeping.
 func opKey(op netconf.Op) string { return op.Kind.String() + " " + op.Subject() }
 
-// scan is one tick of the loop: recompute the diff and, when idle, launch
-// a batch. periodic scans self-reschedule every Interval until Horizon.
-func (r *Reconciler) scan(epoch int, periodic bool) {
-	if epoch != r.epoch || !r.running {
+// step is one posted continuation of the loop: a scan (sess nil), the
+// commit that follows validate, or the confirm that follows commit. No
+// checkpoint section owns a step, so a snapshot with one pending refuses it.
+type step struct {
+	r                 *Reconciler
+	epoch             int
+	sess              *netconf.Session
+	batch             []netconf.Op
+	periodic, confirm bool
+}
+
+// post books s d from now, in the current epoch.
+func (r *Reconciler) post(d sim.Time, s step) {
+	s.r, s.epoch = r, r.epoch
+	r.Srv.B.E.PostAfter(d, &s)
+}
+
+// Run drops a step from an earlier life and runs any other one.
+func (s *step) Run() {
+	r := s.r
+	if s.epoch != r.epoch || !r.running {
+		// Killed since: an abandoned validate applied nothing, and an
+		// abandoned commit is the server's auto-rollback timer's to undo.
 		return
 	}
+	switch {
+	case s.sess == nil:
+		r.scan(s.periodic)
+	case s.confirm:
+		r.confirmStep(s.sess, s.batch)
+	default:
+		r.commitStep(s.sess, s.batch)
+	}
+}
+
+// scan is one tick of the loop: recompute the diff and, when idle, launch
+// a batch. periodic scans self-reschedule every Interval until Horizon.
+func (r *Reconciler) scan(periodic bool) {
 	b := r.Srv.B
 	if periodic && (r.Opt.Horizon <= 0 || b.E.Now()+r.Opt.Interval <= r.Opt.Horizon) {
-		r.Srv.B.E.After(r.Opt.Interval, func() { r.scan(epoch, true) })
+		r.post(r.Opt.Interval, step{periodic: true})
 	}
 	if r.inFlight {
 		return
@@ -221,14 +251,14 @@ func (r *Reconciler) scan(epoch int, periodic bool) {
 	if len(ops) > r.Opt.BatchOps {
 		ops = ops[:r.Opt.BatchOps]
 	}
-	r.startBatch(epoch, ops)
+	r.startBatch(ops)
 }
 
 // startBatch runs one transactional commit cycle for a batch of ops.
-func (r *Reconciler) startBatch(epoch int, batch []netconf.Op) {
+func (r *Reconciler) startBatch(batch []netconf.Op) {
 	r.inFlight = true
 	r.sessSeq++
-	sess, err := r.Srv.Open(fmt.Sprintf("reconciler-%d-%d", epoch, r.sessSeq))
+	sess, err := r.Srv.Open(fmt.Sprintf("reconciler-%d-%d", r.epoch, r.sessSeq))
 	if err != nil {
 		// Session IDs are unique per epoch+seq; this cannot happen short of
 		// a bug. Fail the batch; the next scan retries.
@@ -261,19 +291,14 @@ func (r *Reconciler) startBatch(epoch int, batch []netconf.Op) {
 		sess.Stage(batch...)
 	}
 
-	r.Srv.B.E.After(r.Opt.ValidateGap, func() { r.commitStep(epoch, sess, batch) })
+	r.post(r.Opt.ValidateGap, step{sess: sess, batch: batch})
 }
 
-func (r *Reconciler) commitStep(epoch int, sess *netconf.Session, batch []netconf.Op) {
-	if epoch != r.epoch || !r.running {
-		// Killed between validate and commit: nothing was applied; the
-		// session is simply abandoned.
-		return
-	}
+func (r *Reconciler) commitStep(sess *netconf.Session, batch []netconf.Op) {
 	err := sess.CommitConfirmed(r.Opt.ConfirmTimeout)
 	switch {
 	case err == nil:
-		r.Srv.B.E.After(r.Opt.ConfirmDelay, func() { r.confirmStep(epoch, sess, batch) })
+		r.post(r.Opt.ConfirmDelay, step{sess: sess, batch: batch, confirm: true})
 	case errors.Is(err, netconf.ErrCommitInProgress):
 		// Another session (a prior life's unconfirmed commit, an operator)
 		// holds the lock; back off and let the next scan retry.
@@ -287,18 +312,11 @@ func (r *Reconciler) commitStep(epoch int, sess *netconf.Session, batch []netcon
 		}
 		sess.Close()
 		r.inFlight = false
-		ep := epoch
-		r.Srv.B.E.After(r.Opt.BatchGap, func() { r.scan(ep, false) })
+		r.post(r.Opt.BatchGap, step{})
 	}
 }
 
-func (r *Reconciler) confirmStep(epoch int, sess *netconf.Session, batch []netconf.Op) {
-	if epoch != r.epoch || !r.running {
-		// Killed between commit and confirm: the confirm never arrives and
-		// the server's timer rolls the whole batch back — the crash cannot
-		// leave half-provisioned state.
-		return
-	}
+func (r *Reconciler) confirmStep(sess *netconf.Session, batch []netconf.Op) {
 	if err := sess.Confirm(); err != nil {
 		// The auto-rollback timer beat us (ConfirmTimeout < ConfirmDelay is
 		// a misconfiguration): the batch is gone; rescan re-emits it.
@@ -315,8 +333,7 @@ func (r *Reconciler) confirmStep(epoch int, sess *netconf.Session, batch []netco
 		delete(r.attempts, opKey(op))
 	}
 	r.inFlight = false
-	ep := epoch
-	r.Srv.B.E.After(r.Opt.BatchGap, func() { r.scan(ep, false) })
+	r.post(r.Opt.BatchGap, step{})
 }
 
 // classifyFailure routes a failed op: retryable errors (and ordering-

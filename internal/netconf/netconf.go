@@ -51,7 +51,6 @@ import (
 	"mplsvpn/internal/qos"
 	"mplsvpn/internal/rsvp"
 	"mplsvpn/internal/sim"
-	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/stats"
 	"mplsvpn/internal/trafgen"
 )
@@ -183,11 +182,14 @@ func Load(r io.Reader, name string, cfg core.Config) (*Scenario, error) {
 			if err != nil {
 				return err
 			}
-			flap := &scriptedFlap{b.RestoreLink, f[1], f[2], detect}
+			apply := b.RestoreLink
 			if f[0] == "fail" {
-				flap.apply = b.FailLink
+				apply = b.FailLink
 			}
-			b.E.Post(at, b.RegisterSource(flap))
+			// A refusal (an unknown link, or one already in that state)
+			// changes nothing and has no caller left to report to.
+			a, z := f[1], f[2]
+			b.At(at, func() { _ = apply(a, z, detect) })
 		case "pe", "p":
 			if len(f) != 2 {
 				return fmt.Errorf("%s needs a name", f[0])
@@ -297,22 +299,6 @@ func Load(r io.Reader, name string, cfg core.Config) (*Scenario, error) {
 	}
 	return sc, nil
 }
-
-// scriptedFlap is a fail or restore line: a registered action, so a
-// checkpoint with it pending re-arms it by registry index on a rebuild
-// from the same file. Its State walks nothing: the rebuild's line is the
-// same.
-type scriptedFlap struct {
-	apply  func(a, z string, detect sim.Time) error
-	a, z   string
-	detect sim.Time
-}
-
-// Run applies the line; a refusal (an unknown link, or one already in that
-// state) changes nothing and has no caller left to report to.
-func (s *scriptedFlap) Run() { _ = s.apply(s.a, s.z, s.detect) }
-
-func (*scriptedFlap) State(*snapshot.Codec) {}
 
 // ParseSite reads the fields of a site directive, the one site grammar a
 // config and an intent spec share:

@@ -14,12 +14,18 @@ import (
 // each must give its own deterministic outcome with reservations released
 // exactly once.
 
+// call is a func as a sim.Action, so a test posts its timed steps on a
+// bare engine.
+type call func()
+
+func (f call) Run() { f() }
+
 // scanBeforeExpiry drives an LSP to the brink: the path goes down and two
 // scans miss, so the next scan is the K=3 expiry.
 func scanToBrink(t *testing.T, e *sim.Engine, p *Protocol) {
 	t.Helper()
-	e.Schedule(1*sim.Millisecond, func() { p.RefreshScan(3) })
-	e.Schedule(2*sim.Millisecond, func() { p.RefreshScan(3) })
+	e.Post(1*sim.Millisecond, call(func() { p.RefreshScan(3) }))
+	e.Post(2*sim.Millisecond, call(func() { p.RefreshScan(3) }))
 }
 
 func TestRefreshHealSameTickAsExpiryScan(t *testing.T) {
@@ -34,8 +40,8 @@ func TestRefreshHealSameTickAsExpiryScan(t *testing.T) {
 	e := sim.NewEngine(1)
 	g.SetLinkDown(src, m, true)
 	scanToBrink(t, e, p)
-	e.Schedule(3*sim.Millisecond, func() { g.SetLinkDown(src, m, false) })
-	e.Schedule(3*sim.Millisecond, func() { p.RefreshScan(3) })
+	e.Post(3*sim.Millisecond, call(func() { g.SetLinkDown(src, m, false) }))
+	e.Post(3*sim.Millisecond, call(func() { p.RefreshScan(3) }))
 	e.Run()
 	if l.State != Up {
 		t.Fatalf("LSP state %v after heal-then-scan, want Up", l.State)
@@ -64,8 +70,8 @@ func TestExpiryScanSameTickBeforeHeal(t *testing.T) {
 	e := sim.NewEngine(1)
 	g.SetLinkDown(src, m, true)
 	scanToBrink(t, e, p)
-	e.Schedule(3*sim.Millisecond, func() { p.RefreshScan(3) })
-	e.Schedule(3*sim.Millisecond, func() { g.SetLinkDown(src, m, false) })
+	e.Post(3*sim.Millisecond, call(func() { p.RefreshScan(3) }))
+	e.Post(3*sim.Millisecond, call(func() { g.SetLinkDown(src, m, false) }))
 	e.Run()
 	if l.State == Up {
 		t.Fatal("LSP survived a scan that ran before the heal")
@@ -95,12 +101,12 @@ func TestTeardownSameTickAsExpiryScan(t *testing.T) {
 	e := sim.NewEngine(1)
 	g.SetLinkDown(src, m, true)
 	scanToBrink(t, e, p)
-	e.Schedule(3*sim.Millisecond, func() { p.Teardown(l.ID) })
-	e.Schedule(3*sim.Millisecond, func() {
+	e.Post(3*sim.Millisecond, call(func() { p.Teardown(l.ID) }))
+	e.Post(3*sim.Millisecond, call(func() {
 		if got := p.RefreshScan(3); len(got) != 0 {
 			t.Errorf("scan expired %v after a same-tick teardown", got)
 		}
-	})
+	}))
 	e.Run()
 	if p.Timeouts != 0 {
 		t.Fatalf("Timeouts = %d after voluntary teardown, want 0", p.Timeouts)
@@ -123,12 +129,12 @@ func TestExpiryScanSameTickBeforeTeardown(t *testing.T) {
 	e := sim.NewEngine(1)
 	g.SetLinkDown(src, m, true)
 	scanToBrink(t, e, p)
-	e.Schedule(3*sim.Millisecond, func() { p.RefreshScan(3) })
-	e.Schedule(3*sim.Millisecond, func() {
+	e.Post(3*sim.Millisecond, call(func() { p.RefreshScan(3) }))
+	e.Post(3*sim.Millisecond, call(func() {
 		if p.Teardown(l.ID) {
 			t.Error("Teardown returned true for an already-expired LSP")
 		}
-	})
+	}))
 	e.Run()
 	if p.Timeouts != 1 {
 		t.Fatalf("Timeouts = %d, want 1", p.Timeouts)

@@ -13,19 +13,14 @@ package sim
 // which is what keeps the event count and every later tie-break where they
 // were (netsim's doomed and reprieved transmissions work this way).
 //
-// An Action that must survive a checkpoint describes itself to the package
-// that owns it (netsim's in-flight events, trafgen's sources, core's control
-// timers); a restore re-arms it with RestoreAction. Anything an action
-// recycles must come from a freelist owned by one scheduler — never a
-// sync.Pool, whose steal-anything semantics would make reuse order depend
-// on goroutine timing.
+// There is no closure form: a one-off callback is an Action too (core's
+// Backbone.At wraps a driver's func in a registered one). An Action that
+// must survive a checkpoint describes itself to the package that owns it
+// (netsim's in-flight events, trafgen's sources and the other registered
+// actions, core's control timers); a restore re-arms it with
+// RestoreAction. Anything an action recycles must come from a freelist
+// owned by one scheduler — never a sync.Pool, whose steal-anything
+// semantics would make reuse order depend on goroutine timing.
 type Action interface {
 	Run()
 }
-
-// funcAction carries the closure of Schedule/After. A func value is
-// pointer-shaped, so converting it to an Action does not allocate. It has
-// no serializable identity: a checkpoint walk reports it with a nil Act.
-type funcAction func()
-
-func (f funcAction) Run() { f() }

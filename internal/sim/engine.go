@@ -8,8 +8,9 @@
 // sequence counter. An event is an Action and the (time, sequence) pair it
 // was scheduled with, held by value in the queue; it runs once, at its time,
 // and cannot be cancelled — a component that must call work off empties the
-// action it posted and lets the event fire as a no-op. The engine owns one
-// Queue and forwards Now, Post, PostAfter, Schedule and After to it.
+// action it posted and lets the event fire as a no-op. Post and PostAfter
+// are the only ways to schedule one. The engine owns one Queue and forwards
+// Now, Post and PostAfter to it.
 //
 // The engine is single-threaded by default. Determinism — the property that
 // a given seed reproduces a run exactly — is what makes the experiment
@@ -114,12 +115,6 @@ func (q *Queue) PostAfter(d Time, act Action) {
 	q.Post(q.Now()+d, act)
 }
 
-// Schedule runs fn at absolute virtual time at: Post for a closure.
-func (q *Queue) Schedule(at Time, fn func()) { q.Post(at, funcAction(fn)) }
-
-// After runs fn d after the current time: PostAfter for a closure.
-func (q *Queue) After(d Time, fn func()) { q.PostAfter(d, funcAction(fn)) }
-
 // step takes the event next located and runs it with the clock at its due
 // time. The entry has left the queue before the action runs, so an action
 // that reposts itself reuses the slot it just vacated.
@@ -159,13 +154,11 @@ func NewEngine(seed uint64) *Engine {
 	return e
 }
 
-// Now, Post, PostAfter, Schedule and After act on the engine's own queue.
+// Now, Post and PostAfter act on the engine's own queue.
 
 func (e *Engine) Now() Time                    { return e.band.now }
 func (e *Engine) Post(at Time, act Action)     { e.band.Post(at, act) }
 func (e *Engine) PostAfter(d Time, act Action) { e.band.PostAfter(d, act) }
-func (e *Engine) Schedule(at Time, fn func())  { e.band.Schedule(at, fn) }
-func (e *Engine) After(d Time, fn func())      { e.band.After(d, fn) }
 
 // Rand returns the engine's root random stream. Components should Fork it.
 func (e *Engine) Rand() *Rand { return e.rand }

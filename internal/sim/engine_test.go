@@ -8,9 +8,9 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	e.Post(30, call(func() { got = append(got, 3) }))
+	e.Post(10, call(func() { got = append(got, 1) }))
+	e.Post(20, call(func() { got = append(got, 2) }))
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,7 +28,7 @@ func TestEngineFIFOForSimultaneous(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		e.Post(5, call(func() { got = append(got, i) }))
 	}
 	e.Run()
 	for i := range got {
@@ -40,22 +40,22 @@ func TestEngineFIFOForSimultaneous(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.Schedule(100, func() {})
+	e.Post(100, call(func() {}))
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	e.Schedule(50, func() {})
+	e.Post(50, call(func() {}))
 }
 
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
-	e.Schedule(30, func() { got = append(got, 3) })
+	e.Post(10, call(func() { got = append(got, 1) }))
+	e.Post(20, call(func() { got = append(got, 2) }))
+	e.Post(30, call(func() { got = append(got, 3) }))
 	e.RunUntil(20)
 	if len(got) != 2 {
 		t.Fatalf("executed %d events, want 2", len(got))
@@ -80,10 +80,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	reschedule = func() {
 		count++
 		if count < 10 {
-			e.After(1, reschedule)
+			e.PostAfter(1, call(reschedule))
 		}
 	}
-	e.After(1, reschedule)
+	e.PostAfter(1, call(reschedule))
 	e.Run()
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
@@ -101,7 +101,7 @@ func TestEngineHeapProperty(t *testing.T) {
 		var times []Time
 		for _, d := range delays {
 			at := Time(d)
-			e.Schedule(at, func() { times = append(times, e.Now()) })
+			e.Post(at, call(func() { times = append(times, e.Now()) }))
 		}
 		e.Run()
 		for i := 1; i < len(times); i++ {
@@ -206,7 +206,7 @@ func TestTimeHelpers(t *testing.T) {
 		t.Fatal("Seconds conversion wrong")
 	}
 	e := NewEngine(1)
-	e.Schedule(42, func() {})
+	e.Post(42, call(func() {}))
 	if e.Rand() == nil {
 		t.Fatal("engine has no rand")
 	}
@@ -223,7 +223,7 @@ func TestAfterNegativePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.PostAfter(-1, call(func() {}))
 }
 
 func TestIntnZeroPanics(t *testing.T) {

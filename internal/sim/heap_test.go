@@ -85,7 +85,7 @@ func TestQueueMatchesSortOracleSerial(t *testing.T) {
 			nextID++
 			_, seq, _ := e.Queue(GlobalBand).Counters()
 			if rng.Intn(2) == 0 {
-				e.Schedule(at, func() { got = append(got, id) })
+				e.Post(at, call(func() { got = append(got, id) }))
 			} else {
 				e.Post(at, &recAction{&got, id})
 			}
@@ -200,7 +200,7 @@ func TestQueueMatchesSortOracleSharded(t *testing.T) {
 				o.notes = true
 				sh.Post(at, &notingAction{recAction{&got[s], id}, sh, &notes})
 			case 1, 2, 3:
-				sh.Schedule(at, func() { got[s] = append(got[s], id) })
+				sh.Post(at, call(func() { got[s] = append(got[s], id) }))
 			default:
 				sh.Post(at, &recAction{&got[s], id})
 			}

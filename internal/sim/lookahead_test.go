@@ -131,7 +131,7 @@ func TestHandoffBelowPairBoundPanics(t *testing.T) {
 	m[0][1] = 8 * Millisecond
 	e.SetLookahead(m)
 	s0, s1 := e.Queue(0), e.Queue(1)
-	s0.Schedule(Millisecond, func() {
+	s0.Post(Millisecond, call(func() {
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -146,8 +146,8 @@ func TestHandoffBelowPairBoundPanics(t *testing.T) {
 			}
 		}()
 		// 2ms clears the global quantum but not this pair's 8ms bound.
-		s0.Handoff(s1, 2*Millisecond, funcAction(func() {}))
-	})
+		s0.Handoff(s1, 2*Millisecond, call(func() {}))
+	}))
 	e.Run()
 }
 

@@ -23,21 +23,21 @@ func buildPingPong(e *Engine, nShards int, trace *[]string) {
 				return
 			}
 			now := s.Now()
-			s.Defer(funcAction(func() {
+			s.Defer(call(func() {
 				*trace = append(*trace, fmt.Sprintf("%v shard%d tick%d", now, id, k))
 			}))
 			if k%3 == 2 {
 				dst := e.Queue((id + 1) % nShards)
-				s.Handoff(dst, 5*Millisecond, funcAction(func() {
+				s.Handoff(dst, 5*Millisecond, call(func() {
 					at := dst.Now()
-					dst.Defer(funcAction(func() {
+					dst.Defer(call(func() {
 						*trace = append(*trace, fmt.Sprintf("%v shard%d got msg from shard%d", at, (id+1)%nShards, id))
 					}))
 				}))
 			}
-			s.After(Millisecond, func() { tick(k + 1) })
+			s.PostAfter(Millisecond, call(func() { tick(k + 1) }))
 		}
-		s.Schedule(Time(id)*100*Microsecond, func() { tick(0) })
+		s.Post(Time(id)*100*Microsecond, call(func() { tick(0) }))
 	}
 }
 
@@ -86,15 +86,15 @@ func TestGlobalBandBarriers(t *testing.T) {
 		s := e.Queue(i)
 		for k := 1; k <= 10; k++ {
 			at := Time(k) * Millisecond
-			s.Schedule(at, func() {}) // data event
-			s.Schedule(at, func() {
-				s.Defer(funcAction(func() { shardEvents++ }))
-			})
+			s.Post(at, call(func() {})) // data event
+			s.Post(at, call(func() {
+				s.Defer(call(func() { shardEvents++ }))
+			}))
 		}
 	}
 	var seenAt5, seenAt50 int
-	e.Schedule(5*Millisecond+1, func() { seenAt5 = shardEvents })
-	e.Schedule(50*Millisecond, func() { seenAt50 = shardEvents })
+	e.Post(5*Millisecond+1, call(func() { seenAt5 = shardEvents }))
+	e.Post(50*Millisecond, call(func() { seenAt50 = shardEvents }))
 	e.Run()
 	if seenAt5 != 2*5 {
 		t.Errorf("global at 5ms saw %d shard notifications, want 10", seenAt5)
@@ -110,7 +110,7 @@ func TestHandoffBelowQuantumPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.EnableShards(2, Millisecond, 1)
 	s0, s1 := e.Queue(0), e.Queue(1)
-	s0.Schedule(Millisecond, func() {
+	s0.Post(Millisecond, call(func() {
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -119,8 +119,8 @@ func TestHandoffBelowQuantumPanics(t *testing.T) {
 				t.Errorf("unexpected panic: %v", r)
 			}
 		}()
-		s0.Handoff(s1, Microsecond, funcAction(func() {}))
-	})
+		s0.Handoff(s1, Microsecond, call(func() {}))
+	}))
 	e.Run()
 }
 
@@ -130,14 +130,14 @@ func TestShardSchedulePastPanicsDuringDrain(t *testing.T) {
 	e := NewEngine(1)
 	e.EnableShards(1, Millisecond, 1)
 	s := e.Queue(0)
-	s.Schedule(Millisecond, func() {
+	s.Post(Millisecond, call(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic for past schedule during drain")
 			}
 		}()
-		s.Schedule(0, func() {})
-	})
+		s.Post(0, call(func() {}))
+	}))
 	e.Run()
 }
 
@@ -159,8 +159,8 @@ func TestShardedRunUntil(t *testing.T) {
 	e := NewEngine(1)
 	e.EnableShards(2, Millisecond, 2)
 	var ran []string
-	e.Queue(0).Schedule(10*Millisecond, func() { ran = append(ran, "at-deadline") })
-	e.Queue(1).Schedule(10*Millisecond+1, func() { ran = append(ran, "late") })
+	e.Queue(0).Post(10*Millisecond, call(func() { ran = append(ran, "at-deadline") }))
+	e.Queue(1).Post(10*Millisecond+1, call(func() { ran = append(ran, "late") }))
 	e.RunUntil(10 * Millisecond)
 	if !reflect.DeepEqual(ran, []string{"at-deadline"}) {
 		t.Fatalf("ran %v, want [at-deadline]", ran)
@@ -199,18 +199,18 @@ func TestOnBarrierMerges(t *testing.T) {
 		s := e.Queue(i)
 		cell := &cells[i]
 		for k := 1; k <= 4; k++ {
-			s.Schedule(Time(k)*Millisecond, func() { *cell++ })
+			s.Post(Time(k)*Millisecond, call(func() { *cell++ }))
 		}
 	}
 	checked := false
-	e.Schedule(2*Millisecond+1, func() {
+	e.Post(2*Millisecond+1, call(func() {
 		// Both shards have executed their 1ms and 2ms events by this
 		// barrier; the merge hook must have folded all 4.
 		if total != 4 {
 			t.Errorf("global saw merged total %d, want 4", total)
 		}
 		checked = true
-	})
+	}))
 	e.Run()
 	if !checked {
 		t.Fatal("global checkpoint never ran")
@@ -224,9 +224,9 @@ func TestOnBarrierMerges(t *testing.T) {
 func TestExecutedPendingSumShards(t *testing.T) {
 	e := NewEngine(1)
 	e.EnableShards(2, Millisecond, 1)
-	e.Queue(0).Schedule(Millisecond, func() {})
-	e.Queue(1).Schedule(Millisecond, func() {})
-	e.Schedule(Millisecond, func() {})
+	e.Queue(0).Post(Millisecond, call(func() {}))
+	e.Queue(1).Post(Millisecond, call(func() {}))
+	e.Post(Millisecond, call(func() {}))
 	if e.Pending() != 3 {
 		t.Fatalf("pending %d, want 3", e.Pending())
 	}

@@ -8,9 +8,8 @@
 // empties the rebuilt queues with DropPending and re-arms every event the
 // checkpoint holds with RestoreAction at its original (time, seq), so the
 // FIFO tie-break order — and therefore the entire future of the run — is
-// byte-identical to the uninterrupted execution. A closure scheduled with
-// Schedule/After has no such identity; the walk reports it with a nil Act
-// and a strict snapshot refuses it.
+// byte-identical to the uninterrupted execution. An action no package
+// describes has no such identity, and a strict snapshot refuses it by type.
 //
 // Sequence counters, clocks, and executed counts restore explicitly. Every
 // accessor here takes a scheduler index — GlobalBand or a shard — and goes
@@ -25,7 +24,7 @@ type PendingEvent struct {
 	Shard int // GlobalBand or a shard index
 	At    Time
 	Seq   uint64
-	Act   Action // nil for closure events
+	Act   Action
 }
 
 // Queue returns the scheduler with the given index: the engine's own queue
@@ -61,11 +60,7 @@ func (e *Engine) WalkPending(visit func(PendingEvent)) {
 	}
 	for _, q := range e.all {
 		for _, x := range q.q.sorted() {
-			pe := PendingEvent{Shard: q.id, At: x.at, Seq: x.seq, Act: x.act}
-			if _, closure := x.act.(funcAction); closure {
-				pe.Act = nil
-			}
-			visit(pe)
+			visit(PendingEvent{Shard: q.id, At: x.at, Seq: x.seq, Act: x.act})
 		}
 	}
 }
