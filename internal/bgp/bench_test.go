@@ -1,10 +1,12 @@
 package bgp
 
 import (
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/packet"
@@ -186,4 +188,57 @@ func BenchmarkCheckpointMesh1000x100(b *testing.B) {
 			}
 		}
 	})
+}
+
+// maxHeapPerRoute bounds the heap a converged clustered1000x100 mesh holds
+// per route: 299 B measured when runs became handles into the route table
+// and a route 80 bytes (448 B before), plus 10 %.
+const maxHeapPerRoute = 330
+
+// TestConvergeHeapPerRoute: what a converged mesh at the vpnv4_100k shape
+// holds per route stays within maxHeapPerRoute. Its types are checked first
+// and in every mode: a rib holds nothing the collector must follow into — its
+// fields are slices of pointer-free elements — and a route fits the 80-byte
+// size class.
+func TestConvergeHeapPerRoute(t *testing.T) {
+	typ := reflect.TypeOf(rib{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Slice || hasPointers(f.Type.Elem()) {
+			t.Errorf("rib.%s is a %s: the collector would have to scan it", f.Name, f.Type)
+		}
+	}
+	if size := unsafe.Sizeof(VPNRoute{}); size > 80 {
+		t.Errorf("VPNRoute is %d bytes, more than the 80-byte size class", size)
+	}
+	if testing.Short() {
+		t.Skip("converges 100k routes")
+	}
+	const routes = 1000 * 100
+	before := heapInuse()
+	m := clustered1000x100()
+	m.Converge()
+	perRoute := (heapInuse() - before) / routes
+	runtime.KeepAlive(m)
+	t.Logf("converged mesh holds %.0f B/route", perRoute)
+	if perRoute > maxHeapPerRoute {
+		t.Errorf("converged mesh holds %.0f B/route, bound %d", perRoute, maxHeapPerRoute)
+	}
+}
+
+// hasPointers reports whether a value of type typ holds a pointer.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.Interface, reflect.String, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -11,18 +11,20 @@
 // Best-path selection is a deterministic subset of the BGP decision
 // process: LocalPref, then AS-path length, then lowest next hop.
 //
-// A speaker's Adj-RIB-In and Loc-RIB are two slices of route pointers kept
-// in prefix order (rib.go), not maps: receivers share one *VPNRoute per
-// announcement, so a retained route costs each holder eight bytes, and the
-// checkpoint writes each distinct route once (snapshot.go). Converge fills
-// receivers one at a time: a speaker's arrivals collect in one tail the call
-// owns, and a seal sorts them, folds re-announcements and merges them into
-// the run, which it then allocates once at its size. The sparse ledgers
-// (stale marks, damping) stay maps.
+// A mesh keeps every route it holds in one route table, and a speaker's
+// exports, Adj-RIB-In and Loc-RIB are runs of 32-bit handles into it, kept
+// in prefix order (rib.go), not maps: receivers share one route per
+// announcement, so a retained route costs each holder four bytes and the
+// collector nothing, and the checkpoint writes each distinct route once
+// (snapshot.go). Converge fills receivers one at a time: a speaker's
+// arrivals collect in one tail the call owns, and a seal sorts them, folds
+// re-announcements and merges them into the run, which it then allocates
+// once at its size. The sparse ledgers (stale marks, damping) stay maps.
 package bgp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mplsvpn/internal/addr"
@@ -31,7 +33,8 @@ import (
 	"mplsvpn/internal/topo"
 )
 
-// VPNRoute is one VPN-IPv4 NLRI with its attributes.
+// VPNRoute is one VPN-IPv4 NLRI with its attributes. A route that has
+// entered a mesh is shared by every speaker holding it: do not modify it.
 type VPNRoute struct {
 	Prefix  addr.VPNPrefix
 	NextHop addr.IPv4 // egress PE loopback (BGP next-hop-self)
@@ -43,16 +46,19 @@ type VPNRoute struct {
 	ASPathLen int // shorter wins
 	OriginPE  topo.NodeID
 
-	// Reflection attributes (RFC 4456), set when a route reflector stamps
-	// a reflected copy. A route is stamped iff ClusterList is non-empty;
-	// OriginatorID is meaningful only then. See reflect.go.
+	// Reflected is what a route reflector stamped on this reflected copy,
+	// nil on a route no reflector has stamped: a route is stamped iff
+	// Reflected is non-nil. See reflect.go.
+	Reflected *Reflection
+}
+
+// Reflection is the pair of attributes (RFC 4456) a route reflector stamps
+// on a reflected copy: ORIGINATOR_ID and a non-empty CLUSTER_LIST. Every copy
+// stamped for one originator in one cluster shares one Reflection, and
+// nothing modifies it.
+type Reflection struct {
 	OriginatorID topo.NodeID
 	ClusterList  []uint32
-
-	// slot is scratch of a checkpoint being written: where the route stands
-	// in the section's route table (snapshot.go). It means nothing outside a
-	// save and fits in the padding of the route's allocation size class.
-	slot int
 }
 
 // HasRT reports whether the route carries the given route target.
@@ -91,8 +97,13 @@ type Speaker struct {
 	Node     topo.NodeID
 	Loopback addr.IPv4
 
-	// exports are locally originated VPN routes (from attached VRFs).
-	exports []*VPNRoute
+	// mesh is the mesh whose route table the handles below index.
+	mesh *Mesh
+	// exports are locally originated VPN routes (from attached VRFs), one
+	// per prefix, in the order they were first originated. disordered is
+	// false while they are known to ascend by prefix.
+	exports    []uint32
+	disordered bool
 	// rib holds every retained route and the selected best per prefix.
 	rib rib
 
@@ -115,22 +126,35 @@ type Speaker struct {
 	flapPending map[addr.VPNPrefix]bool
 }
 
-// Originate adds (or replaces) a locally originated route.
+// Originate adds (or replaces) a locally originated route. While the
+// exports ascend by prefix, a route that sorts after the last of them is
+// new and is appended without a scan: the common case of a VRF exporting
+// its prefixes in order.
 func (s *Speaker) Originate(r *VPNRoute) {
-	for i, e := range s.exports {
-		if e.Prefix == r.Prefix {
-			s.exports[i] = r
+	routes := s.mesh.routes
+	if n := len(s.exports); n == 0 || !s.disordered && byPrefix(routes[s.exports[n-1]], r) < 0 {
+		s.exports = append(s.exports, s.mesh.add(r))
+		return
+	}
+	for i, h := range s.exports {
+		if routes[h].Prefix == r.Prefix {
+			if routes[h] != r {
+				s.exports[i] = s.mesh.add(r)
+			}
 			return
 		}
 	}
-	s.exports = append(s.exports, r)
+	// In order, r would have sorted after the last export or replaced one.
+	s.disordered = true
+	s.exports = append(s.exports, s.mesh.add(r))
 }
 
 // WithdrawLocal removes a locally originated route by prefix.
 func (s *Speaker) WithdrawLocal(p addr.VPNPrefix) bool {
-	for i, e := range s.exports {
-		if e.Prefix == p {
+	for i, h := range s.exports {
+		if s.mesh.routes[h].Prefix == p {
 			s.exports = append(s.exports[:i], s.exports[i+1:]...)
+			s.disordered = s.disordered && len(s.exports) > 0
 			return true
 		}
 	}
@@ -153,6 +177,15 @@ const (
 type Mesh struct {
 	Layout   Topology
 	speakers map[topo.NodeID]*Speaker
+
+	// routes is the route table: every route the mesh holds, by handle. A
+	// route gets a handle when it enters the mesh — originated, stamped by
+	// a reflector, or loaded — and every export and RIB run holds handles.
+	// Converge and LoadState compact it to the routes something references.
+	routes []*VPNRoute
+	// renumber is a checkpoint save's scratch: per handle, one more than the
+	// route's position in the section's route table (snapshot.go).
+	renumber []int32
 
 	// Clustered-reflection state (reflect.go): the canonicalized cluster
 	// set, node -> cluster indexes for both roles, and declared RT
@@ -192,9 +225,58 @@ func NewMesh() *Mesh {
 
 // AddSpeaker registers a PE (or RR) with its loopback.
 func (m *Mesh) AddSpeaker(n topo.NodeID, loopback addr.IPv4) *Speaker {
-	s := &Speaker{Node: n, Loopback: loopback}
+	s := &Speaker{Node: n, Loopback: loopback, mesh: m}
 	m.speakers[n] = s
 	return s
+}
+
+// add enters r into the route table and returns its handle.
+func (m *Mesh) add(r *VPNRoute) uint32 {
+	m.routes = append(m.routes, r)
+	return uint32(len(m.routes) - 1)
+}
+
+// compact renumbers the route table down to the routes some export or run
+// references, in the order of their handles, and rewrites every run. The
+// table is allocated at its size plus room for extra more routes: what it
+// held beyond that was garbage. to, of at least the table's length, is
+// scratch.
+func (m *Mesh) compact(extra int, to []uint32) {
+	to = to[:len(m.routes)] // per handle, one more than the new one; 0: unreferenced
+	clear(to)
+	runs := func(s *Speaker) [3][]uint32 { return [3][]uint32{s.exports, s.rib.paths, s.rib.best} }
+	for _, s := range m.speakers {
+		for _, run := range runs(s) {
+			for _, h := range run {
+				to[h] = 1
+			}
+		}
+	}
+	n := uint32(0)
+	for h, live := range to {
+		if live != 0 {
+			n++
+			to[h] = n
+		}
+	}
+	if int(n) == len(m.routes) {
+		m.routes = slices.Grow(m.routes, extra)
+		return
+	}
+	routes := make([]*VPNRoute, n, int(n)+extra)
+	for h, k := range to {
+		if k != 0 {
+			routes[k-1] = m.routes[h]
+		}
+	}
+	m.routes = routes
+	for _, s := range m.speakers {
+		for _, run := range runs(s) {
+			for i, h := range run {
+				run[i] = to[h] - 1
+			}
+		}
+	}
 }
 
 // Speaker returns the speaker at node n.
@@ -239,10 +321,15 @@ func (m *Mesh) sortedIDs() []topo.NodeID {
 // nor receives (its RIB stays empty until re-establishment), and Up
 // speakers keep stale-retained routes across the round so a graceful
 // restart can refresh them in place.
+//
+// The round starts from the route table compacted to what the exports and
+// the stale-retained routes reference, and leaves it holding only what some
+// export or run references.
 func (m *Mesh) Converge() {
 	for _, s := range m.speakers {
 		if m.StateOf(s.Node) == PeerUp {
 			s.clearAdjRIBKeepStale()
+			s.rib.best = nil // every speaker's is selected anew below
 		} else {
 			s.rib = rib{}
 			s.stale = nil
@@ -250,8 +337,10 @@ func (m *Mesh) Converge() {
 		s.Received = 0
 		s.Retained = 0
 	}
+	scratch := make([]uint32, len(m.routes))
+	m.compact(m.stampsAhead(), scratch)
 	ids := m.sortedIDs()
-	var rd round
+	rd := m.newRound(scratch)
 	switch m.Layout {
 	case FullMesh:
 		for _, to := range ids {
@@ -264,8 +353,8 @@ func (m *Mesh) Converge() {
 					continue
 				}
 				ex := m.speakers[from].exports
-				for _, r := range ex {
-					rd.receive(st, r, false)
+				for _, h := range ex {
+					rd.receive(st, h, false)
 				}
 				m.UpdatesSent += len(ex)
 			}
@@ -281,5 +370,8 @@ func (m *Mesh) Converge() {
 			s.updateDamping(m, now)
 		}
 		s.selectBest()
+	}
+	if rd.displaced {
+		m.compact(0, make([]uint32, len(m.routes)))
 	}
 }

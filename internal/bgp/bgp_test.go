@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"strings"
 	"testing"
 
 	"mplsvpn/internal/addr"
@@ -205,6 +206,30 @@ func TestOriginateReplaces(t *testing.T) {
 	}
 	if s2.RIBSize() != 1 {
 		t.Fatalf("duplicate export: rib=%d", s2.RIBSize())
+	}
+
+	// Out of prefix order: 10.0/16 sorts before 10.1/16, so the exports no
+	// longer ascend. 10.1/16 then sorts after the last export and must
+	// still replace the one it equals, not go behind it; so must 10.0/16.
+	s1.Originate(route(rdA, "10.0.0.0/16", 1, 200, 1, rtA))
+	s1.Originate(route(rdA, "10.1.0.0/16", 1, 556, 1, rtA))
+	s1.Originate(route(rdA, "10.2.0.0/16", 1, 300, 1, rtA))
+	s1.Originate(route(rdA, "10.0.0.0/16", 1, 201, 1, rtA))
+	m.Converge()
+	var order []string
+	for _, r := range s1.resolve(s1.exports) {
+		order = append(order, r.Prefix.Prefix.String())
+	}
+	if got, want := strings.Join(order, " "), "10.1.0.0/16 10.0.0.0/16 10.2.0.0/16"; got != want {
+		t.Errorf("exports %s, want %s: first-originated order", got, want)
+	}
+	for prefix, label := range map[string]packet.Label{"10.0.0.0/16": 201, "10.1.0.0/16": 556, "10.2.0.0/16": 300} {
+		if r, ok := s2.Best(addr.VPNPrefix{RD: rdA, Prefix: addr.MustParsePrefix(prefix)}); !ok || r.Label != label {
+			t.Errorf("%s: best %v, want label %d", prefix, r, label)
+		}
+	}
+	if s2.RIBSize() != 3 {
+		t.Errorf("duplicate export after an out-of-order originate: rib=%d, want 3", s2.RIBSize())
 	}
 }
 

@@ -25,21 +25,25 @@ type fieldEntry struct{ kind, by string }
 // a field cannot be added without deciding whether a checkpoint carries it.
 var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 	reflect.TypeOf(VPNRoute{}): {
-		"Prefix":       {walked, "routeTable.route"},
-		"NextHop":      {walked, "routeTable.route"},
-		"Label":        {walked, "routeTable.route"},
-		"RTs":          {walked, "routeTable.route"},
-		"LocalPref":    {walked, "routeTable.route"},
-		"ASPathLen":    {walked, "routeTable.route"},
-		"OriginPE":     {walked, "routeTable.route"},
+		"Prefix":    {walked, "routeTable.route"},
+		"NextHop":   {walked, "routeTable.route"},
+		"Label":     {walked, "routeTable.route"},
+		"RTs":       {walked, "routeTable.route"},
+		"LocalPref": {walked, "routeTable.route"},
+		"ASPathLen": {walked, "routeTable.route"},
+		"OriginPE":  {walked, "routeTable.route"},
+		"Reflected": {walked, "routeTable.route (shared per originator and list by routeTable.reflection)"},
+	},
+	reflect.TypeOf(Reflection{}): {
 		"OriginatorID": {walked, "routeTable.route"},
 		"ClusterList":  {walked, "routeTable.route"},
-		"slot":         {scratch, "routeTable.add"},
 	},
 	reflect.TypeOf(Speaker{}): {
 		"Node":        {derived, "Mesh.AddSpeaker"},
 		"Loopback":    {derived, "Mesh.AddSpeaker"},
+		"mesh":        {derived, "Mesh.AddSpeaker"},
 		"exports":     {walked, "routeTable.speakerState"},
+		"disordered":  {derived, "routeTable.speakerState (from the exports it loaded)"},
 		"rib":         {walked, "routeTable.speakerState"},
 		"Filter":      {derived, "the scenario rebuild (live wiring)"},
 		"Received":    {walked, "routeTable.speakerState"},
@@ -56,6 +60,8 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 	reflect.TypeOf(Mesh{}): {
 		"Layout":            {derived, "Mesh.UseClusters"},
 		"speakers":          {walked, "Mesh.State (overlaid on the set Mesh.AddSpeaker built)"},
+		"routes":            {walked, "Mesh.State (the section's route table, entered by a load and compacted)"},
+		"renumber":          {scratch, "routeTable.number"},
 		"clusters":          {derived, "Mesh.UseClusters"},
 		"rrClusterIdx":      {derived, "Mesh.UseClusters"},
 		"clientClusterIdx":  {derived, "Mesh.UseClusters"},
@@ -75,8 +81,8 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 	},
 }
 
-// TestCheckpointFieldLedger: every field of VPNRoute, Speaker, rib and Mesh
-// is classified, and the ledger names no field that is gone.
+// TestCheckpointFieldLedger: every field of VPNRoute, Reflection, Speaker,
+// rib and Mesh is classified, and the ledger names no field that is gone.
 func TestCheckpointFieldLedger(t *testing.T) {
 	for typ, ledger := range checkpointLedger {
 		fields := map[string]bool{}

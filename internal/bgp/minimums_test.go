@@ -22,10 +22,12 @@ func TestElementMinimumsAreLowerBounds(t *testing.T) {
 		// A list of one reference, to the only route of the table: its
 		// one-byte count, then the reference.
 		{"route reference", 1 + refMin, func(c *snapshot.Codec) {
-			var t routeTable
-			rs := []*VPNRoute{new(VPNRoute)}
-			t.add(rs)
-			t.refs(c, &rs)
+			m := NewMesh()
+			s := m.AddSpeaker(0, 0)
+			s.Originate(new(VPNRoute))
+			t := routeTable{m: m}
+			t.number()
+			t.refs(c, &s.exports)
 		}},
 		{"damping state", dampMin, func(c *snapshot.Codec) { dampStateState(c, new(dampState)) }},
 	} {

@@ -13,9 +13,9 @@
 // its own cluster ID. Receivers drop looping routes — a reflector drops a
 // route whose CLUSTER_LIST already carries its cluster (the redundant-RR
 // loop), any speaker drops a route originated by itself. A route is
-// "stamped" iff its CLUSTER_LIST is non-empty; clients never
-// re-advertise here, so the list never grows past its origin cluster and
-// reflected copies stay O(routes), not O(routes · clusters).
+// "stamped" iff it carries a Reflection, whose CLUSTER_LIST is never empty;
+// clients never re-advertise here, so the list never grows past its origin
+// cluster and reflected copies stay O(routes), not O(routes · clusters).
 //
 // RT-constrained distribution is sender-side: a speaker may declare the
 // route targets it imports (SetRTInterest); a reflector's interest is the
@@ -121,18 +121,30 @@ func (m *Mesh) SetRTInterest(n topo.NodeID, rts []addr.RouteTarget) {
 	m.rtInterest[n] = dedup
 }
 
-// stamp returns the reflected copy of r for its origin cluster: the
-// original attributes plus ORIGINATOR_ID and the cluster's CLUSTER_LIST,
-// which every copy of one round shares (nothing ever appends to it).
-// Already-stamped routes pass through.
-func stamp(r *VPNRoute, list []uint32) *VPNRoute {
-	if len(r.ClusterList) > 0 {
-		return r
+// stamp returns the handle of the reflected copy of the route at h: the
+// original attributes plus refl, the ORIGINATOR_ID and CLUSTER_LIST of its
+// originator in the cluster reflecting it. An already-stamped route passes
+// through.
+func (rd *round) stamp(h uint32, refl *Reflection) uint32 {
+	r := rd.m.routes[h]
+	if r.Reflected != nil {
+		return h
 	}
 	c := *r
-	c.OriginatorID = r.OriginPE
-	c.ClusterList = list
-	return &c
+	c.Reflected = refl
+	rd.rank = append(rd.rank, rd.rank[h])
+	return rd.m.add(&c)
+}
+
+// reflection returns the Reflection of originator o in the cluster whose
+// CLUSTER_LIST is list: one per originator, while refls holds that cluster's.
+func (rd *round) reflection(o topo.NodeID, list []uint32) *Reflection {
+	refl := rd.refls[o]
+	if refl == nil {
+		refl = &Reflection{OriginatorID: o, ClusterList: list}
+		rd.refls[o] = refl
+	}
+	return refl
 }
 
 func clusterListHas(list []uint32, cid uint32) bool {
@@ -142,6 +154,20 @@ func clusterListHas(list []uint32, cid uint32) bool {
 		}
 	}
 	return false
+}
+
+// stampsAhead bounds how many copies the next Converge stamps: the exports
+// of the clients of every cluster.
+func (m *Mesh) stampsAhead() int {
+	n := 0
+	for _, c := range m.clusters {
+		for _, cl := range c.Clients {
+			if s := m.speakers[cl]; s != nil {
+				n += len(s.exports)
+			}
+		}
+	}
+	return n
 }
 
 // rrInterest computes a reflector's effective interest: the union of its
@@ -192,14 +218,14 @@ func (m *Mesh) rrInterest(c Cluster, rrn topo.NodeID) []addr.RouteTarget {
 // are sent to every receiver (they cannot be matched, only flooded). A
 // round keeps one and refills it for every phase and cluster.
 type rtIndex struct {
-	all      []*VPNRoute
+	all      []uint32                     // route handles
 	ends     []int                        // where each sender's routes end in all
 	byRT     map[addr.RouteTarget][]int32 // positions in all
 	untagged []int32
 
 	// selectFor's scratch: the result it hands out, and per position in all
 	// the epoch of the call that last emitted it.
-	out   []*VPNRoute
+	out   []uint32
 	mark  []uint32
 	epoch uint32
 }
@@ -229,9 +255,10 @@ func (ix *rtIndex) reset(m *Mesh, ns []topo.NodeID) {
 // for forwarding, not re-announced: refreshing them downstream would erase
 // the peers' own graceful-restart marks.
 func (ix *rtIndex) add(s *Speaker, keep func(*VPNRoute) bool) {
-	put := func(r *VPNRoute) {
+	routes := s.mesh.routes
+	put := func(h uint32, r *VPNRoute) {
 		at := int32(len(ix.all))
-		ix.all = append(ix.all, r)
+		ix.all = append(ix.all, h)
 		if len(r.RTs) == 0 {
 			ix.untagged = append(ix.untagged, at)
 		}
@@ -239,12 +266,12 @@ func (ix *rtIndex) add(s *Speaker, keep func(*VPNRoute) bool) {
 			ix.byRT[rt] = append(ix.byRT[rt], at)
 		}
 	}
-	for _, r := range s.exports {
-		put(r)
+	for _, h := range s.exports {
+		put(h, routes[h])
 	}
-	for _, r := range s.rib.paths {
-		if (keep == nil || keep(r)) && !s.isStale(r.Prefix, r.OriginPE) {
-			put(r)
+	for _, h := range s.rib.paths {
+		if r := routes[h]; (keep == nil || keep(r)) && !s.isStale(r.Prefix, r.OriginPE) {
+			put(h, r)
 		}
 	}
 	ix.ends = append(ix.ends, len(ix.all))
@@ -254,7 +281,7 @@ func (ix *rtIndex) add(s *Speaker, keep func(*VPNRoute) bool) {
 // given interest, each once: interest order, then index order, untagged
 // last — the order same-prefix ties are broken by downstream. nil interest
 // means everything. The result is valid until the next call.
-func (ix *rtIndex) selectFor(k int, interest []addr.RouteTarget) []*VPNRoute {
+func (ix *rtIndex) selectFor(k int, interest []addr.RouteTarget) []uint32 {
 	lo, hi := 0, ix.ends[k]
 	if k > 0 {
 		lo = ix.ends[k-1]
@@ -311,22 +338,24 @@ func (m *Mesh) convergeClustered(rd *round) {
 			continue
 		}
 		list, sent := []uint32{c.ID}, rd.sent[:0]
+		clear(rd.refls)
 		for _, cl := range c.Clients {
 			if !up(cl) {
 				continue
 			}
-			for _, r := range m.speakers[cl].exports {
-				if oc, isClient := m.clientClusterIdx[r.OriginPE]; isClient && oc == ci {
-					r = stamp(r, list)
+			for _, h := range m.speakers[cl].exports {
+				o := m.routes[h].OriginPE
+				if oc, isClient := m.clientClusterIdx[o]; isClient && oc == ci {
+					h = rd.stamp(h, rd.reflection(o, list))
 				}
-				sent = append(sent, r)
+				sent = append(sent, h)
 			}
 		}
 		for _, rrn := range c.RRs {
 			if up(rrn) {
 				rr := m.speakers[rrn]
-				for _, r := range sent {
-					rd.receive(rr, r, true)
+				for _, h := range sent {
+					rd.receive(rr, h, true)
 				}
 				m.UpdatesSent += len(sent)
 				rd.seal(rr)
@@ -351,7 +380,7 @@ func (m *Mesh) convergeClustered(rd *round) {
 	rd.ix.reset(m, rrs)
 	for _, from := range rrs {
 		cid := m.clusters[m.rrClusterIdx[from]].ID
-		rd.ix.add(m.speakers[from], func(r *VPNRoute) bool { return len(r.ClusterList) > 0 && r.ClusterList[0] == cid })
+		rd.ix.add(m.speakers[from], func(r *VPNRoute) bool { return r.Reflected != nil && r.Reflected.ClusterList[0] == cid })
 	}
 	for _, to := range rrs {
 		tc := m.clusters[m.rrClusterIdx[to]]
@@ -360,13 +389,14 @@ func (m *Mesh) convergeClustered(rd *round) {
 			if from == to {
 				continue
 			}
-			for _, r := range rd.ix.selectFor(k, want) {
+			for _, h := range rd.ix.selectFor(k, want) {
 				m.UpdatesSent++
-				if (len(r.ClusterList) > 0 && (r.OriginatorID == to || clusterListHas(r.ClusterList, tc.ID))) || r.OriginPE == to {
+				r := m.routes[h]
+				if refl := r.Reflected; (refl != nil && (refl.OriginatorID == to || clusterListHas(refl.ClusterList, tc.ID))) || r.OriginPE == to {
 					m.LoopPrevented++
 					continue
 				}
-				rd.receive(st, r, true)
+				rd.receive(st, h, true)
 			}
 		}
 		rd.seal(st)
@@ -386,13 +416,13 @@ func (m *Mesh) convergeClustered(rd *round) {
 			}
 			sc := m.speakers[cl]
 			for k := range rd.ix.ends {
-				for _, r := range rd.ix.selectFor(k, m.rtInterest[cl]) {
+				for _, h := range rd.ix.selectFor(k, m.rtInterest[cl]) {
 					m.UpdatesSent++
-					if (len(r.ClusterList) > 0 && r.OriginatorID == cl) || r.OriginPE == cl {
+					if r := m.routes[h]; (r.Reflected != nil && r.Reflected.OriginatorID == cl) || r.OriginPE == cl {
 						m.LoopPrevented++
 						continue
 					}
-					rd.receive(sc, r, false)
+					rd.receive(sc, h, false)
 				}
 			}
 			rd.seal(sc)

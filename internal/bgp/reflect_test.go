@@ -58,8 +58,8 @@ func TestClusteredReflectionBasics(t *testing.T) {
 	if !ok {
 		t.Fatal("PE1 missing PE3's VPN-1 route")
 	}
-	if r.OriginatorID != 3 || len(r.ClusterList) != 1 || r.ClusterList[0] != 20 {
-		t.Fatalf("bad stamping: originator %d cluster list %v", r.OriginatorID, r.ClusterList)
+	if refl := r.Reflected; refl == nil || refl.OriginatorID != 3 || len(refl.ClusterList) != 1 || refl.ClusterList[0] != 20 {
+		t.Fatalf("bad stamping: %+v", refl)
 	}
 	// RT-constrained distribution: PE1 must never even be offered VPN-2
 	// routes (the reflector filters sender-side), so Received counts only

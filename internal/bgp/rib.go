@@ -4,72 +4,114 @@ import (
 	"slices"
 
 	"mplsvpn/internal/addr"
+	"mplsvpn/internal/topo"
 )
 
-// rib is one speaker's Adj-RIB-In and Loc-RIB: two runs of route pointers
-// in prefix order. A run is its own index — a prefix is found by binary
-// search and walked in order without sorting anything — and costs eight
-// bytes an entry, where a hash map keyed by prefix cost five times that.
+// rib is one speaker's Adj-RIB-In and Loc-RIB: two runs of handles into the
+// mesh's route table, in prefix order. A run is its own index — a prefix is
+// found by binary search and walked in order without sorting anything —
+// costs four bytes an entry, where a hash map keyed by prefix cost ten times
+// that, and holds nothing the garbage collector has to follow.
 type rib struct {
 	// paths is Adj-RIB-In, ascending by prefix; inside a prefix routes keep
 	// arrival order (the decision process keeps the first route on a full
 	// tie, so that order is semantics) and there is one route per OriginPE.
-	paths []*VPNRoute
+	paths []uint32
 	// best is Loc-RIB: the selected route of every prefix that has one,
 	// ascending by prefix.
-	best []*VPNRoute
+	best []uint32
 }
 
 // round is the scratch of one Converge call, dropped when it returns.
 // Receivers are filled one at a time: a receiver's arrivals collect in tail
 // and seal folds them into its run, sorting through buf and ends and merging
 // into merged, so one set of buffers serves every speaker of the round. sent
-// is a cluster's stamped send list and ix what a phase's senders offer
-// (reflect.go).
+// is a cluster's stamped send list, ix what a phase's senders offer and
+// refls the Reflections stamp hands out (reflect.go).
+//
+// rank is, per handle, the rank of the route's prefix among the prefixes of
+// the table the round began with: routes compare as their ranks do, so the
+// sort and the merge of a seal compare two integers of one array and never
+// dereference a route for it. A stamped copy takes its original's rank.
 type round struct {
-	tail, buf, merged, sent []*VPNRoute
+	m                       *Mesh
+	rank                    []uint32
+	tail, buf, merged, sent []uint32
 	ends                    []int
 	ix                      rtIndex
+	refls                   map[topo.NodeID]*Reflection
+	// displaced is set when a seal replaced a retained route with another
+	// one, which may leave the first referenced by nothing.
+	displaced bool
+}
+
+// newRound ranks the routes of m's table for a Converge to sort by, using
+// order, of at least the table's length, as scratch.
+func (m *Mesh) newRound(order []uint32) round {
+	routes := m.routes
+	order = order[:len(routes)]
+	for h := range order {
+		order[h] = uint32(h)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return byPrefix(routes[a], routes[b]) })
+	rank := make([]uint32, len(routes), cap(routes))
+	k := uint32(0)
+	for i, h := range order {
+		if i > 0 && routes[h].Prefix != routes[order[i-1]].Prefix {
+			k++
+		}
+		rank[h] = k
+	}
+	return round{m: m, rank: rank, refls: make(map[topo.NodeID]*Reflection)}
 }
 
 func byPrefix(a, b *VPNRoute) int { return addr.CompareVPNPrefix(a.Prefix, b.Prefix) }
 
-func atPrefix(r *VPNRoute, p addr.VPNPrefix) int { return addr.CompareVPNPrefix(r.Prefix, p) }
+// search finds p in a run of s's, as slices.BinarySearch does.
+func (s *Speaker) search(run []uint32, p addr.VPNPrefix) (int, bool) {
+	routes := s.mesh.routes
+	return slices.BinarySearchFunc(run, p, func(h uint32, p addr.VPNPrefix) int {
+		return addr.CompareVPNPrefix(routes[h].Prefix, p)
+	})
+}
 
-// span returns the end of the group of routes that share rs[i]'s prefix.
-func span(rs []*VPNRoute, i int) int {
-	j := i + 1
-	for j < len(rs) && rs[j].Prefix == rs[i].Prefix {
+// span returns the end of the group of routes in run that share run[i]'s
+// prefix.
+func (s *Speaker) span(run []uint32, i int) int {
+	routes := s.mesh.routes
+	p, j := routes[run[i]].Prefix, i+1
+	for j < len(run) && routes[run[j]].Prefix == p {
 		j++
 	}
 	return j
 }
 
 // forPrefix returns the retained routes for p, in arrival order.
-func (b *rib) forPrefix(p addr.VPNPrefix) []*VPNRoute {
-	i, ok := slices.BinarySearchFunc(b.paths, p, atPrefix)
+func (s *Speaker) forPrefix(p addr.VPNPrefix) []uint32 {
+	i, ok := s.search(s.rib.paths, p)
 	if !ok {
 		return nil
 	}
-	return b.paths[i:span(b.paths, i)]
+	return s.rib.paths[i:s.span(s.rib.paths, i)]
 }
 
 // eachPrefix calls fn for every prefix that has a retained route, ascending.
-func (b *rib) eachPrefix(fn func(addr.VPNPrefix)) {
-	for i := 0; i < len(b.paths); i = span(b.paths, i) {
-		fn(b.paths[i].Prefix)
+func (s *Speaker) eachPrefix(fn func(addr.VPNPrefix)) {
+	for i := 0; i < len(s.rib.paths); i = s.span(s.rib.paths, i) {
+		fn(s.mesh.routes[s.rib.paths[i]].Prefix)
 	}
 }
 
-// retain drops, in place, the routes keep refuses, and reports to gone (when
-// given) every prefix that lost its last route.
-func (b *rib) retain(keep func(*VPNRoute) bool, gone func(addr.VPNPrefix)) {
-	run, out := b.paths, b.paths[:0]
+// retain drops, in place, the retained routes keep refuses, and reports to
+// gone (when given) every prefix that lost its last route.
+func (s *Speaker) retain(keep func(*VPNRoute) bool, gone func(addr.VPNPrefix)) {
+	routes := s.mesh.routes
+	run, out := s.rib.paths, s.rib.paths[:0]
 	for i := 0; i < len(run); {
-		j, n, p := span(run, i), len(out), run[i].Prefix
-		for _, r := range run[i:j] {
-			if keep(r) {
-				out = append(out, r)
+		j, n, p := s.span(run, i), len(out), routes[run[i]].Prefix
+		for _, h := range run[i:j] {
+			if keep(routes[h]) {
+				out = append(out, h)
 			}
 		}
 		if len(out) == n && gone != nil {
@@ -77,36 +119,38 @@ func (b *rib) retain(keep func(*VPNRoute) bool, gone func(addr.VPNPrefix)) {
 		}
 		i = j
 	}
-	clear(run[len(out):])
-	b.paths = out
+	s.rib.paths = out
 }
 
-// receive offers a route to s, the receiver being filled. A route reflector
-// bypasses the import filter: it must retain routes for VPNs it does not
-// serve, or it could not reflect them. The route joins the tail, and s's
-// RIB once seal folds the tail in.
-func (rd *round) receive(s *Speaker, r *VPNRoute, bypassFilter bool) {
+// receive offers the route with handle h to s, the receiver being filled. A
+// route reflector bypasses the import filter: it must retain routes for VPNs
+// it does not serve, or it could not reflect them. The route joins the tail,
+// and s's RIB once seal folds the tail in.
+func (rd *round) receive(s *Speaker, h uint32, bypassFilter bool) {
 	s.Received++
-	if !bypassFilter && s.Filter != nil && !s.Filter(r) {
+	if !bypassFilter && s.Filter != nil && !s.Filter(rd.m.routes[h]) {
 		return
 	}
 	s.Retained++
-	rd.tail = append(rd.tail, r)
+	rd.tail = append(rd.tail, h)
 }
 
-// place puts r into the group of its prefix that starts at dst[g]. A
+// place puts h into s's group of its prefix that starts at dst[g]. A
 // re-announcement from the same origin refreshes the retained route in
 // place, clearing any graceful-restart stale mark (RFC 4724 mark-and-sweep);
 // any other route goes behind the group.
-func (s *Speaker) place(dst []*VPNRoute, g int, r *VPNRoute) []*VPNRoute {
+func (rd *round) place(s *Speaker, dst []uint32, g int, h uint32) []uint32 {
+	routes := rd.m.routes
+	r := routes[h]
 	for i := g; i < len(dst); i++ {
-		if dst[i].OriginPE == r.OriginPE {
-			dst[i] = r
+		if routes[dst[i]].OriginPE == r.OriginPE {
+			rd.displaced = rd.displaced || dst[i] != h
+			dst[i] = h
 			s.clearStale(r.Prefix, r.OriginPE)
 			return dst
 		}
 	}
-	return append(dst, r)
+	return append(dst, h)
 }
 
 // sortRuns sorts rs by prefix, stably: what slices.SortStableFunc does, for
@@ -114,10 +158,11 @@ func (s *Speaker) place(dst []*VPNRoute, g int, r *VPNRoute) []*VPNRoute {
 // sending peer. It finds the runs and merges neighbours pairwise, to and
 // fro between rs and the round's buffer, the left run winning ties; a tail
 // in no order at all is runs of one and an ordinary merge sort.
-func (rd *round) sortRuns(rs []*VPNRoute) {
+func (rd *round) sortRuns(rs []uint32) {
+	rank := rd.rank
 	ends := rd.ends[:0] // where each run ends
 	for i := 1; i <= len(rs); i++ {
-		if i == len(rs) || byPrefix(rs[i-1], rs[i]) > 0 {
+		if i == len(rs) || rank[rs[i-1]] > rank[rs[i]] {
 			ends = append(ends, i)
 		}
 	}
@@ -132,7 +177,7 @@ func (rd *round) sortRuns(rs []*VPNRoute) {
 			mid, hi := ends[r], ends[min(r+1, len(ends)-1)]
 			a, b, out := src[lo:mid], src[mid:hi], dst[lo:lo]
 			for len(a) > 0 && len(b) > 0 {
-				if byPrefix(b[0], a[0]) < 0 {
+				if rank[b[0]] < rank[a[0]] {
 					out, b = append(out, b[0]), b[1:]
 				} else {
 					out, a = append(out, a[0]), a[1:]
@@ -156,63 +201,79 @@ func (rd *round) sortRuns(rs []*VPNRoute) {
 // once, at its size: redundant reflectors send everything twice, and the
 // run holds no slack for it.
 func (rd *round) seal(s *Speaker) {
-	head, tail := s.rib.paths, rd.tail
+	head, tail, rank := s.rib.paths, rd.tail, rd.rank
 	if len(tail) == 0 {
 		return
 	}
 	rd.sortRuns(tail)
 	out := rd.merged[:0]
 	for i, j := 0, 0; i < len(head) || j < len(tail); {
-		p, g := first(head[i:], tail[j:]), len(out)
-		for ; i < len(head) && head[i].Prefix == p; i++ {
+		p, g := first(rank, head[i:], tail[j:]), len(out)
+		for ; i < len(head) && rank[head[i]] == p; i++ {
 			out = append(out, head[i])
 		}
-		for ; j < len(tail) && tail[j].Prefix == p; j++ {
-			out = s.place(out, g, tail[j])
+		for ; j < len(tail) && rank[tail[j]] == p; j++ {
+			out = rd.place(s, out, g, tail[j])
 		}
 	}
 	s.rib.paths = slices.Clone(out)
 	rd.merged, rd.tail = out, tail[:0]
 }
 
-// first returns the lesser of the prefixes two runs start with; one of the
+// first returns the lesser of the ranks two runs start with; one of the
 // runs may be spent.
-func first(a, b []*VPNRoute) addr.VPNPrefix {
-	if len(b) == 0 || (len(a) > 0 && byPrefix(a[0], b[0]) < 0) {
-		return a[0].Prefix
+func first(rank, a, b []uint32) uint32 {
+	if len(b) == 0 || (len(a) > 0 && rank[a[0]] < rank[b[0]]) {
+		return rank[a[0]]
 	}
-	return b[0].Prefix
+	return rank[b[0]]
 }
 
 // selectBest runs the decision process over local routes plus adj-RIB-in:
-// one pass that merges the two in prefix order. Inside a prefix exports are
-// considered first, then received routes in arrival order.
+// one pass that merges the two in prefix order, reading each route once.
+// Inside a prefix exports are considered first, then received routes in
+// arrival order.
 func (s *Speaker) selectBest() {
+	routes := s.mesh.routes
 	ex := s.exports
-	if !slices.IsSortedFunc(ex, byPrefix) {
+	if s.disordered {
 		ex = slices.Clone(ex)
-		slices.SortStableFunc(ex, byPrefix)
+		slices.SortStableFunc(ex, func(a, b uint32) int { return byPrefix(routes[a], routes[b]) })
 	}
 	paths := s.rib.paths
-	best := make([]*VPNRoute, 0, len(ex)+len(paths))
-	for i, j := 0, 0; i < len(ex) || j < len(paths); {
-		p := first(ex[i:], paths[j:])
+	best := make([]uint32, 0, len(ex)+len(paths))
+	// at returns the route at run[i], nil past the run's end.
+	at := func(run []uint32, i int) *VPNRoute {
+		if i < len(run) {
+			return routes[run[i]]
+		}
+		return nil
+	}
+	i, j := 0, 0
+	for e, r := at(ex, 0), at(paths, 0); e != nil || r != nil; {
+		var p addr.VPNPrefix
+		if r == nil || e != nil && byPrefix(e, r) < 0 {
+			p = e.Prefix
+		} else {
+			p = r.Prefix
+		}
 		var cur *VPNRoute
-		for ; i < len(ex) && ex[i].Prefix == p; i++ {
-			if cur == nil || better(ex[i], cur) {
-				cur = ex[i]
+		var pick uint32
+		for ; e != nil && e.Prefix == p; i, e = i+1, at(ex, i+1) {
+			if cur == nil || better(e, cur) {
+				cur, pick = e, ex[i]
 			}
 		}
 		// Damped: received paths are suppressed (exports never are).
 		d, ok := s.damp[p]
 		damped := ok && d.suppressed
-		for ; j < len(paths) && paths[j].Prefix == p; j++ {
-			if !damped && (cur == nil || better(paths[j], cur)) {
-				cur = paths[j]
+		for ; r != nil && r.Prefix == p; j, r = j+1, at(paths, j+1) {
+			if !damped && (cur == nil || better(r, cur)) {
+				cur, pick = r, paths[j]
 			}
 		}
 		if cur != nil {
-			best = append(best, cur)
+			best = append(best, pick)
 		}
 	}
 	s.rib.best = best
@@ -220,17 +281,29 @@ func (s *Speaker) selectBest() {
 
 // Best returns the selected route for a VPN prefix.
 func (s *Speaker) Best(p addr.VPNPrefix) (*VPNRoute, bool) {
-	i, ok := slices.BinarySearchFunc(s.rib.best, p, atPrefix)
+	i, ok := s.search(s.rib.best, p)
 	if !ok {
 		return nil, false
 	}
-	return s.rib.best[i], true
+	return s.mesh.routes[s.rib.best[i]], true
 }
 
-// BestRoutes returns all selected routes in prefix order. The slice is the
-// speaker's own until its next best-path selection: read it, do not write
-// to it.
-func (s *Speaker) BestRoutes() []*VPNRoute { return slices.Clip(s.rib.best) }
+// BestRoutes returns all selected routes in prefix order, in a slice of
+// their own of exactly that length: the caller may keep or modify the slice,
+// but the routes are the mesh's and must only be read.
+func (s *Speaker) BestRoutes() []*VPNRoute {
+	return s.AppendBestRoutes(make([]*VPNRoute, 0, len(s.rib.best)))
+}
+
+// AppendBestRoutes appends the selected routes to dst in prefix order and
+// returns the extended slice: BestRoutes into a buffer the caller reuses
+// across speakers, which allocates nothing once it is large enough.
+func (s *Speaker) AppendBestRoutes(dst []*VPNRoute) []*VPNRoute {
+	for _, h := range s.rib.best {
+		dst = append(dst, s.mesh.routes[h])
+	}
+	return dst
+}
 
 // RIBSize returns the number of retained routes (adj-RIB-in entries).
 func (s *Speaker) RIBSize() int { return len(s.rib.paths) }

@@ -54,7 +54,7 @@ func (s *mapRIB) selectBest(sp *Speaker) {
 			s.loc[r.Prefix] = r
 		}
 	}
-	for _, r := range sp.exports {
+	for _, r := range sp.resolve(sp.exports) {
 		consider(r)
 	}
 	for p, rs := range s.adj {
@@ -208,7 +208,7 @@ func (mm *mapMesh) converge(now sim.Time) {
 				if to == from || !mm.up(from) || !mm.up(to) {
 					continue
 				}
-				for _, r := range m.speakers[from].exports {
+				for _, r := range m.speakers[from].resolve(m.speakers[from].exports) {
 					send(to, r, false)
 					mm.updates++
 				}
@@ -233,7 +233,7 @@ func (mm *mapMesh) convergeClustered() {
 				if !mm.up(cl) || !mm.up(rrn) {
 					continue
 				}
-				for _, r := range m.speakers[cl].exports {
+				for _, r := range m.speakers[cl].resolve(m.speakers[cl].exports) {
 					mm.ribs[rrn].receive(m.speakers[rrn], r, true)
 					mm.updates++
 				}
@@ -242,9 +242,9 @@ func (mm *mapMesh) convergeClustered() {
 		for _, rrn := range c.RRs {
 			for _, rs := range mm.ribs[rrn].adj {
 				for i, r := range rs {
-					if oc, isClient := m.clientClusterIdx[r.OriginPE]; mm.up(rrn) && isClient && oc == ci && len(r.ClusterList) == 0 {
+					if oc, isClient := m.clientClusterIdx[r.OriginPE]; mm.up(rrn) && isClient && oc == ci && r.Reflected == nil {
 						cp := *r
-						cp.OriginatorID, cp.ClusterList = r.OriginPE, []uint32{c.ID}
+						cp.Reflected = &Reflection{OriginatorID: r.OriginPE, ClusterList: []uint32{c.ID}}
 						rs[i] = &cp
 					}
 				}
@@ -261,9 +261,9 @@ func (mm *mapMesh) convergeClustered() {
 			continue
 		}
 		cid := m.clusters[m.rrClusterIdx[from]].ID
-		sendable := slices.Clone(m.speakers[from].exports)
+		sendable := m.speakers[from].resolve(m.speakers[from].exports)
 		for _, r := range mm.ribs[from].sortedAdj(false) {
-			if len(r.ClusterList) > 0 && r.ClusterList[0] == cid {
+			if r.Reflected != nil && r.Reflected.ClusterList[0] == cid {
 				sendable = append(sendable, r)
 			}
 		}
@@ -274,7 +274,7 @@ func (mm *mapMesh) convergeClustered() {
 			tc := m.clusters[m.rrClusterIdx[to]]
 			for _, r := range offer(sendable, m.rrInterest(tc, to)) {
 				mm.updates++
-				if (len(r.ClusterList) > 0 && (r.OriginatorID == to || clusterListHas(r.ClusterList, tc.ID))) || r.OriginPE == to {
+				if (r.Reflected != nil && (r.Reflected.OriginatorID == to || clusterListHas(r.Reflected.ClusterList, tc.ID))) || r.OriginPE == to {
 					mm.loops++
 					continue
 				}
@@ -287,14 +287,14 @@ func (mm *mapMesh) convergeClustered() {
 			if !mm.up(rrn) {
 				continue
 			}
-			reflect := append(slices.Clone(m.speakers[rrn].exports), mm.ribs[rrn].sortedAdj(false)...)
+			reflect := append(m.speakers[rrn].resolve(m.speakers[rrn].exports), mm.ribs[rrn].sortedAdj(false)...)
 			for _, cl := range c.Clients {
 				if !mm.up(cl) {
 					continue
 				}
 				for _, r := range offer(reflect, m.rtInterest[cl]) {
 					mm.updates++
-					if (len(r.ClusterList) > 0 && r.OriginatorID == cl) || r.OriginPE == cl {
+					if (r.Reflected != nil && r.Reflected.OriginatorID == cl) || r.OriginPE == cl {
 						mm.loops++
 						continue
 					}
@@ -455,8 +455,17 @@ func (mm *mapMesh) staleFrom(n topo.NodeID) []PeerImpact {
 
 // routeKey is everything about a route a RIB's user can observe.
 func routeKey(r *VPNRoute) string {
-	return fmt.Sprintf("%v nh=%v l=%d lp=%d as=%d o=%d oid=%d cl=%v rt=%v",
-		r.Prefix, r.NextHop, r.Label, r.LocalPref, r.ASPathLen, r.OriginPE, r.OriginatorID, r.ClusterList, r.RTs)
+	return fmt.Sprintf("%v nh=%v l=%d lp=%d as=%d o=%d refl=%v rt=%v",
+		r.Prefix, r.NextHop, r.Label, r.LocalPref, r.ASPathLen, r.OriginPE, r.Reflected, r.RTs)
+}
+
+// resolve returns the routes a run of s's handles stands for.
+func (s *Speaker) resolve(run []uint32) []*VPNRoute {
+	out := make([]*VPNRoute, len(run))
+	for i, h := range run {
+		out[i] = s.mesh.routes[h]
+	}
+	return out
 }
 
 type modelRig struct {
@@ -533,7 +542,7 @@ func (rig *modelRig) stepOnce() {
 		rig.what = fmt.Sprintf("originate %s at %d", routeKey(r), n)
 		s.Originate(r)
 	case op == 5 && len(s.exports) > 0:
-		p := s.exports[rng.Intn(len(s.exports))].Prefix
+		p := m.routes[s.exports[rng.Intn(len(s.exports))]].Prefix
 		rig.what = fmt.Sprintf("withdraw %v at %d", p, n)
 		s.WithdrawLocal(p)
 	case op < 10:
@@ -580,8 +589,9 @@ func (rig *modelRig) sameRoutes(got, want []*VPNRoute, what ...any) {
 	rig.t.Helper()
 	same := func(a, b *VPNRoute) bool {
 		return a.Prefix == b.Prefix && a.NextHop == b.NextHop && a.Label == b.Label && a.LocalPref == b.LocalPref &&
-			a.ASPathLen == b.ASPathLen && a.OriginPE == b.OriginPE && a.OriginatorID == b.OriginatorID &&
-			slices.Equal(a.ClusterList, b.ClusterList) && slices.Equal(a.RTs, b.RTs)
+			a.ASPathLen == b.ASPathLen && a.OriginPE == b.OriginPE && slices.Equal(a.RTs, b.RTs) &&
+			(a.Reflected == nil) == (b.Reflected == nil) && (a.Reflected == nil || a.Reflected.OriginatorID == b.Reflected.OriginatorID &&
+			slices.Equal(a.Reflected.ClusterList, b.Reflected.ClusterList))
 	}
 	if !slices.EqualFunc(got, want, same) {
 		keys := func(rs []*VPNRoute) (out []string) {
@@ -616,7 +626,7 @@ func (rig *modelRig) compare() {
 		}
 		rig.sameRoutes(s.BestRoutes(), best, "speaker ", id, " BestRoutes") // rig.prefixes ascends, as BestRoutes must
 		held := ms.sortedAdj(true)
-		rig.sameRoutes(s.rib.paths, held, "speaker ", id, " adj-RIB-in")
+		rig.sameRoutes(s.resolve(s.rib.paths), held, "speaker ", id, " adj-RIB-in")
 		rig.equal(s.RIBSize(), len(held), "speaker ", id, " RIBSize")
 		rig.equal([2]int{s.Received, s.Retained}, [2]int{ms.received, ms.retained}, "speaker ", id, " Received/Retained")
 		stale := ms.countStale(func(*VPNRoute) bool { return true })
@@ -705,26 +715,40 @@ func TestSealKeepsArrivalOrderWhateverTheRuns(t *testing.T) {
 	}
 	slices.SortStableFunc(cases, func(a, b tailCase) int { return len(b.tail) - len(a.tail) })
 
-	var rd round
+	// Every route enters one mesh's table, which the round then ranks.
+	m, handle := NewMesh(), map[*VPNRoute]uint32{}
 	for _, c := range cases {
+		for _, r := range c.tail {
+			handle[r] = m.add(r)
+		}
+	}
+	handles := func(rs []*VPNRoute) []uint32 {
+		out := make([]uint32, len(rs))
+		for i, r := range rs {
+			out[i] = handle[r]
+		}
+		return out
+	}
+	rd := m.newRound(make([]uint32, len(m.routes)))
+	for k, c := range cases {
 		want := slices.Clone(c.tail)
 		slices.SortStableFunc(want, byPrefix)
-		got := slices.Clone(c.tail)
+		got := handles(c.tail)
 		rd.sortRuns(got)
-		if !slices.Equal(got, want) { // pointers: the very routes, in the very order
+		if !slices.Equal(got, handles(want)) { // handles: the very routes, in the very order
 			t.Fatalf("%s: sortRuns and the stable sort disagree over %d routes", c.what, len(c.tail))
 		}
 		// In two seals, so the second merges into a run and refreshes in it.
-		s, ref := &Speaker{}, &mapRIB{adj: map[addr.VPNPrefix][]*VPNRoute{}}
+		s, ref := m.AddSpeaker(topo.NodeID(k), 0), &mapRIB{adj: map[addr.VPNPrefix][]*VPNRoute{}}
 		for i, r := range c.tail {
-			rd.receive(s, r, true)
+			rd.receive(s, handle[r], true)
 			ref.receive(s, r, true)
 			if i == len(c.tail)/2 {
 				rd.seal(s)
 			}
 		}
 		rd.seal(s)
-		if held := ref.sortedAdj(true); !slices.Equal(s.rib.paths, held) || len(rd.tail) > 0 {
+		if held := ref.sortedAdj(true); !slices.Equal(s.resolve(s.rib.paths), held) || len(rd.tail) > 0 {
 			t.Fatalf("%s: sealed adj-RIB-in differs from the map model's, or the tail kept %d routes", c.what, len(rd.tail))
 		}
 	}

@@ -109,7 +109,7 @@ func (m *Mesh) SetDamping(cfg DampingConfig) {
 			continue
 		}
 		s.prevHad = make(map[addr.VPNPrefix]bool)
-		s.rib.eachPrefix(func(p addr.VPNPrefix) { s.prevHad[p] = true })
+		s.eachPrefix(func(p addr.VPNPrefix) { s.prevHad[p] = true })
 	}
 }
 
@@ -214,7 +214,8 @@ func (m *Mesh) SessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 		match := m.lostOrigins(s, n)
 		im := PeerImpact{Peer: id}
 		if graceful {
-			for _, r := range s.rib.paths {
+			for _, h := range s.rib.paths {
+				r := m.routes[h]
 				if !match(r) {
 					continue
 				}
@@ -225,7 +226,7 @@ func (m *Mesh) SessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 				im.Stale++
 			}
 		} else {
-			s.rib.retain(func(r *VPNRoute) bool {
+			s.retain(func(r *VPNRoute) bool {
 				if !match(r) {
 					return true
 				}
@@ -293,7 +294,7 @@ func (m *Mesh) SweepStale(n topo.NodeID) (int, []PeerImpact) {
 		match := m.lostOrigins(s, n)
 		im := PeerImpact{Peer: id}
 		if len(s.stale) > 0 {
-			s.rib.retain(func(r *VPNRoute) bool {
+			s.retain(func(r *VPNRoute) bool {
 				if !s.isStale(r.Prefix, r.OriginPE) || !match(r) {
 					return true
 				}
@@ -352,8 +353,8 @@ func (s *Speaker) StaleRoutes() int {
 func (s *Speaker) countStale(match func(*VPNRoute) bool) int {
 	n := 0
 	for p, origins := range s.stale {
-		for _, r := range s.rib.forPrefix(p) {
-			if origins[r.OriginPE] && match(r) {
+		for _, h := range s.forPrefix(p) {
+			if r := s.mesh.routes[h]; origins[r.OriginPE] && match(r) {
 				n++
 			}
 		}
@@ -365,7 +366,11 @@ func (s *Speaker) countStale(match func(*VPNRoute) bool) int {
 // while preserving stale-retained routes, which refresh in place when the
 // restarted origin re-announces them.
 func (s *Speaker) clearAdjRIBKeepStale() {
-	s.rib.retain(func(r *VPNRoute) bool { return s.isStale(r.Prefix, r.OriginPE) }, nil)
+	if len(s.stale) == 0 {
+		s.rib.paths = nil
+		return
+	}
+	s.retain(func(r *VPNRoute) bool { return s.isStale(r.Prefix, r.OriginPE) }, nil)
 }
 
 // damping: the receiver-side flap ledger. A flap is a prefix that left
@@ -406,7 +411,7 @@ func (s *Speaker) updateDamping(m *Mesh, now sim.Time) {
 		return
 	}
 	nowHas := make(map[addr.VPNPrefix]bool, len(s.prevHad))
-	s.rib.eachPrefix(func(p addr.VPNPrefix) { nowHas[p] = true })
+	s.eachPrefix(func(p addr.VPNPrefix) { nowHas[p] = true })
 	for p := range s.prevHad {
 		if !nowHas[p] {
 			if s.flapPending == nil {

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"cmp"
+	"slices"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/snapshot"
@@ -13,19 +14,33 @@ import (
 const routeMin = addr.VPNPrefixMin + 8
 
 // routeTable is the section's table of distinct routes. Speakers share
-// routes by pointer — one announcement, many holders — so the section writes
+// routes by handle — one announcement, many holders — so the section writes
 // each route once, by value, and every exports and adj-RIB-in entry after it
-// as the route's position in the table. A load hands out pointers to the
-// table's routes, so the sharing survives, and routes that carry equal route
-// targets or an equal cluster list share those too, as an original and its
-// stamped copies do in the mesh that was saved.
+// as the route's position in the table. A save numbers the handles it meets
+// through the mesh's renumber scratch; a load enters the table's routes into
+// the mesh's route table from handle base on, so the sharing survives, and
+// routes that carry equal route targets or an equal reflection share those
+// too, as an original and its stamped copies do in the mesh that was saved.
 type routeTable struct {
+	m        *Mesh
 	routes   []*VPNRoute
+	base     uint32
 	rts      snapshot.SharedSlice[addr.RouteTarget]
 	clusters snapshot.SharedSlice[uint32]
+	// refls holds a load's Reflections by originator and CLUSTER_LIST.
+	refls map[reflKey]*Reflection
 }
 
-// route walks one route of the table.
+// reflKey names a loaded Reflection: its originator and its CLUSTER_LIST's
+// backing array, which the clusters walk shares between equal lists.
+type reflKey struct {
+	originator topo.NodeID
+	list       *uint32
+}
+
+// route walks one route of the table. An unstamped route writes the
+// reflection attributes a stamped one carries as a zero ORIGINATOR_ID and an
+// empty CLUSTER_LIST.
 func (t *routeTable) route(c *snapshot.Codec, r *VPNRoute) {
 	addr.VPNPrefixState(c, &r.Prefix)
 	snapshot.Uint(c, &r.NextHop)
@@ -34,42 +49,87 @@ func (t *routeTable) route(c *snapshot.Codec, r *VPNRoute) {
 	snapshot.Int(c, &r.LocalPref)
 	snapshot.Int(c, &r.ASPathLen)
 	snapshot.Int(c, &r.OriginPE)
-	snapshot.Int(c, &r.OriginatorID)
-	t.clusters.Walk(c, &r.ClusterList, 1, snapshot.Uint[uint32])
+	var refl Reflection
+	if r.Reflected != nil {
+		refl = *r.Reflected
+	}
+	snapshot.Int(c, &refl.OriginatorID)
+	t.clusters.Walk(c, &refl.ClusterList, 1, snapshot.Uint[uint32])
+	if c.Loaded() {
+		r.Reflected = t.reflection(c, refl.OriginatorID, refl.ClusterList)
+	}
 }
 
-// add appends the routes of rs the table does not hold yet. A route's slot
-// is one more than its position, and only the table can vouch for it: a slot
-// is believed when the table holds this very route there, so what an earlier
-// save left behind, or what stamp copied along with the rest of the route,
-// reads as "not in the table" without anything having been reset.
-func (t *routeTable) add(rs []*VPNRoute) {
-	for _, r := range rs {
-		if s := r.slot; s < 1 || s > len(t.routes) || t.routes[s-1] != r {
-			t.routes = append(t.routes, r)
-			r.slot = len(t.routes)
+// reflection returns the Reflection a loaded route carries: none for an
+// empty CLUSTER_LIST, and one per originator and list otherwise. An
+// ORIGINATOR_ID without a CLUSTER_LIST is no route a reflector stamped.
+func (t *routeTable) reflection(c *snapshot.Codec, o topo.NodeID, list []uint32) *Reflection {
+	if len(list) == 0 {
+		if o != 0 {
+			c.Corrupt("route carries ORIGINATOR_ID %d without a CLUSTER_LIST", o)
+		}
+		return nil
+	}
+	key := reflKey{o, &list[0]}
+	p := t.refls[key]
+	if p == nil {
+		if t.refls == nil {
+			t.refls = make(map[reflKey]*Reflection)
+		}
+		p = &Reflection{OriginatorID: o, ClusterList: list}
+		t.refls[key] = p
+	}
+	return p
+}
+
+// number lays out a save's table: every route an export or an adj-RIB-in
+// references, in the order the save first meets it — speakers ascending,
+// exports before adj-RIB-in — with renumber giving each handle one more than
+// its position. It returns how many references the save writes.
+func (t *routeTable) number() (refs int) {
+	m := t.m
+	if len(m.renumber) < len(m.routes) {
+		m.renumber = make([]int32, len(m.routes))
+	}
+	pos := m.renumber[:len(m.routes)]
+	clear(pos)
+	for _, id := range m.sortedIDs() {
+		s := m.speakers[id]
+		for _, run := range [2][]uint32{s.exports, s.rib.paths} {
+			for _, h := range run {
+				if pos[h] == 0 {
+					t.routes = append(t.routes, m.routes[h])
+					pos[h] = int32(len(t.routes))
+				}
+			}
+			refs += len(run)
 		}
 	}
+	return refs
 }
 
 // refMin is the fewest bytes one entry of refs writes: a one-byte position.
 const refMin = 1
 
-// refs walks a route list as positions in the table.
-func (t *routeTable) refs(c *snapshot.Codec, rs *[]*VPNRoute) {
-	snapshot.Refs(c, rs, t.routes, func(r *VPNRoute) int { return r.slot - 1 })
+// refs walks a run of handles as positions in the table.
+func (t *routeTable) refs(c *snapshot.Codec, run *[]uint32) {
+	snapshot.Refs(c, run, len(t.routes),
+		func(h uint32) int { return int(t.m.renumber[h] - 1) },
+		func(k int) uint32 { return t.base + uint32(k) })
 }
 
 // checkRun refuses an adj-RIB-in that seal could not have left: prefixes
 // must ascend and a prefix holds one route per origin.
-func checkRun(c *snapshot.Codec, rs []*VPNRoute) {
-	for i := 1; i < len(rs) && c.Err() == nil; i++ {
-		if byPrefix(rs[i-1], rs[i]) > 0 {
-			c.Corrupt("adj-RIB-in out of prefix order at %v", rs[i].Prefix)
+func (t *routeTable) checkRun(c *snapshot.Codec, run []uint32) {
+	routes := t.m.routes
+	for i := 1; i < len(run) && c.Err() == nil; i++ {
+		r := routes[run[i]]
+		if byPrefix(routes[run[i-1]], r) > 0 {
+			c.Corrupt("adj-RIB-in out of prefix order at %v", r.Prefix)
 		}
-		for j := i - 1; j >= 0 && rs[j].Prefix == rs[i].Prefix; j-- {
-			if rs[j].OriginPE == rs[i].OriginPE {
-				c.Corrupt("adj-RIB-in holds %v from origin %d twice", rs[i].Prefix, rs[i].OriginPE)
+		for j := i - 1; j >= 0 && routes[run[j]].Prefix == r.Prefix; j-- {
+			if routes[run[j]].OriginPE == r.OriginPE {
+				c.Corrupt("adj-RIB-in holds %v from origin %d twice", r.Prefix, r.OriginPE)
 			}
 		}
 	}
@@ -96,7 +156,8 @@ func (t *routeTable) speakerState(c *snapshot.Codec, s *Speaker) {
 	t.refs(c, &s.exports)
 	t.refs(c, &s.rib.paths)
 	if c.Loaded() {
-		checkRun(c, s.rib.paths)
+		s.disordered = !slices.IsSortedFunc(s.exports, func(a, b uint32) int { return byPrefix(t.m.routes[a], t.m.routes[b]) })
+		t.checkRun(c, s.rib.paths)
 	}
 	snapshot.Map(c, &s.stale, addr.CompareVPNPrefix, addr.VPNPrefixMin+1, addr.VPNPrefixState,
 		func(c *snapshot.Codec, origins *map[topo.NodeID]bool) {
@@ -124,15 +185,9 @@ func (m *Mesh) State(c *snapshot.Codec) {
 	snapshot.Int(c, &m.LoopPrevented)
 	snapshot.Map(c, &m.peerState, cmp.Compare[topo.NodeID], 2, snapshot.Int[topo.NodeID], snapshot.Int[PeerState])
 	snapshot.Slice(c, &m.newlySuppressed, addr.VPNPrefixMin, addr.VPNPrefixState)
-	var t routeTable
+	t := routeTable{m: m}
 	if !c.Loading() {
-		refs := 0
-		for _, id := range m.sortedIDs() {
-			s := m.speakers[id]
-			t.add(s.exports)
-			t.add(s.rib.paths)
-			refs += len(s.exports) + len(s.rib.paths)
-		}
+		refs := t.number()
 		// Nearly all of the section is the table and the references: a
 		// route with one target and a cluster list runs to some thirty
 		// bytes, a reference to three in a table of up to two million. A
@@ -140,9 +195,17 @@ func (m *Mesh) State(c *snapshot.Codec) {
 		c.Grow(len(t.routes)*(routeMin+20) + refs*3 + len(m.speakers)*16)
 	}
 	snapshot.Ptrs(c, &t.routes, routeMin, t.route)
+	if c.Loaded() {
+		t.base = uint32(len(m.routes))
+		m.routes = append(m.routes, t.routes...)
+	}
 	// A speaker writes at least two counters and six empty collections.
 	snapshot.Overlay(c, m.speakers, cmp.Compare[topo.NodeID], 1+8, "BGP speaker", snapshot.Int[topo.NodeID], t.speakerState)
 	if c.Loaded() {
+		for _, s := range m.speakers {
+			s.rib.best = nil
+		}
+		m.compact(0, make([]uint32, len(m.routes)))
 		for _, s := range m.speakers {
 			s.selectBest()
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -56,7 +57,7 @@ func TestClusteredSnapshotRoundTrip(t *testing.T) {
 	m.Converge()
 	last, _ := m.Speaker(103)
 	p := addr.VPNPrefix{RD: vpnRD(1), Prefix: addr.MustParsePrefix("10.1.100.0/24")}
-	if r, ok := last.Best(p); !ok || len(r.ClusterList) == 0 {
+	if r, ok := last.Best(p); !ok || r.Reflected == nil {
 		t.Fatalf("speaker 103 holds no reflected route for %v: the regression would be vacuous", p)
 	}
 	var w snapshot.Writer
@@ -78,7 +79,7 @@ func TestClusteredSnapshotRoundTrip(t *testing.T) {
 			q := addr.VPNPrefix{RD: vpnRD(1), Prefix: addr.MustParsePrefix(fmt.Sprintf("10.1.%d.0/24", origin))}
 			ra, oka := a.Best(q)
 			rb, okb := b.Best(q)
-			if oka != okb || (oka && (ra.NextHop != rb.NextHop || ra.Label != rb.Label || fmt.Sprint(ra.ClusterList) != fmt.Sprint(rb.ClusterList))) {
+			if oka != okb || (oka && (ra.NextHop != rb.NextHop || ra.Label != rb.Label || fmt.Sprint(ra.Reflected) != fmt.Sprint(rb.Reflected))) {
 				t.Errorf("speaker %d best path for %v differs after restore: %+v vs %+v", id, q, ra, rb)
 			}
 		}
@@ -225,36 +226,44 @@ func TestConvergeSectionPinned(t *testing.T) {
 	}
 }
 
+// reachable returns the routes a mesh's exports and runs hold, once per
+// holder.
+func reachable(m *Mesh) []*VPNRoute {
+	var out []*VPNRoute
+	for _, s := range m.speakers {
+		for _, run := range [][]uint32{s.exports, s.rib.paths, s.rib.best} {
+			for _, h := range run {
+				out = append(out, m.routes[h])
+			}
+		}
+	}
+	return out
+}
+
 // distinctRoutes counts the VPNRoute objects reachable from a mesh.
 func distinctRoutes(m *Mesh) int {
 	seen := map[*VPNRoute]bool{}
-	for _, s := range m.speakers {
-		for _, rs := range [][]*VPNRoute{s.exports, s.rib.paths, s.rib.best} {
-			for _, r := range rs {
-				seen[r] = true
-			}
-		}
+	for _, r := range reachable(m) {
+		seen[r] = true
 	}
 	return len(seen)
 }
 
 // distinctLists counts the backing arrays behind the route-target lists and
-// behind the cluster lists of the routes reachable from a mesh.
-func distinctLists(m *Mesh) (rts, clusters int) {
-	seenRTs, seenClusters := map[*addr.RouteTarget]bool{}, map[*uint32]bool{}
-	for _, s := range m.speakers {
-		for _, rs := range [][]*VPNRoute{s.exports, s.rib.paths, s.rib.best} {
-			for _, r := range rs {
-				if len(r.RTs) > 0 {
-					seenRTs[&r.RTs[0]] = true
-				}
-				if len(r.ClusterList) > 0 {
-					seenClusters[&r.ClusterList[0]] = true
-				}
-			}
+// behind the cluster lists of the routes reachable from a mesh, and the
+// Reflections those routes carry.
+func distinctLists(m *Mesh) (rts, clusters, refls int) {
+	seenRTs, seenClusters, seenRefls := map[*addr.RouteTarget]bool{}, map[*uint32]bool{}, map[*Reflection]bool{}
+	for _, r := range reachable(m) {
+		if len(r.RTs) > 0 {
+			seenRTs[&r.RTs[0]] = true
+		}
+		if r.Reflected != nil {
+			seenClusters[&r.Reflected.ClusterList[0]] = true
+			seenRefls[r.Reflected] = true
 		}
 	}
-	return len(seenRTs), len(seenClusters)
+	return len(seenRTs), len(seenClusters), len(seenRefls)
 }
 
 // TestLoadStatePreservesSharing: receivers share one route object per
@@ -280,15 +289,16 @@ func TestLoadStatePreservesSharing(t *testing.T) {
 	if got, want := distinctRoutes(m2), distinctRoutes(m); got != want {
 		t.Errorf("restored mesh holds %d distinct routes, the saved one %d", got, want)
 	}
-	// Six target lists, one per original, and three cluster lists, one per
-	// cluster, in the mesh that was saved.
-	rts, clusters := distinctLists(m)
-	if rts != 6 || clusters != 3 {
-		t.Fatalf("converged mesh holds %d route-target lists and %d cluster lists, want 6 and 3", rts, clusters)
+	// Six target lists, one per original, three cluster lists, one per
+	// cluster, and six Reflections, one per originator, in the mesh that was
+	// saved.
+	rts, clusters, refls := distinctLists(m)
+	if rts != 6 || clusters != 3 || refls != 6 {
+		t.Fatalf("converged mesh holds %d route-target lists, %d cluster lists and %d reflections, want 6, 3 and 6", rts, clusters, refls)
 	}
-	if gotRTs, gotClusters := distinctLists(m2); gotRTs > rts || gotClusters > clusters {
-		t.Errorf("restored mesh holds %d route-target lists and %d cluster lists, the saved one %d and %d",
-			gotRTs, gotClusters, rts, clusters)
+	if gotRTs, gotClusters, gotRefls := distinctLists(m2); gotRTs > rts || gotClusters > clusters || gotRefls > refls {
+		t.Errorf("restored mesh holds %d route-target lists, %d cluster lists and %d reflections, the saved one %d, %d and %d",
+			gotRTs, gotClusters, gotRefls, rts, clusters, refls)
 	}
 	var w2 snapshot.Writer
 	m2.SaveState(&w2)
@@ -403,5 +413,75 @@ func TestLoadStateAllocatesWhatItDecodes(t *testing.T) {
 	}
 	if allocs > 20 {
 		t.Errorf("refusing the section took %.0f allocations, want a handful", allocs)
+	}
+}
+
+// checkTable requires m's route table to hold exactly the routes its
+// exports and runs reference: every handle referenced, each route once.
+func checkTable(t *testing.T, m *Mesh, what string) {
+	t.Helper()
+	referenced := make([]bool, len(m.routes))
+	for _, s := range m.speakers {
+		for _, run := range [][]uint32{s.exports, s.rib.paths, s.rib.best} {
+			for _, h := range run {
+				referenced[h] = true
+			}
+		}
+	}
+	seen := map[*VPNRoute]bool{}
+	for h, r := range m.routes {
+		if !referenced[h] {
+			t.Fatalf("%s: handle %d (%v) is referenced by nothing", what, h, r)
+		}
+		if seen[r] {
+			t.Fatalf("%s: route %v holds two handles", what, r)
+		}
+		seen[r] = true
+	}
+}
+
+// TestRouteTableHoldsWhatIsReachable scripts fifty rounds of churn on the
+// restarting mesh — a session lost, gracefully or not; one of the lost
+// speaker's prefixes withdrawn and re-originated as a new route while it is
+// down; the session back; the stale routes swept — and requires after every
+// Converge that the route table hold exactly what the exports and runs
+// reference, and after every round no more routes than the settled mesh
+// did: what a round replaces or drops leaves the table.
+func TestRouteTableHoldsWhatIsReachable(t *testing.T) {
+	m := restartingMesh()
+	converge := func(what string) {
+		t.Helper()
+		m.Converge()
+		checkTable(t, m, what)
+	}
+	m.SessionUp(102) // the restarting mesh leaves 102 in graceful restart
+	converge("settling")
+	m.SweepStale(102)
+	converge("settled")
+	settled := len(m.routes)
+	rng := rand.New(rand.NewSource(50))
+	nodes := m.sortedIDs()
+	for round := 0; round < 50; round++ {
+		n := nodes[rng.Intn(len(nodes))]
+		s := m.speakers[n]
+		graceful := rng.Intn(2) == 0
+		what := fmt.Sprintf("round %d, node %d (graceful %v)", round, n, graceful)
+		m.SessionDown(n, graceful)
+		converge(what + ", down")
+		if len(s.exports) > 0 {
+			old := m.routes[s.exports[rng.Intn(len(s.exports))]]
+			s.WithdrawLocal(old.Prefix)
+			converge(what + ", withdrawn")
+			r := *old
+			r.Label++
+			s.Originate(&r)
+		}
+		m.SessionUp(n)
+		converge(what + ", up")
+		m.SweepStale(n)
+		converge(what + ", swept")
+		if len(m.routes) > settled {
+			t.Fatalf("%s: the table holds %d routes, the settled mesh %d", what, len(m.routes), settled)
+		}
 	}
 }

@@ -292,16 +292,18 @@ func restoreTargets(t testing.TB) []restoreTarget {
 	}
 }
 
-// corruptMeshSections hand-writes four "bgp" sections for a mesh that has
+// corruptMeshSections hand-writes five "bgp" sections for a mesh that has
 // speaker n, each well-formed but for one defect no saver produces: a route
 // index past the table, an adj-RIB-in out of prefix order, one that holds a
-// (prefix, origin) twice, and a route table that declares the most routes
-// its remaining bytes admit and holds two. The layout written here is the
-// version-3 one bgp.Mesh.State walks.
+// (prefix, origin) twice, a route with an ORIGINATOR_ID and no CLUSTER_LIST,
+// and a route table that declares the most routes its remaining bytes admit
+// and holds two. The layout written here is the version-3 one
+// bgp.Mesh.State walks.
 func corruptMeshSections(n topo.NodeID) (sections map[string][]byte, names []string) {
 	// table writes the section up to the end of its route table, which
-	// declares count routes and holds one per origin.
-	table := func(w *snapshot.Writer, count int, origins []topo.NodeID, thirds []uint32) {
+	// declares count routes and holds one per origin, each with the given
+	// ORIGINATOR_ID and an empty CLUSTER_LIST.
+	table := func(w *snapshot.Writer, count int, origins []topo.NodeID, thirds []uint32, originator int64) {
 		c := snapshot.Saver(w)
 		for i := 0; i < 8; i++ {
 			w.I64(0) // mesh counters
@@ -318,13 +320,13 @@ func corruptMeshSections(n topo.NodeID) (sections map[string][]byte, names []str
 			w.I64(100)
 			w.I64(0)
 			w.I64(int64(origin))
-			w.I64(0) // originator
+			w.I64(originator)
 			w.U64(0) // cluster list
 		}
 	}
-	section := func(origins []topo.NodeID, thirds []uint32, paths ...uint64) []byte {
+	section := func(origins []topo.NodeID, thirds []uint32, originator int64, paths ...uint64) []byte {
 		var w snapshot.Writer
-		table(&w, len(origins), origins, thirds)
+		table(&w, len(origins), origins, thirds, originator)
 		w.U64(1) // speakers
 		w.I64(int64(n))
 		w.I64(0) // received
@@ -344,12 +346,13 @@ func corruptMeshSections(n topo.NodeID) (sections map[string][]byte, names []str
 	// so what bounds the load is what it decodes (see also bgp's
 	// TestLoadStateAllocatesWhatItDecodes).
 	var short snapshot.Writer
-	table(&short, 1000, []topo.NodeID{1, 2}, []uint32{1, 2})
+	table(&short, 1000, []topo.NodeID{1, 2}, []uint32{1, 2}, 0)
 	sections = map[string][]byte{
-		"mesh: route index past the table":       section([]topo.NodeID{1, 2}, []uint32{1, 2}, 0, 2),
-		"mesh: paths out of prefix order":        section([]topo.NodeID{1, 2}, []uint32{2, 1}, 0, 1),
-		"mesh: repeated (prefix, origin)":        section([]topo.NodeID{1, 1}, []uint32{1, 1}, 0, 1),
-		"mesh: route count past the routes held": append(short.Data(), bytes.Repeat([]byte{0xff}, 1000*12)...),
+		"mesh: route index past the table":        section([]topo.NodeID{1, 2}, []uint32{1, 2}, 0, 0, 2),
+		"mesh: paths out of prefix order":         section([]topo.NodeID{1, 2}, []uint32{2, 1}, 0, 0, 1),
+		"mesh: repeated (prefix, origin)":         section([]topo.NodeID{1, 1}, []uint32{1, 1}, 0, 0, 1),
+		"mesh: originator without a cluster list": section([]topo.NodeID{1, 2}, []uint32{1, 2}, 3, 0, 1),
+		"mesh: route count past the routes held":  append(short.Data(), bytes.Repeat([]byte{0xff}, 1000*12)...),
 	}
 	for name := range sections {
 		names = append(names, name)

@@ -462,13 +462,17 @@ func (b *Backbone) BuildProvider() {
 	// Global IP routes to provider loopbacks (control traffic, and the
 	// entire data plane in PlainIP mode). The IGP's change ledgers are
 	// drained: everything they list is installed here, and the first
-	// link-flap reconvergence must see only its own delta.
+	// link-flap reconvergence must see only its own delta. The routes are
+	// read one by one, not listed: a list per router is garbage, and a
+	// rebuild ends close to the collector's trigger (DESIGN.md §15.7).
 	for _, n := range b.providerNodes {
 		r := b.routers[n]
 		inst := b.IGP.Instance(n)
 		inst.TakeChangedDests()
-		for _, rt := range inst.Routes() {
-			r.IPTable.Insert(addr.HostPrefix(ospf.Loopback(rt.Dest)), rt.NextHop)
+		for _, d := range b.providerNodes {
+			if rt, ok := inst.RouteTo(d); ok {
+				r.IPTable.Insert(addr.HostPrefix(ospf.Loopback(rt.Dest)), rt.NextHop)
+			}
 		}
 	}
 

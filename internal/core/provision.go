@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"mplsvpn/internal/addr"
+	"mplsvpn/internal/bgp"
 	"mplsvpn/internal/device"
 	"mplsvpn/internal/ipsec"
 	"mplsvpn/internal/mpls"
@@ -616,12 +617,13 @@ func (b *Backbone) declareRTInterest() {
 // restart their VRF forwarding state must survive exactly as it was when
 // the control plane died.
 func (b *Backbone) importVRFs() {
+	var routes []*bgp.VPNRoute // one buffer for every PE's best paths
 	for _, peID := range b.peNodes {
 		if b.surv.stateOf(peID) != sessUp {
 			continue
 		}
 		sp, _ := b.BGP.Speaker(peID)
-		routes := sp.BestRoutes()
+		routes = sp.AppendBestRoutes(routes[:0])
 		for _, v := range b.routers[peID].VRFs {
 			// Withdrawn routes must disappear, not linger as stale label
 			// state: purge the BGP-learned set and re-import the current

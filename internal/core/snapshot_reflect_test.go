@@ -44,7 +44,7 @@ func TestRestoreReflectorClustersWithoutSurvivability(t *testing.T) {
 	sp, _ := b.BGP.Speaker(last)
 	reflected := false
 	for _, r := range sp.BestRoutes() {
-		reflected = reflected || len(r.ClusterList) > 0
+		reflected = reflected || r.Reflected != nil
 	}
 	if !reflected {
 		t.Fatal("the highest-numbered speaker holds no reflected route: the regression would be vacuous")

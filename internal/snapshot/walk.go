@@ -335,32 +335,33 @@ func Ptrs[T any](c *Codec, s *[]*T, min int, elem func(*Codec, *T)) {
 	}
 }
 
-// Refs walks a slice of pointers into table, a list of distinct elements
-// walked earlier, as each one's position there: a count, then a varint
-// each, in one loop either way. pos is an element's position in table, asked
-// only when saving; a loaded position past the table is ErrCorrupt.
-func Refs[T any](c *Codec, s *[]*T, table []*T, pos func(*T) int) {
-	n := c.Len(len(*s), 1)
+// Refs walks a slice of references into a table of n distinct elements
+// walked earlier, as each one's position there: a count, then a varint each,
+// in one loop either way. pos is a reference's position, asked only when
+// saving; at is the reference a loaded position stands for, asked only for a
+// position inside the table: one past it is ErrCorrupt.
+func Refs[T any](c *Codec, s *[]T, n int, pos func(T) int, at func(int) T) {
+	count := c.Len(len(*s), 1)
 	if c.r == nil {
-		for _, p := range *s {
-			c.w.U64(uint64(pos(p)))
+		for _, ref := range *s {
+			c.w.U64(uint64(pos(ref)))
 		}
 		return
 	}
 	*s = nil
-	if n > 0 {
-		*s = make([]*T, n)
+	if count > 0 {
+		*s = make([]T, count)
 	}
 	for i := range *s {
 		k := c.r.U64()
 		if c.r.err != nil {
 			return
 		}
-		if k >= uint64(len(table)) {
-			c.Corrupt("reference to element %d of a table of %d", k, len(table))
+		if k >= uint64(n) {
+			c.Corrupt("reference to element %d of a table of %d", k, n)
 			return
 		}
-		(*s)[i] = table[k]
+		(*s)[i] = at(int(k))
 	}
 }
 

@@ -249,26 +249,27 @@ func TestPtrsLoadInChunks(t *testing.T) {
 func TestRefs(t *testing.T) {
 	table := []*walkRec{{ID: 10}, {ID: 11}, {ID: 12}}
 	pos := func(r *walkRec) int { return r.ID - 10 }
+	at := func(k int) *walkRec { return table[k] }
 	in := []*walkRec{table[2], table[0], table[2]}
 	var w Writer
-	Refs(Saver(&w), &in, table, pos)
+	Refs(Saver(&w), &in, len(table), pos, at)
 	if want := []byte{3, 2, 0, 2}; !bytes.Equal(w.Data(), want) {
 		t.Fatalf("encoded % x, want % x", w.Data(), want)
 	}
 	var out []*walkRec
 	c := Loader(NewReader(w.Data()))
-	if Refs(c, &out, table, pos); c.Err() != nil {
+	if Refs(c, &out, len(table), pos, at); c.Err() != nil {
 		t.Fatal(c.Err())
 	}
 	if len(out) != 3 || out[0] != table[2] || out[1] != table[0] || out[2] != table[2] {
 		t.Errorf("loaded references do not point into the table: %v", out)
 	}
 	c = Loader(NewReader([]byte{2, 1, 3}))
-	if Refs(c, &out, table, pos); !errors.Is(c.Err(), ErrCorrupt) {
+	if Refs(c, &out, len(table), pos, at); !errors.Is(c.Err(), ErrCorrupt) {
 		t.Errorf("position past the table: err = %v, want ErrCorrupt", c.Err())
 	}
 	c = Loader(NewReader([]byte{3, 1}))
-	if Refs(c, &out, table, pos); !errors.Is(c.Err(), ErrCorrupt) && !errors.Is(c.Err(), ErrTruncated) {
+	if Refs(c, &out, len(table), pos, at); !errors.Is(c.Err(), ErrCorrupt) && !errors.Is(c.Err(), ErrTruncated) {
 		t.Errorf("list cut short: err = %v, want a typed error", c.Err())
 	}
 }
