@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet check-gates bench bench-reconverge bench-bgp bench-addr bench-hop bench-gate alloc-gate fuzz-short verify-parallel verify-scaling verify-survivability verify-intent verify-snapshot verify-controlplane verify-interas cover examples record clean
+.PHONY: all build test test-short test-race vet check-gates bench bench-reconverge bench-bgp bench-addr bench-hop alloc-gate fuzz-short verify-parallel verify-scaling verify-survivability verify-intent verify-snapshot verify-controlplane verify-interas cover examples record clean
 
-all: build vet check-gates test test-race fuzz-short verify-intent verify-snapshot verify-controlplane verify-interas verify-scaling bench-reconverge bench-gate
+all: build vet check-gates test test-race fuzz-short verify-intent verify-snapshot verify-controlplane verify-interas verify-scaling bench-reconverge alloc-gate
 
 build:
 	$(GO) build ./...
@@ -97,14 +97,6 @@ bench-hop:
 alloc-gate:
 	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint|TestConvergeFootprint|TestConvergeHeapPerRoute' ./internal/...
 
-# The performance regression gate: the zero-alloc tests above, then a
-# measured perf snapshot (E4 lookup cost, 200-site data-plane PPS and
-# allocation rate, E15 event throughput) written to BENCH_<n>.json and
-# compared benchstat-style against the previous snapshot. Fails on an
-# allocation-budget violation or a large throughput regression.
-bench-gate: alloc-gate
-	$(GO) run ./cmd/vpnbench -perf -gate
-
 # The serial-vs-parallel equivalence harness under the race detector: every
 # scenario (QoS mesh, bottleneck drops, failure reconvergence, extranet,
 # scripted chaos) must be byte-identical at 1/2/8 shards and at any worker
@@ -118,9 +110,9 @@ verify-parallel:
 # The parallel-performance acceptance gate under the race detector: the
 # pair-lookahead matrix property tests (oracle equality + degenerate
 # uniform-quantum byte-equality), the worker x GOMAXPROCS invariance sweep,
-# and the serial-vs-sharded equivalence scenarios. Then a quick E22 sweep
-# (GOMAXPROCS 1 and NumCPU x shards 1/8) to confirm the scaling curve
-# still produces identical fingerprints on this host.
+# and the serial-vs-sharded equivalence scenarios. Then an E22 sweep at
+# GOMAXPROCS 1 over 1 and 8 shards, which exits non-zero when any cell's
+# fingerprint differs from the serial one.
 verify-scaling:
 	$(GO) test -race -count=1 \
 		-run='TestWorkerGomaxprocsInvariance|TestUniformQuantumMatchesPairMatrix|TestSerialParallelEquivalence' \

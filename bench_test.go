@@ -164,7 +164,7 @@ func BenchmarkE13InterASOptions(b *testing.B) {
 // pins the workload as byte-equivalent either way.
 func BenchmarkBackbone200(b *testing.B) {
 	const dur = 200 * sim.Millisecond
-	want := experiments.RunScaling(experiments.ScalingSites, 0, 0, dur)
+	want := experiments.RunScaling(experiments.ScalingSites, 0, dur)
 	for _, shards := range []int{0, 2, 4, 8} {
 		name := "serial"
 		if shards > 0 {
@@ -172,7 +172,7 @@ func BenchmarkBackbone200(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := experiments.RunScaling(experiments.ScalingSites, shards, 0, dur)
+				r := experiments.RunScaling(experiments.ScalingSites, shards, dur)
 				if r.Delivered != want.Delivered {
 					b.Fatalf("delivered %d, serial %d", r.Delivered, want.Delivered)
 				}

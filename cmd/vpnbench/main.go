@@ -7,9 +7,13 @@
 //	vpnbench -e e1,e5      # run a subset
 //	vpnbench -json out.json  # machine-readable results
 //	vpnbench -dur 10s      # longer traffic runs (E2/E3/E5)
-//	vpnbench -perf         # perf snapshot -> BENCH_<n>.json
-//	vpnbench -perf -gate   # snapshot + fail on alloc/throughput regression
-//	vpnbench -cpuprofile cpu.pprof -perf   # profile any run with pprof
+//	vpnbench -cpuprofile cpu.pprof -e e20   # profile any run with pprof
+//
+// An unknown experiment name exits 2. A verdict the run prints that is
+// false (an E22 cell that differs from serial, E19's or E21's digest
+// match, E20's oracle equivalences) exits 1 after every table is printed.
+// Wall-clock performance is measured by the repository benchmark
+// (benchmark/), not here.
 package main
 
 import (
@@ -19,6 +23,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -28,16 +33,12 @@ import (
 
 func main() {
 	var (
-		exps       = flag.String("e", "all", "comma-separated experiments to run (e1..e22 or all)")
+		exps       = flag.String("e", "all", "comma-separated experiments to run (e1..e14, e16..e22 or all)")
 		dur        = flag.Duration("dur", 5*time.Second, "simulated traffic duration for E2/E3/E5/E10")
 		e1N        = flag.String("e1-sizes", "10,25,50,100,200", "E1 VPN sizes")
-		shards     = flag.String("shards", "1,2,4,8", "E15/E22 shard counts to sweep")
-		workers    = flag.Int("workers", 0, "E15 worker pool size (0 = GOMAXPROCS)")
+		shards     = flag.String("shards", "1,2,4,8", "E22 shard counts to sweep")
 		gmps       = flag.String("gomaxprocs", "1,2,4,8", "E22 GOMAXPROCS values to sweep")
 		jsonFile   = flag.String("json", "", "also write machine-readable results to this file")
-		perf       = flag.Bool("perf", false, "run the perf suite and write BENCH_<n>.json")
-		gate       = flag.Bool("gate", false, "with -perf: fail on allocation-budget or throughput regression")
-		benchDir   = flag.String("bench-dir", ".", "directory for BENCH_<n>.json snapshots")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	)
@@ -78,20 +79,30 @@ func main() {
 		}()
 	}
 
-	if *perf {
-		code = runPerf(*benchDir, *gate)
-		return
-	}
 	results := map[string]any{}
+	// failed reports a printed verdict that is false; the run goes on so
+	// every table still prints, and exits 1 at the end.
+	failed := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "vpnbench: "+format+"\n", args...)
+		code = 1
+	}
 
+	// E15 is the testbed E17 and E22 run on, not an experiment of its own.
+	known := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e16", "e17", "e18", "e19", "e20", "e21", "e22"}
 	want := map[string]bool{}
 	if *exps == "all" {
-		for _, e := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22"} {
+		for _, e := range known {
 			want[e] = true
 		}
 	} else {
 		for _, e := range strings.Split(*exps, ",") {
-			want[strings.TrimSpace(strings.ToLower(e))] = true
+			e = strings.TrimSpace(strings.ToLower(e))
+			if !slices.Contains(known, e) {
+				fmt.Fprintf(os.Stderr, "vpnbench: unknown experiment %q (want e1..e14, e16..e22 or all)\n", e)
+				code = 2
+				return
+			}
+			want[e] = true
 		}
 	}
 	d := sim.Time(dur.Nanoseconds())
@@ -186,25 +197,6 @@ func main() {
 			res.Retries, res.Degradations, res.Restores, res.Violations)
 	}
 
-	if want["e15"] {
-		counts, ok := parseIntList(*shards)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "vpnbench: bad -shards list %q\n", *shards)
-			code = 2
-			return
-		}
-		// E15 sweeps the 200-site topology at several shard counts; a full
-		// -dur run per configuration is slow, so it uses its own default.
-		res := experiments.E15ParallelScaling(0, counts, *workers)
-		results["e15"] = res
-		fmt.Println(res.Table.String())
-		for i, ok := range res.Identical {
-			if !ok {
-				fmt.Printf("WARNING: run %d diverged from the serial fingerprint\n", i)
-			}
-		}
-	}
-
 	if want["e16"] {
 		res := experiments.E16GracefulRestart(0)
 		results["e16"] = res
@@ -241,18 +233,25 @@ func main() {
 			res.Checkpoints, res.Cycles, res.ReplayedMs, res.DigestMatch)
 		fmt.Printf("control plane: %d routes damped, %d reused, %d LSP reoptimizations, %d invariant violations\n\n",
 			res.Suppressions, res.Reuses, res.Reoptimized, res.Violations)
+		if !res.DigestMatch {
+			failed("e19: the checkpointed day diverged from the uninterrupted day")
+		}
 	}
 
 	if want["e20"] {
-		// The standalone run uses the scaled-down headline (the full
-		// million-route build lives in the perf suite: vpnbench -perf).
-		res := experiments.E20ControlPlaneScaling(false)
+		// The paper-scale headline: 10,000 PEs and 1,000,000 VPN-IPv4
+		// routes (TestE20ControlPlaneScaling runs the build scaled 10x down).
+		res := experiments.E20ControlPlaneScaling(true)
 		results["e20"] = res
 		fmt.Println(res.Comparison.String())
 		fmt.Println(res.Headline.String())
 		fmt.Println(res.ISPF.String())
 		fmt.Printf("clustered best paths identical to full mesh: %t; ISPF/ICSPF oracle equivalence: %t/%t\n\n",
 			res.MeshEquivalent, res.ISPFOracleOK, res.ICSPFOracleOK)
+		if !res.MeshEquivalent || !res.ISPFOracleOK || !res.ICSPFOracleOK {
+			failed("e20: an oracle check failed (mesh=%t ispf=%t icspf=%t)",
+				res.MeshEquivalent, res.ISPFOracleOK, res.ICSPFOracleOK)
+		}
 	}
 
 	if want["e21"] {
@@ -268,6 +267,9 @@ func main() {
 			fmt.Printf("%-8s conform=%t serial==8-shard digest=%t flaps=%d failovers=%d reinstalls=%d\n",
 				name, res.Conform[name], res.DigestMatch[name],
 				res.Flaps[name], res.Failovers[name], res.Reinstalls[name])
+			if !res.DigestMatch[name] {
+				failed("e21: %s 8-shard digest diverged from the serial run", name)
+			}
 		}
 		fmt.Printf("invariant violations across all runs: %d\n\n", res.Violations)
 	}
@@ -289,7 +291,7 @@ func main() {
 		results["e22"] = res
 		fmt.Println(res.Table.String())
 		if !res.AllIdentical {
-			fmt.Println("WARNING: a sweep cell diverged from the serial fingerprint")
+			failed("e22: a sweep cell diverged from the serial fingerprint")
 		}
 	}
 

@@ -7,12 +7,14 @@ import (
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/core"
 	"mplsvpn/internal/sim"
-	"mplsvpn/internal/stats"
 	"mplsvpn/internal/trafgen"
 )
 
 // ScalingSites is the standard E15 topology size (paper-scale: a
-// backbone carrier provisioning a couple hundred customer sites).
+// backbone carrier provisioning a couple hundred customer sites). E15 is
+// the testbed, not a sweep of its own: E17 measures its data plane, E22
+// sweeps it over GOMAXPROCS x shard counts, and the root bench_test.go
+// times it per engine.
 const ScalingSites = 200
 
 // BuildScalingBackbone provisions the E15 testbed: an 8-router core ring
@@ -76,22 +78,23 @@ func AttachScalingTraffic(b *core.Backbone, sites int, dur sim.Time) {
 	}
 }
 
-// ScalingRun is one measured E15 run; shards == 0 means the serial
-// engine. The fingerprint is the StateDigest, flows included, plus the
+// ScalingRun is one measured run of the testbed; shards == 0 means the
+// serial engine. The fingerprint is the StateDigest, flows included, plus the
 // packet counters — the byte surface the equivalence harness compares.
 type ScalingRun struct {
 	Shards      int
 	Wall        time.Duration
 	Events      int64
 	Delivered   int64
-	Fingerprint string `json:"-"`
+	Fingerprint string
 }
 
-// RunScaling executes the E15 workload once at the given shard count.
-func RunScaling(sites, shards, workers int, dur sim.Time) *ScalingRun {
+// RunScaling executes the E15 workload once at the given shard count, with
+// the worker pool sized to GOMAXPROCS (the engine's own default).
+func RunScaling(sites, shards int, dur sim.Time) *ScalingRun {
 	b := BuildScalingBackbone(sites, 77)
 	if shards > 0 {
-		if _, err := b.EnableSharding(core.ShardingOptions{Shards: shards, Workers: workers}); err != nil {
+		if _, err := b.EnableSharding(core.ShardingOptions{Shards: shards}); err != nil {
 			panic(err)
 		}
 	}
@@ -111,61 +114,4 @@ func RunScaling(sites, shards, workers int, dur sim.Time) *ScalingRun {
 		Delivered:   int64(b.Net.Delivered),
 		Fingerprint: fp,
 	}
-}
-
-// E15Result is the parallel-scaling sweep: wall-clock, event throughput,
-// speedup over serial, and a byte-level determinism verdict per shard
-// count.
-type E15Result struct {
-	Table *stats.Table
-	Sites int
-	Runs  []*ScalingRun
-	// Identical[i] reports whether Runs[i] produced the exact serial
-	// fingerprint (digest + counters + per-flow stats).
-	Identical []bool
-}
-
-// E15ParallelScaling sweeps the sharded engine over shardCounts on the
-// 200-site topology and reports speedup and determinism against the
-// serial baseline. Speedup is bounded by GOMAXPROCS: on a single-core
-// host every configuration serializes onto one OS thread, so the column
-// shows parallel overhead, not gain — the determinism verdict is the
-// load-bearing result there.
-func E15ParallelScaling(dur sim.Time, shardCounts []int, workers int) *E15Result {
-	if dur == 0 {
-		dur = 300 * sim.Millisecond
-	}
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 2, 4, 8}
-	}
-	res := &E15Result{
-		Sites: ScalingSites,
-		Table: stats.NewTable(
-			fmt.Sprintf("E15 — parallel scaling, %d sites, %v of traffic", ScalingSites, dur),
-			"config", "wall_ms", "events", "events_per_sec", "speedup", "identical"),
-	}
-	serial := RunScaling(ScalingSites, 0, 0, dur)
-	res.Runs = append(res.Runs, serial)
-	res.Identical = append(res.Identical, true)
-	addRow := func(r *ScalingRun, identical bool) {
-		name := "serial"
-		if r.Shards > 0 {
-			name = fmt.Sprintf("shards-%d", r.Shards)
-		}
-		ms := float64(r.Wall.Microseconds()) / 1e3
-		eps := float64(r.Events) / r.Wall.Seconds()
-		res.Table.AddRow(name, fmt.Sprintf("%.1f", ms), r.Events,
-			fmt.Sprintf("%.0f", eps),
-			fmt.Sprintf("%.2fx", float64(serial.Wall)/float64(r.Wall)),
-			identical)
-	}
-	addRow(serial, true)
-	for _, k := range shardCounts {
-		r := RunScaling(ScalingSites, k, workers, dur)
-		identical := r.Fingerprint == serial.Fingerprint
-		res.Runs = append(res.Runs, r)
-		res.Identical = append(res.Identical, identical)
-		addRow(r, identical)
-	}
-	return res
 }

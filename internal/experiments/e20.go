@@ -186,8 +186,8 @@ func (r *e20Rand) next(n int) int {
 // wall time is accumulated per domain and the routing tables compared after
 // every event. The measured ratio grows with the grid because the full
 // baseline pays O(N^2) per router per event while the incremental side pays
-// only for the affected region, so the headline number comes from the big
-// grid in the perf suite; the unit tier runs a small grid for speed.
+// only for the affected region, so the headline number comes from the full
+// build's big grid; the scaled build runs a small grid for speed.
 func e20ISPFTier(events, side int) (speedup float64, oracleOK bool) {
 	g := e20Grid(side, side)
 	incr := ospf.NewDomain(g)

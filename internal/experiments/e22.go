@@ -39,28 +39,6 @@ type E22Result struct {
 	AllIdentical bool
 }
 
-// Speedup returns the measured speedup for (gomaxprocs, shards), or 0 if
-// that cell was not swept.
-func (r *E22Result) Speedup(gmp, shards int) float64 {
-	for _, run := range r.Runs {
-		if run.GoMaxProcs == gmp && run.Shards == shards {
-			return run.Speedup
-		}
-	}
-	return 0
-}
-
-// PktsPerSec returns the packet throughput for (gomaxprocs, shards)
-// (shards == 0 selects the serial baseline), or 0 if not swept.
-func (r *E22Result) PktsPerSec(gmp, shards int) float64 {
-	for _, run := range r.Runs {
-		if run.GoMaxProcs == gmp && run.Shards == shards {
-			return run.PktsPerSec
-		}
-	}
-	return 0
-}
-
 // E22ParallelSweep measures the sharded engine across GOMAXPROCS x shard
 // counts on the 200-site topology. For every GOMAXPROCS it re-measures the
 // serial baseline (the Go runtime's scheduling overhead moves with core
@@ -94,7 +72,7 @@ func E22ParallelSweep(dur sim.Time, gmps, shardCounts []int) *E22Result {
 	var reference string // serial fingerprint; identical across all settings
 	for _, gmp := range gmps {
 		runtime.GOMAXPROCS(gmp)
-		serial := RunScaling(ScalingSites, 0, 0, dur)
+		serial := RunScaling(ScalingSites, 0, dur)
 		if reference == "" {
 			reference = serial.Fingerprint
 		}
@@ -129,7 +107,7 @@ func E22ParallelSweep(dur sim.Time, gmps, shardCounts []int) *E22Result {
 		for _, k := range shardCounts {
 			// Workers sized to GOMAXPROCS (the engine's own default): the
 			// sweep measures how the whole stack uses the cores it is given.
-			add(RunScaling(ScalingSites, k, 0, dur))
+			add(RunScaling(ScalingSites, k, dur))
 		}
 	}
 	return res

@@ -278,9 +278,11 @@ func TestE16GracefulRestartPreservesForwarding(t *testing.T) {
 
 func TestE17PoolingAblation(t *testing.T) {
 	// Small and fast: 50 sites, 100 ms. The claims under test are shape,
-	// not absolute throughput: the pooled data plane allocates roughly
-	// nothing per packet, the unpooled ablation allocates several objects
-	// per packet, and both deliver traffic.
+	// not absolute throughput: the pooled data plane stays within half an
+	// object per packet (steady state is zero; the budget absorbs one-time
+	// growth of pools, queue rings and heap arrays amortised over the run),
+	// the unpooled ablation allocates several objects per packet, and both
+	// deliver traffic.
 	res := E17ZeroAllocDataPlane(100*sim.Millisecond, []int{50})
 	if len(res.Runs) != 2 {
 		t.Fatalf("runs = %d, want pooled + unpooled", len(res.Runs))
@@ -296,11 +298,31 @@ func TestE17PoolingAblation(t *testing.T) {
 		t.Fatalf("pooling changed results: pooled delivered %d, unpooled %d",
 			pooled.Delivered, unpooled.Delivered)
 	}
-	if pooled.AllocsPerPkt > 1 {
-		t.Fatalf("pooled data plane allocates %.2f objects/pkt, want ~0", pooled.AllocsPerPkt)
+	if pooled.AllocsPerPkt > 0.5 {
+		t.Fatalf("pooled data plane allocates %.3f objects/pkt, budget 0.5", pooled.AllocsPerPkt)
 	}
 	if unpooled.AllocsPerPkt < 2 {
 		t.Fatalf("unpooled ablation allocates %.2f objects/pkt — ablation not ablating", unpooled.AllocsPerPkt)
+	}
+}
+
+// TestE22ParallelSweep holds the sweep's exact results: every cell equals
+// the serial fingerprint, and every cell executes the same events for the
+// same packets, 6 per delivered packet. A change in that count is a change
+// in the work the engine or the data plane does per packet.
+func TestE22ParallelSweep(t *testing.T) {
+	res := E22ParallelSweep(20*sim.Millisecond, []int{1, 2}, []int{1, 8})
+	if !res.AllIdentical {
+		t.Fatalf("a sweep cell diverged from the serial fingerprint:\n%s", res.Table.String())
+	}
+	if len(res.Runs) != 6 {
+		t.Fatalf("%d cells, want 2 GOMAXPROCS x (serial + 2 shard counts)", len(res.Runs))
+	}
+	for _, r := range res.Runs {
+		if r.Events != 9258 || r.Delivered != 1543 {
+			t.Fatalf("gomaxprocs %d shards %d: %d events for %d packets, want 9258 for 1543",
+				r.GoMaxProcs, r.Shards, r.Events, r.Delivered)
+		}
 	}
 }
 
@@ -358,8 +380,7 @@ func TestE20ControlPlaneScaling(t *testing.T) {
 		t.Fatal("reflection loop prevention never fired during the headline converge")
 	}
 	// Incremental SPF/CSPF must match their full-recompute oracles exactly;
-	// the wall-clock bar here is loose (the strict >= 10x gate runs in the
-	// perf suite where timing noise is controlled).
+	// the wall-clock bar is loose, because one timed shot per tier is noisy.
 	if !res.ISPFOracleOK || !res.ICSPFOracleOK {
 		t.Fatalf("incremental recompute diverged from oracle: spf=%t cspf=%t",
 			res.ISPFOracleOK, res.ICSPFOracleOK)
@@ -404,7 +425,8 @@ func TestE21InterASSurvivability(t *testing.T) {
 }
 
 func TestE19DayInTheLife(t *testing.T) {
-	res, err := E19DayInTheLife(t.TempDir())
+	dir := t.TempDir()
+	res, err := E19DayInTheLife(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +437,14 @@ func TestE19DayInTheLife(t *testing.T) {
 		t.Fatalf("%d checkpoints for %d recoveries", res.Checkpoints, res.Cycles)
 	}
 	if !res.DigestMatch {
-		t.Fatal("checkpointed day diverged from the uninterrupted day")
+		// Bisect the run's checkpoint store, so the failure names the first
+		// virtual-time window whose restored state left the reference.
+		w, probes, err := LocalizeE19Divergence(dir)
+		if err != nil {
+			t.Fatalf("checkpointed day diverged from the uninterrupted day; bisect: %v", err)
+		}
+		t.Fatalf("checkpointed day diverged from the uninterrupted day, first in (%v, %v] after %d probes",
+			sim.Time(w.Lo), sim.Time(w.Hi), probes)
 	}
 	if res.Violations != 0 {
 		t.Fatalf("%d invariant violations", res.Violations)
