@@ -92,10 +92,12 @@ bench-hop:
 # a forwarding table is built in a handful of allocations, and BGP Converge
 # at the vpnv4_100k shape allocates at most 1.4x what it keeps and keeps at
 # most its recorded heap per route, in pointer-free RIB runs and 80-byte
-# routes. Like verify-snapshot, the pattern runs over every package, so a new
-# or moved test cannot fall out of the gate.
+# routes; a provider build, the pop147_churn shape and the traffic workloads'
+# ring, allocates at most its recorded bytes and objects. Like
+# verify-snapshot, the pattern runs over every package, so a new or moved
+# test cannot fall out of the gate.
 alloc-gate:
-	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint|TestConvergeFootprint|TestConvergeHeapPerRoute' ./internal/...
+	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint|TestConvergeFootprint|TestConvergeHeapPerRoute|TestBuildFootprint' ./internal/...
 
 # The serial-vs-parallel equivalence harness under the race detector: every
 # scenario (QoS mesh, bottleneck drops, failure reconvergence, extranet,

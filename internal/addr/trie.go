@@ -101,6 +101,16 @@ func (t *Table[V]) alloc(n node) uint32 {
 // Insert installs or replaces the value for prefix p. It reports whether the
 // prefix was newly added (false means replaced).
 func (t *Table[V]) Insert(p Prefix, v V) bool {
+	cell, added := t.Upsert(p)
+	*cell = v
+	return added
+}
+
+// Upsert returns the cell holding prefix p's value, installing p with the
+// zero value first when it is absent (added reports that): a read-modify-
+// write of one entry in one descent. The pointer is good until the table
+// next changes shape (Insert, Upsert, Delete, Grow).
+func (t *Table[V]) Upsert(p Prefix) (cell *V, added bool) {
 	p = NewPrefix(p.Addr, p.Len)
 	a := uint32(p.Addr)
 	// Descend while nodes are prefixes of p. The slot that holds i is
@@ -115,11 +125,12 @@ func (t *Table[V]) Insert(p Prefix, v V) bool {
 			break
 		}
 		if n.len == p.Len {
-			t.nodes[i].set, t.vals[i] = true, v
 			if !n.set {
+				var zero V
+				t.nodes[i].set, t.vals[i] = true, zero
 				t.size++
 			}
-			return !n.set
+			return &t.vals[i], !n.set
 		}
 		up, b = i, n.branch(a)
 		if i = n.child[b]; i == 0 {
@@ -143,9 +154,10 @@ func (t *Table[V]) Insert(p Prefix, v V) bool {
 		fork.child[fork.branch(a)], fork.child[fork.branch(n.addr)] = at, i
 		link = t.alloc(fork)
 	}
-	t.nodes[up].child[b], t.vals[at] = link, v
+	var zero V
+	t.nodes[up].child[b], t.vals[at] = link, zero
 	t.size++
-	return true
+	return &t.vals[at], true
 }
 
 // find descends to the node for exactly prefix p (normalised), returning its

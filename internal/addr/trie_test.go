@@ -233,3 +233,28 @@ func TestTableFootprint(t *testing.T) {
 		t.Errorf("building 100k random prefixes allocates %v times, want at most 100", n)
 	}
 }
+
+// Upsert hands out the value cell of a prefix, installing it zeroed when it
+// is absent: again after a Delete, and at a glue node that a later insert
+// made a fork (set false, value never written).
+func TestTableUpsert(t *testing.T) {
+	tb := NewTable[[]int]()
+	p, q := MustParsePrefix("10.1.0.0/16"), MustParsePrefix("10.2.0.0/16")
+	cell, added := tb.Upsert(p)
+	if !added || *cell != nil || tb.Len() != 1 {
+		t.Fatalf("first Upsert: added %v, cell %v, Len %d", added, *cell, tb.Len())
+	}
+	*cell = append(*cell, 1)
+	tb.Insert(q, []int{2}) // glue: a fork at 10.0.0.0/14 joins the two
+	if cell, added = tb.Upsert(p); added || len(*cell) != 1 || (*cell)[0] != 1 {
+		t.Fatalf("second Upsert: added %v, cell %v", added, *cell)
+	}
+	tb.Delete(p)
+	if cell, added = tb.Upsert(p); !added || *cell != nil {
+		t.Fatalf("Upsert after Delete: added %v, cell %v", added, *cell)
+	}
+	fork := MustParsePrefix("10.0.0.0/14")
+	if cell, added = tb.Upsert(fork); !added || *cell != nil || tb.Len() != 3 {
+		t.Fatalf("Upsert at a glue node: added %v, cell %v, Len %d", added, *cell, tb.Len())
+	}
+}

@@ -282,6 +282,9 @@ type Backbone struct {
 	// resumes with the right reconvergence mode.
 	pendingLinks []linkPair
 	pendingFull  bool
+	// flapScratch is the incremental reconvergence's working memory, kept
+	// across faults: a link flap allocates what it changes, not its lists.
+	flapScratch flapScratch
 	// teISPF caches an incrementally maintained unconstrained SPT per TE
 	// ingress over RSVP's node scope. An intent's target path is read from it on every
 	// reconvergence (resignalTE), as is RSVP's plain-path preemption
@@ -462,13 +465,14 @@ func (b *Backbone) BuildProvider() {
 	// Global IP routes to provider loopbacks (control traffic, and the
 	// entire data plane in PlainIP mode). The IGP's change ledgers are
 	// drained: everything they list is installed here, and the first
-	// link-flap reconvergence must see only its own delta. The routes are
-	// read one by one, not listed: a list per router is garbage, and a
-	// rebuild ends close to the collector's trigger (DESIGN.md §15.7).
+	// link-flap reconvergence must see only its own delta. Neither the
+	// ledgers nor the routes are listed: a list per router is garbage, and
+	// a rebuild ends close to the collector's trigger (DESIGN.md §15.7).
 	for _, n := range b.providerNodes {
 		r := b.routers[n]
 		inst := b.IGP.Instance(n)
-		inst.TakeChangedDests()
+		inst.DropChangedDests()
+		r.IPTable.Grow(len(b.providerNodes))
 		for _, d := range b.providerNodes {
 			if rt, ok := inst.RouteTo(d); ok {
 				r.IPTable.Insert(addr.HostPrefix(ospf.Loopback(rt.Dest)), rt.NextHop)
@@ -476,11 +480,12 @@ func (b *Backbone) BuildProvider() {
 		}
 	}
 
-	// BGP speakers at every PE.
+	// BGP speakers at every PE, each filtering what it is offered through
+	// its PE's route-target index: a route is kept iff some local VRF
+	// imports one of its targets.
 	for _, n := range b.peNodes {
 		sp := b.BGP.AddSpeaker(n, ospf.Loopback(n))
-		node := n
-		sp.Filter = func(r *bgp.VPNRoute) bool { return b.peWantsRoute(node, r) }
+		sp.Filter = b.routers[n].WantsRoute
 	}
 	if b.Cfg.RouteReflector != "" {
 		rrNode := b.mustNode(b.Cfg.RouteReflector)
@@ -574,17 +579,6 @@ func (b *Backbone) applyTELinkChange(a, z topo.NodeID) {
 			sp.ApplyLinkChange(lid)
 		}
 	}
-}
-
-// peWantsRoute is the automatic route filtering policy: keep a route iff
-// some local VRF imports one of its RTs.
-func (b *Backbone) peWantsRoute(pe topo.NodeID, r *bgp.VPNRoute) bool {
-	for _, v := range b.routers[pe].VRFs {
-		if v.WantsRoute(r) {
-			return true
-		}
-	}
-	return false
 }
 
 // newScheduler builds one port's scheduler per the config.

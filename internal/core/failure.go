@@ -442,22 +442,51 @@ func (b *Backbone) reconvergeProvider() {
 	}
 }
 
+// flapScratch holds what reconvergeLinkFlaps and resignalTE rebuild on
+// every fault, emptied and refilled each time.
+type flapScratch struct {
+	flapped [][2]topo.NodeID
+	dests   []topo.NodeID                 // every router's changed destinations, end to end
+	changed map[topo.NodeID][]topo.NodeID // router -> its run of dests
+	plan    []uint8
+	targets []*topo.Path
+	load    map[topo.LinkID][rsvp.NumClassTypes]float64
+}
+
+// reuse returns *buf resized to n zero elements, keeping its array when it
+// is large enough.
+func reuse[T any](buf *[]T, n int) []T {
+	s := slices.Grow((*buf)[:0], n)[:n]
+	clear(s)
+	*buf = s
+	return s
+}
+
 // reconvergeLinkFlaps is the incremental branch: IGP, label plane and IP
 // tables each take the delta of the queued link flaps.
 func (b *Backbone) reconvergeLinkFlaps() {
-	flapped := make([][2]topo.NodeID, len(b.pendingLinks))
-	for i, p := range b.pendingLinks {
+	sc := &b.flapScratch
+	sc.flapped = sc.flapped[:0]
+	for _, p := range b.pendingLinks {
 		b.IGP.NotifyLinkChange(p.lo, p.hi)
-		flapped[i] = [2]topo.NodeID{p.lo, p.hi}
+		sc.flapped = append(sc.flapped, [2]topo.NodeID{p.lo, p.hi})
 	}
-	changed := make(map[topo.NodeID][]topo.NodeID)
+	if sc.changed == nil {
+		sc.changed = make(map[topo.NodeID][]topo.NodeID)
+	}
+	clear(sc.changed)
+	sc.dests = sc.dests[:0]
 	for _, n := range b.providerNodes {
 		inst := b.IGP.Instance(n)
-		dests := inst.TakeChangedDests()
-		if len(dests) == 0 {
+		from := len(sc.dests)
+		sc.dests = inst.AppendChangedDests(sc.dests)
+		if len(sc.dests) == from {
 			continue
 		}
-		changed[n] = dests
+		// A run outlives a later append moving sc.dests: the old array
+		// keeps it.
+		dests := sc.dests[from:len(sc.dests):len(sc.dests)]
+		sc.changed[n] = dests
 		r := b.routers[n]
 		for _, d := range dests {
 			pfx := addr.HostPrefix(ospf.Loopback(d))
@@ -468,7 +497,7 @@ func (b *Backbone) reconvergeLinkFlaps() {
 			}
 		}
 	}
-	b.LDP.ApplyIGPDelta(flapped, changed)
+	b.LDP.ApplyIGPDelta(sc.flapped, sc.changed)
 }
 
 // reconvergeFull is the full branch: everything below the TE layer is
@@ -525,7 +554,7 @@ func (b *Backbone) reconvergeFull() {
 	for _, n := range b.providerNodes {
 		r := b.routers[n]
 		inst := b.IGP.Instance(n)
-		inst.TakeChangedDests()
+		inst.DropChangedDests()
 		r.IPTable = addr.NewTable[topo.LinkID]()
 		for _, rt := range inst.Routes() {
 			r.IPTable.Insert(addr.HostPrefix(ospf.Loopback(rt.Dest)), rt.NextHop)
@@ -563,13 +592,17 @@ func (b *Backbone) teTargets() (targets []*topo.Path, sweep string) {
 	}
 	// load is what each link's ledgers would gain, per class type, were
 	// every intent moved from the LSP it holds to its target.
-	targets = make([]*topo.Path, len(b.teRequests))
-	load := make(map[topo.LinkID]*[rsvp.NumClassTypes]float64)
+	sc := &b.flapScratch
+	targets = reuse(&sc.targets, len(b.teRequests))
+	if sc.load == nil {
+		sc.load = make(map[topo.LinkID][rsvp.NumClassTypes]float64)
+	}
+	load := sc.load
+	clear(load)
 	add := func(lid topo.LinkID, ct rsvp.ClassType, bw float64) {
-		if load[lid] == nil {
-			load[lid] = new([rsvp.NumClassTypes]float64)
-		}
-		load[lid][ct] += bw
+		g := load[lid]
+		g[ct] += bw
+		load[lid] = g
 	}
 	for i, req := range b.teRequests {
 		if l := req.lsp; l != nil && l.State == rsvp.Up {
@@ -635,7 +668,7 @@ func (b *Backbone) resignalTE(flapped []linkPair, rebuilt bool) {
 		setup
 	)
 	st := TEResignalStats{Reconvergences: 1}
-	plan := make([]uint8, len(b.teRequests))
+	plan := reuse(&b.flapScratch.plan, len(b.teRequests))
 	for i, req := range b.teRequests {
 		l := req.lsp
 		up := l != nil && l.State == rsvp.Up

@@ -624,13 +624,7 @@ func (b *Backbone) importVRFs() {
 		}
 		sp, _ := b.BGP.Speaker(peID)
 		routes = sp.AppendBestRoutes(routes[:0])
-		for _, v := range b.routers[peID].VRFs {
-			// Withdrawn routes must disappear, not linger as stale label
-			// state: purge the BGP-learned set and re-import the current
-			// best paths.
-			v.PurgeRemote()
-			v.ImportRemote(routes)
-		}
+		b.routers[peID].ImportRemote(routes)
 	}
 }
 

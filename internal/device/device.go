@@ -17,6 +17,7 @@ package device
 
 import (
 	"mplsvpn/internal/addr"
+	"mplsvpn/internal/bgp"
 	"mplsvpn/internal/ipsec"
 	"mplsvpn/internal/mpls"
 	"mplsvpn/internal/packet"
@@ -96,7 +97,8 @@ type Router struct {
 	LocalPrefixes *addr.Table[bool]
 
 	// VPN state (PE only). Install and remove VRFs only through
-	// AddVRF/RemoveVRF, which keep the access bindings pointing at them.
+	// AddVRF/RemoveVRF, which keep the access bindings pointing at them and
+	// the import index (rts) in step with them.
 	VRFs       map[string]*vpn.VRF
 	accessVRF  map[topo.LinkID]accessBinding     // inbound access link -> VRF
 	siteAccess map[string]map[string]topo.LinkID // vrf -> site -> outbound access link
@@ -132,6 +134,11 @@ type Router struct {
 	IPLookups      int
 	LabelLookups   int
 	EXPMapped      int // pushes that carried a DSCP-derived EXP marking
+
+	// rts indexes the VRFs by the route targets they import: the receive
+	// filter's and the import pass's view of VRFs (control plane only, so
+	// it sits after everything a packet touches).
+	rts vpn.RTIndex
 }
 
 // New creates a router of the given kind.
@@ -161,15 +168,36 @@ type accessBinding struct {
 
 // AddVRF installs v under its name, replacing any VRF of the same name.
 func (r *Router) AddVRF(v *vpn.VRF) {
+	if old, ok := r.VRFs[v.Name]; ok {
+		r.rts.Remove(old)
+	}
 	r.VRFs[v.Name] = v
+	r.rts.Add(v)
 	r.rebindAccess(v.Name, v)
 }
 
 // RemoveVRF removes the named VRF. Access links bound to it stay bound to
 // the name and match nothing until a VRF of that name is added again.
 func (r *Router) RemoveVRF(name string) {
+	if v, ok := r.VRFs[name]; ok {
+		r.rts.Remove(v)
+	}
 	delete(r.VRFs, name)
 	r.rebindAccess(name, nil)
+}
+
+// WantsRoute reports whether some VRF here imports one of r's route
+// targets: the PE's BGP receive filter.
+func (r *Router) WantsRoute(route *bgp.VPNRoute) bool { return r.rts.Wants(route) }
+
+// ImportRemote refreshes every VRF from the PE's BGP best paths: each drops
+// its BGP-learned routes (a withdrawn destination must not linger as stale
+// label state) and takes, in the order given, those it imports.
+func (r *Router) ImportRemote(routes []*bgp.VPNRoute) {
+	for _, v := range r.VRFs {
+		v.PurgeRemote()
+	}
+	r.rts.Import(routes)
 }
 
 func (r *Router) rebindAccess(name string, v *vpn.VRF) {

@@ -329,13 +329,13 @@ func TestIPSecGatewayRoundTrip(t *testing.T) {
 
 // installRemote adds a BGP-learned route into a VRF.
 func installRemote(v *vpn.VRF, prefix string, egressPE int, nextHop string, label uint32) {
-	v.ImportRemote([]*bgp.VPNRoute{{
+	v.ImportRoute(&bgp.VPNRoute{
 		Prefix:   addr.VPNPrefix{RD: rdA, Prefix: addr.MustParsePrefix(prefix)},
 		NextHop:  addr.MustParseIPv4(nextHop),
 		Label:    packet.Label(label),
 		RTs:      []addr.RouteTarget{rtA},
 		OriginPE: topo.NodeID(egressPE),
-	}})
+	})
 }
 
 func TestKindStrings(t *testing.T) {

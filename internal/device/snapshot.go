@@ -44,6 +44,12 @@ func (r *Router) State(c *snapshot.Codec) {
 	}
 
 	snapshot.KeyedPtrs(c, &r.VRFs, cmp.Compare[string], vpn.VRFMin, func(v *vpn.VRF) string { return v.Name }, vpn.VRFState)
+	if c.Loading() { // even a failed load: the index follows whatever VRFs it left
+		r.rts = vpn.RTIndex{}
+		for _, v := range r.VRFs {
+			r.rts.Add(v)
+		}
+	}
 	snapshot.Map(c, &r.accessVRF, cmp.Compare[topo.LinkID], 2, snapshot.Int[topo.LinkID],
 		func(c *snapshot.Codec, b *accessBinding) {
 			c.Str(&b.name)

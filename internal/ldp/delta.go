@@ -9,7 +9,7 @@ import (
 // ApplyIGPDelta carries a converged instance across a batch of link flaps
 // the IGP has already absorbed. flapped lists the endpoints of every link
 // that went down or came up; changed[n] lists the routers whose route at n
-// differs from before the batch (ospf's Instance.TakeChangedDests). It
+// differs from before the batch (ospf's Instance.AppendChangedDests). It
 // returns the number of (router, FEC) pairs whose forwarding state it
 // re-derived.
 //

@@ -78,7 +78,7 @@ func newFlapNet(seed uint64, mode Mode, disablePHP bool) *flapNet {
 	net.igp = ospf.NewDomain(g)
 	net.igp.Converge()
 	for _, in := range net.igp.Instances {
-		in.TakeChangedDests()
+		in.AppendChangedDests(nil)
 	}
 	net.p = newLDP(g, net.igp, mode, disablePHP)
 	return net
@@ -194,7 +194,7 @@ func (n *flapNet) pass() (got, want int) {
 	changed := map[topo.NodeID][]topo.NodeID{}
 	want = len(endpoint) * (n.g.NumNodes() - 1)
 	for _, in := range n.igp.Instances {
-		changed[in.Node] = in.TakeChangedDests()
+		changed[in.Node] = in.AppendChangedDests(nil)
 		if !endpoint[in.Node] {
 			want += len(changed[in.Node])
 		}
@@ -395,7 +395,7 @@ func (n *flapNet) failAndReconverge(l duplex) bool {
 	n.flap(l, &flapped)
 	changed := map[topo.NodeID][]topo.NodeID{}
 	for _, in := range n.igp.Instances {
-		changed[in.Node] = in.TakeChangedDests()
+		changed[in.Node] = in.AppendChangedDests(nil)
 	}
 	n.p.ApplyIGPDelta(flapped, changed)
 	return true
@@ -420,7 +420,7 @@ func TestIncrementalLDPMessageCounts(t *testing.T) {
 	igp := ospf.NewDomain(g)
 	igp.Converge()
 	for _, in := range igp.Instances {
-		in.TakeChangedDests()
+		in.AppendChangedDests(nil)
 	}
 	p := newLDP(g, igp, Ordered, false)
 	rounds := p.Rounds
@@ -430,7 +430,7 @@ func TestIncrementalLDPMessageCounts(t *testing.T) {
 		igp.NotifyLinkChange(a, z)
 		changed := map[topo.NodeID][]topo.NodeID{}
 		for _, in := range igp.Instances {
-			changed[in.Node] = in.TakeChangedDests()
+			changed[in.Node] = in.AppendChangedDests(nil)
 		}
 		before := p.MessagesSent
 		p.ApplyIGPDelta([][2]topo.NodeID{{a, z}}, changed)

@@ -61,6 +61,9 @@ type Speaker struct {
 	fromNeighbor [][]binding
 	// deg counts the links to other speakers: all a row can come to hold.
 	deg int
+	// block is where new rows are carved from, deg bindings each, so the
+	// speaker's rows are a few allocations, not one per FEC.
+	block []binding
 }
 
 // binding is the label the speaker of rank from advertised for a FEC.
@@ -105,10 +108,22 @@ func (s *Speaker) learn(f, from int, label packet.Label) bool {
 		return true
 	}
 	if row == nil {
-		row = make([]binding, 0, s.deg)
+		row = s.newRow()
 	}
 	s.fromNeighbor[f] = slices.Insert(row, i, binding{from: int32(from), label: label})
 	return true
+}
+
+// newRow returns an empty row with room for a binding from every neighbour,
+// capped there so that it never grows into the next row of its block. A
+// block holds a row for every FEC.
+func (s *Speaker) newRow() []binding {
+	if cap(s.block)-len(s.block) < s.deg {
+		s.block = make([]binding, 0, len(s.fromNeighbor)*s.deg)
+	}
+	n := len(s.block)
+	s.block = s.block[:n+s.deg]
+	return s.block[n : n : n+s.deg]
 }
 
 // unlearn drops neighbour from's binding for FEC f and reports whether there
@@ -246,7 +261,13 @@ func (p *Protocol) peers(sp *Speaker, fn func(peer int)) {
 
 // Converge distributes labels for every router loopback until quiescence
 // and installs ILM/FTN state. Requires the IGP to have converged first.
+// Each speaker's FTN and LFIB are sized once, for a binding to every other
+// speaker's loopback.
 func (p *Protocol) Converge() {
+	for _, sp := range p.Speakers {
+		sp.FTN.Grow(len(p.Speakers) - 1)
+		sp.LFIB.Grow(len(p.Speakers) - 1)
+	}
 	var inflight, next []mapping
 	// send queues sp's binding for FEC f to every neighbour; one to a
 	// neighbour that runs no speaker (a CE) is sent, counted and lost.

@@ -45,6 +45,7 @@ func (p *Protocol) speakerState(c *snapshot.Codec, sp *Speaker) {
 		for f := range sp.local {
 			sp.local[f], sp.fromNeighbor[f] = noLabel, nil
 		}
+		sp.block = nil // a load gives every row its own slice
 	}
 	snapshot.Dense(c, sp.local, func(l *packet.Label) bool { return *l != noLabel }, addr.PrefixMin+1, p.fecKey,
 		func(c *snapshot.Codec, l *packet.Label) {

@@ -88,7 +88,7 @@ func TestLDPStateIsTheMapEncoding(t *testing.T) {
 	igp := ospf.NewDomainOver(g, members)
 	igp.Converge()
 	for _, in := range igp.Instances {
-		in.TakeChangedDests()
+		in.AppendChangedDests(nil)
 	}
 	p := NewOver(g, igp, members)
 	p.Converge()
@@ -126,7 +126,7 @@ func TestLDPStateIsTheMapEncoding(t *testing.T) {
 	igp.NotifyLinkChange(40, stub)
 	changed := map[topo.NodeID][]topo.NodeID{}
 	for _, in := range igp.Instances {
-		changed[in.Node] = in.TakeChangedDests()
+		changed[in.Node] = in.AppendChangedDests(nil)
 	}
 	p.ApplyIGPDelta([][2]topo.NodeID{{40, stub}}, changed)
 	p.MarkSession(stub, SessionDownState)

@@ -13,6 +13,8 @@
 package mpls
 
 import (
+	"slices"
+
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/topo"
@@ -95,6 +97,8 @@ type LFIB struct {
 	Swapped int
 	Pushed  int
 	Popped  int
+
+	sets oneSets // control plane only: after what a packet touches
 }
 
 // NewLFIB returns an empty LFIB.
@@ -108,7 +112,11 @@ func (f *LFIB) BindILM(in packet.Label, e NHLFE) { f.SetILM(in, []NHLFE{e}) }
 // the set in ascending OutLink order — the IGP's NextHops order, so the
 // member a flow hashes to does not depend on the order mappings arrived in.
 // Duplicate out-links are ignored.
-func (f *LFIB) AddILM(in packet.Label, e NHLFE) { f.SetILM(in, insertByOutLink(f.actions(in), e)) }
+func (f *LFIB) AddILM(in packet.Label, e NHLFE) { f.SetILM(in, f.sets.add(f.actions(in), e)) }
+
+// Grow makes room for n more labels' action sets started by AddILM, so
+// that a set of one is not an allocation of its own.
+func (f *LFIB) Grow(n int) { f.sets.grow(n) }
 
 // SetILM replaces the whole action set for an incoming label. The LFIB
 // keeps es; the caller must not reuse it.
@@ -150,6 +158,25 @@ func insertByOutLink(es []NHLFE, e NHLFE) []NHLFE {
 	copy(es[i+1:], es[i:])
 	es[i] = e
 	return es
+}
+
+// oneSets hands out one-member action sets from one array, so that a set
+// of one is not an allocation of its own. Each set is capped at its one
+// element: a second member (insertByOutLink) copies it out.
+type oneSets []NHLFE
+
+// grow makes room for n more sets.
+func (s *oneSets) grow(n int) { *s = slices.Grow((*s)[len(*s):], n) }
+
+// add returns es with e inserted by out-link, taking a one-member set from
+// the array when es is empty and the array has room.
+func (s *oneSets) add(es []NHLFE, e NHLFE) []NHLFE {
+	if len(es) > 0 || len(*s) == cap(*s) {
+		return insertByOutLink(es, e)
+	}
+	n := len(*s)
+	*s = append(*s, e)
+	return (*s)[n : n+1 : n+1]
 }
 
 // UnbindILM removes the action for an incoming label (LSP teardown).
@@ -293,19 +320,28 @@ func (f *LFIB) Push(p *packet.Packet, label packet.Label, exp uint8) {
 // Each FEC may carry several equal-cost entries (ECMP).
 type FTN struct {
 	table *addr.Table[[]NHLFE]
+	sets  oneSets
 }
 
 // NewFTN returns an empty FTN.
 func NewFTN() *FTN { return &FTN{table: addr.NewTable[[]NHLFE]()} }
 
+// Grow makes room for n more FEC bindings made through AddBind, so that
+// making them allocates neither table nodes nor one-member sets.
+func (f *FTN) Grow(n int) {
+	f.table.Grow(n)
+	f.sets.grow(n)
+}
+
 // Bind associates a FEC (prefix) with an NHLFE, replacing any existing set.
 func (f *FTN) Bind(fec addr.Prefix, e NHLFE) { f.table.Insert(fec, []NHLFE{e}) }
 
 // AddBind adds an equal-cost entry for a FEC (ECMP) in ascending OutLink
-// order, like AddILM; duplicate out-links are ignored.
+// order, like AddILM; duplicate out-links are ignored. It is one descent of
+// the table.
 func (f *FTN) AddBind(fec addr.Prefix, e NHLFE) {
-	es, _ := f.table.Exact(fec)
-	f.table.Insert(fec, insertByOutLink(es, e))
+	es, _ := f.table.Upsert(fec)
+	*es = f.sets.add(*es, e)
 }
 
 // BindSet replaces the whole entry set for a FEC. The FTN keeps es; the

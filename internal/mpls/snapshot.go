@@ -42,7 +42,7 @@ func (f *LFIB) State(c *snapshot.Codec) {
 		}
 		return
 	}
-	f.ilm, f.bound = nil, 0
+	f.ilm, f.bound, f.sets = nil, 0, nil
 	for ; n > 0 && c.Err() == nil; n-- {
 		in := c.U64(0)
 		var es []NHLFE
@@ -56,7 +56,12 @@ func (f *LFIB) State(c *snapshot.Codec) {
 	}
 }
 
-// State walks the FEC bindings in the trie's deterministic walk order.
+// State walks the FEC bindings in the trie's deterministic walk order. A
+// load gives every set its own slice, so the one-member array goes with the
+// table.
 func (f *FTN) State(c *snapshot.Codec) {
+	if c.Loading() {
+		f.sets = nil
+	}
 	addr.TableState(c, &f.table, addr.PrefixMin+1, func(c *snapshot.Codec, _ addr.Prefix, es *[]NHLFE) { nhlfesState(c, es) })
 }

@@ -262,16 +262,20 @@ func sameRoute(a, b Route) bool {
 	return a.Dest == b.Dest && a.NextHop == b.NextHop && a.Metric == b.Metric && slices.Equal(a.NextHops, b.NextHops)
 }
 
-// TakeChangedDests returns the destinations whose route changed since the
-// last call (sorted) and resets the set. The core's reconvergence path
-// uses this for delta-based propagation into the routers' IP tables.
-func (in *Instance) TakeChangedDests() []topo.NodeID {
-	var out []topo.NodeID
+// AppendChangedDests appends to dst the destinations whose route changed
+// since the ledger was last drained, ascending, and drains it. The core's
+// reconvergence path appends every router's into one buffer it keeps, for
+// delta-based propagation into the routers' IP tables.
+func (in *Instance) AppendChangedDests(dst []topo.NodeID) []topo.NodeID {
 	for v, c := range in.changed {
 		if c {
-			out = append(out, in.idx.Nodes[v])
+			dst = append(dst, in.idx.Nodes[v])
 			in.changed[v] = false
 		}
 	}
-	return out
+	return dst
 }
+
+// DropChangedDests drains the ledger without listing it: for a caller that
+// has just installed every route anyway.
+func (in *Instance) DropChangedDests() { clear(in.changed) }

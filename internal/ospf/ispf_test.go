@@ -50,7 +50,7 @@ func routeMap(in *Instance) map[topo.NodeID]Route {
 // Property: an ISPF domain and a full-SPF (DisableISPF) shadow domain over
 // the same graph produce identical routing tables at every router after
 // every event of a random link-flap / metric-change sequence; flooding
-// counters are unaffected by ISPF; and TakeChangedDests reports exactly
+// counters are unaffected by ISPF; and AppendChangedDests reports exactly
 // the destinations whose route changed at each step — the same list, in
 // the same order, as the full derivation's own diff in the shadow domain.
 func TestISPFMatchesFullSPFAcrossFlapSequences(t *testing.T) {
@@ -70,8 +70,8 @@ func TestISPFMatchesFullSPFAcrossFlapSequences(t *testing.T) {
 		full.Converge()
 		// Converge diffs are not under test here; drop them.
 		for n, in := range inc.Instances {
-			in.TakeChangedDests()
-			full.Instances[n].TakeChangedDests()
+			in.AppendChangedDests(nil)
+			full.Instances[n].AppendChangedDests(nil)
 		}
 
 		routeChanges := 0
@@ -105,8 +105,8 @@ func TestISPFMatchesFullSPFAcrossFlapSequences(t *testing.T) {
 				}
 				want := routeDiff(prev[n], routeMap(in))
 				routeChanges += len(want)
-				got := in.TakeChangedDests()
-				if len(got) != len(want) || !slices.Equal(got, full.Instances[n].TakeChangedDests()) {
+				got := in.AppendChangedDests(nil)
+				if len(got) != len(want) || !slices.Equal(got, full.Instances[n].AppendChangedDests(nil)) {
 					return false
 				}
 				for _, dst := range got {
@@ -226,7 +226,7 @@ func TestISPFFallbackAfterStateDrop(t *testing.T) {
 	d.Converge()
 	for _, in := range d.Instances {
 		in.ispf = nil // what snapshot restore does
-		in.TakeChangedDests()
+		in.AppendChangedDests(nil)
 	}
 	fullBefore := d.FullSPFRuns
 

@@ -77,7 +77,7 @@ type Instance struct {
 	// means the next recompute must be a full SPF, which rebuilds it.
 	ispf *topo.SSSP
 	// changed marks destinations whose route changed, consumed by
-	// TakeChangedDests for delta propagation into routers' IP tables.
+	// AppendChangedDests for delta propagation into routers' IP tables.
 	changed []bool
 }
 

@@ -199,7 +199,7 @@ func TestFullSPFMatchesReference(t *testing.T) {
 					ledger = append(ledger, dst)
 				}
 				slices.Sort(ledger)
-				if got := in.TakeChangedDests(); !slices.Equal(got, ledger) {
+				if got := in.AppendChangedDests(nil); !slices.Equal(got, ledger) {
 					t.Fatalf("seed %d step %d node %d: changed %v, reference tables differ at %v", seed, step, in.Node, got, ledger)
 				}
 				prev[r] = want

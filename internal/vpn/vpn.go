@@ -65,6 +65,8 @@ type VRF struct {
 
 	table *addr.Table[Route]
 	sites map[string]*Site
+	// want counts the routes an RTIndex import pass is about to install.
+	want int
 }
 
 // NewVRF creates an empty VRF.
@@ -123,41 +125,35 @@ func (v *VRF) WantsRoute(r *bgp.VPNRoute) bool {
 	return false
 }
 
-// ImportRemote installs BGP-learned routes that match the import policy.
-// Local routes are never overwritten by remote ones for the same prefix
-// (attached-site routes are preferred, as in real PEs). It returns how
-// many routes were installed.
-func (v *VRF) ImportRemote(routes []*bgp.VPNRoute) int {
-	want := 0
-	for _, r := range routes {
-		if v.imports(r) {
-			want++
-		}
-	}
-	v.table.Grow(want)
-	n := 0
-	for _, r := range routes {
-		if !v.imports(r) {
-			continue
-		}
-		if cur, ok := v.table.Exact(r.Prefix.Prefix); ok && cur.Local {
-			continue
-		}
-		v.table.Insert(r.Prefix.Prefix, Route{
-			Prefix:   r.Prefix.Prefix,
-			EgressPE: r.OriginPE,
-			NextHop:  r.NextHop,
-			VPNLabel: r.Label,
-		})
-		n++
-	}
-	return n
+// ImportRoute installs one BGP-learned route if the import policy admits
+// it: a wanted route target, and not the VRF's own export. Local routes are
+// never overwritten by a remote one for the same prefix (attached-site
+// routes are preferred, as in real PEs). It reports whether the route was
+// installed. A PE's import pass goes through its RTIndex instead, which has
+// already matched the route targets.
+func (v *VRF) ImportRoute(r *bgp.VPNRoute) bool {
+	return v.WantsRoute(r) && !v.ownExport(r) && v.install(r)
 }
 
-// imports reports whether r is a remote route the import policy admits: a
-// wanted route target, and not the VRF's own export.
-func (v *VRF) imports(r *bgp.VPNRoute) bool {
-	return v.WantsRoute(r) && !(r.OriginPE == v.PE && r.Prefix.RD == v.RD)
+// ownExport reports whether r is this VRF's own export coming back.
+func (v *VRF) ownExport(r *bgp.VPNRoute) bool {
+	return r.OriginPE == v.PE && r.Prefix.RD == v.RD
+}
+
+// install puts the remote route r into the table unless a local route holds
+// its prefix: one descent of the table.
+func (v *VRF) install(r *bgp.VPNRoute) bool {
+	cell, added := v.table.Upsert(r.Prefix.Prefix)
+	if !added && cell.Local {
+		return false
+	}
+	*cell = Route{
+		Prefix:   r.Prefix.Prefix,
+		EgressPE: r.OriginPE,
+		NextHop:  r.NextHop,
+		VPNLabel: r.Label,
+	}
+	return true
 }
 
 // Lookup forwards within the VPN's address space.

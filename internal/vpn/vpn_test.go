@@ -26,6 +26,17 @@ func seqLabels() func(addr.Prefix) packet.Label {
 	}
 }
 
+// importAll offers every route to v, in order, and counts those installed.
+func importAll(v *VRF, routes []*bgp.VPNRoute) int {
+	n := 0
+	for _, r := range routes {
+		if v.ImportRoute(r) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestAttachSiteExports(t *testing.T) {
 	v := NewVRF("acme", 1, rdA, []addr.RouteTarget{rtA}, []addr.RouteTarget{rtA})
 	s := &Site{Name: "hq", VPN: "acme", PE: 1, Prefixes: []addr.Prefix{
@@ -61,7 +72,7 @@ func TestImportRespectsRouteTargets(t *testing.T) {
 		{Prefix: addr.VPNPrefix{RD: rdB, Prefix: addr.MustParsePrefix("10.8.0.0/16")},
 			NextHop: lb2, Label: 501, RTs: []addr.RouteTarget{rtB}, OriginPE: 2},
 	}
-	if n := v.ImportRemote(routes); n != 1 {
+	if n := importAll(v, routes); n != 1 {
 		t.Fatalf("imported %d routes, want 1", n)
 	}
 	if _, ok := v.Lookup(addr.MustParseIPv4("10.8.0.1")); ok {
@@ -77,7 +88,7 @@ func TestLocalRoutePreferred(t *testing.T) {
 	v := NewVRF("acme", 1, rdA, []addr.RouteTarget{rtA}, []addr.RouteTarget{rtA})
 	s := &Site{Name: "hq", VPN: "acme", Prefixes: []addr.Prefix{addr.MustParsePrefix("10.1.0.0/16")}}
 	v.AttachSite(s, seqLabels(), lb1)
-	v.ImportRemote([]*bgp.VPNRoute{{
+	importAll(v, []*bgp.VPNRoute{{
 		Prefix:  addr.VPNPrefix{RD: rdA, Prefix: addr.MustParsePrefix("10.1.0.0/16")},
 		NextHop: lb2, Label: 999, RTs: []addr.RouteTarget{rtA}, OriginPE: 2,
 	}})
@@ -89,7 +100,7 @@ func TestLocalRoutePreferred(t *testing.T) {
 
 func TestOwnExportNotReimported(t *testing.T) {
 	v := NewVRF("acme", 1, rdA, []addr.RouteTarget{rtA}, []addr.RouteTarget{rtA})
-	n := v.ImportRemote([]*bgp.VPNRoute{{
+	n := importAll(v, []*bgp.VPNRoute{{
 		Prefix:  addr.VPNPrefix{RD: rdA, Prefix: addr.MustParsePrefix("10.1.0.0/16")},
 		NextHop: lb1, Label: 7, RTs: []addr.RouteTarget{rtA}, OriginPE: 1,
 	}})
@@ -121,7 +132,7 @@ func TestExtranetImportsBoth(t *testing.T) {
 	// An extranet VRF imports two VPNs' route targets (§1's ad-hoc partner
 	// linking).
 	v := NewVRF("extranet", 1, rdA, []addr.RouteTarget{rtA, rtB}, []addr.RouteTarget{rtA})
-	n := v.ImportRemote([]*bgp.VPNRoute{
+	n := importAll(v, []*bgp.VPNRoute{
 		{Prefix: addr.VPNPrefix{RD: rdA, Prefix: addr.MustParsePrefix("10.1.0.0/16")},
 			NextHop: lb2, Label: 1, RTs: []addr.RouteTarget{rtA}, OriginPE: 2},
 		{Prefix: addr.VPNPrefix{RD: rdB, Prefix: addr.MustParsePrefix("10.2.0.0/16")},
@@ -213,7 +224,7 @@ func TestPurgeRemote(t *testing.T) {
 	v := NewVRF("acme", 1, rdA, []addr.RouteTarget{rtA}, []addr.RouteTarget{rtA})
 	v.AttachSite(&Site{Name: "hq", VPN: "acme",
 		Prefixes: []addr.Prefix{addr.MustParsePrefix("10.1.0.0/16")}}, seqLabels(), lb1)
-	v.ImportRemote([]*bgp.VPNRoute{{
+	importAll(v, []*bgp.VPNRoute{{
 		Prefix:  addr.VPNPrefix{RD: rdA, Prefix: addr.MustParsePrefix("10.2.0.0/16")},
 		NextHop: lb2, Label: 5, RTs: []addr.RouteTarget{rtA}, OriginPE: 2,
 	}})
