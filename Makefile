@@ -93,11 +93,13 @@ bench-hop:
 # at the vpnv4_100k shape allocates at most 1.4x what it keeps and keeps at
 # most its recorded heap per route, in pointer-free RIB runs and 80-byte
 # routes; a provider build, the pop147_churn shape and the traffic workloads'
-# ring, allocates at most its recorded bytes and objects. Like
+# ring, allocates at most its recorded bytes and objects, and so do a link
+# flap on the pop147 shape and the IGP's from-nothing Converge there; a
+# port's scheduler is one allocation, a hybrid at most 896 bytes. Like
 # verify-snapshot, the pattern runs over every package, so a new or moved
 # test cannot fall out of the gate.
 alloc-gate:
-	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint|TestConvergeFootprint|TestConvergeHeapPerRoute|TestBuildFootprint' ./internal/...
+	$(GO) test -count=1 -run='ZeroAlloc|TestPoolingInvisibleToResults|TestTableFootprint|TestConvergeFootprint|TestConvergeHeapPerRoute|TestBuildFootprint|TestSchedulerIsOneAllocation|TestLinkFlapFootprint|TestConvergePop147Footprint' ./internal/...
 
 # The serial-vs-parallel equivalence harness under the race detector: every
 # scenario (QoS mesh, bottleneck drops, failure reconvergence, extranet,

@@ -73,7 +73,8 @@ func (p *Protocol) ApplyIGPDelta(flapped [][2]topo.NodeID, changed map[topo.Node
 }
 
 // reinstall re-derives sp's ILM and FTN state for one foreign FEC from the
-// IGP's current next hops.
+// IGP's current next hops, into the sets already bound when they have room
+// for as many (mpls.LFIB.ResetILM, mpls.FTN.ResetSet).
 func (p *Protocol) reinstall(sp *Speaker, f int) {
 	hops := p.nextHopsFor(sp, f)
 	if len(hops) == 0 {
@@ -88,15 +89,15 @@ func (p *Protocol) reinstall(sp *Speaker, f int) {
 		}
 		return
 	}
-	ilm := make([]mpls.NHLFE, len(hops))
-	ftn := make([]mpls.NHLFE, len(hops))
+	ftn := sp.FTN.ResetSet(p.fec(f), len(hops))
 	for i, lid := range hops {
 		out := p.localFor(p.Speaker(p.G.Link(lid).To), f)
-		ilm[i] = mpls.NHLFE{Op: mpls.OpSwap, OutLabel: out, OutLink: lid}
 		ftn[i] = mpls.NHLFE{Op: mpls.OpPush, OutLabel: out, OutLink: lid}
 	}
-	sp.LFIB.SetILM(p.advertise(sp, f), ilm)
-	sp.FTN.BindSet(p.fec(f), ftn)
+	ilm := sp.LFIB.ResetILM(p.advertise(sp, f), len(hops))
+	for i, e := range ftn {
+		ilm[i] = mpls.NHLFE{Op: mpls.OpSwap, OutLabel: e.OutLabel, OutLink: e.OutLink}
+	}
 }
 
 // localFor returns sp's label for FEC f, allocating and advertising it on

@@ -179,6 +179,21 @@ func (s *oneSets) add(es []NHLFE, e NHLFE) []NHLFE {
 	return (*s)[n : n+1 : n+1]
 }
 
+// ResetILM rebinds an incoming label to n actions and returns them for the
+// caller to overwrite, every one: the set already bound, resized, when its
+// array has room for n, a fresh set otherwise. A control plane re-deriving
+// an entry whose next-hop count did not grow past what it once was
+// allocates nothing. (Every set owns its array: a one-member cell is capped
+// at one.)
+func (f *LFIB) ResetILM(in packet.Label, n int) []NHLFE {
+	es := f.actions(in)
+	if es == nil || cap(es) < n {
+		es = make([]NHLFE, n)
+	}
+	f.SetILM(in, es[:n])
+	return es[:n]
+}
+
 // UnbindILM removes the action for an incoming label (LSP teardown).
 func (f *LFIB) UnbindILM(in packet.Label) {
 	if f.actions(in) != nil {
@@ -344,9 +359,17 @@ func (f *FTN) AddBind(fec addr.Prefix, e NHLFE) {
 	*es = f.sets.add(*es, e)
 }
 
-// BindSet replaces the whole entry set for a FEC. The FTN keeps es; the
-// caller must not reuse it.
-func (f *FTN) BindSet(fec addr.Prefix, es []NHLFE) { f.table.Insert(fec, es) }
+// ResetSet is ResetILM for a FEC: it binds fec to n entries, the set
+// already bound when its array has room for n, and returns them for the
+// caller to overwrite, every one.
+func (f *FTN) ResetSet(fec addr.Prefix, n int) []NHLFE {
+	es, _ := f.table.Upsert(fec)
+	if cap(*es) < n {
+		*es = make([]NHLFE, n)
+	}
+	*es = (*es)[:n]
+	return *es
+}
 
 // Unbind removes a FEC binding (inter-AS stitch teardown). Unknown FECs
 // are a no-op.

@@ -257,8 +257,9 @@ func TestFTNMultipath(t *testing.T) {
 
 // The order of an equal-cost set is forwarding state (the flow hash indexes
 // it), so it must not depend on the order the members arrived in: AddILM and
-// AddBind keep ascending OutLink order, and SetILM/BindSet install a whole
-// set as given.
+// AddBind keep ascending OutLink order, and SetILM/ResetSet install a whole
+// set as given; ResetILM and ResetSet to a count the bound set has room for
+// rewrite it in place.
 func TestECMPSetOrderIsCanonical(t *testing.T) {
 	member := func(op Op, link topo.LinkID) NHLFE {
 		return NHLFE{Op: op, OutLabel: packet.Label(100 + link), OutLink: link}
@@ -284,14 +285,25 @@ func TestECMPSetOrderIsCanonical(t *testing.T) {
 	l.AddILM(40, member(OpSwap, 2))
 	f.AddBind(fec, member(OpPush, 2))
 	l.SetILM(40, []NHLFE{member(OpSwap, 5), member(OpSwap, 9)})
-	f.BindSet(fec, []NHLFE{member(OpPush, 5), member(OpPush, 9)})
+	copy(f.ResetSet(fec, 2), []NHLFE{member(OpPush, 5), member(OpPush, 9)})
 	ilm, _ := l.LookupILMAll(40)
 	ftn, _ := f.LookupAll(ip)
 	if len(ilm) != 2 || ilm[0].OutLink != 5 || ilm[1].OutLink != 9 || l.ILMSize() != 1 {
 		t.Fatalf("SetILM left %v", ilm)
 	}
 	if len(ftn) != 2 || ftn[0].OutLink != 5 || ftn[1].OutLink != 9 || f.Size() != 1 {
-		t.Fatalf("BindSet left %v", ftn)
+		t.Fatalf("ResetSet left %v", ftn)
+	}
+	for _, n := range []int{2, 1, 2} {
+		if es := l.ResetILM(40, n); len(es) != n || &es[0] != &ilm[0] || l.ILMSize() != 1 {
+			t.Fatalf("ResetILM to %d of a set of room 2 made a new set", n)
+		}
+		if es := f.ResetSet(fec, n); len(es) != n || &es[0] != &ftn[0] || f.Size() != 1 {
+			t.Fatalf("ResetSet to %d of a set of room 2 made a new set", n)
+		}
+	}
+	if es := l.ResetILM(40, 3); len(es) != 3 || &es[0] == &ilm[0] {
+		t.Fatal("ResetILM past the set's room kept its array")
 	}
 	if e, _ := f.LookupHashed(ip, 3); e.OutLink != 9 {
 		t.Fatalf("LookupHashed(3) picked link %d, want member 3 %% 2 = link 9", e.OutLink)

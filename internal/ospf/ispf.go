@@ -34,6 +34,7 @@ type scratch struct {
 	marks      []bool          // deriveRoutes: queued
 	rowA, rowB []topo.Edge     // install: the origin's old and new rows
 	sssp       topo.SPFScratch // every instance's repairs
+	sent       []int           // flood: each outbox's length as a round began
 }
 
 type (

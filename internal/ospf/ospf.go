@@ -70,8 +70,12 @@ type Instance struct {
 	// no NextHops is no route (SPF never writes such a route).
 	routes []Route
 
-	// outbox holds LSAs to flood to each neighbor on the next round.
-	outbox []LSA
+	// outbox holds the ranks of the origins whose LSAs the instance floods
+	// to each neighbor on the next round: the lsdb's copies, which stay put
+	// while queued, because a flood carries at most one new LSA per origin
+	// (Converge and NotifyLinkChange originate each router once, then
+	// flood).
+	outbox []int32
 
 	// ispf is the incrementally-maintained SPF state (see ispf.go); nil
 	// means the next recompute must be a full SPF, which rebuilds it.
@@ -204,7 +208,7 @@ func (d *Domain) originate(in *Instance) {
 		lsa.Links = append(lsa.Links, LSALink{Neighbor: l.To, Metric: l.Metric, LinkID: lid})
 	}
 	d.install(in, lsa)
-	in.outbox = append(in.outbox, lsa)
+	in.outbox = append(in.outbox, int32(d.idx.Of(in.Node)))
 }
 
 // Converge originates LSAs everywhere, floods to quiescence, and runs SPF
@@ -249,46 +253,51 @@ func (d *Domain) NotifyLinkChange(a, b topo.NodeID) {
 // receivers accept an LSA only if it is fresher than their copy, and then
 // queue it for further flooding — exactly OSPF's reliable-flooding shape,
 // minus the per-packet acks.
+//
+// A round sends what the outboxes held when it began, and delivers as it
+// sends — sender by sender, link by link, in outbox order, the order in
+// which collecting every delivery first and then applying them would. An
+// LSA a receiver accepts is queued, by its origin's rank, behind what the
+// receiver has still to send this round, and a sender drops what it sent
+// once it has sent it: flooding copies no LSA but into the LSDBs.
 func (d *Domain) flood() {
-	type delivery struct {
-		to  int // the receiving instance's rank
-		lsa LSA
+	if len(d.sent) != len(d.Instances) {
+		d.sent = make([]int, len(d.Instances))
 	}
-	var deliveries []delivery // one buffer, reused by every round
 	for {
-		deliveries = deliveries[:0]
 		any := false
-		for _, in := range d.Instances {
-			if len(in.outbox) == 0 {
-				continue
-			}
-			any = true
-			for _, lid := range d.G.OutLinks(in.Node) {
-				l := d.G.Link(lid)
-				if l.Down {
-					continue
-				}
-				d.MessagesSent += len(in.outbox)
-				to := d.idx.Of(l.To)
-				if to < 0 {
-					continue // neighbor outside the IGP (a CE)
-				}
-				for _, lsa := range in.outbox {
-					deliveries = append(deliveries, delivery{to: to, lsa: lsa})
-				}
-			}
-			in.outbox = in.outbox[:0]
+		for r, in := range d.Instances {
+			d.sent[r] = len(in.outbox)
+			any = any || len(in.outbox) > 0
 		}
 		if !any {
 			return
 		}
 		d.FloodRounds++
-		for _, dv := range deliveries {
-			in := d.Instances[dv.to]
-			if fresher(dv.lsa, in.lsdb[d.idx.Of(dv.lsa.Origin)]) {
-				d.install(in, dv.lsa)
-				in.outbox = append(in.outbox, dv.lsa)
+		for r, in := range d.Instances {
+			sent := d.sent[r]
+			if sent == 0 {
+				continue
 			}
+			for _, lid := range d.G.OutLinks(in.Node) {
+				l := d.G.Link(lid)
+				if l.Down {
+					continue
+				}
+				d.MessagesSent += sent
+				to := d.idx.Of(l.To)
+				if to < 0 {
+					continue // neighbor outside the IGP (a CE)
+				}
+				nb := d.Instances[to]
+				for _, o := range in.outbox[:sent] {
+					if fresher(in.lsdb[o], nb.lsdb[o]) {
+						d.install(nb, in.lsdb[o])
+						nb.outbox = append(nb.outbox, o)
+					}
+				}
+			}
+			in.outbox = in.outbox[:copy(in.outbox, in.outbox[sent:])]
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -327,8 +328,9 @@ func pop147() *topo.Graph {
 // A second Converge allocates what its instances keep — the adjacency and
 // its reverse in one slab each, the distance field, an LSA's links, the
 // first-hop sets the routes share — and no working memory per instance: the
-// heap, the first-hop rows, the install rows and the flood's deliveries are
-// the domain's and are warm. It makes about 11 allocations an instance
+// heap, the first-hop rows and the install rows are the domain's, the
+// outboxes the flood queues origin ranks in are the instances', and all are
+// warm. It makes about 11 allocations an instance
 // here; the map-keyed engine made 1,430.
 func TestConvergeAllocatesNoScratchPerInstance(t *testing.T) {
 	d := NewDomain(pop147())
@@ -337,6 +339,31 @@ func TestConvergeAllocatesNoScratchPerInstance(t *testing.T) {
 	t.Logf("%.1f allocations per instance", perInstance)
 	if perInstance > 20 {
 		t.Fatalf("a second Converge makes %.1f allocations per instance, ceiling 20", perInstance)
+	}
+}
+
+// TestConvergePop147Footprint pins what a from-nothing Converge allocates
+// at the repository benchmark's pop147 shape, 1 % above the 4,483,640 bytes
+// it measured when flooding came to queue origin ranks and deliver as it
+// sends; with a buffer of (receiver, LSA) copies regrown every flood it was
+// 6,570,776. The race detector allocates more, so a short run skips it.
+func TestConvergePop147Footprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	const budget = 4_528_500
+	g := pop147()
+	NewDomain(g).Converge() // warm every lazily built table of the runtime
+	d := NewDomain(g)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d.Converge()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Converge allocated %d bytes", got)
+	if got > budget {
+		t.Errorf("Converge allocated %d bytes, budget %d", got, budget)
 	}
 }
 

@@ -1,7 +1,10 @@
 package qos
 
 import (
+	"bytes"
+	"errors"
 	"testing"
+	"unsafe"
 
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/sim"
@@ -9,9 +12,13 @@ import (
 	"mplsvpn/internal/telemetry"
 )
 
-// A port's scheduler is one allocation, its class queues and (for the
-// hybrid) both tiers included: the queues' rings come later, on first use.
+// A port's scheduler is one allocation, its class queues included: the
+// queues' rings come later, on first use. Every port carries a hybrid, which
+// holds one set of six queues and fits the 896-byte size class.
 func TestSchedulerIsOneAllocation(t *testing.T) {
+	if size := unsafe.Sizeof(HybridScheduler{}); size > 896 {
+		t.Errorf("a hybrid scheduler is %d bytes, want at most 896", size)
+	}
 	var weights [NumClasses]float64
 	var quanta [NumClasses]int
 	for c := range weights {
@@ -41,7 +48,7 @@ func occupancies(s Scheduler) []*classQueues {
 	case *DRRScheduler:
 		return []*classQueues{&sc.classQueues}
 	case *HybridScheduler:
-		return []*classQueues{&sc.pq.classQueues, &sc.wfq.classQueues}
+		return []*classQueues{&sc.wfq.classQueues}
 	}
 	return nil
 }
@@ -176,6 +183,176 @@ func TestEmptySchedulerLoadZeroAlloc(t *testing.T) {
 	for _, c := range codecs {
 		if c.Err() != nil {
 			t.Fatal(c.Err())
+		}
+	}
+}
+
+// v5Hybrid encodes a hybrid's state by hand, in the layout of checkpoint
+// format v5: the hybrid's kind (4), the EF counter and limiter, then the two
+// schedulers the hybrid
+// nested before it held one set of queues — a strict-priority tier (kind 1)
+// whose queues for control and voice are live, then a WFQ tier (kind 2) with
+// six finish times, the virtual time and live queues for the other four.
+// Every other queue record is written by phantom, given the tier's kind and
+// the class.
+func v5Hybrid(s *HybridScheduler, phantom func(w *snapshot.Writer, tier int, c Class)) []byte {
+	var w snapshot.Writer
+	codec := snapshot.Saver(&w)
+	queue := func(q *Queue) {
+		w.I64(int64(q.Enqueued))
+		w.I64(int64(q.DroppedFull))
+		w.I64(int64(q.DroppedEarly))
+		red, _ := q.Drop.(*RED)
+		w.Bool(red != nil)
+		if red != nil {
+			w.F64(red.avg)
+			w.I64(int64(red.count))
+			w.U64(red.rng.State())
+		}
+		w.U64(uint64(q.count))
+		for i := 0; i < q.count; i++ {
+			packet.State(codec, q.pkts[(q.head+i)%len(q.pkts)])
+		}
+	}
+	w.I64(4)
+	w.I64(int64(s.EFPoliced))
+	w.Bool(s.efLimit != nil)
+	if tb := s.efLimit; tb != nil {
+		w.F64(tb.tokens)
+		w.I64(int64(tb.last))
+		w.Bool(tb.inited)
+	}
+	w.I64(1)
+	for c := Class(0); c < NumClasses; c++ {
+		if c == ClassNetworkControl || c == ClassVoice {
+			queue(s.ClassQueue(c))
+		} else {
+			phantom(&w, 1, c)
+		}
+	}
+	w.I64(2)
+	for _, f := range s.wfq.finish {
+		w.F64(f)
+	}
+	w.F64(s.wfq.vtime)
+	for c := Class(0); c < NumClasses; c++ {
+		if c == ClassNetworkControl || c == ClassVoice {
+			phantom(&w, 2, c)
+		} else {
+			queue(s.ClassQueue(c))
+		}
+	}
+	return w.Data()
+}
+
+// pristineRecord writes what an empty queue without early drop writes: three
+// zero counters, no RED, no packets.
+func pristineRecord(w *snapshot.Writer, _ int, _ Class) {
+	w.I64(0)
+	w.I64(0)
+	w.I64(0)
+	w.Bool(false)
+	w.U64(0)
+}
+
+// The hybrid holds one set of queues, but its checkpoint is still format
+// v5's two tiers byte for byte: over a seeded stream of enqueues, dequeues,
+// passes and mutations through ClassQueue, with WRED on best effort and an
+// EF limit on voice, SchedulerState writes exactly the hand-made v5 layout,
+// and loading those bytes into a fresh hybrid gives them back.
+func TestHybridWritesTheV5Layout(t *testing.T) {
+	s := passRigs()["hybrid"].(*HybridScheduler)
+	rng := sim.NewRand(42)
+	now := sim.Time(0)
+	var held uint32 // classes seen backlogged
+	for i := 0; i < 20000; i++ {
+		now += sim.Time(rng.Intn(150)) * sim.Microsecond
+		c := Class(rng.Intn(int(NumClasses)))
+		p := &packet.Packet{Payload: 60 + rng.Intn(1400), Seq: uint64(i)}
+		if rng.Intn(20) == 0 {
+			p.Payload = 7000 // above the byte limit
+		}
+		switch op := rng.Intn(10); {
+		case op < 4:
+			s.Enqueue(now, c, p)
+		case op < 7:
+			s.Dequeue(now)
+		case op == 7:
+			if s.Len() == 0 {
+				s.Pass(now, c, p)
+			}
+		case op == 8:
+			s.ClassQueue(c).Enqueue(now, p)
+		default:
+			s.ClassQueue(c).Dequeue()
+		}
+		held |= s.wfq.busy
+		want := v5Hybrid(s, pristineRecord)
+		if got := schedBytes(s); !bytes.Equal(got, want) {
+			t.Fatalf("op %d: SchedulerState wrote\n %x\nthe v5 layout is\n %x", i, got, want)
+		}
+		if i%97 == 0 {
+			loaded := NewHybrid(6000, s.wfq.weights)
+			loaded.SetEFLimit(NewTokenBucket(20000, 1500))
+			loaded.ClassQueue(ClassBestEffort).Drop = NewRED(20, 1500, 0.5, sim.NewRand(1))
+			if err := snapshot.Load(snapshot.NewReader(want), func(cd *snapshot.Codec) {
+				SchedulerState(cd, loaded, func() *packet.Packet { return &packet.Packet{} })
+			}); err != nil {
+				t.Fatalf("op %d: loading the v5 layout: %v", i, err)
+			}
+			if got := schedBytes(loaded); !bytes.Equal(got, want) {
+				t.Fatalf("op %d: the v5 layout loaded and saved again differs", i)
+			}
+		}
+	}
+	be := s.ClassQueue(ClassBestEffort)
+	if held != 1<<NumClasses-1 || s.EFPoliced == 0 || be.DroppedEarly == 0 || be.DroppedFull == 0 {
+		t.Fatalf("the stream missed a case: classes held %06b, %d policed, %d early and %d full drops on best effort",
+			held, s.EFPoliced, be.DroppedEarly, be.DroppedFull)
+	}
+}
+
+// A v5 phantom record can only be the bytes of an empty queue without early
+// drop; a load that finds anything else in one — a counter, RED state, a
+// packet count — refuses the checkpoint as corrupt, whichever tier and class
+// it sits at.
+func TestHybridRefusesAPhantomThatIsNotEmpty(t *testing.T) {
+	var weights [NumClasses]float64
+	for c := range weights {
+		weights[c] = 1
+	}
+	src := NewHybrid(6000, weights)
+	load := func(data []byte) error {
+		return snapshot.Load(snapshot.NewReader(data), func(cd *snapshot.Codec) {
+			SchedulerState(cd, NewHybrid(6000, weights), func() *packet.Packet { return &packet.Packet{} })
+		})
+	}
+	if err := load(v5Hybrid(src, pristineRecord)); err != nil {
+		t.Fatalf("the pristine v5 layout: %v", err)
+	}
+	for tier := 1; tier <= 2; tier++ {
+		for c := Class(0); c < NumClasses; c++ {
+			if (tier == 1) == isPriorityClass(c) {
+				continue // a live record
+			}
+			for field := 0; field < 5; field++ {
+				var rec [5]int64 // three counters, the RED flag, the packet count
+				rec[field] = 1
+				data := v5Hybrid(src, func(w *snapshot.Writer, atTier int, at Class) {
+					if atTier != tier || at != c {
+						pristineRecord(w, atTier, at)
+						return
+					}
+					w.I64(rec[0])
+					w.I64(rec[1])
+					w.I64(rec[2])
+					w.Bool(rec[3] != 0)
+					w.U64(uint64(rec[4]))
+				})
+				if err := load(data); !errors.Is(err, snapshot.ErrCorrupt) {
+					t.Errorf("tier %d, class %v, field %d set: load = %v, want ErrCorrupt", tier, c, field, err)
+				}
+			}
 		}
 	}
 }

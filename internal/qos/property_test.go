@@ -46,7 +46,7 @@ func TestSrTCMContractProperty(t *testing.T) {
 // packets' serialized lengths, across any enqueue/dequeue interleaving.
 func TestQueueAccountingProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		q := NewQueue(50000, 0)
+		q := NewQueue(50000)
 		var model []int // serialized lengths in order
 		for _, op := range ops {
 			if op%3 == 0 && len(model) > 0 {

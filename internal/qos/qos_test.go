@@ -117,7 +117,7 @@ func TestSrTCMColors(t *testing.T) {
 }
 
 func TestQueueLimits(t *testing.T) {
-	q := NewQueue(1000, 0)
+	q := NewQueue(1000)
 	if !q.Enqueue(0, pkt(600, 0)) {
 		t.Fatal("first packet rejected")
 	}
@@ -139,17 +139,8 @@ func TestQueueLimits(t *testing.T) {
 	}
 }
 
-func TestQueuePacketLimit(t *testing.T) {
-	q := NewQueue(0, 2)
-	q.Enqueue(0, pkt(100, 0))
-	q.Enqueue(0, pkt(100, 0))
-	if q.Enqueue(0, pkt(100, 0)) {
-		t.Fatal("packet limit not enforced")
-	}
-}
-
 func TestQueueFIFOOrder(t *testing.T) {
-	q := NewQueue(0, 0)
+	q := NewQueue(0)
 	for i := 0; i < 10; i++ {
 		p := pkt(100, 0)
 		p.Seq = uint64(i)
@@ -165,7 +156,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 func TestREDDropsUnderLoad(t *testing.T) {
 	rng := sim.NewRand(1)
 	red := NewRED(5000, 15000, 0.1, rng)
-	q := NewQueue(1000000, 0)
+	q := NewQueue(1000000)
 	q.Drop = red
 	drops := 0
 	// Fill to a steady 20KB of occupancy: avg climbs above max -> drops.
@@ -182,7 +173,7 @@ func TestREDDropsUnderLoad(t *testing.T) {
 	}
 	// And an empty queue never drops.
 	red2 := NewRED(5000, 15000, 0.1, rng)
-	q2 := NewQueue(1000000, 0)
+	q2 := NewQueue(1000000)
 	q2.Drop = red2
 	if !q2.Enqueue(0, pkt(500, 0)) {
 		t.Fatal("RED dropped at zero occupancy")

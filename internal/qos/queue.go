@@ -7,20 +7,14 @@ import (
 )
 
 // DropPolicy decides whether an arriving packet is dropped instead of being
-// enqueued. Implementations: TailDrop, RED.
+// enqueued, before the queue's byte limit is reached. Implementation: RED. A
+// queue without one (a nil Drop) tail-drops: it refuses a packet only at its
+// byte limit.
 type DropPolicy interface {
 	// ShouldDrop is consulted before enqueue. queueBytes/queuePkts describe
 	// the queue occupancy *before* this packet.
 	ShouldDrop(now sim.Time, p *packet.Packet, queueBytes, queuePkts int) bool
 }
-
-// TailDrop drops only when the queue is full; the limit lives in the Queue
-// itself, so TailDrop never drops on its own.
-type TailDrop struct{}
-
-// ShouldDrop always returns false: tail-drop behaviour is the queue's
-// byte/packet limit.
-func (TailDrop) ShouldDrop(sim.Time, *packet.Packet, int, int) bool { return false }
 
 // RED is Random Early Detection (Floyd & Jacobson 1993) over the queue's
 // byte occupancy, with the standard EWMA average and linear drop-probability
@@ -67,12 +61,11 @@ func (r *RED) ShouldDrop(_ sim.Time, p *packet.Packet, queueBytes, _ int) bool {
 	}
 }
 
-// Queue is a byte- and packet-limited FIFO with a pluggable early-drop
-// policy. One Queue backs each forwarding class at an egress interface.
+// Queue is a byte-limited FIFO with an optional early-drop policy. One
+// Queue backs each forwarding class at an egress interface.
 type Queue struct {
 	LimitBytes int
-	LimitPkts  int
-	Drop       DropPolicy
+	Drop       DropPolicy // nil: tail drop
 
 	// Ring buffer: pkts[head..head+count) modulo len(pkts). A slice that
 	// only ever pops from the front (q.pkts = q.pkts[1:]) strands its
@@ -102,10 +95,8 @@ type Queue struct {
 	bit uint32
 }
 
-// NewQueue builds a queue with the given limits and tail-drop behaviour.
-func NewQueue(limitBytes, limitPkts int) *Queue {
-	return &Queue{LimitBytes: limitBytes, LimitPkts: limitPkts, Drop: TailDrop{}}
-}
+// NewQueue builds a tail-drop queue of limitBytes (0: unlimited).
+func NewQueue(limitBytes int) *Queue { return &Queue{LimitBytes: limitBytes} }
 
 // markOcc brings the queue's bit in its scheduler's occupancy mask in line
 // with its count.
@@ -127,12 +118,11 @@ func (q *Queue) Len() int { return q.count }
 func (q *Queue) Bytes() int { return q.bytes }
 
 // admit is everything Enqueue decides and counts before the ring is
-// touched: the limits, the drop policy, the arrival stamp. On an empty
+// touched: the byte limit, the drop policy, the arrival stamp. On an empty
 // queue it is also all that Enqueue followed at once by Dequeue leaves
 // behind, which is what the schedulers' Pass is made of.
 func (q *Queue) admit(now sim.Time, p *packet.Packet) bool {
-	if (q.LimitBytes > 0 && q.bytes+p.Wire() > q.LimitBytes) ||
-		(q.LimitPkts > 0 && q.count+1 > q.LimitPkts) {
+	if q.LimitBytes > 0 && q.bytes+p.Wire() > q.LimitBytes {
 		q.DroppedFull++
 		q.TelDropFull.Inc()
 		return false

@@ -45,7 +45,7 @@ type FIFOScheduler struct {
 
 // NewFIFO builds a FIFO scheduler with one shared queue of limitBytes.
 func NewFIFO(limitBytes int) *FIFOScheduler {
-	return &FIFOScheduler{q: Queue{LimitBytes: limitBytes, Drop: TailDrop{}}}
+	return &FIFOScheduler{q: Queue{LimitBytes: limitBytes}}
 }
 
 // Enqueue ignores the class.
@@ -82,7 +82,7 @@ type classQueues struct {
 // the struct must not be copied afterwards.
 func (cq *classQueues) init(limitBytes int) {
 	for i := range cq.qs {
-		cq.qs[i] = Queue{LimitBytes: limitBytes, Drop: TailDrop{}, occ: &cq.busy, bit: 1 << i}
+		cq.qs[i] = Queue{LimitBytes: limitBytes, occ: &cq.busy, bit: 1 << i}
 	}
 }
 
@@ -206,10 +206,13 @@ func (s *WFQScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
 // Dequeue serves the backlogged class whose *head* packet finishes earliest
 // in virtual time. Because per-class queues are FIFO, tracking cumulative
 // finish times per class suffices.
-func (s *WFQScheduler) Dequeue(sim.Time) *packet.Packet {
+func (s *WFQScheduler) Dequeue(sim.Time) *packet.Packet { return s.dequeue(s.busy) }
+
+// dequeue is Dequeue over the backlogged classes in mask alone.
+func (s *WFQScheduler) dequeue(mask uint32) *packet.Packet {
 	best := -1
 	var bestFinish float64
-	for m := s.busy; m != 0; m &= m - 1 {
+	for m := mask; m != 0; m &= m - 1 {
 		c := bits.TrailingZeros32(m)
 		q := &s.qs[c]
 		// Head finish time = finish[c] - (bytes queued behind head)/weight.
@@ -304,8 +307,13 @@ func (s *DRRScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
 // network control and EF voice are served at strict priority (bounded by an
 // EF policer upstream so they cannot starve the link), while business,
 // assured, and best-effort classes share the remainder via WFQ.
+//
+// It is one WFQ scheduler, one set of class queues, whose priority classes
+// skip the fair share: Dequeue serves the lowest backlogged class under
+// prioMask first, and the WFQ head-finish scan ranges the other classes
+// alone. A priority class's packets are never stamped, so its finish time
+// stays zero.
 type HybridScheduler struct {
-	pq  PriorityScheduler
 	wfq WFQScheduler
 	// efLimit, when set, polices the voice queue's admission so an
 	// unpoliced EF flood cannot starve the WFQ tier (real routers always
@@ -315,26 +323,28 @@ type HybridScheduler struct {
 	EFPoliced int
 }
 
+// prioMask holds the occupancy bits of the classes the hybrid serves at
+// strict priority.
+const prioMask uint32 = 1<<ClassNetworkControl | 1<<ClassVoice
+
 // NewHybrid builds the hybrid scheduler. wfqWeights applies to the
 // non-priority classes; entries for control/voice are ignored.
 func NewHybrid(limitBytes int, wfqWeights [NumClasses]float64) *HybridScheduler {
 	s := &HybridScheduler{}
-	s.pq.init(limitBytes)
 	s.wfq.init(limitBytes, wfqWeights)
 	return s
 }
 
-func isPriorityClass(c Class) bool {
-	return c == ClassNetworkControl || c == ClassVoice
-}
+func isPriorityClass(c Class) bool { return prioMask&(1<<c) != 0 }
 
 // SetEFLimit installs a token-bucket cap on the voice priority queue.
 func (s *HybridScheduler) SetEFLimit(tb *TokenBucket) { s.efLimit = tb }
 
-// Enqueue routes the packet to the priority or WFQ tier by class.
+// Enqueue queues a priority class's packet as it is and stamps any other
+// class's for the fair share.
 func (s *HybridScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) bool {
 	if isPriorityClass(c) {
-		return s.efConforms(now, c, p) && s.pq.Enqueue(now, c, p)
+		return s.efConforms(now, c, p) && s.wfq.qs[c].Enqueue(now, p)
 	}
 	return s.wfq.Enqueue(now, c, p)
 }
@@ -348,29 +358,25 @@ func (s *HybridScheduler) efConforms(now sim.Time, c Class, p *packet.Packet) bo
 	return true
 }
 
-// Pass routes the packet through its tier alone.
+// Pass admits a priority class's packet to its queue, and passes any other
+// class's through the fair share.
 func (s *HybridScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
 	if isPriorityClass(c) {
-		return s.efConforms(now, c, p) && s.pq.Pass(now, c, p)
+		return s.efConforms(now, c, p) && s.wfq.qs[c].admit(now, p)
 	}
 	return s.wfq.Pass(now, c, p)
 }
 
-// Dequeue drains the priority tier first, then WFQ.
-func (s *HybridScheduler) Dequeue(now sim.Time) *packet.Packet {
-	if p := s.pq.Dequeue(now); p != nil {
-		return p
+// Dequeue serves the priority classes first, then WFQ among the rest.
+func (s *HybridScheduler) Dequeue(sim.Time) *packet.Packet {
+	if m := s.wfq.busy & prioMask; m != 0 {
+		return s.wfq.qs[bits.TrailingZeros32(m)].Dequeue()
 	}
-	return s.wfq.Dequeue(now)
+	return s.wfq.dequeue(s.wfq.busy &^ prioMask)
 }
 
-// Len sums both tiers.
-func (s *HybridScheduler) Len() int { return s.pq.Len() + s.wfq.Len() }
+// Len sums the class queues.
+func (s *HybridScheduler) Len() int { return s.wfq.Len() }
 
-// ClassQueue returns the tier queue backing class c.
-func (s *HybridScheduler) ClassQueue(c Class) *Queue {
-	if isPriorityClass(c) {
-		return s.pq.ClassQueue(c)
-	}
-	return s.wfq.ClassQueue(c)
-}
+// ClassQueue returns the queue for class c.
+func (s *HybridScheduler) ClassQueue(c Class) *Queue { return &s.wfq.qs[c] }

@@ -94,10 +94,7 @@ func schedKind(s Scheduler) int {
 // a scheduler rebuilt by the scenario, whose concrete type must match the
 // saved one.
 func SchedulerState(c *snapshot.Codec, s Scheduler, alloc PacketAlloc) {
-	if kind := int(c.I64(int64(schedKind(s)))); kind != schedKind(s) && c.Err() == nil {
-		c.Mismatch("scheduler kind %d in checkpoint, %d in scenario", kind, schedKind(s))
-	}
-	if c.Err() != nil {
+	if !kindState(c, schedKind(s)) {
 		return
 	}
 	switch sc := s.(type) {
@@ -123,8 +120,63 @@ func SchedulerState(c *snapshot.Codec, s Scheduler, alloc PacketAlloc) {
 		if c.Same(sc.efLimit != nil, "EF limit") {
 			sc.efLimit.State(c)
 		}
-		SchedulerState(c, &sc.pq, alloc)
-		SchedulerState(c, &sc.wfq, alloc)
+		sc.tiersState(c, alloc)
+	}
+}
+
+// kindState walks a scheduler's type tag, which a load must find equal to
+// the rebuilt scheduler's kind. It reports whether to walk on.
+func kindState(c *snapshot.Codec, kind int) bool {
+	if got := int(c.I64(int64(kind))); got != kind && c.Err() == nil {
+		c.Mismatch("scheduler kind %d in checkpoint, %d in scenario", got, kind)
+	}
+	return c.Err() == nil
+}
+
+// tiersState walks the hybrid's queues and WFQ state as format v5 lays
+// them out: the two tiers the hybrid once nested, each a scheduler record
+// with its own kind tag and a queue record for all six classes — a
+// strict-priority tier, then a WFQ tier with every class's finish time and
+// the virtual time. Each tier's records for the classes the other tier
+// serves are phantoms: constant bytes, those of an empty queue without
+// early drop. Dropping them needs a format bump.
+func (s *HybridScheduler) tiersState(c *snapshot.Codec, alloc PacketAlloc) {
+	w := &s.wfq
+	if !kindState(c, schedPriority) {
+		return
+	}
+	s.tierQueues(c, prioMask, alloc)
+	if !kindState(c, schedWFQ) {
+		return
+	}
+	for i := range w.finish {
+		c.F64(&w.finish[i])
+	}
+	c.F64(&w.vtime)
+	s.tierQueues(c, ^prioMask, alloc)
+}
+
+// tierQueues walks one tier's six queue records in class order: the queue
+// of each class in served, a phantom for every other.
+func (s *HybridScheduler) tierQueues(c *snapshot.Codec, served uint32, alloc PacketAlloc) {
+	for i := range s.wfq.qs {
+		if served&(1<<i) != 0 {
+			s.wfq.qs[i].State(c, alloc)
+		} else {
+			phantomQueue(c, Class(i))
+		}
+	}
+}
+
+// phantomQueue walks a phantom queue record: what Queue.State writes for an
+// empty queue without early drop — three zero counters, no RED, no
+// packets. A load refuses any other record as corrupt.
+func phantomQueue(c *snapshot.Codec, class Class) {
+	enqueued, full, early := c.I64(0), c.I64(0), c.I64(0)
+	red := c.Has(false)
+	n := c.U64(0)
+	if c.Loaded() && (enqueued != 0 || full != 0 || early != 0 || red || n != 0) {
+		c.Corrupt("hybrid: the other tier's record for class %v is not an empty queue", class)
 	}
 }
 
