@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build test test-short test-race vet check-gates bench bench-reconverge bench-bgp bench-addr bench-hop alloc-gate fuzz-short verify-parallel verify-scaling verify-survivability verify-intent verify-snapshot verify-controlplane verify-interas cover examples record clean
 
-all: build vet check-gates test test-race fuzz-short verify-intent verify-snapshot verify-controlplane verify-interas verify-scaling bench-reconverge alloc-gate
+all: build vet check-gates test test-race fuzz-short verify-survivability verify-intent verify-snapshot verify-controlplane verify-interas verify-scaling bench-reconverge alloc-gate
 
 build:
 	$(GO) build ./...

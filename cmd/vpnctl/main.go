@@ -107,8 +107,10 @@ func run(path, sched string, seed uint64, verbose bool, dotFile, metricsFile, ch
 	var inj *chaos.Injector
 	if scenario != nil {
 		b.EnableResilience(core.ResilienceOptions{Policy: core.DegradeShrink, Horizon: horizon})
-		if scenario.Surv != nil || scenario.Damping != nil {
-			b.EnableSurvivability(chaos.SurvivabilityOptions(scenario, horizon))
+		if scenario.Surv != nil {
+			surv := *scenario.Surv
+			surv.Horizon = horizon
+			b.EnableSurvivability(surv)
 		}
 		inj = chaos.New(b, scenario)
 		inj.Schedule()

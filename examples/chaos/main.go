@@ -90,7 +90,9 @@ func main() {
 	}
 	fmt.Printf("scenario %q: %d operations over %v\n\n", sc.Name, sc.EventCount(), sc.Duration())
 
-	b.EnableSurvivability(chaos.SurvivabilityOptions(sc, horizon))
+	surv := *sc.Surv
+	surv.Horizon = horizon
+	b.EnableSurvivability(surv)
 	inj := chaos.New(b, sc)
 	inj.Schedule()
 	b.Net.RunUntil(horizon + sim.Second)

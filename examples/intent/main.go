@@ -60,8 +60,6 @@ func provision(killAt, restartAt sim.Time) (string, *netconf.Server, *intent.Rec
 	rec := intent.NewReconciler(srv, store, intent.Options{
 		Interval:       20 * sim.Millisecond,
 		BatchOps:       128,
-		ValidateGap:    sim.Millisecond,
-		ConfirmDelay:   2 * sim.Millisecond,
 		ConfirmTimeout: 10 * sim.Millisecond,
 		Horizon:        10 * sim.Second,
 	})

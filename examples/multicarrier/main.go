@@ -79,7 +79,7 @@ func main() {
 		}
 	}
 	x.ReconcilePeerings()
-	x.EnableInterASSurvivability(core.InterASSurvivabilityOptions{
+	x.EnableInterASSurvivability(core.HelloOptions{
 		Hello:           25 * sim.Millisecond,
 		HoldMisses:      3,
 		GracefulRestart: true,

@@ -82,7 +82,7 @@ func chaosBackbone(seed uint64, horizon sim.Time) (*core.Backbone, *telemetry.Te
 	// Sessionized control plane, graceful restart off: crashes keep their
 	// hard semantics while every run still exercises the hello state
 	// machine (and its serial-vs-parallel equivalence).
-	b.EnableSurvivability(core.SurvivabilityOptions{Horizon: horizon})
+	b.EnableSurvivability(core.SurvivabilityOptions{HelloOptions: core.HelloOptions{Horizon: horizon}})
 	return b, tel
 }
 

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 
-	"mplsvpn/internal/bgp"
 	"mplsvpn/internal/core"
 	"mplsvpn/internal/sim"
 	"mplsvpn/internal/telemetry"
@@ -78,10 +77,12 @@ func (inj *Injector) Schedule() {
 	if inj.S.CtrlLoss > 0 {
 		inj.B.SetControlPlaneLoss(inj.S.CtrlLoss, inj.S.CtrlExtra)
 	}
-	if inj.S.Surv != nil || inj.S.Damping != nil {
+	if inj.S.Surv != nil {
 		// EnableSurvivability is idempotent: a caller that already enabled
 		// the layer with a tighter horizon wins.
-		inj.B.EnableSurvivability(SurvivabilityOptions(inj.S, inj.S.Duration()+2*sim.Second))
+		surv := *inj.S.Surv
+		surv.Horizon = inj.S.Duration() + 2*sim.Second
+		inj.B.EnableSurvivability(surv)
 	}
 	for _, ev := range inj.S.Events {
 		ops := inj.expand(ev)
@@ -172,33 +173,6 @@ func (op *timedOp) apply() {
 		tel.Journal.Record(inj.B.E.Now(), telemetry.EventChaos, "chaos:"+op.op.String(), detail)
 	}
 	inj.Checker.Check()
-}
-
-// SurvivabilityOptions converts a scenario's survivability and damping
-// directives into core options, bounding hello scans by horizon. A damping
-// directive without an explicit reuse threshold defaults to suppress/2.
-func SurvivabilityOptions(s *Scenario, horizon sim.Time) core.SurvivabilityOptions {
-	opt := core.SurvivabilityOptions{Horizon: horizon}
-	if s.Surv != nil {
-		opt.Hello = s.Surv.Hello
-		opt.HoldMisses = s.Surv.Hold
-		opt.GracefulRestart = s.Surv.GR
-		opt.RestartTime = s.Surv.Restart
-	}
-	if s.Damping != nil {
-		reuse := s.Damping.Reuse
-		if reuse == 0 {
-			reuse = s.Damping.Suppress / 2
-		}
-		opt.Damping = bgp.DampingConfig{
-			Penalty:    s.Damping.Penalty,
-			Suppress:   s.Damping.Suppress,
-			Reuse:      reuse,
-			HalfLife:   s.Damping.HalfLife,
-			MaxPenalty: s.Damping.Max,
-		}
-	}
-	return opt
 }
 
 // Report summarizes the run for operators.

@@ -141,8 +141,10 @@ func buildInterASRig(t testing.TB, shards, workers int) *interASRig {
 	// survivability directive) plus the inter-AS hello machine: detection
 	// at 3 missed 25ms hellos, 900ms of graceful restart so the snapshot
 	// at 3000ms lands mid-GR.
-	alpha.EnableSurvivability(SurvivabilityOptions(sc, interASHorizon+sim.Second))
-	x.EnableInterASSurvivability(core.InterASSurvivabilityOptions{
+	surv := *sc.Surv
+	surv.Horizon = interASHorizon + sim.Second
+	alpha.EnableSurvivability(surv)
+	x.EnableInterASSurvivability(core.HelloOptions{
 		Hello:           25 * sim.Millisecond,
 		HoldMisses:      3,
 		GracefulRestart: true,

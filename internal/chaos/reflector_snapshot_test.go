@@ -98,7 +98,9 @@ func buildReflRig(t testing.TB, shards, workers int) *snapRig {
 		t.Fatal(err)
 	}
 
-	b.EnableSurvivability(SurvivabilityOptions(sc, reflHorizon))
+	surv := *sc.Surv
+	surv.Horizon = reflHorizon
+	b.EnableSurvivability(surv)
 	if shards > 0 {
 		if _, err := b.EnableSharding(core.ShardingOptions{Shards: shards, Workers: workers}); err != nil {
 			t.Fatalf("EnableSharding(%d): %v", shards, err)

@@ -50,6 +50,7 @@ import (
 	"io"
 	"slices"
 
+	"mplsvpn/internal/core"
 	"mplsvpn/internal/dsl"
 	"mplsvpn/internal/sim"
 )
@@ -106,24 +107,6 @@ type Event struct {
 	Jitter   sim.Time
 }
 
-// SurvConfig is the parsed survivability directive: hello/hold session
-// detection and the graceful-restart policy.
-type SurvConfig struct {
-	Hello   sim.Time
-	Hold    int
-	Restart sim.Time
-	GR      bool
-}
-
-// DampConfig is the parsed route-flap damping directive.
-type DampConfig struct {
-	Penalty  float64
-	Suppress float64
-	Reuse    float64
-	Max      float64
-	HalfLife sim.Time
-}
-
 // Scenario is a parsed fault script.
 type Scenario struct {
 	Name   string
@@ -133,9 +116,12 @@ type Scenario struct {
 	CtrlLoss  float64
 	CtrlExtra sim.Time
 
-	// Survivability layer configuration (nil = directive absent).
-	Surv    *SurvConfig
-	Damping *DampConfig
+	// Surv is the survivability layer's configuration, filled by the
+	// survivability and damping directives (nil = both absent). Its
+	// Horizon is left to the caller, which knows how long it runs.
+	Surv *core.SurvivabilityOptions
+	// hello records a survivability directive, so a second one is refused.
+	hello bool
 
 	// Harness directives: checkpoint times and crash-kill/resume times.
 	// These are driven by a Runner between engine segments, never injected
@@ -172,6 +158,15 @@ func (s *Scenario) Duration() sim.Time {
 		}
 	}
 	return end
+}
+
+// surv returns the survivability options, allocating them on the first
+// directive that fills them.
+func (sc *Scenario) surv() *core.SurvivabilityOptions {
+	if sc.Surv == nil {
+		sc.Surv = &core.SurvivabilityOptions{}
+	}
+	return sc.Surv
 }
 
 // ParseScenario reads the fault script DSL. name labels errors and the
@@ -212,48 +207,50 @@ func (sc *Scenario) directive(ln *dsl.Line) error {
 		sc.CtrlLoss, sc.CtrlExtra = p, 100*sim.Millisecond
 		return dsl.Options{"extra": dsl.Set(&sc.CtrlExtra, dsl.Duration)}.Apply(f[0], f[2:])
 	case "survivability":
-		if sc.Surv != nil {
+		if sc.hello {
 			return errors.New("duplicate survivability directive")
 		}
-		cfg := &SurvConfig{GR: true}
-		err := dsl.Options{
+		sc.hello = true
+		cfg := sc.surv()
+		cfg.GracefulRestart = true
+		return dsl.Options{
 			"hello":   dsl.Set(&cfg.Hello, dsl.PositiveDuration),
-			"restart": dsl.Set(&cfg.Restart, dsl.PositiveDuration),
-			"hold":    dsl.SetInt(&cfg.Hold, 1, 100),
+			"restart": dsl.Set(&cfg.RestartTime, dsl.PositiveDuration),
+			"hold":    dsl.SetInt(&cfg.HoldMisses, 1, 100),
 			"gr": func(_, v string) error {
 				if v != "on" && v != "off" {
 					return fmt.Errorf("gr must be on or off, not %q", v)
 				}
-				cfg.GR = v == "on"
+				cfg.GracefulRestart = v == "on"
 				return nil
 			},
 		}.Apply(f[0], f[1:])
-		sc.Surv = cfg
-		return err
 	case "damping":
-		if sc.Damping != nil {
+		if sc.Surv != nil && sc.Surv.Damping.Enabled() {
 			return errors.New("duplicate damping directive")
 		}
-		cfg := &DampConfig{}
+		cfg := &sc.surv().Damping
 		if err := (dsl.Options{
 			"penalty":  dsl.SetFloat(&cfg.Penalty, 0, 1e9),
 			"suppress": dsl.SetFloat(&cfg.Suppress, 0, 1e9),
 			"reuse":    dsl.SetFloat(&cfg.Reuse, 0, 1e9),
-			"max":      dsl.SetFloat(&cfg.Max, 0, 1e9),
+			"max":      dsl.SetFloat(&cfg.MaxPenalty, 0, 1e9),
 			"halflife": dsl.Set(&cfg.HalfLife, dsl.PositiveDuration),
 		}.Apply(f[0], f[1:])); err != nil {
 			return err
 		}
-		if cfg.Penalty <= 0 || cfg.Suppress <= 0 || cfg.HalfLife <= 0 {
+		if !cfg.Enabled() {
 			return errors.New("damping needs penalty=, suppress=, and halflife=")
 		}
 		if cfg.Reuse > cfg.Suppress {
 			return fmt.Errorf("damping reuse=%g above suppress=%g", cfg.Reuse, cfg.Suppress)
 		}
-		if cfg.Max > 0 && cfg.Max < cfg.Suppress {
-			return fmt.Errorf("damping max=%g below suppress=%g", cfg.Max, cfg.Suppress)
+		if cfg.MaxPenalty > 0 && cfg.MaxPenalty < cfg.Suppress {
+			return fmt.Errorf("damping max=%g below suppress=%g", cfg.MaxPenalty, cfg.Suppress)
 		}
-		sc.Damping = cfg
+		if cfg.Reuse == 0 {
+			cfg.Reuse = cfg.Suppress / 2
+		}
 	case "fail", "restore":
 		if len(f) < 4 {
 			return fmt.Errorf("%s <a> <z> at=<t> [detect=<d>]", f[0])

@@ -59,7 +59,9 @@ func buildSnapRig(t testing.TB, shards, workers int) *snapRig {
 		t.Fatal(err)
 	}
 	b, _ := chaosBackboneBare(23, snapHorizon)
-	b.EnableSurvivability(SurvivabilityOptions(sc, snapHorizon))
+	surv := *sc.Surv
+	surv.Horizon = snapHorizon
+	b.EnableSurvivability(surv)
 	if shards > 0 {
 		if _, err := b.EnableSharding(core.ShardingOptions{Shards: shards, Workers: workers}); err != nil {
 			t.Fatalf("EnableSharding(%d): %v", shards, err)

@@ -40,7 +40,9 @@ func runGREquiv(t *testing.T, shards, workers int) string {
 	b, tel := chaosBackboneBare(23, horizon)
 	// Enable the sessions from the scenario's own directives, before
 	// sharding so the serial and parallel runs book identical hello scans.
-	b.EnableSurvivability(SurvivabilityOptions(sc, horizon))
+	surv := *sc.Surv
+	surv.Horizon = horizon
+	b.EnableSurvivability(surv)
 	if shards > 0 {
 		if _, err := b.EnableSharding(core.ShardingOptions{Shards: shards, Workers: workers}); err != nil {
 			t.Fatalf("EnableSharding(%d): %v", shards, err)
@@ -103,7 +105,7 @@ func TestSurvivabilitySerialParallelEquivalence(t *testing.T) {
 
 // FuzzSurvivability feeds the parser arbitrary survivability and damping
 // directives: it must either reject them or produce a scenario whose
-// derived options are well-formed, never panic.
+// survivability options are well-formed, never panic.
 func FuzzSurvivability(f *testing.F) {
 	seeds := []string{
 		"survivability hello=25ms hold=3 restart=800ms gr=on\n",
@@ -130,15 +132,14 @@ func FuzzSurvivability(f *testing.F) {
 		}
 		_ = sc.EventCount()
 		_ = sc.Duration()
-		opt := SurvivabilityOptions(sc, sc.Duration()+2*sim.Second)
-		if sc.Surv != nil {
+		if opt := sc.Surv; opt != nil {
 			if opt.Hello < 0 || opt.RestartTime < 0 || opt.HoldMisses < 0 {
 				t.Fatalf("accepted survivability produced negative timers: %+v", opt)
 			}
-		}
-		if sc.Damping != nil && opt.Damping.Enabled() {
-			if opt.Damping.Reuse <= 0 || opt.Damping.Suppress < opt.Damping.Reuse {
-				t.Fatalf("accepted damping has unusable thresholds: %+v", opt.Damping)
+			if opt.Damping.Enabled() {
+				if opt.Damping.Reuse <= 0 || opt.Damping.Suppress < opt.Damping.Reuse {
+					t.Fatalf("accepted damping has unusable thresholds: %+v", opt.Damping)
+				}
 			}
 		}
 	})

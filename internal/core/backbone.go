@@ -117,18 +117,19 @@ type Config struct {
 	// ReflectorClusters, when positive, replaces the full iBGP mesh with
 	// clustered route reflection (RFC 4456): PEs are bucketed into this
 	// many topology-aware clusters and the lowest-numbered
-	// ReflectorRedundancy PEs of each cluster serve as its reflectors,
+	// reflectorRedundancy PEs of each cluster serve as its reflectors,
 	// with the remaining PEs as their clients. Session count drops from
 	// O(N²) to O(N·redundancy) plus the reflector mesh. Ignored when
 	// RouteReflector is set.
 	ReflectorClusters int
-	// ReflectorRedundancy is the number of reflectors per cluster
-	// (default 2, so one reflector failure never partitions distribution).
-	ReflectorRedundancy int
-
-	// BGPAdmin is the RD/RT administrator number (default 65000).
-	BGPAdmin uint16
 }
+
+// reflectorRedundancy is the number of reflectors per cluster: two, so one
+// reflector failure never partitions distribution.
+const reflectorRedundancy = 2
+
+// bgpAdmin is the RD/RT administrator number.
+const bgpAdmin = 65000
 
 // vpnConfig is the per-VPN control-plane identity.
 type vpnConfig struct {
@@ -311,12 +312,11 @@ type Backbone struct {
 	siteByPrefix *addr.Table[*siteRecord]
 
 	// Telemetry plane (nil until EnableTelemetry).
-	tel             *telemetry.Telemetry
-	vpnTel          map[string]*vpnTel
-	telDropReason   [packet.NumDropReasons]*telemetry.Counter
-	telHotThreshold float64
-	telPrevTx       []int64   // per-link tx bytes at the last interval roll
-	telLastUtil     []float64 // per-link utilization over the last interval
+	tel           *telemetry.Telemetry
+	vpnTel        map[string]*vpnTel
+	telDropReason [packet.NumDropReasons]*telemetry.Counter
+	telPrevTx     []int64   // per-link tx bytes at the last interval roll
+	telLastUtil   []float64 // per-link utilization over the last interval
 }
 
 // NewBackbone creates an empty backbone with the given policy, owning its
@@ -334,9 +334,6 @@ func NewBackbone(cfg Config) *Backbone {
 // newBackboneOn creates a backbone over shared simulation infrastructure
 // (the multi-AS case); the caller owns delivery dispatch.
 func newBackboneOn(cfg Config, e *sim.Engine, g *topo.Graph, net *netsim.Network) *Backbone {
-	if cfg.BGPAdmin == 0 {
-		cfg.BGPAdmin = 65000
-	}
 	var zero [qos.NumClasses]float64
 	if cfg.WFQWeights == zero {
 		// Voice/control weights only matter for the pure-WFQ scheduler;
@@ -516,21 +513,14 @@ func (b *Backbone) BuildProvider() {
 
 // electClusters partitions the PEs into the configured number of
 // topology-aware reflector clusters and elects each cluster's reflectors:
-// the lowest-numbered ReflectorRedundancy members reflect for the rest.
+// the lowest-numbered reflectorRedundancy members reflect for the rest.
 // Clusters smaller than the redundancy level are all-reflector (their
 // routes distribute through the reflector mesh alone).
 func (b *Backbone) electClusters() []bgp.Cluster {
-	red := b.Cfg.ReflectorRedundancy
-	if red <= 0 {
-		red = 2
-	}
 	buckets := topo.ClusterPEs(b.G, b.peNodes, b.Cfg.ReflectorClusters)
 	clusters := make([]bgp.Cluster, 0, len(buckets))
 	for i, members := range buckets {
-		nrr := red
-		if nrr > len(members) {
-			nrr = len(members)
-		}
+		nrr := min(reflectorRedundancy, len(members))
 		clusters = append(clusters, bgp.Cluster{
 			ID:      uint32(i + 1),
 			RRs:     members[:nrr],

@@ -450,6 +450,7 @@ type flapScratch struct {
 	changed map[topo.NodeID][]topo.NodeID // router -> its run of dests
 	plan    []uint8
 	targets []*topo.Path
+	paths   []topo.Path // what targets point at, each keeping its array
 	load    map[topo.LinkID][rsvp.NumClassTypes]float64
 }
 
@@ -594,6 +595,8 @@ func (b *Backbone) teTargets() (targets []*topo.Path, sweep string) {
 	// every intent moved from the LSP it holds to its target.
 	sc := &b.flapScratch
 	targets = reuse(&sc.targets, len(b.teRequests))
+	// Not reuse: the paths keep their arrays from one fault to the next.
+	sc.paths = slices.Grow(sc.paths[:0], len(b.teRequests))[:len(b.teRequests)]
 	if sc.load == nil {
 		sc.load = make(map[topo.LinkID][rsvp.NumClassTypes]float64)
 	}
@@ -610,8 +613,10 @@ func (b *Backbone) teTargets() (targets []*topo.Path, sweep string) {
 				add(lid, l.ClassType, -l.Bandwidth)
 			}
 		}
-		if path, ok := b.plainSPF(req.ingress).PathTo(b.G, req.egress); ok {
-			targets[i] = &path
+		path := &sc.paths[i]
+		var ok bool
+		if path.Links, ok = b.plainSPF(req.ingress).AppendPathTo(path.Links[:0], b.G, req.egress); ok {
+			targets[i] = path
 			for _, lid := range path.Links {
 				add(lid, req.opt.ClassType, req.bandwidth)
 			}

@@ -248,20 +248,6 @@ type stitchRec struct {
 	ftns  []ftnRef
 }
 
-// InterASSurvivabilityOptions tunes the peering hello state machine. Zero
-// values select the same defaults as SurvivabilityOptions.
-type InterASSurvivabilityOptions struct {
-	Hello      sim.Time
-	HoldMisses int
-	// GracefulRestart retains the selection (and every boundary label
-	// binding) across a flap for RestartTime before declaring the peering
-	// dead and re-selecting — RFC 4724 stale retention at the AS boundary.
-	GracefulRestart bool
-	RestartTime     sim.Time
-	// Horizon bounds the scans in virtual time.
-	Horizon sim.Time
-}
-
 // InterASStats is the inter-AS layer's externally visible accounting.
 type InterASStats struct {
 	PeeringFlaps    int // peering sessions declared lost
@@ -283,7 +269,7 @@ type interASPlane struct {
 	// control plane is actually back, so the selector never routes into a
 	// half-rebuilt label plane.
 	restoring map[string]bool
-	surv      *InterASSurvivabilityOptions // nil until EnableInterASSurvivability
+	surv      *HelloOptions // nil until EnableInterASSurvivability
 	stats     InterASStats
 }
 
@@ -1242,12 +1228,12 @@ func (x *InterAS) RestorePeering(id int) error {
 // With graceful restart the selection (and all boundary label state) is
 // retained stale for RestartTime before the edge is declared dead and the
 // trees re-select onto surviving providers.
-func (x *InterAS) EnableInterASSurvivability(opts InterASSurvivabilityOptions) {
+func (x *InterAS) EnableInterASSurvivability(opts HelloOptions) {
 	pl := x.plane()
 	if pl.surv != nil {
 		return
 	}
-	helloDefaults(&opts.Hello, &opts.HoldMisses, &opts.RestartTime)
+	opts = opts.withDefaults()
 	pl.surv = &opts
 	tick(x.E, &ctlTimer{x: x, kind: timerPeering}, opts.Hello, opts.Horizon)
 }
@@ -1264,7 +1250,7 @@ func (x *InterAS) peeringScan() {
 			continue // deliberate fibre cut: not the hello machine's case
 		}
 		dead := pl.failed[p.spec.ASA] || pl.failed[p.spec.ASB]
-		switch p.scan(dead, now, s.HoldMisses, s.GracefulRestart, s.RestartTime) {
+		switch p.scan(dead, now, s) {
 		case helloLost:
 			pl.stats.PeeringFlaps++
 			detail := "peering session lost; boundary labels stale-retained"

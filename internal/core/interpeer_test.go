@@ -148,7 +148,7 @@ func TestInterASFailover(t *testing.T) {
 	for _, opt := range []InterASOption{OptionA, OptionB, OptionC} {
 		t.Run("option"+opt.String(), func(t *testing.T) {
 			x := buildThreeProviders(t, opt)
-			x.EnableInterASSurvivability(InterASSurvivabilityOptions{
+			x.EnableInterASSurvivability(HelloOptions{
 				Hello:           25 * sim.Millisecond,
 				HoldMisses:      3,
 				GracefulRestart: true,

@@ -23,7 +23,7 @@ import (
 // DefineVPN registers a VPN: it gets a fresh RD and a route target that is
 // both its import and export policy (the common intranet case).
 func (b *Backbone) DefineVPN(name string) {
-	rt := addr.RouteTarget{Admin: b.Cfg.BGPAdmin, Assigned: b.nextRD}
+	rt := addr.RouteTarget{Admin: bgpAdmin, Assigned: b.nextRD}
 	b.DefineVPNWithRTs(name,
 		[]addr.RouteTarget{rt},
 		[]addr.RouteTarget{rt})
@@ -39,7 +39,7 @@ func (b *Backbone) DefineVPNWithRTs(name string, imports, exports []addr.RouteTa
 	}
 	b.vpns[name] = &vpnConfig{
 		Name:     name,
-		RD:       addr.RouteDistinguisher{Admin: b.Cfg.BGPAdmin, Assigned: b.nextRD},
+		RD:       addr.RouteDistinguisher{Admin: bgpAdmin, Assigned: b.nextRD},
 		Imports:  imports,
 		Exports:  exports,
 		SLAClass: -1,

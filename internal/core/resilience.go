@@ -43,43 +43,35 @@ func (p DegradePolicy) String() string {
 	}
 }
 
-// Resilience defaults.
+// The resilience plane's fixed tuning.
 const (
-	DefaultRetryBase        = 50 * sim.Millisecond
-	DefaultRetryMax         = 2 * sim.Second
-	DefaultRetryJitter      = 0.1
-	DefaultDegradeAfter     = 3
-	DefaultShrinkFactor     = 0.5
-	DefaultMinBandwidthFrac = 0.25
-	DefaultRestoreProbe     = 500 * sim.Millisecond
-	DefaultRefreshInterval  = 50 * sim.Millisecond
+	// retryBase is the first retry backoff; each consecutive failure
+	// doubles it up to retryMax, plus up to retryJitter fraction of random
+	// jitter so synchronized intents do not re-signal in lockstep.
+	retryBase   = 50 * sim.Millisecond
+	retryMax    = 2 * sim.Second
+	retryJitter = 0.1
+	// degradeAfter consecutive failed attempts apply the policy.
+	degradeAfter = 3
+	// shrinkFactor multiplies the bandwidth per DegradeShrink step;
+	// minBandwidthFrac floors it as a fraction of the full reservation.
+	shrinkFactor     = 0.5
+	minBandwidthFrac = 0.25
+	// defaultRestoreProbe is ResilienceOptions.RestoreProbe's default.
+	defaultRestoreProbe = 500 * sim.Millisecond
+	// refreshInterval is the RSVP soft-state scan period; an Up LSP whose
+	// path misses rsvp.DefaultRefreshMisses consecutive scans is expired.
+	refreshInterval = 50 * sim.Millisecond
 )
 
 // ResilienceOptions tunes EnableResilience. Zero values select defaults.
 type ResilienceOptions struct {
-	// RetryBase is the first retry backoff; each consecutive failure
-	// doubles it up to RetryMax, plus up to RetryJitter fraction of random
-	// jitter so synchronized intents do not re-signal in lockstep.
-	RetryBase   sim.Time
-	RetryMax    sim.Time
-	RetryJitter float64
-
-	// Policy is applied after DegradeAfter consecutive failed attempts.
-	Policy       DegradePolicy
-	DegradeAfter int
-	// ShrinkFactor multiplies the bandwidth per DegradeShrink step;
-	// MinBandwidthFrac floors it as a fraction of the full reservation.
-	ShrinkFactor     float64
-	MinBandwidthFrac float64
+	// Policy is applied after degradeAfter consecutive failed attempts.
+	Policy DegradePolicy
 
 	// RestoreProbe is how often degraded intents attempt the full
 	// reservation again (<0 disables).
 	RestoreProbe sim.Time
-
-	// Refresh is the RSVP soft-state scan period (<0 disables); an Up LSP
-	// whose path misses RefreshMisses consecutive scans is expired.
-	Refresh       sim.Time
-	RefreshMisses int
 
 	// Horizon bounds the refresh scans and restore probes in virtual time,
 	// like TelemetryOptions.Horizon: the engine can still quiesce after it.
@@ -99,38 +91,12 @@ func (b *Backbone) EnableResilience(opts ResilienceOptions) {
 	if b.res != nil {
 		return
 	}
-	if opts.RetryBase == 0 {
-		opts.RetryBase = DefaultRetryBase
-	}
-	if opts.RetryMax == 0 {
-		opts.RetryMax = DefaultRetryMax
-	}
-	if opts.RetryJitter == 0 {
-		opts.RetryJitter = DefaultRetryJitter
-	}
-	if opts.DegradeAfter == 0 {
-		opts.DegradeAfter = DefaultDegradeAfter
-	}
-	if opts.ShrinkFactor == 0 {
-		opts.ShrinkFactor = DefaultShrinkFactor
-	}
-	if opts.MinBandwidthFrac == 0 {
-		opts.MinBandwidthFrac = DefaultMinBandwidthFrac
-	}
 	if opts.RestoreProbe == 0 {
-		opts.RestoreProbe = DefaultRestoreProbe
-	}
-	if opts.Refresh == 0 {
-		opts.Refresh = DefaultRefreshInterval
-	}
-	if opts.RefreshMisses == 0 {
-		opts.RefreshMisses = rsvp.DefaultRefreshMisses
+		opts.RestoreProbe = defaultRestoreProbe
 	}
 	b.res = &resilience{opt: opts, rng: b.E.Rand().Fork()}
 	b.wireRSVPHooks()
-	if opts.Refresh > 0 {
-		tick(b.E, &ctlTimer{b: b, kind: timerRefresh}, opts.Refresh, opts.Horizon)
-	}
+	tick(b.E, &ctlTimer{b: b, kind: timerRefresh}, refreshInterval, opts.Horizon)
 	if opts.RestoreProbe > 0 {
 		tick(b.E, &ctlTimer{b: b, kind: timerProbe}, opts.RestoreProbe, opts.Horizon)
 	}
@@ -147,7 +113,7 @@ func (b *Backbone) refreshScan() {
 	}
 	if b.E.Sharded() {
 		shards := b.E.NumShards()
-		b.RSVP.RefreshScanWith(b.res.opt.RefreshMisses, func(n int, fn func(int)) {
+		b.RSVP.RefreshScanWith(rsvp.DefaultRefreshMisses, func(n int, fn func(int)) {
 			if n == 0 {
 				return
 			}
@@ -159,7 +125,7 @@ func (b *Backbone) refreshScan() {
 		})
 		return
 	}
-	b.RSVP.RefreshScan(b.res.opt.RefreshMisses)
+	b.RSVP.RefreshScan(rsvp.DefaultRefreshMisses)
 }
 
 // teLost reacts to an involuntary LSP loss (preemption, refresh expiry):
@@ -187,7 +153,7 @@ func (b *Backbone) teSignalFailed(req *teRequest) {
 		return
 	}
 	req.attempts++
-	if r.opt.Policy != DegradeNone && req.attempts >= r.opt.DegradeAfter {
+	if r.opt.Policy != DegradeNone && req.attempts >= degradeAfter {
 		if b.degradeStep(req) {
 			req.attempts = 0
 		}
@@ -202,15 +168,10 @@ func (b *Backbone) scheduleRetry(req *teRequest) {
 	if r == nil || req.retryPending {
 		return
 	}
-	shift := req.attempts
-	if shift > 16 {
-		shift = 16
-	}
-	backoff := r.opt.RetryBase << uint(shift)
-	if backoff > r.opt.RetryMax || backoff <= 0 {
-		backoff = r.opt.RetryMax
-	}
-	delay := backoff + sim.Time(float64(backoff)*r.opt.RetryJitter*r.rng.Float64())
+	// The shift is capped where the backoff is long past retryMax, before
+	// it could overflow.
+	backoff := min(retryBase<<uint(min(req.attempts, 16)), retryMax)
+	delay := backoff + sim.Time(float64(backoff)*retryJitter*r.rng.Float64())
 	// The retry trigger is a control-plane message too: under the loss
 	// model it can be lost, and the retransmission timeout compounds with
 	// the backoff.
@@ -258,8 +219,8 @@ func (b *Backbone) degradeStep(req *teRequest) bool {
 	r := b.res
 	switch r.opt.Policy {
 	case DegradeShrink:
-		floor := req.fullBandwidth * r.opt.MinBandwidthFrac
-		next := req.bandwidth * r.opt.ShrinkFactor
+		floor := req.fullBandwidth * minBandwidthFrac
+		next := req.bandwidth * shrinkFactor
 		if next < floor {
 			next = floor
 		}

@@ -18,9 +18,7 @@ import (
 func runRestoreRace(t *testing.T) (*Backbone, string, string) {
 	t.Helper()
 	b, tel := resilientSmall(41, ResilienceOptions{
-		RetryBase: 10 * sim.Millisecond, RetryMax: 40 * sim.Millisecond,
-		Policy: DegradeShrink, DegradeAfter: 2,
-		RestoreProbe: 100 * sim.Millisecond, Horizon: 5 * sim.Second,
+		Policy: DegradeShrink, RestoreProbe: 100 * sim.Millisecond, Horizon: 5 * sim.Second,
 	})
 	if _, err := b.SetupTELSPForVPN("victim", "PE1", "PE2", "acme", 8e6, -1,
 		rsvp.SetupOptions{SetupPri: 6, HoldPri: 6}); err != nil {

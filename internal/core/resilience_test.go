@@ -11,7 +11,7 @@ import (
 )
 
 // resilientSmall is buildSmall plus sites, telemetry, and the resilience
-// plane with fast timers so retry/degrade dynamics fit in a short run.
+// plane.
 func resilientSmall(seed uint64, opts ResilienceOptions) (*Backbone, *telemetry.Telemetry) {
 	b := buildSmall(Config{Seed: seed, Scheduler: SchedHybrid})
 	twoSites(b)
@@ -20,14 +20,31 @@ func resilientSmall(seed uint64, opts ResilienceOptions) (*Backbone, *telemetry.
 	return b, tel
 }
 
+// worstBackoff is the longest delay scheduleRetry picks after n failed
+// attempts: the capped exponential backoff plus its whole jitter.
+func worstBackoff(n int) sim.Time {
+	d := min(retryBase<<uint(n), retryMax)
+	return d + sim.Time(float64(d)*retryJitter)
+}
+
+// worstTimeToFloor bounds how long a lost intent that fits at no
+// reservation above the floor takes to come back up at the floor:
+// degradeAfter failed attempts per shrink step, then one retry at the floor.
+func worstTimeToFloor() sim.Time {
+	var d sim.Time
+	for frac := 1.0; frac > minBandwidthFrac; frac *= shrinkFactor {
+		for n := 0; n < degradeAfter; n++ {
+			d += worstBackoff(n)
+		}
+	}
+	return d + worstBackoff(0)
+}
+
 // A preempted TE intent must keep retrying with backoff and re-signal on
 // its own once the preemptor releases the capacity — not wait for a
 // reconvergence that may never come.
 func TestTERetryResignalsWhenCapacityReturns(t *testing.T) {
-	b, tel := resilientSmall(31, ResilienceOptions{
-		RetryBase: 10 * sim.Millisecond, RetryMax: 80 * sim.Millisecond,
-		Policy: DegradeNone, Horizon: 5 * sim.Second,
-	})
+	b, tel := resilientSmall(31, ResilienceOptions{Policy: DegradeNone, Horizon: 5 * sim.Second})
 	if _, err := b.SetupTELSPForVPN("victim", "PE1", "PE2", "acme", 8e6, -1,
 		rsvp.SetupOptions{SetupPri: 6, HoldPri: 6}); err != nil {
 		t.Fatal(err)
@@ -43,8 +60,11 @@ func TestTERetryResignalsWhenCapacityReturns(t *testing.T) {
 		}
 		blocker = l
 	})
-	b.At(sim.Second, func() { b.RSVP.Teardown(blocker.ID) })
-	b.Net.RunUntil(2 * sim.Second)
+	// The retry pending at the release fires at most one capped backoff
+	// later (16 is scheduleRetry's shift cap).
+	const release = sim.Second
+	b.At(release, func() { b.RSVP.Teardown(blocker.ID) })
+	b.Net.RunUntil(release + worstBackoff(16))
 
 	ints := b.TEIntents()
 	if len(ints) != 1 {
@@ -63,10 +83,9 @@ func TestTERetryResignalsWhenCapacityReturns(t *testing.T) {
 // floor (journaled), and a restore probe lifts it back to the full
 // reservation once the capacity returns.
 func TestTEDegradeShrinkThenRestore(t *testing.T) {
+	const probe = 100 * sim.Millisecond
 	b, tel := resilientSmall(32, ResilienceOptions{
-		RetryBase: 10 * sim.Millisecond, RetryMax: 40 * sim.Millisecond,
-		Policy: DegradeShrink, DegradeAfter: 2,
-		RestoreProbe: 100 * sim.Millisecond, Horizon: 5 * sim.Second,
+		Policy: DegradeShrink, RestoreProbe: probe, Horizon: 5 * sim.Second,
 	})
 	if _, err := b.SetupTELSPForVPN("victim", "PE1", "PE2", "acme", 8e6, -1,
 		rsvp.SetupOptions{SetupPri: 6, HoldPri: 6}); err != nil {
@@ -77,7 +96,8 @@ func TestTEDegradeShrinkThenRestore(t *testing.T) {
 	var blocker *rsvp.LSP
 	// 7 Mb/s preemptor: the victim's 8 Mb/s no longer fits (3 Mb/s free),
 	// so it must shrink 8 -> 4 -> 2 (the 25% floor) to get back up.
-	b.At(100*sim.Millisecond, func() {
+	const preempt = 100 * sim.Millisecond
+	b.At(preempt, func() {
 		l, err := b.RSVP.Setup("blocker", in, eg, 7e6, rsvp.SetupOptions{SetupPri: 2, HoldPri: 2})
 		if err != nil {
 			t.Errorf("blocker setup: %v", err)
@@ -85,13 +105,15 @@ func TestTEDegradeShrinkThenRestore(t *testing.T) {
 		}
 		blocker = l
 	})
+	floor := 8e6 * minBandwidthFrac
+	atFloor := preempt + worstTimeToFloor()
 	var midRun TEIntentStatus
-	b.At(1900*sim.Millisecond, func() { midRun = b.TEIntents()[0] })
-	b.At(2*sim.Second, func() { b.RSVP.Teardown(blocker.ID) })
-	b.Net.RunUntil(3 * sim.Second)
+	b.At(atFloor, func() { midRun = b.TEIntents()[0] })
+	b.At(atFloor+probe, func() { b.RSVP.Teardown(blocker.ID) })
+	b.Net.RunUntil(atFloor + 3*probe)
 
-	if midRun.State != "degraded" || midRun.Bandwidth != 2e6 {
-		t.Fatalf("mid-run intent = %+v, want degraded at the 2 Mb/s floor", midRun)
+	if midRun.State != "degraded" || midRun.Bandwidth != floor {
+		t.Fatalf("mid-run intent = %+v, want degraded at the %.0f b/s floor", midRun, floor)
 	}
 	got := b.TEIntents()[0]
 	if got.State != "up" || got.Bandwidth != 8e6 {

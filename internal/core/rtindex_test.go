@@ -83,8 +83,8 @@ func rtiBuild() *core.Backbone {
 	}
 	b.ConvergeVPNs()
 	b.EnableSurvivability(core.SurvivabilityOptions{
-		Damping: bgp.DampingConfig{Penalty: 1000, Suppress: 2500, Reuse: 800, HalfLife: 500 * sim.Millisecond},
-		Horizon: 60 * sim.Second,
+		HelloOptions: core.HelloOptions{Horizon: 60 * sim.Second},
+		Damping:      bgp.DampingConfig{Penalty: 1000, Suppress: 2500, Reuse: 800, HalfLife: 500 * sim.Millisecond},
 	})
 	return b
 }

@@ -47,7 +47,7 @@ func timerDiamond(t *testing.T, b *Backbone) {
 	t.Helper()
 	timerTopology(b)
 	b.EnableTelemetry(TelemetryOptions{Horizon: timerHorizon, JournalCap: 1024})
-	b.EnableResilience(ResilienceOptions{Policy: DegradeNone, RestoreProbe: -1, Refresh: -1, Horizon: timerHorizon})
+	b.EnableResilience(ResilienceOptions{Policy: DegradeNone, RestoreProbe: -1, Horizon: timerHorizon})
 	for _, te := range []struct {
 		name string
 		bw   float64
@@ -215,9 +215,8 @@ func TestSnapshotAfterLateEnable(t *testing.T) {
 		return b
 	}
 	enable := func(b *Backbone) {
-		b.EnableSurvivability(SurvivabilityOptions{Hello: 30 * sim.Millisecond, Horizon: timerHorizon})
-		b.EnableResilience(ResilienceOptions{Policy: DegradeShrink, Refresh: 40 * sim.Millisecond,
-			RestoreProbe: 70 * sim.Millisecond, Horizon: timerHorizon})
+		b.EnableSurvivability(SurvivabilityOptions{HelloOptions: HelloOptions{Hello: 30 * sim.Millisecond, Horizon: timerHorizon}})
+		b.EnableResilience(ResilienceOptions{Policy: DegradeShrink, RestoreProbe: 70 * sim.Millisecond, Horizon: timerHorizon})
 		b.EnableTelemetry(TelemetryOptions{Interval: 50 * sim.Millisecond, Horizon: timerHorizon, JournalCap: 1024})
 	}
 	ticks := func(b *Backbone) map[uint16]int {

@@ -26,26 +26,48 @@ const (
 	DefaultRestartTime   = 500 * sim.Millisecond
 )
 
-// SurvivabilityOptions tunes EnableSurvivability. Zero values select
-// defaults.
-type SurvivabilityOptions struct {
+// HelloOptions tunes a hello/keepalive state machine: the provider
+// routers' (SurvivabilityOptions) or the inter-AS peerings'
+// (EnableInterASSurvivability). Zero values select defaults.
+type HelloOptions struct {
 	// Hello is the hello/keepalive scan period; a session is declared lost
 	// after HoldMisses consecutive missed scans (the hold time).
 	Hello      sim.Time
 	HoldMisses int
 
-	// GracefulRestart retains a flapped node's routes and label bindings as
-	// stale for RestartTime, preserving forwarding state instead of
-	// withdrawing it (RFC 4724). Off, session loss withdraws immediately.
+	// GracefulRestart retains a flapped session's routes and label
+	// bindings as stale for RestartTime, preserving forwarding state
+	// instead of withdrawing it (RFC 4724). Off, session loss withdraws
+	// immediately.
 	GracefulRestart bool
 	RestartTime     sim.Time
-
-	// Damping enables route-flap damping at every speaker (zero = off).
-	Damping bgp.DampingConfig
 
 	// Horizon bounds the hello scans in virtual time, like
 	// TelemetryOptions.Horizon; the engine can still quiesce after it.
 	Horizon sim.Time
+}
+
+// withDefaults fills the options left zero.
+func (o HelloOptions) withDefaults() HelloOptions {
+	if o.Hello == 0 {
+		o.Hello = DefaultHelloInterval
+	}
+	if o.HoldMisses == 0 {
+		o.HoldMisses = DefaultHoldMisses
+	}
+	if o.RestartTime == 0 {
+		o.RestartTime = DefaultRestartTime
+	}
+	return o
+}
+
+// SurvivabilityOptions tunes EnableSurvivability. Zero values select
+// defaults.
+type SurvivabilityOptions struct {
+	HelloOptions
+
+	// Damping enables route-flap damping at every speaker (zero = off).
+	Damping bgp.DampingConfig
 }
 
 // survState is one provider node's session health as the hello state
@@ -87,20 +109,19 @@ const (
 )
 
 // scan advances the session by one hello round in which the far end is
-// silent (dead) or not. hold, gr and restart are the HoldMisses,
-// GracefulRestart and RestartTime options. The state moves before the
-// caller's side effects run, which may read it.
-func (st *survSession) scan(dead bool, now sim.Time, hold int, gr bool, restart sim.Time) helloStep {
+// silent (dead) or not. The state moves before the caller's side effects
+// run, which may read it.
+func (st *survSession) scan(dead bool, now sim.Time, o *HelloOptions) helloStep {
 	switch {
 	case st.state == sessUp && !dead:
 		st.misses = 0
 	case st.state == sessUp:
-		if st.misses++; st.misses < hold {
+		if st.misses++; st.misses < o.HoldMisses {
 			return helloSteady
 		}
 		st.state = sessDown
-		if gr {
-			st.state, st.grDeadline = sessRestarting, now+restart
+		if o.GracefulRestart {
+			st.state, st.grDeadline = sessRestarting, now+o.RestartTime
 		}
 		return helloLost
 	case !dead:
@@ -111,19 +132,6 @@ func (st *survSession) scan(dead bool, now sim.Time, hold int, gr bool, restart 
 		return helloExpired
 	}
 	return helloSteady
-}
-
-// helloDefaults fills the hello options left zero.
-func helloDefaults(hello *sim.Time, hold *int, restart *sim.Time) {
-	if *hello == 0 {
-		*hello = DefaultHelloInterval
-	}
-	if *hold == 0 {
-		*hold = DefaultHoldMisses
-	}
-	if *restart == 0 {
-		*restart = DefaultRestartTime
-	}
 }
 
 // survivability is the live state hanging off the backbone.
@@ -166,7 +174,7 @@ func (b *Backbone) EnableSurvivability(opts SurvivabilityOptions) {
 	if b.surv != nil {
 		return
 	}
-	helloDefaults(&opts.Hello, &opts.HoldMisses, &opts.RestartTime)
+	opts.HelloOptions = opts.HelloOptions.withDefaults()
 	b.surv = &survivability{opt: opts, sess: make(map[topo.NodeID]*survSession)}
 	b.BGP.SetClock(func() sim.Time { return b.E.Now() })
 	if opts.Damping.Enabled() {
@@ -208,7 +216,7 @@ func (b *Backbone) helloScan() {
 	now := b.E.Now()
 	for _, n := range b.providerNodes {
 		st := s.sessionFor(n)
-		switch st.scan(b.nodeDown[n] || b.ctrlDown[n], now, s.opt.HoldMisses, s.opt.GracefulRestart, s.opt.RestartTime) {
+		switch st.scan(b.nodeDown[n] || b.ctrlDown[n], now, &s.opt.HelloOptions) {
 		case helloLost:
 			b.sessionLost(n)
 		case helloRestored:

@@ -16,13 +16,13 @@ import (
 
 // survSmall is resilientSmall plus the survivability plane with fast
 // timers, graceful restart on.
-func survSmall(seed uint64, opts SurvivabilityOptions) (*Backbone, *telemetry.Telemetry) {
+func survSmall(seed uint64, opts HelloOptions) (*Backbone, *telemetry.Telemetry) {
 	b := buildSmall(Config{Seed: seed, Scheduler: SchedHybrid})
 	twoSites(b)
 	horizon := opts.Horizon
 	tel := b.EnableTelemetry(TelemetryOptions{Horizon: horizon, JournalCap: 4096})
 	b.EnableResilience(ResilienceOptions{Horizon: horizon})
-	b.EnableSurvivability(opts)
+	b.EnableSurvivability(SurvivabilityOptions{HelloOptions: opts})
 	return b, tel
 }
 
@@ -30,7 +30,7 @@ func survSmall(seed uint64, opts SurvivabilityOptions) (*Backbone, *telemetry.Te
 // expires, the stale routes are swept with withdrawals, and the node is
 // hardened into a full crash.
 func TestGRTimerExpirySweepsStale(t *testing.T) {
-	b, tel := survSmall(41, SurvivabilityOptions{
+	b, tel := survSmall(41, HelloOptions{
 		Hello: 10 * sim.Millisecond, HoldMisses: 2,
 		GracefulRestart: true, RestartTime: 200 * sim.Millisecond,
 		Horizon: 2 * sim.Second,
@@ -75,7 +75,7 @@ func TestGRTimerExpirySweepsStale(t *testing.T) {
 // restart must carry both without a single withdrawal, and the sessions
 // must come back clean.
 func TestDoubleRestartWithinWindow(t *testing.T) {
-	b, tel := survSmall(42, SurvivabilityOptions{
+	b, tel := survSmall(42, HelloOptions{
 		Hello: 10 * sim.Millisecond, HoldMisses: 2,
 		GracefulRestart: true, RestartTime: 800 * sim.Millisecond,
 		Horizon: 3 * sim.Second,
@@ -115,7 +115,7 @@ func TestDoubleRestartWithinWindow(t *testing.T) {
 
 // Without graceful restart the same storm withdraws routes immediately.
 func TestSessionLossWithoutGRWithdraws(t *testing.T) {
-	b, tel := survSmall(43, SurvivabilityOptions{
+	b, tel := survSmall(43, HelloOptions{
 		Hello: 10 * sim.Millisecond, HoldMisses: 2,
 		GracefulRestart: false,
 		Horizon:         sim.Second,
@@ -203,11 +203,10 @@ func TestMBBReoptimizeConservesBytes(t *testing.T) {
 // exponential backoff plus the retransmission extra.
 func TestCtrlLossCompoundsRetryBackoff(t *testing.T) {
 	const extra = 123 * sim.Millisecond
-	base := 10 * sim.Millisecond
-	b, tel := resilientSmall(45, ResilienceOptions{
-		RetryBase: base, RetryMax: 80 * sim.Millisecond,
-		Policy: DegradeNone, Horizon: 5 * sim.Second,
-	})
+	// Long enough for a retry to reach the backoff cap: the seventh, the
+	// first capped one, is booked about 4.3 s in and fires before 7 s.
+	const horizon = 10 * sim.Second
+	b, tel := resilientSmall(45, ResilienceOptions{Policy: DegradeNone, Horizon: horizon})
 	b.SetControlPlaneLoss(1.0, extra)
 	if _, err := b.SetupTELSPForVPN("victim", "PE1", "PE2", "acme", 8e6, -1,
 		rsvp.SetupOptions{SetupPri: 6, HoldPri: 6}); err != nil {
@@ -221,9 +220,9 @@ func TestCtrlLossCompoundsRetryBackoff(t *testing.T) {
 			t.Errorf("blocker setup: %v", err)
 		}
 	})
-	b.Net.RunUntil(2 * sim.Second)
+	b.Net.RunUntil(horizon)
 
-	lost, retries := 0, 0
+	lost, retries, capped := 0, 0, 0
 	for _, e := range tel.Journal.Events() {
 		switch e.Kind {
 		case telemetry.EventCtrlLoss:
@@ -241,21 +240,21 @@ func TestCtrlLossCompoundsRetryBackoff(t *testing.T) {
 				t.Fatalf("unparseable retry delay %q", e.Detail)
 			}
 			delay := sim.Time(d)
-			shift := attempt - 1
-			if shift > 3 {
-				shift = 3 // RetryMax = 80ms = base << 3
+			backoff := retryBase << uint(attempt-1)
+			if backoff > retryMax {
+				backoff = retryMax
+				capped++
 			}
-			backoff := base << uint(shift)
 			lo := backoff + extra
-			hi := backoff + sim.Time(float64(backoff)*0.1) + extra
+			hi := backoff + sim.Time(float64(backoff)*retryJitter) + extra
 			if delay < lo || delay > hi {
 				t.Fatalf("retry delay %v outside [%v, %v] for %q", delay, lo, hi, e.Detail)
 			}
 			retries++
 		}
 	}
-	if retries == 0 || lost == 0 {
-		t.Fatalf("retries=%d lost=%d — scenario never exercised the compound path", retries, lost)
+	if retries == 0 || lost == 0 || capped == 0 {
+		t.Fatalf("retries=%d lost=%d capped=%d — scenario never exercised the compound path", retries, lost, capped)
 	}
 	if lost < retries {
 		t.Fatalf("only %d of %d retries compounded at loss=1.0", lost, retries)

@@ -12,9 +12,9 @@ import (
 	"mplsvpn/internal/topo"
 )
 
-// DefaultHotLinkThreshold is the per-interval utilization above which a
-// link counts as congested when the SLA watcher computes its avoid set.
-const DefaultHotLinkThreshold = 0.9
+// hotLinkThreshold is the per-interval utilization above which a link
+// counts as congested when the SLA watcher computes its avoid set.
+const hotLinkThreshold = 0.9
 
 // TelemetryOptions configures the streaming telemetry plane.
 type TelemetryOptions struct {
@@ -28,15 +28,9 @@ type TelemetryOptions struct {
 	// flowing. Without it the exporter rolls lazily on traffic and the
 	// engine can still quiesce.
 	Horizon sim.Time
-	// SLAs, when non-empty, enables the online SLA watcher.
+	// SLAs, when non-empty, enables the online SLA watcher; a breach
+	// re-optimizes the VPN's TE LSPs around its congested links.
 	SLAs []telemetry.SLATarget
-	// HotLinkThreshold tunes congestion detection for the breach action
-	// (0 = DefaultHotLinkThreshold).
-	HotLinkThreshold float64
-	// OnBreach overrides the default breach action (congestion-aware
-	// ReoptimizeAvoiding of the VPN's TE LSPs). The default still runs; the
-	// override runs after it. Set SLAs for this to matter.
-	OnBreach func(vpn, reason string)
 }
 
 // EnableTelemetry switches the observability plane on: registry counters
@@ -47,11 +41,7 @@ func (b *Backbone) EnableTelemetry(opts TelemetryOptions) *telemetry.Telemetry {
 	if b.tel != nil {
 		return b.tel
 	}
-	if opts.HotLinkThreshold <= 0 {
-		opts.HotLinkThreshold = DefaultHotLinkThreshold
-	}
 	b.tel = telemetry.New(opts.Interval, opts.JournalCap)
-	b.telHotThreshold = opts.HotLinkThreshold
 	b.vpnTel = make(map[string]*vpnTel)
 	// Telemetry observes every delivery in global time order; deliveries
 	// must come back through the barrier stream.
@@ -73,12 +63,7 @@ func (b *Backbone) EnableTelemetry(opts TelemetryOptions) *telemetry.Telemetry {
 
 	if len(opts.SLAs) > 0 {
 		w := telemetry.NewWatcher(opts.SLAs, b.tel.Journal)
-		w.OnBreach = func(vpn, reason string) {
-			b.breachReoptimize(vpn)
-			if opts.OnBreach != nil {
-				opts.OnBreach(vpn, reason)
-			}
-		}
+		w.OnBreach = func(vpn, _ string) { b.breachReoptimize(vpn) }
 		b.tel.Watcher = w
 	}
 
@@ -268,14 +253,14 @@ func (b *Backbone) telRoll(start, end sim.Time) {
 func (b *Backbone) hotLinks() map[topo.LinkID]bool {
 	hot := make(map[topo.LinkID]bool)
 	for i, u := range b.telLastUtil {
-		if u >= b.telHotThreshold {
+		if u >= hotLinkThreshold {
 			hot[topo.LinkID(i)] = true
 		}
 	}
 	return hot
 }
 
-// breachReoptimize is the default SLA breach action: every TE LSP carrying
+// breachReoptimize is the SLA breach action: every TE LSP carrying
 // the breached VPN whose path crosses a congested link is re-signalled
 // make-before-break onto a path avoiding all currently-hot links, and the
 // ingress steering entry is repointed. LSPs already clear of hot links are

@@ -67,13 +67,12 @@ func E18TransactionalProvisioning(dur sim.Time) *E18Result {
 		res.Sites += len(vs.Sites)
 	}
 
-	// With these options a batch staged at t scans commits at t+1ms and
-	// confirms at t+3ms; the kill times below aim inside those windows.
+	// A batch staged at t commits at t+1ms and confirms at t+3ms (the
+	// reconciler's fixed dwells); the kill times below aim inside those
+	// windows.
 	opts := intent.Options{
 		Interval:       20 * sim.Millisecond,
 		BatchOps:       64,
-		ValidateGap:    sim.Millisecond,
-		ConfirmDelay:   2 * sim.Millisecond,
 		ConfirmTimeout: 10 * sim.Millisecond,
 		Horizon:        dur,
 	}

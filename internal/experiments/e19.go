@@ -178,7 +178,9 @@ func e19Build(mpls bool) (*e19Rig, error) {
 	})
 
 	if mpls {
-		b.EnableSurvivability(chaos.SurvivabilityOptions(sc, e19Horizon+sim.Second))
+		surv := *sc.Surv
+		surv.Horizon = e19Horizon + sim.Second
+		b.EnableSurvivability(surv)
 		b.EnableResilience(core.ResilienceOptions{
 			Policy:       core.DegradeShrink,
 			RestoreProbe: 250 * sim.Millisecond,

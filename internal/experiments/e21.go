@@ -172,8 +172,10 @@ func e21Build(opt core.InterASOption, shards, workers int) (*e21Rig, error) {
 	}
 	x.ReconcilePeerings()
 
-	alpha.EnableSurvivability(chaos.SurvivabilityOptions(sc, e21Horizon+sim.Second))
-	x.EnableInterASSurvivability(core.InterASSurvivabilityOptions{
+	surv := *sc.Surv
+	surv.Horizon = e21Horizon + sim.Second
+	alpha.EnableSurvivability(surv)
+	x.EnableInterASSurvivability(core.HelloOptions{
 		Hello:           25 * sim.Millisecond,
 		HoldMisses:      3,
 		GracefulRestart: true,

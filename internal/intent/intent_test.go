@@ -142,13 +142,11 @@ func TestStoreVersioning(t *testing.T) {
 }
 
 // testOptions makes every phase of the commit cycle land at a known virtual
-// time so kill tests can aim between them deterministically.
+// time (with the fixed batchGap, validateGap and confirmDelay) so kill tests
+// can aim between them deterministically.
 func testOptions() Options {
 	return Options{
 		Interval:       20 * sim.Millisecond,
-		BatchGap:       5 * sim.Millisecond,
-		ValidateGap:    sim.Millisecond,
-		ConfirmDelay:   2 * sim.Millisecond,
 		ConfirmTimeout: 10 * sim.Millisecond,
 		Horizon:        200 * sim.Millisecond,
 	}
@@ -237,13 +235,13 @@ func reconcileRun(t *testing.T, killAt, restartAt sim.Time) (*core.Backbone, *ne
 }
 
 // TestKillMidCommitConverges is the headline acceptance test: the first
-// batch commits at t=1ms and would confirm at t=3ms; killing the
-// reconciler at t=2ms abandons the unconfirmed commit, the server's
+// batch commits at t=validateGap and would confirm confirmDelay later;
+// killing the reconciler between the two abandons the unconfirmed commit, the server's
 // auto-rollback timer erases it, and the restarted reconciler re-derives
 // everything — ending byte-identical to a run that was never interrupted.
 func TestKillMidCommitConverges(t *testing.T) {
 	clean, _, _ := reconcileRun(t, 0, 0)
-	b, srv, _ := reconcileRun(t, 2*sim.Millisecond, 30*sim.Millisecond)
+	b, srv, _ := reconcileRun(t, validateGap+confirmDelay/2, 30*sim.Millisecond)
 
 	// The kill must actually have landed in the commit->confirm window:
 	// demand the auto-rollback fired, so timing drift fails loudly instead
@@ -271,7 +269,7 @@ func TestKillBeforeCommitAppliesNothing(t *testing.T) {
 	rec.Start()
 	// The kill runs between two runs, not as a booked callback: a booked
 	// one would join the registry StateDigest compares with the clean run.
-	b.Net.RunUntil(500 * sim.Microsecond)
+	b.Net.RunUntil(validateGap / 2)
 	if err := rec.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +310,11 @@ func TestSnapshotRefusesPendingReconcilerStep(t *testing.T) {
 	rec.Start()
 	for _, cut := range []struct {
 		at      sim.Time
-		commits int // the first batch commits at 1 ms and confirms at 3 ms
+		commits int // the first batch commits at validateGap and confirms confirmDelay later
 		refused []string
 	}{
-		{500 * sim.Microsecond, 0, []string{"*intent.step"}},
-		{2 * sim.Millisecond, 1, []string{"*intent.step", "*netconf.confirmTimer"}},
+		{validateGap / 2, 0, []string{"*intent.step"}},
+		{validateGap + confirmDelay/2, 1, []string{"*intent.step", "*netconf.confirmTimer"}},
 	} {
 		b.Net.RunUntil(cut.at)
 		if srv.Commits != cut.commits {

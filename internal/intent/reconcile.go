@@ -21,21 +21,25 @@ type Options struct {
 	// BatchOps caps ops per transactional commit — the rate limit that
 	// keeps one giant intent from monopolizing the control plane.
 	BatchOps int
-	// BatchGap spaces consecutive batches.
-	BatchGap sim.Time
-	// ValidateGap is the dwell between validate and commit — the window a
-	// chaos kill lands in to prove nothing half-applies.
-	ValidateGap sim.Time
-	// ConfirmDelay is the dwell between commit and confirm — the window
-	// where a kill abandons the commit and the server auto-rolls back.
-	ConfirmDelay sim.Time
 	// ConfirmTimeout is the server-side auto-rollback timer for each
-	// confirmed commit. Must exceed ConfirmDelay or every commit rolls back.
+	// confirmed commit. Must exceed confirmDelay or every commit rolls back.
 	ConfirmTimeout sim.Time
-	// MaxAttempts quarantines a subject after this many failures — even
-	// retryable errors stop being retried when they persist.
-	MaxAttempts int
 }
+
+// The commit cycle's fixed timing and retry budget.
+const (
+	// batchGap spaces consecutive batches.
+	batchGap = 5 * sim.Millisecond
+	// validateGap is the dwell between validate and commit — the window a
+	// chaos kill lands in to prove nothing half-applies.
+	validateGap = sim.Millisecond
+	// confirmDelay is the dwell between commit and confirm — the window
+	// where a kill abandons the commit and the server auto-rolls back.
+	confirmDelay = 2 * sim.Millisecond
+	// maxAttempts quarantines a subject after this many failures — even
+	// retryable errors stop being retried when they persist.
+	maxAttempts = 8
+)
 
 func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
@@ -44,20 +48,8 @@ func (o Options) withDefaults() Options {
 	if o.BatchOps <= 0 {
 		o.BatchOps = 64
 	}
-	if o.BatchGap <= 0 {
-		o.BatchGap = 5 * sim.Millisecond
-	}
-	if o.ValidateGap <= 0 {
-		o.ValidateGap = sim.Millisecond
-	}
-	if o.ConfirmDelay <= 0 {
-		o.ConfirmDelay = 2 * sim.Millisecond
-	}
 	if o.ConfirmTimeout <= 0 {
 		o.ConfirmTimeout = 50 * sim.Millisecond
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 8
 	}
 	return o
 }
@@ -291,14 +283,14 @@ func (r *Reconciler) startBatch(batch []netconf.Op) {
 		sess.Stage(batch...)
 	}
 
-	r.post(r.Opt.ValidateGap, step{sess: sess, batch: batch})
+	r.post(validateGap, step{sess: sess, batch: batch})
 }
 
 func (r *Reconciler) commitStep(sess *netconf.Session, batch []netconf.Op) {
 	err := sess.CommitConfirmed(r.Opt.ConfirmTimeout)
 	switch {
 	case err == nil:
-		r.post(r.Opt.ConfirmDelay, step{sess: sess, batch: batch, confirm: true})
+		r.post(confirmDelay, step{sess: sess, batch: batch, confirm: true})
 	case errors.Is(err, netconf.ErrCommitInProgress):
 		// Another session (a prior life's unconfirmed commit, an operator)
 		// holds the lock; back off and let the next scan retry.
@@ -312,13 +304,13 @@ func (r *Reconciler) commitStep(sess *netconf.Session, batch []netconf.Op) {
 		}
 		sess.Close()
 		r.inFlight = false
-		r.post(r.Opt.BatchGap, step{})
+		r.post(batchGap, step{})
 	}
 }
 
 func (r *Reconciler) confirmStep(sess *netconf.Session, batch []netconf.Op) {
 	if err := sess.Confirm(); err != nil {
-		// The auto-rollback timer beat us (ConfirmTimeout < ConfirmDelay is
+		// The auto-rollback timer beat us (ConfirmTimeout < confirmDelay is
 		// a misconfiguration): the batch is gone; rescan re-emits it.
 		sess.Close()
 		r.inFlight = false
@@ -333,11 +325,11 @@ func (r *Reconciler) confirmStep(sess *netconf.Session, batch []netconf.Op) {
 		delete(r.attempts, opKey(op))
 	}
 	r.inFlight = false
-	r.post(r.Opt.BatchGap, step{})
+	r.post(batchGap, step{})
 }
 
 // classifyFailure routes a failed op: retryable errors (and ordering-
-// sensitive undefines) are re-emitted by later diffs up to MaxAttempts;
+// sensitive undefines) are re-emitted by later diffs up to maxAttempts;
 // terminal errors quarantine the op immediately. This is where the typed
 // core.ProvisionError codes pay off — no string matching.
 func (r *Reconciler) classifyFailure(op netconf.Op, cause error) {
@@ -345,7 +337,7 @@ func (r *Reconciler) classifyFailure(op netconf.Op, cause error) {
 	r.attempts[key]++
 	retryable := core.Retryable(cause) ||
 		op.Kind == netconf.OpUndefineVPN // waits for its sites/tunnels to go first
-	if retryable && r.attempts[key] < r.Opt.MaxAttempts {
+	if retryable && r.attempts[key] < maxAttempts {
 		r.Stats.Retries++
 		r.retryTotal.Inc()
 		return

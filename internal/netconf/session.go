@@ -25,7 +25,7 @@ var (
 	// ErrCommitInProgress rejects a commit while another session's confirmed
 	// commit is still awaiting its confirm — the global commit lock.
 	ErrCommitInProgress = errors.New("netconf: another commit is awaiting confirmation")
-	// ErrNoPendingConfirm rejects Confirm/Rollback with nothing outstanding.
+	// ErrNoPendingConfirm rejects Confirm with nothing outstanding.
 	ErrNoPendingConfirm = errors.New("netconf: no confirmed commit is pending")
 )
 
@@ -236,7 +236,7 @@ func (s *Session) Commit() error {
 // CommitConfirmed is Commit with a confirmation requirement: the batch
 // applies, but unless Confirm is called within timeout, it is rolled back
 // automatically (RFC 6241 confirmed commit). The global commit lock is
-// held until Confirm, Rollback, auto-rollback, or Close.
+// held until Confirm, auto-rollback, or Close.
 func (s *Session) CommitConfirmed(timeout sim.Time) error {
 	if timeout <= 0 {
 		return fmt.Errorf("netconf: confirm timeout must be positive")
@@ -284,7 +284,7 @@ func (s *Session) commit(confirmTimeout sim.Time) error {
 
 // confirmTimer is a confirmed commit's auto-rollback, posted for the
 // session's confirmSeq at commit time: it rolls the batch back unless a
-// Confirm, Rollback or Close bumped the seq first.
+// Confirm or Close bumped the seq first.
 type confirmTimer struct {
 	s   *Session
 	seq int
@@ -310,19 +310,6 @@ func (s *Session) Confirm() error {
 	s.awaitingConfirm = false
 	s.undo = nil
 	s.srv.inConfirm = nil
-	return nil
-}
-
-// Rollback explicitly undoes the pending confirmed commit without waiting
-// for the timer.
-func (s *Session) Rollback() error {
-	if s.closed {
-		return ErrSessionClosed
-	}
-	if !s.awaitingConfirm {
-		return ErrNoPendingConfirm
-	}
-	s.doRollback("explicit rollback")
 	return nil
 }
 

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -188,23 +189,27 @@ func (r *SPFResult) Reachable(dst NodeID) bool {
 
 // PathTo extracts the path from the SPF source to dst.
 func (r *SPFResult) PathTo(g *Graph, dst NodeID) (Path, bool) {
+	links, ok := r.AppendPathTo(nil, g, dst)
+	return Path{Links: links}, ok
+}
+
+// AppendPathTo is PathTo writing the path's links into buf's array, from
+// its length on, when it has room.
+func (r *SPFResult) AppendPathTo(buf []LinkID, g *Graph, dst NodeID) ([]LinkID, bool) {
 	if dst == r.Source {
-		return Path{}, true
+		return buf, true
 	}
 	if !r.Reachable(dst) {
-		return Path{}, false
+		return buf, false
 	}
-	var rev []LinkID
+	from := len(buf)
 	for at := dst; at != r.Source; {
 		lid := r.Prev[at]
-		rev = append(rev, lid)
+		buf = append(buf, lid)
 		at = g.Link(lid).From
 	}
-	// reverse
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return Path{Links: rev}, true
+	slices.Reverse(buf[from:])
+	return buf, true
 }
 
 // NextHop returns the first link on the shortest path from the SPF source
