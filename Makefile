@@ -88,7 +88,8 @@ bench-hop:
 # scheduler enqueue/dequeue and Pass, an idle scheduler's checkpoint load,
 # engine Post, the full netsim per-hop path, a delivery's and a drop's
 # accounting with telemetry on, telemetry's instruments on and off, a warm
-# latency histogram, and an incremental SPF tree folding a duplex link flap),
+# latency histogram, an incremental SPF tree folding a duplex link flap, and
+# a constrained search into a scratch that has met the graph),
 # a forwarding table is built in a handful of allocations, and BGP Converge
 # at the vpnv4_100k shape allocates at most 1.4x what it keeps and keeps at
 # most its recorded heap per route, in pointer-free RIB runs and 80-byte
@@ -178,7 +179,9 @@ verify-snapshot:
 # reflection oracle (clustered best paths == full-mesh under seeded churn),
 # the RIB oracle (sorted runs == the map model, every observable, over the
 # full mesh, a single reflector as one cluster, two clusters, and an uneven
-# layout) with the pinned bytes of what Converge leaves, and the
+# layout, and the Loc-RIBs a round selects by prefix rank == selecting by
+# prefix) with the pinned bytes of what Converge leaves, the route-target
+# index's selections == a plain scan of each sender's routes, and the
 # single-reflector stale-refresh reproducer,
 # the incremental SPF/CSPF and LDP-delta oracles (identical tables to a
 # full recompute across random flap sequences; the IGP and the TE trees,
@@ -192,7 +195,7 @@ verify-snapshot:
 # scaling scorecard.
 verify-controlplane:
 	$(GO) test -race -count=1 \
-		-run='TestClustered|TestRTConstrained|RIB|TestConvergeSectionPinned|SingleReflector|TestISPF|TestIncremental|TestCSPF|TestClusterPEs|TestTEDeltaMatchesFullSweep|TestTESweepFallbackReasons|TestTELSPNeverTransitsCustomer|TestCleanLSPLosesNothing|TestOverlappingDetectionWindows|TestLocalRepairSkipsRestoredLink|TestReleaseIsSilent|TestRebindReleases|TestReflectorSnapshotBoundary|TestE20' \
+		-run='TestClustered|TestRTConstrained|RIB|TestSelectForMatchesScan|TestConvergeSectionPinned|SingleReflector|TestISPF|TestIncremental|TestCSPF|TestClusterPEs|TestTEDeltaMatchesFullSweep|TestTESweepFallbackReasons|TestTELSPNeverTransitsCustomer|TestCleanLSPLosesNothing|TestOverlappingDetectionWindows|TestLocalRepairSkipsRestoredLink|TestReleaseIsSilent|TestRebindReleases|TestReflectorSnapshotBoundary|TestE20' \
 		./internal/bgp ./internal/ospf ./internal/ldp ./internal/topo ./internal/rsvp ./internal/core ./internal/chaos ./internal/experiments
 
 # The inter-AS survivability acceptance gate under the race detector: the
@@ -218,6 +221,7 @@ examples:
 	$(GO) run ./examples/backbone
 	$(GO) run ./examples/paperfigs
 	$(GO) run ./examples/intent
+	$(GO) run ./examples/chaos
 
 # Regenerate the recorded outputs referenced by EXPERIMENTS.md / README.
 record:

@@ -337,10 +337,10 @@ func (m *Mesh) Converge() {
 		s.Received = 0
 		s.Retained = 0
 	}
-	scratch := make([]uint32, len(m.routes))
-	m.compact(m.stampsAhead(), scratch)
+	scratch, stamps := make([]uint32, len(m.routes)), m.stampsAhead()
+	m.compact(stamps, scratch)
 	ids := m.sortedIDs()
-	rd := m.newRound(scratch)
+	rd := m.newRound(scratch, stamps)
 	switch m.Layout {
 	case FullMesh:
 		for _, to := range ids {
@@ -369,7 +369,7 @@ func (m *Mesh) Converge() {
 		if m.StateOf(id) == PeerUp {
 			s.updateDamping(m, now)
 		}
-		s.selectBest()
+		s.selectBest(rd.rank)
 	}
 	if rd.displaced {
 		m.compact(0, make([]uint32, len(m.routes)))

@@ -121,19 +121,31 @@ func (m *Mesh) SetRTInterest(n topo.NodeID, rts []addr.RouteTarget) {
 	m.rtInterest[n] = dedup
 }
 
+// stampChunk is how many stamped copies a round allocates at a time: 102
+// routes of 80 bytes fill an 8 KB size class as closely as one route fills
+// the 80-byte one.
+const stampChunk = 102
+
 // stamp returns the handle of the reflected copy of the route at h: the
 // original attributes plus refl, the ORIGINATOR_ID and CLUSTER_LIST of its
 // originator in the cluster reflecting it. An already-stamped route passes
-// through.
+// through. Copies come out of chunks of stampChunk, never more in all than
+// the stampsAhead the round began with: a copy keeps its chunk reachable,
+// which costs only while a stale-retained copy outlives its round.
 func (rd *round) stamp(h uint32, refl *Reflection) uint32 {
 	r := rd.m.routes[h]
 	if r.Reflected != nil {
 		return h
 	}
-	c := *r
+	if len(rd.copies) == 0 {
+		rd.copies = make([]VPNRoute, min(rd.stampsLeft, stampChunk))
+	}
+	c := &rd.copies[0]
+	rd.copies, rd.stampsLeft = rd.copies[1:], rd.stampsLeft-1
+	*c = *r
 	c.Reflected = refl
 	rd.rank = append(rd.rank, rd.rank[h])
-	return rd.m.add(&c)
+	return rd.m.add(c)
 }
 
 // reflection returns the Reflection of originator o in the cluster whose
@@ -254,26 +266,49 @@ func (ix *rtIndex) reset(m *Mesh, ns []topo.NodeID) {
 // Adj-RIB-In that keep (when given) accepts. Stale-retained routes are kept
 // for forwarding, not re-announced: refreshing them downstream would erase
 // the peers' own graceful-restart marks.
+//
+// A sender's routes come in runs of one target — a VRF exports its
+// prefixes together, and a run in prefix order holds a route
+// distinguisher's together — so the bucket of a run is looked up once, as
+// the run opens, and stored back once, as it closes: a route with the
+// target of the open run and no other is filed without hashing it.
 func (ix *rtIndex) add(s *Speaker, keep func(*VPNRoute) bool) {
 	routes := s.mesh.routes
+	var rt addr.RouteTarget // the open run's target, while open
+	var run []int32         // its bucket, nil while no run is open
+	closeRun := func() {
+		if run != nil {
+			ix.byRT[rt], run = run, nil
+		}
+	}
 	put := func(h uint32, r *VPNRoute) {
 		at := int32(len(ix.all))
 		ix.all = append(ix.all, h)
+		if len(r.RTs) == 1 {
+			if run == nil || r.RTs[0] != rt {
+				closeRun()
+				rt, run = r.RTs[0], ix.byRT[r.RTs[0]]
+			}
+			run = append(run, at)
+			return
+		}
+		closeRun()
 		if len(r.RTs) == 0 {
 			ix.untagged = append(ix.untagged, at)
 		}
-		for _, rt := range r.RTs {
-			ix.byRT[rt] = append(ix.byRT[rt], at)
+		for _, t := range r.RTs {
+			ix.byRT[t] = append(ix.byRT[t], at)
 		}
 	}
 	for _, h := range s.exports {
 		put(h, routes[h])
 	}
 	for _, h := range s.rib.paths {
-		if r := routes[h]; (keep == nil || keep(r)) && !s.isStale(r.Prefix, r.OriginPE) {
+		if r := routes[h]; (keep == nil || keep(r)) && (len(s.stale) == 0 || !s.isStale(r.Prefix, r.OriginPE)) {
 			put(h, r)
 		}
 	}
+	closeRun()
 	ix.ends = append(ix.ends, len(ix.all))
 }
 

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mplsvpn/internal/addr"
@@ -359,6 +360,85 @@ func TestRTConstrainedUpdateVolume(t *testing.T) {
 		for i := range ro {
 			if ro[i].Prefix != rt[i].Prefix || ro[i].NextHop != rt[i].NextHop {
 				t.Fatalf("PE %d: route divergence %v vs %v", pe, ro[i], rt[i])
+			}
+		}
+	}
+}
+
+// TestSelectForMatchesScan fills one route-target index over and over, as a
+// round does for each phase and cluster, with senders whose routes carry no
+// target, one or three: mostly in runs of one target, which the fill files
+// without hashing, broken by runs of another target, by untagged routes and
+// by routes with three targets, among them the open run's. Every sender's
+// selection for every interest list must be what a plain scan of its routes
+// offers (offer): interest order, then send order, untagged last, each
+// route once.
+func TestSelectForMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	rts := []addr.RouteTarget{vpnRT(0), vpnRT(1), vpnRT(2), vpnRT(3), vpnRT(4)}
+	interests := [][]addr.RouteTarget{nil, {vpnRT(9)}}
+	for i, a := range rts {
+		interests = append(interests, []addr.RouteTarget{a}, []addr.RouteTarget{a, rts[(i+2)%len(rts)]}, []addr.RouteTarget{rts[(i+2)%len(rts)], a})
+	}
+	interests = append(interests, rts, []addr.RouteTarget{rts[4], rts[2], rts[0]})
+	m, label := NewMesh(), 0
+	route := func(origin topo.NodeID, prev []addr.RouteTarget) *VPNRoute {
+		label++
+		r := &VPNRoute{
+			Prefix:   addr.VPNPrefix{RD: vpnRD(int(origin)), Prefix: addr.NewPrefix(addr.IPv4(0x0a000000+uint32(label)<<8), 24)},
+			Label:    packet.Label(label),
+			OriginPE: origin,
+		}
+		switch k := rng.Intn(10); {
+		case k < 5 && len(prev) == 1:
+			r.RTs = prev // the open run goes on
+		case k < 8:
+			r.RTs = []addr.RouteTarget{rts[rng.Intn(len(rts))]}
+		case k == 8:
+			perm := rng.Perm(len(rts))
+			r.RTs = []addr.RouteTarget{rts[perm[0]], rts[perm[1]], rts[perm[2]]}
+		}
+		return r
+	}
+	var ix rtIndex
+	for fill := 0; fill < 40; fill++ {
+		senders := make([]topo.NodeID, 1+rng.Intn(4))
+		keep := func(r *VPNRoute) bool { return r.Label%3 != 0 }
+		offered := make([][]*VPNRoute, len(senders))
+		for k := range senders {
+			n := topo.NodeID(100*fill + k)
+			senders[k] = n
+			s := m.AddSpeaker(n, 0)
+			var prev []addr.RouteTarget
+			for e := rng.Intn(6); e > 0; e-- {
+				r := route(n, prev)
+				s.Originate(r)
+				offered[k], prev = append(offered[k], r), r.RTs
+			}
+			for p := rng.Intn(40); p > 0; p-- {
+				r := route(topo.NodeID(rng.Intn(9)), prev)
+				s.rib.paths = append(s.rib.paths, m.add(r))
+				if fill%2 == 0 || keep(r) {
+					offered[k] = append(offered[k], r)
+				}
+				prev = r.RTs
+			}
+		}
+		ix.reset(m, senders)
+		for _, n := range senders {
+			if fill%2 == 0 {
+				ix.add(m.speakers[n], nil)
+			} else {
+				ix.add(m.speakers[n], keep)
+			}
+		}
+		for k, n := range senders {
+			for _, interest := range interests {
+				got, want := m.speakers[n].resolve(ix.selectFor(k, interest)), offer(offered[k], interest)
+				if !slices.Equal(got, want) {
+					t.Fatalf("fill %d, sender %d of %d, interest %v: selectFor offers %d routes %v, a scan of the sender's routes %d %v",
+						fill, k, len(senders), interest, len(got), got, len(want), want)
+				}
 			}
 		}
 	}

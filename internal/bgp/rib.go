@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"cmp"
 	"slices"
 
 	"mplsvpn/internal/addr"
@@ -40,14 +41,19 @@ type round struct {
 	ends                    []int
 	ix                      rtIndex
 	refls                   map[topo.NodeID]*Reflection
+	// copies is the rest of the chunk stamp hands copies out of, and
+	// stampsLeft how many more copies the round may stamp.
+	copies     []VPNRoute
+	stampsLeft int
 	// displaced is set when a seal replaced a retained route with another
 	// one, which may leave the first referenced by nothing.
 	displaced bool
 }
 
 // newRound ranks the routes of m's table for a Converge to sort by, using
-// order, of at least the table's length, as scratch.
-func (m *Mesh) newRound(order []uint32) round {
+// order, of at least the table's length, as scratch; the round stamps at
+// most stamps copies.
+func (m *Mesh) newRound(order []uint32, stamps int) round {
 	routes := m.routes
 	order = order[:len(routes)]
 	for h := range order {
@@ -62,7 +68,7 @@ func (m *Mesh) newRound(order []uint32) round {
 		}
 		rank[h] = k
 	}
-	return round{m: m, rank: rank, refls: make(map[topo.NodeID]*Reflection)}
+	return round{m: m, rank: rank, refls: make(map[topo.NodeID]*Reflection), stampsLeft: stamps}
 }
 
 func byPrefix(a, b *VPNRoute) int { return addr.CompareVPNPrefix(a.Prefix, b.Prefix) }
@@ -205,6 +211,12 @@ func (rd *round) seal(s *Speaker) {
 	if len(tail) == 0 {
 		return
 	}
+	// Redundant reflectors offer a client one selection twice, end to end.
+	// Placed after the first copy, the second would refresh every route the
+	// first placed with the very route it holds: the fold takes one copy.
+	if n := len(tail) / 2; len(tail)%2 == 0 && slices.Equal(tail[:n], tail[n:]) {
+		tail = tail[:n]
+	}
 	rd.sortRuns(tail)
 	out := rd.merged[:0]
 	for i, j := 0, 0; i < len(head) || j < len(tail); {
@@ -230,51 +242,66 @@ func first(rank, a, b []uint32) uint32 {
 }
 
 // selectBest runs the decision process over local routes plus adj-RIB-in:
-// one pass that merges the two in prefix order, reading each route once.
-// Inside a prefix exports are considered first, then received routes in
-// arrival order.
-func (s *Speaker) selectBest() {
+// one pass that merges the two in prefix order. Inside a prefix exports are
+// considered first, then received routes in arrival order. Prefixes compare
+// as their ranks in rank do, when a round ranked every handle s holds, and
+// by the routes otherwise (a load, a withdrawal, a sweep or a reuse between
+// rounds). A prefix held by one route selects it unread, unless damping
+// may have suppressed it; only a prefix with two routes or more runs
+// better.
+func (s *Speaker) selectBest(rank []uint32) {
 	routes := s.mesh.routes
+	order := func(a, b uint32) int {
+		if rank != nil {
+			return cmp.Compare(rank[a], rank[b])
+		}
+		return byPrefix(routes[a], routes[b])
+	}
 	ex := s.exports
 	if s.disordered {
 		ex = slices.Clone(ex)
-		slices.SortStableFunc(ex, func(a, b uint32) int { return byPrefix(routes[a], routes[b]) })
+		slices.SortStableFunc(ex, order)
 	}
 	paths := s.rib.paths
 	best := make([]uint32, 0, len(ex)+len(paths))
-	// at returns the route at run[i], nil past the run's end.
-	at := func(run []uint32, i int) *VPNRoute {
-		if i < len(run) {
-			return routes[run[i]]
-		}
-		return nil
-	}
-	i, j := 0, 0
-	for e, r := at(ex, 0), at(paths, 0); e != nil || r != nil; {
-		var p addr.VPNPrefix
-		if r == nil || e != nil && byPrefix(e, r) < 0 {
-			p = e.Prefix
+	undamped := len(s.damp) == 0
+	for i, j := 0, 0; i < len(ex) || j < len(paths); {
+		// The prefix's group is ex[i:ei] and paths[j:pj], and lead its first
+		// route.
+		lead, ei, pj := uint32(0), i, j
+		if j == len(paths) || i < len(ex) && order(ex[i], paths[j]) < 0 {
+			lead, ei = ex[i], i+1
 		} else {
-			p = r.Prefix
+			lead, pj = paths[j], j+1
+		}
+		for ; ei < len(ex) && order(ex[ei], lead) == 0; ei++ {
+		}
+		for ; pj < len(paths) && order(paths[pj], lead) == 0; pj++ {
+		}
+		if undamped && ei-i+pj-j == 1 {
+			best = append(best, lead)
+			i, j = ei, pj
+			continue
 		}
 		var cur *VPNRoute
 		var pick uint32
-		for ; e != nil && e.Prefix == p; i, e = i+1, at(ex, i+1) {
-			if cur == nil || better(e, cur) {
+		for ; i < ei; i++ {
+			if e := routes[ex[i]]; cur == nil || better(e, cur) {
 				cur, pick = e, ex[i]
 			}
 		}
 		// Damped: received paths are suppressed (exports never are).
-		d, ok := s.damp[p]
-		damped := ok && d.suppressed
-		for ; r != nil && r.Prefix == p; j, r = j+1, at(paths, j+1) {
-			if !damped && (cur == nil || better(r, cur)) {
-				cur, pick = r, paths[j]
+		if d, ok := s.damp[routes[lead].Prefix]; !ok || !d.suppressed {
+			for ; j < pj; j++ {
+				if r := routes[paths[j]]; cur == nil || better(r, cur) {
+					cur, pick = r, paths[j]
+				}
 			}
 		}
 		if cur != nil {
 			best = append(best, pick)
 		}
+		i, j = ei, pj
 	}
 	s.rib.best = best
 }

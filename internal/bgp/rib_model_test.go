@@ -641,6 +641,89 @@ func (rig *modelRig) compare() {
 		"mesh counters")
 }
 
+// selectionCases tallies, over the Converges of a run, the speakers whose
+// Loc-RIB selection met each case a ranked selection must get right.
+type selectionCases struct {
+	// suppressed: a damping-suppressed prefix held by one received route
+	// and no export, which a prefix held by one route must not select.
+	suppressed int
+	// stale: graceful-restart stale routes kept across the round.
+	stale int
+	// disordered: exports that do not ascend by prefix.
+	disordered int
+	// shared: a prefix held by routes of several origins, or by an export
+	// and a received route, which only the decision process can settle.
+	shared int
+}
+
+// checkRanked requires every speaker's Loc-RIB, as the Converge just run
+// selected it by prefix rank, to equal what selecting by prefix over the
+// same runs gives, and tallies the cases the selection met.
+func (rig *modelRig) checkRanked(seen *selectionCases) {
+	rig.t.Helper()
+	for _, id := range rig.ids {
+		s := rig.m.speakers[id]
+		ranked := s.rib.best
+		s.selectBest(nil)
+		if !slices.Equal(ranked, s.rib.best) {
+			rig.t.Fatalf("step %d (%s): speaker %d selected %v by prefix rank and %v by prefix",
+				rig.step, rig.what, id, s.resolve(ranked), s.resolve(s.rib.best))
+		}
+		exported := func(p addr.VPNPrefix) bool {
+			return slices.ContainsFunc(s.exports, func(h uint32) bool { return rig.m.routes[h].Prefix == p })
+		}
+		for p, d := range s.damp {
+			if d.suppressed && len(s.forPrefix(p)) == 1 && !exported(p) {
+				seen.suppressed++
+				break
+			}
+		}
+		if s.StaleRoutes() > 0 {
+			seen.stale++
+		}
+		if s.disordered {
+			seen.disordered++
+		}
+		for i := 0; i < len(s.rib.paths); {
+			j := s.span(s.rib.paths, i)
+			if j-i > 1 || exported(rig.m.routes[s.rib.paths[i]].Prefix) {
+				seen.shared++
+				break
+			}
+			i = j
+		}
+	}
+}
+
+// suppressOne turns damping on and flaps one untagged route of speaker 4, a
+// client in every clustered layout, through five rounds: every speaker that
+// hears it then holds the route and nothing else for its prefix, and has
+// suppressed the prefix. The mesh and the model take the same steps, and
+// every round is checked as stepOnce's are.
+func (rig *modelRig) suppressOne(seen *selectionCases) {
+	m, mm := rig.m, rig.mm
+	rig.what = "set damping"
+	m.SetDamping(DampingConfig{Penalty: 1000, Suppress: 1500, Reuse: 700, HalfLife: 10 * sim.Second})
+	mm.setDamping()
+	mm.tracked = true
+	s := m.speakers[4]
+	r := &VPNRoute{Prefix: rig.prefixes[0], NextHop: 1, Label: 16, LocalPref: 100, OriginPE: 4}
+	for round := 0; round < 5; round++ {
+		if round%2 == 0 {
+			rig.what = "originate the flapping route"
+			s.Originate(r)
+		} else {
+			rig.what = "withdraw the flapping route"
+			s.WithdrawLocal(r.Prefix)
+		}
+		rig.what += ", converge"
+		m.Converge()
+		mm.converge(rig.now)
+		rig.checkRanked(seen)
+		rig.compare()
+	}
+}
+
 // TestRIBMatchesMapModel drives the mesh and the map model with the same
 // seeded random operations over every layout — the full mesh, a single
 // reflector (one cluster, every other speaker its client), two clusters of
@@ -648,6 +731,13 @@ func (rig *modelRig) compare() {
 // a cluster with no clients and a speaker in no cluster — and requires every
 // observable to agree after every step. Sessions go down and restart at
 // random, so every phase meets reflectors that are Down or Restarting.
+//
+// After every Converge it also requires the Loc-RIBs the round selected by
+// prefix rank to be what selecting by prefix gives (checkRanked), and the
+// full mesh and the clustered layouts must each meet every case of
+// selectionCases. Odd seeds begin with suppressOne, so that a suppressed
+// prefix held by one route is met on every layout; even seeds begin with
+// damping off.
 func TestRIBMatchesMapModel(t *testing.T) {
 	seeds, steps := 10, 200
 	if testing.Short() {
@@ -665,13 +755,26 @@ func TestRIBMatchesMapModel(t *testing.T) {
 			{ID: 20, RRs: []topo.NodeID{3}},
 		},
 	}
+	var seen [2]selectionCases // full mesh, clustered
 	for i, clusters := range layouts {
 		for seed := 0; seed < seeds; seed++ {
 			rig := newModelRig(t, clusters, int64(1000*i+seed))
+			if seed%2 == 1 {
+				rig.suppressOne(&seen[min(i, 1)])
+			}
 			for rig.step = 0; rig.step < steps; rig.step++ {
 				rig.stepOnce()
+				if rig.what == "converge" {
+					rig.checkRanked(&seen[min(i, 1)])
+				}
 				rig.compare()
 			}
+		}
+	}
+	for i, layout := range []string{"full mesh", "clustered"} {
+		t.Logf("%s: speakers selecting %+v", layout, seen[i])
+		if c := seen[i]; c.suppressed == 0 || c.stale == 0 || c.disordered == 0 || c.shared == 0 {
+			t.Errorf("%s: a Converge's selection never met one of its cases: %+v", layout, c)
 		}
 	}
 }
@@ -729,7 +832,7 @@ func TestSealKeepsArrivalOrderWhateverTheRuns(t *testing.T) {
 		}
 		return out
 	}
-	rd := m.newRound(make([]uint32, len(m.routes)))
+	rd := m.newRound(make([]uint32, len(m.routes)), 0)
 	for k, c := range cases {
 		want := slices.Clone(c.tail)
 		slices.SortStableFunc(want, byPrefix)

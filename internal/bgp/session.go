@@ -237,7 +237,7 @@ func (m *Mesh) SessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 			}, s.noteWithdrawn)
 		}
 		if im.Withdrawn > 0 {
-			s.selectBest()
+			s.selectBest(nil)
 		}
 		if im.Stale > 0 || im.Withdrawn > 0 {
 			out = append(out, im)
@@ -304,7 +304,7 @@ func (m *Mesh) SweepStale(n topo.NodeID) (int, []PeerImpact) {
 			}, s.noteWithdrawn)
 		}
 		if im.Withdrawn > 0 {
-			s.selectBest()
+			s.selectBest(nil)
 			total += im.Withdrawn
 			m.StaleSwept += im.Withdrawn
 			m.WithdrawalsSent += im.Withdrawn
@@ -464,7 +464,7 @@ func (m *Mesh) DecayDamping(now sim.Time) []addr.VPNPrefix {
 			}
 		}
 		if changed {
-			s.selectBest()
+			s.selectBest(nil)
 		}
 	}
 	if len(reused) == 0 {

@@ -207,7 +207,7 @@ func (m *Mesh) State(c *snapshot.Codec) {
 		}
 		m.compact(0, make([]uint32, len(m.routes)))
 		for _, s := range m.speakers {
-			s.selectBest()
+			s.selectBest(nil)
 		}
 	}
 }

@@ -159,6 +159,10 @@ type Protocol struct {
 	// drains holds the label state of paths pending their deferred unbind.
 	drains   map[int]drainRec
 	drainSeq int
+
+	// cspf is the memory of every path search: a search's path is copied
+	// out of its tree before the next search runs.
+	cspf topo.CSPFScratch
 }
 
 // drainRec is one pending make-before-break unbind: the old path and its
@@ -331,7 +335,7 @@ func (p *Protocol) findPath(ingress, egress topo.NodeID, bw float64, opt SetupOp
 			exclude[lid] = true
 		}
 	}
-	res := p.G.CSPF(ingress, topo.Constraints{MinAvailableBw: bw, ExcludeLinks: exclude, Within: p.scope})
+	res := p.G.CSPFInto(&p.cspf, ingress, topo.Constraints{MinAvailableBw: bw, ExcludeLinks: exclude, Within: p.scope})
 	if path, ok := res.PathTo(p.G, egress); ok {
 		return &path, nil
 	}
@@ -342,7 +346,7 @@ func (p *Protocol) findPath(ingress, egress topo.NodeID, bw float64, opt SetupOp
 	if p.PlainSPF != nil && len(opt.Avoid) == 0 {
 		plain = p.PlainSPF(ingress)
 	} else {
-		plain = p.G.CSPF(ingress, topo.Constraints{ExcludeLinks: opt.Avoid, Within: p.scope})
+		plain = p.G.CSPFInto(&p.cspf, ingress, topo.Constraints{ExcludeLinks: opt.Avoid, Within: p.scope})
 	}
 	path, ok := plain.PathTo(p.G, egress)
 	if !ok {
@@ -601,7 +605,7 @@ func (p *Protocol) SetupBypass(name string, protected topo.LinkID, held *LSP) (*
 	if rev, ok := p.G.Reverse(protected); ok {
 		ex[rev.ID] = true
 	}
-	res := p.G.CSPF(l.From, topo.Constraints{ExcludeLinks: ex, Within: p.scope})
+	res := p.G.CSPFInto(&p.cspf, l.From, topo.Constraints{ExcludeLinks: ex, Within: p.scope})
 	path, ok := res.PathTo(p.G, l.To)
 	if held != nil {
 		if ok && held.State == Up && slices.Equal(held.Path.Links, path.Links) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mplsvpn/internal/sim"
@@ -216,5 +217,30 @@ func TestCSPFDeterministic(t *testing.T) {
 		if a.Dist[v] != b.Dist[v] || a.Prev[v] != b.Prev[v] {
 			t.Fatalf("node %d: (%d,%d) vs (%d,%d)", v, a.Dist[v], a.Prev[v], b.Dist[v], b.Prev[v])
 		}
+	}
+}
+
+// TestCSPFIntoZeroAlloc: one scratch serves searches over graphs of
+// different sizes, scoped and not, each tree equal to CSPF's from scratch;
+// once the scratch has met the largest graph, a search allocates nothing.
+func TestCSPFIntoZeroAlloc(t *testing.T) {
+	var sc CSPFScratch
+	var largest *Graph
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng)
+		src := NodeID(rng.Intn(g.NumNodes()))
+		c := randomConstraints(rng, g, src)
+		want, got := g.CSPF(src, c), g.CSPFInto(&sc, src, c)
+		if got.Source != want.Source || !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Prev, want.Prev) {
+			t.Fatalf("seed %d: CSPFInto after %d searches = %+v, CSPF = %+v", seed, seed, *got, *want)
+		}
+		if largest == nil || g.NumNodes() > largest.NumNodes() {
+			largest = g
+		}
+	}
+	c := Constraints{MinAvailableBw: 200e6}
+	if allocs := testing.AllocsPerRun(50, func() { largest.CSPFInto(&sc, 0, c) }); allocs != 0 {
+		t.Fatalf("a search into a scratch that has met the graph costs %.1f allocations, want 0", allocs)
 	}
 }

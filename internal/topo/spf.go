@@ -120,23 +120,49 @@ func (g *Graph) SPF(src NodeID) *SPFResult {
 
 // CSPF runs constrained SPF from src: links that fail the constraints are
 // treated as absent. Ties between equal-cost paths are broken by lower link
-// ID, which makes path selection deterministic.
+// ID, which makes path selection deterministic. The tree is the caller's to
+// keep; CSPFInto is the same search into memory the caller reuses.
 func (g *Graph) CSPF(src NodeID, c Constraints) *SPFResult {
+	var s CSPFScratch
+	g.search(&s, src, c)
+	// A tree of its own: one kept must not keep the frontier alive.
+	return &SPFResult{Source: src, Dist: s.tree.Dist, Prev: s.tree.Prev}
+}
+
+// CSPFScratch is the memory of a constrained search, kept for the next one:
+// the tree, the frontier and the settled set. Its zero value is ready.
+type CSPFScratch struct {
+	tree SPFResult
+	heap spfHeap
+	done []bool
+}
+
+// CSPFInto is CSPF computed into s: it allocates only while the graph
+// outgrows what s held, and the tree it returns is s's, overwritten by the
+// next search into s. A caller that reads each tree before it searches
+// again (a path it keeps is copied out by PathTo) needs no other.
+func (g *Graph) CSPFInto(s *CSPFScratch, src NodeID, c Constraints) *SPFResult {
+	g.search(s, src, c)
+	return &s.tree
+}
+
+// search runs the constrained SPF from src into s.
+func (g *Graph) search(s *CSPFScratch, src NodeID, c Constraints) {
 	n := g.span(src, c)
-	res := &SPFResult{
-		Source: src,
-		Dist:   make([]int, n),
-		Prev:   make([]LinkID, n),
+	res := &s.tree
+	res.Source = src
+	if cap(res.Dist) < n {
+		res.Dist, res.Prev, s.done = make([]int, n), make([]LinkID, n), make([]bool, n)
 	}
+	res.Dist, res.Prev, s.done = res.Dist[:n], res.Prev[:n], s.done[:n]
 	for i := range res.Dist {
 		res.Dist[i] = math.MaxInt
 		res.Prev[i] = -1
 	}
+	clear(s.done)
 	res.Dist[src] = 0
 
-	h := spfHeap{{Node: src}}
-	done := make([]bool, n)
-
+	h, done := append(s.heap[:0], spfItem{Node: src}), s.done
 	for len(h) > 0 {
 		u := h.Pop().Node
 		if done[u] {
@@ -169,7 +195,7 @@ func (g *Graph) CSPF(src NodeID, c Constraints) *SPFResult {
 			}
 		}
 	}
-	return res
+	s.heap = h
 }
 
 // span is the number of nodes a tree from src under c spans: a scoped tree
