@@ -1,8 +1,7 @@
 // Package main_test holds the benchmark harness: one testing.B target per
 // experiment table/figure in DESIGN.md §3. Each bench both measures the
 // cost of regenerating an experiment and asserts its headline shape, so
-// `go test -bench=. -benchmem` doubles as the reproduction run recorded in
-// bench_output.txt.
+// `go test -bench=. -benchmem` doubles as the reproduction run.
 package main_test
 
 import (

@@ -6,13 +6,14 @@ import (
 )
 
 // The benchmarks below use the exported API alone, so the same file measures
-// any implementation of Table (`make bench-addr`). Three shapes: vrf20 is
-// what a PE ingress consults per customer packet — 20 site /24s under 10/8
-// and a destination that is always inside one of them — on one table that
-// stays in cache and round-robin over 160 of them, the VRFs of a 200-site
-// backbone, which do not; rand1k and rand100k are experiment E4's and the
-// repository benchmark probes' shape, random prefixes of /16 to /32, looked
-// up with addresses that hit and with addresses that miss.
+// any implementation of Table (`go test -run='^$' -bench=BenchmarkTable
+// -benchmem ./internal/addr`). Three shapes: vrf20 is what a PE ingress
+// consults per customer packet — 20 site /24s under 10/8 and a destination
+// that is always inside one of them — on one table that stays in cache and
+// round-robin over 160 of them, the VRFs of a 200-site backbone, which do
+// not; rand1k and rand100k are experiment E4's and the repository benchmark
+// probes' shape, random prefixes of /16 to /32, looked up with addresses
+// that hit and with addresses that miss.
 
 // route has the size and pointer shape of vpn.Route, which this package
 // cannot import.

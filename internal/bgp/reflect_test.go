@@ -218,7 +218,7 @@ func (rig *churnRig) compare() {
 // oracle after every convergence.
 func TestClusteredEquivalenceUnderChurn(t *testing.T) {
 	if testing.Short() {
-		t.Skip("churn oracle is the long reflection proof; test-race and verify-controlplane run it explicitly")
+		t.Skip("churn oracle is the long reflection proof; skipped with -short")
 	}
 	totalSuppressed := 0
 	for seed := int64(1); seed <= 3; seed++ {

@@ -293,7 +293,7 @@ func TestInterASSnapshotBoundary(t *testing.T) {
 // hello detection, graceful restart, cross-provider re-selection, boundary
 // reinstall, recovery — must produce byte-identical digests, ledgers,
 // packet counters, flow stats, and journals on the serial engine and at 8
-// shards. This is the test `make test-race` names explicitly.
+// shards.
 func TestASFailoverEquivalence(t *testing.T) {
 	serial := runInterASUninterrupted(t, 0, 0)
 	sharded := runInterASUninterrupted(t, 8, 4)

@@ -67,6 +67,17 @@ func (b *Backbone) journal(kind telemetry.EventKind, subject, detail string) {
 	}
 }
 
+// journalTime journals a fault event whose detail formats one duration,
+// and formats it only when the journal is on: fmt's printers come from a
+// sync.Pool, so what a formatted string allocates depends on whether a
+// collection has emptied the pool, and a fault with the journal off must
+// allocate the same every time.
+func (b *Backbone) journalTime(kind telemetry.EventKind, subject, format string, d sim.Time) {
+	if b.tel != nil {
+		b.tel.Journal.Record(b.E.Now(), kind, subject, fmt.Sprintf(format, d))
+	}
+}
+
 // rejectOp journals a refused fault-injection call and returns its error,
 // so chaos scripts can see which of their operations were no-ops.
 func (b *Backbone) rejectOp(op, subject, reason string) error {
@@ -96,8 +107,7 @@ func (b *Backbone) linkEndpoints(a, z string) (topo.NodeID, topo.NodeID, error) 
 // notification must be retransmitted, stretching the delay by ctrlExtra.
 func (b *Backbone) scheduleReconverge(detect sim.Time) {
 	if b.ctrlLoss > 0 && b.ctrlRng != nil && b.ctrlRng.Float64() < b.ctrlLoss {
-		b.journal(telemetry.EventCtrlLoss, "ctrl",
-			fmt.Sprintf("notification lost; retransmit adds %v", b.ctrlExtra))
+		b.journalTime(telemetry.EventCtrlLoss, "ctrl", "notification lost; retransmit adds %v", b.ctrlExtra)
 		detect += b.ctrlExtra
 	}
 	if detect == 0 {
@@ -142,7 +152,7 @@ func (b *Backbone) FailLink(a, z string, detectDelay sim.Time) error {
 	b.failedLinks[key] = true
 	b.G.SetLinkDown(na, nz, true)
 	b.noteLinkFlap(na, nz)
-	b.journal(telemetry.EventLinkDown, subject, fmt.Sprintf("detect %v", detectDelay))
+	b.journalTime(telemetry.EventLinkDown, subject, "detect %v", detectDelay)
 	if b.Cfg.FRR && detectDelay > 0 {
 		// Protection is never slower than reconvergence: the bypass
 		// activates at min(detect, LocalRepairDelay), so even an
@@ -199,7 +209,7 @@ func (b *Backbone) RestoreLink(a, z string, detectDelay sim.Time) error {
 	delete(b.failedLinks, key)
 	b.G.SetLinkDown(na, nz, false)
 	b.noteLinkFlap(na, nz)
-	b.journal(telemetry.EventLinkUp, subject, fmt.Sprintf("detect %v", detectDelay))
+	b.journalTime(telemetry.EventLinkUp, subject, "detect %v", detectDelay)
 	b.scheduleReconverge(detectDelay)
 	return nil
 }
@@ -232,7 +242,7 @@ func (b *Backbone) CrashNode(name string, detectDelay sim.Time) error {
 		return nil
 	}
 	b.hardCrashNode(id)
-	b.journal(telemetry.EventNodeDown, subject, fmt.Sprintf("detect %v", detectDelay))
+	b.journalTime(telemetry.EventNodeDown, subject, "detect %v", detectDelay)
 	b.scheduleReconverge(detectDelay)
 	return nil
 }
@@ -304,7 +314,7 @@ func (b *Backbone) RestartNode(name string, detectDelay sim.Time) error {
 		}
 		b.G.SetDown(l.ID, false)
 	}
-	b.journal(telemetry.EventNodeUp, subject, fmt.Sprintf("detect %v", detectDelay))
+	b.journalTime(telemetry.EventNodeUp, subject, "detect %v", detectDelay)
 	b.scheduleReconverge(detectDelay)
 	return nil
 }

@@ -1120,7 +1120,7 @@ func (x *InterAS) RestoreAS(name string, detect sim.Time) error {
 		}
 		b.G.SetDown(l.ID, false)
 	}
-	b.journal(telemetry.EventNodeUp, "as:"+name, fmt.Sprintf("AS restored; detect %v", detect))
+	b.journalTime(telemetry.EventNodeUp, "as:"+name, "AS restored; detect %v", detect)
 	b.scheduleReconverge(detect)
 	return nil
 }

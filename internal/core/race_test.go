@@ -1,0 +1,7 @@
+//go:build race
+
+package core
+
+// raceEnabled reports a test binary built with -race. The detector
+// allocates for itself, so an allocation budget is not comparable there.
+const raceEnabled = true

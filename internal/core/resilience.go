@@ -176,8 +176,7 @@ func (b *Backbone) scheduleRetry(req *teRequest) {
 	// model it can be lost, and the retransmission timeout compounds with
 	// the backoff.
 	if b.ctrlLoss > 0 && b.ctrlRng != nil && b.ctrlRng.Float64() < b.ctrlLoss {
-		b.journal(telemetry.EventCtrlLoss, "lsp:"+req.name,
-			fmt.Sprintf("re-signal trigger lost; retransmit adds %v", b.ctrlExtra))
+		b.journalTime(telemetry.EventCtrlLoss, "lsp:"+req.name, "re-signal trigger lost; retransmit adds %v", b.ctrlExtra)
 		delay += b.ctrlExtra
 	}
 	if r.opt.Horizon > 0 && b.E.Now()+delay > r.opt.Horizon {

@@ -359,7 +359,7 @@ func TestE18TransactionalProvisioning(t *testing.T) {
 
 func TestE20ControlPlaneScaling(t *testing.T) {
 	if testing.Short() {
-		t.Skip("scaled control-plane build; verify-controlplane runs it explicitly")
+		t.Skip("scaled control-plane build; skipped with -short")
 	}
 	res := E20ControlPlaneScaling(false)
 	// The clustered layout must compute the same best paths as the full

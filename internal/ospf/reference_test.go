@@ -346,9 +346,9 @@ func TestConvergeAllocatesNoScratchPerInstance(t *testing.T) {
 // at the repository benchmark's pop147 shape, 1 % above the 4,483,640 bytes
 // it measured when flooding came to queue origin ranks and deliver as it
 // sends; with a buffer of (receiver, LSA) copies regrown every flood it was
-// 6,570,776. The race detector allocates more, so a short run skips it.
+// 6,570,776. The race detector allocates more, so a -race build skips it.
 func TestConvergePop147Footprint(t *testing.T) {
-	if testing.Short() {
+	if raceEnabled {
 		t.Skip("allocation counts are not comparable under -race")
 	}
 	const budget = 4_528_500

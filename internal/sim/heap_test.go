@@ -330,10 +330,10 @@ func TestQueueMatchesSortOracleSharded(t *testing.T) {
 
 // BenchmarkQueueHold is the classic hold model: a queue kept at a steady
 // depth, each operation one Step plus one Post of a successor a random
-// distance ahead. It is the queue alone — no packets, no routers — so
-// `make bench-hop` shows how the cost of an event grows with depth. "near"
-// draws every delay below 1 ms, the wheel's case; "mixed" sends every other
-// successor up to 1 s out, through the far heap.
+// distance ahead. It is the queue alone — no packets, no routers — so it
+// shows how the cost of an event grows with depth. "near" draws every delay
+// below 1 ms, the wheel's case; "mixed" sends every other successor up to
+// 1 s out, through the far heap.
 func BenchmarkQueueHold(b *testing.B) {
 	for _, depth := range []int{256, 4096, 65536} {
 		for _, mix := range []string{"near", "mixed"} {
