@@ -1,0 +1,45 @@
+package main
+
+import (
+	"io"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestMainSeparatesTheCompanies runs the example and asserts its claim: no
+// packet crossed between the two companies' VPNs, the cross-company flow
+// delivered nothing, and every legitimate flow got through.
+func TestMainSeparatesTheCompanies(t *testing.T) {
+	out := stdoutOf(t, main)
+	if !strings.Contains(out, "isolation violations: 0\n") {
+		t.Fatalf("no clean isolation verdict:\n%s", out)
+	}
+	if !regexp.MustCompile(`(?m)^cross +sent=[1-9]\d* +dlvd=0 `).MatchString(out) {
+		t.Fatalf("the cross-company flow delivered something, or sent nothing:\n%s", out)
+	}
+	if !strings.Contains(out, "\nOK: same addresses, separate worlds") {
+		t.Fatalf("no OK verdict:\n%s", out)
+	}
+}
+
+// stdoutOf runs fn and returns what it printed.
+func stdoutOf(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = saved }()
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	fn()
+	w.Close()
+	return <-out
+}

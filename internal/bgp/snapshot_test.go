@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -391,19 +390,16 @@ func TestLoadStateAllocatesWhatItDecodes(t *testing.T) {
 	section := append(w.Data(), bytes.Repeat([]byte{0xff}, declared*routeMin)...)
 
 	m := NewMesh()
-	var err error
-	// With the collector held off: a collection inside the measured load
-	// would empty the error formatter's sync.Pool and count its refill. The
-	// race detector drops pool puts at random all the same, so the count is
-	// the fewest of five loads: a dropped put can only add allocations.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := math.Inf(1)
-	for i := 0; i < 5; i++ {
-		allocs = min(allocs, testing.AllocsPerRun(1, func() { err = m.LoadState(snapshot.NewReader(section)) }))
-	}
-	if !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrTruncated) {
+	if err := m.LoadState(snapshot.NewReader(section)); !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrTruncated) {
 		t.Fatalf("err = %v, want a typed error", err)
 	}
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	// One load, measured with the collector held off: a collection inside
+	// it would empty the error formatter's sync.Pool, which the load above
+	// filled, and count its refill.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_ = m.LoadState(snapshot.NewReader(section))
@@ -411,8 +407,8 @@ func TestLoadStateAllocatesWhatItDecodes(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(section)) {
 		t.Errorf("refusing a %d-byte section allocated %d bytes", len(section), got)
 	}
-	if allocs > 20 {
-		t.Errorf("refusing the section took %.0f allocations, want a handful", allocs)
+	if allocs := after.Mallocs - before.Mallocs; allocs > 20 {
+		t.Errorf("refusing the section took %d allocations, want a handful", allocs)
 	}
 }
 

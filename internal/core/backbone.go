@@ -74,17 +74,11 @@ type Config struct {
 
 	// Scheduler is the discipline installed on every backbone port.
 	Scheduler SchedulerKind
-	// QueueBytes bounds each port's buffering (0 = netsim default).
-	QueueBytes int
 	// WFQWeights applies to WFQ/Hybrid schedulers; zero value gets a
 	// sensible default (business 4 : assured 2 : best effort 1).
 	WFQWeights [qos.NumClasses]float64
 	// WRED enables random early detection on best-effort queues.
 	WRED bool
-	// EFLimitFraction, when positive, caps the hybrid scheduler's voice
-	// priority queue at this fraction of each link's rate, so even an
-	// unpoliced EF flood cannot starve the lower tiers.
-	EFLimitFraction float64
 
 	// DisableEXPMapping turns off the §5 DSCP->EXP edge mapping at PEs
 	// (an E2/E7 ablation). The mapping is on by default in MPLS mode.
@@ -345,9 +339,6 @@ func newBackboneOn(cfg Config, e *sim.Engine, g *topo.Graph, net *netsim.Network
 		cfg.WFQWeights[qos.ClassBestEffort] = 1
 		cfg.WFQWeights[qos.ClassScavenger] = 0.5
 	}
-	if cfg.QueueBytes == 0 {
-		cfg.QueueBytes = netsim.DefaultQueueBytes
-	}
 	return &Backbone{
 		Cfg:          cfg,
 		E:            e,
@@ -502,13 +493,7 @@ func (b *Backbone) BuildProvider() {
 
 	// QoS ports everywhere (provider links so far; access ports are added
 	// per site with the same factory).
-	b.Net.SetSchedulerFactory(func(l *topo.Link) qos.Scheduler {
-		s := b.newScheduler()
-		if h, ok := s.(*qos.HybridScheduler); ok && b.Cfg.EFLimitFraction > 0 {
-			h.SetEFLimit(qos.NewTokenBucket(b.Cfg.EFLimitFraction*l.Bandwidth/8, 4*1500))
-		}
-		return s
-	})
+	b.Net.SetSchedulerFactory(func(*topo.Link) qos.Scheduler { return b.newScheduler() })
 }
 
 // electClusters partitions the PEs into the configured number of
@@ -571,9 +556,10 @@ func (b *Backbone) applyTELinkChange(a, z topo.NodeID) {
 	}
 }
 
-// newScheduler builds one port's scheduler per the config.
+// newScheduler builds one port's scheduler per the config, buffering
+// netsim.DefaultQueueBytes.
 func (b *Backbone) newScheduler() qos.Scheduler {
-	qb := b.Cfg.QueueBytes
+	const qb = netsim.DefaultQueueBytes
 	var s qos.Scheduler
 	switch b.Cfg.Scheduler {
 	case SchedFIFO:

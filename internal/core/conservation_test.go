@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mplsvpn/internal/addr"
+	"mplsvpn/internal/netsim"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/sim"
 	"mplsvpn/internal/trafgen"
@@ -19,8 +20,6 @@ func TestPacketConservationProperty(t *testing.T) {
 		b := fourPEBackboneForTest(Config{
 			Seed:      uint64(seed) + 1,
 			Scheduler: SchedulerKind(int(schedRaw) % 5),
-			// Small buffers so drops actually happen.
-			QueueBytes: 8 * 1024,
 		})
 		b.DefineVPN("v")
 		nSites := 2 + int(sitesRaw%4)
@@ -33,6 +32,9 @@ func TestPacketConservationProperty(t *testing.T) {
 		}
 		b.ConvergeVPNs()
 
+		// Ports buffer netsim.DefaultQueueBytes: traffic runs 200 ms per
+		// 8 KB of buffer, long enough for an overloaded port to overflow.
+		stop := 200 * sim.Millisecond * netsim.DefaultQueueBytes / (8 * 1024)
 		rng := sim.NewRand(uint64(seed) + 99)
 		nFlows := 1 + int(flowsRaw%6)
 		for i := 0; i < nFlows; i++ {
@@ -47,7 +49,7 @@ func TestPacketConservationProperty(t *testing.T) {
 			}
 			fl.DSCP = []packet.DSCP{packet.DSCPEF, packet.DSCPAF21, packet.DSCPBestEffort}[i%3]
 			trafgen.CBR(b.Net, fl, 400+rng.Intn(1000), sim.Time(1+rng.Intn(5))*sim.Millisecond,
-				0, 200*sim.Millisecond)
+				0, stop)
 		}
 		b.Net.Run()
 		return b.Net.Injected == b.Net.Delivered+b.Net.Dropped &&

@@ -283,6 +283,14 @@ func TestEXPMappingEndToEnd(t *testing.T) {
 	}
 }
 
+// longPath is PE1-X-Y-PE2 on a fish backbone: the shortest path that
+// avoids M, the short way round.
+func longPath(b *Backbone) topo.Path {
+	avoidM := topo.Constraints{ExcludeNodes: map[topo.NodeID]bool{b.mustNode("M"): true}}
+	p, _ := b.G.CSPF(b.mustNode("PE1"), avoidM).PathTo(b.G, b.mustNode("PE2"))
+	return p
+}
+
 func TestTELSPSteersTraffic(t *testing.T) {
 	// Fish: PE1 -> M -> PE2 (short) vs PE1 -> X -> Y -> PE2 (long).
 	b := NewBackbone(Config{Seed: 11})
@@ -300,7 +308,7 @@ func TestTELSPSteersTraffic(t *testing.T) {
 	twoSites(b)
 
 	// Pin all traffic to the long path.
-	long := b.G.KShortestPaths(b.mustNode("PE1"), b.mustNode("PE2"), 2, topo.Constraints{})[1]
+	long := longPath(b)
 	if _, err := b.SetupTELSP("pin", "PE1", "PE2", 1e6, -1, rsvp.SetupOptions{Explicit: &long}); err != nil {
 		t.Fatal(err)
 	}

@@ -199,12 +199,12 @@ type shadowRig struct {
 const shadowInterval = 50 * sim.Millisecond
 
 var shadowSLAs = []telemetry.SLATarget{
-	{VPN: "acme", MaxP99Ms: 12, MaxLoss: 0.02, Sustain: 1, Clear: 1},
-	{VPN: "beta", MaxLoss: 0.5, Sustain: 1, Clear: 1},
+	{VPN: "acme", MaxP99Ms: 12, MaxLoss: 0.02},
+	{VPN: "beta", MaxLoss: 0.5},
 }
 
 func buildShadowRig(t *testing.T, sh *deliveryShadow) *shadowRig {
-	b := buildSmall(Config{Seed: 5, Scheduler: SchedHybrid, WRED: true, QueueBytes: 24 * 1024})
+	b := buildSmall(Config{Seed: 5, Scheduler: SchedHybrid, WRED: true})
 	b.DefineVPN("acme")
 	b.DefineVPN("beta") // no sites: the origin a spoofed flow claims
 	for _, s := range []SiteSpec{

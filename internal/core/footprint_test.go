@@ -47,9 +47,11 @@ func ring200Backbone() *Backbone {
 // in the build, and a ring rebuild ends close to the collector's trigger
 // (DESIGN.md §15.7): neither may allocate more than recorded here. The
 // budgets sit 1 % above what the builds allocated when they were recorded
-// (pop147 38.97 MB in 121.3k objects, ring200 1.973 MB in 10.8k), when a
-// port's hybrid scheduler came to hold one set of class queues and flooding
-// to queue origin ranks; before that they read 44.41 MB and 2.414 MB, and
+// (pop147 38.21 MB in 118.3k objects, ring200 1.915 MB in 10.8k), when the
+// hybrid lost its EF cap (16 bytes a port) and RSVP stopped formatting
+// event details nobody reads; 38.97 MB in 121.3k and 1.973 MB when a port's
+// hybrid scheduler came to hold one set of class queues and flooding to
+// queue origin ranks; before that they read 44.41 MB and 2.414 MB, and
 // before the route-target index, the one-walk FTN fill and the ledger drain
 // 51.43 MB in 188.5k and 2.461 MB in 12.6k. Lower them when a change makes a
 // build cheaper. The race detector allocates more, so a -race build skips
@@ -63,8 +65,8 @@ func TestBuildFootprint(t *testing.T) {
 		build       func() *Backbone
 		bytes, objs uint64
 	}{
-		{"pop147", func() *Backbone { return pop147Backbone(t) }, 39_361_000, 122_500},
-		{"ring200", ring200Backbone, 1_993_000, 10_930},
+		{"pop147", func() *Backbone { return pop147Backbone(t) }, 38_600_000, 119_600},
+		{"ring200", ring200Backbone, 1_935_000, 10_930},
 	} {
 		c.build() // warm every lazily built table of the runtime
 		var before, after runtime.MemStats
@@ -85,16 +87,18 @@ func TestBuildFootprint(t *testing.T) {
 // shape: one grid link failed and restored, each detected at once, through
 // the incremental branch (ISPF, the LDP delta, the TE re-signal). The first
 // flap sizes the reconvergence's scratch and is not counted; the budget is
-// the mean of the next four, 1 % above the 9,240 bytes in 149 objects it
-// measured in each of twelve runs once a fault formatted its journal text
-// only with the journal on. Before that a formatted detail came from fmt's
-// printer pool and read 9,370 to 9,482 bytes in 153 to 155 objects, varying
-// with whether a collection had emptied the pool; up to 17,066 bytes in 175
-// objects before RSVP searched every path in one scratch the protocol keeps;
-// 31,082 bytes in 643 objects before the TE target paths were written into
-// the scratch's own arrays; 250,354 bytes in 3,747 objects before LDP
-// rewrote a re-derived ILM and FTN set in place and flooding queued origin
-// ranks. The flaps run on one P: the tiny allocator packs small pointer-free
+// the mean of the next four, 1 % above the 8,344 bytes in 117 objects it
+// measured in every run once RSVP built an event's detail text only for an
+// OnEvent subscriber. It read 9,240 bytes in 149 objects before that, when
+// Setup grew a "path ..." detail hop by hop for nobody, and once a fault
+// formatted its journal text only with the journal on; before that a
+// formatted detail came from fmt's printer pool and read 9,370 to 9,482
+// bytes in 153 to 155 objects, varying with whether a collection had
+// emptied the pool; up to 17,066 bytes in 175 objects before RSVP searched
+// every path in one scratch the protocol keeps; 31,082 bytes in 643 objects
+// before the TE target paths were written into the scratch's own arrays;
+// 250,354 bytes in 3,747 objects before LDP rewrote a re-derived ILM and
+// FTN set in place and flooding queued origin ranks. The flaps run on one P: the tiny allocator packs small pointer-free
 // objects into a block per P, and a goroutine that moves to another P opens
 // a fresh block, 16 bytes more. The race detector allocates more, so a -race
 // build skips the test.
@@ -102,7 +106,7 @@ func TestLinkFlapFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under -race")
 	}
-	const flaps, bytes, objs = 4, 9_340, 151
+	const flaps, bytes, objs = 4, 8_430, 118
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b := pop147Backbone(t)
 	a, z := gridP(3, 3), gridP(3, 4)

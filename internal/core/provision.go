@@ -141,14 +141,15 @@ type SiteSpec struct {
 	// (Fig. 3's PCs). Host k owns the address prefix.Addr + k + 1 and is
 	// reachable through the CE; traffic can originate at hosts via
 	// FlowBetweenHosts. With Hosts == 0 the CE itself terminates the site
-	// prefix (the default, simplest model).
+	// prefix (the default, simplest model). Host LAN links run at lanBw.
 	Hosts int
-	// LANBw is the host-CE link speed (default 1 Gb/s).
-	LANBw float64
 
 	// Classifier, when set, runs CBQ classification at the CE.
 	Classifier *qos.Classifier
 }
+
+// lanBw is the speed of each host's link to its CE, 1 Gb/s.
+const lanBw = 1e9
 
 // AddSite provisions a site end to end: a CE node and access link, the VRF
 // at the PE (created on first use), VPN labels for every site prefix with
@@ -214,9 +215,6 @@ func (b *Backbone) AddSite(spec SiteSpec) *device.Router {
 	// the CE routes those /32s onto the LAN instead of delivering locally.
 	var hostIDs []topo.NodeID
 	if spec.Hosts > 0 {
-		if spec.LANBw == 0 {
-			spec.LANBw = 1e9
-		}
 		for k := 0; k < spec.Hosts; k++ {
 			hname := fmt.Sprintf("host-%s-%d", spec.Name, k)
 			hid := b.G.AddNode(hname)
@@ -224,7 +222,7 @@ func (b *Backbone) AddSite(spec SiteSpec) *device.Router {
 			hostAddr := spec.Prefixes[0].Addr + addr.IPv4(k+1)
 			h.LocalPrefixes = addr.NewTable[bool]()
 			h.LocalPrefixes.Insert(addr.HostPrefix(hostAddr), true)
-			toCE, toHost := b.G.AddDuplexLink(hid, ceID, spec.LANBw, 100*sim.Microsecond, 1)
+			toCE, toHost := b.G.AddDuplexLink(hid, ceID, lanBw, 100*sim.Microsecond, 1)
 			h.IPTable.Insert(addr.Prefix{}, toCE)
 			ce.IPTable.Insert(addr.HostPrefix(hostAddr), toHost)
 			// The CE no longer terminates that address itself.
@@ -299,7 +297,7 @@ func (b *Backbone) skeletonCompatible(old *siteRecord, spec SiteSpec) error {
 		return mismatch("backup PE")
 	case o.AccessBw != spec.AccessBw || o.AccessDelay != spec.AccessDelay:
 		return mismatch("access link")
-	case o.Hosts != spec.Hosts || (spec.Hosts > 0 && o.LANBw != spec.LANBw && spec.LANBw != 0):
+	case o.Hosts != spec.Hosts:
 		return mismatch("host LAN")
 	case len(o.Prefixes) != len(spec.Prefixes):
 		return mismatch("prefix list")
@@ -317,9 +315,6 @@ func (b *Backbone) skeletonCompatible(old *siteRecord, spec SiteSpec) error {
 // and membership is re-announced. Node and link IDs are exactly the ones
 // the site had before, so a remove+add round-trip is digest-invisible.
 func (b *Backbone) reviveSite(rec *siteRecord, spec SiteSpec, cfg *vpnConfig, pe *device.Router) *device.Router {
-	if spec.Hosts > 0 && spec.LANBw == 0 {
-		spec.LANBw = rec.Spec.LANBw
-	}
 	delete(b.retired, spec.Name)
 	ce := b.routers[rec.CE]
 	ce.Classifier = spec.Classifier

@@ -66,7 +66,7 @@ func runBreachScenario(seed uint64) (*Backbone, *telemetry.Telemetry) {
 	tel := b.EnableTelemetry(TelemetryOptions{
 		Horizon: 6 * sim.Second,
 		SLAs: []telemetry.SLATarget{
-			{VPN: "voip", MaxP99Ms: 20, MaxLoss: 0.02, Sustain: 3, Clear: 3},
+			{VPN: "voip", MaxP99Ms: 20, MaxLoss: 0.02},
 		},
 	})
 	trafgen.CBR(b.Net, voice, 160, 20*sim.Millisecond, 0, 6*sim.Second)

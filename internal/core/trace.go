@@ -8,7 +8,6 @@ import (
 	"mplsvpn/internal/device"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/qos"
-	"mplsvpn/internal/sim"
 	"mplsvpn/internal/topo"
 )
 
@@ -124,39 +123,4 @@ func describeAction(depthBefore int, p *packet.Packet, v device.Verdict) string 
 	default:
 		return "ip forward"
 	}
-}
-
-// Ping sends one real probe packet from a site toward dst through the
-// data plane (queues, schedulers, and links included — unlike TraceRoute,
-// which walks control tables) and runs the simulation until the probe
-// arrives or the deadline passes. It returns the one-way latency and
-// whether the probe was delivered. Note that it advances the engine's
-// virtual clock.
-func (b *Backbone) Ping(fromSite string, dst addr.IPv4, deadline sim.Time) (sim.Time, bool) {
-	rec, ok := b.sites[fromSite]
-	if !ok {
-		return 0, false
-	}
-	const pingPort = 3503 // arbitrary probe port
-	p := &packet.Packet{
-		IP: packet.IPv4Header{
-			DSCP: packet.DSCPCS6, TTL: 64, Protocol: packet.ProtoUDP,
-			Src: firstHost(rec.Spec.Prefixes[0]), Dst: dst,
-		},
-		L4:        packet.L4Header{SrcPort: pingPort, DstPort: pingPort},
-		OriginVPN: rec.Spec.VPN,
-	}
-	key := p.FlowKey()
-	sent := b.E.Now()
-	var rtt sim.Time
-	delivered := false
-	b.OnDeliver(func(_ topo.NodeID, q *packet.Packet) {
-		if !delivered && q.FlowKey() == key {
-			delivered = true
-			rtt = b.E.Now() - sent
-		}
-	})
-	b.Net.Inject(rec.CE, p)
-	b.Net.RunUntil(sent + deadline)
-	return rtt, delivered
 }

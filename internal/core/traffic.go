@@ -90,24 +90,6 @@ func flowKeyOf(f *trafgen.Flow) packet.FlowKey {
 	}
 }
 
-// RequestResponse builds a transactional exchange between two sites: the
-// client site issues requests, the server site answers, and round-trip
-// times accumulate in the returned ReqResp. Ports: requests go to dstPort,
-// responses return to dstPort+1.
-func (b *Backbone) RequestResponse(name, clientSite, serverSite string, dstPort uint16, respPayload int) (*trafgen.ReqResp, error) {
-	req, err := b.FlowBetween(name+"-req", clientSite, serverSite, dstPort)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := b.FlowBetween(name+"-resp", serverSite, clientSite, dstPort+1)
-	if err != nil {
-		return nil, err
-	}
-	rr := trafgen.NewReqResp(b.Net, req, resp, respPayload)
-	b.OnDeliver(func(_ topo.NodeID, p *packet.Packet) { rr.HandleDelivery(p) })
-	return rr, nil
-}
-
 // AttachAIMD turns a flow into a greedy congestion-controlled bulk source:
 // deliveries feed Ack (additive increase), network drops feed Loss
 // (multiplicative decrease). Returns the source; call Start on it.

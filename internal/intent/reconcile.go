@@ -487,9 +487,6 @@ func normalizeSite(s core.SiteSpec) core.SiteSpec {
 	if s.AccessDelay == 0 {
 		s.AccessDelay = sim.Millisecond
 	}
-	if s.Hosts > 0 && s.LANBw == 0 {
-		s.LANBw = 1e9
-	}
 	return s
 }
 
@@ -498,7 +495,7 @@ func normalizeSite(s core.SiteSpec) core.SiteSpec {
 func siteEqual(a, b core.SiteSpec) bool {
 	if a.VPN != b.VPN || a.PE != b.PE || a.BackupPE != b.BackupPE ||
 		a.AccessBw != b.AccessBw || a.AccessDelay != b.AccessDelay ||
-		a.ShapeRate != b.ShapeRate || a.Hosts != b.Hosts || a.LANBw != b.LANBw ||
+		a.ShapeRate != b.ShapeRate || a.Hosts != b.Hosts ||
 		len(a.Prefixes) != len(b.Prefixes) {
 		return false
 	}

@@ -19,9 +19,9 @@ import (
 	"mplsvpn/internal/topo"
 )
 
-// DefaultQueueBytes is the per-port buffer when no scheduler is installed
-// explicitly: 64 KB, a typical shallow router buffer that congests visibly
-// at the simulated link speeds.
+// DefaultQueueBytes is every port's buffer, whether it keeps the FIFO a
+// port starts with or a scheduler the backbone installs: 64 KB, a typical
+// shallow router buffer that congests visibly at the simulated link speeds.
 const DefaultQueueBytes = 64 * 1024
 
 // Network binds the event engine, the topology, and the routers.

@@ -188,14 +188,13 @@ func TestEmptySchedulerLoadZeroAlloc(t *testing.T) {
 }
 
 // v5Hybrid encodes a hybrid's state by hand, in the layout of checkpoint
-// format v5: the hybrid's kind (4), the EF counter and limiter, then the two
-// schedulers the hybrid
-// nested before it held one set of queues — a strict-priority tier (kind 1)
-// whose queues for control and voice are live, then a WFQ tier (kind 2) with
-// six finish times, the virtual time and live queues for the other four.
-// Every other queue record is written by phantom, given the tier's kind and
-// the class.
-func v5Hybrid(s *HybridScheduler, phantom func(w *snapshot.Writer, tier int, c Class)) []byte {
+// format v5: the hybrid's kind (4), the EF cap's fields (written by efCap),
+// then the two schedulers the hybrid nested before it held one set of
+// queues — a strict-priority tier (kind 1) whose queues for control and
+// voice are live, then a WFQ tier (kind 2) with six finish times, the
+// virtual time and live queues for the other four. Every other queue record
+// is written by phantom, given the tier's kind and the class.
+func v5Hybrid(s *HybridScheduler, efCap func(w *snapshot.Writer), phantom func(w *snapshot.Writer, tier int, c Class)) []byte {
 	var w snapshot.Writer
 	codec := snapshot.Saver(&w)
 	queue := func(q *Queue) {
@@ -215,13 +214,7 @@ func v5Hybrid(s *HybridScheduler, phantom func(w *snapshot.Writer, tier int, c C
 		}
 	}
 	w.I64(4)
-	w.I64(int64(s.EFPoliced))
-	w.Bool(s.efLimit != nil)
-	if tb := s.efLimit; tb != nil {
-		w.F64(tb.tokens)
-		w.I64(int64(tb.last))
-		w.Bool(tb.inited)
-	}
+	efCap(&w)
 	w.I64(1)
 	for c := Class(0); c < NumClasses; c++ {
 		if c == ClassNetworkControl || c == ClassVoice {
@@ -245,6 +238,13 @@ func v5Hybrid(s *HybridScheduler, phantom func(w *snapshot.Writer, tier int, c C
 	return w.Data()
 }
 
+// noEFCap writes the EF cap's fields as the hybrid writes them: nothing
+// policed, no token bucket.
+func noEFCap(w *snapshot.Writer) {
+	w.I64(0)
+	w.Bool(false)
+}
+
 // pristineRecord writes what an empty queue without early drop writes: three
 // zero counters, no RED, no packets.
 func pristineRecord(w *snapshot.Writer, _ int, _ Class) {
@@ -257,9 +257,9 @@ func pristineRecord(w *snapshot.Writer, _ int, _ Class) {
 
 // The hybrid holds one set of queues, but its checkpoint is still format
 // v5's two tiers byte for byte: over a seeded stream of enqueues, dequeues,
-// passes and mutations through ClassQueue, with WRED on best effort and an
-// EF limit on voice, SchedulerState writes exactly the hand-made v5 layout,
-// and loading those bytes into a fresh hybrid gives them back.
+// passes and mutations through ClassQueue, with WRED on best effort,
+// SchedulerState writes exactly the hand-made v5 layout, and loading those
+// bytes into a fresh hybrid gives them back.
 func TestHybridWritesTheV5Layout(t *testing.T) {
 	s := passRigs()["hybrid"].(*HybridScheduler)
 	rng := sim.NewRand(42)
@@ -287,13 +287,12 @@ func TestHybridWritesTheV5Layout(t *testing.T) {
 			s.ClassQueue(c).Dequeue()
 		}
 		held |= s.wfq.busy
-		want := v5Hybrid(s, pristineRecord)
+		want := v5Hybrid(s, noEFCap, pristineRecord)
 		if got := schedBytes(s); !bytes.Equal(got, want) {
 			t.Fatalf("op %d: SchedulerState wrote\n %x\nthe v5 layout is\n %x", i, got, want)
 		}
 		if i%97 == 0 {
 			loaded := NewHybrid(6000, s.wfq.weights)
-			loaded.SetEFLimit(NewTokenBucket(20000, 1500))
 			loaded.ClassQueue(ClassBestEffort).Drop = NewRED(20, 1500, 0.5, sim.NewRand(1))
 			if err := snapshot.Load(snapshot.NewReader(want), func(cd *snapshot.Codec) {
 				SchedulerState(cd, loaded, func() *packet.Packet { return &packet.Packet{} })
@@ -306,9 +305,9 @@ func TestHybridWritesTheV5Layout(t *testing.T) {
 		}
 	}
 	be := s.ClassQueue(ClassBestEffort)
-	if held != 1<<NumClasses-1 || s.EFPoliced == 0 || be.DroppedEarly == 0 || be.DroppedFull == 0 {
-		t.Fatalf("the stream missed a case: classes held %06b, %d policed, %d early and %d full drops on best effort",
-			held, s.EFPoliced, be.DroppedEarly, be.DroppedFull)
+	if held != 1<<NumClasses-1 || be.DroppedEarly == 0 || be.DroppedFull == 0 {
+		t.Fatalf("the stream missed a case: classes held %06b, %d early and %d full drops on best effort",
+			held, be.DroppedEarly, be.DroppedFull)
 	}
 }
 
@@ -327,7 +326,7 @@ func TestHybridRefusesAPhantomThatIsNotEmpty(t *testing.T) {
 			SchedulerState(cd, NewHybrid(6000, weights), func() *packet.Packet { return &packet.Packet{} })
 		})
 	}
-	if err := load(v5Hybrid(src, pristineRecord)); err != nil {
+	if err := load(v5Hybrid(src, noEFCap, pristineRecord)); err != nil {
 		t.Fatalf("the pristine v5 layout: %v", err)
 	}
 	for tier := 1; tier <= 2; tier++ {
@@ -338,7 +337,7 @@ func TestHybridRefusesAPhantomThatIsNotEmpty(t *testing.T) {
 			for field := 0; field < 5; field++ {
 				var rec [5]int64 // three counters, the RED flag, the packet count
 				rec[field] = 1
-				data := v5Hybrid(src, func(w *snapshot.Writer, atTier int, at Class) {
+				data := v5Hybrid(src, noEFCap, func(w *snapshot.Writer, atTier int, at Class) {
 					if atTier != tier || at != c {
 						pristineRecord(w, atTier, at)
 						return
@@ -353,6 +352,36 @@ func TestHybridRefusesAPhantomThatIsNotEmpty(t *testing.T) {
 					t.Errorf("tier %d, class %v, field %d set: load = %v, want ErrCorrupt", tier, c, field, err)
 				}
 			}
+		}
+	}
+}
+
+// The hybrid has no EF cap, but format v5 keeps its fields: a policed count
+// and a token bucket's presence flag, written as 0 and false. A load that
+// finds a cap there, or a policed count other than zero, refuses the
+// checkpoint as corrupt.
+func TestHybridRefusesAnEFCap(t *testing.T) {
+	var weights [NumClasses]float64
+	for c := range weights {
+		weights[c] = 1
+	}
+	src := NewHybrid(6000, weights)
+	load := func(data []byte) error {
+		return snapshot.Load(snapshot.NewReader(data), func(cd *snapshot.Codec) {
+			SchedulerState(cd, NewHybrid(6000, weights), func() *packet.Packet { return &packet.Packet{} })
+		})
+	}
+	if err := load(v5Hybrid(src, noEFCap, pristineRecord)); err != nil {
+		t.Fatalf("the v5 layout without a cap: %v", err)
+	}
+	for name, efCap := range map[string]func(w *snapshot.Writer){
+		"policed":  func(w *snapshot.Writer) { w.I64(3); w.Bool(false) },
+		"negative": func(w *snapshot.Writer) { w.I64(-1); w.Bool(false) },
+		"capped":   func(w *snapshot.Writer) { w.I64(0); w.Bool(true); w.F64(1500); w.I64(0); w.Bool(true) },
+		"both":     func(w *snapshot.Writer) { w.I64(7); w.Bool(true); w.F64(0); w.I64(5); w.Bool(false) },
+	} {
+		if err := load(v5Hybrid(src, efCap, pristineRecord)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: load = %v, want ErrCorrupt", name, err)
 		}
 	}
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // passRigs builds every scheduler with the features whose state Pass must
-// move exactly as the pair does: RED on best effort, an EF limiter on the
-// hybrid, a byte limit a large packet overruns, a DRR quantum smaller than
-// most packets. Each call returns fresh schedulers with fresh RED streams.
+// move exactly as the pair does: RED on best effort, a byte limit a large
+// packet overruns, a DRR quantum smaller than most packets. Each call returns fresh schedulers with fresh RED streams.
 func passRigs() map[string]Scheduler {
 	const limit = 6000
 	var weights [NumClasses]float64
@@ -21,14 +20,12 @@ func passRigs() map[string]Scheduler {
 		weights[c] = float64(1 + c)
 		quanta[c] = 300
 	}
-	hybrid := NewHybrid(limit, weights)
-	hybrid.SetEFLimit(NewTokenBucket(20000, 1500))
 	rigs := map[string]Scheduler{
 		"fifo":     NewFIFO(limit),
 		"priority": NewPriority(limit),
 		"wfq":      NewWFQ(limit, weights),
 		"drr":      NewDRR(limit, quanta),
-		"hybrid":   hybrid,
+		"hybrid":   NewHybrid(limit, weights),
 	}
 	for _, s := range rigs {
 		s.ClassQueue(ClassBestEffort).Drop = NewRED(20, 1500, 0.5, sim.NewRand(99))
@@ -48,7 +45,7 @@ func schedBytes(s Scheduler) []byte {
 // whenever it holds nothing, the other always Enqueue then Dequeue. After
 // every operation the verdict, the arrival stamp and every byte of scheduler
 // state — counters, RED's average, count and stream, WFQ's finish and virtual
-// times, DRR's cursor and deficits, the EF bucket — are equal.
+// times, DRR's cursor and deficits — are equal.
 func TestPassEqualsEnqueueDequeue(t *testing.T) {
 	plain := passRigs()
 	for name, passing := range passRigs() {
@@ -109,9 +106,6 @@ func TestPassEqualsEnqueueDequeue(t *testing.T) {
 		if q := passing.ClassQueue(ClassBestEffort); passes < 1000 || queued < 1000 || q.DroppedFull == 0 || q.DroppedEarly == 0 {
 			t.Fatalf("%s: %d hops by Pass, %d behind a backlog, %d full and %d early drops on best effort: the stream missed a case",
 				name, passes, queued, q.DroppedFull, q.DroppedEarly)
-		}
-		if h, ok := passing.(*HybridScheduler); ok && h.EFPoliced == 0 {
-			t.Fatal("hybrid: the EF limiter never refused a packet")
 		}
 	}
 }

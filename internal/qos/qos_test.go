@@ -380,33 +380,3 @@ func TestRuleMatching(t *testing.T) {
 		t.Fatal("DSCP match failed")
 	}
 }
-
-func TestHybridEFLimit(t *testing.T) {
-	var w [NumClasses]float64
-	w[ClassBusiness] = 1
-	s := NewHybrid(0, w)
-	s.SetEFLimit(NewTokenBucket(1000, 1000)) // 1 KB/s voice cap
-	admitted, dropped := 0, 0
-	for i := 0; i < 30; i++ {
-		p := pkt(500, packet.DSCPEF)
-		if s.Enqueue(0, ClassVoice, p) {
-			admitted++
-		} else {
-			dropped++
-		}
-	}
-	if dropped == 0 || admitted == 0 {
-		t.Fatalf("EF cap: admitted=%d dropped=%d", admitted, dropped)
-	}
-	if s.EFPoliced != dropped {
-		t.Fatalf("EFPoliced = %d, want %d", s.EFPoliced, dropped)
-	}
-	// Other classes are unaffected by the cap.
-	if !s.Enqueue(0, ClassBusiness, pkt(500, packet.DSCPAF41)) {
-		t.Fatal("business blocked by EF cap")
-	}
-	// Control is also uncapped (it has its own protection upstream).
-	if !s.Enqueue(0, ClassNetworkControl, pkt(500, packet.DSCPCS6)) {
-		t.Fatal("control blocked by EF cap")
-	}
-}

@@ -315,12 +315,6 @@ func (s *DRRScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
 // stays zero.
 type HybridScheduler struct {
 	wfq WFQScheduler
-	// efLimit, when set, polices the voice queue's admission so an
-	// unpoliced EF flood cannot starve the WFQ tier (real routers always
-	// cap their priority queue).
-	efLimit *TokenBucket
-	// EFPoliced counts voice packets dropped by the cap.
-	EFPoliced int
 }
 
 // prioMask holds the occupancy bits of the classes the hybrid serves at
@@ -337,32 +331,20 @@ func NewHybrid(limitBytes int, wfqWeights [NumClasses]float64) *HybridScheduler 
 
 func isPriorityClass(c Class) bool { return prioMask&(1<<c) != 0 }
 
-// SetEFLimit installs a token-bucket cap on the voice priority queue.
-func (s *HybridScheduler) SetEFLimit(tb *TokenBucket) { s.efLimit = tb }
-
 // Enqueue queues a priority class's packet as it is and stamps any other
 // class's for the fair share.
 func (s *HybridScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) bool {
 	if isPriorityClass(c) {
-		return s.efConforms(now, c, p) && s.wfq.qs[c].Enqueue(now, p)
+		return s.wfq.qs[c].Enqueue(now, p)
 	}
 	return s.wfq.Enqueue(now, c, p)
-}
-
-// efConforms polices a voice packet against the EF cap, if one is set.
-func (s *HybridScheduler) efConforms(now sim.Time, c Class, p *packet.Packet) bool {
-	if c == ClassVoice && s.efLimit != nil && !s.efLimit.Conforms(now, p.Wire()) {
-		s.EFPoliced++
-		return false
-	}
-	return true
 }
 
 // Pass admits a priority class's packet to its queue, and passes any other
 // class's through the fair share.
 func (s *HybridScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
 	if isPriorityClass(c) {
-		return s.efConforms(now, c, p) && s.wfq.qs[c].admit(now, p)
+		return s.wfq.qs[c].admit(now, p)
 	}
 	return s.wfq.Pass(now, c, p)
 }

@@ -116,10 +116,7 @@ func SchedulerState(c *snapshot.Codec, s Scheduler, alloc PacketAlloc) {
 		c.Bool(&sc.granted)
 		sc.state(c, alloc)
 	case *HybridScheduler:
-		snapshot.Int(c, &sc.EFPoliced)
-		if c.Same(sc.efLimit != nil, "EF limit") {
-			sc.efLimit.State(c)
-		}
+		sc.efCapState(c)
 		sc.tiersState(c, alloc)
 	}
 }
@@ -131,6 +128,16 @@ func kindState(c *snapshot.Codec, kind int) bool {
 		c.Mismatch("scheduler kind %d in checkpoint, %d in scenario", got, kind)
 	}
 	return c.Err() == nil
+}
+
+// efCapState walks the fields format v5 gives the hybrid's EF cap, which
+// is gone: constant bytes, a zero policed count and no token bucket. A load
+// refuses any other record as corrupt. Dropping them needs a format bump.
+func (s *HybridScheduler) efCapState(c *snapshot.Codec) {
+	policed, capped := c.I64(0), c.Has(false)
+	if c.Loaded() && (policed != 0 || capped) {
+		c.Corrupt("hybrid: an EF cap record (%d policed, cap %v); the hybrid has no EF cap", policed, capped)
+	}
 }
 
 // tiersState walks the hybrid's queues and WFQ state as format v5 lays

@@ -77,10 +77,10 @@ func TestResignalInheritsPriorities(t *testing.T) {
 }
 
 func TestResignalDrainsInteriorLabels(t *testing.T) {
-	g, src, _, x, _, dst := fish()
+	g, src, m, x, _, dst := fish()
 	p := New(g, nil, nil)
 	// Pin the long path so the LSP has interior hops (X and Y).
-	long := g.KShortestPaths(src, dst, 2, topo.Constraints{})[1]
+	long, _ := g.CSPF(src, topo.Constraints{ExcludeNodes: map[topo.NodeID]bool{m: true}}).PathTo(g, dst)
 	l, err := p.Setup("drain", src, dst, 2e6, SetupOptions{Explicit: &long})
 	if err != nil {
 		t.Fatal(err)

@@ -281,11 +281,15 @@ func (p *Protocol) Setup(name string, ingress, egress topo.NodeID, bandwidth flo
 	p.nextID++
 	p.signal(l)
 	p.lsps[l.ID] = l
-	p.emit(Event{Kind: EventSetup, LSPID: l.ID, Name: l.Name, Ingress: l.Ingress,
-		Egress: l.Egress, Bandwidth: l.Bandwidth, Detail: "path " + p.pathString(l.Path)})
+	if p.OnEvent != nil {
+		p.emit(Event{Kind: EventSetup, LSPID: l.ID, Name: l.Name, Ingress: l.Ingress,
+			Egress: l.Egress, Bandwidth: l.Bandwidth, Detail: "path " + p.pathString(l.Path)})
+	}
 	return l, nil
 }
 
+// emit reports an event to OnEvent. A caller whose detail text costs an
+// allocation builds it only when OnEvent is set.
 func (p *Protocol) emit(e Event) {
 	if p.OnEvent != nil {
 		p.OnEvent(e)
@@ -426,9 +430,11 @@ func (p *Protocol) preemptOn(lid topo.LinkID, bw float64, setupPri int) bool {
 		p.teardown(v.ID, false)
 		v.State = Down
 		p.Preemptions++
-		p.emit(Event{Kind: EventPreempted, LSPID: v.ID, Name: v.Name, Ingress: v.Ingress,
-			Egress: v.Egress, Bandwidth: v.Bandwidth,
-			Detail: fmt.Sprintf("hold-pri %d lost link %d", v.HoldPri, lid)})
+		if p.OnEvent != nil {
+			p.emit(Event{Kind: EventPreempted, LSPID: v.ID, Name: v.Name, Ingress: v.Ingress,
+				Egress: v.Egress, Bandwidth: v.Bandwidth,
+				Detail: fmt.Sprintf("hold-pri %d lost link %d", v.HoldPri, lid)})
+		}
 	}
 	return link.AvailableBw() >= bw
 }
@@ -620,24 +626,19 @@ func (p *Protocol) SetupBypass(name string, protected topo.LinkID, held *LSP) (*
 	return p.Setup(name, l.From, l.To, 0, SetupOptions{Explicit: &path, SetupPri: 7, HoldPri: 7})
 }
 
-// Reoptimize re-signals an LSP make-before-break: the new path is
-// computed and established while the old one still carries traffic, the
-// caller swaps its ingress entry, and only then is the old path torn down
-// — so re-optimization never drops a packet. Returns the replacement LSP
-// (which may ride the same path if nothing better exists).
-func (p *Protocol) Reoptimize(id int) (*LSP, error) {
-	return p.ReoptimizeAvoiding(id, nil)
-}
-
 // ReoptimizeAvoiding re-signals an LSP make-before-break onto a path that
-// avoids the given links — the congestion-aware variant the SLA watcher
-// drives: the avoid set is the hot links the breached VPN must leave.
+// avoids the given links (nil avoids none): the new path is established
+// while the old one still carries traffic, the caller swaps its ingress
+// entry, and only then is the old path torn down, so re-optimization never
+// drops a packet. The SLA watcher passes the hot links the breached VPN
+// must leave. It returns the replacement LSP, which may ride the same path
+// if nothing better exists.
 func (p *Protocol) ReoptimizeAvoiding(id int, avoid map[topo.LinkID]bool) (*LSP, error) {
 	old, ok := p.lsps[id]
 	if !ok || old.State != Up {
 		return nil, fmt.Errorf("rsvp: LSP %d is not up", id)
 	}
-	oldPath := p.pathString(old.Path)
+	oldPath := old.Path
 	nl, err := p.Resignal(id, old.Bandwidth, SetupOptions{
 		SetupPri: old.SetupPri, HoldPri: old.HoldPri, ClassType: old.ClassType,
 		Avoid: avoid,
@@ -645,9 +646,11 @@ func (p *Protocol) ReoptimizeAvoiding(id int, avoid map[topo.LinkID]bool) (*LSP,
 	if err != nil {
 		return nil, err
 	}
-	p.emit(Event{Kind: EventReoptimized, LSPID: nl.ID, Name: nl.Name, Ingress: nl.Ingress,
-		Egress: nl.Egress, Bandwidth: nl.Bandwidth,
-		Detail: fmt.Sprintf("%s => %s", oldPath, p.pathString(nl.Path))})
+	if p.OnEvent != nil {
+		p.emit(Event{Kind: EventReoptimized, LSPID: nl.ID, Name: nl.Name, Ingress: nl.Ingress,
+			Egress: nl.Egress, Bandwidth: nl.Bandwidth,
+			Detail: fmt.Sprintf("%s => %s", p.pathString(oldPath), p.pathString(nl.Path))})
+	}
 	return nl, nil
 }
 

@@ -133,10 +133,10 @@ func TestTeardownReleases(t *testing.T) {
 }
 
 func TestExplicitRoute(t *testing.T) {
-	g, src, _, x, _, dst := fish()
+	g, src, m, x, _, dst := fish()
 	p := New(g, nil, nil)
 	// Pin the long path explicitly even though the short one is free.
-	long := g.KShortestPaths(src, dst, 2, topo.Constraints{})[1]
+	long, _ := g.CSPF(src, topo.Constraints{ExcludeNodes: map[topo.NodeID]bool{m: true}}).PathTo(g, dst)
 	l, err := p.Setup("explicit", src, dst, 2e6, SetupOptions{Explicit: &long})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestReoptimizeMakeBeforeBreak(t *testing.T) {
 	}
 	// The short path frees up; re-optimization moves the LSP there.
 	p.Teardown(filler.ID)
-	nl, err := p.Reoptimize(l.ID)
+	nl, err := p.ReoptimizeAvoiding(l.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestReoptimizeMakeBeforeBreak(t *testing.T) {
 	if lk.ReservedBw != 4e6 {
 		t.Fatalf("short-path reservation = %v", lk.ReservedBw)
 	}
-	if _, err := p.Reoptimize(l.ID); err == nil {
+	if _, err := p.ReoptimizeAvoiding(l.ID, nil); err == nil {
 		t.Fatal("reoptimized a down LSP")
 	}
 }

@@ -64,14 +64,15 @@ func (p *Protocol) RefreshScanWith(maxMiss int, each func(n int, fn func(i int))
 		if l.refreshMisses < maxMiss {
 			continue
 		}
-		id, name := l.ID, l.Name
-		ingress, egress, bw := l.Ingress, l.Egress, l.Bandwidth
-		detail := fmt.Sprintf("%d refreshes missed on %s", l.refreshMisses, p.pathString(l.Path))
-		p.teardown(id, false)
+		var detail string
+		if p.OnEvent != nil {
+			detail = fmt.Sprintf("%d refreshes missed on %s", l.refreshMisses, p.pathString(l.Path))
+		}
+		p.teardown(l.ID, false)
 		p.Timeouts++
-		expired = append(expired, id)
-		p.emit(Event{Kind: EventRefreshTimeout, LSPID: id, Name: name,
-			Ingress: ingress, Egress: egress, Bandwidth: bw, Detail: detail})
+		expired = append(expired, l.ID)
+		p.emit(Event{Kind: EventRefreshTimeout, LSPID: l.ID, Name: l.Name,
+			Ingress: l.Ingress, Egress: l.Egress, Bandwidth: l.Bandwidth, Detail: detail})
 	}
 	return expired
 }

@@ -235,31 +235,3 @@ func TestIntnZeroPanics(t *testing.T) {
 	}()
 	r.Intn(0)
 }
-
-func TestInt63NonNegative(t *testing.T) {
-	r := NewRand(1)
-	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
-		}
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRand(9)
-	const n = 200000
-	var sum, ss float64
-	for i := 0; i < n; i++ {
-		x := r.NormFloat64()
-		sum += x
-		ss += x * x
-	}
-	mean := sum / n
-	variance := ss/n - mean*mean
-	if mean < -0.02 || mean > 0.02 {
-		t.Fatalf("normal mean = %v", mean)
-	}
-	if variance < 0.95 || variance > 1.05 {
-		t.Fatalf("normal variance = %v", variance)
-	}
-}

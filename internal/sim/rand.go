@@ -35,11 +35,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -52,19 +47,6 @@ func (r *Rand) ExpFloat64() float64 {
 		if u > 0 {
 			return -math.Log(u)
 		}
-	}
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the Box-Muller transform.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u1 := r.Float64()
-		u2 := r.Float64()
-		if u1 <= 0 {
-			continue
-		}
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	}
 }
 

@@ -12,31 +12,14 @@ import (
 type SLATarget struct {
 	VPN string
 
-	MaxP50Ms float64 // median one-way latency ceiling, ms
 	MaxP99Ms float64 // p99 one-way latency ceiling, ms
 	MaxLoss  float64 // loss-fraction ceiling per interval (0..1)
-
-	// Sustain is how many consecutive breaching intervals trigger the
-	// breach action; Clear is how many consecutive clean intervals after a
-	// breach declare recovery. Both default to 2 — one bad interval is
-	// noise, a sustained run is an incident.
-	Sustain int
-	Clear   int
 }
 
-func (t SLATarget) sustain() int {
-	if t.Sustain <= 0 {
-		return 2
-	}
-	return t.Sustain
-}
-
-func (t SLATarget) clear() int {
-	if t.Clear <= 0 {
-		return 2
-	}
-	return t.Clear
-}
+// slaSustain consecutive breaching intervals trigger the breach action, and
+// slaClear consecutive clean intervals after a breach declare recovery: one
+// bad interval is noise, a sustained run is an incident.
+const slaSustain, slaClear = 2, 2
 
 // SLAWindow is one VPN's interval window plus its breach state machine. A
 // delivery path resolves it once (Watcher.Window) and observes through it;
@@ -133,11 +116,6 @@ func (w *Watcher) Eval(at sim.Time) {
 			continue
 		}
 		var reasons []string
-		if t.MaxP50Ms > 0 {
-			if p50 := st.lat.Percentile(50); p50 > t.MaxP50Ms {
-				reasons = append(reasons, fmt.Sprintf("p50 %.1fms > %.1fms", p50, t.MaxP50Ms))
-			}
-		}
 		if t.MaxP99Ms > 0 {
 			if p99 := st.lat.Percentile(99); p99 > t.MaxP99Ms {
 				reasons = append(reasons, fmt.Sprintf("p99 %.1fms > %.1fms", p99, t.MaxP99Ms))
@@ -157,7 +135,7 @@ func (w *Watcher) Eval(at sim.Time) {
 			st.bad = 0
 		}
 		switch {
-		case !st.breached && st.bad >= t.sustain():
+		case !st.breached && st.bad >= slaSustain:
 			st.breached = true
 			st.breaches++
 			reason := strings.Join(reasons, ", ")
@@ -166,7 +144,7 @@ func (w *Watcher) Eval(at sim.Time) {
 			if w.OnBreach != nil {
 				w.OnBreach(t.VPN, reason)
 			}
-		case st.breached && st.good >= t.clear():
+		case st.breached && st.good >= slaClear:
 			st.breached = false
 			st.clears++
 			w.Journal.Record(at, EventSLAClear, "vpn:"+t.VPN,

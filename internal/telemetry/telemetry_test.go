@@ -246,7 +246,7 @@ func TestFlowExporterEvictionMatchesShiftByOne(t *testing.T) {
 
 func TestWatcherBreachAndRecovery(t *testing.T) {
 	j := NewJournal(0)
-	w := NewWatcher([]SLATarget{{VPN: "v", MaxP99Ms: 20, MaxLoss: 0.01, Sustain: 2, Clear: 2}}, j)
+	w := NewWatcher([]SLATarget{{VPN: "v", MaxP99Ms: 20, MaxLoss: 0.01}}, j)
 	var breaches, clears []string
 	w.OnBreach = func(vpn, reason string) { breaches = append(breaches, vpn+": "+reason) }
 	w.OnClear = func(vpn string) { clears = append(clears, vpn) }
@@ -258,20 +258,27 @@ func TestWatcherBreachAndRecovery(t *testing.T) {
 	}
 
 	// Interval 1: clean.
+	now := sim.Time(0)
+	eval := func() {
+		now += 100 * sim.Millisecond
+		w.Eval(now)
+	}
 	feed(5, 10)
-	w.Eval(100 * sim.Millisecond)
+	eval()
 	if w.Breached("v") {
 		t.Fatal("breached after one clean interval")
 	}
-	// Intervals 2-3: latency blows the p99 target; breach fires on the
-	// second consecutive bad interval, not the first.
-	feed(50, 10)
-	w.Eval(200 * sim.Millisecond)
-	if w.Breached("v") || len(breaches) != 0 {
-		t.Fatal("breach fired before Sustain intervals")
+	// Latency blows the p99 target; breach fires on the slaSustain-th
+	// consecutive bad interval, not before.
+	for i := 1; i < slaSustain; i++ {
+		feed(50, 10)
+		eval()
+		if w.Breached("v") || len(breaches) != 0 {
+			t.Fatalf("breach fired after %d of %d bad intervals", i, slaSustain)
+		}
 	}
 	feed(50, 10)
-	w.Eval(300 * sim.Millisecond)
+	eval()
 	if !w.Breached("v") || len(breaches) != 1 {
 		t.Fatalf("breached=%v breaches=%v", w.Breached("v"), breaches)
 	}
@@ -279,12 +286,17 @@ func TestWatcherBreachAndRecovery(t *testing.T) {
 		t.Fatalf("reason = %q", breaches[0])
 	}
 	// An empty interval is neutral: no progress toward recovery.
-	w.Eval(400 * sim.Millisecond)
-	// Two clean intervals clear it.
+	eval()
+	// slaClear clean intervals clear it, and no fewer.
+	for i := 1; i < slaClear; i++ {
+		feed(5, 10)
+		eval()
+		if !w.Breached("v") || len(clears) != 0 {
+			t.Fatalf("cleared after %d of %d clean intervals", i, slaClear)
+		}
+	}
 	feed(5, 10)
-	w.Eval(500 * sim.Millisecond)
-	feed(5, 10)
-	w.Eval(600 * sim.Millisecond)
+	eval()
 	if w.Breached("v") || len(clears) != 1 {
 		t.Fatalf("breached=%v clears=%v", w.Breached("v"), clears)
 	}
@@ -301,13 +313,16 @@ func TestWatcherBreachAndRecovery(t *testing.T) {
 }
 
 func TestWatcherLossBreach(t *testing.T) {
-	w := NewWatcher([]SLATarget{{VPN: "v", MaxLoss: 0.1, Sustain: 1}}, nil)
+	w := NewWatcher([]SLATarget{{VPN: "v", MaxLoss: 0.1}}, nil)
 	fired := false
 	w.OnBreach = func(vpn, reason string) { fired = strings.Contains(reason, "loss") }
-	// 100% loss: drops only.
-	w.Window("v").ObserveDrop()
-	w.Window("v").ObserveDrop()
-	w.Eval(100 * sim.Millisecond)
+	// 100% loss, drops only, for the sustained run of intervals a breach
+	// needs.
+	for i := 1; i <= slaSustain; i++ {
+		w.Window("v").ObserveDrop()
+		w.Window("v").ObserveDrop()
+		w.Eval(sim.Time(i) * 100 * sim.Millisecond)
+	}
 	if !fired || !w.Breached("v") {
 		t.Fatal("total starvation must breach the loss target")
 	}

@@ -3,7 +3,6 @@ package topo
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
 // SPFResult holds a shortest-path tree rooted at a source node.
@@ -246,99 +245,4 @@ func (r *SPFResult) NextHop(g *Graph, dst NodeID) (LinkID, bool) {
 		return -1, false
 	}
 	return p.Links[0], true
-}
-
-// KShortestPaths returns up to k loop-free paths from src to dst in
-// non-decreasing cost order, using Yen's algorithm over CSPF. Used by the TE
-// planner to offer alternatives when the shortest path lacks capacity.
-func (g *Graph) KShortestPaths(src, dst NodeID, k int, c Constraints) []Path {
-	base := g.CSPF(src, c)
-	first, ok := base.PathTo(g, dst)
-	if !ok {
-		return nil
-	}
-	paths := []Path{first}
-	var candidates []Path
-
-	for len(paths) < k {
-		prev := paths[len(paths)-1]
-		prevNodes := prev.Nodes(g)
-		for i := 0; i < len(prev.Links); i++ {
-			spurNode := prevNodes[i]
-			rootLinks := append([]LinkID(nil), prev.Links[:i]...)
-
-			// Exclude links used by previous paths sharing this root, and
-			// nodes on the root path (except the spur node) to keep paths
-			// loop-free.
-			ex := Constraints{
-				MinAvailableBw: c.MinAvailableBw,
-				ExcludeLinks:   map[LinkID]bool{},
-				ExcludeNodes:   map[NodeID]bool{},
-			}
-			for l := range c.ExcludeLinks {
-				ex.ExcludeLinks[l] = true
-			}
-			for n := range c.ExcludeNodes {
-				ex.ExcludeNodes[n] = true
-			}
-			for _, p := range paths {
-				if sharesRoot(g, p, rootLinks) && i < len(p.Links) {
-					ex.ExcludeLinks[p.Links[i]] = true
-				}
-			}
-			for _, n := range prevNodes[:i] {
-				ex.ExcludeNodes[n] = true
-			}
-
-			spurRes := g.CSPF(spurNode, ex)
-			spur, ok := spurRes.PathTo(g, dst)
-			if !ok {
-				continue
-			}
-			total := Path{Links: append(append([]LinkID(nil), rootLinks...), spur.Links...)}
-			if !containsPath(paths, total) && !containsPath(candidates, total) {
-				candidates = append(candidates, total)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.SliceStable(candidates, func(a, b int) bool {
-			return candidates[a].Cost(g) < candidates[b].Cost(g)
-		})
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
-	}
-	return paths
-}
-
-func sharesRoot(g *Graph, p Path, root []LinkID) bool {
-	if len(p.Links) < len(root) {
-		return false
-	}
-	for i, l := range root {
-		if p.Links[i] != l {
-			return false
-		}
-	}
-	return true
-}
-
-func containsPath(ps []Path, q Path) bool {
-	for _, p := range ps {
-		if len(p.Links) != len(q.Links) {
-			continue
-		}
-		same := true
-		for i := range p.Links {
-			if p.Links[i] != q.Links[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	return false
 }

@@ -152,26 +152,6 @@ func TestCSPFExcludeLink(t *testing.T) {
 	}
 }
 
-func TestKShortestPaths(t *testing.T) {
-	g, src, _, _, _, dst := fishGraph()
-	ps := g.KShortestPaths(src, dst, 3, Constraints{})
-	if len(ps) != 2 {
-		t.Fatalf("fish has exactly 2 simple paths, got %d", len(ps))
-	}
-	if len(ps[0].Links) != 2 || len(ps[1].Links) != 3 {
-		t.Fatalf("paths not in cost order: %d, %d hops", len(ps[0].Links), len(ps[1].Links))
-	}
-}
-
-func TestKShortestPathsNoPath(t *testing.T) {
-	g := New()
-	a := g.AddNode("A")
-	b := g.AddNode("B")
-	if ps := g.KShortestPaths(a, b, 3, Constraints{}); ps != nil {
-		t.Fatalf("expected no paths, got %d", len(ps))
-	}
-}
-
 func TestFindLinkAndReverse(t *testing.T) {
 	g, n := lineGraph()
 	l, ok := g.FindLink(n[0], n[1])
