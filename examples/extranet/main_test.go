@@ -1,18 +1,18 @@
 package main
 
 import (
-	"io"
-	"os"
 	"regexp"
 	"strings"
 	"testing"
+
+	"mplsvpn/internal/testio"
 )
 
 // TestMainSeparatesTheCompanies runs the example and asserts its claim: no
 // packet crossed between the two companies' VPNs, the cross-company flow
 // delivered nothing, and every legitimate flow got through.
 func TestMainSeparatesTheCompanies(t *testing.T) {
-	out := stdoutOf(t, main)
+	out := testio.StdoutOf(t, main)
 	if !strings.Contains(out, "isolation violations: 0\n") {
 		t.Fatalf("no clean isolation verdict:\n%s", out)
 	}
@@ -22,24 +22,4 @@ func TestMainSeparatesTheCompanies(t *testing.T) {
 	if !strings.Contains(out, "\nOK: same addresses, separate worlds") {
 		t.Fatalf("no OK verdict:\n%s", out)
 	}
-}
-
-// stdoutOf runs fn and returns what it printed.
-func stdoutOf(t *testing.T, fn func()) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = saved }()
-	out := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- string(b)
-	}()
-	fn()
-	w.Close()
-	return <-out
 }

@@ -1,18 +1,18 @@
 package main
 
 import (
-	"io"
-	"os"
 	"regexp"
 	"strconv"
 	"testing"
+
+	"mplsvpn/internal/testio"
 )
 
 // TestQoSBeatsBestEffort runs the example and asserts its claim: through
 // the same overloaded bottleneck, the QoS architecture's voice has a lower
 // p99 delay and less loss than the best-effort run's.
 func TestQoSBeatsBestEffort(t *testing.T) {
-	out := stdoutOf(t, main)
+	out := testio.StdoutOf(t, main)
 	voice := regexp.MustCompile(`(?m)^voice .* loss=\s*([0-9.]+)% .* p99=\s*([0-9.]+)ms`).FindAllStringSubmatch(out, -1)
 	if len(voice) != 2 {
 		t.Fatalf("want a voice line per run (best effort, then QoS), got %d:\n%s", len(voice), out)
@@ -30,24 +30,4 @@ func TestQoSBeatsBestEffort(t *testing.T) {
 		t.Fatalf("QoS voice p99 %.2f ms, loss %.2f %%; best effort p99 %.2f ms, loss %.2f %%: want both lower",
 			qosP99, qosLoss, beP99, beLoss)
 	}
-}
-
-// stdoutOf runs fn and returns what it printed.
-func stdoutOf(t *testing.T, fn func()) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = saved }()
-	out := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- string(b)
-	}()
-	fn()
-	w.Close()
-	return <-out
 }

@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
-	"unsafe"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/packet"
@@ -122,14 +121,27 @@ func TestConvergeFootprint(t *testing.T) {
 	}
 }
 
+// TestConvergeInternsAttributeSets: a converged clustered1000x100 mesh holds
+// its 200,000 routes — 100,000 originated, one stamped copy of each — under
+// exactly 2,000 attribute sets: a client's 100 routes share one set, and its
+// cluster stamps that set once.
+func TestConvergeInternsAttributeSets(t *testing.T) {
+	m := clustered1000x100()
+	m.Converge()
+	if len(m.routes) != 200_000 || m.sets.n != 2_000 {
+		t.Errorf("converged mesh holds %d routes under %d attribute sets, want 200000 under 2000", len(m.routes), m.sets.n)
+	}
+}
+
 // BenchmarkClustered1000x100 is the vpnv4_100k shape measured at this layer
 // alone: ns/update is Converge's time over the NLRIs it sent, B/route the
 // heap a converged mesh holds (HeapInuse after a collection, less the same
-// before the mesh was built) over its routes, and alloc-B/route the bytes
-// Converge allocated over the routes.
+// before the mesh was built) over its routes, alloc-B/route the bytes
+// Converge allocated over the routes, and sets the attribute sets the
+// converged mesh holds.
 func BenchmarkClustered1000x100(b *testing.B) {
 	const routes = 1000 * 100
-	var convergeNs, updates, heap, allocated float64
+	var convergeNs, updates, heap, allocated, sets float64
 	var ms runtime.MemStats
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -146,12 +158,14 @@ func BenchmarkClustered1000x100(b *testing.B) {
 		allocated += float64(ms.TotalAlloc - total)
 		updates += float64(m.UpdatesSent)
 		heap += heapInuse() - before
+		sets += float64(m.sets.n)
 		runtime.KeepAlive(m)
 		b.StartTimer()
 	}
 	b.ReportMetric(convergeNs/updates, "ns/update")
 	b.ReportMetric(heap/float64(b.N)/routes, "B/route")
 	b.ReportMetric(allocated/float64(b.N)/routes, "alloc-B/route")
+	b.ReportMetric(sets/float64(b.N), "sets")
 }
 
 // BenchmarkCheckpointMesh1000x100 is the vpnv4_100k checkpoint at this layer
@@ -192,15 +206,17 @@ func BenchmarkCheckpointMesh1000x100(b *testing.B) {
 }
 
 // maxHeapPerRoute bounds the heap a converged clustered1000x100 mesh holds
-// per route: 299 B measured when runs became handles into the route table
-// and a route 80 bytes (448 B before), plus 10 %.
-const maxHeapPerRoute = 330
+// per route: 123 B measured when a route became a 24-byte entry under a
+// shared attribute set and a Loc-RIB that selects every route it holds
+// stopped copying them (299 B with 80-byte routes, 448 B before runs of
+// handles), plus 10 %.
+const maxHeapPerRoute = 135
 
 // TestConvergeHeapPerRoute: what a converged mesh at the vpnv4_100k shape
 // holds per route stays within maxHeapPerRoute. Its types are checked first
 // and in every mode: a rib holds nothing the collector must follow into — its
-// fields are slices of pointer-free elements — and a route fits the 80-byte
-// size class.
+// fields are slices of pointer-free elements — nor does the route table,
+// whose entries are at most 24 bytes.
 func TestConvergeHeapPerRoute(t *testing.T) {
 	typ := reflect.TypeOf(rib{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -209,8 +225,12 @@ func TestConvergeHeapPerRoute(t *testing.T) {
 			t.Errorf("rib.%s is a %s: the collector would have to scan it", f.Name, f.Type)
 		}
 	}
-	if size := unsafe.Sizeof(VPNRoute{}); size > 80 {
-		t.Errorf("VPNRoute is %d bytes, more than the 80-byte size class", size)
+	table := reflect.TypeOf(Mesh{}.routes)
+	if hasPointers(table.Elem()) {
+		t.Errorf("the route table is a %s: the collector would have to scan it", table)
+	}
+	if size := table.Elem().Size(); size > 24 {
+		t.Errorf("a route table entry is %d bytes, more than 24", size)
 	}
 	if testing.Short() {
 		t.Skip("converges 100k routes")

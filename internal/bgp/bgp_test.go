@@ -82,9 +82,12 @@ func TestBestPathSelection(t *testing.T) {
 	if best.Label != 100 {
 		t.Fatalf("LocalPref not honoured: chose label %d", best.Label)
 	}
-	// Equal pref: shorter AS path.
+	// Equal pref: shorter AS path. The mesh keeps copies of what was
+	// originated, so a changed route is originated again.
 	r1.LocalPref, r2.LocalPref = 100, 100
 	r1.ASPathLen, r2.ASPathLen = 3, 1
+	s1.Originate(r1)
+	s2.Originate(r2)
 	m.Converge()
 	best, _ = s3.Best(addr.VPNPrefix{RD: rdA, Prefix: addr.MustParsePrefix("10.1.0.0/16")})
 	if best.Label != 200 {
@@ -92,6 +95,8 @@ func TestBestPathSelection(t *testing.T) {
 	}
 	// Full tie: lowest next hop.
 	r1.ASPathLen, r2.ASPathLen = 1, 1
+	s1.Originate(r1)
+	s2.Originate(r2)
 	m.Converge()
 	best, _ = s3.Best(addr.VPNPrefix{RD: rdA, Prefix: addr.MustParsePrefix("10.1.0.0/16")})
 	if best.NextHop != 100 {

@@ -32,7 +32,25 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 		"LocalPref": {walked, "routeTable.route"},
 		"ASPathLen": {walked, "routeTable.route"},
 		"OriginPE":  {walked, "routeTable.route"},
-		"Reflected": {walked, "routeTable.route (shared per originator and list by routeTable.reflection)"},
+		"Reflected": {walked, "routeTable.route"},
+	},
+	reflect.TypeOf(entry{}): {
+		"Prefix": {walked, "routeTable.table (as the route's Prefix)"},
+		"Label":  {walked, "routeTable.table (as the route's Label)"},
+		"attr":   {derived, "routeTable.table (Mesh.find or Mesh.newSet of the route's attributes)"},
+	},
+	reflect.TypeOf(attrs{}): {
+		"NextHop":   {walked, "routeTable.table (as the route's NextHop)"},
+		"RTs":       {walked, "routeTable.table (as the route's RTs, shared with the original's by a stamped set)"},
+		"LocalPref": {walked, "routeTable.table (as the route's LocalPref)"},
+		"ASPathLen": {walked, "routeTable.table (as the route's ASPathLen)"},
+		"OriginPE":  {walked, "routeTable.table (as the route's OriginPE)"},
+		"Reflected": {walked, "routeTable.table (as the route's Reflected, one per set)"},
+	},
+	reflect.TypeOf(setTable{}): {
+		"chunks": {walked, "routeTable.table (the loaded routes' attributes)"},
+		"n":      {derived, "setTable.add"},
+		"slots":  {derived, "setTable.add (from chunks)"},
 	},
 	reflect.TypeOf(Reflection{}): {
 		"OriginatorID": {walked, "routeTable.route"},
@@ -45,6 +63,7 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 		"exports":     {walked, "routeTable.speakerState"},
 		"disordered":  {derived, "routeTable.speakerState (from the exports it loaded)"},
 		"rib":         {walked, "routeTable.speakerState"},
+		"bestIsUnion": {derived, "Speaker.selectBest"},
 		"Filter":      {derived, "the scenario rebuild (live wiring)"},
 		"Received":    {walked, "routeTable.speakerState"},
 		"Retained":    {walked, "routeTable.speakerState"},
@@ -61,6 +80,7 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 		"Layout":            {derived, "Mesh.UseClusters"},
 		"speakers":          {walked, "Mesh.State (overlaid on the set Mesh.AddSpeaker built)"},
 		"routes":            {walked, "Mesh.State (the section's route table, entered by a load and compacted)"},
+		"sets":              {walked, "Mesh.State (the attribute sets of the section's routes, interned by a load and compacted)"},
 		"renumber":          {scratch, "routeTable.number"},
 		"clusters":          {derived, "Mesh.UseClusters"},
 		"rrClusterIdx":      {derived, "Mesh.UseClusters"},
@@ -81,8 +101,8 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 	},
 }
 
-// TestCheckpointFieldLedger: every field of VPNRoute, Reflection, Speaker,
-// rib and Mesh is classified, and the ledger names no field that is gone.
+// TestCheckpointFieldLedger: every field of VPNRoute, entry, attrs,
+// setTable, Reflection, Speaker, rib and Mesh is classified, and the ledger names no field that is gone.
 func TestCheckpointFieldLedger(t *testing.T) {
 	for typ, ledger := range checkpointLedger {
 		fields := map[string]bool{}

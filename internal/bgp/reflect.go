@@ -8,9 +8,10 @@
 // route reflector is one cluster with one reflector and every other
 // speaker its client.
 //
-// Reflection stamps each route once, at its origin cluster: the reflector
-// sets ORIGINATOR_ID to the originating PE and seeds CLUSTER_LIST with
-// its own cluster ID. Receivers drop looping routes — a reflector drops a
+// Reflection stamps each attribute set once, at its origin cluster: the
+// reflector sets ORIGINATOR_ID to the originating PE and seeds CLUSTER_LIST
+// with its own cluster ID, and every route of the set is copied under the
+// stamped set. Receivers drop looping routes — a reflector drops a
 // route whose CLUSTER_LIST already carries its cluster (the redundant-RR
 // loop), any speaker drops a route originated by itself. A route is
 // "stamped" iff it carries a Reflection, whose CLUSTER_LIST is never empty;
@@ -121,42 +122,58 @@ func (m *Mesh) SetRTInterest(n topo.NodeID, rts []addr.RouteTarget) {
 	m.rtInterest[n] = dedup
 }
 
-// stampChunk is how many stamped copies a round allocates at a time: 102
-// routes of 80 bytes fill an 8 KB size class as closely as one route fills
-// the 80-byte one.
-const stampChunk = 102
-
-// stamp returns the handle of the reflected copy of the route at h: the
-// original attributes plus refl, the ORIGINATOR_ID and CLUSTER_LIST of its
-// originator in the cluster reflecting it. An already-stamped route passes
-// through. Copies come out of chunks of stampChunk, never more in all than
-// the stampsAhead the round began with: a copy keeps its chunk reachable,
-// which costs only while a stale-retained copy outlives its round.
-func (rd *round) stamp(h uint32, refl *Reflection) uint32 {
-	r := rd.m.routes[h]
-	if r.Reflected != nil {
-		return h
+// stamped returns the set a reflector of cluster ci stamps on routes
+// carrying set a: a's attributes plus the ORIGINATOR_ID of their originator
+// and the cluster's CLUSTER_LIST. It reports false for a set this cluster
+// does not stamp: one already stamped, or one whose originator is no client
+// of it. A set is looked up once per cluster and round, and found, not
+// made, when an earlier round made it.
+func (rd *round) stamped(a uint32, ci int) (uint32, bool) {
+	if st, ok := rd.stamps[a]; ok {
+		return st, true
 	}
-	if len(rd.copies) == 0 {
-		rd.copies = make([]VPNRoute, min(rd.stampsLeft, stampChunk))
+	m := rd.m
+	set := *m.sets.at(a)
+	if oc, isClient := m.clientClusterIdx[set.OriginPE]; set.Reflected != nil || !isClient || oc != ci {
+		return 0, false
 	}
-	c := &rd.copies[0]
-	rd.copies, rd.stampsLeft = rd.copies[1:], rd.stampsLeft-1
-	*c = *r
-	c.Reflected = refl
-	rd.rank = append(rd.rank, rd.rank[h])
-	return rd.m.add(c)
+	id := m.clusters[ci].ID
+	probe := set
+	probe.Reflected = &Reflection{OriginatorID: set.OriginPE, ClusterList: []uint32{id}}
+	st, ok := m.find(&probe)
+	if !ok {
+		set.Reflected = rd.reflection(set.OriginPE, id)
+		st = m.sets.add(set)
+	}
+	rd.stamps[a] = st
+	return st, true
 }
 
-// reflection returns the Reflection of originator o in the cluster whose
-// CLUSTER_LIST is list: one per originator, while refls holds that cluster's.
-func (rd *round) reflection(o topo.NodeID, list []uint32) *Reflection {
+// reflection returns the Reflection the cluster with ID id stamps for
+// originator o on the sets the round makes new: one per originator, and
+// one CLUSTER_LIST for them all, while refls and list hold that cluster's.
+func (rd *round) reflection(o topo.NodeID, id uint32) *Reflection {
 	refl := rd.refls[o]
 	if refl == nil {
-		refl = &Reflection{OriginatorID: o, ClusterList: list}
+		if rd.list == nil {
+			rd.list = []uint32{id}
+		}
+		refl = &Reflection{OriginatorID: o, ClusterList: rd.list}
 		rd.refls[o] = refl
 	}
 	return refl
+}
+
+// stamp returns the handle of the reflected copy of the route at h under
+// the stamped set st: the same NLRI, one more entry of the table, which
+// stampsAhead made room for.
+func (rd *round) stamp(h, st uint32) uint32 {
+	m := rd.m
+	e := m.routes[h]
+	e.attr = st
+	m.routes = append(m.routes, e)
+	rd.rank = append(rd.rank, rd.rank[h])
+	return uint32(len(m.routes) - 1)
 }
 
 func clusterListHas(list []uint32, cid uint32) bool {
@@ -168,7 +185,7 @@ func clusterListHas(list []uint32, cid uint32) bool {
 	return false
 }
 
-// stampsAhead bounds how many copies the next Converge stamps: the exports
+// stampsAhead bounds how many routes the next Converge stamps: the exports
 // of the clients of every cluster.
 func (m *Mesh) stampsAhead() int {
 	n := 0
@@ -225,35 +242,37 @@ func (m *Mesh) rrInterest(c Cluster, rrn topo.NodeID) []addr.RouteTarget {
 }
 
 // rtIndex buckets by route target what several senders offer, for
-// sender-side constrained distribution: the senders' routes end to end in
-// all, and per target their positions there, ascending. Routes with no RT
-// are sent to every receiver (they cannot be matched, only flooded). A
-// round keeps one and refills it for every phase and cluster.
+// sender-side constrained distribution. It holds runs, not routes: a
+// sender's routes come in runs of one route-target list — a VRF exports its
+// prefixes together, a run in prefix order holds a route distinguisher's
+// together, and every route of one attribute set carries one list — so the
+// index keeps each run as a slice of the sender's own exports or Adj-RIB-In,
+// the senders' runs end to end, and per target the runs that carry it,
+// ascending. Routes with no RT are sent to every receiver (they cannot be
+// matched, only flooded). A round keeps one and refills it for every phase
+// and cluster; the runs it holds are what the senders held when it was
+// filled, whatever seals replace after.
 type rtIndex struct {
-	all      []uint32                     // route handles
-	ends     []int                        // where each sender's routes end in all
-	byRT     map[addr.RouteTarget][]int32 // positions in all
+	runs     [][]uint32
+	ends     []int                        // where each sender's runs end in runs
+	byRT     map[addr.RouteTarget][]int32 // runs, by index in runs
 	untagged []int32
+	// same[k] reports that sender k offers exactly what sender k-1 does, as
+	// redundant reflectors of one cluster do.
+	same []bool
 
-	// selectFor's scratch: the result it hands out, and per position in all
-	// the epoch of the call that last emitted it.
+	// selectFor's scratch: the result it hands out, and per run the epoch
+	// of the call that last emitted it.
 	out   []uint32
 	mark  []uint32
 	epoch uint32
+	// view is add's scratch: the route keep is asked about.
+	view VPNRoute
 }
 
-// reset empties the index, keeping its memory, for the speakers at ns to
-// add themselves. It makes room at once for all they could offer: growing
-// by appends would leave garbage several times the index's size.
-func (ix *rtIndex) reset(m *Mesh, ns []topo.NodeID) {
-	n := 0
-	for _, id := range ns {
-		n += len(m.speakers[id].exports) + len(m.speakers[id].rib.paths)
-	}
-	ix.all, ix.ends, ix.untagged = slices.Grow(ix.all[:0], n), ix.ends[:0], ix.untagged[:0]
-	if len(ix.mark) < n {
-		ix.mark = make([]uint32, n)
-	}
+// reset empties the index, keeping its memory.
+func (ix *rtIndex) reset() {
+	ix.runs, ix.ends, ix.untagged, ix.same = ix.runs[:0], ix.ends[:0], ix.untagged[:0], ix.same[:0]
 	if ix.byRT == nil {
 		ix.byRT = make(map[addr.RouteTarget][]int32)
 	}
@@ -263,85 +282,112 @@ func (ix *rtIndex) reset(m *Mesh, ns []topo.NodeID) {
 }
 
 // add indexes one more sender: its exports, then the routes of its
-// Adj-RIB-In that keep (when given) accepts. Stale-retained routes are kept
-// for forwarding, not re-announced: refreshing them downstream would erase
-// the peers' own graceful-restart marks.
-//
-// A sender's routes come in runs of one target — a VRF exports its
-// prefixes together, and a run in prefix order holds a route
-// distinguisher's together — so the bucket of a run is looked up once, as
-// the run opens, and stored back once, as it closes: a route with the
-// target of the open run and no other is filed without hashing it.
+// Adj-RIB-In whose attribute set keep (when given) accepts; keep, like an
+// ImportFilter, reads only attributes and is asked once per run of one set.
+// Stale-retained routes are kept for forwarding, not re-announced:
+// refreshing them downstream would erase the peers' own graceful-restart
+// marks. A route left out ends the run it would have been in.
 func (ix *rtIndex) add(s *Speaker, keep func(*VPNRoute) bool) {
-	routes := s.mesh.routes
-	var rt addr.RouteTarget // the open run's target, while open
-	var run []int32         // its bucket, nil while no run is open
-	closeRun := func() {
-		if run != nil {
-			ix.byRT[rt], run = run, nil
-		}
-	}
-	put := func(h uint32, r *VPNRoute) {
-		at := int32(len(ix.all))
-		ix.all = append(ix.all, h)
-		if len(r.RTs) == 1 {
-			if run == nil || r.RTs[0] != rt {
-				closeRun()
-				rt, run = r.RTs[0], ix.byRT[r.RTs[0]]
+	m := s.mesh
+	start := len(ix.runs)
+	for src, from := range [2][]uint32{s.exports, s.rib.paths} {
+		lo, open := 0, false // the open run is from[lo:i], while open
+		var rts []addr.RouteTarget
+		set, kept := ^uint32(0), true
+		for i, h := range from {
+			e := &m.routes[h]
+			if e.attr != set {
+				set = e.attr
+				if src == 1 && keep != nil {
+					m.view(h, &ix.view)
+					kept = keep(&ix.view)
+				}
+				if open && !slices.Equal(rts, m.sets.at(set).RTs) {
+					ix.file(from[lo:i], rts)
+					open = false
+				}
 			}
-			run = append(run, at)
-			return
+			if !kept || src == 1 && len(s.stale) > 0 && s.isStale(e.Prefix, m.sets.at(set).OriginPE) {
+				if open {
+					ix.file(from[lo:i], rts)
+					open = false
+				}
+				continue
+			}
+			if !open {
+				lo, open, rts = i, true, m.sets.at(set).RTs
+			}
 		}
-		closeRun()
-		if len(r.RTs) == 0 {
-			ix.untagged = append(ix.untagged, at)
-		}
-		for _, t := range r.RTs {
-			ix.byRT[t] = append(ix.byRT[t], at)
-		}
-	}
-	for _, h := range s.exports {
-		put(h, routes[h])
-	}
-	for _, h := range s.rib.paths {
-		if r := routes[h]; (keep == nil || keep(r)) && (len(s.stale) == 0 || !s.isStale(r.Prefix, r.OriginPE)) {
-			put(h, r)
+		if open {
+			ix.file(from[lo:], rts)
 		}
 	}
-	closeRun()
-	ix.ends = append(ix.ends, len(ix.all))
+	same := false
+	if k := len(ix.ends); k > 0 {
+		prev := ix.runs[:start]
+		if k > 1 {
+			prev = prev[ix.ends[k-2]:]
+		}
+		same = slices.EqualFunc(prev, ix.runs[start:], slices.Equal)
+	}
+	ix.same = append(ix.same, same)
+	ix.ends = append(ix.ends, len(ix.runs))
+}
+
+// file adds run, whose routes carry the targets rts, to the index.
+func (ix *rtIndex) file(run []uint32, rts []addr.RouteTarget) {
+	id := int32(len(ix.runs))
+	ix.runs = append(ix.runs, run)
+	if len(rts) == 0 {
+		ix.untagged = append(ix.untagged, id)
+	}
+	for _, rt := range rts {
+		ix.byRT[rt] = append(ix.byRT[rt], id)
+	}
 }
 
 // selectFor returns the routes sender k should offer a receiver with the
 // given interest, each once: interest order, then index order, untagged
 // last — the order same-prefix ties are broken by downstream. nil interest
 // means everything. The result is valid until the next call.
+//
+// A run carries one target list, so the first target of the interest that
+// one of its routes carries is the first for all of them: runs are emitted
+// whole, and marked as emitted, not route by route.
 func (ix *rtIndex) selectFor(k int, interest []addr.RouteTarget) []uint32 {
 	lo, hi := 0, ix.ends[k]
 	if k > 0 {
 		lo = ix.ends[k-1]
 	}
+	out := ix.out[:0]
 	if interest == nil {
-		return ix.all[lo:hi]
+		for _, run := range ix.runs[lo:hi] {
+			out = append(out, run...)
+		}
+		ix.out = out
+		return out
 	}
-	// sender picks sender k's positions out of an ascending list.
-	sender := func(at []int32) []int32 {
-		i, _ := slices.BinarySearch(at, int32(lo))
-		j, _ := slices.BinarySearch(at, int32(hi))
-		return at[i:j]
+	// sender picks sender k's runs out of an ascending list.
+	sender := func(ids []int32) []int32 {
+		i, _ := slices.BinarySearch(ids, int32(lo))
+		j, _ := slices.BinarySearch(ids, int32(hi))
+		return ids[i:j]
+	}
+	if len(ix.mark) < len(ix.runs) {
+		ix.mark = make([]uint32, len(ix.runs)+len(ix.runs)/2)
+		ix.epoch = 0
 	}
 	ix.epoch++
-	out := ix.out[:0]
 	for _, rt := range interest {
-		for _, i := range sender(ix.byRT[rt]) {
-			if ix.mark[i] != ix.epoch {
-				ix.mark[i] = ix.epoch
-				out = append(out, ix.all[i])
+		for _, id := range sender(ix.byRT[rt]) {
+			if ix.mark[id] != ix.epoch {
+				ix.mark[id] = ix.epoch
+				out = append(out, ix.runs[id]...)
 			}
 		}
 	}
-	for _, i := range sender(ix.untagged) {
-		out = append(out, ix.all[i])
+	for _, id := range sender(ix.untagged) {
+		out = append(out, ix.runs[id]...)
 	}
 	ix.out = out
 	return out
@@ -352,8 +398,9 @@ func (ix *rtIndex) selectFor(k int, interest []addr.RouteTarget) []uint32 {
 // one at a time, every one in the order the sends reach it.
 //
 //  1. Every Up client sends its exports to every Up reflector of its
-//     cluster. Reflection happens once, at the origin: the route is stamped
-//     on the way in and the cluster's reflectors hold that one copy.
+//     cluster. Reflection happens once, at the origin: each attribute set
+//     is stamped on the way in, once per cluster, and the cluster's
+//     reflectors hold one copy of each route under the stamped set.
 //  2. Reflectors exchange over their full mesh: own exports plus stamped
 //     client routes, RT-filtered per receiver. A receiving reflector
 //     drops routes already carrying its cluster (redundant-RR loop) or
@@ -362,7 +409,10 @@ func (ix *rtIndex) selectFor(k int, interest []addr.RouteTarget) []uint32 {
 //     RT-filtered; a client drops routes it originated.
 //
 // A phase indexes what its senders offer before it seals any receiver, so
-// a reflector passes on what it held when the phase began.
+// a reflector passes on what it held when the phase began. Receivers take
+// what a sender offers one run of one attribute set at a time (offer), and
+// a sender that offers exactly what the one before it did is counted but
+// not heard twice (offerIndexed).
 func (m *Mesh) convergeClustered(rd *round) {
 	up := func(n topo.NodeID) bool { return m.StateOf(n) == PeerUp }
 
@@ -372,27 +422,31 @@ func (m *Mesh) convergeClustered(rd *round) {
 		if !slices.ContainsFunc(c.RRs, up) {
 			continue
 		}
-		list, sent := []uint32{c.ID}, rd.sent[:0]
+		sent := rd.sent[:0]
+		clear(rd.stamps)
 		clear(rd.refls)
+		rd.list = nil
 		for _, cl := range c.Clients {
 			if !up(cl) {
 				continue
 			}
-			for _, h := range m.speakers[cl].exports {
-				o := m.routes[h].OriginPE
-				if oc, isClient := m.clientClusterIdx[o]; isClient && oc == ci {
-					h = rd.stamp(h, rd.reflection(o, list))
+			ex := m.speakers[cl].exports
+			for i, j := 0, 0; i < len(ex); i = j {
+				j = m.runEnd(ex, i)
+				st, ok := rd.stamped(m.routes[ex[i]].attr, ci)
+				if !ok {
+					sent = append(sent, ex[i:j]...)
+					continue
 				}
-				sent = append(sent, h)
+				for _, h := range ex[i:j] {
+					sent = append(sent, rd.stamp(h, st))
+				}
 			}
 		}
 		for _, rrn := range c.RRs {
 			if up(rrn) {
 				rr := m.speakers[rrn]
-				for _, h := range sent {
-					rd.receive(rr, h, true)
-				}
-				m.UpdatesSent += len(sent)
+				rd.offer(rr, sent, nil, true)
 				rd.seal(rr)
 			}
 		}
@@ -412,34 +466,21 @@ func (m *Mesh) convergeClustered(rd *round) {
 		}
 	}
 	slices.Sort(rrs)
-	rd.ix.reset(m, rrs)
+	rd.ix.reset()
 	for _, from := range rrs {
 		cid := m.clusters[m.rrClusterIdx[from]].ID
 		rd.ix.add(m.speakers[from], func(r *VPNRoute) bool { return r.Reflected != nil && r.Reflected.ClusterList[0] == cid })
 	}
-	for _, to := range rrs {
+	for k, to := range rrs {
 		tc := m.clusters[m.rrClusterIdx[to]]
-		want, st := m.rrInterest(tc, to), m.speakers[to]
-		for k, from := range rrs {
-			if from == to {
-				continue
-			}
-			for _, h := range rd.ix.selectFor(k, want) {
-				m.UpdatesSent++
-				r := m.routes[h]
-				if refl := r.Reflected; (refl != nil && (refl.OriginatorID == to || clusterListHas(refl.ClusterList, tc.ID))) || r.OriginPE == to {
-					m.LoopPrevented++
-					continue
-				}
-				rd.receive(st, h, true)
-			}
-		}
+		st := m.speakers[to]
+		rd.offerIndexed(st, k, m.rrInterest(tc, to), &loopCheck{self: to, cluster: tc.ID, reflector: true}, true)
 		rd.seal(st)
 	}
 
 	// Phase 3: reflect down to clients.
 	for _, c := range m.clusters {
-		rd.ix.reset(m, c.RRs)
+		rd.ix.reset()
 		for _, rrn := range c.RRs {
 			if up(rrn) {
 				rd.ix.add(m.speakers[rrn], nil)
@@ -450,17 +491,50 @@ func (m *Mesh) convergeClustered(rd *round) {
 				continue
 			}
 			sc := m.speakers[cl]
-			for k := range rd.ix.ends {
-				for _, h := range rd.ix.selectFor(k, m.rtInterest[cl]) {
-					m.UpdatesSent++
-					if r := m.routes[h]; (r.Reflected != nil && r.Reflected.OriginatorID == cl) || r.OriginPE == cl {
-						m.LoopPrevented++
-						continue
-					}
-					rd.receive(sc, h, false)
-				}
-			}
+			rd.offerIndexed(sc, -1, m.rtInterest[cl], &loopCheck{self: cl}, false)
 			rd.seal(sc)
 		}
+	}
+}
+
+// loopCheck is the loop prevention a receiver applies (RFC 4456): it drops
+// a route it originated or one stamped with it as ORIGINATOR_ID, and a
+// reflector one whose CLUSTER_LIST already carries its cluster.
+type loopCheck struct {
+	self      topo.NodeID
+	cluster   uint32
+	reflector bool
+}
+
+// drops reports whether routes with the attributes a loop back to l's
+// receiver.
+func (l *loopCheck) drops(a *attrs) bool {
+	refl := a.Reflected
+	return a.OriginPE == l.self || refl != nil && (refl.OriginatorID == l.self || l.reflector && clusterListHas(refl.ClusterList, l.cluster))
+}
+
+// offerIndexed offers s what every sender of the round's index but the one
+// at skip selects for interest, sender by sender. A sender whose routes are
+// those of the last sender offered — a redundant reflector of the same
+// cluster — offers the same selection, which s would place over itself:
+// it is counted as offered, as every update, loop drop and retained route
+// of the first, and not offered again.
+func (rd *round) offerIndexed(s *Speaker, skip int, interest []addr.RouteTarget, loops *loopCheck, bypassFilter bool) {
+	m, ix := rd.m, &rd.ix
+	last := -1
+	var sent, dropped, received, retained int // the last offer's counts
+	for k := range ix.ends {
+		if k == skip {
+			continue
+		}
+		if last >= 0 && !slices.Contains(ix.same[last+1:k+1], false) {
+			m.UpdatesSent, m.LoopPrevented = m.UpdatesSent+sent, m.LoopPrevented+dropped
+			s.Received, s.Retained = s.Received+received, s.Retained+retained
+			continue
+		}
+		sent, dropped, received, retained = m.UpdatesSent, m.LoopPrevented, s.Received, s.Retained
+		rd.offer(s, ix.selectFor(k, interest), loops, bypassFilter)
+		sent, dropped, received, retained = m.UpdatesSent-sent, m.LoopPrevented-dropped, s.Received-received, s.Retained-retained
+		last = k
 	}
 }

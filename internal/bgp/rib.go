@@ -19,7 +19,9 @@ type rib struct {
 	// tie, so that order is semantics) and there is one route per OriginPE.
 	paths []uint32
 	// best is Loc-RIB: the selected route of every prefix that has one,
-	// ascending by prefix.
+	// ascending by prefix — unless the speaker's bestIsUnion says the
+	// selection is the exports and paths themselves, when it holds at most
+	// the exports in prefix order (see selectBest).
 	best []uint32
 }
 
@@ -27,24 +29,25 @@ type rib struct {
 // Receivers are filled one at a time: a receiver's arrivals collect in tail
 // and seal folds them into its run, sorting through buf and ends and merging
 // into merged, so one set of buffers serves every speaker of the round. sent
-// is a cluster's stamped send list, ix what a phase's senders offer and
-// refls the Reflections stamp hands out (reflect.go).
+// is a cluster's stamped send list, stamps the sets its stamping has made
+// (by the set stamped), refls and list the Reflections and CLUSTER_LIST of
+// those it made new, ix what a phase's senders offer (reflect.go), and view
+// the route an ImportFilter is asked about.
 //
 // rank is, per handle, the rank of the route's prefix among the prefixes of
 // the table the round began with: routes compare as their ranks do, so the
 // sort and the merge of a seal compare two integers of one array and never
-// dereference a route for it. A stamped copy takes its original's rank.
+// read a route for it. A stamped copy takes its original's rank.
 type round struct {
 	m                       *Mesh
 	rank                    []uint32
 	tail, buf, merged, sent []uint32
 	ends                    []int
 	ix                      rtIndex
+	stamps                  map[uint32]uint32
 	refls                   map[topo.NodeID]*Reflection
-	// copies is the rest of the chunk stamp hands copies out of, and
-	// stampsLeft how many more copies the round may stamp.
-	copies     []VPNRoute
-	stampsLeft int
+	list                    []uint32
+	view                    VPNRoute
 	// displaced is set when a seal replaced a retained route with another
 	// one, which may leave the first referenced by nothing.
 	displaced bool
@@ -52,15 +55,15 @@ type round struct {
 
 // newRound ranks the routes of m's table for a Converge to sort by, using
 // order, of at least the table's length, as scratch; the round stamps at
-// most stamps copies.
+// most stamps routes.
 func (m *Mesh) newRound(order []uint32, stamps int) round {
 	routes := m.routes
 	order = order[:len(routes)]
 	for h := range order {
 		order[h] = uint32(h)
 	}
-	slices.SortFunc(order, func(a, b uint32) int { return byPrefix(routes[a], routes[b]) })
-	rank := make([]uint32, len(routes), cap(routes))
+	slices.SortFunc(order, func(a, b uint32) int { return addr.CompareVPNPrefix(routes[a].Prefix, routes[b].Prefix) })
+	rank := make([]uint32, len(routes), len(routes)+stamps)
 	k := uint32(0)
 	for i, h := range order {
 		if i > 0 && routes[h].Prefix != routes[order[i-1]].Prefix {
@@ -68,10 +71,18 @@ func (m *Mesh) newRound(order []uint32, stamps int) round {
 		}
 		rank[h] = k
 	}
-	return round{m: m, rank: rank, refls: make(map[topo.NodeID]*Reflection), stampsLeft: stamps}
+	return round{m: m, rank: rank, stamps: make(map[uint32]uint32), refls: make(map[topo.NodeID]*Reflection)}
 }
 
-func byPrefix(a, b *VPNRoute) int { return addr.CompareVPNPrefix(a.Prefix, b.Prefix) }
+// runEnd returns the end of the run of routes in hs that share hs[i]'s
+// attribute set.
+func (m *Mesh) runEnd(hs []uint32, i int) int {
+	a, j := m.routes[hs[i]].attr, i+1
+	for j < len(hs) && m.routes[hs[j]].attr == a {
+		j++
+	}
+	return j
+}
 
 // search finds p in a run of s's, as slices.BinarySearch does.
 func (s *Speaker) search(run []uint32, p addr.VPNPrefix) (int, bool) {
@@ -110,13 +121,13 @@ func (s *Speaker) eachPrefix(fn func(addr.VPNPrefix)) {
 
 // retain drops, in place, the retained routes keep refuses, and reports to
 // gone (when given) every prefix that lost its last route.
-func (s *Speaker) retain(keep func(*VPNRoute) bool, gone func(addr.VPNPrefix)) {
-	routes := s.mesh.routes
+func (s *Speaker) retain(keep func(p addr.VPNPrefix, origin topo.NodeID) bool, gone func(addr.VPNPrefix)) {
+	m := s.mesh
 	run, out := s.rib.paths, s.rib.paths[:0]
 	for i := 0; i < len(run); {
-		j, n, p := s.span(run, i), len(out), routes[run[i]].Prefix
+		j, n, p := s.span(run, i), len(out), m.routes[run[i]].Prefix
 		for _, h := range run[i:j] {
-			if keep(routes[h]) {
+			if keep(p, m.originOf(h)) {
 				out = append(out, h)
 			}
 		}
@@ -128,17 +139,38 @@ func (s *Speaker) retain(keep func(*VPNRoute) bool, gone func(addr.VPNPrefix)) {
 	s.rib.paths = out
 }
 
-// receive offers the route with handle h to s, the receiver being filled. A
-// route reflector bypasses the import filter: it must retain routes for VPNs
-// it does not serve, or it could not reflect them. The route joins the tail,
-// and s's RIB once seal folds the tail in.
-func (rd *round) receive(s *Speaker, h uint32, bypassFilter bool) {
-	s.Received++
-	if !bypassFilter && s.Filter != nil && !s.Filter(rd.m.routes[h]) {
-		return
+// offer hands s, the receiver being filled, the routes sel one sender sends
+// it, a run of one attribute set at a time, as an UPDATE carries them: a run
+// whose set loops (when given) drops is counted as loop-prevented, and any
+// other goes to receive. Every route counts as one update sent.
+func (rd *round) offer(s *Speaker, sel []uint32, loops *loopCheck, bypassFilter bool) {
+	m := rd.m
+	m.UpdatesSent += len(sel)
+	for i, j := 0, 0; i < len(sel); i = j {
+		j = m.runEnd(sel, i)
+		if loops != nil && loops.drops(m.attrsOf(sel[i])) {
+			m.LoopPrevented += j - i
+			continue
+		}
+		rd.receive(s, sel[i:j], bypassFilter)
 	}
-	s.Retained++
-	rd.tail = append(rd.tail, h)
+}
+
+// receive offers s the routes hs, which share one attribute set: the filter
+// is asked once, about the first. A route reflector bypasses the import
+// filter: it must retain routes for VPNs it does not serve, or it could not
+// reflect them. Kept routes join the tail, and s's RIB once seal folds the
+// tail in.
+func (rd *round) receive(s *Speaker, hs []uint32, bypassFilter bool) {
+	s.Received += len(hs)
+	if !bypassFilter && s.Filter != nil {
+		rd.m.view(hs[0], &rd.view)
+		if !s.Filter(&rd.view) {
+			return
+		}
+	}
+	s.Retained += len(hs)
+	rd.tail = append(rd.tail, hs...)
 }
 
 // place puts h into s's group of its prefix that starts at dst[g]. A
@@ -146,13 +178,16 @@ func (rd *round) receive(s *Speaker, h uint32, bypassFilter bool) {
 // place, clearing any graceful-restart stale mark (RFC 4724 mark-and-sweep);
 // any other route goes behind the group.
 func (rd *round) place(s *Speaker, dst []uint32, g int, h uint32) []uint32 {
-	routes := rd.m.routes
-	r := routes[h]
+	if g == len(dst) {
+		return append(dst, h)
+	}
+	m := rd.m
+	o := m.originOf(h)
 	for i := g; i < len(dst); i++ {
-		if routes[dst[i]].OriginPE == r.OriginPE {
+		if m.originOf(dst[i]) == o {
 			rd.displaced = rd.displaced || dst[i] != h
 			dst[i] = h
-			s.clearStale(r.Prefix, r.OriginPE)
+			s.clearStale(m.routes[h].Prefix, o)
 			return dst
 		}
 	}
@@ -204,18 +239,11 @@ func (rd *round) sortRuns(rs []uint32) {
 // same routes one by one to a per-prefix list would have: the stable sort
 // keeps arrival order inside a prefix, and place applies each arrival in
 // that order. The fold is merged in the round's buffer and the run allocated
-// once, at its size: redundant reflectors send everything twice, and the
-// run holds no slack for it.
+// once, at its size.
 func (rd *round) seal(s *Speaker) {
 	head, tail, rank := s.rib.paths, rd.tail, rd.rank
 	if len(tail) == 0 {
 		return
-	}
-	// Redundant reflectors offer a client one selection twice, end to end.
-	// Placed after the first copy, the second would refresh every route the
-	// first placed with the very route it holds: the fold takes one copy.
-	if n := len(tail) / 2; len(tail)%2 == 0 && slices.Equal(tail[:n], tail[n:]) {
-		tail = tail[:n]
 	}
 	rd.sortRuns(tail)
 	out := rd.merged[:0]
@@ -246,16 +274,20 @@ func first(rank, a, b []uint32) uint32 {
 // considered first, then received routes in arrival order. Prefixes compare
 // as their ranks in rank do, when a round ranked every handle s holds, and
 // by the routes otherwise (a load, a withdrawal, a sweep or a reuse between
-// rounds). A prefix held by one route selects it unread, unless damping
-// may have suppressed it; only a prefix with two routes or more runs
-// better.
+// rounds). Where every prefix is held by one route and none is suppressed,
+// the selection is the exports and the Adj-RIB-In themselves (bestIsUnion),
+// and rib.best holds only the exports in prefix order, if they are not in
+// it. Otherwise a prefix held by one route selects it unread, unless
+// damping may have suppressed it; only a prefix with two routes or more
+// runs better.
 func (s *Speaker) selectBest(rank []uint32) {
-	routes := s.mesh.routes
+	m := s.mesh
+	routes := m.routes
 	order := func(a, b uint32) int {
 		if rank != nil {
 			return cmp.Compare(rank[a], rank[b])
 		}
-		return byPrefix(routes[a], routes[b])
+		return addr.CompareVPNPrefix(routes[a].Prefix, routes[b].Prefix)
 	}
 	ex := s.exports
 	if s.disordered {
@@ -263,7 +295,13 @@ func (s *Speaker) selectBest(rank []uint32) {
 		slices.SortStableFunc(ex, order)
 	}
 	paths := s.rib.paths
-	best := make([]uint32, 0, len(ex)+len(paths))
+	// union holds while every prefix met so far is held by one route, and
+	// best is allocated only once it fails.
+	union := !s.suppresses()
+	var best []uint32
+	if !union {
+		best = make([]uint32, 0, len(ex)+len(paths))
+	}
 	undamped := len(s.damp) == 0
 	for i, j := 0, 0; i < len(ex) || j < len(paths); {
 		// The prefix's group is ex[i:ei] and paths[j:pj], and lead its first
@@ -278,23 +316,32 @@ func (s *Speaker) selectBest(rank []uint32) {
 		}
 		for ; pj < len(paths) && order(paths[pj], lead) == 0; pj++ {
 		}
-		if undamped && ei-i+pj-j == 1 {
+		single := ei-i+pj-j == 1
+		if union {
+			if single {
+				i, j = ei, pj
+				continue
+			}
+			// Every prefix before this one is held by one route, selected.
+			union, best = false, merge(make([]uint32, 0, len(ex)+len(paths)), ex[:i], paths[:j], order)
+		}
+		if undamped && single {
 			best = append(best, lead)
 			i, j = ei, pj
 			continue
 		}
-		var cur *VPNRoute
+		var cur *attrs
 		var pick uint32
 		for ; i < ei; i++ {
-			if e := routes[ex[i]]; cur == nil || better(e, cur) {
-				cur, pick = e, ex[i]
+			if a := m.attrsOf(ex[i]); cur == nil || better(a, cur) {
+				cur, pick = a, ex[i]
 			}
 		}
 		// Damped: received paths are suppressed (exports never are).
 		if d, ok := s.damp[routes[lead].Prefix]; !ok || !d.suppressed {
 			for ; j < pj; j++ {
-				if r := routes[paths[j]]; cur == nil || better(r, cur) {
-					cur, pick = r, paths[j]
+				if a := m.attrsOf(paths[j]); cur == nil || better(a, cur) {
+					cur, pick = a, paths[j]
 				}
 			}
 		}
@@ -303,32 +350,127 @@ func (s *Speaker) selectBest(rank []uint32) {
 		}
 		i, j = ei, pj
 	}
-	s.rib.best = best
+	s.rib.best, s.bestIsUnion = best, union
+	if union && s.disordered {
+		s.rib.best = ex
+	}
+}
+
+// merge appends to dst the two runs a and b, which ascend as order does and
+// share no prefix, in that order.
+func merge(dst, a, b []uint32, order func(a, b uint32) int) []uint32 {
+	for len(a) > 0 && len(b) > 0 {
+		if order(a[0], b[0]) < 0 {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
+}
+
+// suppresses reports whether damping suppresses some prefix at s.
+func (s *Speaker) suppresses() bool {
+	for _, d := range s.damp {
+		if d.suppressed {
+			return true
+		}
+	}
+	return false
+}
+
+// eachBest calls fn with the handle of every selected route, in prefix
+// order.
+func (s *Speaker) eachBest(fn func(h uint32)) {
+	if !s.bestIsUnion {
+		for _, h := range s.rib.best {
+			fn(h)
+		}
+		return
+	}
+	// No export shares a prefix with a path: each export goes where a
+	// search of the paths after the last one puts it.
+	paths := s.rib.paths
+	for _, x := range s.unionExports() {
+		k, _ := s.search(paths, s.mesh.routes[x].Prefix)
+		for _, h := range paths[:k] {
+			fn(h)
+		}
+		fn(x)
+		paths = paths[k:]
+	}
+	for _, h := range paths {
+		fn(h)
+	}
+}
+
+// unionExports returns, while bestIsUnion, the exports in prefix order.
+func (s *Speaker) unionExports() []uint32 {
+	if s.disordered {
+		return s.rib.best
+	}
+	return s.exports
+}
+
+// freezeBest turns a selection that is the union of the runs into one of
+// its own, for the exports to change under it: the Loc-RIB changes at the
+// next selection, not before.
+func (s *Speaker) freezeBest() {
+	if !s.bestIsUnion {
+		return
+	}
+	best := make([]uint32, 0, s.bestLen())
+	s.eachBest(func(h uint32) { best = append(best, h) })
+	s.rib.best, s.bestIsUnion = best, false
+}
+
+// bestLen returns how many routes s selected.
+func (s *Speaker) bestLen() int {
+	if s.bestIsUnion {
+		return len(s.exports) + len(s.rib.paths)
+	}
+	return len(s.rib.best)
 }
 
 // Best returns the selected route for a VPN prefix.
 func (s *Speaker) Best(p addr.VPNPrefix) (*VPNRoute, bool) {
-	i, ok := s.search(s.rib.best, p)
-	if !ok {
-		return nil, false
+	runs := [][]uint32{s.rib.best}
+	if s.bestIsUnion {
+		runs = [][]uint32{s.unionExports(), s.rib.paths}
 	}
-	return s.mesh.routes[s.rib.best[i]], true
+	for _, run := range runs {
+		if i, ok := s.search(run, p); ok {
+			r := new(VPNRoute)
+			s.mesh.view(run[i], r)
+			return r, true
+		}
+	}
+	return nil, false
 }
 
 // BestRoutes returns all selected routes in prefix order, in a slice of
-// their own of exactly that length: the caller may keep or modify the slice,
-// but the routes are the mesh's and must only be read.
+// their own of exactly that length, pointing into one block of views: the
+// caller may keep or modify the slice, but the routes' lists are the mesh's
+// and must only be read.
 func (s *Speaker) BestRoutes() []*VPNRoute {
-	return s.AppendBestRoutes(make([]*VPNRoute, 0, len(s.rib.best)))
+	views := s.AppendBestRoutes(make([]VPNRoute, 0, s.bestLen()))
+	out := make([]*VPNRoute, len(views))
+	for i := range views {
+		out[i] = &views[i]
+	}
+	return out
 }
 
-// AppendBestRoutes appends the selected routes to dst in prefix order and
-// returns the extended slice: BestRoutes into a buffer the caller reuses
-// across speakers, which allocates nothing once it is large enough.
-func (s *Speaker) AppendBestRoutes(dst []*VPNRoute) []*VPNRoute {
-	for _, h := range s.rib.best {
-		dst = append(dst, s.mesh.routes[h])
-	}
+// AppendBestRoutes appends views of the selected routes to dst in prefix
+// order, by value, and returns the extended slice: BestRoutes into a buffer
+// the caller reuses across speakers, which allocates nothing once it is
+// large enough. The routes' lists are the mesh's and must only be read.
+func (s *Speaker) AppendBestRoutes(dst []VPNRoute) []VPNRoute {
+	dst = slices.Grow(dst, s.bestLen())
+	s.eachBest(func(h uint32) {
+		dst = dst[:len(dst)+1]
+		s.mesh.view(h, &dst[len(dst)-1])
+	})
 	return dst
 }
 

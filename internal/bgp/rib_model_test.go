@@ -50,7 +50,7 @@ func (s *mapRIB) receive(sp *Speaker, r *VPNRoute, bypass bool) {
 func (s *mapRIB) selectBest(sp *Speaker) {
 	s.loc = map[addr.VPNPrefix]*VPNRoute{}
 	consider := func(r *VPNRoute) {
-		if cur, ok := s.loc[r.Prefix]; !ok || better(r, cur) {
+		if cur, ok := s.loc[r.Prefix]; !ok || betterRoute(r, cur) {
 			s.loc[r.Prefix] = r
 		}
 	}
@@ -66,6 +66,19 @@ func (s *mapRIB) selectBest(sp *Speaker) {
 		}
 	}
 }
+
+// betterRoute is the decision process over whole routes.
+func betterRoute(a, b *VPNRoute) bool {
+	if a.LocalPref != b.LocalPref {
+		return a.LocalPref > b.LocalPref
+	}
+	if a.ASPathLen != b.ASPathLen {
+		return a.ASPathLen < b.ASPathLen
+	}
+	return a.NextHop < b.NextHop
+}
+
+func byPrefix(a, b *VPNRoute) int { return addr.CompareVPNPrefix(a.Prefix, b.Prefix) }
 
 func (s *mapRIB) unmark(p addr.VPNPrefix, o topo.NodeID) {
 	if delete(s.stale[p], o); len(s.stale[p]) == 0 {
@@ -120,10 +133,10 @@ func (s *mapRIB) sortedAdj(withStale bool) []*VPNRoute {
 	return out
 }
 
-func (s *mapRIB) countStale(match func(*VPNRoute) bool) int {
+func (s *mapRIB) countStale(match func(topo.NodeID) bool) int {
 	n := 0
 	for _, r := range s.sortedAdj(true) {
-		if s.stale[r.Prefix][r.OriginPE] && match(r) {
+		if s.stale[r.Prefix][r.OriginPE] && match(r.OriginPE) {
 			n++
 		}
 	}
@@ -385,7 +398,7 @@ func (mm *mapMesh) sessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 		s, match, im := mm.ribs[id], mm.m.lostOrigins(mm.m.speakers[id], n), PeerImpact{Peer: id}
 		if graceful {
 			for _, r := range s.sortedAdj(true) {
-				if match(r) {
+				if match(r.OriginPE) {
 					if !s.stale[r.Prefix][r.OriginPE] {
 						mm.staleRetained++
 					}
@@ -395,11 +408,11 @@ func (mm *mapMesh) sessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 			}
 		} else {
 			s.drop(func(r *VPNRoute) bool {
-				if match(r) {
+				if match(r.OriginPE) {
 					im.Withdrawn++
 					mm.withdrawals++
 				}
-				return match(r)
+				return match(r.OriginPE)
 			})
 			if im.Withdrawn > 0 {
 				s.selectBest(mm.m.speakers[id])
@@ -421,7 +434,7 @@ func (mm *mapMesh) sweep(n topo.NodeID) (int, []PeerImpact) {
 		}
 		s, match, im := mm.ribs[id], mm.m.lostOrigins(mm.m.speakers[id], n), PeerImpact{Peer: id}
 		s.drop(func(r *VPNRoute) bool {
-			gone := s.stale[r.Prefix][r.OriginPE] && match(r)
+			gone := s.stale[r.Prefix][r.OriginPE] && match(r.OriginPE)
 			if gone {
 				im.Withdrawn++
 			}
@@ -459,11 +472,12 @@ func routeKey(r *VPNRoute) string {
 		r.Prefix, r.NextHop, r.Label, r.LocalPref, r.ASPathLen, r.OriginPE, r.Reflected, r.RTs)
 }
 
-// resolve returns the routes a run of s's handles stands for.
+// resolve returns views of the routes a run of s's handles stands for.
 func (s *Speaker) resolve(run []uint32) []*VPNRoute {
 	out := make([]*VPNRoute, len(run))
 	for i, h := range run {
-		out[i] = s.mesh.routes[h]
+		out[i] = new(VPNRoute)
+		s.mesh.view(h, out[i])
 	}
 	return out
 }
@@ -629,7 +643,7 @@ func (rig *modelRig) compare() {
 		rig.sameRoutes(s.resolve(s.rib.paths), held, "speaker ", id, " adj-RIB-in")
 		rig.equal(s.RIBSize(), len(held), "speaker ", id, " RIBSize")
 		rig.equal([2]int{s.Received, s.Retained}, [2]int{ms.received, ms.retained}, "speaker ", id, " Received/Retained")
-		stale := ms.countStale(func(*VPNRoute) bool { return true })
+		stale := ms.countStale(func(topo.NodeID) bool { return true })
 		rig.equal(s.StaleRoutes(), stale, "speaker ", id, " StaleRoutes")
 		staleCount += stale
 		rig.equal(m.StaleFrom(id), mm.staleFrom(id), "StaleFrom ", id)
@@ -663,11 +677,11 @@ func (rig *modelRig) checkRanked(seen *selectionCases) {
 	rig.t.Helper()
 	for _, id := range rig.ids {
 		s := rig.m.speakers[id]
-		ranked := s.rib.best
+		ranked, union := s.rib.best, s.bestIsUnion
 		s.selectBest(nil)
-		if !slices.Equal(ranked, s.rib.best) {
-			rig.t.Fatalf("step %d (%s): speaker %d selected %v by prefix rank and %v by prefix",
-				rig.step, rig.what, id, s.resolve(ranked), s.resolve(s.rib.best))
+		if !slices.Equal(ranked, s.rib.best) || union != s.bestIsUnion {
+			rig.t.Fatalf("step %d (%s): speaker %d selected %v (union %v) by prefix rank and %v (union %v) by prefix",
+				rig.step, rig.what, id, s.resolve(ranked), union, s.resolve(s.rib.best), s.bestIsUnion)
 		}
 		exported := func(p addr.VPNPrefix) bool {
 			return slices.ContainsFunc(s.exports, func(h uint32) bool { return rig.m.routes[h].Prefix == p })
@@ -844,14 +858,14 @@ func TestSealKeepsArrivalOrderWhateverTheRuns(t *testing.T) {
 		// In two seals, so the second merges into a run and refreshes in it.
 		s, ref := m.AddSpeaker(topo.NodeID(k), 0), &mapRIB{adj: map[addr.VPNPrefix][]*VPNRoute{}}
 		for i, r := range c.tail {
-			rd.receive(s, handle[r], true)
+			rd.receive(s, []uint32{handle[r]}, true)
 			ref.receive(s, r, true)
 			if i == len(c.tail)/2 {
 				rd.seal(s)
 			}
 		}
 		rd.seal(s)
-		if held := ref.sortedAdj(true); !slices.Equal(s.resolve(s.rib.paths), held) || len(rd.tail) > 0 {
+		if held := ref.sortedAdj(true); !slices.Equal(s.rib.paths, handles(held)) || len(rd.tail) > 0 {
 			t.Fatalf("%s: sealed adj-RIB-in differs from the map model's, or the tail kept %d routes", c.what, len(rd.tail))
 		}
 	}

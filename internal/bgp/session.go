@@ -142,13 +142,13 @@ func (m *Mesh) setState(n topo.NodeID, st PeerState) {
 	m.peerState[n] = st
 }
 
-// lostOrigins returns the predicate selecting the routes speaker s loses
-// when its session toward n dies. Losing a cluster's last reflector severs
-// its clients from everything they did not originate; otherwise only routes
-// originated by n are affected (in the full mesh they arrived on the
-// direct session; through a reflector it withdraws them on the origin's
-// behalf).
-func (m *Mesh) lostOrigins(s *Speaker, n topo.NodeID) func(*VPNRoute) bool {
+// lostOrigins returns the predicate selecting, by origin PE, the routes
+// speaker s loses when its session toward n dies. Losing a cluster's last
+// reflector severs its clients from everything they did not originate;
+// otherwise only routes originated by n are affected (in the full mesh they
+// arrived on the direct session; through a reflector it withdraws them on
+// the origin's behalf).
+func (m *Mesh) lostOrigins(s *Speaker, n topo.NodeID) func(origin topo.NodeID) bool {
 	if m.Layout == Clustered {
 		if ci, isRR := m.rrClusterIdx[n]; isRR {
 			// Redundancy first: with another Up reflector in n's cluster,
@@ -161,26 +161,26 @@ func (m *Mesh) lostOrigins(s *Speaker, n topo.NodeID) func(*VPNRoute) bool {
 				}
 			}
 			if !lastUp {
-				return func(r *VPNRoute) bool { return r.OriginPE == n }
+				return func(o topo.NodeID) bool { return o == n }
 			}
 			if sci, isClient := m.clientClusterIdx[s.Node]; isClient && sci == ci {
 				// The cluster's last reflector died under its client:
 				// severed from the whole mesh except its own routes.
 				self := s.Node
-				return func(r *VPNRoute) bool { return r.OriginPE != self }
+				return func(o topo.NodeID) bool { return o != self }
 			}
 			// Everyone else loses the unreachable cluster: n's exports and
 			// every route originated by n's clients.
-			return func(r *VPNRoute) bool {
-				if r.OriginPE == n {
+			return func(o topo.NodeID) bool {
+				if o == n {
 					return true
 				}
-				oc, isClient := m.clientClusterIdx[r.OriginPE]
+				oc, isClient := m.clientClusterIdx[o]
 				return isClient && oc == ci
 			}
 		}
 	}
-	return func(r *VPNRoute) bool { return r.OriginPE == n }
+	return func(o topo.NodeID) bool { return o == n }
 }
 
 // SessionDown flaps node n's sessions. With graceful restart, every
@@ -199,7 +199,7 @@ func (m *Mesh) SessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 	m.setState(n, st)
 	m.SessionFlaps++
 	if own, ok := m.speakers[n]; ok {
-		own.rib = rib{}
+		own.rib, own.bestIsUnion = rib{}, false
 		own.stale = nil
 		own.damp = nil
 		own.prevHad = nil
@@ -215,22 +215,22 @@ func (m *Mesh) SessionDown(n topo.NodeID, graceful bool) []PeerImpact {
 		im := PeerImpact{Peer: id}
 		if graceful {
 			for _, h := range s.rib.paths {
-				r := m.routes[h]
-				if !match(r) {
+				p, o := m.routes[h].Prefix, m.originOf(h)
+				if !match(o) {
 					continue
 				}
-				if !s.isStale(r.Prefix, r.OriginPE) {
+				if !s.isStale(p, o) {
 					m.StaleRetained++
 				}
-				s.markStale(r.Prefix, r.OriginPE)
+				s.markStale(p, o)
 				im.Stale++
 			}
 		} else {
-			s.retain(func(r *VPNRoute) bool {
-				if !match(r) {
+			s.retain(func(p addr.VPNPrefix, o topo.NodeID) bool {
+				if !match(o) {
 					return true
 				}
-				s.clearStale(r.Prefix, r.OriginPE)
+				s.clearStale(p, o)
 				im.Withdrawn++
 				m.WithdrawalsSent++
 				return false
@@ -294,11 +294,11 @@ func (m *Mesh) SweepStale(n topo.NodeID) (int, []PeerImpact) {
 		match := m.lostOrigins(s, n)
 		im := PeerImpact{Peer: id}
 		if len(s.stale) > 0 {
-			s.retain(func(r *VPNRoute) bool {
-				if !s.isStale(r.Prefix, r.OriginPE) || !match(r) {
+			s.retain(func(p addr.VPNPrefix, o topo.NodeID) bool {
+				if !s.isStale(p, o) || !match(o) {
 					return true
 				}
-				s.clearStale(r.Prefix, r.OriginPE)
+				s.clearStale(p, o)
 				im.Withdrawn++
 				return false
 			}, s.noteWithdrawn)
@@ -346,15 +346,15 @@ func (s *Speaker) clearStale(p addr.VPNPrefix, origin topo.NodeID) {
 
 // StaleRoutes returns the number of stale-retained routes at this speaker.
 func (s *Speaker) StaleRoutes() int {
-	return s.countStale(func(*VPNRoute) bool { return true })
+	return s.countStale(func(topo.NodeID) bool { return true })
 }
 
-// countStale counts the stale-retained routes that match selects.
-func (s *Speaker) countStale(match func(*VPNRoute) bool) int {
+// countStale counts the stale-retained routes whose origin match selects.
+func (s *Speaker) countStale(match func(origin topo.NodeID) bool) int {
 	n := 0
 	for p, origins := range s.stale {
 		for _, h := range s.forPrefix(p) {
-			if r := s.mesh.routes[h]; origins[r.OriginPE] && match(r) {
+			if o := s.mesh.originOf(h); origins[o] && match(o) {
 				n++
 			}
 		}
@@ -370,7 +370,7 @@ func (s *Speaker) clearAdjRIBKeepStale() {
 		s.rib.paths = nil
 		return
 	}
-	s.retain(func(r *VPNRoute) bool { return s.isStale(r.Prefix, r.OriginPE) }, nil)
+	s.retain(s.isStale, nil)
 }
 
 // damping: the receiver-side flap ledger. A flap is a prefix that left

@@ -19,28 +19,24 @@ const routeMin = addr.VPNPrefixMin + 8
 // as the route's position in the table. A save numbers the handles it meets
 // through the mesh's renumber scratch; a load enters the table's routes into
 // the mesh's route table from handle base on, so the sharing survives, and
-// routes that carry equal route targets or an equal reflection share those
-// too, as an original and its stamped copies do in the mesh that was saved.
+// interns their attributes: an original and its stamped copies share the
+// route targets, and a cluster's stamped sets the CLUSTER_LIST, as they did
+// in the mesh that was saved.
 type routeTable struct {
 	m        *Mesh
-	routes   []*VPNRoute
+	handles  []uint32 // a save's table: the handle of each position
+	n        int      // the table's length
 	base     uint32
 	rts      snapshot.SharedSlice[addr.RouteTarget]
 	clusters snapshot.SharedSlice[uint32]
-	// refls holds a load's Reflections by originator and CLUSTER_LIST.
-	refls map[reflKey]*Reflection
-}
-
-// reflKey names a loaded Reflection: its originator and its CLUSTER_LIST's
-// backing array, which the clusters walk shares between equal lists.
-type reflKey struct {
-	originator topo.NodeID
-	list       *uint32
+	// refl is a load's scratch: the reflection of the route just decoded.
+	refl Reflection
 }
 
 // route walks one route of the table. An unstamped route writes the
 // reflection attributes a stamped one carries as a zero ORIGINATOR_ID and an
-// empty CLUSTER_LIST.
+// empty CLUSTER_LIST. A loaded route's Reflected is the table's scratch,
+// valid until the next route.
 func (t *routeTable) route(c *snapshot.Codec, r *VPNRoute) {
 	addr.VPNPrefixState(c, &r.Prefix)
 	snapshot.Uint(c, &r.NextHop)
@@ -55,31 +51,60 @@ func (t *routeTable) route(c *snapshot.Codec, r *VPNRoute) {
 	}
 	snapshot.Int(c, &refl.OriginatorID)
 	t.clusters.Walk(c, &refl.ClusterList, 1, snapshot.Uint[uint32])
-	if c.Loaded() {
-		r.Reflected = t.reflection(c, refl.OriginatorID, refl.ClusterList)
+	if !c.Loaded() {
+		return
+	}
+	r.Reflected = nil
+	switch {
+	case len(refl.ClusterList) > 0:
+		t.refl = refl
+		r.Reflected = &t.refl
+	case refl.OriginatorID != 0:
+		// An ORIGINATOR_ID without a CLUSTER_LIST is no route a reflector
+		// stamped.
+		c.Corrupt("route carries ORIGINATOR_ID %d without a CLUSTER_LIST", refl.OriginatorID)
 	}
 }
 
-// reflection returns the Reflection a loaded route carries: none for an
-// empty CLUSTER_LIST, and one per originator and list otherwise. An
-// ORIGINATOR_ID without a CLUSTER_LIST is no route a reflector stamped.
-func (t *routeTable) reflection(c *snapshot.Codec, o topo.NodeID, list []uint32) *Reflection {
-	if len(list) == 0 {
-		if o != 0 {
-			c.Corrupt("route carries ORIGINATOR_ID %d without a CLUSTER_LIST", o)
+// table walks the route table. A load appends each route to the mesh's
+// table as it is decoded, doubling the table at most, never past the
+// count: a count the bytes admit but do not hold costs what they do hold.
+// A route's attribute set is interned, the set of the route before it asked
+// first, so the routes of one set in a row cost one hash.
+func (t *routeTable) table(c *snapshot.Codec) {
+	m := t.m
+	t.base = uint32(len(m.routes))
+	snapshot.Each(c, &t.n, routeMin, func(c *snapshot.Codec, i int) {
+		if !c.Loading() {
+			var r VPNRoute
+			m.view(t.handles[i], &r)
+			t.route(c, &r)
+			return
 		}
-		return nil
-	}
-	key := reflKey{o, &list[0]}
-	p := t.refls[key]
-	if p == nil {
-		if t.refls == nil {
-			t.refls = make(map[reflKey]*Reflection)
+		var r VPNRoute
+		if t.route(c, &r); !c.Loaded() {
+			return
 		}
-		p = &Reflection{OriginatorID: o, ClusterList: list}
-		t.refls[key] = p
-	}
-	return p
+		a := attrs{r.NextHop, r.RTs, r.LocalPref, r.ASPathLen, r.OriginPE, r.Reflected}
+		set, ok := m.find(&a)
+		if !ok {
+			if a.Reflected != nil {
+				// A stamped set shares its original's targets, as stamping
+				// made it.
+				orig := a
+				orig.Reflected = nil
+				if j, ok := m.find(&orig); ok {
+					a.RTs = m.sets.at(j).RTs
+				}
+				a.Reflected = &Reflection{t.refl.OriginatorID, t.refl.ClusterList}
+			}
+			set = m.sets.add(a)
+		}
+		if len(m.routes) == cap(m.routes) {
+			m.routes = slices.Grow(m.routes, min(t.n-i, max(len(m.routes), 64)))
+		}
+		m.routes = append(m.routes, entry{r.Prefix, r.Label, set})
+	})
 }
 
 // number lays out a save's table: every route an export or an adj-RIB-in
@@ -98,13 +123,14 @@ func (t *routeTable) number() (refs int) {
 		for _, run := range [2][]uint32{s.exports, s.rib.paths} {
 			for _, h := range run {
 				if pos[h] == 0 {
-					t.routes = append(t.routes, m.routes[h])
-					pos[h] = int32(len(t.routes))
+					t.handles = append(t.handles, h)
+					pos[h] = int32(len(t.handles))
 				}
 			}
 			refs += len(run)
 		}
 	}
+	t.n = len(t.handles)
 	return refs
 }
 
@@ -113,7 +139,7 @@ const refMin = 1
 
 // refs walks a run of handles as positions in the table.
 func (t *routeTable) refs(c *snapshot.Codec, run *[]uint32) {
-	snapshot.Refs(c, run, len(t.routes),
+	snapshot.Refs(c, run, t.n,
 		func(h uint32) int { return int(t.m.renumber[h] - 1) },
 		func(k int) uint32 { return t.base + uint32(k) })
 }
@@ -121,15 +147,15 @@ func (t *routeTable) refs(c *snapshot.Codec, run *[]uint32) {
 // checkRun refuses an adj-RIB-in that seal could not have left: prefixes
 // must ascend and a prefix holds one route per origin.
 func (t *routeTable) checkRun(c *snapshot.Codec, run []uint32) {
-	routes := t.m.routes
+	m := t.m
 	for i := 1; i < len(run) && c.Err() == nil; i++ {
-		r := routes[run[i]]
-		if byPrefix(routes[run[i-1]], r) > 0 {
-			c.Corrupt("adj-RIB-in out of prefix order at %v", r.Prefix)
+		p, o := m.routes[run[i]].Prefix, m.originOf(run[i])
+		if addr.CompareVPNPrefix(m.routes[run[i-1]].Prefix, p) > 0 {
+			c.Corrupt("adj-RIB-in out of prefix order at %v", p)
 		}
-		for j := i - 1; j >= 0 && routes[run[j]].Prefix == r.Prefix; j-- {
-			if routes[run[j]].OriginPE == r.OriginPE {
-				c.Corrupt("adj-RIB-in holds %v from origin %d twice", r.Prefix, r.OriginPE)
+		for j := i - 1; j >= 0 && m.routes[run[j]].Prefix == p; j-- {
+			if m.originOf(run[j]) == o {
+				c.Corrupt("adj-RIB-in holds %v from origin %d twice", p, o)
 			}
 		}
 	}
@@ -156,7 +182,8 @@ func (t *routeTable) speakerState(c *snapshot.Codec, s *Speaker) {
 	t.refs(c, &s.exports)
 	t.refs(c, &s.rib.paths)
 	if c.Loaded() {
-		s.disordered = !slices.IsSortedFunc(s.exports, func(a, b uint32) int { return byPrefix(t.m.routes[a], t.m.routes[b]) })
+		routes := t.m.routes
+		s.disordered = !slices.IsSortedFunc(s.exports, func(a, b uint32) int { return addr.CompareVPNPrefix(routes[a].Prefix, routes[b].Prefix) })
 		t.checkRun(c, s.rib.paths)
 	}
 	snapshot.Map(c, &s.stale, addr.CompareVPNPrefix, addr.VPNPrefixMin+1, addr.VPNPrefixState,
@@ -192,13 +219,9 @@ func (m *Mesh) State(c *snapshot.Codec) {
 		// route with one target and a cluster list runs to some thirty
 		// bytes, a reference to three in a table of up to two million. A
 		// guess that falls short costs a regrowth, not a byte.
-		c.Grow(len(t.routes)*(routeMin+20) + refs*3 + len(m.speakers)*16)
+		c.Grow(t.n*(routeMin+20) + refs*3 + len(m.speakers)*16)
 	}
-	snapshot.Ptrs(c, &t.routes, routeMin, t.route)
-	if c.Loaded() {
-		t.base = uint32(len(m.routes))
-		m.routes = append(m.routes, t.routes...)
-	}
+	t.table(c)
 	// A speaker writes at least two counters and six empty collections.
 	snapshot.Overlay(c, m.speakers, cmp.Compare[topo.NodeID], 1+8, "BGP speaker", snapshot.Int[topo.NodeID], t.speakerState)
 	if c.Loaded() {
@@ -206,6 +229,7 @@ func (m *Mesh) State(c *snapshot.Codec) {
 			s.rib.best = nil
 		}
 		m.compact(0, make([]uint32, len(m.routes)))
+		m.compactSets()
 		for _, s := range m.speakers {
 			s.selectBest(nil)
 		}

@@ -225,25 +225,23 @@ func TestConvergeSectionPinned(t *testing.T) {
 	}
 }
 
-// reachable returns the routes a mesh's exports and runs hold, once per
+// reachable returns the handles a mesh's exports and runs hold, once per
 // holder.
-func reachable(m *Mesh) []*VPNRoute {
-	var out []*VPNRoute
+func reachable(m *Mesh) []uint32 {
+	var out []uint32
 	for _, s := range m.speakers {
 		for _, run := range [][]uint32{s.exports, s.rib.paths, s.rib.best} {
-			for _, h := range run {
-				out = append(out, m.routes[h])
-			}
+			out = append(out, run...)
 		}
 	}
 	return out
 }
 
-// distinctRoutes counts the VPNRoute objects reachable from a mesh.
+// distinctRoutes counts the routes reachable from a mesh.
 func distinctRoutes(m *Mesh) int {
-	seen := map[*VPNRoute]bool{}
-	for _, r := range reachable(m) {
-		seen[r] = true
+	seen := map[uint32]bool{}
+	for _, h := range reachable(m) {
+		seen[h] = true
 	}
 	return len(seen)
 }
@@ -253,7 +251,8 @@ func distinctRoutes(m *Mesh) int {
 // Reflections those routes carry.
 func distinctLists(m *Mesh) (rts, clusters, refls int) {
 	seenRTs, seenClusters, seenRefls := map[*addr.RouteTarget]bool{}, map[*uint32]bool{}, map[*Reflection]bool{}
-	for _, r := range reachable(m) {
+	for _, h := range reachable(m) {
+		r := m.attrsOf(h)
 		if len(r.RTs) > 0 {
 			seenRTs[&r.RTs[0]] = true
 		}
@@ -413,26 +412,30 @@ func TestLoadStateAllocatesWhatItDecodes(t *testing.T) {
 }
 
 // checkTable requires m's route table to hold exactly the routes its
-// exports and runs reference: every handle referenced, each route once.
+// exports and runs reference, every handle referenced, and its attribute
+// sets exactly the sets those routes carry, each once and each found by its
+// attributes.
 func checkTable(t *testing.T, m *Mesh, what string) {
 	t.Helper()
 	referenced := make([]bool, len(m.routes))
-	for _, s := range m.speakers {
-		for _, run := range [][]uint32{s.exports, s.rib.paths, s.rib.best} {
-			for _, h := range run {
-				referenced[h] = true
-			}
-		}
+	for _, h := range reachable(m) {
+		referenced[h] = true
 	}
-	seen := map[*VPNRoute]bool{}
-	for h, r := range m.routes {
+	carried := make([]bool, m.sets.n)
+	for h, e := range m.routes {
 		if !referenced[h] {
-			t.Fatalf("%s: handle %d (%v) is referenced by nothing", what, h, r)
+			t.Fatalf("%s: handle %d (%v) is referenced by nothing", what, h, e)
 		}
-		if seen[r] {
-			t.Fatalf("%s: route %v holds two handles", what, r)
+		carried[e.attr] = true
+	}
+	for i := range carried {
+		set := m.sets.at(uint32(i))
+		if !carried[i] {
+			t.Fatalf("%s: set %d (%+v) is carried by no route", what, i, *set)
 		}
-		seen[r] = true
+		if j, ok := m.sets.find(set); !ok || j != uint32(i) {
+			t.Fatalf("%s: set %d (%+v) is found as %d (%v)", what, i, *set, j, ok)
+		}
 	}
 }
 
@@ -465,10 +468,11 @@ func TestRouteTableHoldsWhatIsReachable(t *testing.T) {
 		m.SessionDown(n, graceful)
 		converge(what + ", down")
 		if len(s.exports) > 0 {
-			old := m.routes[s.exports[rng.Intn(len(s.exports))]]
+			var old VPNRoute
+			m.view(s.exports[rng.Intn(len(s.exports))], &old)
 			s.WithdrawLocal(old.Prefix)
 			converge(what + ", withdrawn")
-			r := *old
+			r := old
 			r.Label++
 			s.Originate(&r)
 		}

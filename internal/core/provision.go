@@ -384,8 +384,8 @@ func (b *Backbone) provisionVPNSite(rec *siteRecord, cfg *vpnConfig, pe *device.
 	}
 	// Control plane: export into BGP.
 	sp, _ := b.BGP.Speaker(rec.PE)
-	for _, e := range exports {
-		sp.Originate(e)
+	for i := range exports {
+		sp.Originate(&exports[i])
 	}
 }
 
@@ -441,9 +441,9 @@ func (b *Backbone) provisionBackupAttachment(rec *siteRecord, cfg *vpnConfig, fr
 		pe.LFIB.BindILM(l, mpls.NHLFE{Op: mpls.OpPop, OutLink: rec.backupPEToCE})
 	}
 	sp, _ := b.BGP.Speaker(peID)
-	for _, e := range exports {
-		e.LocalPref = 50 // primary (100) wins while it lives
-		sp.Originate(e)
+	for i := range exports {
+		exports[i].LocalPref = 50 // primary (100) wins while it lives
+		sp.Originate(&exports[i])
 	}
 }
 
@@ -612,7 +612,7 @@ func (b *Backbone) declareRTInterest() {
 // restart their VRF forwarding state must survive exactly as it was when
 // the control plane died.
 func (b *Backbone) importVRFs() {
-	var routes []*bgp.VPNRoute // one buffer for every PE's best paths
+	var routes []bgp.VPNRoute // one buffer of views for every PE's best paths
 	for _, peID := range b.peNodes {
 		if b.surv.stateOf(peID) != sessUp {
 			continue

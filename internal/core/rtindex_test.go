@@ -162,7 +162,7 @@ func (r *rtiRig) check(what string) {
 		if len(ri.VRFs) != len(rs.VRFs) {
 			r.t.Fatalf("after %s: %s holds %d VRFs, the scan's twin %d", what, pe, len(ri.VRFs), len(rs.VRFs))
 		}
-		routes := ss.AppendBestRoutes(nil)
+		routes := ss.BestRoutes()
 		for name, vs := range rs.VRFs {
 			vs.PurgeRemote()
 			for _, route := range routes {

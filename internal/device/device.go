@@ -193,7 +193,7 @@ func (r *Router) WantsRoute(route *bgp.VPNRoute) bool { return r.rts.Wants(route
 // ImportRemote refreshes every VRF from the PE's BGP best paths: each drops
 // its BGP-learned routes (a withdrawn destination must not linger as stale
 // label state) and takes, in the order given, those it imports.
-func (r *Router) ImportRemote(routes []*bgp.VPNRoute) {
+func (r *Router) ImportRemote(routes []bgp.VPNRoute) {
 	for _, v := range r.VRFs {
 		v.PurgeRemote()
 	}

@@ -287,6 +287,24 @@ func (sh *SharedSlice[T]) Walk(c *Codec, s *[]T, min int, elem func(*Codec, *T))
 	sh.list = *s
 }
 
+// Each walks a count, *n, and then that many elements by index through
+// elem: Slice for a sequence the caller keeps where it likes. A load sets
+// *n, validated as Len validates it, before the first element, and walks
+// elements until one fails; the caller allocates as it decodes, so what a
+// count the bytes admit but do not hold costs is up to the caller.
+func Each(c *Codec, n *int, min int, elem func(c *Codec, i int)) {
+	*n = c.Len(*n, min)
+	for i := 0; i < *n && c.Err() == nil; i++ {
+		if c.r != nil {
+			elem(c, i)
+			continue
+		}
+		start := c.w.Len()
+		elem(c, i)
+		c.sized(start, min)
+	}
+}
+
 // ptrChunk is how many elements a load of pointers allocates at a time.
 const ptrChunk = 64
 

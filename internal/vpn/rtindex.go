@@ -81,7 +81,7 @@ func (x *RTIndex) Wants(r *bgp.VPNRoute) bool {
 // two targets one VRF imports reaches it once. The VRFs' BGP-learned routes
 // must have been purged first; each table is grown once, for what it is
 // about to take.
-func (x *RTIndex) Import(routes []*bgp.VPNRoute) {
+func (x *RTIndex) Import(routes []bgp.VPNRoute) {
 	x.each(routes, func(v *VRF, _ *bgp.VPNRoute) { v.want++ })
 	for _, e := range x.ents {
 		if v := e.v; v.want > 0 {
@@ -94,8 +94,9 @@ func (x *RTIndex) Import(routes []*bgp.VPNRoute) {
 
 // each calls fn for every (VRF, route) pair the import policy admits,
 // routes in the order given.
-func (x *RTIndex) each(routes []*bgp.VPNRoute, fn func(*VRF, *bgp.VPNRoute)) {
-	for _, r := range routes {
+func (x *RTIndex) each(routes []bgp.VPNRoute, fn func(*VRF, *bgp.VPNRoute)) {
+	for n := range routes {
+		r := &routes[n]
 		for k, rt := range r.RTs {
 			i, j := x.run(rtKey(rt))
 			for _, e := range x.ents[i:j] {

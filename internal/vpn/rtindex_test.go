@@ -22,11 +22,11 @@ func TestRTIndexHandsEachRouteOnce(t *testing.T) {
 		NextHop: lb2, Label: 500, RTs: []addr.RouteTarget{rtA, rtB}, OriginPE: 2,
 	}
 	handed := map[string]int{}
-	x.each([]*bgp.VPNRoute{r}, func(v *VRF, _ *bgp.VPNRoute) { handed[v.Name]++ })
+	x.each([]bgp.VPNRoute{*r}, func(v *VRF, _ *bgp.VPNRoute) { handed[v.Name]++ })
 	if handed["both"] != 1 || handed["onlyB"] != 1 || len(handed) != 2 {
 		t.Fatalf("handed %v, want both and onlyB once each", handed)
 	}
-	x.Import([]*bgp.VPNRoute{r})
+	x.Import([]bgp.VPNRoute{*r})
 	if both.Size() != 1 || onlyB.Size() != 1 {
 		t.Fatalf("sizes %d and %d after the import, want 1 and 1", both.Size(), onlyB.Size())
 	}

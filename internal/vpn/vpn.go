@@ -82,12 +82,12 @@ func NewVRF(name string, pe topo.NodeID, rd addr.RouteDistinguisher, imp, exp []
 
 // AttachSite connects a local site and installs its prefixes as local
 // routes. It returns the routes the PE must export into BGP.
-func (v *VRF) AttachSite(s *Site, labelFor func(addr.Prefix) packet.Label, loopback addr.IPv4) []*bgp.VPNRoute {
+func (v *VRF) AttachSite(s *Site, labelFor func(addr.Prefix) packet.Label, loopback addr.IPv4) []bgp.VPNRoute {
 	v.sites[s.Name] = s
-	var exports []*bgp.VPNRoute
+	exports := make([]bgp.VPNRoute, 0, len(s.Prefixes))
 	for _, p := range s.Prefixes {
 		v.table.Insert(p, Route{Prefix: p, Local: true, SiteName: s.Name})
-		exports = append(exports, &bgp.VPNRoute{
+		exports = append(exports, bgp.VPNRoute{
 			Prefix:    addr.VPNPrefix{RD: v.RD, Prefix: p},
 			NextHop:   loopback,
 			Label:     labelFor(p),
