@@ -282,6 +282,18 @@ func (t *Table[V]) walk(i uint32, fn func(Prefix, V) bool) bool {
 	return true
 }
 
+// Values calls fn with the cell of every installed prefix's value, in node
+// order: a pass that rewrites values in place (an arena compacting under
+// the spans it holds) without a walk's recursion. fn must not modify the
+// table's shape.
+func (t *Table[V]) Values(fn func(*V)) {
+	for i := range t.nodes {
+		if t.nodes[i].set {
+			fn(&t.vals[i])
+		}
+	}
+}
+
 // Prefixes returns all installed prefixes.
 func (t *Table[V]) Prefixes() []Prefix {
 	out := make([]Prefix, 0, t.size)

@@ -190,7 +190,7 @@ func TestTablePrefixesCount(t *testing.T) {
 func TestTableLookupZeroAlloc(t *testing.T) {
 	tb := NewTable[route]()
 	for _, p := range vrfRoutes(rand.New(rand.NewSource(1)), 20) {
-		tb.Insert(p, route{prefix: p, site: "s"})
+		tb.Insert(p, route{nextHop: p.Addr, site: 1})
 	}
 	p := tb.Prefixes()[7]
 	ip := p.Addr | 9
@@ -216,7 +216,7 @@ func TestTableFootprint(t *testing.T) {
 	build := func(ps []Prefix) *Table[route] {
 		tb := NewTable[route]()
 		for _, p := range ps {
-			tb.Insert(p, route{prefix: p})
+			tb.Insert(p, route{nextHop: p.Addr})
 		}
 		return tb
 	}

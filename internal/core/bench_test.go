@@ -226,6 +226,33 @@ func BenchmarkReconvergeLinkFlapTE(b *testing.B) {
 	b.ReportMetric(float64(st.Moved+st.Resetup)/float64(b.N), "resignalled/op")
 }
 
+// BenchmarkBuildPop147 builds the pop147_churn shape (pop147Backbone) and
+// reports held-MB: the heap one build holds once collected, the forwarding
+// and control state of a converged pop147 before any fault. The time per
+// op is the build's.
+func BenchmarkBuildPop147(b *testing.B) {
+	var held float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := heapAfterGC()
+		b.StartTimer()
+		bb := pop147Backbone(b)
+		b.StopTimer()
+		held = float64(heapAfterGC()-before) / (1 << 20)
+		runtime.KeepAlive(bb)
+		b.StartTimer()
+	}
+	b.ReportMetric(held, "held-MB")
+}
+
+// heapAfterGC collects and returns the bytes of live heap objects.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // pop147Backbone builds the repository benchmark's pop147_churn shape: a 7x7
 // grid of P routers on 1 Gb/s links of metric 1-4, two PEs per P, seven
 // reflector clusters, 2,000 sites in 100 VPNs round-robin over the PEs, and

@@ -46,13 +46,14 @@ func ring200Backbone() *Backbone {
 // the traffic workloads rebuild. Garbage a build leaves is collector work
 // in the build, and a ring rebuild ends close to the collector's trigger
 // (DESIGN.md §15.7): neither may allocate more than recorded here. The
-// object budgets sit 1 % above what the builds allocated when a BGP route
-// became an entry under a shared attribute set (pop147 38.29 MB in 116.1k
-// objects, ring200 1.928 MB in 10.6k: a route with a set of its own, as
-// every pop147 route has, costs a few bytes more and no object), and the
-// byte budgets 1 % above what they allocated when the hybrid lost its EF
-// cap (16 bytes a port) and RSVP stopped formatting event details nobody
-// reads (38.21 MB in 118.3k, 1.915 MB in 10.8k); 38.97 MB in 121.3k and
+// budgets sit 1 % above what the builds allocated once the ILM and FTN sets
+// became spans in an NHLFE arena per table, a VRF route a 24-byte value,
+// a CE stopped making the PE-only maps and its FEC trie, and a VRF its
+// site map (pop147 32.67 MB in 83.55k objects, ring200 1.685 MB in 8.13k).
+// Before that a BGP route became an
+// entry under a shared attribute set (38.29 MB in 116.1k, 1.928 MB in
+// 10.6k), and the hybrid lost its EF cap and RSVP stopped formatting event
+// details nobody reads (38.21 MB in 118.3k, 1.915 MB in 10.8k); 38.97 MB in 121.3k and
 // 1.973 MB when a port's hybrid scheduler came to hold one set of class
 // queues and flooding to queue origin ranks; before that they read 44.41 MB and 2.414 MB, and
 // before the route-target index, the one-walk FTN fill and the ledger drain
@@ -68,8 +69,8 @@ func TestBuildFootprint(t *testing.T) {
 		build       func() *Backbone
 		bytes, objs uint64
 	}{
-		{"pop147", func() *Backbone { return pop147Backbone(t) }, 38_600_000, 117_300},
-		{"ring200", ring200Backbone, 1_935_000, 10_700},
+		{"pop147", func() *Backbone { return pop147Backbone(t) }, 32_995_000, 84_400},
+		{"ring200", ring200Backbone, 1_702_000, 8_220},
 	} {
 		c.build() // warm every lazily built table of the runtime
 		var before, after runtime.MemStats
@@ -90,9 +91,11 @@ func TestBuildFootprint(t *testing.T) {
 // shape: one grid link failed and restored, each detected at once, through
 // the incremental branch (ISPF, the LDP delta, the TE re-signal). The first
 // flap sizes the reconvergence's scratch and is not counted; the budget is
-// the mean of the next four, 1 % above the 8,344 bytes in 117 objects it
-// measured in every run once RSVP built an event's detail text only for an
-// OnEvent subscriber. It read 9,240 bytes in 149 objects before that, when
+// the mean of the next four, 1 % above the 3,768 bytes in 106 objects it
+// measured in every run once LDP's re-derived sets grew into an arena per
+// table instead of a new slice each. It read 8,344 bytes in 117 objects
+// before that, and once RSVP built an event's detail text only for an
+// OnEvent subscriber; 9,240 bytes in 149 objects before that, when
 // Setup grew a "path ..." detail hop by hop for nobody, and once a fault
 // formatted its journal text only with the journal on; before that a
 // formatted detail came from fmt's printer pool and read 9,370 to 9,482
@@ -109,7 +112,7 @@ func TestLinkFlapFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under -race")
 	}
-	const flaps, bytes, objs = 4, 8_430, 118
+	const flaps, bytes, objs = 4, 3_810, 107
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b := pop147Backbone(t)
 	a, z := gridP(3, 3), gridP(3, 4)

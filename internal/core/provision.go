@@ -893,8 +893,9 @@ func (b *Backbone) buildTunnel(spi uint32, a, z *siteRecord, copyToS bool, n int
 		sa := ipsec.NewSA(spi+uint32(k), ceA.Loopback, ceZ.Loopback)
 		sa.CopyToS = copyToS
 		sas[k] = sa
-		ceZ.DecapSAs[sa.SPI] = ipsec.NewSA(sa.SPI, ceA.Loopback, ceZ.Loopback)
-		ceZ.DecapSAs[sa.SPI].CopyToS = copyToS
+		in := ipsec.NewSA(sa.SPI, ceA.Loopback, ceZ.Loopback)
+		in.CopyToS = copyToS
+		ceZ.AddDecapSA(in)
 	}
 	if ceA.EncapTunnels == nil {
 		ceA.EncapTunnels = addr.NewTable[[]*ipsec.SA]()

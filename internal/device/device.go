@@ -96,16 +96,18 @@ type Router struct {
 	// matching traffic is delivered rather than forwarded.
 	LocalPrefixes *addr.Table[bool]
 
-	// VPN state (PE only). Install and remove VRFs only through
-	// AddVRF/RemoveVRF, which keep the access bindings pointing at them and
-	// the import index (rts) in step with them.
-	VRFs       map[string]*vpn.VRF
-	accessVRF  map[topo.LinkID]accessBinding     // inbound access link -> VRF
-	siteAccess map[string]map[string]topo.LinkID // vrf -> site -> outbound access link
+	// VPN state (PE only; nil until the first VRF or binding). Install and
+	// remove VRFs only through AddVRF/RemoveVRF, which keep the access
+	// bindings pointing at them and the import index (rts) in step with
+	// them. The outbound access link toward each attached site lives in its
+	// VRF, beside the site's name (vpn.VRF.BindAccess).
+	VRFs      map[string]*vpn.VRF
+	accessVRF map[topo.LinkID]accessBinding // inbound access link -> VRF
 
 	// TE steering (ingress PE): overrides the LDP transport label. Mutate
 	// only through SetTE/DeleteTE, which keep the two-level teIdx in sync;
-	// the map itself remains the canonical, digest-iterable view.
+	// the map itself remains the canonical, digest-iterable view. Both are
+	// nil until the first SetTE.
 	TE    map[TEKey]mpls.NHLFE
 	teIdx map[topo.NodeID]*teIndex
 
@@ -123,7 +125,7 @@ type Router struct {
 	// reordering interaction E3 measures); NumClasses entries give each
 	// class its own replay window, the standard operational fix.
 	EncapTunnels *addr.Table[[]*ipsec.SA] // dst prefix -> outbound SAs by class
-	DecapSAs     map[uint32]*ipsec.SA     // SPI -> inbound SA
+	DecapSAs     map[uint32]*ipsec.SA     // SPI -> inbound SA; nil until AddDecapSA
 
 	// Counters.
 	Delivered      int
@@ -141,20 +143,23 @@ type Router struct {
 	rts vpn.RTIndex
 }
 
-// New creates a router of the given kind.
+// New creates a router of the given kind. The maps only a PE or an IPSec
+// gateway fills are made on their first write, so a CE or P holds none.
 func New(node topo.NodeID, name string, kind Kind, loopback addr.IPv4) *Router {
 	return &Router{
 		Node: node, Name: name, Kind: kind, Loopback: loopback,
-		LFIB:       mpls.NewLFIB(),
-		FTN:        mpls.NewFTN(),
-		IPTable:    addr.NewTable[topo.LinkID](),
-		VRFs:       make(map[string]*vpn.VRF),
-		accessVRF:  make(map[topo.LinkID]accessBinding),
-		siteAccess: make(map[string]map[string]topo.LinkID),
-		TE:         make(map[TEKey]mpls.NHLFE),
-		teIdx:      make(map[topo.NodeID]*teIndex),
-		DecapSAs:   make(map[uint32]*ipsec.SA),
+		LFIB:    mpls.NewLFIB(),
+		FTN:     mpls.NewFTN(),
+		IPTable: addr.NewTable[topo.LinkID](),
 	}
+}
+
+// AddDecapSA installs an inbound SA under its SPI.
+func (r *Router) AddDecapSA(sa *ipsec.SA) {
+	if r.DecapSAs == nil {
+		r.DecapSAs = make(map[uint32]*ipsec.SA)
+	}
+	r.DecapSAs[sa.SPI] = sa
 }
 
 // accessBinding is what an inbound access link is bound to: the VRF's name,
@@ -170,6 +175,9 @@ type accessBinding struct {
 func (r *Router) AddVRF(v *vpn.VRF) {
 	if old, ok := r.VRFs[v.Name]; ok {
 		r.rts.Remove(old)
+	}
+	if r.VRFs == nil {
+		r.VRFs = make(map[string]*vpn.VRF)
 	}
 	r.VRFs[v.Name] = v
 	r.rts.Add(v)
@@ -212,6 +220,9 @@ func (r *Router) rebindAccess(name string, v *vpn.VRF) {
 // on it are looked up in that VPN's table. This is the "VPN interface" of
 // the paper's Fig. 3.
 func (r *Router) BindAccess(in topo.LinkID, vrfName string) {
+	if r.accessVRF == nil {
+		r.accessVRF = make(map[topo.LinkID]accessBinding)
+	}
 	r.accessVRF[in] = accessBinding{vrfName, r.VRFs[vrfName]}
 }
 
@@ -228,12 +239,10 @@ func (r *Router) UnbindAccess(in topo.LinkID) {
 }
 
 // UnbindSiteAccess removes the outbound access-link binding installed by
-// BindSiteAccess, dropping the per-VRF map when it empties.
+// BindSiteAccess.
 func (r *Router) UnbindSiteAccess(vrfName, site string) {
-	m := r.siteAccess[vrfName]
-	delete(m, site)
-	if len(m) == 0 {
-		delete(r.siteAccess, vrfName)
+	if v, ok := r.VRFs[vrfName]; ok {
+		v.UnbindAccess(site)
 	}
 }
 
@@ -406,7 +415,7 @@ func (r *Router) forwardVRF(p *packet.Packet, vrf *vpn.VRF) Verdict {
 	if rt.Local {
 		// Destination site attaches to this same PE: hairpin out its
 		// access link without touching MPLS.
-		if out, ok := r.accessLinkForSite(vrf, rt.SiteName); ok {
+		if out, ok := vrf.AccessLink(rt); ok {
 			return Verdict{OutLink: out}
 		}
 		r.Delivered++
@@ -483,6 +492,10 @@ func (s *teSlots) clear(c qos.Class) {
 // SetTE installs (or replaces) a TE steering entry, keeping the canonical
 // map and the hot-path index in sync.
 func (r *Router) SetTE(k TEKey, e mpls.NHLFE) {
+	if r.TE == nil {
+		r.TE = make(map[TEKey]mpls.NHLFE)
+		r.teIdx = make(map[topo.NodeID]*teIndex)
+	}
 	r.TE[k] = e
 	idx := r.teIdx[k.EgressPE]
 	if idx == nil {
@@ -545,18 +558,12 @@ func (r *Router) expFor(p *packet.Packet) uint8 {
 
 // BindSiteAccess records the outbound access link used to reach an attached
 // site's CE: the egress half of the Fig. 3 VPN interface. Call alongside
-// BindAccess during provisioning.
+// BindAccess during provisioning, once the router holds the VRF: the
+// binding lives in it, beside the site's name.
 func (r *Router) BindSiteAccess(vrfName, site string, out topo.LinkID) {
-	m := r.siteAccess[vrfName]
-	if m == nil {
-		m = make(map[string]topo.LinkID)
-		r.siteAccess[vrfName] = m
+	v, ok := r.VRFs[vrfName]
+	if !ok {
+		panic("device: site access bound in VRF " + vrfName + ", which " + r.Name + " does not hold")
 	}
-	m[site] = out
-}
-
-// accessLinkForSite finds the outbound access link for a VRF's local site.
-func (r *Router) accessLinkForSite(vrf *vpn.VRF, site string) (topo.LinkID, bool) {
-	l, ok := r.siteAccess[vrf.Name][site]
-	return l, ok
+	v.BindAccess(site, out)
 }

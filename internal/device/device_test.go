@@ -1,6 +1,9 @@
 package device
 
 import (
+	"bytes"
+	"cmp"
+	"errors"
 	"testing"
 
 	"mplsvpn/internal/addr"
@@ -302,7 +305,7 @@ func TestIPSecGatewayRoundTrip(t *testing.T) {
 	gwA.EncapTunnels = addr.NewTable[[]*ipsec.SA]()
 	gwA.EncapTunnels.Insert(addr.MustParsePrefix("10.2.0.0/16"), []*ipsec.SA{sa})
 	gwA.IPTable.Insert(addr.Prefix{}, 3) // default toward backbone
-	gwB.DecapSAs[77] = ipsec.NewSA(77, lbA, lbB)
+	gwB.AddDecapSA(ipsec.NewSA(77, lbA, lbB))
 	gwB.LocalPrefixes = addr.NewTable[bool]()
 	gwB.LocalPrefixes.Insert(addr.MustParsePrefix("10.2.0.0/16"), true)
 
@@ -407,7 +410,7 @@ func TestESPReplayDropSurfaces(t *testing.T) {
 	lbA := addr.MustParseIPv4("10.255.0.10")
 	lbB := addr.MustParseIPv4("10.255.0.20")
 	gwB := New(20, "GWB", CE, lbB)
-	gwB.DecapSAs[77] = ipsec.NewSA(77, lbA, lbB)
+	gwB.AddDecapSA(ipsec.NewSA(77, lbA, lbB))
 	gwB.LocalPrefixes = addr.NewTable[bool]()
 	gwB.LocalPrefixes.Insert(addr.MustParsePrefix("10.2.0.0/16"), true)
 	out := ipsec.NewSA(77, lbA, lbB)
@@ -431,5 +434,90 @@ func TestNoRouteAnywhereDrops(t *testing.T) {
 	}
 	if r.DroppedNoRoute != 1 {
 		t.Fatalf("DroppedNoRoute = %d", r.DroppedNoRoute)
+	}
+}
+
+// TestSiteAccessStateIsTheMapEncoding: the outbound access bindings live in
+// the VRFs, beside each site's name, and are written as snapshot.Map writes
+// a map from VRF name to site name to link — VRFs with a binding
+// ascending, each one's sites ascending, a VRF without one absent. A load
+// into the rebuilt router hairpins out the same links, and a binding for a
+// VRF the router does not hold is refused.
+func TestSiteAccessStateIsTheMapEncoding(t *testing.T) {
+	pe := New(1, "PE1", PE, addr.MustParseIPv4("10.255.0.1"))
+	for _, name := range []string{"zeta", "acme", "idle"} {
+		pe.AddVRF(vpn.NewVRF(name, 1, rdA, []addr.RouteTarget{rtA}, []addr.RouteTarget{rtA}))
+	}
+	pe.BindSiteAccess("zeta", "z1", 7)
+	pe.BindSiteAccess("acme", "west", 12)
+	pe.BindSiteAccess("acme", "east", 11)
+	pe.BindSiteAccess("acme", "gone", 13)
+	pe.UnbindSiteAccess("acme", "gone")
+	want := map[string]map[string]topo.LinkID{"acme": {"east": 11, "west": 12}, "zeta": {"z1": 7}}
+
+	var got, enc snapshot.Writer
+	pe.siteAccessState(snapshot.Saver(&got))
+	snapshot.Map(snapshot.Saver(&enc), &want, cmp.Compare[string], 2, (*snapshot.Codec).Str,
+		func(c *snapshot.Codec, m *map[string]topo.LinkID) {
+			snapshot.Map(c, m, cmp.Compare[string], 2, (*snapshot.Codec).Str, snapshot.Int[topo.LinkID])
+		})
+	if !bytes.Equal(got.Data(), enc.Data()) {
+		t.Fatalf("site access\n got %x\nwant %x", got.Data(), enc.Data())
+	}
+
+	v := pe.VRFs["acme"]
+	v.AttachSite(&vpn.Site{Name: "east", VPN: "acme", Prefixes: []addr.Prefix{addr.MustParsePrefix("10.3.0.0/16")}},
+		func(addr.Prefix) packet.Label { return 600 }, pe.Loopback)
+	pe.BindAccess(100, "acme")
+	var w snapshot.Writer
+	pe.State(snapshot.Saver(&w))
+	rebuilt := New(1, "PE1", PE, addr.MustParseIPv4("10.255.0.1"))
+	if err := snapshot.Load(snapshot.NewReader(w.Data()), rebuilt.State); err != nil {
+		t.Fatal(err)
+	}
+	if verdict := rebuilt.Receive(0, ipPkt("10.3.1.1", packet.DSCPBestEffort), 100); verdict.OutLink != 11 {
+		t.Fatalf("restored hairpin: %+v, want out link 11", verdict)
+	}
+	var again snapshot.Writer
+	rebuilt.State(snapshot.Saver(&again))
+	if !bytes.Equal(again.Data(), w.Data()) {
+		t.Fatal("a restored router saves different bytes")
+	}
+
+	bare := New(1, "PE1", PE, addr.MustParseIPv4("10.255.0.1"))
+	if err := snapshot.Load(snapshot.NewReader(got.Data()), bare.siteAccessState); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("bindings for VRFs the router does not hold: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestPEMapsAreMadeOnFirstWrite: a new router holds none of the maps only a
+// PE or an IPSec gateway fills, writes the bytes a router holding them empty
+// writes, and a load leaves every one of them writable.
+func TestPEMapsAreMadeOnFirstWrite(t *testing.T) {
+	ce := New(3, "CE1", CE, addr.MustParseIPv4("10.255.0.3"))
+	if ce.VRFs != nil || ce.accessVRF != nil || ce.TE != nil || ce.teIdx != nil || ce.DecapSAs != nil {
+		t.Fatal("a new router made a PE-only map")
+	}
+	empty := New(3, "CE1", CE, addr.MustParseIPv4("10.255.0.3"))
+	empty.VRFs, empty.accessVRF = map[string]*vpn.VRF{}, map[topo.LinkID]accessBinding{}
+	empty.TE, empty.teIdx = map[TEKey]mpls.NHLFE{}, map[topo.NodeID]*teIndex{}
+	var nilMaps, emptyMaps snapshot.Writer
+	ce.State(snapshot.Saver(&nilMaps))
+	empty.State(snapshot.Saver(&emptyMaps))
+	if !bytes.Equal(nilMaps.Data(), emptyMaps.Data()) {
+		t.Fatal("nil and empty maps write different bytes")
+	}
+
+	loaded := New(3, "CE1", CE, addr.MustParseIPv4("10.255.0.3"))
+	if err := snapshot.Load(snapshot.NewReader(nilMaps.Data()), loaded.State); err != nil {
+		t.Fatal(err)
+	}
+	loaded.AddVRF(vpn.NewVRF("acme", 3, rdA, nil, nil))
+	loaded.BindAccess(100, "acme")
+	loaded.BindSiteAccess("acme", "hq", 5)
+	loaded.SetTE(TEKey{EgressPE: 2, Class: -1}, mpls.NHLFE{Op: mpls.OpPush, OutLabel: 300, OutLink: 4})
+	loaded.AddDecapSA(ipsec.NewSA(9, 1, 2))
+	if _, ok := loaded.AccessVRF(100); !ok || len(loaded.TE) != 1 || loaded.DecapSAs[9] == nil {
+		t.Fatal("a loaded router's maps took no writes")
 	}
 }

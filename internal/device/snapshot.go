@@ -2,6 +2,7 @@ package device
 
 import (
 	"cmp"
+	"slices"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/mpls"
@@ -57,10 +58,15 @@ func (r *Router) State(c *snapshot.Codec) {
 				b.vrf = r.VRFs[b.name]
 			}
 		})
-	snapshot.Map(c, &r.siteAccess, cmp.Compare[string], 2, (*snapshot.Codec).Str,
-		func(c *snapshot.Codec, m *map[string]topo.LinkID) {
-			snapshot.Map(c, m, cmp.Compare[string], 2, (*snapshot.Codec).Str, snapshot.Int[topo.LinkID])
-		})
+	r.siteAccessState(c)
+	if c.Loading() { // a CE or P holds no PE map, loaded or built
+		if len(r.VRFs) == 0 {
+			r.VRFs = nil
+		}
+		if len(r.accessVRF) == 0 {
+			r.accessVRF = nil
+		}
+	}
 
 	snapshot.Map(c, &r.TE, compareTEKey, 3+mpls.NHLFEMin, func(c *snapshot.Codec, k *TEKey) {
 		snapshot.Int(c, &k.EgressPE)
@@ -68,8 +74,9 @@ func (r *Router) State(c *snapshot.Codec) {
 		c.Str(&k.VRF)
 	}, mpls.NHLFEState)
 	if c.Loaded() {
-		r.teIdx = make(map[topo.NodeID]*teIndex)
-		for k, e := range r.TE {
+		te := r.TE
+		r.TE, r.teIdx = nil, nil
+		for k, e := range te {
 			if k.Class >= qos.NumClasses {
 				c.Corrupt("TE steering entry for class %d", k.Class)
 				return
@@ -90,4 +97,36 @@ func (r *Router) State(c *snapshot.Codec) {
 	snapshot.Int(c, &r.IPLookups)
 	snapshot.Int(c, &r.LabelLookups)
 	snapshot.Int(c, &r.EXPMapped)
+}
+
+// siteAccessState walks the outbound access bindings, which live in the
+// VRFs, in the checkpoint's layout of a map from VRF name to site name to
+// link: the VRFs holding a binding ascending by name, each with its
+// bindings. Bindings for a VRF the router does not hold are corrupt.
+func (r *Router) siteAccessState(c *snapshot.Codec) {
+	if c.Loading() {
+		for n := c.Len(0, 2); n > 0 && c.Err() == nil; n-- {
+			var name string
+			c.Str(&name)
+			v, ok := r.VRFs[name]
+			if !ok {
+				c.Corrupt("site access bound in VRF %q, which the router does not hold", name)
+				return
+			}
+			v.AccessState(c)
+		}
+		return
+	}
+	var names []string
+	for name, v := range r.VRFs {
+		if v.HasAccess() {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	c.Len(len(names), 2)
+	for i := range names {
+		c.Str(&names[i])
+		r.VRFs[names[i]].AccessState(c)
+	}
 }

@@ -13,6 +13,7 @@
 package mpls
 
 import (
+	"math"
 	"slices"
 
 	"mplsvpn/internal/addr"
@@ -21,7 +22,7 @@ import (
 )
 
 // Op is the label operation an NHLFE applies.
-type Op int
+type Op uint8
 
 // Label operations.
 const (
@@ -41,11 +42,11 @@ func (o Op) String() string {
 	}
 }
 
-// NHLFE is a next-hop label forwarding entry.
+// NHLFE is a next-hop label forwarding entry: 32 bytes and no pointer, its
+// 8-byte fields first.
 type NHLFE struct {
-	Op       Op
-	OutLabel packet.Label // meaningful for push/swap; ImplicitNull requests PHP
 	OutLink  topo.LinkID  // egress interface; -1 = local delivery
+	OutLabel packet.Label // meaningful for push/swap; ImplicitNull requests PHP
 
 	// Fast-reroute state (RFC 4090 facility backup): when BypassLabel is
 	// non-zero the entry is detoured — after the normal swap/pop the
@@ -53,6 +54,8 @@ type NHLFE struct {
 	// toward the merge point instead of the (failed) OutLink.
 	BypassLabel packet.Label
 	BypassLink  topo.LinkID
+
+	Op Op
 }
 
 // detoured reports whether FRR redirection is active on the entry.
@@ -80,6 +83,92 @@ func (a *Allocator) Alloc() packet.Label {
 // Allocated returns how many labels have been handed out (E1 state metric).
 func (a *Allocator) Allocated() int { return int(a.next - packet.MinDynamicLabel) }
 
+// span locates one action set in its table's arena: n members from off,
+// with room for as many as room before the next set begins. A bound set
+// always has room for one, so the zero span is "unbound".
+type span struct {
+	off     uint32
+	n, room uint16
+}
+
+// bound reports whether the span holds a set, empty or not.
+func (s span) bound() bool { return s.room != 0 }
+
+// arena holds the action sets of one table end to end, so that a set is an
+// 8-byte span and not a slice of its own: the table holds no pointer for
+// the collector to scan. A set that outgrows its room moves to the tail and
+// leaves its room a hole; once the holes exceed half the array, the table
+// compacts it. Each table has its own arena, so a set handed out by one
+// table stays good while another changes.
+type arena struct {
+	es    []NHLFE
+	holes int // members of es no span covers
+}
+
+// members returns s's set, capped at its length.
+func (a *arena) members(s span) []NHLFE {
+	return a.es[s.off : s.off+uint32(s.n) : s.off+uint32(s.n)]
+}
+
+// grow makes room for n more members at the tail.
+func (a *arena) grow(n int) { a.es = slices.Grow(a.es, n) }
+
+// resize makes *s a set of n members, keeping the first min(n, s.n)
+// members it had: in place when its room allows, otherwise at the tail,
+// with the old room left a hole. It reports whether the table must now
+// compact.
+func (a *arena) resize(s *span, n int) bool {
+	if n > math.MaxUint16 {
+		panic("mpls: action set larger than 65535 members")
+	}
+	if n <= int(s.room) {
+		s.n = uint16(n)
+		return false
+	}
+	off := len(a.es)
+	a.es = append(a.es, make([]NHLFE, n)...)
+	copy(a.es[off:], a.members(*s))
+	a.holes += int(s.room)
+	*s = span{off: uint32(off), n: uint16(n), room: uint16(n)}
+	return a.holes > len(a.es)/2
+}
+
+// release turns s's room into a hole and reports whether the table must now
+// compact.
+func (a *arena) release(s span) bool {
+	a.holes += int(s.room)
+	return a.holes > len(a.es)/2
+}
+
+// compact copies every live set, each with its room, to the front of a new
+// array in the order each visits their spans, and rewrites the spans.
+func (a *arena) compact(each func(visit func(*span))) {
+	es := make([]NHLFE, 0, len(a.es)-a.holes)
+	each(func(s *span) {
+		off := len(es)
+		es = append(es, a.es[s.off:s.off+uint32(s.room)]...)
+		s.off = uint32(off)
+	})
+	a.es, a.holes = es, 0
+}
+
+// insertAt makes room at position i of es, whose last member is spare, and
+// puts e there.
+func insertAt(es []NHLFE, i int, e NHLFE) {
+	copy(es[i+1:], es[i:len(es)-1])
+	es[i] = e
+}
+
+// position returns where a member on link goes in es, which ascends by
+// OutLink, and whether es already holds a member on it.
+func position(es []NHLFE, link topo.LinkID) (int, bool) {
+	i := 0
+	for i < len(es) && es[i].OutLink < link {
+		i++
+	}
+	return i, i < len(es) && es[i].OutLink == link
+}
+
 // LFIB is one router's label forwarding information base: the ILM for
 // labelled traffic plus an FTN per context (the global table and one per
 // VRF) for unlabelled traffic entering an LSP.
@@ -87,18 +176,18 @@ func (a *Allocator) Allocated() int { return int(a.next - packet.MinDynamicLabel
 // The ILM is a slice indexed by the incoming label — "the label is an
 // index", literally: a router allocates its labels densely from 16 and
 // never reuses one, so the slice is as long as its allocator has counted
-// and a transit lookup is one bounds check. A nil element is an unbound
-// label; a bound one is never nil, even when its action set is empty.
+// and a transit lookup is one bounds check. Each element is a span of the
+// LFIB's arena; the zero span is an unbound label, and a bound one is never
+// zero, even when its action set is empty.
 type LFIB struct {
-	ilm   [][]NHLFE
-	bound int // non-nil elements of ilm
+	ilm   []span
+	sets  arena
+	bound int // bound elements of ilm
 
 	// Counters for the forwarding experiments.
 	Swapped int
 	Pushed  int
 	Popped  int
-
-	sets oneSets // control plane only: after what a packet touches
 }
 
 // NewLFIB returns an empty LFIB.
@@ -106,99 +195,87 @@ func NewLFIB() *LFIB { return &LFIB{} }
 
 // BindILM installs the action for an incoming label, replacing any
 // existing set.
-func (f *LFIB) BindILM(in packet.Label, e NHLFE) { f.SetILM(in, []NHLFE{e}) }
+func (f *LFIB) BindILM(in packet.Label, e NHLFE) { f.ResetILM(in, 1)[0] = e }
 
 // AddILM adds an equal-cost action for an incoming label (ECMP), keeping
 // the set in ascending OutLink order — the IGP's NextHops order, so the
 // member a flow hashes to does not depend on the order mappings arrived in.
 // Duplicate out-links are ignored.
-func (f *LFIB) AddILM(in packet.Label, e NHLFE) { f.SetILM(in, f.sets.add(f.actions(in), e)) }
+func (f *LFIB) AddILM(in packet.Label, e NHLFE) {
+	es := f.actions(in)
+	i, dup := position(es, e.OutLink)
+	if !dup {
+		insertAt(f.ResetILM(in, len(es)+1), i, e)
+	}
+}
 
-// Grow makes room for n more labels' action sets started by AddILM, so
-// that a set of one is not an allocation of its own.
+// Grow makes room for n more actions bound by AddILM, so that binding them
+// does not grow the arena step by step.
 func (f *LFIB) Grow(n int) { f.sets.grow(n) }
 
-// SetILM replaces the whole action set for an incoming label. The LFIB
-// keeps es; the caller must not reuse it.
-func (f *LFIB) SetILM(in packet.Label, es []NHLFE) {
+// SetILM replaces the whole action set for an incoming label with a copy
+// of es.
+func (f *LFIB) SetILM(in packet.Label, es []NHLFE) { copy(f.ResetILM(in, len(es)), es) }
+
+// cell returns the ILM element for an incoming label, growing the slice to
+// hold it.
+func (f *LFIB) cell(in packet.Label) *span {
 	if in > packet.MaxLabel {
 		panic("mpls: label outside the 20-bit space")
 	}
 	if int(in) >= len(f.ilm) {
-		f.ilm = append(f.ilm, make([][]NHLFE, int(in)+1-len(f.ilm))...)
+		f.ilm = append(f.ilm, make([]span, int(in)+1-len(f.ilm))...)
 	}
-	if es == nil {
-		es = []NHLFE{}
-	}
-	if f.ilm[in] == nil {
-		f.bound++
-	}
-	f.ilm[in] = es
+	return &f.ilm[in]
 }
 
 // actions returns the action set bound to an incoming label, nil if none.
 func (f *LFIB) actions(in packet.Label) []NHLFE {
-	if int(in) >= len(f.ilm) {
+	if int(in) >= len(f.ilm) || !f.ilm[in].bound() {
 		return nil
 	}
-	return f.ilm[in]
-}
-
-// insertByOutLink returns es with e inserted at its OutLink position; es is
-// returned unchanged when it already holds a member on e.OutLink.
-func insertByOutLink(es []NHLFE, e NHLFE) []NHLFE {
-	i := 0
-	for i < len(es) && es[i].OutLink < e.OutLink {
-		i++
-	}
-	if i < len(es) && es[i].OutLink == e.OutLink {
-		return es
-	}
-	es = append(es, NHLFE{})
-	copy(es[i+1:], es[i:])
-	es[i] = e
-	return es
-}
-
-// oneSets hands out one-member action sets from one array, so that a set
-// of one is not an allocation of its own. Each set is capped at its one
-// element: a second member (insertByOutLink) copies it out.
-type oneSets []NHLFE
-
-// grow makes room for n more sets.
-func (s *oneSets) grow(n int) { *s = slices.Grow((*s)[len(*s):], n) }
-
-// add returns es with e inserted by out-link, taking a one-member set from
-// the array when es is empty and the array has room.
-func (s *oneSets) add(es []NHLFE, e NHLFE) []NHLFE {
-	if len(es) > 0 || len(*s) == cap(*s) {
-		return insertByOutLink(es, e)
-	}
-	n := len(*s)
-	*s = append(*s, e)
-	return (*s)[n : n+1 : n+1]
+	return f.sets.members(f.ilm[in])
 }
 
 // ResetILM rebinds an incoming label to n actions and returns them for the
 // caller to overwrite, every one: the set already bound, resized, when its
-// array has room for n, a fresh set otherwise. A control plane re-deriving
-// an entry whose next-hop count did not grow past what it once was
-// allocates nothing. (Every set owns its array: a one-member cell is capped
-// at one.)
+// room holds n, a set moved to the arena's tail otherwise. A control plane
+// re-deriving an entry whose next-hop count did not grow past what it once
+// was allocates nothing. The set is good until the LFIB next changes.
 func (f *LFIB) ResetILM(in packet.Label, n int) []NHLFE {
-	es := f.actions(in)
-	if es == nil || cap(es) < n {
-		es = make([]NHLFE, n)
+	s := f.cell(in)
+	if !s.bound() {
+		f.bound++
 	}
-	f.SetILM(in, es[:n])
-	return es[:n]
+	if f.sets.resize(s, max(n, 1)) {
+		f.compact()
+	}
+	s = &f.ilm[in]
+	s.n = uint16(n)
+	return f.sets.members(*s)
+}
+
+// compact rewrites the arena without its holes.
+func (f *LFIB) compact() {
+	f.sets.compact(func(visit func(*span)) {
+		for i := range f.ilm {
+			if f.ilm[i].bound() {
+				visit(&f.ilm[i])
+			}
+		}
+	})
 }
 
 // UnbindILM removes the action for an incoming label (LSP teardown).
 func (f *LFIB) UnbindILM(in packet.Label) {
-	if f.actions(in) != nil {
-		f.ilm[in] = nil
-		f.bound--
+	if int(in) >= len(f.ilm) || !f.ilm[in].bound() {
+		return
+	}
+	s := f.ilm[in]
+	f.ilm[in] = span{}
+	f.bound--
+	if f.sets.release(s) {
+		f.compact()
 	}
 }
 
@@ -302,7 +379,11 @@ func (f *LFIB) detour(p *packet.Packet, e NHLFE, exp uint8, out topo.LinkID, lab
 // bypass is a direct parallel path: entries just switch output link.
 func (f *LFIB) DetourVia(failedLink topo.LinkID, bypassLabel packet.Label, bypassLink topo.LinkID) int {
 	n := 0
-	for _, es := range f.ilm {
+	for _, s := range f.ilm {
+		if !s.bound() {
+			continue
+		}
+		es := f.sets.members(s)
 		for i, e := range es {
 			if e.OutLink != failedLink || e.OutLink < 0 {
 				continue
@@ -332,73 +413,129 @@ func (f *LFIB) Push(p *packet.Packet, label packet.Label, exp uint8) {
 
 // FTN is the FEC-to-NHLFE map consulted for unlabelled packets entering
 // the MPLS domain. One FTN exists per routing context (global + per VRF).
-// Each FEC may carry several equal-cost entries (ECMP).
+// Each FEC may carry several equal-cost entries (ECMP): its trie value is a
+// span of the FTN's own arena, as an ILM element is of the LFIB's. The trie
+// is made on the first binding: a CE's FTN, which never takes one, holds
+// none.
 type FTN struct {
-	table *addr.Table[[]NHLFE]
-	sets  oneSets
+	table *addr.Table[span] // nil until the first binding
+	sets  arena
 }
 
 // NewFTN returns an empty FTN.
-func NewFTN() *FTN { return &FTN{table: addr.NewTable[[]NHLFE]()} }
+func NewFTN() *FTN { return &FTN{} }
+
+// trie returns the FEC trie, making it on first use.
+func (f *FTN) trie() *addr.Table[span] {
+	if f.table == nil {
+		f.table = addr.NewTable[span]()
+	}
+	return f.table
+}
 
 // Grow makes room for n more FEC bindings made through AddBind, so that
-// making them allocates neither table nodes nor one-member sets.
+// making them grows neither the table nor the arena step by step.
 func (f *FTN) Grow(n int) {
-	f.table.Grow(n)
+	f.trie().Grow(n)
 	f.sets.grow(n)
 }
 
 // Bind associates a FEC (prefix) with an NHLFE, replacing any existing set.
-func (f *FTN) Bind(fec addr.Prefix, e NHLFE) { f.table.Insert(fec, []NHLFE{e}) }
+func (f *FTN) Bind(fec addr.Prefix, e NHLFE) { f.ResetSet(fec, 1)[0] = e }
 
 // AddBind adds an equal-cost entry for a FEC (ECMP) in ascending OutLink
 // order, like AddILM; duplicate out-links are ignored. It is one descent of
 // the table.
 func (f *FTN) AddBind(fec addr.Prefix, e NHLFE) {
-	es, _ := f.table.Upsert(fec)
-	*es = f.sets.add(*es, e)
+	s, _ := f.trie().Upsert(fec)
+	es := f.members(*s)
+	i, dup := position(es, e.OutLink)
+	if !dup {
+		insertAt(f.reset(s, len(es)+1), i, e)
+	}
 }
 
 // ResetSet is ResetILM for a FEC: it binds fec to n entries, the set
-// already bound when its array has room for n, and returns them for the
-// caller to overwrite, every one.
+// already bound when its room holds n, and returns them for the caller to
+// overwrite, every one. The set is good until the FTN next changes.
 func (f *FTN) ResetSet(fec addr.Prefix, n int) []NHLFE {
-	es, _ := f.table.Upsert(fec)
-	if cap(*es) < n {
-		*es = make([]NHLFE, n)
+	s, _ := f.trie().Upsert(fec)
+	return f.reset(s, n)
+}
+
+// reset resizes the set in cell s to n members and returns them.
+func (f *FTN) reset(s *span, n int) []NHLFE {
+	if f.sets.resize(s, max(n, 1)) {
+		f.compact()
 	}
-	*es = (*es)[:n]
-	return *es
+	s.n = uint16(n)
+	return f.sets.members(*s)
+}
+
+// compact rewrites the arena without its holes.
+func (f *FTN) compact() {
+	f.sets.compact(func(visit func(*span)) { f.table.Values(visit) })
+}
+
+// members returns the set a trie value locates, nil for the zero span.
+func (f *FTN) members(s span) []NHLFE {
+	if !s.bound() {
+		return nil
+	}
+	return f.sets.members(s)
 }
 
 // Unbind removes a FEC binding (inter-AS stitch teardown). Unknown FECs
 // are a no-op.
-func (f *FTN) Unbind(fec addr.Prefix) { f.table.Delete(fec) }
+func (f *FTN) Unbind(fec addr.Prefix) {
+	if f.table == nil {
+		return
+	}
+	s, ok := f.table.Exact(fec)
+	if !ok {
+		return
+	}
+	f.table.Delete(fec)
+	if f.sets.release(s) {
+		f.compact()
+	}
+}
 
 // Lookup finds the first NHLFE for a destination via longest-prefix match.
 func (f *FTN) Lookup(ip addr.IPv4) (NHLFE, bool) {
-	es, ok := f.table.Lookup(ip)
-	if !ok || len(es) == 0 {
-		return NHLFE{}, false
-	}
-	return es[0], true
+	return f.LookupHashed(ip, 0)
 }
 
 // LookupAll returns every equal-cost entry for a destination, in the
 // order LookupHashed indexes them.
 func (f *FTN) LookupAll(ip addr.IPv4) ([]NHLFE, bool) {
-	es, ok := f.table.Lookup(ip)
-	return es, ok && len(es) > 0
+	es := f.members(f.match(ip))
+	return es, len(es) > 0
 }
 
 // LookupHashed picks among equal-cost entries by flow hash.
 func (f *FTN) LookupHashed(ip addr.IPv4, hash uint32) (NHLFE, bool) {
-	es, ok := f.table.Lookup(ip)
-	if !ok || len(es) == 0 {
+	s := f.match(ip)
+	if s.n == 0 {
 		return NHLFE{}, false
 	}
-	return es[int(hash)%len(es)], true
+	return f.sets.es[s.off+uint32(int(hash)%int(s.n))], true
+}
+
+// match returns the span of the longest FEC covering ip, the zero span if
+// none does.
+func (f *FTN) match(ip addr.IPv4) span {
+	if f.table == nil {
+		return span{}
+	}
+	s, _ := f.table.Lookup(ip)
+	return s
 }
 
 // Size returns the number of FEC bindings.
-func (f *FTN) Size() int { return f.table.Len() }
+func (f *FTN) Size() int {
+	if f.table == nil {
+		return 0
+	}
+	return f.table.Len()
+}

@@ -9,6 +9,10 @@ import (
 	"mplsvpn/internal/snapshot"
 )
 
+// nhlfesState walks a set as snapshot.Slice walks a []NHLFE: the encoding
+// the ILM and FTN walks write for each set.
+func nhlfesState(c *snapshot.Codec, es *[]NHLFE) { snapshot.Slice(c, es, NHLFEMin, NHLFEState) }
+
 // The ILM is a slice, its checkpoint a map's: the count of bound labels,
 // then (label, actions) ascending — unbound gaps and the order of binding
 // leave no trace, and a label bound to an empty set is still written. A

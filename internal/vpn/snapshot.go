@@ -6,6 +6,7 @@ import (
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/snapshot"
+	"mplsvpn/internal/topo"
 )
 
 // siteMin is the fewest bytes siteState writes: two empty names, the PE,
@@ -34,17 +35,89 @@ func VRFState(c *snapshot.Codec, v *VRF) {
 	snapshot.Slice(c, &v.Import, addr.RTMin, addr.RTState)
 	snapshot.Slice(c, &v.Export, addr.RTMin, addr.RTState)
 	snapshot.Int(c, &v.SLAClass)
-	snapshot.KeyedPtrs(c, &v.sites, cmp.Compare[string], siteMin, func(s *Site) string { return s.Name }, siteState)
-	// A route writes two names' worth of flags and varints after its prefix.
-	addr.TableState(c, &v.table, addr.PrefixMin+6, func(c *snapshot.Codec, p addr.Prefix, rt *Route) {
-		rt.Prefix = p
+	v.sitesState(c)
+	// A route writes two names' worth of flags and varints after its
+	// prefix. The checkpoint names its site, not the index, so a load
+	// rebuilds the site list from the names it finds.
+	addr.TableState(c, &v.table, addr.PrefixMin+6, func(c *snapshot.Codec, _ addr.Prefix, rt *Route) {
 		c.Bool(&rt.Local)
-		c.Interned(&rt.SiteName)
+		var name string
+		if !c.Loading() {
+			name = v.SiteName(*rt)
+		}
+		c.Interned(&name)
+		if c.Loading() {
+			switch {
+			case rt.Local:
+				rt.Site = v.slot(name)
+				v.names[rt.Site].routes++
+			case name != "":
+				c.Corrupt("remote route names site %q", name)
+			}
+		}
 		snapshot.Int(c, &rt.EgressPE)
 		snapshot.Uint(c, &rt.NextHop)
 		snapshot.Uint(c, &rt.VPNLabel)
 		c.Bool(&rt.External)
 	})
+}
+
+// sitesState walks the attached sites as a map from name to site: the
+// count, then each site ascending by name. A load starts the site list
+// afresh with them.
+func (v *VRF) sitesState(c *snapshot.Codec) {
+	if c.Loading() {
+		v.names = nil
+		for n := c.Len(0, siteMin); n > 0 && c.Err() == nil; n-- {
+			s := new(Site)
+			siteState(c, s)
+			if c.Err() == nil {
+				v.names[v.slot(s.Name)].site = s
+			}
+		}
+		return
+	}
+	at := v.sorted(func(s *siteSlot) bool { return s.site != nil })
+	c.Len(len(at), siteMin)
+	for _, i := range at {
+		siteState(c, v.names[i].site)
+	}
+}
+
+// sorted returns the indices of the slots keep admits, ascending by name.
+func (v *VRF) sorted(keep func(*siteSlot) bool) []int {
+	var at []int
+	for i := range v.names {
+		if keep(&v.names[i]) {
+			at = append(at, i)
+		}
+	}
+	slices.SortFunc(at, func(a, b int) int { return cmp.Compare(v.names[a].name, v.names[b].name) })
+	return at
+}
+
+// AccessState walks the VRF's access bindings as a map from site name to
+// link: the count, then each binding ascending by site. A load binds each
+// one it finds in addition to those the VRF holds.
+func (v *VRF) AccessState(c *snapshot.Codec) {
+	if c.Loading() {
+		for n := c.Len(0, 2); n > 0 && c.Err() == nil; n-- {
+			var site string
+			var out topo.LinkID
+			c.Str(&site)
+			snapshot.Int(c, &out)
+			if c.Err() == nil {
+				v.BindAccess(site, out)
+			}
+		}
+		return
+	}
+	at := v.sorted(func(s *siteSlot) bool { return s.bound })
+	c.Len(len(at), 2)
+	for _, i := range at {
+		c.Str(&v.names[i].name)
+		snapshot.Int(c, &v.names[i].out)
+	}
 }
 
 // membersState walks one VPN's member sites, ascending by name, each behind

@@ -25,17 +25,21 @@ type Site struct {
 	Prefixes []addr.Prefix
 }
 
-// Route is a VRF forwarding entry.
+// Route is a VRF forwarding entry: 24 bytes and no pointer. Its prefix is
+// the trie node's, and a local route names its site by index into the
+// VRF's site list (VRF.SiteName), not by a string of its own.
 type Route struct {
-	Prefix addr.Prefix
+	EgressPE topo.NodeID  // remote: BGP next hop's node
+	NextHop  addr.IPv4    // remote: egress PE loopback
+	VPNLabel packet.Label // remote
+
+	// Site is a local route's attached site or inter-AS peer: an index into
+	// the VRF's site list.
+	Site uint32
+
 	// Local routes deliver to an attached site; remote routes tunnel to an
 	// egress PE with a VPN label.
-	Local    bool
-	SiteName string // local: which attached site
-
-	EgressPE topo.NodeID // remote: BGP next hop's node
-	NextHop  addr.IPv4   // remote: egress PE loopback
-	VPNLabel packet.Label
+	Local bool
 
 	// External marks a route learned across an inter-provider boundary
 	// (RFC 2547 §10 option A: the neighbouring ASBR looks like a CE).
@@ -64,10 +68,28 @@ type VRF struct {
 	SLAClass int
 
 	table *addr.Table[Route]
-	sites map[string]*Site
+	// names is the site list local routes index: one slot per attached
+	// site, inter-AS peer a route names, or site an access link is bound
+	// for. A slot that holds none of these is free, and the next new name
+	// takes it.
+	names []siteSlot
 	// want counts the routes an RTIndex import pass is about to install.
 	want int
 }
+
+// siteSlot is one name of a VRF's site list: the attached site of that
+// name, if any, and the outbound access link toward its CE when one is
+// bound.
+type siteSlot struct {
+	name   string
+	site   *Site // attached
+	routes int   // local routes naming the slot
+	out    topo.LinkID
+	bound  bool // out is set
+}
+
+// free reports whether nothing refers to the slot.
+func (s *siteSlot) free() bool { return s.site == nil && s.routes == 0 && !s.bound }
 
 // NewVRF creates an empty VRF.
 func NewVRF(name string, pe topo.NodeID, rd addr.RouteDistinguisher, imp, exp []addr.RouteTarget) *VRF {
@@ -76,17 +98,76 @@ func NewVRF(name string, pe topo.NodeID, rd addr.RouteDistinguisher, imp, exp []
 		Import: imp, Export: exp,
 		SLAClass: -1,
 		table:    addr.NewTable[Route](),
-		sites:    make(map[string]*Site),
 	}
+}
+
+// slot returns the index of name in the site list, taking a free slot or
+// appending one when the name is new. A VRF names a handful of sites, so
+// the list is searched, not hashed.
+func (v *VRF) slot(name string) uint32 {
+	spare := -1
+	for i := range v.names {
+		switch s := &v.names[i]; {
+		case s.free():
+			if spare < 0 {
+				spare = i
+			}
+		case s.name == name:
+			return uint32(i)
+		}
+	}
+	if spare < 0 {
+		spare = len(v.names)
+		v.names = append(v.names, siteSlot{})
+	}
+	v.names[spare] = siteSlot{name: name}
+	return uint32(spare)
+}
+
+// SiteName returns the name of the site or peer a local route delivers to.
+func (v *VRF) SiteName(rt Route) string {
+	if !rt.Local {
+		return ""
+	}
+	return v.names[rt.Site].name
+}
+
+// put installs rt for p, keeping the site list's route counts: the route it
+// replaces, if local, stops naming its slot.
+func (v *VRF) put(p addr.Prefix, rt Route) {
+	cell, added := v.table.Upsert(p)
+	if !added && cell.Local {
+		v.names[cell.Site].routes--
+	}
+	if rt.Local {
+		v.names[rt.Site].routes++
+	}
+	*cell = rt
+}
+
+// drop deletes p's route, keeping the site list's route counts.
+func (v *VRF) drop(p addr.Prefix) {
+	if rt, ok := v.table.Exact(p); ok {
+		if rt.Local {
+			v.names[rt.Site].routes--
+		}
+		v.table.Delete(p)
+	}
+}
+
+// local returns a local route naming site.
+func (v *VRF) local(site string, external bool) Route {
+	return Route{Local: true, Site: v.slot(site), External: external}
 }
 
 // AttachSite connects a local site and installs its prefixes as local
 // routes. It returns the routes the PE must export into BGP.
 func (v *VRF) AttachSite(s *Site, labelFor func(addr.Prefix) packet.Label, loopback addr.IPv4) []bgp.VPNRoute {
-	v.sites[s.Name] = s
+	i := v.slot(s.Name)
+	v.names[i].site = s
 	exports := make([]bgp.VPNRoute, 0, len(s.Prefixes))
 	for _, p := range s.Prefixes {
-		v.table.Insert(p, Route{Prefix: p, Local: true, SiteName: s.Name})
+		v.put(p, Route{Local: true, Site: i})
 		exports = append(exports, bgp.VPNRoute{
 			Prefix:    addr.VPNPrefix{RD: v.RD, Prefix: p},
 			NextHop:   loopback,
@@ -102,17 +183,52 @@ func (v *VRF) AttachSite(s *Site, labelFor func(addr.Prefix) packet.Label, loopb
 // DetachSite removes a site and its local routes, returning the VPN-IPv4
 // prefixes that must be withdrawn from BGP.
 func (v *VRF) DetachSite(name string) []addr.VPNPrefix {
-	s, ok := v.sites[name]
+	i, ok := v.attached(name)
 	if !ok {
 		return nil
 	}
-	delete(v.sites, name)
+	s := v.names[i].site
+	v.names[i].site = nil
 	var withdrawn []addr.VPNPrefix
 	for _, p := range s.Prefixes {
-		v.table.Delete(p)
+		v.drop(p)
 		withdrawn = append(withdrawn, addr.VPNPrefix{RD: v.RD, Prefix: p})
 	}
 	return withdrawn
+}
+
+// BindAccess records the outbound access link toward the named site's CE,
+// the link a local route to that site hairpins out of.
+func (v *VRF) BindAccess(site string, out topo.LinkID) {
+	s := &v.names[v.slot(site)]
+	s.out, s.bound = out, true
+}
+
+// UnbindAccess removes the named site's access link, if bound.
+func (v *VRF) UnbindAccess(site string) {
+	for i := range v.names {
+		if s := &v.names[i]; !s.free() && s.name == site {
+			s.out, s.bound = 0, false
+			return
+		}
+	}
+}
+
+// AccessLink returns the access link bound for the site a local route
+// names.
+func (v *VRF) AccessLink(rt Route) (topo.LinkID, bool) {
+	s := &v.names[rt.Site]
+	return s.out, s.bound
+}
+
+// HasAccess reports whether an access link is bound for any site.
+func (v *VRF) HasAccess() bool {
+	for i := range v.names {
+		if v.names[i].bound {
+			return true
+		}
+	}
+	return false
 }
 
 // WantsRoute reports whether the VRF imports a BGP route (RT intersection).
@@ -141,14 +257,14 @@ func (v *VRF) ownExport(r *bgp.VPNRoute) bool {
 }
 
 // install puts the remote route r into the table unless a local route holds
-// its prefix: one descent of the table.
+// its prefix: one descent of the table. A remote route names no site, so
+// it replaces only remote routes and the site list is not touched.
 func (v *VRF) install(r *bgp.VPNRoute) bool {
 	cell, added := v.table.Upsert(r.Prefix.Prefix)
 	if !added && cell.Local {
 		return false
 	}
 	*cell = Route{
-		Prefix:   r.Prefix.Prefix,
 		EgressPE: r.OriginPE,
 		NextHop:  r.NextHop,
 		VPNLabel: r.Label,
@@ -184,7 +300,7 @@ func (v *VRF) InstallExternal(p addr.Prefix, siteName string) bool {
 	if cur, ok := v.table.Exact(p); ok && !cur.External {
 		return false
 	}
-	v.table.Insert(p, Route{Prefix: p, Local: true, SiteName: siteName, External: true})
+	v.put(p, v.local(siteName, true))
 	return true
 }
 
@@ -194,10 +310,10 @@ func (v *VRF) InstallExternal(p addr.Prefix, siteName string) bool {
 // by the old boundary's cleanup. It reports whether a route was removed.
 func (v *VRF) RemoveExternal(p addr.Prefix, siteName string) bool {
 	cur, ok := v.table.Exact(p)
-	if !ok || !cur.External || cur.SiteName != siteName {
+	if !ok || !cur.External || v.SiteName(cur) != siteName {
 		return false
 	}
-	v.table.Delete(p)
+	v.drop(p)
 	return true
 }
 
@@ -211,15 +327,27 @@ func (v *VRF) Size() int { return v.table.Len() }
 
 // HasSite reports whether the named site is attached to the VRF.
 func (v *VRF) HasSite(name string) bool {
-	_, ok := v.sites[name]
+	_, ok := v.attached(name)
 	return ok
+}
+
+// attached returns the slot of the attached site of that name.
+func (v *VRF) attached(name string) (int, bool) {
+	for i := range v.names {
+		if s := &v.names[i]; s.site != nil && s.name == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // Sites returns attached site names, sorted.
 func (v *VRF) Sites() []string {
-	out := make([]string, 0, len(v.sites))
-	for n := range v.sites {
-		out = append(out, n)
+	var out []string
+	for i := range v.names {
+		if v.names[i].site != nil {
+			out = append(out, v.names[i].name)
+		}
 	}
 	sort.Strings(out)
 	return out

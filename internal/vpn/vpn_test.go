@@ -6,6 +6,8 @@ import (
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/bgp"
 	"mplsvpn/internal/packet"
+	"mplsvpn/internal/snapshot"
+	"mplsvpn/internal/topo"
 )
 
 var (
@@ -56,7 +58,7 @@ func TestAttachSiteExports(t *testing.T) {
 		t.Fatal("two prefixes share a VPN label")
 	}
 	r, ok := v.Lookup(addr.MustParseIPv4("10.1.5.5"))
-	if !ok || !r.Local || r.SiteName != "hq" {
+	if !ok || !r.Local || v.SiteName(r) != "hq" {
 		t.Fatalf("local route = %+v ok=%v", r, ok)
 	}
 	if v.Size() != 2 {
@@ -241,4 +243,74 @@ func TestPurgeRemote(t *testing.T) {
 	if _, ok := v.Lookup(addr.MustParseIPv4("10.3.0.1")); !ok {
 		t.Fatal("external route purged")
 	}
+}
+
+// TestSiteListFollowsRoutesAndBindings: a local route names its site by an
+// index into the VRF's site list, which holds a name while a route names it
+// or an access link is bound for it, frees it after, and gives the slot to
+// the next new name. A checkpoint carries names, so a loaded VRF answers the
+// same SiteName and AccessLink for every route.
+func TestSiteListFollowsRoutesAndBindings(t *testing.T) {
+	v := NewVRF("acme", 1, rdA, []addr.RouteTarget{rtA}, []addr.RouteTarget{rtA})
+	hq := &Site{Name: "hq", VPN: "acme", Prefixes: []addr.Prefix{addr.MustParsePrefix("10.1.0.0/16"), addr.MustParsePrefix("10.4.0.0/16")}}
+	branch := &Site{Name: "branch", VPN: "acme", Prefixes: []addr.Prefix{addr.MustParsePrefix("10.2.0.0/16")}}
+	v.AttachSite(hq, seqLabels(), lb1)
+	v.AttachSite(branch, seqLabels(), lb1)
+	v.BindAccess("branch", 55)
+	v.InstallExternal(addr.MustParsePrefix("10.3.0.0/16"), "interas:x")
+	route := func(v *VRF, ip string) Route {
+		rt, ok := v.Lookup(addr.MustParseIPv4(ip))
+		if !ok || !rt.Local {
+			t.Fatalf("no local route for %s", ip)
+		}
+		return rt
+	}
+	check := func(v *VRF, ip, site string, out topo.LinkID, bound bool) {
+		t.Helper()
+		rt := route(v, ip)
+		l, ok := v.AccessLink(rt)
+		if v.SiteName(rt) != site || ok != bound || (bound && l != out) {
+			t.Fatalf("%s: site %q link %d/%v, want %q %d/%v", ip, v.SiteName(rt), l, ok, site, out, bound)
+		}
+	}
+	check(v, "10.1.0.1", "hq", 0, false)
+	check(v, "10.4.0.1", "hq", 0, false)
+	check(v, "10.2.0.1", "branch", 55, true)
+	check(v, "10.3.0.1", "interas:x", 0, false)
+	if len(v.names) != 3 {
+		t.Fatalf("site list %v, want hq, branch and the peer", v.names)
+	}
+
+	var w snapshot.Writer
+	VRFState(snapshot.Saver(&w), v)
+	v.AccessState(snapshot.Saver(&w))
+	var u VRF
+	c := snapshot.Loader(snapshot.NewReader(w.Data()))
+	VRFState(c, &u)
+	u.AccessState(c)
+	if c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	check(&u, "10.1.0.1", "hq", 0, false)
+	check(&u, "10.2.0.1", "branch", 55, true)
+	check(&u, "10.3.0.1", "interas:x", 0, false)
+
+	// The peer's slot frees with its last route, hq's stays while a route
+	// names it, and branch's while its link is bound though its routes went.
+	if v.RemoveExternal(addr.MustParsePrefix("10.3.0.0/16"), "interas:y") || !v.RemoveExternal(addr.MustParsePrefix("10.3.0.0/16"), "interas:x") {
+		t.Fatal("RemoveExternal did not go by the owning peer's name")
+	}
+	v.DetachSite("branch")
+	v.InstallExternal(addr.MustParsePrefix("10.5.0.0/16"), "interas:z")
+	check(v, "10.5.0.1", "interas:z", 0, false)
+	check(v, "10.1.0.1", "hq", 0, false)
+	if len(v.names) != 3 || v.names[route(v, "10.5.0.1").Site].name != "interas:z" {
+		t.Fatalf("site list %v: the new peer did not take the freed slot", v.names)
+	}
+	v.UnbindAccess("branch")
+	v.AttachSite(&Site{Name: "lab", VPN: "acme", Prefixes: []addr.Prefix{addr.MustParsePrefix("10.6.0.0/16")}}, seqLabels(), lb1)
+	if len(v.names) != 3 {
+		t.Fatalf("site list %v: branch's slot was not reused once unbound", v.names)
+	}
+	check(v, "10.6.0.1", "lab", 0, false)
 }
