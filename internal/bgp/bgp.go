@@ -18,7 +18,8 @@
 // handles into the table, kept in prefix order (rib.go), not maps:
 // receivers share one route per announcement, so a retained route costs
 // each holder four bytes and the collector nothing, and the checkpoint
-// writes each distinct route once (snapshot.go). Converge fills receivers
+// writes the sets, the table and the runs as they are (snapshot.go).
+// Converge fills receivers
 // one at a time, a sender's routes one attribute set at a time: the filter,
 // the loop check and the reflection stamp run once per set, a receiver's
 // arrivals collect in one tail the call owns, and a seal sorts them, folds
@@ -135,15 +136,12 @@ type Speaker struct {
 	// mesh is the mesh whose route table the handles below index.
 	mesh *Mesh
 	// exports are locally originated VPN routes (from attached VRFs), one
-	// per prefix, in the order they were first originated. disordered is
-	// false while they are known to ascend by prefix.
-	exports    []uint32
-	disordered bool
+	// per prefix, ascending by prefix.
+	exports []uint32
 	// rib holds every retained route and the selected best per prefix.
 	// bestIsUnion says that the selection is every export and retained
 	// route — each prefix is held by one route and none is suppressed — and
-	// rib.best then holds no second copy of the two runs, only the exports
-	// in prefix order when they are disordered.
+	// rib.best then holds no copy of the two runs.
 	rib         rib
 	bestIsUnion bool
 
@@ -169,41 +167,33 @@ type Speaker struct {
 	flapPending map[addr.VPNPrefix]bool
 }
 
-// Originate adds (or replaces) a locally originated route. While the
-// exports ascend by prefix, a route that sorts after the last of them is
-// new and is appended without a scan: the common case of a VRF exporting
-// its prefixes in order. The mesh keeps r's attributes in an interned set:
-// a new set keeps r's RTs and Reflected, which must not be modified after,
-// and nothing else of r.
+// Originate adds (or replaces) a locally originated route, in prefix
+// order: a route that sorts after the last export, the common case of a VRF
+// exporting its prefixes in order, is appended without a search. The mesh
+// keeps r's attributes in an interned set: a new set keeps r's RTs and
+// Reflected, which must not be modified after, and nothing else of r.
 func (s *Speaker) Originate(r *VPNRoute) {
 	s.freezeBest()
-	routes := s.mesh.routes
-	if n := len(s.exports); n == 0 || !s.disordered && addr.CompareVPNPrefix(routes[s.exports[n-1]].Prefix, r.Prefix) < 0 {
-		s.exports = append(s.exports, s.mesh.add(r))
+	h := s.mesh.add(r)
+	if n := len(s.exports); n == 0 || addr.CompareVPNPrefix(s.mesh.routes[s.exports[n-1]].Prefix, r.Prefix) < 0 {
+		s.exports = append(s.exports, h)
 		return
 	}
-	for i, h := range s.exports {
-		if routes[h].Prefix == r.Prefix {
-			s.exports[i] = s.mesh.add(r)
-			return
-		}
+	if i, ok := s.search(s.exports, r.Prefix); ok {
+		s.exports[i] = h
+	} else {
+		s.exports = slices.Insert(s.exports, i, h)
 	}
-	// In order, r would have sorted after the last export or replaced one.
-	s.disordered = true
-	s.exports = append(s.exports, s.mesh.add(r))
 }
 
 // WithdrawLocal removes a locally originated route by prefix.
 func (s *Speaker) WithdrawLocal(p addr.VPNPrefix) bool {
-	for i, h := range s.exports {
-		if s.mesh.routes[h].Prefix == p {
-			s.freezeBest()
-			s.exports = append(s.exports[:i], s.exports[i+1:]...)
-			s.disordered = s.disordered && len(s.exports) > 0
-			return true
-		}
+	i, ok := s.search(s.exports, p)
+	if ok {
+		s.freezeBest()
+		s.exports = slices.Delete(s.exports, i, i+1)
 	}
-	return false
+	return ok
 }
 
 // Topology selects the iBGP session layout.
@@ -230,9 +220,6 @@ type Mesh struct {
 	// the routes something references, and sets to the sets those carry.
 	routes []entry
 	sets   setTable
-	// renumber is a checkpoint save's scratch: per handle, one more than the
-	// route's position in the section's route table (snapshot.go).
-	renumber []int32
 
 	// Clustered-reflection state (reflect.go): the canonicalized cluster
 	// set, node -> cluster indexes for both roles, and declared RT

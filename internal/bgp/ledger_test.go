@@ -25,43 +25,42 @@ type fieldEntry struct{ kind, by string }
 // a field cannot be added without deciding whether a checkpoint carries it.
 var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 	reflect.TypeOf(VPNRoute{}): {
-		"Prefix":    {walked, "routeTable.route"},
-		"NextHop":   {walked, "routeTable.route"},
-		"Label":     {walked, "routeTable.route"},
-		"RTs":       {walked, "routeTable.route"},
-		"LocalPref": {walked, "routeTable.route"},
-		"ASPathLen": {walked, "routeTable.route"},
-		"OriginPE":  {walked, "routeTable.route"},
-		"Reflected": {walked, "routeTable.route"},
+		"Prefix":    {walked, "routeTable.tables (as its entry's Prefix)"},
+		"NextHop":   {walked, "routeTable.set (as its set's NextHop)"},
+		"Label":     {walked, "routeTable.tables (as its entry's Label)"},
+		"RTs":       {walked, "routeTable.set (as its set's RTs)"},
+		"LocalPref": {walked, "routeTable.set (as its set's LocalPref)"},
+		"ASPathLen": {walked, "routeTable.set (as its set's ASPathLen)"},
+		"OriginPE":  {walked, "routeTable.set (as its set's OriginPE)"},
+		"Reflected": {walked, "routeTable.set (as its set's Reflected)"},
 	},
 	reflect.TypeOf(entry{}): {
-		"Prefix": {walked, "routeTable.table (as the route's Prefix)"},
-		"Label":  {walked, "routeTable.table (as the route's Label)"},
-		"attr":   {derived, "routeTable.table (Mesh.find or Mesh.newSet of the route's attributes)"},
+		"Prefix": {walked, "routeTable.tables"},
+		"Label":  {walked, "routeTable.tables"},
+		"attr":   {walked, "routeTable.tables"},
 	},
 	reflect.TypeOf(attrs{}): {
-		"NextHop":   {walked, "routeTable.table (as the route's NextHop)"},
-		"RTs":       {walked, "routeTable.table (as the route's RTs, shared with the original's by a stamped set)"},
-		"LocalPref": {walked, "routeTable.table (as the route's LocalPref)"},
-		"ASPathLen": {walked, "routeTable.table (as the route's ASPathLen)"},
-		"OriginPE":  {walked, "routeTable.table (as the route's OriginPE)"},
-		"Reflected": {walked, "routeTable.table (as the route's Reflected, one per set)"},
+		"NextHop":   {walked, "routeTable.set"},
+		"RTs":       {walked, "routeTable.set (shared with the original's by a stamped set)"},
+		"LocalPref": {walked, "routeTable.set"},
+		"ASPathLen": {walked, "routeTable.set"},
+		"OriginPE":  {walked, "routeTable.set"},
+		"Reflected": {walked, "routeTable.set (one per set)"},
 	},
 	reflect.TypeOf(setTable{}): {
-		"chunks": {walked, "routeTable.table (the loaded routes' attributes)"},
+		"chunks": {walked, "routeTable.tables"},
 		"n":      {derived, "setTable.add"},
 		"slots":  {derived, "setTable.add (from chunks)"},
 	},
 	reflect.TypeOf(Reflection{}): {
-		"OriginatorID": {walked, "routeTable.route"},
-		"ClusterList":  {walked, "routeTable.route"},
+		"OriginatorID": {walked, "routeTable.set"},
+		"ClusterList":  {walked, "routeTable.set"},
 	},
 	reflect.TypeOf(Speaker{}): {
 		"Node":        {derived, "Mesh.AddSpeaker"},
 		"Loopback":    {derived, "Mesh.AddSpeaker"},
 		"mesh":        {derived, "Mesh.AddSpeaker"},
 		"exports":     {walked, "routeTable.speakerState"},
-		"disordered":  {derived, "routeTable.speakerState (from the exports it loaded)"},
 		"rib":         {walked, "routeTable.speakerState"},
 		"bestIsUnion": {derived, "Speaker.selectBest"},
 		"Filter":      {derived, "the scenario rebuild (live wiring)"},
@@ -78,10 +77,9 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 	},
 	reflect.TypeOf(Mesh{}): {
 		"Layout":            {derived, "Mesh.UseClusters"},
-		"speakers":          {walked, "Mesh.State (overlaid on the set Mesh.AddSpeaker built)"},
-		"routes":            {walked, "Mesh.State (the section's route table, entered by a load and compacted)"},
-		"sets":              {walked, "Mesh.State (the attribute sets of the section's routes, interned by a load and compacted)"},
-		"renumber":          {scratch, "routeTable.number"},
+		"speakers":          {walked, "Mesh.State (into the set Mesh.AddSpeaker built)"},
+		"routes":            {walked, "routeTable.tables"},
+		"sets":              {walked, "routeTable.tables"},
 		"clusters":          {derived, "Mesh.UseClusters"},
 		"rrClusterIdx":      {derived, "Mesh.UseClusters"},
 		"clientClusterIdx":  {derived, "Mesh.UseClusters"},

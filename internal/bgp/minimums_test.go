@@ -18,16 +18,20 @@ func TestElementMinimumsAreLowerBounds(t *testing.T) {
 		min  int
 		save func(c *snapshot.Codec)
 	}{
-		{"route", routeMin, func(c *snapshot.Codec) { new(routeTable).route(c, new(VPNRoute)) }},
+		{"attribute set", setMin, func(c *snapshot.Codec) { new(routeTable).set(c, new(attrs)) }},
+		// A table of no set and one route: the two counts, then the route.
+		{"route", 2 + entryMin, func(c *snapshot.Codec) {
+			m := NewMesh()
+			m.routes = []entry{{}}
+			(&routeTable{m: m}).tables(c)
+		}},
 		// A list of one reference, to the only route of the table: its
 		// one-byte count, then the reference.
 		{"route reference", 1 + refMin, func(c *snapshot.Codec) {
 			m := NewMesh()
 			s := m.AddSpeaker(0, 0)
 			s.Originate(new(VPNRoute))
-			t := routeTable{m: m}
-			t.number()
-			t.refs(c, &s.exports)
+			(&routeTable{m: m}).refs(c, &s.exports)
 		}},
 		{"damping state", dampMin, func(c *snapshot.Codec) { dampStateState(c, new(dampState)) }},
 	} {

@@ -20,8 +20,8 @@ type rib struct {
 	paths []uint32
 	// best is Loc-RIB: the selected route of every prefix that has one,
 	// ascending by prefix — unless the speaker's bestIsUnion says the
-	// selection is the exports and paths themselves, when it holds at most
-	// the exports in prefix order (see selectBest).
+	// selection is the exports and paths themselves, when it is nil (see
+	// selectBest).
 	best []uint32
 }
 
@@ -276,8 +276,8 @@ func first(rank, a, b []uint32) uint32 {
 // by the routes otherwise (a load, a withdrawal, a sweep or a reuse between
 // rounds). Where every prefix is held by one route and none is suppressed,
 // the selection is the exports and the Adj-RIB-In themselves (bestIsUnion),
-// and rib.best holds only the exports in prefix order, if they are not in
-// it. Otherwise a prefix held by one route selects it unread, unless
+// and rib.best holds nothing. Otherwise a prefix held by one route selects
+// it unread, unless
 // damping may have suppressed it; only a prefix with two routes or more
 // runs better.
 func (s *Speaker) selectBest(rank []uint32) {
@@ -290,10 +290,6 @@ func (s *Speaker) selectBest(rank []uint32) {
 		return addr.CompareVPNPrefix(routes[a].Prefix, routes[b].Prefix)
 	}
 	ex := s.exports
-	if s.disordered {
-		ex = slices.Clone(ex)
-		slices.SortStableFunc(ex, order)
-	}
 	paths := s.rib.paths
 	// union holds while every prefix met so far is held by one route, and
 	// best is allocated only once it fails.
@@ -351,9 +347,6 @@ func (s *Speaker) selectBest(rank []uint32) {
 		i, j = ei, pj
 	}
 	s.rib.best, s.bestIsUnion = best, union
-	if union && s.disordered {
-		s.rib.best = ex
-	}
 }
 
 // merge appends to dst the two runs a and b, which ascend as order does and
@@ -391,7 +384,7 @@ func (s *Speaker) eachBest(fn func(h uint32)) {
 	// No export shares a prefix with a path: each export goes where a
 	// search of the paths after the last one puts it.
 	paths := s.rib.paths
-	for _, x := range s.unionExports() {
+	for _, x := range s.exports {
 		k, _ := s.search(paths, s.mesh.routes[x].Prefix)
 		for _, h := range paths[:k] {
 			fn(h)
@@ -402,14 +395,6 @@ func (s *Speaker) eachBest(fn func(h uint32)) {
 	for _, h := range paths {
 		fn(h)
 	}
-}
-
-// unionExports returns, while bestIsUnion, the exports in prefix order.
-func (s *Speaker) unionExports() []uint32 {
-	if s.disordered {
-		return s.rib.best
-	}
-	return s.exports
 }
 
 // freezeBest turns a selection that is the union of the runs into one of
@@ -436,7 +421,7 @@ func (s *Speaker) bestLen() int {
 func (s *Speaker) Best(p addr.VPNPrefix) (*VPNRoute, bool) {
 	runs := [][]uint32{s.rib.best}
 	if s.bestIsUnion {
-		runs = [][]uint32{s.unionExports(), s.rib.paths}
+		runs = [][]uint32{s.exports, s.rib.paths}
 	}
 	for _, run := range runs {
 		if i, ok := s.search(run, p); ok {

@@ -492,6 +492,9 @@ type modelRig struct {
 	now      sim.Time
 	step     int
 	what     string
+	// inserted marks the speakers that have originated a route out of
+	// prefix order, which Originate inserts inside the exports.
+	inserted map[topo.NodeID]bool
 }
 
 // newModelRig builds nine speakers, fully meshed when clusters is nil and
@@ -499,7 +502,7 @@ type modelRig struct {
 // them declare a two-target interest, one declares none, so the constrained
 // and the flooded paths both run.
 func newModelRig(t *testing.T, clusters []Cluster, seed int64) *modelRig {
-	rig := &modelRig{t: t, m: NewMesh(), rng: rand.New(rand.NewSource(seed))}
+	rig := &modelRig{t: t, m: NewMesh(), rng: rand.New(rand.NewSource(seed)), inserted: map[topo.NodeID]bool{}}
 	for n := topo.NodeID(0); n < 9; n++ {
 		rig.ids = append(rig.ids, n)
 		rig.m.AddSpeaker(n, addr.IPv4(0x0aff0000+uint32(n)))
@@ -554,6 +557,9 @@ func (rig *modelRig) stepOnce() {
 			}
 		}
 		rig.what = fmt.Sprintf("originate %s at %d", routeKey(r), n)
+		if i, found := s.search(s.exports, r.Prefix); !found && i < len(s.exports) {
+			rig.inserted[n] = true
+		}
 		s.Originate(r)
 	case op == 5 && len(s.exports) > 0:
 		p := m.routes[s.exports[rng.Intn(len(s.exports))]].Prefix
@@ -663,7 +669,8 @@ type selectionCases struct {
 	suppressed int
 	// stale: graceful-restart stale routes kept across the round.
 	stale int
-	// disordered: exports that do not ascend by prefix.
+	// disordered: a speaker that has originated a route out of prefix
+	// order.
 	disordered int
 	// shared: a prefix held by routes of several origins, or by an export
 	// and a received route, which only the decision process can settle.
@@ -695,7 +702,7 @@ func (rig *modelRig) checkRanked(seen *selectionCases) {
 		if s.StaleRoutes() > 0 {
 			seen.stale++
 		}
-		if s.disordered {
+		if rig.inserted[id] {
 			seen.disordered++
 		}
 		for i := 0; i < len(s.rib.paths); {

@@ -9,145 +9,112 @@ import (
 	"mplsvpn/internal/topo"
 )
 
-// routeMin is the fewest bytes a route's walk writes: the prefix, six
-// one-byte varints, and two empty lists.
-const routeMin = addr.VPNPrefixMin + 8
-
-// routeTable is the section's table of distinct routes. Speakers share
-// routes by handle — one announcement, many holders — so the section writes
-// each route once, by value, and every exports and adj-RIB-in entry after it
-// as the route's position in the table. A save numbers the handles it meets
-// through the mesh's renumber scratch; a load enters the table's routes into
-// the mesh's route table from handle base on, so the sharing survives, and
-// interns their attributes: an original and its stamped copies share the
-// route targets, and a cluster's stamped sets the CLUSTER_LIST, as they did
-// in the mesh that was saved.
+// routeTable walks the section's two tables as the mesh holds them: its
+// attribute sets, each once, then its routes as (prefix, label, set). Every
+// export and adj-RIB-in entry after them is a route's handle. A load shares
+// equal route-target and cluster lists, as stamping shared them in the mesh
+// that was saved: an original and its stamped copies share the targets, and
+// a cluster's stamped sets the CLUSTER_LIST.
 type routeTable struct {
 	m        *Mesh
-	handles  []uint32 // a save's table: the handle of each position
-	n        int      // the table's length
-	base     uint32
 	rts      snapshot.SharedSlice[addr.RouteTarget]
 	clusters snapshot.SharedSlice[uint32]
-	// refl is a load's scratch: the reflection of the route just decoded.
-	refl Reflection
 }
 
-// route walks one route of the table. An unstamped route writes the
-// reflection attributes a stamped one carries as a zero ORIGINATOR_ID and an
-// empty CLUSTER_LIST. A loaded route's Reflected is the table's scratch,
-// valid until the next route.
-func (t *routeTable) route(c *snapshot.Codec, r *VPNRoute) {
-	addr.VPNPrefixState(c, &r.Prefix)
-	snapshot.Uint(c, &r.NextHop)
-	snapshot.Uint(c, &r.Label)
-	t.rts.Walk(c, &r.RTs, addr.RTMin, addr.RTState)
-	snapshot.Int(c, &r.LocalPref)
-	snapshot.Int(c, &r.ASPathLen)
-	snapshot.Int(c, &r.OriginPE)
-	var refl Reflection
-	if r.Reflected != nil {
-		refl = *r.Reflected
-	}
-	snapshot.Int(c, &refl.OriginatorID)
-	t.clusters.Walk(c, &refl.ClusterList, 1, snapshot.Uint[uint32])
-	if !c.Loaded() {
+// setMin is the fewest bytes set writes: four one-byte varints, an empty
+// list and a flag.
+const setMin = 6
+
+// set walks one attribute set. A stamped set writes its ORIGINATOR_ID and a
+// CLUSTER_LIST, which no reflector leaves empty.
+func (t *routeTable) set(c *snapshot.Codec, a *attrs) {
+	snapshot.Uint(c, &a.NextHop)
+	t.rts.Walk(c, &a.RTs, addr.RTMin, addr.RTState)
+	snapshot.Int(c, &a.LocalPref)
+	snapshot.Int(c, &a.ASPathLen)
+	snapshot.Int(c, &a.OriginPE)
+	if !c.Has(a.Reflected != nil) {
 		return
 	}
-	r.Reflected = nil
-	switch {
-	case len(refl.ClusterList) > 0:
-		t.refl = refl
-		r.Reflected = &t.refl
-	case refl.OriginatorID != 0:
-		// An ORIGINATOR_ID without a CLUSTER_LIST is no route a reflector
-		// stamped.
-		c.Corrupt("route carries ORIGINATOR_ID %d without a CLUSTER_LIST", refl.OriginatorID)
+	if c.Loading() {
+		a.Reflected = new(Reflection)
+	}
+	snapshot.Int(c, &a.Reflected.OriginatorID)
+	t.clusters.Walk(c, &a.Reflected.ClusterList, 1, snapshot.Uint[uint32])
+	if c.Loaded() && len(a.Reflected.ClusterList) == 0 {
+		c.Corrupt("stamped set from originator %d without a CLUSTER_LIST", a.Reflected.OriginatorID)
 	}
 }
 
-// table walks the route table. A load appends each route to the mesh's
-// table as it is decoded, doubling the table at most, never past the
-// count: a count the bytes admit but do not hold costs what they do hold.
-// A route's attribute set is interned, the set of the route before it asked
-// first, so the routes of one set in a row cost one hash.
-func (t *routeTable) table(c *snapshot.Codec) {
+// entryMin is the fewest bytes entry writes: the prefix and two varints.
+const entryMin = addr.VPNPrefixMin + 2
+
+// tables walks the attribute sets and then the routes. A load interns each
+// set, refusing one it already holds, and appends each route as it is
+// decoded, doubling the table at most, never past the count: a count the
+// bytes admit but do not hold costs what they do hold.
+func (t *routeTable) tables(c *snapshot.Codec) {
 	m := t.m
-	t.base = uint32(len(m.routes))
-	snapshot.Each(c, &t.n, routeMin, func(c *snapshot.Codec, i int) {
+	n := m.sets.n
+	if c.Loading() {
+		m.sets, m.routes = setTable{}, nil
+	}
+	snapshot.Each(c, &n, setMin, func(c *snapshot.Codec, i int) {
 		if !c.Loading() {
-			var r VPNRoute
-			m.view(t.handles[i], &r)
-			t.route(c, &r)
+			t.set(c, m.sets.at(uint32(i)))
 			return
 		}
-		var r VPNRoute
-		if t.route(c, &r); !c.Loaded() {
+		var a attrs
+		if t.set(c, &a); !c.Loaded() {
 			return
 		}
-		a := attrs{r.NextHop, r.RTs, r.LocalPref, r.ASPathLen, r.OriginPE, r.Reflected}
-		set, ok := m.find(&a)
-		if !ok {
-			if a.Reflected != nil {
-				// A stamped set shares its original's targets, as stamping
-				// made it.
-				orig := a
-				orig.Reflected = nil
-				if j, ok := m.find(&orig); ok {
-					a.RTs = m.sets.at(j).RTs
-				}
-				a.Reflected = &Reflection{t.refl.OriginatorID, t.refl.ClusterList}
+		if _, dup := m.sets.find(&a); dup {
+			c.Corrupt("attribute set %d repeats an earlier one", i)
+			return
+		}
+		m.sets.add(a)
+	})
+	n = len(m.routes)
+	snapshot.Each(c, &n, entryMin, func(c *snapshot.Codec, i int) {
+		var e entry
+		if !c.Loading() {
+			e = m.routes[i]
+		}
+		addr.VPNPrefixState(c, &e.Prefix)
+		snapshot.Uint(c, &e.Label)
+		snapshot.Uint(c, &e.attr)
+		switch {
+		case !c.Loaded():
+		case int(e.attr) >= m.sets.n:
+			c.Corrupt("route names attribute set %d of %d", e.attr, m.sets.n)
+		default:
+			if len(m.routes) == cap(m.routes) {
+				m.routes = slices.Grow(m.routes, min(n-i, max(len(m.routes), 64)))
 			}
-			set = m.sets.add(a)
+			m.routes = append(m.routes, e)
 		}
-		if len(m.routes) == cap(m.routes) {
-			m.routes = slices.Grow(m.routes, min(t.n-i, max(len(m.routes), 64)))
-		}
-		m.routes = append(m.routes, entry{r.Prefix, r.Label, set})
 	})
 }
 
-// number lays out a save's table: every route an export or an adj-RIB-in
-// references, in the order the save first meets it — speakers ascending,
-// exports before adj-RIB-in — with renumber giving each handle one more than
-// its position. It returns how many references the save writes.
-func (t *routeTable) number() (refs int) {
-	m := t.m
-	if len(m.renumber) < len(m.routes) {
-		m.renumber = make([]int32, len(m.routes))
-	}
-	pos := m.renumber[:len(m.routes)]
-	clear(pos)
-	for _, id := range m.sortedIDs() {
-		s := m.speakers[id]
-		for _, run := range [2][]uint32{s.exports, s.rib.paths} {
-			for _, h := range run {
-				if pos[h] == 0 {
-					t.handles = append(t.handles, h)
-					pos[h] = int32(len(t.handles))
-				}
-			}
-			refs += len(run)
-		}
-	}
-	t.n = len(t.handles)
-	return refs
-}
-
-// refMin is the fewest bytes one entry of refs writes: a one-byte position.
+// refMin is the fewest bytes one entry of refs writes: a one-byte handle.
 const refMin = 1
 
-// refs walks a run of handles as positions in the table.
+// refs walks a run of handles.
 func (t *routeTable) refs(c *snapshot.Codec, run *[]uint32) {
-	snapshot.Refs(c, run, t.n,
-		func(h uint32) int { return int(t.m.renumber[h] - 1) },
-		func(k int) uint32 { return t.base + uint32(k) })
+	snapshot.Refs(c, run, len(t.m.routes), func(h uint32) int { return int(h) }, func(k int) uint32 { return uint32(k) })
 }
 
-// checkRun refuses an adj-RIB-in that seal could not have left: prefixes
-// must ascend and a prefix holds one route per origin.
-func (t *routeTable) checkRun(c *snapshot.Codec, run []uint32) {
+// checkRuns refuses runs that no speaker holds: exports ascend by prefix,
+// one route each; adj-RIB-in prefixes ascend and a prefix holds one route
+// per origin.
+func (t *routeTable) checkRuns(c *snapshot.Codec, s *Speaker) {
 	m := t.m
+	for i := 1; i < len(s.exports) && c.Err() == nil; i++ {
+		if addr.CompareVPNPrefix(m.routes[s.exports[i-1]].Prefix, m.routes[s.exports[i]].Prefix) >= 0 {
+			c.Corrupt("exports out of prefix order at %v", m.routes[s.exports[i]].Prefix)
+		}
+	}
+	run := s.rib.paths
 	for i := 1; i < len(run) && c.Err() == nil; i++ {
 		p, o := m.routes[run[i]].Prefix, m.originOf(run[i])
 		if addr.CompareVPNPrefix(m.routes[run[i-1]].Prefix, p) > 0 {
@@ -171,20 +138,18 @@ func dampStateState(c *snapshot.Codec, d *dampState) {
 	c.Bool(&d.suppressed)
 }
 
-// speakerState walks one speaker: exports and adj-RIB-in as references into
-// the route table (order preserved — the run is sorted by prefix, and inside
-// a prefix the decision process keeps the first route on full ties, so order
-// is semantics), graceful-restart stale marks, and the damping ledger.
-// loc-RIB is recomputed after a load.
+// speakerState walks one speaker: exports and adj-RIB-in as handles (order
+// preserved — the run is sorted by prefix, and inside a prefix the decision
+// process keeps the first route on full ties, so order is semantics),
+// graceful-restart stale marks, and the damping ledger. loc-RIB is
+// recomputed after a load.
 func (t *routeTable) speakerState(c *snapshot.Codec, s *Speaker) {
 	snapshot.Int(c, &s.Received)
 	snapshot.Int(c, &s.Retained)
 	t.refs(c, &s.exports)
 	t.refs(c, &s.rib.paths)
 	if c.Loaded() {
-		routes := t.m.routes
-		s.disordered = !slices.IsSortedFunc(s.exports, func(a, b uint32) int { return addr.CompareVPNPrefix(routes[a].Prefix, routes[b].Prefix) })
-		t.checkRun(c, s.rib.paths)
+		t.checkRuns(c, s)
 	}
 	snapshot.Map(c, &s.stale, addr.CompareVPNPrefix, addr.VPNPrefixMin+1, addr.VPNPrefixState,
 		func(c *snapshot.Codec, origins *map[topo.NodeID]bool) {
@@ -195,10 +160,9 @@ func (t *routeTable) speakerState(c *snapshot.Codec, s *Speaker) {
 	snapshot.Set(c, &s.flapPending, addr.CompareVPNPrefix, addr.VPNPrefixMin, addr.VPNPrefixState)
 }
 
-// State walks the mesh: counters, session states, the route table, and
-// per-speaker RIB and ledger state. A route's index is its place in the
-// order a save first meets it: speakers ascending, exports before
-// adj-RIB-in. Layout, clock, and damping thresholds are scenario
+// State walks the mesh: counters, session states, the attribute sets and
+// the route table, and every speaker's runs and ledgers, speakers
+// ascending. Layout, clock, and damping thresholds are scenario
 // configuration, rebuilt rather than serialized; loc-RIB is derived, so a
 // load reruns best-path selection everywhere.
 func (m *Mesh) State(c *snapshot.Codec) {
@@ -212,25 +176,32 @@ func (m *Mesh) State(c *snapshot.Codec) {
 	snapshot.Int(c, &m.LoopPrevented)
 	snapshot.Map(c, &m.peerState, cmp.Compare[topo.NodeID], 2, snapshot.Int[topo.NodeID], snapshot.Int[PeerState])
 	snapshot.Slice(c, &m.newlySuppressed, addr.VPNPrefixMin, addr.VPNPrefixState)
-	t := routeTable{m: m}
+	ids := m.sortedIDs()
 	if !c.Loading() {
-		refs := t.number()
-		// Nearly all of the section is the table and the references: a
-		// route with one target and a cluster list runs to some thirty
-		// bytes, a reference to three in a table of up to two million. A
-		// guess that falls short costs a regrowth, not a byte.
-		c.Grow(t.n*(routeMin+20) + refs*3 + len(m.speakers)*16)
+		// Nearly all of the section is the route table and the handles: a
+		// route runs to some twenty bytes, a handle to three in a table of
+		// up to two million. A guess that falls short costs a regrowth.
+		refs := 0
+		for _, s := range m.speakers {
+			refs += len(s.exports) + len(s.rib.paths)
+		}
+		c.Grow(len(m.routes)*(entryMin+8) + m.sets.n*(setMin+24) + refs*3 + len(ids)*16)
 	}
-	t.table(c)
-	// A speaker writes at least two counters and six empty collections.
-	snapshot.Overlay(c, m.speakers, cmp.Compare[topo.NodeID], 1+8, "BGP speaker", snapshot.Int[topo.NodeID], t.speakerState)
+	t := routeTable{m: m}
+	t.tables(c)
+	// A speaker writes its node, two counters and six empty collections.
+	if !c.FixedLen(len(ids), 1+8, "BGP speakers") {
+		return
+	}
+	for _, id := range ids {
+		if got := topo.NodeID(c.I64(int64(id))); got != id && c.Err() == nil {
+			c.Mismatch("BGP speaker %d in checkpoint, %d in scenario", got, id)
+		}
+		t.speakerState(c, m.speakers[id])
+	}
 	if c.Loaded() {
 		for _, s := range m.speakers {
 			s.rib.best = nil
-		}
-		m.compact(0, make([]uint32, len(m.routes)))
-		m.compactSets()
-		for _, s := range m.speakers {
 			s.selectBest(nil)
 		}
 	}

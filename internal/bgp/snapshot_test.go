@@ -122,15 +122,16 @@ func threeClusterMesh() *Mesh {
 }
 
 // TestCheckpointBytesUnchanged pins the "bgp" section's wire format on a
-// three-cluster mesh: length and CRC-32C recorded at the commit that moved
-// the section to a route table plus indices (snapshot.Version 3). See the
-// chaos package's test of the same name for the whole-container pins.
+// three-cluster mesh: length and CRC-32C recorded at the commit that made it
+// attribute sets, a route table of (prefix, label, set) and handles
+// (snapshot.Version 6). See the chaos package's test of the same name for
+// the whole-container pins.
 func TestCheckpointBytesUnchanged(t *testing.T) {
 	m := threeClusterMesh()
 	m.Converge()
 	var w snapshot.Writer
 	m.SaveState(&w)
-	const wantLen, wantCRC = 583, 0xe7bb858a
+	const wantLen, wantCRC = 596, 0x3fb83457
 	if got := crc32.Checksum(w.Data(), crc32.MakeTable(crc32.Castagnoli)); w.Len() != wantLen || got != wantCRC {
 		t.Errorf("3-cluster mesh: %d bytes, CRC-32C %#08x; the recorded format is %d bytes, %#08x", w.Len(), got, wantLen, wantCRC)
 	}
@@ -197,10 +198,11 @@ func restartingMesh() *Mesh {
 }
 
 // TestConvergeSectionPinned pins what Converge leaves, through the "bgp"
-// section it checkpoints to: CRC-32C values recorded before the RIBs were
-// filled receiver by receiver. Arrival order decides every Adj-RIB-In's
-// order inside a prefix and the route table's numbering, so any change to
-// the order in which a speaker hears its routes moves these bytes.
+// section it checkpoints to: CRC-32C values recorded at snapshot.Version 6,
+// on a Converge that left every route and selection as the one before it
+// did. Arrival order decides every Adj-RIB-In's order inside a prefix and
+// the route table's numbering, so any change to the order in which a
+// speaker hears its routes moves these bytes.
 func TestConvergeSectionPinned(t *testing.T) {
 	crc := func(m *Mesh) uint32 {
 		var w snapshot.Writer
@@ -212,7 +214,7 @@ func TestConvergeSectionPinned(t *testing.T) {
 		t.Fatalf("restarting mesh: %d suppressions, %d stale routes: the pin would not cover damping and restart",
 			small.RouteSuppressions, small.StaleCount())
 	}
-	if got, want := crc(small), uint32(0x4c3b57b4); got != want {
+	if got, want := crc(small), uint32(0x50187b5c); got != want {
 		t.Errorf("restarting mesh: CRC-32C %#08x, recorded %#08x", got, want)
 	}
 	if testing.Short() {
@@ -220,7 +222,7 @@ func TestConvergeSectionPinned(t *testing.T) {
 	}
 	m := clustered1000x100()
 	m.Converge()
-	if got, want := crc(m), uint32(0xeb72ad6e); got != want {
+	if got, want := crc(m), uint32(0x40ec7704); got != want {
 		t.Errorf("vpnv4_100k mesh: CRC-32C %#08x, recorded %#08x", got, want)
 	}
 }
@@ -380,13 +382,18 @@ func TestLoadStateAllocatesWhatItDecodes(t *testing.T) {
 	}
 	w.U64(0) // session states
 	w.U64(0) // newly suppressed prefixes
-	w.U64(declared)
 	c := snapshot.Saver(&w)
+	w.U64(1) // attribute sets
+	new(routeTable).set(c, new(attrs))
+	w.U64(declared)
 	for i := 0; i < 10; i++ {
-		new(routeTable).route(c, &VPNRoute{OriginPE: topo.NodeID(i)})
+		p := addr.VPNPrefix{Prefix: addr.NewPrefix(addr.IPv4(i), 32)}
+		addr.VPNPrefixState(c, &p)
+		w.U64(16) // label
+		w.U64(0)  // the set
 	}
 	// Ten bytes with the continuation bit set are no varint.
-	section := append(w.Data(), bytes.Repeat([]byte{0xff}, declared*routeMin)...)
+	section := append(w.Data(), bytes.Repeat([]byte{0xff}, declared*entryMin)...)
 
 	m := NewMesh()
 	if err := m.LoadState(snapshot.NewReader(section)); !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrTruncated) {

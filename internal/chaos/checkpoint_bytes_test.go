@@ -18,10 +18,11 @@ import (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // TestCheckpointBytesUnchanged pins the checkpoint wire format. The lengths
-// and CRC-32Cs were recorded at the commit that made snapshot.Version 5 (the
-// "pending" section lost its list of setup events: every pending event is a
-// control timer or a registered action); a change that is not meant to move
-// the format must reproduce them bit for bit. A deliberate format
+// and CRC-32Cs were recorded at the commit that made snapshot.Version 6
+// (every section walks the structures the program holds: BGP attribute sets
+// and a route table of handles, VRF site lists, ranks and FEC positions, the
+// hybrid as the WFQ it is); a change that is not meant to move the format
+// must reproduce them bit for bit. A deliberate format
 // change re-records them and the testdata file and bumps Version in the same
 // commit.
 func TestCheckpointBytesUnchanged(t *testing.T) {
@@ -39,9 +40,9 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		n    int
 		crc  uint32
 	}{
-		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 33285, 0x11f89dfa},
-		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 33366, 0xc78b2aa0},
-		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 61357, 0x45f61772},
+		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 32560, 0x2a1c3902},
+		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 32641, 0x8f0256c2},
+		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 59470, 0xa965eab1},
 		{"inter-AS rig (options A, B, C), serial", func() []byte {
 			rig := buildInterASRig(t, 0, 0)
 			rig.x.Net.RunUntil(interASSnapT)
@@ -50,7 +51,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			return data
-		}, 119595, 0x12f2f4b6},
+		}, 117971, 0xa7c3b44f},
 	}
 	for _, tc := range cases {
 		data := tc.data()
@@ -62,7 +63,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 
 	// A checkpoint file written by that same commit restores, re-encodes to
 	// the same bytes, and finishes the run like the uninterrupted one.
-	old, err := os.ReadFile("testdata/snap-serial-v5.mvsnap")
+	old, err := os.ReadFile("testdata/snap-serial-v6.mvsnap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +84,12 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 	}
 
 	// The file the previous format's last commit wrote is refused by version:
-	// its "pending" section would otherwise be read as the wrong layout.
-	retired, err := os.ReadFile("testdata/snap-serial-v4.mvsnap")
+	// its sections would otherwise be read as the wrong layout.
+	retired, err := os.ReadFile("testdata/snap-serial-v5.mvsnap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := buildSnapRig(t, 0, 0).b.Restore(retired, "snap-equiv"); !errors.Is(err, snapshot.ErrVersion) {
-		t.Errorf("restore of the version-4 checkpoint: err = %v, want ErrVersion", err)
+		t.Errorf("restore of the version-5 checkpoint: err = %v, want ErrVersion", err)
 	}
 }

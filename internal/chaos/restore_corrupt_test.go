@@ -2,15 +2,16 @@ package chaos
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime/debug"
 	"runtime/metrics"
+	"slices"
 	"sort"
 	"testing"
 
 	"mplsvpn/internal/addr"
-	"mplsvpn/internal/ospf"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/snapshot"
 	"mplsvpn/internal/topo"
@@ -81,10 +82,11 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		return f
 	}), fp))
 
-	// A version-1 file (ports saved busy, not busyUntil; evTxDone records),
-	// version-2 file ("bgp" routes by value under a per-prefix map) or
-	// version-3 file (every latency observation) is refused by version,
-	// before any section is read as the wrong layout.
+	// A file of an earlier version — ports saved busy (1), "bgp" routes by
+	// value under a per-prefix map (2), every latency observation (3), the
+	// list of setup events (4), site names, node IDs and the hybrid's two
+	// tiers (5) — is refused by version, before any section is read as the
+	// wrong layout.
 	for v := uint64(1); v < snapshot.MinVersion; v++ {
 		if err := restore(resect(func(f *snapshot.File) *snapshot.File {
 			f.Version = v
@@ -118,19 +120,20 @@ type restoreTarget struct {
 	name     string
 	sections []string
 	section  func(name string) []byte
-	// corrupt names the sections that are hand-made to be refused as they
-	// stand, each with ErrCorrupt: the sweep and the fuzzer then damage them
-	// further like any other.
-	corrupt []string
+	// refused maps the sections that are hand-made to be refused as they
+	// stand to the error each is refused with: the sweep and the fuzzer
+	// then damage them further like any other.
+	refused map[string]error
 	// restore applies the checkpoint with one section's payload replaced.
 	restore func(t testing.TB, section string, payload []byte) error
 }
 
-// handMade is a section written to be refused: payload stands in for the
-// checkpoint's real section sec.
+// handMade is a section written to be refused with want (ErrCorrupt when
+// nil): payload stands in for the checkpoint's real section sec.
 type handMade struct {
 	name, sec string
 	payload   []byte
+	want      error
 }
 
 // container wraps a sealed checkpoint file, and any hand-made variants of
@@ -140,12 +143,12 @@ func container(t testing.TB, name string, data []byte, restore func(testing.TB, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := restoreTarget{name: name, sections: f.Names()}
+	tg := restoreTarget{name: name, sections: f.Names(), refused: map[string]error{}}
 	variant := map[string]handMade{}
 	for _, b := range bad {
 		variant[b.name] = b
 		tg.sections = append(tg.sections, b.name)
-		tg.corrupt = append(tg.corrupt, b.name)
+		tg.refused[b.name] = cmp.Or(b.want, snapshot.ErrCorrupt)
 	}
 	tg.section = func(sec string) []byte {
 		if b, ok := variant[sec]; ok {
@@ -194,23 +197,96 @@ func labelAboveSpace(t testing.TB, data []byte) handMade {
 	var w snapshot.Writer
 	w.U64(uint64(packet.MaxLabel) + 1)
 	bad := append(append(append([]byte(nil), p[:at]...), w.Data()...), p[len(p)-r.Remaining():]...)
-	return handMade{"routers: ILM label above the label space", "routers", bad}
+	return handMade{name: "routers: ILM label above the label space", sec: "routers", payload: bad}
+}
+
+// siteIndexPastSlots hand-writes a "routers" section whose one router, at
+// node n, holds a VRF with no site list and a local route naming site 0.
+func siteIndexPastSlots(n topo.NodeID) handMade {
+	var w snapshot.Writer
+	c := snapshot.Saver(&w)
+	w.U64(1) // routers
+	w.I64(int64(n))
+	for i := 0; i < 3; i++ {
+		w.I64(0) // forwarding counters
+	}
+	w.U64(0)      // ILM
+	w.U64(0)      // FTN
+	w.U64(0)      // IP table
+	w.Bool(false) // no local prefixes
+	w.U64(1)      // VRFs
+	w.Str("acme")
+	w.I64(int64(n))
+	rd := addr.RouteDistinguisher{Admin: 65000, Assigned: 1}
+	addr.RDState(c, &rd)
+	w.U64(0)  // import targets
+	w.U64(0)  // export targets
+	w.I64(-1) // SLA class
+	w.U64(0)  // site list
+	w.U64(1)  // routes
+	p := addr.MustParsePrefix("10.1.0.0/16")
+	addr.PrefixState(c, &p)
+	w.Bool(true)  // local
+	w.U64(0)      // site
+	w.I64(0)      // egress PE
+	w.U64(0)      // next hop
+	w.U64(0)      // VPN label
+	w.Bool(false) // external
+	return handMade{name: "routers: local route naming a site past the VRF's site list", sec: "routers", payload: w.Data()}
+}
+
+// hybridTaggedWFQ rewrites the scheduler kind tag of the first port in a
+// real "net" section, a hybrid, to WFQ's: the record is then another
+// scheduler's, and a restore must refuse it as the wrong scenario.
+func hybridTaggedWFQ(t testing.TB, data []byte) handMade {
+	f, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := f.Section("net")
+	r := snapshot.NewReader(p)
+	for i := 0; i < 4; i++ {
+		r.I64() // network counters
+	}
+	r.U64() // ports
+	for !r.Bool() && r.Err() == nil {
+		// an absent port
+	}
+	r.I64()  // busyUntil
+	r.Bool() // wake
+	for i := 0; i < 7; i++ {
+		r.I64() // byte and packet ledgers
+	}
+	if r.Bool() || r.Bool() || !r.Bool() || r.Err() != nil {
+		t.Fatalf("first port: a shaper, a held packet or no scheduler (%v): nothing to rewrite", r.Err())
+	}
+	at := len(p) - r.Remaining()
+	if kind := r.I64(); kind != 4 {
+		t.Fatalf("first port's scheduler is of kind %d, not the hybrid", kind)
+	}
+	var w snapshot.Writer
+	w.I64(2) // WFQ
+	bad := append(append(append([]byte(nil), p[:at]...), w.Data()...), p[len(p)-r.Remaining():]...)
+	return handMade{name: "net: a hybrid's record tagged WFQ", sec: "net", payload: bad, want: snapshot.ErrMismatch}
 }
 
 // outsideDomain hand-writes "igp" and "labels" sections for a backbone whose
-// provider routers include n, each well-formed but for one node that is no
-// router of the domain (stray is past the end of the graph) in a place the
-// loader files by the router's rank: OSPF and LDP hold their per-router state
-// in slices, and a restore must refuse the node, not index with it.
-func outsideDomain(n topo.NodeID) []handMade {
+// provider routers are nodes, in rank order, each well-formed but for one
+// position past the domain, or one record filed at the wrong router, in the
+// first router's state: OSPF and LDP hold their per-router state in slices
+// indexed by rank, and a restore must refuse the position, not index with
+// it. Every other router's state is empty.
+func outsideDomain(nodes []topo.NodeID) []handMade {
 	const stray = topo.NodeID(1 << 20)
-	// A section is a head and then its fields: counts, labels and addresses
-	// are unsigned varints, nodes, links, metrics and sequence numbers signed.
+	past := uint64(len(nodes))
+	// A section is a head, the first router's fields and the rest empty:
+	// counts, positions and labels are unsigned varints, nodes, links,
+	// metrics and sequence numbers signed.
 	type u = uint64
-	section := func(head func(w *snapshot.Writer), fields ...any) []byte {
+	section := func(head func(w *snapshot.Writer), empty int, first ...any) []byte {
 		var w snapshot.Writer
 		head(&w)
-		for _, f := range fields {
+		for _, f := range first {
 			switch v := f.(type) {
 			case u:
 				w.U64(v)
@@ -218,13 +294,17 @@ func outsideDomain(n topo.NodeID) []handMade {
 				w.I64(v)
 			}
 		}
+		for i := 1; i < len(nodes); i++ {
+			for k := 0; k < empty; k++ {
+				w.U64(0)
+			}
+		}
 		return w.Data()
 	}
-	loopback := func(n topo.NodeID) u { return u(ospf.Loopback(n)) }
 	igp := func(w *snapshot.Writer) {
 		w.I64(0) // LSA messages sent
 		w.I64(0) // flood rounds
-		w.U64(1) // instances
+		w.U64(past)
 	}
 	ldp := func(w *snapshot.Writer) {
 		w.U64(0)     // allocators
@@ -233,23 +313,23 @@ func outsideDomain(n topo.NodeID) []handMade {
 			w.I64(0) // messages, rounds, session flaps, stale bindings
 		}
 	}
-	speaker := func(w *snapshot.Writer) {
+	speakers := func(w *snapshot.Writer) {
 		ldp(w)
 		w.U64(0) // sessions not up
-		w.U64(1) // speakers
-		w.I64(int64(n))
+		w.U64(past)
 	}
-	me, out, one := int64(n), int64(stray), int64(1)
+	me, other, out, one := int64(nodes[0]), int64(nodes[1]), int64(stray), int64(1)
+	// An empty instance is its sequence number and two empty tables; an
+	// empty speaker two empty tables.
 	return []handMade{
-		{"igp: instance of a node outside the domain", "igp", section(igp, out, one, u(0), u(0))},
-		{"igp: LSA origin outside the domain", "igp", section(igp, me, one, u(1), out, out, one, u(0))},
-		{"igp: LSA neighbour outside the graph", "igp", section(igp, me, one, u(1), me, me, one, u(1), out, one, int64(0), u(0))},
-		{"igp: route to a destination outside the domain", "igp", section(igp, me, one, u(0), u(1), out, int64(0), one, u(1), int64(0))},
-		{"labels: session of a node outside the domain", "labels", section(ldp, u(1), out, one)},
-		{"labels: speaker at a node outside the domain", "labels", section(ldp, u(0), u(1), out, u(0), u(0))},
-		{"labels: local binding for a FEC nobody owns", "labels", section(speaker, u(1), loopback(stray), u(32), u(16))},
-		{"labels: bindings learned for a FEC nobody owns", "labels", section(speaker, u(0), u(1), loopback(stray), u(32), u(0))},
-		{"labels: binding learned from a node outside the domain", "labels", section(speaker, u(0), u(1), loopback(n), u(32), u(1), out, u(16))},
+		{name: "igp: LSA at a rank past the domain", sec: "igp", payload: section(igp, 3, one, u(1), past, me, one, u(0), u(0))},
+		{name: "igp: LSA filed at another router's rank", sec: "igp", payload: section(igp, 3, one, u(1), u(0), other, one, u(0), u(0))},
+		{name: "igp: LSA neighbour outside the graph", sec: "igp", payload: section(igp, 3, one, u(1), u(0), me, one, u(1), out, one, int64(0), u(0))},
+		{name: "igp: route to a rank past the domain", sec: "igp", payload: section(igp, 3, one, u(0), u(1), past, int64(0), one, u(1), int64(0))},
+		{name: "labels: session at a rank past the domain", sec: "labels", payload: section(ldp, 0, u(1), past, one)},
+		{name: "labels: local binding at a FEC past the domain", sec: "labels", payload: section(speakers, 2, u(1), past, u(16), u(0))},
+		{name: "labels: bindings learned at a FEC past the domain", sec: "labels", payload: section(speakers, 2, u(0), u(1), past, u(0))},
+		{name: "labels: binding learned from a rank past the domain", sec: "labels", payload: section(speakers, 2, u(0), u(1), u(0), u(1), int64(past), u(16))},
 	}
 }
 
@@ -273,18 +353,32 @@ func restoreTargets(t testing.TB) []restoreTarget {
 	refl.b.Net.RunUntil(reflSnapT)
 	var mesh snapshot.Writer
 	refl.b.BGP.SaveState(&mesh)
-	meshes, badMeshes := corruptMeshSections(refl.b.BGP.Clusters()[0].Clients[0])
+	var speakers []topo.NodeID
+	for _, c := range refl.b.BGP.Clusters() {
+		speakers = append(append(speakers, c.RRs...), c.Clients...)
+	}
+	slices.Sort(speakers)
+	meshes, badMeshes := corruptMeshSections(speakers)
 	meshes["mesh"] = mesh.Data()
+	refused := map[string]error{}
+	for _, name := range badMeshes {
+		refused[name] = snapshot.ErrCorrupt
+	}
+	var igpNodes []topo.NodeID
+	for _, in := range rig.b.IGP.Instances {
+		igpNodes = append(igpNodes, in.Node)
+	}
 
 	return []restoreTarget{
 		container(t, "Backbone.Restore", data, func(t testing.TB, d []byte) error { return buildSnapRig(t, 0, 0).b.Restore(d, "fp") },
-			append([]handMade{labelAboveSpace(t, data)}, outsideDomain(rig.b.Router("P1").Node)...)...),
+			append([]handMade{labelAboveSpace(t, data), siteIndexPastSlots(rig.b.Router("PE1").Node), hybridTaggedWFQ(t, data)},
+				outsideDomain(igpNodes)...)...),
 		container(t, "InterAS.Restore", xdata, func(t testing.TB, d []byte) error { return buildInterASRig(t, 0, 0).x.Restore(d, "fp") }),
 		{
 			name:     "Mesh.LoadState",
 			sections: append([]string{"mesh"}, badMeshes...),
 			section:  func(sec string) []byte { return meshes[sec] },
-			corrupt:  badMeshes,
+			refused:  refused,
 			restore: func(t testing.TB, _ string, payload []byte) error {
 				return buildReflRig(t, 0, 0).b.BGP.LoadState(snapshot.NewReader(payload))
 			},
@@ -292,67 +386,92 @@ func restoreTargets(t testing.TB) []restoreTarget {
 	}
 }
 
-// corruptMeshSections hand-writes five "bgp" sections for a mesh that has
-// speaker n, each well-formed but for one defect no saver produces: a route
-// index past the table, an adj-RIB-in out of prefix order, one that holds a
-// (prefix, origin) twice, a route with an ORIGINATOR_ID and no CLUSTER_LIST,
-// and a route table that declares the most routes its remaining bytes admit
-// and holds two. The layout written here is the version-3 one
+// corruptMeshSections hand-writes "bgp" sections for a mesh of the given
+// speakers, ascending, each well-formed but for one defect no saver
+// produces, in the first speaker's state where it is a speaker's: a route
+// naming a set past the set table, a route handle past the route table,
+// exports out of prefix order, an adj-RIB-in out of prefix order, one that
+// holds a (prefix, origin) twice, a set repeated, a stamped set with an
+// empty CLUSTER_LIST, and a route table that declares the most routes its
+// remaining bytes admit and holds two. The layout written here is the one
 // bgp.Mesh.State walks.
-func corruptMeshSections(n topo.NodeID) (sections map[string][]byte, names []string) {
-	// table writes the section up to the end of its route table, which
-	// declares count routes and holds one per origin, each with the given
-	// ORIGINATOR_ID and an empty CLUSTER_LIST.
-	table := func(w *snapshot.Writer, count int, origins []topo.NodeID, thirds []uint32, originator int64) {
+func corruptMeshSections(speakers []topo.NodeID) (sections map[string][]byte, names []string) {
+	// A route is the third octet of its /24 and the index of its set.
+	type route struct {
+		third uint32
+		set   uint64
+	}
+	// tables writes the section up to the end of its route table: one
+	// attribute set per origin, the last stamped by originator (when not
+	// 0) with an empty CLUSTER_LIST, and routes, of which it declares count.
+	tables := func(w *snapshot.Writer, origins []int64, originator int64, count int, routes ...route) {
 		c := snapshot.Saver(w)
 		for i := 0; i < 8; i++ {
 			w.I64(0) // mesh counters
 		}
 		w.U64(0) // session states
 		w.U64(0) // newly suppressed prefixes
-		w.U64(uint64(count))
+		w.U64(uint64(len(origins)))
 		for i, origin := range origins {
-			p := addr.VPNPrefix{Prefix: addr.NewPrefix(addr.IPv4(0x0a000000+thirds[i]<<8), 24)}
-			addr.VPNPrefixState(c, &p)
-			w.U64(1)  // next hop
-			w.U64(16) // label
-			w.U64(0)  // route targets
+			w.U64(1) // next hop
+			w.U64(0) // route targets
 			w.I64(100)
 			w.I64(0)
-			w.I64(int64(origin))
-			w.I64(originator)
-			w.U64(0) // cluster list
+			w.I64(origin)
+			stamped := originator != 0 && i == len(origins)-1
+			if w.Bool(stamped); stamped {
+				w.I64(originator)
+				w.U64(0) // cluster list
+			}
+		}
+		w.U64(uint64(count))
+		for i, r := range routes {
+			p := addr.VPNPrefix{Prefix: addr.NewPrefix(addr.IPv4(0x0a000000+r.third<<8), 24)}
+			addr.VPNPrefixState(c, &p)
+			w.U64(uint64(16 + i)) // label
+			w.U64(r.set)
 		}
 	}
-	section := func(origins []topo.NodeID, thirds []uint32, originator int64, paths ...uint64) []byte {
+	section := func(origins []int64, originator int64, routes []route, exports, paths []uint64) []byte {
 		var w snapshot.Writer
-		table(&w, len(origins), origins, thirds, originator)
-		w.U64(1) // speakers
-		w.I64(int64(n))
-		w.I64(0) // received
-		w.I64(0) // retained
-		w.U64(0) // exports
-		w.U64(uint64(len(paths)))
-		for _, k := range paths {
-			w.U64(k)
-		}
-		for i := 0; i < 4; i++ {
-			w.U64(0) // stale marks, damping, previous round's prefixes, pending flaps
+		tables(&w, origins, originator, len(routes), routes...)
+		w.U64(uint64(len(speakers)))
+		for i, n := range speakers {
+			w.I64(int64(n))
+			w.I64(0) // received
+			w.I64(0) // retained
+			for _, run := range [][]uint64{exports, paths} {
+				if i > 0 {
+					run = nil
+				}
+				w.U64(uint64(len(run)))
+				for _, h := range run {
+					w.U64(h)
+				}
+			}
+			for k := 0; k < 4; k++ {
+				w.U64(0) // stale marks, damping, previous round's prefixes, pending flaps
+			}
 		}
 		return w.Data()
 	}
-	// A thousand routes declared, each admitted at its 12-byte minimum; two
-	// present, and behind them bytes that are no varint. The count passes,
-	// so what bounds the load is what it decodes (see also bgp's
+	two := []int64{1, 2}
+	apart := []route{{1, 0}, {2, 1}}
+	// A thousand routes declared, each admitted at its minimum; two present,
+	// and behind them bytes that are no varint. The count passes, so what
+	// bounds the load is what it decodes (see also bgp's
 	// TestLoadStateAllocatesWhatItDecodes).
 	var short snapshot.Writer
-	table(&short, 1000, []topo.NodeID{1, 2}, []uint32{1, 2}, 0)
+	tables(&short, two, 0, 1000, apart...)
 	sections = map[string][]byte{
-		"mesh: route index past the table":        section([]topo.NodeID{1, 2}, []uint32{1, 2}, 0, 0, 2),
-		"mesh: paths out of prefix order":         section([]topo.NodeID{1, 2}, []uint32{2, 1}, 0, 0, 1),
-		"mesh: repeated (prefix, origin)":         section([]topo.NodeID{1, 1}, []uint32{1, 1}, 0, 0, 1),
-		"mesh: originator without a cluster list": section([]topo.NodeID{1, 2}, []uint32{1, 2}, 3, 0, 1),
-		"mesh: route count past the routes held":  append(short.Data(), bytes.Repeat([]byte{0xff}, 1000*12)...),
+		"mesh: route naming a set past the table":  section(two, 0, []route{{1, 0}, {2, 2}}, nil, []uint64{0, 1}),
+		"mesh: route handle past the table":        section(two, 0, apart, nil, []uint64{0, 2}),
+		"mesh: exports out of prefix order":        section(two, 0, apart, []uint64{1, 0}, nil),
+		"mesh: paths out of prefix order":          section(two, 0, apart, nil, []uint64{1, 0}),
+		"mesh: repeated (prefix, origin)":          section(two, 0, []route{{1, 0}, {1, 0}}, nil, []uint64{0, 1}),
+		"mesh: attribute set repeated":             section([]int64{1, 1}, 0, apart, nil, []uint64{0, 1}),
+		"mesh: stamped set without a cluster list": section(two, 3, apart, nil, []uint64{0, 1}),
+		"mesh: route count past the routes held":   append(short.Data(), bytes.Repeat([]byte{0xff}, 1000*12)...),
 	}
 	for name := range sections {
 		names = append(names, name)
@@ -403,9 +522,9 @@ func (tg restoreTarget) sweep(t *testing.T) {
 	// allocation the input does not justify lands far beyond it.
 	budget := 2*(allocatedBytes()-before) + 1<<20
 
-	for _, sec := range tg.corrupt {
-		if err := tg.restore(t, sec, tg.section(sec)); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("%s, section %q: err = %v, want ErrCorrupt", tg.name, sec, err)
+	for sec, want := range tg.refused {
+		if err := tg.restore(t, sec, tg.section(sec)); !errors.Is(err, want) {
+			t.Errorf("%s, section %q: err = %v, want %v", tg.name, sec, err, want)
 		}
 	}
 	for _, sec := range tg.sections {

@@ -40,15 +40,12 @@ func TestSnapshotAllocationBudget(t *testing.T) {
 	if string(second) != string(first) {
 		t.Fatal("the second snapshot of an idle backbone differs from the first")
 	}
-	// Recorded when the site-access bindings and the attached sites moved
-	// into each VRF's site list, whose walks no longer go through
-	// snapshot.Map's and KeyedPtrs' escaping cells (the access walk takes
-	// 12 allocations for this backbone's 14 routers where it took 52, the
-	// six VRFs' sites one fewer each), and a CE's FTN stopped holding a
-	// trie (its empty count is written without addr.TableState: 6 fewer).
-	// It read 291 from when the container moved to one buffer framed in
-	// place.
-	const want = 239
+	// Recorded at format v6, when a VRF's site list became one walk of its
+	// slots and the "bgp" section stopped numbering routes through a sorted
+	// list of speakers (25 fewer). It read 239 when the site-access bindings
+	// and the attached sites moved into each VRF's site list, and 291 from
+	// when the container moved to one buffer framed in place.
+	const want = 214
 	if got != want {
 		t.Errorf("the second Snapshot took %.0f allocations, recorded %d: a walk allocates differently (re-record if meant)", got, want)
 	}

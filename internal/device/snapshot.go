@@ -2,7 +2,6 @@ package device
 
 import (
 	"cmp"
-	"slices"
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/mpls"
@@ -23,16 +22,16 @@ func compareTEKey(a, b TEKey) int {
 }
 
 // StateMin is the fewest bytes State writes: eleven counters, two flags and
-// seven empty tables.
-const StateMin = 20
+// six empty tables.
+const StateMin = 19
 
-// State walks the router's forwarding state: label plane, IP tables, VRFs,
-// access bindings, TE steering, classifier dynamics, and the pipeline
-// counters. Identity (node, kind, loopback) and feature switches
-// (MapDSCPToEXP) are scenario configuration, and a load needs the scenario
-// rebuild of the same node (same kind and classifier shape). IPSec gateway
-// state is not checkpointed — the overlay baseline runs uninterrupted in the
-// soak.
+// State walks the router's forwarding state: label plane, IP tables, VRFs
+// (their sites' access links included), inbound access bindings, TE
+// steering, classifier dynamics, and the pipeline counters. Identity (node,
+// kind, loopback) and feature switches (MapDSCPToEXP) are scenario
+// configuration, and a load needs the scenario rebuild of the same node
+// (same kind and classifier shape). IPSec gateway state is not checkpointed
+// — the overlay baseline runs uninterrupted in the soak.
 func (r *Router) State(c *snapshot.Codec) {
 	r.LFIB.State(c)
 	r.FTN.State(c)
@@ -58,7 +57,6 @@ func (r *Router) State(c *snapshot.Codec) {
 				b.vrf = r.VRFs[b.name]
 			}
 		})
-	r.siteAccessState(c)
 	if c.Loading() { // a CE or P holds no PE map, loaded or built
 		if len(r.VRFs) == 0 {
 			r.VRFs = nil
@@ -97,36 +95,4 @@ func (r *Router) State(c *snapshot.Codec) {
 	snapshot.Int(c, &r.IPLookups)
 	snapshot.Int(c, &r.LabelLookups)
 	snapshot.Int(c, &r.EXPMapped)
-}
-
-// siteAccessState walks the outbound access bindings, which live in the
-// VRFs, in the checkpoint's layout of a map from VRF name to site name to
-// link: the VRFs holding a binding ascending by name, each with its
-// bindings. Bindings for a VRF the router does not hold are corrupt.
-func (r *Router) siteAccessState(c *snapshot.Codec) {
-	if c.Loading() {
-		for n := c.Len(0, 2); n > 0 && c.Err() == nil; n-- {
-			var name string
-			c.Str(&name)
-			v, ok := r.VRFs[name]
-			if !ok {
-				c.Corrupt("site access bound in VRF %q, which the router does not hold", name)
-				return
-			}
-			v.AccessState(c)
-		}
-		return
-	}
-	var names []string
-	for name, v := range r.VRFs {
-		if v.HasAccess() {
-			names = append(names, name)
-		}
-	}
-	slices.Sort(names)
-	c.Len(len(names), 2)
-	for i := range names {
-		c.Str(&names[i])
-		r.VRFs[names[i]].AccessState(c)
-	}
 }

@@ -329,8 +329,10 @@ func (p *Protocol) accept(m mapping, out []mapping) []mapping {
 	// Install only if the advertiser is one of our IGP (ECMP) next hops
 	// for the FEC.
 	var nhLink topo.LinkID = -1
+	var nhs []topo.LinkID
 	if m.fec != m.to {
-		for _, lid := range p.nextHopsFor(sp, m.fec) {
+		nhs = p.nextHopsFor(sp, m.fec)
+		for _, lid := range nhs {
 			if p.idx.Of(p.G.Link(lid).To) == m.from {
 				nhLink = lid
 				break
@@ -347,10 +349,23 @@ func (p *Protocol) accept(m mapping, out []mapping) []mapping {
 	if first {
 		sp.local[m.fec] = sp.Alloc.Alloc()
 	}
-	local := sp.local[m.fec]
-	sp.LFIB.AddILM(local, mpls.NHLFE{Op: mpls.OpSwap, OutLabel: m.label, OutLink: nhLink})
-	// Ingress state: unlabelled traffic to the FEC enters the LSP here.
-	sp.FTN.AddBind(p.fec(m.fec), mpls.NHLFE{Op: mpls.OpPush, OutLabel: m.label, OutLink: nhLink})
+	// The swap is the transit state; the push is the ingress state, where
+	// unlabelled traffic to the FEC enters the LSP.
+	local, fec := sp.local[m.fec], p.fec(m.fec)
+	swap := mpls.NHLFE{Op: mpls.OpSwap, OutLabel: m.label, OutLink: nhLink}
+	push := mpls.NHLFE{Op: mpls.OpPush, OutLabel: m.label, OutLink: nhLink}
+	if es, _ := sp.LFIB.LookupILMAll(local); es == nil {
+		// The FEC's first member: its sets are made with room for every
+		// equal-cost next hop, so the members still to come are added in
+		// place and leave no hole in either arena.
+		sp.LFIB.ResetILM(local, len(nhs))
+		sp.LFIB.ResetILM(local, 1)[0] = swap
+		sp.FTN.ResetSet(fec, len(nhs))
+		sp.FTN.ResetSet(fec, 1)[0] = push
+	} else {
+		sp.LFIB.AddILM(local, swap)
+		sp.FTN.AddBind(fec, push)
+	}
 
 	// Independent mode already advertised everything up front. Ordered
 	// control advertises upstream once the first downstream binding

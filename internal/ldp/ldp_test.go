@@ -1,6 +1,7 @@
 package ldp
 
 import (
+	"reflect"
 	"testing"
 
 	"mplsvpn/internal/addr"
@@ -157,4 +158,38 @@ func TestStateScalesLinearly(t *testing.T) {
 
 func nodeName(i int) string {
 	return string(rune('A'+i%26)) + string(rune('0'+i/26))
+}
+
+// holes reads the members of a label table's arena that no set covers.
+// The arena is the mpls package's own, so it is read by reflection.
+func holes(table any) int64 {
+	return reflect.ValueOf(table).Elem().FieldByName("sets").FieldByName("holes").Int()
+}
+
+// TestConvergeLeavesNoArenaHoles: Converge makes each FEC's ILM and FTN
+// sets at the width of the IGP's equal-cost next hops when it installs the
+// first member, so no set outgrows its room and moves: after a Converge
+// over a grid where many FECs have two next hops, no router's arena holds a
+// hole.
+func TestConvergeLeavesNoArenaHoles(t *testing.T) {
+	g := pop147()
+	d := ospf.NewDomain(g)
+	d.Converge()
+	p := New(g, d)
+	p.Converge()
+	ecmp := 0
+	for _, sp := range p.Speakers {
+		for f := range p.Speakers {
+			if es, ok := sp.LFIB.LookupILMAll(sp.local[f]); ok && len(es) > 1 {
+				ecmp++
+			}
+		}
+		if h, k := holes(sp.LFIB), holes(sp.FTN); h != 0 || k != 0 {
+			t.Fatalf("router %d: %d holes in the LFIB's arena and %d in the FTN's", sp.Node, h, k)
+		}
+	}
+	if ecmp == 0 {
+		t.Fatal("no FEC has two next hops anywhere: the grid tests nothing")
+	}
+	t.Logf("%d ECMP sets", ecmp)
 }

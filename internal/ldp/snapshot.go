@@ -1,45 +1,32 @@
 package ldp
 
 import (
-	"mplsvpn/internal/addr"
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/snapshot"
 )
 
-// fecKey is the snapshot.Dense key of a table indexed by FEC: the loopback
-// prefix on the wire, as the map the table replaced was keyed.
-func (p *Protocol) fecKey(c *snapshot.Codec, f int) int {
-	var fec addr.Prefix
-	if f >= 0 {
-		fec = p.fec(f)
-	}
-	addr.PrefixState(c, &fec)
-	return p.fecRank(fec)
-}
-
-// rowState walks the bindings learned for one FEC as the map of them was
-// walked: a count, then (neighbour, label) ascending. A neighbour that runs
-// no speaker, or out of order, is one no saver writes.
+// rowState walks the bindings learned for one FEC: a count, then
+// (neighbour's rank, label) ascending. A rank past the domain, or out of
+// order, is one no saver writes.
 func (p *Protocol) rowState(c *snapshot.Codec, row *[]binding) {
 	n := c.Len(len(*row), 2)
 	if c.Loading() {
 		*row = make([]binding, n) // not nil, even empty: learned once, since forgotten
 	}
-	prev := -1
+	prev := int32(-1)
 	for i := range *row {
 		b := &(*row)[i]
-		from := p.idx.Key(c, int(b.from))
+		snapshot.Int(c, &b.from)
 		snapshot.Uint(c, &b.label)
-		if from <= prev {
-			c.Corrupt("label binding from a node that runs no speaker, or out of neighbour order")
+		if b.from <= prev || int(b.from) >= len(p.Speakers) {
+			c.Corrupt("label binding from rank %d after %d, in a domain of %d", b.from, prev, len(p.Speakers))
 		}
-		b.from, prev = int32(from), from
+		prev = b.from
 	}
 }
 
-// speakerState walks one speaker's local and neighbor-learned bindings. Both
-// are indexed by the FEC owner's rank, so a FEC that is no speaker's
-// loopback is refused by its key before anything is stored.
+// speakerState walks one speaker's local and neighbor-learned bindings, both
+// indexed by the FEC owner's rank.
 func (p *Protocol) speakerState(c *snapshot.Codec, sp *Speaker) {
 	if c.Loading() {
 		for f := range sp.local {
@@ -47,14 +34,14 @@ func (p *Protocol) speakerState(c *snapshot.Codec, sp *Speaker) {
 		}
 		sp.block = nil // a load gives every row its own slice
 	}
-	snapshot.Dense(c, sp.local, func(l *packet.Label) bool { return *l != noLabel }, addr.PrefixMin+1, p.fecKey,
+	snapshot.Dense(c, sp.local, func(l *packet.Label) bool { return *l != noLabel }, 2,
 		func(c *snapshot.Codec, l *packet.Label) {
 			snapshot.Uint(c, l)
 			if *l > packet.MaxLabel {
 				c.Corrupt("label %d above the label space", *l)
 			}
 		})
-	snapshot.Dense(c, sp.fromNeighbor, learned, addr.PrefixMin+1, p.fecKey, p.rowState)
+	snapshot.Dense(c, sp.fromNeighbor, learned, 2, p.rowState)
 }
 
 // State walks the protocol's dynamic state: the message counters, adjacency
@@ -69,8 +56,11 @@ func (p *Protocol) State(c *snapshot.Codec) {
 	if c.Loading() {
 		clear(p.sessions)
 	}
-	snapshot.Dense(c, p.sessions, func(st *SessState) bool { return *st != SessionUp }, 2, p.idx.Key, snapshot.Int[SessState])
-	// A speaker writes its node and two binding counts at least.
-	snapshot.Dense(c, p.Speakers, func(**Speaker) bool { return true }, 3, p.idx.Key,
-		func(c *snapshot.Codec, sp **Speaker) { p.speakerState(c, *sp) })
+	snapshot.Dense(c, p.sessions, func(st *SessState) bool { return *st != SessionUp }, 2, snapshot.Int[SessState])
+	// A speaker writes two binding counts at least.
+	if c.FixedLen(len(p.Speakers), 2, "LDP speakers") {
+		for _, sp := range p.Speakers {
+			p.speakerState(c, sp)
+		}
+	}
 }

@@ -11,25 +11,16 @@ import (
 // NHLFEMin is the fewest bytes NHLFEState writes: five varints.
 const NHLFEMin = 5
 
-// NHLFEState walks one forwarding entry, bypass state included. The
-// operation is a signed varint in the checkpoint format; a loaded one
-// outside Op's byte is corrupt.
+// NHLFEState walks one forwarding entry, bypass state included.
 func NHLFEState(c *snapshot.Codec, e *NHLFE) {
-	op := int64(e.Op)
-	snapshot.Int(c, &op)
-	if c.Loading() && (op < 0 || op > math.MaxUint8) {
-		c.Corrupt("NHLFE operation %d", op)
-		op = 0
-	}
-	e.Op = Op(op)
+	snapshot.Uint(c, &e.Op)
 	snapshot.Uint(c, &e.OutLabel)
 	snapshot.Int(c, &e.OutLink)
 	snapshot.Uint(c, &e.BypassLabel)
 	snapshot.Int(c, &e.BypassLink)
 }
 
-// save writes s's set as snapshot.Slice writes a []NHLFE: the count, then
-// each member.
+// save writes s's set: the count, then each member.
 func (a *arena) save(c *snapshot.Codec, s span) {
 	es := a.members(s)
 	c.Len(len(es), NHLFEMin)
@@ -60,8 +51,8 @@ func (a *arena) load(c *snapshot.Codec) span {
 // labels the uninterrupted run would.
 func (a *Allocator) State(c *snapshot.Codec) { snapshot.Uint(c, &a.next) }
 
-// State walks the forwarding counters and the ILM as a map would be
-// walked: the count of bound labels, then each (label, actions) ascending.
+// State walks the forwarding counters and the ILM: the count of bound
+// labels, then each (label, actions) ascending.
 // A load appends every set to one new arena, and checks a label against
 // the label space before the slice grows to hold it, so the input cannot
 // size the allocation.

@@ -29,18 +29,17 @@ func routeState(c *snapshot.Codec, rt *Route) {
 }
 
 // instanceState walks one instance: originate sequence, LSDB by origin, and
-// SPF routes by destination, each as the map it once was. Both are indexed
-// by rank, so an origin or a destination outside the domain is refused by
-// its key before anything is stored; an LSA's neighbour may be a customer
-// stub outside the domain, but not a node outside the graph.
+// SPF routes by destination, both indexed by rank. An LSA filed at a rank
+// must be that router's; its neighbour may be a customer stub outside the
+// domain, but not a node outside the graph.
 func (d *Domain) instanceState(c *snapshot.Codec, in *Instance) {
 	snapshot.Int(c, &in.seq)
 	if c.Loading() {
 		clear(in.lsdb)
 		clear(in.routes)
 	}
-	snapshot.Dense(c, in.lsdb, (*LSA).held, 1+3, d.idx.Key, lsaState)
-	snapshot.Dense(c, in.routes, (*Route).valid, 1+3, d.idx.Key, routeState)
+	snapshot.Dense(c, in.lsdb, (*LSA).held, 1+3, lsaState)
+	snapshot.Dense(c, in.routes, (*Route).valid, 1+3, routeState)
 	if c.Loading() {
 		for v, node := range d.idx.Nodes {
 			lsa := &in.lsdb[v]
@@ -74,7 +73,10 @@ func (d *Domain) instanceState(c *snapshot.Codec, in *Instance) {
 func (d *Domain) State(c *snapshot.Codec) {
 	snapshot.Int(c, &d.MessagesSent)
 	snapshot.Int(c, &d.FloodRounds)
-	// An instance writes its node, its sequence number and two counts.
-	snapshot.Dense(c, d.Instances, func(**Instance) bool { return true }, 4, d.idx.Key,
-		func(c *snapshot.Codec, in **Instance) { d.instanceState(c, *in) })
+	// An instance writes its sequence number and two counts.
+	if c.FixedLen(len(d.Instances), 3, "IGP instances") {
+		for _, in := range d.Instances {
+			d.instanceState(c, in)
+		}
+	}
 }

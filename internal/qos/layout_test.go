@@ -187,81 +187,19 @@ func TestEmptySchedulerLoadZeroAlloc(t *testing.T) {
 	}
 }
 
-// v5Hybrid encodes a hybrid's state by hand, in the layout of checkpoint
-// format v5: the hybrid's kind (4), the EF cap's fields (written by efCap),
-// then the two schedulers the hybrid nested before it held one set of
-// queues — a strict-priority tier (kind 1) whose queues for control and
-// voice are live, then a WFQ tier (kind 2) with six finish times, the
-// virtual time and live queues for the other four. Every other queue record
-// is written by phantom, given the tier's kind and the class.
-func v5Hybrid(s *HybridScheduler, efCap func(w *snapshot.Writer), phantom func(w *snapshot.Writer, tier int, c Class)) []byte {
-	var w snapshot.Writer
-	codec := snapshot.Saver(&w)
-	queue := func(q *Queue) {
-		w.I64(int64(q.Enqueued))
-		w.I64(int64(q.DroppedFull))
-		w.I64(int64(q.DroppedEarly))
-		red, _ := q.Drop.(*RED)
-		w.Bool(red != nil)
-		if red != nil {
-			w.F64(red.avg)
-			w.I64(int64(red.count))
-			w.U64(red.rng.State())
-		}
-		w.U64(uint64(q.count))
-		for i := 0; i < q.count; i++ {
-			packet.State(codec, q.pkts[(q.head+i)%len(q.pkts)])
-		}
-	}
-	w.I64(4)
-	efCap(&w)
-	w.I64(1)
-	for c := Class(0); c < NumClasses; c++ {
-		if c == ClassNetworkControl || c == ClassVoice {
-			queue(s.ClassQueue(c))
-		} else {
-			phantom(&w, 1, c)
-		}
-	}
-	w.I64(2)
-	for _, f := range s.wfq.finish {
-		w.F64(f)
-	}
-	w.F64(s.wfq.vtime)
-	for c := Class(0); c < NumClasses; c++ {
-		if c == ClassNetworkControl || c == ClassVoice {
-			phantom(&w, 2, c)
-		} else {
-			queue(s.ClassQueue(c))
-		}
-	}
-	return w.Data()
-}
-
-// noEFCap writes the EF cap's fields as the hybrid writes them: nothing
-// policed, no token bucket.
-func noEFCap(w *snapshot.Writer) {
-	w.I64(0)
-	w.Bool(false)
-}
-
-// pristineRecord writes what an empty queue without early drop writes: three
-// zero counters, no RED, no packets.
-func pristineRecord(w *snapshot.Writer, _ int, _ Class) {
-	w.I64(0)
-	w.I64(0)
-	w.I64(0)
-	w.Bool(false)
-	w.U64(0)
-}
-
-// The hybrid holds one set of queues, but its checkpoint is still format
-// v5's two tiers byte for byte: over a seeded stream of enqueues, dequeues,
-// passes and mutations through ClassQueue, with WRED on best effort,
-// SchedulerState writes exactly the hand-made v5 layout, and loading those
-// bytes into a fresh hybrid gives them back.
-func TestHybridWritesTheV5Layout(t *testing.T) {
+// A hybrid's record is the WFQ it is, behind the hybrid's own kind tag:
+// over a seeded stream of enqueues, dequeues, passes and mutations through
+// ClassQueue, with WRED on best effort, a save loaded into a fresh hybrid
+// saves to the same bytes and serves the same packets, and a scheduler of
+// another kind refuses it.
+func TestHybridStateRoundTrips(t *testing.T) {
 	s := passRigs()["hybrid"].(*HybridScheduler)
+	fresh := func() *HybridScheduler {
+		h := NewHybrid(6000, s.wfq.weights)
+		h.ClassQueue(ClassBestEffort).Drop = NewRED(20, 1500, 0.5, sim.NewRand(1))
+		return h
+	}
+	alloc := func() *packet.Packet { return &packet.Packet{} }
 	rng := sim.NewRand(42)
 	now := sim.Time(0)
 	var held uint32 // classes seen backlogged
@@ -287,101 +225,36 @@ func TestHybridWritesTheV5Layout(t *testing.T) {
 			s.ClassQueue(c).Dequeue()
 		}
 		held |= s.wfq.busy
-		want := v5Hybrid(s, noEFCap, pristineRecord)
-		if got := schedBytes(s); !bytes.Equal(got, want) {
-			t.Fatalf("op %d: SchedulerState wrote\n %x\nthe v5 layout is\n %x", i, got, want)
+		if i%97 != 0 {
+			continue
 		}
-		if i%97 == 0 {
-			loaded := NewHybrid(6000, s.wfq.weights)
-			loaded.ClassQueue(ClassBestEffort).Drop = NewRED(20, 1500, 0.5, sim.NewRand(1))
-			if err := snapshot.Load(snapshot.NewReader(want), func(cd *snapshot.Codec) {
-				SchedulerState(cd, loaded, func() *packet.Packet { return &packet.Packet{} })
-			}); err != nil {
-				t.Fatalf("op %d: loading the v5 layout: %v", i, err)
+		data := schedBytes(s)
+		if kind := snapshot.NewReader(data).I64(); kind != schedHybrid {
+			t.Fatalf("op %d: the record's kind tag is %d, the hybrid's %d", i, kind, schedHybrid)
+		}
+		loaded := fresh()
+		if err := snapshot.Load(snapshot.NewReader(data), func(cd *snapshot.Codec) { SchedulerState(cd, loaded, alloc) }); err != nil {
+			t.Fatalf("op %d: load: %v", i, err)
+		}
+		if !bytes.Equal(schedBytes(loaded), data) {
+			t.Fatalf("op %d: the record loaded and saved again differs", i)
+		}
+		twin := fresh()
+		_ = snapshot.Load(snapshot.NewReader(data), func(cd *snapshot.Codec) { SchedulerState(cd, twin, alloc) })
+		for a, b := s.Dequeue(now), twin.Dequeue(now); a != nil || b != nil; a, b = s.Dequeue(now), twin.Dequeue(now) {
+			if a == nil || b == nil || a.Seq != b.Seq {
+				t.Fatalf("op %d: the loaded hybrid serves %v where the saved one serves %v", i, b, a)
 			}
-			if got := schedBytes(loaded); !bytes.Equal(got, want) {
-				t.Fatalf("op %d: the v5 layout loaded and saved again differs", i)
-			}
+		}
+		if err := snapshot.Load(snapshot.NewReader(data), func(cd *snapshot.Codec) {
+			SchedulerState(cd, NewWFQ(6000, s.wfq.weights), alloc)
+		}); !errors.Is(err, snapshot.ErrMismatch) {
+			t.Fatalf("op %d: a WFQ scheduler loading the hybrid's record: %v, want ErrMismatch", i, err)
 		}
 	}
 	be := s.ClassQueue(ClassBestEffort)
 	if held != 1<<NumClasses-1 || be.DroppedEarly == 0 || be.DroppedFull == 0 {
 		t.Fatalf("the stream missed a case: classes held %06b, %d early and %d full drops on best effort",
 			held, be.DroppedEarly, be.DroppedFull)
-	}
-}
-
-// A v5 phantom record can only be the bytes of an empty queue without early
-// drop; a load that finds anything else in one — a counter, RED state, a
-// packet count — refuses the checkpoint as corrupt, whichever tier and class
-// it sits at.
-func TestHybridRefusesAPhantomThatIsNotEmpty(t *testing.T) {
-	var weights [NumClasses]float64
-	for c := range weights {
-		weights[c] = 1
-	}
-	src := NewHybrid(6000, weights)
-	load := func(data []byte) error {
-		return snapshot.Load(snapshot.NewReader(data), func(cd *snapshot.Codec) {
-			SchedulerState(cd, NewHybrid(6000, weights), func() *packet.Packet { return &packet.Packet{} })
-		})
-	}
-	if err := load(v5Hybrid(src, noEFCap, pristineRecord)); err != nil {
-		t.Fatalf("the pristine v5 layout: %v", err)
-	}
-	for tier := 1; tier <= 2; tier++ {
-		for c := Class(0); c < NumClasses; c++ {
-			if (tier == 1) == isPriorityClass(c) {
-				continue // a live record
-			}
-			for field := 0; field < 5; field++ {
-				var rec [5]int64 // three counters, the RED flag, the packet count
-				rec[field] = 1
-				data := v5Hybrid(src, noEFCap, func(w *snapshot.Writer, atTier int, at Class) {
-					if atTier != tier || at != c {
-						pristineRecord(w, atTier, at)
-						return
-					}
-					w.I64(rec[0])
-					w.I64(rec[1])
-					w.I64(rec[2])
-					w.Bool(rec[3] != 0)
-					w.U64(uint64(rec[4]))
-				})
-				if err := load(data); !errors.Is(err, snapshot.ErrCorrupt) {
-					t.Errorf("tier %d, class %v, field %d set: load = %v, want ErrCorrupt", tier, c, field, err)
-				}
-			}
-		}
-	}
-}
-
-// The hybrid has no EF cap, but format v5 keeps its fields: a policed count
-// and a token bucket's presence flag, written as 0 and false. A load that
-// finds a cap there, or a policed count other than zero, refuses the
-// checkpoint as corrupt.
-func TestHybridRefusesAnEFCap(t *testing.T) {
-	var weights [NumClasses]float64
-	for c := range weights {
-		weights[c] = 1
-	}
-	src := NewHybrid(6000, weights)
-	load := func(data []byte) error {
-		return snapshot.Load(snapshot.NewReader(data), func(cd *snapshot.Codec) {
-			SchedulerState(cd, NewHybrid(6000, weights), func() *packet.Packet { return &packet.Packet{} })
-		})
-	}
-	if err := load(v5Hybrid(src, noEFCap, pristineRecord)); err != nil {
-		t.Fatalf("the v5 layout without a cap: %v", err)
-	}
-	for name, efCap := range map[string]func(w *snapshot.Writer){
-		"policed":  func(w *snapshot.Writer) { w.I64(3); w.Bool(false) },
-		"negative": func(w *snapshot.Writer) { w.I64(-1); w.Bool(false) },
-		"capped":   func(w *snapshot.Writer) { w.I64(0); w.Bool(true); w.F64(1500); w.I64(0); w.Bool(true) },
-		"both":     func(w *snapshot.Writer) { w.I64(7); w.Bool(true); w.F64(0); w.I64(5); w.Bool(false) },
-	} {
-		if err := load(v5Hybrid(src, efCap, pristineRecord)); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("%s: load = %v, want ErrCorrupt", name, err)
-		}
 	}
 }

@@ -103,11 +103,7 @@ func SchedulerState(c *snapshot.Codec, s Scheduler, alloc PacketAlloc) {
 	case *PriorityScheduler:
 		sc.state(c, alloc)
 	case *WFQScheduler:
-		for i := range sc.finish {
-			c.F64(&sc.finish[i])
-		}
-		c.F64(&sc.vtime)
-		sc.state(c, alloc)
+		sc.wfqState(c, alloc)
 	case *DRRScheduler:
 		for i := range sc.deficit {
 			snapshot.Int(c, &sc.deficit[i])
@@ -116,9 +112,18 @@ func SchedulerState(c *snapshot.Codec, s Scheduler, alloc PacketAlloc) {
 		c.Bool(&sc.granted)
 		sc.state(c, alloc)
 	case *HybridScheduler:
-		sc.efCapState(c)
-		sc.tiersState(c, alloc)
+		sc.wfq.wfqState(c, alloc)
 	}
+}
+
+// wfqState walks every class's finish time, the virtual time and the six
+// queues.
+func (s *WFQScheduler) wfqState(c *snapshot.Codec, alloc PacketAlloc) {
+	for i := range s.finish {
+		c.F64(&s.finish[i])
+	}
+	c.F64(&s.vtime)
+	s.state(c, alloc)
 }
 
 // kindState walks a scheduler's type tag, which a load must find equal to
@@ -128,63 +133,6 @@ func kindState(c *snapshot.Codec, kind int) bool {
 		c.Mismatch("scheduler kind %d in checkpoint, %d in scenario", got, kind)
 	}
 	return c.Err() == nil
-}
-
-// efCapState walks the fields format v5 gives the hybrid's EF cap, which
-// is gone: constant bytes, a zero policed count and no token bucket. A load
-// refuses any other record as corrupt. Dropping them needs a format bump.
-func (s *HybridScheduler) efCapState(c *snapshot.Codec) {
-	policed, capped := c.I64(0), c.Has(false)
-	if c.Loaded() && (policed != 0 || capped) {
-		c.Corrupt("hybrid: an EF cap record (%d policed, cap %v); the hybrid has no EF cap", policed, capped)
-	}
-}
-
-// tiersState walks the hybrid's queues and WFQ state as format v5 lays
-// them out: the two tiers the hybrid once nested, each a scheduler record
-// with its own kind tag and a queue record for all six classes — a
-// strict-priority tier, then a WFQ tier with every class's finish time and
-// the virtual time. Each tier's records for the classes the other tier
-// serves are phantoms: constant bytes, those of an empty queue without
-// early drop. Dropping them needs a format bump.
-func (s *HybridScheduler) tiersState(c *snapshot.Codec, alloc PacketAlloc) {
-	w := &s.wfq
-	if !kindState(c, schedPriority) {
-		return
-	}
-	s.tierQueues(c, prioMask, alloc)
-	if !kindState(c, schedWFQ) {
-		return
-	}
-	for i := range w.finish {
-		c.F64(&w.finish[i])
-	}
-	c.F64(&w.vtime)
-	s.tierQueues(c, ^prioMask, alloc)
-}
-
-// tierQueues walks one tier's six queue records in class order: the queue
-// of each class in served, a phantom for every other.
-func (s *HybridScheduler) tierQueues(c *snapshot.Codec, served uint32, alloc PacketAlloc) {
-	for i := range s.wfq.qs {
-		if served&(1<<i) != 0 {
-			s.wfq.qs[i].State(c, alloc)
-		} else {
-			phantomQueue(c, Class(i))
-		}
-	}
-}
-
-// phantomQueue walks a phantom queue record: what Queue.State writes for an
-// empty queue without early drop — three zero counters, no RED, no
-// packets. A load refuses any other record as corrupt.
-func phantomQueue(c *snapshot.Codec, class Class) {
-	enqueued, full, early := c.I64(0), c.I64(0), c.I64(0)
-	red := c.Has(false)
-	n := c.U64(0)
-	if c.Loaded() && (enqueued != 0 || full != 0 || early != 0 || red || n != 0) {
-		c.Corrupt("hybrid: the other tier's record for class %v is not an empty queue", class)
-	}
 }
 
 // State walks the classifier's per-policy counters and meter levels. The

@@ -281,9 +281,16 @@ func (r *Reader) Count(minElemBytes int) int {
 //	   gone; every pending event is a control timer or a registered action,
 //	   and a control timer may be a periodic tick (interval and last instant
 //	   in its operands). Version 4 is refused for the same reason.
+//	6  every section walks the structures the program holds: "bgp" writes
+//	   the attribute sets, then the route table as (prefix, label, set),
+//	   then the speakers' runs; a VRF writes its site list once and a route
+//	   its index into it; a hybrid scheduler is the WFQ it is; OSPF and LDP
+//	   tables indexed by rank or FEC write positions, not node IDs and
+//	   prefixes; an NHLFE's operation is unsigned. Version 5 is refused for
+//	   the same reason.
 const (
-	Version    = 5
-	MinVersion = 5
+	Version    = 6
+	MinVersion = 6
 )
 
 var magic = []byte{'M', 'V', 'S', 'N'}

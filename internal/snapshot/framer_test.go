@@ -40,11 +40,11 @@ func frame(names []string, payloads [][]byte, sizeHint int) []byte {
 }
 
 // TestFramerMatchesRecordedCheckpoint: the sections of the recorded
-// version-5 checkpoint, framed in place, are the recorded file byte for
+// version-6 checkpoint, framed in place, are the recorded file byte for
 // byte, whatever size the Framer was told to expect — and so is File.Encode
 // of the same sections.
 func TestFramerMatchesRecordedCheckpoint(t *testing.T) {
-	recorded, err := os.ReadFile("../chaos/testdata/snap-serial-v5.mvsnap")
+	recorded, err := os.ReadFile("../chaos/testdata/snap-serial-v6.mvsnap")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,6 @@ import (
 type Codec struct {
 	w *Writer
 	r *Reader
-	// names holds one copy of every string Interned has loaded.
-	names map[string]string
 }
 
 // Saver returns a Codec whose walks append to w.
@@ -140,26 +138,6 @@ func (c *Codec) Str(p *string) {
 	} else {
 		c.w.Str(*p)
 	}
-}
-
-// Interned is Str for a string that many records repeat (the site a VRF's
-// routes lead to): a load keeps one copy of each distinct value, where Str
-// would allocate one per record.
-func (c *Codec) Interned(p *string) {
-	if c.r == nil {
-		c.w.Str(*p)
-		return
-	}
-	b := c.r.Bytes()
-	s, ok := c.names[string(b)]
-	if !ok {
-		if c.names == nil {
-			c.names = make(map[string]string)
-		}
-		s = string(b)
-		c.names[s] = s
-	}
-	*p = s
 }
 
 // Has walks the presence flag of optional state: it writes present when
@@ -488,24 +466,23 @@ func Overlay[K comparable, V any](c *Codec, m map[K]V, cmp func(a, b K) int, min
 	}
 }
 
-// Dense walks a slice that stands for a map keyed by position, where present
-// says which positions hold an entry: it is written exactly as Map writes
-// that map — the number of entries, then each in ascending position as key,
-// value — so a type may trade a map for a slice without moving a checkpoint
-// byte. key exchanges a position for its wire form: a save hands it the
-// position whose key to write; a load hands it -1 and gets back the position
-// the key it read names, negative for a key that names none, which fails the
-// load (ErrCorrupt) before anything is indexed. A load walks into the
-// elements it finds named, in the order it finds them; the caller clears s
-// first if absent entries must read as absent.
-func Dense[T any](c *Codec, s []T, present func(*T) bool, min int, key func(c *Codec, pos int) int, val func(*Codec, *T)) {
+// Dense walks the entries of a slice indexed by position (a router's rank,
+// a FEC's), where present says which positions hold one: the number of
+// entries, then each as its position and value, positions ascending. A load
+// refuses (ErrCorrupt) a position outside s or not above the one before it
+// before anything is indexed, and walks into the elements it finds named;
+// the caller clears s first if absent entries must read as absent. min is
+// one entry's minimum encoding, its one-byte position included.
+func Dense[T any](c *Codec, s []T, present func(*T) bool, min int, val func(*Codec, *T)) {
 	if c.r != nil {
+		prev := -1
 		for n := c.Len(0, min); n > 0 && c.r.err == nil; n-- {
-			i := key(c, -1)
-			if (i < 0 || i >= len(s)) && c.r.err == nil {
-				c.Corrupt("key outside the table it indexes")
+			i := c.r.U64()
+			if c.r.err == nil && (i >= uint64(len(s)) || int(i) <= prev) {
+				c.Corrupt("position %d after %d in a table of %d", i, prev, len(s))
 			}
 			if c.r.err == nil {
+				prev = int(i)
 				val(c, &s[i])
 			}
 		}
@@ -521,7 +498,7 @@ func Dense[T any](c *Codec, s []T, present func(*T) bool, min int, key func(c *C
 	for i := range s {
 		if present(&s[i]) {
 			start := c.w.Len()
-			key(c, i)
+			c.w.U64(uint64(i))
 			val(c, &s[i])
 			c.sized(start, min)
 		}

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"unsafe"
 )
 
 type walkRec struct {
@@ -274,45 +273,63 @@ func TestRefs(t *testing.T) {
 	}
 }
 
-// TestSharedSliceAndInterned: equal lists load as one list and equal strings
-// as one string, next to each other or not; unequal ones stay apart; and
-// what is loaded saves to the bytes it was loaded from.
-func TestSharedSliceAndInterned(t *testing.T) {
+// TestSharedSlice: equal lists load as one list, next to each other or not;
+// unequal ones stay apart; and what is loaded saves to the bytes it was
+// loaded from.
+func TestSharedSlice(t *testing.T) {
 	lists := [][]uint16{{1, 300}, {1, 300}, {2}, nil, {1, 300}, {2}, nil}
-	names := []string{"alpha", "alpha", "beta", "", "alpha", "beta", ""}
-	walk := func(c *Codec, lists [][]uint16, names []string) {
+	walk := func(c *Codec, lists [][]uint16) {
 		var sh SharedSlice[uint16]
 		for i := range lists {
 			sh.Walk(c, &lists[i], 1, Uint[uint16])
-			c.Interned(&names[i])
 		}
 	}
 	var w Writer
-	walk(Saver(&w), lists, names)
+	walk(Saver(&w), lists)
 
-	gotLists, gotNames := make([][]uint16, len(lists)), make([]string, len(names))
+	got := make([][]uint16, len(lists))
 	c := Loader(NewReader(w.Data()))
-	if walk(c, gotLists, gotNames); c.Err() != nil {
+	if walk(c, got); c.Err() != nil {
 		t.Fatal(c.Err())
 	}
-	if !reflect.DeepEqual(gotLists, lists) || !reflect.DeepEqual(gotNames, names) {
-		t.Fatalf("loaded %v %q, want %v %q", gotLists, gotNames, lists, names)
+	if !reflect.DeepEqual(got, lists) {
+		t.Fatalf("loaded %v, want %v", got, lists)
 	}
 	for _, same := range [][2]int{{0, 1}, {0, 4}, {2, 5}} {
-		i, j := same[0], same[1]
-		if &gotLists[i][0] != &gotLists[j][0] {
+		if i, j := same[0], same[1]; &got[i][0] != &got[j][0] {
 			t.Errorf("lists %d and %d are equal and were loaded apart", i, j)
 		}
-		if unsafe.StringData(gotNames[i]) != unsafe.StringData(gotNames[j]) {
-			t.Errorf("names %d and %d are equal and were loaded apart", i, j)
-		}
 	}
-	if &gotLists[0][0] == &gotLists[2][0] {
+	if &got[0][0] == &got[2][0] {
 		t.Error("unequal lists share a backing array")
 	}
 	var w2 Writer
-	walk(Saver(&w2), gotLists, gotNames)
+	walk(Saver(&w2), got)
 	if !bytes.Equal(w2.Data(), w.Data()) {
 		t.Error("save(load(s)) != s")
+	}
+}
+
+// TestDensePositions: Dense writes the positions that hold an entry, and a
+// load refuses a position outside the table or not above the one before it
+// with ErrCorrupt, before it indexes anything.
+func TestDensePositions(t *testing.T) {
+	present := func(v *int) bool { return *v != 0 }
+	walk := func(s []int) func(*Codec) {
+		return func(c *Codec) { Dense(c, s, present, 2, Int[int]) }
+	}
+	var w Writer
+	walk([]int{0, 7, 0, 9})(Saver(&w))
+	if want := []byte{2, 1, 14, 3, 18}; !bytes.Equal(w.Data(), want) {
+		t.Fatalf("Dense wrote %v, want %v", w.Data(), want)
+	}
+	got := make([]int, 4)
+	if err := Load(NewReader(w.Data()), walk(got)); err != nil || !reflect.DeepEqual(got, []int{0, 7, 0, 9}) {
+		t.Fatalf("loaded %v (%v)", got, err)
+	}
+	for _, bad := range [][]byte{{1, 4, 2}, {2, 3, 2, 1, 2}, {2, 1, 2, 1, 2}} {
+		if err := Load(NewReader(bad), walk(make([]int, 4))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("positions %v: err = %v, want ErrCorrupt", bad, err)
+		}
 	}
 }

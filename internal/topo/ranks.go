@@ -1,10 +1,6 @@
 package topo
 
-import (
-	"slices"
-
-	"mplsvpn/internal/snapshot"
-)
+import "slices"
 
 // Ranks numbers a set of nodes densely: a node's rank is its position in the
 // set sorted by ID. A protocol that runs on some of a graph's nodes (the
@@ -41,17 +37,4 @@ func (r *Ranks) Of(n NodeID) int {
 		return -1
 	}
 	return int(r.of[n])
-}
-
-// Key is the snapshot.Dense key of a slice indexed by rank: the node's ID on
-// the wire, as the map the slice replaced was keyed. A save writes the node
-// of the given rank; a load ignores the rank and returns that of the node it
-// reads, -1 for one outside the set.
-func (r *Ranks) Key(c *snapshot.Codec, rank int) int {
-	var n NodeID
-	if rank >= 0 {
-		n = r.Nodes[rank]
-	}
-	snapshot.Int(c, &n)
-	return r.Of(n)
 }

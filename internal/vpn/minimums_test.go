@@ -20,6 +20,7 @@ func TestElementMinimumsAreLowerBounds(t *testing.T) {
 		save func(c *snapshot.Codec)
 	}{
 		{"site", siteMin, func(c *snapshot.Codec) { siteState(c, new(Site)) }},
+		{"site slot", slotMin, func(c *snapshot.Codec) { slotState(c, new(siteSlot)) }},
 		{"VRF", VRFMin, func(c *snapshot.Codec) { VRFState(c, NewVRF("", 0, addr.RouteDistinguisher{}, nil, nil)) }},
 	} {
 		var w snapshot.Writer

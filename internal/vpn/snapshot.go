@@ -6,7 +6,6 @@ import (
 
 	"mplsvpn/internal/addr"
 	"mplsvpn/internal/snapshot"
-	"mplsvpn/internal/topo"
 )
 
 // siteMin is the fewest bytes siteState writes: two empty names, the PE,
@@ -15,19 +14,44 @@ const siteMin = 4
 
 func siteState(c *snapshot.Codec, s *Site) {
 	c.Str(&s.Name)
+	attachedState(c, s)
+}
+
+// attachedState walks a site after its name.
+func attachedState(c *snapshot.Codec, s *Site) {
 	c.Str(&s.VPN)
 	snapshot.Int(c, &s.PE)
 	snapshot.Slice(c, &s.Prefixes, addr.PrefixMin, addr.PrefixState)
+}
+
+// slotMin is the fewest bytes slotState writes: an empty name, two flags
+// and the access link.
+const slotMin = 4
+
+// slotState walks one slot of a VRF's site list: its name, the site
+// attached under it, and its access link. How many routes name the slot is
+// counted again as a load reads them.
+func slotState(c *snapshot.Codec, s *siteSlot) {
+	c.Str(&s.name)
+	if c.Has(s.site != nil) {
+		if c.Loading() {
+			s.site = &Site{Name: s.name}
+		}
+		attachedState(c, s.site)
+	}
+	c.Bool(&s.bound)
+	snapshot.Int(c, &s.out)
 }
 
 // VRFMin is the fewest bytes VRFState writes: an empty name, the PE, the RD,
 // the SLA class, and four empty collections.
 const VRFMin = 9
 
-// VRFState walks a whole VRF: identity, policy, attached sites, and every
-// forwarding entry. VRFs are created by provisioning — which can run
-// mid-simulation — so a load fills a new VRF from the checkpoint rather
-// than overlaying a scenario-built one.
+// VRFState walks a whole VRF: identity, policy, the site list, and every
+// forwarding entry, a local route naming its site by index into the list.
+// VRFs are created by provisioning — which can run mid-simulation — so a
+// load fills a new VRF from the checkpoint rather than overlaying a
+// scenario-built one.
 func VRFState(c *snapshot.Codec, v *VRF) {
 	c.Str(&v.Name)
 	snapshot.Int(c, &v.PE)
@@ -35,89 +59,23 @@ func VRFState(c *snapshot.Codec, v *VRF) {
 	snapshot.Slice(c, &v.Import, addr.RTMin, addr.RTState)
 	snapshot.Slice(c, &v.Export, addr.RTMin, addr.RTState)
 	snapshot.Int(c, &v.SLAClass)
-	v.sitesState(c)
-	// A route writes two names' worth of flags and varints after its
-	// prefix. The checkpoint names its site, not the index, so a load
-	// rebuilds the site list from the names it finds.
+	snapshot.Slice(c, &v.names, slotMin, slotState)
+	// A route writes two flags and four varints after its prefix.
 	addr.TableState(c, &v.table, addr.PrefixMin+6, func(c *snapshot.Codec, _ addr.Prefix, rt *Route) {
 		c.Bool(&rt.Local)
-		var name string
-		if !c.Loading() {
-			name = v.SiteName(*rt)
-		}
-		c.Interned(&name)
-		if c.Loading() {
-			switch {
-			case rt.Local:
-				rt.Site = v.slot(name)
-				v.names[rt.Site].routes++
-			case name != "":
-				c.Corrupt("remote route names site %q", name)
-			}
-		}
+		snapshot.Uint(c, &rt.Site)
 		snapshot.Int(c, &rt.EgressPE)
 		snapshot.Uint(c, &rt.NextHop)
 		snapshot.Uint(c, &rt.VPNLabel)
 		c.Bool(&rt.External)
+		switch {
+		case !c.Loaded() || !rt.Local:
+		case int(rt.Site) >= len(v.names):
+			c.Corrupt("local route names site %d of %d", rt.Site, len(v.names))
+		default:
+			v.names[rt.Site].routes++
+		}
 	})
-}
-
-// sitesState walks the attached sites as a map from name to site: the
-// count, then each site ascending by name. A load starts the site list
-// afresh with them.
-func (v *VRF) sitesState(c *snapshot.Codec) {
-	if c.Loading() {
-		v.names = nil
-		for n := c.Len(0, siteMin); n > 0 && c.Err() == nil; n-- {
-			s := new(Site)
-			siteState(c, s)
-			if c.Err() == nil {
-				v.names[v.slot(s.Name)].site = s
-			}
-		}
-		return
-	}
-	at := v.sorted(func(s *siteSlot) bool { return s.site != nil })
-	c.Len(len(at), siteMin)
-	for _, i := range at {
-		siteState(c, v.names[i].site)
-	}
-}
-
-// sorted returns the indices of the slots keep admits, ascending by name.
-func (v *VRF) sorted(keep func(*siteSlot) bool) []int {
-	var at []int
-	for i := range v.names {
-		if keep(&v.names[i]) {
-			at = append(at, i)
-		}
-	}
-	slices.SortFunc(at, func(a, b int) int { return cmp.Compare(v.names[a].name, v.names[b].name) })
-	return at
-}
-
-// AccessState walks the VRF's access bindings as a map from site name to
-// link: the count, then each binding ascending by site. A load binds each
-// one it finds in addition to those the VRF holds.
-func (v *VRF) AccessState(c *snapshot.Codec) {
-	if c.Loading() {
-		for n := c.Len(0, 2); n > 0 && c.Err() == nil; n-- {
-			var site string
-			var out topo.LinkID
-			c.Str(&site)
-			snapshot.Int(c, &out)
-			if c.Err() == nil {
-				v.BindAccess(site, out)
-			}
-		}
-		return
-	}
-	at := v.sorted(func(s *siteSlot) bool { return s.bound })
-	c.Len(len(at), 2)
-	for _, i := range at {
-		c.Str(&v.names[i].name)
-		snapshot.Int(c, &v.names[i].out)
-	}
 }
 
 // membersState walks one VPN's member sites, ascending by name, each behind

@@ -221,16 +221,6 @@ func (v *VRF) AccessLink(rt Route) (topo.LinkID, bool) {
 	return s.out, s.bound
 }
 
-// HasAccess reports whether an access link is bound for any site.
-func (v *VRF) HasAccess() bool {
-	for i := range v.names {
-		if v.names[i].bound {
-			return true
-		}
-	}
-	return false
-}
-
 // WantsRoute reports whether the VRF imports a BGP route (RT intersection).
 func (v *VRF) WantsRoute(r *bgp.VPNRoute) bool {
 	for _, rt := range v.Import {

@@ -283,11 +283,9 @@ func TestSiteListFollowsRoutesAndBindings(t *testing.T) {
 
 	var w snapshot.Writer
 	VRFState(snapshot.Saver(&w), v)
-	v.AccessState(snapshot.Saver(&w))
 	var u VRF
 	c := snapshot.Loader(snapshot.NewReader(w.Data()))
 	VRFState(c, &u)
-	u.AccessState(c)
 	if c.Err() != nil {
 		t.Fatal(c.Err())
 	}
