@@ -62,7 +62,7 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 		"mesh":        {derived, "Mesh.AddSpeaker"},
 		"exports":     {walked, "routeTable.speakerState"},
 		"rib":         {walked, "routeTable.speakerState"},
-		"bestIsUnion": {derived, "Speaker.selectBest"},
+		"bestIsUnion": {derived, "Speaker.selectBest, after a load routeTable.reselect"},
 		"Filter":      {derived, "the scenario rebuild (live wiring)"},
 		"Received":    {walked, "routeTable.speakerState"},
 		"Retained":    {walked, "routeTable.speakerState"},
@@ -73,7 +73,7 @@ var checkpointLedger = map[reflect.Type]map[string]fieldEntry{
 	},
 	reflect.TypeOf(rib{}): {
 		"paths": {walked, "routeTable.speakerState"},
-		"best":  {derived, "Speaker.selectBest"},
+		"best":  {derived, "Speaker.selectBest, after a load routeTable.reselect"},
 	},
 	reflect.TypeOf(Mesh{}): {
 		"Layout":            {derived, "Mesh.UseClusters"},

@@ -25,14 +25,6 @@ func TestElementMinimumsAreLowerBounds(t *testing.T) {
 			m.routes = []entry{{}}
 			(&routeTable{m: m}).tables(c)
 		}},
-		// A list of one reference, to the only route of the table: its
-		// one-byte count, then the reference.
-		{"route reference", 1 + refMin, func(c *snapshot.Codec) {
-			m := NewMesh()
-			s := m.AddSpeaker(0, 0)
-			s.Originate(new(VPNRoute))
-			(&routeTable{m: m}).refs(c, &s.exports)
-		}},
 		{"damping state", dampMin, func(c *snapshot.Codec) { dampStateState(c, new(dampState)) }},
 	} {
 		var w snapshot.Writer

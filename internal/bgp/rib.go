@@ -362,6 +362,27 @@ func merge(dst, a, b []uint32, order func(a, b uint32) int) []uint32 {
 	return append(append(dst, a...), b...)
 }
 
+// disjoint reports whether two runs, each ascending strictly by prefix,
+// share no prefix. It merges them a stretch at a time: whichever run sorts
+// first drops, by a binary search, every route below the other's next, so
+// two runs that interleave in a few stretches cost a few searches.
+func (m *Mesh) disjoint(a, b []uint32) bool {
+	routes := m.routes
+	for len(a) > 0 && len(b) > 0 {
+		switch addr.CompareVPNPrefix(routes[a[0]].Prefix, routes[b[0]].Prefix) {
+		case 0:
+			return false
+		case 1:
+			a, b = b, a
+		}
+		k, _ := slices.BinarySearchFunc(a, routes[b[0]].Prefix, func(h uint32, p addr.VPNPrefix) int {
+			return addr.CompareVPNPrefix(routes[h].Prefix, p)
+		})
+		a = a[k:]
+	}
+	return true
+}
+
 // suppresses reports whether damping suppresses some prefix at s.
 func (s *Speaker) suppresses() bool {
 	for _, d := range s.damp {

@@ -19,6 +19,8 @@ type routeTable struct {
 	m        *Mesh
 	rts      snapshot.SharedSlice[addr.RouteTarget]
 	clusters snapshot.SharedSlice[uint32]
+	// breaks is a load's ascent index over the table (see ascents).
+	breaks []uint32
 }
 
 // setMin is the fewest bytes set writes: four one-byte varints, an empty
@@ -52,7 +54,8 @@ const entryMin = addr.VPNPrefixMin + 2
 // tables walks the attribute sets and then the routes. A load interns each
 // set, refusing one it already holds, and appends each route as it is
 // decoded, doubling the table at most, never past the count: a count the
-// bytes admit but do not hold costs what they do hold.
+// bytes admit but do not hold costs what they do hold. A load that holds
+// the table then indexes its ascents.
 func (t *routeTable) tables(c *snapshot.Codec) {
 	m := t.m
 	n := m.sets.n
@@ -94,38 +97,94 @@ func (t *routeTable) tables(c *snapshot.Codec) {
 			m.routes = append(m.routes, e)
 		}
 	})
+	if c.Loaded() {
+		t.ascents()
+	}
 }
 
-// refMin is the fewest bytes one entry of refs writes: a one-byte handle.
-const refMin = 1
+// ascents indexes where the loaded table's prefixes ascend: the count, at
+// each handle, of the handles up to it whose prefix does not sort strictly
+// above the one before. A stretch of the table ascends strictly where the
+// count at its ends is the same, so a run of consecutive handles over one is
+// in order inside, and only where it meets its neighbours need be compared.
+func (t *routeTable) ascents() {
+	routes := t.m.routes
+	t.breaks = make([]uint32, len(routes))
+	for h := 1; h < len(routes); h++ {
+		t.breaks[h] = t.breaks[h-1]
+		if addr.CompareVPNPrefix(routes[h-1].Prefix, routes[h].Prefix) >= 0 {
+			t.breaks[h]++
+		}
+	}
+}
 
-// refs walks a run of handles.
-func (t *routeTable) refs(c *snapshot.Codec, run *[]uint32) {
-	snapshot.Refs(c, run, len(t.m.routes), func(h uint32) int { return int(h) }, func(k int) uint32 { return uint32(k) })
+// compared calls check with every k ≥ 1 of hs whose route must be compared
+// with hs[k-1]'s: the first of each run of consecutive handles, and every
+// one of a run whose stretch of the table does not ascend strictly. It stops
+// at the load's first failure.
+func (t *routeTable) compared(c *snapshot.Codec, hs []uint32, check func(k int)) {
+	for i := 0; i < len(hs) && c.Err() == nil; {
+		j := i + 1
+		for j < len(hs) && hs[j] == hs[j-1]+1 {
+			j++
+		}
+		if i > 0 {
+			check(i)
+		}
+		if t.breaks[hs[j-1]] != t.breaks[hs[i]] {
+			for k := i + 1; k < j && c.Err() == nil; k++ {
+				check(k)
+			}
+		}
+		i = j
+	}
 }
 
 // checkRuns refuses runs that no speaker holds: exports ascend by prefix,
 // one route each; adj-RIB-in prefixes ascend and a prefix holds one route
-// per origin.
-func (t *routeTable) checkRuns(c *snapshot.Codec, s *Speaker) {
+// per origin. It reports whether the adj-RIB-in holds one route per prefix.
+func (t *routeTable) checkRuns(c *snapshot.Codec, s *Speaker) (single bool) {
 	m := t.m
-	for i := 1; i < len(s.exports) && c.Err() == nil; i++ {
-		if addr.CompareVPNPrefix(m.routes[s.exports[i-1]].Prefix, m.routes[s.exports[i]].Prefix) >= 0 {
-			c.Corrupt("exports out of prefix order at %v", m.routes[s.exports[i]].Prefix)
+	ex, run := s.exports, s.rib.paths
+	t.compared(c, ex, func(k int) {
+		if addr.CompareVPNPrefix(m.routes[ex[k-1]].Prefix, m.routes[ex[k]].Prefix) >= 0 {
+			c.Corrupt("exports out of prefix order at %v", m.routes[ex[k]].Prefix)
 		}
-	}
-	run := s.rib.paths
-	for i := 1; i < len(run) && c.Err() == nil; i++ {
-		p, o := m.routes[run[i]].Prefix, m.originOf(run[i])
-		if addr.CompareVPNPrefix(m.routes[run[i-1]].Prefix, p) > 0 {
+	})
+	single = true
+	t.compared(c, run, func(k int) {
+		p := m.routes[run[k]].Prefix
+		switch addr.CompareVPNPrefix(m.routes[run[k-1]].Prefix, p) {
+		case 1:
 			c.Corrupt("adj-RIB-in out of prefix order at %v", p)
+			return
+		case -1:
+			return
 		}
-		for j := i - 1; j >= 0 && m.routes[run[j]].Prefix == p; j-- {
+		single = false
+		o := m.originOf(run[k])
+		for j := k - 1; j >= 0 && m.routes[run[j]].Prefix == p; j-- {
 			if m.originOf(run[j]) == o {
 				c.Corrupt("adj-RIB-in holds %v from origin %d twice", p, o)
+				return
 			}
 		}
+	})
+	return single
+}
+
+// reselect rebuilds s's Loc-RIB after a load. Where the adj-RIB-in holds
+// one route per prefix (single), no export shares a prefix with it and
+// damping suppresses nothing, every prefix is held by one route, and the
+// selection is the union of the two runs, as selectBest would find one
+// route at a time; any other speaker runs the decision process.
+func (t *routeTable) reselect(s *Speaker, single bool) {
+	s.rib.best = nil
+	if single && !s.suppresses() && t.m.disjoint(s.exports, s.rib.paths) {
+		s.bestIsUnion = true
+		return
 	}
+	s.selectBest(nil)
 }
 
 // dampMin is the fewest bytes dampStateState writes: a float64, a varint,
@@ -138,19 +197,17 @@ func dampStateState(c *snapshot.Codec, d *dampState) {
 	c.Bool(&d.suppressed)
 }
 
-// speakerState walks one speaker: exports and adj-RIB-in as handles (order
-// preserved — the run is sorted by prefix, and inside a prefix the decision
-// process keeps the first route on full ties, so order is semantics),
-// graceful-restart stale marks, and the damping ledger. loc-RIB is
-// recomputed after a load.
+// speakerState walks one speaker: exports and adj-RIB-in as runs of
+// handles (order preserved — the run is sorted by prefix, and inside a
+// prefix the decision process keeps the first route on full ties, so order
+// is semantics), graceful-restart stale marks, and the damping ledger.
+// Loc-RIB is rebuilt after a load.
 func (t *routeTable) speakerState(c *snapshot.Codec, s *Speaker) {
 	snapshot.Int(c, &s.Received)
 	snapshot.Int(c, &s.Retained)
-	t.refs(c, &s.exports)
-	t.refs(c, &s.rib.paths)
-	if c.Loaded() {
-		t.checkRuns(c, s)
-	}
+	snapshot.Refs(c, &s.exports, len(t.m.routes))
+	snapshot.Refs(c, &s.rib.paths, len(t.m.routes))
+	single := c.Loaded() && t.checkRuns(c, s)
 	snapshot.Map(c, &s.stale, addr.CompareVPNPrefix, addr.VPNPrefixMin+1, addr.VPNPrefixState,
 		func(c *snapshot.Codec, origins *map[topo.NodeID]bool) {
 			snapshot.Set(c, origins, cmp.Compare[topo.NodeID], 1, snapshot.Int[topo.NodeID])
@@ -158,13 +215,16 @@ func (t *routeTable) speakerState(c *snapshot.Codec, s *Speaker) {
 	snapshot.MapPtrs(c, &s.damp, addr.CompareVPNPrefix, addr.VPNPrefixMin+dampMin, addr.VPNPrefixState, dampStateState)
 	snapshot.Set(c, &s.prevHad, addr.CompareVPNPrefix, addr.VPNPrefixMin, addr.VPNPrefixState)
 	snapshot.Set(c, &s.flapPending, addr.CompareVPNPrefix, addr.VPNPrefixMin, addr.VPNPrefixState)
+	if c.Loaded() {
+		t.reselect(s, single)
+	}
 }
 
 // State walks the mesh: counters, session states, the attribute sets and
 // the route table, and every speaker's runs and ledgers, speakers
 // ascending. Layout, clock, and damping thresholds are scenario
 // configuration, rebuilt rather than serialized; loc-RIB is derived, so a
-// load reruns best-path selection everywhere.
+// load rebuilds it everywhere.
 func (m *Mesh) State(c *snapshot.Codec) {
 	snapshot.Int(c, &m.UpdatesSent)
 	snapshot.Int(c, &m.SessionFlaps)
@@ -178,14 +238,11 @@ func (m *Mesh) State(c *snapshot.Codec) {
 	snapshot.Slice(c, &m.newlySuppressed, addr.VPNPrefixMin, addr.VPNPrefixState)
 	ids := m.sortedIDs()
 	if !c.Loading() {
-		// Nearly all of the section is the route table and the handles: a
-		// route runs to some twenty bytes, a handle to three in a table of
-		// up to two million. A guess that falls short costs a regrowth.
-		refs := 0
-		for _, s := range m.speakers {
-			refs += len(s.exports) + len(s.rib.paths)
-		}
-		c.Grow(len(m.routes)*(entryMin+8) + m.sets.n*(setMin+24) + refs*3 + len(ids)*16)
+		// Nearly all of the section is the route table: a route runs to some
+		// twenty bytes. A speaker's handles are a few bytes a run, and a run
+		// holds from one handle to thousands, which only the write finds
+		// out: a guess that falls short costs a regrowth.
+		c.Grow(len(m.routes)*(entryMin+8) + m.sets.n*(setMin+24) + len(ids)*24)
 	}
 	t := routeTable{m: m}
 	t.tables(c)
@@ -198,12 +255,6 @@ func (m *Mesh) State(c *snapshot.Codec) {
 			c.Mismatch("BGP speaker %d in checkpoint, %d in scenario", got, id)
 		}
 		t.speakerState(c, m.speakers[id])
-	}
-	if c.Loaded() {
-		for _, s := range m.speakers {
-			s.rib.best = nil
-			s.selectBest(nil)
-		}
 	}
 }
 

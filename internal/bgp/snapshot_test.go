@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"mplsvpn/internal/addr"
@@ -123,15 +124,15 @@ func threeClusterMesh() *Mesh {
 
 // TestCheckpointBytesUnchanged pins the "bgp" section's wire format on a
 // three-cluster mesh: length and CRC-32C recorded at the commit that made it
-// attribute sets, a route table of (prefix, label, set) and handles
-// (snapshot.Version 6). See the chaos package's test of the same name for
+// attribute sets, a route table of (prefix, label, set) and runs of handles
+// (snapshot.Version 7). See the chaos package's test of the same name for
 // the whole-container pins.
 func TestCheckpointBytesUnchanged(t *testing.T) {
 	m := threeClusterMesh()
 	m.Converge()
 	var w snapshot.Writer
 	m.SaveState(&w)
-	const wantLen, wantCRC = 596, 0x3fb83457
+	const wantLen, wantCRC = 560, 0x34f4d668
 	if got := crc32.Checksum(w.Data(), crc32.MakeTable(crc32.Castagnoli)); w.Len() != wantLen || got != wantCRC {
 		t.Errorf("3-cluster mesh: %d bytes, CRC-32C %#08x; the recorded format is %d bytes, %#08x", w.Len(), got, wantLen, wantCRC)
 	}
@@ -198,7 +199,7 @@ func restartingMesh() *Mesh {
 }
 
 // TestConvergeSectionPinned pins what Converge leaves, through the "bgp"
-// section it checkpoints to: CRC-32C values recorded at snapshot.Version 6,
+// section it checkpoints to: CRC-32C values recorded at snapshot.Version 7,
 // on a Converge that left every route and selection as the one before it
 // did. Arrival order decides every Adj-RIB-In's order inside a prefix and
 // the route table's numbering, so any change to the order in which a
@@ -214,7 +215,7 @@ func TestConvergeSectionPinned(t *testing.T) {
 		t.Fatalf("restarting mesh: %d suppressions, %d stale routes: the pin would not cover damping and restart",
 			small.RouteSuppressions, small.StaleCount())
 	}
-	if got, want := crc(small), uint32(0x50187b5c); got != want {
+	if got, want := crc(small), uint32(0x78a43800); got != want {
 		t.Errorf("restarting mesh: CRC-32C %#08x, recorded %#08x", got, want)
 	}
 	if testing.Short() {
@@ -222,7 +223,7 @@ func TestConvergeSectionPinned(t *testing.T) {
 	}
 	m := clustered1000x100()
 	m.Converge()
-	if got, want := crc(m), uint32(0x40ec7704); got != want {
+	if got, want := crc(m), uint32(0xfd8b31f9); got != want {
 		t.Errorf("vpnv4_100k mesh: CRC-32C %#08x, recorded %#08x", got, want)
 	}
 }
@@ -489,6 +490,154 @@ func TestRouteTableHoldsWhatIsReachable(t *testing.T) {
 		converge(what + ", swept")
 		if len(m.routes) > settled {
 			t.Fatalf("%s: the table holds %d routes, the settled mesh %d", what, len(m.routes), settled)
+		}
+	}
+}
+
+// TestLoadSelectsAsTheDecisionProcess is the oracle for the Loc-RIB a load
+// rebuilds. The restarting, three-cluster and clustered meshes are churned
+// as TestRIBMatchesMapModel churns its rigs (originations over shared
+// prefixes, withdrawals, sessions going down and restarting, sweeps, damping
+// and its decay; odd seeds first flap one untagged route of a client until
+// damping suppresses it), and after every Converge the mesh is saved and
+// loaded onto a fresh build. Every loaded speaker's rib.best and bestIsUnion
+// must be what selectBest(nil) then recomputes over the loaded runs, and
+// select what the saved speaker selected. The loads must meet the union
+// shortcut taken, and refused for each of its three reasons alone: an export
+// sharing a prefix with a received route, a prefix received twice, and a
+// suppressed prefix.
+func TestLoadSelectsAsTheDecisionProcess(t *testing.T) {
+	var seen struct{ union, shared, twice, suppressed int }
+	tally := func(m *Mesh) {
+		for _, s := range m.speakers {
+			single := true
+			for i := 1; i < len(s.rib.paths); i++ {
+				single = single && m.routes[s.rib.paths[i-1]].Prefix != m.routes[s.rib.paths[i]].Prefix
+			}
+			switch disjoint, suppresses := m.disjoint(s.exports, s.rib.paths), s.suppresses(); {
+			case single && disjoint && !suppresses:
+				seen.union++
+			case single && !disjoint && !suppresses:
+				seen.shared++
+			case !single && disjoint && !suppresses:
+				seen.twice++
+			case single && disjoint && suppresses:
+				seen.suppressed++
+			}
+		}
+	}
+	meshes := []struct {
+		name  string
+		build func() *Mesh
+	}{
+		{"restarting", restartingMesh},
+		{"three-cluster", threeClusterMesh},
+		{"clustered", clusteredMesh},
+	}
+	steps := 300
+	if testing.Short() {
+		steps = 100
+	}
+	for _, mc := range meshes {
+		for seed := int64(0); seed < 2; seed++ {
+			m, rng, now := mc.build(), rand.New(rand.NewSource(seed)), sim.Time(0)
+			m.SetClock(clockAt(&now))
+			m.SetDamping(DampingConfig{Penalty: 1000, Suppress: 1500, Reuse: 700, HalfLife: 10 * sim.Second})
+			converge := func(step int) {
+				m.Converge()
+				checkLoadSelection(t, mc.name, step, m, mc.build())
+				tally(m)
+			}
+			if seed%2 == 1 {
+				s := m.speakers[100]
+				r := &VPNRoute{Prefix: addr.VPNPrefix{RD: vpnRD(3), Prefix: addr.MustParsePrefix("10.3.0.0/24")},
+					NextHop: 1, Label: 16, LocalPref: 100, OriginPE: 100}
+				for round := 0; round < 5; round++ {
+					if round%2 == 0 {
+						s.Originate(r)
+					} else {
+						s.WithdrawLocal(r.Prefix)
+					}
+					converge(-1 - round)
+				}
+			}
+			ids := m.sortedIDs()
+			var prefixes []addr.VPNPrefix
+			for _, s := range m.speakers {
+				for _, h := range s.exports {
+					prefixes = append(prefixes, m.routes[h].Prefix)
+				}
+			}
+			for rd := 1; rd <= 2; rd++ {
+				for i := 0; i < 3; i++ {
+					prefixes = append(prefixes, addr.VPNPrefix{RD: vpnRD(rd), Prefix: addr.NewPrefix(addr.IPv4(0x0a070000+uint32(i)<<8), 24)})
+				}
+			}
+			for step := 0; step < steps; step++ {
+				n := ids[rng.Intn(len(ids))]
+				s := m.speakers[n]
+				switch op := rng.Intn(16); {
+				case op < 5:
+					r := &VPNRoute{
+						Prefix:    prefixes[rng.Intn(len(prefixes))],
+						NextHop:   addr.IPv4(1 + rng.Intn(2)),
+						Label:     packet.Label(16 + rng.Intn(1000)),
+						LocalPref: 100 * (1 + rng.Intn(2)),
+						OriginPE:  n,
+					}
+					for rt := 0; rt < 3; rt++ {
+						if rng.Intn(2) == 0 {
+							r.RTs = append(r.RTs, vpnRT(rt))
+						}
+					}
+					s.Originate(r)
+				case op == 5 && len(s.exports) > 0:
+					s.WithdrawLocal(m.routes[s.exports[rng.Intn(len(s.exports))]].Prefix)
+				case op < 10:
+					converge(step)
+				case op < 12 && m.StateOf(n) == PeerUp:
+					m.SessionDown(n, rng.Intn(3) > 0)
+				case op < 12:
+					m.SessionUp(n)
+				case op == 12:
+					m.SweepStale(n)
+				default:
+					now += sim.Time(rng.Intn(8)) * sim.Second
+					m.DecayDamping(now)
+				}
+			}
+		}
+	}
+	t.Logf("speakers loaded: %+v", seen)
+	if seen.union == 0 || seen.shared == 0 || seen.twice == 0 || seen.suppressed == 0 {
+		t.Errorf("the loads never met one of the union shortcut's cases: %+v", seen)
+	}
+}
+
+// checkLoadSelection saves m, loads it onto fresh, a build of the same
+// mesh, and requires every loaded speaker's selection to be what
+// selectBest(nil) recomputes and what m's speaker selected.
+func checkLoadSelection(t *testing.T, name string, step int, m, fresh *Mesh) {
+	t.Helper()
+	var w snapshot.Writer
+	m.SaveState(&w)
+	if err := fresh.LoadState(snapshot.NewReader(w.Data())); err != nil {
+		t.Fatalf("%s, step %d: %v", name, step, err)
+	}
+	selected := func(s *Speaker) (hs []uint32) {
+		s.eachBest(func(h uint32) { hs = append(hs, h) })
+		return hs
+	}
+	for id, s := range fresh.speakers {
+		loaded, union := s.rib.best, s.bestIsUnion
+		got := selected(s)
+		s.selectBest(nil)
+		if !slices.Equal(loaded, s.rib.best) || union != s.bestIsUnion {
+			t.Fatalf("%s, step %d: speaker %d loaded %v (union %v), the decision process selects %v (union %v)",
+				name, step, id, loaded, union, s.rib.best, s.bestIsUnion)
+		}
+		if want := selected(m.speakers[id]); !slices.Equal(got, want) {
+			t.Fatalf("%s, step %d: speaker %d selects %v after the load, %v before the save", name, step, id, got, want)
 		}
 	}
 }

@@ -18,10 +18,9 @@ import (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // TestCheckpointBytesUnchanged pins the checkpoint wire format. The lengths
-// and CRC-32Cs were recorded at the commit that made snapshot.Version 6
-// (every section walks the structures the program holds: BGP attribute sets
-// and a route table of handles, VRF site lists, ranks and FEC positions, the
-// hybrid as the WFQ it is); a change that is not meant to move the format
+// and CRC-32Cs were recorded at the commit that made snapshot.Version 7 (a
+// BGP speaker's exports and adj-RIB-in as runs of handles); a change that
+// is not meant to move the format
 // must reproduce them bit for bit. A deliberate format
 // change re-records them and the testdata file and bumps Version in the same
 // commit.
@@ -40,9 +39,9 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		n    int
 		crc  uint32
 	}{
-		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 32560, 0x2a1c3902},
-		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 32641, 0x8f0256c2},
-		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 59470, 0xa965eab1},
+		{"snap rig, serial", func() []byte { return backbone(buildSnapRig(t, 0, 4), snapT, "snap-equiv") }, 32560, 0x556b1095},
+		{"snap rig, 8 shards", func() []byte { return backbone(buildSnapRig(t, 8, 4), snapT, "snap-equiv") }, 32641, 0x12716161},
+		{"clustered-reflector rig, 1 shard", func() []byte { return backbone(buildReflRig(t, 1, 4), reflSnapT, "refl-snap") }, 59470, 0x5f9329ea},
 		{"inter-AS rig (options A, B, C), serial", func() []byte {
 			rig := buildInterASRig(t, 0, 0)
 			rig.x.Net.RunUntil(interASSnapT)
@@ -51,7 +50,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			return data
-		}, 117971, 0xa7c3b44f},
+		}, 117971, 0x79a76d4e},
 	}
 	for _, tc := range cases {
 		data := tc.data()
@@ -63,7 +62,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 
 	// A checkpoint file written by that same commit restores, re-encodes to
 	// the same bytes, and finishes the run like the uninterrupted one.
-	old, err := os.ReadFile("testdata/snap-serial-v6.mvsnap")
+	old, err := os.ReadFile("testdata/snap-serial-v7.mvsnap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +84,11 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 
 	// The file the previous format's last commit wrote is refused by version:
 	// its sections would otherwise be read as the wrong layout.
-	retired, err := os.ReadFile("testdata/snap-serial-v5.mvsnap")
+	retired, err := os.ReadFile("testdata/snap-serial-v6.mvsnap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := buildSnapRig(t, 0, 0).b.Restore(retired, "snap-equiv"); !errors.Is(err, snapshot.ErrVersion) {
-		t.Errorf("restore of the version-5 checkpoint: err = %v, want ErrVersion", err)
+		t.Errorf("restore of the version-6 checkpoint: err = %v, want ErrVersion", err)
 	}
 }

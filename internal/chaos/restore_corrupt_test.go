@@ -389,10 +389,12 @@ func restoreTargets(t testing.TB) []restoreTarget {
 // corruptMeshSections hand-writes "bgp" sections for a mesh of the given
 // speakers, ascending, each well-formed but for one defect no saver
 // produces, in the first speaker's state where it is a speaker's: a route
-// naming a set past the set table, a route handle past the route table,
-// exports out of prefix order, an adj-RIB-in out of prefix order, one that
-// holds a (prefix, origin) twice, a set repeated, a stamped set with an
-// empty CLUSTER_LIST, and a route table that declares the most routes its
+// naming a set past the set table; a handle, or a run of them, past the
+// route table; a list counting more handles than the table holds, or fewer
+// than its runs do; exports and an adj-RIB-in out of prefix order, between
+// runs and inside one; an adj-RIB-in that holds a (prefix, origin) twice,
+// inside a run and across two; a set repeated; a stamped set with an empty
+// CLUSTER_LIST; and a route table that declares the most routes its
 // remaining bytes admit and holds two. The layout written here is the one
 // bgp.Mesh.State walks.
 func corruptMeshSections(speakers []topo.NodeID) (sections map[string][]byte, names []string) {
@@ -432,7 +434,22 @@ func corruptMeshSections(speakers []topo.NodeID) (sections map[string][]byte, na
 			w.U64(r.set)
 		}
 	}
-	section := func(origins []int64, originator int64, routes []route, exports, paths []uint64) []byte {
+	// A speaker's exports and adj-RIB-in are lists of handles written as
+	// runs (snapshot.Refs; a save reads no table size): handles writes a
+	// well-formed list, and raw a defect in the runs themselves, varint by
+	// varint.
+	type list func(w *snapshot.Writer)
+	handles := func(hs ...uint32) list {
+		return func(w *snapshot.Writer) { snapshot.Refs(snapshot.Saver(w), &hs, 0) }
+	}
+	raw := func(vs ...uint64) list {
+		return func(w *snapshot.Writer) {
+			for _, v := range vs {
+				w.U64(v)
+			}
+		}
+	}
+	section := func(origins []int64, originator int64, routes []route, exports, paths list) []byte {
 		var w snapshot.Writer
 		tables(&w, origins, originator, len(routes), routes...)
 		w.U64(uint64(len(speakers)))
@@ -440,14 +457,11 @@ func corruptMeshSections(speakers []topo.NodeID) (sections map[string][]byte, na
 			w.I64(int64(n))
 			w.I64(0) // received
 			w.I64(0) // retained
-			for _, run := range [][]uint64{exports, paths} {
-				if i > 0 {
-					run = nil
+			for _, l := range []list{exports, paths} {
+				if i > 0 || l == nil {
+					l = handles()
 				}
-				w.U64(uint64(len(run)))
-				for _, h := range run {
-					w.U64(h)
-				}
+				l(&w)
 			}
 			for k := 0; k < 4; k++ {
 				w.U64(0) // stale marks, damping, previous round's prefixes, pending flaps
@@ -463,15 +477,24 @@ func corruptMeshSections(speakers []topo.NodeID) (sections map[string][]byte, na
 	// TestLoadStateAllocatesWhatItDecodes).
 	var short snapshot.Writer
 	tables(&short, two, 0, 1000, apart...)
+	descending := []route{{2, 0}, {1, 1}}
 	sections = map[string][]byte{
-		"mesh: route naming a set past the table":  section(two, 0, []route{{1, 0}, {2, 2}}, nil, []uint64{0, 1}),
-		"mesh: route handle past the table":        section(two, 0, apart, nil, []uint64{0, 2}),
-		"mesh: exports out of prefix order":        section(two, 0, apart, []uint64{1, 0}, nil),
-		"mesh: paths out of prefix order":          section(two, 0, apart, nil, []uint64{1, 0}),
-		"mesh: repeated (prefix, origin)":          section(two, 0, []route{{1, 0}, {1, 0}}, nil, []uint64{0, 1}),
-		"mesh: attribute set repeated":             section([]int64{1, 1}, 0, apart, nil, []uint64{0, 1}),
-		"mesh: stamped set without a cluster list": section(two, 3, apart, nil, []uint64{0, 1}),
-		"mesh: route count past the routes held":   append(short.Data(), bytes.Repeat([]byte{0xff}, 1000*12)...),
+		"mesh: route naming a set past the table": section(two, 0, []route{{1, 0}, {2, 2}}, nil, handles(0, 1)),
+		"mesh: route handle past the table":       section(two, 0, apart, nil, handles(0, 2)),
+		"mesh: run of handles past the table":     section(two, 0, []route{{1, 0}, {2, 1}, {3, 0}}, nil, handles(1, 2, 3)),
+		// Three handles counted, as runs, in a table of two.
+		"mesh: handle count above the table": section(two, 0, apart, nil, raw(3<<1|1, 2, 1)),
+		// One handle counted, and a run [0, 2): zigzag(0<<1|1), length 2-2.
+		"mesh: runs overfill the count":               section(two, 0, apart, nil, raw(1<<1|1, 2, 0)),
+		"mesh: exports out of prefix order":           section(two, 0, apart, handles(1, 0), nil),
+		"mesh: exports in a run that descends":        section(two, 0, descending, handles(0, 1), nil),
+		"mesh: paths out of prefix order":             section(two, 0, apart, nil, handles(1, 0)),
+		"mesh: paths in a run that descends":          section(two, 0, descending, nil, handles(0, 1)),
+		"mesh: repeated (prefix, origin)":             section(two, 0, []route{{1, 0}, {1, 0}}, nil, handles(0, 1)),
+		"mesh: (prefix, origin) repeated across runs": section(two, 0, []route{{1, 0}, {9, 1}, {1, 0}}, nil, handles(0, 2)),
+		"mesh: attribute set repeated":                section([]int64{1, 1}, 0, apart, nil, handles(0, 1)),
+		"mesh: stamped set without a cluster list":    section(two, 3, apart, nil, handles(0, 1)),
+		"mesh: route count past the routes held":      append(short.Data(), bytes.Repeat([]byte{0xff}, 1000*12)...),
 	}
 	for name := range sections {
 		names = append(names, name)

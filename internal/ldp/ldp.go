@@ -360,8 +360,7 @@ func (p *Protocol) accept(m mapping, out []mapping) []mapping {
 		// place and leave no hole in either arena.
 		sp.LFIB.ResetILM(local, len(nhs))
 		sp.LFIB.ResetILM(local, 1)[0] = swap
-		sp.FTN.ResetSet(fec, len(nhs))
-		sp.FTN.ResetSet(fec, 1)[0] = push
+		sp.FTN.BindWithRoom(fec, push, len(nhs))
 	} else {
 		sp.LFIB.AddILM(local, swap)
 		sp.FTN.AddBind(fec, push)

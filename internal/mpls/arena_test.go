@@ -166,7 +166,7 @@ func TestLFIBArenaMatchesMapModel(t *testing.T) {
 }
 
 // TestFTNArenaMatchesMapModel is the LFIB test for an FTN: random AddBind,
-// Bind, ResetSet and Unbind on a few dozen FECs, each step compared with a
+// Bind, BindWithRoom, ResetSet and Unbind on a few dozen FECs, each step compared with a
 // map of plain slices, the arena compacted along the way, and a save, load
 // and save that repeat their bytes.
 func TestFTNArenaMatchesMapModel(t *testing.T) {
@@ -181,10 +181,14 @@ func TestFTNArenaMatchesMapModel(t *testing.T) {
 	for step := 0; step < 20_000; step++ {
 		fec := fecs[rng.Intn(len(fecs))]
 		before := len(f.sets.es)
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			e := arenaMember(rng)
 			f.Bind(fec, e)
+			model[fec] = []NHLFE{e}
+		case 6:
+			e := arenaMember(rng)
+			f.BindWithRoom(fec, e, rng.Intn(6))
 			model[fec] = []NHLFE{e}
 		case 1, 2:
 			e := arenaMember(rng)
@@ -237,5 +241,29 @@ func TestFTNArenaMatchesMapModel(t *testing.T) {
 	g.State(snapshot.Saver(&second))
 	if !bytes.Equal(first.Data(), second.Data()) {
 		t.Fatal("a loaded FTN saves different bytes")
+	}
+}
+
+// TestBindWithRoomAddsInPlace: a FEC bound with room for four takes three
+// more equal-cost entries through AddBind without moving its set or leaving
+// a hole.
+func TestBindWithRoomAddsInPlace(t *testing.T) {
+	f := NewFTN()
+	fec := addr.NewPrefix(addr.IPv4(0x0a000000), 24)
+	f.BindWithRoom(fec, NHLFE{Op: OpPush, OutLabel: 20, OutLink: 3}, 4)
+	s, _ := f.table.Exact(fec)
+	for _, link := range []topo.LinkID{1, 4, 2} {
+		f.AddBind(fec, NHLFE{Op: OpPush, OutLabel: 20, OutLink: link})
+	}
+	got, _ := f.table.Exact(fec)
+	if got.off != s.off || got.room != 4 || f.sets.holes != 0 || len(f.sets.es) != 4 {
+		t.Errorf("set moved from %+v to %+v, %d holes in an arena of %d", s, got, f.sets.holes, len(f.sets.es))
+	}
+	var links []topo.LinkID
+	for _, e := range f.members(got) {
+		links = append(links, e.OutLink)
+	}
+	if !slices.Equal(links, []topo.LinkID{1, 2, 3, 4}) {
+		t.Errorf("entries on links %v, want 1 2 3 4", links)
 	}
 }

@@ -455,6 +455,15 @@ func (f *FTN) AddBind(fec addr.Prefix, e NHLFE) {
 	}
 }
 
+// BindWithRoom binds fec to the one entry e, replacing any existing set, in
+// a set with room for n entries, so that the n-1 equal-cost entries AddBind
+// adds after it go in place. It is one descent of the table.
+func (f *FTN) BindWithRoom(fec addr.Prefix, e NHLFE, n int) {
+	s, _ := f.trie().Upsert(fec)
+	f.reset(s, n)
+	f.reset(s, 1)[0] = e
+}
+
 // ResetSet is ResetILM for a FEC: it binds fec to n entries, the set
 // already bound when its room holds n, and returns them for the caller to
 // overwrite, every one. The set is good until the FTN next changes.

@@ -288,9 +288,13 @@ func (r *Reader) Count(minElemBytes int) int {
 //	   tables indexed by rank or FEC write positions, not node IDs and
 //	   prefixes; an NHLFE's operation is unsigned. Version 5 is refused for
 //	   the same reason.
+//	7  "bgp" writes a speaker's exports and adj-RIB-in as runs of
+//	   consecutive handles where that is shorter than a varint per handle,
+//	   behind a mode bit in the count. Version 6 is refused for the same
+//	   reason.
 const (
-	Version    = 6
-	MinVersion = 6
+	Version    = 7
+	MinVersion = 7
 )
 
 var magic = []byte{'M', 'V', 'S', 'N'}

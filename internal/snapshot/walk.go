@@ -331,34 +331,109 @@ func Ptrs[T any](c *Codec, s *[]*T, min int, elem func(*Codec, *T)) {
 	}
 }
 
-// Refs walks a slice of references into a table of n distinct elements
-// walked earlier, as each one's position there: a count, then a varint each,
-// in one loop either way. pos is a reference's position, asked only when
-// saving; at is the reference a loaded position stands for, asked only for a
-// position inside the table: one past it is ErrCorrupt.
-func Refs[T any](c *Codec, s *[]T, n int, pos func(T) int, at func(int) T) {
-	count := c.Len(len(*s), 1)
+// Refs walks a list of handles into a table of n elements walked earlier:
+// the count, shifted over a bit that says the list is written as runs,
+// then the handles, each as a varint, or the runs of consecutive handles,
+// whichever is shorter. A run is one zigzag varint whose low bit says a
+// length follows and whose other bits are the run's first handle less the
+// one after the run before (0 before the first run), then, for a flagged
+// run, its length less two. A list that is a stretch of the table is three
+// varints; one whose handles seldom run is never longer than its handles.
+// A load refuses (ErrCorrupt) a count above n, a handle or run outside the
+// table and runs that hold more handles than the count. The count is
+// bounded by n, not by the bytes that remain: a run of a million handles
+// is a few bytes.
+func Refs(c *Codec, s *[]uint32, n int) {
 	if c.r == nil {
-		for _, ref := range *s {
-			c.w.U64(uint64(pos(ref)))
+		hs := *s
+		head := c.w.Len()
+		c.w.U64(uint64(len(hs))<<1 | 1)
+		body, handles, next := c.w.Len(), 0, int64(0)
+		for i := 0; i < len(hs); {
+			j := i + 1
+			for j < len(hs) && hs[j] == hs[j-1]+1 {
+				j++
+			}
+			start := int64(hs[i])
+			if delta := (start - next) << 1; j-i == 1 {
+				c.w.I64(delta)
+			} else {
+				c.w.I64(delta | 1)
+				c.w.U64(uint64(j - i - 2))
+			}
+			handles += uvarintsLen(hs[i], hs[j-1])
+			next, i = start+int64(j-i), j
 		}
+		if handles <= c.w.Len()-body {
+			c.w.b = c.w.b[:head]
+			c.w.U64(uint64(len(hs)) << 1)
+			for _, h := range hs {
+				c.w.U64(uint64(h))
+			}
+		}
+		return
+	}
+	head := c.r.U64()
+	if c.r.err != nil {
+		return
+	}
+	count, runs := head>>1, head&1 != 0
+	if count > uint64(n) {
+		c.Corrupt("list of %d handles into a table of %d", count, n)
 		return
 	}
 	*s = nil
 	if count > 0 {
-		*s = make([]T, count)
+		*s = make([]uint32, count)
 	}
-	for i := range *s {
-		k := c.r.U64()
+	out, next := *s, int64(0)
+	for len(out) > 0 {
+		var start int64
+		length := uint64(1)
+		if runs {
+			v := c.r.I64()
+			if v&1 != 0 {
+				length = c.r.U64()
+				if length <= uint64(len(out)) {
+					length += 2
+				}
+			}
+			start = next + v>>1
+		} else if h := c.r.U64(); h < uint64(n) || c.r.err != nil {
+			start = int64(h)
+		} else {
+			c.Corrupt("handle %d of a table of %d", h, n)
+			return
+		}
 		if c.r.err != nil {
 			return
 		}
-		if k >= uint64(n) {
-			c.Corrupt("reference to element %d of a table of %d", k, n)
+		switch {
+		case length > uint64(len(out)):
+			c.Corrupt("runs hold more than the %d handles counted", count)
+			return
+		case start < 0 || uint64(start)+length > uint64(n):
+			c.Corrupt("handles [%d, %d) outside a table of %d", start, start+int64(length), n)
 			return
 		}
-		(*s)[i] = at(int(k))
+		for i := range out[:length] {
+			out[i] = uint32(start) + uint32(i)
+		}
+		out, next = out[length:], start+int64(length)
 	}
+}
+
+// uvarintsLen returns how many bytes the handles lo to hi take as varints.
+func uvarintsLen(lo, hi uint32) int {
+	n := 0
+	for width, from := 1, uint64(lo); from <= uint64(hi); width++ {
+		to := min(uint64(hi), 1<<(7*width)-1)
+		if from <= to {
+			n += int(to-from+1) * width
+			from = to + 1
+		}
+	}
+	return n
 }
 
 // sortedKeys returns m's keys in ascending cmp order: the order every map

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"cmp"
 	"errors"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -243,33 +246,97 @@ func TestPtrsLoadInChunks(t *testing.T) {
 	}
 }
 
-// TestRefs: a list of pointers into a table round-trips as positions, keeps
-// the identity of what it points at, and refuses a position past the table.
+// TestRefs: a list of handles round-trips as the shorter of its handles and
+// its runs of consecutive handles (each run a delta from the run before,
+// and a length only when it holds two or more), and a load refuses, as
+// corrupt, a count above the table, a handle or a run outside it, and runs
+// that overfill the count.
 func TestRefs(t *testing.T) {
-	table := []*walkRec{{ID: 10}, {ID: 11}, {ID: 12}}
-	pos := func(r *walkRec) int { return r.ID - 10 }
-	at := func(k int) *walkRec { return table[k] }
-	in := []*walkRec{table[2], table[0], table[2]}
-	var w Writer
-	Refs(Saver(&w), &in, len(table), pos, at)
-	if want := []byte{3, 2, 0, 2}; !bytes.Equal(w.Data(), want) {
-		t.Fatalf("encoded % x, want % x", w.Data(), want)
+	for _, tc := range []struct {
+		in   []uint32
+		want []byte
+	}{
+		// Six handles as runs: [3, 6), delta 3, flagged, length 3; [9],
+		// delta 3; [0, 2), delta -10, flagged, length 2 — zigzag (3<<1|1) =
+		// 14, 3<<1 = 12 and -10<<1|1 = 37.
+		{[]uint32{3, 4, 5, 9, 0, 1}, []byte{6<<1 | 1, 14, 1, 12, 37, 0}},
+		// Three handles that do not run: as runs, three bytes too, so as
+		// handles.
+		{[]uint32{7, 2, 9}, []byte{3 << 1, 7, 2, 9}},
+		{[]uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{10<<1 | 1, 2, 8}},
+		{nil, []byte{0}},
+	} {
+		var w Writer
+		Refs(Saver(&w), &tc.in, 10)
+		if !bytes.Equal(w.Data(), tc.want) {
+			t.Errorf("%v encoded % x, want % x", tc.in, w.Data(), tc.want)
+		}
+		var out []uint32
+		c := Loader(NewReader(w.Data()))
+		if Refs(c, &out, 10); c.Err() != nil || !slices.Equal(out, tc.in) {
+			t.Errorf("%v loaded as %v, err %v", tc.in, out, c.Err())
+		}
 	}
-	var out []*walkRec
-	c := Loader(NewReader(w.Data()))
-	if Refs(c, &out, len(table), pos, at); c.Err() != nil {
-		t.Fatal(c.Err())
+	for _, tc := range []struct {
+		what string
+		data []byte
+		want string
+	}{
+		{"a handle past the table", []byte{2 << 1, 1, 10}, "handle 10 of a table of 10"},
+		{"a run past the table", []byte{2<<1 | 1, 38, 0}, "[9, 11) outside a table of 10"},
+		{"a run before the table", []byte{1<<1 | 1, 3}, "[-1, 0) outside a table of 10"},
+		{"a count above the table", []byte{11<<1 | 1, 1, 9}, "list of 11 handles"},
+		// [0], then [1, 4).
+		{"runs that overfill the count", []byte{3<<1 | 1, 0, 2, 1}, "more than the 3"},
+		{"a length past any count", []byte{3<<1 | 1, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "more than the 3"},
+	} {
+		var out []uint32
+		c := Loader(NewReader(tc.data))
+		if Refs(c, &out, 10); !errors.Is(c.Err(), ErrCorrupt) || !strings.Contains(c.Err().Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrCorrupt saying %q", tc.what, c.Err(), tc.want)
+		}
 	}
-	if len(out) != 3 || out[0] != table[2] || out[1] != table[0] || out[2] != table[2] {
-		t.Errorf("loaded references do not point into the table: %v", out)
+	for _, cut := range [][]byte{{3<<1 | 1, 1}, {3 << 1, 1}} {
+		var out []uint32
+		c := Loader(NewReader(cut))
+		if Refs(c, &out, 10); !errors.Is(c.Err(), ErrCorrupt) && !errors.Is(c.Err(), ErrTruncated) {
+			t.Errorf("list % x cut short: err = %v, want a typed error", cut, c.Err())
+		}
 	}
-	c = Loader(NewReader([]byte{2, 1, 3}))
-	if Refs(c, &out, len(table), pos, at); !errors.Is(c.Err(), ErrCorrupt) {
-		t.Errorf("position past the table: err = %v, want ErrCorrupt", c.Err())
-	}
-	c = Loader(NewReader([]byte{3, 1}))
-	if Refs(c, &out, len(table), pos, at); !errors.Is(c.Err(), ErrCorrupt) && !errors.Is(c.Err(), ErrTruncated) {
-		t.Errorf("list cut short: err = %v, want a typed error", c.Err())
+}
+
+// TestRefsIsNeverLongerThanItsHandles: for lists of every shape — runs,
+// scattered handles, a mix, in tables whose handles take one to three
+// bytes — the encoding is the shorter of the two and loads back. A list
+// holds a handle once, as a speaker's runs do.
+func TestRefsIsNeverLongerThanItsHandles(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for _, n := range []int{64, 200, 3710, 200_000} {
+		for trial := 0; trial < 200; trial++ {
+			var hs []uint32
+			held := map[uint32]bool{}
+			for want := 1 + rng.Intn(min(n, 300)); len(hs) < want; {
+				h := uint32(rng.Intn(n))
+				for k := rng.Intn(4) * rng.Intn(4); k >= 0 && int(h) < n && !held[h] && len(hs) < want; k-- {
+					hs, held[h] = append(hs, h), true
+					h++
+				}
+			}
+			var w Writer
+			Refs(Saver(&w), &hs, n)
+			plain := uvarintLen(uint64(len(hs)) << 1)
+			for _, h := range hs {
+				plain += uvarintLen(uint64(h))
+			}
+			if w.Len() > plain {
+				t.Fatalf("table %d: %d handles encoded to %d bytes, %d as handles", n, len(hs), w.Len(), plain)
+			}
+			var out []uint32
+			c := Loader(NewReader(w.Data()))
+			if Refs(c, &out, n); c.Err() != nil || !slices.Equal(out, hs) {
+				t.Fatalf("table %d: %v loaded as %v, err %v", n, hs, out, c.Err())
+			}
+		}
 	}
 }
 

@@ -201,6 +201,8 @@ func (h *Histogram) rank(k uint64) float64 {
 	return h.max
 }
 
+func (h *Histogram) held() bool { return h.n != 0 }
+
 // Reset empties the histogram, keeping the window's storage for reuse (the
 // SLA watcher's interval windows reset every interval).
 func (h *Histogram) Reset() {

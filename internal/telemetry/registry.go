@@ -22,6 +22,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -76,6 +77,8 @@ func (l Labels) String() string {
 // disabled and calls it unconditionally.
 type Counter struct{ v int64 }
 
+func (c *Counter) held() bool { return c.v != 0 }
+
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c != nil {
@@ -100,6 +103,8 @@ func (c *Counter) Value() int64 {
 
 // Gauge is a last-write-wins float64, safe on a nil receiver.
 type Gauge struct{ v float64 }
+
+func (g *Gauge) held() bool { return math.Float64bits(g.v) != 0 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
@@ -138,6 +143,12 @@ type Registry struct {
 	counters map[seriesID]*Counter
 	gauges   map[seriesID]*Gauge
 	hists    map[seriesID]*Histogram
+	// detached holds the instruments a checkpoint load emptied and did not
+	// name: made by the build before the load, they stay in the maps so
+	// that every pointer resolved to them stays good, but the registry
+	// neither lists nor checkpoints one while it holds nothing, until it is
+	// resolved again. Empty but after a load onto a build that had run.
+	detached map[any]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -182,9 +193,15 @@ func instrument[T any](r *Registry, m map[seriesID]*T, k seriesKey) *T {
 	if !ok {
 		x = new(T)
 		m[id] = x
+	} else if r.detached[x] {
+		delete(r.detached, x)
 	}
 	return x
 }
+
+// shown reports whether the registry lists and checkpoints inst, which
+// holds something when held.
+func (r *Registry) shown(inst any, held bool) bool { return held || !r.detached[inst] }
 
 // Counter resolves (name, labels) to its counter, creating it on first use.
 func (r *Registry) Counter(name string, l Labels) *Counter {
@@ -251,14 +268,23 @@ func (r *Registry) Snapshot() []Metric {
 	}
 	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for id, c := range r.counters {
+		if !r.shown(c, c.held()) {
+			continue
+		}
 		k := r.key(id)
 		out = append(out, Metric{Name: k.name, Labels: k.labels, Kind: "counter", Value: float64(c.v)})
 	}
 	for id, g := range r.gauges {
+		if !r.shown(g, g.held()) {
+			continue
+		}
 		k := r.key(id)
 		out = append(out, Metric{Name: k.name, Labels: k.labels, Kind: "gauge", Value: g.v})
 	}
 	for id, h := range r.hists {
+		if !r.shown(h, h.held()) {
+			continue
+		}
 		k := r.key(id)
 		m := Metric{Name: k.name, Labels: k.labels, Kind: "histogram", Count: h.n, Sum: h.sum}
 		for i, c := range h.counts {

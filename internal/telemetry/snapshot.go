@@ -60,11 +60,15 @@ func (h *Histogram) State(c *snapshot.Codec) {
 }
 
 // seriesState walks one family of instruments, sorted by (name, labels) so
-// the encoding is independent of map iteration order. A load overlays the
-// values: instruments already resolved by the scenario rebuild keep their
-// pointers (the hot path holds them directly); series the rebuild has not
-// touched yet are created. min is the value's minimum encoding.
-func seriesState[T any](c *snapshot.Codec, r *Registry, m map[seriesID]*T, min int, val func(*snapshot.Codec, *T)) {
+// the encoding is independent of map iteration order. A load empties every
+// instrument of the family, overlays the checkpoint's series, creating
+// those the registry lacks, and detaches the rest: an instrument keeps its
+// pointer (the hot path holds them directly), and one the checkpoint does
+// not name is hidden while it holds nothing (see Registry.detached), so the
+// registry reads as the checkpoint whatever the build ran before the load.
+// held reports whether an instrument holds something; min is the value's
+// minimum encoding.
+func seriesState[T any](c *snapshot.Codec, r *Registry, m map[seriesID]*T, min int, held func(*T) bool, val func(*snapshot.Codec, *T)) {
 	// Labels render once per key, not once per comparison.
 	type rendered struct {
 		key    seriesKey
@@ -75,15 +79,27 @@ func seriesState[T any](c *snapshot.Codec, r *Registry, m map[seriesID]*T, min i
 	if !c.Loading() {
 		keys = make([]rendered, 0, len(m))
 		for id, inst := range m {
-			k := r.key(id)
-			keys = append(keys, rendered{k, k.labels.String(), inst})
+			if r.shown(inst, held(inst)) {
+				k := r.key(id)
+				keys = append(keys, rendered{k, k.labels.String(), inst})
+			}
 		}
 		slices.SortFunc(keys, func(a, b rendered) int {
 			return cmp.Or(cmp.Compare(a.key.name, b.key.name), cmp.Compare(a.labels, b.labels))
 		})
+	} else {
+		for _, inst := range m {
+			var zero T
+			*inst = zero
+		}
 	}
 	var k seriesKey
-	for i, n := 0, c.Len(len(keys), seriesKeyMin+min); i < n && c.Err() == nil; i++ {
+	var loaded []*T
+	n := c.Len(len(keys), seriesKeyMin+min)
+	if c.Loading() {
+		loaded = make([]*T, 0, n)
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
 		var inst *T
 		if !c.Loading() {
 			k, inst = keys[i].key, keys[i].inst
@@ -91,16 +107,30 @@ func seriesState[T any](c *snapshot.Codec, r *Registry, m map[seriesID]*T, min i
 		seriesKeyState(c, &k)
 		if c.Loading() {
 			inst = instrument(r, m, k)
+			loaded = append(loaded, inst)
 		}
 		val(c, inst)
 	}
+	// Resolving a loaded series undetached it; only a build that made a
+	// series the checkpoint does not name leaves the map longer.
+	if c.Loaded() && len(loaded) < len(m) {
+		if r.detached == nil {
+			r.detached = make(map[any]bool)
+		}
+		for _, inst := range m {
+			r.detached[inst] = true
+		}
+		for _, inst := range loaded {
+			delete(r.detached, inst)
+		}
+	}
 }
 
-// State walks every live series.
+// State walks every series the registry shows.
 func (r *Registry) State(c *snapshot.Codec) {
-	seriesState(c, r, r.counters, 1, func(c *snapshot.Codec, ctr *Counter) { snapshot.Int(c, &ctr.v) })
-	seriesState(c, r, r.gauges, 8, func(c *snapshot.Codec, g *Gauge) { c.F64(&g.v) })
-	seriesState(c, r, r.hists, histogramMin, func(c *snapshot.Codec, h *Histogram) { h.State(c) })
+	seriesState(c, r, r.counters, 1, (*Counter).held, func(c *snapshot.Codec, ctr *Counter) { snapshot.Int(c, &ctr.v) })
+	seriesState(c, r, r.gauges, 8, (*Gauge).held, func(c *snapshot.Codec, g *Gauge) { c.F64(&g.v) })
+	seriesState(c, r, r.hists, histogramMin, (*Histogram).held, func(c *snapshot.Codec, h *Histogram) { h.State(c) })
 }
 
 // State walks the journal ring: capacity, the global sequence cursor, then

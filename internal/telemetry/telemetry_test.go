@@ -426,3 +426,60 @@ func TestFlowExporterAccumulatorIndices(t *testing.T) {
 		t.Fatalf("after a load the exporter differs: %v, want %v", y.Records(), x.Records())
 	}
 }
+
+// TestRegistryLoadLeavesTheCheckpointsSeries: a registry loaded from a
+// checkpoint lists and re-saves exactly the checkpoint's series, whatever
+// it held before, zero-valued series included, and every instrument it
+// held keeps its pointer: one the checkpoint does not name holds nothing
+// and stays hidden until it holds something again or is resolved again.
+func TestRegistryLoadLeavesTheCheckpointsSeries(t *testing.T) {
+	build := func() *Registry {
+		r := NewRegistry()
+		r.Counter("pkts", Labels{Node: "a"}).Add(3)
+		r.Counter("pkts", Labels{Node: "b"}) // made, never moved
+		r.Gauge("depth", Labels{Node: "a"}).Set(2)
+		return r
+	}
+	listing := func(r *Registry) string {
+		var sb strings.Builder
+		for _, m := range r.Snapshot() {
+			sb.WriteString(m.String() + "\n")
+		}
+		return sb.String()
+	}
+	saved := build()
+	var w snapshot.Writer
+	saved.State(snapshot.Saver(&w))
+
+	ran := build()
+	ran.Counter("pkts", Labels{Node: "a"}).Add(5)
+	late := ran.Counter("pkts", Labels{Node: "c"})
+	late.Add(7)
+	hist := ran.Histogram("lat", Labels{Node: "c"})
+	hist.Observe(1)
+	if err := snapshot.Load(snapshot.NewReader(w.Data()), ran.State); err != nil {
+		t.Fatal(err)
+	}
+	var again snapshot.Writer
+	ran.State(snapshot.Saver(&again))
+	if !bytes.Equal(again.Data(), w.Data()) {
+		t.Errorf("re-saved after the load: %d bytes, the checkpoint %d", again.Len(), w.Len())
+	}
+	want := "depth{node=a} 2\npkts{node=a} 3\npkts{node=b} 0\n"
+	if got := listing(saved); got != want {
+		t.Errorf("saved registry lists\n%s; want\n%s", got, want)
+	}
+	if got := listing(ran); got != want {
+		t.Errorf("loaded registry lists\n%s; the saved one\n%s", got, want)
+	}
+	if late.Value() != 0 || hist.Count() != 0 {
+		t.Errorf("series the checkpoint does not name hold %d and %d observations after the load", late.Value(), hist.Count())
+	}
+	late.Inc()
+	if ran.Counter("pkts", Labels{Node: "c"}) != late || !strings.Contains(listing(ran), "pkts{node=c} 1") {
+		t.Errorf("a counter the hot path held is not the registry's after the load:\n%s", listing(ran))
+	}
+	if ran.Histogram("lat", Labels{Node: "c"}); !strings.Contains(listing(ran), "lat{node=c} count=0") {
+		t.Errorf("a histogram resolved again after the load is not listed:\n%s", listing(ran))
+	}
+}
