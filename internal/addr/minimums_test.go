@@ -50,3 +50,18 @@ func TestTableStateRefusesImpossibleLength(t *testing.T) {
 		t.Fatalf("a /33 was installed: %v", tb.Prefixes())
 	}
 }
+
+// TestTableStateRefusesMoreThanMaxValues: a count the remaining bytes vouch
+// for but no table can hold fails the load before anything is sized for it.
+func TestTableStateRefusesMoreThanMaxValues(t *testing.T) {
+	var w snapshot.Writer
+	w.U64(MaxValues + 1)
+	data := append(w.Data(), make([]byte, MaxValues+1)...)
+	tb := NewTable[int]()
+	err := snapshot.Load(snapshot.NewReader(data), func(c *snapshot.Codec) {
+		TableState(c, &tb, 1, func(c *snapshot.Codec, _ Prefix, v *int) { snapshot.Int(c, v) })
+	})
+	if !errors.Is(err, snapshot.ErrCorrupt) || tb.Len() != 0 {
+		t.Fatalf("a table of %d prefixes: %v, %d installed; want ErrCorrupt and none", MaxValues+1, err, tb.Len())
+	}
+}

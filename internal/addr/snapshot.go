@@ -90,7 +90,11 @@ func TableState[V any](c *snapshot.Codec, t **Table[V], min int, val func(*snaps
 		return
 	}
 	n := c.Len(0, min)
-	*t = newTable[V](2 * n)
+	if n > MaxValues {
+		c.Corrupt("%d prefixes in one table, at most %d", n, MaxValues)
+		n = 0
+	}
+	*t = newTable[V](n)
 	for ; n > 0; n-- {
 		var zero V
 		v = zero

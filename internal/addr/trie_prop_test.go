@@ -51,28 +51,30 @@ func (n *naiveTable) sorted() []Prefix {
 
 // checkInvariants walks the node slice itself: every child's prefix extends
 // its parent's and hangs off the branch its own bits name, no node but the
-// root is unset with fewer than two children, a /32 is a leaf, unset nodes
-// hold the zero value, every node is either reachable or on the free list,
-// and the live ones number at most 2·Len() (1 for the root of an empty
-// table).
+// root is unset with fewer than two children, a /32 is a leaf, every node is
+// either reachable or on the free list, and the live ones number at most
+// 2·Len() (1 for the root of an empty table). Each set node names a value
+// slot of its own, the slots on the value free list hold the zero value, and
+// together they are every slot of vals.
 func checkInvariants[V comparable](t testing.TB, tb *Table[V]) {
 	t.Helper()
-	if len(tb.vals) != len(tb.nodes) {
-		t.Fatalf("vals has %d entries, nodes %d", len(tb.vals), len(tb.nodes))
-	}
 	var zero V
+	owner := make([]int, len(tb.vals)) // 1 + the set node naming each slot, or -1 if free
 	live, set := 0, 0
 	var visit func(i uint32)
 	visit = func(i uint32) {
 		n := tb.nodes[i]
 		live++
-		if n.set {
+		if n.set() {
 			set++
-		} else if tb.vals[i] != zero {
-			t.Fatalf("unset node %d keeps value %v", i, tb.vals[i])
+			if v := n.val(); int(v) >= len(owner) || owner[v] != 0 {
+				t.Fatalf("node %d names value slot %d of %d, or a slot another node names", i, v, len(owner))
+			} else {
+				owner[v] = int(i) + 1
+			}
 		}
-		if n.len > 32 || n.addr&^mask(n.len) != 0 {
-			t.Fatalf("node %d is %08x/%d", i, n.addr, n.len)
+		if n.len() > 32 || n.addr&^mask(n.len()) != 0 {
+			t.Fatalf("node %d is %08x/%d", i, n.addr, n.len())
 		}
 		kids := 0
 		for b, c := range n.child {
@@ -81,13 +83,13 @@ func checkInvariants[V comparable](t testing.TB, tb *Table[V]) {
 			}
 			kids++
 			k := tb.nodes[c]
-			if k.len <= n.len || !n.covers(k.addr) || n.branch(k.addr) != uint32(b) {
-				t.Fatalf("node %d (%08x/%d) has %08x/%d on branch %d", i, n.addr, n.len, k.addr, k.len, b)
+			if k.len() <= n.len() || !n.covers(k.addr) || n.branch(k.addr) != uint32(b) {
+				t.Fatalf("node %d (%08x/%d) has %08x/%d on branch %d", i, n.addr, n.len(), k.addr, k.len(), b)
 			}
 			visit(c)
 		}
-		if i != 0 && !n.set && kids < 2 {
-			t.Fatalf("unset node %d (%08x/%d) has %d children", i, n.addr, n.len, kids)
+		if i != 0 && !n.set() && kids < 2 {
+			t.Fatalf("unset node %d (%08x/%d) has %d children", i, n.addr, n.len(), kids)
 		}
 	}
 	visit(0)
@@ -96,12 +98,26 @@ func checkInvariants[V comparable](t testing.TB, tb *Table[V]) {
 		if free++; free > len(tb.nodes) {
 			t.Fatal("free list loops")
 		}
-		if tb.nodes[i].set || tb.vals[i] != zero {
-			t.Fatalf("free node %d is set or keeps a value", i)
+		if tb.nodes[i].set() {
+			t.Fatalf("free node %d is set", i)
 		}
 	}
 	if live+free != len(tb.nodes) {
 		t.Fatalf("%d live + %d free nodes, slice holds %d", live, free, len(tb.nodes))
+	}
+	for _, v := range tb.vfree {
+		if int(v) >= len(owner) || owner[v] != 0 {
+			t.Fatalf("free value slot %d of %d is named by a node or freed twice", v, len(owner))
+		}
+		owner[v] = -1
+		if tb.vals[v] != zero {
+			t.Fatalf("free value slot %d keeps %v", v, tb.vals[v])
+		}
+	}
+	for v, o := range owner {
+		if o == 0 {
+			t.Fatalf("value slot %d is neither named nor free", v)
+		}
 	}
 	if set != tb.Len() {
 		t.Fatalf("%d set nodes, Len %d", set, tb.Len())

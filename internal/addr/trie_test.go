@@ -234,6 +234,26 @@ func TestTableFootprint(t *testing.T) {
 	}
 }
 
+// A table holds at most MaxValues prefixes: the last value slot is named
+// like any other, and Insert refuses one more with a panic rather than wrap
+// the index its node would keep. The values are zero-sized, so a table that
+// full costs nothing.
+func TestTableHoldsAtMostMaxValues(t *testing.T) {
+	tb := NewTable[struct{}]()
+	tb.vals = make([]struct{}, MaxValues-1)
+	last := MustParsePrefix("10.0.0.0/8")
+	tb.Insert(last, struct{}{})
+	if i, _, _, ok := tb.find(last); !ok || tb.nodes[i].val() != MaxValues-1 || tb.Len() != MaxValues {
+		t.Fatalf("the last value slot: found %v, Len %d", ok, tb.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a table of MaxValues prefixes took one more")
+		}
+	}()
+	tb.Insert(MustParsePrefix("10.1.0.0/16"), struct{}{})
+}
+
 // Upsert hands out the value cell of a prefix, installing it zeroed when it
 // is absent: again after a Delete, and at a glue node that a later insert
 // made a fork (set false, value never written).

@@ -341,6 +341,30 @@ func TestSnapshotSmallRouteTargets(t *testing.T) {
 	}
 }
 
+// maxSaveAllocs bounds the allocations of one save of the converged
+// vpnv4_100k mesh (BenchmarkCheckpointMesh1000x100/save): 8 measured, the
+// writer's growth and the sort buffers of the ledgers that hold something.
+// A save walks an empty ledger as its count alone, where each of a
+// speaker's four used to cost a key and a value cell: 8,170 allocations.
+const maxSaveAllocs = 16
+
+// TestMeshSaveAllocations: saving the vpnv4_100k mesh allocates at most
+// maxSaveAllocs times.
+func TestMeshSaveAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("converges 100k routes")
+	}
+	m := clustered1000x100()
+	m.Converge()
+	got := testing.AllocsPerRun(2, func() {
+		var w snapshot.Writer
+		m.SaveState(&w)
+	})
+	if got > maxSaveAllocs {
+		t.Errorf("saving the vpnv4_100k mesh took %v allocations, bound %d", got, maxSaveAllocs)
+	}
+}
+
 // TestRestoredMeshHoldsNoMoreThanSaved: at the repository benchmark's
 // vpnv4_100k shape, the heap a mesh holds after LoadState is within 2 % of
 // what the converged mesh it was saved from held (it used to be 5 % more:

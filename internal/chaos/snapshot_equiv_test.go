@@ -223,38 +223,41 @@ func journalAfter(journal string, t sim.Time) string {
 }
 
 // TestRestoreOntoARunBuild: a checkpoint restored onto a build that has
-// already run, to an instant before the cut or past it, must load the
-// state it loads onto a fresh build: it re-snapshots to the same bytes. So
-// a telemetry series the build made before the restore and the checkpoint
-// lacks holds nothing after it. The snap, clustered-reflector and inter-AS
-// rigs each run to half their cut and to a second past it.
+// already run, to any instant before the cut or past it, must load the state
+// it loads onto a fresh build: it re-snapshots to the same bytes, and the run
+// from there ends with the same fingerprint. The snap, clustered-reflector
+// and inter-AS rigs are each restored onto builds run to every 100 ms of
+// their horizon. A run-ahead build is where state a load leaves alone shows:
+// a telemetry series the checkpoint lacks, the event wheel's origin, a
+// graph observer acting on the rebuild's ports.
 func TestRestoreOntoARunBuild(t *testing.T) {
-	// A rig is its scenario built fresh: run to an instant, checkpoint and
-	// restore.
+	// A rig is its scenario built fresh: run to an instant, checkpoint,
+	// restore and fingerprint.
 	type rig struct {
-		run      func(sim.Time)
-		snapshot func() ([]byte, error)
-		restore  func([]byte) error
+		run         func(sim.Time)
+		snapshot    func() ([]byte, error)
+		restore     func([]byte) error
+		fingerprint func() string
 	}
 	rigs := []struct {
-		name  string
-		cut   sim.Time
-		build func() rig
+		name         string
+		cut, horizon sim.Time
+		build        func() rig
 	}{
-		{"snap", snapT, func() rig {
+		{"snap", snapT, snapHorizon, func() rig {
 			r := buildSnapRig(t, 0, 0)
 			return rig{r.b.Net.RunUntil, func() ([]byte, error) { return r.b.Snapshot("snap-equiv") },
-				func(d []byte) error { return r.b.Restore(d, "snap-equiv") }}
+				func(d []byte) error { return r.b.Restore(d, "snap-equiv") }, r.fingerprint}
 		}},
-		{"clustered-reflector", reflSnapT, func() rig {
+		{"clustered-reflector", reflSnapT, reflHorizon, func() rig {
 			r := buildReflRig(t, 0, 0)
 			return rig{r.b.Net.RunUntil, func() ([]byte, error) { return r.b.Snapshot("refl-snap") },
-				func(d []byte) error { return r.b.Restore(d, "refl-snap") }}
+				func(d []byte) error { return r.b.Restore(d, "refl-snap") }, r.fingerprint}
 		}},
-		{"inter-AS", interASSnapT, func() rig {
+		{"inter-AS", interASSnapT, interASHorizon, func() rig {
 			r := buildInterASRig(t, 0, 0)
 			return rig{r.x.Net.RunUntil, func() ([]byte, error) { return r.x.Snapshot("interas-snap") },
-				func(d []byte) error { return r.x.Restore(d, "interas-snap") }}
+				func(d []byte) error { return r.x.Restore(d, "interas-snap") }, r.fingerprint}
 		}},
 	}
 	for _, rc := range rigs {
@@ -264,7 +267,9 @@ func TestRestoreOntoARunBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resnapshot := func(ranTo sim.Time) []byte {
+		// resume restores the checkpoint onto a build run to ranTo and
+		// returns its re-snapshot and the fingerprint it ends with.
+		resume := func(ranTo sim.Time) ([]byte, string) {
 			r := rc.build()
 			r.run(ranTo)
 			if err := r.restore(data); err != nil {
@@ -274,14 +279,32 @@ func TestRestoreOntoARunBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return again
+			r.run(rc.horizon + sim.Second)
+			return again, r.fingerprint()
 		}
-		want := resnapshot(0)
-		for _, ranTo := range []sim.Time{rc.cut / 2, rc.cut + sim.Second} {
-			if got := resnapshot(ranTo); !bytes.Equal(got, want) {
+		wantBytes, wantEnd := resume(0)
+		differ := 0
+		for ranTo := 100 * sim.Millisecond; ranTo <= rc.horizon; ranTo += 100 * sim.Millisecond {
+			gotBytes, gotEnd := resume(ranTo)
+			if !bytes.Equal(gotBytes, wantBytes) {
 				t.Errorf("%s rig restored onto a build run to %v: re-snapshot differs from a restore onto a fresh build (%d vs %d bytes)",
-					rc.name, ranTo, len(got), len(want))
+					rc.name, ranTo, len(gotBytes), len(wantBytes))
 			}
+			if gotEnd == wantEnd {
+				continue
+			}
+			if differ++; differ == 1 {
+				got, want := strings.Split(gotEnd, "\n"), strings.Split(wantEnd, "\n")
+				i := 0
+				for i < len(got)-1 && i < len(want)-1 && got[i] == want[i] {
+					i++
+				}
+				t.Errorf("%s rig restored onto a build run to %v ends differently from a restore onto a fresh build:\n  %s\n  against %s",
+					rc.name, ranTo, got[i], want[i])
+			}
+		}
+		if differ > 1 {
+			t.Errorf("%s rig: %d run-ahead instants end differently in all", rc.name, differ)
 		}
 	}
 }

@@ -41,9 +41,9 @@ func (x *InterAS) Snapshot(scenario string) ([]byte, error) {
 	return data, nil
 }
 
-// Restore overlays a multi-provider checkpoint onto a freshly rebuilt
+// Restore overlays a multi-provider checkpoint onto a build of its
 // scenario: same builder (including peerings and the initial reconcile),
-// same seed, same sharding, nothing run yet.
+// same seed, same sharding.
 func (x *InterAS) Restore(data []byte, scenario string) error {
 	// Every pending event comes from the checkpoint: the rebuild's go.
 	x.E.DropPending()

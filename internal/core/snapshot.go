@@ -1,7 +1,7 @@
 // Checkpoint/restore orchestration: Snapshot serializes the backbone's full
 // dynamic state — control plane, forwarding tables, in-flight packets,
 // traffic sources, telemetry, and every pending event — and Restore overlays
-// it onto a freshly rebuilt scenario.
+// it onto a rebuild of the scenario, run or not.
 //
 // The architecture is "dynamic-state delta over a deterministic rebuild":
 // a snapshot does not serialize topology, policy, or wiring (closures,
@@ -294,10 +294,9 @@ func (b *Backbone) Snapshot(scenario string) ([]byte, error) {
 	return data, nil
 }
 
-// Restore overlays a checkpoint onto a freshly rebuilt scenario: same
-// builder, same seed, same sharding, nothing run yet. On any error the
-// backbone must be discarded and rebuilt — a failed restore does not roll
-// back.
+// Restore overlays a checkpoint onto a build of its scenario: same builder,
+// same seed, same sharding. On any error the backbone must be discarded and
+// rebuilt — a failed restore does not roll back.
 func (b *Backbone) Restore(data []byte, scenario string) error {
 	// Every pending event comes from the checkpoint: the rebuild's go.
 	b.E.DropPending()
@@ -394,14 +393,16 @@ func (b *Backbone) auxRngState(c *snapshot.Codec) {
 }
 
 // topoState walks the graph's dynamic link state: a flag and a float64 per
-// link.
+// link. A load writes the flag without firing the graph's link-state
+// observers: the data plane's port state they would recompute is the net
+// section's, and a hook run now would act on the rebuild's ports.
 func topoState(c *snapshot.Codec, g *topo.Graph) {
 	if !c.FixedLen(g.NumLinks(), 9, "links") {
 		return
 	}
 	for i := 0; i < g.NumLinks(); i++ {
 		l := g.Link(topo.LinkID(i))
-		g.SetDown(topo.LinkID(i), c.Has(l.Down))
+		c.Bool(&l.Down)
 		c.F64(&l.ReservedBw)
 	}
 }

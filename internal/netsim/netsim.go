@@ -642,14 +642,7 @@ func (n *Network) CheckConservation() error {
 		pt.settle(n.E.Now())
 		var queued int64
 		if pt.sched != nil {
-			// Dedupe shared queues (a FIFO serves every class) by pointer.
-			seen := make(map[*qos.Queue]bool)
-			for c := qos.Class(0); c < qos.NumClasses; c++ {
-				if q := pt.sched.ClassQueue(c); q != nil && !seen[q] {
-					seen[q] = true
-					queued += int64(q.Bytes())
-				}
-			}
+			queued = int64(pt.sched.Bytes())
 		}
 		if pt.pending != nil {
 			queued += int64(pt.pending.Wire())

@@ -12,27 +12,72 @@ import (
 	"mplsvpn/internal/telemetry"
 )
 
-// A port's scheduler is one allocation, its class queues included: the
-// queues' rings come later, on first use. Every port carries a hybrid, which
-// holds one set of six queues and fits the 896-byte size class.
-func TestSchedulerIsOneAllocation(t *testing.T) {
-	if size := unsafe.Sizeof(HybridScheduler{}); size > 896 {
-		t.Errorf("a hybrid scheduler is %d bytes, want at most 896", size)
-	}
+// multiQueue builds each scheduler that holds a queue per class, with the
+// byte limit and the weights or quanta every test below gives it.
+func multiQueue() map[string]func() Scheduler {
 	var weights [NumClasses]float64
 	var quanta [NumClasses]int
 	for c := range weights {
 		weights[c], quanta[c] = 1, 1500
 	}
-	for name, build := range map[string]func() Scheduler{
-		"fifo":     func() Scheduler { return NewFIFO(6000) },
+	return map[string]func() Scheduler{
 		"priority": func() Scheduler { return NewPriority(6000) },
 		"wfq":      func() Scheduler { return NewWFQ(6000, weights) },
 		"drr":      func() Scheduler { return NewDRR(6000, quanta) },
 		"hybrid":   func() Scheduler { return NewHybrid(6000, weights) },
-	} {
+	}
+}
+
+// An idle port's scheduler is what New was given, in one allocation: most
+// ports of a provider build never carry a packet. Reading it, saving it and
+// loading an idle record into it make no queues, and its record is the one
+// a scheduler whose queues exist but never held a packet writes.
+func TestIdleSchedulerIsItsConfiguration(t *testing.T) {
+	if size := unsafe.Sizeof(HybridScheduler{}); size > 64 {
+		t.Errorf("an idle hybrid scheduler is %d bytes, want at most 64", size)
+	}
+	for name, build := range multiQueue() {
 		if got := testing.AllocsPerRun(10, func() { build() }); got != 1 {
 			t.Errorf("%s: building the scheduler took %v allocations, want 1", name, got)
+		}
+		s := build()
+		made := build()
+		made.ClassQueue(ClassVoice)
+		data := schedBytes(s)
+		if !bytes.Equal(data, schedBytes(made)) {
+			t.Errorf("%s: an idle scheduler's record differs from that of one whose queues exist", name)
+		}
+		if err := snapshot.Load(snapshot.NewReader(data), func(cd *snapshot.Codec) { SchedulerState(cd, s, nil) }); err != nil {
+			t.Fatalf("%s: load: %v", name, err)
+		}
+		if s.Len() != 0 || s.Bytes() != 0 || s.Dequeue(0) != nil {
+			t.Errorf("%s: an idle scheduler holds something", name)
+		}
+		if occupancies(s)[0].queueBlock != nil {
+			t.Errorf("%s: reading, saving or loading an idle scheduler made its queues", name)
+		}
+	}
+}
+
+// A port's first packet makes its scheduler's queues, and the state of the
+// algorithm serving them, in one allocation; a ring comes later, with the
+// first packet that waits. DRR's Pass is its Enqueue and Dequeue, so there
+// the first packet makes the ring too.
+func TestFirstPacketIsOneAllocation(t *testing.T) {
+	const runs = 10
+	for name, build := range multiQueue() {
+		idle := make([]Scheduler, runs+1)
+		for i := range idle {
+			idle[i] = build()
+		}
+		want := 1.0
+		if name == "drr" {
+			want = 2
+		}
+		n := 0
+		p := &packet.Packet{Payload: 500}
+		if got := testing.AllocsPerRun(runs, func() { idle[n].Pass(0, ClassBusiness, p); n++ }); got != want {
+			t.Errorf("%s: the first packet took %v allocations, want %v", name, got, want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/sim"
-	"mplsvpn/internal/snapshot"
 )
 
 // Scheduler owns the per-class queues of one egress interface and decides
@@ -27,9 +26,11 @@ type Scheduler interface {
 	Pass(now sim.Time, c Class, p *packet.Packet) bool
 	// Len returns the total number of queued packets.
 	Len() int
-	// ClassQueue exposes the queue backing class c (for occupancy stats
-	// and drop counters); may return nil for schedulers without per-class
-	// queues.
+	// Bytes returns the total bytes those packets put on the wire.
+	Bytes() int
+	// ClassQueue exposes the queue backing class c (for occupancy stats,
+	// drop counters and policies), making the scheduler's queues if it has
+	// not yet; may return nil for schedulers without per-class queues.
 	ClassQueue(c Class) *Queue
 }
 
@@ -62,48 +63,95 @@ func (s *FIFOScheduler) Pass(now sim.Time, _ Class, p *packet.Packet) bool { ret
 // Len returns the shared queue length.
 func (s *FIFOScheduler) Len() int { return s.q.Len() }
 
+// Bytes returns the shared queue's bytes.
+func (s *FIFOScheduler) Bytes() int { return s.q.Bytes() }
+
 // ClassQueue returns the single shared queue for every class.
 func (s *FIFOScheduler) ClassQueue(Class) *Queue { return &s.q }
 
 // ---------------------------------------------------------------------------
 // Per-class queues
 
-// classQueues is what every multi-queue scheduler holds by value: one queue
-// per class, and the occupancy mask those queues keep current (bit c set
-// exactly while class c holds a packet), so Dequeue and Len visit only the
-// backlogged classes. A scheduler is one allocation, queues included, and
-// the pointers ClassQueue hands out stay valid for its lifetime.
+// classQueues is what every multi-queue scheduler holds of its queues: the
+// byte limit New gave them and, from the port's first packet on, the block
+// that holds them. Most ports of a provider build never carry a packet, so
+// an idle scheduler is its configuration alone and its queues cost nothing.
 type classQueues struct {
-	qs   [NumClasses]Queue
-	busy uint32
+	*queueBlock // nil until the first Pass, Enqueue or ClassQueue
+	limit       int
 }
 
-// init sizes every class queue in place; the queues report into busy, so
-// the struct must not be copied afterwards.
-func (cq *classQueues) init(limitBytes int) {
-	for i := range cq.qs {
-		cq.qs[i] = Queue{LimitBytes: limitBytes, occ: &cq.busy, bit: 1 << i}
+// queueBlock is a multi-queue scheduler's dynamic state: one queue per
+// class, the occupancy mask those queues keep current (bit c set exactly
+// while class c holds a packet), so Dequeue and Len visit only the
+// backlogged classes, and the state of the algorithm serving them. It is
+// made once and never moves, so the pointers ClassQueue hands out stay
+// valid for the scheduler's lifetime.
+type queueBlock struct {
+	qs   [NumClasses]Queue
+	busy uint32
+	// WFQ's: each class's virtual finish time, and the system virtual time.
+	finish [NumClasses]float64
+	vtime  float64
+	// DRR's: each class's deficit, the class the round is at, and whether
+	// that class has had its quantum this visit.
+	deficit [NumClasses]int
+	cursor  int
+	granted bool
+}
+
+// queues returns the block, making it on first use.
+func (cq *classQueues) queues() *queueBlock {
+	if cq.queueBlock == nil {
+		cq.makeQueues()
+	}
+	return cq.queueBlock
+}
+
+// makeQueues makes the block. It stays out of line: queues is inlined on
+// every packet's path, and the block is made once a port.
+//
+//go:noinline
+func (cq *classQueues) makeQueues() {
+	cq.queueBlock = new(queueBlock)
+	cq.setup(cq.limit)
+}
+
+// setup gives every class queue the byte limit and points it at the
+// block's occupancy mask, which it sets from what the queues hold. The
+// queues report into busy, so the block must not be copied afterwards.
+func (b *queueBlock) setup(limit int) {
+	for i := range b.qs {
+		q := &b.qs[i]
+		q.LimitBytes, q.occ, q.bit = limit, &b.busy, 1<<i
+		q.markOcc()
 	}
 }
 
 // Len sums the backlogged class queues.
 func (cq *classQueues) Len() int {
 	n := 0
-	for m := cq.busy; m != 0; m &= m - 1 {
-		n += cq.qs[bits.TrailingZeros32(m)].count
+	if b := cq.queueBlock; b != nil {
+		for m := b.busy; m != 0; m &= m - 1 {
+			n += b.qs[bits.TrailingZeros32(m)].count
+		}
+	}
+	return n
+}
+
+// Bytes sums the bytes the backlogged class queues hold.
+func (cq *classQueues) Bytes() int {
+	n := 0
+	if b := cq.queueBlock; b != nil {
+		for m := b.busy; m != 0; m &= m - 1 {
+			n += b.qs[bits.TrailingZeros32(m)].bytes
+		}
 	}
 	return n
 }
 
 // ClassQueue returns the queue for class c.
-func (cq *classQueues) ClassQueue(c Class) *Queue { return &cq.qs[c] }
-
-// state walks every class queue in class order.
-func (cq *classQueues) state(c *snapshot.Codec, alloc PacketAlloc) {
-	for i := range cq.qs {
-		cq.qs[i].State(c, alloc)
-	}
-}
+func (cq *classQueues) ClassQueue(c Class) *Queue { return &cq.queues().qs[c] }
 
 // ---------------------------------------------------------------------------
 // Strict priority
@@ -118,27 +166,25 @@ type PriorityScheduler struct {
 // NewPriority builds a strict-priority scheduler with one queue of
 // limitBytes per class.
 func NewPriority(limitBytes int) *PriorityScheduler {
-	s := &PriorityScheduler{}
-	s.init(limitBytes)
-	return s
+	return &PriorityScheduler{classQueues{limit: limitBytes}}
 }
 
 // Enqueue places p in its class queue.
 func (s *PriorityScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) bool {
-	return s.qs[c].Enqueue(now, p)
+	return s.queues().qs[c].Enqueue(now, p)
 }
 
 // Dequeue serves the highest-priority non-empty queue.
 func (s *PriorityScheduler) Dequeue(sim.Time) *packet.Packet {
-	if s.busy == 0 {
-		return nil
+	if b := s.queueBlock; b != nil && b.busy != 0 {
+		return b.qs[bits.TrailingZeros32(b.busy)].Dequeue()
 	}
-	return s.qs[bits.TrailingZeros32(s.busy)].Dequeue()
+	return nil
 }
 
 // Pass admits p to its class queue without queueing it.
 func (s *PriorityScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
-	return s.qs[c].admit(now, p)
+	return s.queues().qs[c].admit(now, p)
 }
 
 // ---------------------------------------------------------------------------
@@ -150,8 +196,6 @@ func (s *PriorityScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
 type WFQScheduler struct {
 	classQueues
 	weights [NumClasses]float64
-	finish  [NumClasses]float64 // virtual finish time of the class's tail
-	vtime   float64             // system virtual time
 }
 
 // NewWFQ builds a WFQ scheduler. weights[c] is the bandwidth share of class
@@ -164,8 +208,7 @@ func NewWFQ(limitBytes int, weights [NumClasses]float64) *WFQScheduler {
 
 // init sets the scheduler up in place.
 func (s *WFQScheduler) init(limitBytes int, weights [NumClasses]float64) {
-	s.classQueues.init(limitBytes)
-	s.weights = weights
+	s.limit, s.weights = limitBytes, weights
 	for i := range s.weights {
 		if s.weights[i] <= 0 {
 			s.weights[i] = 0.01
@@ -175,49 +218,56 @@ func (s *WFQScheduler) init(limitBytes int, weights [NumClasses]float64) {
 
 // Enqueue stamps the packet's virtual finish time via its class state.
 func (s *WFQScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) bool {
-	if !s.qs[c].Enqueue(now, p) {
+	b := s.queues()
+	if !b.qs[c].Enqueue(now, p) {
 		return false
 	}
-	s.stamp(c, p)
+	s.stamp(b, c, p)
 	return true
 }
 
 // stamp advances class c's virtual finish time past p.
-func (s *WFQScheduler) stamp(c Class, p *packet.Packet) {
-	start := s.finish[c]
-	if s.vtime > start {
-		start = s.vtime
+func (s *WFQScheduler) stamp(b *queueBlock, c Class, p *packet.Packet) {
+	start := b.finish[c]
+	if b.vtime > start {
+		start = b.vtime
 	}
-	s.finish[c] = start + float64(p.Wire())/s.weights[c]
+	b.finish[c] = start + float64(p.Wire())/s.weights[c]
 }
 
 // Pass admits and stamps p, then serves it: alone in the scheduler it is
 // the head that finishes earliest, with nothing queued behind it, so
 // virtual time moves to its finish.
 func (s *WFQScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
-	if !s.qs[c].admit(now, p) {
+	b := s.queues()
+	if !b.qs[c].admit(now, p) {
 		return false
 	}
-	s.stamp(c, p)
-	s.vtime = s.finish[c]
+	s.stamp(b, c, p)
+	b.vtime = b.finish[c]
 	return true
 }
 
 // Dequeue serves the backlogged class whose *head* packet finishes earliest
 // in virtual time. Because per-class queues are FIFO, tracking cumulative
 // finish times per class suffices.
-func (s *WFQScheduler) Dequeue(sim.Time) *packet.Packet { return s.dequeue(s.busy) }
+func (s *WFQScheduler) Dequeue(sim.Time) *packet.Packet {
+	if b := s.queueBlock; b != nil {
+		return s.dequeue(b, b.busy)
+	}
+	return nil
+}
 
 // dequeue is Dequeue over the backlogged classes in mask alone.
-func (s *WFQScheduler) dequeue(mask uint32) *packet.Packet {
+func (s *WFQScheduler) dequeue(b *queueBlock, mask uint32) *packet.Packet {
 	best := -1
 	var bestFinish float64
 	for m := mask; m != 0; m &= m - 1 {
 		c := bits.TrailingZeros32(m)
-		q := &s.qs[c]
+		q := &b.qs[c]
 		// Head finish time = finish[c] - (bytes queued behind head)/weight.
 		behind := float64(q.bytes-q.pkts[q.head].Wire()) / s.weights[c]
-		f := s.finish[c] - behind
+		f := b.finish[c] - behind
 		if best < 0 || f < bestFinish {
 			best, bestFinish = c, f
 		}
@@ -225,8 +275,8 @@ func (s *WFQScheduler) dequeue(mask uint32) *packet.Packet {
 	if best < 0 {
 		return nil
 	}
-	s.vtime = bestFinish
-	return s.qs[best].Dequeue()
+	b.vtime = bestFinish
+	return b.qs[best].Dequeue()
 }
 
 // ---------------------------------------------------------------------------
@@ -237,16 +287,12 @@ func (s *WFQScheduler) dequeue(mask uint32) *packet.Packet {
 type DRRScheduler struct {
 	classQueues
 	quantum [NumClasses]int
-	deficit [NumClasses]int
-	cursor  int
-	granted bool // quantum already granted to the cursor's class this visit
 }
 
 // NewDRR builds a DRR scheduler; quantum[c] is the byte allowance class c
 // receives each round (≥ MTU for work-conserving behaviour).
 func NewDRR(limitBytes int, quantum [NumClasses]int) *DRRScheduler {
-	s := &DRRScheduler{quantum: quantum}
-	s.init(limitBytes)
+	s := &DRRScheduler{classQueues: classQueues{limit: limitBytes}, quantum: quantum}
 	for i := range s.quantum {
 		if s.quantum[i] <= 0 {
 			s.quantum[i] = 100
@@ -257,40 +303,41 @@ func NewDRR(limitBytes int, quantum [NumClasses]int) *DRRScheduler {
 
 // Enqueue places p in its class queue.
 func (s *DRRScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) bool {
-	return s.qs[c].Enqueue(now, p)
+	return s.queues().qs[c].Enqueue(now, p)
 }
 
 // Dequeue serves queues round-robin, letting each spend its deficit.
 func (s *DRRScheduler) Dequeue(sim.Time) *packet.Packet {
-	if s.busy == 0 {
+	b := s.queueBlock
+	if b == nil || b.busy == 0 {
 		return nil
 	}
 	for {
-		c := Class(s.cursor % int(NumClasses))
-		q := &s.qs[c]
-		if s.busy&(1<<c) == 0 {
-			s.deficit[c] = 0
-			s.cursor++
-			s.granted = false
+		c := Class(b.cursor % int(NumClasses))
+		q := &b.qs[c]
+		if b.busy&(1<<c) == 0 {
+			b.deficit[c] = 0
+			b.cursor++
+			b.granted = false
 			continue
 		}
-		if !s.granted {
-			s.deficit[c] += s.quantum[c]
-			s.granted = true
+		if !b.granted {
+			b.deficit[c] += s.quantum[c]
+			b.granted = true
 		}
-		if head := q.Head(); head.Wire() <= s.deficit[c] {
-			s.deficit[c] -= head.Wire()
+		if head := q.Head(); head.Wire() <= b.deficit[c] {
+			b.deficit[c] -= head.Wire()
 			p := q.Dequeue()
 			if q.Len() == 0 {
-				s.deficit[c] = 0
-				s.cursor++
-				s.granted = false
+				b.deficit[c] = 0
+				b.cursor++
+				b.granted = false
 			}
 			return p
 		}
 		// Deficit exhausted for this visit: move on, keeping the residue.
-		s.cursor++
-		s.granted = false
+		b.cursor++
+		b.granted = false
 	}
 }
 
@@ -335,7 +382,7 @@ func isPriorityClass(c Class) bool { return prioMask&(1<<c) != 0 }
 // class's for the fair share.
 func (s *HybridScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) bool {
 	if isPriorityClass(c) {
-		return s.wfq.qs[c].Enqueue(now, p)
+		return s.wfq.queues().qs[c].Enqueue(now, p)
 	}
 	return s.wfq.Enqueue(now, c, p)
 }
@@ -344,21 +391,28 @@ func (s *HybridScheduler) Enqueue(now sim.Time, c Class, p *packet.Packet) bool 
 // class's through the fair share.
 func (s *HybridScheduler) Pass(now sim.Time, c Class, p *packet.Packet) bool {
 	if isPriorityClass(c) {
-		return s.wfq.qs[c].admit(now, p)
+		return s.wfq.queues().qs[c].admit(now, p)
 	}
 	return s.wfq.Pass(now, c, p)
 }
 
 // Dequeue serves the priority classes first, then WFQ among the rest.
 func (s *HybridScheduler) Dequeue(sim.Time) *packet.Packet {
-	if m := s.wfq.busy & prioMask; m != 0 {
-		return s.wfq.qs[bits.TrailingZeros32(m)].Dequeue()
+	b := s.wfq.queueBlock
+	if b == nil {
+		return nil
 	}
-	return s.wfq.dequeue(s.wfq.busy &^ prioMask)
+	if m := b.busy & prioMask; m != 0 {
+		return b.qs[bits.TrailingZeros32(m)].Dequeue()
+	}
+	return s.wfq.dequeue(b, b.busy&^prioMask)
 }
 
 // Len sums the class queues.
 func (s *HybridScheduler) Len() int { return s.wfq.Len() }
 
+// Bytes sums the bytes the class queues hold.
+func (s *HybridScheduler) Bytes() int { return s.wfq.Bytes() }
+
 // ClassQueue returns the queue for class c.
-func (s *HybridScheduler) ClassQueue(c Class) *Queue { return &s.wfq.qs[c] }
+func (s *HybridScheduler) ClassQueue(c Class) *Queue { return s.wfq.ClassQueue(c) }

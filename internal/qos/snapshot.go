@@ -1,6 +1,8 @@
 package qos
 
 import (
+	"math"
+
 	"mplsvpn/internal/packet"
 	"mplsvpn/internal/snapshot"
 )
@@ -94,36 +96,69 @@ func schedKind(s Scheduler) int {
 // a scheduler rebuilt by the scenario, whose concrete type must match the
 // saved one.
 func SchedulerState(c *snapshot.Codec, s Scheduler, alloc PacketAlloc) {
-	if !kindState(c, schedKind(s)) {
+	kind := schedKind(s)
+	if !kindState(c, kind) {
 		return
 	}
 	switch sc := s.(type) {
 	case *FIFOScheduler:
 		sc.q.State(c, alloc)
 	case *PriorityScheduler:
-		sc.state(c, alloc)
+		sc.state(c, alloc, kind)
 	case *WFQScheduler:
-		sc.wfqState(c, alloc)
+		sc.state(c, alloc, kind)
 	case *DRRScheduler:
-		for i := range sc.deficit {
-			snapshot.Int(c, &sc.deficit[i])
-		}
-		snapshot.Int(c, &sc.cursor)
-		c.Bool(&sc.granted)
-		sc.state(c, alloc)
+		sc.state(c, alloc, kind)
 	case *HybridScheduler:
-		sc.wfq.wfqState(c, alloc)
+		sc.wfq.state(c, alloc, schedWFQ)
 	}
 }
 
-// wfqState walks every class's finish time, the virtual time and the six
-// queues.
-func (s *WFQScheduler) wfqState(c *snapshot.Codec, alloc PacketAlloc) {
-	for i := range s.finish {
-		c.F64(&s.finish[i])
+// state walks the state of the algorithm of the given kind — WFQ's finish
+// times and virtual time, DRR's deficits, cursor and grant — then the six
+// queues. A scheduler that has not made its block walks the zero block it
+// stands for, so its record is the one a fresh block would write; a load
+// makes the block only for a record that is not all zero.
+func (cq *classQueues) state(c *snapshot.Codec, alloc PacketAlloc, kind int) {
+	var zero queueBlock
+	b := cq.queueBlock
+	if b == nil {
+		b = &zero
 	}
-	c.F64(&s.vtime)
-	s.state(c, alloc)
+	switch kind {
+	case schedWFQ:
+		for i := range b.finish {
+			c.F64(&b.finish[i])
+		}
+		c.F64(&b.vtime)
+	case schedDRR:
+		for i := range b.deficit {
+			snapshot.Int(c, &b.deficit[i])
+		}
+		snapshot.Int(c, &b.cursor)
+		c.Bool(&b.granted)
+	}
+	for i := range b.qs {
+		b.qs[i].State(c, alloc)
+	}
+	if b == &zero && c.Loaded() && !zero.idle() {
+		made := cq.queues()
+		*made = zero
+		made.setup(cq.limit)
+	}
+}
+
+// idle reports whether b holds, bit for bit, what a block not yet made
+// stands for.
+func (b *queueBlock) idle() bool {
+	for i := range b.qs {
+		q := &b.qs[i]
+		if q.count != 0 || q.Enqueued != 0 || q.DroppedFull != 0 || q.DroppedEarly != 0 ||
+			math.Float64bits(b.finish[i]) != 0 || b.deficit[i] != 0 {
+			return false
+		}
+	}
+	return math.Float64bits(b.vtime) == 0 && b.cursor == 0 && !b.granted
 }
 
 // kindState walks a scheduler's type tag, which a load must find equal to

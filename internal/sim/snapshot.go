@@ -66,14 +66,16 @@ func (e *Engine) WalkPending(visit func(PendingEvent)) {
 }
 
 // DropPending empties every scheduler, handoffs waiting for a barrier
-// included. A restore calls it once on a freshly rebuilt engine, before it
+// included, and leaves each queue as a new engine has it: a wheel origin
+// kept from a run would file the events a restore re-arms against an
+// instant the restored clock never saw. A restore calls it once, before it
 // re-arms the events the checkpoint holds.
 func (e *Engine) DropPending() {
 	if e.par != nil {
 		e.par.mergeHandoffs()
 	}
 	for _, q := range e.all {
-		q.q = eventQueue{base: q.q.base}
+		q.q = eventQueue{}
 	}
 }
 

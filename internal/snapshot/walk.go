@@ -454,28 +454,35 @@ func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
 // value's.
 func Map[K comparable, V any](c *Codec, m *map[K]V, cmp func(a, b K) int, min int, key func(*Codec, *K), val func(*Codec, *V)) {
 	n := c.Len(len(*m), min)
-	// One cell each for the key and the value in flight: the func values
-	// make both escape, and one allocation per walk beats one per entry.
-	var k K
-	var v V
-	if c.r == nil {
-		for _, k = range sortedKeys(*m, cmp) {
-			start := c.w.Len()
-			key(c, &k)
-			v = (*m)[k]
-			val(c, &v)
-			c.sized(start, min)
-		}
+	if c.r != nil {
+		*m = loadMap(c, n, key, val)
 		return
 	}
-	*m = loadMap(c, n, key, val)
+	if n == 0 {
+		return
+	}
+	// One cell each for the key and the value in flight: the func values
+	// make both escape, and one allocation per walk beats one per entry;
+	// declared past the empty map's return, they cost it nothing.
+	var k K
+	var v V
+	for _, k = range sortedKeys(*m, cmp) {
+		start := c.w.Len()
+		key(c, &k)
+		v = (*m)[k]
+		val(c, &v)
+		c.sized(start, min)
+	}
 }
 
 // loadMap reads the n entries of a map whose count has been validated.
 func loadMap[K comparable, V any](c *Codec, n int, key func(*Codec, *K), val func(*Codec, *V)) map[K]V {
+	out := make(map[K]V, n)
+	if n == 0 {
+		return out
+	}
 	var k K
 	var v V
-	out := make(map[K]V, n)
 	for i := 0; i < n; i++ {
 		var zero V
 		v = zero
